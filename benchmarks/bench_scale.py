@@ -28,11 +28,11 @@ Trials route through the normal execution-backend seam
 (``REPRO_BENCH_WORKERS`` / ``REPRO_BENCH_BACKEND``): each trial is one
 seeded :func:`~repro.harness.trial.run_trial` of the ProBFT happy-path
 cell under constant latency.  Every (mode, n) pass is preceded by an
-untimed pass over the same seeds so the pooled crypto contexts (keys +
-VRF proves) are warm for both modes alike, and each timed pass starts from
-a freshly collected heap (``gc.collect()``) so deferred generation-2
-cycles from the warm pass cannot land inside the timed region — the
-recorded numbers are steady-state trial throughput, not keygen or GC debt.
+untimed pass over the same seeds so the pooled key registries are warm
+for both modes alike, and each timed pass starts from a freshly collected
+heap (``gc.collect()``) so deferred generation-2 cycles from the warm pass
+cannot land inside the timed region — the recorded numbers are trial
+throughput with VRF sampling included, not keygen or GC debt.
 
 Run with ``--quick`` (or ``REPRO_BENCH_QUICK=1``) for the 1-core CI
 profile: the two smallest points only, same seeds, same assertions — small
@@ -157,7 +157,8 @@ def _scale_trial(spec: TrialSpec):
 
 
 def _timed_pass(engine: ExperimentEngine, n: int, trials: int, mode: str):
-    """Warm pass (fills the pooled crypto for these exact seeds), then a
+    """Warm pass (derives the pooled key registries of these exact seeds;
+    VRF proofs and samples are per-deployment and are paid again), then a
     timed pass over the same seeds; returns (results, trials/sec)."""
     assert mode in MODES, mode
     engine.run_trials(

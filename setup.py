@@ -2,8 +2,8 @@
 
 This environment has no network and no ``wheel`` package, so PEP 517
 editable installs are unavailable; this shim lets ``pip install -e .`` fall
-back to the legacy ``setup.py develop`` path.  Metadata mirrors
-``pyproject.toml``.
+back to the legacy ``setup.py develop`` path.  This file is the only
+packaging metadata the repo has.
 """
 
 from setuptools import find_packages, setup

@@ -40,7 +40,6 @@ does) so numpy stays an optional dependency.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -59,18 +58,6 @@ __all__ = [
     "bitmap_merge",
     "bitmap_words",
 ]
-
-
-# id(tuple) -> (tuple, ndarray): multicast target tuples are cached on their
-# memo-stable VRFOutput (see Replica._multicast_sample), and the memoized VRF
-# is shared across pooled same-config trials — so the tuple→ndarray
-# conversion happens once per sample *object*, not once per delivery or even
-# once per trial.  Module-level so every deployment's kernel shares it;
-# identity is re-checked on hit and the tuple pinned alive, the same
-# discipline as every other id-keyed cache in this codebase.
-_DSTS_NDARRAY_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-#: Bound for the id(dsts)→ndarray memo; ~2 tuples per replica per view.
-_DSTS_CACHE_LIMIT = 16384
 
 
 # ----------------------------------------------------------------------
@@ -458,18 +445,7 @@ class ColumnarVoteDispatch(BulkVoteDispatch):
         q = self._q
         slot = state.slot(is_prepare, view, token.value)
 
-        if type(dsts) is tuple:
-            cache = _DSTS_NDARRAY_CACHE
-            entry = cache.get(id(dsts))
-            if entry is not None and entry[0] is dsts:
-                D = entry[1]
-            else:
-                D = np.asarray(dsts, dtype=np.intp)
-                cache[id(dsts)] = (dsts, D)
-                if len(cache) > _DSTS_CACHE_LIMIT:
-                    cache.popitem(last=False)
-        else:
-            D = np.asarray(dsts, dtype=np.intp)
+        D = np.asarray(dsts, dtype=np.intp)
         if D.shape[0] == 0:
             return 0
         # One gather classifies countability: the active column fuses the

@@ -115,8 +115,8 @@ class ProBFTDeployment:
             duplicate_seed=seed,
             track_bytes=track_bytes,
         )
-        # Same-config trials share one pooled (immutable) context instead of
-        # re-deriving n key pairs; pass ``crypto=`` to override.
+        # Same-seed trials share one pooled (immutable) key registry instead
+        # of re-deriving n key pairs; pass ``crypto=`` to override.
         self.crypto = crypto if crypto is not None else CryptoContext.pooled(
             config.n, master_seed=digest("deployment", seed)
         )

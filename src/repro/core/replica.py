@@ -938,24 +938,15 @@ class ProBFTReplica:
     def _multicast_sample(self, sample: VRFOutput, message: Signed) -> None:
         # Samples are drawn without replacement, so self appears at most
         # once; C-level index + slice beats filtering ~s elements per vote.
-        # The sliced target tuple is cached on the (frozen, memo-stable)
-        # output object: only the prover ever multicasts its own sample, and
-        # pooled trials reuse the same VRFOutput — so the slice happens once
-        # per pool entry and downstream identity-keyed caches (the columnar
-        # kernel's ndarray memo) see one stable tuple object per sample.
-        cached = sample.__dict__.get("_mcast")
-        if cached is not None and cached[0] == self.id:
-            targets, has_self = cached[1], cached[2]
+        # Each sample is multicast once, by its prover, so nothing is kept.
+        targets = sample.sample
+        try:
+            i = targets.index(self.id)
+        except ValueError:
+            has_self = False
         else:
-            full = sample.sample
-            try:
-                i = full.index(self.id)
-                targets = full[:i] + full[i + 1 :]
-                has_self = True
-            except ValueError:
-                targets = full
-                has_self = False
-            sample.__dict__["_mcast"] = (self.id, targets, has_self)
+            targets = targets[:i] + targets[i + 1 :]
+            has_self = True
         self._transport.multicast(targets, message)
         if has_self:
             self._deliver_local(message)

@@ -13,9 +13,10 @@ implements *behaviourally faithful* stand-ins (see DESIGN.md, Substitutions):
   with uniqueness, collision resistance and pseudorandomness against
   in-simulation adversaries.
 * :mod:`repro.crypto.hashing` — canonical serialization + digest helpers.
-* :mod:`repro.crypto.context` — one bundle of the above per deployment, and
-  the per-process :meth:`CryptoContext.pooled` cache that amortizes key
-  derivation and verification across trials of the same ``(n, master_seed)``.
+* :mod:`repro.crypto.context` — one bundle of the above per deployment;
+  :meth:`CryptoContext.pooled` takes the key registry from a per-process
+  pool keyed by ``(n, master_seed)`` and memoizes verification within the
+  deployment.
 """
 
 from .context import CryptoContext, clear_crypto_pool, crypto_pool_stats

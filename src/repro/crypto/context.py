@@ -4,19 +4,23 @@ Two construction paths:
 
 * :meth:`CryptoContext.create` — a fresh, uncached context (plain
   :class:`SignatureScheme` / :class:`VRF`).  The reference semantics.
-* :meth:`CryptoContext.pooled` — a per-process cache keyed by
-  ``(n, master_seed)``.  Rebuilding the same deployment (same system size,
-  same seed) reuses the key registry instead of re-deriving ``n`` key pairs,
-  and the pooled context's signature/VRF services memoize verification —
-  the simulation's hot path, since every broadcast envelope is verified by
-  up to ``n`` receivers.  All cached computations are pure functions of
-  their inputs, so pooled and fresh contexts are bit-identical by
-  construction (and pinned by tests).
+* :meth:`CryptoContext.pooled` — what deployments use.  A per-process pool
+  keyed by ``(n, master_seed)`` shares the one thing that is safe to keep
+  indefinitely, the immutable :class:`KeyRegistry`: rebuilding the same
+  deployment (same system size, same seed) skips re-deriving ``n`` key
+  pairs.  The signature and VRF services memoize verification — the
+  simulation's hot path, since every vote is verified by each of its
+  recipients — and are created fresh per call: their memos are keyed by
+  object identity and pin the envelopes and outputs they have seen, so
+  scoping them to one deployment means a finished trial holds nothing.
+  All cached computations are pure functions of their inputs, so pooled
+  and fresh contexts are bit-identical by construction (and pinned by
+  tests).
 
 The pool is deliberately per-process: worker processes of a
 :class:`~repro.harness.parallel.ExperimentEngine` each grow their own pool,
 which keeps the bit-identity guarantee trivially (no cross-process state)
-while still amortizing setup across the many trials each worker runs.
+while still amortizing key setup across same-seed trials a worker runs.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from .vrf import VRF, MemoizedVRF
 #: bound keeps the pool from holding every registry ever built.
 POOL_MAX_ENTRIES = 128
 
-#: Byte-budget bounds for the pooled memo caches.  The floor keeps small
-#: deployments from thrashing; the ceiling caps what one (n, master_seed)
-#: pool entry may pin — at n=20000 an uncapped 4n-entry VRF memo would pin
-#: gigabytes of expanded sample tuples.
+#: Byte-budget bounds for the per-deployment memo caches.  The floor keeps
+#: small deployments from thrashing; the ceiling caps what one deployment
+#: may pin — at n=20000 an uncapped 4n-entry VRF memo would pin gigabytes of
+#: expanded sample tuples.
 MEMO_BUDGET_FLOOR = 32 << 20  # 32 MiB
 MEMO_BUDGET_CEILING = 512 << 20  # 512 MiB
 
@@ -47,8 +51,8 @@ MEMO_BUDGET_CEILING = 512 << 20  # 512 MiB
 def memo_budget(n: int) -> Tuple[int, int]:
     """``(byte_budget, entry_bytes)`` for the size-``n`` VRF memo caches.
 
-    A trial proves/expands ~2n+1 sampler keys; each memo entry pins an
-    expanded sample tuple of ``s = min(n, ceil(1.7·ceil(2√n)))`` member ids
+    A trial proves ~2n+1 sampler keys; each memo entry pins an output whose
+    sample tuple has ``s = min(n, ceil(1.7·ceil(2√n)))`` member ids
     (~40 bytes per id of tuple slot + int object) plus fixed overhead.  The
     ideal budget covers ``4n`` entries (two warm trials, the PR 7 cap) but
     is clamped to [floor, ceiling] so the cap scales with *bytes*, not
@@ -87,65 +91,46 @@ class CryptoContext:
 
     @staticmethod
     def pooled(n: int, master_seed: bytes = b"repro-probft") -> "CryptoContext":
-        """A context over the process-wide pool entry for ``(n, master_seed)``.
+        """A memoizing context over the pooled registry of ``(n, master_seed)``.
 
-        The pool shares what is safe to share indefinitely: the immutable
-        :class:`KeyRegistry` (skipping the ``n`` key-pair re-derivation) and
-        a :class:`MemoizedVRF` whose caches are *value*-keyed — sampler-key
-        bytes → sample tuple for verification, and ``(replica, seed, s)`` →
-        proven output for the honest prove path — so same-seed trials reuse
-        each other's shuffle expansions *and* a replica's recurring per-view
-        sampler keys are proven once per pool entry (the adversary's
-        explicit-key ``prove_with`` path is never cached).  The signature scheme, whose memo is keyed by
-        envelope *identity* and therefore pins envelope object graphs
-        alive, is created fresh per call — its big win is within one
-        deployment (each broadcast verified by up to ``n`` receivers), and
-        per-deployment scoping keeps a long streaming sweep from retaining
-        dead envelopes.  Results are bit-identical to :meth:`create`
-        (memoization caches pure functions only), and state never leaks
-        across keys: each ``(n, master_seed)`` pair owns its own registry
-        and caches.
+        Only the :class:`KeyRegistry` comes from the pool.  The signature
+        scheme and the VRF are new on every call, sized for one trial (see
+        :func:`memo_budget`), and die with the deployment that asked for
+        them.  Results are bit-identical to :meth:`create` (memoization
+        caches pure functions only), and each ``(n, master_seed)`` pair owns
+        its own registry.
         """
         key = (n, master_seed)
         with _POOL_LOCK:
-            entry = _POOL.get(key)
-            if entry is not None:
+            registry = _POOL.get(key)
+            if registry is not None:
                 _POOL.move_to_end(key)
                 _POOL_STATS["hits"] += 1
-        if entry is None:
+        if registry is None:
             # Build outside the lock: registry derivation is the expensive
             # part.  A racing builder may have published meanwhile; keep the
-            # first entry so concurrent callers share one VRF cache.
-            registry = KeyRegistry(n, master_seed)
-            # A trial proves ~2n+1 sampler keys (prepare + commit per
-            # replica, plus the leader's propose); a fixed entry bound
-            # FIFO-thrashes past n≈4000, while an uncapped 4n-entry bound
-            # pins gigabytes past n≈10⁴.  Budget by bytes instead (see
-            # memo_budget) and let the eviction counter expose any thrash.
-            budget, entry_bytes = memo_budget(n)
-            built = (
-                registry,
-                MemoizedVRF(
-                    registry, byte_budget=budget, entry_bytes=entry_bytes
-                ),
-            )
+            # first entry so concurrent callers share one registry.
+            built = KeyRegistry(n, master_seed)
             with _POOL_LOCK:
-                entry = _POOL.get(key)
-                if entry is None:
+                registry = _POOL.get(key)
+                if registry is None:
                     _POOL_STATS["misses"] += 1
-                    _POOL[key] = entry = built
+                    _POOL[key] = registry = built
                     while len(_POOL) > POOL_MAX_ENTRIES:
                         _POOL.popitem(last=False)
                 else:
                     _POOL_STATS["hits"] += 1
-        registry, vrf = entry
+        # A trial proves ~2n+1 sampler keys (prepare + commit per replica,
+        # plus the leader's propose) and signs ~2n vote envelopes; a fixed
+        # entry bound FIFO-thrashes past n≈4000, while an uncapped 4n-entry
+        # bound pins gigabytes past n≈10⁴.  Budget by bytes instead and let
+        # the eviction counters expose any thrash.
+        budget, entry_bytes = memo_budget(n)
         return CryptoContext(
             registry=registry,
-            # ~2n vote envelopes per trial: size the per-deployment verify
-            # memo so one trial's envelopes fit without FIFO eviction.
             # Envelope entries pin shallow object graphs (~1 KiB amortized;
-            # the fat sample tuples are shared with the VRF memo), so the
-            # budget admits 4n+64 entries until the ceiling binds.
+            # the fat sample tuples belong to the VRF memo), so the budget
+            # admits 4n+64 entries until the ceiling binds.
             signatures=MemoizedSignatureScheme(
                 registry,
                 byte_budget=min(
@@ -154,7 +139,9 @@ class CryptoContext:
                 ),
                 entry_bytes=1024,
             ),
-            vrf=vrf,
+            vrf=MemoizedVRF(
+                registry, byte_budget=budget, entry_bytes=entry_bytes
+            ),
         )
 
     @property
@@ -162,16 +149,14 @@ class CryptoContext:
         return self.registry.n
 
 
-#: Pool entries: (registry, shared value-keyed VRF) per (n, master_seed).
-_POOL: "OrderedDict[Tuple[int, bytes], Tuple[KeyRegistry, MemoizedVRF]]" = (
-    OrderedDict()
-)
+#: Pool entries: the key registry of each (n, master_seed).
+_POOL: "OrderedDict[Tuple[int, bytes], KeyRegistry]" = OrderedDict()
 _POOL_LOCK = threading.Lock()
 _POOL_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
 def clear_crypto_pool() -> None:
-    """Drop every pooled context and reset the hit/miss counters."""
+    """Drop every pooled registry and reset the hit/miss counters."""
     with _POOL_LOCK:
         _POOL.clear()
         _POOL_STATS["hits"] = 0

@@ -3,32 +3,23 @@
 All signatures and VRF outputs in the simulation are computed over a
 *canonical encoding* of Python values, so two structurally equal messages
 always hash identically regardless of construction order.
+
+Objects exposing ``canonical()`` — every such type in the codebase is a
+frozen dataclass (Signed, VRFOutput, the message classes, certificates) —
+carry their encoded bytes on themselves once encoded: the hot path encodes
+the *same* object many times (a broadcast vote's shared leader statement is
+re-encoded once per signature over a message embedding it), and a cache
+that lives in the object's ``__dict__`` dies with the object, so nothing
+encoded in one trial is held after it.  Objects that expose ``canonical()``
+MUST be immutable for this cache (and for signing in general) to be sound.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Any
 
 _SEPARATOR = b"\x1f"
-
-# Identity-keyed memo for ``canonical()``-bearing objects.  Every such type
-# in the codebase is a frozen dataclass (Signed, VRFOutput, the message
-# classes, certificates), and the hot path encodes the *same* object many
-# times — a broadcast vote's shared leader statement is re-encoded once per
-# signature over a message embedding it.  The entry pins the object alive so
-# its id cannot be recycled, and the identity recheck makes a stale-id hit
-# impossible; bounded **LRU** eviction keeps long sessions from pinning
-# every envelope ever encoded while letting the recurring entries (the
-# memoized VRF outputs' identity-stable sample encodes, re-read by every
-# vote signature) refresh on hit — one-shot vote envelopes flow through and
-# evict first.  FIFO would instead cycle the hot sample entries out once a
-# trial's fresh-envelope inserts exceed the cap (n≳10⁴), re-paying an O(s)
-# tuple encode per sample per trial.  Objects that expose ``canonical()``
-# MUST be immutable for this cache (and for signing in general) to be sound.
-_CANONICAL_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_CANONICAL_CACHE_MAX = 49152
 
 
 def stable_encode(value: Any) -> bytes:
@@ -80,15 +71,10 @@ def stable_encode(value: Any) -> bytes:
         return b"D" + len(parts).to_bytes(8, "big") + _SEPARATOR.join(parts)
     canonical = getattr(value, "canonical", None)
     if callable(canonical):
-        key = id(value)
-        entry = _CANONICAL_CACHE.get(key)
-        if entry is not None and entry[0] is value:
-            _CANONICAL_CACHE.move_to_end(key)
-            return entry[1]
-        encoded = b"C" + stable_encode(canonical())
-        _CANONICAL_CACHE[key] = (value, encoded)
-        if len(_CANONICAL_CACHE) > _CANONICAL_CACHE_MAX:
-            _CANONICAL_CACHE.popitem(last=False)
+        attrs = value.__dict__
+        encoded = attrs.get("_encoded")
+        if encoded is None:
+            encoded = attrs["_encoded"] = b"C" + stable_encode(canonical())
         return encoded
     if hasattr(value, "value") and type(value).__module__ != "builtins":
         # Enum-like: encode by class name + value.

@@ -9,30 +9,43 @@ The sample contains ``s`` *distinct* replica IDs drawn uniformly at random
 (without replacement) from ``Π = {0..n-1}``.
 
 Simulation construction (see DESIGN.md, Substitutions): the prover derives a
-sampler key ``k = SHA256(sk_i ‖ seed ‖ s)`` and performs a deterministic
-partial Fisher–Yates shuffle keyed by ``k``; the proof is ``k`` itself.
-Verification recomputes ``k`` through the trusted registry and replays the
-shuffle.  The paper's three guarantees hold against in-simulation adversaries:
+sampler key ``k = SHA256(sk_i ‖ seed ‖ s)`` and expands it with the
+SHAKE-256 XOF into a sequence of big-endian 64-bit words.  Words at or above
+``⌊2⁶⁴/n⌋·n`` are dropped (so the rest reduce mod ``n`` exactly uniformly),
+each surviving word names the replica ``word mod n``, repeated IDs are
+skipped, and the first ``s`` distinct IDs — in order of first occurrence —
+are the sample.  Drawing uniformly and skipping what was already drawn is an
+exactly uniform draw without replacement.  XOF output is prefix-stable, so
+the sample is a function of ``(k, n, s)`` alone, however many words were
+requested at once.  The proof is ``k`` itself; verification recomputes ``k``
+through the trusted registry and replays the expansion.  The paper's three
+guarantees hold against in-simulation adversaries:
 
 * **Uniqueness** — ``k`` (hence the sample) is a function of ``(sk, seed, s)``.
 * **Collision resistance** — distinct seeds give independent SHA-256 keys.
 * **Pseudorandomness** — without ``sk_i`` the sample is unpredictable; the
-  shuffle is keyed by a hash the adversary cannot evaluate.
+  expansion is keyed by a hash the adversary cannot evaluate.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..errors import VRFError
 from ..types import ReplicaId
 from .hashing import digest
 from .keys import KeyRegistry
 
-_DOMAIN = "repro-vrf-v1"
+_DOMAIN = "repro-vrf-v2"
+
+#: Sampler words are 64-bit: one past the largest value a word can take.
+_WORD_SPAN = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -43,7 +56,10 @@ class VRFOutput:
     proof: bytes
 
     def canonical(self) -> Any:
-        return ("vrf-output", tuple(self.sample), self.proof)
+        # The sample is packed into one bytes value (4 bytes per id, length
+        # carried by the bytes encoding) instead of encoded id by id.
+        packed = struct.pack(">%dI" % len(self.sample), *self.sample)
+        return ("vrf-output", packed, self.proof)
 
     def members(self) -> frozenset:
         """The sample as a frozenset, built once per output object.
@@ -64,56 +80,48 @@ class VRFOutput:
         return len(self.sample)
 
 
-class _KeyedStream:
-    """An expandable deterministic byte stream: SHA256(key ‖ counter) blocks."""
+def _sample_from_words(
+    words: Iterable[int], n: int, s: int
+) -> Tuple[ReplicaId, ...]:
+    """The first ``s`` distinct IDs named by a sequence of 64-bit words.
 
-    def __init__(self, key: bytes) -> None:
-        self._key = key
-        self._counter = 0
-        self._buffer = b""
-
-    def next_uint(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)`` via rejection sampling."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        # Number of bytes needed to cover the bound, +1 to keep rejection rare.
-        nbytes = max(1, (bound.bit_length() + 7) // 8 + 1)
-        limit = (256**nbytes // bound) * bound
-        while True:
-            raw = self._take(nbytes)
-            value = int.from_bytes(raw, "big")
-            if value < limit:
-                return value % bound
-
-    def _take(self, nbytes: int) -> bytes:
-        while len(self._buffer) < nbytes:
-            block = hashlib.sha256(
-                self._key + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:nbytes], self._buffer[nbytes:]
-        return out
-
-
-def _sample_from_key(key: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
-    """Partial Fisher–Yates draw of ``s`` distinct IDs from ``range(n)``.
-
-    Sparse formulation: instead of materializing ``list(range(n))`` per draw
-    (O(n) for an O(√n)-sized sample), track only the *displaced* slots in a
-    dict — slot ``i`` holds ``i`` unless a previous swap moved something
-    there.  Same keyed stream, same swap sequence, bit-identical output to
-    the dense shuffle for every ``(key, n, s)``.
+    A word at or above the largest multiple of ``n`` below 2⁶⁴ is skipped
+    (rejection keeps ``word mod n`` exactly uniform), an ID already drawn is
+    skipped, and order of first occurrence is kept.  Returns fewer than
+    ``s`` IDs when the words run out first.
     """
-    stream = _KeyedStream(key)
-    displaced: Dict[int, int] = {}
-    out: List[int] = []
-    for i in range(s):
-        j = i + stream.next_uint(n - i)
-        out.append(displaced.get(j, j))
-        if j != i:
-            displaced[j] = displaced.get(i, i)
-    return tuple(out)
+    limit = _WORD_SPAN - _WORD_SPAN % n
+    distinct = dict.fromkeys([w % n for w in words if w < limit])
+    return tuple(islice(distinct, s))
+
+
+def _first_word_count(n: int, s: int) -> int:
+    """How many words to ask the XOF for at first: 25% above the expected
+    number of uniform draws that show ``s`` distinct IDs out of ``n``,
+    ``n·(H_n − H_{n−s}) ≈ n·ln(n/(n−s))`` (``n·(ln n + 1)`` when ``s == n``)."""
+    expected = n * (math.log(n / (n - s)) if s < n else math.log(n) + 1.0)
+    return int(1.25 * expected) + 8
+
+
+def _sample_from_key(
+    key: bytes, n: int, s: int, word_count: Optional[int] = None
+) -> Tuple[ReplicaId, ...]:
+    """``s`` distinct IDs from ``range(n)``, a function of ``(key, n, s)``.
+
+    One SHAKE-256 call yields ``word_count`` 64-bit words; if they hold
+    fewer than ``s`` distinct IDs the expansion is redone with twice as
+    many.  The longer output extends the shorter one, so the result does not
+    depend on ``word_count`` (tests pass a small one to force the extension).
+    """
+    if word_count is None:
+        word_count = _first_word_count(n, s)
+    while True:
+        stream = hashlib.shake_256(key).digest(8 * word_count)
+        words = struct.unpack(">%dQ" % word_count, stream)
+        sample = _sample_from_words(words, n, s)
+        if len(sample) == s:
+            return sample
+        word_count *= 2
 
 
 class VRF:
@@ -130,7 +138,7 @@ class VRF:
         return digest(_DOMAIN, private_key, seed, s)
 
     def _sample(self, key: bytes, s: int) -> Tuple[ReplicaId, ...]:
-        """The shuffle induced by one sampler key (memoization hook)."""
+        """The sample one sampler key expands to (counting hook)."""
         return _sample_from_key(key, self.n, s)
 
     def prove_with(
@@ -154,7 +162,7 @@ class VRF:
         """``VRF_verify(K_u,i, z, s, S_i, P_i) → bool``.
 
         Checks that (a) the proof is the unique sampler key for
-        ``(replica, seed, s)`` and (b) the sample is the shuffle it induces.
+        ``(replica, seed, s)`` and (b) the sample is the one it expands to.
         """
         if len(output.sample) != s:
             return False
@@ -179,33 +187,32 @@ class VRF:
 
 
 class MemoizedVRF(VRF):
-    """A :class:`VRF` that memoizes the shuffle *and* honest proving.
+    """A :class:`VRF` that memoizes honest proving and per-object verifying.
 
-    Two caches, both over pure functions, so memoized and fresh VRFs are
-    bit-identical by construction:
+    Created per deployment (see :meth:`CryptoContext.pooled`), so nothing it
+    pins outlives its trial.  Both caches are over pure functions, so
+    memoized and fresh VRFs are bit-identical by construction:
 
-    * **sample memo** — ``_sample_from_key`` is a pure function of
-      ``(key, n, s)``, and every receiver verifying the same vote replays
-      the same shuffle; within one deployment each distinct sampler key is
-      expanded up to ``n`` times, and across pooled trials of the same
-      ``(n, master_seed)`` the honest provers' keys recur exactly.  Keyed
-      by the full ``(key, s)`` input (``n`` is fixed per VRF).
     * **prove memo** — :meth:`prove` through the registry's own key is a
       pure function of ``(replica, seed, s)`` (the registry is immutable),
-      and the per-view sampler seeds (``phase_seed(view, tag)``) recur
-      every time a same-``(n, master_seed)`` deployment is rebuilt — so a
-      replica's recurring per-view keys are *proven once* per pool entry
-      instead of re-hashing and re-shuffling per trial.  Only the honest
-      registry path is memoized: :meth:`prove_with` (explicit keys — the
-      adversary's corrupted-key and forgery path) always computes from
-      scratch, since its key need not match the registry's.
+      so a repeated prove returns the same object, and an output object
+      found here was produced by the honest prove path of this very VRF —
+      which is what lets :meth:`verify` accept it by identity.  Only that
+      path is memoized: :meth:`prove_with` (explicit keys — the adversary's
+      corrupted-key and forgery path) always computes from scratch, since
+      its key need not match the registry's.
     * **verify memo** — :meth:`verify` is a pure function of the output
       object and ``(replica, seed, s)`` (registry immutable again), and a
       vote's ``VRFOutput`` is verified once per recipient — up to ``s``
       times for the *same object*.  Keyed by ``id(output)`` plus the
       arguments, with the output pinned alive and identity re-checked on
       hit (the :class:`MemoizedSignatureScheme` idiom), so a recycled id
-      can never serve a stale verdict.
+      can never serve a stale verdict.  An output that is merely *equal*
+      to an honest one — a copy, or anything built by an adversary — is a
+      different object and takes the full key recompute + replay.
+
+    Expanded samples are not memoized: every expansion is counted in
+    ``misses`` (the name the benchmark reads samples-expanded from).
     """
 
     def __init__(
@@ -218,17 +225,15 @@ class MemoizedVRF(VRF):
     ) -> None:
         super().__init__(registry)
         if byte_budget is not None:
-            # Byte-budgeted cap: entries pin expanded sample tuples (~40
-            # bytes per member id plus object overhead), so a fixed entry
-            # count that is harmless at n=2000 is gigabytes at n=20000.
+            # Byte-budgeted cap: entries pin proven outputs with their
+            # sample tuples (~40 bytes per member id plus object overhead),
+            # so a fixed entry count that is harmless at n=2000 is
+            # gigabytes at n=20000.
             if entry_bytes < 1:
                 raise ValueError(f"entry_bytes must be >= 1, got {entry_bytes}")
             max_entries = max(1, byte_budget // entry_bytes)
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._cache: "OrderedDict[Tuple[bytes, int], Tuple[ReplicaId, ...]]" = (
-            OrderedDict()
-        )
         self._prove_cache: "OrderedDict[Tuple[ReplicaId, str, int], VRFOutput]" = (
             OrderedDict()
         )
@@ -236,7 +241,6 @@ class MemoizedVRF(VRF):
             OrderedDict()
         )
         self._max_entries = max_entries
-        self.hits = 0
         self.misses = 0
         self.prove_hits = 0
         self.prove_misses = 0
@@ -248,7 +252,6 @@ class MemoizedVRF(VRF):
     def cache_stats(self) -> Dict[str, int]:
         """Memo telemetry: hit/miss/eviction counters and current sizes."""
         return {
-            "hits": self.hits,
             "misses": self.misses,
             "prove_hits": self.prove_hits,
             "prove_misses": self.prove_misses,
@@ -256,27 +259,13 @@ class MemoizedVRF(VRF):
             "verify_misses": self.verify_misses,
             "prove_identity_hits": self.prove_identity_hits,
             "evictions": self.evictions,
-            "entries": (
-                len(self._cache)
-                + len(self._prove_cache)
-                + len(self._verify_cache)
-            ),
+            "entries": len(self._prove_cache) + len(self._verify_cache),
             "max_entries": self._max_entries,
         }
 
     def _sample(self, key: bytes, s: int) -> Tuple[ReplicaId, ...]:
-        cache_key = (key, s)
-        sample = self._cache.get(cache_key)
-        if sample is not None:
-            self.hits += 1
-            return sample
-        sample = _sample_from_key(key, self.n, s)
         self.misses += 1
-        self._cache[cache_key] = sample
-        if len(self._cache) > self._max_entries:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-        return sample
+        return super()._sample(key, s)
 
     def prove(self, replica: ReplicaId, seed: str, s: int) -> VRFOutput:
         cache_key = (replica, seed, s)
@@ -304,7 +293,7 @@ class MemoizedVRF(VRF):
             # This very object came out of the honest prove path for the
             # same (replica, seed, s) — it verifies by construction (the
             # prove memo only holds registry-keyed outputs), no need to
-            # re-derive the sampler key and replay the shuffle.
+            # re-derive the sampler key and replay the expansion.
             valid = True
             self.prove_identity_hits += 1
         else:

@@ -39,7 +39,7 @@ Every protocol-level experiment is one pipeline::
     DeploymentSpec ──build──▶ deployment ──run──▶ RunResult
          │                        │
          │                 pooled CryptoContext
-         │              (per-process, keyed by (n, master_seed))
+         │       (key registry per-process, keyed by (n, master_seed))
          └── protocol dispatch via the trial registry
 
 :class:`~repro.harness.trial.DeploymentSpec` declares *what* to run
@@ -47,11 +47,13 @@ Every protocol-level experiment is one pipeline::
 :func:`~repro.harness.trial.run_trial` executes it.  Deployments draw
 their crypto from :meth:`CryptoContext.pooled
 <repro.crypto.context.CryptoContext.pooled>`: trials of the same
-``(n, master_seed)`` share one immutable key registry, and pooled
-signature/VRF services memoize verification (pure functions only), which
-makes protocol trials several times faster while staying **bit-identical**
-to fresh per-trial crypto — ``tests/test_trial_lifecycle.py`` pins that
-equivalence.  New protocols register once
+``(n, master_seed)`` share one immutable key registry and nothing else;
+each deployment gets its own signature/VRF services, which memoize
+verification (pure functions only) for as long as that deployment lives.
+That makes protocol trials several times faster while staying
+**bit-identical** to fresh per-trial crypto, and a finished trial pins no
+memory — ``tests/test_trial_lifecycle.py`` pins both.  New protocols
+register once
 (:func:`~repro.harness.trial.register_protocol`) and inherit every
 experiment surface: runners, matrix, sweeps, CLI.
 

@@ -21,8 +21,8 @@ order from counter-seeded trials, so they are bit-identical to every other
 backend.
 
 Trial functions must be thread-safe (the experiment surfaces' module-level
-trial functions are: they share only the lock-protected crypto pool and
-value-keyed pure caches); they do *not* need to be picklable, which makes
+trial functions are: they share only the lock-protected pool of immutable
+key registries); they do *not* need to be picklable, which makes
 this the concurrent backend of choice for closures and rich in-memory
 params.
 """

@@ -325,7 +325,6 @@ class TestCryptoMemoBudgets:
         fresh = CryptoContext.create(4, b"stats-shape")
         vrf_stats = MemoizedVRF(fresh.registry).cache_stats()
         for key in (
-            "hits",
             "misses",
             "prove_hits",
             "prove_misses",

@@ -1,5 +1,7 @@
 """Tests for repro.crypto.hashing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.hashing import digest, digest_hex, stable_encode
@@ -45,6 +47,16 @@ class TestStableEncode:
         assert stable_encode(s1) == stable_encode(s2)
         s3 = ProposalStatement(view=2, value=b"x")
         assert stable_encode(s1) != stable_encode(s3)
+
+    def test_encoding_kept_on_the_object_not_in_its_value(self):
+        s1 = ProposalStatement(view=1, value=b"x")
+        encoded = stable_encode(s1)
+        assert stable_encode(s1) is encoded  # second call reads the cache
+        s2 = ProposalStatement(view=1, value=b"x")
+        assert s1 == s2 and hash(s1) == hash(s2) and repr(s1) == repr(s2)
+        # A changed copy starts without the original's cached bytes.
+        s3 = replace(s1, view=2)
+        assert stable_encode(s3) != encoded
 
     def test_unencodable_raises(self):
         with pytest.raises(TypeError):

@@ -1,17 +1,19 @@
 """Tests for repro.crypto.vrf (paper §2.4)."""
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import pytest
 
+from repro.crypto.hashing import stable_encode
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.vrf import (
     VRF,
     MemoizedVRF,
     VRFOutput,
-    _KeyedStream,
     _sample_from_key,
+    _sample_from_words,
     phase_seed,
 )
 from repro.errors import VRFError
@@ -141,50 +143,123 @@ class TestPhaseSeed:
         assert len(seeds) == 18
 
 
-class TestSparseShuffleEquivalence:
-    """The sparse dict-swap shuffle must equal the dense Fisher–Yates."""
+def _key(tag) -> bytes:
+    return hashlib.sha256(str(tag).encode()).digest()
 
+
+class TestSampleFromWords:
+    """The pure word → sample step, on hand-built words."""
+
+    LIMIT_10 = (2**64 // 10) * 10  # words at or above this are rejected
+
+    def test_reduces_mod_n_in_order(self):
+        assert _sample_from_words([13, 27, 41, 5], 10, 3) == (3, 7, 1)
+
+    def test_word_at_or_above_limit_is_skipped(self):
+        words = [self.LIMIT_10 + 4, self.LIMIT_10, 2**64 - 1, self.LIMIT_10 - 1, 2]
+        # The three rejected words would have named 4, 0 and 5.
+        assert _sample_from_words(words, 10, 2) == (9, 2)
+
+    def test_duplicates_skipped_first_occurrence_order_kept(self):
+        words = [7, 3, 17, 3, 9, 27, 13, 1]
+        assert _sample_from_words(words, 10, 4) == (7, 3, 9, 1)
+
+    def test_short_result_when_words_run_out(self):
+        assert _sample_from_words([4, 14, 24], 10, 2) == (4,)
+        assert _sample_from_words([], 10, 2) == ()
+
+
+class TestSampleFromKey:
     @staticmethod
-    def _dense_sample(key, n, s):
-        # Reference implementation: materialize the full array and run the
-        # textbook partial Fisher–Yates off the same keyed stream.
-        stream = _KeyedStream(key)
-        pool = list(range(n))
-        for i in range(s):
-            j = i + stream.next_uint(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return tuple(pool[:s])
+    def _reference(key, n, s):
+        # Textbook form: read the XOF one word at a time, reject, reduce,
+        # skip what was already drawn.
+        stream = hashlib.shake_256(key).digest(8 * 64 * (n + 8))
+        limit = (2**64 // n) * n
+        out = []
+        for (word,) in struct.iter_unpack(">Q", stream):
+            if word < limit and word % n not in out:
+                out.append(word % n)
+                if len(out) == s:
+                    return tuple(out)
+        raise AssertionError("reference stream too short")
 
-    def test_matches_dense_reference_across_shapes(self):
+    def test_matches_reference_across_shapes(self):
         for tag in ("k0", "k1", "k2"):
-            key = hashlib.sha256(tag.encode()).digest()
             for n, s in [(1, 1), (7, 7), (30, 10), (64, 1), (500, 45), (500, 77)]:
-                assert _sample_from_key(key, n, s) == self._dense_sample(
-                    key, n, s
+                assert _sample_from_key(_key(tag), n, s) == self._reference(
+                    _key(tag), n, s
                 ), (tag, n, s)
 
     def test_golden_pinned_samples(self):
-        # Frozen outputs: any change to the stream or swap order (an
-        # equivalence-breaking "optimization") trips these immediately.
+        # Frozen repro-vrf-v2 outputs: any change to the expansion trips
+        # these immediately.
         golden = {
-            ("golden-a", 30, 10): (24, 2, 13, 15, 21, 17, 25, 12, 20, 16),
-            ("golden-c", 7, 7): (0, 6, 2, 1, 4, 5, 3),
+            ("golden-a", 30, 10): (28, 21, 2, 0, 29, 24, 26, 9, 23, 7),
+            ("golden-c", 7, 7): (2, 0, 6, 3, 5, 4, 1),
             ("golden-b", 500, 45): (
-                134, 226, 123, 94, 267, 339, 33, 430, 248, 419, 215, 2, 234,
-                496, 284, 318, 390, 198, 414, 317, 443, 263, 391, 29, 255,
-                101, 472, 261, 20, 358, 364, 136, 466, 73, 115, 225, 485,
-                304, 350, 451, 126, 287, 269, 353, 243,
+                51, 490, 60, 95, 126, 294, 354, 392, 156, 92, 476, 122, 94,
+                406, 161, 34, 379, 282, 67, 298, 304, 306, 336, 279, 285,
+                413, 7, 143, 55, 355, 88, 28, 409, 335, 70, 57, 3, 246, 199,
+                402, 233, 25, 419, 317, 215,
             ),
         }
         for (tag, n, s), expected in golden.items():
-            key = hashlib.sha256(tag.encode()).digest()
-            assert _sample_from_key(key, n, s) == expected
+            assert _sample_from_key(_key(tag), n, s) == expected
+
+    @pytest.mark.parametrize("n", [7, 500])
+    def test_full_sample_is_a_permutation_whatever_the_first_request(self, n):
+        for tag in range(5):
+            sample = _sample_from_key(_key(tag), n, n)
+            assert sorted(sample) == list(range(n))
+            # Forcing a first request far too small takes the doubling path
+            # several times; the XOF prefix is stable, so nothing changes.
+            assert _sample_from_key(_key(tag), n, n, word_count=1) == sample
+
+    def test_partial_sample_independent_of_first_request(self):
+        for count in (1, 3, 45, 4096):
+            assert _sample_from_key(_key("p"), 500, 45, word_count=count) == (
+                _sample_from_key(_key("p"), 500, 45)
+            )
+
+    def test_single_replica(self):
+        assert _sample_from_key(_key("one"), 1, 1) == (0,)
 
     def test_distinct_ids_at_scale(self):
-        key = hashlib.sha256(b"distinct").digest()
-        sample = _sample_from_key(key, 2000, 90)
+        sample = _sample_from_key(_key("distinct"), 2000, 90)
         assert len(set(sample)) == 90
         assert all(0 <= r < 2000 for r in sample)
+
+
+class TestSampleDistribution:
+    """The contract of the derivation: a uniform draw without replacement."""
+
+    KEYS = 3000
+    SIGMAS = 5.0
+
+    @staticmethod
+    def _within(count, trials, p, sigmas):
+        sd = (trials * p * (1.0 - p)) ** 0.5
+        return abs(count - trials * p) <= sigmas * sd
+
+    @pytest.mark.parametrize("n,s", [(40, 23), (300, 60), (1000, 108)])
+    def test_inclusion_and_position_uniformity(self, n, s):
+        included = [0] * n
+        buckets = 10  # n is a multiple of 10 at every shape above
+        first = [0] * buckets
+        last = [0] * buckets
+        for k in range(self.KEYS):
+            sample = _sample_from_key(_key(f"dist-{n}-{k}"), n, s)
+            for r in sample:
+                included[r] += 1
+            first[sample[0] * buckets // n] += 1
+            last[sample[-1] * buckets // n] += 1
+        # Each id is in a sample with probability s/n (o·q/n in the paper).
+        for count in included:
+            assert self._within(count, self.KEYS, s / n, self.SIGMAS)
+        # The first and the last draw are each uniform over the ids.
+        for count in first + last:
+            assert self._within(count, self.KEYS, 1.0 / buckets, self.SIGMAS)
 
 
 class TestVRFOutputMembers:
@@ -200,6 +275,27 @@ class TestVRFOutputMembers:
         absent = next(r for r in range(30) if r not in out.sample)
         assert absent not in out
         assert len(out) == 10
+
+
+class TestVRFOutputEncoding:
+    def test_equal_outputs_encode_identically(self, vrf):
+        out = vrf.prove(3, "seed", 10)
+        clone = VRFOutput(sample=tuple(out.sample), proof=bytes(out.proof))
+        assert stable_encode(out) == stable_encode(clone)
+
+    def test_sample_packed_as_one_bytes_value(self, vrf):
+        out = vrf.prove(3, "seed", 10)
+        tag, packed, proof = out.canonical()
+        assert (tag, proof) == ("vrf-output", out.proof)
+        assert struct.unpack(">10I", packed) == out.sample
+
+    def test_members_order_and_length_change_the_encoding(self):
+        proof = b"\x01" * 32
+        encodings = {
+            stable_encode(VRFOutput(sample=sample, proof=proof))
+            for sample in [(1, 2, 3), (3, 2, 1), (1, 2), (1, 2, 4), (258,), (1, 2)]
+        }
+        assert len(encodings) == 5
 
 
 class TestMemoizedVRF:
@@ -234,6 +330,41 @@ class TestMemoizedVRF:
         assert not mvrf.verify(3, "seed", 10, forged)
         assert not mvrf.verify(3, "seed", 10, forged)  # cached False
         assert mvrf.verify_hits == 1
+
+    def test_copied_output_takes_the_full_path(self, mvrf):
+        """Only the prover's own object may skip the replay: an equal copy
+        recomputes the sampler key and expands the sample again."""
+        out = mvrf.prove(3, "seed", 10)
+        assert mvrf.verify(3, "seed", 10, out)
+        assert mvrf.prove_identity_hits == 1
+        expanded = mvrf.cache_stats()["misses"]
+        clone = VRFOutput(sample=tuple(out.sample), proof=bytes(out.proof))
+        assert clone == out and clone is not out
+        assert mvrf.verify(3, "seed", 10, clone)
+        assert mvrf.prove_identity_hits == 1
+        assert mvrf.cache_stats()["misses"] == expanded + 1
+
+    def test_corrupted_key_output_takes_the_full_path(self, mvrf):
+        """The adversary proving with a corrupted replica's real key gets a
+        valid output — verified by replay, never by identity."""
+        key = mvrf._registry.key_pair(3).private_key
+        out = mvrf.prove_with(key, 3, "seed", 10)
+        expanded = mvrf.cache_stats()["misses"]
+        assert mvrf.verify(3, "seed", 10, out)
+        assert mvrf.prove_identity_hits == 0
+        assert mvrf.cache_stats()["misses"] == expanded + 1
+        # Under any other key the recomputed sampler key already differs.
+        forged = mvrf.prove_with(_key("corrupted"), 3, "seed", 10)
+        assert not mvrf.verify(3, "seed", 10, forged)
+        assert mvrf.prove_identity_hits == 0
+
+    def test_tampered_member_rejected_after_replay(self, mvrf):
+        out = mvrf.prove(3, "seed", 10)
+        absent = next(r for r in range(30) if r not in out.sample)
+        tampered = replace(out, sample=out.sample[:4] + (absent,) + out.sample[5:])
+        expanded = mvrf.cache_stats()["misses"]
+        assert not mvrf.verify(3, "seed", 10, tampered)
+        assert mvrf.cache_stats()["misses"] == expanded + 1
 
     def test_prove_with_never_memoized(self, mvrf):
         key = hashlib.sha256(b"corrupted").digest()

@@ -12,6 +12,9 @@ Covers the two hard guarantees of the refactor:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import ProtocolConfig
@@ -20,7 +23,7 @@ from repro.crypto.context import (
     clear_crypto_pool,
     crypto_pool_stats,
 )
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, stable_encode
 from repro.crypto.signatures import MemoizedSignatureScheme, Signed
 from repro.crypto.vrf import MemoizedVRF, VRFOutput
 from repro.harness.runner import run_hotstuff, run_pbft, run_probft
@@ -136,17 +139,39 @@ class TestCryptoPoolDeterminism:
             == pooled.estimates["undecided_runs"].successes
         )
 
-    def test_pool_reuses_registry_and_vrf(self):
+    def test_pool_reuses_registry_only(self):
         clear_crypto_pool()
         a = CryptoContext.pooled(8, b"pool-key")
         b = CryptoContext.pooled(8, b"pool-key")
-        # Registry and (value-keyed) VRF cache are shared; the signature
-        # scheme is per-context so its identity-keyed memo cannot pin
-        # envelope graphs across deployments.
+        # Only the immutable registry is shared; the VRF and the signature
+        # scheme are per-context so their identity-keyed memos cannot pin
+        # outputs or envelope graphs across deployments.
         assert a.registry is b.registry
-        assert a.vrf is b.vrf
+        assert a.vrf is not b.vrf
         assert a.signatures is not b.signatures
         assert crypto_pool_stats() == {"hits": 1, "misses": 1, "size": 1}
+
+    def test_finished_trial_retains_nothing(self):
+        """No memo outlives its trial: once the context is dropped, its VRF
+        outputs and signed votes are collectable."""
+        context = TrialContext(
+            DeploymentSpec(
+                protocol="probft",
+                config=ProtocolConfig(n=100, f=10),
+                seed=5,
+                max_time=5000,
+            )
+        )
+        assert context.execute().all_decided
+        # A Prepare vote from replica 0's prepared certificate: verified
+        # during the run, so both verify memos have seen it and its sample.
+        vote = context.deployment.replicas[0]._cert[0]
+        output = vote.payload.sample
+        stable_encode(vote)  # the encode cache lives on the objects too
+        refs = [weakref.ref(vote), weakref.ref(output)]
+        del context, vote, output
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_pool_keying_isolates_n_and_seed(self):
         clear_crypto_pool()
@@ -187,13 +212,14 @@ class TestMemoizedVerification:
                 assert plain_out == memo_out
                 assert memo.verify(replica, seed_str, 5, memo_out)
         # Verifying the very object prove() returned short-circuits on the
-        # prove memo (no shuffle replay) ...
+        # prove memo (no replay) ...
         assert memo.prove_identity_hits > 0
-        # ... while a value-equal clone takes the full path and replays the
-        # shuffle through the sample memo.
+        # ... while a value-equal clone takes the full path and expands the
+        # sample again.
+        expanded = memo.misses
         clone = VRFOutput(sample=plain_out.sample, proof=plain_out.proof)
         assert memo.verify(11, "2||prepare", 5, clone)
-        assert memo.hits > 0
+        assert memo.misses == expanded + 1
         # Re-proving hits the prove cache without changing outputs.
         again = memo.prove(3, "1||prepare", 5)
         assert again == fresh.vrf.prove(3, "1||prepare", 5)
@@ -229,7 +255,6 @@ class TestMemoizedVerification:
         memo = MemoizedVRF(fresh.registry, max_entries=3)
         for view in range(10):
             memo.prove(0, f"{view}||prepare", 3)
-        assert len(memo._cache) <= 3
         assert len(memo._prove_cache) <= 3
 
     def test_prove_memo_bit_identical_on_golden_seeds(self):
