@@ -53,7 +53,7 @@ class CrashReplica:
         inner_factory=None,
     ) -> None:
         from ..core.replica import ProBFTReplica
-        from ..core.protocol import default_value
+        from ..core.deployment import default_value
 
         self.id = replica_id
         self.crash_time = crash_time

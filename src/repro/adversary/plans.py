@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..config import ProtocolConfig
-from ..core.protocol import ByzantineFactory, ProBFTDeployment
+from ..core.deployment import ByzantineFactory
+from ..core.protocol import ProBFTDeployment
 from ..net.latency import LatencyModel
 from ..sync.timeouts import TimeoutPolicy
 from ..types import ReplicaId, Value

@@ -165,16 +165,12 @@ def _honest_replica_factory(protocol: str):
     """A factory building the protocol's *honest* replica (for CrashReplica)."""
     if protocol == "probft":
         return None  # CrashReplica's built-in default
+    from ..core.deployment import default_value
+
     if protocol == "pbft":
-        from ..baselines.pbft.protocol import default_value
-        from ..baselines.pbft.replica import PbftReplica
-
-        cls, default = PbftReplica, default_value
+        from ..baselines.pbft.replica import PbftReplica as cls
     elif protocol == "hotstuff":
-        from ..baselines.hotstuff.protocol import default_value
-        from ..baselines.hotstuff.replica import HotStuffReplica
-
-        cls, default = HotStuffReplica, default_value
+        from ..baselines.hotstuff.replica import HotStuffReplica as cls
     else:
         raise KeyError(f"unknown protocol {protocol!r}")
 
@@ -184,7 +180,7 @@ def _honest_replica_factory(protocol: str):
             config=config,
             crypto=crypto,
             transport=transport,
-            my_value=default(replica_id),
+            my_value=default_value(replica_id),
         )
 
     return inner

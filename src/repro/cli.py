@@ -302,24 +302,10 @@ def cmd_sweep(args) -> int:
         matrix = matrix.with_size(
             args.n if args.n is not None else matrix.n, args.f
         )
-    if args.columnar or args.track_memory:
+    if args.track_memory:
         from dataclasses import replace as _replace
 
-        if args.columnar:
-            try:
-                import numpy  # noqa: F401
-            except ImportError:
-                print(
-                    "--columnar requires numpy, which is not installed; "
-                    "install numpy or run without --columnar",
-                    file=sys.stderr,
-                )
-                return 2
-        matrix = _replace(
-            matrix,
-            columnar=args.columnar or matrix.columnar,
-            track_memory=args.track_memory or matrix.track_memory,
-        )
+        matrix = _replace(matrix, track_memory=True)
     # Build the engine here so the report's execution metadata reflects what
     # actually ran (an explicit concurrent backend without --workers
     # saturates the cores — the resolved count lives on the backend).
@@ -665,15 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=int, default=None, help="override system size")
     p_sweep.add_argument("--f", type=int, default=None, help="override fault count")
     p_sweep.add_argument("--max-time", type=float, default=5000.0)
-    p_sweep.add_argument(
-        "--columnar",
-        action="store_true",
-        help=(
-            "run every cell on the scale stack (sparse delivery + "
-            "array-backed columnar vote state; golden-seed identical to "
-            "the dense reference, requires numpy)"
-        ),
-    )
     p_sweep.add_argument(
         "--track-memory",
         action="store_true",

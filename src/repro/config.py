@@ -72,20 +72,11 @@ class SimTuning:
     #: Tombstone-compaction floor: queues smaller than this are never
     #: compacted (historically ``Simulator._COMPACT_FLOOR = 64``).
     compact_floor: int = 64
-    #: Pending-event count past which an ``queue="auto"`` simulator migrates
-    #: from the reference binary heap to the bucketed fast path.  Must stay
-    #: above the backlogs the compaction tests build (4 x compact_floor) so
-    #: the heap internals they pin remain observable.
-    bucket_threshold: int = 1024
 
     def __post_init__(self) -> None:
         if self.compact_floor < 1:
             raise ConfigError(
                 f"compact_floor must be >= 1, got {self.compact_floor}"
-            )
-        if self.bucket_threshold < 1:
-            raise ConfigError(
-                f"bucket_threshold must be >= 1, got {self.bucket_threshold}"
             )
 
 

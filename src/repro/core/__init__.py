@@ -4,8 +4,11 @@
   (lines 7–12: newest prepared view, most frequent value).
 * :mod:`repro.core.predicates` — ``safeProposal`` and ``validNewLeader``.
 * :mod:`repro.core.replica` — the replica state machine.
-* :mod:`repro.core.protocol` — deployment wiring: build n replicas on a
-  simulated network and run a consensus instance.
+* :mod:`repro.core.deployment` — the single-shot deployment base shared
+  with the baselines: build n replicas on a simulated network and run a
+  consensus instance.
+* :mod:`repro.core.protocol` — :class:`ProBFTDeployment`: the base plus
+  ProBFT's observation policy and vote kernel.
 """
 
 from .leader import leader_of, leader_of_view, compute_proposal, mode_values

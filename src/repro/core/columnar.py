@@ -1,10 +1,10 @@
-"""Columnar (array-backed) replica vote state for large-n trials.
+"""Columnar (array-backed) vote state and the one vote-delivery kernel.
 
-The per-object hot path — one ``_Bucket`` (a Python ``set`` + ``list``) per
-(replica, phase, view, value) plus a dict lookup per delivered vote — is what
-caps trials near n≈5000: ~n·s live Python objects per trial dominate memory
-and cache misses (see ROADMAP).  This module stores the same bookkeeping in
-preallocated numpy arrays shared by *all* replicas of a deployment:
+A ``_Bucket`` (a Python ``set`` + ``list``) per (replica, phase, view,
+value) plus a dict lookup per delivered vote means ~n·s live Python objects
+per trial, which dominate memory and cache misses at large n.  Production
+ProBFT deployments keep the same bookkeeping in preallocated numpy arrays
+shared by *all* replicas of a deployment:
 
 * **voter bitmaps** — one packed ``uint64`` plane of shape ``(words, n)``
   per (phase, view, value) slot; bit ``signer`` of column ``dst`` says
@@ -17,25 +17,30 @@ preallocated numpy arrays shared by *all* replicas of a deployment:
 * **arrival order** — prepare slots additionally keep ``order[dst, :q]``
   (the first ``q`` signers in arrival order) plus one shared
   ``signer -> Signed`` map, from which a dst's prepared certificate is
-  rebuilt *object-identical* to the dense collector's
+  rebuilt *object-identical* to the set-based collector's
   ``quorum_messages`` tuple (each signer contributes exactly one envelope
-  per slot).  Commit slots retain no messages at all — the same discipline
-  :class:`~repro.core.replica.BulkVoteDispatch` already applies.
-* **mirror columns** — ``views``/``blocked``/``decided``/``committed_cur``
-  per replica, updated by the replica state machine at its (few) mutation
-  points, so the delivery kernel classifies a whole fan-out bucket with
-  vectorized gathers instead of attribute chases.
+  per slot).  Commit slots retain no messages at all: commit certificates
+  are never extracted, commit collectors only ever answer ``has_quorum``.
+* **mirror columns** — ``views``/``decided`` and the fused
+  ``prepare_active``/``commit_active`` eligibility columns per replica,
+  updated by the replica state machine at its (few) mutation points, so the
+  delivery kernel classifies a whole fan-out bucket with vectorized gathers
+  instead of attribute chases.
 
-Everything is behind the ``columnar=True`` deployment seam and follows the
-same contract as sparse delivery and gossip dissemination: a columnar run's
-:class:`~repro.harness.trial.RunResult` is **bit-identical** to the dense
-run for the same seed.  The kernel declines (-1) any bucket it cannot prove
-equivalent — equivocal views, invalid votes, and deployments with network
-duplication (duplicate deliveries break the distinct-recipients invariant)
-— which then takes the generic per-recipient path through the same arrays.
+:class:`ColumnarVoteDispatch` is the kernel `Network` hands every coalesced
+bucket to: wide buckets (constant latency: one bucket per multicast) are
+applied array-at-a-time, singleton buckets (continuous latency: one bucket
+per recipient) take a scalar branch with the same rules, and any bucket it
+cannot prove equivalent — non-votes, equivocal views, deployments with
+network duplication — is declined (-1) to the per-recipient fallback
+(:meth:`ProBFTReplica.on_sample_message`) through the same arrays.  The
+three outcomes are counted (:meth:`ColumnarVoteDispatch.stats`).
 
-This module imports numpy at module level; import it lazily (the deployment
-does) so numpy stays an optional dependency.
+The reference semantics stay in :meth:`ProBFTReplica.on_message` over
+:class:`~repro.quorum.probabilistic.ProbabilisticQuorumCollector`
+(``reference=True`` deployments, SMR slots, Byzantine wrappers); a
+production run's :class:`~repro.harness.trial.RunResult` is **bit-identical**
+to the reference run for the same seed (``tests/test_reference_identity.py``).
 """
 
 from __future__ import annotations
@@ -45,23 +50,21 @@ from typing import Dict, Optional, Set, Tuple
 import numpy as np
 
 from ..errors import QuorumError
-from .replica import BulkVoteDispatch, prevalidate_vote
+from ..messages.probft import Commit, Prepare
+from .replica import prevalidate_vote
 
 __all__ = [
     "ColumnarVoteState",
     "ColumnarQuorumCollector",
     "ColumnarCollectorTable",
     "ColumnarVoteDispatch",
-    "bitmap_from_ids",
     "bitmap_ids",
-    "bitmap_popcount",
-    "bitmap_merge",
     "bitmap_words",
 ]
 
 
 # ----------------------------------------------------------------------
-# Packed-bitmap primitives (unit-testable building blocks)
+# Packed-bitmap primitives
 # ----------------------------------------------------------------------
 
 def bitmap_words(n: int) -> int:
@@ -69,43 +72,10 @@ def bitmap_words(n: int) -> int:
     return (n + 63) >> 6
 
 
-def bitmap_from_ids(ids, n: int) -> np.ndarray:
-    """Pack a collection of ids from ``range(n)`` into uint64 words."""
-    words = np.zeros(bitmap_words(n), dtype=np.uint64)
-    for i in ids:
-        if not 0 <= i < n:
-            raise ValueError(f"id {i} out of range [0, {n})")
-        words[i >> 6] |= np.uint64(1 << (i & 63))
-    return words
-
-
 def bitmap_ids(words: np.ndarray) -> Tuple[int, ...]:
     """Unpack a word array back into its sorted member ids."""
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
     return tuple(np.nonzero(bits)[0].tolist())
-
-
-def bitmap_popcount(words: np.ndarray) -> int:
-    """Total set bits across ``words`` (vectorized popcount)."""
-    if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(words).sum())
-    # SWAR fallback for numpy < 2.0.
-    v = words.copy()
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h = np.uint64(0x0101010101010101)
-    v -= (v >> np.uint64(1)) & m1
-    v = (v & m2) + ((v >> np.uint64(2)) & m2)
-    v = (v + (v >> np.uint64(4))) & m4
-    return int(((v * h) >> np.uint64(56)).sum())
-
-
-def bitmap_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of two packed bitmaps (new array; inputs untouched)."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a | b
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +87,7 @@ class _Slot:
 
     The columnar twin of one ``_Bucket`` *per replica*: row/column ``dst``
     of each array is what ``replica._{prepare,commit}_collectors[view].
-    _buckets[value]`` holds in dense mode.
+    _buckets[value]`` holds in a reference deployment.
     """
 
     __slots__ = ("counts", "fired", "seen", "order", "msg_by_signer")
@@ -136,8 +106,8 @@ class _Slot:
             # hash, per message.
             self.msg_by_signer: Optional[list] = [None] * n
         else:
-            # Commit certificates are never extracted (BulkVoteDispatch
-            # discipline): commit slots only ever answer has_quorum.
+            # Commit certificates are never extracted: commit slots only
+            # ever answer has_quorum.
             self.order = None
             self.msg_by_signer = None
 
@@ -155,14 +125,11 @@ class ColumnarVoteState:
         "q",
         "words",
         "views",
-        "blocked",
         "decided",
-        "committed_cur",
         "prepare_active",
         "commit_active",
         "correct",
         "has_byz",
-        "any_blocked",
         "_slots",
     )
 
@@ -171,13 +138,9 @@ class ColumnarVoteState:
         self.q = q
         self.words = bitmap_words(n)
         #: Mirror columns, updated by the replica state machine's guarded
-        #: hooks (see ProBFTReplica): current view, lines 23-25 block flag,
-        #: decision latch, and "current view is committed" — everything the
-        #: per-recipient slow path reads before touching a collector.
+        #: hooks (see ProBFTReplica): current view and decision latch.
         self.views = np.zeros(n, dtype=np.int64)
-        self.blocked = np.zeros(n, dtype=bool)
         self.decided = np.zeros(n, dtype=bool)
-        self.committed_cur = np.zeros(n, dtype=bool)
         #: Fused eligibility columns: ``prepare_active[r] == v`` iff replica
         #: ``r`` would *count* a view-``v`` Prepare right now — at view
         #: ``v``, not blocked, and ``v`` not already committed (``commit_
@@ -189,31 +152,24 @@ class ColumnarVoteState:
         self.correct = np.zeros(n, dtype=bool)
         if correct_ids:
             self.correct[np.fromiter(correct_ids, dtype=np.intp)] = True
-        #: Scalar fast-path flags: with no Byzantine replica nothing in a
-        #: bucket is a handler stop, and until anyone blocks a view the
-        #: blocked gather is a guaranteed all-False.
+        #: Scalar fast-path flag: with no Byzantine replica nothing in a
+        #: bucket is a handler stop.
         self.has_byz = len(correct_ids) < n
-        self.any_blocked = False
         self._slots: Dict[Tuple[bool, int, object], _Slot] = {}
 
     def note_view(self, replica: int, view: int, committed: bool) -> None:
         """Mirror hook for ``_on_new_view`` (lines 1-5)."""
         self.views[replica] = view
-        self.blocked[replica] = False
-        self.committed_cur[replica] = committed
         self.prepare_active[replica] = 0 if committed else view
         self.commit_active[replica] = 0 if self.decided[replica] else view
 
     def note_blocked(self, replica: int) -> None:
         """Mirror hook for the lines 23-25 block transition."""
-        self.blocked[replica] = True
-        self.any_blocked = True
         self.prepare_active[replica] = 0
         self.commit_active[replica] = 0
 
     def note_committed(self, replica: int) -> None:
         """Mirror hook for lines 18-20: current view committed."""
-        self.committed_cur[replica] = True
         self.prepare_active[replica] = 0
 
     def note_decided(self, replica: int) -> None:
@@ -241,15 +197,15 @@ class ColumnarVoteState:
 class ColumnarQuorumCollector:
     """Quorum-collector API over one replica's columns of the shared state.
 
-    Drop-in for :class:`~repro.quorum.probabilistic.
+    Stands in for :class:`~repro.quorum.probabilistic.
     ProbabilisticQuorumCollector` in the replica's per-view tables: the
     generic handlers (``_handle_prepare``/``_handle_commit``/
     ``on_sample_message``) call ``add`` per delivered vote, and the quorum
     checks (``has_quorum``/``quorum_messages``) read the same arrays the
-    bulk kernel writes — so kernel-delivered and handler-delivered votes
+    vote kernel writes — so kernel-delivered and handler-delivered votes
     land in one place.
 
-    Deliberate (unobservable) deviation shared with the bulk kernel: adds
+    Deliberate (unobservable) deviation shared with the vote kernel: adds
     to an already-fired key are dropped instead of recorded — nothing ever
     reads a bucket's senders/messages past the first ``threshold`` entries.
     """
@@ -329,27 +285,6 @@ class ColumnarQuorumCollector:
             for s in slot.order[self._dst, : self._state.q].tolist()
         )
 
-    def keys(self) -> Tuple[object, ...]:
-        state = self._state
-        return tuple(
-            value
-            for (is_prepare, view, value), slot in state._slots.items()
-            if is_prepare == self._is_prepare
-            and view == self._view
-            and slot.counts[self._dst] > 0
-        )
-
-    def clear(self) -> None:
-        """Reset this replica's columns for every key of the view."""
-        state = self._state
-        dst = self._dst
-        for (is_prepare, view, _value), slot in state._slots.items():
-            if is_prepare != self._is_prepare or view != self._view:
-                continue
-            slot.counts[dst] = 0
-            slot.fired[dst] = False
-            slot.seen[:, dst] = 0
-
 
 class ColumnarCollectorTable(dict):
     """Per-view collector table that materializes facades on demand.
@@ -388,29 +323,52 @@ class ColumnarCollectorTable(dict):
 # The vectorized delivery kernel
 # ----------------------------------------------------------------------
 
-class ColumnarVoteDispatch(BulkVoteDispatch):
-    """Array-at-a-time twin of :class:`~repro.core.replica.BulkVoteDispatch`.
+class ColumnarVoteDispatch:
+    """One-call-per-bucket delivery kernel for Prepare/Commit fan-outs.
 
-    Classifies a whole coalesced Prepare/Commit bucket with vectorized
-    gathers over the mirror columns, applies the accepted votes as masked
-    scatters into the slot arrays, and only drops to scalar code at the
-    *stop points* dense mode also serializes on: Byzantine recipients
-    (arbitrary handlers) and quorum completions (which can record a
-    decision and flip the stop probe).  Between consecutive stop points
-    every recipient's update is independent — a fan-out's recipients are
-    distinct (VRF samples are drawn without replacement) and a delivery
-    only mutates its own recipient's columns — so applying a segment in
-    one shot reorders nothing observable.
+    :meth:`Network._deliver_fanout` hands a whole *raw* coalesced bucket
+    here; the kernel prevalidates the vote once, then fuses the observation
+    policy's pruning and :meth:`ProBFTReplica.on_sample_message`'s
+    per-recipient behaviour into array operations: it classifies the
+    bucket with vectorized gathers over the mirror columns, applies the
+    accepted votes as masked scatters into the slot arrays, and only drops
+    to scalar code at the *stop points* the per-recipient loop also
+    serializes on: Byzantine recipients (arbitrary handlers) and quorum
+    completions (which can record a decision and flip the stop probe).
+    Between consecutive stop points every recipient's update is
+    independent — a fan-out's recipients are distinct (VRF samples are
+    drawn without replacement) and a delivery only mutates its own
+    recipient's columns — so applying a segment in one shot reorders
+    nothing observable.  A one-recipient bucket takes the scalar branch
+    (:meth:`_deliver_one`): same rules, no array temporaries.
 
-    Decline rules (return -1, caller runs the generic path over the same
-    arrays): non-votes, equivocal-flagged views, and any deployment with
+    Returns the number of recipients delivered, or -1 to decline the whole
+    bucket (the caller filters it and runs its generic per-recipient loop
+    over the same arrays).  Decline rules: non-votes, equivocal-flagged
+    views (any recipient may need the evidence), and any deployment with
     network duplication enabled — duplicated recipients would appear twice
     in one bucket and break the distinct-recipients invariant the masked
-    scatters rely on.  Invalid votes take the inherited per-recipient
-    ``_deliver_odd`` loop, exactly like the dense kernel.
+    scatters rely on.  Invalid votes never touch a collector and take the
+    per-recipient :meth:`_deliver_odd` loop.
+
+    ``vectorised``/``singleton``/``declined`` count the vote buckets that
+    took each route (non-votes and invalid votes are not counted).
     """
 
-    __slots__ = ("_state", "_dup")
+    __slots__ = (
+        "_config",
+        "_crypto",
+        "_replicas",
+        "_correct",
+        "_handlers",
+        "_policy",
+        "_q",
+        "_state",
+        "_dup",
+        "vectorised",
+        "singleton",
+        "declined",
+    )
 
     def __init__(
         self,
@@ -423,31 +381,54 @@ class ColumnarVoteDispatch(BulkVoteDispatch):
         state: ColumnarVoteState,
         dup_possible: bool = False,
     ) -> None:
-        super().__init__(config, crypto, replicas, correct_ids, handlers, policy)
+        self._config = config
+        self._crypto = crypto
+        self._replicas = replicas
+        self._correct = frozenset(correct_ids)
+        self._handlers = handlers  # Network's plain handlers (Byzantine dsts)
+        self._policy = policy
+        self._q = config.q
         self._state = state
         self._dup = dup_possible
+        self.vectorised = 0
+        self.singleton = 0
+        self.declined = 0
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "vectorised": self.vectorised,
+            "singleton": self.singleton,
+            "declined": self.declined,
+        }
 
     def __call__(self, src, message, dsts, probe) -> int:
         if self._dup:
-            return -1  # duplicated recipients: distinct-dsts invariant gone
+            # Declined unparsed (the fallback prevalidates once per bucket
+            # anyway); a payload type test is enough to count the votes.
+            if isinstance(getattr(message, "payload", None), (Prepare, Commit)):
+                self.declined += 1
+            return -1
         token = prevalidate_vote(self._config, self._crypto, message)
         if token is None:
             return -1
-        view = token.view
-        if view in self._policy._equivocal:
-            return -1  # dense delivery: any recipient may need the evidence
+        if token.view in self._policy._equivocal:
+            self.declined += 1
+            return -1
         if not token.valid:
             return self._deliver_odd(src, message, token, dsts, probe)
+        if len(dsts) == 1:
+            self.singleton += 1
+            return self._deliver_one(src, message, token, dsts[0])
+        self.vectorised += 1
 
         state = self._state
+        view = token.view
         signer = token.signer
         is_prepare = token.is_prepare
         q = self._q
         slot = state.slot(is_prepare, view, token.value)
 
         D = np.asarray(dsts, dtype=np.intp)
-        if D.shape[0] == 0:
-            return 0
         # One gather classifies countability: the active column fuses the
         # view match, the lines 23-25 block flag, and progress pruning
         # (committed view / decision latch) into a single int compare.
@@ -644,4 +625,93 @@ class ColumnarVoteDispatch(BulkVoteDispatch):
             if probe is not None and delivered and probe():
                 return delivered
         delivered += span(start, D.shape[0])
+        return delivered
+
+    def _deliver_one(self, src, message, token, d) -> int:
+        """The scalar branch: one valid vote, one recipient.
+
+        Exactly the vectorized path's rules in the order a per-recipient
+        handler applies them.  No probe: the bucket ends here, and the
+        simulator checks ``stop_when`` before the next event.
+        """
+        if d not in self._correct:
+            self._handlers[d](src, message)  # arbitrary handler
+            return 1
+        state = self._state
+        view = token.view
+        is_prepare = token.is_prepare
+        active = state.prepare_active if is_prepare else state.commit_active
+        if active[d] != view or d not in token.members:
+            # Not countable: buffer if the recipient is still behind (views
+            # stuck at 0 have not started), else the view gate, progress
+            # pruning or the i ∈ S precondition drops it.
+            behind = state.views[d]
+            if behind != 0 and behind < view:
+                self._replicas[d]._buffer_future(view, src, message)
+                return 1
+            return 0
+        # Countable: the recipient's collector facade applies the vote (seen
+        # bit, count, arrival order) exactly as the fallback handler would.
+        replica = self._replicas[d]
+        if is_prepare:
+            if replica._prepare_collectors.get(view).add(
+                token.value, token.signer, message
+            ):
+                replica._try_form_prepared()
+        elif replica._commit_collectors.get(view).add(
+            token.value, token.signer, message
+        ):
+            replica._try_decide()
+        return 1
+
+    def _deliver_odd(self, src, message, token, dsts, probe) -> int:
+        """Per-recipient loop for votes that fail prevalidation.
+
+        Such a vote can never reach a collector, but it still has to be
+        routed: Byzantine recipients get it verbatim, future views buffer
+        it, and a leader-signed conflicting statement riding on it must
+        still be able to trigger lines 23-25.
+        """
+        view = token.view
+        value = token.value
+        eq_candidate = token.eq_candidate
+        correct = self._correct
+        replicas = self._replicas
+        handlers = self._handlers
+        delivered = 0
+        check_stop = False
+        for dst in dsts:
+            if check_stop:
+                if probe is not None and delivered and probe():
+                    return delivered
+                check_stop = False
+            if dst not in correct:
+                delivered += 1
+                handlers[dst](src, message)
+                check_stop = True
+                continue
+            replica = replicas[dst]
+            cur = replica._cur_view
+            if view != cur:
+                if cur == 0 or view < cur:
+                    continue
+                delivered += 1
+                replica._buffer_future(view, src, message)
+                continue
+            if token.is_prepare:
+                if view in replica._committed_views:
+                    continue
+            elif replica._decision is not None:
+                continue
+            if dst not in token.members:
+                continue
+            delivered += 1
+            if (
+                eq_candidate
+                and replica._voted
+                and not replica._block_view
+                and value != replica._cur_val
+            ):
+                replica._process_current(src, message)
+                check_stop = True
         return delivered

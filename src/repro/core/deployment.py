@@ -1,0 +1,216 @@
+"""The single-shot deployment base every protocol subclasses.
+
+:class:`Deployment` builds the simulator, network, crypto context and ``n``
+replicas (honest by default; Byzantine replicas are supplied as factories
+from :mod:`repro.adversary`), then drives the run until all correct
+replicas decide (or a time/event budget runs out).  A protocol supplies its
+honest replica class and a key-pool label; ProBFT additionally overrides
+the stack hooks to install its observation policy and vote kernel
+(:class:`repro.core.protocol.ProBFTDeployment`).
+
+Every deployment delivers fan-outs coalesced (one simulator event per
+distinct delivery time, :mod:`repro.net.sparse`).  ``reference=True``
+builds the test oracle instead: per-recipient delivery, per-message
+handlers, set-based quorum collectors — Algorithm 1 with nothing batched.
+The identity suite (``tests/test_reference_identity.py``) pins the two to
+equal :class:`~repro.harness.trial.RunResult`\\ s.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, FrozenSet, Optional, Set
+
+from ..config import ProtocolConfig
+from ..crypto.context import CryptoContext
+from ..crypto.hashing import digest
+from ..net.faults import ChaosPolicy
+from ..net.latency import LatencyModel
+from ..net.network import DeliveryHandler, Network
+from ..net.simulator import Simulator
+from ..net.sparse import CoalescingDelivery
+from ..net.transport import Transport
+from ..sync.timeouts import TimeoutPolicy
+from ..types import Decision, ReplicaId, Value
+
+#: Factory building a Byzantine replica endpoint.  The returned object must
+#: expose ``start()`` and ``on_message(src, message)``.
+ByzantineFactory = Callable[[ReplicaId, ProtocolConfig, CryptoContext, Transport], object]
+
+
+def default_value(replica: ReplicaId) -> Value:
+    """Distinct per-replica proposal used when the caller supplies none."""
+    return f"value-{replica}".encode()
+
+
+class Deployment:
+    """One consensus instance: n replicas, a network, and a clock.
+
+    Subclasses set :attr:`replica_class` (constructed with ``replica_id``,
+    ``config``, ``crypto``, ``transport``, ``my_value``, ``timeout_policy``,
+    ``on_decide`` plus :meth:`_replica_kwargs`) and :attr:`pool_label`.
+    """
+
+    replica_class: type
+    #: Domain label of the pooled key registry (distinct per protocol).
+    pool_label: str
+
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        seed: int = 0,
+        latency: Optional[LatencyModel] = None,
+        gst: float = 0.0,
+        chaos: Optional[ChaosPolicy] = None,
+        timeout_policy: Optional[TimeoutPolicy] = None,
+        values: Optional[Dict[ReplicaId, Value]] = None,
+        byzantine: Optional[Dict[ReplicaId, ByzantineFactory]] = None,
+        duplicate_prob: float = 0.0,
+        track_bytes: bool = False,
+        crypto: Optional[CryptoContext] = None,
+        *,
+        reference: bool = False,
+    ) -> None:
+        self.config = config
+        self.seed = seed
+        self.reference = reference
+        self.duplicate_prob = duplicate_prob
+        self.sim = Simulator()
+        self.network = Network(
+            self.sim,
+            config.n,
+            latency=latency,
+            gst=gst,
+            chaos=chaos,
+            duplicate_prob=duplicate_prob,
+            duplicate_seed=seed,
+            track_bytes=track_bytes,
+        )
+        # Same-seed trials share one pooled (immutable) key registry instead
+        # of re-deriving n key pairs; pass ``crypto=`` to override.
+        self.crypto = crypto if crypto is not None else CryptoContext.pooled(
+            config.n, master_seed=digest(self.pool_label, seed)
+        )
+        self.decisions: Dict[ReplicaId, Decision] = {}
+
+        byzantine = byzantine or {}
+        if len(byzantine) > config.f:
+            raise ValueError(
+                f"{len(byzantine)} Byzantine replicas exceeds f={config.f}"
+            )
+        self.byzantine_ids: FrozenSet[ReplicaId] = frozenset(byzantine)
+        self._correct_ids: FrozenSet[ReplicaId] = (
+            frozenset(range(config.n)) - self.byzantine_ids
+        )
+        values = values or {}
+
+        replica_kwargs = self._replica_kwargs()
+        self.replicas: Dict[ReplicaId, object] = {}
+        for r in range(config.n):
+            transport = self._transport(r)
+            if r in byzantine:
+                replica = byzantine[r](r, config, self.crypto, transport)
+            else:
+                replica = self.replica_class(
+                    replica_id=r,
+                    config=config,
+                    crypto=self.crypto,
+                    transport=transport,
+                    my_value=values.get(r, default_value(r)),
+                    timeout_policy=timeout_policy,
+                    on_decide=self._record_decision,
+                    **replica_kwargs,
+                )
+            self.network.register(r, self._handler(r, replica))
+            self.replicas[r] = replica
+        if not reference:
+            self._install_stack()
+        self._started = False
+
+    # ------------------------------------------------------------------
+    # Subclass hooks
+    # ------------------------------------------------------------------
+    def _replica_kwargs(self) -> dict:
+        """Extra keyword arguments for every honest replica (called once,
+        after network and crypto exist, before any replica is built)."""
+        return {}
+
+    def _transport(self, replica: ReplicaId) -> Transport:
+        return Transport(self.network, replica)
+
+    def _handler(self, replica_id: ReplicaId, replica) -> DeliveryHandler:
+        return replica.on_message
+
+    def _install_stack(self) -> None:
+        """Attach the production delivery stack (skipped by the oracle).
+
+        Deterministic-quorum votes go to everyone, so the default has
+        nothing to prune: pure event coalescing, which is what tames the
+        O(n^2) broadcast storms.
+        """
+        self.network.use_delivery_policy(CoalescingDelivery())
+
+    # ------------------------------------------------------------------
+    # Driving
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        if self._started:
+            return
+        self._started = True
+        for replica in self.replicas.values():
+            replica.start()
+
+    def run(
+        self,
+        max_time: Optional[float] = None,
+        max_events: int = 5_000_000,
+        stop_when_decided: bool = True,
+    ) -> "Deployment":
+        """Run until every correct replica decides (or a budget runs out)."""
+        self.start()
+        stop = self.all_correct_decided if stop_when_decided else None
+        # Coalesced fan-outs probe this between deliveries, which keeps the
+        # per-delivery stop granularity of the per-recipient loop.
+        self.network.stop_probe = stop
+        self.sim.run(until=max_time, max_events=max_events, stop_when=stop)
+        return self
+
+    def _record_decision(self, decision: Decision) -> None:
+        self.decisions[decision.replica] = decision
+
+    # ------------------------------------------------------------------
+    # Inspection
+    # ------------------------------------------------------------------
+    @property
+    def correct_ids(self) -> FrozenSet[ReplicaId]:
+        return self._correct_ids
+
+    def correct_replicas(self) -> Dict[ReplicaId, object]:
+        return {
+            r: replica
+            for r, replica in self.replicas.items()
+            if r in self.correct_ids
+        }
+
+    def all_correct_decided(self) -> bool:
+        # Decisions are recorded by correct replicas only, so a length check
+        # suffices — this runs between every pair of deliveries (stop_when /
+        # stop_probe) and must be O(1), not O(n).
+        return len(self.decisions) >= len(self._correct_ids)
+
+    def decided_values(self) -> Set[Value]:
+        """Distinct values decided by *correct* replicas."""
+        return {
+            d.value for r, d in self.decisions.items() if r in self.correct_ids
+        }
+
+    @property
+    def agreement_ok(self) -> bool:
+        """True iff correct replicas decided at most one distinct value."""
+        return len(self.decided_values()) <= 1
+
+    @property
+    def max_decision_view(self) -> int:
+        views = [
+            d.view for r, d in self.decisions.items() if r in self.correct_ids
+        ]
+        return max(views, default=0)

@@ -1,4 +1,4 @@
-"""ProBFT's sample-observation policy for sparse delivery.
+"""ProBFT's sample-observation policy for coalesced delivery.
 
 ProBFT's communication pattern is exactly the sample-based dissemination of
 scalable probabilistic broadcast: a Prepare/Commit vote is multicast to the
@@ -9,12 +9,12 @@ leader-signed statement that conflicts with the accepted value.
 
 :class:`SampleObservationPolicy` encodes precisely that: votes are delivered
 only to sample members, unless the vote's view has been *flagged equivocal*,
-in which case every delivery for that view falls back to dense (any
-recipient might need to block the view and gossip evidence).  The flag is
+in which case every delivery for that view goes through (any recipient
+might need to block the view and gossip evidence).  The flag is
 maintained in :meth:`inspect`, which sees every message entering the network
 — including the unicast sends equivocating leaders and double-voters use —
 strictly before the corresponding deliveries fire, so the fire-time verdict
-in :meth:`deliverable` is never stale.
+in :meth:`batch_filter` is never stale.
 
 Suppression rules (fire time, honest ``dst`` only; equivocal-flagged views
 are exempt from all of them):
@@ -34,18 +34,18 @@ are exempt from all of them):
   statement seen for this view carries the one recorded value, including
   whichever proposal ``dst`` accepted.
 * anything else — deliver (future views are buffered and replayed; flagged
-  views, non-votes, malformed votes and Byzantine recipients are all
-  handled densely).
+  views, non-votes, malformed votes and Byzantine recipients are never
+  suppressed).
 
 Only statements actually signed by ``leader(view)`` are tracked: a flooder's
 fake statement signed by itself can never trigger line 23 (which checks the
-signer *is* the leader), so it must not flag the view equivocal and degrade
-the run to dense.
+signer *is* the leader), so it must not flag the view equivocal and switch
+its pruning off.
 
 The policy reads replica state (``_cur_view``, ``_committed_views``,
 ``_decision``) straight off the deployment's replica objects: the verdict
-runs per (message, recipient) on the hottest path in a large-n trial, and a
-probe-callable indirection per recipient is measurable there.
+runs per (message, recipient), and a probe-callable indirection per
+recipient is measurable there.
 """
 
 from __future__ import annotations
@@ -134,59 +134,25 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
             payload.sample.members(),
         )
 
-    def deliverable(self, message: object, dst: ReplicaId) -> bool:
-        verdict = self.batch_deliverable(message)
-        return True if verdict is True else verdict(dst)
-
-    def batch_deliverable(self, message: object):
-        vote = self._decompose_vote(message)
-        if vote is None:
-            return True
-        is_prepare, view, members = vote
-        # Captured once per fan-out: a mid-bucket flip (a Byzantine recipient
-        # sending a fresh conflicting statement from inside this bucket) is
-        # safe, because the conflicting statement cannot have been delivered
-        # to anyone yet — every honest recipient still holds the one value
-        # this vote carries, so suppressing its out-of-sample copies remains
-        # a no-op for them.
-        equivocal = view in self._equivocal
-        byzantine = self._byzantine
-        replicas = self._replicas
-
-        def verdict(dst: ReplicaId) -> bool:
-            if dst in byzantine:
-                return True
-            replica = replicas[dst]
-            dst_view = replica._cur_view
-            if view < dst_view:
-                return False  # dropped unread by the receiver's view gate
-            if view > dst_view:
-                return True  # buffered for replay on view entry
-            if equivocal:
-                return True  # dense: any recipient may need the evidence
-            if is_prepare:
-                if view in replica._committed_views:
-                    return False  # progress pruning (see module docstring)
-            elif replica._decision is not None:
-                return False  # progress pruning
-            return dst in members
-
-        return verdict
-
     def batch_filter(self, message: object, dsts):
-        """One-frame bulk verdict for a coalesced fan-out bucket.
+        """The module docstring's suppression rules applied to one bucket.
 
-        Exactly :meth:`batch_deliverable`'s per-``dst`` verdict applied to
-        ``dsts`` in order, without a closure call per recipient — this runs
-        for every vote bucket in a trial, so the loop keeps everything in
-        locals.  Delivering to one recipient cannot synchronously change
-        another's state (all sends schedule strictly-future events), so
-        pre-filtering the whole bucket matches interleaved evaluation.
+        This runs for every vote bucket the kernel declines, so the loop
+        keeps everything in locals.  Delivering to one recipient cannot
+        synchronously change another's state (all sends schedule
+        strictly-future events), so pre-filtering the whole bucket matches
+        interleaved evaluation.
         """
         vote = self._decompose_vote(message)
         if vote is None:
             return dsts
         is_prepare, view, members = vote
+        # Captured once per bucket: a mid-bucket flip (a Byzantine recipient
+        # sending a fresh conflicting statement from inside this bucket) is
+        # safe, because the conflicting statement cannot have been delivered
+        # to anyone yet — every honest recipient still holds the one value
+        # this vote carries, so suppressing its out-of-sample copies remains
+        # a no-op for them.
         equivocal = view in self._equivocal
         byzantine = self._byzantine
         replicas = self._replicas

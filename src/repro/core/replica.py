@@ -24,6 +24,14 @@ Handlers map to the algorithm's "upon" clauses:
 Messages for future views are buffered (bounded) and replayed on view entry;
 messages for past views are dropped — the paper's "a receiver will only
 accept a message if its own view matches the view of the sender".
+
+:meth:`ProBFTReplica.on_message` over set-based quorum collectors is the
+reference: what ``reference=True`` deployments, SMR slots and Byzantine
+wrappers run.  Production deployments hand vote fan-outs to the bucket
+kernel in :mod:`repro.core.columnar` instead, which shares this module's
+:func:`prevalidate_vote` and the replica's quorum re-checks;
+:meth:`ProBFTReplica.on_sample_message` is the per-recipient fallback for
+buckets that kernel declines.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ from ..net.transport import Transport
 from .leader import leader_of
 from ..quorum.deterministic import DeterministicQuorumCollector
 from ..quorum.probabilistic import ProbabilisticQuorumCollector
-from ..quorum.probabilistic import _Bucket as _QuorumBucket
 from ..sync.synchronizer import ViewSynchronizer, Wish
 from ..sync.timeouts import TimeoutPolicy
 from ..types import Decision, ReplicaId, TraceEvent, Value, View
@@ -57,10 +64,12 @@ DecisionCallback = Callable[[Decision], None]
 class _VoteToken:
     """Recipient-independent validation of one Prepare/Commit vote.
 
-    Computed once per coalesced fan-out event and shared by every recipient
-    in the bucket (see :meth:`ProBFTReplica.on_sample_message`).  Everything
-    here is a pure function of the message and the deployment's shared
-    crypto/config, never of the receiving replica.
+    Computed once per coalesced fan-out bucket and shared by every recipient
+    in it, by the bucket kernel (:class:`~repro.core.columnar.
+    ColumnarVoteDispatch`) or, for buckets it declines, by
+    :meth:`ProBFTReplica.on_sample_message`.  Everything here is a pure
+    function of the message and the deployment's shared crypto/config,
+    never of the receiving replica.
     """
 
     __slots__ = (
@@ -137,297 +146,6 @@ def prevalidate_vote(
     )
 
 
-class BulkVoteDispatch:
-    """One-call-per-bucket delivery kernel for Prepare/Commit fan-outs.
-
-    :meth:`Network._deliver_fanout` hands a whole *raw* coalesced bucket
-    here; the dispatch prevalidates the vote once, then fuses the
-    observation policy's pruning (:meth:`SampleObservationPolicy.batch_filter`)
-    and :meth:`ProBFTReplica.on_sample_message`'s per-recipient behaviour
-    into one loop — token fields, collector internals and the quorum
-    threshold all held in locals instead of re-resolved per recipient.  At
-    n=2000 this loop body runs ~360k times per trial and is the single
-    largest cost in a warm trial, which justifies reaching into the
-    collector's ``_buckets`` here (the only place that does).
-
-    Deliberate deviations from the generic path, all unobservable in a
-    :class:`~repro.harness.trial.RunResult`:
-
-    * adds to an already-fired quorum bucket are skipped outright — the
-      generic ``add`` records them, but nothing ever reads a bucket's
-      senders/messages past the first ``threshold`` entries;
-    * Commit messages are not retained at all — only Prepare certificates
-      are ever extracted (``quorum_messages`` feeds ``NewLeader.cert``);
-      Commit collectors only ever answer ``has_quorum``;
-    * the stop probe is consulted only after events that can actually
-      record a decision (quorum completions and generic-path fallbacks) —
-      between those the predicate is a constant, so dense's per-delivery
-      check returns the same answer;
-    * rare branches (non-votes, equivocal-flagged views, conflicting
-      equivocation candidates) fall back to the generic handlers rather
-      than being replicated here.
-
-    Returns the number of recipients delivered, or -1 to decline the whole
-    bucket (the caller filters it and runs its generic per-recipient loop).
-    """
-
-    __slots__ = (
-        "_config",
-        "_crypto",
-        "_replicas",
-        "_correct",
-        "_handlers",
-        "_policy",
-        "_q",
-        "_plans",
-    )
-
-    def __init__(
-        self, config, crypto, replicas, correct_ids, handlers, policy
-    ) -> None:
-        self._config = config
-        self._crypto = crypto
-        self._replicas = replicas
-        self._correct = frozenset(correct_ids)
-        self._handlers = handlers  # Network's plain handlers (Byzantine dsts)
-        self._policy = policy
-        self._q = config.q
-        # Route plans: (is_prepare, view, value) -> {dst: entry}.  An entry
-        # is (replica, senders, acc, messages) once dst has accepted a vote
-        # with that key, or False once no such vote can ever matter again —
-        # every False transition below is monotone (views only advance,
-        # committed views stay committed, decisions and fired quorum buckets
-        # are permanent), so a sentinel is never wrong later.
-        self._plans = {}
-
-    def __call__(self, src, message, dsts, probe) -> int:
-        token = prevalidate_vote(self._config, self._crypto, message)
-        if token is None:
-            return -1
-        view = token.view
-        if view in self._policy._equivocal:
-            return -1  # dense delivery: any recipient may need the evidence
-        if not token.valid:
-            # Invalid votes never touch a collector; run the full (rare)
-            # per-recipient logic without a route plan.
-            return self._deliver_odd(src, message, token, dsts, probe)
-        value = token.value
-        signer = token.signer
-        members = token.members
-        is_prepare = token.is_prepare
-        q = self._q
-        key = (is_prepare, view, value)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = {}
-        plan_get = plan.get
-        slow_one = self._slow_one
-        delivered = 0
-        # The predicate only changes when a decision is recorded, which only
-        # the branches that set this flag can do.
-        check_stop = False
-        # Fast-path notes (both loops): the view is not flagged equivocal,
-        # so the lines 23-25 conflict branch and _block_view are provably
-        # dead for it (both require a second leader-signed value, which
-        # flags the view at inspect time before any delivery); likewise
-        # ``acc.fired`` subsumes progress pruning — committing a view /
-        # deciding latch ``fired`` on this very (view, value) bucket first.
-        if is_prepare:
-            for dst in dsts:
-                if check_stop:
-                    if probe is not None and delivered and probe():
-                        return delivered  # abandon the bucket: run is over
-                    check_stop = False
-                entry = plan_get(dst)
-                if entry is None:
-                    d, cs = slow_one(src, message, token, dst, plan)
-                    delivered += d
-                    if cs:
-                        check_stop = True
-                    continue
-                if entry is False:
-                    continue  # monotone skip (see _plans above)
-                replica, senders, acc, msgs = entry
-                if acc.fired or replica._cur_view != view:
-                    plan[dst] = False  # permanent: quorum done / view left
-                    continue
-                if dst not in members:
-                    continue  # line 17 precondition: i ∈ S
-                delivered += 1
-                if signer in senders:
-                    continue
-                senders.add(signer)
-                msgs.append((signer, message))
-                if len(senders) >= q:
-                    acc.fired = True
-                    plan[dst] = False
-                    replica._try_form_prepared()
-                    check_stop = True
-        else:
-            for dst in dsts:
-                if check_stop:
-                    if probe is not None and delivered and probe():
-                        return delivered  # abandon the bucket: run is over
-                    check_stop = False
-                entry = plan_get(dst)
-                if entry is None:
-                    d, cs = slow_one(src, message, token, dst, plan)
-                    delivered += d
-                    if cs:
-                        check_stop = True
-                    continue
-                if entry is False:
-                    continue  # monotone skip (see _plans above)
-                replica, senders, acc, msgs = entry
-                if acc.fired or replica._cur_view != view:
-                    plan[dst] = False  # permanent: quorum done / view left
-                    continue
-                if dst not in members:
-                    continue  # line 21 precondition: i ∈ S
-                delivered += 1
-                if signer in senders:
-                    continue
-                senders.add(signer)
-                # Commit messages are never appended: commit collectors only
-                # ever answer has_quorum, the messages are dead state.
-                if len(senders) >= q:
-                    acc.fired = True
-                    plan[dst] = False
-                    replica._try_decide()
-                    check_stop = True
-        return delivered
-
-    def _slow_one(self, src, message, token, dst, plan):
-        """First (or odd) encounter of ``dst`` for a valid vote.
-
-        Runs the full per-recipient logic, installs the dst's route-plan
-        entry (or a permanent-skip sentinel) for the fast loops above, and
-        returns ``(delivered_delta, check_stop)``.
-        """
-        if dst not in self._correct:
-            self._handlers[dst](src, message)
-            return 1, True  # arbitrary handler: be conservative
-        view = token.view
-        replica = self._replicas[dst]
-        cur = replica._cur_view
-        if view != cur:
-            if cur == 0:
-                return 0, False  # not started yet: retry next vote
-            if view < cur:
-                plan[dst] = False  # views only advance
-                return 0, False
-            replica._buffer_future(view, src, message)
-            return 1, False
-        # Progress pruning (see repro.core.observation): this delivery
-        # could only mutate collector state that is never read back.
-        if token.is_prepare:
-            if view in replica._committed_views:
-                plan[dst] = False
-                return 0, False
-        elif replica._decision is not None:
-            plan[dst] = False
-            return 0, False
-        if dst not in token.members:
-            return 0, False  # line 17/21 precondition: i ∈ S
-        value = token.value
-        # Lines 23-25 can only trigger on a conflicting leader-signed
-        # statement; defer that rare case to the generic path wholesale.
-        if (
-            token.eq_candidate
-            and replica._voted
-            and not replica._block_view
-            and value != replica._cur_val
-        ):
-            replica._process_current(src, message)
-            return 1, True
-        if replica._block_view:
-            return 1, False
-        q = self._q
-        table = (
-            replica._prepare_collectors
-            if token.is_prepare
-            else replica._commit_collectors
-        )
-        collector = table.get(cur)
-        if collector is None:
-            collector = table[cur] = ProbabilisticQuorumCollector(q)
-        buckets = collector._buckets
-        acc = buckets.get(value)
-        if acc is None:
-            acc = buckets[value] = _QuorumBucket()
-        if acc.fired:
-            plan[dst] = False  # post-quorum adds are never read
-            return 1, False
-        senders = acc.senders
-        plan[dst] = (replica, senders, acc, acc.messages)
-        if token.signer in senders:
-            return 1, False
-        senders.add(token.signer)
-        if token.is_prepare:
-            acc.messages.append((token.signer, message))
-        if len(senders) >= q:
-            acc.fired = True
-            plan[dst] = False
-            if token.is_prepare:
-                replica._try_form_prepared()
-            else:
-                replica._try_decide()
-            return 1, True
-        return 1, False
-
-    def _deliver_odd(self, src, message, token, dsts, probe) -> int:
-        """Per-recipient loop for votes that fail prevalidation.
-
-        Such a vote can never reach a collector, but it still has to be
-        routed: Byzantine recipients get it verbatim, future views buffer
-        it, and a leader-signed conflicting statement riding on it must
-        still be able to trigger lines 23-25.
-        """
-        view = token.view
-        value = token.value
-        eq_candidate = token.eq_candidate
-        correct = self._correct
-        replicas = self._replicas
-        handlers = self._handlers
-        delivered = 0
-        check_stop = False
-        for dst in dsts:
-            if check_stop:
-                if probe is not None and delivered and probe():
-                    return delivered
-                check_stop = False
-            if dst not in correct:
-                delivered += 1
-                handlers[dst](src, message)
-                check_stop = True
-                continue
-            replica = replicas[dst]
-            cur = replica._cur_view
-            if view != cur:
-                if cur == 0 or view < cur:
-                    continue
-                delivered += 1
-                replica._buffer_future(view, src, message)
-                continue
-            if token.is_prepare:
-                if view in replica._committed_views:
-                    continue
-            elif replica._decision is not None:
-                continue
-            if dst not in token.members:
-                continue
-            delivered += 1
-            if (
-                eq_candidate
-                and replica._voted
-                and not replica._block_view
-                and value != replica._cur_val
-            ):
-                replica._process_current(src, message)
-                check_stop = True
-        return delivered
-
-
 class ProBFTReplica:
     """A correct ProBFT replica."""
 
@@ -478,11 +196,11 @@ class ProBFTReplica:
         self._decision: Optional[Decision] = None
 
         # --- bookkeeping ---
-        # Columnar seam: when a shared ColumnarVoteState is supplied, the
+        # With a shared ColumnarVoteState (every production deployment), the
         # per-view collector tables materialize array-backed facades on
         # lookup (so kernel-delivered votes are visible even before this
         # replica touched the table) and the mirror columns below track the
-        # few state transitions the bulk kernel classifies on.
+        # few state transitions the vote kernel classifies on.
         self._cells = columnar_state
         if columnar_state is None:
             self._prepare_collectors: Dict[View, ProbabilisticQuorumCollector] = {}
@@ -569,7 +287,7 @@ class ProBFTReplica:
         self._process_current(src, message)
 
     def on_sample_message(self, src: ReplicaId, message: object, shared: dict) -> None:
-        """Batched delivery entry point for coalesced fan-outs (sparse mode).
+        """Per-recipient entry point for buckets the vote kernel declines.
 
         Recipients of one fan-out event share the recipient-independent
         validation work (signatures, leader check, VRF) through a
@@ -580,7 +298,7 @@ class ProBFTReplica:
         """
         token = shared.get("vote", False)
         if token is False:
-            token = self._prevalidate_vote(message)
+            token = prevalidate_vote(self.config, self._crypto, message)
             shared["vote"] = token
         if token is None:
             self.on_message(src, message)
@@ -621,14 +339,6 @@ class ProBFTReplica:
                 self._try_form_prepared()
             else:
                 self._try_decide()
-
-    def _prevalidate_vote(self, message: object) -> Optional[_VoteToken]:
-        """The recipient-independent slice of :meth:`_verify_vote`.
-
-        Returns ``None`` for anything that is not a well-formed Signed
-        Prepare/Commit — those take the generic :meth:`on_message` path.
-        """
-        return prevalidate_vote(self.config, self._crypto, message)
 
     # ------------------------------------------------------------------
     # Dispatch helpers

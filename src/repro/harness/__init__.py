@@ -156,71 +156,40 @@ Whatever the backend, results are **bit-identical** (pinned by
 ``tests/test_backends.py``): seeds are counter-derived per trial and
 collection is submission-ordered, so scheduling never leaks into results.
 
-Scaling past n≈100
+The delivery stack
 ------------------
 
-Dense delivery — one simulator event per ``(message, recipient)`` pair —
-is the reference semantics, but its per-event python cost makes protocol
-trials at n≥500 crawl.  ``DeploymentSpec.with_sparse()`` flips a trial to
-the **sparse delivery layer**: :class:`~repro.net.sparse
-.SparseDeliveryPolicy` coalesces each multicast/broadcast into one
-simulator event per distinct delivery time, and ProBFT additionally
-attaches :class:`~repro.core.observation.SampleObservationPolicy`, which
-prunes deliveries the recipient's quorum-sample state provably ignores.
-Sparse runs are **bit-identical** to dense on the same spec — same
-``RunResult``, same message stats, same simulated time
-(``tests/test_sparse_delivery.py`` pins every protocol × adversary ×
-latency cell) — so the flag moves only wall-clock, like ``workers=``::
-
-    spec = cell_deployment_spec(cell, seed=seed, max_time=300.0)
-    result = run_trial(spec.with_sparse())   # ≥5x dense at n=500
-
-Use sparse for any large-n protocol sweep.  Dense remains the default
-because it is the reference implementation and the equivalence oracle;
-keep it for debugging (one event per delivery is easier to trace) and
-for pinning new protocols/adversaries before trusting their sparse runs.
-Related large-n levers: the analytical estimators take
-``vectorized=True`` (numpy batch kernels, bit-identical, fixed budgets
-only — see :mod:`repro.montecarlo.vectorized`), and
-``benchmarks/bench_scale.py`` writes ``BENCH_scale.json`` (trials/sec ×
-n, dense vs sparse vs columnar vs gossip) — the scoreboard for scaling
-regressions.
-
-Choosing columnar state
-~~~~~~~~~~~~~~~~~~~~~~~
-
-Past n≈5000 the bottleneck moves from event *count* to per-event python
-cost: every coalesced fan-out still walks its recipients through dict-
-backed per-replica collectors.  ``DeploymentSpec.with_columnar()`` (on
-top of ``with_sparse()``) swaps the vote bookkeeping for one shared set
-of numpy arrays — packed-uint64 voter bitmaps, per-slot counters, and a
-bucket-wide dispatch kernel (:mod:`repro.core.columnar`) that applies a
-whole fan-out in a handful of masked scatters instead of a python loop
-per recipient.  Like sparse, columnar is **bit-identical** to dense on
-the same spec (``tests/test_columnar.py`` replays protocol × adversary
-cells both ways), so it also moves only wall-clock::
-
-    spec = cell_deployment_spec(cell, seed=seed, max_time=300.0)
-    result = run_trial(spec.with_sparse().with_columnar())  # n≈20,000 OK
-
-Or flip a whole sweep at once: ``MatrixCell(columnar=True)`` /
-``ScenarioMatrix(columnar=True)`` / ``repro sweep --columnar`` run every
-cell on the sparse+columnar stack.  Requires numpy (the build raises a
-clear error without it); dense and sparse need none.  Rules of thumb:
-
-* **n ≤ 500** — plain dense; the reference path is fast enough and is
-  the oracle every seam is compared against.
-* **500 < n ≤ 5000** — ``with_sparse()``; columnar helps here too but
-  the array setup only clearly pays past ~10³ replicas.
-* **n > 5000** — ``with_sparse().with_columnar()``; at n=20,000 this is
-  the only stack that completes a trial in CI-scale wall-clock.  Add
-  ``track_memory=True`` (or ``--track-memory``) to watch peak heap.
+Every single-shot trial runs one stack; nothing on ``DeploymentSpec``
+selects it.  Fan-outs are **coalesced** (:mod:`repro.net.sparse`): one
+simulator event per distinct delivery time instead of one per ``(message,
+recipient)`` pair.  ProBFT additionally attaches
+:class:`~repro.core.observation.SampleObservationPolicy`, which prunes
+deliveries the recipient's quorum-sample state provably ignores, and hands
+every vote bucket to one kernel over numpy-backed quorum state shared by
+all replicas (:mod:`repro.core.columnar`: vectorised for wide buckets, a
+scalar branch for singleton buckets, counted declines to the per-recipient
+fallback — ``deployment.vote_kernel_stats()``); PBFT and HotStuff coalesce
+only.  The event queue is a binary heap.  The reference semantics —
+per-recipient delivery, :meth:`ProBFTReplica.on_message
+<repro.core.replica.ProBFTReplica.on_message>` over set-based collectors —
+survive as the test oracle: ``dataclasses.replace(spec,
+extra=(("reference", True),))`` builds it, and
+``tests/test_reference_identity.py`` pins production ``RunResult`` values
+equal to the oracle's on every protocol × adversary × latency cell.  Use the
+oracle to debug (one event per delivery is easier to trace) and to pin a
+new protocol or adversary before trusting its production runs.  Related
+large-n levers: the analytical estimators take ``vectorized=True`` (numpy
+batch kernels, bit-identical, fixed budgets only — see
+:mod:`repro.montecarlo.vectorized`), ``track_memory=True`` (or ``repro
+sweep --track-memory``) records peak heap, and ``benchmarks/e2e``
+(``scale-cold`` / ``scale-jitter`` / ``scale-viewchange``) is the
+scoreboard for scaling regressions.
 
 Choosing a dissemination mode
 ~~~~~~~~~~~~~~~~~~~~~~~~~~~~~
 
-Orthogonal to *delivery* (dense/sparse — how the simulator schedules
-deliveries, never what is sent) is *dissemination* — how the leader's
+Orthogonal to *delivery* (how the simulator schedules deliveries, never
+what is sent) is *dissemination* — how the leader's
 PROPOSE physically spreads (ProBFT only).  ``DeploymentSpec
 .with_gossip()`` swaps the leader's ``O(n)`` broadcast for the
 sample-and-forward gossip of :mod:`repro.net.gossip`: every node forwards
@@ -228,7 +197,7 @@ a fresh proposal once to a seeded deterministic sample of
 ``⌈log2 n⌉ + 2`` peers (knobs: ``gossip_fanout``/``gossip_rounds``),
 so no single node — leader included — ever sends ``O(n)`` messages.
 
-Unlike ``with_sparse()``, gossip **changes the run**: more total
+Unlike the delivery stack, gossip **changes the run**: more total
 messages, one-to-two extra latency hops, and per-seed (still fully
 deterministic) dissemination trajectories.  Estimates are statistically
 consistent with dense runs, not bit-equal to them.  Pick by question:
@@ -240,9 +209,8 @@ consistent with dense runs, not bit-equal to them.  Pick by question:
   bandwidth bounded by fan-out, equivocation under partial information
   (a Byzantine leader restricts only its *own* first hop — honest relays
   leak conflicting proposals across its partitions), flooding
-  amplification through honest relays.  Compose with ``with_sparse()``
-  for large n; ``with_gossip(False)`` round-trips to exact dense
-  semantics (``tests/test_gossip.py`` pins identity on every
+  amplification through honest relays.  ``with_gossip(False)``
+  round-trips to exact dense semantics (``tests/test_gossip.py`` pins identity on every
   protocol × adversary cell).
 
 Driving the SMR layer

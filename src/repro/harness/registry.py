@@ -198,11 +198,8 @@ class MatrixCell:
     """One (protocol, adversary, latency) combination at a fixed (n, f).
 
     ``track_bytes`` cells additionally account canonical-encoding bytes per
-    message, feeding the report's byte-cost columns.  ``columnar`` runs the
-    cell on the scale stack (sparse delivery + array-backed vote state,
-    golden-seed identical to dense — see :mod:`repro.core.columnar`);
-    ``track_memory`` records each trial's peak heap in the result row's
-    ``peak_mem_mb``.
+    message, feeding the report's byte-cost columns.  ``track_memory``
+    records each trial's peak heap in the result row's ``peak_mem_mb``.
     """
 
     protocol: str
@@ -211,7 +208,6 @@ class MatrixCell:
     n: int
     f: int
     track_bytes: bool = False
-    columnar: bool = False
     track_memory: bool = False
 
     @property
@@ -282,11 +278,6 @@ def cell_deployment_spec(
         timeout_policy=FixedTimeout(30.0),
         byzantine=behavior.byzantine_map(cell.protocol, config),
         track_bytes=cell.track_bytes,
-        # A columnar cell gets the full scale stack: the array-backed vote
-        # state only pays off behind coalesced fan-outs, and both toggles
-        # are golden-seed identical to the dense reference.
-        sparse=cell.columnar,
-        columnar=cell.columnar,
         track_memory=cell.track_memory,
         max_time=max_time,
         # Behaviors that attack the deployment itself (e.g. duplication's
@@ -357,9 +348,6 @@ class ScenarioMatrix:
     #: Account per-message bytes in every cell (populates the byte-cost
     #: report columns; costs one canonical encode per distinct message).
     track_bytes: bool = False
-    #: Run every cell on the scale stack (sparse delivery + columnar vote
-    #: state; golden-seed identical to dense).  Requires numpy.
-    columnar: bool = False
     #: Record peak heap per trial; the report grows a ``mean_peak_mem_mb``
     #: column.  Telemetry only — roughly doubles wall clock.
     track_memory: bool = False
@@ -411,7 +399,6 @@ class ScenarioMatrix:
                 n=self.n,
                 f=f,
                 track_bytes=self.track_bytes,
-                columnar=self.columnar,
                 track_memory=self.track_memory,
             )
             for p in self.protocols
@@ -472,7 +459,6 @@ class ScenarioMatrix:
             target_width=self.target_width,
             target_widths=self.target_widths,
             track_bytes=self.track_bytes,
-            columnar=self.columnar,
             track_memory=self.track_memory,
         )
 

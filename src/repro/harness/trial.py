@@ -139,8 +139,13 @@ class DeploymentSpec:
     ``protocol`` selects the deployment constructor from the protocol
     registry; the remaining fields are the constructor's keyword arguments
     plus the driving budgets (``max_time``/``max_events``).  ``extra``
-    carries protocol-specific constructor kwargs (e.g. ``trace=True`` for
-    ProBFT) without widening this class for each one.
+    carries constructor kwargs that are not scenario knobs without widening
+    this class for each one: ``trace=True`` for ProBFT, and
+    ``reference=True``, which builds the test oracle (per-recipient
+    delivery, per-message handlers, set-based collectors) in place of the
+    production stack.  Nothing here selects a delivery, vote-handling or
+    event-queue implementation: every deployment runs the one stack
+    (see :mod:`repro.core.deployment`).
     """
 
     protocol: str
@@ -156,11 +161,6 @@ class DeploymentSpec:
     duplicate_prob: float = 0.0
     #: Account per-message canonical-encoding bytes (costs one encode each).
     track_bytes: bool = False
-    #: Route multicasts through the deployment's sparse delivery policy
-    #: (coalesced fan-out events; see :mod:`repro.net.sparse`).  Golden-seed
-    #: equivalent to dense mode but orders of magnitude fewer simulator
-    #: events at large n.  Off by default: dense is the reference semantics.
-    sparse: bool = False
     #: Leader-proposal dissemination: ``"dense"`` (reference semantics, an
     #: O(n) broadcast) or ``"gossip"`` (sample-and-forward with O(log n)
     #: per-node fan-out; see :mod:`repro.net.gossip`).
@@ -168,11 +168,6 @@ class DeploymentSpec:
     #: Gossip knobs; None means the protocol default ``⌈log2 n⌉ + 2``.
     gossip_fanout: Optional[int] = None
     gossip_rounds: Optional[int] = None
-    #: Columnar (array-backed) replica vote state; see
-    #: :mod:`repro.core.columnar`.  Golden-seed equivalent to the dense
-    #: object path but one order of magnitude more replicas fits in cache.
-    #: Requires numpy; off by default (dense is the reference semantics).
-    columnar: bool = False
     #: Record the trial's peak Python heap (tracemalloc) in
     #: :attr:`RunResult.peak_mem_mb`.  Costs ~2x wall clock; telemetry only
     #: — it never changes protocol behaviour.
@@ -184,14 +179,6 @@ class DeploymentSpec:
     def with_seed(self, seed: int) -> "DeploymentSpec":
         """The same trial under a different seed (for seeded fan-out)."""
         return replace(self, seed=seed)
-
-    def with_sparse(self, sparse: bool = True) -> "DeploymentSpec":
-        """The same trial with sparse delivery toggled (for A/B equivalence)."""
-        return replace(self, sparse=sparse)
-
-    def with_columnar(self, columnar: bool = True) -> "DeploymentSpec":
-        """The same trial with columnar vote state toggled (A/B identity)."""
-        return replace(self, columnar=columnar)
 
     def with_gossip(
         self,
@@ -219,15 +206,8 @@ class DeploymentSpec:
         """Construct the protocol's deployment (does not run it)."""
         factory = _factory(self.protocol)
         kwargs = dict(self.extra)
-        if self.sparse:
-            # Only forwarded when set so third-party factories registered
-            # before the sparse seam keep working untouched.
-            kwargs["sparse"] = True
-        if self.columnar:
-            # Same only-when-set contract as ``sparse``.
-            kwargs["columnar"] = True
         if self.dissemination != "dense":
-            # Same only-when-set contract as ``sparse``.
+            # Only forwarded when set: only ProBFT's factory takes them.
             kwargs["dissemination"] = self.dissemination
             if self.gossip_fanout is not None:
                 kwargs["gossip_fanout"] = self.gossip_fanout

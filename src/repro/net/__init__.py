@@ -12,8 +12,8 @@ and of whether the sender is faulty*.
   partitions; correct-to-correct messages are never lost, only delayed.
 * :mod:`repro.net.network` — the network itself: routing, GST enforcement,
   per-type message accounting (used by the Figure-1b benchmarks).
-* :mod:`repro.net.sparse` — sparse delivery policies: coalesced fan-out
-  events (and protocol-aware pruning) for scaling past n≈1000.
+* :mod:`repro.net.sparse` — delivery policies: coalesced fan-out events
+  (and protocol-aware pruning), attached by every single-shot deployment.
 * :mod:`repro.net.transport` — the per-replica send/broadcast/multicast API.
 """
 

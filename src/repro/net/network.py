@@ -267,7 +267,8 @@ class Network:
     def use_delivery_policy(self, policy: Optional[SparseDeliveryPolicy]) -> None:
         """Switch multicast/broadcast to the sparse coalesced fan-out path.
 
-        ``None`` restores dense mode (one simulator event per recipient).
+        ``None`` restores dense mode (one simulator event per recipient):
+        what the SMR service and ``reference=True`` deployments run.
         """
         self._delivery = policy
 

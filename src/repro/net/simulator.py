@@ -5,36 +5,14 @@ ordered by time with ties broken by scheduling order, so runs are fully
 deterministic.  All model randomness lives in *seeded* RNGs owned by the
 latency model / adversary, never in the kernel.
 
-Two interchangeable queue representations sit behind one interface:
-
-* **heap** (the reference): a single binary heap of entries — optimal for
-  small, irregular schedules and the easiest structure to reason about.
-* **bucket** (the large-n fast path): protocol traffic is heavily
-  *time-bucketed* — a broadcast under constant latency lands thousands of
-  events on one timestamp — so the queue keeps a dict of per-time FIFO
-  buckets plus a small heap of distinct times.  Scheduling into an existing
-  bucket is O(1) (dict hit + append) instead of an O(log N) sift, and
-  draining a bucket walks a list instead of popping the heap per event.
-  Entries append in sequence order, so walking a bucket front-to-back *is*
-  ``(time, seq)`` order: the fire order is bit-identical to the heap's.
-
-``queue="auto"`` (the default) starts on the heap and migrates to buckets
-once the backlog crosses ``bucket_threshold``
-(:data:`repro.config.DEFAULT_SIM_TUNING`); migration re-groups the pending
-entries by time and sorts each bucket by sequence, so the switch is
-invisible to event ordering.  ``queue="heap"`` pins the reference behavior.
-
-A third representation, ``queue="ring"`` (requires numpy), targets the
-pure-model fast path (constant latency, no chaos) where almost every
-event of a fan-out lands on one of a handful of distinct future times:
-per-time buckets become flat ``int64`` arrays of packed
-``slot << 32 | generation`` entries pointing into a shared callback slot
-table.  Scheduling is an array append (amortized O(1), no per-event heap
-entry or Python list cell), and cancellation is **tombstone-free**: it
-bumps the slot's generation counter, so the queue needs no compaction
-sweeps — a stale entry is recognized (generation mismatch) and skipped in
-O(1) when its bucket drains.  Entries append in sequence order, so the
-fire order is bit-identical to the heap's ``(time, seq)`` order.
+There is one queue: a binary heap of ``[time, seq, handle, callback]``
+entries.  Fan-outs reach the kernel already coalesced (one event per
+distinct delivery time, see :mod:`repro.net.sparse`), so a trial is a few
+thousand events and no per-time bucketing measurably beats the heap at
+that size.  Cancellation writes a tombstone into the entry; tombstones are
+skipped when popped and swept once they outnumber live entries, because
+bounded-window timer churn (cancel + re-arm per view) would otherwise grow
+the backlog without bound.
 """
 
 from __future__ import annotations
@@ -42,19 +20,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..config import DEFAULT_SIM_TUNING
 from ..errors import SimulationError
 
 Callback = Callable[[], None]
-
-_QUEUE_MODES = ("auto", "heap", "bucket", "ring")
-
-#: Initial per-time ring-bucket capacity (doubles on overflow).
-_RING_BUCKET_SEED = 16
-
-_GEN_MASK = 0xFFFFFFFF
 
 
 def _fired() -> None:  # sentinel: the event already ran; cancel is a no-op
@@ -86,47 +57,12 @@ class EventHandle:
         return self._entry[3] is None
 
 
-class _RingHandle:
-    """Ring-queue event handle: same surface as :class:`EventHandle`.
-
-    Cancellation bumps the slot's generation counter instead of writing a
-    tombstone into the queue — the packed bucket entry goes stale and is
-    skipped (generation mismatch) when its bucket drains.
-    """
-
-    __slots__ = ("time", "seq", "_sim", "_slot", "_gen", "_dead")
-
-    def __init__(self, time: float, seq: int, sim, slot: int, gen: int) -> None:
-        self.time = time
-        self.seq = seq
-        self._sim = sim
-        self._slot = slot
-        self._gen = gen
-        self._dead = False
-
-    def cancel(self) -> None:
-        """Cancel the event if it has not fired yet (idempotent)."""
-        if self._sim._ring_cancel(self._slot, self._gen):
-            self._dead = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._dead
-
-
 class Simulator:
     """Virtual-time event loop.
 
     Args:
-        queue: event-queue representation — ``"auto"`` (heap, migrating to
-            time buckets past ``bucket_threshold`` pending events),
-            ``"heap"`` (reference, never migrates), or ``"bucket"``
-            (buckets from the first event).  All three fire events in the
-            same ``(time, seq)`` order.
         compact_floor: tombstone-compaction floor (default
             :data:`repro.config.DEFAULT_SIM_TUNING`).
-        bucket_threshold: backlog size that flips ``"auto"`` to buckets
-            (default :data:`repro.config.DEFAULT_SIM_TUNING`).
 
     Example:
         >>> sim = Simulator()
@@ -143,27 +79,11 @@ class Simulator:
     #: them would just churn allocations.
     _COMPACT_FLOOR = DEFAULT_SIM_TUNING.compact_floor
 
-    def __init__(
-        self,
-        *,
-        queue: str = "auto",
-        compact_floor: Optional[int] = None,
-        bucket_threshold: Optional[int] = None,
-    ) -> None:
-        if queue not in _QUEUE_MODES:
-            raise SimulationError(
-                f"unknown queue mode {queue!r}; expected one of {_QUEUE_MODES}"
-            )
-        self._queue_mode = queue
+    def __init__(self, *, compact_floor: Optional[int] = None) -> None:
         self._compact_floor = (
             compact_floor
             if compact_floor is not None
             else DEFAULT_SIM_TUNING.compact_floor
-        )
-        self._bucket_threshold = (
-            bucket_threshold
-            if bucket_threshold is not None
-            else DEFAULT_SIM_TUNING.bucket_threshold
         )
         self._now: float = 0.0
         self._heap: List[list] = []
@@ -172,30 +92,6 @@ class Simulator:
         self._running = False
         self._live = 0
         self._cancelled = 0
-        # Bucket-mode state (unused until migration).
-        self._bucketed = queue == "bucket"
-        self._buckets: Dict[float, List[list]] = {}
-        self._time_heap: List[float] = []
-        self._cur_time: float = 0.0
-        self._cur_list: Optional[List[list]] = None
-        self._cur_idx: int = 0
-        # Ring-mode state (numpy-backed; pinned, never migrates).
-        self._ring = queue == "ring"
-        if self._ring:
-            try:
-                import numpy
-            except ImportError as exc:
-                raise SimulationError(
-                    "queue='ring' requires numpy, which is not installed; "
-                    "use queue='auto'/'heap'/'bucket' instead"
-                ) from exc
-            self._np = numpy
-            self._ring_callbacks: List[Optional[Callback]] = []
-            self._ring_gen: List[int] = []
-            self._ring_free: List[int] = []
-            # time -> [int64 array of packed slot<<32|gen entries, count]
-            self._ring_buckets: Dict[float, list] = {}
-            self._cur_ring: Optional[list] = None
 
     @property
     def now(self) -> float:
@@ -211,32 +107,15 @@ class Simulator:
         """Number of scheduled, not-yet-fired, not-cancelled events (O(1))."""
         return self._live
 
-    @property
-    def queue_mode(self) -> str:
-        """The queue representation in use (``heap``/``bucket``/``ring``)."""
-        if self._ring:
-            return "ring"
-        return "bucket" if self._bucketed else "heap"
-
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping
-    # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
         """Bookkeeping hook called by :meth:`EventHandle.cancel`.
 
-        Lazily compacts the queue once more than half of it is tombstones,
+        Lazily compacts the heap once more than half of it is tombstones,
         so bounded-window timer churn (cancel + re-arm per view) cannot grow
         the backlog past ~2x the live event count.
         """
         self._live -= 1
         self._cancelled += 1
-        if self._bucketed:
-            if (
-                self._cancelled > self._live
-                and self._cancelled >= self._compact_floor
-            ):
-                self._compact_buckets()
-            return
         if (
             self._cancelled > len(self._heap) // 2
             and len(self._heap) >= self._compact_floor
@@ -244,23 +123,6 @@ class Simulator:
             self._heap = [entry for entry in self._heap if entry[3] is not None]
             heapq.heapify(self._heap)
             self._cancelled = 0
-
-    def _compact_buckets(self) -> None:
-        """Sweep tombstones out of every bucket except the in-progress one
-        (whose cursor indexes into the live list)."""
-        swept = 0
-        for time_ in list(self._buckets):
-            bucket = self._buckets[time_]
-            if bucket is self._cur_list:
-                continue
-            kept = [entry for entry in bucket if entry[3] is not None]
-            swept += len(bucket) - len(kept)
-            if kept:
-                self._buckets[time_] = kept
-            else:
-                # The time stays in the time-heap; _next_bucket skips it.
-                del self._buckets[time_]
-        self._cancelled -= swept
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -278,169 +140,18 @@ class Simulator:
                 f"cannot schedule at {time} < now ({self._now})"
             )
         seq = next(self._seq)
-        if self._ring:
-            return self._ring_schedule(time, seq, callback)
         entry = [time, seq, None, callback]
-        if self._bucketed:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [entry]
-                heapq.heappush(self._time_heap, time)
-            else:
-                bucket.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-            if (
-                self._queue_mode == "auto"
-                and len(self._heap) > self._bucket_threshold
-            ):
-                self._migrate_to_buckets()
+        heapq.heappush(self._heap, entry)
         self._live += 1
         handle = EventHandle(time=time, seq=seq, _entry=entry, _sim=self)
         entry[2] = handle
         return handle
 
     # ------------------------------------------------------------------
-    # Ring queue (numpy-backed packed buckets + callback slot table)
-    # ------------------------------------------------------------------
-    def _ring_schedule(self, time: float, seq: int, callback: Callback):
-        free = self._ring_free
-        if free:
-            slot = free.pop()
-        else:
-            slot = len(self._ring_callbacks)
-            self._ring_callbacks.append(None)
-            self._ring_gen.append(0)
-        self._ring_callbacks[slot] = callback
-        gen = self._ring_gen[slot]
-        packed = (slot << 32) | gen
-        bucket = self._ring_buckets.get(time)
-        if bucket is None:
-            arr = self._np.empty(_RING_BUCKET_SEED, dtype=self._np.int64)
-            arr[0] = packed
-            self._ring_buckets[time] = [arr, 1]
-            heapq.heappush(self._time_heap, time)
-        else:
-            arr, count = bucket
-            if count == arr.shape[0]:
-                grown = self._np.empty(count * 2, dtype=self._np.int64)
-                grown[:count] = arr
-                bucket[0] = arr = grown
-            arr[count] = packed
-            bucket[1] = count + 1
-        self._live += 1
-        return _RingHandle(time, seq, self, slot, gen)
-
-    def _ring_cancel(self, slot: int, gen: int) -> bool:
-        """Invalidate (slot, gen) if still pending; True iff cancelled now.
-
-        Bumping the generation makes the packed bucket entry stale without
-        touching the bucket — the drain loop recognizes and skips it.
-        """
-        if self._ring_gen[slot] != gen or self._ring_callbacks[slot] is None:
-            return False
-        self._ring_gen[slot] = (gen + 1) & _GEN_MASK
-        self._ring_callbacks[slot] = None
-        self._ring_free.append(slot)
-        self._live -= 1
-        self._cancelled += 1
-        return True
-
-    def _ring_next_bucket(self) -> Optional[float]:
-        while self._time_heap:
-            time_ = heapq.heappop(self._time_heap)
-            bucket = self._ring_buckets.get(time_)
-            if bucket is None:
-                continue  # drained earlier + stale heap time
-            self._cur_time = time_
-            self._cur_ring = bucket
-            self._cur_idx = 0
-            return time_
-        return None
-
-    def _ring_step(self) -> bool:
-        gens = self._ring_gen
-        callbacks = self._ring_callbacks
-        while True:
-            bucket = self._cur_ring
-            if bucket is None:
-                if self._ring_next_bucket() is None:
-                    return False
-                continue
-            # Re-read the count each iteration: a callback scheduling at
-            # this exact time appends to this same bucket mid-drain (the
-            # bucket-mode contract).
-            if self._cur_idx >= bucket[1]:
-                del self._ring_buckets[self._cur_time]
-                self._cur_ring = None
-                continue
-            packed = int(bucket[0][self._cur_idx])
-            self._cur_idx += 1
-            slot = packed >> 32
-            gen = packed & _GEN_MASK
-            if gens[slot] != gen:
-                self._cancelled -= 1
-                continue  # stale: cancelled before firing
-            callback = callbacks[slot]
-            gens[slot] = (gen + 1) & _GEN_MASK  # consume: late cancel no-ops
-            callbacks[slot] = None
-            self._ring_free.append(slot)
-            self._live -= 1
-            self._now = self._cur_time
-            self._events_processed += 1
-            callback()
-            return True
-
-    def _ring_peek(self) -> Optional[float]:
-        gens = self._ring_gen
-        while True:
-            bucket = self._cur_ring
-            if bucket is not None:
-                arr = bucket[0]
-                while self._cur_idx < bucket[1]:
-                    packed = int(arr[self._cur_idx])
-                    if gens[packed >> 32] != packed & _GEN_MASK:
-                        self._cancelled -= 1
-                        self._cur_idx += 1
-                        continue
-                    return self._cur_time
-                del self._ring_buckets[self._cur_time]
-                self._cur_ring = None
-            if self._ring_next_bucket() is None:
-                return None
-
-    def _migrate_to_buckets(self) -> None:
-        """Re-group the heap backlog into per-time buckets (once).
-
-        Buckets sort by sequence so front-to-back bucket order equals the
-        heap's ``(time, seq)`` pop order — the migration cannot reorder any
-        pending event.
-        """
-        buckets: Dict[float, List[list]] = {}
-        for entry in self._heap:
-            bucket = buckets.get(entry[0])
-            if bucket is None:
-                buckets[entry[0]] = [entry]
-            else:
-                bucket.append(entry)
-        for bucket in buckets.values():
-            bucket.sort(key=lambda e: e[1])
-        self._buckets = buckets
-        self._time_heap = list(buckets)
-        heapq.heapify(self._time_heap)
-        self._heap = []
-        self._cur_list = None
-        self._bucketed = True
-
-    # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Process the single next event; returns False if none remain."""
-        if self._ring:
-            return self._ring_step()
-        if self._bucketed:
-            return self._bucket_step()
         while self._heap:
             entry = heapq.heappop(self._heap)
             callback = entry[3]
@@ -454,44 +165,6 @@ class Simulator:
             callback()
             return True
         return False
-
-    def _bucket_step(self) -> bool:
-        while True:
-            bucket = self._cur_list
-            if bucket is None:
-                if self._next_bucket() is None:
-                    return False
-                continue
-            if self._cur_idx >= len(bucket):
-                # Drained; a later event at this exact time opens a fresh
-                # bucket (and re-pushes the time).
-                del self._buckets[self._cur_time]
-                self._cur_list = None
-                continue
-            entry = bucket[self._cur_idx]
-            self._cur_idx += 1
-            callback = entry[3]
-            if callback is None:
-                self._cancelled -= 1
-                continue  # cancelled
-            entry[3] = _fired  # late cancel() must stay a no-op
-            self._live -= 1
-            self._now = entry[0]
-            self._events_processed += 1
-            callback()
-            return True
-
-    def _next_bucket(self) -> Optional[float]:
-        while self._time_heap:
-            time_ = heapq.heappop(self._time_heap)
-            bucket = self._buckets.get(time_)
-            if bucket is None:
-                continue  # compacted away (or drained + stale time)
-            self._cur_time = time_
-            self._cur_list = bucket
-            self._cur_idx = 0
-            return time_
-        return None
 
     # ------------------------------------------------------------------
     # Driving
@@ -536,10 +209,6 @@ class Simulator:
             self._running = False
 
     def _peek_time(self) -> Optional[float]:
-        if self._ring:
-            return self._ring_peek()
-        if self._bucketed:
-            return self._bucket_peek()
         while self._heap:
             entry = self._heap[0]
             if entry[3] is None:
@@ -548,18 +217,3 @@ class Simulator:
                 continue
             return entry[0]
         return None
-
-    def _bucket_peek(self) -> Optional[float]:
-        while True:
-            bucket = self._cur_list
-            if bucket is not None:
-                while self._cur_idx < len(bucket):
-                    if bucket[self._cur_idx][3] is None:
-                        self._cancelled -= 1
-                        self._cur_idx += 1
-                        continue
-                    return self._cur_time
-                del self._buckets[self._cur_time]
-                self._cur_list = None
-            if self._next_bucket() is None:
-                return None

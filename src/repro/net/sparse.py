@@ -1,37 +1,41 @@
-"""Sparse delivery policies — the scaling seam for `Network` fan-outs.
+"""Coalesced delivery policies — how `Network` fan-outs reach the kernel.
 
-Dense mode (the default, ``policy=None``) schedules one simulator event per
-``(message, recipient)`` pair; at n≥500 the per-event python cost (heap push
-and pop, one closure, per-delivery stats) dominates a trial.  A
-:class:`SparseDeliveryPolicy` attached via :meth:`Network.use_delivery_policy`
-switches ``multicast``/``broadcast`` to a *coalesced* fan-out: one simulator
-event per distinct delivery time, delivering to every recipient in that time
-bucket, with send stats recorded in bulk.
+A per-recipient fan-out costs one simulator event per ``(message,
+recipient)`` pair; at n≥500 that per-event python cost (heap push and pop,
+one closure, per-delivery stats) dominates a trial.  With a
+:class:`SparseDeliveryPolicy` attached via
+:meth:`Network.use_delivery_policy` — every single-shot deployment attaches
+one — ``multicast``/``broadcast`` schedule *one simulator event per distinct
+delivery time*, delivering to every recipient in that time bucket, with
+send stats recorded in bulk.  The per-recipient ``Network.send`` loop stays
+for unicast, for the SMR service, and as the reference the identity tests
+compare against (``reference=True`` deployments attach no policy).
 
-Equivalence contract (what makes sparse == dense bit-identical):
+Equivalence contract (what makes coalesced == per-recipient bit-identical):
 
 * **RNG order** — latency, chaos, and duplication draws are made per target
-  in exactly dense's target order, whether or not a target is ultimately
-  suppressed, so every seeded stream stays in lock-step with dense mode.
-* **Event order** — the kernel breaks time ties by scheduling order.  Dense
-  schedules recipients in target order; the coalesced buckets are created in
-  first-seen order and deliver their recipients in target order, so the
-  interleaving of deliveries (and of everything they trigger) is unchanged.
-* **Stop granularity** — dense checks ``stop_when`` between deliveries; a
-  coalesced event would overshoot, so the fan-out consults
+  in exactly the per-recipient target order, whether or not a target is
+  ultimately suppressed, so every seeded stream stays in lock-step.
+* **Event order** — the kernel breaks time ties by scheduling order.  The
+  reference schedules recipients in target order; the coalesced buckets are
+  created in first-seen order and deliver their recipients in target order,
+  so the interleaving of deliveries (and of everything they trigger) is
+  unchanged.
+* **Stop granularity** — the reference checks ``stop_when`` between
+  deliveries; a coalesced event would overshoot, so the fan-out consults
   ``Network.stop_probe`` between recipients and abandons the remainder of
   the bucket once it trips.
-* **Suppression soundness** — ``deliverable(message, dst)`` runs at event
+* **Suppression soundness** — ``batch_filter(message, dsts)`` runs at event
   *fire* time, not send time.  Deliveries are strictly future, so any state
-  ``dst`` holds at fire time was caused by messages sent strictly earlier;
-  the policy's view of ``dst`` is current when it rules a delivery
+  a recipient holds at fire time was caused by messages sent strictly
+  earlier; the policy's view of it is current when it rules a delivery
   unobservable.
 
 The base policy suppresses nothing — pure event coalescing, safe for any
 protocol whose handlers do not depend on the *number* of simulator events
-(none of ours do).  Protocol-aware policies (e.g. ProBFT's sample
-observation policy in :mod:`repro.core.observation`) additionally prune
-deliveries the recipient provably ignores.
+(none of ours do).  Protocol-aware policies (ProBFT's sample observation
+policy in :mod:`repro.core.observation`) additionally prune deliveries the
+recipient provably ignores.
 """
 
 from __future__ import annotations
@@ -44,44 +48,24 @@ class SparseDeliveryPolicy:
 
     ``inspect`` sees every message entering the network (unicast included)
     so the policy can track protocol state — e.g. conflicting leader
-    statements — before ruling on observability.  ``deliverable`` is the
-    fire-time verdict; returning ``True`` always is the conservative
-    (dense-equivalent) answer.
+    statements — before ruling on observability.  ``batch_filter`` is the
+    fire-time verdict; returning the bucket unchanged is the conservative
+    (reference-equivalent) answer.
     """
 
     def inspect(self, src: ReplicaId, message: object) -> None:
         """Observe a message at send time (default: no-op)."""
 
-    def deliverable(self, message: object, dst: ReplicaId) -> bool:
-        """May ``dst``'s protocol state change if ``message`` arrives now?"""
-        return True
-
-    def batch_deliverable(self, message: object):
-        """Fan-out-level verdict: ``True`` (deliver to everyone) or a
-        ``dst -> bool`` callable.
-
-        Called once per coalesced fan-out event so policies can decompose
-        ``message`` once instead of per recipient; the returned callable
-        must agree with :meth:`deliverable` for every ``dst``.
-        """
-        return True
-
     def batch_filter(self, message: object, dsts: list) -> list:
-        """Bulk form of :meth:`batch_deliverable`: the deliverable subset of
-        ``dsts``, in order.
+        """The subset of ``dsts``, in order, whose protocol state may change
+        if ``message`` arrives now.
 
-        This is what :meth:`Network._deliver_fanout` actually calls — one
-        verdict pass per bucket instead of a callable invocation per
-        recipient.  The default derives it from :meth:`batch_deliverable`;
-        policies on hot paths override it with a single-frame loop.
-        Pre-filtering is equivalent to interleaved evaluation because
-        delivering to one recipient never synchronously mutates another
-        (every send schedules a strictly-future event).
+        Called once per coalesced bucket.  Pre-filtering is equivalent to
+        interleaved evaluation because delivering to one recipient never
+        synchronously mutates another (every send schedules a
+        strictly-future event).
         """
-        verdict = self.batch_deliverable(message)
-        if verdict is True:
-            return dsts
-        return [dst for dst in dsts if verdict(dst)]
+        return dsts
 
 
 #: Alias that reads better at call sites wanting *only* event coalescing.

@@ -8,6 +8,7 @@ always satisfiable.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.config import ProtocolConfig
@@ -18,6 +19,12 @@ from repro.crypto.vrf import phase_seed
 from repro.messages.base import ProposalStatement
 from repro.messages.probft import Commit, NewLeader, Prepare, Propose
 from repro.types import ReplicaId, Value, View
+
+
+def reference_spec(spec):
+    """``spec``'s test oracle: per-recipient delivery, per-message handlers,
+    set-based collectors (``reference=True`` on the deployment base)."""
+    return dataclasses.replace(spec, extra=spec.extra + (("reference", True),))
 
 
 def saturated_config(**overrides) -> ProtocolConfig:

@@ -1,19 +1,8 @@
-"""Columnar vote state: packed-bitmap primitives, golden-seed identity,
-summary accounting, crypto memo budgets, and memory telemetry.
+"""What the columnar stack brought along besides the kernel: memory
+telemetry, byte-budgeted crypto memos, and summary network accounting.
 
-The columnar layer's contract (see :mod:`repro.core.columnar`) is that a
-run with ``DeploymentSpec.columnar`` (riding on sparse delivery) is
-**bit-identical** to the dense reference for the same seed: same
-decisions, same views, same message statistics, same simulated time.
-These tests replay matrix cells both ways (the
-:mod:`tests.test_sparse_delivery` pattern) and unit-test the building
-blocks the kernel leans on.
-
-Each identity comparison builds a *fresh* spec per run via
-:func:`~repro.harness.registry.cell_deployment_spec`: a DeploymentSpec
-carries seeded latency/chaos objects whose RNG streams advance as the
-simulation runs, so replaying a used spec would compare against an
-advanced stream, not against dense mode.
+The kernel and the columnar vote state themselves are pinned against the
+oracle in :mod:`tests.test_reference_identity`.
 """
 
 from __future__ import annotations
@@ -21,24 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-import pytest
-
-np = pytest.importorskip(
-    "numpy",
-    reason=(
-        "columnar vote state requires numpy; install numpy to run the "
-        "columnar test suite (the dense path needs none of it)"
-    ),
-)
-
 from repro.config import ProtocolConfig
-from repro.core.columnar import (
-    bitmap_from_ids,
-    bitmap_ids,
-    bitmap_merge,
-    bitmap_popcount,
-    bitmap_words,
-)
 from repro.crypto.context import (
     MEMO_BUDGET_CEILING,
     MEMO_BUDGET_FLOOR,
@@ -48,187 +20,10 @@ from repro.crypto.context import (
 from repro.crypto.signatures import MemoizedSignatureScheme
 from repro.crypto.vrf import MemoizedVRF
 from repro.harness.metrics import IndexedCounter
-from repro.harness.registry import (
-    ADVERSARIES,
-    MatrixCell,
-    ScenarioMatrix,
-    cell_deployment_spec,
-)
 from repro.harness.trial import DeploymentSpec, run_trial
 from repro.net.network import MessageStats
 
-PROTOCOLS = ("probft", "pbft", "hotstuff")
 MAX_TIME = 600.0
-
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - env-dependent
-    HAVE_HYPOTHESIS = False
-
-
-# ----------------------------------------------------------------------
-# Packed-bitmap primitives
-# ----------------------------------------------------------------------
-
-
-def _check_roundtrip_and_popcount(ids, n):
-    words = bitmap_from_ids(ids, n)
-    assert words.shape == (bitmap_words(n),)
-    assert bitmap_ids(words) == tuple(sorted(set(ids)))
-    assert bitmap_popcount(words) == len(set(ids))
-
-
-def _check_merge(a_ids, b_ids, n):
-    a = bitmap_from_ids(a_ids, n)
-    b = bitmap_from_ids(b_ids, n)
-    merged = bitmap_merge(a, b)
-    assert bitmap_ids(merged) == tuple(sorted(set(a_ids) | set(b_ids)))
-    assert bitmap_popcount(merged) == len(set(a_ids) | set(b_ids))
-    # Inputs untouched (merge allocates).
-    assert bitmap_ids(a) == tuple(sorted(set(a_ids)))
-    assert bitmap_ids(b) == tuple(sorted(set(b_ids)))
-
-
-class TestPackedBitmaps:
-    if HAVE_HYPOTHESIS:
-
-        @settings(max_examples=100, deadline=None)
-        @given(
-            n=st.integers(min_value=1, max_value=300),
-            data=st.data(),
-        )
-        def test_roundtrip_and_popcount_property(self, n, data):
-            ids = data.draw(
-                st.lists(st.integers(min_value=0, max_value=n - 1))
-            )
-            _check_roundtrip_and_popcount(ids, n)
-
-        @settings(max_examples=100, deadline=None)
-        @given(
-            n=st.integers(min_value=1, max_value=300),
-            data=st.data(),
-        )
-        def test_merge_is_union_property(self, n, data):
-            members = st.lists(st.integers(min_value=0, max_value=n - 1))
-            _check_merge(data.draw(members), data.draw(members), n)
-
-    else:  # pragma: no cover - exercised only without hypothesis
-
-        def test_roundtrip_and_popcount_seeded(self):
-            rng = random.Random(0xC01)
-            for _ in range(200):
-                n = rng.randint(1, 300)
-                ids = [rng.randrange(n) for _ in range(rng.randint(0, n))]
-                _check_roundtrip_and_popcount(ids, n)
-
-        def test_merge_is_union_seeded(self):
-            rng = random.Random(0xC02)
-            for _ in range(200):
-                n = rng.randint(1, 300)
-                a = [rng.randrange(n) for _ in range(rng.randint(0, n))]
-                b = [rng.randrange(n) for _ in range(rng.randint(0, n))]
-                _check_merge(a, b, n)
-
-    def test_word_boundaries_exact(self):
-        # 63/64/65 straddle the uint64 word edge — the classic off-by-one.
-        for n in (63, 64, 65, 127, 128, 129):
-            ids = [0, n - 1]
-            words = bitmap_from_ids(ids, n)
-            assert bitmap_ids(words) == (0, n - 1)
-            assert bitmap_popcount(words) == 2
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            bitmap_from_ids([8], 8)
-        with pytest.raises(ValueError, match="out of range"):
-            bitmap_from_ids([-1], 8)
-
-    def test_merge_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            bitmap_merge(
-                bitmap_from_ids([0], 64), bitmap_from_ids([0], 128)
-            )
-
-
-# ----------------------------------------------------------------------
-# Golden-seed identity: dense == sparse+columnar, full RunResult
-# ----------------------------------------------------------------------
-
-
-def _supported_cells(latency: str):
-    for protocol in PROTOCOLS:
-        for adversary in ADVERSARIES:
-            cell = MatrixCell(
-                protocol=protocol,
-                adversary=adversary,
-                latency=latency,
-                n=14,
-                f=2,
-                track_bytes=True,
-            )
-            if cell.supported:
-                yield cell
-
-
-class TestGoldenSeedIdentity:
-    @pytest.mark.parametrize("latency", ["constant", "uniform"])
-    def test_every_cell_bit_identical(self, latency):
-        """Dense and sparse+columnar produce equal RunResults per cell.
-
-        Covers the kernel's branchy cases explicitly: equivocation (the
-        view-flagging decline path), flooding (invalid votes through
-        ``_deliver_odd``), duplication (the kernel declines, facades
-        dedup), and the targeted scheduler (per-recipient eligibility).
-        """
-        for cell in _supported_cells(latency):
-            for seed in (0, 1):
-                dense = run_trial(
-                    cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME)
-                )
-                columnar = run_trial(
-                    cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME)
-                    .with_sparse()
-                    .with_columnar()
-                )
-                assert dense == columnar, (
-                    f"{cell.label} seed={seed}: columnar diverged from dense"
-                )
-
-    def test_columnar_cell_flag_matches_dense(self):
-        """``MatrixCell(columnar=True)`` is the one-knob scale stack."""
-        plain = MatrixCell("probft", "silent", "constant", n=14, f=2)
-        flagged = MatrixCell(
-            "probft", "silent", "constant", n=14, f=2, columnar=True
-        )
-        spec = cell_deployment_spec(flagged, seed=3, max_time=MAX_TIME)
-        assert spec.sparse and spec.columnar
-        dense = run_trial(cell_deployment_spec(plain, seed=3, max_time=MAX_TIME))
-        columnar = run_trial(spec)
-        assert dense == columnar
-
-    def test_with_columnar_round_trip(self):
-        spec = DeploymentSpec(protocol="probft", config=ProtocolConfig(n=6, f=1))
-        assert not spec.columnar
-        on = spec.with_columnar()
-        assert on.columnar and on.with_columnar(False) == spec
-
-    def test_scenario_matrix_threads_flags(self):
-        matrix = ScenarioMatrix(
-            name="t",
-            protocols=("probft",),
-            adversaries=("none",),
-            latencies=("constant",),
-            n=14,
-            columnar=True,
-            track_memory=True,
-        )
-        (cell,) = matrix.cells()
-        assert cell.columnar and cell.track_memory
-        resized = matrix.with_size(20)
-        assert resized.columnar and resized.track_memory
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +42,21 @@ class TestMemoryTelemetry:
         )
         result = run_trial(spec)
         assert result.peak_mem_mb is not None and result.peak_mem_mb > 0
+
+    def test_scenario_matrix_threads_track_memory(self):
+        from repro.harness.registry import ScenarioMatrix
+
+        matrix = ScenarioMatrix(
+            name="t",
+            protocols=("probft",),
+            adversaries=("none",),
+            latencies=("constant",),
+            n=14,
+            track_memory=True,
+        )
+        (cell,) = matrix.cells()
+        assert cell.track_memory
+        assert matrix.with_size(20).track_memory
 
     def test_untracked_peak_is_none_and_identical_otherwise(self):
         base = DeploymentSpec(

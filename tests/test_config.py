@@ -156,19 +156,16 @@ class TestSimTuning:
 
         tuning = SimTuning()
         assert tuning.compact_floor == 64 == Simulator._COMPACT_FLOOR
-        assert tuning.bucket_threshold == 1024
         assert DEFAULT_SIM_TUNING == tuning
         # A default-constructed simulator reads exactly these values.
         sim = Simulator()
         assert sim._compact_floor == tuning.compact_floor
-        assert sim._bucket_threshold == tuning.bucket_threshold
 
     def test_overrides_are_honored_per_simulator(self):
         from repro.net.simulator import Simulator
 
-        sim = Simulator(compact_floor=8, bucket_threshold=32)
+        sim = Simulator(compact_floor=8)
         assert sim._compact_floor == 8
-        assert sim._bucket_threshold == 32
 
     def test_invalid_tuning_rejected(self):
         import pytest
@@ -178,5 +175,3 @@ class TestSimTuning:
 
         with pytest.raises(ConfigError):
             SimTuning(compact_floor=0)
-        with pytest.raises(ConfigError):
-            SimTuning(bucket_threshold=0)

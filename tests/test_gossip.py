@@ -13,7 +13,7 @@ Three contract layers for :mod:`repro.net.gossip`:
 * **Adversaries are gossip-aware** — an equivocating leader originates one
   restricted dissemination *per partition* (first hop exactly its target
   group, in order), honest relays leak the conflict across partitions, and
-  the sparse observation policy sees through envelopes to flag the view.
+  the observation policy sees through envelopes to flag the view.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from repro.net.gossip import (
 )
 from repro.net.network import Network
 from repro.net.simulator import Simulator
+
+from .helpers import reference_spec
 
 MAX_TIME = 600.0
 
@@ -296,7 +298,7 @@ class TestGossipOffIdentity:
 class TestGossipOn:
     def test_deterministic_and_safe_on_every_probft_cell(self):
         """Gossip trials are bit-reproducible per seed and keep agreement
-        on every adversary cell, in both dense and sparse delivery modes."""
+        on every adversary cell, on the production stack and the oracle."""
         for cell in _probft_cells():
             for seed in (0, 1):
                 first = run_trial(
@@ -309,12 +311,14 @@ class TestGossipOn:
                 )
                 assert first == again, (cell.label, seed)
                 assert first.agreement_ok, (cell.label, seed)
-                sparse = run_trial(
-                    cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME)
-                    .with_gossip(True)
-                    .with_sparse()
+                oracle = run_trial(
+                    reference_spec(
+                        cell_deployment_spec(
+                            cell, seed=seed, max_time=MAX_TIME
+                        ).with_gossip(True)
+                    )
                 )
-                assert sparse == first, (cell.label, seed)
+                assert oracle == first, (cell.label, seed)
 
     def test_benign_gossip_trial_decides_at_n50(self):
         spec = DeploymentSpec(
@@ -336,7 +340,7 @@ class TestGossipOn:
 
 
 class TestEquivocationUnderGossip:
-    def _equivocation_deployment(self, seed: int, sparse: bool):
+    def _equivocation_deployment(self, seed: int):
         cell = MatrixCell(
             protocol="probft",
             adversary="equivocation",
@@ -348,8 +352,6 @@ class TestEquivocationUnderGossip:
         spec = cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME).with_gossip(
             True
         )
-        if sparse:
-            spec = spec.with_sparse()
         deployment = spec.build()
         deployment.run(max_time=MAX_TIME)
         return deployment
@@ -357,7 +359,7 @@ class TestEquivocationUnderGossip:
     def test_leader_equivocates_per_dissemination(self):
         """Each conflicting proposal is its own restricted dissemination:
         the leader's origin shows one gossip key per partition."""
-        deployment = self._equivocation_deployment(seed=0, sparse=False)
+        deployment = self._equivocation_deployment(seed=0)
         leader = leader_of_view(1, deployment.config.n)
         leader_keys = {
             seq for (origin, seq) in deployment.disseminator.delivered if origin == leader
@@ -367,7 +369,7 @@ class TestEquivocationUnderGossip:
     def test_honest_relays_leak_conflict_across_partitions(self):
         """Under gossip the conflicting proposals escape their partitions:
         both disseminations reach (well) beyond their restricted first hop."""
-        deployment = self._equivocation_deployment(seed=0, sparse=False)
+        deployment = self._equivocation_deployment(seed=0)
         leader = leader_of_view(1, deployment.config.n)
         n = deployment.config.n
         for origin, seq in list(deployment.disseminator.delivered):
@@ -379,9 +381,9 @@ class TestEquivocationUnderGossip:
             assert coverage > n // 2, (seq, coverage)
         assert deployment.agreement_ok
 
-    def test_sparse_policy_flags_view_through_envelopes(self):
+    def test_policy_flags_view_through_envelopes(self):
         """The observation policy unwraps gossip hops, so the equivocal-view
-        flag fires exactly as it does for dense unicast equivocation."""
-        deployment = self._equivocation_deployment(seed=0, sparse=True)
+        flag fires exactly as it does for unicast equivocation."""
+        deployment = self._equivocation_deployment(seed=0)
         assert 1 in deployment.network.delivery_policy.equivocal_views
         assert deployment.agreement_ok

@@ -44,6 +44,24 @@ class TestScheduling:
         sim.run()
         assert order == ["outer", "inner"]
 
+    def test_same_time_event_from_callback_fires_after_queued_peers(self):
+        # Replayed future-view messages and local deliveries are scheduled
+        # at the *current* time from inside a callback; they must queue
+        # behind everything already scheduled for that time, not cut in.
+        sim = Simulator()
+        order = []
+
+        def first():
+            order.append("first")
+            sim.schedule_at(sim.now, lambda: order.append("spawned"))
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, lambda: order.append("second"))
+        sim.schedule(1.0, lambda: order.append("third"))
+        sim.schedule(2.0, lambda: order.append("later"))
+        sim.run()
+        assert order == ["first", "second", "third", "spawned", "later"]
+
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):

@@ -1,0 +1,416 @@
+"""The production stack against the oracle, and the counters on its kernel.
+
+Every single-shot deployment runs one stack: coalesced fan-outs, and for
+ProBFT the observation policy plus the vote kernel over columnar state
+(:mod:`repro.core.columnar`).  ``reference=True`` on the deployment base
+(reachable through ``DeploymentSpec.extra`` only) builds the oracle
+instead — per-recipient delivery, :meth:`ProBFTReplica.on_message`,
+set-based collectors.  The contract is that the two produce **equal**
+:class:`~repro.harness.trial.RunResult`\\ s for the same seed: same
+decisions, views, message and byte statistics, same simulated time.
+
+Each comparison builds a *fresh* spec per run via
+:func:`~repro.harness.registry.cell_deployment_spec`: a DeploymentSpec
+carries seeded latency/chaos objects whose RNG streams advance as the
+simulation runs, so replaying a used spec would compare against an
+advanced stream, not against the oracle.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.adversary.behaviors import silent_factory
+from repro.config import ProtocolConfig
+from repro.core.protocol import ProBFTDeployment
+from repro.harness.registry import (
+    ADVERSARIES,
+    LATENCIES,
+    PROTOCOLS,
+    MatrixCell,
+    ScenarioMatrix,
+    cell_deployment_spec,
+)
+from repro.harness.trial import TrialContext, run_trial
+from repro.net import CoalescingDelivery
+from repro.net.latency import ExponentialLatency
+from repro.sync.timeouts import FixedTimeout
+
+from .helpers import make_commit, make_prepare, reference_spec
+
+MAX_TIME = 600.0
+
+
+def _cells(
+    n: int, protocols=PROTOCOLS, adversaries=ADVERSARIES, latencies=LATENCIES
+):
+    return ScenarioMatrix(
+        name="identity",
+        protocols=tuple(protocols),
+        adversaries=tuple(adversaries),
+        latencies=tuple(latencies),
+        n=n,
+        track_bytes=True,
+    ).cells()
+
+
+def _pair(cell: MatrixCell, seed: int, gossip: bool = False):
+    """(production deployment, production result, oracle result)."""
+
+    def spec():
+        base = cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME)
+        return base.with_gossip(gossip)
+
+    context = TrialContext(spec())
+    production = context.execute()
+    oracle = run_trial(reference_spec(spec()))
+    return context.deployment, production, oracle
+
+
+# ----------------------------------------------------------------------
+# RunResult identity over the whole scenario matrix
+# ----------------------------------------------------------------------
+
+
+class TestMatrixIdentity:
+    @pytest.mark.parametrize("latency", LATENCIES)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_every_cell_equals_the_oracle(self, protocol, latency):
+        """3 protocols x 7 adversaries x 4 latency models at n=30, 2 seeds.
+
+        The suppression- and kernel-sensitive adversaries are all here:
+        equivocation (view flagging, the kernel declines), flooding (forged
+        statements must NOT flag views; invalid votes through
+        ``_deliver_odd``), duplication (per-target duplicate draws, the
+        kernel declines every bucket), the targeted scheduler
+        (per-recipient eligibility), and under the continuous latency
+        models every vote bucket is a singleton.
+        """
+        cells = _cells(30, protocols=(protocol,), latencies=(latency,))
+        assert len(cells) == len(ADVERSARIES)
+        for cell in cells:
+            for seed in (0, 1):
+                _, production, oracle = _pair(cell, seed)
+                assert production == oracle, (cell.label, seed)
+
+    def test_gossip_on_and_off(self):
+        """Gossip hops are unicast; the votes they trigger are not."""
+        for cell in _cells(
+            30, protocols=("probft",), latencies=("constant", "exponential")
+        ):
+            for gossip in (True, False):
+                _, production, oracle = _pair(cell, 3, gossip=gossip)
+                assert production == oracle, (cell.label, gossip)
+                assert ("GossipEnvelope" in production.messages_by_type) == gossip
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    def test_silent_view1_leader_decides_in_view_2(self, latency):
+        """The view-change path: Wish storms, NewLeader certificates read
+        back out of the columnar slots, buffered future-view votes."""
+        (cell,) = _cells(
+            60, protocols=("probft",), adversaries=("silent",), latencies=(latency,)
+        )
+        _, production, oracle = _pair(cell, 0)
+        assert production == oracle
+        assert production.all_decided and production.max_view == 2
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    def test_traces_are_identical(self, latency):
+        """``trace=True``: every replica records the same events at the same
+        simulated times, whichever stack delivered its votes."""
+        traces = []
+        for reference in (False, True):
+            deployment = ProBFTDeployment(
+                ProtocolConfig(n=30),
+                seed=5,
+                latency=ExponentialLatency(mean=1.0, cap=5.0, seed=5)
+                if latency == "exponential"
+                else None,
+                timeout_policy=FixedTimeout(30.0),
+                byzantine={0: silent_factory()},
+                trace=True,
+                reference=reference,
+            ).run(max_time=MAX_TIME)
+            assert deployment.all_correct_decided()
+            traces.append(
+                {r: rep.trace for r, rep in deployment.correct_replicas().items()}
+            )
+        assert traces[0] == traces[1]
+        assert any(e.kind == "decide" for e in traces[0][1])
+
+
+# ----------------------------------------------------------------------
+# What each deployment installs
+# ----------------------------------------------------------------------
+
+
+class TestStackWiring:
+    def _spec(self, protocol):
+        cell = MatrixCell(protocol, "none", "constant", n=14, f=2)
+        return cell_deployment_spec(cell, seed=0, max_time=MAX_TIME)
+
+    def test_probft_installs_policy_and_kernel(self):
+        from repro.core.columnar import ColumnarVoteDispatch
+        from repro.core.observation import SampleObservationPolicy
+
+        network = self._spec("probft").build().network
+        assert type(network.delivery_policy) is SampleObservationPolicy
+        assert type(network._bulk_handler) is ColumnarVoteDispatch
+
+    def test_baselines_use_pure_coalescing(self):
+        # Deterministic-quorum protocols broadcast votes to everyone, so
+        # there is nothing to prune — only events to coalesce.
+        for protocol in ("pbft", "hotstuff"):
+            network = self._spec(protocol).build().network
+            assert type(network.delivery_policy) is CoalescingDelivery
+            assert network._bulk_handler is None
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_oracle_installs_nothing(self, protocol):
+        from repro.quorum.probabilistic import ProbabilisticQuorumCollector
+
+        deployment = reference_spec(self._spec(protocol)).build()
+        assert deployment.network.delivery_policy is None
+        assert deployment.network._bulk_handler is None
+        assert not deployment.network._batch_handlers
+        if protocol == "probft":
+            deployment.run(max_time=MAX_TIME)
+            collector = deployment.replicas[1]._commit_collectors[1]
+            assert type(collector) is ProbabilisticQuorumCollector
+
+    def test_probft_n500_trial_decides(self):
+        """One ProBFT n=500 trial completes and decides (CI budget)."""
+        cell = MatrixCell("probft", "none", "constant", n=500, f=99)
+        result = run_trial(cell_deployment_spec(cell, seed=7, max_time=300.0))
+        assert result.all_decided and result.agreement_ok
+
+
+# ----------------------------------------------------------------------
+# The kernel's singleton branch, driven one bucket at a time
+# ----------------------------------------------------------------------
+
+
+class _Recorder:
+    """A Byzantine endpoint that records what it is handed."""
+
+    def __init__(self):
+        self.received = []
+
+    def start(self):
+        pass
+
+    def on_message(self, src, message):
+        self.received.append((src, message))
+
+
+class TestSingletonBranch:
+    """n=8 (saturated samples: everyone is in every sample, q=6), replica 7
+    Byzantine so ``has_byz`` holds; the run is paused at t=1.5, when every
+    correct replica has voted and holds two Prepares (the leader's, sent at
+    t=0, and its own) with the other multicasts still in flight."""
+
+    BYZ = 7
+
+    @pytest.fixture
+    def paused(self):
+        recorder = _Recorder()
+        deployment = ProBFTDeployment(
+            ProtocolConfig(n=8, f=1),
+            seed=1,
+            timeout_policy=FixedTimeout(30.0),
+            byzantine={self.BYZ: lambda *args: recorder},
+        )
+        deployment.start()
+        deployment.sim.run(until=1.5)  # Propose lands at t=1; Prepares at t=2
+        replicas = deployment.correct_replicas()
+        assert all(r._voted and r.current_view == 1 for r in replicas.values())
+        return deployment, recorder
+
+    def _prepare(self, deployment, sender, view=1):
+        statement = deployment.replicas[1]._proposal.payload.statement
+        if view != 1:
+            from .helpers import make_statement
+
+            statement = make_statement(
+                deployment.crypto, deployment.config, view, b"later"
+            )
+        return make_prepare(deployment.crypto, deployment.config, sender, statement)
+
+    def test_byzantine_recipient_gets_the_plain_handler(self, paused):
+        deployment, recorder = paused
+        vote = self._prepare(deployment, sender=2)
+        assert deployment._kernel(2, vote, [self.BYZ], None) == 1
+        assert recorder.received[-1] == (2, vote)
+        assert deployment.vote_kernel_stats()["singleton"] == 1
+
+    def test_future_view_vote_is_buffered(self, paused):
+        deployment, _ = paused
+        vote = self._prepare(deployment, sender=2, view=2)
+        assert deployment._kernel(2, vote, [3], None) == 1
+        assert deployment.replicas[3]._future_buffer[2] == [(2, vote)]
+        # ... exactly like the oracle's handler:
+        oracle = ProBFTDeployment(
+            ProtocolConfig(n=8, f=1), seed=1, reference=True
+        )
+        oracle.start()
+        oracle.replicas[3].on_message(2, vote)
+        assert oracle.replicas[3]._future_buffer[2] == [(2, vote)]
+
+    def test_stale_and_unstarted_recipients_drop(self, paused):
+        deployment, _ = paused
+        fresh = ProBFTDeployment(ProtocolConfig(n=8, f=1), seed=1)  # view 0
+        vote = self._prepare(deployment, sender=2)
+        assert fresh._kernel(2, vote, [3], None) == 0
+        assert not fresh.replicas[3]._future_buffer
+        slot = deployment._columnar_state.peek(True, 1, vote.payload.value)
+        before = int(slot.counts[3])
+        deployment.replicas[3]._on_new_view(2)  # the synchronizer's upcall
+        assert deployment._kernel(2, vote, [3], None) == 0
+        assert int(slot.counts[3]) == before
+
+    def test_replayed_envelope_counts_once(self, paused):
+        deployment, _ = paused
+        vote = self._prepare(deployment, sender=2)
+        collector = deployment.replicas[3]._prepare_collectors.get(1)
+        value = deployment.replicas[3]._cur_val
+        before = collector.senders(value)
+        assert 2 not in before
+        for _ in range(3):
+            assert deployment._kernel(2, vote, [3], None) == 1
+        assert collector.senders(value) == before | {2}
+        assert collector.count(value) == len(before) + 1
+
+    def test_quorum_completes_on_a_singleton_delivery(self, paused):
+        deployment, _ = paused
+        replica = deployment.replicas[3]
+        q = deployment.config.q
+        collector = replica._prepare_collectors.get(1)
+        held = collector.messages(replica._cur_val)
+        assert [m.signer for m in held] == [0, 3]
+        votes = [self._prepare(deployment, sender=s) for s in (1, 2, 4, 5)]
+        assert len(held) + len(votes) == q
+        for vote in votes[:-1]:
+            deployment._kernel(vote.signer, vote, [3], None)
+        assert replica.prepared_view == 0
+        deployment._kernel(votes[-1].signer, votes[-1], [3], None)
+        assert replica.prepared_view == 1
+        # The certificate is the first q envelopes in arrival order — what
+        # the oracle's collector would hand NewLeader.
+        assert replica._cert == held + tuple(votes)
+        # A (q+1)-th vote is pruned (the view is committed): not delivered.
+        extra = self._prepare(deployment, sender=6)
+        assert deployment._kernel(6, extra, [3], None) == 0
+        assert replica._cert == held + tuple(votes)
+
+    def test_deciding_singleton_delivery_trips_the_stop_probe(self):
+        """Under continuous latency the last decision arrives in a singleton
+        bucket; the run must end on that very event, as the oracle's does."""
+        cell = MatrixCell("probft", "none", "exponential", n=30, f=5)
+        deployment, production, oracle = _pair(cell, 2)
+        assert production == oracle and production.all_decided
+        assert production.sim_time == production.last_decision_time
+        stats = deployment.vote_kernel_stats()
+        assert stats["singleton"] > 0 and stats["declined"] == 0
+
+    def test_commit_quorum_decides(self, paused):
+        deployment, _ = paused
+        replica = deployment.replicas[3]
+        q = deployment.config.q
+        for s in (1, 2, 4, 5):
+            vote = self._prepare(deployment, sender=s)
+            deployment._kernel(s, vote, [3], None)
+        assert replica.prepared_view == 1
+        statement = replica._proposal.payload.statement
+        for s in range(q):
+            assert replica.decision is None
+            commit = make_commit(deployment.crypto, deployment.config, s, statement)
+            deployment._kernel(s, commit, [3], None)
+        assert replica.decision is not None and replica.decision.view == 1
+        assert deployment.decisions[3] is replica.decision
+
+
+# ----------------------------------------------------------------------
+# Fallbacks are counted, not guessed
+# ----------------------------------------------------------------------
+
+
+class TestVoteKernelStats:
+    def _run(self, adversary: str, latency: str, n: int = 60, seed: int = 0):
+        (cell,) = _cells(
+            n, protocols=("probft",), adversaries=(adversary,), latencies=(latency,)
+        )
+        context = TrialContext(cell_deployment_spec(cell, seed, MAX_TIME))
+        result = context.execute()
+        assert result.agreement_ok
+        return context.deployment, result
+
+    def test_constant_latency_is_all_vectorised(self):
+        deployment, result = self._run("none", "constant")
+        stats = deployment.vote_kernel_stats()
+        assert result.all_decided
+        assert stats["declined"] == 0 and stats["singleton"] == 0
+        assert stats["vectorised"] > 0
+
+    def test_exponential_latency_is_singleton(self):
+        deployment, result = self._run("none", "exponential")
+        stats = deployment.vote_kernel_stats()
+        assert result.all_decided and stats["declined"] == 0
+        buckets = stats["vectorised"] + stats["singleton"]
+        assert stats["singleton"] >= 0.9 * buckets
+
+    def test_duplication_declines_every_vote_bucket(self):
+        deployment, _ = self._run("duplication", "constant")
+        stats = deployment.vote_kernel_stats()
+        assert stats["declined"] > 0
+        assert stats["vectorised"] == 0 and stats["singleton"] == 0
+
+    def test_equivocation_declines_only_flagged_views(self):
+        from repro.core.replica import prevalidate_vote
+
+        (cell,) = _cells(
+            30, protocols=("probft",), adversaries=("equivocation",),
+            latencies=("constant",),
+        )
+        deployment = cell_deployment_spec(cell, 0, MAX_TIME).build()
+        kernel = deployment._kernel
+        declined_views, applied_views = set(), set()
+
+        def watching(src, message, dsts, probe):
+            before = kernel.declined
+            delivered = kernel(src, message, dsts, probe)
+            token = prevalidate_vote(deployment.config, deployment.crypto, message)
+            if token is not None:
+                took = declined_views if kernel.declined > before else applied_views
+                took.add(token.view)
+            return delivered
+
+        deployment.network.use_bulk_handler(watching)
+        deployment.run(max_time=MAX_TIME)
+        flagged = deployment.network.delivery_policy.equivocal_views
+        assert declined_views and declined_views <= flagged
+        # The deciding view is not flagged and goes through the kernel.
+        assert deployment.all_correct_decided()
+        assert deployment.max_decision_view in applied_views - flagged
+        stats = deployment.vote_kernel_stats()
+        assert stats["declined"] > 0 and stats["vectorised"] > 0
+
+    def test_oracle_has_no_kernel(self):
+        cell = MatrixCell("probft", "none", "constant", n=14, f=2)
+        context = TrialContext(
+            reference_spec(cell_deployment_spec(cell, 0, MAX_TIME))
+        )
+        context.execute()
+        assert context.deployment.vote_kernel_stats() == {
+            "vectorised": 0,
+            "singleton": 0,
+            "declined": 0,
+        }
+
+    def test_stats_stay_off_run_result(self):
+        import dataclasses
+
+        from repro.harness.trial import RunResult
+
+        names = {f.name for f in dataclasses.fields(RunResult)}
+        assert not names & {"vectorised", "singleton", "declined"}
+        assert not any("kernel" in name for name in names)
