@@ -99,6 +99,10 @@ class HotStuffReplica:
     def current_view(self) -> View:
         return self._cur_view
 
+    @property
+    def synchronizer(self) -> ViewSynchronizer:
+        return self._sync
+
     def start(self) -> None:
         self._sync.start()
 

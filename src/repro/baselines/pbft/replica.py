@@ -87,6 +87,10 @@ class PbftReplica:
     def current_view(self) -> View:
         return self._cur_view
 
+    @property
+    def synchronizer(self) -> ViewSynchronizer:
+        return self._sync
+
     def start(self) -> None:
         self._sync.start()
 

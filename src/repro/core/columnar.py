@@ -26,15 +26,24 @@ shared by *all* replicas of a deployment:
   updated by the replica state machine at its (few) mutation points, so the
   delivery kernel classifies a whole fan-out bucket with vectorized gathers
   instead of attribute chases.
+* **Propose verdicts** — ``safeProposal`` is recipient-independent, so the
+  shared state evaluates it once per Propose envelope
+  (:meth:`ColumnarVoteState.safe_proposal`, keyed by object identity) and
+  every recipient, future-buffer replay and gossip hop reads the verdict:
+  the 2f+1 NewLeader signatures of a view-change justification are checked
+  once per view, not once per replica.
 
 :class:`ColumnarVoteDispatch` is the kernel `Network` hands every coalesced
 bucket to: wide buckets (constant latency: one bucket per multicast) are
 applied array-at-a-time, singleton buckets (continuous latency: one bucket
-per recipient) take a scalar branch with the same rules, and any bucket it
-cannot prove equivalent — non-votes, equivocal views, deployments with
+per recipient) take a scalar branch with the same rules, and any vote
+bucket it cannot prove equivalent — equivocal views, deployments with
 network duplication — is declined (-1) to the per-recipient fallback
 (:meth:`ProBFTReplica.on_sample_message`) through the same arrays.  The
-three outcomes are counted (:meth:`ColumnarVoteDispatch.stats`).
+three outcomes are counted (:meth:`ColumnarVoteDispatch.stats`).  Non-votes
+are passed on to the deployment's wish kernel
+(:class:`repro.sync.columns.WishDispatch`), which takes the Wish buckets
+and declines everything else.
 
 The reference semantics stay in :meth:`ProBFTReplica.on_message` over
 :class:`~repro.quorum.probabilistic.ProbabilisticQuorumCollector`
@@ -51,6 +60,7 @@ import numpy as np
 
 from ..errors import QuorumError
 from ..messages.probft import Commit, Prepare
+from .predicates import safe_proposal
 from .replica import prevalidate_vote
 
 __all__ = [
@@ -81,6 +91,12 @@ def bitmap_ids(words: np.ndarray) -> Tuple[int, ...]:
 # ----------------------------------------------------------------------
 # Slot storage
 # ----------------------------------------------------------------------
+
+#: Propose verdicts retained per deployment.  A view has one proposal (one
+#: per partition under an equivocating leader); the bound only matters when
+#: a Byzantine sender sprays distinct Propose objects, each of which costs
+#: its recipient a validation whether or not the verdict is kept.
+_PROPOSE_VERDICTS_KEPT = 64
 
 class _Slot:
     """Array-backed accumulator for one (phase, view, value) key.
@@ -131,6 +147,8 @@ class ColumnarVoteState:
         "correct",
         "has_byz",
         "_slots",
+        "_propose_verdicts",
+        "propose_validations",
     )
 
     def __init__(self, n: int, q: int, correct_ids) -> None:
@@ -156,6 +174,10 @@ class ColumnarVoteState:
         #: bucket is a handler stop.
         self.has_byz = len(correct_ids) < n
         self._slots: Dict[Tuple[bool, int, object], _Slot] = {}
+        #: id(Propose envelope) -> (envelope, safeProposal verdict); the
+        #: entry pins the envelope, so its id cannot be recycled.
+        self._propose_verdicts: Dict[int, Tuple[object, bool]] = {}
+        self.propose_validations = 0
 
     def note_view(self, replica: int, view: int, committed: bool) -> None:
         """Mirror hook for ``_on_new_view`` (lines 1-5)."""
@@ -188,6 +210,26 @@ class ColumnarVoteState:
 
     def peek(self, is_prepare: bool, view: int, value) -> Optional[_Slot]:
         return self._slots.get((is_prepare, view, value))
+
+    def safe_proposal(self, signed, config, crypto) -> bool:
+        """``safeProposal`` of one Propose envelope, evaluated once.
+
+        The verdict is a pure function of the envelope and the deployment's
+        config and crypto, so every recipient of a fan-out — and every
+        future-buffer replay or gossip hop of the same object — shares it.
+        It is kept here, keyed by the object's identity, and never read off
+        the message: a sender cannot supply it.
+        """
+        verdicts = self._propose_verdicts
+        entry = verdicts.get(id(signed))
+        if entry is not None and entry[0] is signed:
+            return entry[1]
+        self.propose_validations += 1
+        verdict = safe_proposal(signed, config, crypto)
+        if len(verdicts) >= _PROPOSE_VERDICTS_KEPT:
+            del verdicts[next(iter(verdicts))]  # oldest first
+        verdicts[id(signed)] = (signed, verdict)
+        return verdict
 
 
 # ----------------------------------------------------------------------
@@ -344,12 +386,13 @@ class ColumnarVoteDispatch:
 
     Returns the number of recipients delivered, or -1 to decline the whole
     bucket (the caller filters it and runs its generic per-recipient loop
-    over the same arrays).  Decline rules: non-votes, equivocal-flagged
-    views (any recipient may need the evidence), and any deployment with
-    network duplication enabled — duplicated recipients would appear twice
-    in one bucket and break the distinct-recipients invariant the masked
-    scatters rely on.  Invalid votes never touch a collector and take the
-    per-recipient :meth:`_deliver_odd` loop.
+    over the same arrays).  Decline rules: equivocal-flagged views (any
+    recipient may need the evidence), and any deployment with network
+    duplication enabled — duplicated recipients would appear twice in one
+    bucket and break the distinct-recipients invariant the masked scatters
+    rely on.  Invalid votes never touch a collector and take the
+    per-recipient :meth:`_deliver_odd` loop.  Anything that is not a vote
+    is the wish kernel's to take or decline.
 
     ``vectorised``/``singleton``/``declined`` count the vote buckets that
     took each route (non-votes and invalid votes are not counted).
@@ -364,6 +407,7 @@ class ColumnarVoteDispatch:
         "_policy",
         "_q",
         "_state",
+        "_wishes",
         "_dup",
         "vectorised",
         "singleton",
@@ -379,6 +423,7 @@ class ColumnarVoteDispatch:
         handlers,
         policy,
         state: ColumnarVoteState,
+        wishes,
         dup_possible: bool = False,
     ) -> None:
         self._config = config
@@ -389,6 +434,7 @@ class ColumnarVoteDispatch:
         self._policy = policy
         self._q = config.q
         self._state = state
+        self._wishes = wishes  # the deployment's wish kernel
         self._dup = dup_possible
         self.vectorised = 0
         self.singleton = 0
@@ -407,10 +453,11 @@ class ColumnarVoteDispatch:
             # anyway); a payload type test is enough to count the votes.
             if isinstance(getattr(message, "payload", None), (Prepare, Commit)):
                 self.declined += 1
-            return -1
+                return -1
+            return self._wishes(src, message, dsts, probe)
         token = prevalidate_vote(self._config, self._crypto, message)
         if token is None:
-            return -1
+            return self._wishes(src, message, dsts, probe)
         if token.view in self._policy._equivocal:
             self.declined += 1
             return -1

@@ -9,11 +9,23 @@ the stack hooks to install its observation policy and vote kernel
 (:class:`repro.core.protocol.ProBFTDeployment`).
 
 Every deployment delivers fan-outs coalesced (one simulator event per
-distinct delivery time, :mod:`repro.net.sparse`).  ``reference=True``
+distinct delivery time, :mod:`repro.net.sparse`) and hands Wish fan-outs to
+the one wish kernel over synchronizer columns shared by its correct replicas
+(:mod:`repro.sync.columns`), so a view change costs every protocol one call
+per broadcast instead of one handler per delivery.  ``reference=True``
 builds the test oracle instead: per-recipient delivery, per-message
-handlers, set-based quorum collectors — Algorithm 1 with nothing batched.
-The identity suite (``tests/test_reference_identity.py``) pins the two to
-equal :class:`~repro.harness.trial.RunResult`\\ s.
+handlers, per-replica wish ledgers, set-based quorum collectors — Algorithm
+1 with nothing batched.  The identity suite
+(``tests/test_reference_identity.py``) pins the two to equal
+:class:`~repro.harness.trial.RunResult`\\ s; :meth:`Deployment.
+vote_kernel_stats` says which route each bucket took.
+
+A deployment owns its replica graph and takes it apart
+(:meth:`Deployment.close`) when its last holder lets go of it, so every
+trial frees its own memory at its own end instead of leaving a reference
+cycle for some later trial's full collection.  Nothing inside the graph may
+therefore point at the deployment itself — and a caller who wants to look at
+replicas, handlers or pending events keeps the deployment, not a part of it.
 """
 
 from __future__ import annotations
@@ -29,12 +41,25 @@ from ..net.network import DeliveryHandler, Network
 from ..net.simulator import Simulator
 from ..net.sparse import CoalescingDelivery
 from ..net.transport import Transport
+from ..sync.columns import WishDispatch
 from ..sync.timeouts import TimeoutPolicy
 from ..types import Decision, ReplicaId, Value
 
 #: Factory building a Byzantine replica endpoint.  The returned object must
 #: expose ``start()`` and ``on_message(src, message)``.
 ByzantineFactory = Callable[[ReplicaId, ProtocolConfig, CryptoContext, Transport], object]
+
+
+#: The keys of :meth:`Deployment.vote_kernel_stats`.
+KERNEL_STATS = (
+    "vectorised",
+    "singleton",
+    "declined",
+    "wish_vectorised",
+    "wish_scalar",
+    "wish_declined",
+    "propose_validations",
+)
 
 
 def default_value(replica: ReplicaId) -> Value:
@@ -91,6 +116,8 @@ class Deployment:
             config.n, master_seed=digest(self.pool_label, seed)
         )
         self.decisions: Dict[ReplicaId, Decision] = {}
+        self.replicas: Dict[ReplicaId, object] = {}
+        self._wish_kernel: Optional[WishDispatch] = None
 
         byzantine = byzantine or {}
         if len(byzantine) > config.f:
@@ -103,8 +130,14 @@ class Deployment:
         )
         values = values or {}
 
+        # Nothing a replica holds may point back at the deployment (see
+        # ``close``), so decisions are recorded through the dict alone.
+        decisions = self.decisions
+
+        def record_decision(decision: Decision) -> None:
+            decisions[decision.replica] = decision
+
         replica_kwargs = self._replica_kwargs()
-        self.replicas: Dict[ReplicaId, object] = {}
         for r in range(config.n):
             transport = self._transport(r)
             if r in byzantine:
@@ -117,7 +150,7 @@ class Deployment:
                     transport=transport,
                     my_value=values.get(r, default_value(r)),
                     timeout_policy=timeout_policy,
-                    on_decide=self._record_decision,
+                    on_decide=record_decision,
                     **replica_kwargs,
                 )
             self.network.register(r, self._handler(r, replica))
@@ -145,9 +178,23 @@ class Deployment:
 
         Deterministic-quorum votes go to everyone, so the default has
         nothing to prune: pure event coalescing, which is what tames the
-        O(n^2) broadcast storms.
+        O(n^2) broadcast storms, plus the wish kernel.
         """
         self.network.use_delivery_policy(CoalescingDelivery())
+        self.network.use_bulk_handler(self._install_wish_kernel())
+
+    def _install_wish_kernel(self) -> WishDispatch:
+        """Move every correct replica's synchronizer onto shared columns and
+        return the bucket kernel that writes them."""
+        self._wish_kernel = WishDispatch(
+            self.config.n,
+            self.config.f,
+            self.crypto.signatures,
+            {r: self.replicas[r].synchronizer for r in self._correct_ids},
+            self.network._handlers,
+            dup_possible=self.duplicate_prob > 0.0,
+        )
+        return self._wish_kernel
 
     # ------------------------------------------------------------------
     # Driving
@@ -171,15 +218,63 @@ class Deployment:
         # Coalesced fan-outs probe this between deliveries, which keeps the
         # per-delivery stop granularity of the per-recipient loop.
         self.network.stop_probe = stop
-        self.sim.run(until=max_time, max_events=max_events, stop_when=stop)
+        try:
+            self.sim.run(until=max_time, max_events=max_events, stop_when=stop)
+        finally:
+            self.network.stop_probe = None
         return self
 
-    def _record_decision(self, decision: Decision) -> None:
-        self.decisions[decision.replica] = decision
+    def close(self) -> None:
+        """Take the replica graph apart; the deployment cannot run again.
+
+        Replicas, synchronizers, transports, the network's handler tables
+        and pending timers all point at one another, so a finished
+        deployment is one big reference cycle that only a full collection
+        frees: a sweep then piles up dead deployments until the collector
+        stops some later trial for as long as it takes to free them all.
+        Cutting the few edges that close the cycles lets plain reference
+        counting free everything as the deployment goes away.  What a
+        caller may still hold stays readable: decisions, ``network.stats``,
+        the simulator's clock and counters, :meth:`vote_kernel_stats`, and
+        each (stopped) replica's own state.
+        """
+        for replica in self.replicas.values():
+            stop = getattr(replica, "stop", None)
+            if stop is not None:
+                stop()
+        self.replicas.clear()
+        self.sim.clear()
+        self.network.disconnect()
+        if self._wish_kernel is not None:
+            self._wish_kernel.detach()
+
+    def __del__(self) -> None:
+        # Nothing inside points at the deployment, so this runs as soon as
+        # the last caller lets go of it — not whenever the collector gets
+        # round to it.
+        if "_started" in self.__dict__:  # fully constructed
+            self.close()
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
+    def vote_kernel_stats(self) -> Dict[str, int]:
+        """Which route each bucket took (all zero for the oracle).
+
+        ``vectorised`` / ``singleton`` / ``declined``: vote buckets applied
+        by the vote kernel, or declined to the per-recipient fallback
+        (ProBFT only).  ``wish_vectorised`` / ``wish_scalar`` /
+        ``wish_declined``: Wish buckets applied array-at-a-time, through the
+        per-recipient loop (one recipient, or a wish dropped on a lookup),
+        or through it because the network may duplicate.
+        ``propose_validations``: ``safeProposal`` evaluations (ProBFT only;
+        one per distinct Propose object).
+        """
+        stats = dict.fromkeys(KERNEL_STATS, 0)
+        if self._wish_kernel is not None:
+            stats.update(self._wish_kernel.stats())
+        return stats
+
     @property
     def correct_ids(self) -> FrozenSet[ReplicaId]:
         return self._correct_ids

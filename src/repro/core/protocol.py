@@ -4,8 +4,9 @@
 Deployment` with ProBFT's stack on top: votes reach only the recipients
 that can observe them (:class:`~repro.core.observation.
 SampleObservationPolicy`), whole vote buckets are applied by one kernel
-over array-backed quorum state (:mod:`repro.core.columnar`), and the
-leader's proposal optionally travels by gossip.
+over array-backed quorum state (:mod:`repro.core.columnar`), which passes
+Wish buckets on to the shared wish kernel, a Propose is validated once per
+message object, and the leader's proposal optionally travels by gossip.
 """
 
 from __future__ import annotations
@@ -119,15 +120,14 @@ class ProBFTDeployment(Deployment):
             network._handlers,
             policy,
             self._columnar_state,
+            self._install_wish_kernel(),
             dup_possible=self.duplicate_prob > 0.0,
         )
         network.use_bulk_handler(self._kernel)
 
     def vote_kernel_stats(self) -> Dict[str, int]:
-        """How vote buckets were delivered: ``vectorised`` / ``singleton``
-        by the kernel, ``declined`` to the per-recipient fallback (all zero
-        for the ``reference=True`` oracle, which has no kernel)."""
-        kernel = self._kernel
-        if kernel is None:
-            return {"vectorised": 0, "singleton": 0, "declined": 0}
-        return kernel.stats()
+        stats = super().vote_kernel_stats()
+        if self._kernel is not None:
+            stats.update(self._kernel.stats())
+            stats["propose_validations"] = self._columnar_state.propose_validations
+        return stats

@@ -31,7 +31,14 @@ wrappers run.  Production deployments hand vote fan-outs to the bucket
 kernel in :mod:`repro.core.columnar` instead, which shares this module's
 :func:`prevalidate_vote` and the replica's quorum re-checks;
 :meth:`ProBFTReplica.on_sample_message` is the per-recipient fallback for
-buckets that kernel declines.
+the vote buckets that kernel declines and for other fan-outs (Propose,
+evidence).  It never sees a Wish: those fan-outs go to the wish kernel
+(:mod:`repro.sync.columns`), and only unicast wishes reach
+:meth:`ProBFTReplica.on_message`.  With shared columnar state a Propose's
+``safeProposal`` verdict is likewise computed once per envelope and shared
+(:meth:`~repro.core.columnar.ColumnarVoteState.safe_proposal`); the
+per-recipient conditions of lines 13-16 (``blockView``, ``voted``) stay in
+:meth:`_handle_propose`.
 """
 
 from __future__ import annotations
@@ -248,6 +255,10 @@ class ProBFTReplica:
     @property
     def current_view(self) -> View:
         return self._cur_view
+
+    @property
+    def synchronizer(self) -> ViewSynchronizer:
+        return self._sync
 
     @property
     def prepared_view(self) -> View:
@@ -468,9 +479,14 @@ class ProBFTReplica:
     def _handle_propose(self, src: ReplicaId, signed: Signed) -> None:
         if self._block_view or self._voted:
             return
-        from .predicates import safe_proposal
+        if self._cells is not None:
+            # Recipient-independent: evaluated once per envelope, shared.
+            safe = self._cells.safe_proposal(signed, self.config, self._crypto)
+        else:
+            from .predicates import safe_proposal
 
-        if not safe_proposal(signed, self.config, self._crypto):
+            safe = safe_proposal(signed, self.config, self._crypto)
+        if not safe:
             return
         propose: Propose = signed.payload
         view = self._cur_view

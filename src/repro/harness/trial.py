@@ -233,7 +233,9 @@ class TrialContext:
 
     ``build()`` and ``execute()`` are idempotent; the deployment stays
     reachable after execution for callers that inspect more than the
-    :class:`RunResult` summary (traces, per-replica state).
+    :class:`RunResult` summary (traces, per-replica state).  It is closed —
+    its memory freed — when the context and every other holder of it are
+    gone (:meth:`repro.core.deployment.Deployment.close`).
     """
 
     def __init__(self, spec: DeploymentSpec) -> None:

@@ -264,6 +264,13 @@ class Network:
         """
         self._bulk_handler = handler
 
+    def disconnect(self) -> None:
+        """Forget every registered handler (deployment teardown)."""
+        self._handlers.clear()
+        self._batch_handlers.clear()
+        self._bulk_handler = None
+        self.stop_probe = None
+
     def use_delivery_policy(self, policy: Optional[SparseDeliveryPolicy]) -> None:
         """Switch multicast/broadcast to the sparse coalesced fan-out path.
 

@@ -5,11 +5,12 @@ ordered by time with ties broken by scheduling order, so runs are fully
 deterministic.  All model randomness lives in *seeded* RNGs owned by the
 latency model / adversary, never in the kernel.
 
-There is one queue: a binary heap of ``[time, seq, handle, callback]``
-entries.  Fan-outs reach the kernel already coalesced (one event per
-distinct delivery time, see :mod:`repro.net.sparse`), so a trial is a few
-thousand events and no per-time bucketing measurably beats the heap at
-that size.  Cancellation writes a tombstone into the entry; tombstones are
+There is one queue: a binary heap of ``[time, seq, callback]`` entries (a
+handle points at its entry, never the reverse: a fired event must not leave
+a reference cycle behind for the collector to find).  Fan-outs reach the
+kernel already coalesced (one event per distinct delivery time, see
+:mod:`repro.net.sparse`), so a trial is a few thousand events and no
+per-time bucketing measurably beats the heap at that size.  Cancellation writes a tombstone into the entry; tombstones are
 skipped when popped and swept once they outnumber live entries, because
 bounded-window timer churn (cancel + re-arm per view) would otherwise grow
 the backlog without bound.
@@ -45,16 +46,16 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Cancel the event if it has not fired yet (idempotent)."""
-        callback = self._entry[3]
+        callback = self._entry[2]
         if callback is None or callback is _fired:
             return
-        self._entry[3] = None
+        self._entry[2] = None
         if self._sim is not None:
             self._sim._note_cancelled()
 
     @property
     def cancelled(self) -> bool:
-        return self._entry[3] is None
+        return self._entry[2] is None
 
 
 class Simulator:
@@ -120,7 +121,7 @@ class Simulator:
             self._cancelled > len(self._heap) // 2
             and len(self._heap) >= self._compact_floor
         ):
-            self._heap = [entry for entry in self._heap if entry[3] is not None]
+            self._heap = [entry for entry in self._heap if entry[2] is not None]
             heapq.heapify(self._heap)
             self._cancelled = 0
 
@@ -140,12 +141,18 @@ class Simulator:
                 f"cannot schedule at {time} < now ({self._now})"
             )
         seq = next(self._seq)
-        entry = [time, seq, None, callback]
+        entry = [time, seq, callback]
         heapq.heappush(self._heap, entry)
         self._live += 1
-        handle = EventHandle(time=time, seq=seq, _entry=entry, _sim=self)
-        entry[2] = handle
-        return handle
+        return EventHandle(time=time, seq=seq, _entry=entry, _sim=self)
+
+    def clear(self) -> None:
+        """Cancel every pending event (deployment teardown)."""
+        for entry in self._heap:
+            entry[2] = None
+        self._heap = []
+        self._live = 0
+        self._cancelled = 0
 
     # ------------------------------------------------------------------
     # Stepping
@@ -154,11 +161,11 @@ class Simulator:
         """Process the single next event; returns False if none remain."""
         while self._heap:
             entry = heapq.heappop(self._heap)
-            callback = entry[3]
+            callback = entry[2]
             if callback is None:
                 self._cancelled -= 1
                 continue  # cancelled
-            entry[3] = _fired  # late cancel() must stay a no-op
+            entry[2] = _fired  # late cancel() must stay a no-op
             self._live -= 1
             self._now = entry[0]
             self._events_processed += 1
@@ -211,7 +218,7 @@ class Simulator:
     def _peek_time(self) -> Optional[float]:
         while self._heap:
             entry = self._heap[0]
-            if entry[3] is None:
+            if entry[2] is None:
                 heapq.heappop(self._heap)
                 self._cancelled -= 1
                 continue

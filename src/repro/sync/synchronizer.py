@@ -9,22 +9,57 @@ Bracha-style amplification:
 * on seeing wishes from ``2f+1`` distinct replicas it *enters* ``v'`` and
   notifies the protocol via ``newView(v')``.
 
-Per-sender we track only the *highest* view wished, so the state is O(n).
 After GST, if any correct replica is stuck, timers eventually fire, wishes
 amplify, and all correct replicas converge to a common view with a timeout
 long enough to decide (given a growing :class:`TimeoutPolicy`).
+
+State layout
+------------
+
+Per sender only the *highest* view wished matters, and the two rules only
+ever ask one question of it: the ``k``-th highest of those values
+(``k = f+1`` to relay, ``k = 2f+1`` to enter).  :class:`ViewSynchronizer`
+is one algorithm over two backends that answer it:
+
+* :class:`WishLedger` (the default: the ``reference=True`` oracle, SMR
+  slots, Byzantine wrappers, unit tests) — a ``sender -> view`` dict plus
+  the same values kept in ascending order, updated per accepted wish by a
+  binary search and a C-level ``memmove`` instead of a fresh ``sorted()``;
+* the shared columns of :mod:`repro.sync.columns` (every production
+  deployment) — per *live* view ``v`` a packed seen-bitmap and a count
+  vector over all replicas, where ``count[v][d]`` is the number of senders
+  whose highest wish at ``d`` is ``>= v``.  That count is non-increasing in
+  ``v``, so "the ``k``-th highest wish" is exactly "the largest ``v`` with
+  ``count[v][d] >= k``", and only views some replica has actually wished
+  can be the answer.  The wish bucket kernel writes the same arrays a whole
+  fan-out at a time; this class reaches them through a scalar facade for
+  its own wishes and for every wish that arrives outside a vectorised
+  bucket.
+
+Checks run cheapest first: payload type, ``signer == src``, domain and the
+stale/duplicate test are lookups; only a wish that would be recorded pays a
+signature verification, so replayed wishes cost no crypto.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..crypto.signatures import SignatureScheme, Signed
 from ..messages.base import CanonicalMessage
 from ..net.transport import Transport
 from ..types import ReplicaId, View
 from .timeouts import ExponentialTimeout, TimeoutPolicy
+
+#: A wish beyond this is dropped like any other malformed message: the shared
+#: columns store views as ``int64`` and compute ``view + 1``.
+MAX_VIEW = 2**62
+
+
+def _no_upcall(view: View) -> None:
+    """Upcall of a stopped synchronizer (which enters no view)."""
 
 
 @dataclass(frozen=True)
@@ -38,6 +73,40 @@ class Wish(CanonicalMessage):
 
     view: View
     domain: str = ""
+
+
+class WishLedger:
+    """Dict backend: each sender's highest wish, and those values in order."""
+
+    __slots__ = ("_highest", "_order")
+
+    def __init__(self) -> None:
+        self._highest: Dict[ReplicaId, View] = {}
+        self._order: List[View] = []  # the dict's values, ascending
+
+    def accepts(self, sender: ReplicaId, view: View) -> bool:
+        """Whether ``view`` beats the sender's recorded highest wish."""
+        return view > self._highest.get(sender, 0)
+
+    def record(self, sender: ReplicaId, view: View) -> None:
+        """Raise the sender's highest wish to ``view`` (must be accepted)."""
+        previous = self._highest.get(sender)
+        order = self._order
+        if previous is not None:
+            del order[bisect_left(order, previous)]
+        insort(order, view)
+        self._highest[sender] = view
+
+    def kth_highest(self, k: int) -> View:
+        """Largest view wished by at least ``k`` senders (0 if none)."""
+        order = self._order
+        return order[-k] if len(order) >= k else 0
+
+    def note_progress(self, current_view: View, max_wish_sent: View) -> None:
+        """Nothing to mirror: the ledger belongs to one replica."""
+
+    def note_stopped(self) -> None:
+        """Nothing to mirror."""
 
 
 class ViewSynchronizer:
@@ -71,7 +140,7 @@ class ViewSynchronizer:
         self._domain = domain
         self._current_view: View = 0
         self._max_wish_sent: View = 0
-        self._highest_wish: Dict[ReplicaId, View] = {}
+        self._wishes = WishLedger()
         self._timer = None
         self._stopped = False
 
@@ -82,28 +151,42 @@ class ViewSynchronizer:
     def current_view(self) -> View:
         return self._current_view
 
+    @property
+    def domain(self) -> str:
+        return self._domain
+
+    def use_wish_state(self, wishes) -> None:
+        """Swap the wish backend (before any wish is recorded): a deployment
+        hands every correct replica its column of the shared state."""
+        self._wishes = wishes
+
     def start(self) -> None:
         """Enter view 1 and arm its timer (every replica calls this at t=0)."""
         self._enter_view(1)
 
     def stop(self) -> None:
-        """Stop all timers (simulation teardown)."""
+        """Stop for good (simulation teardown): cancel the timer, ignore
+        every later wish and let go of the protocol upcall, so a stopped
+        synchronizer no longer keeps its replica in a reference cycle."""
         self._stopped = True
+        self._wishes.note_stopped()
         self._cancel_timer()
+        self._on_new_view = _no_upcall
 
     def on_wish(self, src: ReplicaId, signed: Signed) -> None:
         """Handle a received (signed) wish message."""
-        if self._stopped or not self._signatures.verify(signed):
+        if self._stopped:
             return
-        wish = signed.payload
+        wish = getattr(signed, "payload", None)
         if not isinstance(wish, Wish) or signed.signer != src:
             return
-        if wish.domain != self._domain:
+        if wish.domain != self._domain or wish.view > MAX_VIEW:
             return
-        previous = self._highest_wish.get(src, 0)
-        if wish.view <= previous:
+        if not self._wishes.accepts(src, wish.view):
+            return  # stale or replayed: rejected before any crypto
+        if not self._signatures.verify(signed):
             return
-        self._highest_wish[src] = wish.view
+        self._wishes.record(src, wish.view)
         self._react_to_wishes()
 
     # ------------------------------------------------------------------
@@ -111,34 +194,28 @@ class ViewSynchronizer:
     # ------------------------------------------------------------------
     def _react_to_wishes(self) -> None:
         """Apply the f+1 relay and 2f+1 enter rules for the best candidate."""
-        relay_view = self._kth_highest_wish(self._f + 1)
-        if relay_view is not None and relay_view > self._max_wish_sent:
+        relay_view = self._wishes.kth_highest(self._f + 1)
+        if relay_view > self._max_wish_sent:
             self._send_wish(relay_view)
-        enter_view = self._kth_highest_wish(2 * self._f + 1)
-        if enter_view is not None and enter_view > self._current_view:
+        enter_view = self._wishes.kth_highest(2 * self._f + 1)
+        if enter_view > self._current_view:
             self._enter_view(enter_view)
-
-    def _kth_highest_wish(self, k: int) -> Optional[View]:
-        """Largest view wished-for by at least ``k`` distinct replicas."""
-        if len(self._highest_wish) < k:
-            return None
-        views = sorted(self._highest_wish.values(), reverse=True)
-        return views[k - 1]
 
     def _send_wish(self, view: View) -> None:
         self._max_wish_sent = view
-        signed = self._signatures.sign(
-            self._transport.replica, Wish(view=view, domain=self._domain)
-        )
+        wishes = self._wishes
+        wishes.note_progress(self._current_view, view)
+        me = self._transport.replica
+        signed = self._signatures.sign(me, Wish(view=view, domain=self._domain))
         # A wish counts for its own sender too.
-        mine = self._highest_wish.get(self._transport.replica, 0)
-        if view > mine:
-            self._highest_wish[self._transport.replica] = view
+        if wishes.accepts(me, view):
+            wishes.record(me, view)
         self._transport.broadcast(signed)
         self._react_to_wishes()
 
     def _enter_view(self, view: View) -> None:
         self._current_view = view
+        self._wishes.note_progress(view, self._max_wish_sent)
         self._cancel_timer()
         duration = self._timeouts.timeout_for(view)
         self._timer = self._transport.schedule(

@@ -193,7 +193,34 @@ class TestCancellationCompaction:
         live = total - (total // 2 + 1)
         assert sim.pending_events == live
         assert len(sim._heap) == live
-        assert all(entry[3] is not None for entry in sim._heap)
+        assert all(entry[2] is not None for entry in sim._heap)
+
+    def test_fired_and_cancelled_events_leave_no_cycle(self):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator()
+            handles = [sim.schedule(float(i + 1), lambda: None) for i in range(50)]
+            for h in handles[::2]:
+                h.cancel()
+            sim.run()
+            del handles, h
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_clear_cancels_everything_pending(self):
+        sim = Simulator()
+        fired = []
+        handles = [sim.schedule(float(i + 1), lambda: fired.append(1)) for i in range(5)]
+        sim.step()
+        sim.clear()
+        assert sim.pending_events == 0 and sim.step() is False
+        assert all(h.cancelled for h in handles[1:])
+        handles[2].cancel()  # late cancel stays a no-op
+        assert sim.pending_events == 0 and fired == [1]
 
     def test_small_heaps_are_not_compacted(self):
         sim = Simulator()

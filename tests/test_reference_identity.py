@@ -22,6 +22,8 @@ import pytest
 
 from repro.adversary.behaviors import silent_factory
 from repro.config import ProtocolConfig
+from repro.core.deployment import KERNEL_STATS
+from repro.core.leader import leader_of
 from repro.core.protocol import ProBFTDeployment
 from repro.harness.registry import (
     ADVERSARIES,
@@ -31,12 +33,20 @@ from repro.harness.registry import (
     ScenarioMatrix,
     cell_deployment_spec,
 )
-from repro.harness.trial import TrialContext, run_trial
+from repro.harness.parallel import derive_seed
+from repro.harness.trial import DeploymentSpec, TrialContext, run_trial, summarize
 from repro.net import CoalescingDelivery
 from repro.net.latency import ExponentialLatency
+from repro.sync.synchronizer import Wish
 from repro.sync.timeouts import FixedTimeout
 
-from .helpers import make_commit, make_prepare, reference_spec
+from .helpers import (
+    make_commit,
+    make_prepare,
+    make_propose,
+    quorum_new_leaders,
+    reference_spec,
+)
 
 MAX_TIME = 600.0
 
@@ -153,17 +163,40 @@ class TestStackWiring:
         from repro.core.columnar import ColumnarVoteDispatch
         from repro.core.observation import SampleObservationPolicy
 
-        network = self._spec("probft").build().network
+        deployment = self._spec("probft").build()  # closes when let go of
+        network = deployment.network
         assert type(network.delivery_policy) is SampleObservationPolicy
         assert type(network._bulk_handler) is ColumnarVoteDispatch
 
-    def test_baselines_use_pure_coalescing(self):
+    def test_baselines_coalesce_and_run_the_wish_kernel(self):
         # Deterministic-quorum protocols broadcast votes to everyone, so
-        # there is nothing to prune — only events to coalesce.
+        # there is nothing to prune — only events to coalesce, and Wish
+        # fan-outs to batch.
+        from repro.sync.columns import WishDispatch
+
         for protocol in ("pbft", "hotstuff"):
-            network = self._spec(protocol).build().network
+            deployment = self._spec(protocol).build()
+            network = deployment.network
             assert type(network.delivery_policy) is CoalescingDelivery
-            assert network._bulk_handler is None
+            assert type(network._bulk_handler) is WishDispatch
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_correct_synchronizers_share_one_set_of_columns(self, protocol):
+        from repro.sync.synchronizer import WishLedger
+
+        deployment = self._spec(protocol).build()
+        columns = deployment._wish_kernel.columns
+        backends = [r.synchronizer._wishes for r in deployment.replicas.values()]
+        assert all(b._columns is columns for b in backends)
+        # ... and cost nothing until somebody wishes.
+        deployment.run(max_time=MAX_TIME)
+        assert deployment.max_decision_view == 1 and columns.nbytes == 0
+        oracle = reference_spec(self._spec(protocol)).build()
+        assert oracle._wish_kernel is None
+        assert all(
+            type(r.synchronizer._wishes) is WishLedger
+            for r in oracle.replicas.values()
+        )
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_oracle_installs_nothing(self, protocol):
@@ -400,11 +433,9 @@ class TestVoteKernelStats:
             reference_spec(cell_deployment_spec(cell, 0, MAX_TIME))
         )
         context.execute()
-        assert context.deployment.vote_kernel_stats() == {
-            "vectorised": 0,
-            "singleton": 0,
-            "declined": 0,
-        }
+        assert context.deployment.vote_kernel_stats() == dict.fromkeys(
+            KERNEL_STATS, 0
+        )
 
     def test_stats_stay_off_run_result(self):
         import dataclasses
@@ -412,5 +443,286 @@ class TestVoteKernelStats:
         from repro.harness.trial import RunResult
 
         names = {f.name for f in dataclasses.fields(RunResult)}
-        assert not names & {"vectorised", "singleton", "declined"}
+        assert not names & set(KERNEL_STATS)
         assert not any("kernel" in name for name in names)
+
+
+# ----------------------------------------------------------------------
+# The view-change path: the wish kernel and the shared Propose verdict
+# ----------------------------------------------------------------------
+
+
+def _spec_pair(make_spec):
+    """(production deployment, production result, oracle result) of a spec
+    factory (fresh spec per run: specs carry seeded RNG streams)."""
+    context = TrialContext(make_spec())
+    production = context.execute()
+    oracle = run_trial(reference_spec(make_spec()))
+    return context.deployment, production, oracle
+
+
+class TestViewChangeIdentity:
+    @pytest.mark.parametrize("latency", ["constant", "uniform", "exponential"])
+    @pytest.mark.parametrize("adversary", ["silent", "crash"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_forced_view_change_equals_the_oracle(self, protocol, adversary, latency):
+        """Every protocol runs the shared wish kernel; silent leaders and
+        crashed tails are the two cells whose trials cross it."""
+        (cell,) = _cells(
+            30, protocols=(protocol,), adversaries=(adversary,), latencies=(latency,)
+        )
+        deployment, production, oracle = _pair(cell, 2)
+        assert production == oracle
+        assert production.all_decided
+        stats = deployment.vote_kernel_stats()
+        wishes = production.messages_by_type.get("Wish", 0)
+        assert (wishes > 0) == (production.max_view > 1)
+        if adversary == "silent":
+            assert production.max_view == 2
+        if wishes:
+            assert stats["wish_declined"] == 0
+            # One bucket per fan-out under constant latency; one per
+            # recipient, or nearly, under the continuous models.
+            route = "wish_vectorised" if latency == "constant" else "wish_scalar"
+            assert stats[route] > 0
+            if latency == "constant":
+                assert stats["wish_scalar"] == 0
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    def test_silent_leader_under_a_leader_offset(self, latency):
+        config = ProtocolConfig(n=30, f=9, leader_offset=11)
+        leader = leader_of(1, config)
+        assert leader == 11
+
+        def make_spec():
+            return DeploymentSpec(
+                protocol="probft",
+                config=config,
+                seed=4,
+                latency=ExponentialLatency(mean=1.0, cap=5.0, seed=4)
+                if latency == "exponential"
+                else None,
+                timeout_policy=FixedTimeout(30.0),
+                byzantine={leader: silent_factory()},
+                track_bytes=True,
+                max_time=MAX_TIME,
+            )
+
+        _, production, oracle = _spec_pair(make_spec)
+        assert production == oracle
+        assert production.all_decided and production.max_view == 2
+
+    def test_silent_leader_with_gossip_dissemination(self):
+        """The view-2 Propose travels as gossip hops of one object: every
+        hop's recipient shares the one verdict."""
+        (cell,) = _cells(
+            30, protocols=("probft",), adversaries=("silent",), latencies=("constant",)
+        )
+        deployment, production, oracle = _pair(cell, 6, gossip=True)
+        assert production == oracle
+        assert production.all_decided and production.max_view == 2
+        assert production.messages_by_type["GossipEnvelope"] > 0
+        assert deployment.vote_kernel_stats()["propose_validations"] == 1
+
+    def test_silent_leader_on_a_duplicating_network_declines(self):
+        """A recipient may appear twice in a bucket: every Wish bucket takes
+        the per-recipient loop over the same columns, and is counted."""
+        import dataclasses
+
+        (cell,) = _cells(
+            30, protocols=("probft",), adversaries=("silent",), latencies=("constant",)
+        )
+
+        def make_spec():
+            return dataclasses.replace(
+                cell_deployment_spec(cell, seed=8, max_time=MAX_TIME),
+                duplicate_prob=0.3,
+            )
+
+        deployment, production, oracle = _spec_pair(make_spec)
+        assert production == oracle
+        assert production.all_decided and production.max_view == 2
+        stats = deployment.vote_kernel_stats()
+        assert stats["wish_declined"] > 0
+        assert stats["wish_vectorised"] == 0 and stats["wish_scalar"] == 0
+        assert stats["declined"] > 0 and stats["vectorised"] == 0
+
+    def test_fault_free_view_1_miss(self):
+        """No fault at all: this n=100 seed just misses its view-1 quorums
+        (ProBFT terminates a view only with high probability).  Some
+        replicas prepared in view 1, so the NewLeader messages carry real
+        certificates and the view-2 Propose justification is the most
+        expensive thing in the trial to validate — once."""
+        cell = MatrixCell("probft", "none", "constant", n=100, f=33)
+        deployment, production, oracle = _pair(cell, derive_seed(7, 25))
+        assert production == oracle
+        assert production.all_decided and production.max_view == 2
+        assert any(
+            1 in r._committed_views for r in deployment.correct_replicas().values()
+        )
+        stats = deployment.vote_kernel_stats()
+        # The view-1 and the view-2 proposal, one validation each.
+        assert stats["propose_validations"] == 2
+        assert stats["wish_vectorised"] > 0 and stats["wish_scalar"] == 0
+
+    def test_counters_per_view(self):
+        """n-1 Wish buckets per view change, one safeProposal per view."""
+        (cell,) = _cells(
+            60, protocols=("probft",), adversaries=("silent",), latencies=("constant",)
+        )
+        deployment, production, _ = _pair(cell, 0)
+        assert production.max_view == 2
+        stats = deployment.vote_kernel_stats()
+        assert stats["wish_vectorised"] == 59  # every correct replica's Wish(2)
+        assert stats["propose_validations"] == 1  # view 1 had no proposal
+        assert production.messages_by_type["Wish"] == 59 * 59
+
+
+class _FarWisher:
+    """Byzantine replica that only ever broadcasts wishes for ``views``."""
+
+    def __init__(self, replica_id, config, crypto, transport, views):
+        self._sign = lambda view: crypto.signatures.sign(
+            replica_id, Wish(view=view, domain=config.seed_domain)
+        )
+        self._transport = transport
+        self._views = views
+
+    def start(self):
+        for view in self._views:
+            self._transport.broadcast(self._sign(view))
+
+    def on_message(self, src, message):
+        pass
+
+
+class TestBoundedWishState:
+    N, F = 31, 10
+
+    def _spec(self):
+        """The view-1 leader wishes 1,000 distinct far-future views and
+        10**9; the other f-1 Byzantine replicas wish 10**9 and 10**9 + 1."""
+        def wisher(views):
+            return lambda *args: _FarWisher(*args, views=views)
+
+        byzantine = {0: wisher(list(range(1000, 2000)) + [10**9])}
+        for r in range(self.N - self.F + 1, self.N):
+            byzantine[r] = wisher([10**9, 10**9 + 1])
+        return DeploymentSpec(
+            protocol="probft",
+            config=ProtocolConfig(n=self.N, f=self.F),
+            seed=3,
+            timeout_policy=FixedTimeout(30.0),
+            byzantine=byzantine,
+            max_time=MAX_TIME,
+        )
+
+    def test_far_future_wishes_allocate_no_slots(self):
+        deployment = self._spec().build()
+        columns = deployment._wish_kernel.columns
+        deployment.run(max_time=29.0)  # every far wish delivered, none honest
+        assert deployment.network.stats.sent_by_type["Wish"] == (
+            1001 + 2 * (self.F - 1)
+        ) * (self.N - 1)
+        assert columns.live_views == []
+        assert len(columns._far) == self.F
+        # f wishers trigger nothing, however far they wish.
+        replicas = deployment.correct_replicas().values()
+        assert all(r.synchronizer._max_wish_sent == 0 for r in replicas)
+        deployment.run(max_time=30.5)  # the timers fired: Wish(2) in flight
+        assert columns.live_views == [2]
+        n = self.N
+        per_view = n * ((n + 63) // 64) * 8 + 4 * n
+        far_record = self.F * 8 * n
+        assert columns.nbytes <= per_view + far_record + 32 * n
+        deployment.run(max_time=MAX_TIME)
+        assert deployment.all_correct_decided()
+        # Everybody has passed view 2: its slot is gone again.
+        assert columns.live_views == []
+        production = summarize("probft", deployment)
+        oracle = run_trial(reference_spec(self._spec()))
+        assert production == oracle
+        assert production.all_decided and production.max_view >= 2
+
+
+class TestSharedProposeVerdict:
+    """n=8, f=1, replica 1 (the view-2 leader) Byzantine: a Propose whose
+    justification contains one NewLeader with a broken signature."""
+
+    @pytest.fixture
+    def view2(self):
+        import dataclasses
+
+        deployment = ProBFTDeployment(
+            ProtocolConfig(n=8, f=1),
+            seed=1,
+            timeout_policy=FixedTimeout(1000.0),
+            byzantine={1: lambda *args: _Recorder()},
+        )
+        crypto, config = deployment.crypto, deployment.config
+        quorum = list(quorum_new_leaders(crypto, config, view=2))
+        good = make_propose(crypto, config, 2, b"fine", tuple(quorum), signer=1)
+        quorum[2] = dataclasses.replace(
+            quorum[2],
+            payload=dataclasses.replace(quorum[2].payload, prepared_view=1),
+        )
+        forged = make_propose(crypto, config, 2, b"forged", tuple(quorum), signer=1)
+        return deployment, forged, good
+
+    def test_forged_justification_is_rejected_everywhere_once(self, view2):
+        deployment, forged, good = view2
+        correct = deployment.correct_replicas().values()
+        deployment.start()
+        # Delivered while everyone is still in view 1: buffered for view 2.
+        deployment.network.broadcast(1, forged)
+        deployment.sim.run(until=1.5)
+        assert all(r._future_buffer[2] == [(1, forged)] for r in correct)
+        assert deployment.vote_kernel_stats()["propose_validations"] == 1  # view 1's
+        for replica in correct:
+            replica._on_new_view(2)  # the synchronizer's upcall
+        deployment.sim.run(until=1.6)  # the zero-delay replays
+        assert not any(r._voted for r in correct)
+        assert deployment.vote_kernel_stats()["propose_validations"] == 2
+        # The same object again, now as a current-view bucket, and once more
+        # by unicast: the verdict stands and nothing is recomputed.
+        deployment.network.broadcast(1, forged)
+        deployment.network.send(1, 3, forged)
+        deployment.sim.run(until=3.0)
+        assert not any(r._voted for r in correct)
+        assert deployment.vote_kernel_stats()["propose_validations"] == 2
+        # A well-formed proposal from the same leader is accepted by all.
+        deployment.network.broadcast(1, good)
+        deployment.sim.run(until=4.5)
+        assert all(r._voted and r._cur_val == b"fine" for r in correct)
+        assert deployment.vote_kernel_stats()["propose_validations"] == 3
+
+    def test_the_oracle_rejects_it_per_recipient(self, view2):
+        _, forged, _ = view2
+        oracle = ProBFTDeployment(
+            ProtocolConfig(n=8, f=1),
+            seed=1,
+            timeout_policy=FixedTimeout(1000.0),
+            byzantine={1: lambda *args: _Recorder()},
+            reference=True,
+        )
+        oracle.start()
+        for replica in oracle.correct_replicas().values():
+            replica._on_new_view(2)
+            replica.on_message(1, forged)
+            assert not replica._voted
+        assert oracle.vote_kernel_stats()["propose_validations"] == 0
+
+    def test_a_verdict_is_never_read_off_the_message(self, view2):
+        """Equal content in a different object is validated again."""
+        import copy
+
+        deployment, forged, _ = view2
+        state = deployment._columnar_state
+        args = (deployment.config, deployment.crypto)
+        assert state.safe_proposal(forged, *args) is False
+        twin = copy.copy(forged)
+        assert twin == forged and twin is not forged
+        assert state.safe_proposal(twin, *args) is False
+        assert state.propose_validations == 2
+        assert state.safe_proposal(forged, *args) is False
+        assert state.propose_validations == 2

@@ -12,6 +12,7 @@ Covers the two hard guarantees of the refactor:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 
@@ -97,6 +98,75 @@ class TestRunTrialDispatch:
         assert context.execute() is result
         assert context.deployment is deployment
         assert deployment.all_correct_decided() == result.all_decided
+
+
+class TestDeploymentTeardown:
+    """A finished deployment is freed when its last holder lets go of it,
+    by reference counting alone: a sweep must not pile up dead deployments
+    for a later trial's full collection to pay for."""
+
+    @staticmethod
+    def _spec(protocol: str, adversary: str, reference: bool = False):
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+        cell = MatrixCell(protocol, adversary, "constant", n=16, f=5)
+        spec = cell_deployment_spec(cell, seed=3, max_time=600.0)
+        if reference:
+            spec = dataclasses.replace(spec, extra=(("reference", True),))
+        return spec
+
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("adversary", ["none", "silent", "flooding"])
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_dropped_context_leaves_no_cyclic_garbage(
+        self, protocol, adversary, reference
+    ):
+        gc.collect()
+        gc.disable()
+        try:
+            context = TrialContext(self._spec(protocol, adversary, reference))
+            assert context.execute().agreement_ok
+            deployment = weakref.ref(context.deployment)
+            replica = weakref.ref(context.deployment.replicas[1])
+            del context
+            assert deployment() is None and replica() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_gossip_deployment_is_freed_too(self):
+        gc.collect()
+        gc.disable()
+        try:
+            context = TrialContext(self._spec("probft", "silent").with_gossip(True))
+            assert context.execute().all_decided
+            deployment = weakref.ref(context.deployment)
+            del context
+            assert deployment() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_closed_deployment_stays_readable(self):
+        context = TrialContext(self._spec("probft", "silent"))
+        result = context.execute()
+        deployment = context.deployment
+        replica = deployment.replicas[1]
+        stats = deployment.vote_kernel_stats()
+        deployment.close()
+        deployment.close()  # idempotent
+        assert deployment.replicas == {} and deployment.sim.pending_events == 0
+        assert deployment.all_correct_decided() and deployment.agreement_ok
+        assert deployment.vote_kernel_stats() == stats
+        assert deployment.network.stats.sent_total == result.total_messages
+        assert deployment.sim.now == result.sim_time
+        assert replica.decision is not None and replica.current_view == 2
+
+    def test_half_built_deployment_is_not_closed(self):
+        from repro.core.protocol import ProBFTDeployment
+
+        # What the interpreter runs when ``__init__`` raised half way.
+        ProBFTDeployment.__new__(ProBFTDeployment).__del__()
 
 
 class TestCryptoPoolDeterminism:
