@@ -137,7 +137,7 @@ def cmd_smr(args) -> int:
     deployment.run(max_time=args.max_time)
     mean_latency = client.mean_latency()
     rows = [
-        ["slots applied", min(r.log.applied_up_to for r in deployment.replicas.values())],
+        ["slots applied", min(r.log.applied_up_to for r in deployment.correct_replicas().values())],
         ["logs consistent", deployment.logs_consistent()],
         ["states consistent", deployment.snapshots_consistent()],
         ["requests completed", f"{len(client.completed_requests())}/{len(client.requests)}"],

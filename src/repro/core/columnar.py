@@ -4,7 +4,8 @@ A ``_Bucket`` (a Python ``set`` + ``list``) per (replica, phase, view,
 value) plus a dict lookup per delivered vote means ~n·s live Python objects
 per trial, which dominate memory and cache misses at large n.  Production
 ProBFT deployments keep the same bookkeeping in preallocated numpy arrays
-shared by *all* replicas of a deployment:
+shared by *all* replicas of one consensus instance (a single-shot
+deployment, or one slot of the SMR service):
 
 * **voter bitmaps** — one packed ``uint64`` plane of shape ``(words, n)``
   per (phase, view, value) slot; bit ``signer`` of column ``dst`` says
@@ -47,9 +48,11 @@ and declines everything else.
 
 The reference semantics stay in :meth:`ProBFTReplica.on_message` over
 :class:`~repro.quorum.probabilistic.ProbabilisticQuorumCollector`
-(``reference=True`` deployments, SMR slots, Byzantine wrappers); a
-production run's :class:`~repro.harness.trial.RunResult` is **bit-identical**
-to the reference run for the same seed (``tests/test_reference_identity.py``).
+(``reference=True`` deployments, Byzantine wrappers); a production run's
+result — a single-shot :class:`~repro.harness.trial.RunResult`, or a serving
+trial's, where every SMR slot is one such instance with its own state and
+kernel — is **bit-identical** to the reference run for the same seed
+(``tests/test_reference_identity.py``).
 """
 
 from __future__ import annotations
@@ -135,21 +138,6 @@ class ColumnarVoteState:
     buckets with, plus the lazily-created per-(phase, view, value) slots.
     One instance is shared by every correct replica of a deployment.
     """
-
-    __slots__ = (
-        "n",
-        "q",
-        "words",
-        "views",
-        "decided",
-        "prepare_active",
-        "commit_active",
-        "correct",
-        "has_byz",
-        "_slots",
-        "_propose_verdicts",
-        "propose_validations",
-    )
 
     def __init__(self, n: int, q: int, correct_ids) -> None:
         self.n = n
@@ -373,46 +361,31 @@ class ColumnarVoteDispatch:
     policy's pruning and :meth:`ProBFTReplica.on_sample_message`'s
     per-recipient behaviour into array operations: it classifies the
     bucket with vectorized gathers over the mirror columns, applies the
-    accepted votes as masked scatters into the slot arrays, and only drops
-    to scalar code at the *stop points* the per-recipient loop also
+    accepted votes as one masked scatter into the slot arrays, and only
+    drops to scalar code at the *stop points* the per-recipient loop also
     serializes on: Byzantine recipients (arbitrary handlers) and quorum
-    completions (which can record a decision and flip the stop probe).
-    Between consecutive stop points every recipient's update is
-    independent — a fan-out's recipients are distinct (VRF samples are
-    drawn without replacement) and a delivery only mutates its own
-    recipient's columns — so applying a segment in one shot reorders
+    completions (which can record a decision and flip the stop probe), in
+    bucket order.  Every recipient's update is independent — a fan-out's
+    recipients are distinct (VRF samples are drawn without replacement), a
+    delivery only mutates its own recipient's columns, and no stop reads
+    another recipient's — so applying the bucket in one shot reorders
     nothing observable.  A one-recipient bucket takes the scalar branch
     (:meth:`_deliver_one`): same rules, no array temporaries.
 
     Returns the number of recipients delivered, or -1 to decline the whole
     bucket (the caller filters it and runs its generic per-recipient loop
     over the same arrays).  Decline rules: equivocal-flagged views (any
-    recipient may need the evidence), and any deployment with network
-    duplication enabled — duplicated recipients would appear twice in one
-    bucket and break the distinct-recipients invariant the masked scatters
-    rely on.  Invalid votes never touch a collector and take the
-    per-recipient :meth:`_deliver_odd` loop.  Anything that is not a vote
-    is the wish kernel's to take or decline.
+    recipient may need the evidence), votes that fail prevalidation (they
+    never reach a collector, but a conflicting leader statement riding on
+    one must still be able to trigger lines 23-25), and any deployment with
+    network duplication enabled — duplicated recipients would appear twice
+    in one bucket and break the distinct-recipients invariant the masked
+    scatter relies on.  Anything that is not a vote is the wish kernel's to
+    take or decline.
 
     ``vectorised``/``singleton``/``declined`` count the vote buckets that
-    took each route (non-votes and invalid votes are not counted).
+    took each route (non-votes are not counted).
     """
-
-    __slots__ = (
-        "_config",
-        "_crypto",
-        "_replicas",
-        "_correct",
-        "_handlers",
-        "_policy",
-        "_q",
-        "_state",
-        "_wishes",
-        "_dup",
-        "vectorised",
-        "singleton",
-        "declined",
-    )
 
     def __init__(
         self,
@@ -447,6 +420,14 @@ class ColumnarVoteDispatch:
             "declined": self.declined,
         }
 
+    def note_declined(self, message) -> None:
+        """Count a bucket the caller had to route around the kernels (the
+        SMR router: some recipient has not opened the slot)."""
+        if isinstance(getattr(message, "payload", None), (Prepare, Commit)):
+            self.declined += 1
+        else:
+            self._wishes.note_declined(message)
+
     def __call__(self, src, message, dsts, probe) -> int:
         if self._dup:
             # Declined unparsed (the fallback prevalidates once per bucket
@@ -458,11 +439,9 @@ class ColumnarVoteDispatch:
         token = prevalidate_vote(self._config, self._crypto, message)
         if token is None:
             return self._wishes(src, message, dsts, probe)
-        if token.view in self._policy._equivocal:
+        if not token.valid or token.view in self._policy._equivocal:
             self.declined += 1
             return -1
-        if not token.valid:
-            return self._deliver_odd(src, message, token, dsts, probe)
         if len(dsts) == 1:
             self.singleton += 1
             return self._deliver_one(src, message, token, dsts[0])
@@ -526,153 +505,56 @@ class ColumnarVoteDispatch:
             correct_D = state.correct[D]
             stops = fires | ~correct_D
 
+        # Every stop is either a quorum completion, whose handler is this
+        # kernel's own latch + quorum re-check and only reads its *own*
+        # replica's column, or a Byzantine recipient's handler, which holds
+        # a transport and nothing else — so everything the bucket writes
+        # (counting recipients and firing recipients alike; a fire's ``c+1``
+        # lands exactly at q) lands in ONE masked scatter before the scalar
+        # loop over the stops.  A probe early-exit then leaves later
+        # recipients over-applied relative to dense, which is unobservable:
+        # the probe mirrors ``stop_when``, so the run ends before anything
+        # reads their state, and the delivered count still follows dense.
+        idx = np.nonzero(new)[0]
+        if idx.size:
+            dn = D[idx]
+            c_old = c[idx]
+            slot.seen[wi, dn] |= bit
+            slot.counts[dn] = c_old + 1
+            if is_prepare:
+                slot.order[dn, c_old] = signer
+                if slot.msg_by_signer[signer] is None:
+                    slot.msg_by_signer[signer] = message
+            slot.fired[D[fires]] = True
+        replicas = self._replicas
         if all_elig:
-            future = None
+            counted = None
         else:
             # Views stuck at 0 (not started / Byzantine) are neither
             # at-view nor future; at-view-but-pruned is not future either.
             views_D = state.views[D]
             future = (views_D != 0) & (views_D < view)
-
-        replicas = self._replicas
-        order = slot.order
-        msg_by_signer = slot.msg_by_signer
-
-        stop_idx = np.nonzero(stops)[0]
-        if stop_idx.size == 0:
-            # No handler runs and no quorum completes: the whole bucket is
-            # one segment, applied in one masked scatter.
-            idx = np.nonzero(new)[0]
-            if idx.size:
-                dn = D[idx]
-                c_old = c[idx]
-                slot.seen[wi, dn] |= bit
-                slot.counts[dn] = c_old + 1
-                if is_prepare:
-                    order[dn, c_old] = signer
-                    if msg_by_signer[signer] is None:
-                        msg_by_signer[signer] = message
-            if all_elig:
-                return int(D.shape[0])
-            delivered = int(np.count_nonzero(elig))
+            counted = elig | future | stops
             if future.any():
-                delivered += int(np.count_nonzero(future))
                 for d in D[future].tolist():
                     replicas[d]._buffer_future(view, src, message)
-            return delivered
-
-        if correct_D is None:
-            # No-byz fire path: every stop is a quorum completion whose
-            # handler is this kernel's own latch + quorum re-check, and a
-            # re-check only reads its *own* replica's column — so all column
-            # updates (counting recipients and firing recipients alike; a
-            # fire's ``c+1`` lands exactly at q) can land in ONE masked
-            # scatter before the scalar re-check loop.  A probe early-exit
-            # then leaves later recipients' columns over-applied relative to
-            # dense, which is unobservable: the probe mirrors ``stop_when``,
-            # so the run ends before anything reads those columns, and the
-            # delivered count returned below still follows dense exactly.
-            idx = np.nonzero(new)[0]
-            dn = D[idx]
-            slot.seen[wi, dn] |= bit
-            c_old = c[idx]
-            slot.counts[dn] = c_old + 1
-            if is_prepare:
-                order[dn, c_old] = signer
-                if msg_by_signer[signer] is None:
-                    msg_by_signer[signer] = message
-            slot.fired[D[stop_idx]] = True
-            delivered = 0
-            start = 0
-            for si, d in zip(
-                stop_idx.tolist(), D[stop_idx].tolist()
-            ):
-                if all_elig:
-                    delivered = si + 1
-                else:
-                    sl = slice(start, si)
-                    delivered += int(np.count_nonzero(elig[sl])) + 1
-                    if future[sl].any():
-                        delivered += int(np.count_nonzero(future[sl]))
-                        for fd in D[sl][future[sl]].tolist():
-                            replicas[fd]._buffer_future(view, src, message)
-                start = si + 1
-                replica = replicas[d]
-                if is_prepare:
-                    replica._try_form_prepared()
-                else:
-                    replica._try_decide()
-                # Dense probes before the delivery after any stop event; a
-                # trailing probe with nothing left returns the same count.
-                if probe is not None and probe():
-                    return delivered
-            if all_elig:
-                return int(D.shape[0])
-            sl = slice(start, D.shape[0])
-            delivered += int(np.count_nonzero(elig[sl]))
-            if future[sl].any():
-                delivered += int(np.count_nonzero(future[sl]))
-                for fd in D[sl][future[sl]].tolist():
-                    replicas[fd]._buffer_future(view, src, message)
-            return delivered
-
-        def span(a: int, b: int) -> int:
-            """Apply one stop-free segment's updates; returns deliveries."""
-            if b <= a:
-                return 0
-            sl = slice(a, b)
-            nw = new[sl]
-            if nw.any():
-                idx = np.nonzero(nw)[0] + a
-                dn = D[idx]
-                slot.seen[wi, dn] |= bit
-                c_old = c[idx]
-                slot.counts[dn] = c_old + 1
-                if is_prepare:
-                    order[dn, c_old] = signer
-                    if msg_by_signer[signer] is None:
-                        msg_by_signer[signer] = message
-            if all_elig:
-                return b - a
-            n_delivered = int(np.count_nonzero(elig[sl]))
-            if future[sl].any():
-                n_delivered += int(np.count_nonzero(future[sl]))
-                for d in D[sl][future[sl]].tolist():
-                    replicas[d]._buffer_future(view, src, message)
-            return n_delivered
-
-        handlers = self._handlers
-        delivered = 0
-        start = 0
-        for si in stop_idx.tolist():
-            delivered += span(start, si)
-            d = int(D[si])
-            delivered += 1
-            if correct_D is None or correct_D[si]:
-                # Quorum completion: latch the slot, then run the quorum
-                # re-check — the facade table materializes the collector
-                # the replica reads, backed by these same arrays.
-                slot.seen[wi, d] |= bit
-                slot.counts[d] = q
-                if is_prepare:
-                    order[d, q - 1] = signer
-                    if msg_by_signer[signer] is None:
-                        msg_by_signer[signer] = message
-                slot.fired[d] = True
-                replica = replicas[d]
-                if is_prepare:
-                    replica._try_form_prepared()
-                else:
-                    replica._try_decide()
+        stop_idx = np.nonzero(stops)[0]
+        for si, d in zip(stop_idx.tolist(), D[stop_idx].tolist()):
+            if correct_D is not None and not correct_D[si]:
+                self._handlers[d](src, message)  # arbitrary handler
+            elif is_prepare:
+                replicas[d]._try_form_prepared()
             else:
-                handlers[d](src, message)  # arbitrary handler: stop point
-            start = si + 1
+                replicas[d]._try_decide()
             # Dense probes before the delivery after any stop event; a
             # trailing probe with nothing left returns the same count.
-            if probe is not None and delivered and probe():
-                return delivered
-        delivered += span(start, D.shape[0])
-        return delivered
+            if probe is not None and probe():
+                if counted is None:
+                    return si + 1
+                return int(np.count_nonzero(counted[: si + 1]))
+        if counted is None:
+            return int(D.shape[0])
+        return int(np.count_nonzero(counted))
 
     def _deliver_one(self, src, message, token, d) -> int:
         """The scalar branch: one valid vote, one recipient.
@@ -710,55 +592,3 @@ class ColumnarVoteDispatch:
         ):
             replica._try_decide()
         return 1
-
-    def _deliver_odd(self, src, message, token, dsts, probe) -> int:
-        """Per-recipient loop for votes that fail prevalidation.
-
-        Such a vote can never reach a collector, but it still has to be
-        routed: Byzantine recipients get it verbatim, future views buffer
-        it, and a leader-signed conflicting statement riding on it must
-        still be able to trigger lines 23-25.
-        """
-        view = token.view
-        value = token.value
-        eq_candidate = token.eq_candidate
-        correct = self._correct
-        replicas = self._replicas
-        handlers = self._handlers
-        delivered = 0
-        check_stop = False
-        for dst in dsts:
-            if check_stop:
-                if probe is not None and delivered and probe():
-                    return delivered
-                check_stop = False
-            if dst not in correct:
-                delivered += 1
-                handlers[dst](src, message)
-                check_stop = True
-                continue
-            replica = replicas[dst]
-            cur = replica._cur_view
-            if view != cur:
-                if cur == 0 or view < cur:
-                    continue
-                delivered += 1
-                replica._buffer_future(view, src, message)
-                continue
-            if token.is_prepare:
-                if view in replica._committed_views:
-                    continue
-            elif replica._decision is not None:
-                continue
-            if dst not in token.members:
-                continue
-            delivered += 1
-            if (
-                eq_candidate
-                and replica._voted
-                and not replica._block_view
-                and value != replica._cur_val
-            ):
-                replica._process_current(src, message)
-                check_stop = True
-        return delivered

@@ -1,24 +1,25 @@
-"""The single-shot deployment base every protocol subclasses.
+"""The deployment base every protocol — and the SMR service — subclasses.
 
 :class:`Deployment` builds the simulator, network, crypto context and ``n``
 replicas (honest by default; Byzantine replicas are supplied as factories
-from :mod:`repro.adversary`), then drives the run until all correct
-replicas decide (or a time/event budget runs out).  A protocol supplies its
-honest replica class and a key-pool label; ProBFT additionally overrides
-the stack hooks to install its observation policy and vote kernel
-(:class:`repro.core.protocol.ProBFTDeployment`).
+from :mod:`repro.adversary`), then drives the run until its stop condition
+holds (or a time/event budget runs out).  A protocol supplies its honest
+replica class, a key-pool label and its :class:`InstanceStack`; the SMR
+service (:class:`repro.smr.service.SMRDeployment`) supplies replicas that
+host one consensus instance per slot and a router over one stack per slot.
 
 Every deployment delivers fan-outs coalesced (one simulator event per
-distinct delivery time, :mod:`repro.net.sparse`) and hands Wish fan-outs to
-the one wish kernel over synchronizer columns shared by its correct replicas
-(:mod:`repro.sync.columns`), so a view change costs every protocol one call
-per broadcast instead of one handler per delivery.  ``reference=True``
+distinct delivery time, :mod:`repro.net.sparse`) and hands each bucket to
+its instance's kernel: Wish fan-outs go to the one wish kernel over
+synchronizer columns shared by the instance's correct replicas
+(:mod:`repro.sync.columns`), and ProBFT adds its observation policy and
+vote kernel (:class:`repro.core.protocol.ProBFTStack`).  ``reference=True``
 builds the test oracle instead: per-recipient delivery, per-message
 handlers, per-replica wish ledgers, set-based quorum collectors — Algorithm
 1 with nothing batched.  The identity suite
-(``tests/test_reference_identity.py``) pins the two to equal
-:class:`~repro.harness.trial.RunResult`\\ s; :meth:`Deployment.
-vote_kernel_stats` says which route each bucket took.
+(``tests/test_reference_identity.py``) pins the two to equal results, for
+single-shot trials and for serving; :meth:`Deployment.vote_kernel_stats`
+says which route each bucket took.
 
 A deployment owns its replica graph and takes it apart
 (:meth:`Deployment.close`) when its last holder lets go of it, so every
@@ -67,17 +68,64 @@ def default_value(replica: ReplicaId) -> Value:
     return f"value-{replica}".encode()
 
 
+class InstanceStack:
+    """One consensus instance's share of a coalescing network.
+
+    The correct replicas that have joined the instance, the delivery policy
+    that rules on its fan-outs and the kernel its buckets go to: the wish
+    kernel here, with ProBFT's vote kernel in front of it in
+    :class:`~repro.core.protocol.ProBFTStack`.  A single-shot deployment
+    holds one, joined by every correct replica at construction; the SMR
+    service holds one per open slot, joined by each replica as it opens the
+    slot.  ``handlers`` are the instance's plain handlers (what its
+    Byzantine seats are handed).
+    """
+
+    #: Extra constructor arguments of the instance's honest replicas.
+    replica_kwargs: dict = {}
+
+    def __init__(
+        self, config, crypto, correct_ids, byzantine_ids, handlers, dup_possible=False
+    ) -> None:
+        self.replicas: Dict[ReplicaId, object] = {}
+        # Deterministic-quorum votes go to everyone, so the default has
+        # nothing to prune: pure event coalescing, which is what tames the
+        # O(n^2) broadcast storms, plus the wish kernel.
+        self.policy = CoalescingDelivery()
+        self.wishes = WishDispatch(
+            config.n, config.f, crypto.signatures, {}, handlers, dup_possible
+        )
+        self.kernel: Callable = self.wishes
+
+    def join(self, replica_id: ReplicaId, replica) -> None:
+        """A correct replica (not yet started) joins: its synchronizer moves
+        onto the instance's shared columns."""
+        self.replicas[replica_id] = replica
+        self.wishes.attach(replica_id, replica.synchronizer)
+
+    def stats(self) -> Dict[str, int]:
+        return self.wishes.stats()
+
+    def detach(self) -> None:
+        """Forget the replicas (teardown): they point at the network, whose
+        policy points here."""
+        self.replicas.clear()
+        self.wishes.detach()
+
+
 class Deployment:
-    """One consensus instance: n replicas, a network, and a clock.
+    """n replicas, a network, and a clock — by default one consensus instance.
 
     Subclasses set :attr:`replica_class` (constructed with ``replica_id``,
     ``config``, ``crypto``, ``transport``, ``my_value``, ``timeout_policy``,
-    ``on_decide`` plus :meth:`_replica_kwargs`) and :attr:`pool_label`.
+    ``on_decide`` plus :meth:`_replica_kwargs`), :attr:`pool_label` and
+    :attr:`stack_class`.
     """
 
     replica_class: type
     #: Domain label of the pooled key registry (distinct per protocol).
     pool_label: str
+    stack_class: type = InstanceStack
 
     def __init__(
         self,
@@ -117,7 +165,6 @@ class Deployment:
         )
         self.decisions: Dict[ReplicaId, Decision] = {}
         self.replicas: Dict[ReplicaId, object] = {}
-        self._wish_kernel: Optional[WishDispatch] = None
 
         byzantine = byzantine or {}
         if len(byzantine) > config.f:
@@ -128,31 +175,14 @@ class Deployment:
         self._correct_ids: FrozenSet[ReplicaId] = (
             frozenset(range(config.n)) - self.byzantine_ids
         )
-        values = values or {}
-
-        # Nothing a replica holds may point back at the deployment (see
-        # ``close``), so decisions are recorded through the dict alone.
-        decisions = self.decisions
-
-        def record_decision(decision: Decision) -> None:
-            decisions[decision.replica] = decision
-
-        replica_kwargs = self._replica_kwargs()
+        self.stack = self._new_stack()
+        build = self._replica_factory(values or {}, timeout_policy)
         for r in range(config.n):
             transport = self._transport(r)
             if r in byzantine:
                 replica = byzantine[r](r, config, self.crypto, transport)
             else:
-                replica = self.replica_class(
-                    replica_id=r,
-                    config=config,
-                    crypto=self.crypto,
-                    transport=transport,
-                    my_value=values.get(r, default_value(r)),
-                    timeout_policy=timeout_policy,
-                    on_decide=record_decision,
-                    **replica_kwargs,
-                )
+                replica = build(r, transport)
             self.network.register(r, self._handler(r, replica))
             self.replicas[r] = replica
         if not reference:
@@ -162,10 +192,45 @@ class Deployment:
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
+    def _new_stack(self) -> Optional[InstanceStack]:
+        """The production stack the replicas are built against (``None`` for
+        the oracle); called once network and crypto exist."""
+        if self.reference:
+            return None
+        return self.stack_class(
+            self.config,
+            self.crypto,
+            self._correct_ids,
+            self.byzantine_ids,
+            self.network._handlers,
+            self.duplicate_prob > 0.0,
+        )
+
+    def _replica_factory(self, values, timeout_policy) -> Callable:
+        """``build(replica_id, transport)`` for the honest replicas."""
+        # Nothing a replica holds may point back at the deployment (see
+        # ``close``), so decisions are recorded through the dict alone.
+        decisions = self.decisions
+
+        def record_decision(decision: Decision) -> None:
+            decisions[decision.replica] = decision
+
+        replica_kwargs = self._replica_kwargs()
+        return lambda r, transport: self.replica_class(
+            replica_id=r,
+            config=self.config,
+            crypto=self.crypto,
+            transport=transport,
+            my_value=values.get(r, default_value(r)),
+            timeout_policy=timeout_policy,
+            on_decide=record_decision,
+            **replica_kwargs,
+        )
+
     def _replica_kwargs(self) -> dict:
         """Extra keyword arguments for every honest replica (called once,
-        after network and crypto exist, before any replica is built)."""
-        return {}
+        after network, crypto and stack exist, before any replica is built)."""
+        return dict(self.stack.replica_kwargs) if self.stack is not None else {}
 
     def _transport(self, replica: ReplicaId) -> Transport:
         return Transport(self.network, replica)
@@ -174,27 +239,17 @@ class Deployment:
         return replica.on_message
 
     def _install_stack(self) -> None:
-        """Attach the production delivery stack (skipped by the oracle).
-
-        Deterministic-quorum votes go to everyone, so the default has
-        nothing to prune: pure event coalescing, which is what tames the
-        O(n^2) broadcast storms, plus the wish kernel.
-        """
-        self.network.use_delivery_policy(CoalescingDelivery())
-        self.network.use_bulk_handler(self._install_wish_kernel())
-
-    def _install_wish_kernel(self) -> WishDispatch:
-        """Move every correct replica's synchronizer onto shared columns and
-        return the bucket kernel that writes them."""
-        self._wish_kernel = WishDispatch(
-            self.config.n,
-            self.config.f,
-            self.crypto.signatures,
-            {r: self.replicas[r].synchronizer for r in self._correct_ids},
-            self.network._handlers,
-            dup_possible=self.duplicate_prob > 0.0,
-        )
-        return self._wish_kernel
+        """Put the production stack on the network (skipped by the oracle)."""
+        stack, network = self.stack, self.network
+        for r in self._correct_ids:
+            stack.join(r, self.replicas[r])
+            batch = getattr(self.replicas[r], "on_sample_message", None)
+            if batch is not None:
+                # Buckets the kernel declines fall back to the batched
+                # per-recipient handler (one shared prevalidation per bucket).
+                network.register_batch(r, batch)
+        network.use_delivery_policy(stack.policy)
+        network.use_bulk_handler(stack.kernel)
 
     # ------------------------------------------------------------------
     # Driving
@@ -212,9 +267,18 @@ class Deployment:
         max_events: int = 5_000_000,
         stop_when_decided: bool = True,
     ) -> "Deployment":
-        """Run until every correct replica decides (or a budget runs out)."""
-        self.start()
+        """Run until every correct replica is done (or a budget runs out)."""
         stop = self.all_correct_decided if stop_when_decided else None
+        return self.run_until(stop, max_time, max_events)
+
+    def run_until(
+        self,
+        stop: Optional[Callable[[], bool]],
+        max_time: Optional[float] = None,
+        max_events: int = 5_000_000,
+    ) -> "Deployment":
+        """Run until ``stop()`` holds (or a budget runs out)."""
+        self.start()
         # Coalesced fan-outs probe this between deliveries, which keeps the
         # per-delivery stop granularity of the per-recipient loop.
         self.network.stop_probe = stop
@@ -245,8 +309,8 @@ class Deployment:
         self.replicas.clear()
         self.sim.clear()
         self.network.disconnect()
-        if self._wish_kernel is not None:
-            self._wish_kernel.detach()
+        if self.stack is not None:
+            self.stack.detach()
 
     def __del__(self) -> None:
         # Nothing inside points at the deployment, so this runs as soon as
@@ -271,8 +335,8 @@ class Deployment:
         one per distinct Propose object).
         """
         stats = dict.fromkeys(KERNEL_STATS, 0)
-        if self._wish_kernel is not None:
-            stats.update(self._wish_kernel.stats())
+        if self.stack is not None:
+            stats.update(self.stack.stats())
         return stats
 
     @property

@@ -1,12 +1,14 @@
 """Deployment wiring: run a ProBFT consensus instance on a simulated network.
 
-:class:`ProBFTDeployment` is the shared :class:`~repro.core.deployment.
-Deployment` with ProBFT's stack on top: votes reach only the recipients
-that can observe them (:class:`~repro.core.observation.
-SampleObservationPolicy`), whole vote buckets are applied by one kernel
-over array-backed quorum state (:mod:`repro.core.columnar`), which passes
-Wish buckets on to the shared wish kernel, a Propose is validated once per
-message object, and the leader's proposal optionally travels by gossip.
+:class:`ProBFTStack` is what one ProBFT instance puts on the network: votes
+reach only the recipients that can observe them (:class:`~repro.core.
+observation.SampleObservationPolicy`), whole vote buckets are applied by
+one kernel over array-backed quorum state (:mod:`repro.core.columnar`),
+which passes Wish buckets on to the shared wish kernel, and a Propose is
+validated once per message object.  :class:`ProBFTDeployment` is the shared
+:class:`~repro.core.deployment.Deployment` over one such stack (the SMR
+service holds one per open slot), with the leader's proposal optionally
+travelling by gossip.
 """
 
 from __future__ import annotations
@@ -18,9 +20,43 @@ from ..net.network import DeliveryHandler
 from ..net.transport import Transport
 from ..types import ReplicaId
 from .columnar import ColumnarVoteDispatch, ColumnarVoteState
-from .deployment import Deployment
+from .deployment import Deployment, InstanceStack
 from .observation import SampleObservationPolicy
 from .replica import ProBFTReplica
+
+
+class ProBFTStack(InstanceStack):
+    """One ProBFT instance: shared columnar vote state (one set of arrays for
+    every correct replica, whose collector tables become facades over it),
+    the observation policy, and the vote kernel in front of the wish kernel."""
+
+    def __init__(
+        self, config, crypto, correct_ids, byzantine_ids, handlers, dup_possible=False
+    ) -> None:
+        super().__init__(
+            config, crypto, correct_ids, byzantine_ids, handlers, dup_possible
+        )
+        self.state = ColumnarVoteState(config.n, config.q, correct_ids)
+        self.replica_kwargs = {"columnar_state": self.state}
+        self.policy = SampleObservationPolicy(config, byzantine_ids, self.replicas)
+        self.kernel = ColumnarVoteDispatch(
+            config,
+            crypto,
+            self.replicas,
+            correct_ids,
+            handlers,
+            self.policy,
+            self.state,
+            self.wishes,
+            dup_possible=dup_possible,
+        )
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            **self.wishes.stats(),
+            **self.kernel.stats(),
+            "propose_validations": self.state.propose_validations,
+        }
 
 
 class ProBFTDeployment(Deployment):
@@ -40,6 +76,7 @@ class ProBFTDeployment(Deployment):
 
     replica_class = ProBFTReplica
     pool_label = "deployment"
+    stack_class = ProBFTStack
 
     def __init__(
         self,
@@ -61,30 +98,21 @@ class ProBFTDeployment(Deployment):
         self._gossip_fanout = gossip_fanout
         self._gossip_rounds = gossip_rounds
         self.disseminator: Optional[object] = None
-        self._kernel: Optional[ColumnarVoteDispatch] = None
         super().__init__(config, seed, **deployment_kwargs)
 
     def _replica_kwargs(self) -> dict:
-        config = self.config
-        # Shared columnar vote state: one set of arrays for every correct
-        # replica; the per-replica collector tables become facades over it.
-        self._columnar_state = (
-            None
-            if self.reference
-            else ColumnarVoteState(config.n, config.q, self._correct_ids)
-        )
         if self.dissemination == "gossip":
             from ..net.gossip import GossipDisseminator
 
             self.disseminator = GossipDisseminator(
                 self.network,
-                config.n,
+                self.config.n,
                 self.seed,
                 fanout=self._gossip_fanout,
                 rounds=self._gossip_rounds,
                 byzantine_ids=self.byzantine_ids,
             )
-        return {"trace": self._trace, "columnar_state": self._columnar_state}
+        return {"trace": self._trace, **super()._replica_kwargs()}
 
     def _transport(self, replica: ReplicaId) -> Transport:
         transport = Transport(self.network, replica)
@@ -101,33 +129,3 @@ class ProBFTDeployment(Deployment):
             # the protocol sees the payload.
             handler = self.disseminator.wrap_handler(replica_id, handler)
         return handler
-
-    def _install_stack(self) -> None:
-        policy = SampleObservationPolicy(
-            self.config, self.byzantine_ids, self.replicas
-        )
-        network = self.network
-        network.use_delivery_policy(policy)
-        # Buckets the kernel declines fall back to the batched per-recipient
-        # handler (one shared prevalidation per bucket).
-        for r in self._correct_ids:
-            network.register_batch(r, self.replicas[r].on_sample_message)
-        self._kernel = ColumnarVoteDispatch(
-            self.config,
-            self.crypto,
-            self.replicas,
-            self._correct_ids,
-            network._handlers,
-            policy,
-            self._columnar_state,
-            self._install_wish_kernel(),
-            dup_possible=self.duplicate_prob > 0.0,
-        )
-        network.use_bulk_handler(self._kernel)
-
-    def vote_kernel_stats(self) -> Dict[str, int]:
-        stats = super().vote_kernel_stats()
-        if self._kernel is not None:
-            stats.update(self._kernel.stats())
-            stats["propose_validations"] = self._columnar_state.propose_validations
-        return stats

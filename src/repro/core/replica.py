@@ -26,8 +26,8 @@ messages for past views are dropped — the paper's "a receiver will only
 accept a message if its own view matches the view of the sender".
 
 :meth:`ProBFTReplica.on_message` over set-based quorum collectors is the
-reference: what ``reference=True`` deployments, SMR slots and Byzantine
-wrappers run.  Production deployments hand vote fan-outs to the bucket
+reference: what ``reference=True`` deployments and Byzantine wrappers
+run.  Production deployments hand vote fan-outs to the bucket
 kernel in :mod:`repro.core.columnar` instead, which shares this module's
 :func:`prevalidate_vote` and the replica's quorum re-checks;
 :meth:`ProBFTReplica.on_sample_message` is the per-recipient fallback for
@@ -43,7 +43,7 @@ per-recipient conditions of lines 13-16 (``blockView``, ``voted``) stay in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..config import ProtocolConfig
 from ..crypto.context import CryptoContext
@@ -68,7 +68,7 @@ FUTURE_BUFFER_LIMIT = 4096
 DecisionCallback = Callable[[Decision], None]
 
 
-class _VoteToken:
+class _VoteToken(NamedTuple):
     """Recipient-independent validation of one Prepare/Commit vote.
 
     Computed once per coalesced fan-out bucket and shared by every recipient
@@ -79,26 +79,13 @@ class _VoteToken:
     never of the receiving replica.
     """
 
-    __slots__ = (
-        "is_prepare",
-        "view",
-        "value",
-        "signer",
-        "members",
-        "valid",
-        "eq_candidate",
-    )
-
-    def __init__(
-        self, is_prepare, view, value, signer, members, valid, eq_candidate
-    ) -> None:
-        self.is_prepare = is_prepare
-        self.view = view
-        self.value = value
-        self.signer = signer
-        self.members = members
-        self.valid = valid
-        self.eq_candidate = eq_candidate
+    is_prepare: bool
+    view: View
+    value: Value
+    signer: ReplicaId
+    members: frozenset
+    valid: bool
+    eq_candidate: bool
 
 
 def prevalidate_vote(
@@ -340,12 +327,11 @@ class ProBFTReplica:
             if token.is_prepare
             else self._commit_collectors
         )
-        collector = table.get(cur)
-        if collector is None:
-            collector = table[cur] = ProbabilisticQuorumCollector(self._q)
-        # The quorum re-checks are no-ops unless this add completed one —
-        # unlike the generic path we only pay them when it did.
-        if collector.add(token.value, token.signer, message):
+        # The table is array-backed wherever fan-outs are batched, and builds
+        # the collector on lookup.  The quorum re-checks are no-ops unless
+        # this add completed one — unlike the generic path we only pay them
+        # when it did.
+        if table.get(cur).add(token.value, token.signer, message):
             if token.is_prepare:
                 self._try_form_prepared()
             else:

@@ -13,7 +13,7 @@ and of whether the sender is faulty*.
 * :mod:`repro.net.network` — the network itself: routing, GST enforcement,
   per-type message accounting (used by the Figure-1b benchmarks).
 * :mod:`repro.net.sparse` — delivery policies: coalesced fan-out events
-  (and protocol-aware pruning), attached by every single-shot deployment.
+  (and protocol-aware pruning), attached by every production deployment.
 * :mod:`repro.net.transport` — the per-replica send/broadcast/multicast API.
 """
 

@@ -25,7 +25,7 @@ from .sparse import SparseDeliveryPolicy
 #: Handler invoked on delivery: ``handler(src, message)``.
 DeliveryHandler = Callable[[ReplicaId, object], None]
 
-#: Batched handler used inside coalesced fan-outs (sparse mode only):
+#: Batched handler used inside coalesced fan-outs:
 #: ``handler(src, message, shared)`` where ``shared`` is a scratch dict the
 #: recipients of one fan-out event use to share message-level validation work.
 BatchDeliveryHandler = Callable[[ReplicaId, object, dict], None]
@@ -108,15 +108,7 @@ class MessageStats:
     def record_send(
         self, src: ReplicaId, message: object, size: Optional[int] = None
     ) -> None:
-        name = message_type_name(message)
-        self._sent.bump(name)
-        self.sent_by_replica[src] += 1
-        self.sent_total += 1
-        if size is not None:
-            self._bytes.bump(name, size)
-            self.bytes_total += size
-        if self.track_history:
-            self.history.append(("send", src, name, 1, size))
+        self.record_multicast(src, message, 1, size)
 
     def record_multicast(
         self,
@@ -125,11 +117,8 @@ class MessageStats:
         count: int,
         size: Optional[int] = None,
     ) -> None:
-        """Record ``count`` sends of one message in bulk (sparse fan-outs).
-
-        Totals are exactly what ``count`` calls to :meth:`record_send` would
-        produce — Figure-1b accounting is unchanged by coalescing.
-        """
+        """Record ``count`` sends of one message (a whole fan-out at once:
+        Figure-1b accounting is unchanged by coalescing)."""
         if count <= 0:
             return
         name = message_type_name(message)
@@ -143,11 +132,7 @@ class MessageStats:
             self.history.append(("send", src, name, count, size))
 
     def record_delivery(self, message: object) -> None:
-        name = message_type_name(message)
-        self._delivered.bump(name)
-        self.delivered_total += 1
-        if self.track_history:
-            self.history.append(("deliver", name, 1))
+        self.record_bulk_delivery(message, 1)
 
     def record_bulk_delivery(self, message: object, count: int) -> None:
         """Record ``count`` deliveries of one message in bulk (fan-outs)."""
@@ -244,8 +229,8 @@ class Network:
     ) -> None:
         """Attach a batched fast-path handler used by coalesced fan-outs.
 
-        Only consulted in sparse mode; the replica must still register a
-        plain handler (unicast sends and dense mode always use it).
+        The replica must still register a plain handler (unicast sends and
+        the oracle's per-recipient delivery always use it).
         """
         if replica not in self._handlers:
             raise NotRegisteredError(
@@ -254,7 +239,7 @@ class Network:
         self._batch_handlers[replica] = handler
 
     def use_bulk_handler(self, handler: Optional[Callable]) -> None:
-        """Attach a bucket-level delivery kernel (sparse mode only).
+        """Attach a bucket-level delivery kernel for coalesced fan-outs.
 
         ``handler(src, message, dsts, probe)`` may deliver a whole coalesced
         bucket in one call, returning the number of recipients delivered —
@@ -275,7 +260,7 @@ class Network:
         """Switch multicast/broadcast to the sparse coalesced fan-out path.
 
         ``None`` restores dense mode (one simulator event per recipient):
-        what the SMR service and ``reference=True`` deployments run.
+        what ``reference=True`` deployments, the test oracle, run.
         """
         self._delivery = policy
 
@@ -360,21 +345,11 @@ class Network:
         self, src: ReplicaId, message: object, include_self: bool = False
     ) -> None:
         """Send ``message`` to all replicas (excluding ``src`` unless asked)."""
-        if self._delivery is not None:
-            self._sparse_dispatch(
-                src,
-                (
-                    dst
-                    for dst in range(self._n)
-                    if dst != src or include_self
-                ),
-                message,
-            )
-            return
-        for dst in range(self._n):
-            if dst == src and not include_self:
-                continue
-            self.send(src, dst, message)
+        self.multicast(
+            src,
+            (dst for dst in range(self._n) if dst != src or include_self),
+            message,
+        )
 
     def _sparse_dispatch(
         self, src: ReplicaId, targets: Iterable[ReplicaId], message: object

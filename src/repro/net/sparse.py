@@ -1,15 +1,16 @@
 """Coalesced delivery policies — how `Network` fan-outs reach the kernel.
 
 A per-recipient fan-out costs one simulator event per ``(message,
-recipient)`` pair; at n≥500 that per-event python cost (heap push and pop,
-one closure, per-delivery stats) dominates a trial.  With a
+recipient)`` pair, and that per-event python cost (heap push and pop, one
+closure, per-delivery stats) dominates a trial.  With a
 :class:`SparseDeliveryPolicy` attached via
 :meth:`Network.use_delivery_policy` — every single-shot deployment attaches
-one — ``multicast``/``broadcast`` schedule *one simulator event per distinct
+one, the SMR service its slot router over one policy per open slot —
+``multicast``/``broadcast`` schedule *one simulator event per distinct
 delivery time*, delivering to every recipient in that time bucket, with
 send stats recorded in bulk.  The per-recipient ``Network.send`` loop stays
-for unicast, for the SMR service, and as the reference the identity tests
-compare against (``reference=True`` deployments attach no policy).
+for unicast and as the reference the identity tests compare against
+(``reference=True`` deployments attach no policy).
 
 Equivalence contract (what makes coalesced == per-recipient bit-identical):
 

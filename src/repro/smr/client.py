@@ -8,9 +8,7 @@ authoritative).
 
 Request identity is the envelope, not the payload: two clients submitting
 ``b"INC"`` — or one client submitting it twice — are distinct requests with
-distinct log entries and independently tracked latencies.  Payload-keyed
-tracking (the original design) made equal payloads collide with a
-``ValueError``, which no real workload survives.
+distinct log entries and independently tracked latencies.
 
 Clients may attach to a deployment at any time.  A client constructed
 after ``deployment.start()`` replays the applies the deployment has
@@ -28,7 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..harness.metrics import LatencyAccumulator, percentile
 from ..types import ReplicaId, Value
-from .encoding import commands_in, decode_request, encode_request
+from .encoding import encode_request
 from .service import SMRDeployment
 
 
@@ -43,6 +41,21 @@ def majority_slot(history: Mapping[ReplicaId, int]) -> int:
     counts = Counter(history.values())
     top = max(counts.values())
     return min(slot for slot, count in counts.items() if count == top)
+
+
+def applied_requests(
+    deployment: SMRDeployment, client_ids
+) -> Dict[Tuple[int, int], Dict[ReplicaId, int]]:
+    """Late-attach replay: ``(client_id, seq) -> {replica: slot}`` for every
+    request of ``client_ids`` the deployment has already applied (empty —
+    and free — on a fresh deployment)."""
+    history: Dict[Tuple[int, int], Dict[ReplicaId, int]] = {}
+    for replica_id, entries in deployment.applied.items():
+        for slot, value in entries:
+            for _command, request in deployment.stack.decode(value):
+                if request is not None and request[0] in client_ids:
+                    history.setdefault(request[:2], {})[replica_id] = slot
+    return history
 
 
 @dataclass
@@ -106,17 +119,12 @@ class SMRClient:
         # ``submit`` call: the replayed pre-attach history plus live applies
         # for not-yet-resubmitted requests.  Keyed by request id ->
         # {replica: slot}.
-        self._history: Dict[Tuple[int, int], Dict[ReplicaId, int]] = {}
+        self._history = applied_requests(deployment, (self.client_id,))
         # Register for this client id's applies: the deployment decodes each
-        # command once and dispatches to the owning client, so attaching
-        # thousands of clients costs O(1) per apply instead of the old
-        # chained-recorder fan-out where every client re-decoded every
-        # command.
+        # command once and dispatches to the owning client (O(1) per apply),
+        # and holds the watcher weakly — a client lives as long as its user
+        # keeps it.
         deployment.watch_applies(self.client_id, self._on_request_apply)
-        # Late-attach replay: applies recorded before this client existed.
-        for replica_id, entries in deployment.applied.items():
-            for slot, value in entries:
-                self._note_history(replica_id, slot, value)
 
     # ------------------------------------------------------------------
     def submit(
@@ -169,14 +177,6 @@ class SMRClient:
         if record.completed and self.on_complete is not None:
             self.on_complete(record)
         return record
-
-    def _note_history(self, replica: ReplicaId, slot: int, value: Value) -> None:
-        for command in commands_in(value):
-            decoded = decode_request(command)
-            if decoded is None or decoded[0] != self.client_id:
-                continue
-            _client_id, seq, _payload = decoded
-            self._history.setdefault((self.client_id, seq), {})[replica] = slot
 
     def _on_request_apply(
         self,

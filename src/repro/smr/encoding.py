@@ -25,7 +25,7 @@ and ``commands_in(b"INC") == [b"INC"]``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..types import Value
 
@@ -38,6 +38,7 @@ __all__ = [
     "encode_batch",
     "decode_batch",
     "commands_in",
+    "SlotValueDecoder",
 ]
 
 #: Frame marker for request envelopes: ``\x01R`` + client_id + seq + payload.
@@ -134,3 +135,27 @@ def commands_in(value: Value) -> List[Value]:
     """The commands a slot value orders: batch elements, or the value itself."""
     decoded = decode_batch(value)
     return [value] if decoded is None else decoded
+
+
+class SlotValueDecoder:
+    """Decodes each distinct slot value once for everyone who shares it.
+
+    ``decoder(value)`` is the value's commands, each paired with its decoded
+    request envelope (``None`` for a bare command): what every replica's
+    log, requeue scan and apply notification need of a decided batch.  The
+    deployment owns one and clears it at teardown.
+    """
+
+    def __init__(self) -> None:
+        self._decoded: Dict[Value, Tuple[tuple, ...]] = {}
+
+    def clear(self) -> None:
+        self._decoded.clear()
+
+    def __call__(self, value: Value) -> Tuple[tuple, ...]:
+        decoded = self._decoded.get(value)
+        if decoded is None:
+            decoded = self._decoded[value] = tuple(
+                (command, decode_request(command)) for command in commands_in(value)
+            )
+        return decoded

@@ -18,14 +18,18 @@ from typing import Dict, List, Optional, Tuple
 
 from ..types import Value
 from .app import StateMachine
-from .encoding import commands_in, request_payload
+from .encoding import SlotValueDecoder
 
 
 class DecisionLog:
     """Slot-indexed log with in-order application to a state machine."""
 
-    def __init__(self, app: StateMachine) -> None:
+    def __init__(
+        self, app: StateMachine, decode: Optional[SlotValueDecoder] = None
+    ) -> None:
         self._app = app
+        #: Shared with the deployment's other replicas when one is passed.
+        self._decode = decode if decode is not None else SlotValueDecoder()
         self._decided: Dict[int, Value] = {}
         self._results: Dict[int, Tuple[Value, ...]] = {}
         self._applied_up_to = 0  # highest contiguously applied slot
@@ -38,9 +42,6 @@ class DecisionLog:
     def app(self) -> StateMachine:
         return self._app
 
-    def decided_slots(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._decided))
-
     def value_of(self, slot: int) -> Optional[Value]:
         return self._decided.get(slot)
 
@@ -49,7 +50,7 @@ class DecisionLog:
         value = self._decided.get(slot)
         if value is None:
             return ()
-        return tuple(commands_in(value))
+        return tuple(command for command, _request in self._decode(value))
 
     def result_of(self, slot: int) -> Optional[Value]:
         """Application result for ``slot`` (None until applied).
@@ -85,8 +86,8 @@ class DecisionLog:
         while self._applied_up_to + 1 in self._decided:
             nxt = self._applied_up_to + 1
             self._results[nxt] = tuple(
-                self._app.apply(request_payload(command))
-                for command in commands_in(self._decided[nxt])
+                self._app.apply(command if request is None else request[2])
+                for command, request in self._decode(self._decided[nxt])
             )
             self._applied_up_to = nxt
             applied.append(nxt)

@@ -6,14 +6,30 @@ instance (creating it on demand, within a bounded look-ahead window).  Each
 slot instance runs with ``seed_domain = "slot-k"`` so its signed statements,
 VRF samples, and synchronizer wishes are useless in any other slot.
 
+A slot is a consensus *instance* on the deployment's one stack
+(:class:`SlotStacks`), and goes through four states:
+
+* **open** — the first replica (or Byzantine seat) to touch slot ``k``
+  builds its :class:`~repro.core.deployment.InstanceStack`; every replica
+  that opens the slot joins it (shared vote columns, shared synchronizer
+  columns) with a fresh instance.
+* **kernel-served** — a coalesced fan-out for the slot is unwrapped once and
+  handed to the slot's kernels as a bucket.  A bucket with a recipient that
+  has not opened the slot is *declined and counted*: it takes the
+  per-recipient loop, where each replica applies its own look-ahead window.
+* **decided** — a replica that decides the slot stops its instance (no more
+  view timers) and applies the value in slot order.
+* **retired** — once every correct replica has applied the slot, its stack
+  is dropped and each replica keeps only a :class:`SlotRecord` record; a
+  late envelope for it is dropped, as the stopped instances dropped it.
+
 Proposal values come from a local pending-command queue; a leader with an
 empty queue proposes :data:`~repro.smr.app.NOOP`.  With ``batch_size > 1``
 a proposal packs up to that many queued commands into one slot value
 (:func:`~repro.smr.encoding.encode_batch`) — leader-side aggregation, the
 lever that amortizes a full consensus instance over many client requests.
 Decided commands are applied strictly in slot order through
-:class:`~repro.smr.log.DecisionLog`, one apply notification per command
-(batches fan out element-wise).
+:class:`~repro.smr.log.DecisionLog`.
 
 With ``pipeline > 1`` a replica keeps that many slots in flight at once —
 the latency of consecutive slots overlaps, trading memory and message burst
@@ -28,17 +44,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set
+from functools import partial
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Set
 
 from ..config import ProtocolConfig
+from ..core.deployment import KERNEL_STATS, InstanceStack
 from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
 from ..messages.base import CanonicalMessage
+from ..net.sparse import SparseDeliveryPolicy
 from ..net.transport import Transport
 from ..sync.timeouts import TimeoutPolicy
 from ..types import Decision, ReplicaId, Value
 from .app import NOOP, StateMachine
-from .encoding import commands_in, encode_batch
+from .encoding import SlotValueDecoder, encode_batch
 from .log import DecisionLog
 
 #: How many slots ahead of the last locally decided slot we are willing to
@@ -68,52 +87,182 @@ class SlotEnvelope(CanonicalMessage):
     inner: object
 
 
-class _SlotTransport:
-    """Transport view that wraps every outbound message in a SlotEnvelope."""
+class SlotRecord(NamedTuple):
+    """What a replica keeps of a decided slot once it lets go of the
+    instance (retirement, or deployment teardown)."""
+
+    config: ProtocolConfig
+    decision: Decision
+
+
+def _drop(slot: int, src: ReplicaId, message: object) -> None:
+    """A silent Byzantine seat's share of a slot's traffic."""
+
+
+class SilentEndpoint:
+    """A crash-faulty seat (of the deployment, or of one slot): inert."""
+
+    def start(self) -> None:
+        pass
+
+    def on_message(self, src: ReplicaId, message: object) -> None:
+        pass
+
+
+class SlotStacks(SparseDeliveryPolicy):
+    """The slots of one SMR deployment, and the router in front of them.
+
+    Shared by the deployment's replicas and Byzantine seats: it hands out
+    slot configs, holds one :class:`~repro.core.deployment.InstanceStack`
+    per open slot (built by ``make_stack(slot_config, handlers=...)``;
+    ``None`` — the oracle, stand-alone replicas — means per-message
+    instances and no stacks), and retires a slot when its last correct
+    replica has applied it.  As the network's delivery policy *and* bulk
+    handler it unwraps a :class:`SlotEnvelope` and hands the bucket to the
+    slot's own policy and kernels.
+    """
+
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        num_slots: int,
+        rotate_leaders: bool = False,
+        byzantine_ids=frozenset(),
+        make_stack: Optional[Callable[..., InstanceStack]] = None,
+    ) -> None:
+        self.config = config
+        self.num_slots = num_slots
+        self.rotate_leaders = rotate_leaders
+        #: Every slot up to here has been applied by every correct replica.
+        self.retired = 0
+        self.stacks: Dict[int, InstanceStack] = {}
+        #: Byzantine seat -> ``deliver(slot, src, inner)`` (absent: silent).
+        self.seats: Dict[ReplicaId, Callable] = {}
+        #: One decoded tuple per distinct slot value, for every replica.
+        self.decode = SlotValueDecoder()
+        self._byzantine = frozenset(byzantine_ids)
+        self._correct = config.n - len(self._byzantine)
+        self._make = make_stack
+        self._applied: Dict[int, int] = {}  # slot -> correct replicas done
+        self._stats = dict.fromkeys(KERNEL_STATS, 0)  # of stacks let go of
+
+    def slot_of(self, message: object) -> Optional[int]:
+        """The slot of an envelope a host should still look at."""
+        if isinstance(message, SlotEnvelope):
+            slot = message.slot
+            if isinstance(slot, int) and self.retired < slot <= self.num_slots:
+                return slot
+        return None
+
+    def slot_config(self, slot: int) -> ProtocolConfig:
+        return self.config.with_params(
+            seed_domain=f"slot-{slot}",
+            leader_offset=slot_leader_offset(slot, self.config.n, self.rotate_leaders),
+        )
+
+    def open(self, slot: int) -> Optional[InstanceStack]:
+        """The stack of a (live) slot, built by whoever asks first."""
+        stack = self.stacks.get(slot)
+        if stack is None and self._make is not None:
+            seats = self.seats
+            handlers = {b: partial(seats.get(b, _drop), slot) for b in self._byzantine}
+            stack = self.stacks[slot] = self._make(
+                self.slot_config(slot), handlers=handlers
+            )
+        return stack
+
+    def note_applied(self, slot: int) -> None:
+        """One more correct replica applied ``slot`` (each applies in slot
+        order, so slots fill up in order too); the last one retires it."""
+        count = self._applied.get(slot, 0) + 1
+        if count < self._correct:
+            self._applied[slot] = count
+            return
+        self._applied.pop(slot, None)
+        self.retired = slot
+        stack = self.stacks.pop(slot, None)
+        if stack is not None:
+            # Possibly from inside one of the stack's own kernel calls: only
+            # the edge that keeps it in a reference cycle is cut.
+            self._fold(stack, self._stats)
+            stack.wishes.detach()
+
+    def sweep(self, slots: Dict[int, object]) -> None:
+        """Drop the retired slots' entries from one host's slot table."""
+        for slot in [s for s in slots if s <= self.retired]:
+            del slots[slot]
+
+    @staticmethod
+    def _fold(stack: InstanceStack, total: Dict[str, int]) -> None:
+        for key, value in stack.stats().items():
+            total[key] += value
+
+    def stats(self) -> Dict[str, int]:
+        """Route counters summed over every slot, retired ones included."""
+        total = dict(self._stats)
+        for stack in self.stacks.values():
+            self._fold(stack, total)
+        return total
+
+    def detach(self) -> None:
+        """Deployment teardown: let go of stacks (their handlers point at
+        the seats, which point here), seats and decoded values."""
+        for stack in self.stacks.values():
+            self._fold(stack, self._stats)
+            stack.detach()
+        self.stacks.clear()
+        self.seats.clear()
+        self.decode.clear()
+
+    # The router: the network's delivery policy and bulk handler.
+    def inspect(self, src: ReplicaId, message: object) -> None:
+        slot = self.slot_of(message)
+        if slot is not None:
+            self.open(slot).policy.inspect(src, message.inner)
+
+    def __call__(self, src, message, dsts, probe) -> int:
+        slot = self.slot_of(message)
+        if slot is None:
+            return 0  # retired or malformed: every recipient drops it
+        stack = self.open(slot)
+        joined = stack.replicas
+        if len(joined) < self._correct:
+            byzantine = self._byzantine
+            for d in dsts:
+                if d not in joined and d not in byzantine:
+                    # Not opened there (it may be outside that replica's
+                    # window): the replica decides for itself.
+                    stack.kernel.note_declined(message.inner)
+                    return -1
+        return stack.kernel(src, message.inner, dsts, probe)
+
+    def batch_filter(self, message, dsts):
+        # What __call__ declined: prune only where every replica is known.
+        stack = self.stacks.get(self.slot_of(message))
+        if stack is None or len(stack.replicas) < self._correct:
+            return dsts
+        return stack.policy.batch_filter(message.inner, dsts)
+
+
+class _SlotTransport(Transport):
+    """A replica's transport as one slot sees it: everything outbound is
+    wrapped in a :class:`SlotEnvelope` (dissemination is dense: no gossip)."""
 
     def __init__(self, base: Transport, slot: int) -> None:
-        self._base = base
+        super().__init__(base._network, base.replica)
         self._slot = slot
 
-    @property
-    def replica(self) -> ReplicaId:
-        return self._base.replica
-
-    @property
-    def n(self) -> int:
-        return self._base.n
-
-    @property
-    def now(self) -> float:
-        return self._base.now
-
-    @property
-    def disseminator(self):
-        """SMR deployments never attach a gossip service; behaviours that
-        gate extra traffic on a disseminator see the dense answer."""
-        return self._base.disseminator
-
     def send(self, dst: ReplicaId, message: object) -> None:
-        self._base.send(dst, SlotEnvelope(slot=self._slot, inner=message))
+        super().send(dst, SlotEnvelope(self._slot, message))
 
     def multicast(self, targets, message: object) -> None:
-        self._base.multicast(targets, SlotEnvelope(slot=self._slot, inner=message))
+        super().multicast(targets, SlotEnvelope(self._slot, message))
 
     def broadcast(self, message: object, include_self: bool = False) -> None:
-        self._base.broadcast(
-            SlotEnvelope(slot=self._slot, inner=message), include_self=include_self
-        )
+        super().broadcast(SlotEnvelope(self._slot, message), include_self)
 
     def disseminate(self, message: object, restrict=None) -> None:
-        # SMR deployments are dense-only (no gossip service attached), so
-        # delegating after enveloping keeps slot traffic byte-identical to
-        # the pre-seam broadcast/send calls.
-        self._base.disseminate(
-            SlotEnvelope(slot=self._slot, inner=message), restrict=restrict
-        )
-
-    def schedule(self, delay: float, callback) -> object:
-        return self._base.schedule(delay, callback)
+        super().disseminate(SlotEnvelope(self._slot, message), restrict)
 
 
 class SMRReplica:
@@ -134,6 +283,7 @@ class SMRReplica:
         max_pending: Optional[int] = None,
         eager_slots: bool = True,
         rotate_leaders: bool = False,
+        stacks: Optional[SlotStacks] = None,
     ) -> None:
         if config.seed_domain:
             raise ValueError(
@@ -150,6 +300,7 @@ class SMRReplica:
         self._crypto = crypto
         self._transport = transport
         self._timeout_policy = timeout_policy
+        #: ``on_apply(replica, slot, value)``, once per applied slot.
         self._on_apply = on_apply
         if pipeline < 1:
             raise ValueError(f"pipeline must be >= 1, got {pipeline}")
@@ -161,21 +312,19 @@ class SMRReplica:
         self.pipeline = pipeline
         self.batch_size = batch_size
         self.max_pending = max_pending
-        self.rotate_leaders = rotate_leaders
-        #: Eager mode (the default, the original behaviour) keeps ``pipeline``
-        #: slots open at all times, proposing NOOP when idle — right for
-        #: fixed-workload runs driven to ``all_applied``.  Demand-driven mode
-        #: (``eager_slots=False``, the serving setting) opens a slot only
-        #: when there are pending commands (or inbound traffic for it), so an
-        #: idle deployment burns no slots between client bursts.
+        #: Eager mode (the default) keeps ``pipeline`` slots open at all
+        #: times, proposing NOOP when idle — right for fixed-workload runs
+        #: driven to ``all_applied``.  Demand-driven mode (the serving
+        #: setting) opens a slot only when there are pending commands (or
+        #: inbound traffic for it): an idle deployment burns no slots.
         self.eager_slots = eager_slots
-        self.log = DecisionLog(app)
+        self._stacks = stacks or SlotStacks(config, num_slots, rotate_leaders)
+        self.log = DecisionLog(app, self._stacks.decode)
         self._pending: Deque[Value] = deque()
         self._slots: Dict[int, ProBFTReplica] = {}
+        self._records: Dict[int, SlotRecord] = {}
         self._slot_values: Dict[int, Value] = {}
-        # Commands already ordered by some decided slot, maintained
-        # incrementally — the pre-batching code rebuilt this set from the
-        # whole log on every proposal, an O(slots²) hot path under load.
+        # Commands already ordered by some decided slot.
         self._ordered: Set[Value] = set()
         self._rejected_submits = 0
         self._highest_opened = 0
@@ -223,44 +372,62 @@ class SMRReplica:
             self._open_window()
 
     def stop(self) -> None:
+        """Stop and let go of every open instance (an instance and this
+        replica point at each other)."""
         for replica in self._slots.values():
             replica.stop()
+        self._slots.clear()
 
     def on_message(self, src: ReplicaId, message: object) -> None:
-        if not isinstance(message, SlotEnvelope):
-            return
-        slot = message.slot
-        if not isinstance(slot, int) or not 1 <= slot <= self.num_slots:
-            return
-        window = max(SLOT_WINDOW, self.pipeline + 1)
-        if slot not in self._slots and slot > self.log.applied_up_to + window:
-            return  # too far ahead; the slot will be re-driven by view changes
-        replica = self._ensure_slot(slot)
+        replica = self._instance(message)
         if replica is not None:
             replica.on_message(src, message.inner)
+
+    def on_sample_message(self, src: ReplicaId, message: object, shared: dict) -> None:
+        """Per-recipient entry point inside a coalesced fan-out: recipients
+        share the slot message's recipient-independent validation."""
+        replica = self._instance(message)
+        if replica is not None:
+            replica.on_sample_message(src, message.inner, shared)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _ensure_slot(self, slot: int) -> Optional[ProBFTReplica]:
+    def _instance(self, message: object) -> Optional[ProBFTReplica]:
+        """The slot instance an inbound envelope is for (opened on demand
+        inside the look-ahead window); None for anything to be dropped."""
+        slot = self._stacks.slot_of(message)
+        if slot is None:
+            return None
+        replica = self._slots.get(slot)
+        if replica is None:
+            window = max(SLOT_WINDOW, self.pipeline + 1)
+            if slot > self.log.applied_up_to + window:
+                return None  # too far ahead; re-driven by view changes
+            replica = self._ensure_slot(slot)
+        return replica
+
+    def _ensure_slot(self, slot: int) -> ProBFTReplica:
+        """Slot ``slot``'s instance, opened (never past ``num_slots``: every
+        caller checks) if this replica has not yet."""
         if slot in self._slots:
             return self._slots[slot]
-        if slot > self.num_slots:
-            return None
+        stacks = self._stacks
+        stacks.sweep(self._slots)
         my_value = self._next_proposal(slot)
-        slot_config = self.config.with_params(
-            seed_domain=f"slot-{slot}",
-            leader_offset=slot_leader_offset(slot, self.config.n, self.rotate_leaders),
-        )
+        stack = stacks.open(slot)
         replica = ProBFTReplica(
             replica_id=self.id,
-            config=slot_config,
+            config=stacks.slot_config(slot),
             crypto=self._crypto,
             transport=_SlotTransport(self._transport, slot),
             my_value=my_value,
             timeout_policy=self._timeout_policy,
             on_decide=lambda decision, s=slot: self._on_slot_decided(s, decision),
+            **(stack.replica_kwargs if stack is not None else {}),
         )
+        if stack is not None:
+            stack.join(self.id, replica)
         self._slots[slot] = replica
         self._slot_values[slot] = my_value
         self._highest_opened = max(self._highest_opened, slot)
@@ -295,32 +462,31 @@ class SMRReplica:
 
     def _on_slot_decided(self, slot: int, decision: Decision) -> None:
         self._open_undecided -= 1
-        # Retire the instance: cancel its view timers so decided slots stop
-        # generating synchronizer traffic.  Without this a long-running
-        # serving deployment accumulates one live timer wheel per past slot
-        # and drowns in wish/view-change spam (observed: ~300k messages for
-        # 96 slots before this line existed).
+        # Cancel the instance's view timers: a decided slot must stop
+        # generating synchronizer traffic (one live timer wheel per past
+        # slot drowns a serving deployment in wish/view-change spam).
         instance = self._slots.get(slot)
         if instance is not None:
             instance.stop()
-        self._ordered.update(commands_in(decision.value))
-        applied = self.log.record(slot, decision.value)
-        if self._on_apply is not None:
-            for s in applied:
-                for command in self.log.commands_of(s):
-                    self._on_apply(self.id, s, command)
+            self._records[slot] = SlotRecord(instance.config, decision)
+        stacks = self._stacks
+        self._ordered.update(c for c, _request in stacks.decode(decision.value))
+        for s in self.log.record(slot, decision.value):
+            if self._on_apply is not None:
+                self._on_apply(self.id, s, self.log.value_of(s))
+            stacks.note_applied(s)
         # Requeue our proposal's unordered commands if another value won.
-        mine = self._slot_values.get(slot)
+        mine = self._slot_values.pop(slot, None)
         if mine is not None and mine != NOOP and mine != decision.value:
             losers = [
                 c
-                for c in commands_in(mine)
+                for c, _request in stacks.decode(mine)
                 if c != NOOP and c not in self._ordered
             ]
             for command in reversed(losers):
                 self._pending.appendleft(command)
-        # Open the next slots: eagerly past the decided slot (original
-        # behaviour), or only as far as pending demand reaches.
+        # Open the next slots: eagerly past the decided slot, or only as
+        # far as pending demand reaches.
         if self.eager_slots:
             top = min(self.num_slots, slot + self.pipeline)
             for nxt in range(slot + 1, top + 1):
@@ -328,14 +494,9 @@ class SMRReplica:
         else:
             self._open_window()
 
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def decided_all(self) -> bool:
-        return self.log.applied_up_to >= self.num_slots
-
-    def slot_replica(self, slot: int) -> Optional[ProBFTReplica]:
-        return self._slots.get(slot)
+    def slot_replica(self, slot: int):
+        """The slot's live instance, or the record kept of it."""
+        return self._slots.get(slot) or self._records.get(slot)
 
 
 class ByzantineSlotMultiplexer:
@@ -348,7 +509,7 @@ class ByzantineSlotMultiplexer:
     in unchanged, attacking each consensus instance with slot-scoped keys
     and transports.  Slots are instantiated on demand (plus the first
     ``pipeline`` at start, mirroring honest replicas), bounded by
-    ``num_slots``.
+    ``num_slots``, and let go of once retired.
     """
 
     def __init__(
@@ -361,50 +522,46 @@ class ByzantineSlotMultiplexer:
         slot_factory: Callable[[int, ProtocolConfig, CryptoContext, object], object],
         pipeline: int = 1,
         rotate_leaders: bool = False,
+        stacks: Optional[SlotStacks] = None,
     ) -> None:
         self.id = replica_id
-        self.config = config
         self._crypto = crypto
         self._transport = transport
         self.num_slots = num_slots
         self.pipeline = max(1, pipeline)
-        self.rotate_leaders = rotate_leaders
         self._slot_factory = slot_factory
+        self._stacks = stacks or SlotStacks(config, num_slots, rotate_leaders)
+        self._stacks.seats[replica_id] = self.deliver
         self._slots: Dict[int, object] = {}
-        self._started = False
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
         for slot in range(1, min(self.pipeline, self.num_slots) + 1):
-            self._ensure_slot(slot)
+            self._endpoint(slot)
 
     def on_message(self, src: ReplicaId, message: object) -> None:
-        if not isinstance(message, SlotEnvelope):
-            return
-        slot = message.slot
-        if not isinstance(slot, int) or not 1 <= slot <= self.num_slots:
-            return
-        endpoint = self._ensure_slot(slot)
-        if endpoint is not None:
-            endpoint.on_message(src, message.inner)
+        slot = self._stacks.slot_of(message)
+        if slot is not None:
+            self.deliver(slot, src, message.inner)
 
-    def _ensure_slot(self, slot: int):
-        if slot in self._slots:
-            return self._slots[slot]
-        if slot > self.num_slots:
-            return None
-        slot_config = self.config.with_params(
-            seed_domain=f"slot-{slot}",
-            leader_offset=slot_leader_offset(slot, self.config.n, self.rotate_leaders),
-        )
-        endpoint = self._slot_factory(
-            slot,
-            slot_config,
-            self._crypto,
-            _SlotTransport(self._transport, slot),
-        )
-        self._slots[slot] = endpoint
-        endpoint.start()
+    def deliver(self, slot: int, src: ReplicaId, message: object) -> None:
+        """Hand slot ``slot``'s endpoint one unwrapped message (what the
+        slot's kernels call for this seat)."""
+        endpoint = self._endpoint(slot)
+        if endpoint is not None:
+            endpoint.on_message(src, message)
+
+    def _endpoint(self, slot: int):
+        """The slot's endpoint, built and started on first use; None once
+        the slot is retired."""
+        endpoint = self._slots.get(slot)
+        stacks = self._stacks
+        if endpoint is None and slot > stacks.retired:
+            stacks.sweep(self._slots)
+            endpoint = self._slots[slot] = self._slot_factory(
+                slot,
+                stacks.slot_config(slot),
+                self._crypto,
+                _SlotTransport(self._transport, slot),
+            )
+            endpoint.start()
         return endpoint

@@ -1,30 +1,34 @@
-"""SMR deployment wiring and client helpers."""
+"""SMR deployment wiring and client helpers.
+
+:class:`SMRDeployment` is the shared :class:`~repro.core.deployment.
+Deployment` — simulator, coalescing network, crypto, ``run`` / ``close``
+and the ``reference=True`` oracle switch — over replicas that host one
+consensus instance per slot.  Its stack is the slot router
+(:class:`~repro.smr.replica.SlotStacks`; :mod:`repro.smr.replica` has the
+slot lifecycle: open, kernel-served, decided, retired).
+"""
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+import weakref
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ProtocolConfig
+from ..core.deployment import Deployment
+from ..core.protocol import ProBFTStack
 from ..crypto.context import CryptoContext
-from ..crypto.hashing import digest, stable_encode
-from ..net.latency import ConstantLatency, LatencyModel
-from ..net.network import Network
-from ..net.simulator import Simulator
-from ..net.transport import Transport
+from ..crypto.hashing import stable_encode
+from ..net.latency import LatencyModel
 from ..sync.timeouts import FixedTimeout, TimeoutPolicy
 from ..types import ReplicaId, Value
 from .app import StateMachine
-from .encoding import commands_in, decode_request
-from .replica import ByzantineSlotMultiplexer, SMRReplica
+from .replica import (
+    ByzantineSlotMultiplexer,
+    SilentEndpoint,
+    SlotStacks,
+    SMRReplica,
+)
 
 AppFactory = Callable[[], StateMachine]
 
@@ -36,7 +40,7 @@ AppFactory = Callable[[], StateMachine]
 SlotByzantineFactory = Callable[[int, ProtocolConfig, CryptoContext, object], object]
 
 
-class SMRDeployment:
+class SMRDeployment(Deployment):
     """A replicated state machine over ``n`` SMR replicas.
 
     The workload is client commands submitted to every replica (simulating
@@ -56,6 +60,10 @@ class SMRDeployment:
     backlog bound past which :meth:`submit_to_all` reports backpressure.
     """
 
+    pool_label = "smr-deployment"
+    #: What every open slot gets one of.
+    stack_class = ProBFTStack
+
     def __init__(
         self,
         config: ProtocolConfig,
@@ -71,94 +79,103 @@ class SMRDeployment:
         max_pending: Optional[int] = None,
         eager_slots: bool = True,
         rotate_leaders: bool = False,
+        *,
+        reference: bool = False,
     ) -> None:
-        self.config = config
         self.num_slots = num_slots
         self.rotate_leaders = rotate_leaders
-        self.sim = Simulator()
-        self.network = Network(
-            self.sim,
-            config.n,
-            latency=latency if latency is not None else ConstantLatency(1.0),
-        )
-        self.crypto = CryptoContext.pooled(
-            config.n, master_seed=digest("smr-deployment", seed)
-        )
         self.applied: Dict[ReplicaId, List[Tuple[int, Value]]] = {}
-        byzantine_factories = dict(byzantine_factories or {})
-        overlap = set(byzantine_ids) & set(byzantine_factories)
+        self._next_client_id = 0
+        # Request-apply watchers by client id, held weakly (a client points
+        # at its deployment): O(1) dispatch per applied command.
+        self._apply_watchers: Dict[int, List[weakref.WeakMethod]] = {}
+        self._app_factory = app_factory
+        self._serving = dict(
+            num_slots=num_slots,
+            pipeline=pipeline,
+            batch_size=batch_size,
+            max_pending=max_pending,
+            eager_slots=eager_slots,
+        )
+        factories = dict(byzantine_factories or {})
+        overlap = set(byzantine_ids) & set(factories)
         if overlap:
             raise ValueError(
                 f"replicas {sorted(overlap)} listed both silent and active"
             )
-        faulty = set(byzantine_ids) | set(byzantine_factories)
-        if len(faulty) > config.f:
-            raise ValueError("too many Byzantine replicas")
-        self.byzantine_ids: FrozenSet[ReplicaId] = frozenset(faulty)
-        self._next_client_id = 0
-        # Request-apply watchers, keyed by client id.  Each apply decodes
-        # each command once here and dispatches to the owning client's
-        # watcher — O(1) per command — instead of every attached client
-        # re-decoding every command (the old chained-recorder scheme was
-        # O(clients · applies), the ceiling that kept trials under ~100
-        # clients).
-        self._apply_watchers: Dict[
-            int, List[Callable[[ReplicaId, int, Value, Tuple[int, int, Value]], None]]
-        ] = {}
 
-        self.replicas: Dict[ReplicaId, SMRReplica] = {}
-        self.byzantine_endpoints: Dict[ReplicaId, ByzantineSlotMultiplexer] = {}
-        for r in range(config.n):
-            if r in self.byzantine_ids:
-                continue
-            transport = Transport(self.network, r)
-            replica = SMRReplica(
-                replica_id=r,
-                config=config,
-                crypto=self.crypto,
-                transport=transport,
-                app=app_factory(),
-                num_slots=num_slots,
-                timeout_policy=timeout_policy or FixedTimeout(30.0),
-                on_apply=self._record_apply,
-                pipeline=pipeline,
-                batch_size=batch_size,
-                max_pending=max_pending,
-                eager_slots=eager_slots,
-                rotate_leaders=rotate_leaders,
-            )
-            self.network.register(r, replica.on_message)
-            self.replicas[r] = replica
-        for r in self.byzantine_ids:
-            factory = byzantine_factories.get(r)
+        def seat(factory):
             if factory is None:
-                # Silent faulty member: registered but inert.
-                self.network.register(r, lambda _src, _msg: None)
-                continue
-            endpoint = ByzantineSlotMultiplexer(
-                replica_id=r,
-                config=config,
-                crypto=self.crypto,
-                transport=Transport(self.network, r),
-                num_slots=num_slots,
-                slot_factory=factory,
-                pipeline=pipeline,
-                rotate_leaders=rotate_leaders,
+                return lambda *_args: SilentEndpoint()
+            return lambda r, config, crypto, transport: ByzantineSlotMultiplexer(
+                r, config, crypto, transport, num_slots, factory, pipeline,
+                stacks=self.stack,
             )
-            self.network.register(r, endpoint.on_message)
-            self.byzantine_endpoints[r] = endpoint
-        self._started = False
 
-    def _record_apply(self, replica: ReplicaId, slot: int, value: Value) -> None:
-        self.applied.setdefault(replica, []).append((slot, value))
-        if not self._apply_watchers:
-            return
-        for command in commands_in(value):
-            decoded = decode_request(command)
-            if decoded is None:
-                continue
-            for watcher in self._apply_watchers.get(decoded[0], ()):
-                watcher(replica, slot, command, decoded)
+        super().__init__(
+            config,
+            seed,
+            latency=latency,
+            timeout_policy=timeout_policy or FixedTimeout(30.0),
+            byzantine={
+                r: seat(factories.get(r)) for r in {*byzantine_ids, *factories}
+            },
+            reference=reference,
+        )
+        # Correct replicas start before the Byzantine seats: both may send
+        # at time 0, and ties go to whoever scheduled first.
+        self.replicas = {**self.correct_replicas(), **self.replicas}
+
+    # ------------------------------------------------------------------
+    # Deployment hooks
+    # ------------------------------------------------------------------
+    def _new_stack(self) -> SlotStacks:
+        make_stack = None if self.reference else partial(
+            self.stack_class,
+            crypto=self.crypto,
+            correct_ids=self._correct_ids,
+            byzantine_ids=self.byzantine_ids,
+        )
+        return SlotStacks(
+            self.config, self.num_slots, self.rotate_leaders, self.byzantine_ids,
+            make_stack,
+        )
+
+    def _replica_factory(self, values, timeout_policy) -> Callable:
+        # Nothing a replica holds may point back at the deployment, so
+        # applies are recorded through a closure over these alone.
+        applied, watchers, decode = self.applied, self._apply_watchers, self.stack.decode
+
+        def record_apply(replica: ReplicaId, slot: int, value: Value) -> None:
+            applied.setdefault(replica, []).append((slot, value))
+            if not watchers:
+                return
+            for command, request in decode(value):
+                if request is not None:
+                    for ref in watchers.get(request[0], ()):
+                        watcher = ref()
+                        if watcher is not None:
+                            watcher(replica, slot, command, request)
+
+        self._record_apply = record_apply
+        return lambda r, transport: SMRReplica(
+            r,
+            self.config,
+            self.crypto,
+            transport,
+            self._app_factory(),
+            timeout_policy=timeout_policy,
+            on_apply=record_apply,
+            stacks=self.stack,
+            **self._serving,
+        )
+
+    def _install_stack(self) -> None:
+        router, network = self.stack, self.network
+        for r in self._correct_ids:
+            network.register_batch(r, self.replicas[r].on_sample_message)
+        network.use_delivery_policy(router)
+        network.use_bulk_handler(router)
 
     def watch_applies(
         self,
@@ -167,10 +184,13 @@ class SMRDeployment:
     ) -> None:
         """Subscribe to applies of requests enveloped for ``client_id``.
 
-        ``watcher(replica, slot, command, (client_id, seq, payload))`` fires
-        once per replica apply of each matching request.
+        ``watcher(replica, slot, command, (client_id, seq, payload))`` — a
+        bound method, held weakly — fires once per replica apply of each
+        matching request for as long as its object lives.
         """
-        self._apply_watchers.setdefault(client_id, []).append(watcher)
+        self._apply_watchers.setdefault(client_id, []).append(
+            weakref.WeakMethod(watcher)
+        )
 
     # ------------------------------------------------------------------
     def allocate_client_id(self) -> int:
@@ -187,50 +207,27 @@ class SMRDeployment:
         partial submission would leave replica queues divergent, so
         backpressure rejects the request wholesale and the client retries.
         """
+        replicas = self.correct_replicas().values()
         if any(
             replica.max_pending is not None
             and replica.pending_commands >= replica.max_pending
-            for replica in self.replicas.values()
+            for replica in replicas
         ):
-            for replica in self.replicas.values():
+            for replica in replicas:
                 replica._rejected_submits += 1
             return False
-        for replica in self.replicas.values():
+        for replica in replicas:
             accepted = replica.submit(command)
             assert accepted, "per-replica submit cannot fail after the gate"
         return True
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for replica in self.replicas.values():
-            replica.start()
-        for endpoint in self.byzantine_endpoints.values():
-            endpoint.start()
-
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    def run(
-        self, max_time: Optional[float] = None, max_events: int = 20_000_000
-    ) -> "SMRDeployment":
-        self.start()
-        self.sim.run(
-            until=max_time,
-            max_events=max_events,
-            stop_when=self.all_applied,
-        )
-        return self
-
     # ------------------------------------------------------------------
-    @property
-    def correct_ids(self) -> FrozenSet[ReplicaId]:
-        return frozenset(self.replicas)
-
     def all_applied(self) -> bool:
-        return all(r.decided_all() for r in self.replicas.values())
+        """Every correct replica has applied every slot (what ``run`` runs
+        until): the retirement watermark has reached the last slot."""
+        return self.stack.retired >= self.num_slots
+
+    all_correct_decided = all_applied
 
     def logs_consistent(self) -> bool:
         """All correct replicas applied identical command *prefixes*.
@@ -247,7 +244,7 @@ class SMRDeployment:
                 replica.log.value_of(s)
                 for s in range(1, replica.log.applied_up_to + 1)
             )
-            for replica in self.replicas.values()
+            for replica in self.correct_replicas().values()
         ]
         if not logs:
             return True
@@ -255,7 +252,9 @@ class SMRDeployment:
         return len({log[:shortest] for log in logs}) <= 1
 
     def snapshots(self) -> Dict[ReplicaId, object]:
-        return {r: rep.log.app.snapshot() for r, rep in self.replicas.items()}
+        return {
+            r: rep.log.app.snapshot() for r, rep in self.correct_replicas().items()
+        }
 
     def snapshots_consistent(self) -> bool:
         """All correct replicas' app snapshots are semantically equal.

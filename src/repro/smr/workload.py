@@ -31,6 +31,7 @@ command, the scenario cells (:data:`SERVING_ADVERSARIES` ×
 from __future__ import annotations
 
 import random
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -41,8 +42,9 @@ from ..net.latency import ConstantLatency
 from ..sync.timeouts import FixedTimeout
 from ..types import ReplicaId, Value
 from .app import CounterApp
-from .client import RequestRecord, majority_slot
-from .encoding import commands_in, decode_request, encode_request
+from .client import RequestRecord, applied_requests, majority_slot
+from .encoding import encode_request
+from .replica import SilentEndpoint
 from .service import SMRDeployment
 
 __all__ = [
@@ -135,9 +137,9 @@ class WorkloadGenerator:
     Construct against a (not yet run) deployment, then :meth:`run`.  Each
     client registers a request-apply watcher with the deployment, which
     decodes every applied command once and dispatches it to the owning
-    client in O(1) — the indexing that lifts the population ceiling to
-    thousands of clients (the old chained-recorder scheme re-decoded every
-    command in every client, O(clients · applies)).  Requests are tracked
+    client in O(1) — what lets populations run to thousands of clients.
+    The deployment holds watchers weakly: keep the generator while it
+    should be notified.  Requests are tracked
     with the same :class:`~repro.smr.client.RequestRecord` lifecycle as
     :class:`~repro.smr.client.SMRClient`.
 
@@ -176,19 +178,8 @@ class WorkloadGenerator:
         self._by_id = {client.client_id: client for client in self._clients}
         for client in self._clients:
             deployment.watch_applies(client.client_id, self._on_request_apply)
-        # Late-attach replay: applies recorded before this generator existed
-        # (empty — and free — on a fresh deployment).
-        self._history: Dict[Tuple[int, int], Dict[ReplicaId, int]] = {}
-        own_ids = set(self._by_id)
-        for replica_id, entries in deployment.applied.items():
-            for slot, value in entries:
-                for command in commands_in(value):
-                    decoded = decode_request(command)
-                    if decoded is None or decoded[0] not in own_ids:
-                        continue
-                    self._history.setdefault(
-                        (decoded[0], decoded[1]), {}
-                    )[replica_id] = slot
+        # Late-attach replay: applies recorded before this generator existed.
+        self._history = applied_requests(deployment, self._by_id)
         self._started = False
 
     # ------------------------------------------------------------------
@@ -228,34 +219,14 @@ class WorkloadGenerator:
     def _issue(self, client: _ClientState) -> None:
         if client.issued >= self.spec.requests_per_client:
             return
-        seq = client.next_seq
-        payload = self.payload_for(client.client_id, seq)
-        command = encode_request(client.client_id, seq, payload)
-        history = self._history.get((client.client_id, seq))
-        if history is not None and len(history) >= self._ack_threshold:
-            # Ordered before this generator attached: complete from replayed
-            # history without resubmitting (no RNG draws on this path).
-            client.next_seq += 1
-            client.issued += 1
-            now = self._deployment.sim.now
-            record = RequestRecord(
-                client_id=client.client_id,
-                seq=seq,
-                payload=payload,
-                command=command,
-                submitted_at=now,
-                acked_by=set(history),
-                completed_at=now,
-                slot=majority_slot(history),
-                recovered=True,
-            )
-            self._records[(client.client_id, seq)] = record
-            self._order.append((client.client_id, seq))
-            self._completed += 1
-            self._recovered += 1
-            self._on_request_complete(record)
-            return
-        if not self._deployment.submit_to_all(command):
+        request_id = (client.client_id, client.next_seq)
+        payload = self.payload_for(*request_id)
+        command = encode_request(*request_id, payload)
+        history = self._history.get(request_id)
+        # Ordered before this generator attached: complete from replayed
+        # history without resubmitting (no RNG draws on this path).
+        recovered = history is not None and len(history) >= self._ack_threshold
+        if not recovered and not self._deployment.submit_to_all(command):
             # Backpressure: the deployment refused wholesale; back off.  A
             # zero think time falls back to one simulated time unit —
             # otherwise a zero-delay retry loop would spin the scheduler
@@ -271,14 +242,22 @@ class WorkloadGenerator:
         client.next_seq += 1
         client.issued += 1
         record = RequestRecord(
-            client_id=client.client_id,
-            seq=seq,
+            client_id=request_id[0],
+            seq=request_id[1],
             payload=payload,
             command=command,
             submitted_at=self._deployment.sim.now,
         )
-        self._records[(client.client_id, seq)] = record
-        self._order.append((client.client_id, seq))
+        self._records[request_id] = record
+        self._order.append(request_id)
+        if recovered:
+            record.acked_by = set(history)
+            record.completed_at = record.submitted_at
+            record.slot = majority_slot(history)
+            record.recovered = True
+            self._completed += 1
+            self._recovered += 1
+            self._on_request_complete(record)
 
     def _on_request_apply(
         self,
@@ -316,9 +295,7 @@ class WorkloadGenerator:
     ) -> "WorkloadGenerator":
         self._deployment.start()
         self.start()
-        self._deployment.sim.run(
-            until=max_time, max_events=max_events, stop_when=self.done
-        )
+        self._deployment.run_until(self.done, max_time, max_events)
         return self
 
     # ------------------------------------------------------------------
@@ -370,21 +347,6 @@ class WorkloadGenerator:
 # ----------------------------------------------------------------------
 # Serving trials: adversaries × load levels
 # ----------------------------------------------------------------------
-class _SilentSlotEndpoint:
-    """A crash-faulty slot endpoint: registered but inert.
-
-    Installed for slots where an active behaviour does not apply at this
-    seat (an equivocator that does not lead the slot, a flooder that does) —
-    the seat is simply absent from that slot's consensus instance.
-    """
-
-    def start(self) -> None:
-        pass
-
-    def on_message(self, src: ReplicaId, message: object) -> None:
-        pass
-
-
 def _slot_view1_leader(config: ProtocolConfig) -> ReplicaId:
     """The view-1 leader a slot config designates: ``leader_offset mod n``."""
     return config.leader_offset % config.n
@@ -400,7 +362,7 @@ def _equivocating_slot_factory(slot, config, crypto, transport):
     # leads — and can attack — only ~1/n of the slots.
     seat = transport.replica
     if seat != _slot_view1_leader(config):
-        return _SilentSlotEndpoint()
+        return SilentEndpoint()
     return EquivocatingLeader(
         replica_id=seat,
         config=config,
@@ -423,7 +385,7 @@ def _flooding_slot_factory(slot, config, crypto, transport):
     # crash-faulty leader — silence — and the slot recovers by view change.
     seat = transport.replica
     if seat == _slot_view1_leader(config):
-        return _SilentSlotEndpoint()
+        return SilentEndpoint()
     return FloodingReplica(
         replica_id=seat,
         config=config,
@@ -583,37 +545,30 @@ class ServingResult:
     #: Completed per-request latencies in submission order — the golden
     #: determinism witness (bit-identical for equal (spec, seed) anywhere).
     latencies: Tuple[float, ...] = field(default=(), repr=False)
+    #: How the deployment's buckets were delivered
+    #: (:meth:`SMRDeployment.vote_kernel_stats`): says which stack ran, never
+    #: what it computed, so it is no part of a result's identity.
+    kernel_stats: Dict[str, int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def row(self) -> Dict[str, object]:
-        """Flat dict for report tables and the committed bench JSON."""
-        return {
-            "adversary": self.adversary,
-            "load": self.load,
-            "n": self.n,
-            "f": self.f,
-            "batch_size": self.batch_size,
-            "pipeline": self.pipeline,
-            "seed": self.seed,
-            "issued": self.issued,
-            "completed": self.completed,
-            "timed_out": self.timed_out,
-            "recovered": self.recovered,
-            "retries": self.retries,
-            "throughput": self.throughput,
-            "mean_latency": self.mean_latency,
-            "p50_latency": self.p50_latency,
-            "p99_latency": self.p99_latency,
-            "p999_latency": self.p999_latency,
-            "sim_time": self.sim_time,
-            "slots_applied": self.slots_applied,
-            "logs_consistent": self.logs_consistent,
-            "rotate_leaders": self.rotate_leaders,
-            "arrival": self.arrival,
+        """Flat dict for report tables and the committed bench JSON: every
+        summary field, then the route counters."""
+        row = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.compare and f.name != "latencies"
         }
+        row.update(self.kernel_stats)
+        return row
 
 
-def build_serving_deployment(spec: ServingSpec) -> SMRDeployment:
-    """Construct (without running) the deployment a spec describes."""
+def build_serving_deployment(
+    spec: ServingSpec, *, reference: bool = False
+) -> SMRDeployment:
+    """Construct (without running) the deployment a spec describes
+    (``reference=True``: the test oracle, see :class:`SMRDeployment`)."""
     config = ProtocolConfig(n=spec.n, f=spec.f)
     adversary = SERVING_ADVERSARIES[spec.adversary]
     factories = {}
@@ -633,6 +588,7 @@ def build_serving_deployment(spec: ServingSpec) -> SMRDeployment:
         max_pending=spec.max_pending,
         eager_slots=False,
         rotate_leaders=spec.rotate_leaders,
+        reference=reference,
     )
 
 
@@ -657,7 +613,11 @@ def serving_throughput(records: List[RequestRecord]) -> float:
 
 def run_serving_trial(spec: ServingSpec) -> ServingResult:
     """Build, load, and summarize one serving trial (picklable entry point)."""
-    deployment = build_serving_deployment(spec)
+    return serve(spec, build_serving_deployment(spec))
+
+
+def serve(spec: ServingSpec, deployment: SMRDeployment) -> ServingResult:
+    """Load a (fresh) deployment with the spec's workload and summarize."""
     generator = WorkloadGenerator(deployment, spec.workload(), seed=spec.seed)
     generator.run(max_time=spec.max_time, max_events=spec.max_events)
     acc = generator.latency_accumulator()
@@ -682,7 +642,10 @@ def run_serving_trial(spec: ServingSpec) -> ServingResult:
         p999_latency=acc.p999,
         sim_time=deployment.sim.now,
         slots_applied=max(
-            (r.log.applied_up_to for r in deployment.replicas.values()),
+            (
+                r.log.applied_up_to
+                for r in deployment.correct_replicas().values()
+            ),
             default=0,
         ),
         logs_consistent=deployment.logs_consistent(),
@@ -690,6 +653,7 @@ def run_serving_trial(spec: ServingSpec) -> ServingResult:
         rotate_leaders=spec.rotate_leaders,
         arrival=spec.arrival,
         latencies=tuple(latencies),
+        kernel_stats=deployment.vote_kernel_stats(),
     )
 
 

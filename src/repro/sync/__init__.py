@@ -8,8 +8,8 @@ replicas eventually overlap in the same view long enough to decide.
 * :mod:`repro.sync.synchronizer` — a wish-based synchronizer: replicas
   broadcast ``Wish(v)`` on timeout, relay on ``f+1`` wishes, and enter a view
   on ``2f+1`` wishes (Bracha-style amplification).  One algorithm over two
-  wish-state backends: a per-replica ledger (the oracle, SMR slots, unit
-  tests) and a column of the shared arrays below.
+  wish-state backends: a per-replica ledger (the oracle, unit tests) and
+  a column of the shared arrays below.
 * :mod:`repro.sync.columns` — what every production deployment runs: the
   wish state of all correct replicas as shared numpy columns (per live view
   a packed seen-bitmap and a count vector, allocated by a trial's first

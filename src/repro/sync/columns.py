@@ -164,6 +164,17 @@ class WishColumns:
             if self._at_floor == 0:
                 self._raise_floor()
 
+    def note_attached(self, d: ReplicaId) -> None:
+        """A synchronizer joined after the arrays were allocated (an SMR
+        replica opening a slot late).  It has entered and wished nothing,
+        so the floor drops back to 0; slots dropped below the old floor are
+        rebuilt on demand, where only the newcomer can still react."""
+        if self.cur is not None:
+            self.attached[d] = self.live[d] = True
+            if self.floor:
+                self.floor = self._at_floor = 0
+            self._at_floor += 1
+
     def note_stopped(self, d: ReplicaId) -> None:
         if self.cur is not None and self.live[d]:
             self.live[d] = False
@@ -279,7 +290,8 @@ class WishDispatch:
         n, f: system size and fault threshold.
         signatures: the deployment's signature scheme.
         syncs: replica id -> synchronizer of every *correct* replica; each
-            is switched to its column of the shared state here.
+            is switched to its column of the shared state here.  More may
+            :meth:`attach` later (SMR replicas open a slot one by one).
         handlers: the network's plain handlers (Byzantine recipients).
         dup_possible: the network may duplicate messages, so a recipient may
             appear twice in one bucket; every bucket then takes the
@@ -303,16 +315,29 @@ class WishDispatch:
         self._relay_at = f + 1
         self._enter_at = 2 * f + 1
         self._signatures = signatures
-        self._syncs = syncs
+        self._syncs: Dict[ReplicaId, ViewSynchronizer] = {}
         self._handlers = handlers
         self._dup = dup_possible
-        self.columns = WishColumns(n, syncs)
-        for replica, sync in syncs.items():
-            sync.use_wish_state(_ColumnWishes(self.columns, replica))
-        self._domain = next(iter(syncs.values())).domain if syncs else ""
+        self.columns = WishColumns(n, self._syncs)
+        self._domain = ""
         self.vectorised = 0
         self.scalar = 0
         self.declined = 0
+        for replica, sync in syncs.items():
+            self.attach(replica, sync)
+
+    def attach(self, replica: ReplicaId, sync: ViewSynchronizer) -> None:
+        """Move one correct replica's (not yet started) synchronizer onto
+        its column of the shared state."""
+        self._syncs[replica] = sync
+        self._domain = sync.domain
+        sync.use_wish_state(_ColumnWishes(self.columns, replica))
+        self.columns.note_attached(replica)
+
+    def note_declined(self, message) -> None:
+        """Count a Wish bucket the caller had to route around the kernel."""
+        if isinstance(getattr(message, "payload", None), Wish):
+            self.declined += 1
 
     def detach(self) -> None:
         """Forget the synchronizers (deployment teardown): they point at the

@@ -21,8 +21,8 @@ ever ask one question of it: the ``k``-th highest of those values
 (``k = f+1`` to relay, ``k = 2f+1`` to enter).  :class:`ViewSynchronizer`
 is one algorithm over two backends that answer it:
 
-* :class:`WishLedger` (the default: the ``reference=True`` oracle, SMR
-  slots, Byzantine wrappers, unit tests) — a ``sender -> view`` dict plus
+* :class:`WishLedger` (the default: the ``reference=True`` oracle,
+  Byzantine wrappers, unit tests) — a ``sender -> view`` dict plus
   the same values kept in ascending order, updated per accepted wish by a
   binary search and a C-level ``memmove`` instead of a fresh ``sorted()``;
 * the shared columns of :mod:`repro.sync.columns` (every production

@@ -44,6 +44,7 @@ from .helpers import (
     make_commit,
     make_prepare,
     make_propose,
+    make_statement,
     quorum_new_leaders,
     reference_spec,
 )
@@ -90,8 +91,8 @@ class TestMatrixIdentity:
 
         The suppression- and kernel-sensitive adversaries are all here:
         equivocation (view flagging, the kernel declines), flooding (forged
-        statements must NOT flag views; invalid votes through
-        ``_deliver_odd``), duplication (per-target duplicate draws, the
+        statements must NOT flag views; invalid votes are never
+        counted), duplication (per-target duplicate draws, the
         kernel declines every bucket), the targeted scheduler
         (per-recipient eligibility), and under the continuous latency
         models every vote bucket is a singleton.
@@ -185,14 +186,14 @@ class TestStackWiring:
         from repro.sync.synchronizer import WishLedger
 
         deployment = self._spec(protocol).build()
-        columns = deployment._wish_kernel.columns
+        columns = deployment.stack.wishes.columns
         backends = [r.synchronizer._wishes for r in deployment.replicas.values()]
         assert all(b._columns is columns for b in backends)
         # ... and cost nothing until somebody wishes.
         deployment.run(max_time=MAX_TIME)
         assert deployment.max_decision_view == 1 and columns.nbytes == 0
         oracle = reference_spec(self._spec(protocol)).build()
-        assert oracle._wish_kernel is None
+        assert oracle.stack is None
         assert all(
             type(r.synchronizer._wishes) is WishLedger
             for r in oracle.replicas.values()
@@ -272,14 +273,14 @@ class TestSingletonBranch:
     def test_byzantine_recipient_gets_the_plain_handler(self, paused):
         deployment, recorder = paused
         vote = self._prepare(deployment, sender=2)
-        assert deployment._kernel(2, vote, [self.BYZ], None) == 1
+        assert deployment.stack.kernel(2, vote, [self.BYZ], None) == 1
         assert recorder.received[-1] == (2, vote)
         assert deployment.vote_kernel_stats()["singleton"] == 1
 
     def test_future_view_vote_is_buffered(self, paused):
         deployment, _ = paused
         vote = self._prepare(deployment, sender=2, view=2)
-        assert deployment._kernel(2, vote, [3], None) == 1
+        assert deployment.stack.kernel(2, vote, [3], None) == 1
         assert deployment.replicas[3]._future_buffer[2] == [(2, vote)]
         # ... exactly like the oracle's handler:
         oracle = ProBFTDeployment(
@@ -293,12 +294,12 @@ class TestSingletonBranch:
         deployment, _ = paused
         fresh = ProBFTDeployment(ProtocolConfig(n=8, f=1), seed=1)  # view 0
         vote = self._prepare(deployment, sender=2)
-        assert fresh._kernel(2, vote, [3], None) == 0
+        assert fresh.stack.kernel(2, vote, [3], None) == 0
         assert not fresh.replicas[3]._future_buffer
-        slot = deployment._columnar_state.peek(True, 1, vote.payload.value)
+        slot = deployment.stack.state.peek(True, 1, vote.payload.value)
         before = int(slot.counts[3])
         deployment.replicas[3]._on_new_view(2)  # the synchronizer's upcall
-        assert deployment._kernel(2, vote, [3], None) == 0
+        assert deployment.stack.kernel(2, vote, [3], None) == 0
         assert int(slot.counts[3]) == before
 
     def test_replayed_envelope_counts_once(self, paused):
@@ -309,7 +310,7 @@ class TestSingletonBranch:
         before = collector.senders(value)
         assert 2 not in before
         for _ in range(3):
-            assert deployment._kernel(2, vote, [3], None) == 1
+            assert deployment.stack.kernel(2, vote, [3], None) == 1
         assert collector.senders(value) == before | {2}
         assert collector.count(value) == len(before) + 1
 
@@ -323,16 +324,16 @@ class TestSingletonBranch:
         votes = [self._prepare(deployment, sender=s) for s in (1, 2, 4, 5)]
         assert len(held) + len(votes) == q
         for vote in votes[:-1]:
-            deployment._kernel(vote.signer, vote, [3], None)
+            deployment.stack.kernel(vote.signer, vote, [3], None)
         assert replica.prepared_view == 0
-        deployment._kernel(votes[-1].signer, votes[-1], [3], None)
+        deployment.stack.kernel(votes[-1].signer, votes[-1], [3], None)
         assert replica.prepared_view == 1
         # The certificate is the first q envelopes in arrival order — what
         # the oracle's collector would hand NewLeader.
         assert replica._cert == held + tuple(votes)
         # A (q+1)-th vote is pruned (the view is committed): not delivered.
         extra = self._prepare(deployment, sender=6)
-        assert deployment._kernel(6, extra, [3], None) == 0
+        assert deployment.stack.kernel(6, extra, [3], None) == 0
         assert replica._cert == held + tuple(votes)
 
     def test_deciding_singleton_delivery_trips_the_stop_probe(self):
@@ -351,13 +352,13 @@ class TestSingletonBranch:
         q = deployment.config.q
         for s in (1, 2, 4, 5):
             vote = self._prepare(deployment, sender=s)
-            deployment._kernel(s, vote, [3], None)
+            deployment.stack.kernel(s, vote, [3], None)
         assert replica.prepared_view == 1
         statement = replica._proposal.payload.statement
         for s in range(q):
             assert replica.decision is None
             commit = make_commit(deployment.crypto, deployment.config, s, statement)
-            deployment._kernel(s, commit, [3], None)
+            deployment.stack.kernel(s, commit, [3], None)
         assert replica.decision is not None and replica.decision.view == 1
         assert deployment.decisions[3] is replica.decision
 
@@ -405,7 +406,7 @@ class TestVoteKernelStats:
             latencies=("constant",),
         )
         deployment = cell_deployment_spec(cell, 0, MAX_TIME).build()
-        kernel = deployment._kernel
+        kernel = deployment.stack.kernel
         declined_views, applied_views = set(), set()
 
         def watching(src, message, dsts, probe):
@@ -619,7 +620,7 @@ class TestBoundedWishState:
 
     def test_far_future_wishes_allocate_no_slots(self):
         deployment = self._spec().build()
-        columns = deployment._wish_kernel.columns
+        columns = deployment.stack.wishes.columns
         deployment.run(max_time=29.0)  # every far wish delivered, none honest
         assert deployment.network.stats.sent_by_type["Wish"] == (
             1001 + 2 * (self.F - 1)
@@ -717,7 +718,7 @@ class TestSharedProposeVerdict:
         import copy
 
         deployment, forged, _ = view2
-        state = deployment._columnar_state
+        state = deployment.stack.state
         args = (deployment.config, deployment.crypto)
         assert state.safe_proposal(forged, *args) is False
         twin = copy.copy(forged)
@@ -726,3 +727,169 @@ class TestSharedProposeVerdict:
         assert state.propose_validations == 2
         assert state.safe_proposal(forged, *args) is False
         assert state.propose_validations == 2
+
+
+# ----------------------------------------------------------------------
+# Serving: every SMR slot is an instance on the same stack
+# ----------------------------------------------------------------------
+
+
+def _serving_pair(**spec_fields):
+    """(production deployment, its result, oracle deployment, its result)."""
+    from repro.smr.workload import ServingSpec, build_serving_deployment, serve
+
+    spec = ServingSpec(**spec_fields)
+    production = build_serving_deployment(spec)
+    oracle = build_serving_deployment(spec, reference=True)
+    return production, serve(spec, production), oracle, serve(spec, oracle)
+
+
+def _assert_same_run(production, result, oracle, expected, label):
+    assert result == expected, label  # ServingResult, ``latencies`` included
+    assert result.latencies == expected.latencies, label
+    assert production.sim.now == oracle.sim.now, label
+    stats, oracle_stats = production.network.stats, oracle.network.stats
+    assert stats.sent_total == oracle_stats.sent_total, label
+    assert stats.sent_by_type == oracle_stats.sent_by_type, label
+    assert expected.kernel_stats == dict.fromkeys(KERNEL_STATS, 0), label
+
+
+def _slot_views(deployment):
+    """Decision view of every slot the first correct replica applied."""
+    witness = deployment.replicas[min(deployment.correct_ids)]
+    return [
+        witness.slot_replica(s).decision.view
+        for s in range(1, witness.log.applied_up_to + 1)
+    ]
+
+
+class TestServingIdentity:
+    LOAD = dict(num_clients=8, requests_per_client=3, max_time=3_000.0)
+
+    @pytest.mark.parametrize("pipeline,batch_size", [(1, 1), (4, 8), (4, 32)])
+    @pytest.mark.parametrize("arrival", ["closed", "open"])
+    @pytest.mark.parametrize("rotate_leaders", [False, True])
+    @pytest.mark.parametrize(
+        "adversary", ["none", "equivocating-leader", "flooding"]
+    )
+    def test_every_cell_equals_the_oracle(
+        self, adversary, rotate_leaders, arrival, pipeline, batch_size
+    ):
+        for n in (9, 16):
+            cell = dict(
+                n=n,
+                adversary=adversary,
+                rotate_leaders=rotate_leaders,
+                arrival=arrival,
+                pipeline=pipeline,
+                batch_size=batch_size,
+            )
+            production, result, oracle, expected = _serving_pair(
+                seed=n, **cell, **self.LOAD
+            )
+            _assert_same_run(production, result, oracle, expected, cell)
+            assert result.completed > 0 and result.logs_consistent, cell
+            assert result.kernel_stats["vectorised"] > 0, cell
+
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_view_changes_inside_slots_recover_identically(self, n):
+        """ROADMAP item 1 rider: a seeded fuzz (75 seeds) with batching
+        and rotation on, a faulty seat that forces view changes (an equivocating or a
+        silent-when-leading leader) and every slot's decision view read
+        back: slots that needed a view change end in agreeing logs, the
+        same way on both stacks."""
+        recovered = 0
+        for seed in range(50 if n == 9 else 25):
+            cell = dict(
+                n=n,
+                seed=seed,
+                adversary=("equivocating-leader", "flooding")[seed % 2],
+                rotate_leaders=True,
+                arrival=("closed", "open")[seed // 2 % 2],
+                batch_size=2,
+                num_clients=4 + n // 2,  # enough slots to reach the faulty
+                requests_per_client=4,  # seat's turn (slot n - 1 or n)
+                timeout=6.0,
+                max_time=600.0,
+            )
+            production, result, oracle, expected = _serving_pair(**cell)
+            _assert_same_run(production, result, oracle, expected, cell)
+            assert production.logs_consistent(), cell
+            views = _slot_views(production)
+            assert views == _slot_views(oracle), cell
+            recovered += sum(1 for view in views if view > 1)
+        assert recovered >= 20  # the fuzz does cross the view-change path
+
+
+class TestSlotRouter:
+    """The SMR router declines what it cannot hand a slot's kernels whole,
+    and counts it."""
+
+    def _deployment(self):
+        from repro.smr.app import CounterApp
+        from repro.smr.service import SMRDeployment
+
+        deployment = SMRDeployment(
+            ProtocolConfig(n=9, f=2), CounterApp, num_slots=12, seed=4,
+            eager_slots=False,
+        )
+        deployment.start()
+        return deployment
+
+    def _prepare(self, deployment, slot, sender=3):
+        from repro.smr.replica import SlotEnvelope
+
+        config = deployment.stack.slot_config(slot)
+        statement = make_statement(deployment.crypto, config, 1, b"x")
+        vote = make_prepare(deployment.crypto, config, sender, statement)
+        return SlotEnvelope(slot, vote)
+
+    def test_vote_bucket_for_a_slot_a_recipient_has_not_opened(self):
+        deployment = self._deployment()
+        router = deployment.stack
+        for r in (1, 2):  # only these two have opened slot 1
+            deployment.replicas[r]._ensure_slot(1)
+        envelope = self._prepare(deployment, 1)
+        assert router(3, envelope, [1, 2], None) == 2
+        assert router(3, envelope, [1, 2, 4], None) == -1
+        assert router.batch_filter(envelope, [1, 2, 4]) == [1, 2, 4]
+        stats = deployment.vote_kernel_stats()
+        assert stats["vectorised"] == 1 and stats["declined"] == 1
+        # The per-recipient route is where replica 4 opens the slot.
+        deployment.replicas[4].on_message(3, envelope)
+        assert deployment.replicas[4].slot_replica(1).current_view == 1
+
+    def test_out_of_window_slot_is_each_replicas_own_call(self):
+        deployment = self._deployment()
+        envelope = self._prepare(deployment, 9)  # window is slots 1..5
+        deployment.network.multicast(3, [1, 2], envelope)  # opens the stack
+        deployment.sim.run(until=2.0)
+        stats = deployment.vote_kernel_stats()
+        assert stats["declined"] == 1 and stats["vectorised"] == 0
+        assert deployment.replicas[1].slot_replica(9) is None
+        assert not deployment.stack.stacks[9].replicas
+
+    def test_invalid_vote_bucket_is_declined_not_applied(self):
+        from repro.smr.replica import SlotEnvelope
+
+        deployment = self._deployment()
+        for r in deployment.correct_ids:
+            deployment.replicas[r]._ensure_slot(1)
+        foreign = self._prepare(deployment, 2).inner  # another slot's domain
+        dsts = [1, 2, 4]
+        assert deployment.stack(3, SlotEnvelope(1, foreign), dsts, None) == -1
+        assert deployment.vote_kernel_stats()["declined"] == 1
+
+    def test_retired_slot_drops_late_envelopes(self):
+        deployment = self._deployment()
+        deployment.submit_to_all(b"INC")
+        deployment.run_until(lambda: deployment.stack.retired >= 1, 1_000.0)
+        record = deployment.replicas[1].slot_replica(1)
+        assert record.decision.view == 1 and 1 not in deployment.stack.stacks
+        late = self._prepare(deployment, 1)
+        assert deployment.stack.slot_of(late) is None
+        assert deployment.stack(3, late, [1, 2], None) == 0
+        deployment.replicas[1].on_message(3, late)
+        assert deployment.replicas[1].slot_replica(1) is record
+        # Retired slots keep counting in the route totals.
+        assert deployment.vote_kernel_stats()["vectorised"] > 0

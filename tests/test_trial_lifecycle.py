@@ -162,6 +162,85 @@ class TestDeploymentTeardown:
         assert deployment.sim.now == result.sim_time
         assert replica.decision is not None and replica.current_view == 2
 
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("adversary", ["none", "equivocating-leader"])
+    def test_serving_deployment_is_freed_by_reference_counting(
+        self, adversary, reference
+    ):
+        """The SMR service sits on the same base: a served deployment, its
+        generator, and every slot instance (retired by then or not) go away
+        with their last holder — no collection needed, none left to do."""
+        from repro.smr.workload import (
+            ServingSpec,
+            WorkloadGenerator,
+            build_serving_deployment,
+        )
+
+        spec = ServingSpec(
+            adversary=adversary, rotate_leaders=True, num_clients=6,
+            requests_per_client=3, max_time=5_000.0,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            deployment = build_serving_deployment(spec, reference=reference)
+            generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+            generator.run(max_time=spec.max_time)
+            assert generator.done() and deployment.logs_consistent()
+            replica = deployment.replicas[min(deployment.correct_ids)]
+            last = replica.log.applied_up_to
+            # Slot 1 is long retired (every correct replica applied it): the
+            # record answers for it and the instance is gone already.
+            assert replica.slot_replica(1).decision.view >= 1
+            assert 1 not in replica._slots and 1 not in deployment.stack.stacks
+            probes = [
+                weakref.ref(obj)
+                for obj in (deployment, replica, replica.slot_replica(last))
+            ]
+            del deployment, generator, replica
+            assert [probe() for probe in probes] == [None, None, None]
+            assert gc.collect() == 0 and not gc.garbage
+        finally:
+            gc.enable()
+
+    def test_retirement_frees_a_slot_while_the_deployment_runs(self):
+        from repro.smr.app import CounterApp
+        from repro.smr.service import SMRDeployment
+
+        gc.collect()
+        gc.disable()
+        try:
+            deployment = SMRDeployment(
+                ProtocolConfig(n=9, f=2), CounterApp, num_slots=6, seed=2
+            )
+            deployment.start()
+            replica = deployment.replicas[1]
+            instance = weakref.ref(replica.slot_replica(1))
+            stack = weakref.ref(deployment.stack.stacks[1])
+            deployment.run(max_time=5_000.0)
+            assert deployment.all_applied()
+            assert instance() is None and stack() is None
+            assert replica.slot_replica(1).config.seed_domain == "slot-1"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_closed_serving_deployment_stays_readable(self):
+        from repro.smr.workload import ServingSpec, build_serving_deployment, serve
+
+        spec = ServingSpec(num_clients=6, requests_per_client=3, max_time=5_000.0)
+        deployment = build_serving_deployment(spec)
+        result = serve(spec, deployment)
+        replica = deployment.replicas[min(deployment.correct_ids)]
+        deployment.close()
+        deployment.close()  # idempotent
+        assert deployment.replicas == {} and deployment.sim.pending_events == 0
+        assert deployment.vote_kernel_stats() == result.kernel_stats
+        assert deployment.network.stats.sent_total > 0
+        last = replica.log.applied_up_to
+        assert last >= 1 and replica.slot_replica(last).decision is not None
+        assert not deployment.stack.stacks and not deployment.stack.decode._decoded
+
     def test_half_built_deployment_is_not_closed(self):
         from repro.core.protocol import ProBFTDeployment
 
