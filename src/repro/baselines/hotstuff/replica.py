@@ -15,6 +15,13 @@ trade-off Figure 1 visualises.
 Quorum certificates here are tuples of ``n − f`` signed votes; a production
 implementation would aggregate them with threshold signatures, which changes
 bit complexity but not the message counts the paper compares.
+
+What every recipient of a broadcast proposal checks alike — its signature,
+its sender being the leader, its phase, its justifying QC and the n − f
+votes in it — is evaluated once per proposal (and once per QC object)
+through the instance's verdict table (:meth:`CryptoContext.validated
+<repro.crypto.context.CryptoContext.validated>`); only the lock rule is the
+recipient's own.
 """
 
 from __future__ import annotations
@@ -210,23 +217,26 @@ class HotStuffReplica:
 
     # ------------------------------------------------------------------
     def _handle_proposal(self, src: ReplicaId, signed: Signed) -> None:
-        if not self._crypto.signatures.verify(signed):
+        if not self._crypto.validated(
+            self.config, "proposal", signed, lambda: self._well_formed(signed)
+        ):
             return
         proposal: HsProposal = signed.payload
         view = proposal.view
-        if signed.signer != self._leader(view):
-            return
-        try:
-            phase = HsPhase(proposal.phase)
-        except ValueError:
-            return
-        if not self._proposal_safe(proposal, phase):
-            return
+        phase = HsPhase(proposal.phase)
+        justify = proposal.justify
+        locked = self._locked_qc
+        if phase is HsPhase.PREPARE and locked is not None:
+            # Unlock rule: no justification is acceptable only to unlocked
+            # replicas (nobody proved anything was prepared earlier), and a
+            # justification must be at least as recent as our lock.
+            if justify is None or justify.view < locked.view:
+                return
 
-        if phase is HsPhase.PRE_COMMIT and proposal.justify is not None:
-            self._prepare_qc = proposal.justify
-        if phase is HsPhase.COMMIT and proposal.justify is not None:
-            self._locked_qc = proposal.justify
+        if phase is HsPhase.PRE_COMMIT and justify is not None:
+            self._prepare_qc = justify
+        if phase is HsPhase.COMMIT and justify is not None:
+            self._locked_qc = justify
         if phase is HsPhase.DECIDE:
             self._decide(view, proposal.value)
             return
@@ -241,36 +251,35 @@ class HotStuffReplica:
         vote = HsVote(vote=vote_payload)
         self._send_or_local(self._leader(view), self._sign(vote))
 
-    def _proposal_safe(self, proposal: HsProposal, phase: HsPhase) -> bool:
-        """Phase-specific safety: the justify QC must match the proposal."""
+    def _well_formed(self, signed: Signed) -> bool:
+        """Everything about a proposal that is the same for every recipient:
+        signed by its view's leader, a known phase, and a justify QC that
+        matches the proposal the way the phase demands."""
+        if not self._crypto.signatures.verify(signed):
+            return False
+        proposal: HsProposal = signed.payload
+        if signed.signer != self._leader(proposal.view):
+            return False
+        try:
+            phase = HsPhase(proposal.phase)
+        except ValueError:
+            return False
+        justify = proposal.justify
         if phase is HsPhase.PREPARE:
-            if proposal.justify is None:
-                # No justification is acceptable only to unlocked replicas
-                # (nobody proved anything was prepared earlier).
-                return self._locked_qc is None
-            if not self._verify_qc(proposal.justify):
-                return False
-            if proposal.justify.phase != HsPhase.PREPARE.value:
-                return False
-            if proposal.value != proposal.justify.value:
-                return False
-            # Unlock rule: the justify must be at least as recent as our lock.
-            return (
-                self._locked_qc is None
-                or proposal.justify.view >= self._locked_qc.view
+            return justify is None or (
+                self._verify_qc(justify)
+                and justify.phase == HsPhase.PREPARE.value
+                and proposal.value == justify.value
             )
-        if proposal.justify is None:
+        if justify is None:
             return False
         expected_prev = {
             HsPhase.PRE_COMMIT: HsPhase.PREPARE,
             HsPhase.COMMIT: HsPhase.PRE_COMMIT,
             HsPhase.DECIDE: HsPhase.COMMIT,
         }[phase]
-        return (
-            self._verify_qc(proposal.justify)
-            and proposal.justify.matches(
-                proposal.view, proposal.value, expected_prev
-            )
+        return self._verify_qc(justify) and justify.matches(
+            proposal.view, proposal.value, expected_prev
         )
 
     def _handle_vote(self, src: ReplicaId, signed: Signed) -> None:
@@ -306,6 +315,11 @@ class HotStuffReplica:
                 self._drive_phase(view, next_phase, payload.value, qc)
 
     def _verify_qc(self, qc: HsQuorumCert) -> bool:
+        return self._crypto.validated(
+            self.config, "qc", qc, lambda: self._quorum_signed(qc)
+        )
+
+    def _quorum_signed(self, qc: HsQuorumCert) -> bool:
         seen = set()
         for vote in qc.votes:
             if not self._crypto.signatures.verify(vote):

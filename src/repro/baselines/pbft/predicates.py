@@ -4,6 +4,12 @@ With deterministic quorums any two prepared certificates for the same view
 carry the same value, so the view-change rule simplifies: the new leader
 re-proposes the value prepared in the *highest* view reported by its quorum
 (no ``mode`` needed, unlike ProBFT).
+
+None of these depends on who evaluates it: with the default validity
+predicate each is evaluated once per message object through the instance's
+verdict table (:meth:`CryptoContext.validated
+<repro.crypto.context.CryptoContext.validated>`), however many replicas a
+broadcast reaches.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
 from ...core.leader import leader_of_view
 from ...messages.base import ProposalStatement
-from ...messages.pbft import PbftNewLeader, PbftPrepare, PbftPropose
+from ...messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
 from ...types import ReplicaId, ValidPredicate, Value, View
 
 
@@ -54,7 +60,48 @@ def pbft_validate_prepared_certificate(
     return len(seen) >= config.det_quorum
 
 
+def pbft_valid_vote(
+    signed: Signed, config: ProtocolConfig, crypto: CryptoContext
+) -> bool:
+    """A signed PbftPrepare/PbftCommit over a statement its view's leader
+    signed (which of the two, and for which view, is the recipient's to
+    check)."""
+    return crypto.validated(
+        config, "vote", signed, lambda: _valid_vote(signed, config, crypto)
+    )
+
+
+def _valid_vote(signed: Signed, config: ProtocolConfig, crypto: CryptoContext) -> bool:
+    vote = signed.payload
+    if not isinstance(vote, (PbftPrepare, PbftCommit)):
+        return False
+    if not crypto.signatures.verify(signed):
+        return False
+    statement = vote.statement
+    if not crypto.signatures.verify(statement):
+        return False
+    inner = statement.payload
+    if not isinstance(inner, ProposalStatement):
+        return False
+    return statement.signer == leader_of_view(inner.view, config.n)
+
+
 def pbft_valid_new_leader(
+    signed: Signed,
+    target_view: View,
+    config: ProtocolConfig,
+    crypto: CryptoContext,
+) -> bool:
+    return crypto.validated(
+        config,
+        "new_leader",
+        signed,
+        lambda: _valid_new_leader(signed, target_view, config, crypto),
+        (target_view,),
+    )
+
+
+def _valid_new_leader(
     signed: Signed,
     target_view: View,
     config: ProtocolConfig,
@@ -98,6 +145,19 @@ def pbft_safe_proposal(
     config: ProtocolConfig,
     crypto: CryptoContext,
     valid: Optional[ValidPredicate] = None,
+) -> bool:
+    if valid is not None:
+        return _safe_proposal(signed, config, crypto, valid)
+    return crypto.validated(
+        config, "propose", signed, lambda: _safe_proposal(signed, config, crypto, None)
+    )
+
+
+def _safe_proposal(
+    signed: Signed,
+    config: ProtocolConfig,
+    crypto: CryptoContext,
+    valid: Optional[ValidPredicate],
 ) -> bool:
     if not crypto.signatures.verify(signed):
         return False

@@ -25,7 +25,12 @@ from ...quorum.deterministic import DeterministicQuorumCollector
 from ...sync.synchronizer import ViewSynchronizer, Wish
 from ...sync.timeouts import TimeoutPolicy
 from ...types import Decision, ReplicaId, Value, View
-from .predicates import pbft_choose_value, pbft_safe_proposal, pbft_valid_new_leader
+from .predicates import (
+    pbft_choose_value,
+    pbft_safe_proposal,
+    pbft_valid_new_leader,
+    pbft_valid_vote,
+)
 
 FUTURE_VIEW_WINDOW = 2
 FUTURE_BUFFER_LIMIT = 8192
@@ -262,19 +267,11 @@ class PbftReplica:
 
     # ------------------------------------------------------------------
     def _verify_vote(self, signed: Signed, vote: object, expected_type) -> bool:
-        if not isinstance(vote, expected_type):
-            return False
-        if not self._crypto.signatures.verify(signed):
-            return False
-        statement = vote.statement
-        if not self._crypto.signatures.verify(statement):
-            return False
-        inner = statement.payload
-        if not isinstance(inner, ProposalStatement):
-            return False
-        if inner.view != self._cur_view:
-            return False
-        return statement.signer == self._leader(inner.view)
+        # ``on_message`` only lets current-view votes through; the rest of
+        # the check is the same for every recipient.
+        return isinstance(vote, expected_type) and pbft_valid_vote(
+            signed, self.config, self._crypto
+        )
 
     def _leader(self, view: View) -> ReplicaId:
         return leader_of_view(view, self.config.n)

@@ -27,24 +27,20 @@ deployment, or one slot of the SMR service):
   updated by the replica state machine at its (few) mutation points, so the
   delivery kernel classifies a whole fan-out bucket with vectorized gathers
   instead of attribute chases.
-* **Propose verdicts** — ``safeProposal`` is recipient-independent, so the
-  shared state evaluates it once per Propose envelope
-  (:meth:`ColumnarVoteState.safe_proposal`, keyed by object identity) and
-  every recipient, future-buffer replay and gossip hop reads the verdict:
-  the 2f+1 NewLeader signatures of a view-change justification are checked
-  once per view, not once per replica.
-
 :class:`ColumnarVoteDispatch` is the kernel `Network` hands every coalesced
 bucket to: wide buckets (constant latency: one bucket per multicast) are
 applied array-at-a-time, singleton buckets (continuous latency: one bucket
 per recipient) take a scalar branch with the same rules, and any vote
 bucket it cannot prove equivalent — equivocal views, deployments with
-network duplication — is declined (-1) to the per-recipient fallback
-(:meth:`ProBFTReplica.on_sample_message`) through the same arrays.  The
-three outcomes are counted (:meth:`ColumnarVoteDispatch.stats`).  Non-votes
-are passed on to the deployment's wish kernel
-(:class:`repro.sync.columns.WishDispatch`), which takes the Wish buckets
-and declines everything else.
+network duplication — is declined (-1) to the per-recipient loop
+(:meth:`ProBFTReplica.on_message`) through the same arrays.  The three
+outcomes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
+route, a vote's recipient-independent validation is one lookup in the
+instance's verdict table (:func:`~repro.core.replica.prevalidate_vote`):
+under continuous latency a vote object arrives in ``s`` buckets and is
+validated in the first.  Non-votes are passed on to the deployment's wish
+kernel (:class:`repro.sync.columns.WishDispatch`), which takes the Wish
+buckets and declines everything else.
 
 The reference semantics stay in :meth:`ProBFTReplica.on_message` over
 :class:`~repro.quorum.probabilistic.ProbabilisticQuorumCollector`
@@ -63,7 +59,6 @@ import numpy as np
 
 from ..errors import QuorumError
 from ..messages.probft import Commit, Prepare
-from .predicates import safe_proposal
 from .replica import prevalidate_vote
 
 __all__ = [
@@ -94,12 +89,6 @@ def bitmap_ids(words: np.ndarray) -> Tuple[int, ...]:
 # ----------------------------------------------------------------------
 # Slot storage
 # ----------------------------------------------------------------------
-
-#: Propose verdicts retained per deployment.  A view has one proposal (one
-#: per partition under an equivocating leader); the bound only matters when
-#: a Byzantine sender sprays distinct Propose objects, each of which costs
-#: its recipient a validation whether or not the verdict is kept.
-_PROPOSE_VERDICTS_KEPT = 64
 
 class _Slot:
     """Array-backed accumulator for one (phase, view, value) key.
@@ -162,10 +151,6 @@ class ColumnarVoteState:
         #: bucket is a handler stop.
         self.has_byz = len(correct_ids) < n
         self._slots: Dict[Tuple[bool, int, object], _Slot] = {}
-        #: id(Propose envelope) -> (envelope, safeProposal verdict); the
-        #: entry pins the envelope, so its id cannot be recycled.
-        self._propose_verdicts: Dict[int, Tuple[object, bool]] = {}
-        self.propose_validations = 0
 
     def note_view(self, replica: int, view: int, committed: bool) -> None:
         """Mirror hook for ``_on_new_view`` (lines 1-5)."""
@@ -199,26 +184,6 @@ class ColumnarVoteState:
     def peek(self, is_prepare: bool, view: int, value) -> Optional[_Slot]:
         return self._slots.get((is_prepare, view, value))
 
-    def safe_proposal(self, signed, config, crypto) -> bool:
-        """``safeProposal`` of one Propose envelope, evaluated once.
-
-        The verdict is a pure function of the envelope and the deployment's
-        config and crypto, so every recipient of a fan-out — and every
-        future-buffer replay or gossip hop of the same object — shares it.
-        It is kept here, keyed by the object's identity, and never read off
-        the message: a sender cannot supply it.
-        """
-        verdicts = self._propose_verdicts
-        entry = verdicts.get(id(signed))
-        if entry is not None and entry[0] is signed:
-            return entry[1]
-        self.propose_validations += 1
-        verdict = safe_proposal(signed, config, crypto)
-        if len(verdicts) >= _PROPOSE_VERDICTS_KEPT:
-            del verdicts[next(iter(verdicts))]  # oldest first
-        verdicts[id(signed)] = (signed, verdict)
-        return verdict
-
 
 # ----------------------------------------------------------------------
 # The collector facade (generic per-recipient path)
@@ -229,8 +194,8 @@ class ColumnarQuorumCollector:
 
     Stands in for :class:`~repro.quorum.probabilistic.
     ProbabilisticQuorumCollector` in the replica's per-view tables: the
-    generic handlers (``_handle_prepare``/``_handle_commit``/
-    ``on_sample_message``) call ``add`` per delivered vote, and the quorum
+    per-recipient handler (``ProBFTReplica._handle_vote``) and the kernel's
+    singleton branch call ``add`` per delivered vote, and the quorum
     checks (``has_quorum``/``quorum_messages``) read the same arrays the
     vote kernel writes — so kernel-delivered and handler-delivered votes
     land in one place.
@@ -357,9 +322,10 @@ class ColumnarVoteDispatch:
     """One-call-per-bucket delivery kernel for Prepare/Commit fan-outs.
 
     :meth:`Network._deliver_fanout` hands a whole *raw* coalesced bucket
-    here; the kernel prevalidates the vote once, then fuses the observation
-    policy's pruning and :meth:`ProBFTReplica.on_sample_message`'s
-    per-recipient behaviour into array operations: it classifies the
+    here; the kernel looks the vote's token up (validating it if this is
+    the object's first delivery), then fuses the observation policy's
+    pruning and :meth:`ProBFTReplica._handle_vote`'s per-recipient
+    behaviour into array operations: it classifies the
     bucket with vectorized gathers over the mirror columns, applies the
     accepted votes as one masked scatter into the slot arrays, and only
     drops to scalar code at the *stop points* the per-recipient loop also
@@ -430,8 +396,8 @@ class ColumnarVoteDispatch:
 
     def __call__(self, src, message, dsts, probe) -> int:
         if self._dup:
-            # Declined unparsed (the fallback prevalidates once per bucket
-            # anyway); a payload type test is enough to count the votes.
+            # Declined unparsed (each recipient looks the token up anyway);
+            # a payload type test is enough to count the votes.
             if isinstance(getattr(message, "payload", None), (Prepare, Commit)):
                 self.declined += 1
                 return -1
@@ -580,7 +546,7 @@ class ColumnarVoteDispatch:
                 return 1
             return 0
         # Countable: the recipient's collector facade applies the vote (seen
-        # bit, count, arrival order) exactly as the fallback handler would.
+        # bit, count, arrival order) exactly as the per-recipient handler would.
         replica = self._replicas[d]
         if is_prepare:
             if replica._prepare_collectors.get(view).add(

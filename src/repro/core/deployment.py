@@ -16,10 +16,17 @@ synchronizer columns shared by the instance's correct replicas
 vote kernel (:class:`repro.core.protocol.ProBFTStack`).  ``reference=True``
 builds the test oracle instead: per-recipient delivery, per-message
 handlers, per-replica wish ledgers, set-based quorum collectors — Algorithm
-1 with nothing batched.  The identity suite
+1 with nothing batched, and a table-free crypto context, so every check is
+recomputed for every recipient.  The identity suite
 (``tests/test_reference_identity.py``) pins the two to equal results, for
 single-shot trials and for serving; :meth:`Deployment.vote_kernel_stats`
 says which route each bucket took.
+
+Every production instance validates through one verdict table
+(:mod:`repro.crypto.verdicts`): whatever a recipient checks about a message
+that does not depend on the recipient is computed once per message object.
+The table lives as long as the instance — a single-shot deployment's is
+cleared in :meth:`Deployment.close`, an SMR slot's when the slot retires.
 
 A deployment owns its replica graph and takes it apart
 (:meth:`Deployment.close`) when its last holder lets go of it, so every
@@ -60,6 +67,8 @@ KERNEL_STATS = (
     "wish_scalar",
     "wish_declined",
     "propose_validations",
+    "validated",
+    "validated_reused",
 )
 
 
@@ -78,7 +87,8 @@ class InstanceStack:
     holds one, joined by every correct replica at construction; the SMR
     service holds one per open slot, joined by each replica as it opens the
     slot.  ``handlers`` are the instance's plain handlers (what its
-    Byzantine seats are handed).
+    Byzantine seats are handed); ``crypto`` is the instance's view of the
+    deployment's keys, with the instance's verdict table.
     """
 
     #: Extra constructor arguments of the instance's honest replicas.
@@ -87,6 +97,8 @@ class InstanceStack:
     def __init__(
         self, config, crypto, correct_ids, byzantine_ids, handlers, dup_possible=False
     ) -> None:
+        self.config = config
+        self.crypto = crypto
         self.replicas: Dict[ReplicaId, object] = {}
         # Deterministic-quorum votes go to everyone, so the default has
         # nothing to prune: pure event coalescing, which is what tames the
@@ -106,11 +118,18 @@ class InstanceStack:
     def stats(self) -> Dict[str, int]:
         return self.wishes.stats()
 
+    def retire(self) -> None:
+        """The instance is over: stop pinning what it validated, and cut
+        the edge that keeps the stack in a reference cycle (safe from
+        inside one of the stack's own kernel calls)."""
+        self.crypto.verdicts.clear()
+        self.wishes.detach()
+
     def detach(self) -> None:
         """Forget the replicas (teardown): they point at the network, whose
         policy points here."""
         self.replicas.clear()
-        self.wishes.detach()
+        self.retire()
 
 
 class Deployment:
@@ -159,10 +178,14 @@ class Deployment:
             track_bytes=track_bytes,
         )
         # Same-seed trials share one pooled (immutable) key registry instead
-        # of re-deriving n key pairs; pass ``crypto=`` to override.
-        self.crypto = crypto if crypto is not None else CryptoContext.pooled(
-            config.n, master_seed=digest(self.pool_label, seed)
-        )
+        # of re-deriving n key pairs; pass ``crypto=`` to override.  The
+        # production stack validates through its own verdict table; the
+        # oracle's context stays table-free.
+        if crypto is None:
+            crypto = CryptoContext.pooled(
+                config.n, master_seed=digest(self.pool_label, seed)
+            )
+        self.crypto = crypto if reference else crypto.instance(config)
         self.decisions: Dict[ReplicaId, Decision] = {}
         self.replicas: Dict[ReplicaId, object] = {}
 
@@ -243,11 +266,6 @@ class Deployment:
         stack, network = self.stack, self.network
         for r in self._correct_ids:
             stack.join(r, self.replicas[r])
-            batch = getattr(self.replicas[r], "on_sample_message", None)
-            if batch is not None:
-                # Buckets the kernel declines fall back to the batched
-                # per-recipient handler (one shared prevalidation per bucket).
-                network.register_batch(r, batch)
         network.use_delivery_policy(stack.policy)
         network.use_bulk_handler(stack.kernel)
 
@@ -326,17 +344,26 @@ class Deployment:
         """Which route each bucket took (all zero for the oracle).
 
         ``vectorised`` / ``singleton`` / ``declined``: vote buckets applied
-        by the vote kernel, or declined to the per-recipient fallback
+        by the vote kernel, or declined to the per-recipient loop
         (ProBFT only).  ``wish_vectorised`` / ``wish_scalar`` /
         ``wish_declined``: Wish buckets applied array-at-a-time, through the
         per-recipient loop (one recipient, or a wish dropped on a lookup),
         or through it because the network may duplicate.
-        ``propose_validations``: ``safeProposal`` evaluations (ProBFT only;
-        one per distinct Propose object).
+        ``validated`` / ``validated_reused``: recipient-independent checks
+        (signatures, VRF proofs, vote tokens, proposals, NewLeaders,
+        certificates) that were computed / answered from the verdict table,
+        summed over every instance of the deployment;
+        ``propose_validations`` is the ``safeProposal`` share of
+        ``validated`` (one per distinct Propose object).  The per-kind
+        split is ``deployment.crypto.verdicts.counts``.
         """
         stats = dict.fromkeys(KERNEL_STATS, 0)
         if self.stack is not None:
             stats.update(self.stack.stats())
+        table = self.crypto.verdicts
+        if table is not None:
+            stats["validated"], stats["validated_reused"] = table.counts.totals()
+            stats["propose_validations"] = table.counts.computed.get("propose", 0)
         return stats
 
     @property

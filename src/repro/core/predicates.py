@@ -15,6 +15,16 @@ Correct replicas *redo the leader's computation* on the justification set
 propose a value that contradicts what a (deterministic-quorum) majority
 prepared in the latest view — this is what protects decisions across view
 changes (Theorem 8).
+
+Neither predicate depends on who evaluates it, so with the default validity
+predicate and leader schedule each is evaluated once per message object
+through the instance's verdict table (:meth:`CryptoContext.validated
+<repro.crypto.context.CryptoContext.validated>`), as is the ``prepared``
+check of a certificate: the 2f+1 NewLeader signatures of a view-change
+justification are checked once per view, not once per replica, and the
+leader's own verdict on each NewLeader is the one its followers read.  The
+verdict is kept by the table, never read off the message: a sender cannot
+supply it.
 """
 
 from __future__ import annotations
@@ -46,6 +56,24 @@ def valid_new_leader(
     (``leader_of``); pass an explicit ``(view, n) -> id`` callable to audit
     against a different schedule.
     """
+    if leader_fn is not None:
+        return _valid_new_leader(signed, target_view, config, crypto, leader_fn)
+    return crypto.validated(
+        config,
+        "new_leader",
+        signed,
+        lambda: _valid_new_leader(signed, target_view, config, crypto, None),
+        (target_view,),
+    )
+
+
+def _valid_new_leader(
+    signed: Signed,
+    target_view: View,
+    config: ProtocolConfig,
+    crypto: CryptoContext,
+    leader_fn: Optional[LeaderFn],
+) -> bool:
     if not crypto.signatures.verify(signed):
         return False
     msg = signed.payload
@@ -60,15 +88,29 @@ def valid_new_leader(
         return msg.prepared_value is None and not msg.cert
     if msg.prepared_value is None:
         return False
-    return validate_prepared_certificate(
-        cert=msg.cert,
-        view=msg.prepared_view,
-        value=msg.prepared_value,
-        holder=signed.signer,
-        config=config,
-        signatures=crypto.signatures,
-        vrf=crypto.vrf,
-        leader_of_view=leader_fn,
+
+    def prepared() -> bool:
+        return validate_prepared_certificate(
+            cert=msg.cert,
+            view=msg.prepared_view,
+            value=msg.prepared_value,
+            holder=signed.signer,
+            config=config,
+            signatures=crypto.signatures,
+            vrf=crypto.vrf,
+            leader_of_view=leader_fn,
+        )
+
+    if leader_fn is not None:
+        return prepared()
+    # A replica re-sends the same certificate tuple in every later view's
+    # NewLeader until it prepares again.
+    return crypto.validated(
+        config,
+        "certificate",
+        msg.cert,
+        prepared,
+        (msg.prepared_view, msg.prepared_value, signed.signer),
     )
 
 
@@ -88,6 +130,23 @@ def safe_proposal(
     leader_fn: Optional[LeaderFn] = None,
 ) -> bool:
     """``safeProposal`` over a signed Propose message."""
+    if valid is not None or leader_fn is not None:
+        return _safe_proposal(signed, config, crypto, valid, leader_fn)
+    return crypto.validated(
+        config,
+        "propose",
+        signed,
+        lambda: _safe_proposal(signed, config, crypto, None, None),
+    )
+
+
+def _safe_proposal(
+    signed: Signed,
+    config: ProtocolConfig,
+    crypto: CryptoContext,
+    valid: Optional[ValidPredicate],
+    leader_fn: Optional[LeaderFn],
+) -> bool:
     if not crypto.signatures.verify(signed):
         return False
     propose = signed.payload

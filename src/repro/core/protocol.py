@@ -4,8 +4,9 @@
 reach only the recipients that can observe them (:class:`~repro.core.
 observation.SampleObservationPolicy`), whole vote buckets are applied by
 one kernel over array-backed quorum state (:mod:`repro.core.columnar`),
-which passes Wish buckets on to the shared wish kernel, and a Propose is
-validated once per message object.  :class:`ProBFTDeployment` is the shared
+which passes Wish buckets on to the shared wish kernel, and every message
+is validated once per object through the instance's verdict table.
+:class:`ProBFTDeployment` is the shared
 :class:`~repro.core.deployment.Deployment` over one such stack (the SMR
 service holds one per open slot), with the leader's proposal optionally
 travelling by gossip.
@@ -52,11 +53,7 @@ class ProBFTStack(InstanceStack):
         )
 
     def stats(self) -> Dict[str, int]:
-        return {
-            **self.wishes.stats(),
-            **self.kernel.stats(),
-            "propose_validations": self.state.propose_validations,
-        }
+        return {**self.wishes.stats(), **self.kernel.stats()}
 
 
 class ProBFTDeployment(Deployment):

@@ -13,9 +13,10 @@ Handlers map to the algorithm's "upon" clauses:
   quorum of NewLeader messages and proposes);
 * :meth:`_handle_propose`    — lines 13–16 (vote by multicasting Prepare to a
   VRF sample);
-* :meth:`_handle_prepare`    — lines 17–20 (probabilistic prepare quorum →
-  prepared certificate → multicast Commit to a fresh VRF sample);
-* :meth:`_handle_commit`     — lines 21–22 (probabilistic commit quorum →
+* :meth:`_handle_vote`       — one delivered Prepare or Commit, counted
+  towards :meth:`_try_form_prepared` — lines 17–20 (probabilistic prepare
+  quorum → prepared certificate → multicast Commit to a fresh VRF sample) —
+  or :meth:`_try_decide` — lines 21–22 (probabilistic commit quorum →
   decide);
 * :meth:`_check_equivocation`— lines 23–25 (any message carrying a
   leader-signed statement conflicting with ``curVal`` blocks the view and
@@ -25,20 +26,21 @@ Messages for future views are buffered (bounded) and replayed on view entry;
 messages for past views are dropped — the paper's "a receiver will only
 accept a message if its own view matches the view of the sender".
 
-:meth:`ProBFTReplica.on_message` over set-based quorum collectors is the
-reference: what ``reference=True`` deployments and Byzantine wrappers
-run.  Production deployments hand vote fan-outs to the bucket
-kernel in :mod:`repro.core.columnar` instead, which shares this module's
-:func:`prevalidate_vote` and the replica's quorum re-checks;
-:meth:`ProBFTReplica.on_sample_message` is the per-recipient fallback for
-the vote buckets that kernel declines and for other fan-outs (Propose,
-evidence).  It never sees a Wish: those fan-outs go to the wish kernel
-(:mod:`repro.sync.columns`), and only unicast wishes reach
-:meth:`ProBFTReplica.on_message`.  With shared columnar state a Propose's
-``safeProposal`` verdict is likewise computed once per envelope and shared
-(:meth:`~repro.core.columnar.ColumnarVoteState.safe_proposal`); the
-per-recipient conditions of lines 13-16 (``blockView``, ``voted``) stay in
-:meth:`_handle_propose`.
+:meth:`ProBFTReplica.on_message` is the one delivery entry point: unicasts,
+self-deliveries, future-buffer replays, gossip hops and every fan-out bucket
+the kernels decline all arrive here.  Over set-based quorum collectors and a
+table-free crypto context it is the reference: what ``reference=True``
+deployments and Byzantine wrappers run.  Production deployments hand vote
+fan-outs to the bucket kernel in :mod:`repro.core.columnar` instead, which
+shares this module's :func:`prevalidate_vote` and the replica's quorum
+re-checks.  Everything about a message that does not depend on who receives
+it — the vote token, ``safeProposal``, ``validNewLeader`` — is computed once
+per message object through the instance's verdict table
+(:mod:`repro.crypto.verdicts`) and looked up per delivery; only the
+per-recipient conditions (the view gate, ``blockView``, ``voted``,
+``i ∈ S``) run here every time.  A Wish fan-out never arrives: those go to
+the wish kernel (:mod:`repro.sync.columns`), and only unicast wishes reach
+:meth:`ProBFTReplica.on_message`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from ..crypto.vrf import VRFOutput, phase_seed
 from ..messages.base import ProposalStatement
 from ..messages.probft import Commit, NewLeader, Prepare, Propose, extract_statement
 from ..net.transport import Transport
-from .leader import leader_of
+from .leader import compute_proposal, leader_of
+from .predicates import safe_proposal, valid_new_leader
 from ..quorum.deterministic import DeterministicQuorumCollector
 from ..quorum.probabilistic import ProbabilisticQuorumCollector
 from ..sync.synchronizer import ViewSynchronizer, Wish
@@ -71,12 +74,10 @@ DecisionCallback = Callable[[Decision], None]
 class _VoteToken(NamedTuple):
     """Recipient-independent validation of one Prepare/Commit vote.
 
-    Computed once per coalesced fan-out bucket and shared by every recipient
-    in it, by the bucket kernel (:class:`~repro.core.columnar.
-    ColumnarVoteDispatch`) or, for buckets it declines, by
-    :meth:`ProBFTReplica.on_sample_message`.  Everything here is a pure
-    function of the message and the deployment's shared crypto/config,
-    never of the receiving replica.
+    Computed once per message object (:func:`prevalidate_vote`) and shared
+    by every delivery of it.  Everything here is a pure function of the
+    message and the instance's shared crypto/config, never of the receiving
+    replica.
     """
 
     is_prepare: bool
@@ -93,10 +94,18 @@ def prevalidate_vote(
 ) -> Optional[_VoteToken]:
     """Recipient-independent validation of a Signed Prepare/Commit.
 
-    Pure function of the message and the deployment's shared crypto/config;
-    computed once per coalesced fan-out and shared by every recipient.
-    ``None`` means the message is not a well-formed vote at all.
+    Pure function of the message and the instance's shared crypto/config:
+    with a verdict table it is computed once per message object and looked
+    up on every later delivery.  ``None`` means the message is not a
+    well-formed vote at all.
     """
+    table = crypto.verdicts
+    if table is not None and table.config is config:
+        token = table.get("vote", message)
+        if token is not None:
+            return token
+    else:
+        table = None
     if not isinstance(message, Signed):
         return None
     payload = message.payload
@@ -129,7 +138,7 @@ def prevalidate_vote(
             payload.sample,
         )
     )
-    return _VoteToken(
+    token = _VoteToken(
         is_prepare=is_prepare,
         view=view,
         value=inner.value,
@@ -138,6 +147,9 @@ def prevalidate_vote(
         valid=valid,
         eq_candidate=domain_ok and leader_ok,
     )
+    if table is not None:
+        table.put("vote", message, token)
+    return token
 
 
 class ProBFTReplica:
@@ -268,107 +280,39 @@ class ProBFTReplica:
 
     def on_message(self, src: ReplicaId, message: object) -> None:
         """Network delivery entry point."""
+        token = prevalidate_vote(self.config, self._crypto, message)
+        if token is not None:
+            self._handle_vote(src, message, token)
+            return
         if not isinstance(message, Signed):
             return  # correct replicas only process signed messages (§2.1)
         payload = message.payload
         if isinstance(payload, Wish):
             self._sync.on_wish(src, message)
             return
-        view = self._view_of(payload)
-        if view is None:
+        if not isinstance(payload, (Propose, NewLeader)):
             return
+        view = payload.view
         if view < self._cur_view or self._cur_view == 0:
             return  # stale (or not yet started)
         if view > self._cur_view:
             self._buffer_future(view, src, message)
             return
-        self._process_current(src, message)
-
-    def on_sample_message(self, src: ReplicaId, message: object, shared: dict) -> None:
-        """Per-recipient entry point for buckets the vote kernel declines.
-
-        Recipients of one fan-out event share the recipient-independent
-        validation work (signatures, leader check, VRF) through a
-        :class:`_VoteToken` stashed in ``shared``; each recipient then does
-        only its own per-replica steps, replicating :meth:`on_message`'s
-        observable behaviour exactly.  Anything that is not a plain
-        current-view vote falls back to the generic path.
-        """
-        token = shared.get("vote", False)
-        if token is False:
-            token = prevalidate_vote(self.config, self._crypto, message)
-            shared["vote"] = token
-        if token is None:
-            self.on_message(src, message)
-            return
-        view = token.view
-        cur = self._cur_view
-        if view < cur or cur == 0:
-            return  # stale (or not yet started)
-        if view > cur:
-            self._buffer_future(view, src, message)
-            return
-        # Lines 23-25 can only trigger on a conflicting leader-signed
-        # statement; defer that rare case to the generic path wholesale.
-        if (
-            token.eq_candidate
-            and self._voted
-            and not self._block_view
-            and token.value != self._cur_val
-        ):
-            self._process_current(src, message)
-            return
-        if self._block_view or not token.valid:
-            return
-        if self.id not in token.members:
-            return  # line 17/21 precondition: i ∈ S
-        table = (
-            self._prepare_collectors
-            if token.is_prepare
-            else self._commit_collectors
-        )
-        # The table is array-backed wherever fan-outs are batched, and builds
-        # the collector on lookup.  The quorum re-checks are no-ops unless
-        # this add completed one — unlike the generic path we only pay them
-        # when it did.
-        if table.get(cur).add(token.value, token.signer, message):
-            if token.is_prepare:
-                self._try_form_prepared()
-            else:
-                self._try_decide()
+        if isinstance(payload, Propose):
+            self._check_equivocation(message)
+            self._handle_propose(src, message)
+        else:
+            self._handle_new_leader(src, message)
 
     # ------------------------------------------------------------------
     # Dispatch helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _view_of(payload: object) -> Optional[View]:
-        if isinstance(payload, (Propose, NewLeader)):
-            return payload.view
-        if isinstance(payload, (Prepare, Commit)):
-            statement = payload.statement
-            inner = getattr(statement, "payload", None)
-            if isinstance(inner, ProposalStatement):
-                return inner.view
-        return None
-
     def _buffer_future(self, view: View, src: ReplicaId, message: Signed) -> None:
         if view > self._cur_view + FUTURE_VIEW_WINDOW:
             return
         bucket = self._future_buffer.setdefault(view, [])
         if len(bucket) < FUTURE_BUFFER_LIMIT:
             bucket.append((src, message))
-
-    def _process_current(self, src: ReplicaId, message: Signed) -> None:
-        self._check_equivocation(message)
-        payload = message.payload
-        if isinstance(payload, Propose):
-            self._handle_propose(src, message)
-        elif isinstance(payload, Prepare):
-            self._handle_prepare(src, message)
-        elif isinstance(payload, Commit):
-            self._handle_commit(src, message)
-        elif isinstance(payload, NewLeader):
-            self._handle_new_leader(src, message)
 
     # ------------------------------------------------------------------
     # Algorithm 1, lines 1-5: newView
@@ -430,16 +374,12 @@ class ProBFTReplica:
             return
         if view in self._proposed_views:
             return
-        from .predicates import valid_new_leader
-
         if not valid_new_leader(signed, view, self.config, self._crypto):
             return
         collector = self._new_leader_collectors.setdefault(
             view, DeterministicQuorumCollector(self.config.n, self.config.f)
         )
         if collector.add(view, signed.signer, signed):
-            from .leader import compute_proposal
-
             quorum = collector.quorum_messages(view)
             value, _v_max = compute_proposal(quorum, self._my_value)
             self._propose(value, justification=tuple(quorum))
@@ -465,14 +405,7 @@ class ProBFTReplica:
     def _handle_propose(self, src: ReplicaId, signed: Signed) -> None:
         if self._block_view or self._voted:
             return
-        if self._cells is not None:
-            # Recipient-independent: evaluated once per envelope, shared.
-            safe = self._cells.safe_proposal(signed, self.config, self._crypto)
-        else:
-            from .predicates import safe_proposal
-
-            safe = safe_proposal(signed, self.config, self._crypto)
-        if not safe:
+        if not safe_proposal(signed, self.config, self._crypto):
             return
         propose: Propose = signed.payload
         view = self._cur_view
@@ -493,21 +426,55 @@ class ProBFTReplica:
         self._try_form_prepared()
 
     # ------------------------------------------------------------------
+    # Algorithm 1, lines 17-22: one delivered vote
+    # ------------------------------------------------------------------
+    def _handle_vote(self, src: ReplicaId, message: Signed, token: _VoteToken) -> None:
+        """One delivery of a Prepare (lines 17-20) or Commit (lines 21-22).
+
+        ``token`` carries everything about the vote that is the same for
+        every recipient; what is left is this replica's own: the view gate,
+        lines 23-25, ``blockView``, ``i ∈ S`` and its quorum collector.
+        """
+        view = token.view
+        cur = self._cur_view
+        if view < cur or cur == 0:
+            return  # stale (or not yet started)
+        if view > cur:
+            self._buffer_future(view, src, message)
+            return
+        if (
+            token.eq_candidate
+            and self._voted
+            and not self._block_view
+            and token.value != self._cur_val
+        ):
+            # A conflicting statement under the leader's name.  Either the
+            # leader signed it, which blocks the view (lines 23-25), or it
+            # did not, and then the vote is invalid: nothing is counted.
+            self._check_equivocation(message)
+            return
+        if self._block_view or not token.valid:
+            return
+        if self.id not in token.members:
+            return  # line 17/21 precondition: i ∈ S
+        collectors = (
+            self._prepare_collectors
+            if token.is_prepare
+            else self._commit_collectors
+        )
+        collector = collectors.get(cur)
+        if collector is None:  # array-backed tables build theirs on lookup
+            collector = collectors[cur] = ProbabilisticQuorumCollector(self._q)
+        # The quorum re-checks are no-ops unless this add completed one.
+        if collector.add(token.value, token.signer, message):
+            if token.is_prepare:
+                self._try_form_prepared()
+            else:
+                self._try_decide()
+
+    # ------------------------------------------------------------------
     # Algorithm 1, lines 17-20: Prepare quorum -> Commit
     # ------------------------------------------------------------------
-    def _handle_prepare(self, src: ReplicaId, signed: Signed) -> None:
-        if self._block_view:
-            return
-        prepare = signed.payload
-        if not self._verify_vote(signed, prepare, "prepare"):
-            return
-        view = self._cur_view
-        collector = self._prepare_collectors.setdefault(
-            view, ProbabilisticQuorumCollector(self.config.q)
-        )
-        collector.add(prepare.value, signed.signer, signed)
-        self._try_form_prepared()
-
     def _try_form_prepared(self) -> None:
         view = self._cur_view
         if self._block_view or not self._voted or view in self._committed_views:
@@ -543,19 +510,6 @@ class ProBFTReplica:
     # ------------------------------------------------------------------
     # Algorithm 1, lines 21-22: Commit quorum -> decide
     # ------------------------------------------------------------------
-    def _handle_commit(self, src: ReplicaId, signed: Signed) -> None:
-        if self._block_view:
-            return
-        commit = signed.payload
-        if not self._verify_vote(signed, commit, "commit"):
-            return
-        view = self._cur_view
-        collector = self._commit_collectors.setdefault(
-            view, ProbabilisticQuorumCollector(self.config.q)
-        )
-        collector.add(commit.value, signed.signer, signed)
-        self._try_decide()
-
     def _try_decide(self) -> None:
         if self._decision is not None or self._block_view:
             return
@@ -610,31 +564,6 @@ class ProBFTReplica:
     # ------------------------------------------------------------------
     # Validation and plumbing
     # ------------------------------------------------------------------
-    def _verify_vote(self, signed: Signed, vote: object, phase_tag: str) -> bool:
-        """Shared Prepare/Commit validation (signatures, VRF, membership)."""
-        if not isinstance(vote, (Prepare, Commit)):
-            return False
-        if not self._crypto.signatures.verify(signed):
-            return False
-        statement = vote.statement
-        if not self._crypto.signatures.verify(statement):
-            return False
-        inner = statement.payload
-        if not isinstance(inner, ProposalStatement):
-            return False
-        view = inner.view
-        if view != self._cur_view or inner.domain != self.config.seed_domain:
-            return False
-        if statement.signer != self._leader(view):
-            return False
-        sample: VRFOutput = vote.sample
-        if self.id not in sample.members():
-            return False  # line 17/21 precondition: i ∈ S
-        seed = phase_seed(view, phase_tag, self.config.seed_domain)
-        return self._crypto.vrf.verify(
-            signed.signer, seed, self.config.sample_size, sample
-        )
-
     def _leader(self, view: View) -> ReplicaId:
         return leader_of(view, self.config)
 

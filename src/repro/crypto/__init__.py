@@ -13,17 +13,21 @@ implements *behaviourally faithful* stand-ins (see DESIGN.md, Substitutions):
   with uniqueness, collision resistance and pseudorandomness against
   in-simulation adversaries.
 * :mod:`repro.crypto.hashing` — canonical serialization + digest helpers.
-* :mod:`repro.crypto.context` — one bundle of the above per deployment;
+* :mod:`repro.crypto.verdicts` — the *validated once* table: the verdict of
+  every recipient-independent check, kept per message object for the life
+  of one consensus instance.
+* :mod:`repro.crypto.context` — one bundle of the above;
   :meth:`CryptoContext.pooled` takes the key registry from a per-process
-  pool keyed by ``(n, master_seed)`` and memoizes verification within the
-  deployment.
+  pool keyed by ``(n, master_seed)``, :meth:`CryptoContext.instance` puts a
+  fresh verdict table behind it for one consensus instance.
 """
 
 from .context import CryptoContext, clear_crypto_pool, crypto_pool_stats
 from .hashing import digest, digest_hex, stable_encode
 from .keys import KeyPair, KeyRegistry
-from .signatures import MemoizedSignatureScheme, SignatureScheme, Signed
-from .vrf import VRF, MemoizedVRF, VRFOutput
+from .signatures import SignatureScheme, Signed
+from .verdicts import VerdictCounts, VerdictTable
+from .vrf import VRF, VRFOutput
 
 __all__ = [
     "digest",
@@ -32,11 +36,11 @@ __all__ = [
     "KeyPair",
     "KeyRegistry",
     "SignatureScheme",
-    "MemoizedSignatureScheme",
     "Signed",
     "VRF",
-    "MemoizedVRF",
     "VRFOutput",
+    "VerdictCounts",
+    "VerdictTable",
     "CryptoContext",
     "clear_crypto_pool",
     "crypto_pool_stats",

@@ -1,70 +1,60 @@
-"""Bundled crypto services for one deployment, plus the per-process pool.
+"""Bundled crypto services, the per-process key pool, and *validated once*.
 
-Two construction paths:
+A :class:`CryptoContext` is a key registry plus the signature scheme and the
+VRF over it.  It comes in two forms:
 
-* :meth:`CryptoContext.create` — a fresh, uncached context (plain
-  :class:`SignatureScheme` / :class:`VRF`).  The reference semantics.
-* :meth:`CryptoContext.pooled` — what deployments use.  A per-process pool
-  keyed by ``(n, master_seed)`` shares the one thing that is safe to keep
-  indefinitely, the immutable :class:`KeyRegistry`: rebuilding the same
-  deployment (same system size, same seed) skips re-deriving ``n`` key
-  pairs.  The signature and VRF services memoize verification — the
-  simulation's hot path, since every vote is verified by each of its
-  recipients — and are created fresh per call: their memos are keyed by
-  object identity and pin the envelopes and outputs they have seen, so
-  scoping them to one deployment means a finished trial holds nothing.
-  All cached computations are pure functions of their inputs, so pooled
-  and fresh contexts are bit-identical by construction (and pinned by
-  tests).
+* **table-free** — :meth:`CryptoContext.create` (fresh keys) and
+  :meth:`CryptoContext.pooled` (keys from the per-process pool).  Every
+  ``verify`` recomputes, for every recipient.  This is the reference
+  semantics and what ``reference=True`` deployments, the test oracle, run.
+* **an instance view** — :meth:`CryptoContext.instance`: the same registry
+  with a fresh :class:`~repro.crypto.verdicts.VerdictTable` behind the
+  signature scheme, the VRF and :meth:`CryptoContext.validated`.  Every
+  production consensus instance runs on one: a single-shot deployment for
+  its whole life (the table is cleared in ``Deployment.close()``), an SMR
+  slot from the moment it opens until it retires.
 
-The pool is deliberately per-process: worker processes of a
-:class:`~repro.harness.parallel.ExperimentEngine` each grow their own pool,
-which keeps the bit-identity guarantee trivially (no cross-process state)
-while still amortizing key setup across same-seed trials a worker runs.
+The table is the one place that remembers "this was checked".  A replica
+multicasts *one* signed vote carrying *one* VRF proof to its whole sample,
+and everything a recipient checks about it except ``i ∈ S`` is the same for
+every recipient — so each check runs once per message object and is looked
+up per delivery.  Verdicts are keyed by the *identity* of the object they
+are about, and the entry holds that object: equality would let an
+adversary's equal-looking copy inherit an honest object's verdict (or cost
+an encode to compare), while a pinned identity can be neither forged nor
+recycled.  What honest code produces through the registry's own keys —
+``sign()``, ``prove()`` — is registered valid at birth; ``sign_with`` /
+``prove_with``, the adversary's path, never is.  There is no eviction and
+no budget: a table holds what its instance sent and dies with it, so a
+finished trial or a retired slot pins nothing.
+
+The pool shares the one thing that is safe to keep indefinitely, the
+immutable :class:`KeyRegistry`: rebuilding the same deployment (same system
+size, same seed) skips re-deriving ``n`` key pairs.  It is deliberately
+per-process: worker processes of a
+:class:`~repro.harness.parallel.ExperimentEngine` each grow their own, so
+there is no cross-process state to keep identical.  All remembered verdicts
+are pure functions of their inputs, so tabled and table-free contexts are
+bit-identical by construction (and pinned by
+``tests/test_reference_identity.py``).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .keys import KeyRegistry
-from .signatures import MemoizedSignatureScheme, SignatureScheme
-from .vrf import VRF, MemoizedVRF
+from .signatures import SignatureScheme
+from .verdicts import VerdictTable
+from .vrf import VRF
 
-#: Upper bound on pooled contexts kept alive; least-recently-used entries
+#: Upper bound on pooled registries kept alive; least-recently-used entries
 #: are evicted first.  Large sweeps touch many ``(n, seed)`` pairs — the
 #: bound keeps the pool from holding every registry ever built.
 POOL_MAX_ENTRIES = 128
-
-#: Byte-budget bounds for the per-deployment memo caches.  The floor keeps
-#: small deployments from thrashing; the ceiling caps what one deployment
-#: may pin — at n=20000 an uncapped 4n-entry VRF memo would pin gigabytes of
-#: expanded sample tuples.
-MEMO_BUDGET_FLOOR = 32 << 20  # 32 MiB
-MEMO_BUDGET_CEILING = 512 << 20  # 512 MiB
-
-
-def memo_budget(n: int) -> Tuple[int, int]:
-    """``(byte_budget, entry_bytes)`` for the size-``n`` VRF memo caches.
-
-    A trial proves ~2n+1 sampler keys; each memo entry pins an output whose
-    sample tuple has ``s = min(n, ceil(1.7·ceil(2√n)))`` member ids
-    (~40 bytes per id of tuple slot + int object) plus fixed overhead.  The
-    ideal budget covers ``4n`` entries (two warm trials, the PR 7 cap) but
-    is clamped to [floor, ceiling] so the cap scales with *bytes*, not
-    entry counts — past n≈10⁴ the ceiling binds and eviction counters (see
-    ``MemoizedVRF.evictions``) make the resulting thrash observable.
-    """
-    q = math.ceil(2.0 * math.sqrt(n))
-    s_est = min(n, math.ceil(1.7 * q))
-    entry_bytes = 40 * s_est + 160
-    ideal = (4 * n + 64) * entry_bytes
-    budget = min(MEMO_BUDGET_CEILING, max(MEMO_BUDGET_FLOOR, ideal))
-    return budget, entry_bytes
 
 
 @dataclass(frozen=True)
@@ -72,33 +62,38 @@ class CryptoContext:
     """Registry + signature scheme + VRF, created from one master seed.
 
     Every replica (and the adversary, for its corrupted replicas) shares one
-    context per deployment, mirroring the paper's "keys are distributed
-    before the system starts" assumption (§2.1).
+    context per consensus instance, mirroring the paper's "keys are
+    distributed before the system starts" assumption (§2.1).
     """
 
     registry: KeyRegistry
     signatures: SignatureScheme
     vrf: VRF
+    #: The instance's verdict table (``None``: every check recomputes).
+    verdicts: Optional[VerdictTable] = None
 
     @staticmethod
-    def create(n: int, master_seed: bytes = b"repro-probft") -> "CryptoContext":
-        registry = KeyRegistry(n, master_seed)
+    def _over(
+        registry: KeyRegistry, verdicts: Optional[VerdictTable] = None
+    ) -> "CryptoContext":
         return CryptoContext(
             registry=registry,
-            signatures=SignatureScheme(registry),
-            vrf=VRF(registry),
+            signatures=SignatureScheme(registry, verdicts),
+            vrf=VRF(registry, verdicts),
+            verdicts=verdicts,
         )
 
     @staticmethod
-    def pooled(n: int, master_seed: bytes = b"repro-probft") -> "CryptoContext":
-        """A memoizing context over the pooled registry of ``(n, master_seed)``.
+    def create(n: int, master_seed: bytes = b"repro-probft") -> "CryptoContext":
+        """A table-free context over freshly derived keys."""
+        return CryptoContext._over(KeyRegistry(n, master_seed))
 
-        Only the :class:`KeyRegistry` comes from the pool.  The signature
-        scheme and the VRF are new on every call, sized for one trial (see
-        :func:`memo_budget`), and die with the deployment that asked for
-        them.  Results are bit-identical to :meth:`create` (memoization
-        caches pure functions only), and each ``(n, master_seed)`` pair owns
-        its own registry.
+    @staticmethod
+    def pooled(n: int, master_seed: bytes = b"repro-probft") -> "CryptoContext":
+        """A table-free context over the pooled registry of ``(n, master_seed)``.
+
+        Each ``(n, master_seed)`` pair owns its own registry; the services
+        around it are new on every call.
         """
         key = (n, master_seed)
         with _POOL_LOCK:
@@ -120,29 +115,42 @@ class CryptoContext:
                         _POOL.popitem(last=False)
                 else:
                     _POOL_STATS["hits"] += 1
-        # A trial proves ~2n+1 sampler keys (prepare + commit per replica,
-        # plus the leader's propose) and signs ~2n vote envelopes; a fixed
-        # entry bound FIFO-thrashes past n≈4000, while an uncapped 4n-entry
-        # bound pins gigabytes past n≈10⁴.  Budget by bytes instead and let
-        # the eviction counters expose any thrash.
-        budget, entry_bytes = memo_budget(n)
-        return CryptoContext(
-            registry=registry,
-            # Envelope entries pin shallow object graphs (~1 KiB amortized;
-            # the fat sample tuples belong to the VRF memo), so the budget
-            # admits 4n+64 entries until the ceiling binds.
-            signatures=MemoizedSignatureScheme(
-                registry,
-                byte_budget=min(
-                    MEMO_BUDGET_CEILING,
-                    max(MEMO_BUDGET_FLOOR, (4 * n + 64) * 1024),
-                ),
-                entry_bytes=1024,
-            ),
-            vrf=MemoizedVRF(
-                registry, byte_budget=budget, entry_bytes=entry_bytes
-            ),
-        )
+        return CryptoContext._over(registry)
+
+    def instance(self, config) -> "CryptoContext":
+        """This context's view for one consensus instance: the same registry
+        and a fresh verdict table for ``config``.
+
+        An instance view's own instances (the slots of a served deployment)
+        count into its :class:`~repro.crypto.verdicts.VerdictCounts`, so
+        the deployment's counters add up over its slots.
+        """
+        counts = self.verdicts.counts if self.verdicts is not None else None
+        return CryptoContext._over(self.registry, VerdictTable(config, counts))
+
+    def validated(
+        self,
+        config,
+        kind: str,
+        obj: object,
+        check: Callable[[], object],
+        context: Optional[tuple] = None,
+    ):
+        """``check()``'s verdict about ``obj``, computed once per object.
+
+        ``check`` must be a pure function of ``obj``, ``context`` (a tuple of
+        whatever else it reads) and the instance (``config`` and this
+        context) — never of the recipient.
+        The table is only consulted for the config it was built for; any
+        other caller (or a table-free context) gets a fresh ``check()``.
+        """
+        table = self.verdicts
+        if table is None or table.config is not config:
+            return check()
+        verdict = table.get(kind, obj, context)
+        if verdict is None:
+            verdict = table.put(kind, obj, check(), context)
+        return verdict
 
     @property
     def n(self) -> int:

@@ -13,14 +13,14 @@ protocol relies on.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Generic, TypeVar
+from typing import Any, Dict, Generic, Optional, TypeVar
 
 from ..errors import SignatureError
 from ..types import ReplicaId
 from .hashing import digest
 from .keys import KeyRegistry
+from .verdicts import VerdictCounts, VerdictTable
 
 T = TypeVar("T")
 
@@ -44,10 +44,25 @@ class Signed(Generic[T]):
 
 
 class SignatureScheme:
-    """Sign/verify service bound to a :class:`KeyRegistry`."""
+    """Sign/verify service bound to a :class:`KeyRegistry`.
 
-    def __init__(self, registry: KeyRegistry) -> None:
+    With a :class:`~repro.crypto.verdicts.VerdictTable` an envelope is
+    verified once per *object*: broadcast and multicast hand every receiver
+    the same :class:`Signed`, so recomputing ``digest(sk ‖ signer ‖
+    payload)`` per receiver is the simulation's hot path.  An envelope that
+    :meth:`sign` produced through the registry's own key is valid by
+    construction and is registered as such; :meth:`sign_with` — the
+    adversary's corrupted-key path — registers nothing, and a forged
+    envelope pairing a copied signature with another payload is a different
+    object, verified from scratch.  Without a table (the reference
+    semantics) every call recomputes.
+    """
+
+    def __init__(
+        self, registry: KeyRegistry, verdicts: Optional[VerdictTable] = None
+    ) -> None:
         self._registry = registry
+        self._verdicts = verdicts
 
     def sign_with(self, private_key: bytes, signer: ReplicaId, payload: Any) -> Signed:
         """Sign ``payload`` with an explicitly supplied private key.
@@ -62,10 +77,22 @@ class SignatureScheme:
     def sign(self, signer: ReplicaId, payload: Any) -> Signed:
         """Sign as ``signer`` using the registry's key for it (honest path)."""
         key = self._registry.key_pair(signer).private_key
-        return self.sign_with(key, signer, payload)
+        signed = self.sign_with(key, signer, payload)
+        if self._verdicts is not None:
+            self._verdicts.born_valid("signature", signed)
+        return signed
 
     def verify(self, signed: Signed) -> bool:
         """Check that ``signed.signature`` is valid for ``signed.payload``."""
+        table = self._verdicts
+        if table is None:
+            return self._verify(signed)
+        verdict = table.get("signature", signed)
+        if verdict is None:
+            verdict = table.put("signature", signed, self._verify(signed))
+        return verdict
+
+    def _verify(self, signed: Signed) -> bool:
         try:
             key = self._registry._private_key_of(signed.signer)
         except Exception:
@@ -82,106 +109,14 @@ class SignatureScheme:
             )
         return signed
 
-
-class MemoizedSignatureScheme(SignatureScheme):
-    """A :class:`SignatureScheme` that memoizes :meth:`verify` per envelope.
-
-    Broadcast and multicast share one :class:`Signed` *object* across all
-    receivers (see ``Network._size_cache``), so in an ``n``-replica
-    deployment the same envelope is verified up to ``n`` times — and
-    recomputing ``digest(sk ‖ signer ‖ payload)`` (i.e. canonical encoding +
-    SHA-256) dominates the simulation's hot path.  The cache is keyed by
-    *object identity* with the envelope pinned alive, never by ``(signer,
-    signature)`` alone: a forged envelope pairing a copied signature with a
-    different payload is a distinct object and still verifies from scratch,
-    so adversarial behaviour (flooding forgeries) is bit-identical to the
-    uncached scheme.
-
-    Bounded FIFO eviction keeps a long-lived (pooled) scheme from pinning
-    every envelope ever verified.  The bound can be given directly
-    (``max_entries``) or derived from a byte budget (``byte_budget`` with an
-    estimated ``entry_bytes`` per pinned entry), and ``evictions`` counts
-    every FIFO drop so memo thrash at large ``n`` is observable instead of
-    silent (see :meth:`cache_stats`).
-
-    A second, sign-side memo makes the *first* verification of an honestly
-    signed envelope cheap: :meth:`sign` records ``payload identity → tag``
-    computed with the registry's own key, and :meth:`verify` for the same
-    payload object and signer reduces to a byte comparison against that tag
-    — exactly the digest the full recompute would produce.  Forgeries never
-    hit it: a tampered payload is a different object, a wrong signer fails
-    the signer check, and :meth:`sign_with` (the adversary's corrupted-key
-    path) never populates the memo.
-    """
-
-    def __init__(
-        self,
-        registry: KeyRegistry,
-        max_entries: int = 8192,
-        *,
-        byte_budget: int = None,
-        entry_bytes: int = 1024,
-    ) -> None:
-        super().__init__(registry)
-        if byte_budget is not None:
-            if entry_bytes < 1:
-                raise ValueError(f"entry_bytes must be >= 1, got {entry_bytes}")
-            max_entries = max(1, byte_budget // entry_bytes)
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        # id(signed) -> (signed, verdict); the strong reference keeps the
-        # id stable for as long as the entry lives.
-        self._cache: "OrderedDict[int, tuple]" = OrderedDict()
-        # id(payload) -> (payload, signer, tag) recorded by honest sign().
-        self._tag_cache: "OrderedDict[int, tuple]" = OrderedDict()
-        self._max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.tag_hits = 0
-        self.evictions = 0
-
-    def sign(self, signer: ReplicaId, payload: Any) -> Signed:
-        signed = super().sign(signer, payload)
-        self._tag_cache[id(payload)] = (payload, signer, signed.signature)
-        if len(self._tag_cache) > self._max_entries:
-            self._tag_cache.popitem(last=False)
-            self.evictions += 1
-        return signed
-
-    def verify(self, signed: Signed) -> bool:
-        key = id(signed)
-        entry = self._cache.get(key)
-        if entry is not None and entry[0] is signed:
-            self.hits += 1
-            return entry[1]
-        tag = self._tag_cache.get(id(signed.payload))
-        if (
-            tag is not None
-            and tag[0] is signed.payload
-            and tag[1] == signed.signer
-        ):
-            # sign() computed digest(domain ‖ registry key ‖ signer ‖ this
-            # very payload object) moments ago; comparing against it is the
-            # full recompute, minus the encode + SHA-256.
-            verdict = tag[2] == signed.signature
-            self.tag_hits += 1
-        else:
-            verdict = super().verify(signed)
-        self.misses += 1
-        self._cache[key] = (signed, verdict)
-        if len(self._cache) > self._max_entries:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-        return verdict
-
-    def cache_stats(self) -> dict:
-        """Memo telemetry: hit/miss/eviction counters and current sizes."""
+    def cache_stats(self) -> Dict[str, int]:
+        """The table's signature counters: ``hits`` verifications answered
+        from it, ``misses`` recomputed, ``born_valid`` envelopes registered
+        by :meth:`sign` (all zero without a table)."""
+        table = self._verdicts
+        counts = table.counts if table is not None else VerdictCounts()
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "tag_hits": self.tag_hits,
-            "evictions": self.evictions,
-            "entries": len(self._cache),
-            "tag_entries": len(self._tag_cache),
-            "max_entries": self._max_entries,
+            "hits": counts.reused.get("signature", 0),
+            "misses": counts.computed.get("signature", 0),
+            "born_valid": counts.born.get("signature", 0),
         }

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Dict, Iterable, Optional, Tuple
@@ -41,6 +40,7 @@ from ..errors import VRFError
 from ..types import ReplicaId
 from .hashing import digest
 from .keys import KeyRegistry
+from .verdicts import VerdictCounts, VerdictTable
 
 _DOMAIN = "repro-vrf-v2"
 
@@ -125,10 +125,25 @@ def _sample_from_key(
 
 
 class VRF:
-    """Globally known VRF bound to a :class:`KeyRegistry` (paper §2.4)."""
+    """Globally known VRF bound to a :class:`KeyRegistry` (paper §2.4).
 
-    def __init__(self, registry: KeyRegistry) -> None:
+    With a :class:`~repro.crypto.verdicts.VerdictTable` an output is
+    verified once per *object* and ``(replica, seed, s)``: a vote's
+    :class:`VRFOutput` reaches up to ``s`` recipients as the same object.
+    An output :meth:`prove` made through the registry's own key verifies by
+    construction and is registered as such — for the very ``(replica, seed,
+    s)`` it was proven for.  :meth:`prove_with` (explicit keys: the
+    adversary's corrupted-key and forgery path) registers nothing, and an
+    output that is merely *equal* to an honest one is a different object
+    and takes the full key recompute and replay.  Nothing memoizes proving
+    or sample expansion: every expansion is counted.
+    """
+
+    def __init__(
+        self, registry: KeyRegistry, verdicts: Optional[VerdictTable] = None
+    ) -> None:
         self._registry = registry
+        self._verdicts = verdicts
 
     @property
     def n(self) -> int:
@@ -138,7 +153,9 @@ class VRF:
         return digest(_DOMAIN, private_key, seed, s)
 
     def _sample(self, key: bytes, s: int) -> Tuple[ReplicaId, ...]:
-        """The sample one sampler key expands to (counting hook)."""
+        """The sample one sampler key expands to (every call is counted)."""
+        if self._verdicts is not None:
+            self._verdicts.counts.samples_expanded += 1
         return _sample_from_key(key, self.n, s)
 
     def prove_with(
@@ -154,7 +171,10 @@ class VRF:
     def prove(self, replica: ReplicaId, seed: str, s: int) -> VRFOutput:
         """``VRF_prove(K_p,i, z, s) → (S_i, P_i)`` using the registry's key."""
         private_key = self._registry.key_pair(replica).private_key
-        return self.prove_with(private_key, replica, seed, s)
+        output = self.prove_with(private_key, replica, seed, s)
+        if self._verdicts is not None:
+            self._verdicts.born_valid("vrf", output, (replica, seed, s))
+        return output
 
     def verify(
         self, replica: ReplicaId, seed: str, s: int, output: VRFOutput
@@ -164,6 +184,20 @@ class VRF:
         Checks that (a) the proof is the unique sampler key for
         ``(replica, seed, s)`` and (b) the sample is the one it expands to.
         """
+        table = self._verdicts
+        if table is None:
+            return self._verify(replica, seed, s, output)
+        context = (replica, seed, s)
+        verdict = table.get("vrf", output, context)
+        if verdict is None:
+            verdict = table.put(
+                "vrf", output, self._verify(replica, seed, s, output), context
+            )
+        return verdict
+
+    def _verify(
+        self, replica: ReplicaId, seed: str, s: int, output: VRFOutput
+    ) -> bool:
         if len(output.sample) != s:
             return False
         try:
@@ -185,132 +219,20 @@ class VRF:
             )
         return output
 
-
-class MemoizedVRF(VRF):
-    """A :class:`VRF` that memoizes honest proving and per-object verifying.
-
-    Created per deployment (see :meth:`CryptoContext.pooled`), so nothing it
-    pins outlives its trial.  Both caches are over pure functions, so
-    memoized and fresh VRFs are bit-identical by construction:
-
-    * **prove memo** — :meth:`prove` through the registry's own key is a
-      pure function of ``(replica, seed, s)`` (the registry is immutable),
-      so a repeated prove returns the same object, and an output object
-      found here was produced by the honest prove path of this very VRF —
-      which is what lets :meth:`verify` accept it by identity.  Only that
-      path is memoized: :meth:`prove_with` (explicit keys — the adversary's
-      corrupted-key and forgery path) always computes from scratch, since
-      its key need not match the registry's.
-    * **verify memo** — :meth:`verify` is a pure function of the output
-      object and ``(replica, seed, s)`` (registry immutable again), and a
-      vote's ``VRFOutput`` is verified once per recipient — up to ``s``
-      times for the *same object*.  Keyed by ``id(output)`` plus the
-      arguments, with the output pinned alive and identity re-checked on
-      hit (the :class:`MemoizedSignatureScheme` idiom), so a recycled id
-      can never serve a stale verdict.  An output that is merely *equal*
-      to an honest one — a copy, or anything built by an adversary — is a
-      different object and takes the full key recompute + replay.
-
-    Expanded samples are not memoized: every expansion is counted in
-    ``misses`` (the name the benchmark reads samples-expanded from).
-    """
-
-    def __init__(
-        self,
-        registry: KeyRegistry,
-        max_entries: int = 8192,
-        *,
-        byte_budget: int = None,
-        entry_bytes: int = 2048,
-    ) -> None:
-        super().__init__(registry)
-        if byte_budget is not None:
-            # Byte-budgeted cap: entries pin proven outputs with their
-            # sample tuples (~40 bytes per member id plus object overhead),
-            # so a fixed entry count that is harmless at n=2000 is
-            # gigabytes at n=20000.
-            if entry_bytes < 1:
-                raise ValueError(f"entry_bytes must be >= 1, got {entry_bytes}")
-            max_entries = max(1, byte_budget // entry_bytes)
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._prove_cache: "OrderedDict[Tuple[ReplicaId, str, int], VRFOutput]" = (
-            OrderedDict()
-        )
-        self._verify_cache: "OrderedDict[Tuple[int, ReplicaId, str, int], Tuple[VRFOutput, bool]]" = (
-            OrderedDict()
-        )
-        self._max_entries = max_entries
-        self.misses = 0
-        self.prove_hits = 0
-        self.prove_misses = 0
-        self.verify_hits = 0
-        self.verify_misses = 0
-        self.prove_identity_hits = 0
-        self.evictions = 0
-
     def cache_stats(self) -> Dict[str, int]:
-        """Memo telemetry: hit/miss/eviction counters and current sizes."""
+        """The table's VRF counters: ``misses`` samples expanded (the name
+        the benchmark reads them under), ``verify_hits`` verifications
+        answered from the table, ``verify_misses`` recomputed,
+        ``born_valid`` outputs registered by :meth:`prove` (all zero
+        without a table)."""
+        table = self._verdicts
+        counts = table.counts if table is not None else VerdictCounts()
         return {
-            "misses": self.misses,
-            "prove_hits": self.prove_hits,
-            "prove_misses": self.prove_misses,
-            "verify_hits": self.verify_hits,
-            "verify_misses": self.verify_misses,
-            "prove_identity_hits": self.prove_identity_hits,
-            "evictions": self.evictions,
-            "entries": len(self._prove_cache) + len(self._verify_cache),
-            "max_entries": self._max_entries,
+            "misses": counts.samples_expanded,
+            "verify_hits": counts.reused.get("vrf", 0),
+            "verify_misses": counts.computed.get("vrf", 0),
+            "born_valid": counts.born.get("vrf", 0),
         }
-
-    def _sample(self, key: bytes, s: int) -> Tuple[ReplicaId, ...]:
-        self.misses += 1
-        return super()._sample(key, s)
-
-    def prove(self, replica: ReplicaId, seed: str, s: int) -> VRFOutput:
-        cache_key = (replica, seed, s)
-        output = self._prove_cache.get(cache_key)
-        if output is not None:
-            self.prove_hits += 1
-            return output
-        output = super().prove(replica, seed, s)
-        self.prove_misses += 1
-        self._prove_cache[cache_key] = output
-        if len(self._prove_cache) > self._max_entries:
-            self._prove_cache.popitem(last=False)
-            self.evictions += 1
-        return output
-
-    def verify(
-        self, replica: ReplicaId, seed: str, s: int, output: VRFOutput
-    ) -> bool:
-        cache_key = (id(output), replica, seed, s)
-        entry = self._verify_cache.get(cache_key)
-        if entry is not None and entry[0] is output:
-            self.verify_hits += 1
-            return entry[1]
-        if self._prove_cache.get((replica, seed, s)) is output:
-            # This very object came out of the honest prove path for the
-            # same (replica, seed, s) — it verifies by construction (the
-            # prove memo only holds registry-keyed outputs), no need to
-            # re-derive the sampler key and replay the expansion.
-            valid = True
-            self.prove_identity_hits += 1
-        else:
-            valid = super().verify(replica, seed, s, output)
-        self.verify_misses += 1
-        self._verify_cache[cache_key] = (output, valid)
-        if len(self._verify_cache) > self._max_entries:
-            self._verify_cache.popitem(last=False)
-            self.evictions += 1
-        return valid
-
-
-#: Interned seed strings — the hot path derives the same (view, tag) seed
-#: once per delivered vote; bounded so adversarial view counters cannot
-#: grow it without limit.
-_PHASE_SEED_MEMO: Dict[Tuple[int, str, str], str] = {}
-_PHASE_SEED_MEMO_MAX = 4096
 
 
 def phase_seed(view: int, phase_tag: str, domain: str = "") -> str:
@@ -320,13 +242,6 @@ def phase_seed(view: int, phase_tag: str, domain: str = "") -> str:
     ``domain`` scopes seeds to one consensus instance (the SMR extension
     runs one instance per slot); the paper's single-shot setting uses "".
     """
-    key = (view, phase_tag, domain)
-    seed = _PHASE_SEED_MEMO.get(key)
-    if seed is None:
-        if domain:
-            seed = f"{domain}#{view}||{phase_tag}"
-        else:
-            seed = f"{view}||{phase_tag}"
-        if len(_PHASE_SEED_MEMO) < _PHASE_SEED_MEMO_MAX:
-            _PHASE_SEED_MEMO[key] = seed
-    return seed
+    if domain:
+        return f"{domain}#{view}||{phase_tag}"
+    return f"{view}||{phase_tag}"

@@ -48,11 +48,13 @@ Every protocol-level experiment is one pipeline::
 their crypto from :meth:`CryptoContext.pooled
 <repro.crypto.context.CryptoContext.pooled>`: trials of the same
 ``(n, master_seed)`` share one immutable key registry and nothing else;
-each deployment gets its own signature/VRF services, which memoize
-verification (pure functions only) for as long as that deployment lives.
-That makes protocol trials several times faster while staying
-**bit-identical** to fresh per-trial crypto, and a finished trial pins no
-memory — ``tests/test_trial_lifecycle.py`` pins both.  New protocols
+each consensus instance validates through its own verdict table
+(:mod:`repro.crypto.verdicts`), which remembers the verdict of every
+recipient-independent check (pure functions only) per message object for
+as long as that instance lives.  That makes protocol trials several times
+faster while staying **bit-identical** to fresh per-trial crypto, and a
+finished trial pins no memory — ``tests/test_trial_lifecycle.py`` pins
+both.  New protocols
 register once
 (:func:`~repro.harness.trial.register_protocol`) and inherit every
 experiment surface: runners, matrix, sweeps, CLI.

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter, OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional
 
+from ..crypto.hashing import stable_encode
 from ..errors import NotRegisteredError
 from ..types import ReplicaId
 from .faults import ChaosPolicy, NoChaos
@@ -24,11 +25,6 @@ from .sparse import SparseDeliveryPolicy
 
 #: Handler invoked on delivery: ``handler(src, message)``.
 DeliveryHandler = Callable[[ReplicaId, object], None]
-
-#: Batched handler used inside coalesced fan-outs:
-#: ``handler(src, message, shared)`` where ``shared`` is a scratch dict the
-#: recipients of one fan-out event use to share message-level validation work.
-BatchDeliveryHandler = Callable[[ReplicaId, object, dict], None]
 
 
 def message_type_name(message: object) -> str:
@@ -188,12 +184,7 @@ class Network:
             random.Random(f"net-dup:{duplicate_seed}") if duplicate_prob else None
         )
         self._track_bytes = track_bytes
-        # id -> (message, size); the strong reference keeps the id stable for
-        # as long as the entry lives (a bare id() key can be recycled by a
-        # later allocation and silently return the dead message's size).
-        self._size_cache: "OrderedDict[int, Tuple[object, int]]" = OrderedDict()
         self._handlers: Dict[ReplicaId, DeliveryHandler] = {}
-        self._batch_handlers: Dict[ReplicaId, BatchDeliveryHandler] = {}
         self._bulk_handler: Optional[Callable] = None
         self._delivery: Optional[SparseDeliveryPolicy] = None
         #: Optional predicate mirroring the deployment's ``stop_when``; the
@@ -224,20 +215,6 @@ class Network:
             raise NotRegisteredError(f"replica {replica} out of range [0, {self._n})")
         self._handlers[replica] = handler
 
-    def register_batch(
-        self, replica: ReplicaId, handler: BatchDeliveryHandler
-    ) -> None:
-        """Attach a batched fast-path handler used by coalesced fan-outs.
-
-        The replica must still register a plain handler (unicast sends and
-        the oracle's per-recipient delivery always use it).
-        """
-        if replica not in self._handlers:
-            raise NotRegisteredError(
-                f"replica {replica} has no plain handler registered"
-            )
-        self._batch_handlers[replica] = handler
-
     def use_bulk_handler(self, handler: Optional[Callable]) -> None:
         """Attach a bucket-level delivery kernel for coalesced fan-outs.
 
@@ -252,7 +229,6 @@ class Network:
     def disconnect(self) -> None:
         """Forget every registered handler (deployment teardown)."""
         self._handlers.clear()
-        self._batch_handlers.clear()
         self._bulk_handler = None
         self.stop_probe = None
 
@@ -302,34 +278,19 @@ class Network:
             self._sim.schedule_at(max(dup_delivery, delivery), deliver)
         return delivery
 
-    #: Bounded FIFO for the size cache; broadcasts only need the hot tail.
-    _SIZE_CACHE_LIMIT = 4096
-
     def _message_size(self, message: object) -> Optional[int]:
         """Canonical-encoding size in bytes (None when tracking is off).
 
-        Sizes are cached by object identity — broadcasts/multicasts reuse
-        one message object, so each distinct message is encoded once.  The
-        entry pins the message alive and re-checks identity on hit, so a
-        recycled ``id()`` can never serve a dead message's size; FIFO
-        eviction bounds what the pin keeps alive.
+        Asked once per send or fan-out.  Protocol messages keep their
+        encoded bytes on themselves (:mod:`repro.crypto.hashing`), so a
+        message signed or already sent is not encoded again.
         """
         if not self._track_bytes:
             return None
-        key = id(message)
-        entry = self._size_cache.get(key)
-        if entry is not None and entry[0] is message:
-            return entry[1]
-        from ..crypto.hashing import stable_encode
-
         try:
-            size = len(stable_encode(message))
+            return len(stable_encode(message))
         except TypeError:
-            size = 0
-        self._size_cache[key] = (message, size)
-        if len(self._size_cache) > self._SIZE_CACHE_LIMIT:
-            self._size_cache.popitem(last=False)
-        return size
+            return 0
 
     def multicast(
         self, src: ReplicaId, targets: Iterable[ReplicaId], message: object
@@ -468,24 +429,16 @@ class Network:
                     self.stats.record_bulk_delivery(message, delivered)
                     return
             dsts = policy.batch_filter(message, dsts)
-        stats = self.stats
         handlers = self._handlers
-        batch_handlers = self._batch_handlers
-        batch_get = batch_handlers.get
         probe = self.stop_probe
-        shared: dict = {}
         delivered = 0
         try:
             for dst in dsts:
                 if delivered and probe is not None and probe():
                     return
                 delivered += 1
-                batch = batch_get(dst)
-                if batch is not None:
-                    batch(src, message, shared)
-                else:
-                    handlers[dst](src, message)
+                handlers[dst](src, message)
         finally:
             # One bulk update per bucket: identical totals to dense's
             # per-delivery increments, at a fraction of the dict traffic.
-            stats.record_bulk_delivery(message, delivered)
+            self.stats.record_bulk_delivery(message, delivered)

@@ -10,9 +10,10 @@ A slot is a consensus *instance* on the deployment's one stack
 (:class:`SlotStacks`), and goes through four states:
 
 * **open** — the first replica (or Byzantine seat) to touch slot ``k``
-  builds its :class:`~repro.core.deployment.InstanceStack`; every replica
-  that opens the slot joins it (shared vote columns, shared synchronizer
-  columns) with a fresh instance.
+  builds its :class:`~repro.core.deployment.InstanceStack`, with the
+  slot's own view of the deployment's crypto and so its own verdict table;
+  every replica that opens the slot joins it (shared vote columns, shared
+  synchronizer columns) with a fresh instance.
 * **kernel-served** — a coalesced fan-out for the slot is unwrapped once and
   handed to the slot's kernels as a bucket.  A bucket with a recipient that
   has not opened the slot is *declined and counted*: it takes the
@@ -20,7 +21,8 @@ A slot is a consensus *instance* on the deployment's one stack
 * **decided** — a replica that decides the slot stops its instance (no more
   view timers) and applies the value in slot order.
 * **retired** — once every correct replica has applied the slot, its stack
-  is dropped and each replica keeps only a :class:`SlotRecord` record; a
+  is dropped, its verdict table emptied (a retired slot pins none of its
+  messages) and each replica keeps only a :class:`SlotRecord` record; a
   late envelope for it is dropped, as the stopped instances dropped it.
 
 Proposal values come from a local pending-command queue; a leader with an
@@ -114,7 +116,7 @@ class SlotStacks(SparseDeliveryPolicy):
 
     Shared by the deployment's replicas and Byzantine seats: it hands out
     slot configs, holds one :class:`~repro.core.deployment.InstanceStack`
-    per open slot (built by ``make_stack(slot_config, handlers=...)``;
+    per open slot (built by ``make_stack(slot_config, handlers)``;
     ``None`` — the oracle, stand-alone replicas — means per-message
     instances and no stacks), and retires a slot when its last correct
     replica has applied it.  As the network's delivery policy *and* bulk
@@ -166,10 +168,17 @@ class SlotStacks(SparseDeliveryPolicy):
         if stack is None and self._make is not None:
             seats = self.seats
             handlers = {b: partial(seats.get(b, _drop), slot) for b in self._byzantine}
-            stack = self.stacks[slot] = self._make(
-                self.slot_config(slot), handlers=handlers
-            )
+            stack = self.stacks[slot] = self._make(self.slot_config(slot), handlers)
         return stack
+
+    def seat(self, slot: int, crypto: CryptoContext):
+        """``(stack, config, crypto)`` one seat of slot ``slot`` runs on: the
+        stack's own config and crypto view (and so its verdict table) when
+        there are stacks, a slot config over the seat's ``crypto`` if not."""
+        stack = self.open(slot)
+        if stack is None:
+            return None, self.slot_config(slot), crypto
+        return stack, stack.config, stack.crypto
 
     def note_applied(self, slot: int) -> None:
         """One more correct replica applied ``slot`` (each applies in slot
@@ -182,10 +191,9 @@ class SlotStacks(SparseDeliveryPolicy):
         self.retired = slot
         stack = self.stacks.pop(slot, None)
         if stack is not None:
-            # Possibly from inside one of the stack's own kernel calls: only
-            # the edge that keeps it in a reference cycle is cut.
+            # Possibly from inside one of the stack's own kernel calls.
             self._fold(stack, self._stats)
-            stack.wishes.detach()
+            stack.retire()
 
     def sweep(self, slots: Dict[int, object]) -> None:
         """Drop the retired slots' entries from one host's slot table."""
@@ -383,13 +391,6 @@ class SMRReplica:
         if replica is not None:
             replica.on_message(src, message.inner)
 
-    def on_sample_message(self, src: ReplicaId, message: object, shared: dict) -> None:
-        """Per-recipient entry point inside a coalesced fan-out: recipients
-        share the slot message's recipient-independent validation."""
-        replica = self._instance(message)
-        if replica is not None:
-            replica.on_sample_message(src, message.inner, shared)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -415,11 +416,11 @@ class SMRReplica:
         stacks = self._stacks
         stacks.sweep(self._slots)
         my_value = self._next_proposal(slot)
-        stack = stacks.open(slot)
+        stack, config, crypto = stacks.seat(slot, self._crypto)
         replica = ProBFTReplica(
             replica_id=self.id,
-            config=stacks.slot_config(slot),
-            crypto=self._crypto,
+            config=config,
+            crypto=crypto,
             transport=_SlotTransport(self._transport, slot),
             my_value=my_value,
             timeout_policy=self._timeout_policy,
@@ -557,11 +558,9 @@ class ByzantineSlotMultiplexer:
         stacks = self._stacks
         if endpoint is None and slot > stacks.retired:
             stacks.sweep(self._slots)
+            _stack, config, crypto = stacks.seat(slot, self._crypto)
             endpoint = self._slots[slot] = self._slot_factory(
-                slot,
-                stacks.slot_config(slot),
-                self._crypto,
-                _SlotTransport(self._transport, slot),
+                slot, config, crypto, _SlotTransport(self._transport, slot)
             )
             endpoint.start()
         return endpoint

@@ -11,7 +11,6 @@ slot lifecycle: open, kernel-served, decided, retired).
 from __future__ import annotations
 
 import weakref
-from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ProtocolConfig
@@ -130,12 +129,20 @@ class SMRDeployment(Deployment):
     # Deployment hooks
     # ------------------------------------------------------------------
     def _new_stack(self) -> SlotStacks:
-        make_stack = None if self.reference else partial(
-            self.stack_class,
-            crypto=self.crypto,
-            correct_ids=self._correct_ids,
-            byzantine_ids=self.byzantine_ids,
-        )
+        make_stack = None
+        if not self.reference:
+            # Nothing the router holds may point back at the deployment.
+            stack_class, crypto = self.stack_class, self.crypto
+            correct_ids, byzantine_ids = self._correct_ids, self.byzantine_ids
+
+            def make_stack(config, handlers):
+                # Each slot validates through its own table, which goes
+                # when the slot retires.
+                return stack_class(
+                    config, crypto.instance(config), correct_ids, byzantine_ids,
+                    handlers,
+                )
+
         return SlotStacks(
             self.config, self.num_slots, self.rotate_leaders, self.byzantine_ids,
             make_stack,
@@ -171,11 +178,8 @@ class SMRDeployment(Deployment):
         )
 
     def _install_stack(self) -> None:
-        router, network = self.stack, self.network
-        for r in self._correct_ids:
-            network.register_batch(r, self.replicas[r].on_sample_message)
-        network.use_delivery_policy(router)
-        network.use_bulk_handler(router)
+        self.network.use_delivery_policy(self.stack)
+        self.network.use_bulk_handler(self.stack)
 
     def watch_applies(
         self,

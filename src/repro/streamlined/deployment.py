@@ -37,9 +37,11 @@ class StreamDeployment:
             config.n,
             latency=latency if latency is not None else ConstantLatency(1.0),
         )
+        # One instance for the whole chain: each block proposal and vote is
+        # verified once per object, not once per recipient.
         self.crypto = crypto if crypto is not None else CryptoContext.pooled(
             config.n, master_seed=digest("stream-deployment", seed)
-        )
+        ).instance(config)
         if len(byzantine_ids) > config.f:
             raise ValueError("too many Byzantine replicas")
         self.byzantine_ids: FrozenSet[ReplicaId] = frozenset(byzantine_ids)

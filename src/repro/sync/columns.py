@@ -288,7 +288,9 @@ class WishDispatch:
 
     Args:
         n, f: system size and fault threshold.
-        signatures: the deployment's signature scheme.
+        signatures: the instance's signature scheme; behind it a Wish is
+            verified once per object (honest ones are valid at birth), so
+            the check below costs a verdict-table lookup per bucket.
         syncs: replica id -> synchronizer of every *correct* replica; each
             is switched to its column of the shared state here.  More may
             :meth:`attach` later (SMR replicas open a slot one by one).

@@ -38,7 +38,10 @@ is one algorithm over two backends that answer it:
 
 Checks run cheapest first: payload type, ``signer == src``, domain and the
 stale/duplicate test are lookups; only a wish that would be recorded pays a
-signature verification, so replayed wishes cost no crypto.
+signature verification, so replayed wishes cost no crypto — and in a
+production instance that verification is itself one lookup per recipient in
+the instance's verdict table (:mod:`repro.crypto.verdicts`): a broadcast
+Wish is one object.
 """
 
 from __future__ import annotations

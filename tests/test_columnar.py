@@ -1,5 +1,5 @@
 """What the columnar stack brought along besides the kernel: memory
-telemetry, byte-budgeted crypto memos, and summary network accounting.
+telemetry, a crypto layer without budgets, and summary network accounting.
 
 The kernel and the columnar vote state themselves are pinned against the
 oracle in :mod:`tests.test_reference_identity`.
@@ -11,14 +11,7 @@ import random
 from collections import Counter
 
 from repro.config import ProtocolConfig
-from repro.crypto.context import (
-    MEMO_BUDGET_CEILING,
-    MEMO_BUDGET_FLOOR,
-    CryptoContext,
-    memo_budget,
-)
-from repro.crypto.signatures import MemoizedSignatureScheme
-from repro.crypto.vrf import MemoizedVRF
+from repro.crypto.context import CryptoContext
 from repro.harness.metrics import IndexedCounter
 from repro.harness.trial import DeploymentSpec, run_trial
 from repro.net.network import MessageStats
@@ -84,68 +77,85 @@ class TestMemoryTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Byte-budgeted crypto memo caps
+# The crypto layer without budgets: one verdict table, nothing evicted
 # ----------------------------------------------------------------------
 
 
-class TestCryptoMemoBudgets:
-    def test_memo_budget_clamps(self):
-        small_budget, small_entry = memo_budget(8)
-        assert small_budget == MEMO_BUDGET_FLOOR  # floor binds at tiny n
-        big_budget, big_entry = memo_budget(20000)
-        assert big_budget == MEMO_BUDGET_CEILING  # ceiling binds at n≈2·10⁴
-        assert big_entry > small_entry  # entry estimate scales with s(n)
+class TestCryptoWithoutBudgets:
+    def _instance(self, n: int, seed: bytes) -> CryptoContext:
+        return CryptoContext.create(n, seed).instance(ProtocolConfig(n=n))
 
-    def test_vrf_byte_budget_bounds_and_counts_evictions(self):
-        fresh = CryptoContext.create(6, b"vrf-budget")
-        # Room for exactly 3 entries per memo map.
-        memo = MemoizedVRF(fresh.registry, byte_budget=3 * 512, entry_bytes=512)
-        for view in range(10):
-            memo.prove(0, f"{view}||prepare", 3)
-        assert len(memo._prove_cache) <= 3
-        stats = memo.cache_stats()
-        assert stats["evictions"] > 0
-        assert stats["max_entries"] == 3
-        # Evicted keys still prove correctly (and bit-identically).
-        again = memo.prove(0, "0||prepare", 3)
-        assert again == fresh.vrf.prove(0, "0||prepare", 3)
+    def test_nothing_is_evicted_however_many_objects(self):
+        """No budget clamps what an instance remembers: every envelope it
+        produced or checked keeps its verdict until the table is cleared."""
+        crypto = self._instance(4, b"no-budget")
+        key = crypto.registry.key_pair(1).private_key
+        envelopes = [crypto.signatures.sign(0, ("m", i)) for i in range(6000)]
+        forged = [crypto.signatures.sign_with(key, 2, ("f", i)) for i in range(6000)]
+        assert not any(crypto.signatures.verify(e) for e in forged)
+        assert len(crypto.verdicts) == 12000
+        assert all(crypto.signatures.verify(e) for e in envelopes)
+        assert not any(crypto.signatures.verify(e) for e in forged)
+        stats = crypto.signatures.cache_stats()
+        assert stats == {"hits": 12000, "misses": 6000, "born_valid": 6000}
+        crypto.verdicts.clear()
+        assert len(crypto.verdicts) == 0
+        assert crypto.signatures.cache_stats() == stats  # counts stay readable
 
-    def test_vrf_byte_budget_never_below_one_entry(self):
-        fresh = CryptoContext.create(4, b"vrf-budget-tiny")
-        memo = MemoizedVRF(fresh.registry, byte_budget=1, entry_bytes=2048)
-        memo.prove(0, "1||prepare", 2)
-        assert memo.cache_stats()["max_entries"] == 1
+    def test_prove_is_pure_not_memoized(self):
+        fresh = CryptoContext.create(6, b"prove-purity")
+        crypto = fresh.instance(ProtocolConfig(n=6))
+        outputs = [crypto.vrf.prove(0, f"{v}||prepare", 3) for v in range(10)]
+        again = [crypto.vrf.prove(0, f"{v}||prepare", 3) for v in range(10)]
+        assert outputs == again == [
+            fresh.vrf.prove(0, f"{v}||prepare", 3) for v in range(10)
+        ]
+        assert all(a is not b for a, b in zip(outputs, again))
+        assert crypto.vrf.cache_stats()["misses"] == 20  # every expansion counted
 
-    def test_signature_byte_budget_bounds_and_counts_evictions(self):
-        fresh = CryptoContext.create(4, b"sig-budget")
-        memo = MemoizedSignatureScheme(
-            fresh.registry, byte_budget=2 * 1024, entry_bytes=1024
-        )
-        envelopes = [memo.sign(0, ("m", i)) for i in range(6)]
-        for envelope in envelopes:
-            assert memo.verify(envelope)
-        stats = memo.cache_stats()
-        assert len(memo._cache) <= 2
-        assert stats["max_entries"] == 2
-        assert stats["evictions"] > 0
-        for envelope in envelopes:  # evicted entries still verify
-            assert memo.verify(envelope)
+    def test_born_valid_only_through_the_registry_key(self):
+        crypto = self._instance(4, b"born-valid")
+        honest = crypto.signatures.sign(0, ("m", 1))
+        counts = crypto.verdicts.counts
+        assert counts.born["signature"] == 1
+        assert crypto.signatures.verify(honest)
+        assert counts.computed["signature"] == 0  # nothing to recompute
+        # The corrupted-key path with the *right* key: valid, but verified.
+        key = crypto.registry.key_pair(0).private_key
+        corrupted = crypto.signatures.sign_with(key, 0, ("m", 1))
+        assert corrupted == honest and corrupted is not honest
+        assert counts.born["signature"] == 1
+        assert crypto.signatures.verify(corrupted)
+        assert counts.computed["signature"] == 1
+
+    def test_signature_verdict_is_by_identity_not_by_signature(self):
+        """A forged envelope reusing a real signature is a different object
+        and fails, whatever the table holds about the real one."""
+        from repro.crypto.signatures import Signed
+
+        crypto = self._instance(4, b"sig-identity")
+        signed = crypto.signatures.sign(1, ("vote", b"A"))
+        assert crypto.signatures.verify(signed)
+        forged = Signed(payload=("vote", b"B"), signer=1, signature=signed.signature)
+        assert not crypto.signatures.verify(forged)
+        assert not crypto.signatures.verify(forged)
+        assert crypto.signatures.cache_stats() == {
+            "hits": 2, "misses": 1, "born_valid": 1,
+        }
 
     def test_cache_stats_shapes(self):
-        fresh = CryptoContext.create(4, b"stats-shape")
-        vrf_stats = MemoizedVRF(fresh.registry).cache_stats()
-        for key in (
-            "misses",
-            "prove_hits",
-            "prove_misses",
-            "evictions",
-            "entries",
-            "max_entries",
+        """The keys the benchmark adapter reads, with and without a table."""
+        for crypto in (
+            CryptoContext.create(4, b"stats-shape"),
+            self._instance(4, b"stats-shape"),
         ):
-            assert key in vrf_stats
-        sig_stats = MemoizedSignatureScheme(fresh.registry).cache_stats()
-        for key in ("hits", "misses", "tag_hits", "evictions", "entries"):
-            assert key in sig_stats
+            vrf_stats = crypto.vrf.cache_stats()
+            assert set(vrf_stats) == {
+                "misses", "verify_hits", "verify_misses", "born_valid",
+            }
+            sig_stats = crypto.signatures.cache_stats()
+            assert set(sig_stats) == {"hits", "misses", "born_valid"}
+            assert not any(vrf_stats.values()) and not any(sig_stats.values())
 
 
 # ----------------------------------------------------------------------

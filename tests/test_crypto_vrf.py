@@ -8,9 +8,9 @@ import pytest
 
 from repro.crypto.hashing import stable_encode
 from repro.crypto.keys import KeyRegistry
+from repro.crypto.verdicts import VerdictTable
 from repro.crypto.vrf import (
     VRF,
-    MemoizedVRF,
     VRFOutput,
     _sample_from_key,
     _sample_from_words,
@@ -298,77 +298,98 @@ class TestVRFOutputEncoding:
         assert len(encodings) == 5
 
 
-class TestMemoizedVRF:
-    @pytest.fixture
-    def mvrf(self):
-        return MemoizedVRF(KeyRegistry(30))
+class TestTabledVRF:
+    """A VRF over a verdict table: verified once per object, proven purely."""
 
-    def test_bit_identical_to_fresh_vrf(self, mvrf, vrf):
+    @pytest.fixture
+    def tvrf(self):
+        return VRF(KeyRegistry(30), VerdictTable())
+
+    @staticmethod
+    def _counts(tvrf):
+        return tvrf._verdicts.counts
+
+    def test_bit_identical_to_fresh_vrf(self, tvrf, vrf):
         for replica in (0, 5, 29):
             for s in (1, 10, 30):
-                assert mvrf.prove(replica, "z", s) == vrf.prove(replica, "z", s)
+                assert tvrf.prove(replica, "z", s) == vrf.prove(replica, "z", s)
 
-    def test_prove_memo_hits_on_repeat(self, mvrf):
-        a = mvrf.prove(3, "seed", 10)
-        b = mvrf.prove(3, "seed", 10)
-        assert a is b
-        assert mvrf.prove_hits == 1 and mvrf.prove_misses == 1
+    def test_prove_is_pure_and_never_memoized(self, tvrf):
+        a = tvrf.prove(3, "seed", 10)
+        b = tvrf.prove(3, "seed", 10)
+        assert a == b and a is not b
+        assert tvrf.cache_stats()["misses"] == 2  # both expanded a sample
 
-    def test_verify_memo_identity_pinned(self, mvrf):
-        out = mvrf.prove(3, "seed", 10)
-        assert mvrf.verify(3, "seed", 10, out)
-        assert mvrf.verify(3, "seed", 10, out)
-        assert mvrf.verify_hits == 1 and mvrf.verify_misses == 1
+    def test_verdict_is_pinned_to_the_object(self, tvrf):
+        key = tvrf._registry.key_pair(3).private_key
+        out = tvrf.prove_with(key, 3, "seed", 10)
+        assert tvrf.verify(3, "seed", 10, out)
+        assert tvrf.verify(3, "seed", 10, out)
+        counts = self._counts(tvrf)
+        assert counts.computed["vrf"] == 1 and counts.reused["vrf"] == 1
         # An equal-but-distinct object misses (identity key, not equality).
         clone = VRFOutput(sample=out.sample, proof=out.proof)
-        assert mvrf.verify(3, "seed", 10, clone)
-        assert mvrf.verify_misses == 2
+        assert tvrf.verify(3, "seed", 10, clone)
+        assert counts.computed["vrf"] == 2
 
-    def test_verify_memo_rejects_forgery_consistently(self, mvrf):
-        out = mvrf.prove(3, "seed", 10)
+    def test_verdict_is_for_one_replica_seed_and_size(self, tvrf):
+        """A prepare sample replayed in a commit is judged again."""
+        out = tvrf.prove(3, "1||prepare", 10)
+        assert tvrf.verify(3, "1||prepare", 10, out)
+        assert not tvrf.verify(3, "1||commit", 10, out)
+        assert not tvrf.verify(4, "1||prepare", 10, out)
+        assert tvrf.verify(3, "1||prepare", 10, out)
+        assert self._counts(tvrf).computed["vrf"] == 2
+
+    def test_forgery_rejected_consistently(self, tvrf):
+        out = tvrf.prove(3, "seed", 10)
         forged = replace(out, proof=b"\x00" * 32)
-        assert not mvrf.verify(3, "seed", 10, forged)
-        assert not mvrf.verify(3, "seed", 10, forged)  # cached False
-        assert mvrf.verify_hits == 1
+        assert not tvrf.verify(3, "seed", 10, forged)
+        assert not tvrf.verify(3, "seed", 10, forged)  # the recorded False
+        assert self._counts(tvrf).reused["vrf"] == 1
 
-    def test_copied_output_takes_the_full_path(self, mvrf):
-        """Only the prover's own object may skip the replay: an equal copy
+    def test_copied_output_takes_the_full_path(self, tvrf):
+        """Only the prover's own object is valid by birth: an equal copy
         recomputes the sampler key and expands the sample again."""
-        out = mvrf.prove(3, "seed", 10)
-        assert mvrf.verify(3, "seed", 10, out)
-        assert mvrf.prove_identity_hits == 1
-        expanded = mvrf.cache_stats()["misses"]
+        out = tvrf.prove(3, "seed", 10)
+        counts = self._counts(tvrf)
+        assert counts.born["vrf"] == 1
+        expanded = tvrf.cache_stats()["misses"]
+        assert tvrf.verify(3, "seed", 10, out)
+        assert counts.computed["vrf"] == 0
+        assert tvrf.cache_stats()["misses"] == expanded
         clone = VRFOutput(sample=tuple(out.sample), proof=bytes(out.proof))
         assert clone == out and clone is not out
-        assert mvrf.verify(3, "seed", 10, clone)
-        assert mvrf.prove_identity_hits == 1
-        assert mvrf.cache_stats()["misses"] == expanded + 1
+        assert tvrf.verify(3, "seed", 10, clone)
+        assert counts.computed["vrf"] == 1
+        assert tvrf.cache_stats()["misses"] == expanded + 1
 
-    def test_corrupted_key_output_takes_the_full_path(self, mvrf):
+    def test_corrupted_key_output_takes_the_full_path(self, tvrf):
         """The adversary proving with a corrupted replica's real key gets a
-        valid output — verified by replay, never by identity."""
-        key = mvrf._registry.key_pair(3).private_key
-        out = mvrf.prove_with(key, 3, "seed", 10)
-        expanded = mvrf.cache_stats()["misses"]
-        assert mvrf.verify(3, "seed", 10, out)
-        assert mvrf.prove_identity_hits == 0
-        assert mvrf.cache_stats()["misses"] == expanded + 1
+        valid output — verified by replay, never by birth."""
+        key = tvrf._registry.key_pair(3).private_key
+        out = tvrf.prove_with(key, 3, "seed", 10)
+        counts = self._counts(tvrf)
+        expanded = tvrf.cache_stats()["misses"]
+        assert tvrf.verify(3, "seed", 10, out)
+        assert counts.born["vrf"] == 0 and counts.computed["vrf"] == 1
+        assert tvrf.cache_stats()["misses"] == expanded + 1
         # Under any other key the recomputed sampler key already differs.
-        forged = mvrf.prove_with(_key("corrupted"), 3, "seed", 10)
-        assert not mvrf.verify(3, "seed", 10, forged)
-        assert mvrf.prove_identity_hits == 0
+        forged = tvrf.prove_with(_key("corrupted"), 3, "seed", 10)
+        assert not tvrf.verify(3, "seed", 10, forged)
+        assert counts.born["vrf"] == 0
 
-    def test_tampered_member_rejected_after_replay(self, mvrf):
-        out = mvrf.prove(3, "seed", 10)
+    def test_tampered_member_rejected_after_replay(self, tvrf):
+        out = tvrf.prove(3, "seed", 10)
         absent = next(r for r in range(30) if r not in out.sample)
         tampered = replace(out, sample=out.sample[:4] + (absent,) + out.sample[5:])
-        expanded = mvrf.cache_stats()["misses"]
-        assert not mvrf.verify(3, "seed", 10, tampered)
-        assert mvrf.cache_stats()["misses"] == expanded + 1
+        expanded = tvrf.cache_stats()["misses"]
+        assert not tvrf.verify(3, "seed", 10, tampered)
+        assert tvrf.cache_stats()["misses"] == expanded + 1
 
-    def test_prove_with_never_memoized(self, mvrf):
+    def test_prove_with_never_registers(self, tvrf):
         key = hashlib.sha256(b"corrupted").digest()
-        a = mvrf.prove_with(key, 3, "seed", 10)
-        b = mvrf.prove_with(key, 3, "seed", 10)
+        a = tvrf.prove_with(key, 3, "seed", 10)
+        b = tvrf.prove_with(key, 3, "seed", 10)
         assert a == b and a is not b
-        assert mvrf.prove_misses == 0  # registry-path memo untouched
+        assert len(tvrf._verdicts) == 0 and not self._counts(tvrf).born

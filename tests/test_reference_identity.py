@@ -5,9 +5,16 @@ ProBFT the observation policy plus the vote kernel over columnar state
 (:mod:`repro.core.columnar`).  ``reference=True`` on the deployment base
 (reachable through ``DeploymentSpec.extra`` only) builds the oracle
 instead — per-recipient delivery, :meth:`ProBFTReplica.on_message`,
-set-based collectors.  The contract is that the two produce **equal**
-:class:`~repro.harness.trial.RunResult`\\ s for the same seed: same
-decisions, views, message and byte statistics, same simulated time.
+set-based collectors, and a **table-free** crypto context: where production
+validates each message object once through its instance's verdict table
+(:mod:`repro.crypto.verdicts`), the oracle recomputes every signature, VRF
+proof, ``safeProposal`` and certificate for every recipient.  The contract
+is that the two produce **equal** :class:`~repro.harness.trial.RunResult`\\ s
+for the same seed: same decisions, views, message and byte statistics, same
+simulated time — so every test here, the serving grid included, also proves
+*table ≡ recomputation*: a stale or mis-keyed verdict would show as a
+difference.  (The recomputing oracle costs this file ~25 s of tier-1 over a
+tabled one; all of it runs table-free, the n=60 and n=100 cells too.)
 
 Each comparison builds a *fresh* spec per run via
 :func:`~repro.harness.registry.cell_deployment_spec`: a DeploymentSpec
@@ -206,7 +213,7 @@ class TestStackWiring:
         deployment = reference_spec(self._spec(protocol)).build()
         assert deployment.network.delivery_policy is None
         assert deployment.network._bulk_handler is None
-        assert not deployment.network._batch_handlers
+        assert deployment.crypto.verdicts is None  # every check recomputed
         if protocol == "probft":
             deployment.run(max_time=MAX_TIME)
             collector = deployment.replicas[1]._commit_collectors[1]
@@ -717,16 +724,18 @@ class TestSharedProposeVerdict:
         """Equal content in a different object is validated again."""
         import copy
 
+        from repro.core.predicates import safe_proposal
+
         deployment, forged, _ = view2
-        state = deployment.stack.state
         args = (deployment.config, deployment.crypto)
-        assert state.safe_proposal(forged, *args) is False
+        validations = deployment.crypto.verdicts.counts.computed
+        assert safe_proposal(forged, *args) is False
         twin = copy.copy(forged)
         assert twin == forged and twin is not forged
-        assert state.safe_proposal(twin, *args) is False
-        assert state.propose_validations == 2
-        assert state.safe_proposal(forged, *args) is False
-        assert state.propose_validations == 2
+        assert safe_proposal(twin, *args) is False
+        assert validations["propose"] == 2
+        assert safe_proposal(forged, *args) is False
+        assert validations["propose"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,11 @@ Covers the two hard guarantees of the refactor:
 
 * every runner surface (legacy wrappers, DeploymentSpec, matrix cells) is
   one lifecycle — same spec, same result;
-* pooled crypto (shared registries + memoized verification) is
-  **bit-identical** to fresh per-deployment crypto, serially and across
-  worker processes, and pool keying never leaks state across differing
-  ``(n, master_seed)``.
+* pooled crypto (shared registries + verification through a per-instance
+  verdict table) is **bit-identical** to fresh per-deployment crypto,
+  serially and across worker processes, and pool keying never leaks state
+  across differing ``(n, master_seed)``;
+* a verdict table lives exactly as long as its consensus instance.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from repro.crypto.context import (
     crypto_pool_stats,
 )
 from repro.crypto.hashing import digest, stable_encode
-from repro.crypto.signatures import MemoizedSignatureScheme, Signed
-from repro.crypto.vrf import MemoizedVRF, VRFOutput
 from repro.harness.runner import run_hotstuff, run_pbft, run_probft
 from repro.harness.trial import (
     DeploymentSpec,
@@ -292,16 +291,16 @@ class TestCryptoPoolDeterminism:
         clear_crypto_pool()
         a = CryptoContext.pooled(8, b"pool-key")
         b = CryptoContext.pooled(8, b"pool-key")
-        # Only the immutable registry is shared; the VRF and the signature
-        # scheme are per-context so their identity-keyed memos cannot pin
-        # outputs or envelope graphs across deployments.
+        # Only the immutable registry is shared: whatever remembers a
+        # verdict belongs to one consensus instance (``instance()``), so
+        # nothing can pin outputs or envelope graphs across deployments.
         assert a.registry is b.registry
         assert a.vrf is not b.vrf
         assert a.signatures is not b.signatures
         assert crypto_pool_stats() == {"hits": 1, "misses": 1, "size": 1}
 
     def test_finished_trial_retains_nothing(self):
-        """No memo outlives its trial: once the context is dropped, its VRF
+        """Nothing outlives its trial: once the context is dropped, its VRF
         outputs and signed votes are collectable."""
         context = TrialContext(
             DeploymentSpec(
@@ -312,8 +311,8 @@ class TestCryptoPoolDeterminism:
             )
         )
         assert context.execute().all_decided
-        # A Prepare vote from replica 0's prepared certificate: verified
-        # during the run, so both verify memos have seen it and its sample.
+        # A Prepare vote from replica 0's prepared certificate: validated
+        # during the run, so the verdict table has pinned it and its sample.
         vote = context.deployment.replicas[0]._cert[0]
         output = vote.payload.sample
         stable_encode(vote)  # the encode cache lives on the objects too
@@ -350,98 +349,148 @@ class TestCryptoPoolDeterminism:
         assert crypto_pool_stats() == {"hits": 0, "misses": 0, "size": 0}
 
 
-class TestMemoizedVerification:
-    def test_memoized_vrf_matches_plain(self):
-        fresh = CryptoContext.create(12, b"vrf-memo")
-        memo = MemoizedVRF(fresh.registry)
+class TestVerdictTableLifecycle:
+    """The *validated once* table lives exactly as long as its consensus
+    instance, and a tabled context computes what a plain one computes."""
+
+    def test_tabled_context_matches_plain(self):
+        fresh = CryptoContext.create(12, b"vrf-table")
+        tabled = fresh.instance(ProtocolConfig(n=12))
         for replica in range(12):
             for seed_str in ("1||prepare", "1||commit", "2||prepare"):
                 plain_out = fresh.vrf.prove(replica, seed_str, 5)
-                memo_out = memo.prove(replica, seed_str, 5)
-                assert plain_out == memo_out
-                assert memo.verify(replica, seed_str, 5, memo_out)
-        # Verifying the very object prove() returned short-circuits on the
-        # prove memo (no replay) ...
-        assert memo.prove_identity_hits > 0
-        # ... while a value-equal clone takes the full path and expands the
-        # sample again.
-        expanded = memo.misses
-        clone = VRFOutput(sample=plain_out.sample, proof=plain_out.proof)
-        assert memo.verify(11, "2||prepare", 5, clone)
-        assert memo.misses == expanded + 1
-        # Re-proving hits the prove cache without changing outputs.
-        again = memo.prove(3, "1||prepare", 5)
-        assert again == fresh.vrf.prove(3, "1||prepare", 5)
-        assert memo.prove_hits > 0
+                tabled_out = tabled.vrf.prove(replica, seed_str, 5)
+                assert plain_out == tabled_out
+                assert tabled.vrf.verify(replica, seed_str, 5, tabled_out)
+                assert tabled.vrf.verify(replica, seed_str, 5, plain_out)
+                assert fresh.vrf.verify(replica, seed_str, 5, tabled_out)
+        counts = tabled.verdicts.counts
+        # What prove() returned was valid at birth; the plain context's
+        # equal outputs are other objects and took the full replay.
+        assert counts.born["vrf"] == 36 and counts.computed["vrf"] == 36
+        assert counts.samples_expanded == 72
 
-    def test_memoized_signatures_cache_by_identity_not_signature(self):
-        """A forged envelope reusing a real signature must still fail:
-        the cache is keyed by object identity, never (signer, signature)."""
-        fresh = CryptoContext.create(4, b"sig-memo")
-        memo = MemoizedSignatureScheme(fresh.registry)
-        signed = memo.sign(1, ("vote", b"A"))
-        assert memo.verify(signed)
-        assert memo.verify(signed)  # cached
-        assert memo.hits == 1 and memo.misses == 1
-        forged = Signed(
-            payload=("vote", b"B"), signer=1, signature=signed.signature
-        )
-        assert not memo.verify(forged)
-        assert not fresh.signatures.verify(forged)
-
-    def test_memoized_signature_eviction_keeps_correctness(self):
-        fresh = CryptoContext.create(4, b"sig-evict")
-        memo = MemoizedSignatureScheme(fresh.registry, max_entries=2)
-        envelopes = [memo.sign(0, ("m", i)) for i in range(5)]
-        for envelope in envelopes:
-            assert memo.verify(envelope)
-        for envelope in envelopes:  # some evicted, all still verify
-            assert memo.verify(envelope)
-        assert len(memo._cache) <= 2
-
-    def test_vrf_cache_bounded(self):
-        fresh = CryptoContext.create(6, b"vrf-bound")
-        memo = MemoizedVRF(fresh.registry, max_entries=3)
-        for view in range(10):
-            memo.prove(0, f"{view}||prepare", 3)
-        assert len(memo._prove_cache) <= 3
-
-    def test_prove_memo_bit_identical_on_golden_seeds(self):
-        """Recurring per-view sampler keys prove once — and identically.
-
-        The prove memo is keyed (replica, seed, s) over the immutable
-        registry, so the memoized prover's outputs (sample AND proof bytes)
-        must be bit-identical to an uncached VRF for every golden seed.
-        """
-        fresh = CryptoContext.create(10, b"prove-memo-golden")
-        memo = MemoizedVRF(fresh.registry)
+    def test_prove_outputs_bit_identical_on_golden_seeds(self):
+        """Proving is a pure function of (replica, seed, s) over the
+        immutable registry: a tabled prover's outputs (sample AND proof
+        bytes) equal an untabled VRF's, however often they are asked for."""
+        fresh = CryptoContext.create(10, b"prove-golden")
+        tabled = fresh.instance(ProtocolConfig(n=10))
         golden = [
             (replica, f"{view}||{tag}", 4)
             for replica in (0, 3, 9)
             for view in (1, 2, 7)
             for tag in ("prepare", "commit")
         ]
-        first = [memo.prove(*args) for args in golden]
-        assert memo.prove_misses == len(golden) and memo.prove_hits == 0
-        again = [memo.prove(*args) for args in golden]
-        assert memo.prove_hits == len(golden)
+        first = [tabled.vrf.prove(*args) for args in golden]
+        again = [tabled.vrf.prove(*args) for args in golden]
         reference = [fresh.vrf.prove(*args) for args in golden]
         assert first == again == reference
         for out in first:
             assert isinstance(out.proof, bytes)
 
-    def test_prove_with_explicit_key_is_never_cached(self):
-        """The adversary's corrupted-key path must not hit the memo: an
-        explicit key that differs from the registry's yields a different
-        output even for a (replica, seed, s) triple already memoized."""
-        fresh = CryptoContext.create(6, b"prove-memo-adv")
-        memo = MemoizedVRF(fresh.registry)
-        honest = memo.prove(2, "1||prepare", 3)
-        misses = memo.prove_misses
+    def test_prove_with_explicit_key_never_registers(self):
+        """The adversary's corrupted-key path must not be trusted at birth:
+        an explicit key that differs from the registry's yields a different
+        output even for a (replica, seed, s) triple already proven."""
+        fresh = CryptoContext.create(6, b"prove-adv")
+        tabled = fresh.instance(ProtocolConfig(n=6))
+        honest = tabled.vrf.prove(2, "1||prepare", 3)
+        entries = len(tabled.verdicts)
         wrong_key = b"\x07" * 32
-        forged = memo.prove_with(wrong_key, 2, "1||prepare", 3)
+        forged = tabled.vrf.prove_with(wrong_key, 2, "1||prepare", 3)
         assert forged != honest
-        assert memo.prove_misses == misses  # prove_with bypassed the memo
+        assert len(tabled.verdicts) == entries  # nothing registered
         assert forged == fresh.vrf.prove_with(wrong_key, 2, "1||prepare", 3)
         # And the forged output does not verify as replica 2.
-        assert not memo.verify(2, "1||prepare", 3, forged)
+        assert not tabled.vrf.verify(2, "1||prepare", 3, forged)
+
+    def test_the_oracle_has_no_table(self):
+        spec = DeploymentSpec(
+            protocol="probft", config=ProtocolConfig(n=10, f=2), seed=1,
+            max_time=5000, extra=(("reference", True),),
+        )
+        context = TrialContext(spec)
+        assert context.execute().all_decided
+        assert context.deployment.crypto.verdicts is None
+        assert not any(context.deployment.crypto.signatures.cache_stats().values())
+
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_table_is_empty_after_close(self, protocol):
+        context = TrialContext(
+            DeploymentSpec(
+                protocol=protocol, config=ProtocolConfig(n=16, f=5), seed=3,
+                max_time=5000,
+            )
+        )
+        assert context.execute().all_decided
+        deployment = context.deployment
+        table = deployment.crypto.verdicts
+        assert table.config is deployment.config and len(table) > 0
+        stats = deployment.vote_kernel_stats()
+        assert stats["validated"] > 0 and stats["validated_reused"] > 0
+        deployment.close()
+        assert len(table) == 0
+        assert deployment.vote_kernel_stats() == stats  # counts stay readable
+
+    def test_delivered_vote_dies_with_its_deployment(self):
+        """No collection needed: the table pins a vote for the life of the
+        instance and not a moment longer."""
+        gc.collect()
+        gc.disable()
+        try:
+            context = TrialContext(
+                DeploymentSpec(
+                    protocol="probft", config=ProtocolConfig(n=100, f=10),
+                    seed=5, max_time=5000,
+                )
+            )
+            assert context.execute().all_decided
+            deployment = context.deployment
+            vote = deployment.replicas[0]._cert[0]
+            table = deployment.crypto.verdicts
+            assert table.get("vote", vote).valid  # delivered, so validated
+            refs = [weakref.ref(vote), weakref.ref(vote.payload.sample)]
+            del context, deployment, vote
+            assert [ref() for ref in refs] == [None, None]
+            assert len(table) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_slot_table_goes_when_the_slot_retires(self):
+        from repro.smr.app import CounterApp
+        from repro.smr.service import SMRDeployment
+
+        gc.collect()
+        gc.disable()
+        try:
+            deployment = SMRDeployment(
+                ProtocolConfig(n=9, f=2), CounterApp, num_slots=6, seed=2
+            )
+            deployment.start()
+            stack = deployment.stack.stacks[1]
+            table = stack.crypto.verdicts
+            assert table is not deployment.crypto.verdicts
+            assert table.config is stack.config
+            assert table.config.seed_domain == "slot-1"
+            deployment.sim.run(until=1.5)  # slot 1's Propose is delivered
+            assert len(table) > 0
+            proposal = weakref.ref(deployment.replicas[1].slot_replica(1)._proposal)
+            del stack
+            deployment.run(max_time=5_000.0)
+            assert deployment.all_applied()
+            # Retired mid-run: nothing of slot 1 is pinned any more ...
+            assert len(table) == 0 and proposal() is None
+            assert not deployment.stack.stacks
+            # ... and what its table did is still in the deployment's counts.
+            counts = deployment.crypto.verdicts.counts
+            assert counts is table.counts
+            assert counts.computed["propose"] == 6  # one per slot
+            stats = deployment.vote_kernel_stats()
+            assert stats["propose_validations"] == 6
+            assert stats["validated"] >= 6 + counts.computed["vote"] > 6
+            assert len(deployment.crypto.verdicts) == 0  # only slots validate
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
