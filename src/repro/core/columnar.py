@@ -431,11 +431,7 @@ class ColumnarVoteDispatch:
         if not (state.correct[src] and signer == src):
             # Not a correct sender's own-sample multicast: check i ∈ S.
             member = np.zeros(state.n, dtype=bool)
-            member[
-                np.fromiter(
-                    token.members, dtype=np.intp, count=len(token.members)
-                )
-            ] = True
+            member[np.asarray(token.members.sample, dtype=np.intp)] = True
             elig &= member[D]
         all_elig = bool(elig.all())
         c = slot.counts[D]

@@ -53,6 +53,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Set
 
 from ..config import ProtocolConfig
+from ..crypto.vrf import VRFOutput
 from ..messages.base import ProposalStatement
 from ..messages.probft import Commit, Prepare, extract_statement
 from ..net.gossip import GossipEnvelope
@@ -126,13 +127,16 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
         if not isinstance(payload, (Prepare, Commit)):
             return None
         inner = getattr(payload.statement, "payload", None)
-        if not isinstance(inner, ProposalStatement):
+        sample = payload.sample
+        if not (
+            isinstance(inner, ProposalStatement) and isinstance(sample, VRFOutput)
+        ):
             return None
-        return (
-            isinstance(payload, Prepare),
-            inner.view,
-            payload.sample.members(),
-        )
+        try:
+            members = sample.members()
+        except TypeError:
+            return None  # forged, unhashable "ids": nothing to prune on
+        return isinstance(payload, Prepare), inner.view, members
 
     def batch_filter(self, message: object, dsts):
         """The module docstring's suppression rules applied to one bucket.

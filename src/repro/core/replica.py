@@ -77,14 +77,16 @@ class _VoteToken(NamedTuple):
     Computed once per message object (:func:`prevalidate_vote`) and shared
     by every delivery of it.  Everything here is a pure function of the
     message and the instance's shared crypto/config, never of the receiving
-    replica.
+    replica.  ``members`` is the vote's :class:`VRFOutput` itself: ``i in
+    token.members`` builds its membership set on the first question, so a
+    vote nobody asks about (the kernel's own-sample route) builds none.
     """
 
     is_prepare: bool
     view: View
     value: Value
     signer: ReplicaId
-    members: frozenset
+    members: VRFOutput
     valid: bool
     eq_candidate: bool
 
@@ -97,7 +99,8 @@ def prevalidate_vote(
     Pure function of the message and the instance's shared crypto/config:
     with a verdict table it is computed once per message object and looked
     up on every later delivery.  ``None`` means the message is not a
-    well-formed vote at all.
+    well-formed vote at all.  The sample is verified, never unpacked: the
+    token carries the :class:`VRFOutput`, and no membership set is built.
     """
     table = crypto.verdicts
     if table is not None and table.config is config:
@@ -114,6 +117,8 @@ def prevalidate_vote(
     statement = payload.statement
     inner = getattr(statement, "payload", None)
     if not isinstance(inner, ProposalStatement):
+        return None
+    if not isinstance(payload.sample, VRFOutput):
         return None
     view = inner.view
     domain_ok = inner.domain == config.seed_domain
@@ -143,7 +148,7 @@ def prevalidate_vote(
         view=view,
         value=inner.value,
         signer=message.signer,
-        members=payload.sample.members(),
+        members=payload.sample,
         valid=valid,
         eq_candidate=domain_ok and leader_ok,
     )

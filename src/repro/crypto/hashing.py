@@ -84,11 +84,11 @@ def stable_encode(value: Any) -> bytes:
 
 def digest(*parts: Any) -> bytes:
     """SHA-256 digest over the canonical encoding of ``parts``."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(stable_encode(part))
-        h.update(_SEPARATOR)
-    return h.digest()
+    # One hash call over one buffer: every part is followed by a separator
+    # (the trailing empty piece supplies the last one).
+    encoded = [stable_encode(part) for part in parts]
+    encoded.append(b"")
+    return hashlib.sha256(_SEPARATOR.join(encoded)).digest()
 
 
 def digest_hex(*parts: Any) -> str:

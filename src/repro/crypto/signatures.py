@@ -97,7 +97,10 @@ class SignatureScheme:
             key = self._registry._private_key_of(signed.signer)
         except Exception:
             return False
-        expected = digest(_DOMAIN, key, signed.signer, signed.payload)
+        try:
+            expected = digest(_DOMAIN, key, signed.signer, signed.payload)
+        except TypeError:
+            return False  # nobody signed what has no canonical encoding
         return expected == signed.signature
 
     def require_valid(self, signed: Signed) -> Signed:

@@ -10,7 +10,8 @@ The sample contains ``s`` *distinct* replica IDs drawn uniformly at random
 
 Simulation construction (see DESIGN.md, Substitutions): the prover derives a
 sampler key ``k = SHA256(sk_i ‖ seed ‖ s)`` and expands it with the
-SHAKE-256 XOF into a sequence of big-endian 64-bit words.  Words at or above
+SHAKE-256 XOF; the output is read as one array of big-endian ``uint64``
+words, never word by word in Python integers.  Words at or above
 ``⌊2⁶⁴/n⌋·n`` are dropped (so the rest reduce mod ``n`` exactly uniformly),
 each surviving word names the replica ``word mod n``, repeated IDs are
 skipped, and the first ``s`` distinct IDs — in order of first occurrence —
@@ -34,7 +35,9 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
+
+import numpy as np
 
 from ..errors import VRFError
 from ..types import ReplicaId
@@ -46,6 +49,7 @@ _DOMAIN = "repro-vrf-v2"
 
 #: Sampler words are 64-bit: one past the largest value a word can take.
 _WORD_SPAN = 1 << 64
+_WORD = np.dtype(">u8")  # ... and big-endian in the XOF output
 
 
 @dataclass(frozen=True)
@@ -57,16 +61,20 @@ class VRFOutput:
 
     def canonical(self) -> Any:
         # The sample is packed into one bytes value (4 bytes per id, length
-        # carried by the bytes encoding) instead of encoded id by id.
-        packed = struct.pack(">%dI" % len(self.sample), *self.sample)
+        # carried by the bytes encoding) instead of encoded id by id.  A
+        # forged sample of anything else is encoded element by element (no
+        # packed sample collides with that), so an envelope around it fails
+        # on its tag instead of raising in here.
+        try:
+            packed = struct.pack(">%dI" % len(self.sample), *self.sample)
+        except struct.error:
+            return ("vrf-output", tuple(self.sample), self.proof)
         return ("vrf-output", packed, self.proof)
 
     def members(self) -> frozenset:
-        """The sample as a frozenset, built once per output object.
-
-        Membership tests against a vote's sample happen once per recipient
-        of the vote; the cached set turns each O(s) tuple scan into O(1).
-        """
+        """The sample as a frozenset, built by the first ``i ∈ S`` question
+        asked of this output object and kept for the rest (each then costs
+        O(1), not an O(s) tuple scan); never built if nobody asks."""
         members = self.__dict__.get("_members")
         if members is None:
             members = frozenset(self.sample)
@@ -80,19 +88,19 @@ class VRFOutput:
         return len(self.sample)
 
 
-def _sample_from_words(
-    words: Iterable[int], n: int, s: int
-) -> Tuple[ReplicaId, ...]:
-    """The first ``s`` distinct IDs named by a sequence of 64-bit words.
+def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
+    """The first ``s`` distinct IDs named by XOF output (one ``uint64`` array).
 
     A word at or above the largest multiple of ``n`` below 2⁶⁴ is skipped
     (rejection keeps ``word mod n`` exactly uniform), an ID already drawn is
     skipped, and order of first occurrence is kept.  Returns fewer than
     ``s`` IDs when the words run out first.
     """
+    words = np.frombuffer(stream, dtype=_WORD).astype(np.uint64)
     limit = _WORD_SPAN - _WORD_SPAN % n
-    distinct = dict.fromkeys([w % n for w in words if w < limit])
-    return tuple(islice(distinct, s))
+    if limit < _WORD_SPAN and int(words.max(initial=0)) >= limit:
+        words = words[words < limit]
+    return tuple(islice(dict.fromkeys((words % n).tolist()), s))
 
 
 def _first_word_count(n: int, s: int) -> int:
@@ -117,8 +125,7 @@ def _sample_from_key(
         word_count = _first_word_count(n, s)
     while True:
         stream = hashlib.shake_256(key).digest(8 * word_count)
-        words = struct.unpack(">%dQ" % word_count, stream)
-        sample = _sample_from_words(words, n, s)
+        sample = _sample_from_stream(stream, n, s)
         if len(sample) == s:
             return sample
         word_count *= 2
@@ -198,7 +205,8 @@ class VRF:
     def _verify(
         self, replica: ReplicaId, seed: str, s: int, output: VRFOutput
     ) -> bool:
-        if len(output.sample) != s:
+        sample = output.sample
+        if type(sample) is not tuple or len(sample) != s:
             return False
         try:
             private_key = self._registry._private_key_of(replica)
@@ -207,7 +215,7 @@ class VRF:
         expected_key = self._sampler_key(private_key, seed, s)
         if expected_key != output.proof:
             return False
-        return self._sample(expected_key, s) == tuple(output.sample)
+        return self._sample(expected_key, s) == sample
 
     def require_valid(
         self, replica: ReplicaId, seed: str, s: int, output: VRFOutput

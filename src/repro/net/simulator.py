@@ -5,9 +5,11 @@ ordered by time with ties broken by scheduling order, so runs are fully
 deterministic.  All model randomness lives in *seeded* RNGs owned by the
 latency model / adversary, never in the kernel.
 
-There is one queue: a binary heap of ``[time, seq, callback]`` entries (a
-handle points at its entry, never the reverse: a fired event must not leave
-a reference cycle behind for the collector to find).  Fan-outs reach the
+There is one queue: a binary heap of ``[time, seq, callback, sim]`` entries,
+one allocation per scheduled event: the entry is its own
+:class:`EventHandle`.  It knows its simulator only through one shared weak
+reference: neither a fired event nor a dropped simulator may leave a
+reference cycle behind for the collector to find.  Fan-outs reach the
 kernel already coalesced (one event per distinct delivery time, see
 :mod:`repro.net.sparse`), so a trial is a few thousand events and no
 per-time bucketing measurably beats the heap at that size.  Cancellation writes a tombstone into the entry; tombstones are
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from operator import itemgetter
 from typing import Callable, List, Optional
 
 from ..config import DEFAULT_SIM_TUNING
@@ -33,29 +36,32 @@ def _fired() -> None:  # sentinel: the event already ran; cancel is a no-op
     raise AssertionError("fired-event sentinel must never be invoked")
 
 
-@dataclass(frozen=True)
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; supports cancellation."""
+class EventHandle(list):
+    """One scheduled event: the heap entry ``[time, seq, callback, sim]``
+    itself, returned by :meth:`Simulator.schedule` so the caller can cancel.
 
-    time: float
-    seq: int
-    _entry: list = field(repr=False, compare=False)
-    _sim: Optional["Simulator"] = field(
-        default=None, repr=False, compare=False
-    )
+    ``callback`` becomes ``None`` when cancelled and :func:`_fired` once
+    run; ``sim`` is the simulator's shared ``weakref.ref`` to itself.
+    """
+
+    __slots__ = ()
+
+    time = property(itemgetter(0))
+    seq = property(itemgetter(1))
 
     def cancel(self) -> None:
         """Cancel the event if it has not fired yet (idempotent)."""
-        callback = self._entry[2]
+        callback = self[2]
         if callback is None or callback is _fired:
             return
-        self._entry[2] = None
-        if self._sim is not None:
-            self._sim._note_cancelled()
+        self[2] = None
+        sim = self[3]()
+        if sim is not None:
+            sim._note_cancelled()
 
     @property
     def cancelled(self) -> bool:
-        return self._entry[2] is None
+        return self[2] is None
 
 
 class Simulator:
@@ -87,7 +93,8 @@ class Simulator:
             else DEFAULT_SIM_TUNING.compact_floor
         )
         self._now: float = 0.0
-        self._heap: List[list] = []
+        self._heap: List[EventHandle] = []
+        self._ref = weakref.ref(self)  # what every entry knows of its queue
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -140,11 +147,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} < now ({self._now})"
             )
-        seq = next(self._seq)
-        entry = [time, seq, callback]
+        entry = EventHandle((time, next(self._seq), callback, self._ref))
         heapq.heappush(self._heap, entry)
         self._live += 1
-        return EventHandle(time=time, seq=seq, _entry=entry, _sim=self)
+        return entry
 
     def clear(self) -> None:
         """Cancel every pending event (deployment teardown)."""

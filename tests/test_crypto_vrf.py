@@ -1,8 +1,11 @@
 """Tests for repro.crypto.vrf (paper §2.4)."""
 
 import hashlib
+import math
+import random
 import struct
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -13,7 +16,7 @@ from repro.crypto.vrf import (
     VRF,
     VRFOutput,
     _sample_from_key,
-    _sample_from_words,
+    _sample_from_stream,
     phase_seed,
 )
 from repro.errors import VRFError
@@ -147,6 +150,36 @@ def _key(tag) -> bytes:
     return hashlib.sha256(str(tag).encode()).digest()
 
 
+def _stream(words) -> bytes:
+    return b"".join(word.to_bytes(8, "big") for word in words)
+
+
+def _sample_from_words(words, n, s):
+    """The stream → sample step on hand-built words."""
+    return _sample_from_stream(_stream(words), n, s)
+
+
+def _oracle_from_stream(stream: bytes, n: int, s: int):
+    """The derivation as it was before the numpy expansion, word by word in
+    Python integers: the oracle the array path must equal."""
+    words = struct.unpack(">%dQ" % (len(stream) // 8), stream)
+    limit = 2**64 - 2**64 % n
+    distinct = dict.fromkeys([w % n for w in words if w < limit])
+    return tuple(islice(distinct, s))
+
+
+def _oracle_from_key(key: bytes, n: int, s: int, word_count=None):
+    if word_count is None:
+        expected = n * (math.log(n / (n - s)) if s < n else math.log(n) + 1.0)
+        word_count = int(1.25 * expected) + 8
+    while True:
+        stream = hashlib.shake_256(key).digest(8 * word_count)
+        sample = _oracle_from_stream(stream, n, s)
+        if len(sample) == s:
+            return sample
+        word_count *= 2
+
+
 class TestSampleFromWords:
     """The pure word → sample step, on hand-built words."""
 
@@ -167,6 +200,67 @@ class TestSampleFromWords:
     def test_short_result_when_words_run_out(self):
         assert _sample_from_words([4, 14, 24], 10, 2) == (4,)
         assert _sample_from_words([], 10, 2) == ()
+
+    def test_n3_rejects_only_the_all_ones_word(self):
+        # ⌊2⁶⁴/3⌋·3 = 2⁶⁴ − 1: exactly one word value is above the limit.
+        top = 2**64 - 1
+        # top − 1 names 2, 4 names 1; the rejected word would have named 0.
+        assert _sample_from_words([top, top - 1, top, 4], 3, 3) == (2, 1)
+        assert _sample_from_words([top] * 4, 3, 1) == ()
+
+    def test_power_of_two_n_rejects_nothing(self):
+        assert _sample_from_words([2**64 - 1, 2**64 - 2, 7], 8, 3) == (7, 6)
+
+    def test_sample_is_python_ints(self):
+        sample = _sample_from_words([2**63 + 5, 9], 1000, 2)
+        assert [type(r) for r in sample] == [int, int]
+
+    @pytest.mark.parametrize("n", [3, 9, 10, 40, 300, 1000, 5000])
+    def test_crafted_streams_with_words_at_and_above_the_limit(self, n):
+        """Random words salted with values on both sides of ⌊2⁶⁴/n⌋·n."""
+        rng = random.Random(n)
+        limit = 2**64 - 2**64 % n
+        edge = [limit - 1, limit, min(limit + 1, 2**64 - 1), 2**64 - 1, 0, n - 1]
+        for _ in range(40):
+            words = [rng.getrandbits(64) for _ in range(rng.randrange(1, 60))]
+            for _ in range(rng.randrange(1, 6)):
+                words.insert(rng.randrange(len(words) + 1), rng.choice(edge))
+            s = rng.randrange(1, n + 1)
+            stream = _stream(words)
+            assert _sample_from_stream(stream, n, s) == _oracle_from_stream(
+                stream, n, s
+            )
+
+
+class TestExpansionAgainstPurePythonOracle:
+    """numpy expansion == the word-by-word derivation, key by key."""
+
+    SIZES = (1, 2, 3, 9, 40, 300, 1000, 5000)
+
+    def test_random_keys_sizes_and_samples(self):
+        rng = random.Random(18)
+        checked = 0
+        for n in self.SIZES:
+            # s == n (the full permutation) is always among the shapes.
+            sizes = {1, n, *(rng.randrange(1, n + 1) for _ in range(6))}
+            for s in sorted(sizes):
+                for _ in range(16 if n < 5000 else 6):
+                    key = _key(("oracle", n, s, rng.random()))
+                    assert _sample_from_key(key, n, s) == _oracle_from_key(
+                        key, n, s
+                    ), (n, s)
+                    checked += 1
+        assert checked >= 500
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_forced_short_first_request_takes_the_doubling_path(self, n):
+        rng = random.Random(n)
+        for s in {1, n, rng.randrange(1, n + 1)}:
+            key = _key(("short", n, s))
+            expected = _oracle_from_key(key, n, s)
+            for count in (1, 2, 5):
+                assert _sample_from_key(key, n, s, word_count=count) == expected
+                assert _oracle_from_key(key, n, s, word_count=count) == expected
 
 
 class TestSampleFromKey:

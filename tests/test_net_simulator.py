@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.simulator import Simulator
+from repro.net.simulator import EventHandle, Simulator
 
 
 class TestScheduling:
@@ -282,3 +282,86 @@ class TestCancellationCompaction:
         # swept out of the heap.
         assert all(h.cancelled for h in doomed)
         assert not any(h.cancelled for h in handles[total // 2 + 1 :])
+
+
+class TestEntryIsTheHandle:
+    """One allocation per scheduled event: the heap entry is the handle."""
+
+    def test_schedule_returns_the_heap_entry_itself(self):
+        sim = Simulator()
+        first = sim.schedule(2.0, lambda: None)
+        second = sim.schedule_at(1.5, lambda: None)
+        assert isinstance(first, EventHandle) and isinstance(first, list)
+        assert {id(entry) for entry in sim._heap} == {id(first), id(second)}
+        assert (first.time, second.time) == (2.0, 1.5)
+        assert second.seq == first.seq + 1
+        assert sim._heap[0] is second  # ordered by (time, seq) as plain lists
+        assert not hasattr(first, "__dict__")  # nothing allocated beside it
+
+    def test_handle_semantics_in_every_state(self):
+        sim = Simulator()
+        fired = []
+        early = sim.schedule(1.0, lambda: fired.append("early"))
+        dropped = sim.schedule(2.0, lambda: fired.append("dropped"))
+        late = sim.schedule(3.0, lambda: fired.append("late"))
+        cleared = sim.schedule(4.0, lambda: fired.append("cleared"))
+        assert sim.pending_events == 4 and sim._cancelled == 0
+        # Cancel before fire: a tombstone, counted once however often asked.
+        dropped.cancel()
+        dropped.cancel()
+        assert dropped.cancelled
+        assert (sim.pending_events, sim._cancelled) == (3, 1)
+        # Fire: not cancelled, and a late cancel changes nothing.
+        assert sim.step() and fired == ["early"]
+        early.cancel()
+        assert not early.cancelled
+        assert (sim.pending_events, sim._cancelled) == (2, 1)
+        # Popping the tombstone settles its count.
+        assert sim.step() and fired == ["early", "late"]
+        assert (sim.pending_events, sim._cancelled) == (1, 0)
+        # clear(): everything pending reads cancelled; cancel stays a no-op.
+        sim.clear()
+        assert cleared.cancelled and not late.cancelled
+        cleared.cancel()
+        assert (sim.pending_events, sim._cancelled) == (0, 0)
+        assert sim.step() is False and fired == ["early", "late"]
+        assert (cleared.time, dropped.time) == (4.0, 2.0)
+
+    def test_compaction_counts_on_entries(self):
+        sim = Simulator()
+        total = 4 * Simulator._COMPACT_FLOOR
+        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(total)]
+        for count, handle in enumerate(handles[: total // 2], start=1):
+            handle.cancel()
+            assert sim._cancelled == count and len(sim._heap) == total
+        handles[total // 2].cancel()  # tombstones now outnumber live entries
+        assert sim._cancelled == 0
+        assert len(sim._heap) == sim.pending_events == total - total // 2 - 1
+        assert all(type(entry) is EventHandle for entry in sim._heap)
+        handles[0].cancel()  # swept out of the heap: still a no-op
+        assert sim._cancelled == 0
+
+    def test_dropped_simulator_with_pending_events_dies_by_refcount(self):
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator()
+            handles = [sim.schedule(float(i + 1), lambda: None) for i in range(20)]
+            handles[3].cancel()
+            sim.step()
+            alive = weakref.ref(sim)
+            del sim
+            # No entry points strongly at its simulator, so there is no
+            # sim -> heap -> entry -> sim cycle for the collector to find.
+            assert alive() is None
+            # A handle that outlives its simulator still answers.
+            handles[5].cancel()
+            assert handles[5].cancelled and handles[3].cancelled
+            assert not handles[0].cancelled
+            del handles
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

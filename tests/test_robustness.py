@@ -117,3 +117,149 @@ class TestSeededAgreementSweep:
         dep.run(max_time=5000)
         assert dep.agreement_ok
         assert audit_deployment(dep).ok
+
+
+#: Sample "ids" that are not 32-bit replica ids: the packed encoding has no
+#: room for them.  The last two are not even hashable / not even a sample.
+MALFORMED_IDS = (-1, 2**32, "a", 1.5)
+
+
+def _malformed_votes(crypto, config, signer, statement):
+    """Prepare and Commit envelopes around samples that cannot be packed:
+    forged ones (made-up tag) and ones ``signer`` signed with its own key."""
+    from repro.crypto.signatures import Signed
+    from repro.crypto.vrf import VRFOutput
+    from repro.messages.probft import Commit, Prepare
+
+    samples = [
+        VRFOutput(
+            sample=(bad,) + tuple(range(config.sample_size - 1)),
+            proof=b"\x00" * 32,
+        )
+        for bad in MALFORMED_IDS
+    ]
+    samples.append(VRFOutput(sample=([1],) * config.sample_size, proof=b"\x00" * 32))
+    samples.append(None)  # not a VRFOutput at all
+    votes = []
+    for sample in samples:
+        for kind in (Prepare, Commit):
+            payload = kind(statement=statement, sample=sample)
+            votes.append(Signed(payload, signer, b"\x01" * 32))
+            votes.append(crypto.signatures.sign(signer, payload))
+    return votes
+
+
+class _MalformedVoter:
+    """Byzantine seat: answers the first proposal it sees by multicasting
+    votes whose samples are not replica ids to everyone."""
+
+    def __init__(self, replica_id, config, crypto, transport):
+        self.id = replica_id
+        self.config = config
+        self._crypto = crypto
+        self._transport = transport
+        self.sent = 0
+
+    def start(self):
+        pass
+
+    def on_message(self, src, message):
+        from repro.messages.probft import Propose
+
+        if self.sent or not isinstance(getattr(message, "payload", None), Propose):
+            return
+        everyone = [d for d in range(self.config.n) if d != self.id]
+        for vote in _malformed_votes(
+            self._crypto, self.config, self.id, message.payload.statement
+        ):
+            self._transport.multicast(everyone, vote)
+            self.sent += 1
+
+
+class TestMalformedSamples:
+    """An envelope that cannot be canonically encoded the packed way is an
+    invalid envelope, never a crash: rejected at validation, dropped by the
+    handler, and harmless to a whole production trial."""
+
+    @staticmethod
+    def _cluster():
+        from repro.net.latency import ConstantLatency
+
+        dep = ProBFTDeployment(
+            ProtocolConfig(n=8, f=1), seed=0, latency=ConstantLatency(1.0),
+            timeout_policy=FixedTimeout(1000.0),
+        )
+        dep.start()
+        return dep
+
+    def test_prevalidation_says_invalid(self):
+        from repro.core.replica import prevalidate_vote
+
+        from .helpers import make_statement
+
+        dep = self._cluster()
+        statement = make_statement(dep.crypto, dep.config, 1, b"v")
+        votes = _malformed_votes(dep.crypto, dep.config, 5, statement)
+        assert len(votes) == 4 * (len(MALFORMED_IDS) + 2)
+        for vote in votes:
+            token = prevalidate_vote(dep.config, dep.crypto, vote)
+            assert token is None or token.valid is False, vote
+        # The four unpackable shapes are votes (judged invalid), not noise.
+        assert all(
+            prevalidate_vote(dep.config, dep.crypto, vote).valid is False
+            for vote in votes[: 4 * len(MALFORMED_IDS)]
+        )
+
+    def test_verifiers_reject_instead_of_raising(self):
+        from repro.crypto.signatures import Signed
+        from repro.crypto.vrf import VRFOutput
+
+        crypto = self._cluster().crypto
+        for sample in [(-1, 2), ("a", 1.5), 7, None]:
+            output = VRFOutput(sample=sample, proof=b"\x00" * 32)
+            assert crypto.vrf.verify(3, "1||prepare", 2, output) is False
+        unencodable = Signed(object(), 3, b"\x01" * 32)
+        assert crypto.signatures.verify(unencodable) is False
+
+    def test_on_message_drops_them_silently(self):
+        from .helpers import make_propose, make_statement
+
+        dep = self._cluster()
+        replica = dep.replicas[3]
+        replica.on_message(0, make_propose(dep.crypto, dep.config, 1, b"v"))
+        assert replica._voted
+        sent = dep.network.stats.sent_total
+        statement = make_statement(dep.crypto, dep.config, 1, b"v")
+        for vote in _malformed_votes(dep.crypto, dep.config, 5, statement):
+            replica.on_message(5, vote)
+        assert dep.network.stats.sent_total == sent
+        assert replica._prepare_collectors.get(1).count(b"v") == 0
+        assert replica._commit_collectors.get(1).count(b"v") == 0
+        assert not replica.view_blocked and replica.decision is None
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    def test_production_trial_decides_and_equals_its_oracle(self, latency):
+        import dataclasses
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import TrialContext
+
+        from .helpers import reference_spec
+
+        def context(reference):
+            cell = MatrixCell("probft", "none", latency, n=30, f=5, track_bytes=True)
+            spec = dataclasses.replace(
+                cell_deployment_spec(cell, seed=6, max_time=600.0),
+                byzantine={29: _MalformedVoter},
+            )
+            return TrialContext(reference_spec(spec) if reference else spec)
+
+        production, oracle = context(False), context(True)
+        result = production.execute()
+        assert result == oracle.execute()
+        assert result.all_decided and result.agreement_ok
+        # The seat did multicast every shape (sender side: signing and byte
+        # accounting survived them), and the kernel declined what it saw.
+        assert production.deployment.replicas[29].sent == 4 * (len(MALFORMED_IDS) + 2)
+        assert result.total_bytes > 0
+        assert production.deployment.vote_kernel_stats()["declined"] > 0

@@ -494,3 +494,60 @@ class TestVerdictTableLifecycle:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestWhatAVoteLeavesBehind:
+    """A vote allocates what some reader later consumes: its membership set
+    is built by the first ``i ∈ S`` question, and the vectorised route from
+    a correct sender to its own sample never asks one."""
+
+    @staticmethod
+    def _context(adversary: str, latency: str, n: int, f: int, seed: int):
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+        cell = MatrixCell("probft", adversary, latency, n=n, f=f)
+        return TrialContext(cell_deployment_spec(cell, seed=seed, max_time=600.0))
+
+    @staticmethod
+    def _proven(deployment):
+        """``(prover, output)`` of every sample an honest replica proved."""
+        born = deployment.crypto.verdicts._entries["vrf"]
+        return [(key[1][0], entry[0]) for key, entry in born.items() if entry[1]]
+
+    @staticmethod
+    def _built(outputs) -> int:
+        return sum("_members" in output.__dict__ for _, output in outputs)
+
+    def test_fault_free_trial_builds_sets_only_for_self_sampled_votes(self):
+        context = self._context("none", "constant", 100, 33, seed=4)
+        result = context.execute()
+        assert result.all_decided and result.max_view == 1
+        routes = context.deployment.vote_kernel_stats()
+        assert routes["vectorised"] > 0 and routes["declined"] == 0
+        proven = self._proven(context.deployment)
+        assert len(proven) == 2 * 100  # one Prepare and one Commit sample each
+        self_sampled = sum(prover in output.sample for prover, output in proven)
+        # Only a sender's delivery to itself asks ``i ∈ S`` (about s/n of
+        # the votes); before, every delivered vote carried a built set.
+        assert 0 < self_sampled < len(proven) // 2
+        assert self._built(proven) <= self_sampled
+
+    @pytest.mark.parametrize(
+        "adversary,latency,route",
+        [("equivocation", "constant", "declined"), ("none", "exponential", "singleton")],
+    )
+    def test_routes_that_ask_still_match_the_oracle(self, adversary, latency, route):
+        context = self._context(adversary, latency, 30, 5, seed=2)
+        result = context.execute()
+        oracle = self._context(adversary, latency, 30, 5, seed=2)
+        oracle.spec = dataclasses.replace(oracle.spec, extra=(("reference", True),))
+        assert result == oracle.execute()
+        assert result.agreement_ok
+        assert context.deployment.vote_kernel_stats()[route] > 0
+        # These routes do ask, per recipient: the sets exist, one per output.
+        proven = self._proven(context.deployment)
+        assert self._built(proven) > 0
+        for _, output in proven:
+            if "_members" in output.__dict__:
+                assert output.members() == frozenset(output.sample)
+                assert output.members() is output.members()
