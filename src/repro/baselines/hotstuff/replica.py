@@ -129,8 +129,8 @@ class HotStuffReplica:
             self._sync.on_wish(src, message)
             return
         view = self._view_of(payload)
-        if view is None or self._cur_view == 0 or view < self._cur_view:
-            return
+        if not isinstance(view, int) or self._cur_view == 0 or view < self._cur_view:
+            return  # not a protocol message, malformed view, or stale
         if view > self._cur_view:
             if view <= self._cur_view + FUTURE_VIEW_WINDOW:
                 bucket = self._future_buffer.setdefault(view, [])
@@ -180,9 +180,9 @@ class HotStuffReplica:
         msg: HsNewView = signed.payload
         if msg.prepare_qc is not None and not self._verify_qc(msg.prepare_qc):
             return
-        collector = self._new_view_collector.setdefault(
-            view, QuorumCollector(self.quorum)
-        )
+        collector = self._new_view_collector.get(view)
+        if collector is None:
+            collector = self._new_view_collector[view] = QuorumCollector(self.quorum)
         if collector.add(view, signed.signer, signed):
             quorum = collector.quorum_messages(view)
             high_qc = self._highest_qc(quorum)
@@ -302,9 +302,9 @@ class HotStuffReplica:
         if payload.value != self._leader_value.get(view):
             return
         key = (view, phase.value)
-        collector = self._vote_collectors.setdefault(
-            key, QuorumCollector(self.quorum)
-        )
+        collector = self._vote_collectors.get(key)
+        if collector is None:
+            collector = self._vote_collectors[key] = QuorumCollector(self.quorum)
         if collector.add(payload.value, inner.signer, inner):
             votes = collector.quorum_messages(payload.value)
             qc = HsQuorumCert(

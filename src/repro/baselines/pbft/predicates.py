@@ -112,7 +112,9 @@ def _valid_new_leader(
     msg = signed.payload
     if not isinstance(msg, PbftNewLeader):
         return False
-    if msg.view != target_view or not msg.prepared_view < target_view:
+    if msg.view != target_view or not isinstance(msg.prepared_view, int):
+        return False
+    if not msg.prepared_view < target_view:
         return False
     if msg.prepared_view == 0:
         return msg.prepared_value is None and not msg.cert

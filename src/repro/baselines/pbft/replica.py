@@ -110,8 +110,8 @@ class PbftReplica:
             self._sync.on_wish(src, message)
             return
         view = self._view_of(payload)
-        if view is None or self._cur_view == 0 or view < self._cur_view:
-            return
+        if not isinstance(view, int) or self._cur_view == 0 or view < self._cur_view:
+            return  # not a protocol message, malformed view, or stale
         if view > self._cur_view:
             if view <= self._cur_view + FUTURE_VIEW_WINDOW:
                 bucket = self._future_buffer.setdefault(view, [])
@@ -176,9 +176,7 @@ class PbftReplica:
             return
         if not pbft_valid_new_leader(signed, view, self.config, self._crypto):
             return
-        collector = self._new_leader_collectors.setdefault(
-            view, DeterministicQuorumCollector(self.config.n, self.config.f)
-        )
+        collector = self._collector(self._new_leader_collectors, view)
         if collector.add(view, signed.signer, signed):
             quorum = collector.quorum_messages(view)
             value, _v_max = pbft_choose_value(quorum, self._my_value)
@@ -215,9 +213,7 @@ class PbftReplica:
         vote = signed.payload
         if not self._verify_vote(signed, vote, PbftPrepare):
             return
-        collector = self._prepare_collectors.setdefault(
-            self._cur_view, DeterministicQuorumCollector(self.config.n, self.config.f)
-        )
+        collector = self._collector(self._prepare_collectors, self._cur_view)
         collector.add(vote.value, signed.signer, signed)
         self._try_form_prepared()
 
@@ -243,9 +239,7 @@ class PbftReplica:
         vote = signed.payload
         if not self._verify_vote(signed, vote, PbftCommit):
             return
-        collector = self._commit_collectors.setdefault(
-            self._cur_view, DeterministicQuorumCollector(self.config.n, self.config.f)
-        )
+        collector = self._collector(self._commit_collectors, self._cur_view)
         collector.add(vote.value, signed.signer, signed)
         self._try_decide()
 
@@ -272,6 +266,15 @@ class PbftReplica:
         return isinstance(vote, expected_type) and pbft_valid_vote(
             signed, self.config, self._crypto
         )
+
+    def _collector(self, table: Dict, view: View) -> DeterministicQuorumCollector:
+        """``table``'s collector for ``view``, built when the first vote asks."""
+        collector = table.get(view)
+        if collector is None:
+            collector = table[view] = DeterministicQuorumCollector(
+                self.config.n, self.config.f
+            )
+        return collector
 
     def _leader(self, view: View) -> ReplicaId:
         return leader_of_view(view, self.config.n)

@@ -107,7 +107,7 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
         if inner.domain != self._domain:
             return
         view = inner.view
-        if view in self._equivocal:
+        if not isinstance(view, int) or view in self._equivocal:
             return
         if view < 1 or getattr(statement, "signer", None) != leader_of(
             view, self._config
@@ -129,7 +129,9 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
         inner = getattr(payload.statement, "payload", None)
         sample = payload.sample
         if not (
-            isinstance(inner, ProposalStatement) and isinstance(sample, VRFOutput)
+            isinstance(inner, ProposalStatement)
+            and isinstance(inner.view, int)
+            and isinstance(sample, VRFOutput)
         ):
             return None
         try:

@@ -81,7 +81,7 @@ def _valid_new_leader(
         return False
     if msg.view != target_view or msg.domain != config.seed_domain:
         return False
-    if not msg.prepared_view < target_view:
+    if not isinstance(msg.prepared_view, int) or not msg.prepared_view < target_view:
         return False
     if msg.prepared_view == 0:
         # Never prepared: value must be absent and the certificate empty.

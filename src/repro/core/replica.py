@@ -121,6 +121,8 @@ def prevalidate_vote(
     if not isinstance(payload.sample, VRFOutput):
         return None
     view = inner.view
+    if not isinstance(view, int):
+        return None  # malformed: dropped before the first comparison
     domain_ok = inner.domain == config.seed_domain
     leader_ok = (
         view >= 1
@@ -298,8 +300,8 @@ class ProBFTReplica:
         if not isinstance(payload, (Propose, NewLeader)):
             return
         view = payload.view
-        if view < self._cur_view or self._cur_view == 0:
-            return  # stale (or not yet started)
+        if not isinstance(view, int) or view < self._cur_view or self._cur_view == 0:
+            return  # malformed, stale (or not yet started)
         if view > self._cur_view:
             self._buffer_future(view, src, message)
             return
@@ -381,9 +383,11 @@ class ProBFTReplica:
             return
         if not valid_new_leader(signed, view, self.config, self._crypto):
             return
-        collector = self._new_leader_collectors.setdefault(
-            view, DeterministicQuorumCollector(self.config.n, self.config.f)
-        )
+        collector = self._new_leader_collectors.get(view)
+        if collector is None:
+            collector = self._new_leader_collectors[view] = (
+                DeterministicQuorumCollector(self.config.n, self.config.f)
+            )
         if collector.add(view, signed.signer, signed):
             quorum = collector.quorum_messages(view)
             value, _v_max = compute_proposal(quorum, self._my_value)

@@ -8,7 +8,8 @@ implements *behaviourally faithful* stand-ins (see DESIGN.md, Substitutions):
 * :mod:`repro.crypto.keys` — key pairs and a trusted :class:`KeyRegistry`
   (the simulation's trusted computing base, standing in for the mathematics
   of real signatures/VRFs).
-* :mod:`repro.crypto.signatures` — deterministic, tamper-evident signatures.
+* :mod:`repro.crypto.signatures` — deterministic, tamper-evident signatures
+  (an honest envelope's tag is computed by its first reader, if it has one).
 * :mod:`repro.crypto.vrf` — ``VRF_prove`` / ``VRF_verify`` exactly as in §2.4,
   with uniqueness, collision resistance and pseudorandomness against
   in-simulation adversaries.

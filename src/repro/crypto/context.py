@@ -24,7 +24,10 @@ adversary's equal-looking copy inherit an honest object's verdict (or cost
 an encode to compare), while a pinned identity can be neither forged nor
 recycled.  What honest code produces through the registry's own keys —
 ``sign()``, ``prove()`` — is registered valid at birth; ``sign_with`` /
-``prove_with``, the adversary's path, never is.  There is no eviction and
+``prove_with``, the adversary's path, never is.  A born-valid envelope's tag
+is computed only if someone reads it (``VerdictCounts.tags_computed``; a
+table-free scheme counts on a ``VerdictCounts`` of its own): never on a
+production trial without byte tracking.  There is no eviction and
 no budget: a table holds what its instance sent and dies with it, so a
 finished trial or a retired slot pins nothing.
 

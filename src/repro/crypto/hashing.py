@@ -6,11 +6,12 @@ always hash identically regardless of construction order.
 
 Objects exposing ``canonical()`` — every such type in the codebase is a
 frozen dataclass (Signed, VRFOutput, the message classes, certificates) —
-carry their encoded bytes on themselves once encoded: the hot path encodes
-the *same* object many times (a broadcast vote's shared leader statement is
-re-encoded once per signature over a message embedding it), and a cache
-that lives in the object's ``__dict__`` dies with the object, so nothing
-encoded in one trial is held after it.  Objects that expose ``canonical()``
+carry their encoded bytes on themselves once encoded: whoever encodes at all
+(the table-free oracle verifying per recipient, byte accounting) encodes the
+*same* object many times (a broadcast vote's shared leader statement once
+per tag over a message embedding it), and a cache that lives in the
+object's ``__dict__`` dies with the object, so nothing encoded in one trial
+is held after it.  Objects that expose ``canonical()``
 MUST be immutable for this cache (and for signing in general) to be sound.
 """
 

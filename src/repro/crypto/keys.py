@@ -12,7 +12,7 @@ leaves the replica".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterable, Iterator, Optional
 
 from ..errors import UnknownReplicaError
 from ..types import ReplicaId
@@ -24,7 +24,9 @@ class KeyPair:
     """A replica's key pair.
 
     ``public_key`` is safely shareable; ``private_key`` must stay with the
-    replica (or with the adversary, for corrupted replicas).
+    replica (or with the adversary, for corrupted replicas).  A derived
+    pair's public key is computed by its first reader (the simulation's
+    verifiers go through the registry and never ask for one).
     """
 
     replica: ReplicaId
@@ -34,9 +36,20 @@ class KeyPair:
     @staticmethod
     def derive(replica: ReplicaId, master_seed: bytes) -> "KeyPair":
         """Deterministically derive the key pair for ``replica``."""
-        private_key = digest("private-key", master_seed, replica)
-        public_key = digest("public-key", private_key)
-        return KeyPair(replica=replica, private_key=private_key, public_key=public_key)
+        pair = object.__new__(KeyPair)
+        object.__setattr__(pair, "replica", replica)
+        object.__setattr__(
+            pair, "private_key", digest("private-key", master_seed, replica)
+        )
+        return pair
+
+    def __getattr__(self, name: str) -> bytes:
+        # Only a missing attribute gets here: a derived pair's public half.
+        if name != "public_key":
+            raise AttributeError(name)
+        public_key = digest("public-key", self.private_key)
+        object.__setattr__(self, "public_key", public_key)
+        return public_key
 
 
 class KeyRegistry:
@@ -57,9 +70,7 @@ class KeyRegistry:
         self._pairs: Dict[ReplicaId, KeyPair] = {
             r: KeyPair.derive(r, master_seed) for r in range(n)
         }
-        self._by_public: Dict[bytes, KeyPair] = {
-            pair.public_key: pair for pair in self._pairs.values()
-        }
+        self._by_public: Optional[Dict[bytes, KeyPair]] = None
 
     @property
     def n(self) -> int:
@@ -83,6 +94,8 @@ class KeyRegistry:
 
     def resolve_public(self, public_key: bytes) -> KeyPair:
         """Map a public key back to its key pair (trusted-verifier operation)."""
+        if self._by_public is None:  # built for its first caller
+            self._by_public = {p.public_key: p for p in self._pairs.values()}
         try:
             return self._by_public[public_key]
         except KeyError:

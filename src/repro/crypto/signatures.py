@@ -8,7 +8,17 @@ Verification recomputes the tag through the trusted :class:`KeyRegistry`
 (which alone can map a replica ID back to its private key).  Against
 in-simulation adversaries — who never hold a correct replica's private key —
 this scheme is existentially unforgeable and tamper-evident, which is all the
-protocol relies on.
+protocol relies on (see DESIGN.md, Substitutions).
+
+*Signed on first read*: an envelope :meth:`SignatureScheme.sign` makes is
+valid by construction and accepted by object identity, so on the production
+stack its tag has no reader.  The tag is therefore computed — same bytes —
+by whoever first reads ``.signature`` (the table-free oracle's ``verify``,
+byte accounting, ``==`` / ``hash`` / ``repr``, ``canonical()``) and kept on
+the envelope; ``tags_computed`` counts those first reads.  Do not probe an
+envelope with ``hasattr(x, "signature")`` on a send or delivery path: that
+is a read.  :meth:`SignatureScheme.sign_with` — explicit keys — computes its
+tag at once.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .verdicts import VerdictCounts, VerdictTable
 T = TypeVar("T")
 
 _DOMAIN = "repro-signature-v1"
+_set = object.__setattr__  # what a frozen dataclass's own __init__ uses
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,22 @@ class Signed(Generic[T]):
 
     def canonical(self) -> Any:
         return ("signed", self.payload, self.signer, self.signature)
+
+    def __getattr__(self, name: str) -> bytes:
+        # Only a missing attribute gets here: the tag of an envelope that
+        # SignatureScheme.sign() made, wanted by its first reader.
+        if name != "signature":
+            raise AttributeError(name)
+        registry, counts = self._tag_source
+        signer = self.signer
+        tag = digest(_DOMAIN, registry._private_key_of(signer), signer, self.payload)
+        counts.tags_computed += 1
+        _set(self, "signature", tag)
+        return tag
+
+    def __reduce__(self):
+        # A pickled or copied envelope is a plain one: tag in, registry out.
+        return Signed, (self.payload, self.signer, self.signature)
 
 
 class SignatureScheme:
@@ -63,6 +90,12 @@ class SignatureScheme:
     ) -> None:
         self._registry = registry
         self._verdicts = verdicts
+        # A table-free scheme (the oracle) counts on its own.
+        self._counts = verdicts.counts if verdicts is not None else VerdictCounts()
+        # All an on-demand envelope points at: the trusted base and the
+        # counters.  Never a private key, and never the table or this scheme
+        # (a born-valid entry pins its envelope; that edge would be a cycle).
+        self._tag_source = (registry, self._counts)
 
     def sign_with(self, private_key: bytes, signer: ReplicaId, payload: Any) -> Signed:
         """Sign ``payload`` with an explicitly supplied private key.
@@ -75,9 +108,16 @@ class SignatureScheme:
         return Signed(payload=payload, signer=signer, signature=tag)
 
     def sign(self, signer: ReplicaId, payload: Any) -> Signed:
-        """Sign as ``signer`` using the registry's key for it (honest path)."""
-        key = self._registry.key_pair(signer).private_key
-        signed = self.sign_with(key, signer, payload)
+        """Sign as ``signer`` using the registry's key for it (honest path).
+
+        The tag — ``sign_with(that key, signer, payload).signature`` to the
+        byte — is computed by whoever first reads ``.signature``.
+        """
+        self._registry.key_pair(signer)  # an unknown signer fails here and now
+        signed = object.__new__(Signed)
+        _set(signed, "payload", payload)
+        _set(signed, "signer", signer)
+        _set(signed, "_tag_source", self._tag_source)
         if self._verdicts is not None:
             self._verdicts.born_valid("signature", signed)
         return signed
@@ -115,11 +155,12 @@ class SignatureScheme:
     def cache_stats(self) -> Dict[str, int]:
         """The table's signature counters: ``hits`` verifications answered
         from it, ``misses`` recomputed, ``born_valid`` envelopes registered
-        by :meth:`sign` (all zero without a table)."""
-        table = self._verdicts
-        counts = table.counts if table is not None else VerdictCounts()
+        by :meth:`sign` (all zero without a table), ``tags_computed`` first
+        reads of an on-demand tag (table or not)."""
+        counts = self._counts
         return {
             "hits": counts.reused.get("signature", 0),
             "misses": counts.computed.get("signature", 0),
             "born_valid": counts.born.get("signature", 0),
+            "tags_computed": counts.tags_computed,
         }

@@ -34,12 +34,14 @@ class VerdictCounts:
     ``computed[kind]`` checks actually ran, ``reused[kind]`` were answered
     from a table, ``born[kind]`` objects were registered valid by their own
     honest producer; ``samples_expanded`` VRF samples were expanded from
-    their sampler key (proving and verifying both expand).  An SMR
+    their sampler key (proving and verifying both expand), ``tags_computed``
+    signature tags of ``sign()``-made envelopes were computed for a first
+    reader (0 unless someone sizes, encodes or re-verifies them).  An SMR
     deployment's slot tables all report here, so the counts add up over
     live and retired slots.
     """
 
-    __slots__ = ("computed", "reused", "born", "samples_expanded")
+    __slots__ = ("computed", "reused", "born", "samples_expanded", "tags_computed")
 
     def __init__(self) -> None:
         # defaultdicts: a table bumps one per lookup, and ``Counter``'s
@@ -48,6 +50,7 @@ class VerdictCounts:
         self.reused: DefaultDict[str, int] = defaultdict(int)
         self.born: DefaultDict[str, int] = defaultdict(int)
         self.samples_expanded = 0
+        self.tags_computed = 0
 
     def totals(self) -> Tuple[int, int]:
         """``(validated, validated_reused)`` summed over every kind of check."""

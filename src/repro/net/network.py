@@ -32,7 +32,8 @@ def message_type_name(message: object) -> str:
 
     Signed envelopes are unwrapped so stats reflect protocol message types.
     """
-    if hasattr(message, "payload") and hasattr(message, "signature"):
+    # Probes ``signer``, never ``signature``: reading a tag computes it.
+    if hasattr(message, "payload") and hasattr(message, "signer"):
         message = message.payload
     label = getattr(message, "TYPE", None)
     if isinstance(label, str):

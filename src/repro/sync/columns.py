@@ -366,6 +366,7 @@ class WishDispatch:
             len(dsts) == 1
             or message.signer != src
             or wish.domain != self._domain
+            or not isinstance(wish.view, int)
             or wish.view > MAX_VIEW
         ):
             # One recipient, or a wish every synchronizer drops on a lookup:

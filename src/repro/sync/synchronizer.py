@@ -183,13 +183,14 @@ class ViewSynchronizer:
         wish = getattr(signed, "payload", None)
         if not isinstance(wish, Wish) or signed.signer != src:
             return
-        if wish.domain != self._domain or wish.view > MAX_VIEW:
+        view = wish.view
+        if not isinstance(view, int) or view > MAX_VIEW or wish.domain != self._domain:
             return
-        if not self._wishes.accepts(src, wish.view):
+        if not self._wishes.accepts(src, view):
             return  # stale or replayed: rejected before any crypto
         if not self._signatures.verify(signed):
             return
-        self._wishes.record(src, wish.view)
+        self._wishes.record(src, view)
         self._react_to_wishes()
 
     # ------------------------------------------------------------------

@@ -97,7 +97,12 @@ class TestCryptoWithoutBudgets:
         assert all(crypto.signatures.verify(e) for e in envelopes)
         assert not any(crypto.signatures.verify(e) for e in forged)
         stats = crypto.signatures.cache_stats()
-        assert stats == {"hits": 12000, "misses": 6000, "born_valid": 6000}
+        assert stats == {
+            "hits": 12000,
+            "misses": 6000,
+            "born_valid": 6000,
+            "tags_computed": 0,  # born valid: nobody read an honest tag
+        }
         crypto.verdicts.clear()
         assert len(crypto.verdicts) == 0
         assert crypto.signatures.cache_stats() == stats  # counts stay readable
@@ -141,6 +146,7 @@ class TestCryptoWithoutBudgets:
         assert not crypto.signatures.verify(forged)
         assert crypto.signatures.cache_stats() == {
             "hits": 2, "misses": 1, "born_valid": 1,
+            "tags_computed": 1,  # the forger read the real tag to copy it
         }
 
     def test_cache_stats_shapes(self):
@@ -154,7 +160,9 @@ class TestCryptoWithoutBudgets:
                 "misses", "verify_hits", "verify_misses", "born_valid",
             }
             sig_stats = crypto.signatures.cache_stats()
-            assert set(sig_stats) == {"hits", "misses", "born_valid"}
+            assert set(sig_stats) == {
+                "hits", "misses", "born_valid", "tags_computed",
+            }
             assert not any(vrf_stats.values()) and not any(sig_stats.values())
 
 

@@ -263,3 +263,170 @@ class TestMalformedSamples:
         assert production.deployment.replicas[29].sent == 4 * (len(MALFORMED_IDS) + 2)
         assert result.total_bytes > 0
         assert production.deployment.vote_kernel_stats()["declined"] > 0
+
+
+#: "Views" that are not integers.  A Byzantine seat can sign anything with
+#: its own key; comparing one of these with a view number raises.
+MALFORMED_VIEWS = ("1", None, [1], 1.5)
+
+
+def _malformed_view_messages(protocol, crypto, config, signer):
+    """Every message type of ``protocol`` that names a view, around each
+    non-integer "view", signed by ``signer`` with its own key (the path a
+    Byzantine seat has: ``sign_with``, never born valid)."""
+    from repro.crypto.vrf import phase_seed
+    from repro.messages.base import ProposalStatement
+    from repro.messages.hotstuff import (
+        HsNewView, HsProposal, HsQuorumCert, HsVote, HsVotePayload,
+    )
+    from repro.messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
+    from repro.messages.probft import Commit, NewLeader, Prepare, Propose
+    from repro.sync.synchronizer import Wish
+
+    key = crypto.registry.key_pair(signer).private_key
+
+    def sign(payload):
+        return crypto.signatures.sign_with(key, signer, payload)
+
+    def sample(tag):
+        return crypto.vrf.prove_with(
+            key, signer, phase_seed(1, tag, config.seed_domain), config.sample_size
+        )
+
+    messages = []
+    for view in MALFORMED_VIEWS:
+        statement = sign(ProposalStatement(view, b"v", config.seed_domain))
+        messages.append(sign(Wish(view=view, domain=config.seed_domain)))
+        if protocol == "probft":
+            messages += [
+                sign(Prepare(statement=statement, sample=sample("prepare"))),
+                sign(Commit(statement=statement, sample=sample("commit"))),
+                sign(Propose(view=view, statement=statement, justification=None)),
+                sign(Propose(view=1, statement=statement, justification=None)),
+                sign(NewLeader(view, 0, None, (), config.seed_domain)),
+                # ... and, for the leader of view 2, a non-integer view inside.
+                sign(NewLeader(2, view, b"v", (), config.seed_domain)),
+            ]
+        elif protocol == "pbft":
+            messages += [
+                sign(PbftPrepare(statement=statement)),
+                sign(PbftCommit(statement=statement)),
+                sign(PbftPropose(view=view, statement=statement, justification=None)),
+                sign(PbftPropose(view=1, statement=statement, justification=None)),
+                sign(PbftNewLeader(view, 0, None, ())),
+                sign(PbftNewLeader(2, view, b"v", ())),
+            ]
+        else:
+            messages += [
+                sign(HsNewView(view=view, prepare_qc=None)),
+                sign(HsProposal(view=view, value=b"v", phase="prepare", justify=None)),
+                sign(HsVote(vote=sign(HsVotePayload(view, b"v", "prepare")))),
+                sign(HsNewView(2, HsQuorumCert(view, b"v", "prepare", ()))),
+            ]
+    return messages
+
+
+def _malformed_view_seat(protocol):
+    class Seat:
+        """Byzantine seat: multicasts every malformed-view message to
+        everyone as soon as the run starts."""
+
+        def __init__(self, replica_id, config, crypto, transport):
+            self.id = replica_id
+            self._build = lambda: _malformed_view_messages(
+                protocol, crypto, config, replica_id
+            )
+            self._everyone = [d for d in range(config.n) if d != replica_id]
+            self._transport = transport
+            self.sent = 0
+
+        def start(self):
+            for message in self._build():
+                self._transport.multicast(self._everyone, message)
+                self.sent += 1
+
+        def on_message(self, src, message):
+            pass
+
+    return Seat
+
+
+class TestMalformedViews:
+    """A message whose view is not an ``int`` is malformed: every entry point
+    drops it before the first comparison — never a ``TypeError`` out of an
+    honest replica, the observation policy or a kernel."""
+
+    @staticmethod
+    def _cluster(protocol):
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+        cell = MatrixCell(protocol, "none", "constant", n=8, f=1)
+        dep = cell_deployment_spec(cell, seed=0, max_time=600.0).build()
+        dep.start()
+        return dep
+
+    def test_prevalidation_says_not_a_vote(self):
+        from repro.core.replica import prevalidate_vote
+        from repro.messages.probft import Commit, Prepare
+
+        dep = self._cluster("probft")
+        votes = [
+            m
+            for m in _malformed_view_messages("probft", dep.crypto, dep.config, 5)
+            if isinstance(m.payload, (Prepare, Commit))
+        ]
+        assert len(votes) == 2 * len(MALFORMED_VIEWS)
+        for vote in votes:
+            token = prevalidate_vote(dep.config, dep.crypto, vote)
+            assert token is None or token.valid is False, vote
+
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_handlers_drop_them_silently(self, protocol):
+        dep = self._cluster(protocol)
+        replica = dep.replicas[3]
+        sent = dep.network.stats.sent_total
+        messages = _malformed_view_messages(protocol, dep.crypto, dep.config, 5)
+        for message in messages:
+            replica.on_message(5, message)
+            replica.synchronizer.on_wish(5, message)
+        assert dep.network.stats.sent_total == sent  # nothing answered
+        assert replica.current_view == 1 and replica.decision is None
+        # ... and through the network: observation policy, vote and wish
+        # kernels.  The run they land in decides in view 1 regardless.
+        for message in messages:
+            dep.network.multicast(5, [0, 1, 2, 3, 4, 6, 7], message)
+        dep.sim.run(until=20.0)
+        assert all(r.decision is not None for r in dep.replicas.values())
+        assert replica.current_view == 1
+        assert not getattr(replica, "view_blocked", False)
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    @pytest.mark.parametrize("adversary", ["none", "silent"])
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_production_trial_decides_and_equals_its_oracle(
+        self, protocol, adversary, latency
+    ):
+        """``silent``: the view-1 leader says nothing, so the run enters
+        view 2 and its leader replays what the seat sent for that view."""
+        import dataclasses
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import TrialContext
+
+        from .helpers import reference_spec
+
+        def context(reference):
+            cell = MatrixCell(protocol, adversary, latency, n=30, f=5)
+            spec = cell_deployment_spec(cell, seed=6, max_time=600.0)
+            spec = dataclasses.replace(
+                spec,
+                byzantine={**spec.byzantine, 29: _malformed_view_seat(protocol)},
+            )
+            return TrialContext(reference_spec(spec) if reference else spec)
+
+        production, oracle = context(False), context(True)
+        result = production.execute()
+        assert result == oracle.execute()
+        assert result.all_decided and result.agreement_ok
+        assert result.max_view == (1 if adversary == "none" else 2)
+        assert production.deployment.replicas[29].sent > 4 * len(MALFORMED_VIEWS)

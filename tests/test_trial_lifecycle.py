@@ -133,6 +133,40 @@ class TestDeploymentTeardown:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("read_tag", [False, True])
+    def test_a_vote_envelope_dies_with_its_deployment(self, read_tag):
+        """An on-demand envelope points at the key registry and the counters
+        — never at the verdict table whose born-valid entry pins it, nor at
+        a scheme that holds the table: no cycle, freed by reference counting."""
+        from repro.messages.probft import Prepare
+
+        gc.collect()
+        gc.disable()
+        try:
+            context = TrialContext(self._spec("probft", "none"))
+            assert context.execute().all_decided
+            deployment = context.deployment
+            born = deployment.crypto.verdicts._entries["signature"]
+            vote = next(
+                envelope for envelope, _ in born.values()
+                if isinstance(envelope.payload, Prepare)
+            )
+            counts = deployment.crypto.verdicts.counts
+            if read_tag:
+                assert len(vote.signature) == 32
+                # Its own, and — to encode the payload — the embedded
+                # leader statement's.
+                assert counts.tags_computed == 2
+            envelope = weakref.ref(vote)
+            del vote, born
+            assert envelope() is not None  # pinned by its verdict
+            deployment.close()
+            del context, deployment
+            assert envelope() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_gossip_deployment_is_freed_too(self):
         gc.collect()
         gc.disable()
@@ -413,7 +447,11 @@ class TestVerdictTableLifecycle:
         context = TrialContext(spec)
         assert context.execute().all_decided
         assert context.deployment.crypto.verdicts is None
-        assert not any(context.deployment.crypto.signatures.cache_stats().values())
+        stats = context.deployment.crypto.signatures.cache_stats()
+        # Table-free, every recipient recomputes — which reads honest tags:
+        # the one counter an oracle moves (on counts of its own).
+        assert stats.pop("tags_computed") > 0
+        assert not any(stats.values())
 
     @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
     def test_table_is_empty_after_close(self, protocol):

@@ -354,3 +354,113 @@ class TestEntriesPinTheirObject:
             del envelope
             table.clear()
         assert len(ids) < 2000
+
+
+def _tags(deployment) -> int:
+    return deployment.crypto.signatures.cache_stats()["tags_computed"]
+
+
+def _tags_read(protocol, adversary, latency, n, seed=0, **cell_fields):
+    """One cell on both stacks (equal results asserted):
+    ``(result, tags computed in production, tags computed by the oracle)``."""
+    cell = MatrixCell(protocol, adversary, latency, n=n, f=(n - 1) // 3, **cell_fields)
+    spec = cell_deployment_spec(cell, seed, MAX_TIME)
+    production, oracle = TrialContext(spec), TrialContext(reference_spec(spec))
+    result = production.execute()
+    assert result == oracle.execute()
+    assert result.all_decided and result.agreement_ok
+    born = production.deployment.crypto.verdicts.counts.born["signature"]
+    assert born > n  # envelopes were made: the count below is not vacuous
+    return result, _tags(production.deployment), _tags(oracle.deployment)
+
+
+class TestTagsFollowReaders:
+    """An honest envelope's tag is computed for its first reader.  On the
+    production stack it has none — ``sign()``-made envelopes are valid at
+    birth and accepted by identity — so a trial computes no tag at all,
+    whatever the adversary; the table-free oracle re-verifies per recipient
+    and pays one tag per envelope it looks at."""
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    def test_fault_free_trial_computes_no_tag(self, latency):
+        result, production, oracle = _tags_read("probft", "none", latency, n=100)
+        assert result.max_view == 1
+        assert production == 0
+        # The oracle verified every vote that reached anyone, the leader's
+        # statement and its Propose: one tag per envelope, not per recipient.
+        assert 0.9 * 2 * 100 <= oracle <= 2 * 100 + 2
+
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_view_change_computes_no_tag(self, protocol):
+        result, production, oracle = _tags_read(protocol, "silent", "constant", n=30)
+        assert result.max_view == 2
+        assert production == 0 and oracle >= 3 * 29  # wishes, NewLeaders, votes
+
+    @pytest.mark.parametrize("adversary", ["equivocation", "flooding"])
+    def test_adversaries_that_build_votes_make_no_honest_tag_read(self, adversary):
+        """Forgeries come from ``sign_with``, whose tag is computed at once
+        (and read by the first verification, as ever): not counted."""
+        _, production, oracle = _tags_read("probft", adversary, "constant", n=30)
+        assert production == 0 and oracle > 30
+
+    def test_serving_trial_with_equivocating_leader_computes_no_tag(self):
+        from repro.smr.workload import ServingSpec, build_serving_deployment, serve
+
+        spec = ServingSpec(
+            n=9, adversary="equivocating-leader", rotate_leaders=True, timeout=20.0,
+            arrival="open", offered_rate=6.0, num_clients=10, requests_per_client=3,
+            batch_size=32, max_pending=256, seed=7,
+        )
+        production = build_serving_deployment(spec)
+        oracle = build_serving_deployment(spec, reference=True)
+        result = serve(spec, production)
+        assert result == serve(spec, oracle)
+        assert result.completed == 30 and result.logs_consistent
+        assert production.crypto.verdicts.counts.born["signature"] > 100
+        assert _tags(production) == 0 and _tags(oracle) > 100
+
+    def test_byte_tracking_reads_every_sent_tag_once(self):
+        """Sizing a message encodes it, tag included: with ``track_bytes``
+        the sender's accounting is the first reader, on both stacks, and
+        the byte counts agree."""
+        result, production, oracle = _tags_read(
+            "probft", "none", "constant", n=30, track_bytes=True
+        )
+        assert result.total_bytes > 0
+        sized = 2 * 30 + 2  # every vote, the statement (inside them), the Propose
+        assert production == sized and oracle == sized
+
+
+class TestCollectorsFollowQuorums:
+    """A replica builds a quorum collector when the first vote for a (view,
+    phase) arrives, not one per delivered vote to throw away."""
+
+    @pytest.mark.parametrize("protocol", ["pbft", "hotstuff"])
+    @pytest.mark.parametrize("adversary", ["none", "silent"])
+    def test_constructions_are_bounded_by_replicas_views_phases(
+        self, monkeypatch, protocol, adversary
+    ):
+        from repro.quorum.probabilistic import QuorumCollector
+
+        built = []
+        init = QuorumCollector.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuorumCollector, "__init__", counting)
+        n = 10
+        deployment, result, _ = _run(protocol, adversary, "exponential", n=n)
+        assert result.all_decided and result.max_view == (2 if adversary == "silent" else 1)
+        votes = sum(
+            count
+            for kind, count in deployment.network.stats.delivered_by_type.items()
+            if kind in ("PbftPrepare", "PbftCommit", "PbftNewLeader", "HsVote", "HsNewView")
+        )
+        # Per view: Prepare and Commit at every replica (PBFT), or four vote
+        # phases at the leader alone (HotStuff); plus the leader's NewLeader
+        # / NewView collector.  (Parent: one more per delivered vote.)
+        views = result.max_view
+        bound = views * (2 * n + 1 if protocol == "pbft" else 4 + 1)
+        assert 0 < len(built) <= bound < votes / 3
