@@ -27,14 +27,17 @@ deployment, or one slot of the SMR service):
   updated by the replica state machine at its (few) mutation points, so the
   delivery kernel classifies a whole fan-out bucket with vectorized gathers
   instead of attribute chases.
-:class:`ColumnarVoteDispatch` is the kernel `Network` hands every coalesced
-bucket to: wide buckets (constant latency: one bucket per multicast) are
-applied array-at-a-time, singleton buckets (continuous latency: one bucket
-per recipient) take a scalar branch with the same rules, and any vote
-bucket it cannot prove equivalent — equivocal views, deployments with
-network duplication — is declined (-1) to the per-recipient loop
-(:meth:`ProBFTReplica.on_message`) through the same arrays.  The three
-outcomes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
+:class:`ColumnarVoteDispatch` is the kernel `Network` hands every run of
+coalesced buckets to.  The unit of array work is the *group*: the buckets
+of one delivery time that vote for one (phase, view, value) — under
+constant latency a whole protocol phase, n senders' buckets — applied in
+one pass, so the work follows the phase's votes and not its senders.
+Singleton buckets (continuous latency: one bucket per recipient) take a
+scalar branch with the same rules, and any vote bucket the kernel cannot
+prove equivalent — equivocal views, deployments with network duplication —
+is declined (-1) to the per-recipient loop
+(:meth:`ProBFTReplica.on_message`) through the same arrays.  Routes and
+passes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
 route, a vote's recipient-independent validation is one lookup in the
 instance's verdict table (:func:`~repro.core.replica.prevalidate_vote`):
 under continuous latency a vote object arrives in ``s`` buckets and is
@@ -53,6 +56,7 @@ kernel — is **bit-identical** to the reference run for the same seed
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -318,39 +322,57 @@ class ColumnarCollectorTable(dict):
 # The vectorized delivery kernel
 # ----------------------------------------------------------------------
 
+#: Votes one array pass takes at most.  A pass holds a dozen temporaries of
+#: this many elements, so a whole n=1000 phase (108k votes) in one pass
+#: would raise a trial's peak memory by a quarter — and a few thousand votes
+#: already run at the speed a pass gets.
+_PASS_VOTES = 4096
+
+
 class ColumnarVoteDispatch:
-    """One-call-per-bucket delivery kernel for Prepare/Commit fan-outs.
+    """The delivery kernel for Prepare/Commit fan-outs: one array pass per
+    *group* of buckets.
 
-    :meth:`Network._deliver_fanout` hands a whole *raw* coalesced bucket
-    here; the kernel looks the vote's token up (validating it if this is
-    the object's first delivery), then fuses the observation policy's
-    pruning and :meth:`ProBFTReplica._handle_vote`'s per-recipient
-    behaviour into array operations: it classifies the
-    bucket with vectorized gathers over the mirror columns, applies the
-    accepted votes as one masked scatter into the slot arrays, and only
-    drops to scalar code at the *stop points* the per-recipient loop also
-    serializes on: Byzantine recipients (arbitrary handlers) and quorum
-    completions (which can record a decision and flip the stop probe), in
-    bucket order.  Every recipient's update is independent — a fan-out's
-    recipients are distinct (VRF samples are drawn without replacement), a
+    :meth:`Network.deliver_run` hands over a run of *raw* coalesced buckets
+    and a position in it.  The kernel looks the bucket's token up
+    (validating the vote if this is the object's first delivery) and takes
+    with it the buckets that follow and belong to its group: valid votes
+    for one (phase, view, value) from distinct signers, each to more than
+    one recipient, :data:`_PASS_VOTES` votes at most.  One bucket is a
+    group of one.
+
+    The pass fuses the observation policy's pruning and
+    :meth:`ProBFTReplica._handle_vote`'s per-recipient behaviour into array
+    operations over the concatenated recipients: eligibility (one gather
+    over the mirror columns) and the seen-bit test once, each countable
+    vote's arrival rank at its recipient in bucket order, then one scatter
+    each into ``seen`` / ``counts`` / ``order`` / ``fired``.  It drops to
+    scalar code at the *stop points* the per-recipient loop also serializes
+    on — Byzantine recipients (arbitrary handlers) and quorum completions
+    (which can record a decision and flip the stop probe) — in (bucket,
+    recipient) order, the probe after each and ``advance`` at every bucket
+    boundary crossed once a stop has run.  Every (signer, recipient) pair
+    occurs once in a group (VRF samples are drawn without replacement), a
     delivery only mutates its own recipient's columns, and no stop reads
-    another recipient's — so applying the bucket in one shot reorders
-    nothing observable.  A one-recipient bucket takes the scalar branch
-    (:meth:`_deliver_one`): same rules, no array temporaries.
+    another recipient's, so applying the group in one shot reorders nothing
+    observable.  An early end (the probe, a refused boundary) leaves the
+    votes behind it over-applied, which is unobservable, and a view flagged
+    equivocal from *inside* a group does not cut it: why both are safe, and
+    the one statistic that can then differ from a per-bucket walk, is
+    DESIGN.md ("Runs and groups").  A one-recipient bucket takes the scalar
+    branch (:meth:`_deliver_one`): same rules, no array temporaries.
 
-    Returns the number of recipients delivered, or -1 to decline the whole
-    bucket (the caller filters it and runs its generic per-recipient loop
-    over the same arrays).  Decline rules: equivocal-flagged views (any
-    recipient may need the evidence), votes that fail prevalidation (they
-    never reach a collector, but a conflicting leader statement riding on
-    one must still be able to trigger lines 23-25), and any deployment with
-    network duplication enabled — duplicated recipients would appear twice
-    in one bucket and break the distinct-recipients invariant the masked
-    scatter relies on.  Anything that is not a vote is the wish kernel's to
-    take or decline.
-
-    ``vectorised``/``singleton``/``declined`` count the vote buckets that
-    took each route (non-votes are not counted).
+    Answers one delivered count per bucket reached, or ``(-1,)`` to decline
+    the bucket at ``pos`` to the caller's filtered per-recipient loop over
+    the same arrays: equivocal-flagged views (any recipient may need the
+    evidence), votes that fail prevalidation (they never reach a collector,
+    but a conflicting leader statement riding on one must still be able to
+    trigger lines 23-25), and any deployment with network duplication
+    (a recipient could appear twice in one bucket, which the scatters rule
+    out).  Anything that is not a vote is the wish kernel's to take or
+    decline.  ``vectorised``/``singleton``/``declined`` count the vote
+    buckets that took each route (reached, for a group cut short),
+    ``vote_passes`` the array passes run.
     """
 
     def __init__(
@@ -378,12 +400,14 @@ class ColumnarVoteDispatch:
         self.vectorised = 0
         self.singleton = 0
         self.declined = 0
+        self.vote_passes = 0
 
     def stats(self) -> Dict[str, int]:
         return {
             "vectorised": self.vectorised,
             "singleton": self.singleton,
             "declined": self.declined,
+            "vote_passes": self.vote_passes,
         }
 
     def note_declined(self, message) -> None:
@@ -394,33 +418,68 @@ class ColumnarVoteDispatch:
         else:
             self._wishes.note_declined(message)
 
-    def __call__(self, src, message, dsts, probe) -> int:
+    def __call__(self, run, pos, probe, advance) -> tuple:
+        src, message, dsts = run[pos]
         if self._dup:
             # Declined unparsed (each recipient looks the token up anyway);
             # a payload type test is enough to count the votes.
             if isinstance(getattr(message, "payload", None), (Prepare, Commit)):
                 self.declined += 1
-                return -1
-            return self._wishes(src, message, dsts, probe)
+                return (-1,)
+            return self._wishes(run, pos, probe, advance)
         token = prevalidate_vote(self._config, self._crypto, message)
         if token is None:
-            return self._wishes(src, message, dsts, probe)
-        if not token.valid or token.view in self._policy._equivocal:
+            return self._wishes(run, pos, probe, advance)
+        view = token.view
+        if not token.valid or view in self._policy._equivocal:
             self.declined += 1
-            return -1
+            return (-1,)
         if len(dsts) == 1:
             self.singleton += 1
-            return self._deliver_one(src, message, token, dsts[0])
-        self.vectorised += 1
+            return (self._deliver_one(src, message, token, dsts[0]),)
 
+        # The group: ``run[pos]`` and the buckets after it this pass can take.
         state = self._state
-        view = token.view
-        signer = token.signer
-        is_prepare = token.is_prepare
+        is_prepare, value = token.is_prepare, token.value
+        correct = self._correct
+        signers = {}  # distinct, in bucket order
+        foreign = []  # buckets whose recipients are not the signer's own sample
+        lens, votes = [], 0
+        while True:
+            if not (src in correct and token.signer == src):
+                foreign.append((len(lens), token))
+            signers[token.signer] = None
+            lens.append(len(dsts))
+            votes += len(dsts)
+            if pos + len(lens) == len(run):
+                break
+            src, message, dsts = run[pos + len(lens)]
+            token = prevalidate_vote(self._config, self._crypto, message)
+            if (
+                token is None
+                or not token.valid
+                or token.view != view
+                or token.is_prepare is not is_prepare
+                or token.value != value
+                or token.signer in signers
+                or len(dsts) == 1
+                or votes + len(dsts) > _PASS_VOTES
+            ):
+                break
+        # Counted as they are entered: a stop may retire the slot, and with
+        # it fold these counters, from inside this call.
+        self.vote_passes += 1
+        self.vectorised += 1
+        B = len(lens)
+        group = run[pos : pos + B]
         q = self._q
-        slot = state.slot(is_prepare, view, token.value)
+        slot = state.slot(is_prepare, view, value)
+        recipients = chain.from_iterable([bucket[2] for bucket in group])
+        D = np.fromiter(recipients, np.intp, votes)
+        starts = np.cumsum([0] + lens[:-1])
+        bucket_of = np.repeat(np.arange(B), lens)
+        signers = list(signers)
 
-        D = np.asarray(dsts, dtype=np.intp)
         # One gather classifies countability: the active column fuses the
         # view match, the lines 23-25 block flag, and progress pruning
         # (committed view / decision latch) into a single int compare.
@@ -428,95 +487,125 @@ class ColumnarVoteDispatch:
         # either — at-active implies correct.
         active = state.prepare_active if is_prepare else state.commit_active
         elig = active[D] == view
-        if not (state.correct[src] and signer == src):
+        for b, token in foreign:
             # Not a correct sender's own-sample multicast: check i ∈ S.
             member = np.zeros(state.n, dtype=bool)
             member[np.asarray(token.members.sample, dtype=np.intp)] = True
-            elig &= member[D]
-        all_elig = bool(elig.all())
-        c = slot.counts[D]
-        wi = signer >> 6
-        bit = np.uint64(1 << (signer & 63))
-
-        if not state.has_byz:
-            # No Byzantine replica: no arbitrary-handler stops and no
-            # replayed envelopes (a correct sender multicasts each vote
-            # exactly once), so the seen-bit dedup test is a guaranteed
-            # all-pass and ``counts`` alone encodes fired (latched at q).
-            if all_elig and int(c.max()) < q - 1:
-                # Ramp-up fast path: every recipient counts, none fires.
-                slot.seen[wi, D] |= bit
-                slot.counts[D] = c + 1
-                if is_prepare:
-                    slot.order[D, c] = signer
-                    if slot.msg_by_signer[signer] is None:
-                        slot.msg_by_signer[signer] = message
-                return int(D.shape[0])
-            if all_elig:
-                new = c < q
-                fires = c == q - 1
-            else:
-                new = elig & (c < q)
-                fires = elig & (c == q - 1)
-            correct_D = None
-            stops = fires
-        else:
-            col = slot.seen[wi, D]
-            new = elig & ((col & bit) == 0) & (c < q)
-            fires = new & (c == q - 1)
-            correct_D = state.correct[D]
-            stops = fires | ~correct_D
-
-        # Every stop is either a quorum completion, whose handler is this
-        # kernel's own latch + quorum re-check and only reads its *own*
-        # replica's column, or a Byzantine recipient's handler, which holds
-        # a transport and nothing else — so everything the bucket writes
-        # (counting recipients and firing recipients alike; a fire's ``c+1``
-        # lands exactly at q) lands in ONE masked scatter before the scalar
-        # loop over the stops.  A probe early-exit then leaves later
-        # recipients over-applied relative to dense, which is unobservable:
-        # the probe mirrors ``stop_when``, so the run ends before anything
-        # reads their state, and the delivered count still follows dense.
-        idx = np.nonzero(new)[0]
+            span = slice(starts[b], starts[b] + lens[b])
+            elig[span] &= member[D[span]]
+        # Each vote's word of the flat seen plane, and its signer's bit in it.
+        word_of = np.repeat([(s >> 6) * state.n for s in signers], lens) + D
+        bits = np.array([1 << (s & 63) for s in signers], dtype=np.uint64)
+        bit_of = np.repeat(bits, lens)
+        seen = slot.seen.reshape(-1)
+        fresh, byz = elig, None
+        if state.has_byz:
+            # Replayed envelopes fail the seen-bit test.  (With no Byzantine
+            # replica a correct sender multicasts each vote exactly once,
+            # and nothing in a bucket is a handler stop.)
+            fresh = elig & ((seen[word_of] & bit_of) == 0)
+            byz = ~state.correct[D]
+        # Arrival rank of every fresh vote at its recipient, in bucket
+        # order: the k-th fresh vote for ``d`` lands at ``counts[d] + k``,
+        # is new while that is below q (counts latch there) and fires at
+        # q - 1.
+        idx = np.nonzero(fresh)[0]
+        all_count = idx.size == votes
+        fire_idx = idx[:0]
         if idx.size:
-            dn = D[idx]
-            c_old = c[idx]
-            slot.seen[wi, dn] |= bit
-            slot.counts[dn] = c_old + 1
+            r = D[idx]
+            place = slot.counts[r].astype(np.intp)
+            if B > 1:  # (a bucket's recipients are distinct: all rank 0)
+                keys = r.astype(np.uint16) if state.n <= 65536 else r  # radix sort
+                by_recipient = np.argsort(keys, kind="stable")
+                ranked = r[by_recipient]
+                k = np.arange(idx.size)
+                first = np.empty(idx.size, dtype=bool)
+                first[0] = True
+                np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+                place[by_recipient] += k - np.maximum.accumulate(np.where(first, k, 0))
+            new = place < q
+            if not new.all():
+                idx, r, place = idx[new], r[new], place[new]
+            # Everything the group writes lands before the first stop: a
+            # quorum completion's handler is this kernel's own latch +
+            # quorum re-check and only reads its *own* replica's column, a
+            # Byzantine recipient's holds a transport and nothing else.
+            np.bitwise_or.at(seen, word_of[idx], bit_of[idx])
+            slot.counts += np.bincount(r, minlength=state.n).astype(np.int32)
             if is_prepare:
-                slot.order[dn, c_old] = signer
-                if slot.msg_by_signer[signer] is None:
-                    slot.msg_by_signer[signer] = message
-            slot.fired[D[fires]] = True
+                from_bucket = bucket_of[idx]
+                slot.order.reshape(-1)[r * q + place] = np.array(signers)[from_bucket]
+                by_signer = slot.msg_by_signer
+                for b in np.nonzero(np.bincount(from_bucket, minlength=B))[0].tolist():
+                    if by_signer[signers[b]] is None:
+                        by_signer[signers[b]] = group[b][1]
+            fires = place == q - 1
+            fire_idx = idx[fires]
+            slot.fired[r[fires]] = True
+
         replicas = self._replicas
-        if all_elig:
-            counted = None
-        else:
+        counted = None  # None: every vote of the group counts as delivered
+        if not all_count:
             # Views stuck at 0 (not started / Byzantine) are neither
             # at-view nor future; at-view-but-pruned is not future either.
             views_D = state.views[D]
             future = (views_D != 0) & (views_D < view)
-            counted = elig | future | stops
-            if future.any():
-                for d in D[future].tolist():
-                    replicas[d]._buffer_future(view, src, message)
-        stop_idx = np.nonzero(stops)[0]
-        for si, d in zip(stop_idx.tolist(), D[stop_idx].tolist()):
-            if correct_D is not None and not correct_D[si]:
-                self._handlers[d](src, message)  # arbitrary handler
-            elif is_prepare:
-                replicas[d]._try_form_prepared()
+            counted = elig | future
+            if byz is not None:
+                counted |= byz
+            for t in np.nonzero(future)[0].tolist():
+                src, message, _ = group[bucket_of[t]]
+                replicas[D[t]]._buffer_future(view, src, message)
+        # The stops, in (bucket, recipient) order.
+        stop_idx = fire_idx
+        if byz is not None:
+            stop_idx = np.sort(np.concatenate((fire_idx, np.nonzero(byz)[0])))
+        reached, cut = B, votes
+        cur = 0  # the bucket whose stops are running
+        if stop_idx.size:
+            for t, d, b in zip(
+                stop_idx.tolist(), D[stop_idx].tolist(), bucket_of[stop_idx].tolist()
+            ):
+                # Dense asks ``stop_when`` between two buckets; so does
+                # every boundary crossed on the way to the next stop.
+                while cur < b and advance(pos + cur + 1):
+                    cur += 1
+                    self.vectorised += 1
+                if cur < b:
+                    reached, cut = cur + 1, int(starts[cur + 1])
+                    break
+                if d not in correct:
+                    self._handlers[d](*group[b][:2])  # arbitrary handler
+                elif is_prepare:
+                    replicas[d]._try_form_prepared()
+                else:
+                    replicas[d]._try_decide()
+                # Dense probes before the delivery after any stop event; a
+                # trailing probe with nothing left returns the same count.
+                if probe is not None and probe():
+                    reached, cut = b + 1, t + 1
+                    break
             else:
-                replicas[d]._try_decide()
-            # Dense probes before the delivery after any stop event; a
-            # trailing probe with nothing left returns the same count.
-            if probe is not None and probe():
-                if counted is None:
-                    return si + 1
-                return int(np.count_nonzero(counted[: si + 1]))
-        if counted is None:
-            return int(D.shape[0])
-        return int(np.count_nonzero(counted))
+                if cur + 1 < B and not advance(pos + cur + 1):
+                    reached, cut = cur + 1, int(starts[cur + 1])
+        if B > 1 and fire_idx.size:
+            # A recipient whose quorum handler moved it on (committed the
+            # view, decided) stops counting from its next vote, as its next
+            # bucket would have found it pruned.
+            fired = D[fire_idx]
+            moved = active[fired] != view
+            if moved.any():
+                until = np.full(state.n, votes, dtype=np.intp)
+                until[fired[moved]] = fire_idx[moved]
+                late = np.arange(votes) > until[D]
+                counted = ~late if counted is None else counted & ~late
+        self.vectorised += reached - cur - 1
+        if counted is None:  # all of them, up to the cut
+            took = lens[:reached]
+            took[-1] = cut - int(starts[reached - 1])
+            return took
+        return np.add.reduceat(counted[:cut], starts[:reached], dtype=np.intp).tolist()
 
     def _deliver_one(self, src, message, token, d) -> int:
         """The scalar branch: one valid vote, one recipient.

@@ -63,6 +63,7 @@ KERNEL_STATS = (
     "vectorised",
     "singleton",
     "declined",
+    "vote_passes",
     "wish_vectorised",
     "wish_scalar",
     "wish_declined",
@@ -345,7 +346,9 @@ class Deployment:
 
         ``vectorised`` / ``singleton`` / ``declined``: vote buckets applied
         by the vote kernel, or declined to the per-recipient loop
-        (ProBFT only).  ``wish_vectorised`` / ``wish_scalar`` /
+        (ProBFT only); ``vote_passes``: the array passes that applied the
+        ``vectorised`` ones, a group of same-time buckets each.
+        ``wish_vectorised`` / ``wish_scalar`` /
         ``wish_declined``: Wish buckets applied array-at-a-time, through the
         per-recipient loop (one recipient, or a wish dropped on a lookup),
         or through it because the network may duplicate.

@@ -162,10 +162,10 @@ def _safe_proposal(
         return False
     # The inner statement must be consistent and signed by the same leader.
     statement = propose.statement
-    if not crypto.signatures.verify(statement):
+    if not isinstance(statement, Signed) or not crypto.signatures.verify(statement):
         return False
     inner = statement.payload
-    if not isinstance(inner, ProposalStatement):
+    if not isinstance(inner, ProposalStatement) or not inner.keyable:
         return False
     if inner.view != view or statement.signer != expected_leader:
         return False

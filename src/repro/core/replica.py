@@ -115,7 +115,9 @@ def prevalidate_vote(
     if not isinstance(payload, (Prepare, Commit)):
         return None
     statement = payload.statement
-    inner = getattr(statement, "payload", None)
+    if not isinstance(statement, Signed):
+        return None
+    inner = statement.payload
     if not isinstance(inner, ProposalStatement):
         return None
     if not isinstance(payload.sample, VRFOutput):
@@ -126,11 +128,12 @@ def prevalidate_vote(
     domain_ok = inner.domain == config.seed_domain
     leader_ok = (
         view >= 1
-        and getattr(statement, "signer", None) == leader_of(view, config)
+        and statement.signer == leader_of(view, config)
     )
     is_prepare = isinstance(payload, Prepare)
     valid = (
-        crypto.signatures.verify(message)
+        inner.keyable  # else evidence of equivocation at most, never a vote
+        and crypto.signatures.verify(message)
         and crypto.signatures.verify(statement)
         and domain_ok
         and leader_ok
@@ -545,7 +548,7 @@ class ProBFTReplica:
         if self._block_view or not self._voted:
             return
         statement = extract_statement(message.payload)
-        if statement is None:
+        if not isinstance(statement, Signed):
             return
         inner = statement.payload
         if not isinstance(inner, ProposalStatement):

@@ -47,6 +47,15 @@ class ProposalStatement(CanonicalMessage):
     value: Value
     domain: str = ""
 
+    @property
+    def keyable(self) -> bool:
+        """False for a malformed statement: quorums are keyed by value."""
+        try:
+            hash(self.value)
+        except TypeError:
+            return False
+        return True
+
     def conflicts_with(self, other: "ProposalStatement") -> bool:
         """Same instance and view, different value — the equivocation
         condition (Algorithm 1 line 23)."""

@@ -217,13 +217,17 @@ class Network:
         self._handlers[replica] = handler
 
     def use_bulk_handler(self, handler: Optional[Callable]) -> None:
-        """Attach a bucket-level delivery kernel for coalesced fan-outs.
+        """Attach the delivery kernel for coalesced fan-outs.
 
-        ``handler(src, message, dsts, probe)`` may deliver a whole coalesced
-        bucket in one call, returning the number of recipients delivered —
-        or -1 to decline, in which case the generic per-recipient loop runs.
-        The handler owns probe-between-deliveries stop semantics for the
-        buckets it accepts.
+        ``handler(run, pos, probe, advance)`` is given a run — the
+        ``(src, message, dsts)`` buckets of one delivery time — and delivers
+        ``run[pos]`` plus as many of the buckets after it as it can apply
+        with it.  It returns one delivered count per bucket reached (at
+        least one); -1, only ever last, declines that bucket to the generic
+        per-recipient loop.  The handler owns the probe-between-deliveries
+        stop semantics inside the buckets it accepts, and enters a later
+        bucket whose handlers it runs through ``advance(k)``
+        (:meth:`Simulator._advance`): a refusal ends its answer before ``k``.
         """
         self._bulk_handler = handler
 
@@ -366,12 +370,7 @@ class Network:
                 src, message, len(dsts), size=self._message_size(message)
             )
             if dsts:
-                self._sim.schedule_at(
-                    delivery,
-                    lambda src=src, message=message, dsts=dsts: (
-                        self._deliver_fanout(src, message, dsts)
-                    ),
-                )
+                self._sim.post_at(delivery, self, (src, message, dsts))
             return
         count = 0
         for dst in targets:
@@ -402,44 +401,47 @@ class Network:
             src, message, count, size=self._message_size(message)
         )
         for time_, dsts in buckets.items():
-            self._sim.schedule_at(
-                time_,
-                lambda src=src, message=message, dsts=dsts: (
-                    self._deliver_fanout(src, message, dsts)
-                ),
-            )
+            self._sim.post_at(time_, self, (src, message, dsts))
 
-    def _deliver_fanout(
-        self, src: ReplicaId, message: object, dsts: list
-    ) -> None:
-        """Deliver one coalesced time bucket, probing ``stop_probe`` between
-        actual deliveries (the kernel already checked before this event
-        fired, and a suppressed delivery cannot change the stop predicate —
-        its dense twin is a handler call that provably mutates nothing the
+    def deliver_run(self, run: list, advance: Callable[[int], bool]) -> None:
+        """Deliver the coalesced buckets of one delivery time (the
+        simulator's receiver protocol).  The kernel takes as many as it can
+        per call — *raw* buckets: it does its own pruning inline, one pass
+        instead of filter-then-deliver — and declines what it does not fully
+        understand to the filtered per-recipient loop; ``advance`` (the
+        loop's ``stop_when`` and the event accounting) is asked at every
+        boundary it leaves us.  That loop probes ``stop_probe`` between
+        actual deliveries (the kernel already checked before this bucket,
+        and a suppressed delivery cannot change the stop predicate — its
+        dense twin is a handler call that provably mutates nothing the
         predicate reads — so skipping its probe keeps dense's stop point)."""
         policy = self._delivery
-        if policy is not None:
-            # The bulk kernel sees the *raw* bucket and does its own pruning
-            # inline (one pass instead of filter-then-deliver); it declines
-            # (-1) anything it does not fully understand, which then takes
-            # the filtered generic loop below.
-            bulk = self._bulk_handler
-            if bulk is not None and dsts:
-                delivered = bulk(src, message, dsts, self.stop_probe)
-                if delivered >= 0:
-                    self.stats.record_bulk_delivery(message, delivered)
-                    return
-            dsts = policy.batch_filter(message, dsts)
-        handlers = self._handlers
+        bulk = self._bulk_handler if policy is not None else None
+        record = self.stats.record_bulk_delivery
         probe = self.stop_probe
-        delivered = 0
-        try:
-            for dst in dsts:
-                if delivered and probe is not None and probe():
-                    return
-                delivered += 1
-                handlers[dst](src, message)
-        finally:
-            # One bulk update per bucket: identical totals to dense's
-            # per-delivery increments, at a fraction of the dict traffic.
-            self.stats.record_bulk_delivery(message, delivered)
+        pos = 0
+        while True:
+            for delivered in (
+                bulk(run, pos, probe, advance) if bulk is not None else (-1,)
+            ):
+                src, message, dsts = run[pos]
+                pos += 1
+                if delivered < 0:
+                    if policy is not None:
+                        dsts = policy.batch_filter(message, dsts)
+                    handlers = self._handlers
+                    delivered = 0
+                    try:
+                        for dst in dsts:
+                            if delivered and probe is not None and probe():
+                                break
+                            delivered += 1
+                            handlers[dst](src, message)
+                    finally:
+                        # One bulk update per bucket: identical totals to
+                        # dense's per-delivery increments.
+                        record(message, delivered)
+                else:
+                    record(message, delivered)
+            if not advance(pos):
+                return

@@ -9,13 +9,25 @@ There is one queue: a binary heap of ``[time, seq, callback, sim]`` entries,
 one allocation per scheduled event: the entry is its own
 :class:`EventHandle`.  It knows its simulator only through one shared weak
 reference: neither a fired event nor a dropped simulator may leave a
-reference cycle behind for the collector to find.  Fan-outs reach the
-kernel already coalesced (one event per distinct delivery time, see
-:mod:`repro.net.sparse`), so a trial is a few thousand events and no
-per-time bucketing measurably beats the heap at that size.  Cancellation writes a tombstone into the entry; tombstones are
-skipped when popped and swept once they outnumber live entries, because
-bounded-window timer churn (cancel + re-arm per view) would otherwise grow
-the backlog without bound.
+reference cycle behind for the collector to find.  Cancellation writes a
+tombstone into the entry; tombstones are skipped when popped and swept once
+they outnumber live entries, because bounded-window timer churn (cancel +
+re-arm per view) would otherwise grow the backlog without bound.
+
+Fan-outs reach the kernel coalesced (one entry per distinct delivery time,
+see :mod:`repro.net.sparse`) and as *data*: :meth:`Simulator.post_at` queues
+``[time, seq, receiver, sim, item]`` — no closure.  What leaves the queue is
+a **run**: every queue-consecutive posted entry of one time and one
+receiver, in one ``receiver.deliver_run(items, advance)`` call.  With
+constant latency a protocol phase is one such moment — n entries of
+O(sqrt n) votes — and its cost should follow its votes, not its senders.
+A run is still n events to everything that counts them: the receiver
+enters item ``k`` through ``advance(k)``, which asks the loop's
+``stop_when`` at that boundary and moves ``events_processed`` /
+``pending_events`` as n one-entry steps would; entries it did not enter go
+back to the heap under their own ``(time, seq)``, ahead of anything the
+run's handlers scheduled for the same instant (a new entry's sequence number
+is higher than every queued one's: a run's own handlers cannot reorder it).
 """
 
 from __future__ import annotations
@@ -34,6 +46,10 @@ Callback = Callable[[], None]
 
 def _fired() -> None:  # sentinel: the event already ran; cancel is a no-op
     raise AssertionError("fired-event sentinel must never be invoked")
+
+
+def _end_of_run(k: int) -> bool:  # ``advance`` for a run of one: no boundary
+    return False
 
 
 class EventHandle(list):
@@ -100,6 +116,11 @@ class Simulator:
         self._running = False
         self._live = 0
         self._cancelled = 0
+        # The run being delivered (see ``_advance``): its entries, how many
+        # the receiver has entered, the loop's stop predicate.
+        self._run: List[EventHandle] = []
+        self._entered = 0
+        self._stop_when: Optional[Callable[[], bool]] = None
 
     @property
     def now(self) -> float:
@@ -152,11 +173,27 @@ class Simulator:
         self._live += 1
         return entry
 
+    def post_at(self, time: float, receiver, item: object) -> None:
+        """Queue ``item`` for ``receiver`` at absolute virtual time ``time``:
+        it leaves the queue inside a run, a ``receiver.deliver_run(items,
+        advance)`` call.  An event like any other to the counters and
+        budgets, but without a handle (only :meth:`clear` cancels it)."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} < now ({self._now})"
+            )
+        heapq.heappush(
+            self._heap,
+            EventHandle((time, next(self._seq), receiver, self._ref, item)),
+        )
+        self._live += 1
+
     def clear(self) -> None:
         """Cancel every pending event (deployment teardown)."""
         for entry in self._heap:
             entry[2] = None
         self._heap = []
+        self._run = []
         self._live = 0
         self._cancelled = 0
 
@@ -164,20 +201,81 @@ class Simulator:
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Process the single next event; returns False if none remain."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
+        """Process the next event — a posted entry takes the rest of its
+        run with it; returns False if none remain."""
+        return self._step(None, None, None) > 0
+
+    def _step(self, stop_when, budget: Optional[int], until: Optional[float]) -> int:
+        """One event, or one run of at most ``budget`` posted entries;
+        returns how many entries were processed (0: none remain, or the
+        next one — still queued — lies beyond ``until``)."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
             callback = entry[2]
             if callback is None:
+                heapq.heappop(heap)
                 self._cancelled -= 1
                 continue  # cancelled
+            if until is not None and entry[0] > until:
+                return 0
+            heapq.heappop(heap)
             entry[2] = _fired  # late cancel() must stay a no-op
             self._live -= 1
-            self._now = entry[0]
+            self._now = time = entry[0]
             self._events_processed += 1
-            callback()
-            return True
-        return False
+            if len(entry) == 4:
+                callback()
+                return 1
+            # A run ends at the first entry that is not this receiver's at
+            # this time: a plain event, a tombstone, another receiver.
+            if (
+                budget == 1
+                or not heap
+                or heap[0][2] is not callback
+                or heap[0][0] != time
+            ):  # a run of one (every run, under continuous latency)
+                callback.deliver_run([entry[4]], _end_of_run)
+                return 1
+            run = [entry, heapq.heappop(heap)]
+            while (
+                heap
+                and heap[0][2] is callback
+                and heap[0][0] == time
+                and len(run) != budget
+            ):
+                run.append(heapq.heappop(heap))
+            self._run, self._entered, self._stop_when = run, 1, stop_when
+            before = self._events_processed - 1
+            try:
+                callback.deliver_run([e[4] for e in run], self._advance)
+            finally:
+                # ``self._heap``, not ``heap``: a handler's cancel() or
+                # clear() may have rebound it (and clear() emptied the run).
+                for entry in self._run[self._entered:]:
+                    heapq.heappush(self._heap, entry)
+                self._run, self._stop_when = [], None
+            return self._events_processed - before
+        return 0
+
+    def _advance(self, k: int) -> bool:
+        """The receiver's side of a run: items before ``k`` are delivered —
+        may it enter item ``k``?  No at the end of the run, or once the
+        loop's ``stop_when`` holds (asked here, at the boundary, as the loop
+        would between two events).  Items are counted as processed as they
+        are passed, so the counters read inside a handler — and to
+        ``stop_when`` — what they would had each entry been its own step."""
+        run, stop_when = self._run, self._stop_when
+        for upto in (min(k, len(run)), k + 1):  # the items before k, then k
+            done = upto - self._entered
+            if done > 0:
+                self._entered = upto
+                self._live -= done
+                self._events_processed += done
+            if upto > k:
+                return True
+            if k >= len(run) or (stop_when is not None and stop_when()):
+                return False
 
     # ------------------------------------------------------------------
     # Driving
@@ -194,7 +292,8 @@ class Simulator:
             until: stop once virtual time would exceed this (the clock is
                 advanced to ``until``).
             max_events: safety valve against runaway protocols.
-            stop_when: predicate checked after every event.
+            stop_when: predicate checked after every event (inside a run:
+                at the boundaries the receiver asks about).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -208,25 +307,18 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely a livelock"
                     )
-                next_time = self._peek_time()
-                if next_time is None:
+                taken = self._step(
+                    stop_when,
+                    None if max_events is None else max_events - processed,
+                    until,
+                )
+                if not taken:
+                    if self._heap:  # the next event lies beyond ``until``
+                        self._now = until
+                        return
                     break
-                if until is not None and next_time > until:
-                    self._now = until
-                    return
-                self.step()
-                processed += 1
+                processed += taken
             if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
-
-    def _peek_time(self) -> Optional[float]:
-        while self._heap:
-            entry = self._heap[0]
-            if entry[2] is None:
-                heapq.heappop(self._heap)
-                self._cancelled -= 1
-                continue
-            return entry[0]
-        return None

@@ -6,10 +6,12 @@ closure, per-delivery stats) dominates a trial.  With a
 :class:`SparseDeliveryPolicy` attached via
 :meth:`Network.use_delivery_policy` — every single-shot deployment attaches
 one, the SMR service its slot router over one policy per open slot —
-``multicast``/``broadcast`` schedule *one simulator event per distinct
-delivery time*, delivering to every recipient in that time bucket, with
-send stats recorded in bulk.  The per-recipient ``Network.send`` loop stays
-for unicast and as the reference the identity tests compare against
+``multicast``/``broadcast`` post *one queue entry per distinct delivery
+time*: the bucket ``(src, message, recipients)`` as data, send stats
+recorded in bulk.  Buckets that share a delivery time leave the queue
+together, as a run (:mod:`repro.net.simulator`), and the network's kernel
+may apply several in one pass.  The per-recipient ``Network.send`` loop
+stays for unicast and as the reference the identity tests compare against
 (``reference=True`` deployments attach no policy).
 
 Equivalence contract (what makes coalesced == per-recipient bit-identical):
@@ -19,13 +21,13 @@ Equivalence contract (what makes coalesced == per-recipient bit-identical):
   ultimately suppressed, so every seeded stream stays in lock-step.
 * **Event order** — the kernel breaks time ties by scheduling order.  The
   reference schedules recipients in target order; the coalesced buckets are
-  created in first-seen order and deliver their recipients in target order,
-  so the interleaving of deliveries (and of everything they trigger) is
-  unchanged.
+  created in first-seen order, deliver their recipients in target order and
+  keep their queue order inside a run, so the interleaving of deliveries
+  (and of everything they trigger) is unchanged.
 * **Stop granularity** — the reference checks ``stop_when`` between
-  deliveries; a coalesced event would overshoot, so the fan-out consults
-  ``Network.stop_probe`` between recipients and abandons the remainder of
-  the bucket once it trips.
+  deliveries; a bucket, let alone a run, would overshoot, so the fan-out
+  consults ``Network.stop_probe`` between recipients and the loop's
+  ``stop_when`` between buckets, and abandons the rest once either trips.
 * **Suppression soundness** — ``batch_filter(message, dsts)`` runs at event
   *fire* time, not send time.  Deliveries are strictly future, so any state
   a recipient holds at fire time was caused by messages sent strictly

@@ -228,21 +228,34 @@ class SlotStacks(SparseDeliveryPolicy):
         if slot is not None:
             self.open(slot).policy.inspect(src, message.inner)
 
-    def __call__(self, src, message, dsts, probe) -> int:
+    def __call__(self, run, pos, probe, advance) -> tuple:
+        src, message, dsts = run[pos]
         slot = self.slot_of(message)
         if slot is None:
-            return 0  # retired or malformed: every recipient drops it
+            return (0,)  # retired or malformed: every recipient drops it
         stack = self.open(slot)
-        joined = stack.replicas
-        if len(joined) < self._correct:
-            byzantine = self._byzantine
-            for d in dsts:
-                if d not in joined and d not in byzantine:
-                    # Not opened there (it may be outside that replica's
-                    # window): the replica decides for itself.
-                    stack.kernel.note_declined(message.inner)
-                    return -1
-        return stack.kernel(src, message.inner, dsts, probe)
+        joined, byzantine = stack.replicas, self._byzantine
+        everyone = len(joined) == self._correct
+        # The slot's consecutive buckets, unwrapped, for its kernel to group:
+        # up to the first with a recipient that has not opened the slot (it
+        # may be outside that replica's window), which is declined at its
+        # turn — the replica decides for itself.
+        inner = []
+        while everyone or all(d in joined or d in byzantine for d in dsts):
+            inner.append((src, message.inner, dsts))
+            if pos + len(inner) == len(run):
+                break
+            src, message, dsts = run[pos + len(inner)]
+            if self.slot_of(message) != slot:
+                break
+        if not inner:
+            stack.kernel.note_declined(message.inner)
+            return (-1,)
+        # A stop may retire the slot (its last replica applied it): the
+        # buckets after that one are the retired-slot case above.
+        return stack.kernel(
+            inner, 0, probe, lambda k: slot > self.retired and advance(pos + k)
+        )
 
     def batch_filter(self, message, dsts):
         # What __call__ declined: prune only where every replica is known.

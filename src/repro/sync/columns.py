@@ -299,8 +299,9 @@ class WishDispatch:
             appear twice in one bucket; every bucket then takes the
             per-recipient loop.
 
-    Called as ``kernel(src, message, dsts, probe)``; returns the number of
-    recipients delivered, or -1 for anything that is not a signed Wish.
+    A bulk handler (:meth:`repro.net.network.Network.use_bulk_handler`)
+    that takes one bucket per call: it answers ``(delivered,)`` for
+    ``run[pos]``, or ``(-1,)`` for anything that is not a signed Wish.
     ``vectorised`` / ``scalar`` / ``declined`` count the Wish buckets that
     took each route.
     """
@@ -353,15 +354,16 @@ class WishDispatch:
             "wish_declined": self.declined,
         }
 
-    def __call__(self, src, message, dsts, probe) -> int:
+    def __call__(self, run, pos, probe, advance) -> tuple:
+        src, message, dsts = run[pos]
         if not isinstance(message, Signed):
-            return -1
+            return (-1,)
         wish = message.payload
         if not isinstance(wish, Wish):
-            return -1
+            return (-1,)
         if self._dup:
             self.declined += 1
-            return self._deliver_each(src, message, dsts, probe)
+            return (self._deliver_each(src, message, dsts, probe),)
         if (
             len(dsts) == 1
             or message.signer != src
@@ -372,7 +374,7 @@ class WishDispatch:
             # One recipient, or a wish every synchronizer drops on a lookup:
             # nothing to batch.
             self.scalar += 1
-            return self._deliver_each(src, message, dsts, probe)
+            return (self._deliver_each(src, message, dsts, probe),)
         self.vectorised += 1
 
         columns = self.columns
@@ -407,8 +409,8 @@ class WishDispatch:
             # The per-recipient loop probes before the delivery after any
             # stop; a trailing probe with nothing left returns the same count.
             if probe is not None and probe():
-                return si + 1
-        return len(dsts)
+                return (si + 1,)
+        return (len(dsts),)
 
     def _apply(self, D, idx, wi, bit, src, view) -> np.ndarray:
         """Record the wish at recipients ``D[idx]``; returns the mask over

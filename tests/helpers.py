@@ -27,6 +27,13 @@ def reference_spec(spec):
     return dataclasses.replace(spec, extra=spec.extra + (("reference", True),))
 
 
+def deliver_bucket(handler, src, message, dsts, probe=None):
+    """One bucket through a bulk handler (a run of one): its delivered
+    count, or -1 if the handler declined it."""
+    (delivered,) = handler([(src, message, dsts)], 0, probe, lambda k: False)
+    return delivered
+
+
 def saturated_config(**overrides) -> ProtocolConfig:
     """n=8, f=1: sample size caps at n, so everyone is in every sample."""
     params = dict(n=8, f=1, l=2.0, o=1.7)

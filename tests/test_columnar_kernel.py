@@ -1,0 +1,459 @@
+"""The vote kernel's array pass: a group of buckets in one call must be
+indistinguishable from the same buckets delivered one call each.
+
+A *group* is what :class:`~repro.core.columnar.ColumnarVoteDispatch` takes
+out of a run in one pass: consecutive buckets of one (phase, view, value)
+from distinct signers.  The property test drives two identical fixtures —
+real votes, real tokens, scripted replicas — with the same random run, one
+through the run-shaped call and one bucket by bucket, and compares
+everything a trial could observe.  The trial-level tests pin the cases the
+random groups cannot stage: whole deployments against counters recorded
+from the parent commit, a slot retiring and a view flagged equivocal from
+inside a group.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+
+from repro.config import ProtocolConfig
+from repro.core.columnar import (
+    ColumnarCollectorTable,
+    ColumnarVoteDispatch,
+    ColumnarVoteState,
+)
+from repro.crypto.signatures import Signed
+from repro.harness.registry import ADVERSARIES, MatrixCell, cell_deployment_spec
+from repro.harness.trial import TrialContext
+from repro.sync.synchronizer import Wish
+
+from .helpers import (
+    make_commit,
+    make_crypto,
+    make_prepare,
+    make_propose,
+    make_statement,
+    reference_spec,
+)
+
+VIEW = 2  # the view the fixtures' replicas are in: view 1 is behind it
+
+
+class _Replica:
+    """What the kernel touches of a replica, scripted: a quorum handler
+    moves most replicas on (as a voted replica commits the view, a prepared
+    one decides) and leaves some where they were (one that has not voted)."""
+
+    def __init__(self, rid, state, log):
+        self.id, self._state, self._log = rid, state, log
+        self.buffered = []
+        self._prepare_collectors = ColumnarCollectorTable(state, True, rid)
+        self._commit_collectors = ColumnarCollectorTable(state, False, rid)
+
+    def _buffer_future(self, view, src, message):
+        self.buffered.append((view, src, message))
+
+    def _try_form_prepared(self):
+        self._log.append(("prepared", self.id))
+        if self.id % 3:
+            self._state.note_committed(self.id)
+
+    def _try_decide(self):
+        self._log.append(("decided", self.id))
+        if self.id % 4:
+            self._state.note_decided(self.id)
+
+
+class _Policy:
+    _equivocal = frozenset()
+
+
+class _Fixture:
+    """One kernel over fresh columns; ``shape`` says who is where."""
+
+    def __init__(self, config, crypto, shape):
+        n = config.n
+        byzantine = shape["byzantine"]
+        correct = frozenset(range(n)) - byzantine
+        self.log = []
+        self.state = state = ColumnarVoteState(n, config.q, correct)
+        self.replicas = {r: _Replica(r, state, self.log) for r in correct}
+        for r in correct:
+            view = shape["views"][r]
+            if view:
+                state.note_view(r, view, committed=r in shape["committed"])
+            if r in shape["blocked"]:
+                state.note_blocked(r)
+        handlers = {
+            b: (lambda src, message, b=b: self.log.append(("byz", b, src, message)))
+            for b in byzantine
+        }
+        self.kernel = ColumnarVoteDispatch(
+            config, crypto, self.replicas, correct, handlers, _Policy(), state,
+            wishes=lambda run, pos, probe, advance: (-1,),
+        )
+
+    def stop_after(self, stops):
+        return lambda: len(self.log) >= stops
+
+    def deliver_run(self, run, probe, stop):
+        """As :meth:`Network.deliver_run` would: groups, boundaries."""
+        def advance(k):
+            return k < len(run) and not stop()
+
+        counts, pos = [], 0
+        while True:
+            took = self.kernel(run, pos, probe, advance)
+            assert len(took) >= 1 and -1 not in took[:-1]
+            counts.extend(took)
+            pos += len(took)
+            if not advance(pos):
+                return counts
+
+    def deliver_each(self, run, probe, stop):
+        """One call per bucket, ``stop`` asked between two buckets."""
+        counts = []
+        for bucket in run:
+            counts.extend(self.kernel([bucket], 0, probe, lambda k: False))
+            if stop():
+                break
+        return counts
+
+    def observable(self):
+        slots = {
+            key: (
+                slot.counts.tolist(),
+                slot.fired.tolist(),
+                slot.seen.tolist(),
+                None if slot.order is None else slot.order.tolist(),
+                slot.msg_by_signer,
+            )
+            for key, slot in self.state._slots.items()
+        }
+        columns = [
+            column.tolist()
+            for column in (
+                self.state.views, self.state.decided,
+                self.state.prepare_active, self.state.commit_active,
+            )
+        ]
+        buffered = {r: replica.buffered for r, replica in self.replicas.items()}
+        return slots, columns, buffered
+
+
+def _random_case(rng):
+    """``(config, crypto, shape, warmup, run)``: a phase in the making."""
+    n = rng.choice([9, 16, 40, 70, 100, 130])
+    config = ProtocolConfig(n=n, f=(n - 1) // 3)
+    crypto = make_crypto(config).instance(config)
+    byzantine = frozenset(
+        rng.sample(range(n), rng.randint(1, max(1, config.f // 2)))
+        if rng.random() < 0.7
+        else ()
+    )
+    correct = sorted(frozenset(range(n)) - byzantine)
+    views = {}
+    for r in correct:
+        # Mostly in VIEW; some behind it (they buffer), ahead of it (they
+        # drop), or not started.
+        views[r] = rng.choices([VIEW, VIEW - 1, VIEW + 1, 0], [0.85, 0.07, 0.05, 0.03])[0]
+    shape = {
+        "byzantine": byzantine,
+        "views": views,
+        "committed": {r for r in correct if rng.random() < 0.05},
+        "blocked": {r for r in correct if rng.random() < 0.03},
+    }
+    statements = {
+        (view, value): make_statement(crypto, config, view, value)
+        for view in (VIEW, VIEW + 1)
+        for value in (b"x", b"y")
+    }
+    # The phase: one kind of vote from most senders, in id order; now and
+    # then something else cuts the run into groups.
+    phase = rng.choice([make_prepare, make_commit])
+    buckets, sent = [], []
+    for signer in rng.sample(range(n), rng.randint(n // 2, n)):
+        roll = rng.random()
+        if roll < 0.04:
+            make, key = phase, (VIEW, b"y")  # another value
+        elif roll < 0.08:
+            make, key = phase, (VIEW + 1, b"x")  # a view nobody is in yet
+        elif roll < 0.12:
+            make = make_commit if phase is make_prepare else make_prepare
+            key = (VIEW, b"x")
+        else:
+            make, key = phase, (VIEW, b"x")
+        vote = make(crypto, config, signer, statements[key])
+        sample = [d for d in vote.payload.sample.sample if d != signer]
+        src, dsts = signer, sample
+        if signer in byzantine:
+            roll = rng.random()
+            if roll < 0.3:  # to whoever it likes, members or not
+                dsts = rng.sample(range(n), rng.randint(2, n - 1))
+            elif roll < 0.5:  # relayed by another Byzantine seat
+                src = rng.choice(sorted(byzantine))
+            elif roll < 0.6:  # a forged envelope: declined
+                vote = Signed(vote.payload, signer, b"\x01" * 32)
+        elif rng.random() < 0.1:
+            dsts = sample[: rng.randint(1, len(sample))]  # one recipient at times
+        buckets.append((src, vote, dsts))
+        sent.append((src, vote, dsts))
+        if byzantine and rng.random() < 0.06:
+            buckets.append(rng.choice(sent))  # a replayed envelope
+        if rng.random() < 0.03:
+            wish = crypto.signatures.sign(signer, Wish(view=VIEW + 1))
+            buckets.append((signer, wish, [d for d in range(n) if d != signer]))
+    cut = rng.randint(0, len(buckets) - 1)
+    return config, crypto, shape, buckets[:cut], buckets[cut:]
+
+
+def _route_counters(fixture):
+    stats = fixture.kernel.stats()
+    return {k: stats[k] for k in ("vectorised", "singleton", "declined")}
+
+
+class TestGroupEqualsBuckets:
+    @pytest.mark.parametrize("block", range(6))
+    def test_random_runs(self, block):
+        """≥ 300 random runs: arrays, retained messages, buffers, stop
+        order, per-bucket delivered counts and route counters are equal.
+
+        When the run is cut short (the probe, a boundary) the pass has
+        applied the votes of buckets it did not reach — over-applied,
+        unobservable — so the arrays are compared on complete runs only."""
+        rng = random.Random(9_000 + block)
+        grouped = cut_short = quorums = 0
+        for _ in range(60):
+            config, crypto, shape, warmup, run = _random_case(rng)
+            one, each = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
+            never = lambda: False
+            for fixture in (one, each):  # identical pasts, bucket by bucket
+                fixture.deliver_each(warmup, None, never)
+            assert one.observable() == each.observable() and one.log == each.log
+            mode = rng.choice(["complete", "complete", "probe", "boundary"])
+            past = len(one.log)
+            stops = past + rng.randint(1, 12)
+            results = []
+            for fixture, deliver in ((one, one.deliver_run), (each, each.deliver_each)):
+                stop = never if mode == "complete" else fixture.stop_after(stops)
+                probe = stop if mode == "probe" else None
+                results.append(deliver(run, probe, stop))
+            assert results[0] == results[1], (block, mode)
+            assert one.log == each.log
+            assert _route_counters(one) == _route_counters(each)
+            if mode == "complete" or len(results[0]) == len(run):
+                assert one.observable() == each.observable()
+            else:
+                cut_short += 1
+            passes = one.kernel.vote_passes
+            assert passes <= one.kernel.vectorised == each.kernel.vote_passes
+            grouped += passes < one.kernel.vectorised
+            quorums += any(kind != "byz" for kind, *_ in one.log[past:])
+        # The generator reaches what it is meant to reach.
+        assert grouped >= 30 and cut_short >= 8 and quorums >= 20, (
+            grouped, cut_short, quorums,
+        )
+
+    def test_pass_size_is_bounded(self, monkeypatch):
+        """A phase larger than one pass is several passes, same result."""
+        from repro.core import columnar
+
+        rng = random.Random(77)
+        config, crypto, shape, warmup, run = _random_case(rng)
+        whole, pieces = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
+        never = lambda: False
+        counts = whole.deliver_run(warmup + run, None, never)
+        monkeypatch.setattr(columnar, "_PASS_VOTES", 3 * config.sample_size)
+        assert pieces.deliver_run(warmup + run, None, never) == counts
+        assert pieces.observable() == whole.observable() and pieces.log == whole.log
+        assert pieces.kernel.vote_passes > whole.kernel.vote_passes
+        assert pieces.kernel.vectorised == whole.kernel.vectorised
+
+    def test_a_group_crosses_a_bitmap_word(self):
+        """Signers 60..69 in one group: bits of two words in one scatter."""
+        config = ProtocolConfig(n=130, f=43)
+        crypto = make_crypto(config).instance(config)
+        shape = {
+            "byzantine": frozenset(), "views": dict.fromkeys(range(130), VIEW),
+            "committed": set(), "blocked": set(),
+        }
+        fixture = _Fixture(config, crypto, shape)
+        statement = make_statement(crypto, config, VIEW, b"x")
+        run = []
+        for signer in range(60, 70):
+            vote = make_prepare(crypto, config, signer, statement)
+            run.append((signer, vote, [d for d in vote.payload.sample.sample if d != signer]))
+        counts = fixture.deliver_run(run, None, lambda: False)
+        assert counts == [len(dsts) for _, _, dsts in run]
+        assert fixture.kernel.stats()["vote_passes"] == 1
+        slot = fixture.state.peek(True, VIEW, b"x")
+        for signer, _, dsts in run:
+            column = slot.seen[signer >> 6, dsts] >> np.uint64(signer & 63)
+            assert (column & np.uint64(1)).all()
+        assert int(slot.counts.sum()) == sum(counts)
+
+
+# ----------------------------------------------------------------------
+# Whole trials
+# ----------------------------------------------------------------------
+
+#: ``(delivered_total, events_processed, delivered_by_type)`` of the ProBFT
+#: cells at n=40, f=13, seed 4242, recorded from the parent commit (one
+#: event and one kernel call per bucket).
+PARENT_GRID = {
+    ("crash", "constant"): (6701, 604, dict(Commit=1082, NewLeader=78, Prepare=2226, Propose=156, Wish=3159)),
+    ("crash", "exponential"): (6700, 8322, dict(Commit=1090, NewLeader=78, Prepare=2217, Propose=156, Wish=3159)),
+    ("duplication", "constant"): (1053, 158, dict(Commit=504, Prepare=497, Propose=52)),
+    ("duplication", "exponential"): (1232, 2058, dict(Commit=570, Prepare=611, Propose=51)),
+    ("equivocation", "constant"): (15517, 1901, dict(Commit=2480, NewLeader=156, Prepare=5225, Propose=1338, Wish=6318)),
+    ("equivocation", "exponential"): (15338, 17302, dict(Commit=2357, NewLeader=156, Prepare=5013, Propose=1494, Wish=6318)),
+    ("flooding", "constant"): (1476, 535, dict(Commit=627, Prepare=810, Propose=39)),
+    ("flooding", "exponential"): (1483, 2065, dict(Commit=640, Prepare=804, Propose=39)),
+    ("none", "constant"): (1035, 117, dict(Commit=504, Prepare=492, Propose=39)),
+    ("none", "exponential"): (1082, 1690, dict(Commit=525, Prepare=518, Propose=39)),
+    ("silent", "constant"): (2613, 238, dict(Commit=506, NewLeader=38, Prepare=509, Propose=39, Wish=1521)),
+    ("silent", "exponential"): (2636, 3253, dict(Commit=506, NewLeader=38, Prepare=532, Propose=39, Wish=1521)),
+    ("targeted-scheduler", "constant"): (3261, 407, dict(Commit=596, NewLeader=39, Prepare=988, Propose=78, Wish=1560)),
+    ("targeted-scheduler", "exponential"): (3070, 4090, dict(Commit=542, NewLeader=38, Prepare=853, Propose=77, Wish=1560)),
+}
+
+
+class TestTrialsCountWhatTheParentCounted:
+    def test_the_grid_is_the_whole_grid(self):
+        assert {a for a, _ in PARENT_GRID} == set(ADVERSARIES)
+
+    @pytest.mark.parametrize("adversary,latency", sorted(PARENT_GRID))
+    def test_probft_cell(self, adversary, latency):
+        cell = MatrixCell("probft", adversary, latency, n=40, f=13)
+        context = TrialContext(cell_deployment_spec(cell, seed=4242, max_time=600.0))
+        context.execute()
+        stats = context.deployment.network.stats
+        assert (
+            stats.delivered_total,
+            context.deployment.sim.events_processed,
+            dict(stats.delivered_by_type),
+        ) == PARENT_GRID[adversary, latency]
+        routes = context.deployment.vote_kernel_stats()
+        if adversary == "duplication":  # every vote bucket declined
+            assert routes["vote_passes"] == routes["vectorised"] == 0
+        elif latency == "constant":
+            assert 0 < routes["vote_passes"] < routes["vectorised"]
+        else:  # (nearly) every bucket has one recipient
+            assert routes["vote_passes"] <= routes["vectorised"] < routes["singleton"]
+
+
+class TestSlotRetiresInsideAGroup:
+    """SMR at n=9, rotating leaders, an equivocating leader: the last
+    replica to apply a slot does so from a commit quorum in the middle of
+    that slot's Commit group; the buckets after it are a retired slot's."""
+
+    SPEC = dict(
+        adversary="equivocating-leader", rotate_leaders=True, load="high",
+        num_clients=12, requests_per_client=4, seed=5,
+    )
+    #: ``network.stats.delivered_total`` and the vote buckets reached
+    #: (``vectorised``) of this trial at the parent commit.
+    PARENT_DELIVERED, PARENT_BUCKETS = 1932, 251
+
+    def test_equals_oracle_and_parent(self, monkeypatch):
+        from repro.smr.workload import ServingSpec, build_serving_deployment, serve
+
+        spec = ServingSpec(**self.SPEC)
+        deployment = build_serving_deployment(spec)
+        stacks, apply_pass = deployment.stack, ColumnarVoteDispatch.__call__
+        cut_by_retirement = []
+
+        def watching(kernel, run, pos, probe, advance):
+            before = stacks.retired
+            took = apply_pass(kernel, run, pos, probe, advance)
+            if stacks.retired > before and pos + len(took) < len(run):
+                cut_by_retirement.append(stacks.retired)
+            return took
+
+        monkeypatch.setattr(ColumnarVoteDispatch, "__call__", watching)
+        result = serve(spec, deployment)
+        assert result.completed == spec.workload().total_requests
+        assert result.logs_consistent and result.timed_out == 0
+        # Slots did retire with buckets of their Commit group still to come.
+        assert cut_by_retirement
+        assert deployment.network.stats.delivered_total == self.PARENT_DELIVERED
+        routes = result.kernel_stats
+        assert 0 < routes["vote_passes"] < routes["vectorised"] == self.PARENT_BUCKETS
+        oracle = serve(spec, build_serving_deployment(spec, reference=True))
+        assert oracle == result and oracle.latencies == result.latencies
+
+
+class TestEquivocalFlagFlipsInsideAGroup:
+    """The view-1 leader proposes like an honest one, then answers the first
+    Prepare it is handed — as a *recipient*, from inside the pass applying
+    that vote's group — with a second statement under its signature: the
+    view is flagged equivocal mid-group.  The group runs to its end (the
+    conflicting statement cannot have been delivered yet), the trial
+    decides, and it equals its oracle."""
+
+    @staticmethod
+    def _seat(flips):
+        class Flipper:
+            def __init__(self, replica_id, config, crypto, transport):
+                self.id, self.config = replica_id, config
+                self._crypto, self._transport = crypto, transport
+                self.flipped = False
+
+            def start(self):
+                proposal = make_propose(self._crypto, self.config, 1, b"first")
+                self._transport.broadcast(proposal)
+
+            def on_message(self, src, message):
+                from repro.messages.probft import Prepare
+
+                payload = getattr(message, "payload", None)
+                if self.flipped or not isinstance(payload, Prepare):
+                    return
+                self.flipped = True
+                flips.append(self._transport.now)
+                statement = make_statement(self._crypto, self.config, 1, b"other")
+                rival = make_prepare(self._crypto, self.config, self.id, statement)
+                self._transport.multicast(
+                    [d for d in range(self.config.n) if d != self.id], rival
+                )
+
+        return Flipper
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_decides_and_equals_its_oracle(self, seed, monkeypatch):
+        def context(reference, flips):
+            cell = MatrixCell("probft", "none", "constant", n=30, f=5)
+            spec = dataclasses.replace(
+                cell_deployment_spec(cell, seed=seed, max_time=600.0),
+                byzantine={0: self._seat(flips)},
+            )
+            return TrialContext(reference_spec(spec) if reference else spec)
+
+        apply_pass = ColumnarVoteDispatch.__call__
+        flipped_in = []  # (buckets before the flip's pass, buckets it took)
+
+        def watching(kernel, run, pos, probe, advance):
+            flagged = bool(kernel._policy._equivocal)
+            took = apply_pass(kernel, run, pos, probe, advance)
+            if kernel._policy._equivocal and not flagged:
+                flipped_in.append((pos, len(took), len(run)))
+            return took
+
+        monkeypatch.setattr(ColumnarVoteDispatch, "__call__", watching)
+        flips, oracle_flips = [], []
+        production = context(False, flips)
+        result = production.execute()
+        assert result == context(True, oracle_flips).execute()
+        assert result.all_decided and result.agreement_ok
+        assert flips == oracle_flips and len(flips) == 1
+        policy = production.deployment.network.delivery_policy
+        assert 1 in policy.equivocal_views
+        # The flip came from inside the pass over the whole Prepare phase,
+        # which went on to its end ...
+        assert flipped_in == [(0, 29, 29)]
+        # ... and what arrived after it took the per-recipient loop.
+        assert production.deployment.vote_kernel_stats()["declined"] > 0

@@ -365,3 +365,226 @@ class TestEntryIsTheHandle:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class _Receiver:
+    """A run's receiver, the way the network and its kernels are one: it
+    runs a handler for every *loud* item, entering the item through
+    ``advance`` first and asking at the boundary behind it, and passes over
+    quiet ones without asking."""
+
+    def __init__(self, name, handle):
+        self.name, self.handle = name, handle
+        self.runs = []  # the items of every run handed over
+
+    def deliver_run(self, run, advance):
+        self.runs.append(list(run))
+        entered = 0
+        for k, item in enumerate(run):
+            if not item.startswith("loud"):
+                continue
+            if k > entered and not advance(k):
+                return
+            self.handle(self, item)
+            if not advance(k + 1):
+                return
+            entered = k + 1
+        advance(len(run))
+
+
+class TestRuns:
+    """Posted entries leave the queue as runs: every queue-consecutive entry
+    of one time and one receiver in one call — and count as events."""
+
+    @staticmethod
+    def _logging(sim, log):
+        def handle(receiver, item):
+            log.append((receiver.name, item, sim.now, sim.events_processed, sim.pending_events))
+
+        return handle
+
+    def test_a_run_is_the_consecutive_entries_of_one_time_and_receiver(self):
+        sim, log = Simulator(), []
+        a = _Receiver("a", self._logging(sim, log))
+        b = _Receiver("b", self._logging(sim, log))
+        for item in ("loud-1", "quiet-2", "loud-3"):
+            sim.post_at(1.0, a, item)
+        sim.schedule_at(1.0, lambda: log.append("plain"))  # ends the run
+        sim.post_at(1.0, a, "loud-4")
+        sim.post_at(1.0, a, "loud-5")
+        sim.schedule_at(1.0, lambda: None).cancel()  # so does a tombstone
+        sim.post_at(1.0, a, "loud-6")
+        sim.post_at(1.0, b, "loud-7")  # another receiver
+        sim.post_at(1.0, a, "loud-8")
+        sim.post_at(2.0, a, "loud-9")  # another time
+        assert sim.pending_events == 10
+        sim.run()
+        assert a.runs == [
+            ["loud-1", "quiet-2", "loud-3"], ["loud-4", "loud-5"],
+            ["loud-6"], ["loud-8"], ["loud-9"],
+        ]
+        assert b.runs == [["loud-7"]]
+        # Every entry was an event, counted when its handler ran.
+        assert [entry if entry == "plain" else entry[1:] for entry in log] == [
+            ("loud-1", 1.0, 1, 9), ("loud-3", 1.0, 3, 7), "plain",
+            ("loud-4", 1.0, 5, 5), ("loud-5", 1.0, 6, 4), ("loud-6", 1.0, 7, 3),
+            ("loud-7", 1.0, 8, 2), ("loud-8", 1.0, 9, 1), ("loud-9", 2.0, 10, 0),
+        ]
+        assert sim.events_processed == 10 and sim.pending_events == 0
+
+    def test_step_takes_a_whole_run_and_still_answers_bool(self):
+        sim = Simulator()
+        receiver = _Receiver("a", lambda receiver, item: None)
+        for k in range(4):
+            sim.post_at(1.0, receiver, f"loud-{k}")
+        assert sim.step() is True
+        assert sim.events_processed == 4 and sim.pending_events == 0
+        assert sim.step() is False
+
+    def test_unreached_entries_fire_next_before_what_the_run_scheduled(self):
+        sim, order = Simulator(), []
+        stopped = []
+
+        def handle(receiver, item):
+            order.append(item)
+            if item == "loud-1":
+                # Same instant: behind everything already queued.
+                sim.schedule(0.0, lambda: order.append("scheduled-by-1"))
+                sim.post_at(sim.now, receiver, "loud-posted-by-1")
+                stopped.append(True)
+
+        receiver = _Receiver("a", handle)
+        for k in range(4):
+            sim.post_at(1.0, receiver, f"loud-{k}")
+        sim.run(stop_when=lambda: bool(stopped))
+        # The boundary after loud-1 said stop: two entries not reached.
+        assert order == ["loud-0", "loud-1"]
+        assert sim.events_processed == 2 and sim.pending_events == 4
+        stopped.clear()
+        sim.run()
+        assert order == [
+            "loud-0", "loud-1", "loud-2", "loud-3", "scheduled-by-1", "loud-posted-by-1",
+        ]
+        assert receiver.runs[1] == ["loud-2", "loud-3"]
+        assert sim.events_processed == 6 and sim.pending_events == 0
+
+    def test_compaction_inside_a_run_loses_nothing(self):
+        sim, order = Simulator(compact_floor=8), []
+        timers = [sim.schedule(5.0 + k, lambda k=k: order.append(f"timer-{k}")) for k in range(40)]
+
+        def handle(receiver, item):
+            order.append(item)
+            if item == "loud-1":
+                heap = sim._heap
+                for timer in timers[:36]:
+                    timer.cancel()
+                assert sim._heap is not heap  # compacted (rebuilt), mid-run
+
+        receiver = _Receiver("a", handle)
+        for k in range(6):
+            sim.post_at(1.0, receiver, f"loud-{k}")
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)  # the run may take three of the six
+        assert order == ["loud-0", "loud-1", "loud-2"]
+        assert sim.pending_events == 3 + 4
+        sim.run()
+        assert order == [f"loud-{k}" for k in range(6)] + [f"timer-{k}" for k in range(36, 40)]
+        assert sim.events_processed == 10 and sim.pending_events == 0
+
+    def test_max_events_counts_run_entries(self):
+        sim = Simulator()
+        receiver = _Receiver("a", lambda receiver, item: None)
+        for k in range(5):
+            sim.post_at(1.0, receiver, f"loud-{k}")
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)
+        assert receiver.runs == [["loud-0", "loud-1", "loud-2"]]
+        assert sim.events_processed == 3 and sim.pending_events == 2
+
+    def test_clear_inside_a_run_drops_the_rest(self):
+        sim, order = Simulator(), []
+
+        def handle(receiver, item):
+            order.append(item)
+            if item == "loud-1":
+                sim.clear()
+
+        receiver = _Receiver("a", handle)
+        for k in range(4):
+            sim.post_at(1.0, receiver, f"loud-{k}")
+        sim.run()
+        assert order == ["loud-0", "loud-1"] and sim.pending_events == 0
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_equals_one_entry_per_step(self, block):
+        """≥ 200 random schedules: a world that posts items and one that
+        schedules a plain event per item (the queue before runs existed)
+        log the same handler calls — same order, clock, ``events_processed``
+        and ``pending_events`` at every call — under random ``stop_when``,
+        ``until`` and ``max_events``."""
+        import random
+
+        rng = random.Random(5_000 + block)
+        for case in range(60):
+            script_seed = rng.random()
+            limits = {
+                "stop_after": rng.choice([None, rng.randint(1, 40)]),
+                "until": rng.choice([None, rng.choice([1.0, 2.0, 2.5, 4.0])]),
+                "max_events": rng.choice([None, rng.randint(1, 60)]),
+            }
+            worlds = [self._world(script_seed, limits, posts) for posts in (True, False)]
+            assert worlds[0] == worlds[1], (block, case, limits)
+
+    @staticmethod
+    def _world(script_seed, limits, posts):
+        import random
+
+        rng = random.Random(script_seed)
+        sim, log, timers = Simulator(compact_floor=8), [], []
+
+        def enqueue(time, receiver, item):
+            if posts:
+                sim.post_at(time, receiver, item)
+            else:
+                sim.schedule_at(time, lambda: receiver.handle(receiver, item))
+
+        def handle(receiver, item):
+            log.append((receiver.name, item, sim.now, sim.events_processed, sim.pending_events))
+            # What a handler does is a function of the item alone.
+            act = random.Random(item)
+            roll = act.random()
+            if roll < 0.25 and len(log) < 150:
+                target = receivers[act.randrange(2)]
+                enqueue(sim.now + act.choice([0.0, 0.0, 1.0]), target, f"loud-{item}-child")
+            elif roll < 0.4:
+                timers.append(sim.schedule(act.choice([0.0, 1.0]), lambda: log.append(("timer", item, sim.now))))
+            elif roll < 0.6:
+                for timer in timers[act.randrange(4):: 2]:
+                    timer.cancel()
+
+        def quiet(receiver, item):
+            pass
+
+        receivers = [_Receiver("a", handle), _Receiver("b", handle)]
+        for k in range(rng.randint(5, 50)):
+            time = rng.choice([1.0, 1.0, 1.0, 2.0, 3.0])
+            roll = rng.random()
+            if roll < 0.7:
+                name = ("loud" if rng.random() < 0.7 else "quiet") + f"-{k}"
+                receiver = receivers[rng.random() < 0.2]
+                if name.startswith("quiet") and not posts:
+                    sim.schedule_at(time, lambda: None)
+                else:
+                    enqueue(time, receiver, name)
+            elif roll < 0.85:
+                timers.append(sim.schedule_at(time, lambda k=k: log.append(("timer", k, sim.now))))
+            else:
+                sim.schedule_at(time, lambda: None).cancel()
+        stop_after = limits["stop_after"]
+        stop_when = None if stop_after is None else (lambda: len(log) >= stop_after)
+        try:
+            sim.run(until=limits["until"], max_events=limits["max_events"], stop_when=stop_when)
+            outcome = "returned"
+        except SimulationError:
+            outcome = "max_events"
+        return log, outcome, sim.now, sim.events_processed, sim.pending_events

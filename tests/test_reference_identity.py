@@ -48,6 +48,7 @@ from repro.sync.synchronizer import Wish
 from repro.sync.timeouts import FixedTimeout
 
 from .helpers import (
+    deliver_bucket,
     make_commit,
     make_prepare,
     make_propose,
@@ -280,14 +281,14 @@ class TestSingletonBranch:
     def test_byzantine_recipient_gets_the_plain_handler(self, paused):
         deployment, recorder = paused
         vote = self._prepare(deployment, sender=2)
-        assert deployment.stack.kernel(2, vote, [self.BYZ], None) == 1
+        assert deliver_bucket(deployment.stack.kernel, 2, vote, [self.BYZ]) == 1
         assert recorder.received[-1] == (2, vote)
         assert deployment.vote_kernel_stats()["singleton"] == 1
 
     def test_future_view_vote_is_buffered(self, paused):
         deployment, _ = paused
         vote = self._prepare(deployment, sender=2, view=2)
-        assert deployment.stack.kernel(2, vote, [3], None) == 1
+        assert deliver_bucket(deployment.stack.kernel, 2, vote, [3]) == 1
         assert deployment.replicas[3]._future_buffer[2] == [(2, vote)]
         # ... exactly like the oracle's handler:
         oracle = ProBFTDeployment(
@@ -301,12 +302,12 @@ class TestSingletonBranch:
         deployment, _ = paused
         fresh = ProBFTDeployment(ProtocolConfig(n=8, f=1), seed=1)  # view 0
         vote = self._prepare(deployment, sender=2)
-        assert fresh.stack.kernel(2, vote, [3], None) == 0
+        assert deliver_bucket(fresh.stack.kernel, 2, vote, [3]) == 0
         assert not fresh.replicas[3]._future_buffer
         slot = deployment.stack.state.peek(True, 1, vote.payload.value)
         before = int(slot.counts[3])
         deployment.replicas[3]._on_new_view(2)  # the synchronizer's upcall
-        assert deployment.stack.kernel(2, vote, [3], None) == 0
+        assert deliver_bucket(deployment.stack.kernel, 2, vote, [3]) == 0
         assert int(slot.counts[3]) == before
 
     def test_replayed_envelope_counts_once(self, paused):
@@ -317,7 +318,7 @@ class TestSingletonBranch:
         before = collector.senders(value)
         assert 2 not in before
         for _ in range(3):
-            assert deployment.stack.kernel(2, vote, [3], None) == 1
+            assert deliver_bucket(deployment.stack.kernel, 2, vote, [3]) == 1
         assert collector.senders(value) == before | {2}
         assert collector.count(value) == len(before) + 1
 
@@ -331,16 +332,16 @@ class TestSingletonBranch:
         votes = [self._prepare(deployment, sender=s) for s in (1, 2, 4, 5)]
         assert len(held) + len(votes) == q
         for vote in votes[:-1]:
-            deployment.stack.kernel(vote.signer, vote, [3], None)
+            deliver_bucket(deployment.stack.kernel, vote.signer, vote, [3])
         assert replica.prepared_view == 0
-        deployment.stack.kernel(votes[-1].signer, votes[-1], [3], None)
+        deliver_bucket(deployment.stack.kernel, votes[-1].signer, votes[-1], [3])
         assert replica.prepared_view == 1
         # The certificate is the first q envelopes in arrival order — what
         # the oracle's collector would hand NewLeader.
         assert replica._cert == held + tuple(votes)
         # A (q+1)-th vote is pruned (the view is committed): not delivered.
         extra = self._prepare(deployment, sender=6)
-        assert deployment.stack.kernel(6, extra, [3], None) == 0
+        assert deliver_bucket(deployment.stack.kernel, 6, extra, [3]) == 0
         assert replica._cert == held + tuple(votes)
 
     def test_deciding_singleton_delivery_trips_the_stop_probe(self):
@@ -359,13 +360,13 @@ class TestSingletonBranch:
         q = deployment.config.q
         for s in (1, 2, 4, 5):
             vote = self._prepare(deployment, sender=s)
-            deployment.stack.kernel(s, vote, [3], None)
+            deliver_bucket(deployment.stack.kernel, s, vote, [3])
         assert replica.prepared_view == 1
         statement = replica._proposal.payload.statement
         for s in range(q):
             assert replica.decision is None
             commit = make_commit(deployment.crypto, deployment.config, s, statement)
-            deployment.stack.kernel(s, commit, [3], None)
+            deliver_bucket(deployment.stack.kernel, s, commit, [3])
         assert replica.decision is not None and replica.decision.view == 1
         assert deployment.decisions[3] is replica.decision
 
@@ -416,9 +417,10 @@ class TestVoteKernelStats:
         kernel = deployment.stack.kernel
         declined_views, applied_views = set(), set()
 
-        def watching(src, message, dsts, probe):
+        def watching(run, pos, probe, advance):
             before = kernel.declined
-            delivered = kernel(src, message, dsts, probe)
+            delivered = kernel(run, pos, probe, advance)
+            message = run[pos][1]
             token = prevalidate_vote(deployment.config, deployment.crypto, message)
             if token is not None:
                 took = declined_views if kernel.declined > before else applied_views
@@ -859,8 +861,8 @@ class TestSlotRouter:
         for r in (1, 2):  # only these two have opened slot 1
             deployment.replicas[r]._ensure_slot(1)
         envelope = self._prepare(deployment, 1)
-        assert router(3, envelope, [1, 2], None) == 2
-        assert router(3, envelope, [1, 2, 4], None) == -1
+        assert deliver_bucket(router, 3, envelope, [1, 2]) == 2
+        assert deliver_bucket(router, 3, envelope, [1, 2, 4]) == -1
         assert router.batch_filter(envelope, [1, 2, 4]) == [1, 2, 4]
         stats = deployment.vote_kernel_stats()
         assert stats["vectorised"] == 1 and stats["declined"] == 1
@@ -886,7 +888,8 @@ class TestSlotRouter:
             deployment.replicas[r]._ensure_slot(1)
         foreign = self._prepare(deployment, 2).inner  # another slot's domain
         dsts = [1, 2, 4]
-        assert deployment.stack(3, SlotEnvelope(1, foreign), dsts, None) == -1
+        envelope = SlotEnvelope(1, foreign)
+        assert deliver_bucket(deployment.stack, 3, envelope, dsts) == -1
         assert deployment.vote_kernel_stats()["declined"] == 1
 
     def test_retired_slot_drops_late_envelopes(self):
@@ -897,7 +900,7 @@ class TestSlotRouter:
         assert record.decision.view == 1 and 1 not in deployment.stack.stacks
         late = self._prepare(deployment, 1)
         assert deployment.stack.slot_of(late) is None
-        assert deployment.stack(3, late, [1, 2], None) == 0
+        assert deliver_bucket(deployment.stack, 3, late, [1, 2]) == 0
         deployment.replicas[1].on_message(3, late)
         assert deployment.replicas[1].slot_replica(1) is record
         # Retired slots keep counting in the route totals.

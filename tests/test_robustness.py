@@ -430,3 +430,176 @@ class TestMalformedViews:
         assert result.all_decided and result.agreement_ok
         assert result.max_view == (1 if adversary == "none" else 2)
         assert production.deployment.replicas[29].sent > 4 * len(MALFORMED_VIEWS)
+
+
+#: Proposal "values" that cannot be hashed (quorums are keyed by value), and
+#: a statement that is not a signed ``ProposalStatement`` at all.
+UNHASHABLE_VALUES = ([1], {"a": 1}, ((1, [2]),))
+JUNK_STATEMENT = "junk"
+
+
+def _malformed_proposal_messages(crypto, config, signer, view=1):
+    """A Propose, a Prepare and a Commit around each malformed statement,
+    signed by ``signer`` with its own key — the leader's, when the seat
+    leads ``view``."""
+    from repro.crypto.vrf import phase_seed
+    from repro.messages.base import ProposalStatement
+    from repro.messages.probft import Commit, Prepare, Propose
+
+    key = crypto.registry.key_pair(signer).private_key
+
+    def sign(payload):
+        return crypto.signatures.sign_with(key, signer, payload)
+
+    def sample(tag):
+        return crypto.vrf.prove_with(
+            key, signer, phase_seed(view, tag, config.seed_domain), config.sample_size
+        )
+
+    statements = [
+        sign(ProposalStatement(view, value, config.seed_domain))
+        for value in UNHASHABLE_VALUES
+    ] + [JUNK_STATEMENT]
+    messages = []
+    for statement in statements:
+        messages += [
+            sign(Propose(view=view, statement=statement, justification=None)),
+            sign(Prepare(statement=statement, sample=sample("prepare"))),
+            sign(Commit(statement=statement, sample=sample("commit"))),
+        ]
+    return messages
+
+
+class _MalformedProposer:
+    """Byzantine seat: multicasts every malformed-proposal message to
+    everyone as soon as the run starts (as the view-1 leader when it sits
+    in seat 0: the proposals are then under the leader's signature)."""
+
+    def __init__(self, replica_id, config, crypto, transport):
+        self.id = replica_id
+        self._build = lambda: _malformed_proposal_messages(crypto, config, replica_id)
+        self._everyone = [d for d in range(config.n) if d != replica_id]
+        self._transport = transport
+        self.sent = 0
+
+    def start(self):
+        for message in self._build():
+            self._transport.multicast(self._everyone, message)
+            self.sent += 1
+
+    def on_message(self, src, message):
+        pass
+
+
+class TestMalformedProposals:
+    """A statement whose value cannot be hashed, or that is no signed
+    ``ProposalStatement``, is malformed: the Propose is not a safe proposal
+    (nobody votes), a vote carrying it is never counted and never keys a
+    quorum slot — never a ``TypeError`` / ``AttributeError`` out of an honest
+    replica, the observation policy, the vote kernel or the oracle."""
+
+    @staticmethod
+    def _cluster(reference=False):
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+        from .helpers import reference_spec
+
+        cell = MatrixCell("probft", "none", "constant", n=8, f=1)
+        spec = cell_deployment_spec(cell, seed=0, max_time=600.0)
+        dep = (reference_spec(spec) if reference else spec).build()
+        dep.start()
+        return dep
+
+    def test_validation_says_no(self):
+        from repro.core.predicates import safe_proposal
+        from repro.core.replica import prevalidate_vote
+        from repro.messages.probft import Propose
+
+        dep = self._cluster()
+        for signer in (0, 5):  # the view-1 leader, and somebody else
+            messages = _malformed_proposal_messages(dep.crypto, dep.config, signer)
+            assert len(messages) == 3 * (len(UNHASHABLE_VALUES) + 1)
+            for message in messages:
+                if isinstance(message.payload, Propose):
+                    assert safe_proposal(message, dep.config, dep.crypto) is False
+                    assert prevalidate_vote(dep.config, dep.crypto, message) is None
+                    continue
+                token = prevalidate_vote(dep.config, dep.crypto, message)
+                if message.payload.statement == JUNK_STATEMENT:
+                    assert token is None  # not a vote at all
+                else:
+                    # A vote, judged once: never counted, but still evidence
+                    # if the leader signed it.
+                    assert token.valid is False
+                    assert token.eq_candidate is (signer == 0)
+        # The verdicts are the table's: asked again, nothing is recomputed.
+        computed = dict(dep.crypto.verdicts.counts.computed)
+        for message in messages:
+            if isinstance(message.payload, Propose):
+                safe_proposal(message, dep.config, dep.crypto)
+            else:
+                prevalidate_vote(dep.config, dep.crypto, message)
+        assert dict(dep.crypto.verdicts.counts.computed) == computed
+
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("signer", [0, 5])
+    def test_entry_points_drop_them(self, signer, reference):
+        dep = self._cluster(reference)
+        replica = dep.replicas[3]
+        sent = dep.network.stats.sent_total
+        messages = _malformed_proposal_messages(dep.crypto, dep.config, signer)
+        for message in messages:
+            replica.on_message(signer, message)
+        assert dep.network.stats.sent_total == sent  # nobody voted
+        assert not replica._voted and not replica.view_blocked
+        # ... and through the network: observation policy, vote kernel (or
+        # the oracle's collectors), beside the honest leader's proposal.
+        for message in messages:
+            dep.network.multicast(signer, [d for d in range(8) if d != signer], message)
+        dep.run(max_time=600.0)
+        assert all(r.decision is not None for r in dep.replicas.values())
+        # Under the leader's key they are a second statement of the leader's
+        # (seat 0 also proposed honestly): view 1 is blocked, view 2 decides.
+        assert dep.max_decision_view == (2 if signer == 0 else 1)
+        if not reference:
+            assert dep.vote_kernel_stats()["declined"] >= 2 * len(UNHASHABLE_VALUES)
+
+    def test_a_voted_replica_blocks_on_the_leaders_unhashable_statement(self):
+        """Malformed is not invisible: the leader did sign two statements."""
+        from .helpers import make_propose
+
+        dep = self._cluster()
+        replica = dep.replicas[3]
+        replica.on_message(0, make_propose(dep.crypto, dep.config, 1, b"v"))
+        assert replica._voted and not replica.view_blocked
+        vote = _malformed_proposal_messages(dep.crypto, dep.config, 0)[1]
+        replica.on_message(0, vote)
+        assert replica.view_blocked
+        assert replica._prepare_collectors.get(1).count(b"v") == 0
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    @pytest.mark.parametrize("seat", [0, 29])
+    def test_production_trial_decides_and_equals_its_oracle(self, seat, latency):
+        """Seat 0 leads view 1 and proposes nothing well-formed, so the run
+        decides in view 2; seat 29 is a bystander and view 1 decides."""
+        import dataclasses
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import TrialContext
+
+        from .helpers import reference_spec
+
+        def context(reference):
+            cell = MatrixCell("probft", "none", latency, n=30, f=5)
+            spec = dataclasses.replace(
+                cell_deployment_spec(cell, seed=6, max_time=600.0),
+                byzantine={seat: _MalformedProposer},
+            )
+            return TrialContext(reference_spec(spec) if reference else spec)
+
+        production, oracle = context(False), context(True)
+        result = production.execute()
+        assert result == oracle.execute()
+        assert result.all_decided and result.agreement_ok
+        assert result.max_view == (2 if seat == 0 else 1)
+        assert production.deployment.replicas[seat].sent == 3 * (len(UNHASHABLE_VALUES) + 1)

@@ -15,6 +15,8 @@ recycled under it).  That tabled runs *equal* table-free ones is
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.config import ProtocolConfig
@@ -31,7 +33,7 @@ from repro.messages.base import ProposalStatement
 from repro.messages.probft import Prepare
 from repro.sync.timeouts import FixedTimeout
 
-from .helpers import make_prepare, reference_spec
+from .helpers import deliver_bucket, make_prepare, reference_spec
 
 MAX_TIME = 600.0
 
@@ -114,11 +116,15 @@ class TestValidationsFollowMessages:
             assert counts.computed["propose"] == 1
             assert counts.samples_expanded == len(votes)  # proving only
             seen[latency] = deployment.vote_kernel_stats()
+            # A group's tokens are looked up before its stops run, so the
+            # pass the run stops in has validated the buckets it did not
+            # reach: one group ahead at most, never more than were sent
+            # (the votes and the proposal).
+            assert seen[latency]["validated"] <= len(votes) + 1
         # Exponential latency: (nearly) every bucket is a singleton, and
         # the token is looked up per bucket instead of recomputed.
         assert seen["exponential"]["singleton"] > 20 * seen["exponential"]["validated"]
         assert seen["constant"]["singleton"] == 0
-        assert seen["exponential"]["validated"] >= seen["constant"]["validated"]
 
     @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
     def test_view_change_validates_each_new_leader_and_wish_once(self, protocol):
@@ -261,7 +267,8 @@ class TestVerdictsAreAboutOneObject:
 
     def test_an_equal_copy_is_validated_from_scratch(self, paused):
         deployment, vote = paused
-        kernel, counts = deployment.stack.kernel, deployment.crypto.verdicts.counts
+        kernel = functools.partial(deliver_bucket, deployment.stack.kernel)
+        counts = deployment.crypto.verdicts.counts
         assert kernel(2, vote, [3], None) == 1
         before = dict(counts.computed)
         assert before["vote"] >= 1 and before.get("signature", 0) == 0
@@ -281,7 +288,8 @@ class TestVerdictsAreAboutOneObject:
 
     def test_a_tampered_copy_stays_rejected_at_every_recipient(self, paused):
         deployment, vote = paused
-        kernel, counts = deployment.stack.kernel, deployment.crypto.verdicts.counts
+        kernel = functools.partial(deliver_bucket, deployment.stack.kernel)
+        counts = deployment.crypto.verdicts.counts
         assert kernel(2, vote, [3], None) == 1  # the honest original: valid
         forged = _rebuilt(vote, proof=b"\x00" * 32)
         computed = counts.computed["vote"]
