@@ -31,8 +31,11 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
+from ...crypto.verdicts import well_formed
 from ...core.leader import leader_of_view
 from ...messages.hotstuff import (
+    QC_SHAPE,
+    VOTE_SHAPE,
     HsNewView,
     HsPhase,
     HsProposal,
@@ -148,7 +151,7 @@ class HotStuffReplica:
     def _view_of(payload: object) -> Optional[View]:
         if isinstance(payload, (HsNewView, HsProposal)):
             return payload.view
-        if isinstance(payload, HsVote):
+        if isinstance(payload, HsVote) and well_formed(payload.vote, VOTE_SHAPE):
             return payload.view
         return None
 
@@ -320,13 +323,13 @@ class HotStuffReplica:
         )
 
     def _quorum_signed(self, qc: HsQuorumCert) -> bool:
+        if not well_formed(qc, QC_SHAPE):
+            return False
         seen = set()
         for vote in qc.votes:
             if not self._crypto.signatures.verify(vote):
                 return False
             payload = vote.payload
-            if not isinstance(payload, HsVotePayload):
-                return False
             if (
                 payload.view != qc.view
                 or payload.value != qc.value

@@ -19,9 +19,10 @@ from typing import Optional, Tuple
 from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
+from ...crypto.verdicts import well_formed
 from ...core.leader import leader_of_view
 from ...messages.base import ProposalStatement
-from ...messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
+from ...messages.pbft import SHAPE, PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
 from ...types import ReplicaId, ValidPredicate, Value, View
 
 
@@ -75,15 +76,12 @@ def _valid_vote(signed: Signed, config: ProtocolConfig, crypto: CryptoContext) -
     vote = signed.payload
     if not isinstance(vote, (PbftPrepare, PbftCommit)):
         return False
-    if not crypto.signatures.verify(signed):
+    if not well_formed(vote, SHAPE) or not crypto.signatures.verify(signed):
         return False
     statement = vote.statement
     if not crypto.signatures.verify(statement):
         return False
-    inner = statement.payload
-    if not isinstance(inner, ProposalStatement):
-        return False
-    return statement.signer == leader_of_view(inner.view, config.n)
+    return statement.signer == leader_of_view(statement.payload.view, config.n)
 
 
 def pbft_valid_new_leader(
@@ -164,7 +162,7 @@ def _safe_proposal(
     if not crypto.signatures.verify(signed):
         return False
     propose = signed.payload
-    if not isinstance(propose, PbftPropose):
+    if not isinstance(propose, PbftPropose) or not well_formed(propose, SHAPE):
         return False
     view = propose.view
     if view < 1:
@@ -176,8 +174,6 @@ def _safe_proposal(
     if not crypto.signatures.verify(statement):
         return False
     inner = statement.payload
-    if not isinstance(inner, ProposalStatement):
-        return False
     if inner.view != view or statement.signer != expected_leader:
         return False
     valid_fn = valid if valid is not None else config.valid

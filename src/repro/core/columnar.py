@@ -32,10 +32,11 @@ coalesced buckets to.  The unit of array work is the *group*: the buckets
 of one delivery time that vote for one (phase, view, value) — under
 constant latency a whole protocol phase, n senders' buckets — applied in
 one pass, so the work follows the phase's votes and not its senders.
-Singleton buckets (continuous latency: one bucket per recipient) take a
-scalar branch with the same rules, and any vote bucket the kernel cannot
-prove equivalent — equivocal views, deployments with network duplication —
-is declined (-1) to the per-recipient loop
+One-recipient buckets (continuous latency: one bucket per delivery) take a
+scalar walk with the same rules, a *chain* of them per call (the simulator
+hands the walk the queue's next entry as it asks), and any vote bucket the
+kernel cannot prove equivalent — equivocal views, deployments with network
+duplication — is declined (-1) to the per-recipient loop
 (:meth:`ProBFTReplica.on_message`) through the same arrays.  Routes and
 passes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
 route, a vote's recipient-independent validation is one lookup in the
@@ -102,9 +103,10 @@ class _Slot:
     _buckets[value]`` holds in a reference deployment.
     """
 
-    __slots__ = ("counts", "fired", "seen", "order", "msg_by_signer")
+    __slots__ = ("counts", "fired", "seen", "order", "msg_by_signer", "_n", "_q", "_scalar")
 
     def __init__(self, n: int, words: int, q: int, is_prepare: bool) -> None:
+        self._n, self._q = n, q
         self.counts = np.zeros(n, dtype=np.int32)
         self.fired = np.zeros(n, dtype=bool)
         # Word-major: seen[w] is the contiguous n-vector of word w across
@@ -122,6 +124,34 @@ class _Slot:
             # ever answer has_quorum.
             self.order = None
             self.msg_by_signer = None
+        # The same memory as flat memoryviews, for the scalar write: they
+        # index to Python ints at about twice the speed of numpy scalars.
+        arrays = (self.fired, self.seen, self.counts, self.order)
+        self._scalar = [a if a is None else memoryview(a.reshape(-1)) for a in arrays]
+
+    def add(self, dst: int, sender: int, message) -> bool:
+        """The scalar write: ``sender``'s vote at ``dst`` (seen bit, count,
+        arrival order); True iff it completes the quorum there."""
+        fired, seen, counts, order = self._scalar
+        if fired[dst]:
+            return False
+        at = (sender >> 6) * self._n + dst
+        bit = 1 << (sender & 63)
+        word = seen[at]
+        if word & bit:
+            return False
+        seen[at] = word | bit
+        c = counts[dst]
+        counts[dst] = c + 1
+        q = self._q
+        if order is not None:
+            order[dst * q + c] = sender
+            if self.msg_by_signer[sender] is None:
+                self.msg_by_signer[sender] = message
+        if c + 1 >= q:
+            fired[dst] = True
+            return True
+        return False
 
 
 class ColumnarVoteState:
@@ -198,8 +228,8 @@ class ColumnarQuorumCollector:
 
     Stands in for :class:`~repro.quorum.probabilistic.
     ProbabilisticQuorumCollector` in the replica's per-view tables: the
-    per-recipient handler (``ProBFTReplica._handle_vote``) and the kernel's
-    singleton branch call ``add`` per delivered vote, and the quorum
+    per-recipient handler (``ProBFTReplica._handle_vote``) calls ``add`` per
+    delivered vote (the kernel's scalar walk: :meth:`_Slot.add`), and the quorum
     checks (``has_quorum``/``quorum_messages``) read the same arrays the
     vote kernel writes — so kernel-delivered and handler-delivered votes
     land in one place.
@@ -225,26 +255,8 @@ class ColumnarQuorumCollector:
 
     def add(self, key, sender: int, message) -> bool:
         """Record a vote; True iff this addition completes the quorum."""
-        state = self._state
-        slot = state.slot(self._is_prepare, self._view, key)
-        dst = self._dst
-        if slot.fired[dst]:
-            return False
-        wi = sender >> 6
-        bit = np.uint64(1 << (sender & 63))
-        if slot.seen[wi, dst] & bit:
-            return False
-        slot.seen[wi, dst] |= bit
-        c = int(slot.counts[dst])
-        slot.counts[dst] = c + 1
-        if self._is_prepare:
-            slot.order[dst, c] = sender
-            if slot.msg_by_signer[sender] is None:
-                slot.msg_by_signer[sender] = message
-        if c + 1 >= state.q:
-            slot.fired[dst] = True
-            return True
-        return False
+        slot = self._state.slot(self._is_prepare, self._view, key)
+        return slot.add(self._dst, sender, message)
 
     def count(self, key) -> int:
         slot = self._state.peek(self._is_prepare, self._view, key)
@@ -359,8 +371,9 @@ class ColumnarVoteDispatch:
     votes behind it over-applied, which is unobservable, and a view flagged
     equivocal from *inside* a group does not cut it: why both are safe, and
     the one statistic that can then differ from a per-bucket walk, is
-    DESIGN.md ("Runs and groups").  A one-recipient bucket takes the scalar
-    branch (:meth:`_deliver_one`): same rules, no array temporaries.
+    DESIGN.md ("Runs and groups").  One-recipient buckets take the scalar
+    walk at the top of :meth:`__call__`: same rules, no array temporaries,
+    and a whole chain of them per call (DESIGN.md, "Chains").
 
     Answers one delivered count per bucket reached, or ``(-1,)`` to decline
     the bucket at ``pos`` to the caller's filtered per-recipient loop over
@@ -372,7 +385,7 @@ class ColumnarVoteDispatch:
     out).  Anything that is not a vote is the wish kernel's to take or
     decline.  ``vectorised``/``singleton``/``declined`` count the vote
     buckets that took each route (reached, for a group cut short),
-    ``vote_passes`` the array passes run.
+    ``vote_passes`` the array passes run, ``vote_chains`` the walks.
     """
 
     def __init__(
@@ -401,6 +414,7 @@ class ColumnarVoteDispatch:
         self.singleton = 0
         self.declined = 0
         self.vote_passes = 0
+        self.vote_chains = 0
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -408,6 +422,7 @@ class ColumnarVoteDispatch:
             "singleton": self.singleton,
             "declined": self.declined,
             "vote_passes": self.vote_passes,
+            "vote_chains": self.vote_chains,
         }
 
     def note_declined(self, message) -> None:
@@ -427,21 +442,80 @@ class ColumnarVoteDispatch:
                 self.declined += 1
                 return (-1,)
             return self._wishes(run, pos, probe, advance)
-        token = prevalidate_vote(self._config, self._crypto, message)
-        if token is None:
-            return self._wishes(run, pos, probe, advance)
-        view = token.view
-        if not token.valid or view in self._policy._equivocal:
-            self.declined += 1
-            return (-1,)
-        if len(dsts) == 1:
+        # The walk: a valid, unflagged vote for one recipient is delivered
+        # here, scalar, and so is every such bucket after it — entered
+        # through ``advance``: at the end of the run, the simulator handing
+        # over the queue's next entry.  The vectorized path's rules in the
+        # order a per-recipient handler applies them, over state read once
+        # per chain; no probe (a bucket ends with its one delivery, and
+        # ``advance`` asks ``stop_when`` before the next).  Any other bucket
+        # ends it: declined (-1) if an invalid or flagged vote, else entered
+        # and left to the caller — if first, to the pass below.
+        state, correct, replicas = self._state, self._correct, self._replicas
+        equivocal = self._policy._equivocal
+        config, crypto = self._config, self._crypto
+        views, prepare_active, commit_active = map(
+            memoryview, (state.views, state.prepare_active, state.commit_active)
+        )
+        table = crypto.verdicts
+        if table is not None and table.config is config:
+            known, reused = table.of_kind("vote"), table.counts.reused
+        else:
+            known = reused = {}
+        took, k = [], pos
+        while True:
+            if took and len(dsts) != 1:
+                return took
+            entry = known.get(id(message))  # (one lookup per bucket reached)
+            if entry is not None:
+                reused["vote"] += 1
+                token = entry[1]
+            else:
+                token = prevalidate_vote(config, crypto, message)
+                if token is None:
+                    return took or self._wishes(run, pos, probe, advance)
+            is_prepare, view, value, signer, members = token[:5]
+            if not token.valid or view in equivocal:
+                self.declined += 1
+                took.append(-1)
+                return took
+            if len(dsts) != 1:
+                break
+            # Counted as entered: a stop may retire the slot, and with it
+            # fold these counters, from inside this call.
             self.singleton += 1
-            return (self._deliver_one(src, message, token, dsts[0]),)
+            if not took:
+                self.vote_chains += 1
+            d = dsts[0]
+            if d not in correct:
+                self._handlers[d](src, message)  # arbitrary handler
+                took.append(1)
+            elif (prepare_active if is_prepare else commit_active)[d] != view or (
+                # (A correct sender multicasts its vote to its own sample.)
+                (signer != src or src not in correct) and d not in members
+            ):
+                # Not countable: buffer if the recipient is still behind
+                # (views stuck at 0 have not started), else the view gate,
+                # progress pruning or the i ∈ S precondition drops it.
+                future = 0 != views[d] < view
+                if future:
+                    replicas[d]._buffer_future(view, src, message)
+                took.append(int(future))
+            else:
+                took.append(1)
+                if state.slot(is_prepare, view, value).add(d, signer, message):
+                    if is_prepare:
+                        replicas[d]._try_form_prepared()
+                    else:
+                        replicas[d]._try_decide()
+            k += 1
+            if not advance(k) or k >= len(run):
+                # (A router hands over its own slice of the run: a bucket
+                # the simulator just appended is not in it.)
+                return took
+            src, message, dsts = run[k]
 
         # The group: ``run[pos]`` and the buckets after it this pass can take.
-        state = self._state
-        is_prepare, value = token.is_prepare, token.value
-        correct = self._correct
         signers = {}  # distinct, in bucket order
         foreign = []  # buckets whose recipients are not the signer's own sample
         lens, votes = [], 0
@@ -544,7 +618,6 @@ class ColumnarVoteDispatch:
             fire_idx = idx[fires]
             slot.fired[r[fires]] = True
 
-        replicas = self._replicas
         counted = None  # None: every vote of the group counts as delivered
         if not all_count:
             # Views stuck at 0 (not started / Byzantine) are neither
@@ -606,40 +679,3 @@ class ColumnarVoteDispatch:
             took[-1] = cut - int(starts[reached - 1])
             return took
         return np.add.reduceat(counted[:cut], starts[:reached], dtype=np.intp).tolist()
-
-    def _deliver_one(self, src, message, token, d) -> int:
-        """The scalar branch: one valid vote, one recipient.
-
-        Exactly the vectorized path's rules in the order a per-recipient
-        handler applies them.  No probe: the bucket ends here, and the
-        simulator checks ``stop_when`` before the next event.
-        """
-        if d not in self._correct:
-            self._handlers[d](src, message)  # arbitrary handler
-            return 1
-        state = self._state
-        view = token.view
-        is_prepare = token.is_prepare
-        active = state.prepare_active if is_prepare else state.commit_active
-        if active[d] != view or d not in token.members:
-            # Not countable: buffer if the recipient is still behind (views
-            # stuck at 0 have not started), else the view gate, progress
-            # pruning or the i ∈ S precondition drops it.
-            behind = state.views[d]
-            if behind != 0 and behind < view:
-                self._replicas[d]._buffer_future(view, src, message)
-                return 1
-            return 0
-        # Countable: the recipient's collector facade applies the vote (seen
-        # bit, count, arrival order) exactly as the per-recipient handler would.
-        replica = self._replicas[d]
-        if is_prepare:
-            if replica._prepare_collectors.get(view).add(
-                token.value, token.signer, message
-            ):
-                replica._try_form_prepared()
-        elif replica._commit_collectors.get(view).add(
-            token.value, token.signer, message
-        ):
-            replica._try_decide()
-        return 1

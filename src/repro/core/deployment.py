@@ -64,6 +64,7 @@ KERNEL_STATS = (
     "singleton",
     "declined",
     "vote_passes",
+    "vote_chains",
     "wish_vectorised",
     "wish_scalar",
     "wish_declined",
@@ -347,9 +348,10 @@ class Deployment:
         ``vectorised`` / ``singleton`` / ``declined``: vote buckets applied
         by the vote kernel, or declined to the per-recipient loop
         (ProBFT only); ``vote_passes``: the array passes that applied the
-        ``vectorised`` ones, a group of same-time buckets each.
-        ``wish_vectorised`` / ``wish_scalar`` /
-        ``wish_declined``: Wish buckets applied array-at-a-time, through the
+        ``vectorised`` ones, a group of same-time buckets each;
+        ``vote_chains``: the scalar walks that applied the ``singleton``
+        ones.  ``wish_vectorised`` / ``wish_scalar`` / ``wish_declined``:
+        Wish buckets applied array-at-a-time, through the
         per-recipient loop (one recipient, or a wish dropped on a lookup),
         or through it because the network may duplicate.
         ``validated`` / ``validated_reused``: recipient-independent checks

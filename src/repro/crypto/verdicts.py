@@ -28,6 +28,28 @@ from collections import defaultdict
 from typing import DefaultDict, Dict, Hashable, Optional, Tuple
 
 
+def well_formed(obj: object, shape) -> bool:
+    """The shape check a message's first (validated-once) inspection makes
+    before reading into what a Byzantine sender built.  ``shape``: a class,
+    ``Hashable`` (asks ``hash``), a one-item list (a tuple of such items) or
+    ``{attr: shape}``, checked in order — the key ``type``, first, stands
+    for the object itself, so the attributes after it are known to exist."""
+    if isinstance(shape, list):
+        return isinstance(obj, tuple) and all(well_formed(item, shape[0]) for item in obj)
+    if isinstance(shape, dict):
+        return all(
+            well_formed(obj if attr is type else getattr(obj, attr), part)
+            for attr, part in shape.items()
+        )
+    if shape is not Hashable:
+        return isinstance(obj, shape)
+    try:
+        hash(obj)
+    except TypeError:
+        return False
+    return True
+
+
 class VerdictCounts:
     """What the tables of one deployment did, per kind of check.
 
@@ -90,6 +112,11 @@ class VerdictTable:
             return None
         self._reused[kind] += 1
         return entry[1]
+
+    def of_kind(self, kind: str) -> Dict[Hashable, Tuple[object, object]]:
+        """The live ``id(obj) -> (obj, verdict)`` map of one kind, for a loop
+        of lookups; its caller bumps ``counts.reused[kind]`` per hit."""
+        return self._entries[kind]
 
     def put(self, kind: str, obj: object, verdict, context: Optional[tuple] = None):
         """Record a verdict that was just computed; returns it."""

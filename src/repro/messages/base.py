@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Hashable, Optional
 
+from ..crypto.verdicts import well_formed
 from ..types import ReplicaId, Value, View
 
 
@@ -50,11 +51,7 @@ class ProposalStatement(CanonicalMessage):
     @property
     def keyable(self) -> bool:
         """False for a malformed statement: quorums are keyed by value."""
-        try:
-            hash(self.value)
-        except TypeError:
-            return False
-        return True
+        return well_formed(self.value, Hashable)
 
     def conflicts_with(self, other: "ProposalStatement") -> bool:
         """Same instance and view, different value — the equivocation

@@ -62,6 +62,12 @@ class HsQuorumCert(CanonicalMessage):
         return self.view == view and self.value == value and self.phase == phase.value
 
 
+#: Shapes (see :func:`repro.crypto.verdicts.well_formed`): a signed vote,
+#: and a QC of them.
+VOTE_SHAPE = {type: Signed, "payload": HsVotePayload}
+QC_SHAPE = {type: HsQuorumCert, "votes": [VOTE_SHAPE]}
+
+
 @dataclass(frozen=True)
 class HsNewView(CanonicalMessage):
     """Replica → new leader: carries the highest prepare-QC the sender saw."""

@@ -8,11 +8,18 @@ Commit are *broadcast* to everyone and quorums are deterministic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 from ..crypto.signatures import Signed
 from ..types import Value, View
-from .base import CanonicalMessage
+from .base import CanonicalMessage, ProposalStatement
+
+#: What every Propose / Prepare / Commit must carry (see
+#: :func:`repro.crypto.verdicts.well_formed`): a signed statement whose
+#: value can key a quorum.
+SHAPE = {
+    "statement": {type: Signed, "payload": {type: ProposalStatement, "value": Hashable}}
+}
 
 
 @dataclass(frozen=True)

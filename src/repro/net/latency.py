@@ -4,13 +4,17 @@ Post-GST, every model guarantees delays in ``(0, max_delay]`` — the paper's
 "synchronous with unknown time bounds".  The bound is *unknown to the
 protocol* (the synchronizer's timeouts adapt); the simulation of course knows
 it so it can enforce partial synchrony.
+
+A model is asked once per *fan-out* (:meth:`LatencyModel.delays`); the draws
+behind its answer are still one per target in target order, so the seeded
+stream is the same whoever asks, a fan-out or ``n`` unicasts.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..types import ReplicaId
 
@@ -26,6 +30,11 @@ class LatencyModel(abc.ABC):
     @abc.abstractmethod
     def delay(self, src: ReplicaId, dst: ReplicaId) -> float:
         """Delay for one message from ``src`` to ``dst``; must be > 0."""
+
+    def delays(self, src: ReplicaId, dsts: Sequence[ReplicaId]) -> list:
+        """One fan-out's delays: ``(delay, targets)`` groups covering
+        ``dsts`` in order — by default one :meth:`delay` per target."""
+        return [(self.delay(src, dst), (dst,)) for dst in dsts]
 
     @property
     @abc.abstractmethod
@@ -43,6 +52,10 @@ class ConstantLatency(LatencyModel):
 
     def delay(self, src: ReplicaId, dst: ReplicaId) -> float:
         return self._value
+
+    def delays(self, src, dsts):
+        # No draw to make: the whole fan-out is one group, ``dsts`` uncopied.
+        return [(self._value, dsts)] if dsts else []
 
     @property
     def max_delay(self) -> float:
@@ -86,8 +99,11 @@ class ExponentialLatency(LatencyModel):
         self._rng = random.Random(f"exponential-latency:{seed}")
 
     def delay(self, src: ReplicaId, dst: ReplicaId) -> float:
-        value = self._rng.expovariate(1.0 / self._mean)
-        return min(max(value, 1e-9), self._cap)
+        return self.delays(src, (dst,))[0][0]
+
+    def delays(self, src, dsts):
+        draw, rate, cap = self._rng.expovariate, 1.0 / self._mean, self._cap
+        return [(min(max(draw(rate), 1e-9), cap), (dst,)) for dst in dsts]
 
     @property
     def max_delay(self) -> float:

@@ -12,7 +12,7 @@ reproduce Figure 1b (number of exchanged messages).
 from __future__ import annotations
 
 import random
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import Callable, Dict, Iterable, Optional
 
 from ..crypto.hashing import stable_encode
@@ -64,6 +64,7 @@ class MessageStats:
     __slots__ = (
         "_sent",
         "_delivered",
+        "_delivered_kinds",
         "_bytes",
         "sent_by_replica",
         "sent_total",
@@ -81,6 +82,8 @@ class MessageStats:
         index: Dict[str, int] = {}
         self._sent = IndexedCounter(index)
         self._delivered = IndexedCounter(index)
+        # (message class, payload class) -> (slot, kind), once delivered.
+        self._delivered_kinds: Dict[tuple, tuple] = {}
         self._bytes = IndexedCounter(index)
         self.sent_by_replica: Counter = Counter()
         self.sent_total = 0
@@ -135,11 +138,15 @@ class MessageStats:
         """Record ``count`` deliveries of one message in bulk (fan-outs)."""
         if count <= 0:
             return
-        name = message_type_name(message)
-        self._delivered.bump(name, count)
+        key = (message.__class__, getattr(message, "payload", None).__class__)
+        kind = self._delivered_kinds.get(key)
+        if kind is None:
+            name = message_type_name(message)
+            kind = self._delivered_kinds[key] = (self._delivered.slot(name), name)
+        self._delivered.add(kind[0], count)
         self.delivered_total += count
         if self.track_history:
-            self.history.append(("deliver", name, count))
+            self.history.append(("deliver", kind[1], count))
 
     def sent(self, type_name: str) -> int:
         return self._sent.get(type_name)
@@ -219,15 +226,18 @@ class Network:
     def use_bulk_handler(self, handler: Optional[Callable]) -> None:
         """Attach the delivery kernel for coalesced fan-outs.
 
-        ``handler(run, pos, probe, advance)`` is given a run — the
-        ``(src, message, dsts)`` buckets of one delivery time — and delivers
-        ``run[pos]`` plus as many of the buckets after it as it can apply
-        with it.  It returns one delivered count per bucket reached (at
-        least one); -1, only ever last, declines that bucket to the generic
-        per-recipient loop.  The handler owns the probe-between-deliveries
-        stop semantics inside the buckets it accepts, and enters a later
-        bucket whose handlers it runs through ``advance(k)``
-        (:meth:`Simulator._advance`): a refusal ends its answer before ``k``.
+        ``handler(run, pos, probe, advance)`` is given a run of ``(src,
+        message, dsts)`` buckets and delivers ``run[pos]`` plus as many of
+        the buckets after it as it can apply with it.  It returns one
+        delivered count per bucket reached (at least one); -1, only ever
+        last, declines that bucket to the generic per-recipient loop.  The
+        handler owns the probe-between-deliveries stop semantics inside the
+        buckets it accepts, and enters a later bucket whose handlers it runs
+        through ``advance(k)`` (:meth:`Simulator._advance`): true means
+        bucket ``k`` is there and its to deliver — asked at the end of the
+        run, the simulator may have just appended it — a refusal ends its
+        answer before ``k``.  A bucket it entered and does not answer for is
+        its caller's, who asks ``advance(k)`` again and is told yes.
         """
         self._bulk_handler = handler
 
@@ -311,11 +321,10 @@ class Network:
         self, src: ReplicaId, message: object, include_self: bool = False
     ) -> None:
         """Send ``message`` to all replicas (excluding ``src`` unless asked)."""
-        self.multicast(
-            src,
-            (dst for dst in range(self._n) if dst != src or include_self),
-            message,
-        )
+        targets = list(range(self._n))
+        if not include_self and 0 <= src < self._n:
+            del targets[src]
+        self.multicast(src, targets, message)
 
     def _sparse_dispatch(
         self, src: ReplicaId, targets: Iterable[ReplicaId], message: object
@@ -336,76 +345,62 @@ class Network:
         dup_deadline = gst_floor + 2 * self._latency.max_delay
         floor = now + 1e-12  # strictly in the future
         dup_rng = self._dup_rng
-        buckets: "OrderedDict[float, list]" = OrderedDict()
-        if (
-            dup_rng is None
-            and type(self._latency) is ConstantLatency
-            and type(self._chaos) is NoChaos
-        ):
-            # Both models are pure — no RNG, no per-pair state — so every
-            # target draws the same delay and the fan-out is one bucket.
-            # Skipping the per-target calls consumes no stream a seeded
-            # model would have consumed, so this stays bit-identical.
-            handlers = self._handlers
-            if len(handlers) == self._n:
-                # Fully-wired network (every deployment): registration can't
-                # fail, so skip the per-target membership probe.  Callers
-                # never mutate the target sequence after dispatch, so lists
-                # and tuples (VRF sample slices) pass through uncopied.
-                dsts = (
-                    targets
-                    if type(targets) in (list, tuple)
-                    else list(targets)
-                )
-            else:
-                dsts = []
-                for dst in targets:
-                    if dst not in handlers:
-                        raise NotRegisteredError(
-                            f"no handler registered for replica {dst}"
-                        )
-                    dsts.append(dst)
-            delivery = max(min(now + self._latency.delay(src, src), deadline), floor)
-            self.stats.record_multicast(
-                src, message, len(dsts), size=self._message_size(message)
-            )
-            if dsts:
-                self._sim.post_at(delivery, self, (src, message, dsts))
-            return
-        count = 0
-        for dst in targets:
-            if dst not in self._handlers:
-                raise NotRegisteredError(
-                    f"no handler registered for replica {dst}"
-                )
-            count += 1
-            base = self._latency.delay(src, dst)
-            extra = self._chaos.extra_delay(now, self._gst, src, dst)
-            delivery = max(min(now + base + extra, deadline), floor)
-            bucket = buckets.get(delivery)
-            if bucket is None:
-                buckets[delivery] = bucket = [dst]
-            else:
-                bucket.append(dst)
-            if dup_rng is not None and dup_rng.random() < self._duplicate_prob:
-                dup_delivery = max(
-                    min(delivery + self._latency.delay(src, dst), dup_deadline),
-                    delivery,
-                )
-                dup_bucket = buckets.get(dup_delivery)
-                if dup_bucket is None:
-                    buckets[dup_delivery] = [dst]
+        buckets: Dict[float, list] = {}  # in first-seen order
+        # Callers never mutate the target sequence after dispatch, so lists
+        # and tuples (VRF sample slices) pass through uncopied.
+        dsts = targets if type(targets) in (list, tuple) else list(targets)
+        pure = dup_rng is None and type(self._chaos) is NoChaos
+        if not pure or len(self._handlers) != self._n:
+            # (Pure model, fully-wired network — every deployment: cannot fail.)
+            for dst in dsts:
+                if dst not in self._handlers:
+                    raise NotRegisteredError(
+                        f"no handler registered for replica {dst}"
+                    )
+        if pure:
+            # No chaos, no duplication: nothing is asked per target but its
+            # delay, and that of the latency model in one call (same draws).
+            for base, group in self._latency.delays(src, dsts):
+                delivery = now + base
+                if delivery > deadline:
+                    delivery = deadline
+                if delivery < floor:
+                    delivery = floor
+                if delivery in buckets:  # clamped onto another group's time
+                    group = [*buckets[delivery], *group]
+                buckets[delivery] = group
+        else:
+            for dst in dsts:
+                base = self._latency.delay(src, dst)
+                extra = self._chaos.extra_delay(now, self._gst, src, dst)
+                delivery = max(min(now + base + extra, deadline), floor)
+                bucket = buckets.get(delivery)
+                if bucket is None:
+                    buckets[delivery] = bucket = [dst]
                 else:
-                    dup_bucket.append(dst)
+                    bucket.append(dst)
+                if dup_rng is not None and dup_rng.random() < self._duplicate_prob:
+                    dup_delivery = max(
+                        min(delivery + self._latency.delay(src, dst), dup_deadline),
+                        delivery,
+                    )
+                    dup_bucket = buckets.get(dup_delivery)
+                    if dup_bucket is None:
+                        buckets[dup_delivery] = [dst]
+                    else:
+                        dup_bucket.append(dst)
         self.stats.record_multicast(
-            src, message, count, size=self._message_size(message)
+            src, message, len(dsts), size=self._message_size(message)
         )
-        for time_, dsts in buckets.items():
-            self._sim.post_at(time_, self, (src, message, dsts))
+        self._sim.post_all(
+            self, [(time_, (src, message, group)) for time_, group in buckets.items()]
+        )
 
     def deliver_run(self, run: list, advance: Callable[[int], bool]) -> None:
-        """Deliver the coalesced buckets of one delivery time (the
-        simulator's receiver protocol).  The kernel takes as many as it can
+        """Deliver a run of coalesced buckets (the simulator's receiver
+        protocol): the buckets of one delivery time and, chained on as
+        ``advance`` grants them, the queue's next ones — ``run`` grows under
+        this loop and under the kernel's.  The kernel takes as many as it can
         per call — *raw* buckets: it does its own pruning inline, one pass
         instead of filter-then-deliver — and declines what it does not fully
         understand to the filtered per-recipient loop; ``advance`` (the
@@ -424,9 +419,10 @@ class Network:
             for delivered in (
                 bulk(run, pos, probe, advance) if bulk is not None else (-1,)
             ):
-                src, message, dsts = run[pos]
-                pos += 1
-                if delivered < 0:
+                if delivered > 0:
+                    record(run[pos][1], delivered)
+                elif delivered < 0:
+                    src, message, dsts = run[pos]
                     if policy is not None:
                         dsts = policy.batch_filter(message, dsts)
                     handlers = self._handlers
@@ -441,7 +437,6 @@ class Network:
                         # One bulk update per bucket: identical totals to
                         # dense's per-delivery increments.
                         record(message, delivered)
-                else:
-                    record(message, delivered)
+                pos += 1
             if not advance(pos):
                 return

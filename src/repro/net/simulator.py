@@ -17,23 +17,33 @@ re-arm per view) would otherwise grow the backlog without bound.
 Fan-outs reach the kernel coalesced (one entry per distinct delivery time,
 see :mod:`repro.net.sparse`) and as *data*: :meth:`Simulator.post_at` queues
 ``[time, seq, receiver, sim, item]`` — no closure.  What leaves the queue is
-a **run**: every queue-consecutive posted entry of one time and one
-receiver, in one ``receiver.deliver_run(items, advance)`` call.  With
-constant latency a protocol phase is one such moment — n entries of
-O(sqrt n) votes — and its cost should follow its votes, not its senders.
-A run is still n events to everything that counts them: the receiver
-enters item ``k`` through ``advance(k)``, which asks the loop's
-``stop_when`` at that boundary and moves ``events_processed`` /
-``pending_events`` as n one-entry steps would; entries it did not enter go
-back to the heap under their own ``(time, seq)``, ahead of anything the
-run's handlers scheduled for the same instant (a new entry's sequence number
-is higher than every queued one's: a run's own handlers cannot reorder it).
+a **run**, served by one ``receiver.deliver_run(items, advance)`` call: every
+queue-consecutive posted entry of one time and one receiver (with constant
+latency a protocol phase is one such moment — n entries of O(sqrt n) votes —
+and its cost should follow its votes, not its senders) and, under
+:meth:`Simulator.run`, the **chain** behind them: when the receiver asks
+``advance(len(items))`` and the head of the queue is an entry of the same
+receiver, whatever its time, that entry and those sharing its time are
+popped, the clock moves there and ``items`` grows (with continuous latency
+every vote is its own entry: the chain is what such a trial crosses the
+layers once per).  Entries leave the queue from its head only, after the
+handlers so far have scheduled what they schedule, so nothing is overtaken;
+anything else at the head, ``until``, the ``max_events`` budget or a full
+window (:data:`_CHAIN_WINDOW`) ends the chain and the loop starts a new run.
+A run is still n events to everything that counts them: the receiver enters
+item ``k`` through ``advance(k)``, which asks the loop's ``stop_when`` at
+that boundary and moves ``events_processed`` / ``pending_events`` as n
+one-entry steps would; entries it did not enter go back to the heap under
+their own ``(time, seq)``, ahead of anything the run's handlers scheduled
+for the same instant (a new entry's sequence number is higher than every
+queued one's).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import weakref
 from operator import itemgetter
 from typing import Callable, List, Optional
@@ -48,8 +58,13 @@ def _fired() -> None:  # sentinel: the event already ran; cancel is a no-op
     raise AssertionError("fired-event sentinel must never be invoked")
 
 
-def _end_of_run(k: int) -> bool:  # ``advance`` for a run of one: no boundary
+def _end_of_run(k: int) -> bool:  # ``advance`` for a lone entry: no boundary
     return False
+
+
+#: Entries a run may hold and still be chained on: they (and their messages)
+#: live until ``deliver_run`` returns, and a trial must not become one chain.
+_CHAIN_WINDOW = 256
 
 
 class EventHandle(list):
@@ -117,10 +132,13 @@ class Simulator:
         self._live = 0
         self._cancelled = 0
         # The run being delivered (see ``_advance``): its entries, how many
-        # the receiver has entered, the loop's stop predicate.
+        # the receiver has entered, the loop's stop predicate and ``(items,
+        # receiver, budget, until, may it chain)``.  Dropped when the run
+        # returns: the simulator holds no receiver between two runs.
         self._run: List[EventHandle] = []
         self._entered = 0
         self._stop_when: Optional[Callable[[], bool]] = None
+        self._chain: Optional[tuple] = None
 
     @property
     def now(self) -> float:
@@ -178,22 +196,24 @@ class Simulator:
         it leaves the queue inside a run, a ``receiver.deliver_run(items,
         advance)`` call.  An event like any other to the counters and
         budgets, but without a handle (only :meth:`clear` cancels it)."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} < now ({self._now})"
-            )
-        heapq.heappush(
-            self._heap,
-            EventHandle((time, next(self._seq), receiver, self._ref, item)),
-        )
-        self._live += 1
+        self.post_all(receiver, ((time, item),))
+
+    def post_all(self, receiver, timed_items) -> None:
+        """:meth:`post_at` for every ``(time, item)`` pair, in order — a
+        fan-out's entries in one call."""
+        heap, now, seq, ref = self._heap, self._now, self._seq, self._ref
+        for time, item in timed_items:
+            if time < now:
+                raise SimulationError(f"cannot schedule at {time} < now ({now})")
+            heapq.heappush(heap, EventHandle((time, next(seq), receiver, ref, item)))
+            self._live += 1
 
     def clear(self) -> None:
         """Cancel every pending event (deployment teardown)."""
         for entry in self._heap:
             entry[2] = None
         self._heap = []
-        self._run = []
+        self._run, self._entered = [], 0
         self._live = 0
         self._cancelled = 0
 
@@ -202,13 +222,15 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Process the next event — a posted entry takes the rest of its
-        run with it; returns False if none remain."""
-        return self._step(None, None, None) > 0
+        same-time run with it, and no more (only :meth:`run` chains);
+        returns False if none remain."""
+        return self._step(None, None, None, False) > 0
 
-    def _step(self, stop_when, budget: Optional[int], until: Optional[float]) -> int:
-        """One event, or one run of at most ``budget`` posted entries;
-        returns how many entries were processed (0: none remain, or the
-        next one — still queued — lies beyond ``until``)."""
+    def _step(self, stop_when, budget, until: Optional[float], chain: bool) -> int:
+        """One event, or one run of at most ``budget`` posted entries (with
+        ``chain``, one that may go on past its time); returns how many
+        entries were processed (0: none remain, or the next one — still
+        queued — lies beyond ``until``)."""
         heap = self._heap
         while heap:
             entry = heap[0]
@@ -227,55 +249,92 @@ class Simulator:
             if len(entry) == 4:
                 callback()
                 return 1
-            # A run ends at the first entry that is not this receiver's at
-            # this time: a plain event, a tombstone, another receiver.
+            # Nothing of this receiver's follows (a plain event, a tombstone,
+            # another receiver, unchained another time): no boundary state.
             if (
                 budget == 1
                 or not heap
                 or heap[0][2] is not callback
-                or heap[0][0] != time
-            ):  # a run of one (every run, under continuous latency)
+                or not (chain or heap[0][0] == time)
+            ):
                 callback.deliver_run([entry[4]], _end_of_run)
                 return 1
-            run = [entry, heapq.heappop(heap)]
-            while (
-                heap
-                and heap[0][2] is callback
-                and heap[0][0] == time
-                and len(run) != budget
-            ):
-                run.append(heapq.heappop(heap))
-            self._run, self._entered, self._stop_when = run, 1, stop_when
+            items = [entry[4]]
+            self._run, self._entered, self._stop_when = [entry], 1, stop_when
+            self._chain = (
+                items,
+                callback,
+                math.inf if budget is None else budget,
+                math.inf if until is None else until,
+                chain,
+            )
+            self._take(heap, time)
             before = self._events_processed - 1
             try:
-                callback.deliver_run([e[4] for e in run], self._advance)
+                callback.deliver_run(items, self._advance)
             finally:
                 # ``self._heap``, not ``heap``: a handler's cancel() or
                 # clear() may have rebound it (and clear() emptied the run).
                 for entry in self._run[self._entered:]:
                     heapq.heappush(self._heap, entry)
-                self._run, self._stop_when = [], None
+                self._run, self._stop_when, self._chain = [], None, None
             return self._events_processed - before
         return 0
 
     def _advance(self, k: int) -> bool:
         """The receiver's side of a run: items before ``k`` are delivered —
-        may it enter item ``k``?  No at the end of the run, or once the
-        loop's ``stop_when`` holds (asked here, at the boundary, as the loop
-        would between two events).  Items are counted as processed as they
-        are passed, so the counters read inside a handler — and to
-        ``stop_when`` — what they would had each entry been its own step."""
-        run, stop_when = self._run, self._stop_when
-        for upto in (min(k, len(run)), k + 1):  # the items before k, then k
-            done = upto - self._entered
-            if done > 0:
-                self._entered = upto
-                self._live -= done
-                self._events_processed += done
-            if upto > k:
-                return True
-            if k >= len(run) or (stop_when is not None and stop_when()):
+        is item ``k`` its to deliver?  Yes for one it already entered; no
+        once the loop's ``stop_when`` holds (asked here, at the boundary, as
+        the loop would between two events); at the end of the run, yes iff
+        a fresh step would hand this receiver the queue's next entry (the
+        chain).  Items are counted as processed as they are passed, so the
+        counters read inside a handler — and to ``stop_when`` — what they
+        would had each entry been its own step."""
+        run = self._run
+        size = len(run)
+        passed = (k if k < size else size) - self._entered
+        if passed < 0:
+            return True
+        if passed:  # the items before k
+            self._entered += passed
+            self._live -= passed
+            self._events_processed += passed
+        stop_when = self._stop_when
+        if stop_when is not None and stop_when():
+            return False
+        if k >= size:
+            items, receiver, budget, until, chained = self._chain
+            heap = self._heap  # (cancel() / clear() may have rebound it)
+            if (
+                k > size
+                or not chained
+                or size >= _CHAIN_WINDOW
+                or size >= budget
+                or not heap
+                or heap[0][2] is not receiver
+                or heap[0][0] > until
+            ):
                 return False
+            self._now = heap[0][0]
+            self._take(heap, heap[0][0])
+        self._entered = k + 1
+        self._live -= 1
+        self._events_processed += 1
+        return True
+
+    def _take(self, heap, time: float) -> None:
+        """The queue's head entries of the run's receiver at ``time`` join the run."""
+        run = self._run
+        items, receiver, budget = self._chain[:3]
+        while (
+            heap
+            and heap[0][2] is receiver
+            and heap[0][0] == time
+            and len(run) < budget
+        ):
+            entry = heapq.heappop(heap)
+            run.append(entry)
+            items.append(entry[4])
 
     # ------------------------------------------------------------------
     # Driving
@@ -292,8 +351,8 @@ class Simulator:
             until: stop once virtual time would exceed this (the clock is
                 advanced to ``until``).
             max_events: safety valve against runaway protocols.
-            stop_when: predicate checked after every event (inside a run:
-                at the boundaries the receiver asks about).
+            stop_when: predicate checked after every event (inside a run or
+                a chain: at the boundaries the receiver asks about).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -311,6 +370,7 @@ class Simulator:
                     stop_when,
                     None if max_events is None else max_events - processed,
                     until,
+                    True,
                 )
                 if not taken:
                     if self._heap:  # the next event lies beyond ``until``

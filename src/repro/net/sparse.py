@@ -10,7 +10,9 @@ one, the SMR service its slot router over one policy per open slot —
 time*: the bucket ``(src, message, recipients)`` as data, send stats
 recorded in bulk.  Buckets that share a delivery time leave the queue
 together, as a run (:mod:`repro.net.simulator`), and the network's kernel
-may apply several in one pass.  The per-recipient ``Network.send`` loop
+may apply several in one pass; under continuous latency, where none do,
+the queue's consecutive buckets are one call's *chain*, each still its own
+event.  The per-recipient ``Network.send`` loop
 stays for unicast and as the reference the identity tests compare against
 (``reference=True`` deployments attach no policy).
 

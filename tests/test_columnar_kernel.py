@@ -1,5 +1,6 @@
-"""The vote kernel's array pass: a group of buckets in one call must be
-indistinguishable from the same buckets delivered one call each.
+"""The vote kernel's array pass and its scalar walk: a group of buckets —
+or a chain of one-recipient buckets — in one call must be indistinguishable
+from the same buckets delivered one call each.
 
 A *group* is what :class:`~repro.core.columnar.ColumnarVoteDispatch` takes
 out of a run in one pass: consecutive buckets of one (phase, view, value)
@@ -9,7 +10,10 @@ through the run-shaped call and one bucket by bucket, and compares
 everything a trial could observe.  The trial-level tests pin the cases the
 random groups cannot stage: whole deployments against counters recorded
 from the parent commit, a slot retiring and a view flagged equivocal from
-inside a group.
+inside a group.  A *chain* is what the kernel's scalar branch walks under
+continuous latency: consecutive valid one-recipient votes of any phase,
+view and value, each entered through ``advance`` — at the end of the run
+that is the simulator handing over the queue's next entry.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ class _Replica:
 
 
 class _Policy:
-    _equivocal = frozenset()
+    def __init__(self):
+        self._equivocal = set()
 
 
 class _Fixture:
@@ -88,12 +93,20 @@ class _Fixture:
                 state.note_view(r, view, committed=r in shape["committed"])
             if r in shape["blocked"]:
                 state.note_blocked(r)
-        handlers = {
-            b: (lambda src, message, b=b: self.log.append(("byz", b, src, message)))
-            for b in byzantine
-        }
+        self.policy = _Policy()
+        self.flag_at = None  # the log length at which a seat flags VIEW
+
+        def byzantine_handler(b):
+            def handle(src, message):
+                self.log.append(("byz", b, src, message))
+                if len(self.log) == self.flag_at:
+                    self.policy._equivocal.add(VIEW)  # as ``inspect`` would
+
+            return handle
+
+        handlers = {b: byzantine_handler(b) for b in byzantine}
         self.kernel = ColumnarVoteDispatch(
-            config, crypto, self.replicas, correct, handlers, _Policy(), state,
+            config, crypto, self.replicas, correct, handlers, self.policy, state,
             wishes=lambda run, pos, probe, advance: (-1,),
         )
 
@@ -108,6 +121,39 @@ class _Fixture:
         counts, pos = [], 0
         while True:
             took = self.kernel(run, pos, probe, advance)
+            assert len(took) >= 1 and -1 not in took[:-1]
+            counts.extend(took)
+            pos += len(took)
+            if not advance(pos):
+                return counts
+
+    def deliver_chained(self, pending, stop, refuse_at, sliced):
+        """As the simulator and :meth:`Network.deliver_run` would under
+        ``run()``: the run starts as ``pending[0]`` and grows by one bucket
+        whenever ``advance`` is asked at its end — until the boundary
+        ``refuse_at``.  ``sliced(pos)`` says whether this call goes through a
+        router, which hands the kernel its own copy of the run's tail."""
+        run, entered = [pending[0]], 1
+
+        def advance(k):
+            nonlocal entered
+            if k < entered:
+                return True
+            if k == refuse_at or stop():
+                return False
+            if k == len(run):
+                if k == len(pending):
+                    return False
+                run.append(pending[k])
+            entered = k + 1
+            return True
+
+        counts, pos = [], 0
+        while True:
+            if sliced(pos):
+                took = self.kernel(run[pos:], 0, None, lambda k, pos=pos: advance(pos + k))
+            else:
+                took = self.kernel(run, pos, None, advance)
             assert len(took) >= 1 and -1 not in took[:-1]
             counts.extend(took)
             pos += len(took)
@@ -295,6 +341,126 @@ class TestGroupEqualsBuckets:
             column = slot.seen[signer >> 6, dsts] >> np.uint64(signer & 63)
             assert (column & np.uint64(1)).all()
         assert int(slot.counts.sum()) == sum(counts)
+
+
+def _random_chain(rng, config, crypto, shape):
+    """One-recipient buckets in the order jitter would deliver them: the
+    votes of a few senders, Prepare and Commit, two views, two values, every
+    (vote, recipient) pair its own bucket, shuffled — and in the middle of
+    them what ends a chain."""
+    n, byzantine = config.n, shape["byzantine"]
+    statements = {
+        (view, value): make_statement(crypto, config, view, value)
+        for view in (VIEW, VIEW + 1)
+        for value in (b"x", b"y")
+    }
+    deliveries, others = [], []
+    for signer in rng.sample(range(n), rng.randint(3, min(n, 10))):
+        for make in rng.sample([make_prepare, make_commit], rng.randint(1, 2)):
+            key = rng.choices(
+                [(VIEW, b"x"), (VIEW, b"y"), (VIEW + 1, b"x")], [0.8, 0.1, 0.1]
+            )[0]
+            vote = make(crypto, config, signer, statements[key])
+            src = signer
+            dsts = [d for d in vote.payload.sample.sample if d != signer]
+            if signer in byzantine:
+                roll = rng.random()
+                if roll < 0.3:  # to whoever it likes, members or not
+                    dsts = rng.sample(range(n), rng.randint(2, n - 1))
+                elif roll < 0.5:  # relayed by another Byzantine seat
+                    src = rng.choice(sorted(byzantine))
+                elif roll < 0.6:  # a forged envelope: an invalid vote
+                    vote = Signed(vote.payload, signer, b"\x01" * 32)
+            deliveries += [(src, vote, [d]) for d in dsts]
+            if rng.random() < 0.15:  # several recipients: the array pass's
+                others.append((src, vote, dsts[: rng.randint(2, len(dsts))]))
+    rng.shuffle(deliveries)
+    del deliveries[rng.randint(150, 400):]
+    for _ in range(rng.randint(0, 3)):  # replayed to the same recipient
+        deliveries.insert(rng.randrange(len(deliveries)), rng.choice(deliveries))
+    if rng.random() < 0.5:
+        others.append((0, make_propose(crypto, config, VIEW, b"x"), list(range(1, n))))
+    for bucket in others:
+        deliveries.insert(rng.randrange(len(deliveries)), bucket)
+    return deliveries
+
+
+class TestChainEqualsBuckets:
+    @pytest.mark.parametrize("block", range(6))
+    def test_random_chains(self, block):
+        """≥ 300 random chains: one chained delivery and one call per bucket
+        leave every array, retained message, buffer, the handler-call order,
+        the per-bucket delivered counts, the route counters and the number
+        of token lookups equal — across quorum crossings, a view flagged
+        equivocal by a stop, a refused boundary and a router's sliced view
+        of the run."""
+        rng = random.Random(12_000 + block)
+        crossings = flagged = refused = walked = chains = 0
+        for _ in range(60):
+            config, crypto, shape, warmup, run = _random_case(rng)
+            one, each = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
+            never = lambda: False
+            for fixture in (one, each):  # identical pasts: a phase under way
+                fixture.deliver_each(warmup + run, None, never)
+            pending = _random_chain(rng, config, crypto, shape)
+            mode = rng.choice(["complete", "complete", "stop", "refuse"])
+            past = len(one.log)
+            stops = past + rng.randint(1, 6)
+            refuse_at = rng.randint(1, len(pending) - 1) if mode == "refuse" else None
+            routed = rng.random() < 0.3
+            sliced = (lambda pos: rng.random() < 0.5) if routed else (lambda pos: False)
+            flag_at = past + rng.randint(1, 4) if rng.random() < 0.3 else None
+            table = crypto.verdicts.counts
+            results, lookups = [], []
+            for fixture in (one, each):
+                fixture.flag_at = flag_at
+                stop = fixture.stop_after(stops) if mode == "stop" else never
+                before = table.computed["vote"] + table.reused["vote"]
+                if fixture is one:
+                    results.append(fixture.deliver_chained(pending, stop, refuse_at, sliced))
+                else:
+                    results.append(fixture.deliver_each(pending[:refuse_at], None, stop))
+                lookups.append(table.computed["vote"] + table.reused["vote"] - before)
+            assert results[0] == results[1], (block, mode)
+            assert one.log == each.log
+            assert one.observable() == each.observable()
+            assert _route_counters(one) == _route_counters(each)
+            assert one.policy._equivocal == each.policy._equivocal
+            assert lookups[0] == lookups[1] > 0
+            kernel = one.kernel
+            assert kernel.vote_chains <= kernel.singleton == each.kernel.vote_chains
+            walked += kernel.singleton
+            chains += kernel.vote_chains
+            crossings += any(kind != "byz" for kind, *_ in one.log[past:])
+            flagged += bool(one.policy._equivocal)
+            refused += mode == "refuse" and len(results[0]) == refuse_at
+        # The generator reaches what it is meant to reach, and chains chain.
+        assert crossings >= 12 and flagged >= 5 and refused >= 5, (crossings, flagged, refused)
+        assert walked >= 8 * chains
+
+    @pytest.mark.parametrize("block", range(2))
+    def test_a_bucket_split_per_recipient_is_the_same_bucket(self, block):
+        """The walk's rules are the pass's: a phase delivered bucket by
+        bucket (array passes) and the same phase with every bucket split
+        into one bucket per recipient (one chain) end in the same state."""
+        rng = random.Random(13_000 + block)
+        for _ in range(40):
+            config, crypto, shape, warmup, run = _random_case(rng)
+            whole, split = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
+            never = lambda: False
+            buckets = warmup + run
+            counts = whole.deliver_each(buckets, None, never)
+            pending = [(src, m, [d]) for src, m, dsts in buckets for d in dsts]
+            walked = iter(split.deliver_chained(pending, never, None, lambda pos: False))
+            for (_, _, dsts), count in zip(buckets, counts):
+                each = [next(walked) for _ in dsts]
+                # (Declined is declined, per bucket or per recipient.)
+                assert -1 in each if count == -1 else sum(each) == count
+            assert split.log == whole.log
+            (slots, *rest), (passed, *others) = split.observable(), whole.observable()
+            # (A pass allocates its key's slot before it finds nobody counts.)
+            assert slots == {k: v for k, v in passed.items() if any(v[0])}
+            assert rest == others
 
 
 # ----------------------------------------------------------------------

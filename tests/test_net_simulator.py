@@ -369,32 +369,36 @@ class TestEntryIsTheHandle:
 
 class _Receiver:
     """A run's receiver, the way the network and its kernels are one: it
-    runs a handler for every *loud* item, entering the item through
-    ``advance`` first and asking at the boundary behind it, and passes over
-    quiet ones without asking."""
+    runs a handler for every *loud* item and passes over quiet ones without
+    asking.  One contract: ``advance(k)`` true means item ``k`` is there and
+    its to deliver — asked at the boundary behind every handler, and at the
+    end of the run, where the answer may be the queue's next entry."""
 
     def __init__(self, name, handle):
         self.name, self.handle = name, handle
-        self.runs = []  # the items of every run handed over
+        self.runs = []  # the item list of every run handed over, as it ended
 
     def deliver_run(self, run, advance):
-        self.runs.append(list(run))
-        entered = 0
-        for k, item in enumerate(run):
-            if not item.startswith("loud"):
-                continue
-            if k > entered and not advance(k):
-                return
-            self.handle(self, item)
-            if not advance(k + 1):
-                return
-            entered = k + 1
-        advance(len(run))
+        self.runs.append(run)
+        k, mine = 0, True  # item 0 comes entered
+        while True:
+            loud = run[k].startswith("loud")
+            if loud:
+                if not mine and not advance(k):
+                    return
+                self.handle(self, run[k])
+            k, mine = k + 1, False
+            if loud or k == len(run):
+                if not advance(k):
+                    return
+                mine = True
 
 
 class TestRuns:
-    """Posted entries leave the queue as runs: every queue-consecutive entry
-    of one time and one receiver in one call — and count as events."""
+    """Posted entries leave the queue as runs — every queue-consecutive
+    entry of one time and one receiver in one call — and, under ``run()``,
+    as chains: the call goes on over the queue's next entries for as long as
+    they are the same receiver's.  Every entry still counts as an event."""
 
     @staticmethod
     def _logging(sim, log):
@@ -403,45 +407,103 @@ class TestRuns:
 
         return handle
 
-    def test_a_run_is_the_consecutive_entries_of_one_time_and_receiver(self):
+    def test_a_chain_is_the_consecutive_entries_of_one_receiver(self):
         sim, log = Simulator(), []
         a = _Receiver("a", self._logging(sim, log))
         b = _Receiver("b", self._logging(sim, log))
         for item in ("loud-1", "quiet-2", "loud-3"):
             sim.post_at(1.0, a, item)
-        sim.schedule_at(1.0, lambda: log.append("plain"))  # ends the run
+        sim.schedule_at(1.0, lambda: log.append("plain"))  # ends the chain
         sim.post_at(1.0, a, "loud-4")
         sim.post_at(1.0, a, "loud-5")
         sim.schedule_at(1.0, lambda: None).cancel()  # so does a tombstone
         sim.post_at(1.0, a, "loud-6")
         sim.post_at(1.0, b, "loud-7")  # another receiver
         sim.post_at(1.0, a, "loud-8")
-        sim.post_at(2.0, a, "loud-9")  # another time
-        assert sim.pending_events == 10
+        sim.post_at(2.0, a, "loud-9")  # another time does not
+        sim.post_at(2.5, a, "quiet-10")
+        sim.post_at(2.5, a, "loud-11")
+        assert sim.pending_events == 12
         sim.run()
         assert a.runs == [
             ["loud-1", "quiet-2", "loud-3"], ["loud-4", "loud-5"],
-            ["loud-6"], ["loud-8"], ["loud-9"],
+            ["loud-6"], ["loud-8", "loud-9", "quiet-10", "loud-11"],
         ]
         assert b.runs == [["loud-7"]]
-        # Every entry was an event, counted when its handler ran.
+        # Every entry was an event, counted when its handler ran, at its time.
         assert [entry if entry == "plain" else entry[1:] for entry in log] == [
-            ("loud-1", 1.0, 1, 9), ("loud-3", 1.0, 3, 7), "plain",
-            ("loud-4", 1.0, 5, 5), ("loud-5", 1.0, 6, 4), ("loud-6", 1.0, 7, 3),
-            ("loud-7", 1.0, 8, 2), ("loud-8", 1.0, 9, 1), ("loud-9", 2.0, 10, 0),
+            ("loud-1", 1.0, 1, 11), ("loud-3", 1.0, 3, 9), "plain",
+            ("loud-4", 1.0, 5, 7), ("loud-5", 1.0, 6, 6), ("loud-6", 1.0, 7, 5),
+            ("loud-7", 1.0, 8, 4), ("loud-8", 1.0, 9, 3), ("loud-9", 2.0, 10, 2),
+            ("loud-11", 2.5, 12, 0),
         ]
-        assert sim.events_processed == 10 and sim.pending_events == 0
+        assert sim.events_processed == 12 and sim.pending_events == 0
 
-    def test_step_takes_a_whole_run_and_still_answers_bool(self):
+    def test_what_a_handler_schedules_before_the_next_entry_comes_before_it(self):
+        """The case chains exist to get right: entries are taken from the
+        head of the queue only after the handlers so far have run."""
+        sim, order = Simulator(), []
+
+        def handle(receiver, item):
+            order.append((item, sim.now))
+            if item == "loud-1":
+                sim.post_at(1.5, receiver, "loud-posted-by-1")
+            if item == "loud-posted-by-1":
+                sim.schedule_at(1.75, lambda: order.append(("plain", sim.now)))
+
+        receiver = _Receiver("a", handle)
+        sim.post_at(1.0, receiver, "loud-1")
+        sim.post_at(2.0, receiver, "loud-2")
+        sim.run()
+        assert order == [
+            ("loud-1", 1.0), ("loud-posted-by-1", 1.5), ("plain", 1.75), ("loud-2", 2.0),
+        ]
+        # The posted entry joined the chain; the plain event ended it.
+        assert receiver.runs == [["loud-1", "loud-posted-by-1"], ["loud-2"]]
+        assert sim.events_processed == 4 and sim.pending_events == 0
+
+    def test_a_chain_is_bounded_by_its_window(self):
+        from repro.net.simulator import _CHAIN_WINDOW
+
+        sim = Simulator()
+        receiver = _Receiver("a", lambda receiver, item: None)
+        total = 2 * _CHAIN_WINDOW + 50
+        for k in range(total):
+            sim.post_at(1.0 + k, receiver, f"loud-{k}")
+        sim.run()
+        assert [len(run) for run in receiver.runs] == [_CHAIN_WINDOW, _CHAIN_WINDOW, 50]
+        assert sim.events_processed == total and sim.now == float(total)
+        # A same-time run longer than the window is still one run, and an
+        # entry that is chained on brings the entries of its time with it.
+        for k in range(_CHAIN_WINDOW + 10):
+            sim.post_at(sim.now + 1.0, receiver, f"loud-moment-{k}")
+        sim.post_at(sim.now + 2.0, receiver, "loud-after")
+        sim.post_at(sim.now + 3.0, receiver, "loud-first")
+        sim.run(until=sim.now + 1.0)
+        assert len(receiver.runs[-1]) == _CHAIN_WINDOW + 10
+        sim.run(until=sim.now + 2.0)
+        assert receiver.runs[-1] == ["loud-after", "loud-first"]
+        for k in range(_CHAIN_WINDOW + 10):
+            sim.post_at(sim.now + 1.0, receiver, f"loud-moment-{k}")
+        sim.post_at(sim.now + 0.5, receiver, "loud-lone")
+        sim.run()
+        assert len(receiver.runs[-1]) == 1 + _CHAIN_WINDOW + 10
+
+    def test_step_takes_one_same_time_run_and_still_answers_bool(self):
         sim = Simulator()
         receiver = _Receiver("a", lambda receiver, item: None)
         for k in range(4):
             sim.post_at(1.0, receiver, f"loud-{k}")
+        sim.post_at(2.0, receiver, "loud-later")
+        assert sim.step() is True  # the run of t=1, and no more: no chain
+        assert sim.events_processed == 4 and sim.pending_events == 1
+        assert sim.now == 1.0 and len(receiver.runs[0]) == 4
         assert sim.step() is True
-        assert sim.events_processed == 4 and sim.pending_events == 0
+        assert sim.events_processed == 5 and sim.now == 2.0
         assert sim.step() is False
 
-    def test_unreached_entries_fire_next_before_what_the_run_scheduled(self):
+    @pytest.mark.parametrize("spacing", [0.0, 0.5])
+    def test_unreached_entries_fire_next_before_what_the_run_scheduled(self, spacing):
         sim, order = Simulator(), []
         stopped = []
 
@@ -455,20 +517,26 @@ class TestRuns:
 
         receiver = _Receiver("a", handle)
         for k in range(4):
-            sim.post_at(1.0, receiver, f"loud-{k}")
+            sim.post_at(1.0 + spacing * (k > 1), receiver, f"loud-{k}")
         sim.run(stop_when=lambda: bool(stopped))
         # The boundary after loud-1 said stop: two entries not reached.
         assert order == ["loud-0", "loud-1"]
         assert sim.events_processed == 2 and sim.pending_events == 4
         stopped.clear()
         sim.run()
-        assert order == [
-            "loud-0", "loud-1", "loud-2", "loud-3", "scheduled-by-1", "loud-posted-by-1",
-        ]
-        assert receiver.runs[1] == ["loud-2", "loud-3"]
+        if spacing:  # what loud-1 left at t=1 comes before t=1.5
+            assert order == [
+                "loud-0", "loud-1", "scheduled-by-1", "loud-posted-by-1", "loud-2", "loud-3",
+            ]
+        else:
+            assert order == [
+                "loud-0", "loud-1", "loud-2", "loud-3", "scheduled-by-1", "loud-posted-by-1",
+            ]
+            assert receiver.runs[1] == ["loud-2", "loud-3"]
         assert sim.events_processed == 6 and sim.pending_events == 0
 
-    def test_compaction_inside_a_run_loses_nothing(self):
+    @pytest.mark.parametrize("spacing", [0.0, 0.25])
+    def test_compaction_inside_a_run_loses_nothing(self, spacing):
         sim, order = Simulator(compact_floor=8), []
         timers = [sim.schedule(5.0 + k, lambda k=k: order.append(f"timer-{k}")) for k in range(40)]
 
@@ -482,7 +550,7 @@ class TestRuns:
 
         receiver = _Receiver("a", handle)
         for k in range(6):
-            sim.post_at(1.0, receiver, f"loud-{k}")
+            sim.post_at(1.0 + spacing * k, receiver, f"loud-{k}")
         with pytest.raises(SimulationError):
             sim.run(max_events=3)  # the run may take three of the six
         assert order == ["loud-0", "loud-1", "loud-2"]
@@ -491,17 +559,35 @@ class TestRuns:
         assert order == [f"loud-{k}" for k in range(6)] + [f"timer-{k}" for k in range(36, 40)]
         assert sim.events_processed == 10 and sim.pending_events == 0
 
-    def test_max_events_counts_run_entries(self):
+    @pytest.mark.parametrize("spacing", [0.0, 0.25])
+    def test_max_events_counts_run_entries(self, spacing):
         sim = Simulator()
         receiver = _Receiver("a", lambda receiver, item: None)
         for k in range(5):
-            sim.post_at(1.0, receiver, f"loud-{k}")
+            sim.post_at(1.0 + spacing * k, receiver, f"loud-{k}")
         with pytest.raises(SimulationError):
             sim.run(max_events=3)
         assert receiver.runs == [["loud-0", "loud-1", "loud-2"]]
         assert sim.events_processed == 3 and sim.pending_events == 2
+        assert sim.now == 1.0 + 2 * spacing
 
-    def test_clear_inside_a_run_drops_the_rest(self):
+    def test_until_and_stop_when_cut_a_chain_where_they_cut_steps(self):
+        sim, seen = Simulator(), []
+        receiver = _Receiver("a", lambda receiver, item: seen.append(item))
+        for k in range(6):
+            sim.post_at(1.0 + k, receiver, f"loud-{k}")
+        sim.run(until=2.5)  # the entry at t=3 stays queued; the clock moves on
+        assert seen == ["loud-0", "loud-1"] and receiver.runs == [["loud-0", "loud-1"]]
+        assert (sim.now, sim.events_processed, sim.pending_events) == (2.5, 2, 4)
+        sim.run(stop_when=lambda: len(seen) >= 4)  # asked before every entry
+        assert seen == [f"loud-{k}" for k in range(4)]
+        assert receiver.runs[1] == ["loud-2", "loud-3"]
+        assert (sim.now, sim.events_processed, sim.pending_events) == (4.0, 4, 2)
+        sim.run(until=6.0)  # an entry *at* the bound is inside it
+        assert len(seen) == 6 and sim.now == 6.0 and sim.pending_events == 0
+
+    @pytest.mark.parametrize("spacing", [0.0, 0.25])
+    def test_clear_inside_a_run_drops_the_rest(self, spacing):
         sim, order = Simulator(), []
 
         def handle(receiver, item):
@@ -511,20 +597,52 @@ class TestRuns:
 
         receiver = _Receiver("a", handle)
         for k in range(4):
-            sim.post_at(1.0, receiver, f"loud-{k}")
+            sim.post_at(1.0 + spacing * k, receiver, f"loud-{k}")
         sim.run()
         assert order == ["loud-0", "loud-1"] and sim.pending_events == 0
+        # ... and what is posted after it is a fresh queue's.
+        sim.post_at(sim.now + 1.0, receiver, "loud-again")
+        sim.run()
+        assert order[-1] == "loud-again" and sim.pending_events == 0
+
+    def test_a_finished_run_leaves_nothing_of_it_in_the_simulator(self):
+        """No run, item list or receiver outlives ``deliver_run``: a kept
+        receiver is a simulator <-> network cycle in every deployment."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator()
+            receiver = _Receiver("a", lambda receiver, item: None)
+            for k in range(5):
+                sim.post_at(1.0 + k, receiver, f"loud-{k}")
+            sim.post_at(9.0, receiver, "loud-lone")
+            sim.run(until=7.0)
+            assert len(receiver.runs[0]) == 5  # it was a chain
+            assert sim._run == [] and sim._chain is None and sim._stop_when is None
+            sim.run()
+            alive, runs = weakref.ref(receiver), receiver.runs
+            del receiver
+            assert alive() is None  # by reference counting alone
+            assert gc.collect() == 0
+            assert [len(run) for run in runs] == [5, 1]
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("block", range(4))
     def test_equals_one_entry_per_step(self, block):
-        """≥ 200 random schedules: a world that posts items and one that
-        schedules a plain event per item (the queue before runs existed)
-        log the same handler calls — same order, clock, ``events_processed``
-        and ``pending_events`` at every call — under random ``stop_when``,
-        ``until`` and ``max_events``."""
+        """≥ 200 random schedules over mixed equal and distinct times: a
+        world that posts items and one that schedules a plain event per item
+        (the queue before runs existed) log the same handler calls — same
+        order, clock, ``events_processed`` and ``pending_events`` at every
+        call — under random ``stop_when``, ``until`` and ``max_events``,
+        with handlers that post, schedule and cancel."""
         import random
 
         rng = random.Random(5_000 + block)
+        chained = 0
         for case in range(60):
             script_seed = rng.random()
             limits = {
@@ -533,7 +651,9 @@ class TestRuns:
                 "max_events": rng.choice([None, rng.randint(1, 60)]),
             }
             worlds = [self._world(script_seed, limits, posts) for posts in (True, False)]
-            assert worlds[0] == worlds[1], (block, case, limits)
+            assert worlds[0][:-1] == worlds[1][:-1], (block, case, limits)
+            chained += worlds[0][-1]
+        assert chained >= 30  # runs that crossed a time: the chains
 
     @staticmethod
     def _world(script_seed, limits, posts):
@@ -541,8 +661,10 @@ class TestRuns:
 
         rng = random.Random(script_seed)
         sim, log, timers = Simulator(compact_floor=8), [], []
+        times = {}  # item -> the time it was queued for
 
         def enqueue(time, receiver, item):
+            times[item] = time
             if posts:
                 sim.post_at(time, receiver, item)
             else:
@@ -553,30 +675,29 @@ class TestRuns:
             # What a handler does is a function of the item alone.
             act = random.Random(item)
             roll = act.random()
-            if roll < 0.25 and len(log) < 150:
+            if roll < 0.3 and len(log) < 150:
                 target = receivers[act.randrange(2)]
-                enqueue(sim.now + act.choice([0.0, 0.0, 1.0]), target, f"loud-{item}-child")
+                delay = act.choice([0.0, 0.0, 1.0, act.random()])
+                enqueue(sim.now + delay, target, f"loud-{item}-child")
             elif roll < 0.4:
-                timers.append(sim.schedule(act.choice([0.0, 1.0]), lambda: log.append(("timer", item, sim.now))))
+                delay = act.choice([0.0, 1.0, act.random()])
+                timers.append(sim.schedule(delay, lambda: log.append(("timer", item, sim.now))))
             elif roll < 0.6:
                 for timer in timers[act.randrange(4):: 2]:
                     timer.cancel()
 
-        def quiet(receiver, item):
-            pass
-
         receivers = [_Receiver("a", handle), _Receiver("b", handle)]
         for k in range(rng.randint(5, 50)):
-            time = rng.choice([1.0, 1.0, 1.0, 2.0, 3.0])
+            time = rng.choice([1.0, 1.0, 2.0, 3.0, 1.0 + 3.0 * rng.random()])
             roll = rng.random()
-            if roll < 0.7:
+            if roll < 0.75:
                 name = ("loud" if rng.random() < 0.7 else "quiet") + f"-{k}"
                 receiver = receivers[rng.random() < 0.2]
                 if name.startswith("quiet") and not posts:
                     sim.schedule_at(time, lambda: None)
                 else:
                     enqueue(time, receiver, name)
-            elif roll < 0.85:
+            elif roll < 0.9:
                 timers.append(sim.schedule_at(time, lambda k=k: log.append(("timer", k, sim.now))))
             else:
                 sim.schedule_at(time, lambda: None).cancel()
@@ -587,4 +708,9 @@ class TestRuns:
             outcome = "returned"
         except SimulationError:
             outcome = "max_events"
-        return log, outcome, sim.now, sim.events_processed, sim.pending_events
+        chained = any(
+            len({times[item] for item in run}) > 1
+            for receiver in receivers
+            for run in receiver.runs
+        )
+        return log, outcome, sim.now, sim.events_processed, sim.pending_events, chained

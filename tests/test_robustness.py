@@ -603,3 +603,169 @@ class TestMalformedProposals:
         assert result.all_decided and result.agreement_ok
         assert result.max_view == (2 if seat == 0 else 1)
         assert production.deployment.replicas[seat].sent == 3 * (len(UNHASHABLE_VALUES) + 1)
+
+
+#: Junk a Byzantine seat can put where a message carries structure.
+JUNK_SHAPES = ("x", None, [1], {"a": 1}, ((1, [2]),))
+
+
+def _junk_shape_messages(protocol, crypto, config, signer, view=1):
+    """PBFT / HotStuff messages signed by ``signer`` with its own key (the
+    leader's, when the seat leads ``view``) around each junk shape: as the
+    leader-signed *value* of a PBFT vote, in place of a statement, a QC, a
+    QC's votes or an ``HsVote``'s signed vote."""
+    from repro.messages.base import ProposalStatement
+    from repro.messages.hotstuff import (
+        HsNewView, HsProposal, HsQuorumCert, HsVote, HsVotePayload,
+    )
+    from repro.messages.pbft import PbftCommit, PbftPrepare, PbftPropose
+
+    key = crypto.registry.key_pair(signer).private_key
+
+    def sign(payload):
+        return crypto.signatures.sign_with(key, signer, payload)
+
+    messages = []
+    for junk in JUNK_SHAPES:
+        if protocol == "pbft":
+            statements = [junk]
+            if junk in UNHASHABLE_VALUES:  # ("x" and None are values like any other)
+                statements.append(sign(ProposalStatement(view, junk, config.seed_domain)))
+            for statement in statements:
+                messages += [
+                    sign(PbftPropose(view=view, statement=statement, justification=None)),
+                    sign(PbftPrepare(statement=statement)),
+                    sign(PbftCommit(statement=statement)),
+                ]
+        else:
+            votes = (sign(HsVotePayload(view, b"v", "prepare")), junk)
+            qcs = [HsQuorumCert(view, b"v", "prepare", junk),
+                   HsQuorumCert(view, b"v", "prepare", votes)]
+            if junk is not None:  # (no QC at all is what view 1 carries)
+                qcs.append(junk)
+            for qc in qcs:
+                messages += [
+                    sign(HsProposal(view=view, value=b"v", phase="prepare", justify=qc)),
+                    sign(HsProposal(view=view, value=b"v", phase="pre-commit", justify=qc)),
+                    sign(HsNewView(view=view, prepare_qc=qc)),
+                ]
+            messages += [
+                sign(HsVote(vote=junk)),
+                sign(HsVote(vote=sign(junk))),
+            ]
+    return messages
+
+
+def _junk_shape_seat(protocol):
+    class Seat:
+        """Byzantine seat: multicasts every junk-shape message to everyone
+        as soon as the run starts (under the view-1 leader's signature when
+        it sits in seat 0)."""
+
+        def __init__(self, replica_id, config, crypto, transport):
+            self.id = replica_id
+            self._build = lambda: _junk_shape_messages(protocol, crypto, config, replica_id)
+            self._everyone = [d for d in range(config.n) if d != replica_id]
+            self._transport = transport
+            self.sent = 0
+
+        def start(self):
+            for message in self._build():
+                self._transport.multicast(self._everyone, message)
+                self.sent += 1
+
+        def on_message(self, src, message):
+            pass
+
+    return Seat
+
+
+class TestJunkShapes:
+    """A PBFT vote whose leader-signed value cannot key a quorum, a junk
+    ``justify`` / QC / ``HsQuorumCert.votes``, an ``HsVote`` around something
+    that is no signed vote: malformed, and dropped at the message's first
+    inspection — never a ``TypeError`` / ``AttributeError`` out of an honest
+    replica or out of ``sim.run``."""
+
+    @staticmethod
+    def _cluster(protocol, reference=False):
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+        from .helpers import reference_spec
+
+        cell = MatrixCell(protocol, "none", "constant", n=8, f=1)
+        spec = cell_deployment_spec(cell, seed=0, max_time=600.0)
+        dep = (reference_spec(spec) if reference else spec).build()
+        dep.start()
+        return dep
+
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("signer", [0, 5])
+    @pytest.mark.parametrize("protocol", ["pbft", "hotstuff"])
+    def test_entry_points_drop_them(self, protocol, signer, reference):
+        dep = self._cluster(protocol, reference)
+        sent = dep.network.stats.sent_total
+        messages = _junk_shape_messages(protocol, dep.crypto, dep.config, signer)
+        # To a bystander and to the view-1 leader (HotStuff's votes and
+        # NewViews are the leader's to read).
+        for replica in (dep.replicas[3], dep.replicas[0]):
+            for message in messages:
+                replica.on_message(signer, message)
+            assert replica.current_view == 1 and replica.decision is None
+        assert dep.network.stats.sent_total == sent  # nothing answered
+        # ... and through the network, beside the honest run.
+        for message in messages:
+            dep.network.multicast(signer, [d for d in range(8) if d != signer], message)
+        dep.run(max_time=600.0)
+        assert all(r.decision is not None for r in dep.replicas.values())
+        assert dep.max_decision_view == 1
+
+    def test_validation_says_no_once_per_object(self):
+        from repro.baselines.pbft.predicates import pbft_safe_proposal, pbft_valid_vote
+        from repro.messages.pbft import PbftPropose
+
+        dep = self._cluster("pbft")
+        messages = _junk_shape_messages("pbft", dep.crypto, dep.config, 0)
+        assert len(messages) == 3 * (len(JUNK_SHAPES) + len(UNHASHABLE_VALUES))
+
+        def judge(message):
+            if isinstance(message.payload, PbftPropose):
+                return pbft_safe_proposal(message, dep.config, dep.crypto)
+            return pbft_valid_vote(message, dep.config, dep.crypto)
+
+        assert not any(judge(message) for message in messages)
+        # The verdicts are the table's: asked again, nothing is recomputed.
+        computed = dict(dep.crypto.verdicts.counts.computed)
+        assert not any(judge(message) for message in messages)
+        assert dict(dep.crypto.verdicts.counts.computed) == computed
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    @pytest.mark.parametrize("seat", [0, 29])
+    @pytest.mark.parametrize("protocol", ["pbft", "hotstuff"])
+    def test_production_trial_decides_and_equals_its_oracle(self, protocol, seat, latency):
+        """Seat 0 leads view 1 and says nothing well-formed, so the run
+        decides in view 2; seat 29 is a bystander and view 1 decides."""
+        import dataclasses
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import TrialContext
+
+        from .helpers import reference_spec
+
+        def context(reference):
+            cell = MatrixCell(protocol, "none", latency, n=30, f=5)
+            spec = dataclasses.replace(
+                cell_deployment_spec(cell, seed=6, max_time=600.0),
+                byzantine={seat: _junk_shape_seat(protocol)},
+            )
+            return TrialContext(reference_spec(spec) if reference else spec)
+
+        production, oracle = context(False), context(True)
+        result = production.execute()
+        assert result == oracle.execute()
+        assert result.all_decided and result.agreement_ok
+        assert result.max_view == (2 if seat == 0 else 1)
+        assert production.deployment.replicas[seat].sent == len(
+            _junk_shape_messages(protocol, production.deployment.crypto,
+                                 production.deployment.config, seat)
+        )

@@ -133,6 +133,33 @@ class TestDeploymentTeardown:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_a_chained_trial_holds_no_run_and_leaves_no_garbage(self, protocol):
+        """Under continuous latency ``run()`` serves chains: the simulator
+        holds their entries, items and receiver (the network) while one is
+        delivered, and nothing of it afterwards — a kept receiver would be
+        a simulator <-> network cycle in every deployment."""
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+        gc.collect()
+        gc.disable()
+        try:
+            cell = MatrixCell(protocol, "none", "exponential", n=16, f=5)
+            context = TrialContext(cell_deployment_spec(cell, seed=3, max_time=600.0))
+            assert context.execute().all_decided
+            sim = context.deployment.sim
+            assert sim._run == [] and sim._chain is None and sim._stop_when is None
+            if protocol == "probft":
+                routes = context.deployment.vote_kernel_stats()
+                assert 0 < 4 * routes["vote_chains"] <= routes["singleton"]
+            deployment = weakref.ref(context.deployment)
+            network = weakref.ref(context.deployment.network)
+            del context, sim
+            assert deployment() is None and network() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("read_tag", [False, True])
     def test_a_vote_envelope_dies_with_its_deployment(self, read_tag):
         """An on-demand envelope points at the key registry and the counters
