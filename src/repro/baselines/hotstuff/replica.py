@@ -256,12 +256,14 @@ class HotStuffReplica:
 
     def _well_formed(self, signed: Signed) -> bool:
         """Everything about a proposal that is the same for every recipient:
-        signed by its view's leader, a known phase, and a justify QC that
-        matches the proposal the way the phase demands."""
+        signed by its view's leader, a ``Value``, a known phase, and a
+        justify QC that matches the proposal the way the phase demands."""
         if not self._crypto.signatures.verify(signed):
             return False
         proposal: HsProposal = signed.payload
-        if signed.signer != self._leader(proposal.view):
+        if signed.signer != self._leader(proposal.view) or not well_formed(
+            proposal.value, Value
+        ):
             return False
         try:
             phase = HsPhase(proposal.phase)

@@ -30,12 +30,14 @@ deployment, or one slot of the SMR service):
 :class:`ColumnarVoteDispatch` is the kernel `Network` hands every run of
 coalesced buckets to.  The unit of array work is the *group*: the buckets
 of one delivery time that vote for one (phase, view, value) — under
-constant latency a whole protocol phase, n senders' buckets — applied in
-one pass, so the work follows the phase's votes and not its senders.
-One-recipient buckets (continuous latency: one bucket per delivery) take a
-scalar walk with the same rules, a *chain* of them per call (the simulator
-hands the walk the queue's next entry as it asks), and any vote bucket the
-kernel cannot prove equivalent — equivocal views, deployments with network
+constant latency a whole protocol phase, n senders' buckets.  A group of
+``_PASS_MIN_VOTES`` (128) votes or more is applied in one array pass;
+anything smaller — a small deployment's phase, or under continuous latency
+one bucket per delivery, a *chain* of them per call (the simulator hands the
+kernel the queue's next entry as it asks) — takes a scalar walk with the
+same rules, so the work follows the votes, not a fixed toll per pass.  Any
+vote bucket
+the kernel cannot prove equivalent — equivocal views, deployments with network
 duplication — is declined (-1) to the per-recipient loop
 (:meth:`ProBFTReplica.on_message`) through the same arrays.  Routes and
 passes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
@@ -340,10 +342,16 @@ class ColumnarCollectorTable(dict):
 #: already run at the speed a pass gets.
 _PASS_VOTES = 4096
 
+#: Votes a group needs to take the array pass; a smaller one is walked.  A
+#: pass costs ~60 numpy calls (~100 µs) whatever its size, the walk ~0.6 µs
+#: a vote: they cross between ~110 (n=300) and ~180 votes (n=40)
+#: (DESIGN.md "Break-even").
+_PASS_MIN_VOTES = 128
+
 
 class ColumnarVoteDispatch:
     """The delivery kernel for Prepare/Commit fan-outs: one array pass per
-    *group* of buckets.
+    large *group* of buckets, one scalar walk for everything smaller.
 
     :meth:`Network.deliver_run` hands over a run of *raw* coalesced buckets
     and a position in it.  The kernel looks the bucket's token up
@@ -351,7 +359,12 @@ class ColumnarVoteDispatch:
     with it the buckets that follow and belong to its group: valid votes
     for one (phase, view, value) from distinct signers, each to more than
     one recipient, :data:`_PASS_VOTES` votes at most.  One bucket is a
-    group of one.
+    group of one.  A group of fewer than :data:`_PASS_MIN_VOTES` votes, and
+    any one-recipient bucket, is applied by the walk at the top of
+    :meth:`__call__`: bucket by bucket, recipient by recipient, with the
+    per-recipient handler's rules, the probe after every stop and
+    ``advance`` at every bucket boundary — no array temporaries, and a whole
+    chain of one-recipient buckets per call (DESIGN.md, "Chains").
 
     The pass fuses the observation policy's pruning and
     :meth:`ProBFTReplica._handle_vote`'s per-recipient behaviour into array
@@ -371,9 +384,7 @@ class ColumnarVoteDispatch:
     votes behind it over-applied, which is unobservable, and a view flagged
     equivocal from *inside* a group does not cut it: why both are safe, and
     the one statistic that can then differ from a per-bucket walk, is
-    DESIGN.md ("Runs and groups").  One-recipient buckets take the scalar
-    walk at the top of :meth:`__call__`: same rules, no array temporaries,
-    and a whole chain of them per call (DESIGN.md, "Chains").
+    DESIGN.md ("Runs and groups"); a walked group needs neither argument.
 
     Answers one delivered count per bucket reached, or ``(-1,)`` to decline
     the bucket at ``pos`` to the caller's filtered per-recipient loop over
@@ -383,7 +394,7 @@ class ColumnarVoteDispatch:
     trigger lines 23-25), and any deployment with network duplication
     (a recipient could appear twice in one bucket, which the scatters rule
     out).  Anything that is not a vote is the wish kernel's to take or
-    decline.  ``vectorised``/``singleton``/``declined`` count the vote
+    decline.  ``vectorised``/``walked``/``declined`` count the vote
     buckets that took each route (reached, for a group cut short),
     ``vote_passes`` the array passes run, ``vote_chains`` the walks.
     """
@@ -411,7 +422,7 @@ class ColumnarVoteDispatch:
         self._wishes = wishes  # the deployment's wish kernel
         self._dup = dup_possible
         self.vectorised = 0
-        self.singleton = 0
+        self.walked = 0
         self.declined = 0
         self.vote_passes = 0
         self.vote_chains = 0
@@ -419,7 +430,7 @@ class ColumnarVoteDispatch:
     def stats(self) -> Dict[str, int]:
         return {
             "vectorised": self.vectorised,
-            "singleton": self.singleton,
+            "walked": self.walked,
             "declined": self.declined,
             "vote_passes": self.vote_passes,
             "vote_chains": self.vote_chains,
@@ -442,15 +453,17 @@ class ColumnarVoteDispatch:
                 self.declined += 1
                 return (-1,)
             return self._wishes(run, pos, probe, advance)
-        # The walk: a valid, unflagged vote for one recipient is delivered
-        # here, scalar, and so is every such bucket after it — entered
-        # through ``advance``: at the end of the run, the simulator handing
-        # over the queue's next entry.  The vectorized path's rules in the
-        # order a per-recipient handler applies them, over state read once
-        # per chain; no probe (a bucket ends with its one delivery, and
-        # ``advance`` asks ``stop_when`` before the next).  Any other bucket
-        # ends it: declined (-1) if an invalid or flagged vote, else entered
-        # and left to the caller — if first, to the pass below.
+        # The walk: a valid, unflagged vote bucket is delivered here, scalar,
+        # recipient by recipient in ``dsts`` order with the per-recipient
+        # handler's rules, over state read once per call — and so is every
+        # bucket after it that is entered through ``advance``: the rest of a
+        # group below the pass's break-even, or a chain of one-recipient
+        # buckets (at the end of the run, the simulator handing over the
+        # queue's next entry).  The probe runs after every stop.  A bucket
+        # that is not such a vote ends it: declined (-1) if an invalid or
+        # flagged vote, else entered and left to the caller.  A first bucket
+        # with several recipients opens a group, which goes to the pass
+        # below if it holds ``_PASS_MIN_VOTES`` votes.
         state, correct, replicas = self._state, self._correct, self._replicas
         equivocal = self._policy._equivocal
         config, crypto = self._config, self._crypto
@@ -462,97 +475,111 @@ class ColumnarVoteDispatch:
             known, reused = table.of_kind("vote"), table.counts.reused
         else:
             known = reused = {}
-        took, k = [], pos
+        took, k, tokens = [], pos, ()
         while True:
-            if took and len(dsts) != 1:
+            if tokens:  # a walked group: its tokens were looked up with it
+                token = tokens[k - pos]
+            elif took and len(dsts) != 1:
                 return took
-            entry = known.get(id(message))  # (one lookup per bucket reached)
-            if entry is not None:
-                reused["vote"] += 1
-                token = entry[1]
             else:
-                token = prevalidate_vote(config, crypto, message)
-                if token is None:
-                    return took or self._wishes(run, pos, probe, advance)
+                entry = known.get(id(message))  # (one lookup per bucket reached)
+                if entry is not None:
+                    reused["vote"] += 1
+                    token = entry[1]
+                else:
+                    token = prevalidate_vote(config, crypto, message)
+                    if token is None:
+                        return took or self._wishes(run, pos, probe, advance)
             is_prepare, view, value, signer, members = token[:5]
             if not token.valid or view in equivocal:
                 self.declined += 1
                 took.append(-1)
                 return took
-            if len(dsts) != 1:
-                break
+            if len(dsts) != 1 and not tokens:
+                # The group: ``run[pos]`` and the buckets after it that vote
+                # for one (phase, view, value) from distinct signers, each to
+                # several recipients, ``_PASS_VOTES`` votes at most.
+                tokens, signers, votes = [token], {signer}, len(dsts)
+                while pos + len(tokens) < len(run):
+                    _, following, recipients = run[pos + len(tokens)]
+                    token = prevalidate_vote(config, crypto, following)
+                    if (
+                        token is None
+                        or not token.valid
+                        or token.view != view
+                        or token.is_prepare is not is_prepare
+                        or token.value != value
+                        or token.signer in signers
+                        or len(recipients) == 1
+                        or votes + len(recipients) > _PASS_VOTES
+                    ):
+                        break
+                    tokens.append(token)
+                    signers.add(token.signer)
+                    votes += len(recipients)
+                if votes >= _PASS_MIN_VOTES:
+                    break
             # Counted as entered: a stop may retire the slot, and with it
             # fold these counters, from inside this call.
-            self.singleton += 1
+            self.walked += 1
             if not took:
                 self.vote_chains += 1
-            d = dsts[0]
-            if d not in correct:
-                self._handlers[d](src, message)  # arbitrary handler
-                took.append(1)
-            elif (prepare_active if is_prepare else commit_active)[d] != view or (
-                # (A correct sender multicasts its vote to its own sample.)
-                (signer != src or src not in correct) and d not in members
-            ):
-                # Not countable: buffer if the recipient is still behind
-                # (views stuck at 0 have not started), else the view gate,
-                # progress pruning or the i ∈ S precondition drops it.
-                future = 0 != views[d] < view
-                if future:
-                    replicas[d]._buffer_future(view, src, message)
-                took.append(int(future))
-            else:
-                took.append(1)
-                if state.slot(is_prepare, view, value).add(d, signer, message):
+            active = prepare_active if is_prepare else commit_active
+            # (A correct sender multicasts its vote to its own sample.)
+            own = signer == src and src in correct
+            delivered = 0
+            for d in dsts:
+                if d not in correct:
+                    self._handlers[d](src, message)  # arbitrary handler
+                    delivered += 1
+                elif active[d] != view or not (own or d in members):
+                    # Not countable: buffer if the recipient is still behind
+                    # (views stuck at 0 have not started), else the view
+                    # gate, progress pruning or the i ∈ S precondition drops it.
+                    if 0 != views[d] < view:
+                        replicas[d]._buffer_future(view, src, message)
+                        delivered += 1
+                    continue
+                else:
+                    delivered += 1
+                    if not state.slot(is_prepare, view, value).add(d, signer, message):
+                        continue
                     if is_prepare:
                         replicas[d]._try_form_prepared()
                     else:
                         replicas[d]._try_decide()
+                if probe is not None and probe():  # (a stop ran)
+                    took.append(delivered)
+                    return took
+            took.append(delivered)
             k += 1
-            if not advance(k) or k >= len(run):
-                # (A router hands over its own slice of the run: a bucket
-                # the simulator just appended is not in it.)
+            # (A router hands over its own slice of the run: a bucket the
+            # simulator just appended is not in it.)
+            if k == pos + len(tokens) or not advance(k) or k >= len(run):
                 return took
             src, message, dsts = run[k]
 
-        # The group: ``run[pos]`` and the buckets after it this pass can take.
-        signers = {}  # distinct, in bucket order
-        foreign = []  # buckets whose recipients are not the signer's own sample
-        lens, votes = [], 0
-        while True:
-            if not (src in correct and token.signer == src):
-                foreign.append((len(lens), token))
-            signers[token.signer] = None
-            lens.append(len(dsts))
-            votes += len(dsts)
-            if pos + len(lens) == len(run):
-                break
-            src, message, dsts = run[pos + len(lens)]
-            token = prevalidate_vote(self._config, self._crypto, message)
-            if (
-                token is None
-                or not token.valid
-                or token.view != view
-                or token.is_prepare is not is_prepare
-                or token.value != value
-                or token.signer in signers
-                or len(dsts) == 1
-                or votes + len(dsts) > _PASS_VOTES
-            ):
-                break
-        # Counted as they are entered: a stop may retire the slot, and with
-        # it fold these counters, from inside this call.
+        # The pass, over the group.  Counted as it is entered: a stop may
+        # retire the slot, and with it fold these counters, from inside
+        # this call.
         self.vote_passes += 1
         self.vectorised += 1
-        B = len(lens)
+        B = len(tokens)
         group = run[pos : pos + B]
         q = self._q
         slot = state.slot(is_prepare, view, value)
+        lens = [len(bucket[2]) for bucket in group]
         recipients = chain.from_iterable([bucket[2] for bucket in group])
         D = np.fromiter(recipients, np.intp, votes)
         starts = np.cumsum([0] + lens[:-1])
         bucket_of = np.repeat(np.arange(B), lens)
-        signers = list(signers)
+        signers = [token.signer for token in tokens]
+        # Buckets whose recipients are not the signer's own sample.
+        foreign = [
+            (b, token)
+            for b, (token, (src, _, _)) in enumerate(zip(tokens, group))
+            if not (src in correct and token.signer == src)
+        ]
 
         # One gather classifies countability: the active column fuses the
         # view match, the lines 23-25 block flag, and progress pruning

@@ -61,7 +61,7 @@ ByzantineFactory = Callable[[ReplicaId, ProtocolConfig, CryptoContext, Transport
 #: The keys of :meth:`Deployment.vote_kernel_stats`.
 KERNEL_STATS = (
     "vectorised",
-    "singleton",
+    "walked",
     "declined",
     "vote_passes",
     "vote_chains",
@@ -345,12 +345,12 @@ class Deployment:
     def vote_kernel_stats(self) -> Dict[str, int]:
         """Which route each bucket took (all zero for the oracle).
 
-        ``vectorised`` / ``singleton`` / ``declined``: vote buckets applied
-        by the vote kernel, or declined to the per-recipient loop
-        (ProBFT only); ``vote_passes``: the array passes that applied the
-        ``vectorised`` ones, a group of same-time buckets each;
-        ``vote_chains``: the scalar walks that applied the ``singleton``
-        ones.  ``wish_vectorised`` / ``wish_scalar`` / ``wish_declined``:
+        ``vectorised`` / ``walked`` / ``declined``: vote buckets applied
+        by the vote kernel's array pass or its scalar walk, or declined to
+        the per-recipient loop (ProBFT only); ``vote_passes``: the array
+        passes that applied the ``vectorised`` ones, a group of same-time
+        buckets each; ``vote_chains``: the scalar walks that applied the
+        ``walked`` ones, whatever their recipient count.  ``wish_vectorised`` / ``wish_scalar`` / ``wish_declined``:
         Wish buckets applied array-at-a-time, through the
         per-recipient loop (one recipient, or a wish dropped on a lookup),
         or through it because the network may duplicate.

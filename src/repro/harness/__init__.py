@@ -168,9 +168,9 @@ recipient)`` pair.  ProBFT additionally attaches
 :class:`~repro.core.observation.SampleObservationPolicy`, which prunes
 deliveries the recipient's quorum-sample state provably ignores, and hands
 every vote bucket to one kernel over numpy-backed quorum state shared by
-all replicas (:mod:`repro.core.columnar`: vectorised for wide buckets, a
-scalar branch for singleton buckets, counted declines to the per-recipient
-fallback), and validates each Propose once per message object rather than
+all replicas (:mod:`repro.core.columnar`: an array pass for large groups of
+buckets, a scalar walk for everything smaller, counted declines to the
+per-recipient fallback), and validates each Propose once per message object rather than
 once per recipient.  Every protocol — PBFT and HotStuff otherwise coalesce
 only — hands Wish fan-outs to one wish kernel over synchronizer columns
 shared by its correct replicas (:mod:`repro.sync.columns`), so a view

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Optional
 
 from ..crypto.verdicts import well_formed
 from ..types import ReplicaId, Value, View
@@ -50,8 +50,10 @@ class ProposalStatement(CanonicalMessage):
 
     @property
     def keyable(self) -> bool:
-        """False for a malformed statement: quorums are keyed by value."""
-        return well_formed(self.value, Hashable)
+        """False for a malformed statement: a value is a ``Value`` (bytes) —
+        quorums are keyed by it, ``None`` stands for "nothing prepared" and
+        SMR decodes it as a batch."""
+        return well_formed(self.value, Value)
 
     def conflicts_with(self, other: "ProposalStatement") -> bool:
         """Same instance and view, different value — the equivocation

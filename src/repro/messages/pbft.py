@@ -8,7 +8,7 @@ Commit are *broadcast* to everyone and quorums are deterministic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..crypto.signatures import Signed
 from ..types import Value, View
@@ -16,9 +16,9 @@ from .base import CanonicalMessage, ProposalStatement
 
 #: What every Propose / Prepare / Commit must carry (see
 #: :func:`repro.crypto.verdicts.well_formed`): a signed statement whose
-#: value can key a quorum.
+#: value is a ``Value`` (:attr:`ProposalStatement.keyable`).
 SHAPE = {
-    "statement": {type: Signed, "payload": {type: ProposalStatement, "value": Hashable}}
+    "statement": {type: Signed, "payload": {type: ProposalStatement, "value": Value}}
 }
 
 

@@ -1,13 +1,15 @@
 """The vote kernel's array pass and its scalar walk: a group of buckets —
 or a chain of one-recipient buckets — in one call must be indistinguishable
-from the same buckets delivered one call each.
+from the same buckets delivered one call each, whichever route it takes.
 
 A *group* is what :class:`~repro.core.columnar.ColumnarVoteDispatch` takes
-out of a run in one pass: consecutive buckets of one (phase, view, value)
-from distinct signers.  The property test drives two identical fixtures —
-real votes, real tokens, scripted replicas — with the same random run, one
-through the run-shaped call and one bucket by bucket, and compares
-everything a trial could observe.  The trial-level tests pin the cases the
+out of a run in one call: consecutive buckets of one (phase, view, value)
+from distinct signers, applied by an array pass at or above the break-even
+(``_PASS_MIN_VOTES``) and walked below it.  The property test drives three
+identical fixtures — real votes, real tokens, scripted replicas — with the
+same random run: through the run-shaped call with every group passed, with
+every group walked, and one bucket by bucket, and compares everything a
+trial could observe.  The trial-level tests pin the cases the
 random groups cannot stage: whole deployments against counters recorded
 from the parent commit, a slot retiring and a view flagged equivocal from
 inside a group.  A *chain* is what the kernel's scalar branch walks under
@@ -170,6 +172,8 @@ class _Fixture:
         return counts
 
     def observable(self):
+        # (A pass allocates its key's slot before it finds nobody counts; a
+        # walk, at the first vote that does.)
         slots = {
             key: (
                 slot.counts.tolist(),
@@ -179,6 +183,7 @@ class _Fixture:
                 slot.msg_by_signer,
             )
             for key, slot in self.state._slots.items()
+            if slot.counts.any()
         }
         columns = [
             column.tolist()
@@ -258,66 +263,121 @@ def _random_case(rng):
 
 
 def _route_counters(fixture):
+    """What does not depend on the route: buckets reached, buckets declined."""
     stats = fixture.kernel.stats()
-    return {k: stats[k] for k in ("vectorised", "singleton", "declined")}
+    return stats["vectorised"] + stats["walked"], stats["declined"]
 
 
 class TestGroupEqualsBuckets:
     @pytest.mark.parametrize("block", range(6))
-    def test_random_runs(self, block):
-        """≥ 300 random runs: arrays, retained messages, buffers, stop
-        order, per-bucket delivered counts and route counters are equal.
+    def test_random_runs(self, block, monkeypatch):
+        """≥ 300 random runs, each delivered three ways — every group as an
+        array pass (break-even 0), every group walked (break-even ∞), one
+        bucket per call: arrays, retained messages, buffers, stop order,
+        per-bucket delivered counts and the route-independent counters are
+        equal.
 
         When the run is cut short (the probe, a boundary) the pass has
         applied the votes of buckets it did not reach — over-applied,
         unobservable — so the arrays are compared on complete runs only."""
+        from repro.core import columnar
+
         rng = random.Random(9_000 + block)
         grouped = cut_short = quorums = 0
         for _ in range(60):
             config, crypto, shape, warmup, run = _random_case(rng)
-            one, each = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
+            passed, walked, each = (_Fixture(config, crypto, shape) for _ in range(3))
             never = lambda: False
-            for fixture in (one, each):  # identical pasts, bucket by bucket
+            for fixture in (passed, walked, each):  # identical pasts, bucket by bucket
                 fixture.deliver_each(warmup, None, never)
-            assert one.observable() == each.observable() and one.log == each.log
+            assert passed.observable() == each.observable() and passed.log == each.log
             mode = rng.choice(["complete", "complete", "probe", "boundary"])
-            past = len(one.log)
+            past = len(passed.log)
             stops = past + rng.randint(1, 12)
             results = []
-            for fixture, deliver in ((one, one.deliver_run), (each, each.deliver_each)):
+            for fixture, deliver, min_votes in (
+                (passed, passed.deliver_run, 0),
+                (walked, walked.deliver_run, float("inf")),
+                (each, each.deliver_each, columnar._PASS_MIN_VOTES),
+            ):
+                monkeypatch.setattr(columnar, "_PASS_MIN_VOTES", min_votes)
                 stop = never if mode == "complete" else fixture.stop_after(stops)
                 probe = stop if mode == "probe" else None
                 results.append(deliver(run, probe, stop))
-            assert results[0] == results[1], (block, mode)
-            assert one.log == each.log
-            assert _route_counters(one) == _route_counters(each)
-            if mode == "complete" or len(results[0]) == len(run):
-                assert one.observable() == each.observable()
+                monkeypatch.undo()
+            assert results[0] == results[1] == results[2], (block, mode)
+            assert passed.log == walked.log == each.log
+            assert _route_counters(passed) == _route_counters(walked) == _route_counters(each)
+            if mode == "complete" or len(passed.log) < stops:  # (never cut)
+                assert passed.observable() == walked.observable() == each.observable()
             else:
                 cut_short += 1
-            passes = one.kernel.vote_passes
-            assert passes <= one.kernel.vectorised == each.kernel.vote_passes
-            grouped += passes < one.kernel.vectorised
-            quorums += any(kind != "byz" for kind, *_ in one.log[past:])
+            # A pass per group, a walk per group or chain, a call per bucket.
+            reached = _route_counters(each)[0]
+            stats = each.kernel.stats()
+            assert stats["vote_passes"] + stats["vote_chains"] == reached
+            assert walked.kernel.vote_passes == walked.kernel.vectorised == 0
+            assert walked.kernel.vote_chains <= walked.kernel.walked == reached
+            passes = passed.kernel.vote_passes
+            assert passes <= passed.kernel.vectorised <= reached
+            grouped += passes < passed.kernel.vectorised
+            quorums += any(kind != "byz" for kind, *_ in passed.log[past:])
         # The generator reaches what it is meant to reach.
         assert grouped >= 30 and cut_short >= 8 and quorums >= 20, (
             grouped, cut_short, quorums,
         )
 
+    @pytest.mark.parametrize("block", range(2))
+    def test_a_view_flagged_inside_a_walked_group_ends_it(self, block, monkeypatch):
+        """A Byzantine recipient's handler flags the view from inside a
+        walked group: the walk declines at the next boundary, as one call
+        per bucket does (an array pass would run the group to its end)."""
+        from repro.core import columnar
+
+        monkeypatch.setattr(columnar, "_PASS_MIN_VOTES", float("inf"))
+        rng = random.Random(9_500 + block)
+        cut_by_flag = 0
+        for _ in range(60):
+            config, crypto, shape, warmup, run = _random_case(rng)
+            if not shape["byzantine"]:
+                continue
+            walked, each = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
+            never = lambda: False
+            flag_at = rng.randint(1, 4)
+            for fixture in (walked, each):
+                fixture.deliver_each(warmup, None, never)
+                fixture.flag_at = len(fixture.log) + flag_at
+            counts = walked.deliver_run(run, None, never)
+            assert counts == each.deliver_each(run, None, never)
+            assert walked.log == each.log and walked.observable() == each.observable()
+            assert walked.policy._equivocal == each.policy._equivocal
+            assert _route_counters(walked) == _route_counters(each)
+            cut_by_flag += -1 in counts and walked.kernel.vote_chains < walked.kernel.walked
+        assert cut_by_flag >= 10, cut_by_flag
+
     def test_pass_size_is_bounded(self, monkeypatch):
-        """A phase larger than one pass is several passes, same result."""
+        """A phase larger than one pass is several passes, same result — on
+        a phase whose groups are above the break-even (n=130, 40 votes a
+        bucket), cut into pieces that are too (a piece's last bucket would
+        take it past break-even + one bucket; a group's last piece may be
+        walked)."""
         from repro.core import columnar
 
         rng = random.Random(77)
-        config, crypto, shape, warmup, run = _random_case(rng)
+        while True:
+            config, crypto, shape, warmup, run = _random_case(rng)
+            if config.n == 130:
+                break
         whole, pieces = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
         never = lambda: False
         counts = whole.deliver_run(warmup + run, None, never)
-        monkeypatch.setattr(columnar, "_PASS_VOTES", 3 * config.sample_size)
+        assert whole.kernel.vote_passes > 0
+        cap = columnar._PASS_MIN_VOTES + config.sample_size
+        monkeypatch.setattr(columnar, "_PASS_VOTES", cap)
         assert pieces.deliver_run(warmup + run, None, never) == counts
         assert pieces.observable() == whole.observable() and pieces.log == whole.log
         assert pieces.kernel.vote_passes > whole.kernel.vote_passes
-        assert pieces.kernel.vectorised == whole.kernel.vectorised
+        assert _route_counters(pieces) == _route_counters(whole)
 
     def test_a_group_crosses_a_bitmap_word(self):
         """Signers 60..69 in one group: bits of two words in one scatter."""
@@ -372,7 +432,7 @@ def _random_chain(rng, config, crypto, shape):
                 elif roll < 0.6:  # a forged envelope: an invalid vote
                     vote = Signed(vote.payload, signer, b"\x01" * 32)
             deliveries += [(src, vote, [d]) for d in dsts]
-            if rng.random() < 0.15:  # several recipients: the array pass's
+            if rng.random() < 0.15:  # several recipients: a group's
                 others.append((src, vote, dsts[: rng.randint(2, len(dsts))]))
     rng.shuffle(deliveries)
     del deliveries[rng.randint(150, 400):]
@@ -412,6 +472,8 @@ class TestChainEqualsBuckets:
             flag_at = past + rng.randint(1, 4) if rng.random() < 0.3 else None
             table = crypto.verdicts.counts
             results, lookups = [], []
+            kernel = one.kernel
+            walked, chains = walked - kernel.walked, chains - kernel.vote_chains
             for fixture in (one, each):
                 fixture.flag_at = flag_at
                 stop = fixture.stop_after(stops) if mode == "stop" else never
@@ -425,31 +487,37 @@ class TestChainEqualsBuckets:
             assert one.log == each.log
             assert one.observable() == each.observable()
             assert _route_counters(one) == _route_counters(each)
+            assert kernel.walked == each.kernel.walked
             assert one.policy._equivocal == each.policy._equivocal
             assert lookups[0] == lookups[1] > 0
-            kernel = one.kernel
-            assert kernel.vote_chains <= kernel.singleton == each.kernel.vote_chains
-            walked += kernel.singleton
+            assert kernel.vote_chains <= kernel.walked == each.kernel.vote_chains
+            walked += kernel.walked
             chains += kernel.vote_chains
             crossings += any(kind != "byz" for kind, *_ in one.log[past:])
             flagged += bool(one.policy._equivocal)
             refused += mode == "refuse" and len(results[0]) == refuse_at
-        # The generator reaches what it is meant to reach, and chains chain.
+        # The generator reaches what it is meant to reach, and chains chain
+        # (walks and buckets of the chained deliveries, not of their pasts).
         assert crossings >= 12 and flagged >= 5 and refused >= 5, (crossings, flagged, refused)
         assert walked >= 8 * chains
 
     @pytest.mark.parametrize("block", range(2))
-    def test_a_bucket_split_per_recipient_is_the_same_bucket(self, block):
+    def test_a_bucket_split_per_recipient_is_the_same_bucket(self, block, monkeypatch):
         """The walk's rules are the pass's: a phase delivered bucket by
-        bucket (array passes) and the same phase with every bucket split
-        into one bucket per recipient (one chain) end in the same state."""
+        bucket (array passes, whatever their size) and the same phase with
+        every bucket split into one bucket per recipient (one chain) end in
+        the same state."""
+        from repro.core import columnar
+
         rng = random.Random(13_000 + block)
         for _ in range(40):
             config, crypto, shape, warmup, run = _random_case(rng)
             whole, split = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
             never = lambda: False
             buckets = warmup + run
+            monkeypatch.setattr(columnar, "_PASS_MIN_VOTES", 0)
             counts = whole.deliver_each(buckets, None, never)
+            monkeypatch.undo()
             pending = [(src, m, [d]) for src, m, dsts in buckets for d in dsts]
             walked = iter(split.deliver_chained(pending, never, None, lambda pos: False))
             for (_, _, dsts), count in zip(buckets, counts):
@@ -457,10 +525,7 @@ class TestChainEqualsBuckets:
                 # (Declined is declined, per bucket or per recipient.)
                 assert -1 in each if count == -1 else sum(each) == count
             assert split.log == whole.log
-            (slots, *rest), (passed, *others) = split.observable(), whole.observable()
-            # (A pass allocates its key's slot before it finds nobody counts.)
-            assert slots == {k: v for k, v in passed.items() if any(v[0])}
-            assert rest == others
+            assert split.observable() == whole.observable()
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +574,7 @@ class TestTrialsCountWhatTheParentCounted:
         elif latency == "constant":
             assert 0 < routes["vote_passes"] < routes["vectorised"]
         else:  # (nearly) every bucket has one recipient
-            assert routes["vote_passes"] <= routes["vectorised"] < routes["singleton"]
+            assert routes["vote_passes"] <= routes["vectorised"] < routes["walked"]
 
 
 class TestSlotRetiresInsideAGroup:
@@ -521,8 +586,9 @@ class TestSlotRetiresInsideAGroup:
         adversary="equivocating-leader", rotate_leaders=True, load="high",
         num_clients=12, requests_per_client=4, seed=5,
     )
-    #: ``network.stats.delivered_total`` and the vote buckets reached
-    #: (``vectorised``) of this trial at the parent commit.
+    #: ``network.stats.delivered_total`` and the vote buckets reached of
+    #: this trial at the parent commit (there ``vectorised``, in array
+    #: passes; its groups are below the break-even, so now ``walked``).
     PARENT_DELIVERED, PARENT_BUCKETS = 1932, 251
 
     def test_equals_oracle_and_parent(self, monkeypatch):
@@ -548,7 +614,8 @@ class TestSlotRetiresInsideAGroup:
         assert cut_by_retirement
         assert deployment.network.stats.delivered_total == self.PARENT_DELIVERED
         routes = result.kernel_stats
-        assert 0 < routes["vote_passes"] < routes["vectorised"] == self.PARENT_BUCKETS
+        assert routes["vote_passes"] == routes["vectorised"] == 0 < routes["vote_chains"]
+        assert routes["walked"] == self.PARENT_BUCKETS
         oracle = serve(spec, build_serving_deployment(spec, reference=True))
         assert oracle == result and oracle.latencies == result.latencies
 

@@ -629,7 +629,8 @@ def _junk_shape_messages(protocol, crypto, config, signer, view=1):
     for junk in JUNK_SHAPES:
         if protocol == "pbft":
             statements = [junk]
-            if junk in UNHASHABLE_VALUES:  # ("x" and None are values like any other)
+            # ("x" and None are no values either — not bytes: TestValueDomain.)
+            if junk in UNHASHABLE_VALUES:
                 statements.append(sign(ProposalStatement(view, junk, config.seed_domain)))
             for statement in statements:
                 messages += [
@@ -769,3 +770,126 @@ class TestJunkShapes:
             _junk_shape_messages(protocol, production.deployment.crypto,
                                  production.deployment.config, seat)
         )
+
+
+#: Leader-signed "values" outside the value domain ``Value = bytes``.
+NOT_BYTES = (None, 12345, "x", (1, 2), 1.5)
+
+
+def _junk_value_leader(protocol, value):
+    """A view-1 leader that proposes ``value`` to everyone, correctly signed,
+    and nothing else (HotStuff: the honest replica with ``value`` as its
+    own, so it also drives the phases of its proposal)."""
+    if protocol == "hotstuff":
+        from repro.baselines.hotstuff.replica import HotStuffReplica
+
+        return lambda rid, config, crypto, transport: HotStuffReplica(
+            rid, config, crypto, transport, my_value=value
+        )
+
+    class Seat:
+        def __init__(self, replica_id, config, crypto, transport):
+            self.id, self._config = replica_id, config
+            self._crypto, self._transport = crypto, transport
+
+        def start(self):
+            from repro.messages.base import ProposalStatement
+            from repro.messages.pbft import PbftPropose
+            from repro.messages.probft import Propose
+
+            sign = lambda payload: self._crypto.signatures.sign(self.id, payload)
+            statement = sign(ProposalStatement(1, value, self._config.seed_domain))
+            kind = Propose if protocol == "probft" else PbftPropose
+            self._transport.broadcast(
+                sign(kind(view=1, statement=statement, justification=None))
+            )
+
+        def on_message(self, src, message):
+            pass
+
+    return Seat
+
+
+class TestValueDomain:
+    """A value is ``bytes``: ``None`` stands for "nothing prepared" and SMR
+    decodes every decided value as a batch.  A leader-signed proposal of
+    anything else is malformed at its first inspection, so the view times
+    out and the next leader decides — it used to stall every correct
+    replica (``None``: 0 of 29 decided) or crash them when SMR decoded it."""
+
+    def test_statements_and_shapes_say_no(self):
+        from repro.baselines.pbft.predicates import pbft_safe_proposal
+        from repro.core.predicates import safe_proposal
+        from repro.crypto.verdicts import well_formed
+        from repro.messages.base import ProposalStatement
+        from repro.messages.pbft import SHAPE, PbftPropose
+        from repro.messages.probft import Propose
+
+        from .helpers import make_crypto
+
+        config = ProtocolConfig(n=8, f=1)
+        crypto = make_crypto(config).instance(config)
+        assert ProposalStatement(1, b"v").keyable
+        for value in NOT_BYTES:
+            statement = crypto.signatures.sign(
+                0, ProposalStatement(1, value, config.seed_domain)
+            )
+            assert not statement.payload.keyable
+            propose = crypto.signatures.sign(0, Propose(1, statement, None))
+            assert safe_proposal(propose, config, crypto) is False
+            pbft = crypto.signatures.sign(0, PbftPropose(1, statement, None))
+            assert not well_formed(pbft.payload, SHAPE)
+            assert pbft_safe_proposal(pbft, config, crypto) is False
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_a_none_leader_is_a_silent_one(self, protocol, latency):
+        """n=30, f=5, seed 3: the trial decides after view 1, exactly in the
+        views a silent view-1 leader's trial decides in, and `==` its oracle."""
+        import dataclasses
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import TrialContext, run_trial
+
+        from .helpers import reference_spec
+
+        def spec(adversary="none"):
+            cell = MatrixCell(protocol, adversary, latency, n=30, f=5)
+            base = cell_deployment_spec(cell, seed=3, max_time=600.0)
+            if adversary != "none":
+                return base
+            return dataclasses.replace(
+                base, byzantine={0: _junk_value_leader(protocol, None)}
+            )
+
+        context = TrialContext(spec())
+        result = context.execute()
+        assert result == run_trial(reference_spec(spec()))
+        assert result.all_decided and result.agreement_ok
+        assert min(result.decision_views) == 2
+        assert result.decision_views == run_trial(spec("silent")).decision_views
+        decided = {d.value for d in context.deployment.decisions.values()}
+        assert all(isinstance(value, bytes) for value in decided)
+
+    @pytest.mark.parametrize("value", NOT_BYTES)
+    def test_serving_under_a_junk_value_leader(self, value, monkeypatch):
+        """n=9 serving, the fixed view-1 leader of every slot proposes one
+        non-bytes value to everyone: every request completes, logs agree,
+        and the oracle runs the same — no honest replica decodes junk."""
+        import repro.adversary.equivocation as equivocation
+        from repro.adversary.equivocation import SplitStrategy
+        from repro.smr.workload import ServingSpec, build_serving_deployment, serve
+
+        monkeypatch.setattr(
+            equivocation, "optimal_split",
+            lambda n, byzantine, a, b: SplitStrategy(((value, frozenset(range(n))),)),
+        )
+        spec = ServingSpec(
+            adversary="equivocating-leader", rotate_leaders=False, load="high",
+            num_clients=12, requests_per_client=4, seed=5,
+        )
+        result = serve(spec, build_serving_deployment(spec))
+        assert result.completed == spec.workload().total_requests == 48
+        assert result.timed_out == 0 and result.logs_consistent
+        oracle = serve(spec, build_serving_deployment(spec, reference=True))
+        assert oracle == result and oracle.latencies == result.latencies

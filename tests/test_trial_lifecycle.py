@@ -151,7 +151,7 @@ class TestDeploymentTeardown:
             assert sim._run == [] and sim._chain is None and sim._stop_when is None
             if protocol == "probft":
                 routes = context.deployment.vote_kernel_stats()
-                assert 0 < 4 * routes["vote_chains"] <= routes["singleton"]
+                assert 0 < 4 * routes["vote_chains"] <= routes["walked"]
             deployment = weakref.ref(context.deployment)
             network = weakref.ref(context.deployment.network)
             del context, sim
@@ -599,7 +599,7 @@ class TestWhatAVoteLeavesBehind:
 
     @pytest.mark.parametrize(
         "adversary,latency,route",
-        [("equivocation", "constant", "declined"), ("none", "exponential", "singleton")],
+        [("equivocation", "constant", "declined"), ("none", "exponential", "walked")],
     )
     def test_routes_that_ask_still_match_the_oracle(self, adversary, latency, route):
         context = self._context(adversary, latency, 30, 5, seed=2)

@@ -95,8 +95,8 @@ class TestValidationsFollowMessages:
             assert delivered > 10 * len(sent)
         if protocol == "probft" and latency == "exponential":
             # One bucket per delivery, one lookup per bucket.
-            assert stats["singleton"] > 0.9 * delivered
-            assert reused >= stats["singleton"] - validated
+            assert stats["walked"] > 0.9 * delivered
+            assert reused >= stats["walked"] - validated
 
     def test_probft_counts_are_exact_and_equal_under_both_models(self):
         n = 100
@@ -123,8 +123,8 @@ class TestValidationsFollowMessages:
             assert seen[latency]["validated"] <= len(votes) + 1
         # Exponential latency: (nearly) every bucket is a singleton, and
         # the token is looked up per bucket instead of recomputed.
-        assert seen["exponential"]["singleton"] > 20 * seen["exponential"]["validated"]
-        assert seen["constant"]["singleton"] == 0
+        assert seen["exponential"]["walked"] > 20 * seen["exponential"]["validated"]
+        assert seen["constant"]["walked"] == 1  # (the leader's lone Prepare)
 
     @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
     def test_view_change_validates_each_new_leader_and_wish_once(self, protocol):
