@@ -24,7 +24,6 @@ from repro.crypto.context import CryptoContext, clear_crypto_pool
 from repro.crypto.hashing import digest
 from repro.harness.parallel import (
     ExperimentEngine,
-    backend_from_env,
     spawn_seeds,
     workers_from_env,
 )
@@ -42,14 +41,10 @@ TRIALS = 1200
 #: Process-pool size for the Monte-Carlo trials; 0 = serial.  The engine's
 #: counter-based seeds make results identical for every worker count.
 WORKERS = workers_from_env("REPRO_BENCH_WORKERS")
-#: Execution backend for the Monte-Carlo trials (serial/pool/async/
-#: sharded); None = pick by worker count.  Results are identical for
-#: every backend — the knob only moves wall-clock.
-BACKEND = backend_from_env("REPRO_BENCH_BACKEND")
 
 
-def compute_curves(workers: int = WORKERS, backend=BACKEND):
-    engine = ExperimentEngine(workers=workers, backend=backend)
+def compute_curves(workers: int = WORKERS):
+    engine = ExperimentEngine(workers=workers)
     curves = {}
     for o in O_VALUES:
         paper, exact, mc_pair = [], [], []

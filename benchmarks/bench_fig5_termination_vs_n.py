@@ -11,7 +11,7 @@ binomial chain, and a Monte-Carlo estimate of the same sampling process.
 import pytest
 
 from repro.analysis import termination as T
-from repro.harness.parallel import ExperimentEngine, backend_from_env, workers_from_env
+from repro.harness.parallel import ExperimentEngine, workers_from_env
 from repro.harness.tables import render_series
 from repro.montecarlo.experiments import estimate_termination
 
@@ -21,14 +21,10 @@ O_VALUES = (1.6, 1.7, 1.8)
 TRIALS = 250
 
 WORKERS = workers_from_env("REPRO_BENCH_WORKERS")
-#: Execution backend for the Monte-Carlo trials (serial/pool/async/
-#: sharded); None = pick by worker count.  Results are identical for
-#: every backend — the knob only moves wall-clock.
-BACKEND = backend_from_env("REPRO_BENCH_BACKEND")
 
 
-def compute_curves(workers: int = WORKERS, backend=BACKEND):
-    engine = ExperimentEngine(workers=workers, backend=backend)
+def compute_curves(workers: int = WORKERS):
+    engine = ExperimentEngine(workers=workers)
     curves = {}
     for o in O_VALUES:
         paper, exact, mc = [], [], []

@@ -5,34 +5,20 @@ Runs all three protocols at growing system sizes and prints the measured
 communication steps and message counts next to the paper's formulas — the
 message-complexity / latency trade-off that motivates ProBFT.
 
-The (n, protocol) grid is evaluated through the experiment harness's
-pluggable execution backends, so the same script scales from a laptop
-debug run to saturating every core:
-
 Run:  python examples/scalability_comparison.py
-      python examples/scalability_comparison.py --backend pool --workers auto
-      python examples/scalability_comparison.py --backend sharded
 """
-
-import argparse
 
 from repro.analysis import messages as M
 from repro.config import ProtocolConfig
-from repro.harness.backends import list_backends
 from repro.harness.runner import good_case_metrics
-from repro.harness.sweep import SweepPoint, run_sweep
 from repro.harness.tables import render_table
 
 N_VALUES = (20, 50, 100)
 PROTOCOLS = ("pbft", "probft", "hotstuff")
 
 
-def measure_point(point: SweepPoint) -> dict:
-    """One grid point: a full good-case run of one protocol at one size.
-
-    Module-level so process-based backends can pickle it.
-    """
-    n, protocol = point["n"], point["protocol"]
+def measure_point(n: int, protocol: str) -> dict:
+    """One grid point: a full good-case run of one protocol at one size."""
     cfg = ProtocolConfig(n=n, f=n // 5, o=1.7)
     result = good_case_metrics(protocol, cfg, require_view1=True)
     return {
@@ -50,41 +36,20 @@ def formula_messages(n: int, protocol: str) -> float:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend",
-        choices=list_backends(),
-        default=None,
-        help=(
-            "execution backend for the measured grid (default: serial for "
-            "--workers<=1, pool otherwise); results are identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        default="0",
-        metavar="N|auto",
-        help="worker count; 'auto' = the machine's core count",
-    )
-    args = parser.parse_args()
-
-    sweep = run_sweep(
-        {"n": N_VALUES, "protocol": PROTOCOLS},
-        measure_point,
-        workers=args.workers,
-        backend=args.backend,
-    )
-    rows = [
-        [
-            point["n"],
-            point["protocol"],
-            out["steps"],
-            out["messages"],
-            formula_messages(point["n"], point["protocol"]),
-            f"{out['messages'] / M.pbft_messages(point['n']):.0%}",
-        ]
-        for point, out in sweep.rows
-    ]
+    rows = []
+    for n in N_VALUES:
+        for protocol in PROTOCOLS:
+            out = measure_point(n, protocol)
+            rows.append(
+                [
+                    n,
+                    protocol,
+                    out["steps"],
+                    out["messages"],
+                    formula_messages(n, protocol),
+                    f"{out['messages'] / M.pbft_messages(n):.0%}",
+                ]
+            )
     print(
         render_table(
             ["n", "protocol", "steps", "messages (measured)",

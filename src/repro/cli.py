@@ -13,12 +13,12 @@ Commands:
   p50/p99/p999 latency columns; ``--matrix`` crosses load levels ×
   adversaries (equivocating leader, flooding);
 * ``sweep``    — run a named scenario matrix (protocols × adversaries ×
-  latency models) through the parallel experiment engine — on any execution
-  backend (``--backend serial|pool|async|sharded``, ``--workers auto`` for
-  the core count; results are bit-identical across all of them), with
-  optional adaptive budgets (``--target-width W --chunk K`` stops each cell
-  once its agreement Wilson interval is narrow enough; budgets become
-  worst-case caps) — and print a table or JSON report;
+  latency models) through the parallel experiment engine — in-process or on
+  a process pool (``--workers K``, ``auto`` for the core count; results are
+  bit-identical for every worker count), with optional adaptive budgets
+  (``--target-width W --chunk K`` stops each cell once its agreement Wilson
+  interval is narrow enough; budgets become worst-case caps) — and print a
+  table or JSON report;
 * ``plot``     — render Figure-5 style plots (metric vs system size) from
   one or more ``sweep --json`` reports (requires matplotlib).
 """
@@ -35,6 +35,7 @@ from .analysis import agreement as A
 from .analysis import messages as M
 from .analysis import termination as T
 from .config import ProtocolConfig
+from .errors import ConfigError
 from .harness.adaptive import DEFAULT_CHUNK
 from .harness.runner import run_protocol
 from .harness.tables import render_series, render_table
@@ -50,6 +51,13 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 def _config(args) -> ProtocolConfig:
     return ProtocolConfig(n=args.n, f=args.f, l=args.l, o=args.o)
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def cmd_run(args) -> int:
@@ -302,19 +310,20 @@ def cmd_sweep(args) -> int:
         matrix = matrix.with_size(
             args.n if args.n is not None else matrix.n, args.f
         )
+        # Every cell builds this config: reject a bad size before any trial.
+        ProtocolConfig(n=matrix.n, f=matrix.resolved_f())
     if args.track_memory:
         from dataclasses import replace as _replace
 
         matrix = _replace(matrix, track_memory=True)
     # Build the engine here so the report's execution metadata reflects what
-    # actually ran (an explicit concurrent backend without --workers
-    # saturates the cores — the resolved count lives on the backend).
+    # actually ran.
     profiler = None
     if args.profile is not None:
         import cProfile
 
         profiler = cProfile.Profile()
-    with ExperimentEngine(workers=workers, backend=args.backend) as engine:
+    with ExperimentEngine(workers=workers) as engine:
         backend_name = engine.backend_name
         effective_workers = engine.workers
         if profiler is not None:
@@ -338,8 +347,8 @@ def cmd_sweep(args) -> int:
         # NaN (e.g. mean decision time when nothing decided) is not valid
         # JSON; emit null so strict parsers accept the report.  Execution
         # metadata (backend/workers) is a separate key so consumers
-        # comparing *results* across backends can diff "matrix"+"rows"
-        # directly — those are bit-identical for every backend.
+        # comparing *results* across worker counts can diff "matrix"+"rows"
+        # directly — those are bit-identical for every worker count.
         rows = [
             {
                 k: (None if isinstance(v, float) and math.isnan(v) else v)
@@ -446,14 +455,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _backend_choices() -> List[str]:
-    """``--backend`` choices straight from the backend registry, so a newly
-    registered backend is immediately reachable from the CLI."""
-    from .harness.backends import list_backends
-
-    return list_backends()
-
-
 def _matrices_epilog() -> str:
     """Named-matrix reference shown in ``repro sweep --help``."""
     from .harness.registry import MATRICES
@@ -494,12 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
         "protocol", choices=["probft", "pbft", "hotstuff"], help="protocol"
     )
     _add_config_args(p_run)
-    p_run.add_argument("--max-time", type=float, default=5000.0)
+    p_run.add_argument("--max-time", type=_positive_float, default=5000.0)
     p_run.set_defaults(fn=cmd_run)
 
     p_attack = sub.add_parser("attack", help="run the equivocation attack")
     _add_config_args(p_attack)
-    p_attack.add_argument("--max-time", type=float, default=5000.0)
+    p_attack.add_argument("--max-time", type=_positive_float, default=5000.0)
     p_attack.set_defaults(fn=cmd_attack)
 
     p_fig = sub.add_parser("figures", help="print analytic figure series")
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_smr = sub.add_parser("smr", help="run a replicated counter")
     _add_config_args(p_smr)
     p_smr.add_argument("--slots", type=int, default=5)
-    p_smr.add_argument("--max-time", type=float, default=50_000.0)
+    p_smr.add_argument("--max-time", type=_positive_float, default=50_000.0)
     p_smr.set_defaults(fn=cmd_smr)
 
     p_serve = sub.add_parser(
@@ -548,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-pending", type=int, default=None)
     p_serve.add_argument("--seed", type=int, default=None)
     p_serve.add_argument("--timeout", type=float, default=None)
-    p_serve.add_argument("--max-time", type=float, default=None)
+    p_serve.add_argument("--max-time", type=_positive_float, default=None)
     p_serve.add_argument(
         "--rotate-leaders",
         action="store_true",
@@ -615,16 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_sweep.add_argument(
-        "--backend",
-        choices=_backend_choices(),
-        default=None,
-        help=(
-            "execution backend (default: serial for --workers<=1, process "
-            "pool otherwise); purely a performance choice — reports are "
-            "bit-identical across backends"
-        ),
-    )
-    p_sweep.add_argument(
         "--target-width",
         type=float,
         default=None,
@@ -650,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0, help="master seed")
     p_sweep.add_argument("--n", type=int, default=None, help="override system size")
     p_sweep.add_argument("--f", type=int, default=None, help="override fault count")
-    p_sweep.add_argument("--max-time", type=float, default=5000.0)
+    p_sweep.add_argument("--max-time", type=_positive_float, default=5000.0)
     p_sweep.add_argument(
         "--track-memory",
         action="store_true",
@@ -672,9 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
             "cProfile the sweep: write raw stats to PATH (default "
             "sweep_profile.pstats) plus a top-25 cumulative table next to "
             "it (PATH with .top25.txt), and echo the table to stderr; with "
-            "a concurrent backend only the coordinating process is "
-            "profiled, so pair with the default serial backend to see "
-            "trial internals"
+            "--workers > 1 only the coordinating process is profiled, so "
+            "pair with the default --workers 0 to see trial internals"
         ),
     )
     p_sweep.set_defaults(fn=cmd_sweep)
@@ -710,7 +700,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        # A bad --n/--f is an argument error (exit 2), never a result (1).
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,18 +12,17 @@ strategy:
   with no RNG state, so any worker (in any process, on any host) can
   compute any trial's seed independently;
 * the :class:`Backend` protocol itself — ``map``/``stream``/``close`` —
-  which every execution strategy implements and every experiment surface
-  (engine, matrix, sweeps, Monte-Carlo, benches, CLI) consumes.
+  which both execution strategies implement and every experiment surface
+  (engine, matrix, Monte-Carlo, benches, CLI) consumes.
 
-The one hard guarantee every backend must keep:
+The one hard guarantee both backends keep:
 
 **identical trial functions + identical specs ⇒ bit-identical results, in
 submission order, for every backend and every worker count.**
 
 Seed derivation makes per-trial randomness scheduling-independent;
 submission-order collection makes even order-sensitive aggregation (float
-summation) reproducible.  A backend that cannot keep this contract does not
-belong behind this seam.
+summation) reproducible.
 """
 
 from __future__ import annotations
@@ -170,14 +169,10 @@ class Backend:
     """The execution seam: evaluate trial specs, deterministically.
 
     Implementations choose *where and when* trials run — in-process
-    (:class:`~repro.harness.backends.serial.SerialBackend`), across a
-    process pool (:class:`~repro.harness.backends.pool.ProcessPoolBackend`),
-    overlapped on an event loop
-    (:class:`~repro.harness.backends.asyncio_backend.AsyncioBackend`), or
-    batched into seed shards
-    (:class:`~repro.harness.backends.sharded.ShardedBackend`) — but never
-    *what they compute*: results are bit-identical across backends and
-    arrive in submission order.
+    (:class:`~repro.harness.backends.serial.SerialBackend`) or across a
+    process pool (:class:`~repro.harness.backends.pool.ProcessPoolBackend`)
+    — but never *what they compute*: results are bit-identical across
+    backends and arrive in submission order.
 
     Contract:
 
@@ -186,32 +181,27 @@ class Backend:
       order) raises :class:`TrialError`.
     * :meth:`stream` — the lazy sibling: yield results as they arrive, in
       submission order; same error semantics.  ``count`` (when the total is
-      known) lets batching backends size their chunks deterministically.
+      known) lets the pool size its chunks deterministically.
     * :meth:`close` — release execution resources (idempotent; a later
       ``map``/``stream`` transparently re-acquires them).
 
-    **Bounded-window / cancellation contract** — ``stream(..., window=w)``
-    additionally promises, for adaptive early stopping:
+    **Bounded-window / cancellation contract** — every stream promises:
 
-    * *bounded dispatch*: at most about ``w`` specs (within one
-      chunk/shard of rounding) are consumed from ``specs`` ahead of the
-      results already yielded, so a lazy seed range is never drained ahead
-      of the consumer;
+    * *bounded dispatch*: at most about ``window`` specs (within one chunk
+      of rounding) are consumed from ``specs`` ahead of the results already
+      yielded, so a lazy seed range is never drained ahead of the consumer;
+      without ``window`` the backend picks the bound;
     * *prompt cancellation*: dropping the stream mid-iteration
       (``generator.close()``, ``break``, error) abandons only that bounded
-      in-flight window — the backend finishes or discards it promptly and
-      its workers are immediately reusable; a following ``close()`` stays
-      on the graceful path (no terminate, no full-range drain).
+      in-flight window — the backend finishes it promptly and its workers
+      are immediately reusable; a following ``close()`` stays on the
+      graceful path (no terminate, no full-range drain).
 
-    Without ``window`` the historical contract holds: backends may read
-    ahead freely, and a dropped stream may leave unbounded queued work
-    (the pool backend then hard-terminates on close).
-
-    Backends are context managers (``with make_backend("pool", 8) as b:``),
+    Backends are context managers (``with ProcessPoolBackend(8) as b:``),
     closing on exit.
     """
 
-    #: Registry name; subclasses override (``serial``/``pool``/...).
+    #: Name recorded in reports (``serial``/``pool``).
     name: str = "abstract"
 
     @property
@@ -236,9 +226,8 @@ class Backend:
     ) -> Iterator[Any]:
         """Lazily evaluate ``fn`` over ``specs`` in submission order.
 
-        ``window`` (when given, >= 1) invokes the bounded-window /
-        cancellation contract above; ``None`` keeps the historical
-        free-running read-ahead.
+        ``window`` (when given, >= 1) sets the read-ahead bound of the
+        contract above; ``None`` lets the backend choose it.
         """
         raise NotImplementedError
 

@@ -1,12 +1,10 @@
 """In-process serial execution — the reference backend.
 
-Every other backend is measured against this one: same per-trial
-computation, no pool, no pickling, pdb/coverage-friendly.  Serial execution
-additionally *fails fast*: nothing after the first failing trial runs (a
-concurrent backend necessarily completes in-flight work), and the original
-exception stays reachable via ``TrialError.__cause__`` — callers like
-:func:`repro.harness.sweep.run_sweep` rely on that to re-raise the point
-function's real exception type.
+The pool backend is measured against this one: same per-trial computation,
+no pool, no pickling, pdb/coverage-friendly.  Serial execution additionally
+*fails fast*: nothing after the first failing trial runs (the pool
+necessarily completes in-flight work), and the original exception stays
+reachable via ``TrialError.__cause__``.
 """
 
 from __future__ import annotations

@@ -14,17 +14,6 @@ left-fold float path as ``mean(list)``), so a streamed mean over trials in
 submission order is **bit-identical** to the materialized computation; the
 Welford-style ``M2`` recurrence adds variance/CI on top without a second
 pass.
-
-Both streaming accumulators additionally support **merging**
-(:meth:`Welford.merge`, :meth:`StreamingProportion.merge`): shard-local
-accumulators built over a partition of the observations combine into the
-whole-stream aggregate — the fan-in operation sharded execution
-(:class:`~repro.harness.backends.sharded.ShardedBackend`) and future
-distributed workers rely on.  Counts and proportion merges are exact;
-merged float sums (``total``/``M2``) equal the streamed values up to float
-associativity — bit-identical whenever the observations are exactly
-representable (booleans, counts, unit-latency times), and within rounding
-otherwise.
 """
 
 from __future__ import annotations
@@ -145,8 +134,7 @@ class LatencyAccumulator:
     Collects per-request latencies plus an explicit count of requests that
     never completed, and reports the summary the serving harness and CLI
     print everywhere: mean / p50 / p99 / p999 with ``None`` (not NaN) when
-    nothing completed.  Mergeable like the other streaming accumulators so
-    per-trial summaries fan in across matrix cells.
+    nothing completed.
 
     Unlike :class:`Welford` this keeps the raw observations — tail
     percentiles are not computable in O(1) memory, and serving runs are
@@ -180,12 +168,6 @@ class LatencyAccumulator:
     def extend(self, latencies) -> "LatencyAccumulator":
         for latency in latencies:
             self.add(latency)
-        return self
-
-    def merge(self, other: "LatencyAccumulator") -> "LatencyAccumulator":
-        self.latencies.extend(other.latencies)
-        self.incomplete += other.incomplete
-        self.recovered += other.recovered
         return self
 
     @property
@@ -307,36 +289,6 @@ class Welford:
             self.add(value)
         return self
 
-    def merge(self, other: "Welford") -> "Welford":
-        """Fold another accumulator's observations into this one, in place.
-
-        Chan et al.'s parallel-variance combine: after ``a.merge(b)``, ``a``
-        aggregates the concatenation of both observation streams.  Used as
-        the shard fan-in by :class:`~repro.harness.backends.sharded.
-        ShardedBackend`: per-shard accumulators merged in shard order
-        reproduce the submission-order stream.  ``count`` is exact;
-        ``total``/``M2`` are float sums and therefore equal the streamed
-        values up to float associativity (exactly, for exactly-representable
-        observations).
-        """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.total = other.total
-            self._m2 = other._m2
-            return self
-        delta = other.mean - self.mean
-        combined = self.count + other.count
-        self._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * (self.count * other.count) / combined
-        )
-        self.count = combined
-        self.total += other.total
-        return self
-
     @property
     def mean(self) -> float:
         """Running mean; NaN for an empty accumulator (matches :func:`mean`)."""
@@ -393,12 +345,6 @@ class StreamingProportion:
         self.trials += 1
         if success:
             self.successes += 1
-
-    def merge(self, other: "StreamingProportion") -> "StreamingProportion":
-        """Fold another counter's observations into this one (exact)."""
-        self.successes += other.successes
-        self.trials += other.trials
-        return self
 
     @property
     def point(self) -> float:

@@ -1,4 +1,4 @@
-"""Parallel Monte-Carlo experiment engine, layered on pluggable backends.
+"""Parallel Monte-Carlo experiment engine, layered on execution backends.
 
 The Figure-5 experiments are embarrassingly parallel: every trial is an
 independent function of its own seed.  :class:`ExperimentEngine` exploits
@@ -13,24 +13,21 @@ Two mechanisms make that hold:
 * *counter-based seed splitting* — every trial's seed is derived from the
   master seed and the trial index alone (`derive_seed`, a SplitMix64-style
   integer mix with no :mod:`random`/:mod:`numpy` state involved), so a
-  trial's randomness never depends on which process/thread/shard runs it or
-  in which order trials complete;
+  trial's randomness never depends on which process runs it or in which
+  order trials complete;
 * *submission-order collection* — :meth:`ExperimentEngine.map` returns
   results in the order the specs were submitted regardless of completion
   order, so even order-sensitive aggregation (e.g. float summation) is
   reproducible.
 
-Backend selection (see the guide in :mod:`repro.harness`):
+Backend selection:
 
 * ``workers <= 1`` (default) — :class:`SerialBackend
   <repro.harness.backends.serial.SerialBackend>`: in-process, no pickling,
   pdb/coverage-friendly;
 * ``workers > 1`` — :class:`ProcessPoolBackend
   <repro.harness.backends.pool.ProcessPoolBackend>`: the CPU-scaling
-  default (trial functions must be picklable);
-* ``backend="async"`` / ``backend="sharded"`` (or a constructed
-  :class:`~repro.harness.backends.base.Backend` instance) — explicit
-  strategies for overlap-bound and dispatch-bound workloads.
+  path (trial functions must be picklable).
 """
 
 from __future__ import annotations
@@ -40,14 +37,11 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
 from .backends import (
     Backend,
-    Outcome,
-    STREAM_CHUNK,
+    ProcessPoolBackend,
+    SerialBackend,
     TrialError,
     TrialSpec,
-    backend_from_env,
     derive_seed,
-    execute_outcome,
-    make_backend,
     resolve_workers,
     spawn_seeds,
     workers_from_env,
@@ -58,19 +52,13 @@ __all__ = [
     "ExperimentEngine",
     "TrialError",
     "TrialSpec",
-    "backend_from_env",
     "derive_seed",
     "engine_scope",
-    "make_backend",
     "resolve_engine",
     "resolve_workers",
     "spawn_seeds",
     "workers_from_env",
 ]
-
-# Backwards-compatible private aliases (pre-backend-seam names).
-_Outcome = Outcome
-_execute = execute_outcome
 
 
 class ExperimentEngine:
@@ -88,11 +76,11 @@ class ExperimentEngine:
           core count; the OS just time-slices);
         * ``"auto"``     — the machine's core count.
 
-    ``backend`` overrides the worker-count default: a registry name
-    (``"serial"``/``"pool"``/``"async"``/``"sharded"``) or a constructed
-    :class:`~repro.harness.backends.base.Backend` instance (which the
-    engine then owns and closes).  ``chunk_size`` controls how many specs
-    each pool task (or shard) carries; the default amortizes IPC overhead
+    ``backend`` overrides the worker-count default: ``"serial"``,
+    ``"pool"`` (``workers`` processes, the core count for ``workers=0``) or
+    a constructed :class:`~repro.harness.backends.base.Backend` instance
+    (which the engine then owns and closes).  ``chunk_size`` controls how
+    many specs each pool task carries; the default amortizes IPC overhead
     at roughly four chunks per worker.
     """
 
@@ -107,19 +95,26 @@ class ExperimentEngine:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
         if isinstance(backend, Backend):
             # A constructed instance is authoritative: its own configuration
             # wins, and ``workers`` below reflects what actually executes
             # (``workers=``/``chunk_size=`` arguments are not re-applied).
             self._backend = backend
+        elif backend == "pool" or (backend is None and workers > 1):
+            self._backend = ProcessPoolBackend(
+                workers=workers or resolve_workers("auto"),
+                chunk_size=chunk_size,
+            )
+        elif backend in (None, "serial"):
+            self._backend = SerialBackend()
         else:
-            self._backend = make_backend(
-                backend, workers=workers, chunk_size=chunk_size
+            raise ValueError(
+                f"unknown backend {backend!r}; expected 'serial', 'pool' "
+                f"or a Backend instance"
             )
         #: The concurrency that actually executes — read from the backend
-        #: (an explicitly concurrent backend may have auto-resolved to the
-        #: core count).  A serial backend carries no worker count: a
+        #: (an explicit pool without workers resolves to the core count).  A
+        #: serial backend carries no worker count: a
         #: caller-constructed one reports 0 regardless of the ``workers``
         #: argument (which it ignores); the name/default path reports the
         #: requested 0/1.
@@ -141,15 +136,6 @@ class ExperimentEngine:
     @property
     def parallel(self) -> bool:
         return self._backend.parallel
-
-    @property
-    def _pool(self):
-        """The pool backend's raw ``multiprocessing.Pool`` (None otherwise).
-
-        Kept for observability (tests assert pool reuse across calls); new
-        code should treat the backend as opaque.
-        """
-        return getattr(self._backend, "_pool", None)
 
     # ------------------------------------------------------------------
     # Mapping
@@ -221,20 +207,19 @@ class ExperimentEngine:
         materialized — a consumer folding them into O(1) accumulators runs a
         10⁵-trial experiment in constant memory at the aggregation layer.
         ``specs`` may itself be a lazy generator; pass ``count`` when the
-        total is known so batching backends size their chunks/shards to
-        spread small streams across all workers (without it, they fall back
-        to :data:`~repro.harness.backends.base.STREAM_CHUNK`-sized batches).
+        total is known so the pool sizes its chunks to spread small streams
+        across all workers (without it, it falls back to
+        :data:`~repro.harness.backends.base.STREAM_CHUNK`-sized batches).
 
-        ``window`` invokes the backend seam's **bounded-window /
+        Every stream keeps the backend seam's **bounded-window /
         cancellation contract** (see :class:`~repro.harness.backends.base.
         Backend`): at most about ``window`` specs are dispatched ahead of
-        the results consumed, and dropping the stream mid-iteration
-        abandons only that bounded in-flight window — the chunked-dispatch
-        mode adaptive stopping (:mod:`repro.harness.adaptive`) relies on to
-        cancel a cell without draining its full seed range.
+        the results consumed (the backend's own bound when ``None``), and
+        dropping the stream mid-iteration abandons only that bounded
+        in-flight window — what adaptive stopping
+        (:mod:`repro.harness.adaptive`) relies on to cancel a cell without
+        draining its full seed range.
         """
-        if window is None:
-            return self._backend.stream(fn, specs, count=count)
         return self._backend.stream(fn, specs, count=count, window=window)
 
     def run_stream(
@@ -294,8 +279,9 @@ def resolve_engine(
 ) -> ExperimentEngine:
     """The caller's engine if given, else a fresh one with ``workers``.
 
-    ``backend`` (a registry name or instance) overrides the worker-count
-    default for the fresh-engine case; a caller-supplied engine always wins.
+    ``backend`` (``"serial"``, ``"pool"`` or an instance) overrides the
+    worker-count default for the fresh-engine case; a caller-supplied
+    engine always wins.
     """
     if engine is not None:
         return engine
@@ -313,7 +299,7 @@ def engine_scope(
     A caller-supplied ``engine`` passes through untouched (the caller
     amortizes its pool across calls and closes it); a scope-created engine
     is closed gracefully on success and aborted on error, so every
-    experiment surface (estimators, sweeps, matrices) releases its workers
+    experiment surface (estimators, matrices) releases its workers
     deterministically instead of leaking them to the garbage collector.
     """
     own = engine is None

@@ -1,19 +1,12 @@
-"""Scenario registry and the scenario matrix.
+"""The scenario matrix.
 
-Two layers on top of :mod:`repro.harness.scenarios`:
-
-* a **named registry** — ``@scenario("silent-leader")`` attaches a name and
-  description to a builder so tests, the CLI, and sweep scripts can look
-  scenarios up by string (`get_scenario`, `build_scenario`,
-  `list_scenarios`);
-* a **scenario matrix** — :class:`ScenarioMatrix` crosses protocols ×
-  adversaries × latency models into enumerable :class:`MatrixCell` specs,
-  and :func:`run_matrix` streams ``trials`` seeded runs of every cell
-  through :meth:`ExperimentEngine.stream
-  <repro.harness.parallel.ExperimentEngine.stream>`, folding each trial
-  into constant-memory per-cell accumulators (:class:`CellAccumulator`) —
-  decision/agreement rates with confidence intervals, never a materialized
-  row list.
+:class:`ScenarioMatrix` crosses protocols × adversaries × latency models
+into enumerable :class:`MatrixCell` specs, and :func:`run_matrix` streams
+``trials`` seeded runs of every cell through :meth:`ExperimentEngine.stream
+<repro.harness.parallel.ExperimentEngine.stream>`, folding each trial into
+constant-memory per-cell accumulators (:class:`CellAccumulator`) —
+decision/agreement rates with confidence intervals, never a materialized
+row list.
 
 Every cell realizes its trial as a
 :class:`~repro.harness.trial.DeploymentSpec` executed by the one
@@ -39,14 +32,13 @@ first-class metric, in the spirit of scalable Byzantine reliable broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..adversary.registry import behavior_for, behavior_supported
 from ..config import ProtocolConfig
 from ..net.faults import ComposedChaos, PreGstChaos, ReceiverTargetedChaos
 from ..net.latency import ConstantLatency, ExponentialLatency, UniformLatency
 from ..sync.timeouts import FixedTimeout
-from . import scenarios as _scenarios
 from .adaptive import (
     DEFAULT_CHUNK,
     FixedBudget,
@@ -60,11 +52,6 @@ from .parallel import ExperimentEngine, TrialSpec, derive_seed, engine_scope
 from .trial import DeploymentSpec, RunResult, run_trial
 
 __all__ = [
-    "ScenarioSpec",
-    "scenario",
-    "get_scenario",
-    "build_scenario",
-    "list_scenarios",
     "MatrixCell",
     "CellAccumulator",
     "ScenarioMatrix",
@@ -77,100 +64,6 @@ __all__ = [
     "ADVERSARIES",
     "LATENCIES",
 ]
-
-
-# ----------------------------------------------------------------------
-# Named scenario registry
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A registered scenario: name, builder, human description."""
-
-    name: str
-    builder: Callable[..., Any]
-    description: str
-
-    def build(self, config: ProtocolConfig, seed: int = 0, **kwargs):
-        """Build the deployment (extras like attack plans are dropped)."""
-        built = self.builder(config, seed=seed, **kwargs)
-        if isinstance(built, tuple):
-            built = built[0]
-        return built
-
-
-_REGISTRY: Dict[str, ScenarioSpec] = {}
-
-
-def scenario(name: str, description: str = ""):
-    """Decorator: register a scenario builder under ``name``.
-
-    The builder must accept ``(config, seed=..., **kwargs)`` and return a
-    deployment (or a ``(deployment, extras...)`` tuple).
-    """
-
-    def register(fn):
-        if name in _REGISTRY:
-            raise ValueError(f"scenario {name!r} is already registered")
-        doc = (fn.__doc__ or "").strip()
-        _REGISTRY[name] = ScenarioSpec(
-            name=name,
-            builder=fn,
-            description=description or (doc.splitlines()[0] if doc else ""),
-        )
-        return fn
-
-    return register
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    """Look up a registered scenario; unknown names raise a clear KeyError."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; registered scenarios: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
-def build_scenario(name: str, config: ProtocolConfig, seed: int = 0, **kwargs):
-    """Build the named scenario's deployment, ready to ``run()``."""
-    return get_scenario(name).build(config, seed=seed, **kwargs)
-
-
-def list_scenarios() -> List[str]:
-    """All registered scenario names, sorted."""
-    return sorted(_REGISTRY)
-
-
-# Register the canonical builders from harness.scenarios.  Each wrapper
-# keeps the underlying signature reachable via **kwargs.
-
-scenario("happy", "All replicas correct, synchronous network, unit latency.")(
-    _scenarios.happy_case
-)
-scenario("silent-leader", "View-1 leader is Byzantine-silent; forces a view change.")(
-    _scenarios.silent_leader_case
-)
-scenario("crash", "f replicas crash mid-protocol (view-1 leader survives).")(
-    _scenarios.crash_case
-)
-scenario("pre-gst-chaos", "Asynchronous start: large random pre-GST delays.")(
-    _scenarios.pre_gst_chaos_case
-)
-scenario("equivocation", "The paper's optimal within-view attack (Figure 4c).")(
-    _scenarios.equivocation_case
-)
-scenario("flooding", "Flooders spray forged/duplicate votes at everyone.")(
-    _scenarios.flooding_case
-)
-
-
-# ----------------------------------------------------------------------
-# Scenario matrix
-# ----------------------------------------------------------------------
 
 PROTOCOLS: Tuple[str, ...] = ("probft", "pbft", "hotstuff")
 ADVERSARIES: Tuple[str, ...] = (
@@ -506,32 +399,6 @@ class CellAccumulator:
         if peak is not None:
             self._peak_mem.add(float(peak))
 
-    def merge(self, other: "CellAccumulator") -> "CellAccumulator":
-        """Fold another accumulator over the same cell into this one.
-
-        The per-cell fan-in for sharded execution: shard-local accumulators
-        (built by :meth:`~repro.harness.backends.sharded.ShardedBackend.
-        map_reduce` workers) merged in shard order aggregate the same
-        stream the serial fold sees — counts and proportions exactly, float
-        means up to float associativity (see
-        :meth:`repro.harness.metrics.Welford.merge`).
-        """
-        if other.cell != self.cell:
-            raise ValueError(
-                f"cannot merge accumulators for different cells: "
-                f"{self.cell.label} != {other.cell.label}"
-            )
-        self.trials += other.trials
-        self._decide.merge(other._decide)
-        self._agreement.merge(other._agreement)
-        self._agreement_prop.merge(other._agreement_prop)
-        self._max_view.merge(other._max_view)
-        self._decision_time.merge(other._decision_time)
-        self._messages.merge(other._messages)
-        self._bytes.merge(other._bytes)
-        self._peak_mem.merge(other._peak_mem)
-        return self
-
     def width(self, metric: str = "agreement_rate") -> float:
         """Current Wilson interval width of a proportion metric.
 
@@ -672,12 +539,12 @@ def run_matrix(
     ``trials`` overrides every cell uniformly; ``None`` (default) applies
     the matrix's per-cell budgets (fallback 1).  Trial seeds derive from
     ``(master_seed, global trial index)``, so the report is bit-identical
-    for any worker count *and any execution backend* (``backend`` — a
-    registry name like ``"pool"``/``"async"``/``"sharded"`` or a
-    :class:`~repro.harness.backends.base.Backend` instance — only changes
-    where trials run; aggregation is always the same submission-order
-    fold).  Because results fold into :class:`CellAccumulator` as they
-    arrive, memory stays constant in the number of trials.
+    for any worker count and either execution backend (``backend`` —
+    ``"serial"``, ``"pool"`` or a :class:`~repro.harness.backends.base.
+    Backend` instance — only changes where trials run; aggregation is
+    always the same submission-order fold).  Because results fold into
+    :class:`CellAccumulator` as they arrive, memory stays constant in the
+    number of trials.
 
     **Adaptive budgets** — ``target_width`` (uniform), the matrix's own
     ``target_width``/``target_widths``, or an explicit ``stopping`` rule

@@ -12,12 +12,10 @@ Two levels of fidelity:
 Every estimator fans its trials through
 :class:`repro.harness.parallel.ExperimentEngine`: trial ``i`` draws from a
 ``numpy`` generator seeded with ``derive_seed(seed, i)``, so results are
-bit-identical whether the trials run serially (``workers=0``, the default),
-across a process pool (``workers=k``), or on any other execution backend
-(``backend="async"``/``"sharded"`` — see :mod:`repro.harness.backends`),
-and independent of completion order.  Pass ``workers=``/``backend=`` for
-one-off parallelism or ``engine=`` to share a configured engine across
-calls.
+bit-identical whether the trials run serially (``workers=0``, the default)
+or across a process pool (``workers=k``), and independent of completion
+order.  Pass ``workers=`` for one-off parallelism or ``engine=`` to share a
+configured engine across calls.
 
 The rectangular sampling-level estimators (prepare-quorum, termination,
 view-change) additionally accept ``vectorized=True``: trials run in
@@ -38,7 +36,7 @@ spent, and ``result.stop_reason`` says why the run ended.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +48,6 @@ from ..harness.adaptive import (
     consume_adaptive,
 )
 from ..harness.metrics import ProportionEstimate, StreamingProportion
-from ..harness.backends import Backend
 from ..harness.parallel import ExperimentEngine, TrialSpec, engine_scope
 from .sampling import inclusion_counts, membership_matrix
 from .vectorized import (
@@ -263,7 +260,6 @@ def estimate_prepare_quorum(
     seed: int = 0,
     workers: int = 0,
     engine: Optional[ExperimentEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
     vectorized: bool = False,
@@ -276,7 +272,7 @@ def estimate_prepare_quorum(
     runs the trials in bit-identical numpy batches (fixed budgets only).
     """
     q, s = _sizes(n, o, l)
-    with engine_scope(engine, workers, backend) as eng:
+    with engine_scope(engine, workers) as eng:
         if vectorized:
             rows, used, reason = _collect_vectorized(
                 eng, prepare_quorum_batch, trials, seed, (n, f, q, s),
@@ -317,7 +313,6 @@ def estimate_termination(
     seed: int = 0,
     workers: int = 0,
     engine: Optional[ExperimentEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
     vectorized: bool = False,
@@ -333,7 +328,7 @@ def estimate_termination(
     in bit-identical numpy batches (fixed budgets only).
     """
     q, s = _sizes(n, o, l)
-    with engine_scope(engine, workers, backend) as eng:
+    with engine_scope(engine, workers) as eng:
         if vectorized:
             rows, used, reason = _collect_vectorized(
                 eng, termination_batch, trials, seed, (n, f, q, s),
@@ -378,7 +373,6 @@ def estimate_agreement_violation(
     model_detection: bool = False,
     workers: int = 0,
     engine: Optional[ExperimentEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
 ) -> MonteCarloResult:
@@ -403,7 +397,7 @@ def estimate_agreement_violation(
     }
     if model_detection:
         metrics["violation_detected"] = lambda row: row[2]
-    with engine_scope(engine, workers, backend) as eng:
+    with engine_scope(engine, workers) as eng:
         rows, used, reason = _collect_trials(
             eng,
             _agreement_violation_trial,
@@ -434,7 +428,6 @@ def estimate_protocol_agreement(
     max_time: float = 5000.0,
     workers: int = 0,
     engine: Optional[ExperimentEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
 ) -> MonteCarloResult:
@@ -447,7 +440,7 @@ def estimate_protocol_agreement(
     an adaptive ``stopping=`` rule: every trial saved is a whole
     simulation not run) pays off most.
     """
-    with engine_scope(engine, workers, backend) as eng:
+    with engine_scope(engine, workers) as eng:
         rows, used, reason = _collect_trials(
             eng,
             _protocol_agreement_trial,
@@ -483,7 +476,6 @@ def estimate_viewchange_decide(
     seed: int = 0,
     workers: int = 0,
     engine: Optional[ExperimentEngine] = None,
-    backend: Optional[Union[str, Backend]] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
     vectorized: bool = False,
@@ -500,7 +492,7 @@ def estimate_viewchange_decide(
     """
     q, s = _sizes(n, o, l)
     r = prepared if prepared is not None else (n + f) // 2
-    with engine_scope(engine, workers, backend) as eng:
+    with engine_scope(engine, workers) as eng:
         if vectorized:
             rows, used, reason = _collect_vectorized(
                 eng, viewchange_batch, trials, seed, (n, r, q, s),

@@ -12,8 +12,8 @@ post-draw steps (argpartition, bincount) run once across the whole batch.
 
 Batches travel through the normal :class:`~repro.harness.parallel
 .ExperimentEngine` / Backend seam: one :class:`TrialSpec` per batch, so
-``workers=``/``backend=`` parallelism applies to batches exactly as it
-does to trials.
+``workers=`` parallelism applies to batches exactly as it does to
+trials.
 
 Only the analytical estimators with rectangular draws are vectorized
 (prepare-quorum, termination, view-change).  The optimal-split attack
@@ -196,8 +196,8 @@ def run_batches(
 ) -> List[Any]:
     """Fan ``trials`` through ``fn`` in batches; flattened rows in order.
 
-    One spec per batch goes through the engine's normal map (so pools and
-    sharded backends parallelize across batches); each batch recomputes its
+    One spec per batch goes through the engine's normal map (so a pool
+    parallelizes across batches); each batch recomputes its
     trials' seeds from ``(master_seed, start index)`` internally, keeping
     the rows bit-identical to the per-trial dispatch for any batch size.
     """

@@ -34,7 +34,7 @@ from repro.harness.adaptive import (
     consume_adaptive,
 )
 from repro.harness.metrics import StreamingProportion, wilson_interval
-from repro.harness.parallel import TrialSpec, derive_seed
+from repro.harness.parallel import ExperimentEngine, TrialSpec, derive_seed
 from repro.harness.registry import (
     CellAccumulator,
     MATRICES,
@@ -48,7 +48,7 @@ from repro.montecarlo.experiments import (
     estimate_viewchange_decide,
 )
 
-BACKEND_NAMES = ("serial", "pool", "async", "sharded")
+BACKEND_NAMES = ("serial", "pool")
 
 #: Two cheap full-protocol cells at n=8; all-success agreement, so the
 #: all-success Wilson width formula z²/(t+z²) predicts the stopping point.
@@ -515,17 +515,17 @@ class TestAdaptiveEstimators:
             32, 6, 1.7, trials=400, seed=9, stopping=rule, chunk=32
         )
         for name in BACKEND_NAMES:
-            got = estimate_termination(
-                32,
-                6,
-                1.7,
-                trials=400,
-                seed=9,
-                stopping=TargetWidth(0.15, metric="per_replica_decides"),
-                chunk=32,
-                workers=2,
-                backend=name,
-            )
+            with ExperimentEngine(workers=2, backend=name) as engine:
+                got = estimate_termination(
+                    32,
+                    6,
+                    1.7,
+                    trials=400,
+                    seed=9,
+                    stopping=TargetWidth(0.15, metric="per_replica_decides"),
+                    chunk=32,
+                    engine=engine,
+                )
             assert got.trials == reference.trials, name
             assert got.stop_reason == reference.stop_reason, name
             assert dict(got.estimates) == dict(reference.estimates), name

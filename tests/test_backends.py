@@ -1,17 +1,15 @@
-"""Cross-backend bit-identity for the pluggable execution layer.
+"""Cross-backend bit-identity for the execution layer.
 
-The seam's hard guarantee, pinned on golden seeds: **serial == pool ==
-async == sharded** for
+The seam's hard guarantee, pinned on golden seeds: **serial == pool** for
 
 * raw trial-level results (map and stream),
 * full-protocol :class:`RunResult` streams through the trial lifecycle,
-* ``run_matrix`` reports and their per-cell accumulators (including
-  accumulators assembled by sharded per-shard merging),
+* ``run_matrix`` reports,
 * the Monte-Carlo estimators' counts,
 
-plus :class:`TrialError` propagation from every backend, the
-Welford/StreamingProportion merge algebra, and the process pool's graceful
-(close/join, not terminate) happy-path lifecycle.
+plus :class:`TrialError` propagation from both backends, the pool's
+bounded read-ahead, and its graceful (close/join, not terminate)
+lifecycle, also after a stream was dropped mid-iteration.
 """
 
 from __future__ import annotations
@@ -23,17 +21,10 @@ import pytest
 
 from repro.config import ProtocolConfig
 from repro.harness.backends import (
-    AsyncioBackend,
-    BACKENDS,
     ProcessPoolBackend,
     SerialBackend,
-    ShardedBackend,
-    backend_from_env,
-    list_backends,
-    make_backend,
     resolve_workers,
 )
-from repro.harness.metrics import StreamingProportion, Welford
 from repro.harness.parallel import (
     ExperimentEngine,
     TrialError,
@@ -42,16 +33,42 @@ from repro.harness.parallel import (
     resolve_engine,
 )
 from repro.harness.registry import (
-    CellAccumulator,
     MatrixCell,
     ScenarioMatrix,
     run_matrix,
     run_matrix_cell,
 )
-from repro.harness.sweep import run_sweep
-from repro.montecarlo.experiments import estimate_termination
+from repro.montecarlo.experiments import (
+    estimate_agreement_violation,
+    estimate_prepare_quorum,
+    estimate_protocol_agreement,
+    estimate_termination,
+    estimate_viewchange_decide,
+)
 
-BACKEND_NAMES = ("serial", "pool", "async", "sharded")
+BACKEND_NAMES = ("serial", "pool")
+
+#: The five Monte-Carlo estimators at golden sizes, each taking ``engine=``.
+ESTIMATORS = {
+    "prepare_quorum": lambda **kw: estimate_prepare_quorum(
+        32, 6, 1.7, trials=40, seed=9, **kw
+    ),
+    "termination": lambda **kw: estimate_termination(
+        32, 6, 1.7, trials=40, seed=9, **kw
+    ),
+    "agreement_violation": lambda **kw: estimate_agreement_violation(
+        32, 6, 1.7, trials=40, seed=9, model_detection=True, **kw
+    ),
+    "protocol_agreement": lambda **kw: estimate_protocol_agreement(
+        ProtocolConfig(n=8, f=1), trials=3, seed=9, **kw
+    ),
+    "viewchange_decide": lambda **kw: estimate_viewchange_decide(
+        32, 6, 1.7, trials=40, seed=9, **kw
+    ),
+}
+
+#: The estimators with a numpy-batched (``vectorized=True``) tier.
+VECTORIZED = ("prepare_quorum", "termination", "viewchange_decide")
 
 #: A tiny protocol-level matrix cell: full discrete-event simulation at n=6.
 GOLDEN_CELL = MatrixCell(
@@ -67,7 +84,7 @@ GOLDEN_MATRIX = ScenarioMatrix(
 )
 
 
-# Module-level trial functions (pool/sharded backends pickle them).
+# Module-level trial functions (the pool pickles them).
 
 
 def draw_trial(spec: TrialSpec) -> float:
@@ -85,14 +102,6 @@ def slow_trial(spec: TrialSpec) -> int:
     return spec.index
 
 
-def fold_matrix_row(acc: CellAccumulator, row: dict) -> None:
-    acc.add(row)
-
-
-def make_golden_accumulator() -> CellAccumulator:
-    return CellAccumulator(GOLDEN_CELL)
-
-
 def cell_specs(trials: int, master_seed: int = 0, max_time: float = 500.0):
     return [
         TrialSpec(
@@ -106,28 +115,30 @@ def cell_specs(trials: int, master_seed: int = 0, max_time: float = 500.0):
 
 def backend_for(name: str):
     """A small two-worker instance of the named backend."""
-    return make_backend(name, workers=2)
+    return ExperimentEngine(workers=2, backend=name).backend
 
 
 class TestRegistry:
-    def test_names(self):
-        assert list_backends() == list(BACKEND_NAMES)
-        assert set(BACKENDS) == set(BACKEND_NAMES)
-
     def test_default_selection_follows_workers(self):
-        assert isinstance(make_backend(None, workers=0), SerialBackend)
-        assert isinstance(make_backend(None, workers=1), SerialBackend)
-        assert isinstance(make_backend(None, workers=2), ProcessPoolBackend)
+        assert isinstance(ExperimentEngine(workers=0).backend, SerialBackend)
+        assert isinstance(ExperimentEngine(workers=1).backend, SerialBackend)
+        assert isinstance(
+            ExperimentEngine(workers=2).backend, ProcessPoolBackend
+        )
 
     def test_explicit_names(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("pool", workers=2), ProcessPoolBackend)
-        assert isinstance(make_backend("async", workers=2), AsyncioBackend)
-        assert isinstance(make_backend("sharded", workers=2), ShardedBackend)
+        assert isinstance(
+            ExperimentEngine(backend="serial").backend, SerialBackend
+        )
+        assert isinstance(
+            ExperimentEngine(workers=2, backend="pool").backend,
+            ProcessPoolBackend,
+        )
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            make_backend("gpu")
+        for name in ("gpu", "async", "sharded"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                ExperimentEngine(workers=2, backend=name)
 
     def test_auto_workers(self):
         import os
@@ -142,21 +153,12 @@ class TestRegistry:
     def test_concurrent_backend_without_workers_saturates(self):
         import os
 
-        backend = make_backend("pool", workers=0)
-        assert backend.workers == (os.cpu_count() or 1)
-
-    def test_backend_from_env(self, monkeypatch):
-        monkeypatch.delenv("X_BACKEND", raising=False)
-        assert backend_from_env("X_BACKEND") is None
-        assert backend_from_env("X_BACKEND", default="pool") == "pool"
-        monkeypatch.setenv("X_BACKEND", "Sharded")
-        assert backend_from_env("X_BACKEND") == "sharded"
-        monkeypatch.setenv("X_BACKEND", "quantum")
-        assert backend_from_env("X_BACKEND", default="serial") == "serial"
+        engine = ExperimentEngine(workers=0, backend="pool")
+        assert engine.workers == engine.backend.workers == (os.cpu_count() or 1)
 
     def test_engine_exposes_backend(self):
-        engine = ExperimentEngine(workers=2, backend="sharded")
-        assert engine.backend_name == "sharded"
+        engine = ExperimentEngine(workers=2, backend="pool")
+        assert engine.backend_name == "pool"
         assert engine.parallel
         engine.close()
         # A constructed Backend instance passes through as-is.
@@ -164,13 +166,13 @@ class TestRegistry:
         assert ExperimentEngine(backend=backend).backend is backend
 
     def test_resolve_engine_backend_passthrough(self):
-        engine = resolve_engine(None, 2, backend="async")
-        assert engine.backend_name == "async"
+        engine = resolve_engine(None, 0, backend="pool")
+        assert engine.backend_name == "pool"
         engine.close()
 
 
 class TestCrossBackendIdentity:
-    """serial == pool == async == sharded, golden seeds, every surface."""
+    """serial == pool, golden seeds, every surface."""
 
     def test_trial_level_map_and_stream(self):
         reference = SerialBackend().map(
@@ -207,21 +209,41 @@ class TestCrossBackendIdentity:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_estimator_counts_identical(self, name):
         serial = estimate_termination(32, 6, 1.7, trials=40, seed=9)
-        other = estimate_termination(
-            32, 6, 1.7, trials=40, seed=9, workers=2, backend=name
-        )
+        with ExperimentEngine(workers=2, backend=name) as engine:
+            other = estimate_termination(
+                32, 6, 1.7, trials=40, seed=9, engine=engine
+            )
         assert {k: v.successes for k, v in serial.estimates.items()} == {
             k: v.successes for k, v in other.estimates.items()
         }
         assert serial.mean_prepared_fraction == other.mean_prepared_fraction
 
+    @pytest.mark.parametrize(
+        "estimator", sorted(set(ESTIMATORS) - {"termination"})
+    )
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_run_sweep_identical(self, name):
-        reference = run_sweep({"n": [16, 25, 36]}, sweep_point_fn)
-        got = run_sweep(
-            {"n": [16, 25, 36]}, sweep_point_fn, workers=2, backend=name
-        )
-        assert got.rows == reference.rows
+    def test_other_estimator_counts_identical(self, name, estimator):
+        estimate = ESTIMATORS[estimator]
+        serial = estimate()
+        with ExperimentEngine(workers=2, backend=name) as engine:
+            other = estimate(engine=engine)
+        assert other.trials == serial.trials
+        assert {k: v.successes for k, v in serial.estimates.items()} == {
+            k: v.successes for k, v in other.estimates.items()
+        }
+
+    @pytest.mark.parametrize("estimator", VECTORIZED)
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_vectorized_estimator_counts_identical(self, name, estimator):
+        """The batched tier agrees with the per-trial tier on every backend."""
+        estimate = ESTIMATORS[estimator]
+        reference = estimate()
+        with ExperimentEngine(workers=2, backend=name) as engine:
+            other = estimate(engine=engine, vectorized=True)
+        assert other.trials == reference.trials
+        assert {k: v.successes for k, v in reference.estimates.items()} == {
+            k: v.successes for k, v in other.estimates.items()
+        }
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_trial_error_propagation(self, name):
@@ -237,125 +259,14 @@ class TestCrossBackendIdentity:
         engine.abort()
 
 
-def sweep_point_fn(point):
-    return {"sqrt": point["n"] ** 0.5, "seeded": point.seed % 97}
-
-
-class TestShardedMerge:
-    """Per-shard accumulators merged in shard order == the streamed fold."""
-
-    def test_merged_cell_accumulator_matches_streamed(self):
-        specs = cell_specs(trials=10, master_seed=77)
-        streamed = CellAccumulator(GOLDEN_CELL)
-        for row in SerialBackend().map(run_matrix_cell, list(specs)):
-            streamed.add(row)
-
-        for inner_workers, shard_size in ((1, 3), (2, 4)):
-            sharded = ShardedBackend(workers=inner_workers, shard_size=shard_size)
-            merged = sharded.map_reduce(
-                run_matrix_cell,
-                list(specs),
-                make_golden_accumulator,
-                fold_matrix_row,
-                count=len(specs),
-            )
-            sharded.close()
-            assert merged.trials == streamed.trials
-            # Constant-latency golden cells have exactly-representable
-            # observations, so the merge is bit-identical, summary included.
-            assert merged.summary() == streamed.summary()
-
-    def test_manual_shard_merge_matches(self):
-        """CellAccumulator.merge composes shard-local folds exactly."""
-        specs = cell_specs(trials=9, master_seed=13)
-        rows = SerialBackend().map(run_matrix_cell, list(specs))
-        whole = CellAccumulator(GOLDEN_CELL)
-        for row in rows:
-            whole.add(row)
-        merged = CellAccumulator(GOLDEN_CELL)
-        for shard_start in range(0, len(rows), 4):
-            shard_acc = CellAccumulator(GOLDEN_CELL)
-            for row in rows[shard_start : shard_start + 4]:
-                shard_acc.add(row)
-            merged.merge(shard_acc)
-        assert merged.summary() == whole.summary()
-
-    def test_merge_rejects_cell_mismatch(self):
-        other = MatrixCell(
-            protocol="probft", adversary="none", latency="constant", n=6, f=1
-        )
-        with pytest.raises(ValueError, match="different cells"):
-            CellAccumulator(GOLDEN_CELL).merge(CellAccumulator(other))
-
-    def test_map_reduce_propagates_trial_error(self):
-        specs = [TrialSpec(i, derive_seed(2, i)) for i in range(8)]
-        sharded = ShardedBackend(workers=2, shard_size=2)
-        with pytest.raises(TrialError) as exc_info:
-            sharded.map_reduce(
-                crash_on_three, specs, Welford, fold_value, count=8
-            )
-        assert exc_info.value.index == 3
-        sharded.close()
-
-
-def fold_value(acc: Welford, value) -> None:
-    acc.add(float(value))
-
-
-class TestMergeAlgebra:
-    def test_welford_merge_exact_on_integers(self):
-        values = [float(v) for v in [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]]
-        whole = Welford().extend(values)
-        for split in (1, 4, len(values)):
-            left = Welford().extend(values[:split])
-            right = Welford().extend(values[split:])
-            merged = left.merge(right)
-            assert merged.count == whole.count
-            assert merged.total == whole.total
-            assert merged.mean == whole.mean
-            assert abs(merged.variance - whole.variance) < 1e-12
-
-    def test_welford_merge_close_on_floats(self):
-        rng = np.random.default_rng(42)
-        values = list(rng.normal(1000.0, 0.001, size=64))
-        whole = Welford().extend(values)
-        merged = Welford().extend(values[:17]).merge(
-            Welford().extend(values[17:])
-        )
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-9)
-
-    def test_welford_merge_empty_identities(self):
-        base = Welford().extend([1.0, 2.0])
-        assert base.merge(Welford()).count == 2
-        empty = Welford()
-        empty.merge(Welford().extend([1.0, 2.0]))
-        assert empty.count == 2 and empty.mean == 1.5
-        assert Welford().merge(Welford()).count == 0
-
-    def test_streaming_proportion_merge(self):
-        outcomes = [True, False, True, True, False, True, False]
-        whole = StreamingProportion()
-        for outcome in outcomes:
-            whole.add(outcome)
-        left, right = StreamingProportion(), StreamingProportion()
-        for outcome in outcomes[:3]:
-            left.add(outcome)
-        for outcome in outcomes[3:]:
-            right.add(outcome)
-        left.merge(right)
-        assert (left.successes, left.trials) == (whole.successes, whole.trials)
-        assert left.interval == whole.interval
-
-
 class TestWindowedStreams:
     """The bounded-window/cancellation contract behind adaptive early stop.
 
     ``stream(..., window=w)`` must (a) keep results bit-identical, (b) read
     at most about ``w`` specs ahead of the consumer, and (c) leave workers
     promptly reusable — and the pool clean for a *graceful* close — when
-    the stream is dropped mid-iteration.
+    the stream is dropped mid-iteration.  A stream without ``window`` is
+    bounded by the pool's own window (four chunks per worker).
     """
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -364,6 +275,19 @@ class TestWindowedStreams:
         reference = SerialBackend().map(draw_trial, list(specs))
         with backend_for(name) as backend:
             got = list(backend.stream(draw_trial, list(specs), count=40, window=5))
+        assert got == reference, name
+
+    @pytest.mark.parametrize("window", [None, 1, 64])
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_edge_windows_results_identical(self, name, window):
+        """The derived window (None), the minimal one, and one wider than
+        the whole stream all yield the serial results in submission order."""
+        specs = [TrialSpec(i, derive_seed(7, i)) for i in range(40)]
+        reference = SerialBackend().map(draw_trial, list(specs))
+        with backend_for(name) as backend:
+            got = list(
+                backend.stream(draw_trial, list(specs), count=40, window=window)
+            )
         assert got == reference, name
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -384,16 +308,29 @@ class TestWindowedStreams:
         assert exc_info.value.index == 3
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_unwindowed_trial_error_propagation(self, name):
+        with backend_for(name) as backend:
+            specs = [TrialSpec(i, derive_seed(2, i)) for i in range(8)]
+            with pytest.raises(TrialError) as exc_info:
+                list(backend.stream(crash_on_three, specs, count=8))
+        assert exc_info.value.index == 3
+
+    # Only the pool reads ahead, so only the pool has a window to validate;
+    # serial is fully lazy and honors any window.
+    @pytest.mark.parametrize("name", ["pool"])
     def test_invalid_window_rejected(self, name):
         with backend_for(name) as backend:
-            if name == "serial":
-                pytest.skip("serial has no read-ahead to bound")
-            with pytest.raises(ValueError, match="window"):
-                list(backend.stream(draw_trial, [TrialSpec(0, 0)], window=0))
+            for window in (0, -1):
+                with pytest.raises(ValueError, match="window"):
+                    list(
+                        backend.stream(
+                            draw_trial, [TrialSpec(0, 0)], window=window
+                        )
+                    )
 
     def test_pool_windowed_bounded_readahead(self):
         """The spec generator is consumed at most ~window ahead of the
-        results pulled (imap's free-running feeder would eat all 1000)."""
+        results pulled (a free-running feeder would eat all 1000)."""
         backend = ProcessPoolBackend(workers=2, chunk_size=1)
         consumed = []
 
@@ -412,8 +349,8 @@ class TestWindowedStreams:
 
     def test_pool_windowed_drop_keeps_pool_clean(self):
         """Dropping a windowed stream waits out only the bounded in-flight
-        window — the pool is never marked dirty, close() stays graceful,
-        and the remaining seed range is NOT drained."""
+        window — close() stays graceful, and the remaining seed range is
+        NOT drained."""
         backend = ProcessPoolBackend(workers=2, chunk_size=1)
         ran = time.perf_counter()
         stream = backend.stream(
@@ -424,7 +361,6 @@ class TestWindowedStreams:
         elapsed = time.perf_counter() - ran
         # 60 slow trials would cost ~9s; the bounded remainder is ~2 trials.
         assert elapsed < 3.0
-        assert not backend._dirty
         pool = backend._pool
         calls = []
         original_terminate = pool.terminate
@@ -443,7 +379,7 @@ class TestWindowedStreams:
         )
         next(stream)
         stream.close()
-        # Same pool object serves the next call (no dirty-replacement).
+        # Same pool object serves the next call.
         pool = backend._pool
         assert backend.map(draw_trial, [TrialSpec(0, 0)]) == [
             SerialBackend().map(draw_trial, [TrialSpec(0, 0)])[0]
@@ -451,52 +387,35 @@ class TestWindowedStreams:
         assert backend._pool is pool
         backend.close()
 
-    def test_async_windowed_drop_bounded(self):
-        backend = AsyncioBackend(workers=2, window=8)
-        stream = backend.stream(
-            slow_trial, [TrialSpec(i, i) for i in range(60)], count=60, window=2
-        )
-        assert next(stream) == 0
-        start = time.perf_counter()
-        stream.close()  # drains at most min(window=8, 2) in-flight trials
-        assert time.perf_counter() - start < 2.0
-        # The loop/executor stay reusable after the drop.
-        assert backend.map(slow_trial, [TrialSpec(7, 7)]) == [7]
-        backend.close()
+    def test_unwindowed_drop_reads_one_window_and_closes_gracefully(self):
+        """Without ``window`` the pool bounds itself: four chunks per worker
+        (8 specs here) ahead of the consumer, however long the feeder had,
+        and a dropped stream leaves nothing queued, so close() joins."""
+        backend = ProcessPoolBackend(workers=2, chunk_size=1)
+        consumed = []
 
-    def test_sharded_windowed_drop_reaches_inner_pool(self):
-        """Dropping a windowed sharded stream closes the inner pool stream
-        too, so the inner pool stays clean for a graceful close."""
-        sharded = ShardedBackend(workers=2, shard_size=2)
-        stream = sharded.stream(
-            slow_trial, [TrialSpec(i, i) for i in range(40)], count=40, window=2
-        )
-        assert next(stream) == 0
+        def specs():
+            for i in range(1000):
+                consumed.append(i)
+                yield TrialSpec(i, i)
+
+        stream = backend.stream(draw_trial, specs(), count=1000)
+        for _ in range(3):
+            next(stream)
+        time.sleep(0.2)
+        # 3 yielded + at most one window in flight + one batch of slack.
+        assert len(consumed) <= 3 + 8 + 1
         stream.close()
-        inner = sharded.inner
-        assert isinstance(inner, ProcessPoolBackend)
-        assert not inner._dirty
-        pool = inner._pool
+        pool = backend._pool
         calls = []
         original_terminate = pool.terminate
         pool.terminate = lambda: calls.append("terminate")
         try:
-            sharded.close()
+            backend.close()
         finally:
             pool.terminate = original_terminate
-        assert calls == []
-
-    def test_unwindowed_drop_still_dirties_pool(self):
-        """The historical contract is unchanged: an abandoned *unwindowed*
-        stream leaves imap's queue full and close() must terminate."""
-        backend = ProcessPoolBackend(workers=2, chunk_size=1)
-        stream = backend.stream(
-            slow_trial, [TrialSpec(i, i) for i in range(60)], count=60
-        )
-        assert next(stream) == 0
-        stream.close()
-        assert backend._dirty
-        backend.abort()
+        assert calls == []  # graceful close — never terminate
+        assert backend._pool is None
 
 
 class TestPoolLifecycle:
@@ -521,16 +440,14 @@ class TestPoolLifecycle:
         backend.close()
 
     def test_exactly_consumed_stream_closes_gracefully(self):
-        """run_matrix/run_sweep pull exactly ``count`` results (zip/next),
-        leaving the generator suspended at its final yield — that is a
-        fully-drained stream and must NOT be misclassified as abandoned."""
+        """run_matrix pulls exactly ``count`` results (next), leaving the
+        generator suspended at its final yield — a fully-drained stream."""
         backend = ProcessPoolBackend(workers=2)
         specs = [TrialSpec(i, i) for i in range(6)]
         stream = backend.stream(draw_trial, specs, count=6)
         got = [next(stream) for _ in range(6)]  # never iterates past the end
         assert len(got) == 6
         del stream  # finalized while suspended at the last yield
-        assert not backend._dirty
         pool = backend._pool
         calls = []
         original_terminate = pool.terminate
@@ -550,8 +467,7 @@ class TestPoolLifecycle:
         import gc
 
         gc.collect()  # finalize the consumed stream generator
-        assert not engine.backend._dirty
-        pool = engine._pool
+        pool = engine.backend._pool
         calls = []
         original_terminate = pool.terminate
         pool.terminate = lambda: calls.append("terminate")
@@ -560,43 +476,6 @@ class TestPoolLifecycle:
         finally:
             pool.terminate = original_terminate
         assert calls == []
-
-    def test_close_after_abandoned_stream_terminates(self):
-        """Abandoning a stream mid-iteration leaves the pool's task queue
-        full; close() must not drain it gracefully (that executes every
-        remaining spec) — it falls through to terminate."""
-        backend = ProcessPoolBackend(workers=2, chunk_size=1)
-        stream = backend.stream(
-            slow_trial, [TrialSpec(i, i) for i in range(60)], count=60
-        )
-        assert next(stream) == 0
-        stream.close()  # early break / consumer walked away
-        pool = backend._pool
-        calls = []
-        original_terminate = pool.terminate
-        pool.terminate = lambda: calls.append("terminate") or original_terminate()
-        start = time.perf_counter()
-        backend.close()
-        elapsed = time.perf_counter() - start
-        assert calls == ["terminate"]
-        assert elapsed < 2.0  # never waits for the ~60 queued slow trials
-        assert backend._pool is None
-        # The dirty flag does not outlive the pool: a fresh pool closes
-        # gracefully again.
-        backend.map(draw_trial, [TrialSpec(0, 0)])
-        assert not backend._dirty
-        backend.close()
-
-    def test_sharded_abort_reaches_inner_pool(self):
-        sharded = ShardedBackend(workers=2, shard_size=1)
-        sharded.inner.map(draw_trial, [TrialSpec(i, i) for i in range(2)])
-        pool = sharded.inner._pool
-        calls = []
-        original_terminate = pool.terminate
-        pool.terminate = lambda: calls.append("terminate") or original_terminate()
-        sharded.abort()
-        assert calls == ["terminate"]
-        assert sharded.inner._pool is None
 
     def test_abort_terminates(self):
         backend = ProcessPoolBackend(workers=2)
@@ -612,19 +491,19 @@ class TestPoolLifecycle:
     def test_engine_context_manager_routes_by_outcome(self):
         with ExperimentEngine(workers=2) as engine:
             engine.run_trials(draw_trial, 4)
-            pool = engine._pool
+            pool = engine.backend._pool
             calls = []
             original_terminate = pool.terminate
             pool.terminate = (
                 lambda: calls.append("terminate") or original_terminate()
             )
         assert calls == []  # clean exit: graceful close
-        assert engine._pool is None
+        assert engine.backend._pool is None
 
         with pytest.raises(RuntimeError, match="bail"):
             with ExperimentEngine(workers=2) as engine:
                 engine.run_trials(draw_trial, 4)
-                pool = engine._pool
+                pool = engine.backend._pool
                 calls = []
                 original_terminate = pool.terminate
                 pool.terminate = (

@@ -111,16 +111,6 @@ class TestMetrics:
         assert acc.p50 is None and acc.p99 is None and acc.p999 is None
         assert acc.summary()["mean_latency"] is None
 
-    def test_latency_accumulator_merge(self):
-        left, right = LatencyAccumulator(), LatencyAccumulator()
-        left.extend([1.0, 2.0])
-        right.extend([3.0])
-        right.add(None)
-        left.merge(right)
-        assert left.completed == 3
-        assert left.incomplete == 1
-        assert left.mean == pytest.approx(2.0)
-
 
 class TestRunners:
     def test_run_probft_result_fields(self):

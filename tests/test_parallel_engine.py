@@ -104,11 +104,11 @@ class TestEngineBasics:
     def test_pool_is_reused_across_map_calls(self):
         with ExperimentEngine(workers=2) as engine:
             engine.run_trials(draw_trial, 4)
-            pool = engine._pool
+            pool = engine.backend._pool
             assert pool is not None
             engine.run_trials(draw_trial, 4)
-            assert engine._pool is pool
-        assert engine._pool is None  # context exit closed it
+            assert engine.backend._pool is pool
+        assert engine.backend._pool is None  # context exit closed it
         # A closed engine transparently re-creates its pool.
         assert len(engine.run_trials(draw_trial, 3)) == 3
         engine.close()

@@ -1,4 +1,4 @@
-"""Tests for the scenario registry and the scenario matrix."""
+"""Tests for the scenario builders and the scenario matrix."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from repro.harness import scenarios
 from repro.harness.parallel import TrialSpec, derive_seed
 from repro.harness.registry import (
     ADVERSARIES,
@@ -14,61 +15,43 @@ from repro.harness.registry import (
     PROTOCOLS,
     MatrixCell,
     ScenarioMatrix,
-    build_scenario,
     get_matrix,
-    get_scenario,
     list_matrices,
-    list_scenarios,
     run_matrix,
     run_matrix_cell,
-    scenario,
 )
 
 from .helpers import saturated_config
 
 
-class TestRegistry:
-    def test_canonical_scenarios_registered(self):
-        assert list_scenarios() == sorted(
-            [
-                "happy",
-                "silent-leader",
-                "crash",
-                "pre-gst-chaos",
-                "equivocation",
-                "flooding",
-            ]
-        )
-
-    @pytest.mark.parametrize("name", [
-        "happy",
-        "silent-leader",
-        "crash",
-        "pre-gst-chaos",
-        "equivocation",
-        "flooding",
-    ])
-    def test_every_scenario_builds_and_decides(self, name):
-        """Each registered scenario reaches a correct decision at n=8."""
-        deployment = build_scenario(name, saturated_config(), seed=1)
+class TestScenarioBuilders:
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            scenarios.happy_case,
+            scenarios.silent_leader_case,
+            scenarios.crash_case,
+            scenarios.pre_gst_chaos_case,
+            scenarios.equivocation_case,
+            scenarios.flooding_case,
+        ],
+        ids=[
+            "happy",
+            "silent-leader",
+            "crash",
+            "pre-gst-chaos",
+            "equivocation",
+            "flooding",
+        ],
+    )
+    def test_every_scenario_builds_and_decides(self, builder):
+        """Each canonical builder reaches a correct decision at n=8."""
+        deployment = builder(saturated_config(), seed=1)
+        if isinstance(deployment, tuple):  # (deployment, attack plan)
+            deployment = deployment[0]
         deployment.run(max_time=5000)
         assert deployment.all_correct_decided()
         assert deployment.agreement_ok
-
-    def test_unknown_name_raises_clear_keyerror(self):
-        with pytest.raises(KeyError, match="unknown scenario 'nope'"):
-            get_scenario("nope")
-        with pytest.raises(KeyError, match="silent-leader"):
-            # The error enumerates what *is* registered.
-            get_scenario("nope")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            scenario("happy")(lambda config, seed=0: None)
-
-    def test_specs_carry_descriptions(self):
-        for name in list_scenarios():
-            assert get_scenario(name).description
 
 
 class TestMatrixExpansion:

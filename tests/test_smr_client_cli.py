@@ -176,6 +176,68 @@ class TestCLI:
             main([])
 
 
+class TestCLIArgumentErrors:
+    """A bad argument exits 2 with one stderr line; exit 1 stays reserved
+    for results (for ``sweep``: some cell broke agreement)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--n", "8", "--f", "5"], "f < n/3"),
+            (["sweep", "--n", "0"], "n >= 4"),
+            (["run", "probft", "--n", "3"], "n >= 4"),
+            (
+                ["serve", "--n", "3", "--num-clients", "1",
+                 "--requests-per-client", "1"],
+                "n >= 4",
+            ),
+            (["sweep", "--f", "-1"], "f must be >= 0"),
+            (["run", "probft", "--n", "8", "--f", "5"], "f < n/3"),
+            (["run", "pbft", "--n", "3"], "n >= 4"),
+            (["run", "probft", "--f", "-1"], "f must be >= 0"),
+            (["attack", "--n", "3"], "n >= 4"),
+            (["attack", "--n", "8", "--f", "5"], "f < n/3"),
+            (["smr", "--n", "3"], "n >= 4"),
+            (["smr", "--n", "8", "--f", "5"], "f < n/3"),
+            (
+                ["serve", "--n", "8", "--f", "5", "--num-clients", "1",
+                 "--requests-per-client", "1"],
+                "f < n/3",
+            ),
+        ],
+        ids=[
+            "sweep-f", "sweep-n", "run-n", "serve-n",
+            "sweep-negative-f", "run-f", "run-pbft-n", "run-negative-f",
+            "attack-n", "attack-f", "smr-n", "smr-f", "serve-f",
+        ],
+    )
+    def test_bad_config_exits_2_without_traceback(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--trials", "1"],
+            ["run", "probft"],
+            ["attack"],
+            ["smr"],
+            ["serve", "--num-clients", "1", "--requests-per-client", "1"],
+        ],
+        ids=["sweep", "run", "attack", "smr", "serve"],
+    )
+    @pytest.mark.parametrize("max_time", ["-1", "0"])
+    def test_max_time_must_be_positive(self, capsys, argv, max_time):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--max-time", max_time])
+        assert exc_info.value.code == 2
+        assert "--max-time" in capsys.readouterr().err
+
+
 class TestSweepProfile:
     def test_profile_writes_pstats_and_top25_table(self, tmp_path, capsys):
         """``sweep --profile PATH`` leaves a loadable .pstats file plus the

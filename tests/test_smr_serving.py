@@ -251,7 +251,7 @@ class TestServingBeyondSaturatedSamples:
         strict=True,
         reason="a replica that misses a slot's commit quorum stays in that "
         "slot while its peers decide, stop the instance's timers and move "
-        "on: missing decision catch-up (ROADMAP item 2), not backpressure",
+        "on: missing decision catch-up (ROADMAP item 4), not backpressure",
     )
     def test_serving_n25_every_request_completes(self):
         for seed in range(3):

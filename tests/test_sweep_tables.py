@@ -1,49 +1,6 @@
-"""Tests for the sweep runner and table rendering."""
+"""Tests for table rendering."""
 
-import math
-
-import pytest
-
-from repro.harness.sweep import SweepPoint, run_sweep
 from repro.harness.tables import format_cell, render_series, render_table, sparkline
-
-
-class TestSweep:
-    def test_cartesian_grid(self):
-        result = run_sweep(
-            {"a": [1, 2], "b": [10, 20]},
-            lambda p: {"sum": p["a"] + p["b"]},
-        )
-        assert result.column("sum") == [11, 21, 12, 22]
-        assert result.headers == ["a", "b", "sum"]
-
-    def test_table_rows(self):
-        result = run_sweep({"x": [3]}, lambda p: {"y": p["x"] * 2})
-        assert result.table_rows() == [[3, 6]]
-
-    def test_filtered(self):
-        result = run_sweep(
-            {"a": [1, 2], "b": [10, 20]},
-            lambda p: {"sum": p["a"] + p["b"]},
-        )
-        sub = result.filtered(a=2)
-        assert sub.column("sum") == [12, 22]
-
-    def test_column_unknown_key(self):
-        result = run_sweep({"x": [1]}, lambda p: {"y": 1})
-        with pytest.raises(KeyError):
-            result.column("z")
-
-    def test_inconsistent_outputs_rejected(self):
-        def fn(point: SweepPoint):
-            return {"a": 1} if point["x"] == 1 else {"b": 2}
-
-        with pytest.raises(ValueError):
-            run_sweep({"x": [1, 2]}, fn)
-
-    def test_point_as_row(self):
-        point = SweepPoint(params={"n": 10, "o": 1.7})
-        assert point.as_row(["o", "n"]) == [1.7, 10]
 
 
 class TestFormatCell:
