@@ -175,15 +175,10 @@ class EquivocatingLeader:
             statements[value] = statement
             propose = Propose(view=view, statement=statement, justification=None)
             signed = self._crypto.signatures.sign(self.id, propose)
-            # One dissemination per assignment: the leader equivocates *per
-            # partition*.  Dense deployments reproduce the original ordered
-            # per-``dst`` sends exactly; under gossip the restriction shapes
-            # only the leader's first hop — honest recipients relay to their
-            # own samples, so conflicting proposals leak across partitions at
-            # relay speed (the realistic cost of equivocating over gossip).
-            self._transport.disseminate(
-                signed, restrict=[dst for dst in sorted(targets) if dst != self.id]
-            )
+            # The leader equivocates *per partition*, one ordered send each.
+            for dst in sorted(targets):
+                if dst != self.id:
+                    self._transport.send(dst, signed)
         if self._support:
             self._vote_both_sides(view, statements)
 

@@ -105,14 +105,6 @@ class FloodingReplica:
             for dst in real_prepare_sample.sample:
                 if dst != self.id:
                     self._transport.send(dst, valid_prepare)
-        # Under gossip the flooder can additionally conscript honest relays:
-        # a disseminated fake-value vote is forwarded by correct recipients
-        # (relaying precedes verification, as on a real network), amplifying
-        # the junk for free.  Every amplified copy must still be rejected at
-        # the protocol layer.  Gated on a disseminator so dense deployments
-        # keep their exact pre-gossip traffic.
-        if self._transport.disseminator is not None:
-            self._transport.disseminate(fake_value_prepare)
 
 
 def flooding_factory(burst: int = 3, fake_value: Value = b"flood-value"):

@@ -61,30 +61,6 @@ def theorem2_o_upper_bound(n: int, f: int) -> float:
 
 
 @dataclass(frozen=True)
-class SimTuning:
-    """Simulator performance knobs (not protocol semantics).
-
-    Every field only affects *when* internal data structures reorganize,
-    never the order events fire in — the defaults reproduce the historical
-    hard-coded behavior bit for bit (pinned by the simulator test suite).
-    """
-
-    #: Tombstone-compaction floor: queues smaller than this are never
-    #: compacted (historically ``Simulator._COMPACT_FLOOR = 64``).
-    compact_floor: int = 64
-
-    def __post_init__(self) -> None:
-        if self.compact_floor < 1:
-            raise ConfigError(
-                f"compact_floor must be >= 1, got {self.compact_floor}"
-            )
-
-
-#: Process-wide default tuning; ``Simulator()`` reads these at construction.
-DEFAULT_SIM_TUNING = SimTuning()
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
     """Immutable configuration for one protocol deployment.
 

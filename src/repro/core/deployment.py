@@ -45,7 +45,7 @@ from ..crypto.context import CryptoContext
 from ..crypto.hashing import digest
 from ..net.faults import ChaosPolicy
 from ..net.latency import LatencyModel
-from ..net.network import DeliveryHandler, Network
+from ..net.network import Network
 from ..net.simulator import Simulator
 from ..net.sparse import CoalescingDelivery
 from ..net.transport import Transport
@@ -203,12 +203,12 @@ class Deployment:
         self.stack = self._new_stack()
         build = self._replica_factory(values or {}, timeout_policy)
         for r in range(config.n):
-            transport = self._transport(r)
+            transport = Transport(self.network, r)
             if r in byzantine:
                 replica = byzantine[r](r, config, self.crypto, transport)
             else:
                 replica = build(r, transport)
-            self.network.register(r, self._handler(r, replica))
+            self.network.register(r, replica.on_message)
             self.replicas[r] = replica
         if not reference:
             self._install_stack()
@@ -256,12 +256,6 @@ class Deployment:
         """Extra keyword arguments for every honest replica (called once,
         after network, crypto and stack exist, before any replica is built)."""
         return dict(self.stack.replica_kwargs) if self.stack is not None else {}
-
-    def _transport(self, replica: ReplicaId) -> Transport:
-        return Transport(self.network, replica)
-
-    def _handler(self, replica_id: ReplicaId, replica) -> DeliveryHandler:
-        return replica.on_message
 
     def _install_stack(self) -> None:
         """Put the production stack on the network (skipped by the oracle)."""

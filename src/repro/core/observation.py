@@ -10,7 +10,7 @@ leader-signed statement that conflicts with the accepted value.
 :class:`SampleObservationPolicy` encodes precisely that: votes are delivered
 only to sample members, unless the vote's view has been *flagged equivocal*,
 in which case every delivery for that view goes through (any recipient
-might need to block the view and gossip evidence).  The flag is
+might need to block the view and broadcast evidence).  The flag is
 maintained in :meth:`inspect`, which sees every message entering the network
 — including the unicast sends equivocating leaders and double-voters use —
 strictly before the corresponding deliveries fire, so the fire-time verdict
@@ -56,7 +56,6 @@ from ..config import ProtocolConfig
 from ..crypto.vrf import VRFOutput
 from ..messages.base import ProposalStatement
 from ..messages.probft import Commit, Prepare, extract_statement
-from ..net.gossip import GossipEnvelope
 from ..net.sparse import SparseDeliveryPolicy
 from ..types import ReplicaId, Value, View
 from .leader import leader_of
@@ -92,12 +91,6 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
         return frozenset(self._equivocal)
 
     def inspect(self, src: ReplicaId, message: object) -> None:
-        if type(message) is GossipEnvelope:
-            # Gossip hops carry the signed proposal one wrapper deeper; the
-            # equivocation flag must still see every hop (a Byzantine leader
-            # equivocates per gossip sample, and relays propagate both
-            # values), so unwrap before statement extraction.
-            message = message.payload
         statement = extract_statement(getattr(message, "payload", None))
         if statement is None:
             return

@@ -20,14 +20,14 @@ Handlers map to the algorithm's "upon" clauses:
   decide);
 * :meth:`_check_equivocation`— lines 23–25 (any message carrying a
   leader-signed statement conflicting with ``curVal`` blocks the view and
-  gossips the evidence).
+  broadcasts the evidence).
 
 Messages for future views are buffered (bounded) and replayed on view entry;
 messages for past views are dropped — the paper's "a receiver will only
 accept a message if its own view matches the view of the sender".
 
 :meth:`ProBFTReplica.on_message` is the one delivery entry point: unicasts,
-self-deliveries, future-buffer replays, gossip hops and every fan-out bucket
+self-deliveries, future-buffer replays and every fan-out bucket
 the kernels decline all arrive here.  Over set-based quorum collectors and a
 table-free crypto context it is the reference: what ``reference=True``
 deployments and Byzantine wrappers run.  Production deployments hand vote
@@ -405,10 +405,7 @@ class ProBFTReplica:
         propose = Propose(view=view, statement=statement, justification=justification)
         signed = self._sign(propose)
         self._trace("propose", view=view, value=value)
-        # Dissemination seam: dense deployments broadcast (the reference
-        # semantics, bit-identical to before the seam existed); gossip
-        # deployments sample-and-forward instead (O(log n) fan-out per node).
-        self._transport.disseminate(signed)
+        self._transport.broadcast(signed)
         self._deliver_local(signed)
 
     # ------------------------------------------------------------------

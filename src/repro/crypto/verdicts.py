@@ -5,8 +5,7 @@ leader/domain test, the VRF proof, ``safeProposal``, a certificate — is the
 same for every recipient, and a fan-out hands every recipient the same
 *object*.  A :class:`VerdictTable` remembers the verdict of each such check
 against the object it was made about, so a check runs once per message
-however many recipients, time buckets, future-buffer replays or gossip hops
-deliver it.
+however many recipients, time buckets or future-buffer replays deliver it.
 
 Keyed by identity, never equality: an entry holds the object it is about, so
 the object's ``id()`` cannot be handed to anything else while the entry
@@ -30,7 +29,8 @@ from typing import DefaultDict, Dict, Hashable, Optional, Tuple
 
 def well_formed(obj: object, shape) -> bool:
     """The shape check a message's first (validated-once) inspection makes
-    before reading into what a Byzantine sender built.  ``shape``: a class,
+    before reading into what a Byzantine sender built.  ``shape``: a class
+    (exactly that type: a subclass may override ``__hash__`` / ``__eq__``),
     ``Hashable`` (asks ``hash``), a one-item list (a tuple of such items) or
     ``{attr: shape}``, checked in order — the key ``type``, first, stands
     for the object itself, so the attributes after it are known to exist."""
@@ -42,7 +42,7 @@ def well_formed(obj: object, shape) -> bool:
             for attr, part in shape.items()
         )
     if shape is not Hashable:
-        return isinstance(obj, shape)
+        return type(obj) is shape
     try:
         hash(obj)
     except TypeError:

@@ -161,13 +161,6 @@ class DeploymentSpec:
     duplicate_prob: float = 0.0
     #: Account per-message canonical-encoding bytes (costs one encode each).
     track_bytes: bool = False
-    #: Leader-proposal dissemination: ``"dense"`` (reference semantics, an
-    #: O(n) broadcast) or ``"gossip"`` (sample-and-forward with O(log n)
-    #: per-node fan-out; see :mod:`repro.net.gossip`).
-    dissemination: str = "dense"
-    #: Gossip knobs; None means the protocol default ``⌈log2 n⌉ + 2``.
-    gossip_fanout: Optional[int] = None
-    gossip_rounds: Optional[int] = None
     #: Record the trial's peak Python heap (tracemalloc) in
     #: :attr:`RunResult.peak_mem_mb`.  Costs ~2x wall clock; telemetry only
     #: — it never changes protocol behaviour.
@@ -180,40 +173,9 @@ class DeploymentSpec:
         """The same trial under a different seed (for seeded fan-out)."""
         return replace(self, seed=seed)
 
-    def with_gossip(
-        self,
-        enabled: bool = True,
-        fanout: Optional[int] = None,
-        rounds: Optional[int] = None,
-    ) -> "DeploymentSpec":
-        """The same trial with gossip dissemination toggled.
-
-        ``with_gossip(False)`` returns the dense-dissemination twin with the
-        knobs cleared — the A/B partner for bit-identity checks.
-        """
-        if not enabled:
-            return replace(
-                self, dissemination="dense", gossip_fanout=None, gossip_rounds=None
-            )
-        return replace(
-            self,
-            dissemination="gossip",
-            gossip_fanout=fanout,
-            gossip_rounds=rounds,
-        )
-
     def build(self):
         """Construct the protocol's deployment (does not run it)."""
-        factory = _factory(self.protocol)
-        kwargs = dict(self.extra)
-        if self.dissemination != "dense":
-            # Only forwarded when set: only ProBFT's factory takes them.
-            kwargs["dissemination"] = self.dissemination
-            if self.gossip_fanout is not None:
-                kwargs["gossip_fanout"] = self.gossip_fanout
-            if self.gossip_rounds is not None:
-                kwargs["gossip_rounds"] = self.gossip_rounds
-        return factory(
+        return _factory(self.protocol)(
             self.config,
             seed=self.seed,
             latency=self.latency,
@@ -224,7 +186,7 @@ class DeploymentSpec:
             byzantine=self.byzantine,
             duplicate_prob=self.duplicate_prob,
             track_bytes=self.track_bytes,
-            **kwargs,
+            **dict(self.extra),
         )
 
 

@@ -50,7 +50,8 @@ class ProposalStatement(CanonicalMessage):
 
     @property
     def keyable(self) -> bool:
-        """False for a malformed statement: a value is a ``Value`` (bytes) —
+        """False for a malformed statement: a value is a ``Value`` (exactly
+        ``bytes``, see :func:`~repro.crypto.verdicts.well_formed`) —
         quorums are keyed by it, ``None`` stands for "nothing prepared" and
         SMR decodes it as a batch."""
         return well_formed(self.value, Value)

@@ -63,9 +63,9 @@ class HsQuorumCert(CanonicalMessage):
 
 
 #: Shapes (see :func:`repro.crypto.verdicts.well_formed`): a signed vote,
-#: and a QC of them.
-VOTE_SHAPE = {type: Signed, "payload": HsVotePayload}
-QC_SHAPE = {type: HsQuorumCert, "votes": [VOTE_SHAPE]}
+#: and a QC of them, each for a ``Value``.
+VOTE_SHAPE = {type: Signed, "payload": {type: HsVotePayload, "value": Value}}
+QC_SHAPE = {type: HsQuorumCert, "value": Value, "votes": [VOTE_SHAPE]}
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,6 @@ class MessageStats:
     same bytes signatures cover) and are tracked only when the network was
     created with ``track_bytes=True`` — encoding every message has a
     measurable cost.
-
-    ``track_history=True`` additionally retains a per-event debug log:
-    ``("send", src, kind, count, size)`` and ``("deliver", kind, count)``
-    tuples in record order.  Opt-in, because a large fan-out trial emits
-    millions of events — summary accounting is the default precisely so
-    n≈20,000 runs don't hold per-message records alive.
     """
 
     __slots__ = (
@@ -70,11 +64,9 @@ class MessageStats:
         "sent_total",
         "delivered_total",
         "bytes_total",
-        "track_history",
-        "history",
     )
 
-    def __init__(self, track_history: bool = False) -> None:
+    def __init__(self) -> None:
         # Imported lazily: repro.harness pulls in the trial layer, which
         # imports this module — a module-level import would be circular.
         from ..harness.metrics import IndexedCounter
@@ -89,8 +81,6 @@ class MessageStats:
         self.sent_total = 0
         self.delivered_total = 0
         self.bytes_total = 0
-        self.track_history = track_history
-        self.history: list = []
 
     @property
     def sent_by_type(self) -> Counter:
@@ -128,8 +118,6 @@ class MessageStats:
         if size is not None:
             self._bytes.bump(name, count * size)
             self.bytes_total += count * size
-        if self.track_history:
-            self.history.append(("send", src, name, count, size))
 
     def record_delivery(self, message: object) -> None:
         self.record_bulk_delivery(message, 1)
@@ -145,8 +133,6 @@ class MessageStats:
             kind = self._delivered_kinds[key] = (self._delivered.slot(name), name)
         self._delivered.add(kind[0], count)
         self.delivered_total += count
-        if self.track_history:
-            self.history.append(("deliver", kind[1], count))
 
     def sent(self, type_name: str) -> int:
         return self._sent.get(type_name)
@@ -178,7 +164,6 @@ class Network:
         duplicate_prob: float = 0.0,
         duplicate_seed: int = 0,
         track_bytes: bool = False,
-        track_history: bool = False,
     ) -> None:
         if not 0.0 <= duplicate_prob < 1.0:
             raise ValueError(f"duplicate_prob must be in [0,1), got {duplicate_prob}")
@@ -199,7 +184,7 @@ class Network:
         #: coalesced fan-out checks it between recipients so sparse runs keep
         #: dense's per-delivery stop granularity.
         self.stop_probe: Optional[Callable[[], bool]] = None
-        self.stats = MessageStats(track_history=track_history)
+        self.stats = MessageStats()
 
     @property
     def sim(self) -> Simulator:

@@ -48,7 +48,6 @@ import weakref
 from operator import itemgetter
 from typing import Callable, List, Optional
 
-from ..config import DEFAULT_SIM_TUNING
 from ..errors import SimulationError
 
 Callback = Callable[[], None]
@@ -98,10 +97,6 @@ class EventHandle(list):
 class Simulator:
     """Virtual-time event loop.
 
-    Args:
-        compact_floor: tombstone-compaction floor (default
-            :data:`repro.config.DEFAULT_SIM_TUNING`).
-
     Example:
         >>> sim = Simulator()
         >>> fired = []
@@ -111,18 +106,13 @@ class Simulator:
         [5.0]
     """
 
-    #: Default compaction floor, re-exported from :mod:`repro.config` for
-    #: callers/tests that size workloads off the class. Compaction only
-    #: kicks in past this — tiny queues are cheap to scan and compacting
-    #: them would just churn allocations.
-    _COMPACT_FLOOR = DEFAULT_SIM_TUNING.compact_floor
+    #: Tombstone-compaction floor: compaction only kicks in past this — tiny
+    #: queues are cheap to scan and compacting them would just churn
+    #: allocations.  It decides when the heap is rebuilt, never the order
+    #: events fire in.
+    _COMPACT_FLOOR = 64
 
-    def __init__(self, *, compact_floor: Optional[int] = None) -> None:
-        self._compact_floor = (
-            compact_floor
-            if compact_floor is not None
-            else DEFAULT_SIM_TUNING.compact_floor
-        )
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[EventHandle] = []
         self._ref = weakref.ref(self)  # what every entry knows of its queue
@@ -165,7 +155,7 @@ class Simulator:
         self._cancelled += 1
         if (
             self._cancelled > len(self._heap) // 2
-            and len(self._heap) >= self._compact_floor
+            and len(self._heap) >= self._COMPACT_FLOOR
         ):
             self._heap = [entry for entry in self._heap if entry[2] is not None]
             heapq.heapify(self._heap)

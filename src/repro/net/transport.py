@@ -7,7 +7,7 @@ on a single replica's traffic).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from ..types import ReplicaId
 from .network import Network
@@ -19,7 +19,6 @@ class Transport:
     def __init__(self, network: Network, replica: ReplicaId) -> None:
         self._network = network
         self._replica = replica
-        self._disseminator = None
 
     @property
     def replica(self) -> ReplicaId:
@@ -41,41 +40,6 @@ class Transport:
 
     def broadcast(self, message: object, include_self: bool = False) -> None:
         self._network.broadcast(self._replica, message, include_self=include_self)
-
-    @property
-    def disseminator(self):
-        """The attached gossip service, or None when dissemination is dense."""
-        return self._disseminator
-
-    def use_disseminator(self, disseminator) -> None:
-        """Route :meth:`disseminate` through a gossip service (see
-        :mod:`repro.net.gossip`).  Without one, dissemination is dense."""
-        self._disseminator = disseminator
-
-    def disseminate(
-        self,
-        message: object,
-        restrict: Optional[Sequence[ReplicaId]] = None,
-    ) -> None:
-        """Disseminate ``message`` to (a restriction of) the whole system.
-
-        The dense fallback reproduces the exact pre-gossip call sequences —
-        a plain broadcast, or ordered per-``dst`` sends under ``restrict`` —
-        so deployments without a disseminator are bit-identical to builds
-        that predate this seam.  With a disseminator attached, the message
-        travels as sample-and-forward gossip instead (``restrict`` then
-        shapes only the origin's first hop; honest relays spread beyond it).
-        """
-        if self._disseminator is not None:
-            self._disseminator.disseminate(self._replica, message, restrict)
-        elif restrict is None:
-            self._network.broadcast(self._replica, message)
-        else:
-            send = self._network.send
-            src = self._replica
-            for dst in restrict:
-                if dst != src:
-                    send(src, dst, message)
 
     def schedule(self, delay: float, callback) -> object:
         """Schedule a local timer (used by the synchronizer)."""

@@ -267,7 +267,7 @@ class SlotStacks(SparseDeliveryPolicy):
 
 class _SlotTransport(Transport):
     """A replica's transport as one slot sees it: everything outbound is
-    wrapped in a :class:`SlotEnvelope` (dissemination is dense: no gossip)."""
+    wrapped in a :class:`SlotEnvelope`."""
 
     def __init__(self, base: Transport, slot: int) -> None:
         super().__init__(base._network, base.replica)
@@ -281,9 +281,6 @@ class _SlotTransport(Transport):
 
     def broadcast(self, message: object, include_self: bool = False) -> None:
         super().broadcast(SlotEnvelope(self._slot, message), include_self)
-
-    def disseminate(self, message: object, restrict=None) -> None:
-        super().disseminate(SlotEnvelope(self._slot, message), restrict)
 
 
 class SMRReplica:

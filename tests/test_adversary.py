@@ -136,6 +136,49 @@ class TestEquivocationAttack:
         # correct-leader value if nothing was prepared.
         assert len(decided) <= 1
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            optimal_split(10, [0, 8, 9], b"a", b"b"),
+            suboptimal_split(10, b"a", b"b"),
+            general_split(10, [b"a", b"b", b"c"], seed=3),
+        ],
+        ids=["optimal", "suboptimal", "general"],
+    )
+    def test_leader_unicasts_each_proposal_in_replica_order(self, plan):
+        """One Propose object per assignment, sent to its group in ascending
+        replica order and never to the leader itself: one unicast each, so
+        the event order is the per-destination send order."""
+        from repro.adversary.equivocation import EquivocatingLeader
+        from repro.messages.probft import Propose
+
+        from .helpers import make_crypto
+
+        class Recorder:
+            def __init__(self):
+                self.sent = []
+
+            def send(self, dst, message):
+                self.sent.append((dst, message))
+
+        config = ProtocolConfig(n=10, f=3)
+        transport = Recorder()
+        EquivocatingLeader(
+            0, config, make_crypto(config), transport, plan,
+            support_own_proposals=False,
+        ).start()
+        expected = [
+            (dst, value)
+            for value, group in plan.assignments
+            for dst in sorted(group)
+            if dst != 0
+        ]
+        assert [(d, m.payload.value) for d, m in transport.sent] == expected
+        for value, _ in plan.assignments:
+            sent = {id(m) for _, m in transport.sent if m.payload.value == value}
+            assert len(sent) == 1
+        assert all(isinstance(m.payload, Propose) for _, m in transport.sent)
+
     def test_needs_at_least_one_byzantine(self):
         with pytest.raises(ValueError):
             equivocation_attack_deployment(

@@ -226,27 +226,9 @@ class TestMessageStatsSummaryAccounting:
         assert stats.bytes_total == 45
         assert stats.sent("_Msg") == 6 and stats.sent("Other") == 0
 
-    def test_history_is_opt_in(self):
-        msg = self._Msg()
-        silent = MessageStats()
-        silent.record_send(1, msg, size=3)
-        silent.record_bulk_delivery(msg, 2)
-        assert silent.history == []
-        verbose = MessageStats(track_history=True)
-        verbose.record_send(1, msg, size=3)
-        verbose.record_multicast(2, msg, 2, size=None)
-        verbose.record_delivery(msg)
-        verbose.record_bulk_delivery(msg, 2)
-        assert verbose.history == [
-            ("send", 1, "_Msg", 1, 3),
-            ("send", 2, "_Msg", 2, None),
-            ("deliver", "_Msg", 1),
-            ("deliver", "_Msg", 2),
-        ]
-
     def test_zero_count_records_ignored(self):
-        stats = MessageStats(track_history=True)
+        stats = MessageStats()
         stats.record_multicast(1, self._Msg(), 0, size=5)
         stats.record_bulk_delivery(self._Msg(), 0)
         assert stats.sent_total == 0 and stats.delivered_total == 0
-        assert stats.history == []
+        assert stats.sent_by_type == Counter() and stats.sent_by_replica == Counter()

@@ -144,34 +144,3 @@ class TestLivenessFaultTolerance:
         dep.run(max_time=300)
         assert not dep.all_correct_decided()  # stuck: q=6 > 5 senders
         assert dep.agreement_ok  # but still safe
-
-
-class TestSimTuning:
-    """The simulator's performance knobs live in config; defaults must pin
-    the historical hard-coded values so existing runs reproduce bit for bit."""
-
-    def test_defaults_pin_historical_constants(self):
-        from repro.config import DEFAULT_SIM_TUNING, SimTuning
-        from repro.net.simulator import Simulator
-
-        tuning = SimTuning()
-        assert tuning.compact_floor == 64 == Simulator._COMPACT_FLOOR
-        assert DEFAULT_SIM_TUNING == tuning
-        # A default-constructed simulator reads exactly these values.
-        sim = Simulator()
-        assert sim._compact_floor == tuning.compact_floor
-
-    def test_overrides_are_honored_per_simulator(self):
-        from repro.net.simulator import Simulator
-
-        sim = Simulator(compact_floor=8)
-        assert sim._compact_floor == 8
-
-    def test_invalid_tuning_rejected(self):
-        import pytest
-
-        from repro.config import SimTuning
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            SimTuning(compact_floor=0)

@@ -536,8 +536,9 @@ class TestRuns:
         assert sim.events_processed == 6 and sim.pending_events == 0
 
     @pytest.mark.parametrize("spacing", [0.0, 0.25])
-    def test_compaction_inside_a_run_loses_nothing(self, spacing):
-        sim, order = Simulator(compact_floor=8), []
+    def test_compaction_inside_a_run_loses_nothing(self, spacing, monkeypatch):
+        monkeypatch.setattr(Simulator, "_COMPACT_FLOOR", 8)
+        sim, order = Simulator(), []
         timers = [sim.schedule(5.0 + k, lambda k=k: order.append(f"timer-{k}")) for k in range(40)]
 
         def handle(receiver, item):
@@ -632,7 +633,7 @@ class TestRuns:
             gc.enable()
 
     @pytest.mark.parametrize("block", range(4))
-    def test_equals_one_entry_per_step(self, block):
+    def test_equals_one_entry_per_step(self, block, monkeypatch):
         """≥ 200 random schedules over mixed equal and distinct times: a
         world that posts items and one that schedules a plain event per item
         (the queue before runs existed) log the same handler calls — same
@@ -641,6 +642,7 @@ class TestRuns:
         with handlers that post, schedule and cancel."""
         import random
 
+        monkeypatch.setattr(Simulator, "_COMPACT_FLOOR", 8)
         rng = random.Random(5_000 + block)
         chained = 0
         for case in range(60):
@@ -660,7 +662,7 @@ class TestRuns:
         import random
 
         rng = random.Random(script_seed)
-        sim, log, timers = Simulator(compact_floor=8), [], []
+        sim, log, timers = Simulator(), [], []
         times = {}  # item -> the time it was queued for
 
         def enqueue(time, receiver, item):

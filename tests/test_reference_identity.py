@@ -73,12 +73,11 @@ def _cells(
     ).cells()
 
 
-def _pair(cell: MatrixCell, seed: int, gossip: bool = False):
+def _pair(cell: MatrixCell, seed: int):
     """(production deployment, production result, oracle result)."""
 
     def spec():
-        base = cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME)
-        return base.with_gossip(gossip)
+        return cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME)
 
     context = TrialContext(spec())
     production = context.execute()
@@ -112,15 +111,18 @@ class TestMatrixIdentity:
                 _, production, oracle = _pair(cell, seed)
                 assert production == oracle, (cell.label, seed)
 
-    def test_gossip_on_and_off(self):
-        """Gossip hops are unicast; the votes they trigger are not."""
-        for cell in _cells(
-            30, protocols=("probft",), latencies=("constant", "exponential")
-        ):
-            for gossip in (True, False):
-                _, production, oracle = _pair(cell, 3, gossip=gossip)
-                assert production == oracle, (cell.label, gossip)
-                assert ("GossipEnvelope" in production.messages_by_type) == gossip
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    def test_the_leader_broadcasts_one_propose(self, latency):
+        """The proposal has one way out: the view-1 leader broadcasts one
+        Propose object to the n-1 others, and it is validated once."""
+        (cell,) = _cells(
+            30, protocols=("probft",), adversaries=("none",), latencies=(latency,)
+        )
+        deployment, production, oracle = _pair(cell, 3)
+        assert production == oracle
+        assert production.all_decided and production.max_view == 1
+        assert production.messages_by_type["Propose"] == cell.n - 1
+        assert deployment.vote_kernel_stats()["propose_validations"] == 1
 
     @pytest.mark.parametrize("latency", ["constant", "exponential"])
     def test_silent_view1_leader_decides_in_view_2(self, latency):
@@ -525,18 +527,6 @@ class TestViewChangeIdentity:
         _, production, oracle = _spec_pair(make_spec)
         assert production == oracle
         assert production.all_decided and production.max_view == 2
-
-    def test_silent_leader_with_gossip_dissemination(self):
-        """The view-2 Propose travels as gossip hops of one object: every
-        hop's recipient shares the one verdict."""
-        (cell,) = _cells(
-            30, protocols=("probft",), adversaries=("silent",), latencies=("constant",)
-        )
-        deployment, production, oracle = _pair(cell, 6, gossip=True)
-        assert production == oracle
-        assert production.all_decided and production.max_view == 2
-        assert production.messages_by_type["GossipEnvelope"] > 0
-        assert deployment.vote_kernel_stats()["propose_validations"] == 1
 
     def test_silent_leader_on_a_duplicating_network_declines(self):
         """A recipient may appear twice in a bucket: every Wish bucket takes

@@ -776,6 +776,23 @@ class TestJunkShapes:
 NOT_BYTES = (None, 12345, "x", (1, 2), 1.5)
 
 
+class HashRaises(bytes):
+    def __hash__(self):
+        raise RuntimeError("hostile __hash__")
+
+
+class EqRaises(bytes):
+    __hash__ = bytes.__hash__
+
+    def __eq__(self, other):
+        raise RuntimeError("hostile __eq__")
+
+
+#: ``bytes`` subclasses that pass ``isinstance(v, bytes)`` and raise from the
+#: first dict key, set member or comparison they become.
+HOSTILE_BYTES = (HashRaises(b"v"), EqRaises(b"v"))
+
+
 def _junk_value_leader(protocol, value):
     """A view-1 leader that proposes ``value`` to everyone, correctly signed,
     and nothing else (HotStuff: the honest replica with ``value`` as its
@@ -822,6 +839,9 @@ class TestValueDomain:
         from repro.core.predicates import safe_proposal
         from repro.crypto.verdicts import well_formed
         from repro.messages.base import ProposalStatement
+        from repro.messages.hotstuff import (
+            QC_SHAPE, VOTE_SHAPE, HsQuorumCert, HsVotePayload,
+        )
         from repro.messages.pbft import SHAPE, PbftPropose
         from repro.messages.probft import Propose
 
@@ -830,7 +850,7 @@ class TestValueDomain:
         config = ProtocolConfig(n=8, f=1)
         crypto = make_crypto(config).instance(config)
         assert ProposalStatement(1, b"v").keyable
-        for value in NOT_BYTES:
+        for value in NOT_BYTES + HOSTILE_BYTES:
             statement = crypto.signatures.sign(
                 0, ProposalStatement(1, value, config.seed_domain)
             )
@@ -840,10 +860,91 @@ class TestValueDomain:
             pbft = crypto.signatures.sign(0, PbftPropose(1, statement, None))
             assert not well_formed(pbft.payload, SHAPE)
             assert pbft_safe_proposal(pbft, config, crypto) is False
+            vote = crypto.signatures.sign(0, HsVotePayload(1, value, "prepare"))
+            assert not well_formed(vote, VOTE_SHAPE)
+            qc = HsQuorumCert(1, value, "prepare", ())
+            assert not well_formed(qc, QC_SHAPE)
+
+    @pytest.mark.parametrize(
+        "name", ["bytes", "Signed", "ProposalStatement", "HsVotePayload", "HsQuorumCert"]
+    )
+    def test_a_class_shape_is_an_exact_type(self, name):
+        """Every class a shape names accepts its own instances and no
+        subclass's: a subclass may override ``__hash__`` / ``__eq__``."""
+        from repro.crypto.signatures import Signed
+        from repro.crypto.verdicts import well_formed
+        from repro.messages.base import ProposalStatement
+        from repro.messages.hotstuff import HsQuorumCert, HsVotePayload
+
+        cls = {
+            "bytes": bytes, "Signed": Signed, "ProposalStatement": ProposalStatement,
+            "HsVotePayload": HsVotePayload, "HsQuorumCert": HsQuorumCert,
+        }[name]
+        sub = type("Sub", (cls,), {})
+        assert well_formed(cls.__new__(cls), cls)
+        assert not well_formed(sub.__new__(sub), cls)
 
     @pytest.mark.parametrize("latency", ["constant", "exponential"])
     @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
     def test_a_none_leader_is_a_silent_one(self, protocol, latency):
+        self._decides_like_a_silent_leader(protocol, latency, None)
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    @pytest.mark.parametrize("value", HOSTILE_BYTES, ids=lambda v: type(v).__name__)
+    def test_a_hotstuff_vote_for_a_bytes_subclass_is_dropped(self, value, latency):
+        """A HotStuff vote signs its own value: a voter that votes for the
+        leader's value as a hostile subclass used to crash the leader's vote
+        collector.  The vote is malformed (``VOTE_SHAPE``); view 1 decides."""
+        import dataclasses
+
+        from repro.core.leader import leader_of_view
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import run_trial
+        from repro.messages.hotstuff import HsProposal, HsVote, HsVotePayload
+
+        from .helpers import reference_spec
+
+        class Voter:
+            def __init__(self, replica_id, config, crypto, transport):
+                self.id, self._config = replica_id, config
+                self._crypto, self._transport = crypto, transport
+
+            def start(self):
+                pass
+
+            def on_message(self, src, message):
+                proposal = getattr(message, "payload", None)
+                if not isinstance(proposal, HsProposal):
+                    return
+                sign = lambda payload: self._crypto.signatures.sign(self.id, payload)
+                hostile = type(value)(proposal.value)
+                vote = sign(HsVotePayload(proposal.view, hostile, proposal.phase))
+                self._transport.send(
+                    leader_of_view(proposal.view, self._config.n), sign(HsVote(vote))
+                )
+
+        def spec():
+            cell = MatrixCell("hotstuff", "none", latency, n=30, f=5)
+            return dataclasses.replace(
+                cell_deployment_spec(cell, seed=3, max_time=600.0),
+                byzantine={7: Voter},
+            )
+
+        result = run_trial(spec())
+        assert result == run_trial(reference_spec(spec()))
+        assert result.all_decided and result.agreement_ok and result.max_view == 1
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    @pytest.mark.parametrize("value", HOSTILE_BYTES, ids=lambda v: type(v).__name__)
+    def test_a_hostile_bytes_leader_is_a_silent_one(self, value, protocol, latency):
+        """A ``Value`` is exactly ``bytes``: a subclass used to crash every
+        honest replica (a raising ``__hash__``: all three protocols) or be
+        decided (a raising ``__eq__``: ProBFT, PBFT; HotStuff crashed)."""
+        self._decides_like_a_silent_leader(protocol, latency, value)
+
+    @staticmethod
+    def _decides_like_a_silent_leader(protocol, latency, value):
         """n=30, f=5, seed 3: the trial decides after view 1, exactly in the
         views a silent view-1 leader's trial decides in, and `==` its oracle."""
         import dataclasses
@@ -859,7 +960,7 @@ class TestValueDomain:
             if adversary != "none":
                 return base
             return dataclasses.replace(
-                base, byzantine={0: _junk_value_leader(protocol, None)}
+                base, byzantine={0: _junk_value_leader(protocol, value)}
             )
 
         context = TrialContext(spec())
@@ -868,8 +969,8 @@ class TestValueDomain:
         assert result.all_decided and result.agreement_ok
         assert min(result.decision_views) == 2
         assert result.decision_views == run_trial(spec("silent")).decision_views
-        decided = {d.value for d in context.deployment.decisions.values()}
-        assert all(isinstance(value, bytes) for value in decided)
+        decided = [d.value for d in context.deployment.decisions.values()]
+        assert all(type(value) is bytes for value in decided)
 
     @pytest.mark.parametrize("value", NOT_BYTES)
     def test_serving_under_a_junk_value_leader(self, value, monkeypatch):
