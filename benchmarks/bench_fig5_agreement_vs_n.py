@@ -44,22 +44,22 @@ WORKERS = workers_from_env("REPRO_BENCH_WORKERS")
 
 
 def compute_curves(workers: int = WORKERS):
-    engine = ExperimentEngine(workers=workers)
     curves = {}
-    for o in O_VALUES:
-        paper, exact, mc_pair = [], [], []
-        for n in N_VALUES:
-            f = int(F_RATIO * n)
-            paper.append(1.0 - A.theorem7_violation_bound(n, f, o, 2.0, strict=False))
-            exact.append(A.agreement_in_view_exact(n, f, o, 2.0, variant="pair"))
-            result = estimate_agreement_violation(
-                n, f, o, trials=TRIALS, seed=n, engine=engine
-            )
-            side = result.estimates["side_decides_fixed"].point
-            mc_pair.append(1.0 - side**2)
-        curves[f"bound o={o}"] = paper
-        curves[f"exact o={o}"] = exact
-        curves[f"mc o={o}"] = mc_pair
+    with ExperimentEngine(workers=workers) as engine:
+        for o in O_VALUES:
+            paper, exact, mc_pair = [], [], []
+            for n in N_VALUES:
+                f = int(F_RATIO * n)
+                paper.append(1.0 - A.theorem7_violation_bound(n, f, o, 2.0, strict=False))
+                exact.append(A.agreement_in_view_exact(n, f, o, 2.0, variant="pair"))
+                result = estimate_agreement_violation(
+                    n, f, o, trials=TRIALS, seed=n, engine=engine
+                )
+                side = result.estimates["side_decides_fixed"].point
+                mc_pair.append(1.0 - side**2)
+            curves[f"bound o={o}"] = paper
+            curves[f"exact o={o}"] = exact
+            curves[f"mc o={o}"] = mc_pair
     return curves
 
 

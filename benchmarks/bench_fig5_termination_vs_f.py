@@ -21,21 +21,21 @@ WORKERS = workers_from_env("REPRO_BENCH_WORKERS")
 
 
 def compute_curves(workers: int = WORKERS):
-    engine = ExperimentEngine(workers=workers)
     curves = {}
-    for o in O_VALUES:
-        paper, exact, mc = [], [], []
-        for ratio in F_RATIOS:
-            f = int(ratio * N)
-            paper.append(T.lemma4_replica_terminates(N, f, o, 2.0, strict=False))
-            exact.append(T.replica_terminates_exact(N, f, o, 2.0))
-            result = estimate_termination(
-                N, f, o, trials=TRIALS, seed=int(ratio * 100), engine=engine
-            )
-            mc.append(result.estimates["per_replica_decides"].point)
-        curves[f"bound o={o}"] = paper
-        curves[f"exact o={o}"] = exact
-        curves[f"mc o={o}"] = mc
+    with ExperimentEngine(workers=workers) as engine:
+        for o in O_VALUES:
+            paper, exact, mc = [], [], []
+            for ratio in F_RATIOS:
+                f = int(ratio * N)
+                paper.append(T.lemma4_replica_terminates(N, f, o, 2.0, strict=False))
+                exact.append(T.replica_terminates_exact(N, f, o, 2.0))
+                result = estimate_termination(
+                    N, f, o, trials=TRIALS, seed=int(ratio * 100), engine=engine
+                )
+                mc.append(result.estimates["per_replica_decides"].point)
+            curves[f"bound o={o}"] = paper
+            curves[f"exact o={o}"] = exact
+            curves[f"mc o={o}"] = mc
     return curves
 
 

@@ -261,8 +261,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .harness.backends import resolve_workers
-    from .harness.parallel import ExperimentEngine
+    from .harness.parallel import ExperimentEngine, resolve_workers
     from .harness.registry import get_matrix, list_matrices, run_matrix
 
     if args.trials is not None and args.trials < 1:
@@ -316,16 +315,14 @@ def cmd_sweep(args) -> int:
         from dataclasses import replace as _replace
 
         matrix = _replace(matrix, track_memory=True)
-    # Build the engine here so the report's execution metadata reflects what
-    # actually ran.
     profiler = None
     if args.profile is not None:
         import cProfile
 
         profiler = cProfile.Profile()
+    # The report's execution label, by the rule ExperimentEngine runs by.
+    backend_name = "pool" if workers > 1 else "serial"
     with ExperimentEngine(workers=workers) as engine:
-        backend_name = engine.backend_name
-        effective_workers = engine.workers
         if profiler is not None:
             profiler.enable()
         try:
@@ -362,7 +359,7 @@ def cmd_sweep(args) -> int:
             "f": matrix.resolved_f(),
             "trials": report.trials,
             "master_seed": report.master_seed,
-            "workers": effective_workers,
+            "workers": workers,
             "backend": backend_name,
             "rows": rows,
         }
@@ -396,7 +393,7 @@ def cmd_sweep(args) -> int:
                 title=(
                     f"scenario matrix {report.matrix!r}: {budget_note}, "
                     f"master seed {report.master_seed}, "
-                    f"workers={effective_workers}, backend={backend_name}"
+                    f"workers={workers}, backend={backend_name}"
                 ),
             )
         )
@@ -476,7 +473,7 @@ def _matrices_epilog() -> str:
         "Wilson\ninterval is <= W wide; budgets become worst-case caps and "
         "rows gain\ntrials_used/stop_reason/interval_width.  Adaptive "
         "estimates are\nbit-identical to the same-length prefix of the "
-        "fixed-budget run, on\nevery backend.  Rough cost at a rate near "
+        "fixed-budget run, at\nany --workers.  Rough cost at a rate near "
         "0/1: width W resolves after\n~3.84*(1-W)/W trials (73 for W=0.05; "
         "pick K a small fraction of that).\nMatrices can also declare "
         "target_width(s) themselves (e.g. adaptive-demo)."

@@ -1,6 +1,6 @@
 """Experiment harness: run protocols, collect metrics, canned scenarios.
 
-The guide — trial lifecycle, sweeps, adaptive budgets, backends, the
+The guide — trial lifecycle, sweeps, adaptive budgets, workers, the
 delivery stack, serving, determinism — is ``docs/harness.md``.
 """
 
@@ -37,17 +37,12 @@ from .metrics import (
     StreamingProportion,
     Welford,
 )
-from .backends import (
-    Backend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_workers,
-)
 from .parallel import (
     ExperimentEngine,
     TrialError,
     TrialSpec,
     derive_seed,
+    resolve_workers,
     spawn_seeds,
     workers_from_env,
 )
@@ -101,9 +96,6 @@ __all__ = [
     "derive_seed",
     "spawn_seeds",
     "workers_from_env",
-    "Backend",
-    "ProcessPoolBackend",
-    "SerialBackend",
     "resolve_workers",
     "MATRICES",
     "CellAccumulator",

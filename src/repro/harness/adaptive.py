@@ -7,13 +7,14 @@ narrower than anyone will read off the plot.  This module lets every
 experiment surface stop a cell as soon as its interval is *good enough*:
 
 * :class:`StoppingRule` — the decision vocabulary: :class:`FixedBudget`
-  (the classical cap, expressed as a rule), :class:`TargetWidth` (stop when
-  a named proportion metric's Wilson interval is at most ``width`` wide),
-  and the composites :class:`Any` / :class:`All`.
-* :func:`consume_adaptive` — the one driver loop: pull results from a
-  (windowed) stream, fold each into the caller's accumulator, and evaluate
-  the rule **only at deterministic checkpoint boundaries** (every ``chunk``
-  trials, plus once at stream exhaustion).
+  (the classical cap, expressed as a rule) and :class:`TargetWidth` (stop
+  when a named proportion metric's Wilson interval is at most ``width``
+  wide).
+* :func:`consume_adaptive` — the one driver loop every trial set runs,
+  fixed budgets included: pull results from a (windowed) stream, fold each
+  into the caller's accumulator, and evaluate the rule **only at
+  deterministic checkpoint boundaries** (every ``chunk`` trials, plus once
+  at stream exhaustion).
 * :class:`ProportionProgress` — adapts a dict of named
   :class:`~repro.harness.metrics.StreamingProportion` counters to the
   progress view rules consume (the Monte-Carlo estimators use it;
@@ -24,14 +25,14 @@ Determinism is the whole design: rules never see wall-clock, worker
 counts, or completion order — only the submission-order prefix folded so
 far — and they are consulted only when ``trials`` is a multiple of
 ``chunk`` (or the stream ends).  Because per-trial seeds are
-counter-derived (:func:`~repro.harness.backends.base.derive_seed`), an
+counter-derived (:func:`~repro.harness.parallel.derive_seed`), an
 adaptive run's results are **bit-identical to a prefix of the fixed-budget
-run**, its ``trials_used`` is identical on every backend and worker count,
-and re-running it reproduces the same stop.  Early cancel travels through
-the :class:`~repro.harness.backends.base.Backend` seam's bounded-window
-stream contract (``stream(..., window=...)``), so stopping a cell abandons
-at most a window of in-flight trials instead of draining the full seed
-range.
+run**, its ``trials_used`` is identical for every worker count, and
+re-running it reproduces the same stop.  Early cancel travels through the
+engine's bounded-window stream
+(:meth:`~repro.harness.parallel.ExperimentEngine.stream`), so stopping a
+cell abandons at most a window of in-flight trials instead of draining the
+full seed range.
 
 Choosing ``width`` and ``chunk``: for a proportion pinned near 0 or 1 (our
 agreement/termination rates), an all-success Wilson interval has width
@@ -51,8 +52,6 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from .metrics import StreamingProportion
 
 __all__ = [
-    "All",
-    "Any",
     "DEFAULT_CHUNK",
     "FixedBudget",
     "ProportionProgress",
@@ -96,10 +95,7 @@ class StoppingRule:
     ``"target-width"``) to stop, or ``None`` to continue.  Rules must be
     pure functions of the progress view — evaluated only at deterministic
     checkpoint boundaries by :func:`consume_adaptive`, which is what makes
-    ``trials_used`` identical across backends and worker counts.
-
-    Compose with ``|`` (stop when either fires) and ``&`` (stop only when
-    both fire), or the :class:`Any` / :class:`All` combinators directly.
+    ``trials_used`` identical for every worker count.
     """
 
     def decision(self, progress: Progress) -> Optional[str]:
@@ -115,19 +111,13 @@ class StoppingRule:
         """
         return None
 
-    def __or__(self, other: "StoppingRule") -> "Any":
-        return Any(self, other)
-
-    def __and__(self, other: "StoppingRule") -> "All":
-        return All(self, other)
-
 
 class FixedBudget(StoppingRule):
     """The classical fixed budget, expressed as a rule: stop at ``trials``.
 
-    On its own it reproduces today's behavior exactly (the spec stream is
-    already capped, so the rule fires at exhaustion); composed, it is the
-    cap that bounds an open-ended :class:`TargetWidth` hunt.
+    Every fixed-budget trial set runs as this rule through
+    :func:`consume_adaptive`, which checkpoints at the cap, so the rule
+    fires exactly there (reason ``"budget"``).
     """
 
     def __init__(self, trials: int) -> None:
@@ -194,64 +184,6 @@ class TargetWidth(StoppingRule):
         )
 
 
-class Any(StoppingRule):
-    """Stop when any member rule fires; the first firing rule's reason wins.
-
-    Member order is the tie-break (deterministic): ``Any(TargetWidth(...),
-    FixedBudget(...))`` reports ``"target-width"`` when both fire at the
-    same checkpoint.
-    """
-
-    def __init__(self, *rules: StoppingRule) -> None:
-        if not rules:
-            raise ValueError("Any() needs at least one rule")
-        self.rules = tuple(rules)
-
-    def decision(self, progress: Progress) -> Optional[str]:
-        for rule in self.rules:
-            reason = rule.decision(progress)
-            if reason is not None:
-                return reason
-        return None
-
-    def trial_cap(self) -> Optional[int]:
-        # Any member's cap stops the composite: the earliest one binds.
-        caps = [c for c in (r.trial_cap() for r in self.rules) if c is not None]
-        return min(caps) if caps else None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Any({', '.join(map(repr, self.rules))})"
-
-
-class All(StoppingRule):
-    """Stop only when every member rule fires; reasons join with ``+``."""
-
-    def __init__(self, *rules: StoppingRule) -> None:
-        if not rules:
-            raise ValueError("All() needs at least one rule")
-        self.rules = tuple(rules)
-
-    def decision(self, progress: Progress) -> Optional[str]:
-        reasons = []
-        for rule in self.rules:
-            reason = rule.decision(progress)
-            if reason is None:
-                return None
-            reasons.append(reason)
-        return "+".join(reasons)
-
-    def trial_cap(self) -> Optional[int]:
-        # The composite stops only when every member fires, which a member
-        # without a cap never guarantees; with all capped, the last binds.
-        caps = [r.trial_cap() for r in self.rules]
-        if any(c is None for c in caps):
-            return None
-        return max(caps)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"All({', '.join(map(repr, self.rules))})"
-
-
 class ProportionProgress:
     """Progress view over named :class:`StreamingProportion` counters.
 
@@ -289,7 +221,7 @@ def consume_adaptive(
 ) -> Tuple[int, str]:
     """Fold a result stream until ``rule`` fires at a checkpoint boundary.
 
-    The single adaptive driver every surface shares: pull results in
+    The single driver every trial set runs: pull results in
     submission order, ``fold`` each, and consult ``rule`` exactly when the
     folded count is a multiple of ``chunk`` — plus at the rule's declared
     :meth:`~StoppingRule.trial_cap` (so ``FixedBudget``/``max_trials``
@@ -299,7 +231,7 @@ def consume_adaptive(
     Returns ``(trials_used, stop_reason)``.
 
     The stream is always explicitly closed on the way out (early stop,
-    exhaustion, or error), which is what releases a windowed backend
+    exhaustion, or error), which is what releases a windowed engine
     stream's in-flight work promptly; pass the stream with a ``window``
     near ``chunk`` so an early stop abandons at most about one chunk of
     trials.

@@ -1,68 +1,174 @@
-"""Parallel Monte-Carlo experiment engine, layered on execution backends.
+"""The experiment engine: seeded trials, serial or on one process pool.
 
 The Figure-5 experiments are embarrassingly parallel: every trial is an
-independent function of its own seed.  :class:`ExperimentEngine` exploits
-that by fanning ``(index, seed, params)`` trial specs across an
-**execution backend** (:mod:`repro.harness.backends`) while keeping one
-hard guarantee:
+independent function of its own seed.  :class:`ExperimentEngine` runs
+``(index, seed, params)`` trial specs in-process (``workers <= 1``) or
+across one bounded ``multiprocessing`` pool (``workers > 1``) while keeping
+one hard guarantee:
 
-**every backend and every worker count produces bit-identical results.**
+**every worker count produces bit-identical results, in submission order.**
 
 Two mechanisms make that hold:
 
 * *counter-based seed splitting* — every trial's seed is derived from the
-  master seed and the trial index alone (`derive_seed`, a SplitMix64-style
-  integer mix with no :mod:`random`/:mod:`numpy` state involved), so a
-  trial's randomness never depends on which process runs it or in which
-  order trials complete;
-* *submission-order collection* — :meth:`ExperimentEngine.map` returns
+  master seed and the trial index alone (:func:`derive_seed`, a
+  SplitMix64-style integer mix with no :mod:`random`/:mod:`numpy` state
+  involved), so a trial's randomness never depends on which process runs
+  it or in which order trials complete;
+* *submission-order collection* — :meth:`ExperimentEngine.stream` yields
   results in the order the specs were submitted regardless of completion
   order, so even order-sensitive aggregation (e.g. float summation) is
   reproducible.
-
-Backend selection:
-
-* ``workers <= 1`` (default) — :class:`SerialBackend
-  <repro.harness.backends.serial.SerialBackend>`: in-process, no pickling,
-  pdb/coverage-friendly;
-* ``workers > 1`` — :class:`ProcessPoolBackend
-  <repro.harness.backends.pool.ProcessPoolBackend>`: the CPU-scaling
-  path (trial functions must be picklable).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
-
-from .backends import (
-    Backend,
-    ProcessPoolBackend,
-    SerialBackend,
-    TrialError,
-    TrialSpec,
-    derive_seed,
-    resolve_workers,
-    spawn_seeds,
-    workers_from_env,
+import functools
+import itertools
+import math
+import multiprocessing
+import multiprocessing.pool
+import os
+import traceback
+from collections import deque
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
 )
 
 __all__ = [
-    "Backend",
     "ExperimentEngine",
     "TrialError",
     "TrialSpec",
+    "WINDOW_PER_WORKER",
     "derive_seed",
     "engine_scope",
-    "resolve_engine",
     "resolve_workers",
     "spawn_seeds",
     "workers_from_env",
 ]
 
+#: Default read-ahead of a pooled stream, per worker: four 16-trial batches
+#: keep every process busy while results flow back steadily to online folds.
+WINDOW_PER_WORKER = 64
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z: int) -> int:
+    """One SplitMix64 output step (Steele, Lea & Flood 2014)."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
+def derive_seed(master_seed: int, index: int) -> int:
+    """Deterministic child seed for trial ``index`` under ``master_seed``.
+
+    A pure integer function (no RNG state), so any worker can compute any
+    trial's seed independently.  Distinct indices under one master seed give
+    statistically independent streams when fed to ``numpy`` /
+    :class:`random.Random` as seeds.
+    """
+    if index < 0:
+        raise ValueError(f"trial index must be >= 0, got {index}")
+    z = _splitmix64((master_seed & _MASK64) + _GOLDEN)
+    return _splitmix64(z + (index + 1) * _GOLDEN)
+
+
+def spawn_seeds(master_seed: int, count: int) -> List[int]:
+    """The first ``count`` child seeds of ``master_seed``, in index order."""
+    return [derive_seed(master_seed, i) for i in range(count)]
+
+
+def workers_from_env(var: str = "REPRO_WORKERS", default: int = 0) -> int:
+    """Worker count from an environment variable; invalid values mean default.
+
+    Shared by the benchmarks (``REPRO_BENCH_WORKERS``) so the parsing rule
+    lives in one place: a non-integer or negative value falls back to
+    ``default`` rather than crashing at import time.  ``auto`` resolves to
+    the machine's core count (see :func:`resolve_workers`).
+    """
+    raw = os.environ.get(var)
+    if raw is None:
+        return default
+    if raw.strip().lower() == "auto":
+        return resolve_workers("auto")
+    try:
+        workers = int(raw)
+    except ValueError:
+        return default
+    return workers if workers >= 0 else default
+
+
+def resolve_workers(workers: Union[int, str]) -> int:
+    """Resolve a worker-count request to a concrete integer.
+
+    ``"auto"`` (case-insensitive) means the machine's core count — the
+    saturate-the-hardware default for ``repro sweep --workers auto``.
+    Integers pass through unchanged (the engine validates them).
+    """
+    if isinstance(workers, str):
+        if workers.strip().lower() == "auto":
+            return os.cpu_count() or 1
+        try:
+            return int(workers)
+        except ValueError:
+            raise ValueError(
+                f"workers must be an integer or 'auto', got {workers!r}"
+            ) from None
+    return workers
+
+
+@dataclass(frozen=True)
+class TrialSpec:
+    """One unit of work: a trial index, its derived seed, and shared params."""
+
+    index: int
+    seed: int
+    params: Any = None
+
+
+class TrialError(RuntimeError):
+    """A trial function raised; carries the failing trial's identity."""
+
+    def __init__(self, index: int, seed: int, detail: str) -> None:
+        super().__init__(f"trial {index} (seed {seed}) failed:\n{detail}")
+        self.index = index
+        self.seed = seed
+        self.detail = detail
+
+
+def _run_batch(
+    fn: Callable[[TrialSpec], Any], batch: Sequence[TrialSpec]
+) -> List[Tuple[Any, Optional[str]]]:
+    """Run one batch in a worker: a ``(value, traceback)`` pair per spec.
+
+    Module-level so it pickles; a failure travels back as its formatted
+    traceback, which always pickles where the exception may not.
+    """
+    out: List[Tuple[Any, Optional[str]]] = []
+    for spec in batch:
+        try:
+            out.append((fn(spec), None))
+        except Exception:
+            out.append((None, traceback.format_exc()))
+    return out
+
 
 class ExperimentEngine:
-    """Fans independent trials across an execution backend, deterministically.
+    """Runs independent trials, serially or on one process pool.
 
     Example:
         >>> from repro.harness.parallel import ExperimentEngine, TrialSpec
@@ -71,108 +177,171 @@ class ExperimentEngine:
         [...]
 
     ``workers``:
-        * ``0`` or ``1`` — in-process serial execution (identical results);
+        * ``0`` or ``1`` — in-process serial execution: no pickling,
+          pdb/coverage-friendly, and fail-fast (nothing after a failing
+          trial runs; the original exception is ``TrialError.__cause__``);
         * ``k > 1``      — a pool of ``k`` processes (``k`` may exceed the
-          core count; the OS just time-slices);
+          core count; the OS just time-slices).  Trial functions must
+          pickle: module-level functions or partials of them;
         * ``"auto"``     — the machine's core count.
 
-    ``backend`` overrides the worker-count default: ``"serial"``,
-    ``"pool"`` (``workers`` processes, the core count for ``workers=0``) or
-    a constructed :class:`~repro.harness.backends.base.Backend` instance
-    (which the engine then owns and closes).  ``chunk_size`` controls how
-    many specs each pool task carries; the default amortizes IPC overhead
-    at roughly four chunks per worker.
+    The pool is created on first use and persists across calls, amortizing
+    process startup over an experiment series.  :meth:`close` (and a clean
+    ``with`` exit) shuts it down gracefully: in-flight batches finish and
+    workers run their ``atexit``/coverage hooks.  Only :meth:`abort` (an
+    error exit) and garbage collection terminate workers.
     """
 
-    def __init__(
-        self,
-        workers: Union[int, str] = 0,
-        chunk_size: Optional[int] = None,
-        backend: Optional[Union[str, Backend]] = None,
-    ) -> None:
+    def __init__(self, workers: Union[int, str] = 0) -> None:
         workers = resolve_workers(workers)
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if isinstance(backend, Backend):
-            # A constructed instance is authoritative: its own configuration
-            # wins, and ``workers`` below reflects what actually executes
-            # (``workers=``/``chunk_size=`` arguments are not re-applied).
-            self._backend = backend
-        elif backend == "pool" or (backend is None and workers > 1):
-            self._backend = ProcessPoolBackend(
-                workers=workers or resolve_workers("auto"),
-                chunk_size=chunk_size,
-            )
-        elif backend in (None, "serial"):
-            self._backend = SerialBackend()
-        else:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected 'serial', 'pool' "
-                f"or a Backend instance"
-            )
-        #: The concurrency that actually executes — read from the backend
-        #: (an explicit pool without workers resolves to the core count).  A
-        #: serial backend carries no worker count: a
-        #: caller-constructed one reports 0 regardless of the ``workers``
-        #: argument (which it ignores); the name/default path reports the
-        #: requested 0/1.
-        self.workers = getattr(
-            self._backend,
-            "workers",
-            0 if isinstance(backend, Backend) else workers,
-        )
-
-    @property
-    def backend(self) -> Backend:
-        """The execution backend this engine delegates to."""
-        return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
-    @property
-    def parallel(self) -> bool:
-        return self._backend.parallel
+        self.workers = workers
+        self._pool: Optional["multiprocessing.pool.Pool"] = None
 
     # ------------------------------------------------------------------
-    # Mapping
+    # The primitive
     # ------------------------------------------------------------------
-    def map(
+    def stream(
         self,
         fn: Callable[[TrialSpec], Any],
         specs: Iterable[TrialSpec],
-    ) -> List[Any]:
-        """Evaluate ``fn`` on every spec; results in submission order.
+        window: Optional[int] = None,
+    ) -> Iterator[Any]:
+        """Lazily evaluate ``fn`` over ``specs``, yielding in submission order.
 
         The first failing trial (in submission order) raises
-        :class:`TrialError` with the worker's traceback, whichever backend
-        ran it.  The serial backend additionally fails fast (nothing after
-        the failing trial runs) and chains the original exception as
-        ``__cause__``.
-        """
-        return self._backend.map(fn, specs)
+        :class:`TrialError` carrying its index, seed and traceback.
+        ``specs`` may be a lazy generator: a consumer folding results into
+        O(1) accumulators runs a 10⁵-trial experiment in constant memory.
 
+        **Bounded window.**  At most about ``window`` specs are drawn from
+        ``specs`` ahead of the results consumed (default
+        :data:`WINDOW_PER_WORKER` per worker).  The serial path draws none
+        ahead.  The pool sends them in ``apply_async`` batches sized so the
+        first window spreads over every worker four times, so even a short
+        stream reaches every process.  Dropping the stream mid-iteration
+        (``close()``, ``break``, an error) waits out only the batches in
+        flight, and the pool stays clean for a graceful :meth:`close`.
+        That is what lets adaptive stopping (:mod:`repro.harness.adaptive`)
+        cancel a cell without draining its seed range.
+        """
+        if window is not None and window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        if self.workers <= 1:
+            return self._serial(fn, specs)
+        return self._pooled(fn, specs, window or WINDOW_PER_WORKER * self.workers)
+
+    @staticmethod
+    def _serial(
+        fn: Callable[[TrialSpec], Any], specs: Iterable[TrialSpec]
+    ) -> Iterator[Any]:
+        for spec in specs:
+            try:
+                value = fn(spec)
+            except Exception as exc:
+                raise TrialError(
+                    spec.index, spec.seed, traceback.format_exc()
+                ) from exc
+            yield value
+
+    def _pooled(
+        self,
+        fn: Callable[[TrialSpec], Any],
+        specs: Iterable[TrialSpec],
+        window: int,
+    ) -> Iterator[Any]:
+        spec_iter = iter(specs)
+        head = list(itertools.islice(spec_iter, window))
+        if not head:
+            return
+        size = math.ceil(len(head) / (4 * self.workers))
+        spec_iter = itertools.chain(head, spec_iter)
+        batches = iter(lambda: tuple(itertools.islice(spec_iter, size)), ())
+        task = functools.partial(_run_batch, fn)
+        if self._pool is None:
+            self._pool = multiprocessing.Pool(processes=self.workers)
+        pool = self._pool
+        pending: "deque[Tuple[tuple, multiprocessing.pool.AsyncResult]]" = deque()
+
+        def submit(count: int) -> None:
+            for batch in itertools.islice(batches, count):
+                pending.append((batch, pool.apply_async(task, (batch,))))
+
+        try:
+            submit(math.ceil(window / size))
+            while pending:
+                batch, result = pending.popleft()
+                outcomes = result.get()
+                submit(1)
+                for spec, (value, error) in zip(batch, outcomes):
+                    if error is not None:
+                        raise TrialError(spec.index, spec.seed, error)
+                    yield value
+        finally:
+            # Nothing beyond ``pending`` was ever queued: wait that bounded
+            # remainder out and the workers are idle and reusable.  A pool
+            # :meth:`abort` already killed will never answer.
+            if self._pool is pool:
+                for _batch, result in pending:
+                    result.wait()
+
+    # ------------------------------------------------------------------
+    # Conveniences over stream
+    # ------------------------------------------------------------------
+    def map(
+        self, fn: Callable[[TrialSpec], Any], specs: Iterable[TrialSpec]
+    ) -> List[Any]:
+        """Evaluate ``fn`` on every spec; results in submission order."""
+        return list(self.stream(fn, specs))
+
+    def run_stream(
+        self,
+        fn: Callable[[TrialSpec], Any],
+        trials: int,
+        master_seed: int = 0,
+        params: Any = None,
+        window: Optional[int] = None,
+    ) -> Iterator[Any]:
+        """Stream ``trials`` seeded trials: trial ``i`` receives
+        ``TrialSpec(i, derive_seed(master_seed, i), params)``."""
+        if trials < 0:
+            raise ValueError(f"trials must be >= 0, got {trials}")
+        specs = (
+            TrialSpec(index=i, seed=derive_seed(master_seed, i), params=params)
+            for i in range(trials)
+        )
+        return self.stream(fn, specs, window)
+
+    def run_trials(
+        self,
+        fn: Callable[[TrialSpec], Any],
+        trials: int,
+        master_seed: int = 0,
+        params: Any = None,
+    ) -> List[Any]:
+        """:meth:`run_stream`, materialized."""
+        return list(self.run_stream(fn, trials, master_seed, params))
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the backend's execution resources, gracefully.
+        """Graceful teardown: finish in-flight batches, then join workers.
 
-        In-flight work finishes and pool workers exit through their normal
-        shutdown path (``atexit``/coverage hooks run); a later ``map()``
-        transparently re-acquires resources.
+        A later stream transparently re-creates the pool.
         """
-        self._backend.close()
+        if self._pool is not None:
+            self._pool.close()
+            self._pool.join()
+            self._pool = None
 
     def abort(self) -> None:
-        """Hard teardown for error paths: abandoned in-flight work is not
-        waited for (pool workers are terminated).  Falls back to
-        :meth:`close` on backends with nothing to kill."""
-        abort = getattr(self._backend, "abort", None)
-        if abort is not None:
-            abort()
-        else:
-            self._backend.close()
+        """Hard teardown for error paths: kill workers without waiting."""
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -189,112 +358,12 @@ class ExperimentEngine:
         except Exception:
             pass
 
-    # ------------------------------------------------------------------
-    # Streaming
-    # ------------------------------------------------------------------
-    def stream(
-        self,
-        fn: Callable[[TrialSpec], Any],
-        specs: Iterable[TrialSpec],
-        count: Optional[int] = None,
-        window: Optional[int] = None,
-    ) -> Iterator[Any]:
-        """Lazily evaluate ``fn`` over ``specs``, yielding in submission order.
-
-        The streaming sibling of :meth:`map`: same determinism contract
-        (submission-order results, :class:`TrialError` at the first failing
-        trial), but results are *yielded as they arrive* instead of being
-        materialized — a consumer folding them into O(1) accumulators runs a
-        10⁵-trial experiment in constant memory at the aggregation layer.
-        ``specs`` may itself be a lazy generator; pass ``count`` when the
-        total is known so the pool sizes its chunks to spread small streams
-        across all workers (without it, it falls back to
-        :data:`~repro.harness.backends.base.STREAM_CHUNK`-sized batches).
-
-        Every stream keeps the backend seam's **bounded-window /
-        cancellation contract** (see :class:`~repro.harness.backends.base.
-        Backend`): at most about ``window`` specs are dispatched ahead of
-        the results consumed (the backend's own bound when ``None``), and
-        dropping the stream mid-iteration abandons only that bounded
-        in-flight window — what adaptive stopping
-        (:mod:`repro.harness.adaptive`) relies on to cancel a cell without
-        draining its full seed range.
-        """
-        return self._backend.stream(fn, specs, count=count, window=window)
-
-    def run_stream(
-        self,
-        fn: Callable[[TrialSpec], Any],
-        trials: int,
-        master_seed: int = 0,
-        params: Any = None,
-        window: Optional[int] = None,
-    ) -> Iterator[Any]:
-        """Stream ``trials`` seeded trials of ``fn`` under ``master_seed``.
-
-        The streaming sibling of :meth:`run_trials`: trial ``i`` receives
-        ``TrialSpec(i, derive_seed(master_seed, i), params)`` and results
-        arrive lazily in trial order — specs are generated on the fly, so
-        neither inputs nor outputs are ever materialized here.  ``window``
-        enables bounded/cancellable dispatch exactly as on :meth:`stream`
-        (an adaptive consumer stopping early then wastes at most about one
-        window of seeded trials).
-        """
-        if trials < 0:
-            raise ValueError(f"trials must be >= 0, got {trials}")
-        specs = (
-            TrialSpec(index=i, seed=derive_seed(master_seed, i), params=params)
-            for i in range(trials)
-        )
-        return self.stream(fn, specs, count=trials, window=window)
-
-    # ------------------------------------------------------------------
-    # Trial fan-out
-    # ------------------------------------------------------------------
-    def run_trials(
-        self,
-        fn: Callable[[TrialSpec], Any],
-        trials: int,
-        master_seed: int = 0,
-        params: Any = None,
-    ) -> List[Any]:
-        """Run ``trials`` independent trials of ``fn`` under ``master_seed``.
-
-        Trial ``i`` receives ``TrialSpec(i, derive_seed(master_seed, i),
-        params)``; results come back in trial order.
-        """
-        if trials < 0:
-            raise ValueError(f"trials must be >= 0, got {trials}")
-        specs = [
-            TrialSpec(index=i, seed=derive_seed(master_seed, i), params=params)
-            for i in range(trials)
-        ]
-        return self.map(fn, specs)
-
-
-def resolve_engine(
-    engine: Optional[ExperimentEngine],
-    workers: Union[int, str],
-    backend: Optional[Union[str, Backend]] = None,
-) -> ExperimentEngine:
-    """The caller's engine if given, else a fresh one with ``workers``.
-
-    ``backend`` (``"serial"``, ``"pool"`` or an instance) overrides the
-    worker-count default for the fresh-engine case; a caller-supplied
-    engine always wins.
-    """
-    if engine is not None:
-        return engine
-    return ExperimentEngine(workers=workers, backend=backend)
-
 
 @contextlib.contextmanager
 def engine_scope(
-    engine: Optional[ExperimentEngine],
-    workers: Union[int, str],
-    backend: Optional[Union[str, Backend]] = None,
+    engine: Optional[ExperimentEngine], workers: Union[int, str]
 ) -> Iterator[ExperimentEngine]:
-    """Resolve an engine and own its lifecycle iff this scope created it.
+    """The caller's engine, or a fresh one with ``workers`` owned by this scope.
 
     A caller-supplied ``engine`` passes through untouched (the caller
     amortizes its pool across calls and closes it); a scope-created engine
@@ -302,14 +371,8 @@ def engine_scope(
     experiment surface (estimators, matrices) releases its workers
     deterministically instead of leaking them to the garbage collector.
     """
-    own = engine is None
-    resolved = resolve_engine(engine, workers, backend)
-    try:
-        yield resolved
-    except BaseException:
-        if own:
-            resolved.abort()
-        raise
-    else:
-        if own:
-            resolved.close()
+    if engine is not None:
+        yield engine
+        return
+    with ExperimentEngine(workers=workers) as owned:
+        yield owned

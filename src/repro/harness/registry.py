@@ -31,8 +31,10 @@ first-class metric, in the spirit of scalable Byzantine reliable broadcast.
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..adversary.registry import behavior_for, behavior_supported
 from ..config import ProtocolConfig
@@ -46,7 +48,6 @@ from .adaptive import (
     TargetWidth,
     consume_adaptive,
 )
-from .backends import Backend
 from .metrics import StreamingProportion, Welford
 from .parallel import ExperimentEngine, TrialSpec, derive_seed, engine_scope
 from .trial import DeploymentSpec, RunResult, run_trial
@@ -529,7 +530,7 @@ def run_matrix(
     workers: int = 0,
     engine: Optional[ExperimentEngine] = None,
     max_time: float = 5000.0,
-    backend: Optional[Union[str, Backend]] = None,
+    backend: Optional[str] = None,
     target_width: Optional[float] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
@@ -538,26 +539,30 @@ def run_matrix(
 
     ``trials`` overrides every cell uniformly; ``None`` (default) applies
     the matrix's per-cell budgets (fallback 1).  Trial seeds derive from
-    ``(master_seed, global trial index)``, so the report is bit-identical
-    for any worker count and either execution backend (``backend`` —
-    ``"serial"``, ``"pool"`` or a :class:`~repro.harness.backends.base.
-    Backend` instance — only changes where trials run; aggregation is
-    always the same submission-order fold).  Because results fold into
+    ``(master_seed, global trial index)`` — cell ``k``'s trial ``j`` has
+    index ``sum(caps[:k]) + j`` — so the report is bit-identical for any
+    worker count.  ``backend="serial"`` is the same as ``workers=0`` (no
+    other value is accepted).  Because results fold into
     :class:`CellAccumulator` as they arrive, memory stays constant in the
     number of trials.
 
-    **Adaptive budgets** — ``target_width`` (uniform), the matrix's own
+    Every cell runs through :func:`~repro.harness.adaptive.consume_adaptive`
+    under one rule: ``FixedBudget(cap)`` for a fixed cell, or — with
+    ``target_width`` (uniform), the matrix's own
     ``target_width``/``target_widths``, or an explicit ``stopping`` rule
-    turn each cell's budget into a worst case: the cell streams through a
-    bounded (``window=chunk``) dispatch and stops at the first ``chunk``
-    boundary where its agreement-rate Wilson interval is at most the
-    target width (rule evaluation is deterministic, so ``trials_used`` is
-    identical on every backend).  Seeds still come from the *fixed-budget*
-    global index layout, so an adaptive cell's estimates are bit-identical
-    to the same-length prefix of the fixed-budget run, and rows gain
-    ``trials_used`` / ``stop_reason`` columns (``trials`` keeps the cap).
-    ``stopping`` (mutually exclusive with ``target_width``) applies one
-    rule to every cell for custom compositions.
+    for every cell — an **adaptive** rule that stops the cell at the first
+    ``chunk`` boundary where its agreement-rate Wilson interval is at most
+    the target width, the budget becoming a worst case.  Rule evaluation
+    is deterministic, so ``trials_used`` is identical for every worker
+    count; seeds keep the fixed-budget index layout, so an adaptive cell's
+    estimates are bit-identical to the same-length prefix of the fixed
+    run.  Adaptive reports' rows gain ``trials_used`` / ``stop_reason``
+    columns (``trials`` keeps the cap).
+
+    All cells share one engine stream (bounded to ``window=chunk`` when
+    any cell may stop early), so a pool never drains at a cell boundary:
+    once a cell's rule fires, its remaining specs are never generated and
+    its results still in flight are dropped.
     """
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -567,14 +572,57 @@ def run_matrix(
         raise ValueError("pass target_width or stopping, not both")
     if target_width is not None and not 0.0 < target_width <= 1.0:
         raise ValueError(f"target_width must be in (0, 1], got {target_width}")
+    if backend not in (None, "serial"):
+        raise ValueError(
+            f"unknown backend {backend!r}; pass workers= (0/1 serial, "
+            f"k > 1 a pool of k processes)"
+        )
+    if backend == "serial":
+        workers = 0
     cells = matrix.cells(supported_only=True)
-    counts = [
+    caps = [
         trials if trials is not None else matrix.cell_trials(c)
         for c in cells
     ]
     adaptive = (
         stopping is not None or target_width is not None or matrix.adaptive
     )
+
+    def rule_for(cell: MatrixCell, cap: int) -> StoppingRule:
+        if stopping is not None:
+            return stopping
+        width = (
+            target_width
+            if target_width is not None
+            else matrix.cell_target_width(cell)
+        )
+        if width is None:
+            return FixedBudget(cap)
+        return TargetWidth(width, metric="agreement_rate", max_trials=cap)
+
+    stopped = [False] * len(cells)
+    #: The cell of every spec handed to the engine, in submission order —
+    #: which is the order results come back in.
+    owners: Deque[int] = deque()
+
+    def specs() -> Iterator[TrialSpec]:
+        base = 0
+        for k, (cell, cap) in enumerate(zip(cells, caps)):
+            for index in range(base, base + cap):
+                if stopped[k]:
+                    break
+                owners.append(k)
+                yield TrialSpec(
+                    index=index,
+                    seed=derive_seed(master_seed, index),
+                    params=(cell, max_time),
+                )
+            base += cap
+
+    def cell_rows(results: Iterator[Dict[str, Any]], k: int, cap: int):
+        """Cell ``k``'s results, past the dropped ones of stopped cells."""
+        own = (row for row in results if owners.popleft() == k)
+        return itertools.islice(own, cap)
 
     report = MatrixReport(
         matrix=matrix.name,
@@ -583,77 +631,29 @@ def run_matrix(
         target_width=target_width,
         chunk=chunk if adaptive else None,
     )
-    if not adaptive:
-        # Fixed budgets: one uninterrupted stream over every cell's specs.
-        def specs() -> Iterator[TrialSpec]:
-            index = 0
-            for cell, count in zip(cells, counts):
-                for _ in range(count):
-                    yield TrialSpec(
-                        index=index,
-                        seed=derive_seed(master_seed, index),
-                        params=(cell, max_time),
-                    )
-                    index += 1
-
-        with engine_scope(engine, workers, backend) as resolved:
-            results = resolved.stream(
-                run_matrix_cell, specs(), count=sum(counts)
-            )
-            for cell, count in zip(cells, counts):
+    with engine_scope(engine, workers) as resolved:
+        results = resolved.stream(
+            run_matrix_cell, specs(), window=chunk if adaptive else None
+        )
+        try:
+            for k, (cell, cap) in enumerate(zip(cells, caps)):
                 accumulator = CellAccumulator(cell)
-                for _ in range(count):
-                    accumulator.add(next(results))
-                report.rows.append(accumulator.summary())
-        return report
-
-    # Adaptive budgets: one bounded-window stream per cell, early-cancelled
-    # at the first satisfying checkpoint.  Each cell's trial j keeps the
-    # global index it would have in the fixed-budget run (bases derive from
-    # the *caps*, never from earlier cells' adaptive usage), which is what
-    # makes every adaptive cell a bit-identical prefix of the fixed run.
-    bases = [0] * len(counts)
-    for k in range(1, len(counts)):
-        bases[k] = bases[k - 1] + counts[k - 1]
-
-    def cell_specs(cell: MatrixCell, base: int, cap: int) -> Iterator[TrialSpec]:
-        for j in range(cap):
-            yield TrialSpec(
-                index=base + j,
-                seed=derive_seed(master_seed, base + j),
-                params=(cell, max_time),
-            )
-
-    with engine_scope(engine, workers, backend) as resolved:
-        for cell, cap, base in zip(cells, counts, bases):
-            if stopping is not None:
-                rule: StoppingRule = stopping
-            else:
-                width = (
-                    target_width
-                    if target_width is not None
-                    else matrix.cell_target_width(cell)
+                used, reason = consume_adaptive(
+                    cell_rows(results, k, cap),
+                    accumulator.add,
+                    accumulator,
+                    rule_for(cell, cap),
+                    chunk,
                 )
-                rule = (
-                    TargetWidth(width, metric="agreement_rate", max_trials=cap)
-                    if width is not None
-                    else FixedBudget(cap)
-                )
-            accumulator = CellAccumulator(cell)
-            results = resolved.stream(
-                run_matrix_cell,
-                cell_specs(cell, base, cap),
-                count=cap,
-                window=chunk,
-            )
-            used, reason = consume_adaptive(
-                results, accumulator.add, accumulator, rule, chunk
-            )
-            row = accumulator.summary()
-            row["trials"] = cap
-            row["trials_used"] = used
-            row["stop_reason"] = reason
-            report.rows.append(row)
+                stopped[k] = True
+                row = accumulator.summary()
+                if adaptive:
+                    row["trials"] = cap
+                    row["trials_used"] = used
+                    row["stop_reason"] = reason
+                report.rows.append(row)
+        finally:
+            results.close()
     return report
 
 

@@ -17,13 +17,6 @@ or across a process pool (``workers=k``), and independent of completion
 order.  Pass ``workers=`` for one-off parallelism or ``engine=`` to share a
 configured engine across calls.
 
-The rectangular sampling-level estimators (prepare-quorum, termination,
-view-change) additionally accept ``vectorized=True``: trials run in
-numpy batches (:mod:`repro.montecarlo.vectorized`) that recompute
-``derive_seed(seed, i)`` internally, so the result is bit-identical to
-the per-trial path while amortizing dispatch overhead across the batch.
-Vectorized runs are fixed-budget only (``stopping`` must be ``None``).
-
 Every estimator also takes ``stopping=`` — an adaptive
 :class:`~repro.harness.adaptive.StoppingRule` (e.g. ``TargetWidth(0.02,
 metric="per_replica_decides")``) evaluated every ``chunk`` trials on the
@@ -43,6 +36,7 @@ import numpy as np
 from ..config import ProtocolConfig, probabilistic_quorum_size, vrf_sample_size
 from ..harness.adaptive import (
     DEFAULT_CHUNK,
+    FixedBudget,
     ProportionProgress,
     StoppingRule,
     consume_adaptive,
@@ -50,13 +44,6 @@ from ..harness.adaptive import (
 from ..harness.metrics import ProportionEstimate, StreamingProportion
 from ..harness.parallel import ExperimentEngine, TrialSpec, engine_scope
 from .sampling import inclusion_counts, membership_matrix
-from .vectorized import (
-    DEFAULT_BATCH,
-    prepare_quorum_batch,
-    run_batches,
-    termination_batch,
-    viewchange_batch,
-)
 
 
 @dataclass
@@ -88,7 +75,8 @@ def _sizes(n: int, o: float, l: float) -> tuple:
 
 
 def _collect_trials(
-    eng: ExperimentEngine,
+    engine: Optional[ExperimentEngine],
+    workers: int,
     fn: Callable[[TrialSpec], Any],
     trials: int,
     seed: int,
@@ -97,21 +85,22 @@ def _collect_trials(
     chunk: int,
     metrics: Dict[str, Callable[[Any], bool]],
 ) -> Tuple[List[Any], int, Optional[str]]:
-    """Run an estimator's trials, fixed or adaptive; returns the rows.
+    """Run an estimator's trials; returns ``(rows, trials used, reason)``.
 
-    ``stopping=None`` is the classical fixed budget (materialized
-    ``run_trials``).  With a rule, rows stream through a bounded
-    (``window=chunk``) dispatch while per-metric Wilson counters fold
+    Rows stream through ``consume_adaptive`` under ``stopping`` or, without
+    one, ``FixedBudget(trials)``, while per-metric Wilson counters fold
     online; the rule sees them as a :class:`ProportionProgress` at every
-    ``chunk`` boundary and ``trials`` caps the stream — so the returned
-    prefix is bit-identical to the first ``len(rows)`` rows of the fixed
-    run, whatever the backend.  ``metrics`` maps each stoppable metric
-    name (the estimate keys) to its boolean extractor over one row.
+    ``chunk`` boundary and ``trials`` caps the stream — so an adaptive
+    run's rows are bit-identical to the first ``len(rows)`` rows of the
+    fixed run, for every worker count.  An adaptive stream is bounded to
+    ``window=chunk`` so a stop abandons at most about a chunk of trials.
+    ``metrics`` maps each stoppable metric name (the estimate keys) to its
+    boolean extractor over one row.  The reason is ``None`` for a fixed
+    budget.
     """
-    if stopping is None:
-        return eng.run_trials(fn, trials, master_seed=seed, params=params), trials, None
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     proportions = {name: StreamingProportion() for name in metrics}
-    progress = ProportionProgress(proportions)
     rows: List[Any] = []
 
     def fold(row: Any) -> None:
@@ -119,30 +108,22 @@ def _collect_trials(
         for name, extract in metrics.items():
             proportions[name].add(bool(extract(row)))
 
-    results = eng.run_stream(
-        fn, trials, master_seed=seed, params=params, window=chunk
-    )
-    used, reason = consume_adaptive(results, fold, progress, stopping, chunk)
-    return rows, used, reason
-
-
-def _collect_vectorized(
-    eng: ExperimentEngine,
-    batch_fn: Callable[[TrialSpec], List[Any]],
-    trials: int,
-    seed: int,
-    params: Tuple[Any, ...],
-    stopping: Optional[StoppingRule],
-    batch_size: int,
-) -> Tuple[List[Any], int, Optional[str]]:
-    """The batched sibling of :func:`_collect_trials` (fixed budgets only)."""
-    if stopping is not None:
-        raise ValueError(
-            "vectorized=True runs fixed budgets only; adaptive stopping "
-            "rules need the per-trial stream (pass stopping=None)"
+    with engine_scope(engine, workers) as eng:
+        results = eng.run_stream(
+            fn,
+            trials,
+            master_seed=seed,
+            params=params,
+            window=chunk if stopping is not None else None,
         )
-    rows = run_batches(eng, batch_fn, trials, seed, params, batch_size)
-    return rows, trials, None
+        used, reason = consume_adaptive(
+            results,
+            fold,
+            ProportionProgress(proportions),
+            stopping or FixedBudget(trials),
+            chunk,
+        )
+    return rows, used, reason if stopping is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -262,36 +243,27 @@ def estimate_prepare_quorum(
     engine: Optional[ExperimentEngine] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
-    vectorized: bool = False,
-    batch_size: int = DEFAULT_BATCH,
 ) -> MonteCarloResult:
     """Probability of forming a prepare quorum when all correct replicas send.
 
     Estimates both the per-replica probability (Theorem 2 / Corollary 2's
-    target) and the all-correct-replicas-form event.  ``vectorized=True``
-    runs the trials in bit-identical numpy batches (fixed budgets only).
+    target) and the all-correct-replicas-form event.
     """
     q, s = _sizes(n, o, l)
-    with engine_scope(engine, workers) as eng:
-        if vectorized:
-            rows, used, reason = _collect_vectorized(
-                eng, prepare_quorum_batch, trials, seed, (n, f, q, s),
-                stopping, batch_size,
-            )
-        else:
-            rows, used, reason = _collect_trials(
-                eng,
-                _prepare_quorum_trial,
-                trials,
-                seed,
-                (n, f, q, s),
-                stopping,
-                chunk,
-                metrics={
-                    "per_replica_quorum": lambda row: row[0],
-                    "all_correct_quorum": lambda row: row[1],
-                },
-            )
+    rows, used, reason = _collect_trials(
+        engine,
+        workers,
+        _prepare_quorum_trial,
+        trials,
+        seed,
+        (n, f, q, s),
+        stopping,
+        chunk,
+        metrics={
+            "per_replica_quorum": lambda row: row[0],
+            "all_correct_quorum": lambda row: row[1],
+        },
+    )
     replica_hits = sum(r for r, _ in rows)
     all_hits = sum(a for _, a in rows)
     return MonteCarloResult(
@@ -315,8 +287,6 @@ def estimate_termination(
     engine: Optional[ExperimentEngine] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
-    vectorized: bool = False,
-    batch_size: int = DEFAULT_BATCH,
 ) -> MonteCarloResult:
     """Termination in a correct-leader view (Figure 5 right panels).
 
@@ -324,30 +294,23 @@ def estimate_termination(
     replica prepares iff ≥ q of those samples include it.  Stage 2: prepared
     replicas multicast Commit; a replica decides iff it prepared and ≥ q
     commit samples include it.  Byzantine replicas stay silent (the
-    worst case Theorem 2 mentions).  ``vectorized=True`` runs the trials
-    in bit-identical numpy batches (fixed budgets only).
+    worst case Theorem 2 mentions).
     """
     q, s = _sizes(n, o, l)
-    with engine_scope(engine, workers) as eng:
-        if vectorized:
-            rows, used, reason = _collect_vectorized(
-                eng, termination_batch, trials, seed, (n, f, q, s),
-                stopping, batch_size,
-            )
-        else:
-            rows, used, reason = _collect_trials(
-                eng,
-                _termination_trial,
-                trials,
-                seed,
-                (n, f, q, s),
-                stopping,
-                chunk,
-                metrics={
-                    "per_replica_decides": lambda row: row[0],
-                    "all_correct_decide": lambda row: row[1],
-                },
-            )
+    rows, used, reason = _collect_trials(
+        engine,
+        workers,
+        _termination_trial,
+        trials,
+        seed,
+        (n, f, q, s),
+        stopping,
+        chunk,
+        metrics={
+            "per_replica_decides": lambda row: row[0],
+            "all_correct_decide": lambda row: row[1],
+        },
+    )
     decide_hits = sum(d for d, _, _ in rows)
     all_decide_hits = sum(a for _, a, _ in rows)
     prepared_fracs = [frac for _, _, frac in rows]
@@ -397,17 +360,17 @@ def estimate_agreement_violation(
     }
     if model_detection:
         metrics["violation_detected"] = lambda row: row[2]
-    with engine_scope(engine, workers) as eng:
-        rows, used, reason = _collect_trials(
-            eng,
-            _agreement_violation_trial,
-            trials,
-            seed,
-            (n, f, q, s, model_detection),
-            stopping,
-            chunk,
-            metrics=metrics,
-        )
+    rows, used, reason = _collect_trials(
+        engine,
+        workers,
+        _agreement_violation_trial,
+        trials,
+        seed,
+        (n, f, q, s, model_detection),
+        stopping,
+        chunk,
+        metrics=metrics,
+    )
     side_fixed_hits = sum(sf for sf, _, _ in rows)
     violation_hits = sum(v for _, v, _ in rows)
     estimates = {
@@ -440,20 +403,20 @@ def estimate_protocol_agreement(
     an adaptive ``stopping=`` rule: every trial saved is a whole
     simulation not run) pays off most.
     """
-    with engine_scope(engine, workers) as eng:
-        rows, used, reason = _collect_trials(
-            eng,
-            _protocol_agreement_trial,
-            trials,
-            seed,
-            (config, max_time),
-            stopping,
-            chunk,
-            metrics={
-                "violation_full_protocol": lambda row: row[0],
-                "undecided_runs": lambda row: row[1],
-            },
-        )
+    rows, used, reason = _collect_trials(
+        engine,
+        workers,
+        _protocol_agreement_trial,
+        trials,
+        seed,
+        (config, max_time),
+        stopping,
+        chunk,
+        metrics={
+            "violation_full_protocol": lambda row: row[0],
+            "undecided_runs": lambda row: row[1],
+        },
+    )
     violation_hits = sum(v for v, _ in rows)
     undecided_runs = sum(u for _, u in rows)
     return MonteCarloResult(
@@ -478,37 +441,30 @@ def estimate_viewchange_decide(
     engine: Optional[ExperimentEngine] = None,
     stopping: Optional[StoppingRule] = None,
     chunk: int = DEFAULT_CHUNK,
-    vectorized: bool = False,
-    batch_size: int = DEFAULT_BATCH,
 ) -> MonteCarloResult:
     """Lemma 6 / Theorem 8's scenario: only ``prepared`` replicas committed.
 
     A value was prepared by ``r = prepared`` replicas (default the theorem's
-    worst case ``(n+f)/2``); estimates the probability that a fixed replica
-    receives a commit quorum from them — the event whose probability Lemma 6
-    bounds and Theorem 8 multiplies into the cross-view safety argument.
-    ``vectorized=True`` runs the trials in bit-identical numpy batches
-    (fixed budgets only).
+    worst case ``(n+f)/2``; ``0 <= prepared <= n``); estimates the
+    probability that a fixed replica receives a commit quorum from them —
+    the event whose probability Lemma 6 bounds and Theorem 8 multiplies
+    into the cross-view safety argument.
     """
     q, s = _sizes(n, o, l)
     r = prepared if prepared is not None else (n + f) // 2
-    with engine_scope(engine, workers) as eng:
-        if vectorized:
-            rows, used, reason = _collect_vectorized(
-                eng, viewchange_batch, trials, seed, (n, r, q, s),
-                stopping, batch_size,
-            )
-        else:
-            rows, used, reason = _collect_trials(
-                eng,
-                _viewchange_trial,
-                trials,
-                seed,
-                (n, r, q, s),
-                stopping,
-                chunk,
-                metrics={"decides_from_partial_prepare": lambda row: row},
-            )
+    if not 0 <= r <= n:
+        raise ValueError(f"prepared must be in [0, n={n}], got {r}")
+    rows, used, reason = _collect_trials(
+        engine,
+        workers,
+        _viewchange_trial,
+        trials,
+        seed,
+        (n, r, q, s),
+        stopping,
+        chunk,
+        metrics={"decides_from_partial_prepare": lambda row: row},
+    )
     hits = sum(rows)
     return MonteCarloResult(
         trials=used,

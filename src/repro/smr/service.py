@@ -18,6 +18,7 @@ from ..core.deployment import Deployment
 from ..core.protocol import ProBFTStack
 from ..crypto.context import CryptoContext
 from ..crypto.hashing import stable_encode
+from ..errors import ConfigError
 from ..net.latency import LatencyModel
 from ..sync.timeouts import FixedTimeout, TimeoutPolicy
 from ..types import ReplicaId, Value
@@ -81,6 +82,8 @@ class SMRDeployment(Deployment):
         *,
         reference: bool = False,
     ) -> None:
+        if num_slots < 1:
+            raise ConfigError(f"num_slots must be >= 1, got {num_slots}")
         self.num_slots = num_slots
         self.rotate_leaders = rotate_leaders
         self.applied: Dict[ReplicaId, List[Tuple[int, Value]]] = {}

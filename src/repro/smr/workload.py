@@ -19,8 +19,8 @@ simulates ``num_clients`` concurrent closed-loop clients:
   by the generator.
 
 Everything is driven by the deployment's simulator, so a (spec, seed) pair
-determines every per-request latency bit-for-bit, in any process, on any
-engine backend — the property the serving determinism tests pin.
+determines every per-request latency bit-for-bit, in any process, for any
+engine worker count — the property the serving determinism tests pin.
 
 :func:`run_serving_trial` is the module-level, picklable trial function
 (:class:`ServingSpec` → :class:`ServingResult`) the CLI ``repro serve``
@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import ProtocolConfig
 from ..crypto.hashing import digest
+from ..errors import ConfigError
 from ..harness.metrics import LatencyAccumulator
 from ..net.latency import ConstantLatency
 from ..sync.timeouts import FixedTimeout
@@ -96,22 +97,22 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
+            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
         if self.requests_per_client < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"requests_per_client must be >= 1, got {self.requests_per_client}"
             )
         if self.think_time < 0:
-            raise ValueError(f"think_time must be >= 0, got {self.think_time}")
+            raise ConfigError(f"think_time must be >= 0, got {self.think_time}")
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.arrival not in ("closed", "open"):
-            raise ValueError(
+            raise ConfigError(
                 f"arrival must be 'closed' or 'open', got {self.arrival!r}"
             )
         if self.arrival == "open":
             if self.offered_rate is None or self.offered_rate <= 0:
-                raise ValueError(
+                raise ConfigError(
                     "open-loop arrivals need offered_rate > 0, got "
                     f"{self.offered_rate!r}"
                 )
@@ -472,19 +473,24 @@ class ServingSpec:
 
     def __post_init__(self) -> None:
         if self.adversary not in SERVING_ADVERSARIES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown adversary {self.adversary!r}; known: "
                 f"{', '.join(sorted(SERVING_ADVERSARIES))}"
             )
         if self.load not in LOAD_LEVELS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown load level {self.load!r}; known: "
                 f"{', '.join(sorted(LOAD_LEVELS))}"
             )
-        if self.arrival not in ("closed", "open"):
-            raise ValueError(
-                f"arrival must be 'closed' or 'open', got {self.arrival!r}"
-            )
+        for name in ("batch_size", "pipeline", "max_pending", "num_slots"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0, got {self.timeout}")
+        # Validates the client population (and the arrival discipline) now,
+        # not inside the first trial that builds it.
+        self.workload()
 
     def workload(self) -> WorkloadSpec:
         """The workload, load-level presets overridden by explicit fields."""
@@ -693,7 +699,7 @@ def serving_cells(
 
 def serving_trials(specs: List[ServingSpec]) -> List["TrialSpec"]:
     """Wrap serving specs in the harness :class:`TrialSpec` protocol so
-    they can ride :meth:`ExperimentEngine.map` across any backend."""
+    they can ride :meth:`ExperimentEngine.map` at any worker count."""
     from ..harness.parallel import TrialSpec
 
     return [

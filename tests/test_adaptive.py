@@ -4,7 +4,7 @@ The subsystem's hard guarantees, pinned on golden seeds:
 
 * stopping rules are pure functions of the folded submission-order prefix,
   evaluated only at ``chunk`` checkpoints — so ``trials_used`` is
-  **identical on every backend and worker count**;
+  **identical for every worker count**;
 * an adaptive run's estimates are **bit-identical to the same-length
   prefix of the fixed-budget run** (seeds derive from the fixed-budget
   index layout, never from earlier cells' adaptive usage);
@@ -21,8 +21,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.harness.adaptive import (
-    All,
-    Any,
     DEFAULT_CHUNK,
     FixedBudget,
     ProportionProgress,
@@ -47,8 +45,6 @@ from repro.montecarlo.experiments import (
     estimate_termination,
     estimate_viewchange_decide,
 )
-
-BACKEND_NAMES = ("serial", "pool")
 
 #: Two cheap full-protocol cells at n=8; all-success agreement, so the
 #: all-success Wilson width formula z²/(t+z²) predicts the stopping point.
@@ -134,36 +130,6 @@ class TestRules:
             TargetWidth(0.1, min_trials=0)
         with pytest.raises(ValueError, match="max_trials"):
             TargetWidth(0.1, min_trials=10, max_trials=5)
-
-    def test_any_first_firing_reason_wins(self):
-        progress = _FakeProgress()
-        progress.trials = 100
-        progress.widths["m"] = 0.05
-        rule = Any(TargetWidth(0.1, metric="m"), FixedBudget(50))
-        assert rule.decision(progress) == STOP_TARGET_WIDTH
-        progress.widths["m"] = 0.9
-        assert rule.decision(progress) == STOP_BUDGET
-
-    def test_all_requires_every_rule(self):
-        progress = _FakeProgress()
-        progress.trials = 100
-        progress.widths["m"] = 0.5
-        rule = All(TargetWidth(0.6, metric="m"), FixedBudget(200))
-        assert rule.decision(progress) is None
-        progress.trials = 200
-        assert rule.decision(progress) == f"{STOP_TARGET_WIDTH}+{STOP_BUDGET}"
-
-    def test_operator_composition(self):
-        either = TargetWidth(0.1, metric="m") | FixedBudget(50)
-        both = TargetWidth(0.1, metric="m") & FixedBudget(50)
-        assert isinstance(either, Any) and len(either.rules) == 2
-        assert isinstance(both, All) and len(both.rules) == 2
-
-    def test_empty_composites_rejected(self):
-        with pytest.raises(ValueError):
-            Any()
-        with pytest.raises(ValueError):
-            All()
 
 
 class TestProportionProgress:
@@ -267,16 +233,10 @@ class TestConsumeAdaptive:
         assert used == 40  # not 64
         assert reason == STOP_MAX_TRIALS
 
-    def test_trial_cap_composition(self):
+    def test_trial_cap(self):
         assert FixedBudget(10).trial_cap() == 10
         assert TargetWidth(0.1, max_trials=40).trial_cap() == 40
         assert TargetWidth(0.1).trial_cap() is None
-        # Any: the earliest member cap binds; All: the latest, and only
-        # when every member is capped.
-        assert Any(TargetWidth(0.1), FixedBudget(50)).trial_cap() == 50
-        assert Any(FixedBudget(20), FixedBudget(50)).trial_cap() == 20
-        assert All(FixedBudget(20), FixedBudget(50)).trial_cap() == 50
-        assert All(TargetWidth(0.1), FixedBudget(50)).trial_cap() is None
 
     def test_uncapped_custom_rule_keeps_chunk_grid(self):
         """Rules without a declared cap keep the pure chunk schedule (the
@@ -392,9 +352,9 @@ class TestAdaptiveMatrix:
 
     def test_identical_across_all_backends(self):
         reference = self._adaptive()
-        for name in BACKEND_NAMES:
-            got = self._adaptive(workers=2, backend=name)
-            assert got.rows == reference.rows, name  # incl. trials_used
+        for workers in (1, 2):
+            got = self._adaptive(workers=workers)
+            assert got.rows == reference.rows, workers  # incl. trials_used
 
     def test_rule_never_firing_equals_fixed_run(self):
         """A width no cell can reach makes the adaptive run spend the full
@@ -447,6 +407,71 @@ class TestAdaptiveMatrix:
         assert by_adversary["none"]["stop_reason"] == STOP_BUDGET
         assert by_adversary["silent"]["trials_used"] == 12
         assert by_adversary["silent"]["stop_reason"] == STOP_TARGET_WIDTH
+
+    #: An adaptive cell (stops at 12 of 24) followed by a fixed one, so the
+    #: shared stream crosses a stopped cell into a running one.
+    MIXED = ScenarioMatrix(
+        name="mixed",
+        protocols=("probft",),
+        adversaries=("silent", "none"),
+        latencies=("constant",),
+        n=8,
+        budget=CAP,
+        target_widths=(("silent", WIDTH),),
+    )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_stream_crosses_cells(self, monkeypatch, workers):
+        """Every cell shares one engine stream: a stopped cell's specs stop
+        being generated, its in-flight results are dropped — never folded
+        into the next cell — and every row is still the fixed run's
+        same-length prefix."""
+        folded = []
+        add = CellAccumulator.add
+
+        def spy_add(accumulator, row):
+            folded.append((accumulator.cell.adversary, row["adversary"]))
+            add(accumulator, row)
+
+        yielded = []
+        stream = ExperimentEngine.stream
+
+        def counting_stream(engine, fn, specs, window=None):
+            for row in stream(engine, fn, specs, window):
+                yielded.append(row["adversary"])
+                yield row
+
+        monkeypatch.setattr(CellAccumulator, "add", spy_add)
+        monkeypatch.setattr(ExperimentEngine, "stream", counting_stream)
+        report = run_matrix(
+            self.MIXED, master_seed=self.SEED, chunk=self.CHUNK, workers=workers
+        )
+        silent, none = report.rows
+        assert (silent["trials_used"], silent["stop_reason"]) == (
+            12,
+            STOP_TARGET_WIDTH,
+        )
+        assert (none["trials_used"], none["stop_reason"]) == (24, STOP_BUDGET)
+        assert len(folded) == 12 + 24
+        assert all(cell == row for cell, row in folded)
+        # Serial draws nothing ahead; the pool had silent trials in flight
+        # when the cell stopped, and dropped them.
+        dropped = yielded.count("silent") - 12
+        assert dropped == 0 if workers == 0 else dropped > 0
+        for k, (cell, row) in enumerate(zip(self.MIXED.cells(), report.rows)):
+            expected = _fixed_prefix_summary(
+                cell, k * self.CAP, row["trials_used"], self.SEED
+            )
+            for key, value in expected.items():
+                if key != "trials":
+                    assert row[key] == value, (cell.label, key)
+
+    def test_mixed_rows_identical_across_workers(self):
+        reference = run_matrix(self.MIXED, master_seed=self.SEED, chunk=self.CHUNK)
+        pooled = run_matrix(
+            self.MIXED, master_seed=self.SEED, chunk=self.CHUNK, workers=2
+        )
+        assert pooled.rows == reference.rows
 
     def test_with_size_carries_widths(self):
         matrix = MATRICES["adaptive-demo"].with_size(10)
@@ -514,8 +539,8 @@ class TestAdaptiveEstimators:
         reference = estimate_termination(
             32, 6, 1.7, trials=400, seed=9, stopping=rule, chunk=32
         )
-        for name in BACKEND_NAMES:
-            with ExperimentEngine(workers=2, backend=name) as engine:
+        for workers in (1, 2):
+            with ExperimentEngine(workers=workers) as engine:
                 got = estimate_termination(
                     32,
                     6,
@@ -526,22 +551,20 @@ class TestAdaptiveEstimators:
                     chunk=32,
                     engine=engine,
                 )
-            assert got.trials == reference.trials, name
-            assert got.stop_reason == reference.stop_reason, name
-            assert dict(got.estimates) == dict(reference.estimates), name
+            assert got.trials == reference.trials, workers
+            assert got.stop_reason == reference.stop_reason, workers
+            assert dict(got.estimates) == dict(reference.estimates), workers
 
-    def test_viewchange_composed_rule(self):
-        rule = Any(
-            TargetWidth(0.1, metric="decides_from_partial_prepare"),
-            FixedBudget(128),
+    def test_viewchange_capped_rule(self):
+        rule = TargetWidth(
+            0.1, metric="decides_from_partial_prepare", max_trials=128
         )
         result = estimate_viewchange_decide(
             32, 6, 1.7, trials=1000, seed=4, stopping=rule, chunk=32
         )
-        assert result.trials <= 1000
-        assert result.stop_reason in (STOP_TARGET_WIDTH, STOP_BUDGET)
-        # The cap member bounds the spend even if the width never resolves.
-        assert result.trials <= 128 or result.stop_reason == STOP_TARGET_WIDTH
+        assert result.stop_reason in (STOP_TARGET_WIDTH, STOP_MAX_TRIALS)
+        # The cap bounds the spend even if the width never resolves.
+        assert result.trials <= 128
 
     def test_unknown_stopping_metric_raises_with_choices(self):
         with pytest.raises(KeyError, match="per_replica_decides"):

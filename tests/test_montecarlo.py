@@ -7,11 +7,13 @@ from repro.analysis import agreement as A
 from repro.analysis import quorum_probability as Q
 from repro.analysis import termination as T
 from repro.config import ProtocolConfig
+from repro.harness.parallel import ExperimentEngine
 from repro.montecarlo.experiments import (
     estimate_agreement_violation,
     estimate_prepare_quorum,
     estimate_protocol_agreement,
     estimate_termination,
+    estimate_viewchange_decide,
 )
 from repro.montecarlo.sampling import (
     inclusion_counts,
@@ -146,70 +148,47 @@ class TestViewChangeScenario:
         )
 
 
-class TestVectorizedEstimators:
-    """The batched numpy kernels must be bit-identical to the general path.
+class TestEstimatorInputs:
+    """Out-of-range inputs are refused with a ValueError before any trial:
+    no NaN estimates from zero trials, no sampling more senders than
+    replicas."""
 
-    Each trial in a batch draws from its own ``default_rng(derive_seed(...))``
-    generator, so the full MonteCarloResult (every ProportionEstimate, the
-    mean prepared fraction, the trial count) must match the one-trial-per-
-    spec dispatch exactly — for any batch size, including ragged tails.
-    """
+    ESTIMATORS = {
+        "prepare_quorum": lambda **kw: estimate_prepare_quorum(20, 4, 1.7, **kw),
+        "termination": lambda **kw: estimate_termination(20, 4, 1.7, **kw),
+        "agreement_violation": lambda **kw: estimate_agreement_violation(
+            20, 4, 1.7, **kw
+        ),
+        "protocol_agreement": lambda **kw: estimate_protocol_agreement(
+            ProtocolConfig(n=8, f=1), **kw
+        ),
+        "viewchange_decide": lambda **kw: estimate_viewchange_decide(
+            20, 4, 1.7, **kw
+        ),
+    }
 
-    def test_prepare_quorum_matches_general(self):
-        from repro.montecarlo.experiments import estimate_prepare_quorum
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial stream was started")
 
-        general = estimate_prepare_quorum(100, 20, 1.7, trials=400, seed=11)
-        for batch_size in (400, 256, 77, 1):
-            vectorized = estimate_prepare_quorum(
-                100, 20, 1.7, trials=400, seed=11,
-                vectorized=True, batch_size=batch_size,
-            )
-            assert vectorized == general, batch_size
+        monkeypatch.setattr(ExperimentEngine, "stream", refuse)
 
-    def test_termination_matches_general(self):
-        from repro.montecarlo.experiments import estimate_termination
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_trials_must_be_positive(self, no_trials, name, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            self.ESTIMATORS[name](trials=trials)
 
-        general = estimate_termination(100, 20, 1.7, trials=300, seed=12)
-        vectorized = estimate_termination(
-            100, 20, 1.7, trials=300, seed=12, vectorized=True, batch_size=64
+    @pytest.mark.parametrize("prepared", [-1, 21, 50])
+    def test_prepared_must_be_a_replica_count(self, no_trials, prepared):
+        with pytest.raises(ValueError, match="prepared"):
+            estimate_viewchange_decide(20, 4, 1.7, prepared=prepared, trials=10)
+
+    @pytest.mark.parametrize("prepared, decides", [(0, 0), (20, 10)])
+    def test_prepared_bounds_are_inclusive(self, prepared, decides):
+        result = estimate_viewchange_decide(
+            20, 4, 1.7, prepared=prepared, trials=10, seed=1
         )
-        assert vectorized == general
-
-    def test_viewchange_matches_general(self):
-        from repro.montecarlo.experiments import estimate_viewchange_decide
-
-        general = estimate_viewchange_decide(100, 20, 1.7, trials=500, seed=13)
-        vectorized = estimate_viewchange_decide(
-            100, 20, 1.7, trials=500, seed=13, vectorized=True, batch_size=128
-        )
-        assert vectorized == general
-
-    def test_full_sample_branch_matches(self):
-        # o large enough that s == n exercises the broadcast-arange branch.
-        from repro.montecarlo.experiments import estimate_prepare_quorum
-
-        general = estimate_prepare_quorum(40, 8, 4.0, trials=120, seed=14)
-        vectorized = estimate_prepare_quorum(
-            40, 8, 4.0, trials=120, seed=14, vectorized=True, batch_size=50
-        )
-        assert vectorized == general
-
-    def test_vectorized_rejects_stopping_rules(self):
-        from repro.harness.adaptive import TargetWidth
-        from repro.montecarlo.experiments import estimate_prepare_quorum
-
-        with pytest.raises(ValueError, match="fixed budgets only"):
-            estimate_prepare_quorum(
-                100, 20, 1.7, trials=400, seed=11,
-                vectorized=True,
-                stopping=TargetWidth(0.05, metric="prepare_first"),
-            )
-
-    def test_invalid_batch_size(self):
-        from repro.montecarlo.experiments import estimate_prepare_quorum
-
-        with pytest.raises(ValueError, match="batch_size"):
-            estimate_prepare_quorum(
-                100, 20, 1.7, trials=40, seed=11,
-                vectorized=True, batch_size=0,
-            )
+        assert result.trials == 10
+        assert result.estimates["decides_from_partial_prepare"].successes == decides

@@ -16,7 +16,7 @@ from repro.harness.parallel import (
     TrialError,
     TrialSpec,
     derive_seed,
-    resolve_engine,
+    engine_scope,
     spawn_seeds,
     workers_from_env,
 )
@@ -78,8 +78,6 @@ class TestEngineBasics:
     def test_workers_validation(self):
         with pytest.raises(ValueError):
             ExperimentEngine(workers=-1)
-        with pytest.raises(ValueError):
-            ExperimentEngine(chunk_size=0)
 
     def test_zero_trials(self):
         assert ExperimentEngine().run_trials(draw_trial, 0) == []
@@ -96,19 +94,21 @@ class TestEngineBasics:
         assert all(s == derive_seed(3, i) for i, s, _ in out)
         assert all(p == "p" for _, _, p in out)
 
-    def test_resolve_engine_prefers_given(self):
+    def test_engine_scope_prefers_given(self):
         engine = ExperimentEngine(workers=5)
-        assert resolve_engine(engine, 0) is engine
-        assert resolve_engine(None, 3).workers == 3
+        with engine_scope(engine, 0) as scoped:
+            assert scoped is engine
+        with engine_scope(None, 3) as scoped:
+            assert scoped.workers == 3
 
     def test_pool_is_reused_across_map_calls(self):
         with ExperimentEngine(workers=2) as engine:
             engine.run_trials(draw_trial, 4)
-            pool = engine.backend._pool
+            pool = engine._pool
             assert pool is not None
             engine.run_trials(draw_trial, 4)
-            assert engine.backend._pool is pool
-        assert engine.backend._pool is None  # context exit closed it
+            assert engine._pool is pool
+        assert engine._pool is None  # context exit closed it
         # A closed engine transparently re-creates its pool.
         assert len(engine.run_trials(draw_trial, 3)) == 3
         engine.close()
@@ -138,15 +138,16 @@ class TestSerialParallelDeterminism:
             )
             assert got == reference
 
-    def test_chunk_size_is_irrelevant(self):
+    def test_window_is_irrelevant(self):
         reference = ExperimentEngine(workers=0).run_trials(
             draw_trial, 30, master_seed=1
         )
-        for chunk in (1, 7, 30):
-            got = ExperimentEngine(workers=2, chunk_size=chunk).run_trials(
-                draw_trial, 30, master_seed=1
-            )
-            assert got == reference
+        with ExperimentEngine(workers=2) as engine:
+            for window in (1, 7, 30):
+                got = list(
+                    engine.run_stream(draw_trial, 30, master_seed=1, window=window)
+                )
+                assert got == reference
 
     def test_estimate_termination_identical(self):
         serial = estimate_termination(64, 12, 1.7, trials=60, seed=5, workers=0)
@@ -203,7 +204,8 @@ class TestErrorPropagation:
     def test_first_failure_in_submission_order_wins(self):
         # Index 3 fails; trials after it may or may not have run, but the
         # reported failure is deterministic.
-        engine = ExperimentEngine(workers=2, chunk_size=1)
-        with pytest.raises(TrialError) as exc_info:
-            engine.run_trials(crash_on_three, 50, master_seed=0)
+        with ExperimentEngine(workers=2) as engine:
+            with pytest.raises(TrialError) as exc_info:
+                # A window of 4 over two workers sends one trial per batch.
+                list(engine.run_stream(crash_on_three, 50, window=4))
         assert exc_info.value.index == 3

@@ -204,11 +204,25 @@ class TestCLIArgumentErrors:
                  "--requests-per-client", "1"],
                 "f < n/3",
             ),
+            (["serve", "--num-clients", "0"], "num_clients must be >= 1"),
+            (["serve", "--window", "0"], "window must be >= 1"),
+            (["serve", "--batch-size", "0"], "batch_size must be >= 1"),
+            (["serve", "--pipeline", "0"], "pipeline must be >= 1"),
+            (["serve", "--max-pending", "0"], "max_pending must be >= 1"),
+            (["serve", "--timeout", "-1"], "timeout must be > 0"),
+            (
+                ["serve", "--arrival", "open", "--offered-rate", "-1"],
+                "offered_rate > 0",
+            ),
+            (["smr", "--slots", "0"], "num_slots must be >= 1"),
         ],
         ids=[
             "sweep-f", "sweep-n", "run-n", "serve-n",
             "sweep-negative-f", "run-f", "run-pbft-n", "run-negative-f",
             "attack-n", "attack-f", "smr-n", "smr-f", "serve-f",
+            "serve-num-clients", "serve-window", "serve-batch-size",
+            "serve-pipeline", "serve-max-pending", "serve-timeout",
+            "serve-offered-rate", "smr-slots",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, capsys, argv, message):
@@ -218,6 +232,18 @@ class TestCLIArgumentErrors:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_serve_checks_every_cell_before_the_first_trial(
+        self, capsys, monkeypatch
+    ):
+        import repro.smr.workload as workload
+
+        def refuse(spec):
+            raise AssertionError("a serving trial ran")
+
+        monkeypatch.setattr(workload, "run_serving_trial", refuse)
+        assert main(["serve", "--matrix", "--pipeline", "0"]) == 2
+        assert "pipeline must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
