@@ -8,12 +8,15 @@ We *measure* steps by running each protocol on a unit-latency network: the
 latest correct decision time equals the number of communication steps.
 """
 
+import itertools
+
 import pytest
 
 from repro.analysis import messages as M
-from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
+from repro.config import max_faults
+from repro.harness.registry import MatrixCell, cell_deployment_spec
 from repro.harness.tables import render_table
+from repro.harness.trial import run_trial
 
 N_VALUES = [10, 25, 50]
 
@@ -21,10 +24,12 @@ N_VALUES = [10, 25, 50]
 def measure_steps():
     rows = []
     for n in N_VALUES:
-        cfg = ProtocolConfig(n=n)
         row = [n]
         for protocol in ("pbft", "probft", "hotstuff"):
-            row.append(good_case_metrics(protocol, cfg, require_view1=True).steps)
+            # The fault-free unit-latency cell, first seed deciding in view 1.
+            cell = MatrixCell(protocol, "none", "constant", n, max_faults(n))
+            specs = (cell_deployment_spec(cell, s, 10_000.0) for s in itertools.count())
+            row.append(next(r for r in map(run_trial, specs) if r.max_view == 1).steps)
         rows.append(row)
     return rows
 

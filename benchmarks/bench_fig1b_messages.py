@@ -11,12 +11,14 @@ The analytic series uses the same formulas the paper plots; the measured
 series runs the actual protocols and counts real network sends.
 """
 
+import itertools
+
 import pytest
 
 from repro.analysis import messages as M
-from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
+from repro.harness.registry import MatrixCell, cell_deployment_spec
 from repro.harness.tables import render_series, render_table
+from repro.harness.trial import run_trial
 
 ANALYTIC_N = [100, 150, 200, 250, 300, 350, 400]
 MEASURED_N = [100, 200]
@@ -30,11 +32,14 @@ def analytic_series():
 def measured_counts():
     rows = []
     for n in MEASURED_N:
-        f = n // 5
-        cfg = ProtocolConfig(n=n, f=f, o=1.7)
-        probft = good_case_metrics("probft", cfg, require_view1=True).protocol_messages
-        pbft = good_case_metrics("pbft", cfg, require_view1=True).protocol_messages
-        hotstuff = good_case_metrics("hotstuff", cfg, require_view1=True).protocol_messages
+
+        def messages(protocol):
+            # The fault-free unit-latency cell (o=1.7), first view-1 seed.
+            cell = MatrixCell(protocol, "none", "constant", n, n // 5)
+            specs = (cell_deployment_spec(cell, s, 10_000.0) for s in itertools.count())
+            return next(r for r in map(run_trial, specs) if r.max_view == 1).protocol_messages
+
+        probft, pbft, hotstuff = map(messages, ("probft", "pbft", "hotstuff"))
         rows.append(
             [
                 n,

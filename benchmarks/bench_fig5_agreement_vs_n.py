@@ -9,7 +9,7 @@ exactly what happens for o ≥ n/r at these parameters), the exact binomial
 chain for the fixed-pair event Lemma 5 analyses, and a Monte-Carlo estimate
 of the per-side decide probability.  The full protocol is stricter than all
 of these: equivocation detection makes observed violations vanish
-(see bench_ablation_detection in bench_ablation_o_sweep.py and the
+(``tests/test_montecarlo.py::test_detection_crushes_violation`` and the
 full-protocol runs in tests).
 """
 
@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.adversary.plans import equivocation_byzantine_map
+from repro.adversary.equivocation import equivocation_byzantine_map
 from repro.analysis import agreement as A
 from repro.config import ProtocolConfig
 from repro.crypto.context import CryptoContext, clear_crypto_pool

@@ -14,14 +14,16 @@ We verify the measurable parts: empirical growth exponents from simulation
 counts, and the per-phase message split.
 """
 
+import itertools
 import math
 
 import pytest
 
 from repro.analysis import messages as M
 from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
+from repro.harness.registry import MatrixCell, cell_deployment_spec
 from repro.harness.tables import render_table
+from repro.harness.trial import DeploymentSpec, run_trial
 
 
 def growth_exponent(n1, c1, n2, c2) -> float:
@@ -33,12 +35,13 @@ def measure():
     rows = []
     measured = {}
     for n in (64, 256):
-        cfg = ProtocolConfig(n=n, f=n // 5)
         for protocol in ("pbft", "probft", "hotstuff"):
             # Condition on view-1 success: ProBFT occasionally needs a view
             # change at small n (it is a probabilistic protocol), which is
             # not the good case §3.3 describes.
-            result = good_case_metrics(protocol, cfg, require_view1=True)
+            cell = MatrixCell(protocol, "none", "constant", n, n // 5)
+            specs = (cell_deployment_spec(cell, s, 10_000.0) for s in itertools.count())
+            result = next(r for r in map(run_trial, specs) if r.max_view == 1)
             measured[(protocol, n)] = result.protocol_messages
     for protocol, expected in (("pbft", 2.0), ("probft", 1.5), ("hotstuff", 1.0)):
         alpha = growth_exponent(
@@ -83,13 +86,15 @@ def test_table_probft_phase_split(benchmark, report):
     """The O(n) + O(n) + O(n√n) + O(n√n) decomposition of §3.3."""
 
     def run():
-        from repro.harness.runner import run_probft
         from repro.net.latency import ConstantLatency
 
         cfg = ProtocolConfig(n=144, f=28)
         for seed in range(25):
-            result = run_probft(
-                cfg, seed=seed, latency=ConstantLatency(1.0), max_time=500
+            result = run_trial(
+                DeploymentSpec(
+                    "probft", cfg, seed=seed, latency=ConstantLatency(1.0),
+                    max_time=500,
+                )
             )
             if result.all_decided and result.max_view == 1:
                 return cfg, result

@@ -8,34 +8,11 @@ in ``bench_output.txt`` when teeing).  Result text is also appended to
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--quick",
-        action="store_true",
-        default=False,
-        help=(
-            "Run benches in their 1-core CI profile: fewer/smaller points, "
-            "same seeds and assertions, tracked artifacts left untouched. "
-            "REPRO_BENCH_QUICK=1 is the env-var equivalent."
-        ),
-    )
-
-
-@pytest.fixture
-def bench_quick(request) -> bool:
-    """True when the quick CI profile was requested (flag or env var)."""
-    return bool(
-        request.config.getoption("--quick")
-        or os.environ.get("REPRO_BENCH_QUICK")
-    )
 
 
 @pytest.fixture

@@ -16,8 +16,9 @@ how ProBFT defends itself:
 Run:  python examples/byzantine_leader.py
 """
 
-from repro.adversary.plans import equivocation_attack_deployment
+from repro.adversary.equivocation import equivocation_byzantine_map
 from repro.config import ProtocolConfig
+from repro.core.protocol import ProBFTDeployment
 from repro.net.latency import ConstantLatency
 from repro.sync.timeouts import FixedTimeout
 
@@ -27,11 +28,13 @@ def main() -> None:
     print("configuration:", config.describe())
     print(f"Byzantine: leader (replica 0) + {config.f - 1} colluding double-voters\n")
 
-    deployment, plan = equivocation_attack_deployment(
+    byzantine, plan = equivocation_byzantine_map(config)
+    deployment = ProBFTDeployment(
         config,
         seed=7,
         latency=ConstantLatency(1.0),
         timeout_policy=FixedTimeout(20.0),
+        byzantine=byzantine,
         trace=True,
     )
     deployment.run(max_time=5000)

@@ -8,19 +8,24 @@ message-complexity / latency trade-off that motivates ProBFT.
 Run:  python examples/scalability_comparison.py
 """
 
+import itertools
+
 from repro.analysis import messages as M
-from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
+from repro.harness.registry import MatrixCell, cell_deployment_spec
 from repro.harness.tables import render_table
+from repro.harness.trial import run_trial
 
 N_VALUES = (20, 50, 100)
 PROTOCOLS = ("pbft", "probft", "hotstuff")
 
 
 def measure_point(n: int, protocol: str) -> dict:
-    """One grid point: a full good-case run of one protocol at one size."""
-    cfg = ProtocolConfig(n=n, f=n // 5, o=1.7)
-    result = good_case_metrics(protocol, cfg, require_view1=True)
+    """One grid point: a full good-case run of one protocol at one size —
+    the fault-free unit-latency matrix cell (o=1.7), at the first seed that
+    decides in view 1."""
+    cell = MatrixCell(protocol, "none", "constant", n, n // 5)
+    specs = (cell_deployment_spec(cell, seed, 10_000.0) for seed in itertools.count())
+    result = next(r for r in map(run_trial, specs) if r.max_view == 1)
     return {
         "steps": int(result.steps),
         "messages": result.protocol_messages,

@@ -12,10 +12,9 @@ path is never contaminated with attack logic.
 * :mod:`repro.adversary.behaviors` — silent/crash replicas.
 * :mod:`repro.adversary.equivocation` — the equivocating-leader strategies of
   Figure 4 (general / sub-optimal / optimal split) plus colluding
-  double-voters.
+  double-voters, and the whole Figure-4c attack as a ``byzantine=`` map.
 * :mod:`repro.adversary.flooding` — message-flooding replicas testing that
   correct replicas reject invalid samples/signatures.
-* :mod:`repro.adversary.plans` — helpers assembling whole-attack deployments.
 * :mod:`repro.adversary.registry` — the protocol-keyed
   :class:`~repro.adversary.registry.ByzantineBehavior` registry dispatching
   each (adversary, protocol) matrix combination to its implementation
@@ -34,9 +33,9 @@ from .equivocation import (
     general_split,
     equivocating_leader_factory,
     double_voter_factory,
+    equivocation_byzantine_map,
 )
 from .flooding import FloodingReplica, flooding_factory
-from .plans import equivocation_attack_deployment
 from .registry import (
     ByzantineBehavior,
     behavior_for,
@@ -59,9 +58,9 @@ __all__ = [
     "general_split",
     "equivocating_leader_factory",
     "double_voter_factory",
+    "equivocation_byzantine_map",
     "FloodingReplica",
     "flooding_factory",
-    "equivocation_attack_deployment",
     "ByzantineBehavior",
     "register_behavior",
     "behavior_for",

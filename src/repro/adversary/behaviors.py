@@ -18,7 +18,8 @@ from ..types import ReplicaId
 
 
 class SilentReplica:
-    """A replica that never sends anything (fail-stop from time zero)."""
+    """A replica that never sends anything (fail-stop from time zero): a
+    deployment's silent seat, or one SMR slot's."""
 
     def __init__(
         self,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..config import ProtocolConfig
 from ..crypto.context import CryptoContext
@@ -334,3 +334,37 @@ def double_voter_factory(
         )
 
     return build
+
+
+def equivocation_byzantine_map(
+    config: ProtocolConfig,
+    val1: Value = b"attack-A",
+    val2: Value = b"attack-B",
+    n_byzantine: Optional[int] = None,
+    strategy: Optional[SplitStrategy] = None,
+    support_own_proposals: bool = True,
+) -> Tuple[Dict[ReplicaId, Callable], SplitStrategy]:
+    """The Figure-4c attack as a ``byzantine=`` map, plus the split used.
+
+    Replica 0 (leader of view 1) equivocates with ``val1``/``val2``; the
+    remaining Byzantine replicas are taken from the *end* of the ID range
+    (so view 2's leader is correct and the run terminates quickly) and act
+    as colluding double-voters.  The map composes with any latency, GST or
+    timeout settings: pass it as ``byzantine=`` to
+    :class:`~repro.core.protocol.ProBFTDeployment` or a
+    :class:`~repro.harness.trial.DeploymentSpec`.
+    """
+    n_byz = n_byzantine if n_byzantine is not None else config.f
+    if n_byz < 1:
+        raise ValueError("the attack needs at least the leader Byzantine")
+    leader_id: ReplicaId = 0
+    colluders = list(range(config.n - (n_byz - 1), config.n))
+    plan = strategy or optimal_split(config.n, [leader_id] + colluders, val1, val2)
+    byzantine: Dict[ReplicaId, Callable] = {
+        leader_id: equivocating_leader_factory(
+            plan, attack_view=1, support_own_proposals=support_own_proposals
+        )
+    }
+    for replica in colluders:
+        byzantine[replica] = double_voter_factory(plan, leader_id, attack_view=1)
+    return byzantine, plan

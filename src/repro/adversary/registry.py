@@ -31,8 +31,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..config import ProtocolConfig
 from ..types import ReplicaId
 from .behaviors import CrashReplica, silent_factory
+from .equivocation import equivocation_byzantine_map
 from .flooding import flooding_factory
-from .plans import equivocation_byzantine_map
 
 __all__ = [
     "ByzantineBehavior",

@@ -246,7 +246,7 @@ def pbft_equivocation_map(
 ) -> Tuple[Dict[ReplicaId, object], SplitStrategy]:
     """The Figure-4c attack as a PBFT ``byzantine=`` map, plus the split used.
 
-    Mirrors :func:`repro.adversary.plans.equivocation_byzantine_map`:
+    Mirrors :func:`repro.adversary.equivocation.equivocation_byzantine_map`:
     replica 0 (leader of view 1) equivocates; the remaining Byzantine
     replicas come from the end of the ID range (so the view-2 leader is
     correct) and double-vote for both values.

@@ -116,7 +116,7 @@ def _valid_new_leader(
         return False
     if msg.prepared_view == 0:
         return msg.prepared_value is None and not msg.cert
-    if msg.prepared_value is None:
+    if not well_formed(msg.prepared_value, Value):
         return False
     return pbft_validate_prepared_certificate(
         msg.cert, msg.prepared_view, msg.prepared_value, config, crypto

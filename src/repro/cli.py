@@ -3,10 +3,8 @@
 Commands:
 
 * ``run``      — run one consensus instance (probft/pbft/hotstuff) and print
-  the outcome;
-* ``attack``   — run the Figure-4c equivocation attack;
+  the outcome (the one path to a trial at non-default ``--l`` / ``--o``);
 * ``figures``  — print the analytic Figure 1b / Figure 5 series;
-* ``smr``      — run a multi-slot replicated counter;
 * ``serve``    — closed-loop SMR serving benchmark: simulated client
   populations (think times, in-flight windows, deterministic per-client
   RNGs) against a batching/pipelining deployment, with throughput and
@@ -37,20 +35,7 @@ from .analysis import termination as T
 from .config import ProtocolConfig
 from .errors import ConfigError
 from .harness.adaptive import DEFAULT_CHUNK
-from .harness.runner import run_protocol
 from .harness.tables import render_series, render_table
-
-
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=20, help="number of replicas")
-    parser.add_argument("--f", type=int, default=None, help="fault threshold")
-    parser.add_argument("--l", type=float, default=2.0, help="quorum constant l")
-    parser.add_argument("--o", type=float, default=1.7, help="redundancy o")
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _config(args) -> ProtocolConfig:
-    return ProtocolConfig(n=args.n, f=args.f, l=args.l, o=args.o)
 
 
 def _positive_float(text: str) -> float:
@@ -61,9 +46,16 @@ def _positive_float(text: str) -> float:
 
 
 def cmd_run(args) -> int:
-    config = _config(args)
-    result = run_protocol(
-        args.protocol, config, seed=args.seed, max_time=args.max_time
+    from .harness.trial import DeploymentSpec, run_trial
+
+    config = ProtocolConfig(n=args.n, f=args.f, l=args.l, o=args.o)
+    result = run_trial(
+        DeploymentSpec(
+            protocol=args.protocol,
+            config=config,
+            seed=args.seed,
+            max_time=args.max_time,
+        )
     )
     rows = [
         ["protocol", result.protocol],
@@ -77,36 +69,6 @@ def cmd_run(args) -> int:
     ]
     print(render_table(["field", "value"], rows, title="consensus run"))
     return 0 if (result.all_decided and result.agreement_ok) else 1
-
-
-def cmd_attack(args) -> int:
-    from .adversary.plans import equivocation_attack_deployment
-    from .sync.timeouts import FixedTimeout
-
-    config = _config(args)
-    deployment, plan = equivocation_attack_deployment(
-        config, seed=args.seed, timeout_policy=FixedTimeout(20.0), trace=True
-    )
-    deployment.run(max_time=args.max_time)
-    blocked = sum(
-        1
-        for rep in deployment.correct_replicas().values()
-        if any(e.kind == "block-view" for e in rep.trace)
-    )
-    rows = [
-        ["attack values", plan.values],
-        ["decided", f"{len(deployment.decisions)}/{len(deployment.correct_ids)}"],
-        ["agreement", deployment.agreement_ok],
-        ["decided values", sorted(deployment.decided_values())],
-        ["replicas that blocked view 1", blocked],
-        ["max decision view", deployment.max_decision_view],
-    ]
-    print(
-        render_table(
-            ["field", "value"], rows, title="equivocation attack (Figure 4c)"
-        )
-    )
-    return 0 if deployment.agreement_ok else 1
 
 
 def cmd_figures(args) -> int:
@@ -128,33 +90,6 @@ def cmd_figures(args) -> int:
         )
     )
     return 0
-
-
-def cmd_smr(args) -> int:
-    from .smr.app import CounterApp
-    from .smr.client import SMRClient
-    from .smr.service import SMRDeployment
-
-    config = _config(args)
-    deployment = SMRDeployment(
-        config, CounterApp, num_slots=args.slots, seed=args.seed
-    )
-    client = SMRClient(deployment)
-    for i in range(min(args.slots, 5)):
-        client.submit(b"ADD:%d" % (i + 1))
-    deployment.run(max_time=args.max_time)
-    mean_latency = client.mean_latency()
-    rows = [
-        ["slots applied", min(r.log.applied_up_to for r in deployment.correct_replicas().values())],
-        ["logs consistent", deployment.logs_consistent()],
-        ["states consistent", deployment.snapshots_consistent()],
-        ["requests completed", f"{len(client.completed_requests())}/{len(client.requests)}"],
-        ["requests timed out", client.timed_out],
-        ["mean request latency", "-" if mean_latency is None else round(mean_latency, 2)],
-        ["final counter", list(deployment.snapshots().values())[0]],
-    ]
-    print(render_table(["field", "value"], rows, title="SMR run"))
-    return 0 if deployment.all_applied() else 1
 
 
 def _fmt_latency(value) -> object:
@@ -491,25 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "protocol", choices=["probft", "pbft", "hotstuff"], help="protocol"
     )
-    _add_config_args(p_run)
+    p_run.add_argument("--n", type=int, default=20, help="number of replicas")
+    p_run.add_argument("--f", type=int, default=None, help="fault threshold")
+    p_run.add_argument("--l", type=float, default=2.0, help="quorum constant l")
+    p_run.add_argument("--o", type=float, default=1.7, help="redundancy o")
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--max-time", type=_positive_float, default=5000.0)
     p_run.set_defaults(fn=cmd_run)
-
-    p_attack = sub.add_parser("attack", help="run the equivocation attack")
-    _add_config_args(p_attack)
-    p_attack.add_argument("--max-time", type=_positive_float, default=5000.0)
-    p_attack.set_defaults(fn=cmd_attack)
 
     p_fig = sub.add_parser("figures", help="print analytic figure series")
     p_fig.add_argument("--l", type=float, default=2.0)
     p_fig.add_argument("--o", type=float, default=1.7)
     p_fig.set_defaults(fn=cmd_figures)
-
-    p_smr = sub.add_parser("smr", help="run a replicated counter")
-    _add_config_args(p_smr)
-    p_smr.add_argument("--slots", type=int, default=5)
-    p_smr.add_argument("--max-time", type=_positive_float, default=50_000.0)
-    p_smr.set_defaults(fn=cmd_smr)
 
     p_serve = sub.add_parser(
         "serve",

@@ -34,10 +34,11 @@ from typing import Callable, Optional, Tuple
 from ..config import ProtocolConfig
 from ..crypto.context import CryptoContext
 from ..crypto.signatures import Signed
+from ..crypto.verdicts import well_formed
 from ..messages.base import ProposalStatement
 from ..messages.probft import NewLeader, Propose
 from ..quorum.certificates import validate_prepared_certificate
-from ..types import ReplicaId, ValidPredicate, View
+from ..types import ReplicaId, ValidPredicate, Value, View
 from .leader import leader_of, max_prepared_view, mode_values
 
 LeaderFn = Callable[[View, int], ReplicaId]
@@ -86,8 +87,8 @@ def _valid_new_leader(
     if msg.prepared_view == 0:
         # Never prepared: value must be absent and the certificate empty.
         return msg.prepared_value is None and not msg.cert
-    if msg.prepared_value is None:
-        return False
+    if not well_formed(msg.prepared_value, Value):
+        return False  # it keys the certificate's verdict below
 
     def prepared() -> bool:
         return validate_prepared_certificate(

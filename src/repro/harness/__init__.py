@@ -1,4 +1,4 @@
-"""Experiment harness: run protocols, collect metrics, canned scenarios.
+"""Experiment harness: describe trials, run them, collect metrics.
 
 The guide — trial lifecycle, sweeps, adaptive budgets, workers, the
 delivery stack, serving, determinism — is ``docs/harness.md``.
@@ -14,18 +14,11 @@ from .adaptive import (
 )
 from .trial import (
     DeploymentSpec,
+    RunResult,
     TrialContext,
     list_protocols,
     register_protocol,
     run_trial,
-)
-from .runner import (
-    RunResult,
-    run_protocol,
-    run_probft,
-    run_pbft,
-    run_hotstuff,
-    good_case_metrics,
 )
 from .metrics import (
     LatencyAccumulator,
@@ -55,14 +48,6 @@ from .registry import (
     list_matrices,
     run_matrix,
 )
-from .scenarios import (
-    happy_case,
-    silent_leader_case,
-    crash_case,
-    pre_gst_chaos_case,
-    equivocation_case,
-    flooding_case,
-)
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -77,11 +62,6 @@ __all__ = [
     "register_protocol",
     "list_protocols",
     "RunResult",
-    "run_protocol",
-    "run_probft",
-    "run_pbft",
-    "run_hotstuff",
-    "good_case_metrics",
     "LatencyAccumulator",
     "mean",
     "percentile",
@@ -104,10 +84,4 @@ __all__ = [
     "get_matrix",
     "list_matrices",
     "run_matrix",
-    "happy_case",
-    "silent_leader_case",
-    "crash_case",
-    "pre_gst_chaos_case",
-    "equivocation_case",
-    "flooding_case",
 ]

@@ -19,7 +19,7 @@ benchmarks, the CLI) wired deployments by hand.  Now a trial is data:
   ``run_trial(spec) == TrialContext(spec).execute()``.
 
 New protocols plug in through :func:`register_protocol` and inherit every
-experiment surface (runners, matrix, sweeps, CLI) at once.
+experiment surface (the matrix, sweeps, the CLI) at once.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ def _protocol_agreement_trial(spec: TrialSpec) -> tuple:
     # Route through the unified trial lifecycle: the same deployment the
     # `equivocation` scenario builds, expressed as a DeploymentSpec so the
     # crypto pool and one protocol runner serve this estimator too.
-    from ..adversary.plans import equivocation_byzantine_map
+    from ..adversary.equivocation import equivocation_byzantine_map
     from ..harness.trial import DeploymentSpec, run_trial
     from ..net.latency import ConstantLatency
     from ..sync.timeouts import FixedTimeout

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..harness.metrics import LatencyAccumulator, percentile
 from ..types import ReplicaId, Value
@@ -43,21 +43,6 @@ def majority_slot(history: Mapping[ReplicaId, int]) -> int:
     return min(slot for slot, count in counts.items() if count == top)
 
 
-def applied_requests(
-    deployment: SMRDeployment, client_ids
-) -> Dict[Tuple[int, int], Dict[ReplicaId, int]]:
-    """Late-attach replay: ``(client_id, seq) -> {replica: slot}`` for every
-    request of ``client_ids`` the deployment has already applied (empty —
-    and free — on a fresh deployment)."""
-    history: Dict[Tuple[int, int], Dict[ReplicaId, int]] = {}
-    for replica_id, entries in deployment.applied.items():
-        for slot, value in entries:
-            for _command, request in deployment.stack.decode(value):
-                if request is not None and request[0] in client_ids:
-                    history.setdefault(request[:2], {})[replica_id] = slot
-    return history
-
-
 @dataclass
 class RequestRecord:
     """Lifecycle of one client request."""
@@ -67,9 +52,10 @@ class RequestRecord:
     payload: Value
     command: Value  # the full request envelope as it appears in the log
     submitted_at: float
-    acked_by: Set[ReplicaId] = field(default_factory=set)
+    #: replica -> the slot it applied the request in.
+    acked_by: Dict[ReplicaId, int] = field(default_factory=dict)
     completed_at: Optional[float] = None
-    slot: Optional[int] = None
+    slot: Optional[int] = None  # majority_slot(acked_by), set on completion
     recovered: bool = False  # completed from replayed pre-attach history
 
     @property
@@ -111,15 +97,21 @@ class SMRClient:
             deployment.allocate_client_id() if client_id is None else client_id
         )
         self.on_complete = on_complete
-        self._next_seq = 1
+        #: The sequence number the next unpinned ``submit`` uses.
+        self.next_seq = 1
+        # In submission order.
         self._requests: Dict[Tuple[int, int], RequestRecord] = {}
-        self._order: List[Tuple[int, int]] = []
         self._ack_threshold = deployment.config.f + 1
-        # Acks seen for this client's request ids before the matching
-        # ``submit`` call: the replayed pre-attach history plus live applies
-        # for not-yet-resubmitted requests.  Keyed by request id ->
-        # {replica: slot}.
-        self._history = applied_requests(deployment, (self.client_id,))
+        # Acks for this client's request ids that came before the matching
+        # ``submit``: the replayed pre-attach history (empty, and free, on a
+        # fresh deployment) plus live applies of requests not submitted yet.
+        # Request id -> {replica: slot}.
+        self._history: Dict[Tuple[int, int], Dict[ReplicaId, int]] = {}
+        for replica, entries in deployment.applied.items():
+            for slot, value in entries:
+                for _command, request in deployment.stack.decode(value):
+                    if request is not None and request[0] == self.client_id:
+                        self._history.setdefault(request[:2], {})[replica] = slot
         # Register for this client id's applies: the deployment decodes each
         # command once and dispatches to the owning client (O(1) per apply),
         # and holds the watcher weakly — a client lives as long as its user
@@ -144,7 +136,7 @@ class SMRClient:
         without submitting anything.
         """
         if seq is None:
-            seq = self._next_seq
+            seq = self.next_seq
         request_id = (self.client_id, seq)
         if request_id in self._requests:
             raise ValueError(
@@ -161,20 +153,16 @@ class SMRClient:
         history = self._history.get(request_id)
         if history is not None and len(history) >= self._ack_threshold:
             # Ordered while we were away; complete from replayed history.
-            record.acked_by = set(history)
-            record.slot = majority_slot(history)
             record.completed_at = now
             record.recovered = True
-        else:
-            if not self._deployment.submit_to_all(record.command):
-                return None
-            if history is not None:
-                record.acked_by = set(history)
-                record.slot = majority_slot(history)
+        elif not self._deployment.submit_to_all(record.command):
+            return None
+        if history is not None:
+            record.acked_by = self._history.pop(request_id)
+            record.slot = majority_slot(record.acked_by)
         self._requests[request_id] = record
-        self._order.append(request_id)
-        self._next_seq = max(self._next_seq, seq + 1)
-        if record.completed and self.on_complete is not None:
+        self.next_seq = max(self.next_seq, seq + 1)
+        if record.recovered and self.on_complete is not None:
             self.on_complete(record)
         return record
 
@@ -185,23 +173,25 @@ class SMRClient:
         command: Value,
         decoded: Tuple[int, int, Value],
     ) -> None:
-        client_id, seq, _payload = decoded
-        history = self._history.setdefault((client_id, seq), {})
-        history[replica] = slot
-        record = self._requests.get((client_id, seq))
-        if record is None or record.completed:
+        request_id = decoded[:2]
+        record = self._requests.get(request_id)
+        if record is None:
+            self._history.setdefault(request_id, {})[replica] = slot
             return
-        record.acked_by.add(replica)
-        record.slot = majority_slot(history)
-        if len(record.acked_by) >= self._ack_threshold:
+        if record.completed_at is not None:
+            return
+        acked = record.acked_by
+        acked[replica] = slot
+        if len(acked) >= self._ack_threshold:
             record.completed_at = self._deployment.sim.now
+            record.slot = majority_slot(acked)
             if self.on_complete is not None:
                 self.on_complete(record)
 
     # ------------------------------------------------------------------
     @property
     def requests(self) -> List[RequestRecord]:
-        return [self._requests[rid] for rid in self._order]
+        return list(self._requests.values())
 
     def request(self, seq: int) -> Optional[RequestRecord]:
         return self._requests.get((self.client_id, seq))

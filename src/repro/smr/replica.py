@@ -101,16 +101,6 @@ def _drop(slot: int, src: ReplicaId, message: object) -> None:
     """A silent Byzantine seat's share of a slot's traffic."""
 
 
-class SilentEndpoint:
-    """A crash-faulty seat (of the deployment, or of one slot): inert."""
-
-    def start(self) -> None:
-        pass
-
-    def on_message(self, src: ReplicaId, message: object) -> None:
-        pass
-
-
 class SlotStacks(SparseDeliveryPolicy):
     """The slots of one SMR deployment, and the router in front of them.
 

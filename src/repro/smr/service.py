@@ -13,6 +13,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..adversary.behaviors import SilentReplica
 from ..config import ProtocolConfig
 from ..core.deployment import Deployment
 from ..core.protocol import ProBFTStack
@@ -23,12 +24,7 @@ from ..net.latency import LatencyModel
 from ..sync.timeouts import FixedTimeout, TimeoutPolicy
 from ..types import ReplicaId, Value
 from .app import StateMachine
-from .replica import (
-    ByzantineSlotMultiplexer,
-    SilentEndpoint,
-    SlotStacks,
-    SMRReplica,
-)
+from .replica import ByzantineSlotMultiplexer, SlotStacks, SMRReplica
 
 AppFactory = Callable[[], StateMachine]
 
@@ -108,7 +104,7 @@ class SMRDeployment(Deployment):
 
         def seat(factory):
             if factory is None:
-                return lambda *_args: SilentEndpoint()
+                return SilentReplica
             return lambda r, config, crypto, transport: ByzantineSlotMultiplexer(
                 r, config, crypto, transport, num_slots, factory, pipeline,
                 stacks=self.stack,

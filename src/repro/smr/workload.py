@@ -5,15 +5,14 @@ consensus cheap enough to back a *request-serving system*? — needs a load
 generator, not hand-submitted commands.  :class:`WorkloadGenerator`
 simulates ``num_clients`` concurrent closed-loop clients:
 
-* each client has its own deterministic RNG (derived from the trial seed
-  via the canonical :func:`~repro.crypto.hashing.digest`), an exponential
-  think-time distribution, and an in-flight ``window``;
-* requests are uniquely identified ``(client_id, seq)`` envelopes
-  (:mod:`repro.smr.encoding`) broadcast through
-  :meth:`~repro.smr.service.SMRDeployment.submit_to_all`;
-* a request completes when ``f + 1`` replicas report applying it; the
-  completion event triggers the client's next think/submit cycle — the
-  closed loop;
+* each client is an :class:`~repro.smr.client.SMRClient` (uniquely
+  identified ``(client_id, seq)`` envelopes, complete once ``f + 1``
+  replicas report applying them) with its own deterministic RNG (derived
+  from the trial seed via the canonical
+  :func:`~repro.crypto.hashing.digest`), an exponential think-time
+  distribution, and an in-flight ``window``;
+* a completion triggers the client's next think/submit cycle — the closed
+  loop;
 * deployment backpressure (full replica queues) is surfaced to the client,
   which backs off one think time and retries — requests are never dropped
   by the generator.
@@ -24,17 +23,19 @@ engine worker count — the property the serving determinism tests pin.
 
 :func:`run_serving_trial` is the module-level, picklable trial function
 (:class:`ServingSpec` → :class:`ServingResult`) the CLI ``repro serve``
-command, the scenario cells (:data:`SERVING_ADVERSARIES` ×
-:data:`LOAD_LEVELS`), and ``benchmarks/bench_smr_serving.py`` all share.
+command and the scenario cells (:data:`SERVING_ADVERSARIES` ×
+:data:`LOAD_LEVELS`) share.
 """
 
 from __future__ import annotations
 
-import random
 import dataclasses
+import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..adversary.behaviors import SilentReplica
 from ..config import ProtocolConfig
 from ..crypto.hashing import digest
 from ..errors import ConfigError
@@ -43,9 +44,7 @@ from ..net.latency import ConstantLatency
 from ..sync.timeouts import FixedTimeout
 from ..types import ReplicaId, Value
 from .app import CounterApp
-from .client import RequestRecord, applied_requests, majority_slot
-from .encoding import encode_request
-from .replica import SilentEndpoint
+from .client import RequestRecord, SMRClient
 from .service import SMRDeployment
 
 __all__ = [
@@ -124,32 +123,24 @@ class WorkloadSpec:
 
 @dataclass
 class _ClientState:
-    """One simulated closed-loop client."""
+    """One simulated client: its SMR client and its arrival RNG."""
 
-    client_id: int
+    client: SMRClient
     rng: random.Random
-    next_seq: int = 1
-    issued: int = 0
 
 
 class WorkloadGenerator:
     """Drives a client population (closed- or open-loop) against a deployment.
 
     Construct against a (not yet run) deployment, then :meth:`run`.  Each
-    client registers a request-apply watcher with the deployment, which
-    decodes every applied command once and dispatches it to the owning
-    client in O(1) — what lets populations run to thousands of clients.
-    The deployment holds watchers weakly: keep the generator while it
-    should be notified.  Requests are tracked
-    with the same :class:`~repro.smr.client.RequestRecord` lifecycle as
-    :class:`~repro.smr.client.SMRClient`.
-
-    Like ``SMRClient``, a generator built against a deployment that already
-    ran replays the recorded applies: a request whose ``(client_id, seq)``
-    envelope was ordered on ``f + 1`` replicas before this generator
-    attached completes from history with ``recovered=True`` instead of
-    being resubmitted.  On a fresh deployment the replay is empty and draws
-    no randomness, so generator identity is unaffected.
+    simulated client is an :class:`~repro.smr.client.SMRClient`, which keeps
+    the request records, counts acks and, on a deployment that already ran,
+    completes a request ordered before it attached from the replayed history
+    (``recovered=True``, no RNG draw).  The generator keeps the arrival
+    logic — per-client RNGs, think times, the open-loop schedule, the
+    backpressure retry — and the order requests were submitted in across
+    clients.  The deployment holds its watchers weakly: keep the generator
+    while it should be notified.
     """
 
     def __init__(
@@ -161,26 +152,26 @@ class WorkloadGenerator:
         self._deployment = deployment
         self.spec = spec
         self.seed = seed
-        self._ack_threshold = deployment.config.f + 1
-        self._records: Dict[Tuple[int, int], RequestRecord] = {}
-        self._order: List[Tuple[int, int]] = []
+        self._order: List[RequestRecord] = []
         self._completed = 0
-        self._recovered = 0
         self._retries = 0
+        # The clients reach the generator weakly: it holds them, and a cycle
+        # would keep the deployment alive past its last holder.
+        complete = weakref.WeakMethod(self._on_complete)
+
+        def on_complete(record: RequestRecord) -> None:
+            complete()(record)
+
         self._clients = [
             _ClientState(
-                client_id=deployment.allocate_client_id(),
+                client=SMRClient(deployment, on_complete=on_complete),
                 rng=random.Random(
                     int.from_bytes(digest("smr-workload", seed, i), "big")
                 ),
             )
             for i in range(spec.num_clients)
         ]
-        self._by_id = {client.client_id: client for client in self._clients}
-        for client in self._clients:
-            deployment.watch_applies(client.client_id, self._on_request_apply)
-        # Late-attach replay: applies recorded before this generator existed.
-        self._history = applied_requests(deployment, self._by_id)
+        self._by_id = {state.client.client_id: state for state in self._clients}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -188,10 +179,10 @@ class WorkloadGenerator:
         """Deterministic CounterApp command for one request."""
         return f"ADD:{1 + (client_id + seq) % 9}".encode()
 
-    def _think(self, client: _ClientState) -> float:
+    def _think(self, state: _ClientState) -> float:
         if self.spec.think_time <= 0:
             return 0.0
-        return client.rng.expovariate(1.0 / self.spec.think_time)
+        return state.rng.expovariate(1.0 / self.spec.think_time)
 
     def start(self) -> None:
         """Schedule the initial submissions (closed) or all arrivals (open)."""
@@ -203,31 +194,27 @@ class WorkloadGenerator:
             # inter-arrival times at rate offered_rate / num_clients, fired
             # on schedule regardless of completions.
             per_client_rate = self.spec.offered_rate / self.spec.num_clients
-            for client in self._clients:
+            for state in self._clients:
                 at = 0.0
                 for _ in range(self.spec.requests_per_client):
-                    at += client.rng.expovariate(per_client_rate)
-                    self._schedule_issue(client, at)
+                    at += state.rng.expovariate(per_client_rate)
+                    self._schedule_issue(state, at)
             return
-        for client in self._clients:
+        for state in self._clients:
             first = min(self.spec.window, self.spec.requests_per_client)
             for _ in range(first):
-                self._schedule_issue(client, self._think(client))
+                self._schedule_issue(state, self._think(state))
 
-    def _schedule_issue(self, client: _ClientState, delay: float) -> None:
-        self._deployment.sim.schedule(delay, lambda: self._issue(client))
+    def _schedule_issue(self, state: _ClientState, delay: float) -> None:
+        self._deployment.sim.schedule(delay, lambda: self._issue(state))
 
-    def _issue(self, client: _ClientState) -> None:
-        if client.issued >= self.spec.requests_per_client:
+    def _issue(self, state: _ClientState) -> None:
+        client = state.client
+        seq = client.next_seq
+        if seq > self.spec.requests_per_client:
             return
-        request_id = (client.client_id, client.next_seq)
-        payload = self.payload_for(*request_id)
-        command = encode_request(*request_id, payload)
-        history = self._history.get(request_id)
-        # Ordered before this generator attached: complete from replayed
-        # history without resubmitting (no RNG draws on this path).
-        recovered = history is not None and len(history) >= self._ack_threshold
-        if not recovered and not self._deployment.submit_to_all(command):
+        record = client.submit(self.payload_for(client.client_id, seq))
+        if record is None:
             # Backpressure: the deployment refused wholesale; back off.  A
             # zero think time falls back to one simulated time unit —
             # otherwise a zero-delay retry loop would spin the scheduler
@@ -236,53 +223,19 @@ class WorkloadGenerator:
             backoff = (
                 self.spec.retry_backoff
                 if self.spec.retry_backoff is not None
-                else (self._think(client) or 1.0)
+                else (self._think(state) or 1.0)
             )
-            self._schedule_issue(client, max(backoff, 1e-9))
+            self._schedule_issue(state, max(backoff, 1e-9))
             return
-        client.next_seq += 1
-        client.issued += 1
-        record = RequestRecord(
-            client_id=request_id[0],
-            seq=request_id[1],
-            payload=payload,
-            command=command,
-            submitted_at=self._deployment.sim.now,
-        )
-        self._records[request_id] = record
-        self._order.append(request_id)
-        if recovered:
-            record.acked_by = set(history)
-            record.completed_at = record.submitted_at
-            record.slot = majority_slot(history)
-            record.recovered = True
-            self._completed += 1
-            self._recovered += 1
-            self._on_request_complete(record)
+        self._order.append(record)
 
-    def _on_request_apply(
-        self,
-        replica: ReplicaId,
-        slot: int,
-        command: Value,
-        decoded: Tuple[int, int, Value],
-    ) -> None:
-        record = self._records.get((decoded[0], decoded[1]))
-        if record is None or record.completed:
-            return
-        record.acked_by.add(replica)
-        record.slot = slot
-        if len(record.acked_by) >= self._ack_threshold:
-            record.completed_at = self._deployment.sim.now
-            self._completed += 1
-            self._on_request_complete(record)
-
-    def _on_request_complete(self, record: RequestRecord) -> None:
+    def _on_complete(self, record: RequestRecord) -> None:
+        self._completed += 1
         if self.spec.arrival == "open":
             return  # arrivals are pre-scheduled; completions drive nothing
-        client = self._by_id[record.client_id]
-        if client.issued < self.spec.requests_per_client:
-            self._schedule_issue(client, self._think(client))
+        state = self._by_id[record.client_id]
+        if state.client.next_seq <= self.spec.requests_per_client:
+            self._schedule_issue(state, self._think(state))
 
     # ------------------------------------------------------------------
     def done(self) -> bool:
@@ -302,7 +255,8 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     @property
     def records(self) -> List[RequestRecord]:
-        return [self._records[rid] for rid in self._order]
+        """Every submitted request, in submission order across clients."""
+        return list(self._order)
 
     @property
     def issued(self) -> int:
@@ -315,7 +269,7 @@ class WorkloadGenerator:
     @property
     def recovered(self) -> int:
         """Requests completed from replayed pre-attach history."""
-        return self._recovered
+        return sum(1 for r in self._order if r.recovered)
 
     @property
     def retries(self) -> int:
@@ -329,12 +283,12 @@ class WorkloadGenerator:
         nothing and would drag the percentiles down.
         """
         return [
-            r.latency for r in self.records if r.completed and not r.recovered
+            r.latency for r in self._order if r.completed and not r.recovered
         ]
 
     def latency_accumulator(self) -> LatencyAccumulator:
         acc = LatencyAccumulator()
-        for record in self.records:
+        for record in self._order:
             if record.recovered:
                 acc.add_recovered()
             else:
@@ -363,7 +317,7 @@ def _equivocating_slot_factory(slot, config, crypto, transport):
     # leads — and can attack — only ~1/n of the slots.
     seat = transport.replica
     if seat != _slot_view1_leader(config):
-        return SilentEndpoint()
+        return SilentReplica(seat, config, crypto, transport)
     return EquivocatingLeader(
         replica_id=seat,
         config=config,
@@ -386,7 +340,7 @@ def _flooding_slot_factory(slot, config, crypto, transport):
     # crash-faulty leader — silence — and the slot recovers by view change.
     seat = transport.replica
     if seat == _slot_view1_leader(config):
-        return SilentEndpoint()
+        return SilentReplica(seat, config, crypto, transport)
     return FloodingReplica(
         replica_id=seat,
         config=config,

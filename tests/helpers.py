@@ -27,6 +27,27 @@ def reference_spec(spec):
     return dataclasses.replace(spec, extra=spec.extra + (("reference", True),))
 
 
+def good_case(protocol, n, f, seed=0):
+    """A fault-free unit-latency trial (the matrix's ``none`` /
+    ``constant`` cell): steps == last decision time."""
+    from repro.harness.registry import MatrixCell, cell_deployment_spec
+    from repro.harness.trial import run_trial
+
+    cell = MatrixCell(protocol, "none", "constant", n, f)
+    return run_trial(cell_deployment_spec(cell, seed, 10_000.0))
+
+
+def cell_deployment(protocol, adversary, n, f, seed=0, latency="constant"):
+    """One matrix cell's trial, run: its finished deployment."""
+    from repro.harness.registry import MatrixCell, cell_deployment_spec
+    from repro.harness.trial import TrialContext
+
+    cell = MatrixCell(protocol, adversary, latency, n, f)
+    context = TrialContext(cell_deployment_spec(cell, seed, 5000.0))
+    context.execute()
+    return context.deployment
+
+
 def deliver_bucket(handler, src, message, dsts, probe=None):
     """One bucket through a bulk handler (a run of one): its delivered
     count, or -1 if the handler declined it."""

@@ -4,16 +4,26 @@ import pytest
 
 from repro.adversary.behaviors import CrashReplica, crash_factory, silent_factory
 from repro.adversary.equivocation import (
+    equivocation_byzantine_map,
     general_split,
     optimal_split,
     suboptimal_split,
 )
-from repro.adversary.plans import equivocation_attack_deployment
 from repro.config import ProtocolConfig
 from repro.core.protocol import ProBFTDeployment
-from repro.harness import scenarios
 from repro.net.latency import ConstantLatency
 from repro.sync.timeouts import FixedTimeout
+
+from .helpers import cell_deployment
+
+
+def attack_deployment(config, timeout, seed=0, **kwargs):
+    """The Figure-4c attack deployment (``kwargs``: the map's options)."""
+    byzantine, plan = equivocation_byzantine_map(config, **kwargs)
+    deployment = ProBFTDeployment(
+        config, seed=seed, timeout_policy=FixedTimeout(timeout), byzantine=byzantine
+    )
+    return deployment, plan
 
 
 class TestSplitStrategies:
@@ -79,8 +89,7 @@ class TestSilentAndCrash:
         assert replica.crashed
 
     def test_f_crashes_tolerated(self):
-        dep = scenarios.crash_case(ProtocolConfig(n=13, f=4))
-        dep.run(max_time=2000)
+        dep = cell_deployment("probft", "crash", 13, 4)
         assert dep.all_correct_decided()
         assert dep.agreement_ok
 
@@ -89,19 +98,13 @@ class TestEquivocationAttack:
     def test_attack_never_violates_agreement(self):
         """The headline safety property, hammered across seeds."""
         for seed in range(10):
-            dep, _plan = equivocation_attack_deployment(
-                ProtocolConfig(n=20, f=4),
-                seed=seed,
-                timeout_policy=FixedTimeout(20.0),
-            )
+            dep, _plan = attack_deployment(ProtocolConfig(n=20, f=4), 20.0, seed)
             dep.run(max_time=5000)
             assert dep.agreement_ok, f"violation at seed {seed}"
             assert dep.all_correct_decided()
 
     def test_attack_sends_two_proposals(self):
-        dep, plan = equivocation_attack_deployment(
-            ProtocolConfig(n=12, f=2), timeout_policy=FixedTimeout(20.0)
-        )
+        dep, plan = attack_deployment(ProtocolConfig(n=12, f=2), 20.0)
         dep.run(max_time=30)
         assert len(plan.values) == 2
         # The equivocating leader sent Propose messages.
@@ -111,11 +114,7 @@ class TestEquivocationAttack:
         """Cross-group votes expose the equivocation to someone."""
         blocked_any = False
         for seed in range(5):
-            dep, _ = equivocation_attack_deployment(
-                ProtocolConfig(n=20, f=4),
-                seed=seed,
-                timeout_policy=FixedTimeout(1000.0),
-            )
+            dep, _ = attack_deployment(ProtocolConfig(n=20, f=4), 1000.0, seed)
             dep.run(max_time=20, stop_when_decided=False)
             blocked = [
                 r
@@ -126,9 +125,7 @@ class TestEquivocationAttack:
         assert blocked_any
 
     def test_decisions_follow_split_values(self):
-        dep, plan = equivocation_attack_deployment(
-            ProtocolConfig(n=20, f=4), timeout_policy=FixedTimeout(20.0)
-        )
+        dep, plan = attack_deployment(ProtocolConfig(n=20, f=4), 20.0)
         dep.run(max_time=5000)
         decided = dep.decided_values()
         # Whatever was decided must be one of the attack values (a correct
@@ -179,17 +176,40 @@ class TestEquivocationAttack:
             assert len(sent) == 1
         assert all(isinstance(m.payload, Propose) for _, m in transport.sent)
 
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            None,
+            suboptimal_split(24, b"attack-A", b"attack-B"),
+            general_split(24, [b"attack-A", b"attack-B", b"attack-C"], seed=5),
+        ],
+        ids=["optimal", "suboptimal", "general"],
+    )
+    def test_every_figure4_strategy_keeps_agreement(self, strategy):
+        """Each Figure-4 leader strategy against the full protocol (n=24,
+        f=4, unit latency): no violation and every correct replica decides."""
+        config = ProtocolConfig(n=24, f=4)
+        byzantine, _plan = equivocation_byzantine_map(config, strategy=strategy)
+        for seed in range(6):
+            dep = ProBFTDeployment(
+                config,
+                seed=seed,
+                latency=ConstantLatency(1.0),
+                timeout_policy=FixedTimeout(20.0),
+                byzantine=byzantine,
+            )
+            dep.run(max_time=5000)
+            assert dep.agreement_ok, seed
+            assert dep.all_correct_decided(), seed
+
     def test_needs_at_least_one_byzantine(self):
         with pytest.raises(ValueError):
-            equivocation_attack_deployment(
-                ProtocolConfig(n=10, f=2), n_byzantine=0
-            )
+            equivocation_byzantine_map(ProtocolConfig(n=10, f=2), n_byzantine=0)
 
 
 class TestFlooding:
     def test_flooding_does_not_corrupt_consensus(self):
-        dep = scenarios.flooding_case(ProtocolConfig(n=10, f=2))
-        dep.run(max_time=1000)
+        dep = cell_deployment("probft", "flooding", 10, 2)
         assert dep.all_correct_decided()
         assert dep.agreement_ok
         assert dep.decided_values() == {b"value-0"}
@@ -197,14 +217,12 @@ class TestFlooding:
     def test_flood_messages_are_rejected_not_counted(self):
         """Forged votes never contribute to quorums: decisions still need
         the normal number of steps, and no replica prepares the fake value."""
-        dep = scenarios.flooding_case(ProtocolConfig(n=10, f=2))
-        dep.run(max_time=1000)
+        dep = cell_deployment("probft", "flooding", 10, 2)
         for r, rep in dep.correct_replicas().items():
             assert rep.prepared_value != b"flood-value"
 
     def test_flooder_actually_floods(self):
-        dep = scenarios.flooding_case(ProtocolConfig(n=10, f=2))
-        dep.run(max_time=1000)
+        dep = cell_deployment("probft", "flooding", 10, 2)
         flooder = max(dep.byzantine_ids)
         assert dep.network.stats.sent_by_replica[flooder] > 50
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.analysis import messages as M
 from repro.config import ProtocolConfig
-from repro.harness.runner import good_case_metrics
+
+from .helpers import good_case
 
 
 class TestFormulas:
@@ -72,18 +73,18 @@ class TestFormulasMatchSimulation:
     """The strongest check: measured counts equal the formulas."""
 
     def test_pbft_measured(self):
-        result = good_case_metrics("pbft", ProtocolConfig(n=20, f=3))
+        result = good_case("pbft", 20, 3)
         assert result.protocol_messages == M.pbft_messages(20)
         assert result.steps == pytest.approx(M.PBFT_STEPS)
 
     def test_hotstuff_measured(self):
-        result = good_case_metrics("hotstuff", ProtocolConfig(n=20, f=3))
+        result = good_case("hotstuff", 20, 3)
         assert result.protocol_messages == M.hotstuff_messages(20)
         assert result.steps == pytest.approx(M.HOTSTUFF_STEPS)
 
     def test_probft_measured_close_to_formula(self):
         cfg = ProtocolConfig(n=50, f=10)
-        result = good_case_metrics("probft", cfg)
+        result = good_case("probft", 50, 10)
         formula = M.probft_messages(50, cfg.o, cfg.l)
         expected = M.probft_expected_network_messages(50, cfg.o, cfg.l)
         assert result.protocol_messages <= formula

@@ -160,6 +160,19 @@ class TestAgreementExact:
         high = A.agreement_in_view_exact(100, 20, 1.8, 2.0)
         assert low > high
 
+    def test_o_trades_agreement_for_termination_and_messages(self):
+        """§3.1: a larger o raises termination and messages, and erodes
+        within-view agreement (n=100, f=20, o from 1.3 to 2.4)."""
+        from repro.analysis import messages as M
+
+        sweep = (1.3, 1.5, 1.7, 1.9, 2.1, 2.4)
+        term = [T.replica_terminates_exact(100, 20, o, 2.0) for o in sweep]
+        msgs = [M.probft_messages(100, o) for o in sweep]
+        agree = [A.agreement_in_view_exact(100, 20, o, 2.0, variant="pair") for o in sweep]
+        assert term == sorted(term)
+        assert msgs == sorted(msgs)
+        assert agree[0] > agree[-1]
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             A.agreement_in_view_exact(100, 20, 1.7, 2.0, variant="bogus")

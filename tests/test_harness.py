@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (runner, metrics, scenarios)."""
+"""Tests for the experiment harness (trials, metrics)."""
 
 import math
 
@@ -13,12 +13,9 @@ from repro.harness.metrics import (
     stddev,
     wilson_interval,
 )
-from repro.harness.runner import (
-    good_case_metrics,
-    run_hotstuff,
-    run_pbft,
-    run_probft,
-)
+from repro.harness.trial import DeploymentSpec, run_trial
+
+from .helpers import good_case
 
 
 class TestMetrics:
@@ -113,8 +110,10 @@ class TestMetrics:
 
 
 class TestRunners:
-    def test_run_probft_result_fields(self):
-        result = run_probft(ProtocolConfig(n=10, f=2), max_time=500)
+    def test_probft_trial_result_fields(self):
+        result = run_trial(
+            DeploymentSpec("probft", ProtocolConfig(n=10, f=2), max_time=500)
+        )
         assert result.protocol == "probft"
         assert result.all_decided
         assert result.agreement_ok
@@ -127,11 +126,14 @@ class TestRunners:
         from repro.sync.timeouts import FixedTimeout
         from repro.adversary.behaviors import silent_factory
 
-        result = run_probft(
-            ProtocolConfig(n=10, f=2),
-            timeout_policy=FixedTimeout(20.0),
-            byzantine={0: silent_factory()},
-            max_time=2000,
+        result = run_trial(
+            DeploymentSpec(
+                "probft",
+                ProtocolConfig(n=10, f=2),
+                timeout_policy=FixedTimeout(20.0),
+                byzantine={0: silent_factory()},
+                max_time=2000,
+            )
         )
         assert result.messages_by_type.get("Wish", 0) > 0
         assert (
@@ -141,16 +143,15 @@ class TestRunners:
 
     def test_all_three_protocols_agree_on_interface(self):
         cfg = ProtocolConfig(n=10, f=2)
-        for runner in (run_probft, run_pbft, run_hotstuff):
-            result = runner(cfg, max_time=500)
+        for protocol in ("probft", "pbft", "hotstuff"):
+            result = run_trial(DeploymentSpec(protocol, cfg, max_time=500))
             assert result.all_decided and result.agreement_ok
 
     def test_good_case_steps(self):
-        cfg = ProtocolConfig(n=10, f=2)
-        assert good_case_metrics("probft", cfg).steps == pytest.approx(3.0)
-        assert good_case_metrics("pbft", cfg).steps == pytest.approx(3.0)
-        assert good_case_metrics("hotstuff", cfg).steps == pytest.approx(8.0)
+        assert good_case("probft", 10, 2).steps == pytest.approx(3.0)
+        assert good_case("pbft", 10, 2).steps == pytest.approx(3.0)
+        assert good_case("hotstuff", 10, 2).steps == pytest.approx(8.0)
 
     def test_unknown_protocol(self):
         with pytest.raises(KeyError):
-            good_case_metrics("paxos", ProtocolConfig(n=10, f=2))
+            good_case("paxos", 10, 2)

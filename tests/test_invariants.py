@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.config import ProtocolConfig
 from repro.core.invariants import AuditReport, audit_deployment
-from repro.core.protocol import ProBFTDeployment
-from repro.harness import scenarios
 from repro.types import Decision
+
+from .helpers import cell_deployment
 
 
 class TestAuditReport:
@@ -20,27 +19,23 @@ class TestAuditReport:
 
 class TestAuditHappyRuns:
     def test_happy_run_passes(self):
-        dep = scenarios.happy_case(ProtocolConfig(n=12, f=2))
-        dep.run(max_time=500)
+        dep = cell_deployment("probft", "none", 12, 2)
         report = audit_deployment(dep)
         assert report.ok, str(report)
         assert report.checks_run > 12  # at least one check per replica
 
     def test_view_change_run_passes(self):
-        dep = scenarios.silent_leader_case(ProtocolConfig(n=10, f=2))
-        dep.run(max_time=2000)
+        dep = cell_deployment("probft", "silent", 10, 2)
         report = audit_deployment(dep)
         assert report.ok, str(report)
 
     def test_equivocation_run_passes(self):
-        dep, _plan = scenarios.equivocation_case(ProtocolConfig(n=16, f=3))
-        dep.run(max_time=2000)
+        dep = cell_deployment("probft", "equivocation", 16, 3)
         report = audit_deployment(dep)
         assert report.ok, str(report)
 
     def test_flooding_run_passes(self):
-        dep = scenarios.flooding_case(ProtocolConfig(n=10, f=2))
-        dep.run(max_time=1000)
+        dep = cell_deployment("probft", "flooding", 10, 2)
         report = audit_deployment(dep)
         assert report.ok, str(report)
 
@@ -50,9 +45,7 @@ class TestAuditCatchesCorruption:
 
     @pytest.fixture
     def finished(self):
-        dep = scenarios.happy_case(ProtocolConfig(n=12, f=2))
-        dep.run(max_time=500)
-        return dep
+        return cell_deployment("probft", "none", 12, 2)
 
     def test_detects_forged_disagreement(self, finished):
         victim = finished.decisions[3]

@@ -57,6 +57,7 @@ class TestSplitViolations:
         assert rows[0][0].startswith("2-way even")
         probs = [p for _name, p in rows]
         assert probs == sorted(probs, reverse=True)
+        assert probs[0] > 10 * probs[1]  # the even split dominates by >10x
 
     def test_invalid_splits_rejected(self):
         with pytest.raises(ValueError):

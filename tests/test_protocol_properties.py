@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.behaviors import crash_factory, silent_factory
-from repro.adversary.plans import equivocation_attack_deployment
+from repro.adversary.equivocation import equivocation_byzantine_map
 from repro.config import ProtocolConfig, max_faults
 from repro.core.invariants import audit_deployment
 from repro.core.protocol import ProBFTDeployment
@@ -99,11 +99,13 @@ class TestRandomizedEquivocation:
     @SLOW
     def test_equivocation_attack_always_safe(self, n, seed):
         config = ProtocolConfig(n=n, f=max_faults(n))
-        dep, _plan = equivocation_attack_deployment(
+        byzantine, _plan = equivocation_byzantine_map(config)
+        dep = ProBFTDeployment(
             config,
             seed=seed,
             latency=UniformLatency(0.5, 1.5, seed=seed),
             timeout_policy=FixedTimeout(25.0),
+            byzantine=byzantine,
         )
         dep.run(max_time=10_000)
         assert dep.agreement_ok

@@ -105,14 +105,16 @@ class TestSeededAgreementSweep:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equivocation_plus_chaos_never_disagrees(self, seed):
-        from repro.adversary.plans import equivocation_attack_deployment
+        from repro.adversary.equivocation import equivocation_byzantine_map
 
         cfg = ProtocolConfig(n=15, f=3)
-        dep, _plan = equivocation_attack_deployment(
+        byzantine, _plan = equivocation_byzantine_map(cfg)
+        dep = ProBFTDeployment(
             cfg,
             seed=seed,
             latency=UniformLatency(0.5, 1.5, seed=seed),
             timeout_policy=FixedTimeout(25.0),
+            byzantine=byzantine,
         )
         dep.run(max_time=5000)
         assert dep.agreement_ok
@@ -827,6 +829,40 @@ def _junk_value_leader(protocol, value):
     return Seat
 
 
+#: ``prepared_value``s of a Byzantine NewLeader: unhashable, or a ``bytes``
+#: whose hash raises.
+JUNK_PREPARED_VALUES = ([b"x"], {"a": 1}, HashRaises(b"x"))
+
+
+def _junk_new_leader_seat(protocol, value):
+    """A Byzantine seat that signs a NewLeader for view 2 claiming ``value``
+    prepared in view 1 with an empty certificate, and sends it to view 2's
+    leader (replica 1) at t=1: early, so it is buffered and replayed."""
+    if protocol == "probft":
+        from repro.messages.probft import NewLeader as kind
+    else:
+        from repro.messages.pbft import PbftNewLeader as kind
+
+    class Seat:
+        def __init__(self, replica_id, config, crypto, transport):
+            self.id, self._config = replica_id, config
+            self._crypto, self._transport = crypto, transport
+
+        def start(self):
+            self._transport.schedule(1.0, self._send)
+
+        def _send(self):
+            fields = dict(view=2, prepared_view=1, prepared_value=value, cert=())
+            if protocol == "probft":
+                fields["domain"] = self._config.seed_domain
+            self._transport.send(1, self._crypto.signatures.sign(self.id, kind(**fields)))
+
+        def on_message(self, src, message):
+            pass
+
+    return Seat
+
+
 class TestValueDomain:
     """A value is ``bytes``: ``None`` stands for "nothing prepared" and SMR
     decodes every decided value as a batch.  A leader-signed proposal of
@@ -971,6 +1007,33 @@ class TestValueDomain:
         assert result.decision_views == run_trial(spec("silent")).decision_views
         decided = [d.value for d in context.deployment.decisions.values()]
         assert all(type(value) is bytes for value in decided)
+
+    @pytest.mark.parametrize("protocol", ["probft", "pbft"])
+    @pytest.mark.parametrize(
+        "value", JUNK_PREPARED_VALUES, ids=lambda v: type(v).__name__
+    )
+    def test_a_junk_prepared_value_is_an_invalid_new_leader(self, value, protocol):
+        """A NewLeader whose ``prepared_value`` is no ``bytes`` is invalid
+        before its certificate is looked at (the certificate's verdict is
+        keyed by the value): it used to crash ProBFT's view-2 leader, which
+        replays it from its buffer when view 2 starts."""
+        import dataclasses
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import run_trial
+
+        from .helpers import reference_spec
+
+        def spec():
+            cell = MatrixCell(protocol, "silent", "constant", n=10, f=3)
+            base = cell_deployment_spec(cell, seed=1, max_time=600.0)
+            seat = _junk_new_leader_seat(protocol, value)
+            return dataclasses.replace(base, byzantine={**base.byzantine, 9: seat})
+
+        result = run_trial(spec())
+        assert result == run_trial(reference_spec(spec()))
+        assert result.all_decided and result.agreement_ok
+        assert result.decision_views == (2,)
 
     @pytest.mark.parametrize("value", NOT_BYTES)
     def test_serving_under_a_junk_value_leader(self, value, monkeypatch):

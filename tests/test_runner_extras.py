@@ -1,34 +1,11 @@
-"""Additional harness-runner coverage: retries, result fields, determinism."""
+"""Additional trial coverage: result fields, cross-protocol determinism."""
 
 import math
 
 import pytest
 
 from repro.config import ProtocolConfig
-from repro.harness.runner import (
-    RunResult,
-    good_case_metrics,
-    run_hotstuff,
-    run_pbft,
-    run_probft,
-)
-
-
-class TestRequireView1:
-    def test_retry_finds_view1_run(self):
-        """At n=64 some seeds need a view change; retrying must find a
-        view-1 run and report it."""
-        cfg = ProtocolConfig(n=64, f=12)
-        result = good_case_metrics("probft", cfg, require_view1=True)
-        assert result.max_view == 1
-        assert result.all_decided
-
-    def test_exhausted_retries_raise(self):
-        cfg = ProtocolConfig(n=64, f=12)
-        with pytest.raises(RuntimeError):
-            good_case_metrics(
-                "probft", cfg, require_view1=True, max_retries=0
-            )
+from repro.harness.trial import DeploymentSpec, RunResult, run_trial
 
 
 class TestRunResult:
@@ -71,11 +48,11 @@ class TestRunResult:
 
 
 class TestCrossProtocolDeterminism:
-    @pytest.mark.parametrize("runner", [run_probft, run_pbft, run_hotstuff])
-    def test_same_seed_same_result(self, runner):
-        cfg = ProtocolConfig(n=10, f=2)
-        a = runner(cfg, seed=13, max_time=500)
-        b = runner(cfg, seed=13, max_time=500)
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_same_seed_same_result(self, protocol):
+        spec = DeploymentSpec(protocol, ProtocolConfig(n=10, f=2), seed=13, max_time=500)
+        a = run_trial(spec)
+        b = run_trial(spec)
         assert a.total_messages == b.total_messages
         assert a.last_decision_time == b.last_decision_time
         assert a.decided_values == b.decided_values
@@ -86,7 +63,29 @@ class TestCrossProtocolDeterminism:
         # PBFT's all-to-all pattern — itself a nice sanity fact).
         cfg = ProtocolConfig(n=20, f=3)
         totals = {
-            runner(cfg, seed=1, max_time=500).protocol_messages
-            for runner in (run_probft, run_pbft, run_hotstuff)
+            run_trial(DeploymentSpec(protocol, cfg, seed=1, max_time=500)).protocol_messages
+            for protocol in ("probft", "pbft", "hotstuff")
         }
         assert len(totals) == 3
+
+
+class TestJitteryNetwork:
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_probft_latency_of_pbft_at_a_fraction_of_its_messages(self, n):
+        """Uniform 0.5-1.5 latency: every protocol agrees, ProBFT decides
+        well before HotStuff and sends under 60% of PBFT's messages."""
+        from repro.net.latency import UniformLatency
+
+        cfg = ProtocolConfig(n=n, f=n // 5)
+        results = {
+            protocol: run_trial(
+                DeploymentSpec(
+                    protocol, cfg, latency=UniformLatency(0.5, 1.5, seed=n),
+                    max_time=2000,
+                )
+            )
+            for protocol in ("pbft", "probft", "hotstuff")
+        }
+        assert all(r.agreement_ok for r in results.values())
+        assert results["probft"].last_decision_time < results["hotstuff"].last_decision_time
+        assert results["probft"].protocol_messages < 0.6 * results["pbft"].protocol_messages

@@ -1,4 +1,4 @@
-"""Tests for the scenario builders and the scenario matrix."""
+"""Tests for the scenario matrix."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import itertools
 
 import pytest
 
-from repro.harness import scenarios
 from repro.harness.parallel import TrialSpec, derive_seed
 from repro.harness.registry import (
     ADVERSARIES,
@@ -21,19 +20,19 @@ from repro.harness.registry import (
     run_matrix_cell,
 )
 
-from .helpers import saturated_config
+from .helpers import cell_deployment
 
 
 class TestScenarioBuilders:
     @pytest.mark.parametrize(
-        "builder",
+        "adversary,latency",
         [
-            scenarios.happy_case,
-            scenarios.silent_leader_case,
-            scenarios.crash_case,
-            scenarios.pre_gst_chaos_case,
-            scenarios.equivocation_case,
-            scenarios.flooding_case,
+            ("none", "constant"),
+            ("silent", "constant"),
+            ("crash", "constant"),
+            ("none", "pre-gst-chaos"),
+            ("equivocation", "constant"),
+            ("flooding", "constant"),
         ],
         ids=[
             "happy",
@@ -44,12 +43,10 @@ class TestScenarioBuilders:
             "flooding",
         ],
     )
-    def test_every_scenario_builds_and_decides(self, builder):
-        """Each canonical builder reaches a correct decision at n=8."""
-        deployment = builder(saturated_config(), seed=1)
-        if isinstance(deployment, tuple):  # (deployment, attack plan)
-            deployment = deployment[0]
-        deployment.run(max_time=5000)
+    def test_every_scenario_builds_and_decides(self, adversary, latency):
+        """Each canonical ProBFT scenario cell reaches a correct decision at
+        n=8, where every sample is everyone."""
+        deployment = cell_deployment("probft", adversary, 8, 1, seed=1, latency=latency)
         assert deployment.all_correct_decided()
         assert deployment.agreement_ok
 

@@ -195,6 +195,16 @@ class TestSMRIntegration:
         snapshot = list(dep.snapshots().values())[0]
         assert snapshot == 5
 
+    def test_a_slot_every_three_steps(self):
+        """n=20 at unit latency, one slot at a time: 3 steps a slot, so
+        ~1/3 slot per time unit."""
+        dep = SMRDeployment(ProtocolConfig(n=20, f=4), CounterApp, num_slots=10, seed=7)
+        for i in range(8):
+            dep.submit_to_all(b"ADD:%d" % i)
+        dep.run(max_time=50_000)
+        assert dep.all_applied() and dep.logs_consistent()
+        assert dep.num_slots / dep.sim.now > 0.2
+
     def test_kv_replication(self):
         cfg = ProtocolConfig(n=7, f=2)
         dep = SMRDeployment(cfg, KeyValueApp, num_slots=3, seed=2)

@@ -143,7 +143,7 @@ class TestCLI:
         args = parser.parse_args(["run", "probft", "--n", "10"])
         assert args.protocol == "probft" and args.n == 10
 
-    def test_run_probft(self, capsys):
+    def test_run_command_probft(self, capsys):
         code = main(["run", "probft", "--n", "10", "--f", "2"])
         out = capsys.readouterr().out
         assert code == 0
@@ -153,23 +153,20 @@ class TestCLI:
         assert main(["run", "pbft", "--n", "7", "--f", "2"]) == 0
         assert main(["run", "hotstuff", "--n", "7", "--f", "2"]) == 0
 
-    def test_attack(self, capsys):
-        code = main(["attack", "--n", "16", "--f", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "equivocation attack" in out
-
     def test_figures(self, capsys):
         code = main(["figures"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Figure 1b" in out and "Figure 5" in out
 
-    def test_smr(self, capsys):
-        code = main(["smr", "--n", "7", "--f", "2", "--slots", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "logs consistent" in out
+    @pytest.mark.parametrize("command", ["attack", "smr"])
+    def test_retired_commands_are_unknown(self, capsys, command):
+        """The equivocation attack is ``sweep probft-adversaries``'s
+        ``equivocation`` cell and a replicated counter is one ``serve`` cell."""
+        with pytest.raises(SystemExit) as exc_info:
+            main([command])
+        assert exc_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -195,10 +192,6 @@ class TestCLIArgumentErrors:
             (["run", "probft", "--n", "8", "--f", "5"], "f < n/3"),
             (["run", "pbft", "--n", "3"], "n >= 4"),
             (["run", "probft", "--f", "-1"], "f must be >= 0"),
-            (["attack", "--n", "3"], "n >= 4"),
-            (["attack", "--n", "8", "--f", "5"], "f < n/3"),
-            (["smr", "--n", "3"], "n >= 4"),
-            (["smr", "--n", "8", "--f", "5"], "f < n/3"),
             (
                 ["serve", "--n", "8", "--f", "5", "--num-clients", "1",
                  "--requests-per-client", "1"],
@@ -214,15 +207,14 @@ class TestCLIArgumentErrors:
                 ["serve", "--arrival", "open", "--offered-rate", "-1"],
                 "offered_rate > 0",
             ),
-            (["smr", "--slots", "0"], "num_slots must be >= 1"),
         ],
         ids=[
             "sweep-f", "sweep-n", "run-n", "serve-n",
             "sweep-negative-f", "run-f", "run-pbft-n", "run-negative-f",
-            "attack-n", "attack-f", "smr-n", "smr-f", "serve-f",
+            "serve-f",
             "serve-num-clients", "serve-window", "serve-batch-size",
             "serve-pipeline", "serve-max-pending", "serve-timeout",
-            "serve-offered-rate", "smr-slots",
+            "serve-offered-rate",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, capsys, argv, message):
@@ -250,11 +242,9 @@ class TestCLIArgumentErrors:
         [
             ["sweep", "--trials", "1"],
             ["run", "probft"],
-            ["attack"],
-            ["smr"],
             ["serve", "--num-clients", "1", "--requests-per-client", "1"],
         ],
-        ids=["sweep", "run", "attack", "smr", "serve"],
+        ids=["sweep", "run", "serve"],
     )
     @pytest.mark.parametrize("max_time", ["-1", "0"])
     def test_max_time_must_be_positive(self, capsys, argv, max_time):

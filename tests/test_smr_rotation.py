@@ -1,17 +1,17 @@
 """Rotating slot leadership, open-loop arrivals, and recovery accounting.
 
 Covers the ``leader_offset`` protocol knob and its per-slot rotation
-wiring, the bit-identity contract (rotate-off cells match the committed
-``BENCH_smr_serving.json`` golden rows), rotation-on determinism across
-engine backends, log/snapshot consistency with the equivocator parked at
+wiring, the bit-identity contract (rotate-off cells match their pinned
+golden rows), the rotation and batching ablations as same-run throughput
+ratios, rotation-on determinism across engine backends, log/snapshot consistency with the equivocator parked at
 every rotated seat, open-loop Poisson workloads at thousands of clients,
 and the recovery satellites: recovered records excluded from latency
 percentiles, majority-slot attribution under a divergent Byzantine
 report, and the zero-throughput guard for recovered-only trials.
 """
 
+import hashlib
 import json
-import pathlib
 
 import pytest
 
@@ -38,7 +38,12 @@ from repro.smr.workload import (
 )
 from repro.smr.workload import _equivocating_slot_factory
 
-ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_smr_serving.json"
+#: sha256 of the canonical JSON (sorted keys) of the six fixed-leader
+#: closed-loop serving rows — adversary x load at seed 2024, every
+#: ``ServingResult.row()`` column but the route counters.
+FIXED_LEADER_ROWS_SHA256 = (
+    "3021039789c999137dc1054adb380cd53b0518f1ab84fa00e33763c2bde6938f"
+)
 
 # Mirrors tests/test_smr_serving.py: small but exercises batching,
 # pipelining, and the closed loop.
@@ -94,42 +99,46 @@ class TestLeaderOffset:
 
 
 class TestGoldenArtifactIdentity:
-    """Rotate-off serving is bit-identical to the committed golden rows."""
+    """Rotate-off serving is bit-identical to its pinned golden rows, and
+    the serving ablations hold as throughput ratios of the same run."""
 
-    @pytest.fixture(scope="class")
-    def artifact(self):
-        return json.loads(ARTIFACT.read_text())
+    def test_matrix_rows_reproduce(self):
+        rows = []
+        for adversary in ("none", "equivocating-leader", "flooding"):
+            for load in ("low", "high"):
+                row = run_serving_trial(
+                    ServingSpec(adversary=adversary, load=load, seed=2024)
+                ).row()
+                rows.append({k: v for k, v in row.items() if k not in KERNEL_STATS})
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+        assert digest.hexdigest() == FIXED_LEADER_ROWS_SHA256, rows
 
-    def test_matrix_rows_reproduce(self, artifact):
-        golden = [
-            row
-            for row in artifact["rows"]
-            if row["arrival"] == "closed" and not row["rotate_leaders"]
-        ]
-        assert golden, "artifact lost its fixed-leader closed-loop rows"
-        for row in golden:
-            spec = ServingSpec(
-                adversary=row["adversary"],
-                load=row["load"],
-                seed=artifact["seed"],
-            )
-            rerun = run_serving_trial(spec).row()
-            # Rows have since gained the route counters (how buckets were
-            # delivered); every column the artifact recorded is unchanged.
-            assert set(rerun) - set(row) == set(KERNEL_STATS)
-            assert {key: rerun[key] for key in row} == row, (
-                row["adversary"],
-                row["load"],
-            )
+    def test_rotation_ablation_claim_holds(self):
+        """With fixed leaders every slot starts under the equivocator and
+        pays the (raised) view-change timeout; rotated, only the ~1/n it
+        leads do: rotated >= 3x fixed throughput.  Measured 3.31x at the
+        high-load preset (48 clients x 5), on seeds 0-5 and 2024 alike;
+        smaller populations range 1.9-4.1x by seed and size."""
+        throughput = {
+            rotate: run_serving_trial(
+                ServingSpec(
+                    adversary="equivocating-leader", load="high", timeout=20.0,
+                    rotate_leaders=rotate, seed=2024,
+                )
+            ).throughput
+            for rotate in (False, True)
+        }
+        assert throughput[True] >= 3.0 * throughput[False], throughput
 
-    def test_rotation_ablation_claim_holds(self, artifact):
-        """The committed ablation records rotated >= 3x fixed throughput."""
-        ablation = artifact["rotation_ablation"]
-        assert ablation["speedup"] >= 3.0
-        assert (
-            ablation["rotated_throughput"]
-            >= 3.0 * ablation["fixed_throughput"]
-        )
+    def test_batching_ablation_claim_holds(self):
+        """Batching and pipelining (8 commands a slot, 4 slots in flight)
+        against one command a slot, one slot at a time: measured 5.48x at
+        6 clients x 3 (5.1-5.5x on seeds 0-5; 26.6x at the high preset)."""
+        size = dict(adversary="none", load="high", seed=2024, **SMALL)
+        batched = run_serving_trial(ServingSpec(**size))
+        unbatched = run_serving_trial(ServingSpec(batch_size=1, pipeline=1, **size))
+        assert batched.completed == unbatched.completed == 18
+        assert batched.throughput >= 4.0 * unbatched.throughput
 
 
 class TestRotationDeterminism:
@@ -339,8 +348,7 @@ class TestRecoveredAccounting:
         dep.run(max_time=1_000)
         assert record.completed
         assert record.slot != 999
-        history = client._history[record.request_id]
-        assert record.slot == majority_slot(history)
+        assert record.slot == majority_slot(record.acked_by)
 
     def test_late_client_majority_slot_from_history(self):
         cfg = ProtocolConfig(n=9, f=2)

@@ -121,6 +121,52 @@ class TestWorkloadGenerator:
         assert generator.done()
         assert generator.retries > 0
 
+    def test_replayed_requests_complete_recovered_without_drawing(self):
+        """A generator on a deployment that already ran re-issues the same
+        (client_id, seq) envelopes: each completes from the replayed history
+        at submission, and nothing but the pre-drawn arrivals reads an RNG."""
+        spec = ServingSpec(arrival="open", **SMALL)
+        deployment = build_serving_deployment(spec)
+        WorkloadGenerator(deployment, spec.workload(), seed=0).run(max_time=spec.max_time)
+        deployment._next_client_id = 0
+        replay = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        replay.start()
+        states = [state.rng.getstate() for state in replay._clients]
+        replay.run(max_time=spec.max_time)
+        assert [state.rng.getstate() for state in replay._clients] == states
+        assert replay.completed == replay.recovered == spec.workload().total_requests
+        assert all(r.recovered and r.latency == 0 for r in replay.records)
+        assert replay.retries == 0
+
+    def test_refused_submits_consume_no_sequence_number(self):
+        spec = ServingSpec(
+            num_clients=8, requests_per_client=3, think_time=0.0, window=2,
+            retry_backoff=0.5, max_pending=1, batch_size=1, pipeline=1,
+            max_time=10_000.0,
+        )
+        deployment = build_serving_deployment(spec)
+        generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        generator.run(max_time=spec.max_time)
+        assert generator.done() and generator.retries > 0
+        for state in generator._clients:
+            client = state.client
+            assert [r.seq for r in client.requests] == [1, 2, 3]
+            assert client.next_seq == 4
+
+    def test_records_stay_in_global_submission_order(self):
+        spec = ServingSpec(arrival="open", **SMALL)
+        deployment = build_serving_deployment(spec)
+        generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        generator.run(max_time=spec.max_time)
+        records = generator.records
+        times = [r.submitted_at for r in records]
+        assert times == sorted(times)
+        owners = [r.client_id for r in records]
+        assert owners != sorted(owners)  # clients interleave
+        for state in generator._clients:
+            mine = [r for r in records if r.client_id == state.client.client_id]
+            assert mine == state.client.requests
+
     def test_accumulator_counts_unissued_as_incomplete(self):
         spec = ServingSpec(**SMALL)
         deployment = build_serving_deployment(spec)

@@ -2,8 +2,8 @@
 
 Covers the two hard guarantees of the refactor:
 
-* every runner surface (legacy wrappers, DeploymentSpec, matrix cells) is
-  one lifecycle — same spec, same result;
+* every trial (a DeploymentSpec, a matrix cell) is one lifecycle — same
+  spec, same result;
 * pooled crypto (shared registries + verification through a per-instance
   verdict table) is **bit-identical** to fresh per-deployment crypto,
   serially and across worker processes, and pool keying never leaks state
@@ -26,7 +26,6 @@ from repro.crypto.context import (
     crypto_pool_stats,
 )
 from repro.crypto.hashing import digest, stable_encode
-from repro.harness.runner import run_hotstuff, run_pbft, run_probft
 from repro.harness.trial import (
     DeploymentSpec,
     TrialContext,
@@ -51,21 +50,6 @@ def _fresh_result(protocol: str, domain: str, config: ProtocolConfig, seed: int)
 
 
 class TestRunTrialDispatch:
-    def test_equivalent_to_legacy_wrappers(self):
-        config = ProtocolConfig(n=10, f=2)
-        for protocol, runner in (
-            ("probft", run_probft),
-            ("pbft", run_pbft),
-            ("hotstuff", run_hotstuff),
-        ):
-            via_spec = run_trial(
-                DeploymentSpec(
-                    protocol=protocol, config=config, seed=7, max_time=500
-                )
-            )
-            via_wrapper = runner(config, seed=7, max_time=500)
-            assert via_spec == via_wrapper
-
     def test_unknown_protocol_raises_clear_keyerror(self):
         spec = DeploymentSpec(protocol="paxos", config=ProtocolConfig(n=4, f=1))
         with pytest.raises(KeyError, match="unknown protocol 'paxos'"):
