@@ -31,11 +31,9 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
-from ...crypto.verdicts import well_formed
 from ...core.leader import leader_of_view
+from ...messages.base import conforms
 from ...messages.hotstuff import (
-    QC_SHAPE,
-    VOTE_SHAPE,
     HsNewView,
     HsPhase,
     HsProposal,
@@ -125,15 +123,17 @@ class HotStuffReplica:
         return self.config.n - self.config.f
 
     def on_message(self, src: ReplicaId, message: object) -> None:
-        if not isinstance(message, Signed):
-            return
-        payload = message.payload
+        payload = getattr(message, "payload", None)
         if isinstance(payload, Wish):
             self._sync.on_wish(src, message)
             return
-        view = self._view_of(payload)
-        if not isinstance(view, int) or self._cur_view == 0 or view < self._cur_view:
-            return  # not a protocol message, malformed view, or stale
+        if not isinstance(payload, (HsNewView, HsProposal, HsVote)) or not conforms(
+            message, Signed, self._crypto.verdicts
+        ):
+            return  # only signed, well-typed protocol messages are processed
+        view = payload.view
+        if self._cur_view == 0 or view < self._cur_view:
+            return  # stale (or not yet started)
         if view > self._cur_view:
             if view <= self._cur_view + FUTURE_VIEW_WINDOW:
                 bucket = self._future_buffer.setdefault(view, [])
@@ -146,14 +146,6 @@ class HotStuffReplica:
             self._handle_proposal(src, message)
         elif isinstance(payload, HsVote):
             self._handle_vote(src, message)
-
-    @staticmethod
-    def _view_of(payload: object) -> Optional[View]:
-        if isinstance(payload, (HsNewView, HsProposal)):
-            return payload.view
-        if isinstance(payload, HsVote) and well_formed(payload.vote, VOTE_SHAPE):
-            return payload.view
-        return None
 
     # ------------------------------------------------------------------
     def _on_new_view(self, view: View) -> None:
@@ -221,7 +213,7 @@ class HotStuffReplica:
     # ------------------------------------------------------------------
     def _handle_proposal(self, src: ReplicaId, signed: Signed) -> None:
         if not self._crypto.validated(
-            self.config, "proposal", signed, lambda: self._well_formed(signed)
+            self.config, "proposal", signed, lambda: self._valid_proposal(signed)
         ):
             return
         proposal: HsProposal = signed.payload
@@ -254,16 +246,14 @@ class HotStuffReplica:
         vote = HsVote(vote=vote_payload)
         self._send_or_local(self._leader(view), self._sign(vote))
 
-    def _well_formed(self, signed: Signed) -> bool:
-        """Everything about a proposal that is the same for every recipient:
-        signed by its view's leader, a ``Value``, a known phase, and a
+    def _valid_proposal(self, signed: Signed) -> bool:
+        """Everything about a (well-typed) proposal that is the same for
+        every recipient: signed by its view's leader, a known phase, and a
         justify QC that matches the proposal the way the phase demands."""
         if not self._crypto.signatures.verify(signed):
             return False
         proposal: HsProposal = signed.payload
-        if signed.signer != self._leader(proposal.view) or not well_formed(
-            proposal.value, Value
-        ):
+        if signed.signer != self._leader(proposal.view):
             return False
         try:
             phase = HsPhase(proposal.phase)
@@ -325,8 +315,6 @@ class HotStuffReplica:
         )
 
     def _quorum_signed(self, qc: HsQuorumCert) -> bool:
-        if not well_formed(qc, QC_SHAPE):
-            return False
         seen = set()
         for vote in qc.votes:
             if not self._crypto.signatures.verify(vote):

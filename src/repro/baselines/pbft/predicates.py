@@ -19,11 +19,10 @@ from typing import Optional, Tuple
 from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
-from ...crypto.verdicts import well_formed
 from ...core.leader import leader_of_view
-from ...messages.base import ProposalStatement
-from ...messages.pbft import SHAPE, PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
-from ...types import ReplicaId, ValidPredicate, Value, View
+from ...messages.base import conforms
+from ...messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
+from ...types import ValidPredicate, Value, View
 
 
 def pbft_validate_prepared_certificate(
@@ -33,22 +32,18 @@ def pbft_validate_prepared_certificate(
     config: ProtocolConfig,
     crypto: CryptoContext,
 ) -> bool:
-    """A deterministic quorum of signed PbftPrepare messages for (view, value)."""
+    """A deterministic quorum of signed PbftPrepare messages for (view, value)
+    (``cert`` conforms to a NewLeader's wire type)."""
     expected_leader = leader_of_view(view, config.n)
     seen = set()
     expected_value = value
     for signed in cert:
         if not crypto.signatures.verify(signed):
             return False
-        prepare = signed.payload
-        if not isinstance(prepare, PbftPrepare):
-            return False
-        statement = prepare.statement
+        statement = signed.payload.statement
         if not crypto.signatures.verify(statement):
             return False
         inner = statement.payload
-        if not isinstance(inner, ProposalStatement):
-            return False
         if statement.signer != expected_leader or inner.view != view:
             return False
         if expected_value is None:
@@ -64,24 +59,26 @@ def pbft_validate_prepared_certificate(
 def pbft_valid_vote(
     signed: Signed, config: ProtocolConfig, crypto: CryptoContext
 ) -> bool:
-    """A signed PbftPrepare/PbftCommit over a statement its view's leader
-    signed (which of the two, and for which view, is the recipient's to
-    check)."""
+    """A signed, well-typed PbftPrepare/PbftCommit over a statement its
+    view's leader signed (which of the two, and for which view, is the
+    recipient's to check)."""
     return crypto.validated(
         config, "vote", signed, lambda: _valid_vote(signed, config, crypto)
     )
 
 
 def _valid_vote(signed: Signed, config: ProtocolConfig, crypto: CryptoContext) -> bool:
-    vote = signed.payload
-    if not isinstance(vote, (PbftPrepare, PbftCommit)):
+    if type(getattr(signed, "payload", None)) not in (PbftPrepare, PbftCommit):
         return False
-    if not well_formed(vote, SHAPE) or not crypto.signatures.verify(signed):
+    if not conforms(signed, Signed, crypto.verdicts):
         return False
-    statement = vote.statement
+    if not crypto.signatures.verify(signed):
+        return False
+    statement = signed.payload.statement
     if not crypto.signatures.verify(statement):
         return False
-    return statement.signer == leader_of_view(statement.payload.view, config.n)
+    view = statement.payload.view
+    return view >= 1 and statement.signer == leader_of_view(view, config.n)
 
 
 def pbft_valid_new_leader(
@@ -105,19 +102,17 @@ def _valid_new_leader(
     config: ProtocolConfig,
     crypto: CryptoContext,
 ) -> bool:
+    if not conforms(signed, Signed[PbftNewLeader], crypto.verdicts):
+        return False
     if not crypto.signatures.verify(signed):
         return False
     msg = signed.payload
-    if not isinstance(msg, PbftNewLeader):
+    if msg.view != target_view or not msg.prepared_view < target_view:
         return False
-    if msg.view != target_view or not isinstance(msg.prepared_view, int):
-        return False
-    if not msg.prepared_view < target_view:
-        return False
+    if (msg.prepared_view == 0) != (msg.prepared_value is None):
+        return False  # a value exactly when something was prepared
     if msg.prepared_view == 0:
-        return msg.prepared_value is None and not msg.cert
-    if not well_formed(msg.prepared_value, Value):
-        return False
+        return not msg.cert
     return pbft_validate_prepared_certificate(
         msg.cert, msg.prepared_view, msg.prepared_value, config, crypto
     )
@@ -159,11 +154,11 @@ def _safe_proposal(
     crypto: CryptoContext,
     valid: Optional[ValidPredicate],
 ) -> bool:
+    if not conforms(signed, Signed[PbftPropose], crypto.verdicts):
+        return False
     if not crypto.signatures.verify(signed):
         return False
     propose = signed.payload
-    if not isinstance(propose, PbftPropose) or not well_formed(propose, SHAPE):
-        return False
     view = propose.view
     if view < 1:
         return False

@@ -18,7 +18,7 @@ from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
 from ...core.leader import leader_of_view
-from ...messages.base import ProposalStatement
+from ...messages.base import ProposalStatement, conforms
 from ...messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
 from ...net.transport import Transport
 from ...quorum.deterministic import DeterministicQuorumCollector
@@ -103,15 +103,21 @@ class PbftReplica:
         self._sync.stop()
 
     def on_message(self, src: ReplicaId, message: object) -> None:
-        if not isinstance(message, Signed):
-            return
-        payload = message.payload
+        payload = getattr(message, "payload", None)
         if isinstance(payload, Wish):
             self._sync.on_wish(src, message)
             return
-        view = self._view_of(payload)
-        if not isinstance(view, int) or self._cur_view == 0 or view < self._cur_view:
-            return  # not a protocol message, malformed view, or stale
+        if isinstance(payload, (PbftPrepare, PbftCommit)):
+            # The vote's verdict, once per object, includes its wire type.
+            if not pbft_valid_vote(message, self.config, self._crypto):
+                return
+        elif not isinstance(payload, (PbftPropose, PbftNewLeader)) or not conforms(
+            message, Signed, self._crypto.verdicts
+        ):
+            return  # only signed, well-typed protocol messages are processed
+        view = payload.view
+        if self._cur_view == 0 or view < self._cur_view:
+            return  # stale (or not yet started)
         if view > self._cur_view:
             if view <= self._cur_view + FUTURE_VIEW_WINDOW:
                 bucket = self._future_buffer.setdefault(view, [])
@@ -128,16 +134,6 @@ class PbftReplica:
             self._handle_new_leader(src, message)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _view_of(payload: object) -> Optional[View]:
-        if isinstance(payload, (PbftPropose, PbftNewLeader)):
-            return payload.view
-        if isinstance(payload, (PbftPrepare, PbftCommit)):
-            inner = getattr(payload.statement, "payload", None)
-            if isinstance(inner, ProposalStatement):
-                return inner.view
-        return None
-
     def _on_new_view(self, view: View) -> None:
         self._cur_view = view
         self._cur_val = None
@@ -210,11 +206,8 @@ class PbftReplica:
         self._deliver_local(signed_prepare)
 
     def _handle_prepare(self, src: ReplicaId, signed: Signed) -> None:
-        vote = signed.payload
-        if not self._verify_vote(signed, vote, PbftPrepare):
-            return
         collector = self._collector(self._prepare_collectors, self._cur_view)
-        collector.add(vote.value, signed.signer, signed)
+        collector.add(signed.payload.value, signed.signer, signed)
         self._try_form_prepared()
 
     def _try_form_prepared(self) -> None:
@@ -236,11 +229,8 @@ class PbftReplica:
         self._try_decide()
 
     def _handle_commit(self, src: ReplicaId, signed: Signed) -> None:
-        vote = signed.payload
-        if not self._verify_vote(signed, vote, PbftCommit):
-            return
         collector = self._collector(self._commit_collectors, self._cur_view)
-        collector.add(vote.value, signed.signer, signed)
+        collector.add(signed.payload.value, signed.signer, signed)
         self._try_decide()
 
     def _try_decide(self) -> None:
@@ -260,13 +250,6 @@ class PbftReplica:
             self._on_decide(self._decision)
 
     # ------------------------------------------------------------------
-    def _verify_vote(self, signed: Signed, vote: object, expected_type) -> bool:
-        # ``on_message`` only lets current-view votes through; the rest of
-        # the check is the same for every recipient.
-        return isinstance(vote, expected_type) and pbft_valid_vote(
-            signed, self.config, self._crypto
-        )
-
     def _collector(self, table: Dict, view: View) -> DeterministicQuorumCollector:
         """``table``'s collector for ``view``, built when the first vote asks."""
         collector = table.get(view)

@@ -488,8 +488,8 @@ class ColumnarVoteDispatch:
                     token = entry[1]
                 else:
                     token = prevalidate_vote(config, crypto, message)
-                    if token is None:
-                        return took or self._wishes(run, pos, probe, advance)
+                if not token:  # no vote: None, or False from the table
+                    return took or self._wishes(run, pos, probe, advance)
             is_prepare, view, value, signer, members = token[:5]
             if not token.valid or view in equivocal:
                 self.declined += 1

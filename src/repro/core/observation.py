@@ -37,10 +37,11 @@ are exempt from all of them):
   views, non-votes, malformed votes and Byzantine recipients are never
   suppressed).
 
-Only statements actually signed by ``leader(view)`` are tracked: a flooder's
-fake statement signed by itself can never trigger line 23 (which checks the
-signer *is* the leader), so it must not flag the view equivocal and switch
-its pruning off.
+Only statements actually signed by ``leader(view)`` that conform to their
+wire type are tracked: a flooder's fake statement signed by itself can never
+trigger line 23 (which checks the signer *is* the leader), and a statement
+of no ``Value`` is no evidence (replicas drop its messages whole), so
+neither may flag the view equivocal and switch its pruning off.
 
 The policy reads replica state (``_cur_view``, ``_committed_views``,
 ``_decision``) straight off the deployment's replica objects: the verdict
@@ -53,9 +54,10 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Set
 
 from ..config import ProtocolConfig
-from ..crypto.vrf import VRFOutput
-from ..messages.base import ProposalStatement
-from ..messages.probft import Commit, Prepare, extract_statement
+from ..crypto.signatures import Signed
+from ..crypto.vrf import plain_ids
+from ..messages.base import ProposalStatement, conforms
+from ..messages.probft import Commit, Prepare, Propose
 from ..net.sparse import SparseDeliveryPolicy
 from ..types import ReplicaId, Value, View
 from .leader import leader_of
@@ -70,6 +72,8 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
         replicas: the deployment's replica map; honest entries are
             :class:`~repro.core.replica.ProBFTReplica` whose view/progress
             state the fire-time verdicts read directly.
+        verdicts: the instance's verdict table, whose wire-type verdicts
+            the replicas share (``None``: each message is walked anew).
     """
 
     def __init__(
@@ -77,34 +81,41 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
         config: ProtocolConfig,
         byzantine_ids: FrozenSet[ReplicaId],
         replicas: Dict[ReplicaId, object],
+        verdicts=None,
     ) -> None:
         self._domain = config.seed_domain
         self._n = config.n
         self._config = config
+        self._verdicts = verdicts
         self._byzantine = frozenset(byzantine_ids)
         self._replicas = replicas
         self._value_seen: Dict[View, Value] = {}
         self._equivocal: Set[View] = set()
+        self._last = None  # the statement inspected last
 
     @property
     def equivocal_views(self) -> FrozenSet[View]:
         return frozenset(self._equivocal)
 
     def inspect(self, src: ReplicaId, message: object) -> None:
-        statement = extract_statement(getattr(message, "payload", None))
-        if statement is None:
+        payload = getattr(message, "payload", None)
+        if not isinstance(payload, (Propose, Prepare, Commit)):
             return
+        statement = payload.statement
+        if statement is self._last:
+            return  # (every vote of a view carries its proposal's statement)
+        self._last = statement
         inner = getattr(statement, "payload", None)
-        if not isinstance(inner, ProposalStatement):
+        if type(inner) is not ProposalStatement or not conforms(
+            statement, Signed, self._verdicts
+        ):
             return
         if inner.domain != self._domain:
             return
         view = inner.view
-        if not isinstance(view, int) or view in self._equivocal:
+        if view in self._equivocal:
             return
-        if view < 1 or getattr(statement, "signer", None) != leader_of(
-            view, self._config
-        ):
+        if view < 1 or statement.signer != leader_of(view, self._config):
             return
         seen = self._value_seen.get(view)
         if seen is None:
@@ -113,25 +124,6 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
             # Two values under the leader's signature: every correct replica
             # may now react to any statement-bearing message for this view.
             self._equivocal.add(view)
-
-    def _decompose_vote(self, message: object):
-        """``(is_prepare, view, members)`` for a well-formed vote, else None."""
-        payload = getattr(message, "payload", None)
-        if not isinstance(payload, (Prepare, Commit)):
-            return None
-        inner = getattr(payload.statement, "payload", None)
-        sample = payload.sample
-        if not (
-            isinstance(inner, ProposalStatement)
-            and isinstance(inner.view, int)
-            and isinstance(sample, VRFOutput)
-        ):
-            return None
-        try:
-            members = sample.members()
-        except TypeError:
-            return None  # forged, unhashable "ids": nothing to prune on
-        return isinstance(payload, Prepare), inner.view, members
 
     def batch_filter(self, message: object, dsts):
         """The module docstring's suppression rules applied to one bucket.
@@ -142,10 +134,14 @@ class SampleObservationPolicy(SparseDeliveryPolicy):
         strictly-future events), so pre-filtering the whole bucket matches
         interleaved evaluation.
         """
-        vote = self._decompose_vote(message)
-        if vote is None:
+        vote = getattr(message, "payload", None)
+        if (
+            not isinstance(vote, (Prepare, Commit))
+            or not conforms(message, Signed, self._verdicts)
+            or not plain_ids(vote.sample.sample)  # (else it names no ids)
+        ):
             return dsts
-        is_prepare, view, members = vote
+        is_prepare, view, members = isinstance(vote, Prepare), vote.view, vote.sample
         # Captured once per bucket: a mid-bucket flip (a Byzantine recipient
         # sending a fresh conflicting statement from inside this bucket) is
         # safe, because the conflicting statement cannot have been delivered

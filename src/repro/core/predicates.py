@@ -34,11 +34,10 @@ from typing import Callable, Optional, Tuple
 from ..config import ProtocolConfig
 from ..crypto.context import CryptoContext
 from ..crypto.signatures import Signed
-from ..crypto.verdicts import well_formed
-from ..messages.base import ProposalStatement
+from ..messages.base import conforms
 from ..messages.probft import NewLeader, Propose
 from ..quorum.certificates import validate_prepared_certificate
-from ..types import ReplicaId, ValidPredicate, Value, View
+from ..types import ReplicaId, ValidPredicate, View
 from .leader import leader_of, max_prepared_view, mode_values
 
 LeaderFn = Callable[[View, int], ReplicaId]
@@ -75,20 +74,19 @@ def _valid_new_leader(
     crypto: CryptoContext,
     leader_fn: Optional[LeaderFn],
 ) -> bool:
+    if not conforms(signed, Signed[NewLeader], crypto.verdicts):
+        return False
     if not crypto.signatures.verify(signed):
         return False
     msg = signed.payload
-    if not isinstance(msg, NewLeader):
-        return False
     if msg.view != target_view or msg.domain != config.seed_domain:
         return False
-    if not isinstance(msg.prepared_view, int) or not msg.prepared_view < target_view:
+    if not msg.prepared_view < target_view:
         return False
+    if (msg.prepared_view == 0) != (msg.prepared_value is None):
+        return False  # a value exactly when something was prepared
     if msg.prepared_view == 0:
-        # Never prepared: value must be absent and the certificate empty.
-        return msg.prepared_value is None and not msg.cert
-    if not well_formed(msg.prepared_value, Value):
-        return False  # it keys the certificate's verdict below
+        return not msg.cert
 
     def prepared() -> bool:
         return validate_prepared_certificate(
@@ -148,11 +146,11 @@ def _safe_proposal(
     valid: Optional[ValidPredicate],
     leader_fn: Optional[LeaderFn],
 ) -> bool:
+    if not conforms(signed, Signed[Propose], crypto.verdicts):
+        return False
     if not crypto.signatures.verify(signed):
         return False
     propose = signed.payload
-    if not isinstance(propose, Propose):
-        return False
     view = propose.view
     if view < 1:
         return False
@@ -163,11 +161,9 @@ def _safe_proposal(
         return False
     # The inner statement must be consistent and signed by the same leader.
     statement = propose.statement
-    if not isinstance(statement, Signed) or not crypto.signatures.verify(statement):
+    if not crypto.signatures.verify(statement):
         return False
     inner = statement.payload
-    if not isinstance(inner, ProposalStatement) or not inner.keyable:
-        return False
     if inner.view != view or statement.signer != expected_leader:
         return False
     if inner.domain != config.seed_domain:

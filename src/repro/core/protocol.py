@@ -35,7 +35,9 @@ class ProBFTStack(InstanceStack):
         )
         self.state = ColumnarVoteState(config.n, config.q, correct_ids)
         self.replica_kwargs = {"columnar_state": self.state}
-        self.policy = SampleObservationPolicy(config, byzantine_ids, self.replicas)
+        self.policy = SampleObservationPolicy(
+            config, byzantine_ids, self.replicas, crypto.verdicts
+        )
         self.kernel = ColumnarVoteDispatch(
             config,
             crypto,

@@ -51,8 +51,8 @@ from ..config import ProtocolConfig
 from ..crypto.context import CryptoContext
 from ..crypto.signatures import Signed
 from ..crypto.vrf import VRFOutput, phase_seed
-from ..messages.base import ProposalStatement
-from ..messages.probft import Commit, NewLeader, Prepare, Propose, extract_statement
+from ..messages.base import ProposalStatement, conforms
+from ..messages.probft import Commit, NewLeader, Prepare, Propose
 from ..net.transport import Transport
 from .leader import compute_proposal, leader_of
 from .predicates import safe_proposal, valid_new_leader
@@ -98,33 +98,29 @@ def prevalidate_vote(
 
     Pure function of the message and the instance's shared crypto/config:
     with a verdict table it is computed once per message object and looked
-    up on every later delivery.  ``None`` means the message is not a
-    well-formed vote at all.  The sample is verified, never unpacked: the
-    token carries the :class:`VRFOutput`, and no membership set is built.
+    up on every later delivery.  ``None`` means the message is no vote at
+    all, not even evidence: no Prepare or Commit, or one that does not
+    conform (:func:`~repro.messages.base.conforms`).  The sample is verified,
+    never unpacked: the token carries the :class:`VRFOutput`, and no
+    membership set is built.
     """
     table = crypto.verdicts
     if table is not None and table.config is config:
         token = table.get("vote", message)
         if token is not None:
-            return token
+            return token or None  # False: not a well-typed vote
     else:
         table = None
-    if not isinstance(message, Signed):
-        return None
-    payload = message.payload
+    payload = getattr(message, "payload", None)
     if not isinstance(payload, (Prepare, Commit)):
         return None
+    if not conforms(message, Signed, crypto.verdicts):
+        if table is not None:
+            table.put("vote", message, False)
+        return None
     statement = payload.statement
-    if not isinstance(statement, Signed):
-        return None
     inner = statement.payload
-    if not isinstance(inner, ProposalStatement):
-        return None
-    if not isinstance(payload.sample, VRFOutput):
-        return None
     view = inner.view
-    if not isinstance(view, int):
-        return None  # malformed: dropped before the first comparison
     domain_ok = inner.domain == config.seed_domain
     leader_ok = (
         view >= 1
@@ -132,8 +128,7 @@ def prevalidate_vote(
     )
     is_prepare = isinstance(payload, Prepare)
     valid = (
-        inner.keyable  # else evidence of equivocation at most, never a vote
-        and crypto.signatures.verify(message)
+        crypto.signatures.verify(message)
         and crypto.signatures.verify(statement)
         and domain_ok
         and leader_ok
@@ -294,17 +289,17 @@ class ProBFTReplica:
         if token is not None:
             self._handle_vote(src, message, token)
             return
-        if not isinstance(message, Signed):
-            return  # correct replicas only process signed messages (§2.1)
-        payload = message.payload
+        payload = getattr(message, "payload", None)
         if isinstance(payload, Wish):
             self._sync.on_wish(src, message)
             return
-        if not isinstance(payload, (Propose, NewLeader)):
-            return
+        if not isinstance(payload, (Propose, NewLeader)) or not conforms(
+            message, Signed, self._crypto.verdicts
+        ):
+            return  # only signed (§2.1), well-typed messages are processed
         view = payload.view
-        if not isinstance(view, int) or view < self._cur_view or self._cur_view == 0:
-            return  # malformed, stale (or not yet started)
+        if view < self._cur_view or self._cur_view == 0:
+            return  # stale (or not yet started)
         if view > self._cur_view:
             self._buffer_future(view, src, message)
             return
@@ -544,12 +539,8 @@ class ProBFTReplica:
     def _check_equivocation(self, message: Signed) -> None:
         if self._block_view or not self._voted:
             return
-        statement = extract_statement(message.payload)
-        if not isinstance(statement, Signed):
-            return
+        statement = message.payload.statement  # a Propose's, Prepare's or Commit's
         inner = statement.payload
-        if not isinstance(inner, ProposalStatement):
-            return
         view = self._cur_view
         if inner.view != view or inner.domain != self.config.seed_domain:
             return

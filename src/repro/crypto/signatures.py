@@ -141,7 +141,8 @@ class SignatureScheme:
             expected = digest(_DOMAIN, key, signed.signer, signed.payload)
         except TypeError:
             return False  # nobody signed what has no canonical encoding
-        return expected == signed.signature
+        tag = signed.signature
+        return type(tag) is bytes and expected == tag  # (a subclass may override ==)
 
     def require_valid(self, signed: Signed) -> Signed:
         """Like :meth:`verify` but raises :class:`SignatureError` on failure."""

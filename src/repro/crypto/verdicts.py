@@ -27,29 +27,6 @@ from collections import defaultdict
 from typing import DefaultDict, Dict, Hashable, Optional, Tuple
 
 
-def well_formed(obj: object, shape) -> bool:
-    """The shape check a message's first (validated-once) inspection makes
-    before reading into what a Byzantine sender built.  ``shape``: a class
-    (exactly that type: a subclass may override ``__hash__`` / ``__eq__``),
-    ``Hashable`` (asks ``hash``), a one-item list (a tuple of such items) or
-    ``{attr: shape}``, checked in order — the key ``type``, first, stands
-    for the object itself, so the attributes after it are known to exist."""
-    if isinstance(shape, list):
-        return isinstance(obj, tuple) and all(well_formed(item, shape[0]) for item in obj)
-    if isinstance(shape, dict):
-        return all(
-            well_formed(obj if attr is type else getattr(obj, attr), part)
-            for attr, part in shape.items()
-        )
-    if shape is not Hashable:
-        return type(obj) is shape
-    try:
-        hash(obj)
-    except TypeError:
-        return False
-    return True
-
-
 class VerdictCounts:
     """What the tables of one deployment did, per kind of check.
 

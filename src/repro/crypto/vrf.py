@@ -88,6 +88,16 @@ class VRFOutput:
         return len(self.sample)
 
 
+_INT = {int}
+
+
+def plain_ids(sample: object) -> bool:
+    """Whether a sample is a tuple of exact ``int`` ids, the one form a
+    forged sample may be hashed or compared in (an ``int`` subclass may
+    override ``__hash__`` / ``__eq__``); honest and verified ones always are."""
+    return type(sample) is tuple and set(map(type, sample)) <= _INT
+
+
 def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
     """The first ``s`` distinct IDs named by XOF output (one ``uint64`` array).
 
@@ -206,7 +216,7 @@ class VRF:
         self, replica: ReplicaId, seed: str, s: int, output: VRFOutput
     ) -> bool:
         sample = output.sample
-        if type(sample) is not tuple or len(sample) != s:
+        if not plain_ids(sample) or len(sample) != s:
             return False
         try:
             private_key = self._registry._private_key_of(replica)

@@ -56,16 +56,10 @@ class HsQuorumCert(CanonicalMessage):
     view: View
     value: Value
     phase: str
-    votes: Tuple[Signed, ...]  # Signed[HsVotePayload]
+    votes: Tuple[Signed[HsVotePayload], ...]
 
     def matches(self, view: View, value: Value, phase: HsPhase) -> bool:
         return self.view == view and self.value == value and self.phase == phase.value
-
-
-#: Shapes (see :func:`repro.crypto.verdicts.well_formed`): a signed vote,
-#: and a QC of them, each for a ``Value``.
-VOTE_SHAPE = {type: Signed, "payload": {type: HsVotePayload, "value": Value}}
-QC_SHAPE = {type: HsQuorumCert, "value": Value, "votes": [VOTE_SHAPE]}
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ class HsVote(CanonicalMessage):
 
     TYPE = "HsVote"
 
-    vote: Signed  # Signed[HsVotePayload]
+    vote: Signed[HsVotePayload]
 
     @property
     def view(self) -> View:

@@ -14,14 +14,6 @@ from ..crypto.signatures import Signed
 from ..types import Value, View
 from .base import CanonicalMessage, ProposalStatement
 
-#: What every Propose / Prepare / Commit must carry (see
-#: :func:`repro.crypto.verdicts.well_formed`): a signed statement whose
-#: value is a ``Value`` (:attr:`ProposalStatement.keyable`).
-SHAPE = {
-    "statement": {type: Signed, "payload": {type: ProposalStatement, "value": Value}}
-}
-
-
 @dataclass(frozen=True)
 class PbftPropose(CanonicalMessage):
     """Leader's proposal (``pre-prepare`` in original PBFT terminology)."""
@@ -29,8 +21,8 @@ class PbftPropose(CanonicalMessage):
     TYPE = "PbftPropose"
 
     view: View
-    statement: Signed  # Signed[ProposalStatement] by leader(view)
-    justification: Optional[Tuple[Signed, ...]]  # Signed[PbftNewLeader] quorum
+    statement: Signed[ProposalStatement]  # by leader(view)
+    justification: Optional[Tuple[Signed[PbftNewLeader], ...]]
 
     @property
     def value(self) -> Value:
@@ -46,7 +38,7 @@ class PbftNewLeader(CanonicalMessage):
     view: View
     prepared_view: View
     prepared_value: Optional[Value]
-    cert: Tuple[Signed, ...]  # Signed[PbftPrepare] deterministic quorum
+    cert: Tuple[Signed[PbftPrepare], ...]  # a deterministic quorum
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,7 @@ class PbftPrepare(CanonicalMessage):
 
     TYPE = "PbftPrepare"
 
-    statement: Signed
+    statement: Signed[ProposalStatement]
 
     @property
     def view(self) -> View:
@@ -72,7 +64,7 @@ class PbftCommit(CanonicalMessage):
 
     TYPE = "PbftCommit"
 
-    statement: Signed
+    statement: Signed[ProposalStatement]
 
     @property
     def view(self) -> View:

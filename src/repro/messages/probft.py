@@ -33,8 +33,8 @@ class Propose(CanonicalMessage):
     TYPE = "Propose"
 
     view: View
-    statement: Signed  # Signed[ProposalStatement], signed by leader(view)
-    justification: Optional[Tuple[Signed, ...]]  # Signed[NewLeader] quorum
+    statement: Signed[ProposalStatement]  # signed by leader(view)
+    justification: Optional[Tuple[Signed[NewLeader], ...]]
 
     @property
     def value(self) -> Value:
@@ -56,7 +56,7 @@ class NewLeader(CanonicalMessage):
     view: View
     prepared_view: View
     prepared_value: Optional[Value]
-    cert: Tuple[Signed, ...]  # Signed[Prepare] messages
+    cert: Tuple[Signed[Prepare], ...]
     domain: str = ""
 
 
@@ -66,7 +66,7 @@ class Prepare(CanonicalMessage):
 
     TYPE = "Prepare"
 
-    statement: Signed  # Signed[ProposalStatement], signed by leader(view)
+    statement: Signed[ProposalStatement]  # signed by leader(view)
     sample: VRFOutput  # (S_p, P_p)
 
     @property
@@ -84,7 +84,7 @@ class Commit(CanonicalMessage):
 
     TYPE = "Commit"
 
-    statement: Signed  # Signed[ProposalStatement], signed by leader(view)
+    statement: Signed[ProposalStatement]  # signed by leader(view)
     sample: VRFOutput  # (S_c, P_c)
 
     @property
@@ -94,16 +94,3 @@ class Commit(CanonicalMessage):
     @property
     def value(self) -> Value:
         return self.statement.payload.value
-
-
-def extract_statement(message: object) -> Optional[Signed]:
-    """Pull the leader-signed ``⟨v, x⟩`` out of any ProBFT message, if present.
-
-    Used by the equivocation detector (Algorithm 1 line 23), which triggers
-    on *any* message type carrying a leader-signed statement.
-    """
-    if isinstance(message, Propose):
-        return message.statement
-    if isinstance(message, (Prepare, Commit)):
-        return message.statement
-    return None

@@ -10,12 +10,11 @@
 
 from .probabilistic import QuorumCollector, ProbabilisticQuorumCollector
 from .deterministic import DeterministicQuorumCollector
-from .certificates import PreparedCertificate, validate_prepared_certificate
+from .certificates import validate_prepared_certificate
 
 __all__ = [
     "QuorumCollector",
     "ProbabilisticQuorumCollector",
     "DeterministicQuorumCollector",
-    "PreparedCertificate",
     "validate_prepared_certificate",
 ]

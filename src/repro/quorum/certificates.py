@@ -14,30 +14,12 @@ distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..config import ProtocolConfig
 from ..crypto.signatures import SignatureScheme, Signed
 from ..crypto.vrf import VRF, phase_seed
-from ..messages.base import ProposalStatement
-from ..messages.probft import Prepare
 from ..types import ReplicaId, Value, View
-
-
-@dataclass(frozen=True)
-class PreparedCertificate:
-    """An immutable bundle of signed Prepare messages proving preparation."""
-
-    view: View
-    value: Value
-    messages: Tuple[Signed, ...]  # Signed[Prepare]
-
-    def canonical(self):
-        return ("prepared-cert", self.view, self.value, self.messages)
-
-    def senders(self) -> Tuple[ReplicaId, ...]:
-        return tuple(m.signer for m in self.messages)
 
 
 def validate_prepared_certificate(
@@ -53,7 +35,8 @@ def validate_prepared_certificate(
     """Implements ``prepared(C, v, x, j)`` over raw signed messages.
 
     Args:
-        cert: the candidate certificate (tuple of ``Signed[Prepare]``).
+        cert: the candidate certificate, conforming to its wire type
+            ``Tuple[Signed[Prepare], ...]`` (a NewLeader's ``cert``).
         view: the view ``v`` the certificate claims.
         value: the value ``x`` (``None`` accepts any single consistent value).
         holder: the replica ``j`` that claims to hold the certificate.
@@ -75,14 +58,10 @@ def validate_prepared_certificate(
         if not signatures.verify(signed):
             return False
         prepare = signed.payload
-        if not isinstance(prepare, Prepare):
-            return False
         statement = prepare.statement
         if not signatures.verify(statement):
             return False
         inner = statement.payload
-        if not isinstance(inner, ProposalStatement):
-            return False
         if statement.signer != expected_leader:
             return False
         if inner.view != view or inner.domain != config.seed_domain:
@@ -94,9 +73,10 @@ def validate_prepared_certificate(
         if signed.signer in seen_senders:
             return False
         seen_senders.add(signed.signer)
+        # The VRF owns what is inside a sample: verified before it is read.
         sample = prepare.sample
-        if holder not in sample.sample:
-            return False
         if not vrf.verify(signed.signer, seed, config.sample_size, sample):
+            return False
+        if holder not in sample.sample:
             return False
     return len(seen_senders) >= config.q

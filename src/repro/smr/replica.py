@@ -53,7 +53,7 @@ from ..config import ProtocolConfig
 from ..core.deployment import KERNEL_STATS, InstanceStack
 from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
-from ..messages.base import CanonicalMessage
+from ..messages.base import CanonicalMessage, conforms
 from ..net.sparse import SparseDeliveryPolicy
 from ..net.transport import Transport
 from ..sync.timeouts import TimeoutPolicy
@@ -86,7 +86,7 @@ class SlotEnvelope(CanonicalMessage):
     TYPE = "SlotEnvelope"
 
     slot: int
-    inner: object
+    inner: object  # checked by the slot's instance, against its own types
 
 
 class SlotRecord(NamedTuple):
@@ -140,9 +140,9 @@ class SlotStacks(SparseDeliveryPolicy):
 
     def slot_of(self, message: object) -> Optional[int]:
         """The slot of an envelope a host should still look at."""
-        if isinstance(message, SlotEnvelope):
+        if conforms(message, SlotEnvelope):
             slot = message.slot
-            if isinstance(slot, int) and self.retired < slot <= self.num_slots:
+            if self.retired < slot <= self.num_slots:
                 return slot
         return None
 

@@ -35,7 +35,7 @@ what a sender claims:
   consulted for the ``k``-th highest only once more than ``f`` senders are
   in it (unit tests with more wishers than ``f`` allows).
 
-:class:`WishDispatch` validates a fan-out once (type, ``signer == src``,
+:class:`WishDispatch` validates a fan-out once (wire type, ``signer == src``,
 domain, then staleness per recipient, then one signature verification if any
 recipient would record it), applies it to all running recipients as masked
 scatters, and drops to scalar code only where the per-recipient loop also
@@ -58,8 +58,9 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..crypto.signatures import SignatureScheme, Signed
-from ..types import ReplicaId, View
-from .synchronizer import MAX_VIEW, ViewSynchronizer, Wish
+from ..messages.base import conforms
+from ..types import MAX_VIEW, ReplicaId, View
+from .synchronizer import ViewSynchronizer, Wish
 
 __all__ = ["WishColumns", "WishDispatch"]
 
@@ -356,9 +357,7 @@ class WishDispatch:
 
     def __call__(self, run, pos, probe, advance) -> tuple:
         src, message, dsts = run[pos]
-        if not isinstance(message, Signed):
-            return (-1,)
-        wish = message.payload
+        wish = getattr(message, "payload", None)
         if not isinstance(wish, Wish):
             return (-1,)
         if self._dup:
@@ -366,10 +365,9 @@ class WishDispatch:
             return (self._deliver_each(src, message, dsts, probe),)
         if (
             len(dsts) == 1
+            or not conforms(message, Signed)
             or message.signer != src
             or wish.domain != self._domain
-            or not isinstance(wish.view, int)
-            or wish.view > MAX_VIEW
         ):
             # One recipient, or a wish every synchronizer drops on a lookup:
             # nothing to batch.

@@ -36,7 +36,7 @@ is one algorithm over two backends that answer it:
   its own wishes and for every wish that arrives outside a vectorised
   bucket.
 
-Checks run cheapest first: payload type, ``signer == src``, domain and the
+Checks run cheapest first: the wire type, ``signer == src``, domain and the
 stale/duplicate test are lookups; only a wish that would be recorded pays a
 signature verification, so replayed wishes cost no crypto — and in a
 production instance that verification is itself one lookup per recipient in
@@ -51,14 +51,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..crypto.signatures import SignatureScheme, Signed
-from ..messages.base import CanonicalMessage
+from ..messages.base import CanonicalMessage, conforms
 from ..net.transport import Transport
 from ..types import ReplicaId, View
 from .timeouts import ExponentialTimeout, TimeoutPolicy
-
-#: A wish beyond this is dropped like any other malformed message: the shared
-#: columns store views as ``int64`` and compute ``view + 1``.
-MAX_VIEW = 2**62
 
 
 def _no_upcall(view: View) -> None:
@@ -181,10 +177,10 @@ class ViewSynchronizer:
         if self._stopped:
             return
         wish = getattr(signed, "payload", None)
-        if not isinstance(wish, Wish) or signed.signer != src:
+        if not isinstance(wish, Wish) or not conforms(signed, Signed):
             return
         view = wish.view
-        if not isinstance(view, int) or view > MAX_VIEW or wish.domain != self._domain:
+        if signed.signer != src or wish.domain != self._domain:
             return
         if not self._wishes.accepts(src, view):
             return  # stale or replayed: rejected before any crypto

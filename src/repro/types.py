@@ -12,15 +12,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Annotated, Callable
 
 #: A replica identifier, ``0 <= id < n``.
 ReplicaId = int
 
-#: A view number, ``view >= 1``.  View 1 is the initial view.
-View = int
+#: The largest view a message may name: the synchronizer's shared columns
+#: store views as ``int64`` and compute ``view + 1``.
+MAX_VIEW = 2**62
 
-#: A consensus value.  ProBFT treats values as opaque; equality is what matters.
+#: A view number, ``0 <= view <= MAX_VIEW`` — the bounds are part of the type
+#: (see :func:`repro.messages.base.conforms`).  View 1 is the initial view; 0
+#: is "none" (nothing prepared, not yet started).
+View = Annotated[int, 0, MAX_VIEW]
+
+#: A consensus value: exactly ``bytes``.  ProBFT treats values as opaque;
+#: equality is what matters.
 Value = bytes
 
 #: Application-defined validity predicate (paper §2.2, ``valid(x)``).

@@ -6,7 +6,7 @@ from repro.crypto.hashing import stable_encode
 from repro.messages.base import ProposalStatement
 from repro.messages.hotstuff import HsPhase, HsQuorumCert, HsVotePayload
 from repro.messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
-from repro.messages.probft import Commit, NewLeader, Prepare, Propose, extract_statement
+from repro.messages.probft import Commit, NewLeader, Prepare, Propose
 
 from .helpers import make_commit, make_crypto, make_prepare, make_propose, make_statement, saturated_config
 
@@ -60,19 +60,6 @@ class TestProBFTMessages:
         assert commit.payload.view == 2 and commit.payload.value == b"w"
         # Prepare and commit samples come from different seeds.
         assert prepare.payload.sample != commit.payload.sample
-
-    def test_extract_statement(self, setup):
-        cfg, crypto = setup
-        statement = make_statement(crypto, cfg, 1, b"v")
-        propose = make_propose(crypto, cfg, view=1, value=b"v")
-        prepare = make_prepare(crypto, cfg, 2, statement)
-        commit = make_commit(crypto, cfg, 2, statement)
-        assert extract_statement(propose.payload) is propose.payload.statement
-        assert extract_statement(prepare.payload) is statement
-        assert extract_statement(commit.payload) is statement
-        assert extract_statement("junk") is None
-        nl = NewLeader(view=2, prepared_view=0, prepared_value=None, cert=())
-        assert extract_statement(nl) is None
 
     def test_type_labels(self):
         assert Propose.TYPE == "Propose"

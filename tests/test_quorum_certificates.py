@@ -5,11 +5,13 @@ from dataclasses import replace
 import pytest
 
 from repro.core.leader import leader_of_view
+from repro.core.predicates import valid_new_leader
 from repro.messages.probft import Prepare
 from repro.quorum.certificates import validate_prepared_certificate
 
 from .helpers import (
     make_crypto,
+    make_new_leader,
     make_prepare,
     make_prepared_cert,
     make_statement,
@@ -109,10 +111,16 @@ class TestInvalidCertificates:
         assert not validate(tuple(cert), cfg, crypto)
 
     def test_non_prepare_payload_rejected(self, cfg, crypto):
+        """A certificate is only read inside a NewLeader that conforms to
+        its wire type: one holding anything but signed Prepares is not."""
         statement = make_statement(crypto, cfg, 1, b"v")
         bogus = crypto.signatures.sign(0, statement.payload)
         cert = make_prepared_cert(crypto, cfg, 1, b"v", senders=range(cfg.q - 1))
-        assert not validate(cert + (bogus,), cfg, crypto)
+        msg = make_new_leader(
+            crypto, cfg, 5, view=2, prepared_view=1, prepared_value=b"v",
+            cert=cert + (bogus,),
+        )
+        assert not valid_new_leader(msg, 2, cfg, crypto)
 
     def test_wrong_domain_rejected(self, cfg, crypto):
         other_cfg = saturated_config(seed_domain="slot-9")

@@ -494,11 +494,12 @@ class _MalformedProposer:
 
 
 class TestMalformedProposals:
-    """A statement whose value cannot be hashed, or that is no signed
-    ``ProposalStatement``, is malformed: the Propose is not a safe proposal
-    (nobody votes), a vote carrying it is never counted and never keys a
-    quorum slot — never a ``TypeError`` / ``AttributeError`` out of an honest
-    replica, the observation policy, the vote kernel or the oracle."""
+    """A statement whose value is no ``bytes`` (here: cannot even be
+    hashed), or that is no signed ``ProposalStatement``, does not conform:
+    the Propose or vote around it is dropped whole — not a proposal, not a
+    vote, not evidence of equivocation, even under the leader's key — and
+    never a ``TypeError`` / ``AttributeError`` out of an honest replica, the
+    observation policy, the vote kernel or the oracle."""
 
     @staticmethod
     def _cluster(reference=False):
@@ -526,14 +527,8 @@ class TestMalformedProposals:
                     assert safe_proposal(message, dep.config, dep.crypto) is False
                     assert prevalidate_vote(dep.config, dep.crypto, message) is None
                     continue
-                token = prevalidate_vote(dep.config, dep.crypto, message)
-                if message.payload.statement == JUNK_STATEMENT:
-                    assert token is None  # not a vote at all
-                else:
-                    # A vote, judged once: never counted, but still evidence
-                    # if the leader signed it.
-                    assert token.valid is False
-                    assert token.eq_candidate is (signer == 0)
+                # Not a vote at all, judged once.
+                assert prevalidate_vote(dep.config, dep.crypto, message) is None
         # The verdicts are the table's: asked again, nothing is recomputed.
         computed = dict(dep.crypto.verdicts.counts.computed)
         for message in messages:
@@ -560,14 +555,16 @@ class TestMalformedProposals:
             dep.network.multicast(signer, [d for d in range(8) if d != signer], message)
         dep.run(max_time=600.0)
         assert all(r.decision is not None for r in dep.replicas.values())
-        # Under the leader's key they are a second statement of the leader's
-        # (seat 0 also proposed honestly): view 1 is blocked, view 2 decides.
-        assert dep.max_decision_view == (2 if signer == 0 else 1)
+        # Not even under the leader's key (seat 0 also proposed honestly) are
+        # they a second statement: no correct replica votes for a value that
+        # is no ``bytes``, so it cannot be half of a split.  View 1 decides.
+        assert dep.max_decision_view == 1
         if not reference:
-            assert dep.vote_kernel_stats()["declined"] >= 2 * len(UNHASHABLE_VALUES)
+            assert dep.vote_kernel_stats()["declined"] == 0  # no vote buckets
 
-    def test_a_voted_replica_blocks_on_the_leaders_unhashable_statement(self):
-        """Malformed is not invisible: the leader did sign two statements."""
+    def test_a_voted_replica_ignores_the_leaders_unhashable_statement(self):
+        """The leader did sign a second statement, but not a conforming one:
+        it is no evidence, and the view goes on."""
         from .helpers import make_propose
 
         dep = self._cluster()
@@ -576,7 +573,7 @@ class TestMalformedProposals:
         assert replica._voted and not replica.view_blocked
         vote = _malformed_proposal_messages(dep.crypto, dep.config, 0)[1]
         replica.on_message(0, vote)
-        assert replica.view_blocked
+        assert not replica.view_blocked
         assert replica._prepare_collectors.get(1).count(b"v") == 0
 
     @pytest.mark.parametrize("latency", ["constant", "exponential"])
@@ -829,15 +826,47 @@ def _junk_value_leader(protocol, value):
     return Seat
 
 
-#: ``prepared_value``s of a Byzantine NewLeader: unhashable, or a ``bytes``
-#: whose hash raises.
-JUNK_PREPARED_VALUES = ([b"x"], {"a": 1}, HashRaises(b"x"))
+def _unsampled_prepares(crypto, config, seat):
+    """40 Prepares the seat signs itself around a statement of the (silent,
+    colluding) view-1 leader, each with a "sample" that is no VRF output."""
+    from repro.messages.base import ProposalStatement
+    from repro.messages.probft import Prepare
+
+    leader_key = crypto.registry.key_pair(0).private_key
+    statement = crypto.signatures.sign_with(
+        leader_key, 0, ProposalStatement(1, b"x", config.seed_domain)
+    )
+    key = crypto.registry.key_pair(seat).private_key
+    prepare = Prepare(statement=statement, sample=5)
+    return tuple(crypto.signatures.sign_with(key, seat, prepare) for _ in range(40))
 
 
-def _junk_new_leader_seat(protocol, value):
-    """A Byzantine seat that signs a NewLeader for view 2 claiming ``value``
-    prepared in view 1 with an empty certificate, and sends it to view 2's
-    leader (replica 1) at t=1: early, so it is buffered and replayed."""
+#: What a Byzantine NewLeader claims prepared in view 1, as ``(prepared_value,
+#: cert)``: a value that is no ``bytes`` (unhashable, or a ``bytes`` whose
+#: hash raises) with an empty certificate, or a certificate that is no tuple
+#: of signed Prepares.  Each is sent under both protocols but the last (a
+#: PBFT Prepare has no sample).
+JUNK_CLAIMS = {
+    "list": lambda crypto, config, seat: ([b"x"], ()),
+    "dict": lambda crypto, config, seat: ({"a": 1}, ()),
+    "HashRaises": lambda crypto, config, seat: (HashRaises(b"x"), ()),
+    "cert=5": lambda crypto, config, seat: (b"x", 5),
+    "cert=unsampled": lambda crypto, config, seat: (
+        b"x", _unsampled_prepares(crypto, config, seat)
+    ),
+}
+JUNK_CLAIM_CASES = [
+    pytest.param(protocol, name, id=f"{name}-{protocol}")
+    for name in JUNK_CLAIMS
+    for protocol in ("probft", "pbft")
+    if not (protocol == "pbft" and name == "cert=unsampled")  # no samples
+]
+
+
+def _junk_new_leader_seat(protocol, claim):
+    """A Byzantine seat that signs a NewLeader for view 2 making the claim
+    ``claim`` about view 1, and sends it to view 2's leader (replica 1) at
+    t=1: early, so it is buffered and replayed."""
     if protocol == "probft":
         from repro.messages.probft import NewLeader as kind
     else:
@@ -852,7 +881,8 @@ def _junk_new_leader_seat(protocol, value):
             self._transport.schedule(1.0, self._send)
 
         def _send(self):
-            fields = dict(view=2, prepared_view=1, prepared_value=value, cert=())
+            value, cert = JUNK_CLAIMS[claim](self._crypto, self._config, self.id)
+            fields = dict(view=2, prepared_view=1, prepared_value=value, cert=cert)
             if protocol == "probft":
                 fields["domain"] = self._config.seed_domain
             self._transport.send(1, self._crypto.signatures.sign(self.id, kind(**fields)))
@@ -873,52 +903,54 @@ class TestValueDomain:
     def test_statements_and_shapes_say_no(self):
         from repro.baselines.pbft.predicates import pbft_safe_proposal
         from repro.core.predicates import safe_proposal
-        from repro.crypto.verdicts import well_formed
-        from repro.messages.base import ProposalStatement
-        from repro.messages.hotstuff import (
-            QC_SHAPE, VOTE_SHAPE, HsQuorumCert, HsVotePayload,
-        )
-        from repro.messages.pbft import SHAPE, PbftPropose
+        from repro.crypto.signatures import Signed
+        from repro.messages.base import ProposalStatement, conforms
+        from repro.messages.hotstuff import HsQuorumCert, HsVotePayload
+        from repro.messages.pbft import PbftPropose
         from repro.messages.probft import Propose
 
         from .helpers import make_crypto
 
         config = ProtocolConfig(n=8, f=1)
         crypto = make_crypto(config).instance(config)
-        assert ProposalStatement(1, b"v").keyable
+        assert conforms(ProposalStatement(1, b"v"), ProposalStatement)
         for value in NOT_BYTES + HOSTILE_BYTES:
             statement = crypto.signatures.sign(
                 0, ProposalStatement(1, value, config.seed_domain)
             )
-            assert not statement.payload.keyable
+            assert not conforms(statement, Signed[ProposalStatement])
             propose = crypto.signatures.sign(0, Propose(1, statement, None))
             assert safe_proposal(propose, config, crypto) is False
             pbft = crypto.signatures.sign(0, PbftPropose(1, statement, None))
-            assert not well_formed(pbft.payload, SHAPE)
+            assert not conforms(pbft, Signed, crypto.verdicts)
             assert pbft_safe_proposal(pbft, config, crypto) is False
             vote = crypto.signatures.sign(0, HsVotePayload(1, value, "prepare"))
-            assert not well_formed(vote, VOTE_SHAPE)
+            assert not conforms(vote, Signed[HsVotePayload])
             qc = HsQuorumCert(1, value, "prepare", ())
-            assert not well_formed(qc, QC_SHAPE)
+            assert not conforms(qc, HsQuorumCert)
 
     @pytest.mark.parametrize(
         "name", ["bytes", "Signed", "ProposalStatement", "HsVotePayload", "HsQuorumCert"]
     )
     def test_a_class_shape_is_an_exact_type(self, name):
-        """Every class a shape names accepts its own instances and no
-        subclass's: a subclass may override ``__hash__`` / ``__eq__``."""
+        """Every class a message names conforms with its own instances and
+        no subclass's: a subclass may override ``__hash__`` / ``__eq__``."""
         from repro.crypto.signatures import Signed
-        from repro.crypto.verdicts import well_formed
-        from repro.messages.base import ProposalStatement
+        from repro.messages.base import ProposalStatement, conforms
         from repro.messages.hotstuff import HsQuorumCert, HsVotePayload
 
-        cls = {
-            "bytes": bytes, "Signed": Signed, "ProposalStatement": ProposalStatement,
-            "HsVotePayload": HsVotePayload, "HsQuorumCert": HsQuorumCert,
+        statement = ProposalStatement(1, b"v")
+        good = {
+            "bytes": b"v", "Signed": Signed(statement, 0, b""),
+            "ProposalStatement": statement,
+            "HsVotePayload": HsVotePayload(1, b"v", "prepare"),
+            "HsQuorumCert": HsQuorumCert(1, b"v", "prepare", ()),
         }[name]
+        cls = type(good)
+        hint = Signed[ProposalStatement] if cls is Signed else cls
         sub = type("Sub", (cls,), {})
-        assert well_formed(cls.__new__(cls), cls)
-        assert not well_formed(sub.__new__(sub), cls)
+        assert conforms(good, hint)
+        assert not conforms(sub.__new__(sub), hint)
 
     @pytest.mark.parametrize("latency", ["constant", "exponential"])
     @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
@@ -930,7 +962,8 @@ class TestValueDomain:
     def test_a_hotstuff_vote_for_a_bytes_subclass_is_dropped(self, value, latency):
         """A HotStuff vote signs its own value: a voter that votes for the
         leader's value as a hostile subclass used to crash the leader's vote
-        collector.  The vote is malformed (``VOTE_SHAPE``); view 1 decides."""
+        collector.  The vote does not conform (``Signed[HsVotePayload]``);
+        view 1 decides."""
         import dataclasses
 
         from repro.core.leader import leader_of_view
@@ -1008,15 +1041,16 @@ class TestValueDomain:
         decided = [d.value for d in context.deployment.decisions.values()]
         assert all(type(value) is bytes for value in decided)
 
-    @pytest.mark.parametrize("protocol", ["probft", "pbft"])
-    @pytest.mark.parametrize(
-        "value", JUNK_PREPARED_VALUES, ids=lambda v: type(v).__name__
-    )
-    def test_a_junk_prepared_value_is_an_invalid_new_leader(self, value, protocol):
-        """A NewLeader whose ``prepared_value`` is no ``bytes`` is invalid
-        before its certificate is looked at (the certificate's verdict is
-        keyed by the value): it used to crash ProBFT's view-2 leader, which
-        replays it from its buffer when view 2 starts."""
+    @pytest.mark.parametrize("protocol,claim", JUNK_CLAIM_CASES)
+    def test_a_junk_prepared_value_is_an_invalid_new_leader(self, protocol, claim):
+        """A NewLeader whose ``prepared_value`` is no ``bytes``, or whose
+        ``cert`` is no tuple of signed Prepares, does not conform, and is
+        dropped before its certificate is looked at (the certificate's
+        verdict is keyed by the value).  Each used to crash view 2's leader,
+        which replays it from its buffer when view 2 starts: the values
+        ProBFT's, ``cert=5`` both protocols' (``len`` / iteration), and
+        ``cert=unsampled`` ProBFT's (the certificate check read the sample's
+        ids before verifying it)."""
         import dataclasses
 
         from repro.harness.registry import MatrixCell, cell_deployment_spec
@@ -1027,13 +1061,138 @@ class TestValueDomain:
         def spec():
             cell = MatrixCell(protocol, "silent", "constant", n=10, f=3)
             base = cell_deployment_spec(cell, seed=1, max_time=600.0)
-            seat = _junk_new_leader_seat(protocol, value)
+            seat = _junk_new_leader_seat(protocol, claim)
             return dataclasses.replace(base, byzantine={**base.byzantine, 9: seat})
 
         result = run_trial(spec())
         assert result == run_trial(reference_spec(spec()))
         assert result.all_decided and result.agreement_ok
         assert result.decision_views == (2,)
+
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize(
+        "value", [None, 5, [1], HashRaises(b"b"), EqRaises(b"b")],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_a_leaders_second_statement_of_no_value_is_no_evidence(
+        self, value, reference
+    ):
+        """Seat 0 leads view 1 with a valid Propose(b"a"), then at t=1.5
+        broadcasts its own Prepare around a second statement of its for view
+        1 whose value is no ``bytes``.  That Prepare does not conform, so it
+        is dropped whole — no correct replica votes for such a value, so it
+        cannot be half of a split.  It used to be evidence: view 1 blocked
+        and the trial decided in views (2, 3), or the ``==`` of the
+        equivocation check raised out of every replica that had voted."""
+        import dataclasses
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import run_trial
+
+        from .helpers import reference_spec
+
+        class Seat:
+            def __init__(self, replica_id, config, crypto, transport):
+                self.id, self._config = replica_id, config
+                self._crypto, self._transport = crypto, transport
+
+            def start(self):
+                from repro.messages.base import ProposalStatement
+                from repro.messages.probft import Propose
+
+                sign = lambda payload: self._crypto.signatures.sign(self.id, payload)
+                statement = sign(ProposalStatement(1, b"a", self._config.seed_domain))
+                self._transport.broadcast(sign(Propose(1, statement, None)))
+                self._transport.schedule(1.5, self._second_statement)
+
+            def _second_statement(self):
+                from repro.crypto.vrf import phase_seed
+                from repro.messages.base import ProposalStatement
+                from repro.messages.probft import Prepare
+
+                config, crypto = self._config, self._crypto
+                key = crypto.registry.key_pair(self.id).private_key
+                statement = crypto.signatures.sign_with(
+                    key, self.id, ProposalStatement(1, value, config.seed_domain)
+                )
+                sample = crypto.vrf.prove_with(
+                    key, self.id, phase_seed(1, "prepare", config.seed_domain),
+                    config.sample_size,
+                )
+                prepare = Prepare(statement=statement, sample=sample)
+                self._transport.broadcast(crypto.signatures.sign_with(key, self.id, prepare))
+
+            def on_message(self, src, message):
+                pass
+
+        cell = MatrixCell("probft", "none", "constant", n=30, f=5)
+        spec = dataclasses.replace(
+            cell_deployment_spec(cell, seed=3, max_time=600.0), byzantine={0: Seat}
+        )
+        result = run_trial(reference_spec(spec) if reference else spec)
+        assert result.all_decided and result.agreement_ok
+        assert result.decision_views == (1,)
+
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("hostile", ["__hash__", "__eq__"])
+    def test_a_hostile_int_in_a_sample_is_an_invalid_vote(self, hostile, reference):
+        """Seat 7 answers the Propose with a Prepare whose sample is its own
+        with the first id an ``int`` subclass whose ``hostile`` raises.  The
+        VRF verifies only a tuple of exact ``int`` ids: the vote is invalid.
+        It used to raise out of the verification (``__eq__``, both stacks),
+        or out of the oracle's ``i ∈ S`` (``__hash__``)."""
+        import dataclasses
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import run_trial
+
+        from .helpers import reference_spec
+
+        def raises(*args):
+            raise RuntimeError(f"hostile {hostile}")
+
+        members = {"__hash__": raises} if hostile == "__hash__" else {
+            "__eq__": raises, "__hash__": int.__hash__,
+        }
+        HostileInt = type("HostileInt", (int,), members)
+
+        class Seat:
+            def __init__(self, replica_id, config, crypto, transport):
+                self.id, self._config = replica_id, config
+                self._crypto, self._transport = crypto, transport
+
+            def start(self):
+                pass
+
+            def on_message(self, src, message):
+                from repro.crypto.vrf import VRFOutput, phase_seed
+                from repro.messages.probft import Prepare, Propose
+
+                if not isinstance(getattr(message, "payload", None), Propose):
+                    return
+                config, crypto = self._config, self._crypto
+                key = crypto.registry.key_pair(self.id).private_key
+                honest = crypto.vrf.prove_with(
+                    key, self.id, phase_seed(1, "prepare", config.seed_domain),
+                    config.sample_size,
+                )
+                sample = (HostileInt(honest.sample[0]),) + honest.sample[1:]
+                prepare = Prepare(
+                    statement=message.payload.statement,
+                    sample=VRFOutput(sample=sample, proof=honest.proof),
+                )
+                self._transport.multicast(
+                    [d for d in range(config.n) if d != self.id],
+                    crypto.signatures.sign_with(key, self.id, prepare),
+                )
+
+        cell = MatrixCell("probft", "none", "constant", n=30, f=5)
+        spec = dataclasses.replace(
+            cell_deployment_spec(cell, seed=3, max_time=600.0), byzantine={7: Seat}
+        )
+        result = run_trial(reference_spec(spec) if reference else spec)
+        assert result.all_decided and result.agreement_ok
+        assert result.decision_views == (1,)
 
     @pytest.mark.parametrize("value", NOT_BYTES)
     def test_serving_under_a_junk_value_leader(self, value, monkeypatch):
