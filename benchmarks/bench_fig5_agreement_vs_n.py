@@ -5,61 +5,43 @@ optimal split) and f/n = 0.2, the probability of ensuring agreement within a
 view grows with n and lives in the 0.999..1 band.
 
 Curves: the paper's Theorem-7 bound (NaN where its Chernoff domain fails —
-exactly what happens for o ≥ n/r at these parameters), the exact binomial
-chain for the fixed-pair event Lemma 5 analyses, and a Monte-Carlo estimate
-of the per-side decide probability.  The full protocol is stricter than all
-of these: equivocation detection makes observed violations vanish
-(``tests/test_montecarlo.py::test_detection_crushes_violation`` and the
-full-protocol runs in tests).
+exactly what happens for o ≥ n/r at these parameters) and the exact binomial
+chain for the fixed-pair event Lemma 5 analyses.  The chain squares one
+side's decide probability; at small n the model's exact pair probability is
+higher (``tests/test_analysis_exact.py``), so the chain is no upper bound on
+the violation it counts.  The full protocol is stricter than both:
+equivocation detection makes observed violations vanish (the
+``probft/equivocation/constant`` matrix cell, run below at n=20).
 """
 
+import dataclasses
 import time
 
 import pytest
 
-from repro.adversary.equivocation import equivocation_byzantine_map
 from repro.analysis import agreement as A
-from repro.config import ProtocolConfig
 from repro.crypto.context import CryptoContext, clear_crypto_pool
 from repro.crypto.hashing import digest
-from repro.harness.parallel import (
-    ExperimentEngine,
-    spawn_seeds,
-    workers_from_env,
-)
+from repro.harness.parallel import spawn_seeds
+from repro.harness.registry import MatrixCell, cell_deployment_spec
 from repro.harness.tables import render_series, render_table
-from repro.harness.trial import DeploymentSpec, run_trial
-from repro.montecarlo.experiments import estimate_agreement_violation
-from repro.net.latency import ConstantLatency
-from repro.sync.timeouts import FixedTimeout
+from repro.harness.trial import run_trial
 
 N_VALUES = [100, 150, 200, 250, 300]
 F_RATIO = 0.2
 O_VALUES = (1.6, 1.7, 1.8)
-TRIALS = 1200
-
-#: Process-pool size for the Monte-Carlo trials; 0 = serial.  The engine's
-#: counter-based seeds make results identical for every worker count.
-WORKERS = workers_from_env("REPRO_BENCH_WORKERS")
 
 
-def compute_curves(workers: int = WORKERS):
+def compute_curves():
     curves = {}
-    with ExperimentEngine(workers=workers) as engine:
-        for o in O_VALUES:
-            paper, exact, mc_pair = [], [], []
-            for n in N_VALUES:
-                f = int(F_RATIO * n)
-                paper.append(1.0 - A.theorem7_violation_bound(n, f, o, 2.0, strict=False))
-                exact.append(A.agreement_in_view_exact(n, f, o, 2.0, variant="pair"))
-                result = estimate_agreement_violation(
-                    n, f, o, trials=TRIALS, seed=n, engine=engine
-                )
-                side = result.estimates["side_decides_fixed"].point
-                mc_pair.append(1.0 - side**2)
-            curves[f"bound o={o}"] = paper
-            curves[f"exact o={o}"] = exact
-            curves[f"mc o={o}"] = mc_pair
+    for o in O_VALUES:
+        paper, exact = [], []
+        for n in N_VALUES:
+            f = int(F_RATIO * n)
+            paper.append(1.0 - A.theorem7_violation_bound(n, f, o, 2.0, strict=False))
+            exact.append(A.agreement_in_view_exact(n, f, o, 2.0, variant="pair"))
+        curves[f"bound o={o}"] = paper
+        curves[f"exact o={o}"] = exact
     return curves
 
 
@@ -105,36 +87,25 @@ PROTOCOL_MASTER_SEED = 2024
 def compute_protocol_cell(n: int = PROTOCOL_N, trials: int = PROTOCOL_TRIALS):
     """Run the Figure-4c attack cell twice — fresh vs pooled crypto.
 
-    Both runs execute identical trials through the unified ``run_trial``
-    lifecycle; the fresh run injects uncached ``CryptoContext.create``
-    contexts while the pooled run uses the default per-process pool with
-    memoized verification.  Returns the violation count (the Figure-5
-    estimate) plus both wall-clock timings.
+    Both runs execute the ``probft/equivocation/constant`` matrix cell's
+    trials through ``run_trial``; the fresh run injects uncached
+    ``CryptoContext.create`` contexts while the pooled run uses the default
+    per-process pool with memoized verification.  Returns the violation
+    count (the Figure-5 estimate) plus both wall-clock timings.
     """
-    config = ProtocolConfig(n=n, f=int(F_RATIO * n))
+    cell = MatrixCell("probft", "equivocation", "constant", n, int(F_RATIO * n))
     seeds = spawn_seeds(PROTOCOL_MASTER_SEED, trials)
 
     def one_trial(seed: int, crypto=None):
-        byzantine, _plan = equivocation_byzantine_map(config)
-        return run_trial(
-            DeploymentSpec(
-                protocol="probft",
-                config=config,
-                seed=seed,
-                latency=ConstantLatency(1.0),
-                timeout_policy=FixedTimeout(20.0),
-                byzantine=byzantine,
-                max_time=5000,
-                extra=(("crypto", crypto),) if crypto is not None else (),
-            )
-        )
+        spec = cell_deployment_spec(cell, seed, max_time=5000.0)
+        if crypto is not None:
+            spec = dataclasses.replace(spec, extra=spec.extra + (("crypto", crypto),))
+        return run_trial(spec)
 
     clear_crypto_pool()
     start = time.perf_counter()
     fresh = [
-        one_trial(
-            seed, CryptoContext.create(config.n, digest("deployment", seed))
-        )
+        one_trial(seed, CryptoContext.create(n, digest("deployment", seed)))
         for seed in seeds
     ]
     fresh_time = time.perf_counter() - start

@@ -11,7 +11,12 @@ reproduces it three ways per quantity:
    are independent *across senders*; the dependence the paper battles with
    negative association is across receivers), so per-replica quorum
    probabilities have closed forms via scipy;
-3. cross-checked empirically by :mod:`repro.montecarlo`.
+3. checked at small n against the model's exact probabilities —
+   ``tests/test_analysis_exact.py`` convolves every sender's uniform
+   s-subset law over per-receiver counts, prepare then commit, and pins
+   each chain's direction.  The protocol itself is measured by the
+   ``probft/equivocation/constant`` matrix cell
+   (:func:`~repro.harness.registry.run_matrix`).
 
 Modules:
 

@@ -15,7 +15,10 @@ Each bound is paired with an exact binomial chain mirroring
 :mod:`repro.analysis.termination`.  The chains deliberately count only
 quorum-formation events (like the paper's analysis); equivocation *detection*
 by correct replicas further reduces the true violation probability, which the
-full-protocol Monte-Carlo runs confirm.
+``probft/equivocation/constant`` matrix cell confirms (no violation at n=20
+in ``benchmarks/bench_fig5_agreement_vs_n.py``).  Against the model's exact
+probabilities at small n (``tests/test_analysis_exact.py``) the fixed-replica
+chains underestimate, as the termination chains do.
 """
 
 from __future__ import annotations
@@ -152,7 +155,10 @@ def side_decide_exact(n: int, f: int, o: float, l: float) -> float:
     Chain: the replica needs a prepare quorum from its side's senders
     (``Bin(r, s/n) ≥ q`` with ``r = (n−f)/2 + f``), and a commit quorum from
     the side's committers — the correct side members that prepared
-    (``Bin(r_C, p_prep)``) plus the ``f`` Byzantine double-voters.
+    (``Bin(r_C, p_prep)``) plus the ``f`` Byzantine double-voters.  Like
+    the termination chain it treats the stages as independent and
+    underestimates: 0.3177 against an exact 0.3816 at
+    ``(n, f, o, l) = (7, 2, 1.5, 1.0)``.
     """
     q, s = _sizes(n, o, l)
     p = s / n
@@ -168,16 +174,25 @@ def side_decide_exact(n: int, f: int, o: float, l: float) -> float:
 
 def violation_exact_pair(n: int, f: int, o: float, l: float) -> float:
     """Exact-chain probability that one fixed replica per side decides
-    (the event whose probability Lemma 5/Theorem 7 bound)."""
+    (the event whose probability Lemma 5/Theorem 7 bound).
+
+    The square treats the two sides as independent; the exact probability
+    is higher at every configuration ``tests/test_analysis_exact.py``
+    checks (0.1009 against 0.2476 at ``(n, f, o, l) = (7, 2, 1.5, 1.0)``).
+    """
     side = side_decide_exact(n, f, o, l)
     return side**2
 
 
 def violation_exact_any(n: int, f: int, o: float, l: float) -> float:
-    """Union-style estimate: *some* replica on each side decides.
+    """Estimate that *some* replica on each side decides.
 
-    Treats replicas as independent (``1 − (1−p)^{r_C}`` per side), which
-    overestimates — used as the conservative curve in the Figure-5 bench.
+    Treats a side's replicas as independent (``1 − (1−p)^{r_C}`` per side).
+    That is no bound in either direction.  Against the exact probability
+    that some side replica decides, the per-side term is 0.5345 against
+    0.5766 at ``(n, f, o, l) = (7, 2, 1.5, 1.0)`` but 0.9411 against 0.9230
+    at ``(7, 2, 1.8, 0.8)`` (``tests/test_analysis_exact.py``).  The
+    Figure-5 benches plot the ``pair`` variant.
     """
     side = side_decide_exact(n, f, o, l)
     r_correct = optimal_side_correct(n, f)

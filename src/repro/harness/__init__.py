@@ -7,7 +7,6 @@ delivery stack, serving, determinism — is ``docs/harness.md``.
 from .adaptive import (
     DEFAULT_CHUNK,
     FixedBudget,
-    ProportionProgress,
     StoppingRule,
     TargetWidth,
     consume_adaptive,
@@ -26,7 +25,6 @@ from .metrics import (
     percentile,
     stddev,
     wilson_interval,
-    ProportionEstimate,
     StreamingProportion,
     Welford,
 )
@@ -37,7 +35,6 @@ from .parallel import (
     derive_seed,
     resolve_workers,
     spawn_seeds,
-    workers_from_env,
 )
 from .registry import (
     MATRICES,
@@ -52,7 +49,6 @@ from .registry import (
 __all__ = [
     "DEFAULT_CHUNK",
     "FixedBudget",
-    "ProportionProgress",
     "StoppingRule",
     "TargetWidth",
     "consume_adaptive",
@@ -67,7 +63,6 @@ __all__ = [
     "percentile",
     "stddev",
     "wilson_interval",
-    "ProportionEstimate",
     "StreamingProportion",
     "Welford",
     "ExperimentEngine",
@@ -75,7 +70,6 @@ __all__ = [
     "TrialSpec",
     "derive_seed",
     "spawn_seeds",
-    "workers_from_env",
     "resolve_workers",
     "MATRICES",
     "CellAccumulator",

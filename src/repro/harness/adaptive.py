@@ -15,11 +15,9 @@ experiment surface stop a cell as soon as its interval is *good enough*:
   into the caller's accumulator, and evaluate the rule **only at
   deterministic checkpoint boundaries** (every ``chunk`` trials, plus once
   at stream exhaustion).
-* :class:`ProportionProgress` — adapts a dict of named
-  :class:`~repro.harness.metrics.StreamingProportion` counters to the
-  progress view rules consume (the Monte-Carlo estimators use it;
-  :class:`~repro.harness.registry.CellAccumulator` implements the same view
-  natively for matrix cells).
+* the progress view rules consume — :class:`Progress`, which
+  :class:`~repro.harness.registry.CellAccumulator` implements for matrix
+  cells.
 
 Determinism is the whole design: rules never see wall-clock, worker
 counts, or completion order — only the submission-order prefix folded so
@@ -47,14 +45,11 @@ expected stopping point.
 from __future__ import annotations
 
 import typing
-from typing import Callable, Dict, Iterable, Optional, Tuple
-
-from .metrics import StreamingProportion
+from typing import Callable, Iterable, Optional, Tuple
 
 __all__ = [
     "DEFAULT_CHUNK",
     "FixedBudget",
-    "ProportionProgress",
     "STOP_BUDGET",
     "STOP_MAX_TRIALS",
     "STOP_TARGET_WIDTH",
@@ -139,11 +134,10 @@ class TargetWidth(StoppingRule):
     """Stop when ``metric``'s Wilson interval is at most ``width`` wide.
 
     ``metric`` names a proportion the progress view exposes
-    (``agreement_rate`` for matrix cells; an estimate key for the
-    Monte-Carlo estimators).  ``min_trials`` refuses to stop before a
-    floor (checkpointing already imposes one chunk); ``max_trials`` is a
-    built-in cap for open-ended streams — with reason ``"max-trials"`` so
-    reports distinguish *converged* from *gave up*.
+    (``agreement_rate`` for matrix cells).  ``min_trials`` refuses to stop
+    before a floor (checkpointing already imposes one chunk); ``max_trials``
+    is a built-in cap for open-ended streams — with reason ``"max-trials"``
+    so reports distinguish *converged* from *gave up*.
     """
 
     def __init__(
@@ -182,34 +176,6 @@ class TargetWidth(StoppingRule):
             f"TargetWidth({self.width}, metric={self.metric!r}, "
             f"min_trials={self.min_trials}, max_trials={self.max_trials})"
         )
-
-
-class ProportionProgress:
-    """Progress view over named :class:`StreamingProportion` counters.
-
-    The Monte-Carlo estimators fold one counter per estimate key and hand
-    this adapter to the rule; ``width`` of an unknown metric raises a
-    KeyError that lists what *is* available (typo-proofing ``stopping=``).
-    """
-
-    def __init__(self, proportions: Dict[str, StreamingProportion]) -> None:
-        if not proportions:
-            raise ValueError("ProportionProgress needs at least one counter")
-        self._proportions = proportions
-
-    @property
-    def trials(self) -> int:
-        return max(p.trials for p in self._proportions.values())
-
-    def width(self, metric: str) -> float:
-        try:
-            proportion = self._proportions[metric]
-        except KeyError:
-            raise KeyError(
-                f"unknown stopping metric {metric!r}; available: "
-                f"{', '.join(sorted(self._proportions))}"
-            ) from None
-        return proportion.interval_width
 
 
 def consume_adaptive(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -106,11 +105,15 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     """The ``q``-th percentile of ``values`` (linear interpolation).
 
     Uses the standard linear-interpolation-between-closest-ranks definition
-    (numpy's default), so ``percentile(vs, 50)`` is the median.  Returns
-    ``None`` for empty input — serving cells where nothing completed must
-    surface as explicit gaps, never as NaN quietly flowing into reports
-    (the tail-latency sibling of the :func:`mean` NaN contract, which we
-    keep for backward compatibility there).
+    (numpy's default), so ``percentile(vs, 50)`` is the median.  The
+    interpolation is numpy's too: ``a + (b−a)·t`` below the midpoint and
+    ``b − (b−a)·(1−t)`` from it on, which is exact when ``a == b`` and keeps
+    the result inside ``[min, max]`` (``a·(1−t) + b·t`` can land an ulp
+    above two equal neighbours).  Returns ``None`` for empty input —
+    serving cells where nothing completed must surface as explicit gaps,
+    never as NaN quietly flowing into reports (the tail-latency sibling of
+    the :func:`mean` NaN contract, which we keep for backward compatibility
+    there).
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
@@ -125,7 +128,10 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     if lo == hi:
         return ordered[lo]
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    low, high = ordered[lo], ordered[hi]
+    if frac < 0.5:
+        return low + (high - low) * frac
+    return high - (high - low) * (1.0 - frac)
 
 
 class LatencyAccumulator:
@@ -326,9 +332,8 @@ class Welford:
 class StreamingProportion:
     """Streaming binomial counter with a Wilson 95% interval.
 
-    The incremental sibling of :class:`ProportionEstimate`: feed it one
-    boolean outcome at a time (O(1) memory) and read the same point
-    estimate/interval the batch class would compute from the full list.
+    Feed it one boolean outcome at a time (O(1) memory) and read the point
+    estimate and the :func:`wilson_interval` of everything fed so far.
     The interval is total — ``(0.0, 1.0)`` before any trial, endpoints
     pinned exactly at all-success/all-failure (see :func:`wilson_interval`)
     — so adaptive stopping rules can consult it at every checkpoint without
@@ -360,36 +365,7 @@ class StreamingProportion:
         low, high = self.interval
         return high - low
 
-    def as_estimate(self) -> "ProportionEstimate":
-        """Freeze into the batch-side :class:`ProportionEstimate`."""
-        return ProportionEstimate(self.successes, self.trials)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"StreamingProportion({self.successes}/{self.trials})"
         )
-
-
-@dataclass(frozen=True)
-class ProportionEstimate:
-    """An empirical proportion with its Wilson 95% confidence interval."""
-
-    successes: int
-    trials: int
-
-    @property
-    def point(self) -> float:
-        return self.successes / self.trials if self.trials else float("nan")
-
-    @property
-    def interval(self) -> Tuple[float, float]:
-        return wilson_interval(self.successes, self.trials)
-
-    def compatible_with(self, probability: float) -> bool:
-        """Whether ``probability`` lies inside the confidence interval."""
-        low, high = self.interval
-        return low <= probability <= high
-
-    def __str__(self) -> str:
-        low, high = self.interval
-        return f"{self.point:.4f} [{low:.4f}, {high:.4f}] ({self.trials} trials)"

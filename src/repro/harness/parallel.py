@@ -54,7 +54,6 @@ __all__ = [
     "engine_scope",
     "resolve_workers",
     "spawn_seeds",
-    "workers_from_env",
 ]
 
 #: Default read-ahead of a pooled stream, per worker: four 16-trial batches
@@ -90,26 +89,6 @@ def derive_seed(master_seed: int, index: int) -> int:
 def spawn_seeds(master_seed: int, count: int) -> List[int]:
     """The first ``count`` child seeds of ``master_seed``, in index order."""
     return [derive_seed(master_seed, i) for i in range(count)]
-
-
-def workers_from_env(var: str = "REPRO_WORKERS", default: int = 0) -> int:
-    """Worker count from an environment variable; invalid values mean default.
-
-    Shared by the benchmarks (``REPRO_BENCH_WORKERS``) so the parsing rule
-    lives in one place: a non-integer or negative value falls back to
-    ``default`` rather than crashing at import time.  ``auto`` resolves to
-    the machine's core count (see :func:`resolve_workers`).
-    """
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    if raw.strip().lower() == "auto":
-        return resolve_workers("auto")
-    try:
-        workers = int(raw)
-    except ValueError:
-        return default
-    return workers if workers >= 0 else default
 
 
 def resolve_workers(workers: Union[int, str]) -> int:
@@ -171,10 +150,11 @@ class ExperimentEngine:
     """Runs independent trials, serially or on one process pool.
 
     Example:
-        >>> from repro.harness.parallel import ExperimentEngine, TrialSpec
+        >>> from repro.harness.parallel import ExperimentEngine, TrialSpec, derive_seed
         >>> engine = ExperimentEngine(workers=0)  # serial
-        >>> engine.run_trials(lambda spec: spec.seed % 7, trials=3)  # doctest: +ELLIPSIS
-        [...]
+        >>> specs = [TrialSpec(i, derive_seed(5, i)) for i in range(3)]
+        >>> engine.map(lambda spec: spec.index, specs)
+        [0, 1, 2]
 
     ``workers``:
         * ``0`` or ``1`` — in-process serial execution: no pickling,
@@ -286,42 +266,11 @@ class ExperimentEngine:
                 for _batch, result in pending:
                     result.wait()
 
-    # ------------------------------------------------------------------
-    # Conveniences over stream
-    # ------------------------------------------------------------------
     def map(
         self, fn: Callable[[TrialSpec], Any], specs: Iterable[TrialSpec]
     ) -> List[Any]:
         """Evaluate ``fn`` on every spec; results in submission order."""
         return list(self.stream(fn, specs))
-
-    def run_stream(
-        self,
-        fn: Callable[[TrialSpec], Any],
-        trials: int,
-        master_seed: int = 0,
-        params: Any = None,
-        window: Optional[int] = None,
-    ) -> Iterator[Any]:
-        """Stream ``trials`` seeded trials: trial ``i`` receives
-        ``TrialSpec(i, derive_seed(master_seed, i), params)``."""
-        if trials < 0:
-            raise ValueError(f"trials must be >= 0, got {trials}")
-        specs = (
-            TrialSpec(index=i, seed=derive_seed(master_seed, i), params=params)
-            for i in range(trials)
-        )
-        return self.stream(fn, specs, window)
-
-    def run_trials(
-        self,
-        fn: Callable[[TrialSpec], Any],
-        trials: int,
-        master_seed: int = 0,
-        params: Any = None,
-    ) -> List[Any]:
-        """:meth:`run_stream`, materialized."""
-        return list(self.run_stream(fn, trials, master_seed, params))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -367,8 +316,8 @@ def engine_scope(
 
     A caller-supplied ``engine`` passes through untouched (the caller
     amortizes its pool across calls and closes it); a scope-created engine
-    is closed gracefully on success and aborted on error, so every
-    experiment surface (estimators, matrices) releases its workers
+    is closed gracefully on success and aborted on error, so
+    :func:`~repro.harness.registry.run_matrix` releases its workers
     deterministically instead of leaking them to the garbage collector.
     """
     if engine is not None:

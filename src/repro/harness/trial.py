@@ -1,8 +1,8 @@
 """The unified trial lifecycle: one spec, one runner, every protocol.
 
 Before this layer existed, each protocol had its own copy-pasted runner and
-every experiment surface (Monte-Carlo estimators, the scenario matrix, the
-benchmarks, the CLI) wired deployments by hand.  Now a trial is data:
+every experiment surface (the scenario matrix, the benchmarks, the CLI)
+wired deployments by hand.  Now a trial is data:
 
 * :class:`DeploymentSpec` — a frozen, declarative description of one trial:
   which protocol, at what size, under which seed, network conditions,

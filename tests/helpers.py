@@ -48,6 +48,14 @@ def cell_deployment(protocol, adversary, n, f, seed=0, latency="constant"):
     return context.deployment
 
 
+def seeded_specs(trials, master_seed=0, params=None):
+    """Trials ``0..trials-1`` of ``master_seed``, as every experiment seeds
+    them: trial ``i`` is ``TrialSpec(i, derive_seed(master_seed, i), params)``."""
+    from repro.harness.parallel import TrialSpec, derive_seed
+
+    return [TrialSpec(i, derive_seed(master_seed, i), params) for i in range(trials)]
+
+
 def deliver_bucket(handler, src, message, dsts, probe=None):
     """One bucket through a bulk handler (a run of one): its delivered
     count, or -1 if the handler declined it."""

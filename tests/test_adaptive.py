@@ -23,7 +23,6 @@ from repro.cli import main as cli_main
 from repro.harness.adaptive import (
     DEFAULT_CHUNK,
     FixedBudget,
-    ProportionProgress,
     STOP_BUDGET,
     STOP_MAX_TRIALS,
     STOP_TARGET_WIDTH,
@@ -36,15 +35,14 @@ from repro.harness.parallel import ExperimentEngine, TrialSpec, derive_seed
 from repro.harness.registry import (
     CellAccumulator,
     MATRICES,
+    MatrixCell,
     ScenarioMatrix,
     get_matrix,
     run_matrix,
     run_matrix_cell,
 )
-from repro.montecarlo.experiments import (
-    estimate_termination,
-    estimate_viewchange_decide,
-)
+
+from .helpers import seeded_specs
 
 #: Two cheap full-protocol cells at n=8; all-success agreement, so the
 #: all-success Wilson width formula z²/(t+z²) predicts the stopping point.
@@ -130,30 +128,6 @@ class TestRules:
             TargetWidth(0.1, min_trials=0)
         with pytest.raises(ValueError, match="max_trials"):
             TargetWidth(0.1, min_trials=10, max_trials=5)
-
-
-class TestProportionProgress:
-    def test_trials_and_width(self):
-        props = {"hit": StreamingProportion()}
-        progress = ProportionProgress(props)
-        assert progress.trials == 0
-        assert progress.width("hit") == 1.0  # zero-information interval
-        for outcome in (True, True, False, True):
-            props["hit"].add(outcome)
-        assert progress.trials == 4
-        low, high = props["hit"].interval
-        assert progress.width("hit") == high - low
-
-    def test_unknown_metric_lists_available(self):
-        progress = ProportionProgress(
-            {"a": StreamingProportion(), "b": StreamingProportion()}
-        )
-        with pytest.raises(KeyError, match="a, b"):
-            progress.width("zzz")
-
-    def test_needs_counters(self):
-        with pytest.raises(ValueError):
-            ProportionProgress({})
 
 
 class TestConsumeAdaptive:
@@ -517,84 +491,71 @@ class TestAdaptiveMatrix:
             assert rendered == [row[h] for h in report.headers]
 
 
-class TestAdaptiveEstimators:
-    def test_termination_stopping_prefix_identity(self):
-        rule = TargetWidth(0.15, metric="per_replica_decides", max_trials=400)
-        adaptive = estimate_termination(
-            32, 6, 1.7, trials=400, seed=9, stopping=rule, chunk=32
-        )
-        assert adaptive.trials < 400
-        assert adaptive.stop_reason == STOP_TARGET_WIDTH
-        low, high = adaptive.estimates["per_replica_decides"].interval
-        assert high - low <= 0.15
-        prefix = estimate_termination(32, 6, 1.7, trials=adaptive.trials, seed=9)
-        assert prefix.stop_reason is None
-        assert {k: v for k, v in prefix.estimates.items()} == dict(
-            adaptive.estimates
-        )
-        assert prefix.mean_prepared_fraction == adaptive.mean_prepared_fraction
+#: A cell with random delays, driven by hand below: one engine stream, one
+#: accumulator, one rule — the loop every trial set runs.
+STREAM_CELL = MatrixCell("probft", "none", "exponential", n=8, f=2)
 
-    def test_trials_used_identical_across_backends(self):
-        rule = TargetWidth(0.15, metric="per_replica_decides")
-        reference = estimate_termination(
-            32, 6, 1.7, trials=400, seed=9, stopping=rule, chunk=32
-        )
-        for workers in (1, 2):
-            with ExperimentEngine(workers=workers) as engine:
-                got = estimate_termination(
-                    32,
-                    6,
-                    1.7,
-                    trials=400,
-                    seed=9,
-                    stopping=TargetWidth(0.15, metric="per_replica_decides"),
-                    chunk=32,
-                    engine=engine,
-                )
-            assert got.trials == reference.trials, workers
-            assert got.stop_reason == reference.stop_reason, workers
-            assert dict(got.estimates) == dict(reference.estimates), workers
 
-    def test_viewchange_capped_rule(self):
-        rule = TargetWidth(
-            0.1, metric="decides_from_partial_prepare", max_trials=128
+def _stream_cell(rule, cap=64, chunk=4, workers=0, window=None, seed=9):
+    """``(rows, trials_used, reason)`` of one adaptive stream of STREAM_CELL."""
+    accumulator = CellAccumulator(STREAM_CELL)
+    rows = []
+
+    def fold(row):
+        rows.append(row)
+        accumulator.add(row)
+
+    specs = seeded_specs(cap, master_seed=seed, params=(STREAM_CELL, 5000.0))
+    with ExperimentEngine(workers=workers) as engine:
+        used, reason = consume_adaptive(
+            engine.stream(run_matrix_cell, specs, window=window or chunk),
+            fold,
+            accumulator,
+            rule,
+            chunk,
         )
-        result = estimate_viewchange_decide(
-            32, 6, 1.7, trials=1000, seed=4, stopping=rule, chunk=32
-        )
-        assert result.stop_reason in (STOP_TARGET_WIDTH, STOP_MAX_TRIALS)
-        # The cap bounds the spend even if the width never resolves.
-        assert result.trials <= 128
+    return rows, used, reason
+
+
+def _fixed_rows(trials, seed=9):
+    specs = seeded_specs(trials, master_seed=seed, params=(STREAM_CELL, 5000.0))
+    return ExperimentEngine(workers=0).map(run_matrix_cell, specs)
+
+
+class TestAdaptiveStream:
+    def test_stopping_prefix_identity(self):
+        rows, used, reason = _stream_cell(TargetWidth(0.35, max_trials=64))
+        assert used < 64
+        assert reason == STOP_TARGET_WIDTH
+        assert rows == _fixed_rows(used)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_used_identical_across_workers(self, workers):
+        reference = _stream_cell(TargetWidth(0.35, max_trials=64))
+        assert _stream_cell(TargetWidth(0.35, max_trials=64), workers=workers) == reference
+
+    @pytest.mark.parametrize("window", [1, 3, 64])
+    def test_window_is_irrelevant(self, window):
+        reference = _stream_cell(TargetWidth(0.35, max_trials=64))
+        got = _stream_cell(TargetWidth(0.35, max_trials=64), workers=2, window=window)
+        assert got == reference
 
     def test_unknown_stopping_metric_raises_with_choices(self):
-        with pytest.raises(KeyError, match="per_replica_decides"):
-            estimate_termination(
-                32,
-                6,
-                1.7,
-                trials=64,
-                seed=9,
-                stopping=TargetWidth(0.1, metric="nope"),
-                chunk=8,
-            )
+        with pytest.raises(KeyError, match="agreement_rate"):
+            _stream_cell(TargetWidth(0.1, metric="nope"))
 
-    def test_fixed_estimator_results_unchanged(self):
-        result = estimate_termination(32, 6, 1.7, trials=40, seed=9)
-        assert result.trials == 40
-        assert result.stop_reason is None
+    def test_fixed_budget_runs_the_budget(self):
+        rows, used, reason = _stream_cell(FixedBudget(6), cap=64)
+        assert (used, reason) == (6, STOP_BUDGET)
+        assert rows == _fixed_rows(6)
 
-    def test_estimator_max_trials_never_overshot(self):
-        """The estimator path has no spec-stream clamp of its own, so the
-        rule's cap must bound the spend even off the chunk grid."""
-        rule = TargetWidth(0.001, metric="per_replica_decides", max_trials=40)
-        result = estimate_termination(
-            32, 6, 1.7, trials=5000, seed=9, stopping=rule, chunk=32
-        )
-        assert result.trials == 40  # not 64
-        assert result.stop_reason == STOP_MAX_TRIALS
-        # And the capped run is still a bit-identical fixed-run prefix.
-        prefix = estimate_termination(32, 6, 1.7, trials=40, seed=9)
-        assert dict(prefix.estimates) == dict(result.estimates)
+    def test_max_trials_never_overshot(self):
+        """A cap off the chunk grid bounds the spend to the trial, and the
+        capped run is still a bit-identical fixed-run prefix."""
+        rule = TargetWidth(0.001, max_trials=10)
+        rows, used, reason = _stream_cell(rule, cap=64, chunk=8)
+        assert (used, reason) == (10, STOP_MAX_TRIALS)  # not 16
+        assert rows == _fixed_rows(10)
 
 
 class TestAdaptiveCli:

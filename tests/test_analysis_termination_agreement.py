@@ -6,6 +6,8 @@ import pytest
 
 from repro.analysis import agreement as A
 from repro.analysis import termination as T
+from repro.analysis.quorum_probability import prob_quorum_exact
+from repro.config import probabilistic_quorum_size, vrf_sample_size
 from repro.errors import AnalysisDomainError
 
 
@@ -112,6 +114,17 @@ class TestAgreementBounds:
         few = A.lemma6_decide_bound(100, 20, 1.6, 2.0, r=30)
         more = A.lemma6_decide_bound(100, 20, 1.6, 2.0, r=55)
         assert few < more
+
+    @pytest.mark.parametrize("r", [20, 40, 60])
+    def test_lemma6_bounds_the_exact_probability(self, r):
+        """Lemma 6 bounds ``Pr(Bin(r, s/n) ≥ q)``, which
+        ``prob_quorum_exact`` computes (``tests/test_analysis_exact.py``
+        pins it against the sampling model); r = 60 is Theorem 8's
+        ``(n+f)/2``."""
+        n, f, o, l = 100, 20, 1.6, 2.0
+        q = probabilistic_quorum_size(n, l)
+        exact = prob_quorum_exact(n, r, vrf_sample_size(n, q, o), q)
+        assert exact < A.lemma6_decide_bound(n, f, o, l, r=r)
 
     def test_theorem8_formula_and_domain(self):
         value = A.theorem8_viewchange_bound(100, 20, 1.6, 2.0)

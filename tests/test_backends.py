@@ -6,7 +6,7 @@ The engine's hard guarantee, pinned on golden seeds: **serial == pool**
 * raw trial-level results (map and stream),
 * full-protocol :class:`RunResult` streams through the trial lifecycle,
 * ``run_matrix`` reports,
-* the Monte-Carlo estimators' counts,
+* the rows and folded summaries of seed-dependent protocol cells,
 
 plus :class:`TrialError` propagation from both paths, the pool's bounded
 read-ahead, and its graceful (close/join, not terminate) lifecycle, also
@@ -20,7 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import ProtocolConfig
 from repro.harness import parallel
 from repro.harness.parallel import (
     WINDOW_PER_WORKER,
@@ -31,39 +30,27 @@ from repro.harness.parallel import (
     resolve_workers,
 )
 from repro.harness.registry import (
+    CellAccumulator,
     MatrixCell,
     ScenarioMatrix,
     run_matrix,
     run_matrix_cell,
 )
-from repro.montecarlo.experiments import (
-    estimate_agreement_violation,
-    estimate_prepare_quorum,
-    estimate_protocol_agreement,
-    estimate_termination,
-    estimate_viewchange_decide,
-)
+
+from .helpers import seeded_specs
 
 #: The two execution paths, under their historical test ids.
 WORKERS = [pytest.param(0, id="serial"), pytest.param(2, id="pool")]
 
-#: The five Monte-Carlo estimators at golden sizes, each taking ``engine=``.
-ESTIMATORS = {
-    "prepare_quorum": lambda **kw: estimate_prepare_quorum(
-        32, 6, 1.7, trials=40, seed=9, **kw
-    ),
-    "termination": lambda **kw: estimate_termination(
-        32, 6, 1.7, trials=40, seed=9, **kw
-    ),
-    "agreement_violation": lambda **kw: estimate_agreement_violation(
-        32, 6, 1.7, trials=40, seed=9, model_detection=True, **kw
-    ),
-    "protocol_agreement": lambda **kw: estimate_protocol_agreement(
-        ProtocolConfig(n=8, f=1), trials=3, seed=9, **kw
-    ),
-    "viewchange_decide": lambda **kw: estimate_viewchange_decide(
-        32, 6, 1.7, trials=40, seed=9, **kw
-    ),
+#: Small protocol cells whose rows depend on the seed: random delays, an
+#: equivocating leader (the optimal-split attack), view changes, and the
+#: baselines under their own attacks.
+SEEDED_CELLS = {
+    "equivocation": MatrixCell("probft", "equivocation", "constant", n=8, f=1),
+    "exponential": MatrixCell("probft", "none", "exponential", n=8, f=2),
+    "pre-gst-chaos": MatrixCell("probft", "silent", "pre-gst-chaos", n=8, f=2),
+    "pbft-equivocation": MatrixCell("pbft", "equivocation", "uniform", n=7, f=2),
+    "hotstuff-crash": MatrixCell("hotstuff", "crash", "exponential", n=7, f=2),
 }
 
 #: A tiny protocol-level matrix cell: full discrete-event simulation at n=6.
@@ -98,17 +85,6 @@ def slow_trial(spec: TrialSpec) -> int:
     return spec.index
 
 
-def cell_specs(trials: int, master_seed: int = 0, max_time: float = 500.0):
-    return [
-        TrialSpec(
-            index=i,
-            seed=derive_seed(master_seed, i),
-            params=(GOLDEN_CELL, max_time),
-        )
-        for i in range(trials)
-    ]
-
-
 def reference_draws(count: int = 40):
     return ExperimentEngine(workers=0).map(
         draw_trial, [TrialSpec(i, derive_seed(7, i)) for i in range(count)]
@@ -119,10 +95,10 @@ class TestRegistry:
     def test_default_selection_follows_workers(self):
         for workers in (0, 1):
             engine = ExperimentEngine(workers=workers)
-            engine.run_trials(draw_trial, 4)
+            engine.map(draw_trial, seeded_specs(4))
             assert engine._pool is None  # in-process
         with ExperimentEngine(workers=2) as engine:
-            engine.run_trials(draw_trial, 4)
+            engine.map(draw_trial, seeded_specs(4))
             assert engine._pool is not None
 
     def test_explicit_names(self, monkeypatch):
@@ -170,7 +146,7 @@ class TestCrossBackendIdentity:
 
     def test_run_result_streams_identical(self):
         """Full-protocol RunResult rows agree bit-for-bit per worker count."""
-        specs = cell_specs(trials=6, master_seed=2024)
+        specs = seeded_specs(6, master_seed=2024, params=(GOLDEN_CELL, 500.0))
         reference = ExperimentEngine(workers=0).map(run_matrix_cell, specs)
         assert reference, "golden cell produced no rows"
         for workers in (0, 2):
@@ -185,38 +161,29 @@ class TestCrossBackendIdentity:
         got = run_matrix(GOLDEN_MATRIX, trials=3, master_seed=5, workers=workers)
         assert got.rows == reference.rows
 
+    @pytest.mark.parametrize("cell", sorted(SEEDED_CELLS))
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_estimator_counts_identical(self, workers):
-        serial = estimate_termination(32, 6, 1.7, trials=40, seed=9)
+    def test_seeded_cell_rows_identical(self, workers, cell):
+        """Rows and their folded summary (order-sensitive float means)."""
+        specs = seeded_specs(4, master_seed=9, params=(SEEDED_CELLS[cell], 500.0))
+        serial = ExperimentEngine(workers=0).map(run_matrix_cell, specs)
         with ExperimentEngine(workers=workers) as engine:
-            other = estimate_termination(
-                32, 6, 1.7, trials=40, seed=9, engine=engine
-            )
-        assert {k: v.successes for k, v in serial.estimates.items()} == {
-            k: v.successes for k, v in other.estimates.items()
-        }
-        assert serial.mean_prepared_fraction == other.mean_prepared_fraction
-
-    @pytest.mark.parametrize(
-        "estimator", sorted(set(ESTIMATORS) - {"termination"})
-    )
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_other_estimator_counts_identical(self, workers, estimator):
-        estimate = ESTIMATORS[estimator]
-        serial = estimate()
-        with ExperimentEngine(workers=workers) as engine:
-            other = estimate(engine=engine)
-        assert other.trials == serial.trials
-        assert {k: v.successes for k, v in serial.estimates.items()} == {
-            k: v.successes for k, v in other.estimates.items()
-        }
+            other = engine.map(run_matrix_cell, specs)
+        assert other == serial
+        folds = []
+        for rows in (serial, other):
+            accumulator = CellAccumulator(SEEDED_CELLS[cell])
+            for row in rows:
+                accumulator.add(row)
+            folds.append(accumulator.summary())
+        assert folds[0] == folds[1]
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_trial_error_propagation(self, workers):
         """Both paths surface the first failing trial's identity."""
         engine = ExperimentEngine(workers=workers)
         with pytest.raises(TrialError) as exc_info:
-            engine.run_trials(crash_on_three, 8, master_seed=2)
+            engine.map(crash_on_three, seeded_specs(8, master_seed=2))
         err = exc_info.value
         assert err.index == 3
         assert err.seed == derive_seed(2, 3)
@@ -253,12 +220,14 @@ class TestWindowedStreams:
         assert got == reference_draws()
 
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_windowed_engine_run_stream_identical(self, workers):
-        reference = ExperimentEngine(workers=0).run_trials(
-            draw_trial, 30, master_seed=4
+    def test_windowed_seeded_stream_identical(self, workers):
+        reference = ExperimentEngine(workers=0).map(
+            draw_trial, seeded_specs(30, master_seed=4)
         )
         with ExperimentEngine(workers=workers) as engine:
-            got = list(engine.run_stream(draw_trial, 30, master_seed=4, window=6))
+            got = list(
+                engine.stream(draw_trial, seeded_specs(30, master_seed=4), window=6)
+            )
         assert got == reference
 
     @pytest.mark.parametrize("workers", WORKERS)
@@ -467,7 +436,7 @@ class TestPoolLifecycle:
 
     def test_engine_context_manager_routes_by_outcome(self):
         with ExperimentEngine(workers=2) as engine:
-            engine.run_trials(draw_trial, 4)
+            engine.map(draw_trial, seeded_specs(4))
             pool = engine._pool
             calls = []
             original_terminate = pool.terminate
@@ -479,7 +448,7 @@ class TestPoolLifecycle:
 
         with pytest.raises(RuntimeError, match="bail"):
             with ExperimentEngine(workers=2) as engine:
-                engine.run_trials(draw_trial, 4)
+                engine.map(draw_trial, seeded_specs(4))
                 pool = engine._pool
                 calls = []
                 original_terminate = pool.terminate

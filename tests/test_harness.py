@@ -7,7 +7,7 @@ import pytest
 from repro.config import ProtocolConfig
 from repro.harness.metrics import (
     LatencyAccumulator,
-    ProportionEstimate,
+    StreamingProportion,
     mean,
     percentile,
     stddev,
@@ -61,12 +61,14 @@ class TestMetrics:
         with pytest.raises(ValueError):
             wilson_interval(0, -1)
 
-    def test_proportion_estimate(self):
-        est = ProportionEstimate(90, 100)
-        assert est.point == pytest.approx(0.9)
-        assert est.compatible_with(0.9)
-        assert not est.compatible_with(0.2)
-        assert "0.9" in str(est)
+    def test_streaming_proportion(self):
+        proportion = StreamingProportion()
+        for trial in range(100):
+            proportion.add(trial < 90)
+        assert proportion.point == pytest.approx(0.9)
+        low, high = proportion.interval
+        assert low < 0.9 < high
+        assert not low <= 0.2 <= high
 
     def test_percentile_interpolates(self):
         values = [1.0, 2.0, 3.0, 4.0]

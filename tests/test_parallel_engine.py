@@ -1,4 +1,4 @@
-"""Tests for the parallel Monte-Carlo experiment engine.
+"""Tests for the parallel experiment engine.
 
 The engine's contract: identical results for every worker count (serial
 in-process, one worker, or more workers than cores), results in submission
@@ -18,14 +18,21 @@ from repro.harness.parallel import (
     derive_seed,
     engine_scope,
     spawn_seeds,
-    workers_from_env,
 )
-from repro.montecarlo.experiments import (
-    estimate_agreement_violation,
-    estimate_protocol_agreement,
-    estimate_termination,
+from repro.harness.registry import (
+    CellAccumulator,
+    MatrixCell,
+    ScenarioMatrix,
+    run_matrix,
+    run_matrix_cell,
 )
-from repro.config import ProtocolConfig
+
+from .helpers import seeded_specs
+
+#: Seed-dependent protocol cells: exponential delays and an equivocating
+#: leader make every trial's row a function of its seed.
+JITTER_CELL = MatrixCell("probft", "none", "exponential", n=8, f=2)
+SPLIT_CELL = MatrixCell("probft", "equivocation", "constant", n=8, f=2)
 
 
 # Module-level trial functions: the pool pickles these into workers.
@@ -80,16 +87,17 @@ class TestEngineBasics:
             ExperimentEngine(workers=-1)
 
     def test_zero_trials(self):
-        assert ExperimentEngine().run_trials(draw_trial, 0) == []
+        assert ExperimentEngine().map(draw_trial, seeded_specs(0)) == []
         assert ExperimentEngine(workers=2).map(draw_trial, []) == []
 
-    def test_negative_trials_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentEngine().run_trials(draw_trial, -1)
+    def test_specs_may_be_a_generator(self):
+        specs = seeded_specs(12, master_seed=8)
+        with ExperimentEngine(workers=2) as engine:
+            assert engine.map(draw_trial, iter(specs)) == engine.map(draw_trial, specs)
 
     def test_results_in_submission_order(self):
         engine = ExperimentEngine(workers=2)
-        out = engine.run_trials(echo_trial, 20, master_seed=3, params="p")
+        out = engine.map(echo_trial, seeded_specs(20, master_seed=3, params="p"))
         assert [i for i, _, _ in out] == list(range(20))
         assert all(s == derive_seed(3, i) for i, s, _ in out)
         assert all(p == "p" for _, _, p in out)
@@ -103,81 +111,73 @@ class TestEngineBasics:
 
     def test_pool_is_reused_across_map_calls(self):
         with ExperimentEngine(workers=2) as engine:
-            engine.run_trials(draw_trial, 4)
+            engine.map(draw_trial, seeded_specs(4))
             pool = engine._pool
             assert pool is not None
-            engine.run_trials(draw_trial, 4)
+            engine.map(draw_trial, seeded_specs(4))
             assert engine._pool is pool
         assert engine._pool is None  # context exit closed it
         # A closed engine transparently re-creates its pool.
-        assert len(engine.run_trials(draw_trial, 3)) == 3
+        assert len(engine.map(draw_trial, seeded_specs(3))) == 3
         engine.close()
-
-    def test_workers_from_env(self, monkeypatch):
-        monkeypatch.delenv("X_WORKERS", raising=False)
-        assert workers_from_env("X_WORKERS") == 0
-        assert workers_from_env("X_WORKERS", default=4) == 4
-        monkeypatch.setenv("X_WORKERS", "6")
-        assert workers_from_env("X_WORKERS") == 6
-        monkeypatch.setenv("X_WORKERS", "junk")
-        assert workers_from_env("X_WORKERS", default=2) == 2
-        monkeypatch.setenv("X_WORKERS", "-3")
-        assert workers_from_env("X_WORKERS") == 0
 
 
 class TestSerialParallelDeterminism:
     """Same master seed ⇒ identical per-trial results, any worker count."""
 
     def test_trial_level_identity(self):
-        reference = ExperimentEngine(workers=0).run_trials(
-            draw_trial, 40, master_seed=11
+        reference = ExperimentEngine(workers=0).map(
+            draw_trial, seeded_specs(40, master_seed=11)
         )
         for workers in (1, 2, 3):
-            got = ExperimentEngine(workers=workers).run_trials(
-                draw_trial, 40, master_seed=11
+            got = ExperimentEngine(workers=workers).map(
+                draw_trial, seeded_specs(40, master_seed=11)
             )
             assert got == reference
 
     def test_window_is_irrelevant(self):
-        reference = ExperimentEngine(workers=0).run_trials(
-            draw_trial, 30, master_seed=1
+        reference = ExperimentEngine(workers=0).map(
+            draw_trial, seeded_specs(30, master_seed=1)
         )
         with ExperimentEngine(workers=2) as engine:
             for window in (1, 7, 30):
                 got = list(
-                    engine.run_stream(draw_trial, 30, master_seed=1, window=window)
+                    engine.stream(
+                        draw_trial, seeded_specs(30, master_seed=1), window=window
+                    )
                 )
                 assert got == reference
 
-    def test_estimate_termination_identical(self):
-        serial = estimate_termination(64, 12, 1.7, trials=60, seed=5, workers=0)
-        pooled = estimate_termination(64, 12, 1.7, trials=60, seed=5, workers=2)
-        for key in serial.estimates:
-            assert (
-                serial.estimates[key].successes == pooled.estimates[key].successes
-            )
+    @pytest.mark.parametrize("cell", [JITTER_CELL, SPLIT_CELL], ids=lambda c: c.label)
+    def test_protocol_rows_and_folds_identical(self, cell):
+        specs = seeded_specs(12, master_seed=5, params=(cell, 500.0))
+        serial = ExperimentEngine(workers=0).map(run_matrix_cell, specs)
+        with ExperimentEngine(workers=3) as engine:
+            pooled = engine.map(run_matrix_cell, specs)
+        assert pooled == serial
         # Float aggregation is order-sensitive; submission-order collection
-        # makes even this bit-identical.
-        assert serial.mean_prepared_fraction == pooled.mean_prepared_fraction
+        # makes even the folded means bit-identical.
+        folds = []
+        for rows in (serial, pooled):
+            accumulator = CellAccumulator(cell)
+            for row in rows:
+                accumulator.add(row)
+            folds.append(accumulator.summary())
+        assert folds[0] == folds[1]
 
-    def test_estimate_agreement_violation_identical(self):
-        serial = estimate_agreement_violation(
-            64, 12, 1.7, trials=80, seed=6, model_detection=True, workers=0
+    def test_equivocation_matrix_identical(self):
+        """The optimal-split attack cell, serial and pooled."""
+        matrix = ScenarioMatrix(
+            name="split",
+            protocols=("probft",),
+            adversaries=("equivocation",),
+            latencies=("constant",),
+            n=8,
+            f=1,
         )
-        pooled = estimate_agreement_violation(
-            64, 12, 1.7, trials=80, seed=6, model_detection=True, workers=3
-        )
-        assert {k: v.successes for k, v in serial.estimates.items()} == {
-            k: v.successes for k, v in pooled.estimates.items()
-        }
-
-    def test_full_protocol_runs_identical(self):
-        config = ProtocolConfig(n=8, f=1)
-        serial = estimate_protocol_agreement(config, trials=4, seed=0, workers=0)
-        pooled = estimate_protocol_agreement(config, trials=4, seed=0, workers=2)
-        assert {k: v.successes for k, v in serial.estimates.items()} == {
-            k: v.successes for k, v in pooled.estimates.items()
-        }
+        serial = run_matrix(matrix, trials=4, master_seed=0, workers=0)
+        pooled = run_matrix(matrix, trials=4, master_seed=0, workers=2)
+        assert pooled.rows == serial.rows
 
 
 class TestErrorPropagation:
@@ -185,7 +185,7 @@ class TestErrorPropagation:
     def test_crashing_trial_raises_trial_error(self, workers):
         engine = ExperimentEngine(workers=workers)
         with pytest.raises(TrialError) as exc_info:
-            engine.run_trials(crash_on_three, 8, master_seed=2)
+            engine.map(crash_on_three, seeded_specs(8, master_seed=2))
         err = exc_info.value
         assert err.index == 3
         assert err.seed == derive_seed(2, 3)
@@ -198,7 +198,7 @@ class TestErrorPropagation:
         ran = []
         engine = ExperimentEngine(workers=0)
         with pytest.raises(TrialError):
-            engine.run_trials(record_and_crash, 10, master_seed=0, params=ran)
+            engine.map(record_and_crash, seeded_specs(10, params=ran))
         assert ran == [0, 1, 2]
 
     def test_first_failure_in_submission_order_wins(self):
@@ -207,5 +207,5 @@ class TestErrorPropagation:
         with ExperimentEngine(workers=2) as engine:
             with pytest.raises(TrialError) as exc_info:
                 # A window of 4 over two workers sends one trial per batch.
-                list(engine.run_stream(crash_on_three, 50, window=4))
+                list(engine.stream(crash_on_three, seeded_specs(50), window=4))
         assert exc_info.value.index == 3

@@ -1,7 +1,7 @@
 """Golden seed-stability regressions.
 
 These pin exact per-seed outcomes — the engine's seed derivation, one full
-ProBFT run, and small Monte-Carlo estimates — so that refactors of the
+ProBFT run, and one matrix cell's trial set — so that refactors of the
 experiment engine or the deployment wiring cannot silently reorder RNG
 streams.  If one of these fails after an intentional RNG change, re-record
 the golden values *in the same commit* and say so in the commit message.
@@ -9,13 +9,17 @@ the golden values *in the same commit* and say so in the commit message.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.config import ProtocolConfig
-from repro.harness.parallel import derive_seed
+from repro.harness.parallel import ExperimentEngine, derive_seed
+from repro.harness.registry import MatrixCell, run_matrix_cell
 from repro.harness.trial import DeploymentSpec, run_trial
-from repro.montecarlo.experiments import (
-    estimate_prepare_quorum,
-    estimate_termination,
-)
+
+from .helpers import seeded_specs
+
+#: The optimal-split attack at the Figure-5 protocol cell's size.
+SPLIT_CELL = MatrixCell("probft", "equivocation", "constant", n=20, f=4)
 
 
 class TestSeedDerivationGoldens:
@@ -54,21 +58,16 @@ class TestProtocolRunGolden:
         }
 
 
-class TestEstimatorGoldens:
-    """Sampling-level estimates are exact integers under a fixed seed."""
+class TestCellGoldens:
+    """Sixteen trials of the equivocation cell are exact integers under a
+    fixed master seed, for every worker count."""
 
-    def test_termination_golden_counts(self):
-        result = estimate_termination(36, 7, 1.7, trials=16, seed=123)
-        assert result.estimates["per_replica_decides"].successes == 16
-        assert result.estimates["all_correct_decide"].successes == 7
-        assert result.mean_prepared_fraction == 0.9849137931034483
-
-    def test_prepare_quorum_golden_counts(self):
-        result = estimate_prepare_quorum(36, 7, 1.7, trials=16, seed=9)
-        assert result.estimates["per_replica_quorum"].successes == 16
-        assert result.estimates["all_correct_quorum"].successes == 12
-
-    def test_golden_counts_survive_parallel_execution(self):
-        result = estimate_termination(36, 7, 1.7, trials=16, seed=123, workers=2)
-        assert result.estimates["per_replica_decides"].successes == 16
-        assert result.estimates["all_correct_decide"].successes == 7
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_equivocation_cell_golden_counts(self, workers):
+        specs = seeded_specs(16, master_seed=123, params=(SPLIT_CELL, 5000.0))
+        with ExperimentEngine(workers=workers) as engine:
+            rows = engine.map(run_matrix_cell, specs)
+        assert [row["max_view"] for row in rows] == [2] * 12 + [3, 2, 3, 2]
+        assert sum(row["total_messages"] for row in rows) == 32665
+        assert sum(row["decided"] for row in rows) == 16 * 16
+        assert all(row["agreement_ok"] for row in rows)

@@ -40,9 +40,11 @@ from repro.smr.workload import _equivocating_slot_factory
 
 #: sha256 of the canonical JSON (sorted keys) of the six fixed-leader
 #: closed-loop serving rows — adversary x load at seed 2024, every
-#: ``ServingResult.row()`` column but the route counters.
+#: ``ServingResult.row()`` column but the route counters.  The tail
+#: columns follow ``percentile``'s interpolation, whose contract is the
+#: bounded-and-monotone property in ``test_streaming_accumulators.py``.
 FIXED_LEADER_ROWS_SHA256 = (
-    "3021039789c999137dc1054adb380cd53b0518f1ab84fa00e33763c2bde6938f"
+    "6f7f94d2addd9ef1beba36758bdf035c2be1182025168466f80b4caec25997b7"
 )
 
 # Mirrors tests/test_smr_serving.py: small but exercises batching,

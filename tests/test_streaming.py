@@ -14,11 +14,11 @@ import random
 import pytest
 
 from repro.harness.metrics import (
-    ProportionEstimate,
     StreamingProportion,
     Welford,
     mean,
     stddev,
+    wilson_interval,
 )
 from repro.harness.parallel import (
     ExperimentEngine,
@@ -32,6 +32,8 @@ from repro.harness.registry import (
     run_matrix,
     run_matrix_cell,
 )
+
+from .helpers import seeded_specs
 
 
 def stream_probe(spec: TrialSpec) -> float:
@@ -90,15 +92,13 @@ class TestWelford:
 
 
 class TestStreamingProportion:
-    def test_matches_batch_estimate(self):
+    def test_matches_batch_counts(self):
         outcomes = [True, True, False, True, False, False, True]
         streaming = StreamingProportion()
         for outcome in outcomes:
             streaming.add(outcome)
-        batch = ProportionEstimate(sum(outcomes), len(outcomes))
-        assert streaming.point == batch.point
-        assert streaming.interval == batch.interval
-        assert streaming.as_estimate() == batch
+        assert streaming.point == sum(outcomes) / len(outcomes)
+        assert streaming.interval == wilson_interval(sum(outcomes), len(outcomes))
 
     def test_empty(self):
         assert math.isnan(StreamingProportion().point)
@@ -123,10 +123,11 @@ class TestEngineStream:
         serial = ExperimentEngine(workers=0).map(stream_probe, specs)
         assert streamed == serial
 
-    def test_run_stream_matches_run_trials(self):
+    def test_seeded_stream_matches_map(self):
         engine = ExperimentEngine(workers=0)
-        assert list(engine.run_stream(stream_probe, 10, master_seed=4)) == (
-            engine.run_trials(stream_probe, 10, master_seed=4)
+        specs = seeded_specs(10, master_seed=4)
+        assert list(engine.stream(stream_probe, specs)) == engine.map(
+            stream_probe, specs
         )
 
     def test_serial_stream_is_lazy(self):
@@ -152,9 +153,9 @@ class TestEngineStream:
                 list(engine.stream(stream_crash_on_two, specs))
             assert info.value.index == 2
 
-    def test_negative_trials_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentEngine().run_stream(stream_probe, -1)
+    def test_invalid_window_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            ExperimentEngine().stream(stream_probe, seeded_specs(3), window=0)
 
 
 class TestStreamedMatrixEquivalence:

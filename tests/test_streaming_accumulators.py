@@ -11,7 +11,9 @@ computes from one stream of observations:
   hence proportions and Wilson intervals) does not depend on arrival order;
   float sums do not either whenever the observations are exactly
   representable (the booleans/counts our cells produce);
-* **stability** — Welford's variance survives a mean that dwarfs the spread.
+* **stability** — Welford's variance survives a mean that dwarfs the spread;
+* **bounded and monotone** — a percentile lies in ``[min, max]`` of its
+  inputs and never decreases as ``q`` grows.
 
 Each property is checked with hypothesis when it is installed and through
 seeded randomized sweeps otherwise (CI installs only requirements.txt, so
@@ -32,13 +34,14 @@ from repro.harness.metrics import (
     StreamingProportion,
     Welford,
     mean,
+    percentile,
     stddev,
     wilson_interval,
 )
 from repro.harness.registry import CellAccumulator, MatrixCell
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - environment dependent
@@ -50,6 +53,14 @@ CELL = MatrixCell(
 
 #: Seeded fallback sweep size (hypothesis drives its own example count).
 FALLBACK_CASES = 200
+
+#: Hypothesis's shrunk counterexample to interpolating as ``a·(1−t) + b·t``:
+#: the p99 of these five values came out one ulp above the two equal top
+#: values.  Both drivers replay it.
+EQUAL_NEIGHBOURS = [0.0, 0.0, 0.0, 54.12587188073598, 54.12587188073598]
+
+#: Every half percent, plus the serving tail's 99.9.
+PERCENTILE_GRID = sorted({i / 2 for i in range(201)} | {99.9})
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +123,6 @@ def check_proportion_matches_batch(outcomes):
     successes = sum(bool(o) for o in outcomes)
     assert (acc.successes, acc.trials) == (successes, len(outcomes))
     assert acc.interval == wilson_interval(successes, len(outcomes))
-    assert acc.as_estimate().interval == acc.interval
     low, high = acc.interval
     assert 0.0 <= low <= high <= 1.0
     assert acc.interval_width == high - low
@@ -149,6 +159,17 @@ def check_latency_matches_numpy(observations):
     for got, q in ((acc.p50, 50), (acc.p99, 99), (acc.p999, 99.9)):
         assert got == pytest.approx(float(np.percentile(done, q)), rel=1e-9, abs=1e-9)
         assert min(done) <= got <= max(done)
+
+
+def check_percentile_bounded_monotone(values):
+    """Inside ``[min, max]`` for every q, and non-decreasing in q."""
+    if not values:
+        assert percentile(values, 50) is None
+        return
+    got = [percentile(values, q) for q in PERCENTILE_GRID]
+    assert all(min(values) <= value <= max(values) for value in got), got
+    assert got == sorted(got)
+    assert (got[0], got[-1]) == (min(values), max(values))
 
 
 def check_latency_reorder(observations, order):
@@ -280,6 +301,16 @@ class TestSeededRandomized:
                 for _ in range(rng.randint(0, 48))
             ]
             check_latency_matches_numpy(observations)
+        check_latency_matches_numpy(EQUAL_NEIGHBOURS)
+
+    def test_percentile_bounded_and_monotone(self):
+        rng = random.Random(0xD3)
+        check_percentile_bounded_monotone(EQUAL_NEIGHBOURS)
+        for _ in range(FALLBACK_CASES):
+            # Few distinct values, so equal neighbours are the common case.
+            pool = [rng.uniform(0.0, 500.0) for _ in range(3)] + [0.0]
+            values = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+            check_percentile_bounded_monotone(values)
 
     def test_latency_reorder_commutes(self):
         rng = random.Random(0xD2)
@@ -371,8 +402,26 @@ if HAVE_HYPOTHESIS:
 
         @settings(max_examples=120, deadline=None)
         @given(observations=latency_lists)
+        @example(observations=EQUAL_NEIGHBOURS)
         def test_latency_matches_numpy(self, observations):
             check_latency_matches_numpy(observations)
+
+        @settings(max_examples=120, deadline=None)
+        @given(
+            values=st.lists(
+                st.floats(
+                    min_value=0.0,
+                    max_value=500.0,
+                    allow_nan=False,
+                    allow_infinity=False,
+                ),
+                min_size=0,
+                max_size=12,
+            )
+        )
+        @example(values=EQUAL_NEIGHBOURS)
+        def test_percentile_bounded_and_monotone(self, values):
+            check_percentile_bounded_monotone(values)
 
         @settings(max_examples=120, deadline=None)
         @given(observations=integer_latency_lists, data=st.data())

@@ -33,7 +33,10 @@ from repro.harness.trial import (
     register_protocol,
     run_trial,
 )
-from repro.montecarlo.experiments import estimate_protocol_agreement
+from repro.harness.parallel import ExperimentEngine
+from repro.harness.registry import MatrixCell, run_matrix_cell
+
+from .helpers import seeded_specs
 
 
 def _fresh_result(protocol: str, domain: str, config: ProtocolConfig, seed: int):
@@ -317,19 +320,14 @@ class TestCryptoPoolDeterminism:
         assert stats["hits"] >= 1  # the warm run reused the cold run's entry
 
     def test_pooled_matches_fresh_across_workers(self):
-        """Serial and workers=2 protocol-level estimates are identical —
+        """Serial and workers=2 runs of the equivocation cell are identical —
         each worker grows its own pool, none of which changes results."""
-        config = ProtocolConfig(n=8, f=2)
-        serial = estimate_protocol_agreement(config, trials=4, seed=5, workers=0)
-        pooled = estimate_protocol_agreement(config, trials=4, seed=5, workers=2)
-        assert (
-            serial.estimates["violation_full_protocol"].successes
-            == pooled.estimates["violation_full_protocol"].successes
-        )
-        assert (
-            serial.estimates["undecided_runs"].successes
-            == pooled.estimates["undecided_runs"].successes
-        )
+        cell = MatrixCell("probft", "equivocation", "constant", n=8, f=2)
+        specs = seeded_specs(4, master_seed=5, params=(cell, 5000.0))
+        serial = ExperimentEngine(workers=0).map(run_matrix_cell, specs)
+        with ExperimentEngine(workers=2) as engine:
+            pooled = engine.map(run_matrix_cell, specs)
+        assert pooled == serial
 
     def test_pool_reuses_registry_only(self):
         clear_crypto_pool()
