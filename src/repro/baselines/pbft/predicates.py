@@ -5,9 +5,9 @@ carry the same value, so the view-change rule simplifies: the new leader
 re-proposes the value prepared in the *highest* view reported by its quorum
 (no ``mode`` needed, unlike ProBFT).
 
-None of these depends on who evaluates it: with the default validity
-predicate each is evaluated once per message object through the instance's
-verdict table (:meth:`CryptoContext.validated
+None of these depends on who evaluates it: each is evaluated once per
+message object through the instance's verdict table
+(:meth:`CryptoContext.validated
 <repro.crypto.context.CryptoContext.validated>`), however many replicas a
 broadcast reaches.
 """
@@ -22,7 +22,7 @@ from ...crypto.signatures import Signed
 from ...core.leader import leader_of_view
 from ...messages.base import conforms
 from ...messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
-from ...types import ValidPredicate, Value, View
+from ...types import Value, View
 
 
 def pbft_validate_prepared_certificate(
@@ -136,23 +136,15 @@ def pbft_choose_value(
 
 
 def pbft_safe_proposal(
-    signed: Signed,
-    config: ProtocolConfig,
-    crypto: CryptoContext,
-    valid: Optional[ValidPredicate] = None,
+    signed: Signed, config: ProtocolConfig, crypto: CryptoContext
 ) -> bool:
-    if valid is not None:
-        return _safe_proposal(signed, config, crypto, valid)
     return crypto.validated(
-        config, "propose", signed, lambda: _safe_proposal(signed, config, crypto, None)
+        config, "propose", signed, lambda: _safe_proposal(signed, config, crypto)
     )
 
 
 def _safe_proposal(
-    signed: Signed,
-    config: ProtocolConfig,
-    crypto: CryptoContext,
-    valid: Optional[ValidPredicate],
+    signed: Signed, config: ProtocolConfig, crypto: CryptoContext
 ) -> bool:
     if not conforms(signed, Signed[PbftPropose], crypto.verdicts):
         return False
@@ -171,8 +163,7 @@ def _safe_proposal(
     inner = statement.payload
     if inner.view != view or statement.signer != expected_leader:
         return False
-    valid_fn = valid if valid is not None else config.valid
-    if not valid_fn(inner.value):
+    if not config.valid(inner.value):
         return False
     if view == 1:
         return True

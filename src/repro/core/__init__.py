@@ -8,7 +8,7 @@
   with the baselines: build n replicas on a simulated network and run a
   consensus instance.
 * :mod:`repro.core.protocol` — :class:`ProBFTDeployment`: the base plus
-  ProBFT's observation policy and vote kernel.
+  ProBFT's vote kernel.
 """
 
 from .leader import leader_of, leader_of_view, compute_proposal, mode_values

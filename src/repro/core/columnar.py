@@ -36,11 +36,13 @@ anything smaller — a small deployment's phase, or under continuous latency
 one bucket per delivery, a *chain* of them per call (the simulator hands the
 kernel the queue's next entry as it asks) — takes a scalar walk with the
 same rules, so the work follows the votes, not a fixed toll per pass.  Any
-vote bucket
-the kernel cannot prove equivalent — equivocal views, deployments with network
-duplication — is declined (-1) to the per-recipient loop
-(:meth:`ProBFTReplica.on_message`) through the same arrays.  Routes and
-passes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
+vote bucket the kernel cannot prove equivalent — equivocal views,
+deployments with network duplication — is declined (-1) and delivered whole
+by the network's per-recipient loop (:meth:`ProBFTReplica.on_message`)
+through the same arrays.  The kernel is the network's one seam to the
+instance: its :meth:`~ColumnarVoteDispatch.inspect` sees every send, which
+is how it knows a view is equivocal before any of its votes arrive.  Routes
+and passes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
 route, a vote's recipient-independent validation is one lookup in the
 instance's verdict table (:func:`~repro.core.replica.prevalidate_vote`):
 under continuous latency a vote object arrives in ``s`` buckets and is
@@ -64,8 +66,11 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
+from ..crypto.signatures import Signed
 from ..errors import QuorumError
-from ..messages.probft import Commit, Prepare
+from ..messages.base import ProposalStatement, conforms
+from ..messages.probft import Commit, Prepare, Propose
+from .leader import leader_of
 from .replica import prevalidate_vote
 
 __all__ = [
@@ -366,8 +371,8 @@ class ColumnarVoteDispatch:
     ``advance`` at every bucket boundary — no array temporaries, and a whole
     chain of one-recipient buckets per call (DESIGN.md, "Chains").
 
-    The pass fuses the observation policy's pruning and
-    :meth:`ProBFTReplica._handle_vote`'s per-recipient behaviour into array
+    The pass fuses :meth:`ProBFTReplica._handle_vote`'s per-recipient
+    rules (view gate, progress pruning, ``i ∈ S``) into array
     operations over the concatenated recipients: eligibility (one gather
     over the mirror columns) and the seen-bit test once, each countable
     vote's arrival rank at its recipient in bucket order, then one scatter
@@ -387,15 +392,15 @@ class ColumnarVoteDispatch:
     DESIGN.md ("Runs and groups"); a walked group needs neither argument.
 
     Answers one delivered count per bucket reached, or ``(-1,)`` to decline
-    the bucket at ``pos`` to the caller's filtered per-recipient loop over
-    the same arrays: equivocal-flagged views (any recipient may need the
-    evidence), votes that fail prevalidation (they never reach a collector,
-    but a conflicting leader statement riding on one must still be able to
-    trigger lines 23-25), and any deployment with network duplication
-    (a recipient could appear twice in one bucket, which the scatters rule
-    out).  Anything that is not a vote is the wish kernel's to take or
-    decline.  ``vectorised``/``walked``/``declined`` count the vote
-    buckets that took each route (reached, for a group cut short),
+    the bucket at ``pos`` to the caller's per-recipient loop over the same
+    arrays, which delivers it whole: equivocal-flagged views (any recipient
+    may need the evidence), votes that fail prevalidation (they never reach
+    a collector, but a conflicting leader statement riding on one must
+    still be able to trigger lines 23-25), and any deployment with network
+    duplication (a recipient could appear twice in one bucket, which the
+    scatters rule out).  Anything that is not a vote is the wish kernel's
+    to take or decline.  ``vectorised``/``walked``/``declined`` count the
+    vote buckets that took each route (reached, for a group cut short),
     ``vote_passes`` the array passes run, ``vote_chains`` the walks.
     """
 
@@ -406,7 +411,6 @@ class ColumnarVoteDispatch:
         replicas,
         correct_ids,
         handlers,
-        policy,
         state: ColumnarVoteState,
         wishes,
         dup_possible: bool = False,
@@ -416,7 +420,9 @@ class ColumnarVoteDispatch:
         self._replicas = replicas
         self._correct = frozenset(correct_ids)
         self._handlers = handlers  # Network's plain handlers (Byzantine dsts)
-        self._policy = policy
+        self._value_seen: Dict[int, object] = {}  # view -> leader's value
+        self._equivocal: Set[int] = set()
+        self._last = None  # the statement inspected last
         self._q = config.q
         self._state = state
         self._wishes = wishes  # the deployment's wish kernel
@@ -435,6 +441,38 @@ class ColumnarVoteDispatch:
             "vote_passes": self.vote_passes,
             "vote_chains": self.vote_chains,
         }
+
+    def inspect(self, src, message) -> None:
+        """Flag a view *equivocal* once two values signed by its leader have
+        been sent: from then on any recipient may need to block the view
+        and broadcast evidence (lines 23-25), so its vote buckets are
+        declined.  Runs on every send, unicasts included, strictly before
+        any of its deliveries.  Only a wire-conforming statement signed by
+        ``leader(view)`` counts: a flooder's self-signed one can never
+        trigger line 23, and one of no ``Value`` is no evidence (replicas
+        drop its messages whole)."""
+        payload = getattr(message, "payload", None)
+        if not isinstance(payload, (Propose, Prepare, Commit)):
+            return
+        statement = payload.statement
+        if statement is self._last:
+            return  # (every vote of a view carries its proposal's statement)
+        self._last = statement
+        inner = getattr(statement, "payload", None)
+        if type(inner) is not ProposalStatement or not conforms(
+            statement, Signed, self._crypto.verdicts
+        ):
+            return
+        config, view = self._config, inner.view
+        if (
+            inner.domain != config.seed_domain
+            or view in self._equivocal
+            or view < 1
+            or statement.signer != leader_of(view, config)
+        ):
+            return
+        if self._value_seen.setdefault(view, inner.value) != inner.value:
+            self._equivocal.add(view)
 
     def note_declined(self, message) -> None:
         """Count a bucket the caller had to route around the kernels (the
@@ -465,7 +503,7 @@ class ColumnarVoteDispatch:
         # with several recipients opens a group, which goes to the pass
         # below if it holds ``_PASS_MIN_VOTES`` votes.
         state, correct, replicas = self._state, self._correct, self._replicas
-        equivocal = self._policy._equivocal
+        equivocal = self._equivocal
         config, crypto = self._config, self._crypto
         views, prepare_active, commit_active = map(
             memoryview, (state.views, state.prepare_active, state.commit_active)

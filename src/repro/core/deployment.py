@@ -8,12 +8,15 @@ replica class, a key-pool label and its :class:`InstanceStack`; the SMR
 service (:class:`repro.smr.service.SMRDeployment`) supplies replicas that
 host one consensus instance per slot and a router over one stack per slot.
 
-Every deployment delivers fan-outs coalesced (one simulator event per
-distinct delivery time, :mod:`repro.net.sparse`) and hands each bucket to
-its instance's kernel: Wish fan-outs go to the one wish kernel over
+Every deployment gives the network its instance's kernel
+(:meth:`Network.use_kernel <repro.net.network.Network.use_kernel>`), the one
+seam between the two: the kernel sees every send, fan-outs are delivered
+coalesced (one simulator event per distinct delivery time) and each bucket
+goes to the kernel.  Wish fan-outs go to the one wish kernel over
 synchronizer columns shared by the instance's correct replicas
-(:mod:`repro.sync.columns`), and ProBFT adds its observation policy and
-vote kernel (:class:`repro.core.protocol.ProBFTStack`).  ``reference=True``
+(:mod:`repro.sync.columns`), and ProBFT puts its vote kernel in front of it
+(:class:`repro.core.protocol.ProBFTStack`); a bucket a kernel declines is
+delivered whole, per recipient.  ``reference=True``
 builds the test oracle instead: per-recipient delivery, per-message
 handlers, per-replica wish ledgers, set-based quorum collectors — Algorithm
 1 with nothing batched, and a table-free crypto context, so every check is
@@ -47,7 +50,6 @@ from ..net.faults import ChaosPolicy
 from ..net.latency import LatencyModel
 from ..net.network import Network
 from ..net.simulator import Simulator
-from ..net.sparse import CoalescingDelivery
 from ..net.transport import Transport
 from ..sync.columns import WishDispatch
 from ..sync.timeouts import TimeoutPolicy
@@ -82,9 +84,9 @@ def default_value(replica: ReplicaId) -> Value:
 class InstanceStack:
     """One consensus instance's share of a coalescing network.
 
-    The correct replicas that have joined the instance, the delivery policy
-    that rules on its fan-outs and the kernel its buckets go to: the wish
-    kernel here, with ProBFT's vote kernel in front of it in
+    The correct replicas that have joined the instance and the kernel the
+    network hands its sends and buckets to: the wish kernel here, with
+    ProBFT's vote kernel in front of it in
     :class:`~repro.core.protocol.ProBFTStack`.  A single-shot deployment
     holds one, joined by every correct replica at construction; the SMR
     service holds one per open slot, joined by each replica as it opens the
@@ -97,15 +99,11 @@ class InstanceStack:
     replica_kwargs: dict = {}
 
     def __init__(
-        self, config, crypto, correct_ids, byzantine_ids, handlers, dup_possible=False
+        self, config, crypto, correct_ids, handlers, dup_possible=False
     ) -> None:
         self.config = config
         self.crypto = crypto
         self.replicas: Dict[ReplicaId, object] = {}
-        # Deterministic-quorum votes go to everyone, so the default has
-        # nothing to prune: pure event coalescing, which is what tames the
-        # O(n^2) broadcast storms, plus the wish kernel.
-        self.policy = CoalescingDelivery()
         self.wishes = WishDispatch(
             config.n, config.f, crypto.signatures, {}, handlers, dup_possible
         )
@@ -129,7 +127,7 @@ class InstanceStack:
 
     def detach(self) -> None:
         """Forget the replicas (teardown): they point at the network, whose
-        policy points here."""
+        kernel points here."""
         self.replicas.clear()
         self.retire()
 
@@ -226,7 +224,6 @@ class Deployment:
             self.config,
             self.crypto,
             self._correct_ids,
-            self.byzantine_ids,
             self.network._handlers,
             self.duplicate_prob > 0.0,
         )
@@ -259,11 +256,9 @@ class Deployment:
 
     def _install_stack(self) -> None:
         """Put the production stack on the network (skipped by the oracle)."""
-        stack, network = self.stack, self.network
         for r in self._correct_ids:
-            stack.join(r, self.replicas[r])
-        network.use_delivery_policy(stack.policy)
-        network.use_bulk_handler(stack.kernel)
+            self.stack.join(r, self.replicas[r])
+        self.network.use_kernel(self.stack.kernel)
 
     # ------------------------------------------------------------------
     # Driving

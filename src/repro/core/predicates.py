@@ -16,9 +16,8 @@ propose a value that contradicts what a (deterministic-quorum) majority
 prepared in the latest view — this is what protects decisions across view
 changes (Theorem 8).
 
-Neither predicate depends on who evaluates it, so with the default validity
-predicate and leader schedule each is evaluated once per message object
-through the instance's verdict table (:meth:`CryptoContext.validated
+Neither predicate depends on who evaluates it, so each is evaluated once
+per message object through the instance's verdict table (:meth:`CryptoContext.validated
 <repro.crypto.context.CryptoContext.validated>`), as is the ``prepared``
 check of a certificate: the 2f+1 NewLeader signatures of a view-change
 justification are checked once per view, not once per replica, and the
@@ -29,7 +28,7 @@ supply it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 from ..config import ProtocolConfig
 from ..crypto.context import CryptoContext
@@ -37,32 +36,21 @@ from ..crypto.signatures import Signed
 from ..messages.base import conforms
 from ..messages.probft import NewLeader, Propose
 from ..quorum.certificates import validate_prepared_certificate
-from ..types import ReplicaId, ValidPredicate, View
+from ..types import View
 from .leader import leader_of, max_prepared_view, mode_values
-
-LeaderFn = Callable[[View, int], ReplicaId]
-
 
 def valid_new_leader(
     signed: Signed,
     target_view: View,
     config: ProtocolConfig,
     crypto: CryptoContext,
-    leader_fn: Optional[LeaderFn] = None,
 ) -> bool:
-    """``validNewLeader`` over a signed NewLeader message for ``target_view``.
-
-    ``leader_fn`` defaults to the config's offset-aware round-robin schedule
-    (``leader_of``); pass an explicit ``(view, n) -> id`` callable to audit
-    against a different schedule.
-    """
-    if leader_fn is not None:
-        return _valid_new_leader(signed, target_view, config, crypto, leader_fn)
+    """``validNewLeader`` over a signed NewLeader message for ``target_view``."""
     return crypto.validated(
         config,
         "new_leader",
         signed,
-        lambda: _valid_new_leader(signed, target_view, config, crypto, None),
+        lambda: _valid_new_leader(signed, target_view, config, crypto),
         (target_view,),
     )
 
@@ -72,7 +60,6 @@ def _valid_new_leader(
     target_view: View,
     config: ProtocolConfig,
     crypto: CryptoContext,
-    leader_fn: Optional[LeaderFn],
 ) -> bool:
     if not conforms(signed, Signed[NewLeader], crypto.verdicts):
         return False
@@ -97,11 +84,8 @@ def _valid_new_leader(
             config=config,
             signatures=crypto.signatures,
             vrf=crypto.vrf,
-            leader_of_view=leader_fn,
         )
 
-    if leader_fn is not None:
-        return prepared()
     # A replica re-sends the same certificate tuple in every later view's
     # NewLeader until it prepares again.
     return crypto.validated(
@@ -122,29 +106,16 @@ def _justification_is_quorum(
 
 
 def safe_proposal(
-    signed: Signed,
-    config: ProtocolConfig,
-    crypto: CryptoContext,
-    valid: Optional[ValidPredicate] = None,
-    leader_fn: Optional[LeaderFn] = None,
+    signed: Signed, config: ProtocolConfig, crypto: CryptoContext
 ) -> bool:
     """``safeProposal`` over a signed Propose message."""
-    if valid is not None or leader_fn is not None:
-        return _safe_proposal(signed, config, crypto, valid, leader_fn)
     return crypto.validated(
-        config,
-        "propose",
-        signed,
-        lambda: _safe_proposal(signed, config, crypto, None, None),
+        config, "propose", signed, lambda: _safe_proposal(signed, config, crypto)
     )
 
 
 def _safe_proposal(
-    signed: Signed,
-    config: ProtocolConfig,
-    crypto: CryptoContext,
-    valid: Optional[ValidPredicate],
-    leader_fn: Optional[LeaderFn],
+    signed: Signed, config: ProtocolConfig, crypto: CryptoContext
 ) -> bool:
     if not conforms(signed, Signed[Propose], crypto.verdicts):
         return False
@@ -154,9 +125,7 @@ def _safe_proposal(
     view = propose.view
     if view < 1:
         return False
-    expected_leader = (
-        leader_fn(view, config.n) if leader_fn is not None else leader_of(view, config)
-    )
+    expected_leader = leader_of(view, config)
     if signed.signer != expected_leader:
         return False
     # The inner statement must be consistent and signed by the same leader.
@@ -168,8 +137,7 @@ def _safe_proposal(
         return False
     if inner.domain != config.seed_domain:
         return False
-    valid_fn = valid if valid is not None else config.valid
-    if not valid_fn(inner.value):
+    if not config.valid(inner.value):
         return False
     if view == 1:
         return True
@@ -179,7 +147,7 @@ def _safe_proposal(
     if not _justification_is_quorum(justification, config):
         return False
     for m in justification:
-        if not valid_new_leader(m, view, config, crypto, leader_fn):
+        if not valid_new_leader(m, view, config, crypto):
             return False
     payloads = [m.payload for m in justification]
     v_max = max_prepared_view(payloads)

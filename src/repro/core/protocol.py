@@ -1,11 +1,10 @@
 """Deployment wiring: run a ProBFT consensus instance on a simulated network.
 
-:class:`ProBFTStack` is what one ProBFT instance puts on the network: votes
-reach only the recipients that can observe them (:class:`~repro.core.
-observation.SampleObservationPolicy`), whole vote buckets are applied by
-one kernel over array-backed quorum state (:mod:`repro.core.columnar`),
-which passes Wish buckets on to the shared wish kernel, and every message
-is validated once per object through the instance's verdict table.
+:class:`ProBFTStack` is what one ProBFT instance puts on the network: one
+kernel over array-backed quorum state (:mod:`repro.core.columnar`) that
+sees every send (to flag equivocal views), applies whole vote buckets and
+passes Wish buckets on to the shared wish kernel; every message is
+validated once per object through the instance's verdict table.
 :class:`ProBFTDeployment` is the shared
 :class:`~repro.core.deployment.Deployment` over one such stack (the SMR
 service holds one per open slot).
@@ -18,33 +17,26 @@ from typing import Dict
 from ..config import ProtocolConfig
 from .columnar import ColumnarVoteDispatch, ColumnarVoteState
 from .deployment import Deployment, InstanceStack
-from .observation import SampleObservationPolicy
 from .replica import ProBFTReplica
 
 
 class ProBFTStack(InstanceStack):
     """One ProBFT instance: shared columnar vote state (one set of arrays for
-    every correct replica, whose collector tables become facades over it),
-    the observation policy, and the vote kernel in front of the wish kernel."""
+    every correct replica, whose collector tables become facades over it)
+    and the vote kernel in front of the wish kernel."""
 
     def __init__(
-        self, config, crypto, correct_ids, byzantine_ids, handlers, dup_possible=False
+        self, config, crypto, correct_ids, handlers, dup_possible=False
     ) -> None:
-        super().__init__(
-            config, crypto, correct_ids, byzantine_ids, handlers, dup_possible
-        )
+        super().__init__(config, crypto, correct_ids, handlers, dup_possible)
         self.state = ColumnarVoteState(config.n, config.q, correct_ids)
         self.replica_kwargs = {"columnar_state": self.state}
-        self.policy = SampleObservationPolicy(
-            config, byzantine_ids, self.replicas, crypto.verdicts
-        )
         self.kernel = ColumnarVoteDispatch(
             config,
             crypto,
             self.replicas,
             correct_ids,
             handlers,
-            self.policy,
             self.state,
             self.wishes,
             dup_possible=dup_possible,

@@ -24,8 +24,9 @@ experiment surface (the matrix, sweeps, the CLI) at once.
 
 from __future__ import annotations
 
+import copy
 import gc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..baselines.hotstuff.protocol import HotStuffDeployment
@@ -169,18 +170,19 @@ class DeploymentSpec:
     max_events: int = 5_000_000
     extra: Tuple[Tuple[str, Any], ...] = ()
 
-    def with_seed(self, seed: int) -> "DeploymentSpec":
-        """The same trial under a different seed (for seeded fan-out)."""
-        return replace(self, seed=seed)
-
     def build(self):
-        """Construct the protocol's deployment (does not run it)."""
+        """Construct the protocol's deployment (does not run it).
+
+        The latency model and chaos policy draw from seeded streams as the
+        trial runs, so the deployment gets copies: a spec is data, and
+        building it twice runs the same trial twice.
+        """
         return _factory(self.protocol)(
             self.config,
             seed=self.seed,
-            latency=self.latency,
+            latency=copy.deepcopy(self.latency),
             gst=self.gst,
-            chaos=self.chaos,
+            chaos=copy.deepcopy(self.chaos),
             timeout_policy=self.timeout_policy,
             values=self.values,
             byzantine=self.byzantine,

@@ -11,9 +11,10 @@ and of whether the sender is faulty*.
 * :mod:`repro.net.faults` — pre-GST chaos policies (delay/reorder) and
   partitions; correct-to-correct messages are never lost, only delayed.
 * :mod:`repro.net.network` — the network itself: routing, GST enforcement,
-  per-type message accounting (used by the Figure-1b benchmarks).
-* :mod:`repro.net.sparse` — delivery policies: coalesced fan-out events
-  (and protocol-aware pruning), attached by every production deployment.
+  per-type message accounting (used by the Figure-1b benchmarks), and the
+  one seam to a consensus instance: given the instance's kernel
+  (``Network.use_kernel``), fan-outs are coalesced into one event per
+  distinct delivery time and the kernel sees every send and every bucket.
 * :mod:`repro.net.transport` — the per-replica send/broadcast/multicast API.
 """
 
@@ -26,7 +27,6 @@ from .latency import (
 )
 from .faults import ChaosPolicy, NoChaos, PreGstChaos, Partition
 from .network import Network, MessageStats
-from .sparse import CoalescingDelivery, SparseDeliveryPolicy
 from .transport import Transport
 
 __all__ = [
@@ -41,7 +41,5 @@ __all__ = [
     "Partition",
     "Network",
     "MessageStats",
-    "SparseDeliveryPolicy",
-    "CoalescingDelivery",
     "Transport",
 ]

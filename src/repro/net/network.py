@@ -7,6 +7,23 @@ latency model's bound.  Correct-to-correct messages are never lost.
 
 The network also keeps :class:`MessageStats` — per-type send counters used to
 reproduce Figure 1b (number of exchanged messages).
+
+A network given an instance kernel (:meth:`Network.use_kernel`; every
+production deployment gives its one) coalesces fan-outs: one queue entry
+per distinct delivery time instead of one per recipient, which is what
+tames the per-event cost of O(n^2) broadcast storms.  Without one it is the
+dense oracle the identity tests compare against.  Coalesced and dense runs
+are bit-identical because
+
+* **RNG order** — latency, chaos and duplication draws are made per target
+  in exactly dense's target order;
+* **event order** — buckets are created in first-seen order, deliver their
+  recipients in target order and keep their queue order inside a run, and
+  the simulator breaks time ties by scheduling order;
+* **stop granularity** — dense checks ``stop_when`` between deliveries, so
+  the kernel and the per-recipient loop probe ``Network.stop_probe``
+  between recipients and the simulator's loop asks ``stop_when`` between
+  buckets.
 """
 
 from __future__ import annotations
@@ -21,7 +38,6 @@ from ..types import ReplicaId
 from .faults import ChaosPolicy, NoChaos
 from .latency import ConstantLatency, LatencyModel
 from .simulator import Simulator
-from .sparse import SparseDeliveryPolicy
 
 #: Handler invoked on delivery: ``handler(src, message)``.
 DeliveryHandler = Callable[[ReplicaId, object], None]
@@ -178,11 +194,10 @@ class Network:
         )
         self._track_bytes = track_bytes
         self._handlers: Dict[ReplicaId, DeliveryHandler] = {}
-        self._bulk_handler: Optional[Callable] = None
-        self._delivery: Optional[SparseDeliveryPolicy] = None
+        self._kernel = None
         #: Optional predicate mirroring the deployment's ``stop_when``; the
-        #: coalesced fan-out checks it between recipients so sparse runs keep
-        #: dense's per-delivery stop granularity.
+        #: coalesced fan-out checks it between recipients to keep dense's
+        #: per-delivery stop granularity.
         self.stop_probe: Optional[Callable[[], bool]] = None
         self.stats = MessageStats()
 
@@ -208,48 +223,47 @@ class Network:
             raise NotRegisteredError(f"replica {replica} out of range [0, {self._n})")
         self._handlers[replica] = handler
 
-    def use_bulk_handler(self, handler: Optional[Callable]) -> None:
-        """Attach the delivery kernel for coalesced fan-outs.
+    def use_kernel(self, kernel) -> None:
+        """Coalesce fan-outs and hand every bucket to ``kernel``.
 
-        ``handler(run, pos, probe, advance)`` is given a run of ``(src,
-        message, dsts)`` buckets and delivers ``run[pos]`` plus as many of
-        the buckets after it as it can apply with it.  It returns one
-        delivered count per bucket reached (at least one); -1, only ever
-        last, declines that bucket to the generic per-recipient loop.  The
-        handler owns the probe-between-deliveries stop semantics inside the
-        buckets it accepts, and enters a later bucket whose handlers it runs
-        through ``advance(k)`` (:meth:`Simulator._advance`): true means
-        bucket ``k`` is there and its to deliver — asked at the end of the
-        run, the simulator may have just appended it — a refusal ends its
-        answer before ``k``.  A bucket it entered and does not answer for is
-        its caller's, who asks ``advance(k)`` again and is told yes.
-        """
-        self._bulk_handler = handler
-
-    def disconnect(self) -> None:
-        """Forget every registered handler (deployment teardown)."""
-        self._handlers.clear()
-        self._bulk_handler = None
-        self.stop_probe = None
-
-    def use_delivery_policy(self, policy: Optional[SparseDeliveryPolicy]) -> None:
-        """Switch multicast/broadcast to the sparse coalesced fan-out path.
+        ``kernel.inspect(src, message)`` sees every message sent, unicast
+        included, before any of its deliveries.  ``multicast``/``broadcast``
+        then post one queue entry per distinct delivery time: the bucket
+        ``(src, message, recipients)`` as data (:meth:`_sparse_dispatch`).
+        ``kernel(run, pos, probe, advance)`` is given a run of such buckets
+        and delivers ``run[pos]`` plus as many of the buckets after it as it
+        can apply with it.  It returns one delivered count per bucket
+        reached (at least one); -1, only ever last, declines that bucket to
+        the per-recipient loop, which delivers it whole.  The kernel owns
+        the probe-between-deliveries stop semantics inside the buckets it
+        accepts, and enters a later bucket whose handlers it runs through
+        ``advance(k)`` (:meth:`Simulator._advance`): true means bucket ``k``
+        is there and its to deliver — asked at the end of the run, the
+        simulator may have just appended it — a refusal ends its answer
+        before ``k``.  A bucket it entered and does not answer for is its
+        caller's, who asks ``advance(k)`` again and is told yes.
 
         ``None`` restores dense mode (one simulator event per recipient):
         what ``reference=True`` deployments, the test oracle, run.
         """
-        self._delivery = policy
+        self._kernel = kernel
 
     @property
-    def delivery_policy(self) -> Optional[SparseDeliveryPolicy]:
-        return self._delivery
+    def kernel(self):
+        return self._kernel
+
+    def disconnect(self) -> None:
+        """Forget every registered handler (deployment teardown)."""
+        self._handlers.clear()
+        self._kernel = None
+        self.stop_probe = None
 
     def send(self, src: ReplicaId, dst: ReplicaId, message: object) -> float:
         """Send one message; returns the scheduled delivery time."""
         if dst not in self._handlers:
             raise NotRegisteredError(f"no handler registered for replica {dst}")
-        if self._delivery is not None:
-            self._delivery.inspect(src, message)
+        if self._kernel is not None:
+            self._kernel.inspect(src, message)
         now = self._sim.now
         base = self._latency.delay(src, dst)
         extra = self._chaos.extra_delay(now, self._gst, src, dst)
@@ -296,7 +310,7 @@ class Network:
         self, src: ReplicaId, targets: Iterable[ReplicaId], message: object
     ) -> None:
         """Send ``message`` to every replica in ``targets`` (self included if listed)."""
-        if self._delivery is not None:
+        if self._kernel is not None:
             self._sparse_dispatch(src, targets, message)
             return
         for dst in targets:
@@ -317,13 +331,12 @@ class Network:
         """Coalesced fan-out: one simulator event per distinct delivery time.
 
         Latency/chaos/duplication draws happen per target in dense's target
-        order (suppression never skips a draw), buckets are created in
+        order, buckets are created in
         first-seen order, and recipients within a bucket keep target order —
         together with the kernel's tie-break-by-scheduling-order this makes
         the delivery interleaving identical to dense mode.
         """
-        policy = self._delivery
-        policy.inspect(src, message)
+        self._kernel.inspect(src, message)
         now = self._sim.now
         gst_floor = max(now, self._gst)
         deadline = gst_floor + self._latency.max_delay
@@ -386,30 +399,23 @@ class Network:
         protocol): the buckets of one delivery time and, chained on as
         ``advance`` grants them, the queue's next ones — ``run`` grows under
         this loop and under the kernel's.  The kernel takes as many as it can
-        per call — *raw* buckets: it does its own pruning inline, one pass
-        instead of filter-then-deliver — and declines what it does not fully
-        understand to the filtered per-recipient loop; ``advance`` (the
-        loop's ``stop_when`` and the event accounting) is asked at every
-        boundary it leaves us.  That loop probes ``stop_probe`` between
-        actual deliveries (the kernel already checked before this bucket,
-        and a suppressed delivery cannot change the stop predicate — its
-        dense twin is a handler call that provably mutates nothing the
-        predicate reads — so skipping its probe keeps dense's stop point)."""
-        policy = self._delivery
-        bulk = self._bulk_handler if policy is not None else None
+        per call and declines what it does not fully understand to the
+        per-recipient loop, which delivers the bucket whole and probes
+        ``stop_probe`` between deliveries (the kernel already checked before
+        this bucket); ``advance`` (the loop's ``stop_when`` and the event
+        accounting) is asked at every boundary it leaves us."""
+        kernel = self._kernel
         record = self.stats.record_bulk_delivery
         probe = self.stop_probe
         pos = 0
         while True:
             for delivered in (
-                bulk(run, pos, probe, advance) if bulk is not None else (-1,)
+                kernel(run, pos, probe, advance) if kernel is not None else (-1,)
             ):
                 if delivered > 0:
                     record(run[pos][1], delivered)
                 elif delivered < 0:
                     src, message, dsts = run[pos]
-                    if policy is not None:
-                        dsts = policy.batch_filter(message, dsts)
                     handlers = self._handlers
                     delivered = 0
                     try:

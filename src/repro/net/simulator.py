@@ -15,7 +15,7 @@ they outnumber live entries, because bounded-window timer churn (cancel +
 re-arm per view) would otherwise grow the backlog without bound.
 
 Fan-outs reach the kernel coalesced (one entry per distinct delivery time,
-see :mod:`repro.net.sparse`) and as *data*: :meth:`Simulator.post_at` queues
+see :mod:`repro.net.network`) and as *data*: :meth:`Simulator.post_at` queues
 ``[time, seq, receiver, sim, item]`` — no closure.  What leaves the queue is
 a **run**, served by one ``receiver.deliver_run(items, advance)`` call: every
 queue-consecutive posted entry of one time and one receiver (with constant

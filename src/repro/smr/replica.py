@@ -54,7 +54,6 @@ from ..core.deployment import KERNEL_STATS, InstanceStack
 from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
 from ..messages.base import CanonicalMessage, conforms
-from ..net.sparse import SparseDeliveryPolicy
 from ..net.transport import Transport
 from ..sync.timeouts import TimeoutPolicy
 from ..types import Decision, ReplicaId, Value
@@ -101,7 +100,7 @@ def _drop(slot: int, src: ReplicaId, message: object) -> None:
     """A silent Byzantine seat's share of a slot's traffic."""
 
 
-class SlotStacks(SparseDeliveryPolicy):
+class SlotStacks:
     """The slots of one SMR deployment, and the router in front of them.
 
     Shared by the deployment's replicas and Byzantine seats: it hands out
@@ -109,9 +108,9 @@ class SlotStacks(SparseDeliveryPolicy):
     per open slot (built by ``make_stack(slot_config, handlers)``;
     ``None`` — the oracle, stand-alone replicas — means per-message
     instances and no stacks), and retires a slot when its last correct
-    replica has applied it.  As the network's delivery policy *and* bulk
-    handler it unwraps a :class:`SlotEnvelope` and hands the bucket to the
-    slot's own policy and kernels.
+    replica has applied it.  As the network's kernel it unwraps a
+    :class:`SlotEnvelope` and hands the send or the bucket to the slot's
+    own kernel.
     """
 
     def __init__(
@@ -212,11 +211,11 @@ class SlotStacks(SparseDeliveryPolicy):
         self.seats.clear()
         self.decode.clear()
 
-    # The router: the network's delivery policy and bulk handler.
+    # The router: the network's kernel.
     def inspect(self, src: ReplicaId, message: object) -> None:
         slot = self.slot_of(message)
         if slot is not None:
-            self.open(slot).policy.inspect(src, message.inner)
+            self.open(slot).kernel.inspect(src, message.inner)
 
     def __call__(self, run, pos, probe, advance) -> tuple:
         src, message, dsts = run[pos]
@@ -246,13 +245,6 @@ class SlotStacks(SparseDeliveryPolicy):
         return stack.kernel(
             inner, 0, probe, lambda k: slot > self.retired and advance(pos + k)
         )
-
-    def batch_filter(self, message, dsts):
-        # What __call__ declined: prune only where every replica is known.
-        stack = self.stacks.get(self.slot_of(message))
-        if stack is None or len(stack.replicas) < self._correct:
-            return dsts
-        return stack.policy.batch_filter(message.inner, dsts)
 
 
 class _SlotTransport(Transport):

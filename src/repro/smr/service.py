@@ -132,14 +132,13 @@ class SMRDeployment(Deployment):
         if not self.reference:
             # Nothing the router holds may point back at the deployment.
             stack_class, crypto = self.stack_class, self.crypto
-            correct_ids, byzantine_ids = self._correct_ids, self.byzantine_ids
+            correct_ids = self._correct_ids
 
             def make_stack(config, handlers):
                 # Each slot validates through its own table, which goes
                 # when the slot retires.
                 return stack_class(
-                    config, crypto.instance(config), correct_ids, byzantine_ids,
-                    handlers,
+                    config, crypto.instance(config), correct_ids, handlers
                 )
 
         return SlotStacks(
@@ -177,8 +176,7 @@ class SMRDeployment(Deployment):
         )
 
     def _install_stack(self) -> None:
-        self.network.use_delivery_policy(self.stack)
-        self.network.use_bulk_handler(self.stack)
+        self.network.use_kernel(self.stack)
 
     def watch_applies(
         self,

@@ -300,9 +300,11 @@ class WishDispatch:
             appear twice in one bucket; every bucket then takes the
             per-recipient loop.
 
-    A bulk handler (:meth:`repro.net.network.Network.use_bulk_handler`)
+    An instance kernel (:meth:`repro.net.network.Network.use_kernel`)
     that takes one bucket per call: it answers ``(delivered,)`` for
     ``run[pos]``, or ``(-1,)`` for anything that is not a signed Wish.
+    Nothing it does depends on what was sent before, so its
+    :meth:`inspect` ignores every send.
     ``vectorised`` / ``scalar`` / ``declined`` count the Wish buckets that
     took each route.
     """
@@ -337,6 +339,9 @@ class WishDispatch:
         self._domain = sync.domain
         sync.use_wish_state(_ColumnWishes(self.columns, replica))
         self.columns.note_attached(replica)
+
+    def inspect(self, src: ReplicaId, message: object) -> None:
+        """A send: nothing to note (see the class docstring)."""
 
     def note_declined(self, message) -> None:
         """Count a Wish bucket the caller had to route around the kernel."""

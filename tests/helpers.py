@@ -57,8 +57,8 @@ def seeded_specs(trials, master_seed=0, params=None):
 
 
 def deliver_bucket(handler, src, message, dsts, probe=None):
-    """One bucket through a bulk handler (a run of one): its delivered
-    count, or -1 if the handler declined it."""
+    """One bucket through an instance kernel (a run of one): its delivered
+    count, or -1 if the kernel declined it."""
     (delivered,) = handler([(src, message, dsts)], 0, probe, lambda k: False)
     return delivered
 

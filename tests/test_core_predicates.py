@@ -100,10 +100,6 @@ class TestSafeProposalView1:
         assert safe_proposal(good, cfg_picky, crypto)
         assert not safe_proposal(bad, cfg_picky, crypto)
 
-    def test_valid_predicate_override(self, cfg, crypto):
-        propose = make_propose(crypto, cfg, view=1, value=b"x")
-        assert not safe_proposal(propose, cfg, crypto, valid=lambda v: False)
-
     def test_statement_view_mismatch_rejected(self, cfg, crypto):
         statement = make_statement(crypto, cfg, 2, b"v", signer=0)
         propose = crypto.signatures.sign(

@@ -1,7 +1,7 @@
 """The production stack against the oracle, and the counters on its kernel.
 
-Every single-shot deployment runs one stack: coalesced fan-outs, and for
-ProBFT the observation policy plus the vote kernel over columnar state
+Every single-shot deployment runs one stack: coalesced fan-outs handed to
+the instance's kernel — for ProBFT the vote kernel over columnar state
 (:mod:`repro.core.columnar`).  ``reference=True`` on the deployment base
 (reachable through ``DeploymentSpec.extra`` only) builds the oracle
 instead — per-recipient delivery, :meth:`ProBFTReplica.on_message`,
@@ -42,7 +42,6 @@ from repro.harness.registry import (
 )
 from repro.harness.parallel import derive_seed
 from repro.harness.trial import DeploymentSpec, TrialContext, run_trial, summarize
-from repro.net import CoalescingDelivery
 from repro.net.latency import ExponentialLatency
 from repro.sync.synchronizer import Wish
 from repro.sync.timeouts import FixedTimeout
@@ -96,7 +95,7 @@ class TestMatrixIdentity:
     def test_every_cell_equals_the_oracle(self, protocol, latency):
         """3 protocols x 7 adversaries x 4 latency models at n=30, 2 seeds.
 
-        The suppression- and kernel-sensitive adversaries are all here:
+        The kernel-sensitive adversaries are all here:
         equivocation (view flagging, the kernel declines), flooding (forged
         statements must NOT flag views; invalid votes are never
         counted), duplication (per-target duplicate draws, the
@@ -170,26 +169,22 @@ class TestStackWiring:
         cell = MatrixCell(protocol, "none", "constant", n=14, f=2)
         return cell_deployment_spec(cell, seed=0, max_time=MAX_TIME)
 
-    def test_probft_installs_policy_and_kernel(self):
+    def test_probft_installs_its_kernel(self):
         from repro.core.columnar import ColumnarVoteDispatch
-        from repro.core.observation import SampleObservationPolicy
 
         deployment = self._spec("probft").build()  # closes when let go of
-        network = deployment.network
-        assert type(network.delivery_policy) is SampleObservationPolicy
-        assert type(network._bulk_handler) is ColumnarVoteDispatch
+        assert deployment.network.kernel is deployment.stack.kernel
+        assert type(deployment.stack.kernel) is ColumnarVoteDispatch
 
     def test_baselines_coalesce_and_run_the_wish_kernel(self):
-        # Deterministic-quorum protocols broadcast votes to everyone, so
-        # there is nothing to prune — only events to coalesce, and Wish
-        # fan-outs to batch.
+        # Deterministic-quorum protocols broadcast votes to everyone: the
+        # network coalesces their events, and Wish fan-outs are batched.
         from repro.sync.columns import WishDispatch
 
         for protocol in ("pbft", "hotstuff"):
             deployment = self._spec(protocol).build()
-            network = deployment.network
-            assert type(network.delivery_policy) is CoalescingDelivery
-            assert type(network._bulk_handler) is WishDispatch
+            assert deployment.network.kernel is deployment.stack.kernel
+            assert type(deployment.stack.kernel) is WishDispatch
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_correct_synchronizers_share_one_set_of_columns(self, protocol):
@@ -214,8 +209,7 @@ class TestStackWiring:
         from repro.quorum.probabilistic import ProbabilisticQuorumCollector
 
         deployment = reference_spec(self._spec(protocol)).build()
-        assert deployment.network.delivery_policy is None
-        assert deployment.network._bulk_handler is None
+        assert deployment.network.kernel is None
         assert deployment.crypto.verdicts is None  # every check recomputed
         if protocol == "probft":
             deployment.run(max_time=MAX_TIME)
@@ -433,9 +427,10 @@ class TestVoteKernelStats:
                 took.add(token.view)
             return delivered
 
-        deployment.network.use_bulk_handler(watching)
+        watching.inspect = kernel.inspect
+        deployment.network.use_kernel(watching)
         deployment.run(max_time=MAX_TIME)
-        flagged = deployment.network.delivery_policy.equivocal_views
+        flagged = kernel._equivocal
         assert declined_views and declined_views <= flagged
         # The deciding view is not flagged and goes through the kernel.
         assert deployment.all_correct_decided()
@@ -857,7 +852,6 @@ class TestSlotRouter:
         envelope = self._prepare(deployment, 1)
         assert deliver_bucket(router, 3, envelope, [1, 2]) == 2
         assert deliver_bucket(router, 3, envelope, [1, 2, 4]) == -1
-        assert router.batch_filter(envelope, [1, 2, 4]) == [1, 2, 4]
         stats = deployment.vote_kernel_stats()
         assert stats["walked"] == 1 and stats["declined"] == 1
         # The per-recipient route is where replica 4 opens the slot.

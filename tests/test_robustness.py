@@ -356,7 +356,7 @@ def _malformed_view_seat(protocol):
 class TestMalformedViews:
     """A message whose view is not an ``int`` is malformed: every entry point
     drops it before the first comparison — never a ``TypeError`` out of an
-    honest replica, the observation policy or a kernel."""
+    honest replica or a kernel."""
 
     @staticmethod
     def _cluster(protocol):
@@ -393,8 +393,7 @@ class TestMalformedViews:
             replica.synchronizer.on_wish(5, message)
         assert dep.network.stats.sent_total == sent  # nothing answered
         assert replica.current_view == 1 and replica.decision is None
-        # ... and through the network: observation policy, vote and wish
-        # kernels.  The run they land in decides in view 1 regardless.
+        # ... and through the network: the vote and wish kernels.  The run they land in decides in view 1 regardless.
         for message in messages:
             dep.network.multicast(5, [0, 1, 2, 3, 4, 6, 7], message)
         dep.sim.run(until=20.0)
@@ -499,7 +498,7 @@ class TestMalformedProposals:
     the Propose or vote around it is dropped whole — not a proposal, not a
     vote, not evidence of equivocation, even under the leader's key — and
     never a ``TypeError`` / ``AttributeError`` out of an honest replica, the
-    observation policy, the vote kernel or the oracle."""
+    vote kernel (its ``inspect`` included) or the oracle."""
 
     @staticmethod
     def _cluster(reference=False):
@@ -549,8 +548,8 @@ class TestMalformedProposals:
             replica.on_message(signer, message)
         assert dep.network.stats.sent_total == sent  # nobody voted
         assert not replica._voted and not replica.view_blocked
-        # ... and through the network: observation policy, vote kernel (or
-        # the oracle's collectors), beside the honest leader's proposal.
+        # ... and through the network: the vote kernel (or the oracle's
+        # collectors), beside the honest leader's proposal.
         for message in messages:
             dep.network.multicast(signer, [d for d in range(8) if d != signer], message)
         dep.run(max_time=600.0)

@@ -8,7 +8,6 @@ from repro.crypto.context import CryptoContext
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.simulator import Simulator
-from repro.net.sparse import CoalescingDelivery
 from repro.net.transport import Transport
 from repro.sync.columns import WishDispatch
 from repro.sync.synchronizer import ViewSynchronizer, Wish
@@ -85,12 +84,11 @@ class SyncCluster:
             )
         self.kernel = None
         if backend == "columns":
-            self.network.use_delivery_policy(CoalescingDelivery())
             self.kernel = WishDispatch(
                 n, f, self.crypto.signatures, dict(self.syncs),
                 self.network._handlers,
             )
-            self.network.use_bulk_handler(self.kernel)
+            self.network.use_kernel(self.kernel)
 
     def start(self, replicas=None):
         for r, sync in self.syncs.items():

@@ -34,7 +34,12 @@ from repro.harness.trial import (
     run_trial,
 )
 from repro.harness.parallel import ExperimentEngine
-from repro.harness.registry import MatrixCell, run_matrix_cell
+from repro.harness.registry import (
+    LATENCIES,
+    MatrixCell,
+    cell_deployment_spec,
+    run_matrix_cell,
+)
 
 from .helpers import seeded_specs
 
@@ -65,12 +70,16 @@ class TestRunTrialDispatch:
     def test_registered_protocols(self):
         assert list_protocols() == ["hotstuff", "pbft", "probft"]
 
-    def test_with_seed_changes_only_seed(self):
-        spec = DeploymentSpec(protocol="probft", config=ProtocolConfig(n=4, f=1))
-        reseeded = spec.with_seed(9)
-        assert reseeded.seed == 9
-        assert reseeded.protocol == spec.protocol
-        assert reseeded.config == spec.config
+    @pytest.mark.parametrize("latency", LATENCIES)
+    def test_a_spec_run_twice_is_one_trial(self, latency):
+        """A spec is data: its seeded latency and chaos streams are the
+        deployment's copies, so running it again, or a fresh spec of the
+        same cell, gives the same result."""
+        cell = MatrixCell("probft", "none", latency, n=16, f=5)
+        spec = cell_deployment_spec(cell, seed=3, max_time=600.0)
+        first = run_trial(spec)
+        assert first == run_trial(spec)
+        assert first == run_trial(cell_deployment_spec(cell, seed=3, max_time=600.0))
 
     @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
     def test_an_unknown_extra_is_refused_not_ignored(self, protocol):
