@@ -514,6 +514,7 @@ class ColumnarVoteDispatch:
         else:
             known = reused = {}
         took, k, tokens = [], pos, ()
+        slot = at_prepare = at_view = at_value = None  # the slot last written
         while True:
             if tokens:  # a walked group: its tokens were looked up with it
                 token = tokens[k - pos]
@@ -580,7 +581,15 @@ class ColumnarVoteDispatch:
                     continue
                 else:
                     delivered += 1
-                    if not state.slot(is_prepare, view, value).add(d, signer, message):
+                    # Looked up once per change of phase, view or value.
+                    if (
+                        view != at_view
+                        or value != at_value
+                        or is_prepare is not at_prepare
+                    ):
+                        at_prepare, at_view, at_value = is_prepare, view, value
+                        slot = state.slot(is_prepare, view, value)
+                    if not slot.add(d, signer, message):
                         continue
                     if is_prepare:
                         replicas[d]._try_form_prepared()

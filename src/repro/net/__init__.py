@@ -6,7 +6,9 @@ communication is synchronous with unknown bounds.  An adversarial scheduler
 may manipulate delivery times, but *independently of the sender's identity
 and of whether the sender is faulty*.
 
-* :mod:`repro.net.simulator` — deterministic discrete-event kernel.
+* :mod:`repro.net.simulator` — deterministic discrete-event kernel: one
+  heap of timers and fan-outs, a fan-out being one entry, a cursor over
+  its deliveries in ``(time, seq)`` order.
 * :mod:`repro.net.latency` — latency models (constant/uniform/exponential).
 * :mod:`repro.net.faults` — pre-GST chaos policies (delay/reorder) and
   partitions; correct-to-correct messages are never lost, only delayed.
@@ -14,7 +16,8 @@ and of whether the sender is faulty*.
   per-type message accounting (used by the Figure-1b benchmarks), and the
   one seam to a consensus instance: given the instance's kernel
   (``Network.use_kernel``), fan-outs are coalesced into one event per
-  distinct delivery time and the kernel sees every send and every bucket.
+  distinct delivery time, queued as one entry, and the kernel sees every
+  send and every bucket.
 * :mod:`repro.net.transport` — the per-replica send/broadcast/multicast API.
 """
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import abc
 import random
+from math import log
 from typing import Optional, Sequence
 
 from ..types import ReplicaId
@@ -102,8 +103,11 @@ class ExponentialLatency(LatencyModel):
         return self.delays(src, (dst,))[0][0]
 
     def delays(self, src, dsts):
-        draw, rate, cap = self._rng.expovariate, 1.0 / self._mean, self._cap
-        return [(min(max(draw(rate), 1e-9), cap), (dst,)) for dst in dsts]
+        # ``expovariate(rate)`` inlined: the same draw, bit for bit.
+        draw, rate, cap = self._rng.random, 1.0 / self._mean, self._cap
+        return [
+            (min(max(-log(1.0 - draw()) / rate, 1e-9), cap), (dst,)) for dst in dsts
+        ]
 
     @property
     def max_delay(self) -> float:

@@ -9,11 +9,12 @@ The network also keeps :class:`MessageStats` — per-type send counters used to
 reproduce Figure 1b (number of exchanged messages).
 
 A network given an instance kernel (:meth:`Network.use_kernel`; every
-production deployment gives its one) coalesces fan-outs: one queue entry
-per distinct delivery time instead of one per recipient, which is what
-tames the per-event cost of O(n^2) broadcast storms.  Without one it is the
-dense oracle the identity tests compare against.  Coalesced and dense runs
-are bit-identical because
+production deployment gives its one) coalesces fan-outs: one event per
+distinct delivery time instead of one per recipient, which is what tames
+the per-event cost of O(n^2) broadcast storms, and the whole fan-out waits
+in the simulator's queue as one entry (:meth:`Simulator.post_all`).
+Without one it is the dense oracle the identity tests compare against.
+Coalesced and dense runs are bit-identical because
 
 * **RNG order** — latency, chaos and duplication draws are made per target
   in exactly dense's target order;
@@ -228,8 +229,9 @@ class Network:
 
         ``kernel.inspect(src, message)`` sees every message sent, unicast
         included, before any of its deliveries.  ``multicast``/``broadcast``
-        then post one queue entry per distinct delivery time: the bucket
-        ``(src, message, recipients)`` as data (:meth:`_sparse_dispatch`).
+        then post one event per distinct delivery time, the bucket ``(src,
+        message, recipients)`` as data, and the fan-out as one queue entry
+        (:meth:`_sparse_dispatch`).
         ``kernel(run, pos, probe, advance)`` is given a run of such buckets
         and delivers ``run[pos]`` plus as many of the buckets after it as it
         can apply with it.  It returns one delivered count per bucket

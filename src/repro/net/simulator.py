@@ -5,38 +5,51 @@ ordered by time with ties broken by scheduling order, so runs are fully
 deterministic.  All model randomness lives in *seeded* RNGs owned by the
 latency model / adversary, never in the kernel.
 
-There is one queue: a binary heap of ``[time, seq, callback, sim]`` entries,
-one allocation per scheduled event: the entry is its own
-:class:`EventHandle`.  It knows its simulator only through one shared weak
-reference: neither a fired event nor a dropped simulator may leave a
-reference cycle behind for the collector to find.  Cancellation writes a
-tombstone into the entry; tombstones are skipped when popped and swept once
-they outnumber live entries, because bounded-window timer churn (cancel +
-re-arm per view) would otherwise grow the backlog without bound.
+There is one queue: a binary heap of lists ordered by their leading
+``(time, seq)``.  A timer is the entry ``[time, seq, callback, sim]``, one
+allocation per scheduled event: the entry is its own :class:`EventHandle`.
+It knows its simulator only through one shared weak reference: neither a
+fired event nor a dropped simulator may leave a reference cycle behind for
+the collector to find.  Cancellation writes a tombstone into the entry;
+tombstones are skipped when popped and swept once they outnumber live
+entries, because bounded-window timer churn (cancel + re-arm per view) would
+otherwise grow the backlog without bound.
 
-Fan-outs reach the kernel coalesced (one entry per distinct delivery time,
-see :mod:`repro.net.network`) and as *data*: :meth:`Simulator.post_at` queues
-``[time, seq, receiver, sim, item]`` — no closure.  What leaves the queue is
-a **run**, served by one ``receiver.deliver_run(items, advance)`` call: every
-queue-consecutive posted entry of one time and one receiver (with constant
-latency a protocol phase is one such moment — n entries of O(sqrt n) votes —
-and its cost should follow its votes, not its senders) and, under
-:meth:`Simulator.run`, the **chain** behind them: when the receiver asks
-``advance(len(items))`` and the head of the queue is an entry of the same
-receiver, whatever its time, that entry and those sharing its time are
-popped, the clock moves there and ``items`` grows (with continuous latency
-every vote is its own entry: the chain is what such a trial crosses the
-layers once per).  Entries leave the queue from its head only, after the
-handlers so far have scheduled what they schedule, so nothing is overtaken;
-anything else at the head, ``until``, the ``max_events`` budget or a full
-window (:data:`_CHAIN_WINDOW`) ends the chain and the loop starts a new run.
-A run is still n events to everything that counts them: the receiver enters
+Fan-outs reach the kernel coalesced (one delivery per distinct delivery
+time, see :mod:`repro.net.network`) and as *data*: :meth:`Simulator.post_all`
+numbers a fan-out's ``(time, item)`` deliveries in the order given, sorts
+them by ``(time, seq)`` once and queues **one** entry, a plain list
+``[time, seq, receiver, sim, item, rest]`` that is never handed out: the
+earliest delivery, and the later ones as ``(time, seq, item)`` records in
+``rest``, reverse-sorted.  When the entry leaves the head of the heap, the
+next record takes its place with one ``heapreplace``, as an entry of its
+own that carries ``rest`` on.  Every delivery keeps its own ``(time, seq)``
+and the head of the heap is the earliest of all the fan-outs' earliest, so
+deliveries fire in exactly the order, and with exactly the counts, of one
+entry per delivery; the heap holds one entry per fan-out in flight (under
+exponential latency at n=300: ~800 instead of ~8,700 per-delivery entries).
+
+What leaves the queue is a **run**, served by one ``receiver.deliver_run(
+items, advance)`` call: every queue-consecutive delivery of one time and one
+receiver (with constant latency a protocol phase is one such moment — n
+deliveries of O(sqrt n) votes — and its cost should follow its votes, not
+its senders) and, under :meth:`Simulator.run`, the **chain** behind them:
+when the receiver asks ``advance(len(items))`` and the head of the queue is
+a delivery to the same receiver, whatever its time, it is taken off the
+head together with those sharing its time, the clock moves there and
+``items`` grows (with continuous latency every vote is its own delivery:
+the chain is what such a trial crosses the layers once per).  Deliveries
+leave the queue from its head only, after the handlers so far have
+scheduled what they schedule, so nothing is overtaken; anything else at the
+head, ``until``, the ``max_events`` budget or a full window
+(:data:`_CHAIN_WINDOW`) ends the chain and the loop starts a new run.  A
+run is still n events to everything that counts them: the receiver enters
 item ``k`` through ``advance(k)``, which asks the loop's ``stop_when`` at
 that boundary and moves ``events_processed`` / ``pending_events`` as n
-one-entry steps would; entries it did not enter go back to the heap under
-their own ``(time, seq)``, ahead of anything the run's handlers scheduled
-for the same instant (a new entry's sequence number is higher than every
-queued one's).
+one-entry steps would; deliveries it did not enter go back to the heap as
+entries of their own under their own ``(time, seq)``, ahead of anything the
+run's handlers scheduled for the same instant (a new entry's sequence
+number is higher than every queued one's).
 """
 
 from __future__ import annotations
@@ -52,6 +65,8 @@ from ..errors import SimulationError
 
 Callback = Callable[[], None]
 
+_time = itemgetter(0)
+
 
 def _fired() -> None:  # sentinel: the event already ran; cancel is a no-op
     raise AssertionError("fired-event sentinel must never be invoked")
@@ -61,14 +76,28 @@ def _end_of_run(k: int) -> bool:  # ``advance`` for a lone entry: no boundary
     return False
 
 
+def _pop(heap: list, entry: list) -> None:
+    """Take the posted entry ``entry``, the head, off ``heap``: the next
+    record of its fan-out, if any, takes its place as an entry of its own,
+    and ``entry`` is left one delivery (what a cut-short run puts back)."""
+    rest = entry[5]
+    if rest:
+        time, seq, item = rest.pop()
+        heapq.heapreplace(heap, [time, seq, entry[2], entry[3], item, rest])
+        entry[5] = None
+    else:
+        heapq.heappop(heap)
+
+
 #: Entries a run may hold and still be chained on: they (and their messages)
 #: live until ``deliver_run`` returns, and a trial must not become one chain.
 _CHAIN_WINDOW = 256
 
 
 class EventHandle(list):
-    """One scheduled event: the heap entry ``[time, seq, callback, sim]``
+    """One scheduled timer: the heap entry ``[time, seq, callback, sim]``
     itself, returned by :meth:`Simulator.schedule` so the caller can cancel.
+    (A posted fan-out's entry is a plain list and has no handle.)
 
     ``callback`` becomes ``None`` when cancelled and :func:`_fired` once
     run; ``sim`` is the simulator's shared ``weakref.ref`` to itself.
@@ -114,18 +143,19 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: List[EventHandle] = []
+        self._heap: List[list] = []  # timers (EventHandle) and fan-outs
         self._ref = weakref.ref(self)  # what every entry knows of its queue
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
         self._live = 0
         self._cancelled = 0
-        # The run being delivered (see ``_advance``): its entries, how many
-        # the receiver has entered, the loop's stop predicate and ``(items,
-        # receiver, budget, until, may it chain)``.  Dropped when the run
-        # returns: the simulator holds no receiver between two runs.
-        self._run: List[EventHandle] = []
+        # The run being delivered (see ``_advance``): its deliveries (each
+        # an entry of one), how many the receiver has entered, the loop's
+        # stop predicate and ``(items, receiver, budget, until, may it
+        # chain)``.  Dropped when the run returns: the simulator holds no
+        # receiver between two runs.
+        self._run: List[list] = []
         self._entered = 0
         self._stop_when: Optional[Callable[[], bool]] = None
         self._chain: Optional[tuple] = None
@@ -166,13 +196,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callback) -> EventHandle:
         """Schedule ``callback`` to fire ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0:  # (NaN included)
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callback) -> EventHandle:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time} < now ({self._now})"
             )
@@ -189,14 +219,25 @@ class Simulator:
         self.post_all(receiver, ((time, item),))
 
     def post_all(self, receiver, timed_items) -> None:
-        """:meth:`post_at` for every ``(time, item)`` pair, in order — a
-        fan-out's entries in one call."""
-        heap, now, seq, ref = self._heap, self._now, self._seq, self._ref
+        """:meth:`post_at` for every ``(time, item)`` pair — a fan-out, queued
+        as one entry.  Each pair is still a delivery of its own, numbered in
+        the order given; all are queued, or (a time in the past) none."""
+        now, seq, records = self._now, self._seq, []
         for time, item in timed_items:
-            if time < now:
+            if not time >= now:  # (NaN included)
                 raise SimulationError(f"cannot schedule at {time} < now ({now})")
-            heapq.heappush(heap, EventHandle((time, next(seq), receiver, ref, item)))
-            self._live += 1
+            records.append((time, next(seq), item))
+        if records:
+            self._live += len(records)
+            if len(records) > 1:
+                # The cursor: reverse (time, seq) order, next record last.
+                # Numbered in order, so a stable sort on times is that order.
+                records.sort(key=_time)
+                records.reverse()
+            time, first, item = records.pop()
+            # (A one-delivery fan-out keeps no empty list alive while queued.)
+            rest = records or None
+            heapq.heappush(self._heap, [time, first, receiver, self._ref, item, rest])
 
     def clear(self) -> None:
         """Cancel every pending event (deployment teardown)."""
@@ -211,15 +252,15 @@ class Simulator:
     # Stepping
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Process the next event — a posted entry takes the rest of its
+        """Process the next event — a posted delivery takes the rest of its
         same-time run with it, and no more (only :meth:`run` chains);
         returns False if none remain."""
         return self._step(None, None, None, False) > 0
 
     def _step(self, stop_when, budget, until: Optional[float], chain: bool) -> int:
-        """One event, or one run of at most ``budget`` posted entries (with
-        ``chain``, one that may go on past its time); returns how many
-        entries were processed (0: none remain, or the next one — still
+        """One event, or one run of at most ``budget`` posted deliveries
+        (with ``chain``, one that may go on past its time); returns how many
+        events were processed (0: none remain, or the next one — still
         queued — lies beyond ``until``)."""
         heap = self._heap
         while heap:
@@ -231,14 +272,15 @@ class Simulator:
                 continue  # cancelled
             if until is not None and entry[0] > until:
                 return 0
-            heapq.heappop(heap)
-            entry[2] = _fired  # late cancel() must stay a no-op
             self._live -= 1
             self._now = time = entry[0]
             self._events_processed += 1
             if len(entry) == 4:
+                heapq.heappop(heap)
+                entry[2] = _fired  # late cancel() must stay a no-op
                 callback()
                 return 1
+            _pop(heap, entry)
             # Nothing of this receiver's follows (a plain event, a tombstone,
             # another receiver, unchained another time): no boundary state.
             if (
@@ -276,7 +318,7 @@ class Simulator:
         is item ``k`` its to deliver?  Yes for one it already entered; no
         once the loop's ``stop_when`` holds (asked here, at the boundary, as
         the loop would between two events); at the end of the run, yes iff
-        a fresh step would hand this receiver the queue's next entry (the
+        a fresh step would hand this receiver the queue's next delivery (the
         chain).  Items are counted as processed as they are passed, so the
         counters read inside a handler — and to ``stop_when`` — what they
         would had each entry been its own step."""
@@ -301,19 +343,24 @@ class Simulator:
                 or size >= _CHAIN_WINDOW
                 or size >= budget
                 or not heap
-                or heap[0][2] is not receiver
-                or heap[0][0] > until
             ):
                 return False
-            self._now = heap[0][0]
-            self._take(heap, heap[0][0])
+            entry = heap[0]
+            if entry[2] is not receiver or entry[0] > until:
+                return False
+            _pop(heap, entry)
+            self._now = time = entry[0]
+            run.append(entry)
+            items.append(entry[4])
+            if heap and heap[0][2] is receiver and heap[0][0] == time:
+                self._take(heap, time)
         self._entered = k + 1
         self._live -= 1
         self._events_processed += 1
         return True
 
     def _take(self, heap, time: float) -> None:
-        """The queue's head entries of the run's receiver at ``time`` join the run."""
+        """The queue's head deliveries to the run's receiver at ``time`` join the run."""
         run = self._run
         items, receiver, budget = self._chain[:3]
         while (
@@ -322,7 +369,8 @@ class Simulator:
             and heap[0][0] == time
             and len(run) < budget
         ):
-            entry = heapq.heappop(heap)
+            entry = heap[0]
+            _pop(heap, entry)
             run.append(entry)
             items.append(entry[4])
 

@@ -49,6 +49,20 @@ class TestExponentialLatency:
     def test_default_cap(self):
         assert ExponentialLatency(mean=2.0).max_delay == 20.0
 
+    def test_delays_are_the_seeded_expovariate_stream(self):
+        """The fan-out draw is ``expovariate`` written out: the same floats,
+        bit for bit, as the library call on the same seeded stream."""
+        import random
+
+        model = ExponentialLatency(mean=1.5, cap=4.0, seed=9)
+        rng = random.Random("exponential-latency:9")
+        targets = list(range(2000))
+        expected = [min(max(rng.expovariate(1 / 1.5), 1e-9), 4.0) for _ in targets]
+        groups = model.delays(0, targets)
+        assert [delay for delay, _ in groups] == expected
+        assert [group for _, group in groups] == [(t,) for t in targets]
+        assert model.delay(0, 1) == min(max(rng.expovariate(1 / 1.5), 1e-9), 4.0)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             ExponentialLatency(mean=0.0)

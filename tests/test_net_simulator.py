@@ -74,6 +74,40 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_nan_times_are_rejected_by_every_entry_point(self):
+        """``nan < now`` is false: a NaN let through sorts anywhere in the
+        heap, and the clock runs backwards behind it."""
+        sim = Simulator()
+        receiver = _Receiver("a", lambda receiver, item: None)
+        nan = float("nan")
+        for enqueue in (
+            lambda: sim.schedule_at(nan, lambda: None),
+            lambda: sim.schedule(nan, lambda: None),
+            lambda: sim.post_all(receiver, [(nan, "loud-0")]),
+            lambda: sim.post_at(nan, receiver, "loud-0"),
+        ):
+            with pytest.raises(SimulationError):
+                enqueue()
+        assert sim.pending_events == 0 and sim._heap == []
+        fired = []
+        for time in (3.0, 1.0, 2.0, 0.5):
+            sim.schedule_at(time, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [0.5, 1.0, 2.0, 3.0]
+
+    def test_post_all_queues_all_or_nothing(self):
+        sim, seen = Simulator(), []
+        receiver = _Receiver("a", lambda receiver, item: seen.append(item))
+        sim.schedule_at(2.0, lambda: None)
+        sim.run()
+        sim.post_at(5.0, receiver, "loud-queued")
+        heap = [list(entry) for entry in sim._heap]
+        with pytest.raises(SimulationError):
+            sim.post_all(receiver, [(3.0, "loud-a"), (1.0, "loud-b"), (4.0, "loud-c")])
+        assert sim.pending_events == 1 and sim._heap == heap
+        sim.run()
+        assert seen == ["loud-queued"] and sim.events_processed == 2
+
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
         fired = []
@@ -632,14 +666,55 @@ class TestRuns:
         finally:
             gc.enable()
 
+    def test_a_fan_out_is_one_entry_whose_records_keep_their_turn(self):
+        """A fan-out waits in the heap as one entry, a cursor over its
+        records sorted by ``(time, seq)``; each record still fires at its
+        own turn among everything else queued."""
+        sim, log = Simulator(), []
+        a = _Receiver("a", self._logging(sim, log))
+        b = _Receiver("b", self._logging(sim, log))
+        sim.post_all(a, [(3.0, "loud-a0"), (1.0, "loud-a1"), (2.0, "loud-a2"), (2.0, "loud-a3")])
+        sim.post_all(b, [(2.0, "loud-b0"), (1.0, "loud-b1"), (3.0, "loud-b2")])
+        sim.schedule_at(2.0, lambda: log.append("plain"))
+        assert len(sim._heap) == 3 and sim.pending_events == 8
+        assert [type(entry) for entry in sim._heap].count(list) == 2
+        sim.run()
+        assert [entry if entry == "plain" else entry[1:3] for entry in log] == [
+            ("loud-a1", 1.0), ("loud-b1", 1.0), ("loud-a2", 2.0), ("loud-a3", 2.0),
+            ("loud-b0", 2.0), "plain", ("loud-a0", 3.0), ("loud-b2", 3.0),
+        ]
+        assert a.runs == [["loud-a1"], ["loud-a2", "loud-a3"], ["loud-a0"]]
+        assert b.runs == [["loud-b1"], ["loud-b0"], ["loud-b2"]]
+        assert sim.events_processed == 8 and sim.pending_events == 0
+
+    def test_a_run_cut_inside_a_fan_out_resumes_with_the_rest_of_it(self):
+        sim, seen = Simulator(), []
+        receiver = _Receiver("a", lambda receiver, item: seen.append(item))
+        fan_out = [(1.0, f"loud-{k}") for k in range(3)] + [(2.0, "loud-3"), (3.0, "loud-4")]
+        sim.post_all(receiver, fan_out)
+        sim.schedule_at(2.5, lambda: seen.append("plain"))
+        sim.run(stop_when=lambda: len(seen) >= 1)
+        # The run took the three records of t=1 and entered one: the other
+        # two went back as entries of their own, ahead of the fan-out's rest.
+        assert seen == ["loud-0"] and receiver.runs == [["loud-0", "loud-1", "loud-2"]]
+        assert len(sim._heap) == 4 and sim.pending_events == 5
+        sim.run(stop_when=lambda: len(seen) >= 3)
+        assert seen == ["loud-0", "loud-1", "loud-2"]
+        sim.run(stop_when=lambda: len(seen) >= 4)  # a chain cut across times
+        assert seen[3:] == ["loud-3"] and (sim.now, sim.pending_events) == (2.0, 2)
+        sim.run()
+        assert seen[4:] == ["plain", "loud-4"] and sim.pending_events == 0
+        assert sim.events_processed == 6 and sim._heap == []
+
     @pytest.mark.parametrize("block", range(4))
     def test_equals_one_entry_per_step(self, block, monkeypatch):
         """≥ 200 random schedules over mixed equal and distinct times: a
-        world that posts items and one that schedules a plain event per item
-        (the queue before runs existed) log the same handler calls — same
-        order, clock, ``events_processed`` and ``pending_events`` at every
-        call — under random ``stop_when``, ``until`` and ``max_events``,
-        with handlers that post, schedule and cancel."""
+        world that posts fan-outs of items and one that schedules a plain
+        event per item (the queue before runs and fan-out entries existed)
+        log the same handler calls — same order, clock,
+        ``events_processed`` and ``pending_events`` at every call — under
+        random ``stop_when``, ``until`` and ``max_events``, with handlers
+        that post, schedule and cancel."""
         import random
 
         monkeypatch.setattr(Simulator, "_COMPACT_FLOOR", 8)
@@ -665,12 +740,19 @@ class TestRuns:
         sim, log, timers = Simulator(), [], []
         times = {}  # item -> the time it was queued for
 
-        def enqueue(time, receiver, item):
-            times[item] = time
+        def enqueue(receiver, fan_out):
+            """One fan-out: posted as one entry, or a plain event per item
+            in the same order (a quiet item is one nobody handles)."""
+            for time, item in fan_out:
+                times[item] = time
+                if not posts:
+                    sim.schedule_at(
+                        time,
+                        (lambda: None) if item.startswith("quiet")
+                        else (lambda item=item: receiver.handle(receiver, item)),
+                    )
             if posts:
-                sim.post_at(time, receiver, item)
-            else:
-                sim.schedule_at(time, lambda: receiver.handle(receiver, item))
+                sim.post_all(receiver, fan_out)
 
         def handle(receiver, item):
             log.append((receiver.name, item, sim.now, sim.events_processed, sim.pending_events))
@@ -679,8 +761,10 @@ class TestRuns:
             roll = act.random()
             if roll < 0.3 and len(log) < 150:
                 target = receivers[act.randrange(2)]
-                delay = act.choice([0.0, 0.0, 1.0, act.random()])
-                enqueue(sim.now + delay, target, f"loud-{item}-child")
+                enqueue(target, [
+                    (sim.now + act.choice([0.0, 0.0, 1.0, act.random()]), f"loud-{item}-{j}")
+                    for j in range(act.choice([1, 1, 2]))
+                ])
             elif roll < 0.4:
                 delay = act.choice([0.0, 1.0, act.random()])
                 timers.append(sim.schedule(delay, lambda: log.append(("timer", item, sim.now))))
@@ -689,16 +773,24 @@ class TestRuns:
                     timer.cancel()
 
         receivers = [_Receiver("a", handle), _Receiver("b", handle)]
-        for k in range(rng.randint(5, 50)):
-            time = rng.choice([1.0, 1.0, 2.0, 3.0, 1.0 + 3.0 * rng.random()])
+
+        def pick():
+            return rng.choice([1.0, 1.0, 2.0, 3.0, 1.0 + 3.0 * rng.random()])
+
+        for k in range(rng.randint(5, 30)):
+            time = pick()
             roll = rng.random()
             if roll < 0.75:
-                name = ("loud" if rng.random() < 0.7 else "quiet") + f"-{k}"
+                # A fan-out's records tie with other fan-outs' records and
+                # with plain events: their times come from the same pool.
                 receiver = receivers[rng.random() < 0.2]
-                if name.startswith("quiet") and not posts:
-                    sim.schedule_at(time, lambda: None)
-                else:
-                    enqueue(time, receiver, name)
+                enqueue(receiver, [
+                    (
+                        time if j == 0 else pick(),
+                        ("loud" if rng.random() < 0.7 else "quiet") + f"-{k}-{j}",
+                    )
+                    for j in range(rng.choice([1, 1, 2, 3, 5]))
+                ])
             elif roll < 0.9:
                 timers.append(sim.schedule_at(time, lambda k=k: log.append(("timer", k, sim.now))))
             else:
