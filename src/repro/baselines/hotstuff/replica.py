@@ -150,7 +150,8 @@ class HotStuffReplica:
     # ------------------------------------------------------------------
     def _on_new_view(self, view: View) -> None:
         self._cur_view = view
-        for table in (self._new_view_collector,):
+        # Strictly older: a skipped view's buffer is never replayed.
+        for table in (self._new_view_collector, self._future_buffer):
             for old in [v for v in table if v < view]:
                 del table[old]
         for old in [k for k in self._vote_collectors if k[0] < view]:

@@ -1,4 +1,5 @@
-"""PBFT analogues of ``prepared`` / ``validNewLeader`` / ``safeProposal``.
+"""PBFT analogues of ``prepared`` / ``validNewLeader`` / ``safeProposal``,
+the leader's rule and the vote token.
 
 With deterministic quorums any two prepared certificates for the same view
 carry the same value, so the view-change rule simplifies: the new leader
@@ -20,6 +21,7 @@ from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
 from ...core.leader import leader_of_view
+from ...core.replica import _VoteToken
 from ...messages.base import conforms
 from ...messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
 from ...types import Value, View
@@ -56,20 +58,22 @@ def pbft_validate_prepared_certificate(
     return len(seen) >= config.det_quorum
 
 
-def pbft_valid_vote(
-    signed: Signed, config: ProtocolConfig, crypto: CryptoContext
-) -> bool:
+def pbft_vote_token(
+    config: ProtocolConfig, crypto: CryptoContext, signed: object
+) -> Optional[_VoteToken]:
     """A signed, well-typed PbftPrepare/PbftCommit over a statement its
-    view's leader signed (which of the two, and for which view, is the
-    recipient's to check)."""
-    return crypto.validated(
-        config, "vote", signed, lambda: _valid_vote(signed, config, crypto)
-    )
-
-
-def _valid_vote(signed: Signed, config: ProtocolConfig, crypto: CryptoContext) -> bool:
+    view's leader signed, as the vote token of the ProBFT skeleton: every
+    replica is a recipient (``members=None``) and nothing is evidence.  An
+    invalid vote is no vote (``None``): neither buffered nor counted."""
     if type(getattr(signed, "payload", None)) not in (PbftPrepare, PbftCommit):
-        return False
+        return None
+    token = crypto.validated(
+        config, "vote", signed, lambda: _vote_token(signed, config, crypto)
+    )
+    return token or None
+
+
+def _vote_token(signed: Signed, config: ProtocolConfig, crypto: CryptoContext):
     if not conforms(signed, Signed, crypto.verdicts):
         return False
     if not crypto.signatures.verify(signed):
@@ -77,8 +81,19 @@ def _valid_vote(signed: Signed, config: ProtocolConfig, crypto: CryptoContext) -
     statement = signed.payload.statement
     if not crypto.signatures.verify(statement):
         return False
-    view = statement.payload.view
-    return view >= 1 and statement.signer == leader_of_view(view, config.n)
+    inner = statement.payload
+    view = inner.view
+    if view < 1 or statement.signer != leader_of_view(view, config.n):
+        return False
+    return _VoteToken(
+        is_prepare=type(signed.payload) is PbftPrepare,
+        view=view,
+        value=inner.value,
+        signer=signed.signer,
+        members=None,
+        valid=True,
+        eq_candidate=False,
+    )
 
 
 def pbft_valid_new_leader(

@@ -3,9 +3,10 @@
 A ``_Bucket`` (a Python ``set`` + ``list``) per (replica, phase, view,
 value) plus a dict lookup per delivered vote means ~n·s live Python objects
 per trial, which dominate memory and cache misses at large n.  Production
-ProBFT deployments keep the same bookkeeping in preallocated numpy arrays
-shared by *all* replicas of one consensus instance (a single-shot
-deployment, or one slot of the SMR service):
+ProBFT and PBFT deployments keep the same bookkeeping in preallocated numpy
+arrays shared by *all* replicas of one consensus instance (a single-shot
+deployment, or one slot of the SMR service), with the protocol's quorum as
+``q`` (ProBFT's ``⌈l·√n⌉``, PBFT's ``⌈(n+f+1)/2⌉``):
 
 * **voter bitmaps** — one packed ``uint64`` plane of shape ``(words, n)``
   per (phase, view, value) slot; bit ``signer`` of column ``dst`` says
@@ -44,11 +45,13 @@ instance: its :meth:`~ColumnarVoteDispatch.inspect` sees every send, which
 is how it knows a view is equivocal before any of its votes arrive.  Routes
 and passes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
 route, a vote's recipient-independent validation is one lookup in the
-instance's verdict table (:func:`~repro.core.replica.prevalidate_vote`):
-under continuous latency a vote object arrives in ``s`` buckets and is
-validated in the first.  Non-votes are passed on to the deployment's wish
-kernel (:class:`repro.sync.columns.WishDispatch`), which takes the Wish
-buckets and declines everything else.
+instance's verdict table (the protocol's vote token,
+:func:`~repro.core.replica.prevalidate_vote` for ProBFT): under continuous
+latency a vote object arrives in ``s`` buckets and is validated in the
+first.  A token's ``members`` is the vote's VRF sample, or ``None`` for
+PBFT's broadcast votes: every recipient is a member.  Non-votes are passed
+on to the deployment's wish kernel (:class:`repro.sync.columns.WishDispatch`),
+which takes the Wish buckets and declines everything else.
 
 The reference semantics stay in :meth:`ProBFTReplica.on_message` over
 :class:`~repro.quorum.probabilistic.ProbabilisticQuorumCollector`
@@ -71,7 +74,6 @@ from ..errors import QuorumError
 from ..messages.base import ProposalStatement, conforms
 from ..messages.probft import Commit, Prepare, Propose
 from .leader import leader_of
-from .replica import prevalidate_vote
 
 __all__ = [
     "ColumnarVoteState",
@@ -382,10 +384,10 @@ class ColumnarVoteDispatch:
     (which can record a decision and flip the stop probe) — in (bucket,
     recipient) order, the probe after each and ``advance`` at every bucket
     boundary crossed once a stop has run.  Every (signer, recipient) pair
-    occurs once in a group (VRF samples are drawn without replacement), a
-    delivery only mutates its own recipient's columns, and no stop reads
-    another recipient's, so applying the group in one shot reorders nothing
-    observable.  An early end (the probe, a refused boundary) leaves the
+    occurs once in a group (VRF samples are drawn without replacement, a
+    broadcast lists each recipient once), a delivery only mutates its own
+    recipient's columns, and no stop reads another recipient's, so applying
+    the group in one shot reorders nothing observable.  An early end (the probe, a refused boundary) leaves the
     votes behind it over-applied, which is unobservable, and a view flagged
     equivocal from *inside* a group does not cut it: why both are safe, and
     the one statistic that can then differ from a per-bucket walk, is
@@ -394,11 +396,12 @@ class ColumnarVoteDispatch:
     Answers one delivered count per bucket reached, or ``(-1,)`` to decline
     the bucket at ``pos`` to the caller's per-recipient loop over the same
     arrays, which delivers it whole: equivocal-flagged views (any recipient
-    may need the evidence), votes that fail prevalidation (they never reach
-    a collector, but a conflicting leader statement riding on one must
-    still be able to trigger lines 23-25), and any deployment with network
-    duplication (a recipient could appear twice in one bucket, which the
-    scatters rule out).  Anything that is not a vote is the wish kernel's
+    may need the evidence), ProBFT votes that fail prevalidation (they never
+    reach a collector, but a conflicting leader statement riding on one must
+    still be able to trigger lines 23-25; PBFT has no such rule, and its
+    token makes an invalid vote no vote at all), and any deployment with
+    network duplication (a recipient could appear twice in one bucket, which
+    the scatters rule out).  Anything that is not a vote is the wish kernel's
     to take or decline.  ``vectorised``/``walked``/``declined`` count the
     vote buckets that took each route (reached, for a group cut short),
     ``vote_passes`` the array passes run, ``vote_chains`` the walks.
@@ -413,17 +416,21 @@ class ColumnarVoteDispatch:
         handlers,
         state: ColumnarVoteState,
         wishes,
+        token,
+        votes,
         dup_possible: bool = False,
     ) -> None:
         self._config = config
         self._crypto = crypto
+        self._token = token  # the protocol's vote token, once per object
+        self._votes = votes  # its vote payload types
         self._replicas = replicas
         self._correct = frozenset(correct_ids)
         self._handlers = handlers  # Network's plain handlers (Byzantine dsts)
         self._value_seen: Dict[int, object] = {}  # view -> leader's value
         self._equivocal: Set[int] = set()
         self._last = None  # the statement inspected last
-        self._q = config.q
+        self._q = state.q
         self._state = state
         self._wishes = wishes  # the deployment's wish kernel
         self._dup = dup_possible
@@ -477,7 +484,7 @@ class ColumnarVoteDispatch:
     def note_declined(self, message) -> None:
         """Count a bucket the caller had to route around the kernels (the
         SMR router: some recipient has not opened the slot)."""
-        if isinstance(getattr(message, "payload", None), (Prepare, Commit)):
+        if isinstance(getattr(message, "payload", None), self._votes):
             self.declined += 1
         else:
             self._wishes.note_declined(message)
@@ -487,7 +494,7 @@ class ColumnarVoteDispatch:
         if self._dup:
             # Declined unparsed (each recipient looks the token up anyway);
             # a payload type test is enough to count the votes.
-            if isinstance(getattr(message, "payload", None), (Prepare, Commit)):
+            if isinstance(getattr(message, "payload", None), self._votes):
                 self.declined += 1
                 return (-1,)
             return self._wishes(run, pos, probe, advance)
@@ -526,7 +533,7 @@ class ColumnarVoteDispatch:
                     reused["vote"] += 1
                     token = entry[1]
                 else:
-                    token = prevalidate_vote(config, crypto, message)
+                    token = self._token(config, crypto, message)
                 if not token:  # no vote: None, or False from the table
                     return took or self._wishes(run, pos, probe, advance)
             is_prepare, view, value, signer, members = token[:5]
@@ -541,7 +548,7 @@ class ColumnarVoteDispatch:
                 tokens, signers, votes = [token], {signer}, len(dsts)
                 while pos + len(tokens) < len(run):
                     _, following, recipients = run[pos + len(tokens)]
-                    token = prevalidate_vote(config, crypto, following)
+                    token = self._token(config, crypto, following)
                     if (
                         token is None
                         or not token.valid
@@ -564,8 +571,9 @@ class ColumnarVoteDispatch:
             if not took:
                 self.vote_chains += 1
             active = prepare_active if is_prepare else commit_active
-            # (A correct sender multicasts its vote to its own sample.)
-            own = signer == src and src in correct
+            # (A correct sender multicasts its vote to its own sample; no
+            # sample is everyone.)
+            own = members is None or (signer == src and src in correct)
             delivered = 0
             for d in dsts:
                 if d not in correct:
@@ -625,7 +633,9 @@ class ColumnarVoteDispatch:
         foreign = [
             (b, token)
             for b, (token, (src, _, _)) in enumerate(zip(tokens, group))
-            if not (src in correct and token.signer == src)
+            if not (
+                token.members is None or (src in correct and token.signer == src)
+            )
         ]
 
         # One gather classifies countability: the active column fuses the

@@ -14,9 +14,10 @@ seam between the two: the kernel sees every send, fan-outs are delivered
 coalesced (one simulator event per distinct delivery time) and each bucket
 goes to the kernel.  Wish fan-outs go to the one wish kernel over
 synchronizer columns shared by the instance's correct replicas
-(:mod:`repro.sync.columns`), and ProBFT puts its vote kernel in front of it
-(:class:`repro.core.protocol.ProBFTStack`); a bucket a kernel declines is
-delivered whole, per recipient.  ``reference=True``
+(:mod:`repro.sync.columns`), and ProBFT and PBFT put the vote kernel in
+front of it (:class:`repro.core.protocol.ProBFTStack`; HotStuff's votes are
+unicasts to the leader and stay with its handlers); a bucket a kernel
+declines is delivered whole, per recipient.  ``reference=True``
 builds the test oracle instead: per-recipient delivery, per-message
 handlers, per-replica wish ledgers, set-based quorum collectors — Algorithm
 1 with nothing batched, and a table-free crypto context, so every check is
@@ -85,9 +86,9 @@ class InstanceStack:
     """One consensus instance's share of a coalescing network.
 
     The correct replicas that have joined the instance and the kernel the
-    network hands its sends and buckets to: the wish kernel here, with
-    ProBFT's vote kernel in front of it in
-    :class:`~repro.core.protocol.ProBFTStack`.  A single-shot deployment
+    network hands its sends and buckets to: the wish kernel here, with the
+    vote kernel in front of it in :class:`~repro.core.protocol.ProBFTStack`
+    (ProBFT and PBFT).  A single-shot deployment
     holds one, joined by every correct replica at construction; the SMR
     service holds one per open slot, joined by each replica as it opens the
     slot.  ``handlers`` are the instance's plain handlers (what its
@@ -336,7 +337,7 @@ class Deployment:
 
         ``vectorised`` / ``walked`` / ``declined``: vote buckets applied
         by the vote kernel's array pass or its scalar walk, or declined to
-        the per-recipient loop (ProBFT only); ``vote_passes``: the array
+        the per-recipient loop; ``vote_passes``: the array
         passes that applied the ``vectorised`` ones, a group of same-time
         buckets each; ``vote_chains``: the scalar walks that applied the
         ``walked`` ones, whatever their recipient count.  ``wish_vectorised`` / ``wish_scalar`` / ``wish_declined``:

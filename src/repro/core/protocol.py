@@ -1,10 +1,14 @@
 """Deployment wiring: run a ProBFT consensus instance on a simulated network.
 
-:class:`ProBFTStack` is what one ProBFT instance puts on the network: one
+:class:`ProBFTStack` is what one instance of a protocol on the ProBFT
+skeleton (ProBFT, or PBFT through
+:class:`repro.baselines.pbft.protocol.PbftStack`) puts on the network: one
 kernel over array-backed quorum state (:mod:`repro.core.columnar`) that
-sees every send (to flag equivocal views), applies whole vote buckets and
-passes Wish buckets on to the shared wish kernel; every message is
-validated once per object through the instance's verdict table.
+sees every send (to flag equivocal ProBFT views), applies whole vote
+buckets and passes Wish buckets on to the shared wish kernel; every message
+is validated once per object through the instance's verdict table.  The
+stack's :attr:`~ProBFTStack.replica_class` sizes the state (its quorum) and
+feeds the kernel (its vote token and vote types).
 :class:`ProBFTDeployment` is the shared
 :class:`~repro.core.deployment.Deployment` over one such stack (the SMR
 service holds one per open slot).
@@ -21,15 +25,22 @@ from .replica import ProBFTReplica
 
 
 class ProBFTStack(InstanceStack):
-    """One ProBFT instance: shared columnar vote state (one set of arrays for
-    every correct replica, whose collector tables become facades over it)
-    and the vote kernel in front of the wish kernel."""
+    """One instance of a protocol on the ProBFT skeleton: shared columnar
+    vote state (one set of arrays for every correct replica, whose collector
+    tables become facades over it) and the vote kernel in front of the wish
+    kernel, both sized and fed by :attr:`replica_class` (its quorum, its
+    vote token and vote types)."""
+
+    replica_class = ProBFTReplica
 
     def __init__(
         self, config, crypto, correct_ids, handlers, dup_possible=False
     ) -> None:
         super().__init__(config, crypto, correct_ids, handlers, dup_possible)
-        self.state = ColumnarVoteState(config.n, config.q, correct_ids)
+        protocol = self.replica_class
+        self.state = ColumnarVoteState(
+            config.n, protocol.quorum(config), correct_ids
+        )
         self.replica_kwargs = {"columnar_state": self.state}
         self.kernel = ColumnarVoteDispatch(
             config,
@@ -39,6 +50,8 @@ class ProBFTStack(InstanceStack):
             handlers,
             self.state,
             self.wishes,
+            protocol.vote_token,
+            protocol.VOTES,
             dup_possible=dup_possible,
         )
 

@@ -26,16 +26,25 @@ Messages for future views are buffered (bounded) and replayed on view entry;
 messages for past views are dropped — the paper's "a receiver will only
 accept a message if its own view matches the view of the sender".
 
+The skeleton is also PBFT's (:class:`repro.baselines.pbft.replica.
+PbftReplica`, the paper's §2.3 baseline): what differs between the two is one
+class-level hook each — the messages (:attr:`ProBFTReplica.PROPOSE`,
+:attr:`~ProBFTReplica.NEW_LEADER`, :meth:`~ProBFTReplica._new_leader_payload`,
+:meth:`~ProBFTReplica._send_vote`), the predicates, the quorum size
+(:meth:`~ProBFTReplica.quorum`), the vote token
+(:attr:`~ProBFTReplica.vote_token`) and lines 23-25
+(:meth:`~ProBFTReplica._check_equivocation`).
+
 :meth:`ProBFTReplica.on_message` is the one delivery entry point: unicasts,
 self-deliveries, future-buffer replays and every fan-out bucket
 the kernels decline all arrive here.  Over set-based quorum collectors and a
 table-free crypto context it is the reference: what ``reference=True``
 deployments and Byzantine wrappers run.  Production deployments hand vote
 fan-outs to the bucket kernel in :mod:`repro.core.columnar` instead, which
-shares this module's :func:`prevalidate_vote` and the replica's quorum
-re-checks.  Everything about a message that does not depend on who receives
-it — the vote token, ``safeProposal``, ``validNewLeader`` — is computed once
-per message object through the instance's verdict table
+shares the replica's vote token (:func:`prevalidate_vote` for ProBFT) and
+its quorum re-checks.  Everything about a message that does not depend on
+who receives it — the vote token, ``safeProposal``, ``validNewLeader`` — is
+computed once per message object through the instance's verdict table
 (:mod:`repro.crypto.verdicts`) and looked up per delivery; only the
 per-recipient conditions (the view gate, ``blockView``, ``voted``,
 ``i ∈ S``) run here every time.  A Wish fan-out never arrives: those go to
@@ -65,9 +74,6 @@ from ..types import Decision, ReplicaId, TraceEvent, Value, View
 #: How far ahead of the current view messages are buffered instead of dropped.
 FUTURE_VIEW_WINDOW = 2
 
-#: Cap on buffered messages per future view (DoS guard).
-FUTURE_BUFFER_LIMIT = 4096
-
 DecisionCallback = Callable[[Decision], None]
 
 
@@ -80,13 +86,14 @@ class _VoteToken(NamedTuple):
     replica.  ``members`` is the vote's :class:`VRFOutput` itself: ``i in
     token.members`` builds its membership set on the first question, so a
     vote nobody asks about (the kernel's own-sample route) builds none.
+    ``None`` means every replica (PBFT's broadcast votes).
     """
 
     is_prepare: bool
     view: View
     value: Value
     signer: ReplicaId
-    members: VRFOutput
+    members: Optional[VRFOutput]
     valid: bool
     eq_candidate: bool
 
@@ -158,7 +165,30 @@ def prevalidate_vote(
 
 
 class ProBFTReplica:
-    """A correct ProBFT replica."""
+    """A correct ProBFT replica.
+
+    The class attributes and the methods named in the module docstring are
+    the protocol's; a protocol on this skeleton overrides them and nothing
+    else.
+    """
+
+    #: The proposal and view-change payload types.
+    PROPOSE, NEW_LEADER = Propose, NewLeader
+    #: The vote payload types (the kernels' type test, never a validation).
+    VOTES = (Prepare, Commit)
+    #: Cap on buffered messages per future view (DoS guard).
+    FUTURE_BUFFER_LIMIT = 4096
+    #: ``(config, crypto, message) -> _VoteToken or None``, once per object.
+    vote_token = staticmethod(prevalidate_vote)
+    safe_proposal = staticmethod(safe_proposal)
+    valid_new_leader = staticmethod(valid_new_leader)
+    #: The leader's rule, lines 7-12: ``(quorum, my_value) -> (value, v_max)``.
+    choose_value = staticmethod(compute_proposal)
+
+    @staticmethod
+    def quorum(config: ProtocolConfig) -> int:
+        """Votes a prepare or commit quorum takes: the probabilistic q."""
+        return config.q
 
     def __init__(
         self,
@@ -180,9 +210,8 @@ class ProBFTReplica:
         self._on_decide = on_decide
         self._trace_enabled = trace
         self.trace: List[TraceEvent] = []
-        # The config properties recompute ceil(l*sqrt(n)) per access; the
-        # delivery fast path reads them per message, so pin them once.
-        self._q = config.q
+        # The delivery fast path reads the quorum size per message: pin it.
+        self._q = self.quorum(config)
 
         self._sync = ViewSynchronizer(
             transport=transport,
@@ -285,7 +314,7 @@ class ProBFTReplica:
 
     def on_message(self, src: ReplicaId, message: object) -> None:
         """Network delivery entry point."""
-        token = prevalidate_vote(self.config, self._crypto, message)
+        token = self.vote_token(self.config, self._crypto, message)
         if token is not None:
             self._handle_vote(src, message, token)
             return
@@ -293,9 +322,9 @@ class ProBFTReplica:
         if isinstance(payload, Wish):
             self._sync.on_wish(src, message)
             return
-        if not isinstance(payload, (Propose, NewLeader)) or not conforms(
-            message, Signed, self._crypto.verdicts
-        ):
+        if not isinstance(
+            payload, (self.PROPOSE, self.NEW_LEADER)
+        ) or not conforms(message, Signed, self._crypto.verdicts):
             return  # only signed (§2.1), well-typed messages are processed
         view = payload.view
         if view < self._cur_view or self._cur_view == 0:
@@ -303,7 +332,7 @@ class ProBFTReplica:
         if view > self._cur_view:
             self._buffer_future(view, src, message)
             return
-        if isinstance(payload, Propose):
+        if isinstance(payload, self.PROPOSE):
             self._check_equivocation(message)
             self._handle_propose(src, message)
         else:
@@ -316,7 +345,7 @@ class ProBFTReplica:
         if view > self._cur_view + FUTURE_VIEW_WINDOW:
             return
         bucket = self._future_buffer.setdefault(view, [])
-        if len(bucket) < FUTURE_BUFFER_LIMIT:
+        if len(bucket) < self.FUTURE_BUFFER_LIMIT:
             bucket.append((src, message))
 
     # ------------------------------------------------------------------
@@ -337,16 +366,19 @@ class ProBFTReplica:
             if self.id == self._leader(view):
                 self._propose(self._my_value, justification=None)
         else:
-            new_leader = NewLeader(
-                view=view,
-                prepared_view=self._prepared_view,
-                prepared_value=self._prepared_value,
-                cert=self._cert,
-                domain=self.config.seed_domain,
-            )
-            signed = self._sign(new_leader)
+            signed = self._sign(self._new_leader_payload(view))
             self._send_or_local(self._leader(view), signed)
         self._replay_buffered(view)
+
+    def _new_leader_payload(self, view: View) -> NewLeader:
+        """Line 5: this replica's prepared state, for ``leader(view)``."""
+        return NewLeader(
+            view=view,
+            prepared_view=self._prepared_view,
+            prepared_value=self._prepared_value,
+            cert=self._cert,
+            domain=self.config.seed_domain,
+        )
 
     def _replay_buffered(self, view: View) -> None:
         pending = self._future_buffer.pop(view, [])
@@ -379,7 +411,7 @@ class ProBFTReplica:
             return
         if view in self._proposed_views:
             return
-        if not valid_new_leader(signed, view, self.config, self._crypto):
+        if not self.valid_new_leader(signed, view, self.config, self._crypto):
             return
         collector = self._new_leader_collectors.get(view)
         if collector is None:
@@ -388,7 +420,7 @@ class ProBFTReplica:
             )
         if collector.add(view, signed.signer, signed):
             quorum = collector.quorum_messages(view)
-            value, _v_max = compute_proposal(quorum, self._my_value)
+            value, _v_max = self.choose_value(quorum, self._my_value)
             self._propose(value, justification=tuple(quorum))
 
     def _propose(self, value: Value, justification: Optional[Tuple[Signed, ...]]) -> None:
@@ -397,7 +429,9 @@ class ProBFTReplica:
         statement = self._sign(
             ProposalStatement(view=view, value=value, domain=self.config.seed_domain)
         )
-        propose = Propose(view=view, statement=statement, justification=justification)
+        propose = self.PROPOSE(
+            view=view, statement=statement, justification=justification
+        )
         signed = self._sign(propose)
         self._trace("propose", view=view, value=value)
         self._transport.broadcast(signed)
@@ -409,25 +443,39 @@ class ProBFTReplica:
     def _handle_propose(self, src: ReplicaId, signed: Signed) -> None:
         if self._block_view or self._voted:
             return
-        if not safe_proposal(signed, self.config, self._crypto):
+        if not self.safe_proposal(signed, self.config, self._crypto):
             return
         propose: Propose = signed.payload
-        view = self._cur_view
         value = propose.value
         self._cur_val = value
         self._voted = True
         self._proposal = signed
-        self._trace("vote", view=view, value=value)
-
-        sample = self._crypto.vrf.prove(
-            self.id,
-            phase_seed(view, "prepare", self.config.seed_domain),
-            self.config.sample_size,
-        )
-        prepare = Prepare(statement=propose.statement, sample=sample)
-        self._multicast_sample(sample, self._sign(prepare))
+        self._trace("vote", view=self._cur_view, value=value)
+        self._send_vote(True, propose.statement)
         # A prepare quorum may already be sitting in the collector.
         self._try_form_prepared()
+
+    def _send_vote(self, is_prepare: bool, statement: Signed) -> None:
+        """Lines 16 and 20: multicast a Prepare or Commit for ``statement``
+        to a fresh VRF sample."""
+        phase, vote = ("prepare", Prepare) if is_prepare else ("commit", Commit)
+        sample = self._crypto.vrf.prove(
+            self.id,
+            phase_seed(self._cur_view, phase, self.config.seed_domain),
+            self.config.sample_size,
+        )
+        message = self._sign(vote(statement=statement, sample=sample))
+        # Samples are drawn without replacement, so self appears at most
+        # once; C-level index + slice beats filtering ~s elements per vote.
+        # Each sample is multicast once, by its prover, so nothing is kept.
+        targets = sample.sample
+        try:
+            i = targets.index(self.id)
+        except ValueError:
+            self._transport.multicast(targets, message)
+        else:
+            self._transport.multicast(targets[:i] + targets[i + 1 :], message)
+            self._deliver_local(message)
 
     # ------------------------------------------------------------------
     # Algorithm 1, lines 17-22: one delivered vote
@@ -459,7 +507,8 @@ class ProBFTReplica:
             return
         if self._block_view or not token.valid:
             return
-        if self.id not in token.members:
+        members = token.members
+        if members is not None and self.id not in members:
             return  # line 17/21 precondition: i ∈ S
         collectors = (
             self._prepare_collectors
@@ -500,15 +549,8 @@ class ProBFTReplica:
             self._cert = collector.quorum_messages(self._cur_val)
         self._committed_views.add(view)
         self._trace("prepared", view=view, value=self._cur_val)
-
-        sample = self._crypto.vrf.prove(
-            self.id,
-            phase_seed(view, "commit", self.config.seed_domain),
-            self.config.sample_size,
-        )
         assert self._proposal is not None
-        commit = Commit(statement=self._proposal.payload.statement, sample=sample)
-        self._multicast_sample(sample, self._sign(commit))
+        self._send_vote(False, self._proposal.payload.statement)
         self._try_decide()
 
     # ------------------------------------------------------------------
@@ -575,22 +617,6 @@ class ProBFTReplica:
             self._deliver_local(message)
         else:
             self._transport.send(dst, message)
-
-    def _multicast_sample(self, sample: VRFOutput, message: Signed) -> None:
-        # Samples are drawn without replacement, so self appears at most
-        # once; C-level index + slice beats filtering ~s elements per vote.
-        # Each sample is multicast once, by its prover, so nothing is kept.
-        targets = sample.sample
-        try:
-            i = targets.index(self.id)
-        except ValueError:
-            has_self = False
-        else:
-            targets = targets[:i] + targets[i + 1 :]
-            has_self = True
-        self._transport.multicast(targets, message)
-        if has_self:
-            self._deliver_local(message)
 
     def _deliver_local(self, message: Signed) -> None:
         self._transport.schedule(

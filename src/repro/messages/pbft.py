@@ -1,8 +1,10 @@
 """Single-shot PBFT baseline messages (paper §2.3, Figure 2).
 
-Identical shape to ProBFT's messages minus the VRF samples: Prepare and
-Commit are *broadcast* to everyone and quorums are deterministic
-(``⌈(n+f+1)/2⌉``).
+Identical shape to ProBFT's messages minus the VRF samples (and the seed
+domain): Prepare and Commit are *broadcast* to everyone and quorums are
+deterministic (``⌈(n+f+1)/2⌉``).  A PBFT replica is ProBFT's replica with
+these types plugged in (:mod:`repro.baselines.pbft.replica`), so its votes
+ride the same vote kernel.
 """
 
 from __future__ import annotations

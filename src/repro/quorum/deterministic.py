@@ -1,9 +1,9 @@
 """Deterministic quorum collector.
 
-Used for ``NewLeader`` collection in ProBFT (Algorithm 1 line 6 requires a
-*deterministic* quorum of ``⌈(n+f+1)/2⌉`` messages) and throughout the PBFT
-baseline.  Any two deterministic quorums intersect in at least one correct
-replica (paper Figure 2).
+Used for ``NewLeader`` collection in ProBFT and PBFT (Algorithm 1 line 6
+requires a *deterministic* quorum of ``⌈(n+f+1)/2⌉`` messages).  Any two
+deterministic quorums intersect in at least one correct replica (paper
+Figure 2).
 """
 
 from __future__ import annotations

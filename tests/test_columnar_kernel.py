@@ -32,6 +32,7 @@ from repro.core.columnar import (
     ColumnarVoteDispatch,
     ColumnarVoteState,
 )
+from repro.core.replica import ProBFTReplica
 from repro.crypto.signatures import Signed
 from repro.harness.registry import ADVERSARIES, MatrixCell, cell_deployment_spec
 from repro.harness.trial import TrialContext
@@ -104,6 +105,7 @@ class _Fixture:
         self.kernel = ColumnarVoteDispatch(
             config, crypto, self.replicas, correct, handlers, state,
             wishes=lambda run, pos, probe, advance: (-1,),
+            token=ProBFTReplica.vote_token, votes=ProBFTReplica.VOTES,
         )
 
     def stop_after(self, stops):

@@ -69,3 +69,33 @@ class TestGeometricModel:
         parameters two views suffice with probability >= 0.99."""
         p = 0.9
         assert decide_within_views(p, 2) >= 0.99
+
+
+class TestSkippedViewBuffers:
+    """A replica that jumps over a view drops what it buffered for it: a
+    skipped view is never replayed, so its buffer is dead weight."""
+
+    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    def test_entering_a_later_view_drops_older_buffers(self, protocol):
+        from repro.baselines.hotstuff.protocol import HotStuffDeployment
+        from repro.baselines.pbft.protocol import PbftDeployment
+        from repro.messages.hotstuff import HsNewView
+        from repro.messages.pbft import PbftNewLeader
+        from repro.messages.probft import NewLeader
+        from repro.sync.synchronizer import Wish
+
+        deployment_class, view_2 = {
+            "probft": (ProBFTDeployment, NewLeader(2, 0, None, ())),
+            "pbft": (PbftDeployment, PbftNewLeader(2, 0, None, ())),
+            "hotstuff": (HotStuffDeployment, HsNewView(view=2, prepare_qc=None)),
+        }[protocol]
+        f = 2
+        dep = deployment_class(ProtocolConfig(n=7, f=f), reference=True)
+        dep.start()
+        replica, sign = dep.replicas[3], dep.crypto.signatures.sign
+        replica.on_message(5, sign(5, view_2))
+        assert replica.current_view == 1 and list(replica._future_buffer) == [2]
+        for s in range(2 * f + 1):
+            replica.on_message(s, sign(s, Wish(view=3)))
+        assert replica.current_view == 3
+        assert all(v >= replica.current_view for v in replica._future_buffer)

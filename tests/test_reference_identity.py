@@ -177,14 +177,19 @@ class TestStackWiring:
         assert type(deployment.stack.kernel) is ColumnarVoteDispatch
 
     def test_baselines_coalesce_and_run_the_wish_kernel(self):
-        # Deterministic-quorum protocols broadcast votes to everyone: the
-        # network coalesces their events, and Wish fan-outs are batched.
+        # PBFT is ProBFT's skeleton: its broadcast votes ride the vote
+        # kernel.  HotStuff's votes are unicasts to the leader, so its stack
+        # is the wish kernel alone.
+        from repro.core.columnar import ColumnarVoteDispatch
         from repro.sync.columns import WishDispatch
 
-        for protocol in ("pbft", "hotstuff"):
+        for protocol, kernel in (
+            ("pbft", ColumnarVoteDispatch),
+            ("hotstuff", WishDispatch),
+        ):
             deployment = self._spec(protocol).build()
             assert deployment.network.kernel is deployment.stack.kernel
-            assert type(deployment.stack.kernel) is WishDispatch
+            assert type(deployment.stack.kernel) is kernel
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_correct_synchronizers_share_one_set_of_columns(self, protocol):
@@ -375,17 +380,21 @@ class TestSingletonBranch:
 
 
 class TestVoteKernelStats:
-    def _run(self, adversary: str, latency: str, n: int = 60, seed: int = 0):
+    def _run(
+        self, adversary: str, latency: str, n: int = 60, seed: int = 0,
+        protocol: str = "probft",
+    ):
         (cell,) = _cells(
-            n, protocols=("probft",), adversaries=(adversary,), latencies=(latency,)
+            n, protocols=(protocol,), adversaries=(adversary,), latencies=(latency,)
         )
         context = TrialContext(cell_deployment_spec(cell, seed, MAX_TIME))
         result = context.execute()
         assert result.agreement_ok
         return context.deployment, result
 
-    def test_constant_latency_is_all_vectorised(self):
-        deployment, result = self._run("none", "constant")
+    @pytest.mark.parametrize("protocol", ["probft", "pbft"])
+    def test_constant_latency_is_all_vectorised(self, protocol):
+        deployment, result = self._run("none", "constant", protocol=protocol)
         stats = deployment.vote_kernel_stats()
         assert result.all_decided
         # (But the leader's own Prepare: it votes on its proposal at t=0, so
@@ -393,18 +402,27 @@ class TestVoteKernelStats:
         assert stats["declined"] == 0 and stats["walked"] == 1
         assert stats["vectorised"] > 0
 
-    def test_exponential_latency_is_singleton(self):
-        deployment, result = self._run("none", "exponential")
+    @pytest.mark.parametrize("protocol", ["probft", "pbft"])
+    def test_exponential_latency_is_singleton(self, protocol):
+        deployment, result = self._run("none", "exponential", protocol=protocol)
         stats = deployment.vote_kernel_stats()
         assert result.all_decided and stats["declined"] == 0
         buckets = stats["vectorised"] + stats["walked"]
         assert stats["walked"] >= 0.9 * buckets
 
-    def test_duplication_declines_every_vote_bucket(self):
-        deployment, _ = self._run("duplication", "constant")
+    @pytest.mark.parametrize("protocol", ["probft", "pbft"])
+    def test_duplication_declines_every_vote_bucket(self, protocol):
+        deployment, _ = self._run("duplication", "constant", protocol=protocol)
         stats = deployment.vote_kernel_stats()
-        assert stats["declined"] > 0
+        assert stats["declined"] > 0 and stats["wish_declined"] == 0
         assert stats["vectorised"] == 0 and stats["walked"] == 0
+
+    def test_pbft_at_scale_rides_the_array_pass(self):
+        """PBFT's n=300 phases (~90k broadcast votes each) are passes."""
+        deployment, result = self._run("none", "constant", n=300, protocol="pbft")
+        stats = deployment.vote_kernel_stats()
+        assert result.all_decided and result.max_view == 1
+        assert stats["vote_passes"] > 0 and stats["declined"] == 0
 
     def test_equivocation_declines_only_flagged_views(self):
         from repro.core.replica import prevalidate_vote

@@ -720,7 +720,7 @@ class TestJunkShapes:
         assert dep.max_decision_view == 1
 
     def test_validation_says_no_once_per_object(self):
-        from repro.baselines.pbft.predicates import pbft_safe_proposal, pbft_valid_vote
+        from repro.baselines.pbft.predicates import pbft_safe_proposal, pbft_vote_token
         from repro.messages.pbft import PbftPropose
 
         dep = self._cluster("pbft")
@@ -730,7 +730,7 @@ class TestJunkShapes:
         def judge(message):
             if isinstance(message.payload, PbftPropose):
                 return pbft_safe_proposal(message, dep.config, dep.crypto)
-            return pbft_valid_vote(message, dep.config, dep.crypto)
+            return pbft_vote_token(dep.config, dep.crypto, message)
 
         assert not any(judge(message) for message in messages)
         # The verdicts are the table's: asked again, nothing is recomputed.
