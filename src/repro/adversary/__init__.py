@@ -9,7 +9,8 @@ Byzantine replicas are full endpoint objects (``start()`` /
 ``on_message(src, msg)``) built by factories, so the honest protocol code
 path is never contaminated with attack logic.
 
-* :mod:`repro.adversary.behaviors` — silent/crash replicas.
+* :mod:`repro.adversary.behaviors` — silent/crash replicas (a crash seat
+  wraps the target protocol's own honest replica).
 * :mod:`repro.adversary.equivocation` — the equivocating-leader strategies of
   Figure 4 (general / sub-optimal / optimal split) plus colluding
   double-voters, and the whole Figure-4c attack as a ``byzantine=`` map.
@@ -17,22 +18,26 @@ path is never contaminated with attack logic.
   correct replicas reject invalid samples/signatures.
 * :mod:`repro.adversary.registry` — the protocol-keyed
   :class:`~repro.adversary.registry.ByzantineBehavior` registry dispatching
-  each (adversary, protocol) matrix combination to its implementation
-  (including the PBFT/HotStuff analogues in
-  :mod:`repro.baselines.pbft.adversary` and
-  :mod:`repro.baselines.hotstuff.adversary`).
+  each (adversary, protocol) matrix combination to its implementation.
+
+The equivocation and flooding seats are written once for every protocol on
+the ProBFT replica skeleton (ProBFT and PBFT): they take the protocol's
+replica class and read its dialect from it — the proposal type from
+``PROPOSE``, each vote and its recipients from the ``vote`` hook.  HotStuff,
+whose votes go to the leader and whose leader forges quorum certificates,
+keeps its own analogues in :mod:`repro.baselines.hotstuff.adversary`.
 """
 
 from .behaviors import SilentReplica, CrashReplica, silent_factory, crash_factory
 from .equivocation import (
     EquivocatingLeader,
     DoubleVoterReplica,
+    SeatVotes,
     SplitStrategy,
+    attack_seats,
     optimal_split,
     suboptimal_split,
     general_split,
-    equivocating_leader_factory,
-    double_voter_factory,
     equivocation_byzantine_map,
 )
 from .flooding import FloodingReplica, flooding_factory
@@ -52,12 +57,12 @@ __all__ = [
     "crash_factory",
     "EquivocatingLeader",
     "DoubleVoterReplica",
+    "SeatVotes",
     "SplitStrategy",
+    "attack_seats",
     "optimal_split",
     "suboptimal_split",
     "general_split",
-    "equivocating_leader_factory",
-    "double_voter_factory",
     "equivocation_byzantine_map",
     "FloodingReplica",
     "flooding_factory",

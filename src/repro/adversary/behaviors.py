@@ -9,9 +9,9 @@ Byzantine replicas remain silent").
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..config import ProtocolConfig
+from ..core.deployment import default_value
+from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
 from ..net.transport import Transport
 from ..types import ReplicaId
@@ -41,7 +41,9 @@ class SilentReplica:
 class CrashReplica:
     """Behaves honestly until ``crash_time``, then stops completely.
 
-    Wraps a real honest replica, so pre-crash behaviour is exactly correct.
+    Wraps a real honest replica of class ``protocol`` (a registered
+    deployment's ``replica_class``), so pre-crash behaviour is exactly
+    correct.
     """
 
     def __init__(
@@ -51,24 +53,18 @@ class CrashReplica:
         crypto: CryptoContext,
         transport: Transport,
         crash_time: float,
-        inner_factory=None,
+        protocol: type = ProBFTReplica,
     ) -> None:
-        from ..core.replica import ProBFTReplica
-        from ..core.deployment import default_value
-
         self.id = replica_id
         self.crash_time = crash_time
         self._transport = transport
-        factory = inner_factory or (
-            lambda: ProBFTReplica(
-                replica_id=replica_id,
-                config=config,
-                crypto=crypto,
-                transport=transport,
-                my_value=default_value(replica_id),
-            )
+        self._inner = protocol(
+            replica_id=replica_id,
+            config=config,
+            crypto=crypto,
+            transport=transport,
+            my_value=default_value(replica_id),
         )
-        self._inner = factory()
         self._crashed = False
 
     @property
@@ -99,10 +95,12 @@ def silent_factory():
     return build
 
 
-def crash_factory(crash_time: float):
+def crash_factory(crash_time: float, protocol: type = ProBFTReplica):
     """Factory for :class:`CrashReplica` crashing at ``crash_time``."""
 
     def build(replica_id, config, crypto, transport):
-        return CrashReplica(replica_id, config, crypto, transport, crash_time)
+        return CrashReplica(
+            replica_id, config, crypto, transport, crash_time, protocol
+        )
 
     return build

@@ -1,4 +1,5 @@
-"""Equivocating-leader attacks (paper §4.3, Figure 4) and colluding voters.
+"""Equivocating-leader attacks (paper §4.3, Figure 4) and colluding voters,
+written once for every protocol on the ProBFT skeleton.
 
 Three leader strategies are implemented:
 
@@ -11,27 +12,46 @@ Three leader strategies are implemented:
 
 Colluding followers (:class:`DoubleVoterReplica`) support the leader by
 casting Prepare **and** Commit votes for *both* values — but deliver each
-value's votes only to sample members of that value's group, so they never
-hand correct replicas equivocation evidence.  Note the VRF still constrains
+value's votes only inside that value's group (to its sample members, under
+ProBFT), so they never hand correct replicas equivocation evidence.  Note the VRF still constrains
 them: votes only count for receivers inside their VRF-chosen samples
 (paper §3.1 benefit 1), which is exactly why the attack's success probability
 decays as ``exp(−Θ(√n))``.
+
+The seats speak the dialect of the replica class they are given
+(:class:`~repro.core.replica.ProBFTReplica` or PBFT's subclass): the
+proposal type is its ``PROPOSE`` and every vote, with its recipients, comes
+from its :meth:`~repro.core.replica.ProBFTReplica.vote` hook — a VRF sample
+for ProBFT, every replica (``None``) for PBFT.  Latency is drawn once per
+send, so the order of sends is behaviour and follows those recipients (see
+:meth:`SeatVotes.inside` and :meth:`EquivocatingLeader.start`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..config import ProtocolConfig
+from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
 from ..crypto.signatures import Signed
-from ..crypto.vrf import phase_seed
 from ..messages.base import ProposalStatement
-from ..messages.probft import Commit, Prepare, Propose
 from ..net.transport import Transport
 from ..types import ReplicaId, Value, View
+
+#: The one view an attack fires in.  Equivocating in a later view would also
+#: need a justification no Byzantine seat can forge (a NewLeader quorum, or
+#: HotStuff's justify QC); view 1 needs none (Algorithm 1 line 3), and it is
+#: the case the paper's §4.3 analysis covers.
+ATTACK_VIEW: View = 1
+
+#: The two values of the Figure-4c split.
+ATTACK_VALUES: Tuple[Value, Value] = (b"attack-A", b"attack-B")
+
+Send = Tuple[ReplicaId, Signed]
 
 
 @dataclass(frozen=True)
@@ -123,13 +143,86 @@ def general_split(
     return SplitStrategy(assignments=tuple(assignments))
 
 
-class EquivocatingLeader:
-    """A Byzantine leader executing a :class:`SplitStrategy` in its view.
+class SeatVotes:
+    """One Byzantine seat's votes in one view, in its protocol's dialect.
 
-    In ``attack_view`` (default 1) it sends a distinct, correctly signed
-    Propose per assignment — signatures verify, so the *only* defences are
-    the probabilistic quorums and the equivocation detector.  In other views
-    it stays silent (forcing a view change if it leads again).
+    The first vote of each phase comes from the protocol's ``vote`` hook —
+    for ProBFT that proves the phase's VRF sample — and a vote for any other
+    statement reuses its payload and recipients, so a seat proves each
+    phase once however many values it votes for.
+    """
+
+    def __init__(
+        self,
+        protocol: type,
+        config: ProtocolConfig,
+        crypto: CryptoContext,
+        signer: ReplicaId,
+        view: View,
+    ) -> None:
+        self._protocol = protocol
+        self._config = config
+        self._crypto = crypto
+        self.signer = signer
+        self._view = view
+        self._first: Dict[bool, Tuple[Signed, Optional[Tuple[ReplicaId, ...]]]] = {}
+
+    def __call__(
+        self, is_prepare: bool, statement: Signed
+    ) -> Tuple[Signed, Optional[Tuple[ReplicaId, ...]]]:
+        """The seat's Prepare or Commit for ``statement`` and its recipients
+        (``None``: every replica)."""
+        first = self._first.get(is_prepare)
+        if first is None:
+            first = self._first[is_prepare] = self._protocol.vote(
+                self._config, self._crypto, self.signer, self._view,
+                is_prepare, statement,
+            )
+            return first
+        message, recipients = first
+        payload = replace(message.payload, statement=statement)
+        return self._crypto.signatures.sign(self.signer, payload), recipients
+
+    @property
+    def broadcast(self) -> bool:
+        """Whether the dialect's votes go to every replica (no vote made
+        yet counts as broadcast: there is nothing to order)."""
+        return all(recipients is None for _m, recipients in self._first.values())
+
+    def inside(self, statement: Signed, group: FrozenSet[ReplicaId]) -> List[Send]:
+        """The Prepare and Commit for ``statement``, addressed inside
+        ``group`` only, so no correct replica outside it sees them.
+
+        Broadcast votes go in one pass over the group (Prepare, Commit per
+        member, in replica order); sampled ones to the Prepare sample ∩
+        group, then to the Commit sample ∩ group, in sample order.
+        """
+        me = self.signer
+        prepare, to_prepare = self(True, statement)
+        commit, to_commit = self(False, statement)
+        if to_prepare is None:
+            return [
+                (dst, vote)
+                for dst in sorted(group)
+                if dst != me
+                for vote in (prepare, commit)
+            ]
+        return [
+            (dst, vote)
+            for vote, recipients in ((prepare, to_prepare), (commit, to_commit))
+            for dst in recipients
+            if dst != me and dst in group
+        ]
+
+
+class EquivocatingLeader:
+    """A Byzantine view-1 leader executing a :class:`SplitStrategy`.
+
+    It sends a distinct, correctly signed proposal per assignment —
+    signatures verify, so the *only* defences are the quorums (probabilistic
+    for ProBFT, deterministic for PBFT) and, for ProBFT, the equivocation
+    detector — and backs each with its own votes inside that group.  In
+    later views it stays silent (forcing a view change if it leads again).
     """
 
     def __init__(
@@ -139,75 +232,49 @@ class EquivocatingLeader:
         crypto: CryptoContext,
         transport: Transport,
         strategy: SplitStrategy,
-        attack_view: View = 1,
         support_own_proposals: bool = True,
+        protocol: type = ProBFTReplica,
     ) -> None:
-        if attack_view != 1:
-            # Equivocating in a later view would additionally require forging
-            # a safeProposal justification; view 1 needs none (Algorithm 1
-            # line 3) and is the case the paper's §4.3 analysis covers.
-            raise ValueError("EquivocatingLeader only attacks view 1")
         self.id = replica_id
         self.config = config
         self._crypto = crypto
         self._transport = transport
         self._strategy = strategy
-        self._attack_view = attack_view
         self._support = support_own_proposals
-        self._attacked = False
+        self._protocol = protocol
 
     def start(self) -> None:
-        self._attack()
-
-    def _attack(self) -> None:
-        if self._attacked:
-            return
-        self._attacked = True
-        view = self._attack_view
-        statements: Dict[Value, Signed] = {}
-        for value, targets in self._strategy.assignments:
-            statement = self._crypto.signatures.sign(
+        sign = self._crypto.signatures.sign
+        votes = SeatVotes(
+            self._protocol, self.config, self._crypto, self.id, ATTACK_VIEW
+        )
+        rounds = []
+        for value, group in self._strategy.assignments:
+            statement = sign(
                 self.id,
                 ProposalStatement(
-                    view=view, value=value, domain=self.config.seed_domain
+                    view=ATTACK_VIEW, value=value, domain=self.config.seed_domain
                 ),
             )
-            statements[value] = statement
-            propose = Propose(view=view, statement=statement, justification=None)
-            signed = self._crypto.signatures.sign(self.id, propose)
+            propose = sign(
+                self.id,
+                self._protocol.PROPOSE(
+                    view=ATTACK_VIEW, statement=statement, justification=None
+                ),
+            )
             # The leader equivocates *per partition*, one ordered send each.
-            for dst in sorted(targets):
-                if dst != self.id:
-                    self._transport.send(dst, signed)
-        if self._support:
-            self._vote_both_sides(view, statements)
-
-    def _vote_both_sides(self, view: View, statements: Dict[Value, Signed]) -> None:
-        """Send per-group Prepare and Commit votes (leader is also a replica)."""
-        prepare_sample = self._crypto.vrf.prove(
-            self.id,
-            phase_seed(view, "prepare", self.config.seed_domain),
-            self.config.sample_size,
-        )
-        commit_sample = self._crypto.vrf.prove(
-            self.id,
-            phase_seed(view, "commit", self.config.seed_domain),
-            self.config.sample_size,
-        )
-        for value, targets in self._strategy.assignments:
-            statement = statements[value]
-            prepare = self._crypto.signatures.sign(
-                self.id, Prepare(statement=statement, sample=prepare_sample)
-            )
-            commit = self._crypto.signatures.sign(
-                self.id, Commit(statement=statement, sample=commit_sample)
-            )
-            for dst in prepare_sample.sample:
-                if dst != self.id and dst in targets:
-                    self._transport.send(dst, prepare)
-            for dst in commit_sample.sample:
-                if dst != self.id and dst in targets:
-                    self._transport.send(dst, commit)
+            proposals = [(dst, propose) for dst in sorted(group) if dst != self.id]
+            support = votes.inside(statement, group) if self._support else []
+            rounds.append((proposals, support))
+        # Broadcast votes follow their group's proposal; sampled votes wait
+        # until every proposal is out.
+        if votes.broadcast:
+            sends = [s for proposals, support in rounds for s in proposals + support]
+        else:
+            sends = [s for proposals, _ in rounds for s in proposals]
+            sends += [s for _, support in rounds for s in support]
+        for dst, message in sends:
+            self._transport.send(dst, message)
 
     def on_message(self, src: ReplicaId, message: object) -> None:
         # The attack fires from start(); later views: silence.
@@ -217,10 +284,11 @@ class EquivocatingLeader:
 class DoubleVoterReplica:
     """A colluding Byzantine follower supporting an equivocating leader.
 
-    Upon the leader's (first) proposals it votes Prepare and Commit for
-    *every* value in the plan, delivering each value's votes only to sample
-    members inside that value's group — correct replicas outside the group
-    never see the conflicting value from this replica, so no evidence leaks.
+    Upon the leader's (first) view-1 proposal it votes Prepare and Commit
+    for *every* value in the plan, delivering each value's votes only inside
+    that value's group (:meth:`SeatVotes.inside`) — correct replicas outside
+    the group never see the conflicting value from this replica, so no
+    evidence leaks.
     """
 
     def __init__(
@@ -231,7 +299,7 @@ class DoubleVoterReplica:
         transport: Transport,
         strategy: SplitStrategy,
         leader_id: ReplicaId,
-        attack_view: View = 1,
+        protocol: type = ProBFTReplica,
     ) -> None:
         self.id = replica_id
         self.config = config
@@ -239,7 +307,7 @@ class DoubleVoterReplica:
         self._transport = transport
         self._strategy = strategy
         self._leader_id = leader_id
-        self._attack_view = attack_view
+        self._protocol = protocol
         self._fired = False
 
     def start(self) -> None:
@@ -249,122 +317,71 @@ class DoubleVoterReplica:
         if self._fired or not isinstance(message, Signed):
             return
         payload = message.payload
-        if not isinstance(payload, Propose):
+        if not isinstance(payload, self._protocol.PROPOSE):
             return
-        if payload.view != self._attack_view:
+        if payload.view != ATTACK_VIEW:
             return
         if payload.statement.signer != self._leader_id:
             return
         self._fired = True
-        self._vote_all(self._attack_view)
-
-    def _vote_all(self, view: View) -> None:
-        prepare_sample = self._crypto.vrf.prove(
-            self.id,
-            phase_seed(view, "prepare", self.config.seed_domain),
-            self.config.sample_size,
+        # Colluders share keys (paper §2.1: faulty replicas may know each
+        # other's private keys), so the voter can reproduce the leader-signed
+        # statements without waiting to receive both of them.
+        leader_key = self._crypto.registry.key_pair(self._leader_id).private_key
+        votes = SeatVotes(
+            self._protocol, self.config, self._crypto, self.id, ATTACK_VIEW
         )
-        commit_sample = self._crypto.vrf.prove(
-            self.id,
-            phase_seed(view, "commit", self.config.seed_domain),
-            self.config.sample_size,
-        )
-        for value, targets in self._strategy.assignments:
+        sends: List[Send] = []
+        for value, group in self._strategy.assignments:
             statement = self._crypto.signatures.sign_with(
-                self._leader_key(), self._leader_id,
+                leader_key, self._leader_id,
                 ProposalStatement(
-                    view=view, value=value, domain=self.config.seed_domain
+                    view=ATTACK_VIEW, value=value, domain=self.config.seed_domain
                 ),
             )
-            prepare = self._crypto.signatures.sign(
-                self.id, Prepare(statement=statement, sample=prepare_sample)
-            )
-            commit = self._crypto.signatures.sign(
-                self.id, Commit(statement=statement, sample=commit_sample)
-            )
-            for dst in prepare_sample.sample:
-                if dst != self.id and dst in targets:
-                    self._transport.send(dst, prepare)
-            for dst in commit_sample.sample:
-                if dst != self.id and dst in targets:
-                    self._transport.send(dst, commit)
-
-    def _leader_key(self) -> bytes:
-        """Colluders share keys (paper §2.1: faulty replicas may know each
-        other's private keys), so the voter can reproduce the leader-signed
-        statements without waiting to receive both of them."""
-        return self._crypto.registry.key_pair(self._leader_id).private_key
+            sends += votes.inside(statement, group)
+        for dst, vote in sends:
+            self._transport.send(dst, vote)
 
 
-def equivocating_leader_factory(
-    strategy: SplitStrategy,
-    attack_view: View = 1,
-    support_own_proposals: bool = True,
-):
-    """Deployment factory for :class:`EquivocatingLeader`."""
-
-    def build(replica_id, config, crypto, transport):
-        return EquivocatingLeader(
-            replica_id,
-            config,
-            crypto,
-            transport,
-            strategy,
-            attack_view=attack_view,
-            support_own_proposals=support_own_proposals,
-        )
-
-    return build
-
-
-def double_voter_factory(
-    strategy: SplitStrategy, leader_id: ReplicaId, attack_view: View = 1
-):
-    """Deployment factory for :class:`DoubleVoterReplica`."""
-
-    def build(replica_id, config, crypto, transport):
-        return DoubleVoterReplica(
-            replica_id,
-            config,
-            crypto,
-            transport,
-            strategy,
-            leader_id,
-            attack_view=attack_view,
-        )
-
-    return build
+def attack_seats(config: ProtocolConfig) -> Tuple[ReplicaId, List[ReplicaId]]:
+    """The Figure-4c seats: replica 0 (leader of view 1) and, as colluders,
+    the other ``f − 1`` Byzantine replicas from the *end* of the ID range
+    (so view 2's leader is correct and the run terminates quickly)."""
+    if config.f < 1:
+        raise ValueError("the attack needs at least the leader Byzantine")
+    return 0, list(range(config.n - (config.f - 1), config.n))
 
 
 def equivocation_byzantine_map(
     config: ProtocolConfig,
-    val1: Value = b"attack-A",
-    val2: Value = b"attack-B",
-    n_byzantine: Optional[int] = None,
     strategy: Optional[SplitStrategy] = None,
     support_own_proposals: bool = True,
+    protocol: type = ProBFTReplica,
 ) -> Tuple[Dict[ReplicaId, Callable], SplitStrategy]:
     """The Figure-4c attack as a ``byzantine=`` map, plus the split used.
 
-    Replica 0 (leader of view 1) equivocates with ``val1``/``val2``; the
-    remaining Byzantine replicas are taken from the *end* of the ID range
-    (so view 2's leader is correct and the run terminates quickly) and act
-    as colluding double-voters.  The map composes with any latency, GST or
-    timeout settings: pass it as ``byzantine=`` to
-    :class:`~repro.core.protocol.ProBFTDeployment` or a
+    The leader (:func:`attack_seats`) equivocates with
+    :data:`ATTACK_VALUES`; the colluders double-vote, all in ``protocol``'s
+    dialect.  The map composes with any latency, GST or timeout settings:
+    pass it as ``byzantine=`` to the protocol's deployment or a
     :class:`~repro.harness.trial.DeploymentSpec`.
     """
-    n_byz = n_byzantine if n_byzantine is not None else config.f
-    if n_byz < 1:
-        raise ValueError("the attack needs at least the leader Byzantine")
-    leader_id: ReplicaId = 0
-    colluders = list(range(config.n - (n_byz - 1), config.n))
-    plan = strategy or optimal_split(config.n, [leader_id] + colluders, val1, val2)
+    leader_id, colluders = attack_seats(config)
+    plan = strategy or optimal_split(
+        config.n, [leader_id] + colluders, *ATTACK_VALUES
+    )
     byzantine: Dict[ReplicaId, Callable] = {
-        leader_id: equivocating_leader_factory(
-            plan, attack_view=1, support_own_proposals=support_own_proposals
+        leader_id: partial(
+            EquivocatingLeader,
+            strategy=plan,
+            support_own_proposals=support_own_proposals,
+            protocol=protocol,
         )
     }
+    voter = partial(
+        DoubleVoterReplica, strategy=plan, leader_id=leader_id, protocol=protocol
+    )
     for replica in colluders:
-        byzantine[replica] = double_voter_factory(plan, leader_id, attack_view=1)
+        byzantine[replica] = voter
     return byzantine, plan

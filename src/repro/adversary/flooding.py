@@ -3,37 +3,41 @@
 The paper motivates VRF-fixed recipient samples with the observation that
 faulty replicas must be prevented "from manipulating the decisions in
 probabilistic quorums (e.g., by flooding the system with their own
-messages)" (§3.1).  :class:`FloodingReplica` tries exactly that: it sprays
-Prepare/Commit messages with *forged* samples (claimed membership without a
-valid VRF proof) and duplicated votes.  Correct replicas must reject all of
-it — the tests assert the flood changes nothing.
+messages)" (§3.1).  :class:`FloodingReplica` tries exactly that, in the
+dialect of any protocol on the ProBFT skeleton: it sprays votes for a value
+the leader never signed, duplicates of one valid vote and — where votes
+carry a sample — votes with a *forged* sample.  Correct replicas must
+reject all of it; the tests assert the flood changes nothing.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..config import ProtocolConfig
+from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
 from ..crypto.signatures import Signed
-from ..crypto.vrf import VRFOutput, phase_seed
+from ..crypto.vrf import VRFOutput
 from ..messages.base import ProposalStatement
-from ..messages.probft import Commit, Prepare, Propose
 from ..net.transport import Transport
-from ..types import ReplicaId, Value, View
+from ..types import ReplicaId, View
+from .equivocation import SeatVotes
+
+#: The value the flooder votes for; no leader ever signs it.
+FLOOD_VALUE = b"flood-value"
 
 
 class FloodingReplica:
     """Sends a burst of invalid votes to every replica when it sees a proposal.
 
-    Attack vectors exercised:
+    Attack vectors exercised (the vote hook's recipients say which apply):
 
-    * forged sample membership: a hand-built ``VRFOutput`` whose sample lists
-      the target but whose proof never verifies;
-    * vote duplication: the same valid-looking vote repeated ``burst`` times
-      (must count at most once thanks to sender dedup);
     * fake value injection: votes for a value the leader never signed
-      (statement signed by the flooder itself, so leader check fails).
+      (statement signed by the flooder itself, so the leader check fails);
+    * vote duplication: one valid vote repeated ``burst`` times (must count
+      at most once thanks to sender dedup);
+    * forged sample membership, sampled dialects only: a hand-built
+      ``VRFOutput`` whose sample lists the target but whose proof never
+      verifies.
     """
 
     def __init__(
@@ -43,14 +47,14 @@ class FloodingReplica:
         crypto: CryptoContext,
         transport: Transport,
         burst: int = 3,
-        fake_value: Value = b"flood-value",
+        protocol: type = ProBFTReplica,
     ) -> None:
         self.id = replica_id
         self.config = config
         self._crypto = crypto
         self._transport = transport
         self._burst = burst
-        self._fake_value = fake_value
+        self._protocol = protocol
         self._fired = False
 
     def start(self) -> None:
@@ -60,59 +64,56 @@ class FloodingReplica:
         if self._fired or not isinstance(message, Signed):
             return
         payload = message.payload
-        if not isinstance(payload, Propose):
+        if not isinstance(payload, self._protocol.PROPOSE):
             return
         self._fired = True
         self._flood(payload.view, payload.statement)
 
     def _flood(self, view: View, leader_statement: Signed) -> None:
         n = self.config.n
-        s = self.config.sample_size
-        forged_sample = VRFOutput(
-            sample=tuple(range(min(n, s))), proof=b"\x00" * 32
-        )
-        fake_statement = self._crypto.signatures.sign(
+        sign = self._crypto.signatures.sign
+        votes = SeatVotes(self._protocol, self.config, self._crypto, self.id, view)
+        fake_statement = sign(
             self.id,
             ProposalStatement(
-                view=view, value=self._fake_value, domain=self.config.seed_domain
+                view=view, value=FLOOD_VALUE, domain=self.config.seed_domain
             ),
         )
-        real_prepare_sample = self._crypto.vrf.prove(
-            self.id, phase_seed(view, "prepare", self.config.seed_domain), s
-        )
-
-        forged_prepare = self._crypto.signatures.sign(
-            self.id, Prepare(statement=leader_statement, sample=forged_sample)
-        )
-        fake_value_prepare = self._crypto.signatures.sign(
-            self.id, Prepare(statement=fake_statement, sample=real_prepare_sample)
-        )
-        forged_commit = self._crypto.signatures.sign(
-            self.id, Commit(statement=leader_statement, sample=forged_sample)
-        )
-        valid_prepare = self._crypto.signatures.sign(
-            self.id, Prepare(statement=leader_statement, sample=real_prepare_sample)
-        )
-
+        fake_prepare, sample = votes(True, fake_statement)
+        valid_prepare, _ = votes(True, leader_statement)
+        if sample is None:
+            # Broadcast votes: everything goes to everyone.
+            fake_commit, _ = votes(False, fake_statement)
+            to_all = (fake_prepare, fake_commit, valid_prepare)
+            sample = ()
+        else:
+            forged = VRFOutput(
+                sample=tuple(range(min(n, self.config.sample_size))),
+                proof=b"\x00" * 32,
+            )
+            prepare, commit = self._protocol.VOTES
+            to_all = (
+                sign(self.id, prepare(statement=leader_statement, sample=forged)),
+                fake_prepare,
+                sign(self.id, commit(statement=leader_statement, sample=forged)),
+            )
         for _ in range(self._burst):
             for dst in range(n):
-                if dst == self.id:
-                    continue
-                self._transport.send(dst, forged_prepare)
-                self._transport.send(dst, fake_value_prepare)
-                self._transport.send(dst, forged_commit)
+                if dst != self.id:
+                    for vote in to_all:
+                        self._transport.send(dst, vote)
             # Duplicate a *valid* vote: must count once per sender at most.
-            for dst in real_prepare_sample.sample:
+            for dst in sample:
                 if dst != self.id:
                     self._transport.send(dst, valid_prepare)
 
 
-def flooding_factory(burst: int = 3, fake_value: Value = b"flood-value"):
+def flooding_factory(burst: int = 3, protocol: type = ProBFTReplica):
     """Deployment factory for :class:`FloodingReplica`."""
 
     def build(replica_id, config, crypto, transport):
         return FloodingReplica(
-            replica_id, config, crypto, transport, burst=burst, fake_value=fake_value
+            replica_id, config, crypto, transport, burst=burst, protocol=protocol
         )
 
     return build

@@ -1,22 +1,30 @@
 """Protocol-keyed Byzantine behavior registry.
 
 The scenario matrix crosses *adversaries* with *protocols*, but an attack is
-only meaningful if it speaks the target protocol's message dialect: ProBFT's
-equivocating leader forges ``Propose``/``Prepare``/``Commit`` messages, the
-PBFT analogue forges ``PbftPropose`` pre-prepares, and the HotStuff analogue
-forges ``HsProposal`` phase proposals.  This module is the dispatch layer
-that keeps that knowledge out of the harness:
+only meaningful if it speaks the target protocol's message dialect.  For
+the protocols on the ProBFT replica skeleton (ProBFT and PBFT) the seats in
+:mod:`repro.adversary.equivocation` and :mod:`repro.adversary.flooding` read
+that dialect from the target's replica class, so each attack is one entry;
+HotStuff's analogues (:mod:`repro.baselines.hotstuff.adversary`) forge
+``HsProposal`` phase proposals and quorum certificates and register for
+HotStuff alone.  This module is the dispatch layer that keeps that knowledge
+out of the harness:
 
 * :class:`ByzantineBehavior` — one registered adversary implementation: an
-  adversary name, the protocol it targets (``None`` = protocol-agnostic),
-  and a builder producing the ``byzantine=`` deployment map realizing it.
+  adversary name, the protocol it targets (``None`` = every protocol), and
+  a builder producing the ``byzantine=`` deployment map realizing it.
 * :func:`register_behavior` — ``register_protocol``-style extension point;
-  new protocols (or new attacks) plug in here and the matrix picks them up.
+  a newly registered adversary is a valid matrix axis value at once, and the
+  ``adversary-complete`` matrix audits it.
 * :func:`behavior_for` / :func:`byzantine_map_for` — resolution: an exact
   ``(adversary, protocol)`` entry wins over the ``(adversary, None)``
-  wildcard, so protocol-agnostic behaviors (silence, crashes, the targeted
-  scheduler, network duplication) register once while forgery attacks
-  register per protocol.
+  wildcard, so silence, crashes, the targeted scheduler, network
+  duplication and the skeleton's forgery seats register once, and HotStuff's
+  forgeries shadow the last.
+
+A builder that needs the target's honest replica (a crash seat, the
+forgery seats) takes the ``replica_class`` of the deployment registered
+under the protocol's name (:func:`repro.harness.trial.deployment_factory`).
 
 Every (adversary × protocol) combination the matrix enumerates resolves
 here — ``ScenarioMatrix.cells(supported_only=False)`` contains no
@@ -29,8 +37,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..config import ProtocolConfig
+from ..core.replica import ProBFTReplica
 from ..types import ReplicaId
-from .behaviors import CrashReplica, silent_factory
+from .behaviors import crash_factory, silent_factory
 from .equivocation import equivocation_byzantine_map
 from .flooding import flooding_factory
 
@@ -161,44 +170,23 @@ def _no_replicas(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
     return {}
 
 
-def _honest_replica_factory(protocol: str):
-    """A factory building the protocol's *honest* replica (for CrashReplica)."""
-    if protocol == "probft":
-        return None  # CrashReplica's built-in default
-    from ..core.deployment import default_value
+def _replica_class(protocol: str) -> type:
+    """The honest replica class of the registered deployment ``protocol``."""
+    from ..harness.trial import deployment_factory
 
-    if protocol == "pbft":
-        from ..baselines.pbft.replica import PbftReplica as cls
-    elif protocol == "hotstuff":
-        from ..baselines.hotstuff.replica import HotStuffReplica as cls
-    else:
-        raise KeyError(f"unknown protocol {protocol!r}")
+    return deployment_factory(protocol).replica_class
 
-    def inner(replica_id, config, crypto, transport):
-        return lambda: cls(
-            replica_id=replica_id,
-            config=config,
-            crypto=crypto,
-            transport=transport,
-            my_value=default_value(replica_id),
+
+def _skeleton_replica(protocol: str) -> type:
+    """``protocol``'s replica class, which the shared forgery seats speak
+    through; only the ProBFT skeleton's hooks describe that dialect."""
+    replica = _replica_class(protocol)
+    if not issubclass(replica, ProBFTReplica):
+        raise KeyError(
+            f"protocol {protocol!r} is not on the ProBFT replica skeleton; "
+            "register its own equivocation/flooding behaviors"
         )
-
-    return inner
-
-
-def _crash_factory_for(protocol: str, crash_time: float):
-    """Protocol-aware crash adversary: honest until ``crash_time``, then dead."""
-    inner = _honest_replica_factory(protocol)
-
-    def build(replica_id, config, crypto, transport):
-        inner_factory = (
-            inner(replica_id, config, crypto, transport) if inner else None
-        )
-        return CrashReplica(
-            replica_id, config, crypto, transport, crash_time, inner_factory
-        )
-
-    return build
+    return replica
 
 
 def _silent_leader(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
@@ -208,10 +196,13 @@ def _silent_leader(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any
 
 
 def _crash_tail(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
-    return {
-        r: _crash_factory_for(protocol, crash_time=CRASH_TIME)
-        for r in range(config.n - config.f, config.n)
-    }
+    crash = crash_factory(CRASH_TIME, _replica_class(protocol))
+    return {r: crash for r in range(config.n - config.f, config.n)}
+
+
+def _silent_tail(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
+    silent = silent_factory()
+    return {r: silent for r in range(config.n - config.f, config.n)}
 
 
 register_behavior(
@@ -238,41 +229,28 @@ register_behavior(
     _crash_tail,
     description=f"The last f replicas crash at t={CRASH_TIME}.",
 )
+register_behavior(
+    "silent-f",
+    _silent_tail,
+    description="The last f replicas are silent from the start.",
+)
 
 
 # ----------------------------------------------------------------------
-# Protocol-specific forgery behaviors
+# Forgery behaviors: one seat per attack on the ProBFT skeleton (ProBFT and
+# PBFT), HotStuff's own analogues
 # ----------------------------------------------------------------------
 
 
-def _probft_equivocation(
-    protocol: str, config: ProtocolConfig
-) -> Dict[ReplicaId, Any]:
-    byzantine, _plan = equivocation_byzantine_map(config)
+def _equivocation(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
+    byzantine, _plan = equivocation_byzantine_map(
+        config, protocol=_skeleton_replica(protocol)
+    )
     return byzantine
 
 
-def _probft_flooding(
-    protocol: str, config: ProtocolConfig
-) -> Dict[ReplicaId, Any]:
-    return {config.n - 1: flooding_factory()}
-
-
-def _pbft_equivocation(
-    protocol: str, config: ProtocolConfig
-) -> Dict[ReplicaId, Any]:
-    from ..baselines.pbft.adversary import pbft_equivocation_map
-
-    byzantine, _plan = pbft_equivocation_map(config)
-    return byzantine
-
-
-def _pbft_flooding(
-    protocol: str, config: ProtocolConfig
-) -> Dict[ReplicaId, Any]:
-    from ..baselines.pbft.adversary import pbft_flooding_factory
-
-    return {config.n - 1: pbft_flooding_factory()}
+def _flooding(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
+    return {config.n - 1: flooding_factory(protocol=_skeleton_replica(protocol))}
 
 
 def _hotstuff_equivocation(
@@ -294,27 +272,19 @@ def _hotstuff_flooding(
 
 register_behavior(
     "equivocation",
-    _probft_equivocation,
-    protocol="probft",
-    description="Figure-4c optimal split: equivocating leader + double-voters.",
+    _equivocation,
+    description=(
+        "Figure-4c optimal split: equivocating leader + double-voters, in "
+        "the target's dialect (protocols on the ProBFT skeleton)."
+    ),
 )
 register_behavior(
     "flooding",
-    _probft_flooding,
-    protocol="probft",
-    description="Forged VRF samples, duplicated and fake-value votes.",
-)
-register_behavior(
-    "equivocation",
-    _pbft_equivocation,
-    protocol="pbft",
-    description="Equivocating pre-prepares + conflicting prepares/commits.",
-)
-register_behavior(
-    "flooding",
-    _pbft_flooding,
-    protocol="pbft",
-    description="Non-leader statements, fake values, duplicated votes.",
+    _flooding,
+    description=(
+        "Fake-value and duplicated votes, plus forged samples where votes "
+        "carry one (protocols on the ProBFT skeleton)."
+    ),
 )
 register_behavior(
     "equivocation",

@@ -21,13 +21,27 @@ votes, trying to mint two conflicting quorum certificates.
 * :class:`HsFloodingReplica` — sprays proposals from a non-leader, forged
   single-vote certificates, fake-value votes, and duplicates of one valid
   vote; leader checks and vote collectors must reject or dedup all of it.
+
+These stay HotStuff's own (DESIGN.md, "One attack per dialect"): its votes
+are unicasts to the leader, and its leader tallies them and forges a
+colluder-only DECIDE certificate, which no hook of the ProBFT skeleton
+describes.  The seats, the split, the attack view and the flood value are
+the shared ones (:func:`~repro.adversary.equivocation.attack_seats`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Sequence, Tuple
 
-from ...adversary.equivocation import SplitStrategy, optimal_split
+from ...adversary.equivocation import (
+    ATTACK_VALUES,
+    ATTACK_VIEW,
+    SplitStrategy,
+    attack_seats,
+    optimal_split,
+)
+from ...adversary.flooding import FLOOD_VALUE
 from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
@@ -53,28 +67,20 @@ class EquivocatingHsLeader:
         transport: Transport,
         strategy: SplitStrategy,
         colluders: Sequence[ReplicaId] = (),
-        attack_view: View = 1,
-        forge_decide: bool = True,
     ) -> None:
-        if attack_view != 1:
-            # Later views would need a valid justify QC, which cannot be
-            # forged; view 1 accepts ``justify=None`` from unlocked replicas.
-            raise ValueError("EquivocatingHsLeader only attacks view 1")
         self.id = replica_id
         self.config = config
         self._crypto = crypto
         self._transport = transport
         self._strategy = strategy
         self._colluders = tuple(colluders)
-        self._attack_view = attack_view
-        self._forge_decide = forge_decide
         self._quorum = config.n - config.f
         #: Valid PREPARE votes received, per plan value, keyed by signer.
         self._votes: Dict[Value, Dict[ReplicaId, Signed]] = {}
         self._escalated = False
 
     def start(self) -> None:
-        view = self._attack_view
+        view = ATTACK_VIEW
         for value, targets in self._strategy.assignments:
             proposal = HsProposal(
                 view=view, value=value, phase=HsPhase.PREPARE.value, justify=None
@@ -83,8 +89,7 @@ class EquivocatingHsLeader:
             for dst in sorted(targets):
                 if dst != self.id:
                     self._transport.send(dst, signed)
-        if self._forge_decide:
-            self._send_forged_decide(view)
+        self._send_forged_decide(view)
 
     def _send_forged_decide(self, view: View) -> None:
         """A DECIDE proposal certified by the colluders alone (f < n − f
@@ -125,7 +130,7 @@ class EquivocatingHsLeader:
         vote: HsVotePayload = inner.payload
         if not isinstance(vote, HsVotePayload):
             return
-        if vote.view != self._attack_view or vote.phase != HsPhase.PREPARE.value:
+        if vote.view != ATTACK_VIEW or vote.phase != HsPhase.PREPARE.value:
             return
         if not self._crypto.signatures.verify(inner):
             return
@@ -148,13 +153,13 @@ class EquivocatingHsLeader:
         for value, targets in self._strategy.assignments:
             votes = tuple(list(self._votes[value].values())[: self._quorum])
             qc = HsQuorumCert(
-                view=self._attack_view,
+                view=ATTACK_VIEW,
                 value=value,
                 phase=HsPhase.PREPARE.value,
                 votes=votes,
             )
             proposal = HsProposal(
-                view=self._attack_view,
+                view=ATTACK_VIEW,
                 value=value,
                 phase=HsPhase.PRE_COMMIT.value,
                 justify=qc,
@@ -176,7 +181,6 @@ class HsDoubleVoter:
         transport: Transport,
         strategy: SplitStrategy,
         leader_id: ReplicaId,
-        attack_view: View = 1,
     ) -> None:
         self.id = replica_id
         self.config = config
@@ -184,7 +188,6 @@ class HsDoubleVoter:
         self._transport = transport
         self._strategy = strategy
         self._leader_id = leader_id
-        self._attack_view = attack_view
         self._fired = False
 
     def start(self) -> None:
@@ -196,7 +199,7 @@ class HsDoubleVoter:
         payload = message.payload
         if not isinstance(payload, HsProposal):
             return
-        if payload.view != self._attack_view:
+        if payload.view != ATTACK_VIEW:
             return
         if payload.phase != HsPhase.PREPARE.value:
             return
@@ -207,7 +210,7 @@ class HsDoubleVoter:
             inner = self._crypto.signatures.sign(
                 self.id,
                 HsVotePayload(
-                    view=self._attack_view,
+                    view=ATTACK_VIEW,
                     value=value,
                     phase=HsPhase.PREPARE.value,
                 ),
@@ -234,14 +237,12 @@ class HsFloodingReplica:
         crypto: CryptoContext,
         transport: Transport,
         burst: int = 3,
-        fake_value: Value = b"flood-value",
     ) -> None:
         self.id = replica_id
         self.config = config
         self._crypto = crypto
         self._transport = transport
         self._burst = burst
-        self._fake_value = fake_value
         self._fired = False
 
     def start(self) -> None:
@@ -261,7 +262,7 @@ class HsFloodingReplica:
             self.id,
             HsProposal(
                 view=view,
-                value=self._fake_value,
+                value=FLOOD_VALUE,
                 phase=HsPhase.PREPARE.value,
                 justify=None,
             ),
@@ -269,18 +270,18 @@ class HsFloodingReplica:
         self_vote = self._crypto.signatures.sign(
             self.id,
             HsVotePayload(
-                view=view, value=self._fake_value, phase=HsPhase.COMMIT.value
+                view=view, value=FLOOD_VALUE, phase=HsPhase.COMMIT.value
             ),
         )
         forged_decide = self._crypto.signatures.sign(
             self.id,
             HsProposal(
                 view=view,
-                value=self._fake_value,
+                value=FLOOD_VALUE,
                 phase=HsPhase.DECIDE.value,
                 justify=HsQuorumCert(
                     view=view,
-                    value=self._fake_value,
+                    value=FLOOD_VALUE,
                     phase=HsPhase.COMMIT.value,
                     votes=(self_vote,),
                 ),
@@ -289,7 +290,7 @@ class HsFloodingReplica:
         fake_vote_inner = self._crypto.signatures.sign(
             self.id,
             HsVotePayload(
-                view=view, value=self._fake_value, phase=HsPhase.PREPARE.value
+                view=view, value=FLOOD_VALUE, phase=HsPhase.PREPARE.value
             ),
         )
         fake_vote = self._crypto.signatures.sign(
@@ -317,71 +318,28 @@ class HsFloodingReplica:
 
 def hotstuff_equivocation_map(
     config: ProtocolConfig,
-    val1: Value = b"attack-A",
-    val2: Value = b"attack-B",
-    n_byzantine: Optional[int] = None,
-    strategy: Optional[SplitStrategy] = None,
-    forge_decide: bool = True,
 ) -> Tuple[Dict[ReplicaId, object], SplitStrategy]:
     """The conflicting-leader attack as a HotStuff ``byzantine=`` map.
 
-    Replica 0 (leader of view 1) equivocates; the remaining Byzantine
-    replicas come from the end of the ID range (so the view-2 leader is
-    correct) and double-vote for both values.
+    The seats are the Figure-4c ones
+    (:func:`~repro.adversary.equivocation.attack_seats`): replica 0
+    equivocates, the colluders double-vote for both values.
     """
-    n_byz = n_byzantine if n_byzantine is not None else config.f
-    if n_byz < 1:
-        raise ValueError("the attack needs at least the leader Byzantine")
-    leader_id: ReplicaId = 0
-    colluders = list(range(config.n - (n_byz - 1), config.n))
-    byz_ids = [leader_id] + colluders
+    leader_id, colluders = attack_seats(config)
+    plan = optimal_split(config.n, [leader_id] + colluders, *ATTACK_VALUES)
 
-    plan = strategy or optimal_split(config.n, byz_ids, val1, val2)
-
-    def leader_factory(replica_id, config, crypto, transport):
-        return EquivocatingHsLeader(
-            replica_id,
-            config,
-            crypto,
-            transport,
-            plan,
-            colluders=colluders,
-            forge_decide=forge_decide,
-        )
-
-    byzantine: Dict[ReplicaId, object] = {leader_id: leader_factory}
-    for replica in colluders:
-        byzantine[replica] = hs_double_voter_factory(plan, leader_id)
+    byzantine: Dict[ReplicaId, object] = {
+        leader_id: partial(EquivocatingHsLeader, strategy=plan, colluders=colluders)
+    }
+    voter = partial(HsDoubleVoter, strategy=plan, leader_id=leader_id)
+    byzantine.update(dict.fromkeys(colluders, voter))
     return byzantine, plan
 
 
-def hs_double_voter_factory(
-    strategy: SplitStrategy, leader_id: ReplicaId, attack_view: View = 1
-):
-    """Deployment factory for :class:`HsDoubleVoter`."""
-
-    def build(replica_id, config, crypto, transport):
-        return HsDoubleVoter(
-            replica_id,
-            config,
-            crypto,
-            transport,
-            strategy,
-            leader_id,
-            attack_view=attack_view,
-        )
-
-    return build
-
-
-def hotstuff_flooding_factory(
-    burst: int = 3, fake_value: Value = b"flood-value"
-):
+def hotstuff_flooding_factory(burst: int = 3):
     """Deployment factory for :class:`HsFloodingReplica`."""
 
     def build(replica_id, config, crypto, transport):
-        return HsFloodingReplica(
-            replica_id, config, crypto, transport, burst=burst, fake_value=fake_value
-        )
+        return HsFloodingReplica(replica_id, config, crypto, transport, burst=burst)
 
     return build

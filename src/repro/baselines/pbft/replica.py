@@ -58,12 +58,11 @@ class PbftReplica(ProBFTReplica):
             cert=self._cert,
         )
 
-    def _send_vote(self, is_prepare: bool, statement: Signed) -> None:
-        """Broadcast the vote to every replica, this one included."""
-        vote = PbftPrepare if is_prepare else PbftCommit
-        message = self._sign(vote(statement=statement))
-        self._transport.broadcast(message)
-        self._deliver_local(message)
+    @staticmethod
+    def vote(config, crypto, signer, view, is_prepare, statement):
+        """A Prepare or Commit for ``statement``, to every replica."""
+        kind = PbftPrepare if is_prepare else PbftCommit
+        return crypto.signatures.sign(signer, kind(statement=statement)), None
 
     def _check_equivocation(self, message: Signed) -> None:
         """No lines 23-25: with deterministic quorums a second proposal is

@@ -30,7 +30,7 @@ The skeleton is also PBFT's (:class:`repro.baselines.pbft.replica.
 PbftReplica`, the paper's §2.3 baseline): what differs between the two is one
 class-level hook each — the messages (:attr:`ProBFTReplica.PROPOSE`,
 :attr:`~ProBFTReplica.NEW_LEADER`, :meth:`~ProBFTReplica._new_leader_payload`,
-:meth:`~ProBFTReplica._send_vote`), the predicates, the quorum size
+:meth:`~ProBFTReplica.vote`), the predicates, the quorum size
 (:meth:`~ProBFTReplica.quorum`), the vote token
 (:attr:`~ProBFTReplica.vote_token`) and lines 23-25
 (:meth:`~ProBFTReplica._check_equivocation`).
@@ -455,20 +455,40 @@ class ProBFTReplica:
         # A prepare quorum may already be sitting in the collector.
         self._try_form_prepared()
 
-    def _send_vote(self, is_prepare: bool, statement: Signed) -> None:
-        """Lines 16 and 20: multicast a Prepare or Commit for ``statement``
-        to a fresh VRF sample."""
-        phase, vote = ("prepare", Prepare) if is_prepare else ("commit", Commit)
-        sample = self._crypto.vrf.prove(
-            self.id,
-            phase_seed(self._cur_view, phase, self.config.seed_domain),
-            self.config.sample_size,
+    @staticmethod
+    def vote(
+        config: ProtocolConfig,
+        crypto: CryptoContext,
+        signer: ReplicaId,
+        view: View,
+        is_prepare: bool,
+        statement: Signed,
+    ) -> Tuple[Signed, Optional[Tuple[ReplicaId, ...]]]:
+        """Lines 16 and 20: ``signer``'s Prepare or Commit for ``statement``
+        and its recipients, a fresh VRF sample (``None`` would mean every
+        replica).  Honest seats and Byzantine ones (:mod:`repro.adversary`)
+        vote through this one definition."""
+        phase, kind = ("prepare", Prepare) if is_prepare else ("commit", Commit)
+        sample = crypto.vrf.prove(
+            signer, phase_seed(view, phase, config.seed_domain), config.sample_size
         )
-        message = self._sign(vote(statement=statement, sample=sample))
+        message = crypto.signatures.sign(
+            signer, kind(statement=statement, sample=sample)
+        )
+        return message, sample.sample
+
+    def _send_vote(self, is_prepare: bool, statement: Signed) -> None:
+        """Send this replica's vote (:meth:`vote`) to its recipients."""
+        message, targets = self.vote(
+            self.config, self._crypto, self.id, self._cur_view, is_prepare, statement
+        )
+        if targets is None:
+            self._transport.broadcast(message)
+            self._deliver_local(message)
+            return
         # Samples are drawn without replacement, so self appears at most
         # once; C-level index + slice beats filtering ~s elements per vote.
         # Each sample is multicast once, by its prover, so nothing is kept.
-        targets = sample.sample
         try:
             i = targets.index(self.id)
         except ValueError:

@@ -13,12 +13,13 @@ Every cell realizes its trial as a
 protocol-dispatched :func:`~repro.harness.trial.run_trial` lifecycle.
 
 Adversary support is protocol-keyed through the
-:mod:`repro.adversary.registry` behavior registry: silence, crashes, the
-targeted scheduler, and network duplication apply to every protocol
-(wildcard entries), while equivocation and flooding dispatch to
-per-protocol implementations — ProBFT's Figure-4 attacks and their PBFT
-(:mod:`repro.baselines.pbft.adversary`) and HotStuff
-(:mod:`repro.baselines.hotstuff.adversary`) analogues.  Every enumerated
+:mod:`repro.adversary.registry` behavior registry, and the adversary axis
+accepts any name registered there (:data:`ADVERSARIES` is the default
+axis; ``adversary-complete`` takes every registered one).  Silence,
+crashes, the targeted scheduler and network duplication apply to every
+protocol; equivocation and flooding are one set of seats for ProBFT and
+PBFT, each speaking its target's dialect, and HotStuff's own analogues
+(:mod:`repro.baselines.hotstuff.adversary`).  Every enumerated
 (protocol, adversary) combination resolves, so ``cells()`` never skips a
 cell; ``supported`` exists only as the audit hook for combinations the
 behavior registry does not know.
@@ -36,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
-from ..adversary.registry import behavior_for, behavior_supported
+from ..adversary.registry import behavior_for, behavior_supported, list_behaviors
 from ..config import ProtocolConfig
 from ..net.faults import ComposedChaos, PreGstChaos, ReceiverTargetedChaos
 from ..net.latency import ConstantLatency, ExponentialLatency, UniformLatency
@@ -64,6 +65,7 @@ __all__ = [
     "PROTOCOLS",
     "ADVERSARIES",
     "LATENCIES",
+    "registered_adversaries",
 ]
 
 PROTOCOLS: Tuple[str, ...] = ("probft", "pbft", "hotstuff")
@@ -82,6 +84,14 @@ LATENCIES: Tuple[str, ...] = (
     "exponential",
     "pre-gst-chaos",
 )
+
+
+def registered_adversaries() -> Tuple[str, ...]:
+    """Every adversary the behavior registry knows: :data:`ADVERSARIES`
+    first, then any other registered name, sorted."""
+    extra = {a for a, _p in list_behaviors()} - set(ADVERSARIES)
+    return ADVERSARIES + tuple(sorted(extra))
+
 
 #: GST used by cells whose adversary/latency needs an asynchronous prefix.
 _CELL_GST = 30.0
@@ -227,7 +237,9 @@ class ScenarioMatrix:
 
     name: str
     protocols: Tuple[str, ...] = PROTOCOLS
-    adversaries: Tuple[str, ...] = ADVERSARIES
+    #: ``None``: every adversary of the behavior registry, read when the
+    #: cells are enumerated (:func:`registered_adversaries`).
+    adversaries: Optional[Tuple[str, ...]] = ADVERSARIES
     latencies: Tuple[str, ...] = LATENCIES
     n: int = 20
     f: Optional[int] = None
@@ -249,7 +261,7 @@ class ScenarioMatrix:
     def __post_init__(self) -> None:
         for axis, known in (
             (self.protocols, PROTOCOLS),
-            (self.adversaries, ADVERSARIES),
+            (self.adversaries or (), registered_adversaries()),
             (self.latencies, LATENCIES),
         ):
             unknown = set(axis) - set(known)
@@ -296,7 +308,11 @@ class ScenarioMatrix:
                 track_memory=self.track_memory,
             )
             for p in self.protocols
-            for a in self.adversaries
+            for a in (
+                registered_adversaries()
+                if self.adversaries is None
+                else self.adversaries
+            )
             for lat in self.latencies
         ]
         if supported_only:
@@ -700,12 +716,13 @@ MATRICES: Dict[str, ScenarioMatrix] = {
     ),
     "adversary-complete": ScenarioMatrix(
         name="adversary-complete",
+        adversaries=None,
         latencies=("constant",),
         n=8,
         description=(
-            "Every protocol × every adversary (incl. the PBFT/HotStuff "
-            "equivocation/flooding analogues) at n=8 — the no-unsupported-"
-            "cells audit; the CI matrix-completeness smoke target."
+            "Every protocol × every registered adversary at n=8 — the "
+            "no-unsupported-cells audit; the CI matrix-completeness smoke "
+            "target."
         ),
     ),
     "adaptive-demo": ScenarioMatrix(

@@ -42,6 +42,7 @@ __all__ = [
     "DeploymentSpec",
     "RunResult",
     "TrialContext",
+    "deployment_factory",
     "list_protocols",
     "register_protocol",
     "run_trial",
@@ -118,7 +119,8 @@ def list_protocols() -> List[str]:
     return sorted(_PROTOCOLS)
 
 
-def _factory(protocol: str) -> DeploymentFactory:
+def deployment_factory(protocol: str) -> DeploymentFactory:
+    """The deployment constructor registered as ``protocol``."""
     try:
         return _PROTOCOLS[protocol]
     except KeyError:
@@ -177,7 +179,7 @@ class DeploymentSpec:
         trial runs, so the deployment gets copies: a spec is data, and
         building it twice runs the same trial twice.
         """
-        return _factory(self.protocol)(
+        return deployment_factory(self.protocol)(
             self.config,
             seed=self.seed,
             latency=copy.deepcopy(self.latency),

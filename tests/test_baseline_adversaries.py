@@ -24,19 +24,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.equivocation import equivocation_byzantine_map
+from repro.adversary.flooding import flooding_factory
 from repro.baselines.hotstuff.adversary import (
     hotstuff_equivocation_map,
     hotstuff_flooding_factory,
 )
-from repro.baselines.pbft.adversary import (
-    pbft_equivocation_map,
-    pbft_flooding_factory,
-)
+from repro.baselines.pbft.replica import PbftReplica
 from repro.config import ProtocolConfig
 from repro.harness.trial import DeploymentSpec, TrialContext, run_trial
 from repro.sync.timeouts import FixedTimeout
 
 ATTACK_VALUES = {b"attack-A", b"attack-B"}
+
+
+def pbft_equivocation_map(config):
+    """ProBFT's Figure-4c seats, speaking PBFT's dialect."""
+    return equivocation_byzantine_map(config, protocol=PbftReplica)
+
+
+def pbft_flooding_factory():
+    return flooding_factory(protocol=PbftReplica)
 
 
 def _attack_result(protocol: str, config: ProtocolConfig, byzantine, seed=0):
@@ -110,15 +118,7 @@ class TestPbftEquivocation:
 
     def test_needs_at_least_one_byzantine(self):
         with pytest.raises(ValueError):
-            pbft_equivocation_map(ProtocolConfig(n=10, f=2), n_byzantine=0)
-
-    def test_later_view_attack_rejected(self):
-        from repro.baselines.pbft.adversary import EquivocatingPbftLeader
-
-        with pytest.raises(ValueError):
-            EquivocatingPbftLeader(
-                0, ProtocolConfig(n=10, f=2), None, None, None, attack_view=2
-            )
+            pbft_equivocation_map(ProtocolConfig(n=10, f=0))
 
 
 class TestHotStuffEquivocation:
@@ -154,15 +154,7 @@ class TestHotStuffEquivocation:
 
     def test_needs_at_least_one_byzantine(self):
         with pytest.raises(ValueError):
-            hotstuff_equivocation_map(ProtocolConfig(n=10, f=2), n_byzantine=0)
-
-    def test_later_view_attack_rejected(self):
-        from repro.baselines.hotstuff.adversary import EquivocatingHsLeader
-
-        with pytest.raises(ValueError):
-            EquivocatingHsLeader(
-                0, ProtocolConfig(n=10, f=2), None, None, None, attack_view=2
-            )
+            hotstuff_equivocation_map(ProtocolConfig(n=10, f=0))
 
 
 @pytest.mark.parametrize(

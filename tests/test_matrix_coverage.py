@@ -79,12 +79,42 @@ class TestBehaviorRegistryCompleteness:
             assert len(byzantine) <= config.f, (protocol, adversary)
             assert all(0 <= r < config.n for r in byzantine)
 
-    def test_forgery_behaviors_are_protocol_specific(self):
-        """Equivocation/flooding dispatch to per-protocol entries, never to
-        a wildcard — each attack speaks its target's message dialect."""
-        for protocol in PROTOCOLS:
-            for adversary in ("equivocation", "flooding"):
-                assert behavior_for(adversary, protocol).protocol == protocol
+    def test_forgery_behaviors_speak_each_dialect(self):
+        """Equivocation/flooding are one entry for the protocols on the
+        ProBFT skeleton — the seats read the dialect from the protocol's
+        replica class — and HotStuff's own entry for HotStuff."""
+        for adversary in ("equivocation", "flooding"):
+            shared = behavior_for(adversary, "probft")
+            assert shared.protocol is None
+            assert behavior_for(adversary, "pbft") is shared
+            assert behavior_for(adversary, "hotstuff").protocol == "hotstuff"
+
+    def test_a_registered_adversary_joins_any_matrix(self, monkeypatch):
+        """``register_behavior`` is the extension point the matrix reads:
+        a new name is a valid axis value, and ``adversary-complete`` audits
+        it."""
+        from repro.adversary import registry
+        from repro.adversary.behaviors import silent_factory
+        from repro.harness.registry import run_matrix
+
+        monkeypatch.setattr(registry, "_BEHAVIORS", dict(registry._BEHAVIORS))
+        registry.register_behavior(
+            "silent-last", lambda protocol, config: {config.n - 1: silent_factory()}
+        )
+        matrix = ScenarioMatrix(
+            name="custom",
+            protocols=("probft", "pbft"),
+            adversaries=("silent-last",),
+            latencies=("constant",),
+            n=8,
+        )
+        report = run_matrix(matrix, trials=1)
+        assert [row["adversary"] for row in report.rows] == ["silent-last"] * 2
+        assert report.all_agreement_ok
+        complete = MATRICES["adversary-complete"].cells()
+        assert "silent-last" in {cell.adversary for cell in complete}
+        with pytest.raises(ValueError, match="unknown matrix axis"):
+            ScenarioMatrix(name="typo", adversaries=("silent-lst",))
 
     def test_unknown_combination_reported_clearly(self):
         assert not behavior_supported("time-travel", "pbft")

@@ -7,7 +7,7 @@ two values' supports (group plus every colluding Byzantine replica) sum to
 PBFT's ``⌈(n+f+1)/2⌉`` and HotStuff's ``n − f`` — so at most one value can
 ever gather a quorum.  This suite hammers that invariant over seeded-random
 ``(n, f)`` instances, for :func:`repro.adversary.equivocation.optimal_split`
-and for the per-protocol attack plans the baseline adversary modules build.
+and for the attack plans each protocol's equivocation map builds.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import pytest
 
 from repro.adversary.equivocation import (
     SplitStrategy,
+    equivocation_byzantine_map,
     general_split,
     optimal_split,
     suboptimal_split,
 )
 from repro.baselines.hotstuff.adversary import hotstuff_equivocation_map
-from repro.baselines.pbft.adversary import pbft_equivocation_map
+from repro.baselines.pbft.replica import PbftReplica
 from repro.config import ProtocolConfig, deterministic_quorum_size, max_faults
 
 #: Seeded-random (n, f) instances: every valid f for n, across a size sweep.
@@ -98,7 +99,7 @@ class TestPerProtocolAttackPlans:
     @pytest.mark.parametrize("n,f", _CASES)
     def test_pbft_plan_cannot_double_quorum(self, n, f):
         config = ProtocolConfig(n=n, f=f)
-        byzantine, plan = pbft_equivocation_map(config)
+        byzantine, plan = equivocation_byzantine_map(config, protocol=PbftReplica)
         assert len(byzantine) == f  # never exceeds the fault threshold
         supports = _supports(plan, list(byzantine))
         assert sum(supports) < 2 * config.det_quorum
