@@ -16,7 +16,7 @@ Each bound is paired with an exact binomial chain mirroring
 quorum-formation events (like the paper's analysis); equivocation *detection*
 by correct replicas further reduces the true violation probability, which the
 ``probft/equivocation/constant`` matrix cell confirms (no violation at n=20
-in ``benchmarks/bench_fig5_agreement_vs_n.py``).  Against the model's exact
+in ``repro figures``' Figure 5 attack table).  Against the model's exact
 probabilities at small n (``tests/test_analysis_exact.py``) the fixed-replica
 chains underestimate, as the termination chains do.
 """
@@ -192,7 +192,7 @@ def violation_exact_any(n: int, f: int, o: float, l: float) -> float:
     that some side replica decides, the per-side term is 0.5345 against
     0.5766 at ``(n, f, o, l) = (7, 2, 1.5, 1.0)`` but 0.9411 against 0.9230
     at ``(7, 2, 1.8, 0.8)`` (``tests/test_analysis_exact.py``).  The
-    Figure-5 benches plot the ``pair`` variant.
+    Figure 5 panels of ``repro figures`` plot the ``pair`` variant.
     """
     side = side_decide_exact(n, f, o, l)
     r_correct = optimal_side_correct(n, f)

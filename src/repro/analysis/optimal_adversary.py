@@ -9,7 +9,7 @@ argument quantitative: it evaluates the exact-chain violation probability of
 * asymmetric 2-way splits (balanced is best);
 * withholding proposals from some correct replicas (wasteful).
 
-Used by the strategy-ablation benchmark and tests.
+Used by the tests.
 """
 
 from __future__ import annotations

@@ -131,6 +131,6 @@ def theorem6_monotone_in_r(n: int, s: int, q: int, r_values) -> list:
     """Theorem 6/12: quorum probability is increasing in the sender count ``r``.
 
     Returns the exact probabilities for each ``r`` (callers assert
-    monotonicity; also used by the ablation bench).
+    monotonicity).
     """
     return [prob_quorum_exact(n, r, s, q) for r in r_values]

@@ -4,7 +4,9 @@ Commands:
 
 * ``run``      — run one consensus instance (probft/pbft/hotstuff) and print
   the outcome (the one path to a trial at non-default ``--l`` / ``--o``);
-* ``figures``  — print the analytic Figure 1b / Figure 5 series;
+* ``figures``  — print every artifact of the paper (Figures 1a, 1b and 5,
+  the §3.3 complexity and communication claims, the §7 constructions):
+  analytic columns beside measured ones, as committed in ``docs/figures.md``;
 * ``serve``    — closed-loop SMR serving benchmark: simulated client
   populations (think times, in-flight windows, deterministic per-client
   RNGs) against a batching/pipelining deployment, with throughput and
@@ -16,9 +18,7 @@ Commands:
   bit-identical for every worker count), with optional adaptive budgets
   (``--target-width W --chunk K`` stops each cell once its agreement Wilson
   interval is narrow enough; budgets become worst-case caps) — and print a
-  table or JSON report;
-* ``plot``     — render Figure-5 style plots (metric vs system size) from
-  one or more ``sweep --json`` reports (requires matplotlib).
+  table or JSON report.
 """
 
 from __future__ import annotations
@@ -29,13 +29,10 @@ import math
 import sys
 from typing import List, Optional
 
-from .analysis import agreement as A
-from .analysis import messages as M
-from .analysis import termination as T
 from .config import ProtocolConfig
 from .errors import ConfigError
 from .harness.adaptive import DEFAULT_CHUNK
-from .harness.tables import render_series, render_table
+from .harness.tables import render_table
 
 
 def _positive_float(text: str) -> float:
@@ -72,23 +69,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    ns = [100, 150, 200, 250, 300]
-    msg_series = {
-        "PBFT": [float(M.pbft_messages(n)) for n in ns],
-        "HotStuff": [float(M.hotstuff_messages(n)) for n in ns],
-        f"ProBFT o={args.o}": [float(M.probft_messages(n, args.o)) for n in ns],
-    }
-    print(render_series("n", ns, msg_series, title="Figure 1b: messages vs n"))
-    term = [T.replica_terminates_exact(n, n // 5, args.o, args.l) for n in ns]
-    agree = [A.agreement_in_view_exact(n, n // 5, args.o, args.l) for n in ns]
+    from .harness.figures import ARTIFACTS
+
     print(
-        render_series(
-            "n",
-            ns,
-            {"termination (exact)": term, "agreement (exact)": agree},
-            title="\nFigure 5 (f/n=0.2): probabilities vs n",
-        )
+        "# The paper's artifacts\n\n"
+        "Output of `python -m repro figures` (regenerate with "
+        "`PYTHONPATH=src python -m repro figures > docs/figures.md`).\n"
+        "Analytic columns are closed forms of `repro.analysis`; measured "
+        "columns run the\nprotocols at fixed seeds.  All at l = 2."
     )
+    for artifact in ARTIFACTS:
+        title, headers, rows = artifact()
+        heading, *claims = title.splitlines()
+        print(f"\n## {heading}\n")
+        for claim in claims:
+            print(f"{claim}\n")
+        print(f"```\n{render_table(headers, rows)}\n```")
     return 0
 
 
@@ -360,33 +356,6 @@ def _write_profile(profiler, path_str: str) -> None:
     print(table, file=sys.stderr)
 
 
-def cmd_plot(args) -> int:
-    from .harness.plotting import (
-        PlottingUnavailableError,
-        load_report,
-        merge_series,
-        render_plot,
-    )
-
-    try:
-        reports = [load_report(path) for path in args.reports]
-        series = merge_series(reports, args.metric)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot build plot series: {exc}", file=sys.stderr)
-        return 2
-    if not series:
-        print("reports contain no plottable rows", file=sys.stderr)
-        return 2
-    try:
-        path = render_plot(series, args.metric, args.output, title=args.title)
-    except PlottingUnavailableError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    points = sum(len(s.x) for s in series)
-    print(f"wrote {path}: {len(series)} series, {points} points")
-    return 0
-
-
 def _matrices_epilog() -> str:
     """Named-matrix reference shown in ``repro sweep --help``."""
     from .harness.registry import MATRICES
@@ -434,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-time", type=_positive_float, default=5000.0)
     p_run.set_defaults(fn=cmd_run)
 
-    p_fig = sub.add_parser("figures", help="print analytic figure series")
-    p_fig.add_argument("--l", type=float, default=2.0)
-    p_fig.add_argument("--o", type=float, default=1.7)
+    p_fig = sub.add_parser(
+        "figures", help="print every artifact of the paper, analytic and measured"
+    )
     p_fig.set_defaults(fn=cmd_figures)
 
     p_serve = sub.add_parser(
@@ -593,32 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_plot = sub.add_parser(
-        "plot",
-        help="render Figure-5 style plots from `repro sweep --json` reports",
-    )
-    p_plot.add_argument(
-        "reports",
-        nargs="+",
-        help=(
-            "one or more JSON reports from `repro sweep --json` (one per "
-            "system size n; each cell becomes one series across the files)"
-        ),
-    )
-    p_plot.add_argument(
-        "--metric",
-        default="agreement_rate",
-        help="row metric to plot (default agreement_rate)",
-    )
-    p_plot.add_argument(
-        "-o",
-        "--output",
-        default="fig5.png",
-        help="output image path; format follows the extension",
-    )
-    p_plot.add_argument("--title", default=None, help="plot title override")
-    p_plot.set_defaults(fn=cmd_plot)
 
     return parser
 

@@ -1,14 +1,14 @@
-"""Plain-text table/series rendering for benchmark and example output.
+"""Plain-text table rendering for CLI and example output.
 
 The paper's figures are reproduced as printed tables (one row per x-value,
-one column per curve) plus a crude ASCII sparkline — enough to audit shape
-without a plotting stack.
+one column per curve; :mod:`repro.harness.figures`), which is enough to
+audit their shape without a plotting stack.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def format_cell(value) -> str:
@@ -39,51 +39,6 @@ def render_table(
     lines: List[str] = []
     if title:
         lines.append(title)
-    header_line = "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))
-    lines.append(header_line)
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
-    return "\n".join(lines)
-
-
-_SPARK_CHARS = " .:-=+*#%@"
-
-
-def sparkline(values: Sequence[float], width: int = 40) -> str:
-    """A one-line ASCII rendering of a numeric series (NaNs skipped)."""
-    clean = [v for v in values if not (isinstance(v, float) and math.isnan(v))]
-    if not clean:
-        return "(no data)"
-    lo, hi = min(clean), max(clean)
-    span = hi - lo or 1.0
-    # Resample to `width` points.
-    out = []
-    n = len(values)
-    for i in range(min(width, n)):
-        v = values[int(i * n / min(width, n))]
-        if isinstance(v, float) and math.isnan(v):
-            out.append("?")
-            continue
-        idx = int((v - lo) / span * (len(_SPARK_CHARS) - 1))
-        out.append(_SPARK_CHARS[idx])
-    return "".join(out) + f"   [{format_cell(lo)} .. {format_cell(hi)}]"
-
-
-def render_series(
-    x_label: str,
-    x_values: Sequence,
-    series: Dict[str, Sequence[float]],
-    title: Optional[str] = None,
-) -> str:
-    """Render multiple curves sharing an x-axis, plus sparklines."""
-    headers = [x_label] + list(series.keys())
-    rows = [
-        [x] + [series[name][i] for name in series]
-        for i, x in enumerate(x_values)
-    ]
-    table = render_table(headers, rows, title=title)
-    lines = [table, ""]
-    for name, values in series.items():
-        lines.append(f"  {name:<24} {sparkline(list(values))}")
+    for row in [headers, ["-" * w for w in widths], *cells]:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)

@@ -13,7 +13,7 @@ and of whether the sender is faulty*.
 * :mod:`repro.net.faults` — pre-GST chaos policies (delay/reorder) and
   partitions; correct-to-correct messages are never lost, only delayed.
 * :mod:`repro.net.network` — the network itself: routing, GST enforcement,
-  per-type message accounting (used by the Figure-1b benchmarks), and the
+  per-type message accounting (read by `repro figures`' Figure-1b tables), and the
   one seam to a consensus instance: given the instance's kernel
   (``Network.use_kernel``), fan-outs are coalesced into one event per
   distinct delivery time, queued as one entry, and the kernel sees every

@@ -24,7 +24,8 @@ composed with Streamlet's chain reasoning.
 
 This is an exploratory extension (the paper gives no specification); it is
 implemented, tested for safety/liveness in the synchronous setting, and
-benchmarked, but is not part of the paper's evaluated claims.
+measured (the §7 table of ``repro figures``), but is not part of the
+paper's evaluated claims.
 """
 
 from .block import Block, GENESIS

@@ -153,16 +153,18 @@ class TestCLI:
         assert main(["run", "pbft", "--n", "7", "--f", "2"]) == 0
         assert main(["run", "hotstuff", "--n", "7", "--f", "2"]) == 0
 
-    def test_figures(self, capsys):
-        code = main(["figures"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Figure 1b" in out and "Figure 5" in out
+    def test_figures_takes_no_options(self, capsys):
+        """Every artifact is at the paper's l = 2 and o in {1.6, 1.7, 1.8}
+        (``tests/test_figures.py`` checks the output)."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["figures", "--o", "1.7"])
+        assert exc_info.value.code == 2
 
-    @pytest.mark.parametrize("command", ["attack", "smr"])
+    @pytest.mark.parametrize("command", ["attack", "smr", "plot"])
     def test_retired_commands_are_unknown(self, capsys, command):
         """The equivocation attack is ``sweep probft-adversaries``'s
-        ``equivocation`` cell and a replicated counter is one ``serve`` cell."""
+        ``equivocation`` cell, a replicated counter is one ``serve`` cell and
+        the paper's figures are ``repro figures`` tables."""
         with pytest.raises(SystemExit) as exc_info:
             main([command])
         assert exc_info.value.code == 2

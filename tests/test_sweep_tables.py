@@ -1,6 +1,6 @@
 """Tests for table rendering."""
 
-from repro.harness.tables import format_cell, render_series, render_table, sparkline
+from repro.harness.tables import format_cell, render_table
 
 
 class TestFormatCell:
@@ -38,28 +38,3 @@ class TestRenderTable:
     def test_empty_rows(self):
         text = render_table(["a"], [])
         assert "a" in text
-
-
-class TestSparkline:
-    def test_monotone_series(self):
-        line = sparkline([1, 2, 3, 4, 5])
-        assert "[1 .. 5]" in line
-
-    def test_constant_series(self):
-        line = sparkline([2.0, 2.0, 2.0])
-        assert "[2 .. 2]" in line
-
-    def test_empty(self):
-        assert sparkline([]) == "(no data)"
-
-    def test_nan_handling(self):
-        line = sparkline([1.0, float("nan"), 3.0])
-        assert "?" in line
-
-
-class TestRenderSeries:
-    def test_includes_all_curves(self):
-        text = render_series(
-            "n", [1, 2], {"up": [0.1, 0.9], "down": [0.9, 0.1]}, title="S"
-        )
-        assert "up" in text and "down" in text and "S" in text
