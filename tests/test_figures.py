@@ -53,6 +53,25 @@ def test_committed_doc_is_current(run):
     assert run[0] == DOC.read_text()
 
 
+@pytest.mark.parametrize("name", [a.__name__ for a in figures.ARTIFACTS])
+def test_artifact_table_is_well_formed(tables, name):
+    """``render_table`` zips cells with headers, so a short or long row
+    would print without error; every row must fill every column."""
+    title, headers, rows = tables[name]
+    assert title.splitlines()[0].strip()
+    assert len(set(headers)) == len(headers)
+    assert rows
+    assert all(len(row) == len(headers) for row in rows)
+
+
+def test_artifacts_printed_in_order(run):
+    out, tables = run
+    headings = [line[3:] for line in out.splitlines() if line.startswith("## ")]
+    assert headings == [
+        tables[a.__name__][0].splitlines()[0] for a in figures.ARTIFACTS
+    ]
+
+
 def test_fig1a_steps(tables):
     _title, _headers, rows = tables["fig1a_steps"]
     assert [row[1:] for row in rows] == [[3.0, 3.0, 8.0]] * len(rows)

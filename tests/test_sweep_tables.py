@@ -38,3 +38,13 @@ class TestRenderTable:
     def test_empty_rows(self):
         text = render_table(["a"], [])
         assert "a" in text
+
+    def test_no_trailing_whitespace(self):
+        text = render_table(["name", "value"], [["a", 1], ["bbbbbb", None]])
+        assert all(line == line.rstrip() for line in text.splitlines())
+
+    def test_columns_padded_to_widest_cell(self):
+        text = render_table(["x", "y"], [["long-cell", 1]])
+        header, rule, row = text.splitlines()
+        assert rule == "-" * len("long-cell") + "  -"
+        assert header.index("y") == row.index("1") == len("long-cell") + 2
