@@ -178,10 +178,10 @@ class Deployment:
             duplicate_seed=seed,
             track_bytes=track_bytes,
         )
-        # Same-seed trials share one pooled (immutable) key registry instead
-        # of re-deriving n key pairs; pass ``crypto=`` to override.  The
-        # production stack validates through its own verdict table; the
-        # oracle's context stays table-free.
+        # Same-seed deployments alive at once share one pooled (immutable)
+        # key registry instead of re-deriving n key pairs; ``crypto=``
+        # overrides.  The production stack validates through its own verdict
+        # table; the oracle's context stays table-free.
         if crypto is None:
             crypto = CryptoContext.pooled(
                 config.n, master_seed=digest(self.pool_label, seed)

@@ -85,8 +85,10 @@ class _VoteToken(NamedTuple):
     message and the instance's shared crypto/config, never of the receiving
     replica.  ``members`` is the vote's :class:`VRFOutput` itself: ``i in
     token.members`` builds its membership set on the first question, so a
-    vote nobody asks about (the kernel's own-sample route) builds none.
-    ``None`` means every replica (PBFT's broadcast votes).
+    vote nobody asks about builds none — the kernel's own-sample route and
+    a sender's delivery to itself (``_send_vote`` makes one only when the
+    sender is in its sample) never ask.  ``None`` means every replica
+    (PBFT's broadcast votes).
     """
 
     is_prepare: bool
@@ -528,7 +530,11 @@ class ProBFTReplica:
         if self._block_view or not token.valid:
             return
         members = token.members
-        if members is not None and self.id not in members:
+        if (
+            members is not None
+            and not src == self.id == token.signer  # own vote: self ∈ S
+            and self.id not in members
+        ):
             return  # line 17/21 precondition: i ∈ S
         collectors = (
             self._prepare_collectors

@@ -18,8 +18,8 @@ implements *behaviourally faithful* stand-ins (see DESIGN.md, Substitutions):
   every recipient-independent check, kept per message object for the life
   of one consensus instance.
 * :mod:`repro.crypto.context` — one bundle of the above;
-  :meth:`CryptoContext.pooled` takes the key registry from a per-process
-  pool keyed by ``(n, master_seed)``, :meth:`CryptoContext.instance` puts a
+  :meth:`CryptoContext.pooled` shares the live key registry of each
+  ``(n, master_seed)`` in a process, :meth:`CryptoContext.instance` puts a
   fresh verdict table behind it for one consensus instance.
 """
 

@@ -31,12 +31,13 @@ production trial without byte tracking.  There is no eviction and
 no budget: a table holds what its instance sent and dies with it, so a
 finished trial or a retired slot pins nothing.
 
-The pool shares the one thing that is safe to keep indefinitely, the
-immutable :class:`KeyRegistry`: rebuilding the same deployment (same system
-size, same seed) skips re-deriving ``n`` key pairs.  It is deliberately
-per-process: worker processes of a
-:class:`~repro.harness.parallel.ExperimentEngine` each grow their own, so
-there is no cross-process state to keep identical.  All remembered verdicts
+The pool shares the one immutable thing, the :class:`KeyRegistry`, between
+the contexts alive at once: a deployment built while another of the same
+system size and seed is alive (production and its oracle twin) skips
+re-deriving ``n`` key pairs.  It holds registries weakly, so a finished
+trial leaves none behind.  It is deliberately per-process: worker
+processes of a :class:`~repro.harness.parallel.ExperimentEngine` each grow
+their own, so there is no cross-process state to keep identical.  All remembered verdicts
 are pure functions of their inputs, so tabled and table-free contexts are
 bit-identical by construction (and pinned by
 ``tests/test_reference_identity.py``).
@@ -45,7 +46,7 @@ bit-identical by construction (and pinned by
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -53,12 +54,6 @@ from .keys import KeyRegistry
 from .signatures import SignatureScheme
 from .verdicts import VerdictTable
 from .vrf import VRF
-
-#: Upper bound on pooled registries kept alive; least-recently-used entries
-#: are evicted first.  Large sweeps touch many ``(n, seed)`` pairs — the
-#: bound keeps the pool from holding every registry ever built.
-POOL_MAX_ENTRIES = 128
-
 
 @dataclass(frozen=True)
 class CryptoContext:
@@ -93,7 +88,8 @@ class CryptoContext:
 
     @staticmethod
     def pooled(n: int, master_seed: bytes = b"repro-probft") -> "CryptoContext":
-        """A table-free context over the pooled registry of ``(n, master_seed)``.
+        """A table-free context over the registry of ``(n, master_seed)``
+        that is alive in this process (a new one if none is).
 
         Each ``(n, master_seed)`` pair owns its own registry; the services
         around it are new on every call.
@@ -102,22 +98,15 @@ class CryptoContext:
         with _POOL_LOCK:
             registry = _POOL.get(key)
             if registry is not None:
-                _POOL.move_to_end(key)
                 _POOL_STATS["hits"] += 1
-        if registry is None:
-            # Build outside the lock: registry derivation is the expensive
-            # part.  A racing builder may have published meanwhile; keep the
-            # first entry so concurrent callers share one registry.
-            built = KeyRegistry(n, master_seed)
-            with _POOL_LOCK:
-                registry = _POOL.get(key)
-                if registry is None:
-                    _POOL_STATS["misses"] += 1
-                    _POOL[key] = registry = built
-                    while len(_POOL) > POOL_MAX_ENTRIES:
-                        _POOL.popitem(last=False)
-                else:
-                    _POOL_STATS["hits"] += 1
+                return CryptoContext._over(registry)
+        # Build outside the lock: registry derivation is the expensive part.
+        # A racing builder may have published meanwhile; keep the first
+        # entry so concurrent callers share one registry.
+        built = KeyRegistry(n, master_seed)
+        with _POOL_LOCK:
+            registry = _POOL.setdefault(key, built)
+            _POOL_STATS["misses" if registry is built else "hits"] += 1
         return CryptoContext._over(registry)
 
     def instance(self, config) -> "CryptoContext":
@@ -160,14 +149,16 @@ class CryptoContext:
         return self.registry.n
 
 
-#: Pool entries: the key registry of each (n, master_seed).
-_POOL: "OrderedDict[Tuple[int, bytes], KeyRegistry]" = OrderedDict()
+#: Pool entries: the live key registry of each (n, master_seed).
+_POOL: "weakref.WeakValueDictionary[Tuple[int, bytes], KeyRegistry]" = (
+    weakref.WeakValueDictionary()
+)
 _POOL_LOCK = threading.Lock()
 _POOL_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
 def clear_crypto_pool() -> None:
-    """Drop every pooled registry and reset the hit/miss counters."""
+    """Forget every pooled registry and reset the hit/miss counters."""
     with _POOL_LOCK:
         _POOL.clear()
         _POOL_STATS["hits"] = 0
@@ -175,7 +166,8 @@ def clear_crypto_pool() -> None:
 
 
 def crypto_pool_stats() -> Dict[str, int]:
-    """Pool telemetry: ``{"hits", "misses", "size"}`` for this process."""
+    """Pool telemetry: ``{"hits", "misses", "size"}`` for this process
+    (``size``: registries alive now)."""
     with _POOL_LOCK:
         return {
             "hits": _POOL_STATS["hits"],

@@ -15,10 +15,10 @@ words, never word by word in Python integers.  Words at or above
 ``⌊2⁶⁴/n⌋·n`` are dropped (so the rest reduce mod ``n`` exactly uniformly),
 each surviving word names the replica ``word mod n``, repeated IDs are
 skipped, and the first ``s`` distinct IDs — in order of first occurrence —
-are the sample.  Drawing uniformly and skipping what was already drawn is an
-exactly uniform draw without replacement.  XOF output is prefix-stable, so
-the sample is a function of ``(k, n, s)`` alone, however many words were
-requested at once.  The proof is ``k`` itself; verification recomputes ``k``
+are the sample, each element the one shared ``int`` of its id (``_IDS``).
+Drawing uniformly and skipping what was already drawn is an exactly uniform
+draw without replacement.  XOF output is prefix-stable, so the sample is a
+function of ``(k, n, s)`` alone, however many words were requested at once.  The proof is ``k`` itself; verification recomputes ``k``
 through the trusted registry and replays the expansion.  The paper's three
 guarantees hold against in-simulation adversaries:
 
@@ -35,7 +35,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,7 +74,8 @@ class VRFOutput:
     def members(self) -> frozenset:
         """The sample as a frozenset, built by the first ``i ∈ S`` question
         asked of this output object and kept for the rest (each then costs
-        O(1), not an O(s) tuple scan); never built if nobody asks."""
+        O(1), not an O(s) tuple scan); never built if nobody asks.  Honest
+        routes never ask of a sender's delivery of its own vote to itself."""
         members = self.__dict__.get("_members")
         if members is None:
             members = frozenset(self.sample)
@@ -98,6 +99,13 @@ def plain_ids(sample: object) -> bool:
     return type(sample) is tuple and set(map(type, sample)) <= _INT
 
 
+#: ``_IDS[i] == i``: the one ``int`` every sample holds for id ``i`` (CPython
+#: shares only the ints up to 256, and a vote keeps its sample for life).
+#: Grown to the largest ``n`` sampled from, by rebinding: a racing grower
+#: costs sharing, never values.
+_IDS: List[ReplicaId] = []
+
+
 def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
     """The first ``s`` distinct IDs named by XOF output (one ``uint64`` array).
 
@@ -110,7 +118,11 @@ def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
     limit = _WORD_SPAN - _WORD_SPAN % n
     if limit < _WORD_SPAN and int(words.max(initial=0)) >= limit:
         words = words[words < limit]
-    return tuple(islice(dict.fromkeys((words % n).tolist()), s))
+    global _IDS
+    if len(_IDS) < n:
+        _IDS = _IDS + list(range(len(_IDS), n))
+    chosen = islice(dict.fromkeys((words % n).tolist()), s)
+    return tuple(map(_IDS.__getitem__, chosen))
 
 
 def _first_word_count(n: int, s: int) -> int:

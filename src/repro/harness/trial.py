@@ -11,10 +11,10 @@ wired deployments by hand.  Now a trial is data:
   :class:`~repro.harness.parallel.ExperimentEngine` workers unchanged.
 * :class:`TrialContext` — the lifecycle object pairing a spec with its
   constructed deployment: ``build()`` instantiates the protocol's
-  deployment (crypto comes from the per-process
-  :meth:`~repro.crypto.context.CryptoContext.pooled` pool keyed by
-  ``(n, master_seed)``), ``execute()`` drives it to completion and
-  summarizes it as a :class:`RunResult`.
+  deployment (on the key registry a live deployment of the same
+  ``(n, master_seed)`` already uses, if any:
+  :meth:`~repro.crypto.context.CryptoContext.pooled`), ``execute()``
+  drives it to completion and summarizes it as a :class:`RunResult`.
 * :func:`run_trial` — the one protocol-dispatched entry point:
   ``run_trial(spec) == TrialContext(spec).execute()``.
 
@@ -237,12 +237,11 @@ class TrialContext:
                 # behaviour.  The pause is not free.  It defers ONE
                 # young-generation scan of every GC-tracked survivor to the
                 # first allocation after gc.enable() — inside summarize().
-                # Measured at n=1000, constant latency
+                # Measured at n=1000, constant latency, seed 4
                 # (gc.get_objects(generation=0) and a timed gc.collect(0)
-                # at summarize): 37.7k survivors, 18.9 per vote, and
-                # 19.7 ms while every vote built a frozenset of its sample;
-                # 35.2k, 17.6 per vote, and 11 ms now that the set is built
-                # on demand — still ~5% of the trial.
+                # at summarize): 32.4k survivors, 16.2 per vote, and
+                # ~4.4 ms, with no vote carrying a membership set — about
+                # 2% of a ~0.18 s trial.
                 was_enabled = gc.isenabled()
                 if was_enabled:
                     gc.disable()

@@ -371,6 +371,40 @@ class TestVRFOutputMembers:
         assert len(out) == 10
 
 
+class TestSharedIds:
+    """Every sample element is the one shared object of its id value, so a
+    vote's sample holds no ``int`` of its own (CPython shares only the ints
+    up to 256); values and order are the expansion's."""
+
+    @staticmethod
+    def _shared(samples, n):
+        # The full permutation holds every id once: each element of every
+        # other sample must be that very object.
+        canonical = {r: r for r in _sample_from_key(_key("all"), n, n)}
+        return all(r is canonical[r] for sample in samples for r in sample)
+
+    @pytest.mark.parametrize("n", [9, 1000])
+    def test_prove_and_expansion_share_ids(self, n):
+        vrf = VRF(KeyRegistry(n))
+        s = min(n, 90)
+        proven = [vrf.prove(r, phase_seed(1, "prepare"), s).sample for r in range(8)]
+        expanded = [_sample_from_key(_key(tag), n, s) for tag in range(8)]
+        assert self._shared(proven + expanded, n)
+
+    def test_verify_accepts_an_equal_sample_of_fresh_ints(self):
+        vrf = VRF(KeyRegistry(1000))
+        tvrf = VRF(KeyRegistry(1000), VerdictTable())
+        out = vrf.prove(7, "seed", 90)
+        # Equality is the wire contract: a decoded sample has ints of its own.
+        rebuilt = VRFOutput(
+            sample=tuple(int(str(r)) for r in out.sample), proof=out.proof
+        )
+        assert rebuilt == out
+        assert any(a is not b for a, b in zip(rebuilt.sample, out.sample))
+        assert vrf.verify(7, "seed", 90, rebuilt)
+        assert tvrf.verify(7, "seed", 90, rebuilt)
+
+
 class TestVRFOutputEncoding:
     def test_equal_outputs_encode_identically(self, vrf):
         out = vrf.prove(3, "seed", 10)
