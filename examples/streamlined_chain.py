@@ -10,6 +10,7 @@ sends a NewLeader or Wish message, ever.
 Run:  python examples/streamlined_chain.py
 """
 
+from repro.adversary.behaviors import silent_factory
 from repro.config import ProtocolConfig
 from repro.streamlined import StreamDeployment
 
@@ -20,10 +21,13 @@ def main() -> None:
     byzantine = [0, 14, 15]
     print(f"Byzantine (silent) replicas: {byzantine} — replica 0 leads epoch 1\n")
 
+    silent = silent_factory()
     deployment = StreamDeployment(
-        config, seed=11, max_epochs=30, byzantine_ids=byzantine
+        config, seed=11, byzantine={r: silent for r in byzantine}
     )
-    deployment.run(min_finalized_height=6, max_time=200)
+    deployment.run_until(
+        lambda: deployment.min_finalized_height() >= 6, max_time=200
+    )
 
     replica = deployment.replicas[1]
     print(f"epochs run:        {replica.current_epoch}")

@@ -2,8 +2,9 @@
 
 Commands:
 
-* ``run``      — run one consensus instance (probft/pbft/hotstuff) and print
-  the outcome (the one path to a trial at non-default ``--l`` / ``--o``);
+* ``run``      — run one consensus instance of a registered protocol
+  (probft/pbft/hotstuff/streamlined) and print the outcome (the one path
+  to a trial at non-default ``--l`` / ``--o``);
 * ``figures``  — print every artifact of the paper (Figures 1a, 1b and 5,
   the §3.3 complexity and communication claims, the §7 constructions):
   analytic columns beside measured ones, as committed in ``docs/figures.md``;
@@ -385,6 +386,8 @@ def _matrices_epilog() -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .harness.trial import list_protocols
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ProBFT reproduction toolkit (PODC 2024)",
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one consensus instance")
     p_run.add_argument(
-        "protocol", choices=["probft", "pbft", "hotstuff"], help="protocol"
+        "protocol", choices=list_protocols(), help="protocol"
     )
     p_run.add_argument("--n", type=int, default=20, help="number of replicas")
     p_run.add_argument("--f", type=int, default=None, help="fault threshold")

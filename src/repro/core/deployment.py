@@ -8,7 +8,9 @@ replica class, a key-pool label and its :class:`InstanceStack`; the SMR
 service (:class:`repro.smr.service.SMRDeployment`) supplies replicas that
 host one consensus instance per slot and a router over one stack per slot.
 
-Every deployment gives the network its instance's kernel
+Every deployment with a :attr:`~Deployment.stack_class` (all but
+streamlined ProBFT, which has no synchronizer) gives the network its
+instance's kernel
 (:meth:`Network.use_kernel <repro.net.network.Network.use_kernel>`), the one
 seam between the two: the kernel sees every send, fan-outs are delivered
 coalesced (one simulator event per distinct delivery time) and each bucket
@@ -145,7 +147,9 @@ class Deployment:
     replica_class: type
     #: Domain label of the pooled key registry (distinct per protocol).
     pool_label: str
-    stack_class: type = InstanceStack
+    #: ``None``: no instance stack, so delivery is per recipient, as the
+    #: oracle's (a protocol with no synchronizer for the wish kernel).
+    stack_class: Optional[type] = InstanceStack
 
     def __init__(
         self,
@@ -209,7 +213,7 @@ class Deployment:
                 replica = build(r, transport)
             self.network.register(r, replica.on_message)
             self.replicas[r] = replica
-        if not reference:
+        if not reference and self.stack_class is not None:
             self._install_stack()
         self._started = False
 
@@ -218,8 +222,9 @@ class Deployment:
     # ------------------------------------------------------------------
     def _new_stack(self) -> Optional[InstanceStack]:
         """The production stack the replicas are built against (``None`` for
-        the oracle); called once network and crypto exist."""
-        if self.reference:
+        the oracle and without a ``stack_class``); called once network and
+        crypto exist."""
+        if self.reference or self.stack_class is None:
             return None
         return self.stack_class(
             self.config,

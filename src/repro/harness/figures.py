@@ -258,17 +258,20 @@ def constructions():
         )
         smr.run(max_time=10_000)
         rows.append(row(name, smr, decisions, smr.logs_consistent()))
-    stream = StreamDeployment(config, seed=1, max_epochs=3 * decisions)
-    stream.run(min_finalized_height=decisions, max_time=10_000)
+    stream = StreamDeployment(config, seed=1)
+    stream.run_until(
+        lambda: stream.min_finalized_height() >= decisions, max_time=10_000
+    )
     rows.append(row(
         "Streamlined", stream, stream.min_finalized_height(),
         stream.chains_consistent(),
     ))
+    silent = silent_factory()
     faulty = StreamDeployment(
-        config, seed=2, max_epochs=40, byzantine_ids=[0, 14, 15]
+        config, seed=2, byzantine={r: silent for r in (0, 14, 15)}
     )
-    faulty.run(min_finalized_height=4, max_time=10_000)
-    last_epoch = max(r.current_epoch for r in faulty.replicas.values())
+    faulty.run_until(lambda: faulty.min_finalized_height() >= 4, max_time=10_000)
+    last_epoch = max(r.current_epoch for r in faulty.correct_replicas().values())
     wasted = sum(
         (e - 1) % n in faulty.byzantine_ids for e in range(1, last_epoch)
     )

@@ -12,17 +12,21 @@ Every cell realizes its trial as a
 :class:`~repro.harness.trial.DeploymentSpec` executed by the one
 protocol-dispatched :func:`~repro.harness.trial.run_trial` lifecycle.
 
-Adversary support is protocol-keyed through the
+The protocol axis accepts any protocol of the protocol registry
+(:func:`~repro.harness.trial.list_protocols`; :data:`PROTOCOLS` is the
+default axis).  Adversary support is protocol-keyed through the
 :mod:`repro.adversary.registry` behavior registry, and the adversary axis
 accepts any name registered there (:data:`ADVERSARIES` is the default
 axis; ``adversary-complete`` takes every registered one).  Silence,
 crashes, the targeted scheduler and network duplication apply to every
 protocol; equivocation and flooding are one set of seats for ProBFT and
 PBFT, each speaking its target's dialect, and HotStuff's own analogues
-(:mod:`repro.baselines.hotstuff.adversary`).  Every enumerated
-(protocol, adversary) combination resolves, so ``cells()`` never skips a
+(:mod:`repro.baselines.hotstuff.adversary`).  Every (protocol, adversary)
+combination of the default axes resolves, so ``cells()`` never skips a
 cell; ``supported`` exists only as the audit hook for combinations the
-behavior registry does not know.
+behavior registry does not know.  Streamlined ProBFT is off the skeleton,
+so its ``equivocation`` and ``flooding`` cells raise when their spec is
+built.
 
 Cells built with ``track_bytes=True`` additionally account per-message
 canonical-encoding bytes (:class:`~repro.net.network.MessageStats`), and the
@@ -51,7 +55,7 @@ from .adaptive import (
 )
 from .metrics import StreamingProportion, Welford
 from .parallel import ExperimentEngine, TrialSpec, derive_seed, engine_scope
-from .trial import DeploymentSpec, RunResult, run_trial
+from .trial import DeploymentSpec, RunResult, list_protocols, run_trial
 
 __all__ = [
     "MatrixCell",
@@ -260,7 +264,7 @@ class ScenarioMatrix:
 
     def __post_init__(self) -> None:
         for axis, known in (
-            (self.protocols, PROTOCOLS),
+            (self.protocols, tuple(list_protocols())),
             (self.adversaries or (), registered_adversaries()),
             (self.latencies, LATENCIES),
         ):

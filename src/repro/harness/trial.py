@@ -35,6 +35,7 @@ from ..config import ProtocolConfig
 from ..core.protocol import ProBFTDeployment
 from ..net.faults import ChaosPolicy
 from ..net.latency import LatencyModel
+from ..streamlined import StreamDeployment
 from ..sync.timeouts import TimeoutPolicy
 from ..types import ReplicaId, Value
 
@@ -133,6 +134,7 @@ def deployment_factory(protocol: str) -> DeploymentFactory:
 register_protocol("probft", ProBFTDeployment)
 register_protocol("pbft", PbftDeployment)
 register_protocol("hotstuff", HotStuffDeployment)
+register_protocol("streamlined", StreamDeployment)
 
 
 @dataclass(frozen=True)

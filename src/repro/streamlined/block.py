@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..crypto.hashing import digest
+from ..crypto.vrf import VRFOutput
 from ..messages.base import CanonicalMessage
-from ..types import Value
+from ..types import Value, View
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,7 @@ class Block(CanonicalMessage):
     ``epoch == 0`` is reserved for the genesis block.
     """
 
-    epoch: int
+    epoch: View
     parent: bytes  # hash of the parent block
     payload: Value
 
@@ -45,14 +45,8 @@ class BlockVote(CanonicalMessage):
     TYPE = "StreamVote"
 
     block_hash: bytes
-    epoch: int
-    sample: object  # VRFOutput
+    epoch: View
+    sample: VRFOutput
 
     def canonical(self):
         return ("stream-vote", self.block_hash, self.epoch, self.sample)
-
-
-def vote_seed(epoch: int, domain: str = "") -> str:
-    """VRF seed for epoch votes (mirrors ``phase_seed``)."""
-    base = f"{epoch}||stream-vote"
-    return f"{domain}#{base}" if domain else base

@@ -8,21 +8,27 @@ probabilistic quorum of ``q`` distinct voters to notarize.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import ProtocolConfig
+from ..core.replica import DecisionCallback
 from ..crypto.context import CryptoContext
 from ..crypto.signatures import Signed
+from ..crypto.vrf import phase_seed
+from ..messages.base import conforms
 from ..net.transport import Transport
 from ..quorum.probabilistic import ProbabilisticQuorumCollector
-from ..types import ReplicaId, Value
-from .block import GENESIS, Block, BlockProposal, BlockVote, vote_seed
-
-FinalizeCallback = Callable[[ReplicaId, List[Block]], None]
+from ..sync.timeouts import FixedTimeout, TimeoutPolicy
+from ..types import Decision, ReplicaId, Value
+from .block import GENESIS, Block, BlockProposal, BlockVote
 
 
 class StreamReplica:
-    """A correct streamlined-ProBFT replica."""
+    """A correct streamlined-ProBFT replica, on the deployment's replica
+    contract: ``my_value`` seeds its block payloads, ``timeout_policy``
+    sets each epoch's length (``FixedTimeout(3.0)`` by default), and
+    ``on_decide`` fires once, at the first finalization, with the height-1
+    block's hash as the value and its epoch as the view."""
 
     def __init__(
         self,
@@ -30,29 +36,25 @@ class StreamReplica:
         config: ProtocolConfig,
         crypto: CryptoContext,
         transport: Transport,
-        epoch_duration: float = 3.0,
-        max_epochs: int = 100,
-        on_finalize: Optional[FinalizeCallback] = None,
-        payload_fn: Optional[Callable[[int], Value]] = None,
+        my_value: Value,
+        timeout_policy: Optional[TimeoutPolicy] = None,
+        on_decide: Optional[DecisionCallback] = None,
     ) -> None:
         self.id = replica_id
         self.config = config
         self._crypto = crypto
         self._transport = transport
-        self._epoch_duration = epoch_duration
-        self._max_epochs = max_epochs
-        self._on_finalize = on_finalize
-        self._payload_fn = payload_fn or (
-            lambda epoch: f"block-e{epoch}-r{self.id}".encode()
-        )
+        self._my_value = my_value
+        self._timeouts = timeout_policy or FixedTimeout(3.0)
+        self._on_decide = on_decide
 
         genesis_hash = GENESIS.hash()
         self._blocks: Dict[bytes, Block] = {genesis_hash: GENESIS}
         self._notarized: Set[bytes] = {genesis_hash}
         self._votes = ProbabilisticQuorumCollector(config.q)
         self._voted_epochs: Set[int] = set()
-        self._proposed_epochs: Set[int] = set()
         self._current_epoch = 0
+        self._stopped = False
         self._finalized: List[Block] = [GENESIS]
 
     # ------------------------------------------------------------------
@@ -68,30 +70,26 @@ class StreamReplica:
     def finalized_height(self) -> int:
         return len(self._finalized) - 1  # genesis doesn't count
 
-    def notarized_hashes(self) -> Set[bytes]:
-        return set(self._notarized)
-
     def start(self) -> None:
         self._enter_epoch(1)
 
     def stop(self) -> None:
-        self._current_epoch = self._max_epochs + 1  # timers become no-ops
+        self._stopped = True  # epoch timers become no-ops
 
     # ------------------------------------------------------------------
     # Epoch clock
     # ------------------------------------------------------------------
     def _enter_epoch(self, epoch: int) -> None:
-        if epoch > self._max_epochs:
-            return
         self._current_epoch = epoch
         if self._leader(epoch) == self.id:
             self._propose(epoch)
         self._transport.schedule(
-            self._epoch_duration, lambda e=epoch: self._epoch_timeout(e)
+            self._timeouts.timeout_for(epoch),
+            lambda e=epoch: self._epoch_timeout(e),
         )
 
     def _epoch_timeout(self, epoch: int) -> None:
-        if epoch == self._current_epoch:
+        if epoch == self._current_epoch and not self._stopped:
             self._enter_epoch(epoch + 1)
 
     def _leader(self, epoch: int) -> ReplicaId:
@@ -126,22 +124,19 @@ class StreamReplica:
         return length
 
     def _propose(self, epoch: int) -> None:
-        if epoch in self._proposed_epochs:
-            return
-        self._proposed_epochs.add(epoch)
         parent = self._longest_notarized_tip()
-        block = Block(epoch=epoch, parent=parent, payload=self._payload_fn(epoch))
+        payload = b"%s-e%d" % (self._my_value, epoch)
+        block = Block(epoch=epoch, parent=parent, payload=payload)
         signed = self._crypto.signatures.sign(self.id, BlockProposal(block=block))
         self._transport.broadcast(signed)
         self._deliver_local(signed)
 
     def on_message(self, src: ReplicaId, message: object) -> None:
-        if not isinstance(message, Signed):
-            return
-        payload = message.payload
-        if isinstance(payload, BlockProposal):
+        # Only signed (§2.1), well-typed messages are processed.
+        table = self._crypto.verdicts
+        if conforms(message, Signed[BlockProposal], table):
             self._handle_proposal(message)
-        elif isinstance(payload, BlockVote):
+        elif conforms(message, Signed[BlockVote], table):
             self._handle_vote(message)
 
     def _handle_proposal(self, signed: Signed) -> None:
@@ -166,7 +161,7 @@ class StreamReplica:
         self._voted_epochs.add(epoch)
         sample = self._crypto.vrf.prove(
             self.id,
-            vote_seed(epoch, self.config.seed_domain),
+            phase_seed(epoch, "stream-vote", self.config.seed_domain),
             self.config.sample_size,
         )
         vote = BlockVote(block_hash=block_hash, epoch=epoch, sample=sample)
@@ -180,14 +175,14 @@ class StreamReplica:
         if not self._crypto.signatures.verify(signed):
             return
         vote: BlockVote = signed.payload
-        if self.id not in vote.sample.sample:
-            return
         if not self._crypto.vrf.verify(
             signed.signer,
-            vote_seed(vote.epoch, self.config.seed_domain),
+            phase_seed(vote.epoch, "stream-vote", self.config.seed_domain),
             self.config.sample_size,
             vote.sample,
         ):
+            return
+        if self.id not in vote.sample.sample:
             return
         if self._votes.add(vote.block_hash, signed.signer, signed):
             self._notarize(vote.block_hash)
@@ -216,9 +211,13 @@ class StreamReplica:
         chain = self._chain_to(mid)
         if chain is None or len(chain) <= len(self._finalized):
             return
+        first = len(self._finalized) == 1
         self._finalized = chain
-        if self._on_finalize is not None:
-            self._on_finalize(self.id, self.finalized_chain)
+        if first and self._on_decide is not None:
+            block = chain[1]
+            self._on_decide(
+                Decision(self.id, block.hash(), block.epoch, self._transport.now)
+            )
 
     def _chain_to(self, block: Block) -> Optional[List[Block]]:
         chain: List[Block] = []

@@ -31,6 +31,7 @@ from repro.messages.hotstuff import HsNewView, HsProposal, HsQuorumCert, HsVote,
 from repro.messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
 from repro.messages.probft import Commit, NewLeader, Prepare, Propose
 from repro.smr.replica import SlotEnvelope
+from repro.streamlined.block import Block, BlockProposal, BlockVote
 from repro.sync.synchronizer import Wish
 from repro.types import MAX_VIEW
 
@@ -312,10 +313,9 @@ class TestMutatingSeat:
 
 
 def _message_classes():
-    """Every message class under ``repro`` but ``repro.streamlined``, which
-    is to be ported onto the one stack or moved out (ROADMAP item 6)."""
+    """Every message class under ``repro``."""
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if not info.name.startswith("repro.streamlined") and info.name != "repro.__main__":
+        if info.name != "repro.__main__":
             importlib.import_module(info.name)
     seen, todo = set(), list(CanonicalMessage.__subclasses__())
     while todo:
@@ -323,10 +323,7 @@ def _message_classes():
         if cls not in seen:
             seen.add(cls)
             todo += cls.__subclasses__()
-    return sorted(
-        (c for c in seen if not c.__module__.startswith("repro.streamlined")),
-        key=lambda c: (c.__module__, c.__qualname__),
-    )
+    return sorted(seen, key=lambda c: (c.__module__, c.__qualname__))
 
 
 class TestContract:
@@ -334,7 +331,8 @@ class TestContract:
         classes = _message_classes()
         assert {Propose, NewLeader, Prepare, Commit, PbftPropose, PbftNewLeader,
                 PbftPrepare, PbftCommit, HsVotePayload, HsQuorumCert, HsNewView,
-                HsProposal, HsVote, Wish, SlotEnvelope, ProposalStatement} <= set(classes)
+                HsProposal, HsVote, Wish, SlotEnvelope, ProposalStatement,
+                Block, BlockProposal, BlockVote} <= set(classes)
         for cls in classes:
             assert conforms(None, cls) is False  # compiles its hints, or raises
             hints = get_type_hints(cls, include_extras=True)

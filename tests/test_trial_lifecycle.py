@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -68,7 +69,7 @@ class TestRunTrialDispatch:
             register_protocol("probft", lambda *a, **k: None)
 
     def test_registered_protocols(self):
-        assert list_protocols() == ["hotstuff", "pbft", "probft"]
+        assert list_protocols() == ["hotstuff", "pbft", "probft", "streamlined"]
 
     @pytest.mark.parametrize("latency", LATENCIES)
     def test_a_spec_run_twice_is_one_trial(self, latency):
@@ -123,8 +124,16 @@ class TestDeploymentTeardown:
         return spec
 
     @pytest.mark.parametrize("reference", [False, True])
-    @pytest.mark.parametrize("adversary", ["none", "silent", "flooding"])
-    @pytest.mark.parametrize("protocol", ["probft", "pbft", "hotstuff"])
+    @pytest.mark.parametrize(
+        "protocol, adversary",
+        [
+            *itertools.product(
+                ["probft", "pbft", "hotstuff"], ["none", "silent", "flooding"]
+            ),
+            ("streamlined", "none"),
+            ("streamlined", "silent"),
+        ],
+    )
     def test_dropped_context_leaves_no_cyclic_garbage(
         self, protocol, adversary, reference
     ):
