@@ -491,13 +491,18 @@ class ColumnarVoteDispatch:
 
     def __call__(self, run, pos, probe, advance) -> tuple:
         src, message, dsts = run[pos]
+        if not isinstance(getattr(message, "payload", None), self._votes):
+            return self._wishes(run, pos, probe, advance)  # before any setup
         if self._dup:
-            # Declined unparsed (each recipient looks the token up anyway);
-            # a payload type test is enough to count the votes.
-            if isinstance(getattr(message, "payload", None), self._votes):
-                self.declined += 1
-                return (-1,)
-            return self._wishes(run, pos, probe, advance)
+            # Declined unparsed (each recipient looks the token up anyway).
+            self.declined += 1
+            return (-1,)
+        config, crypto = self._config, self._crypto
+        table = crypto.verdicts
+        if table is not None and table.config is config:
+            known, reused = table.of_kind("vote"), table.counts.reused
+        else:
+            known = reused = {}
         # The walk: a valid, unflagged vote bucket is delivered here, scalar,
         # recipient by recipient in ``dsts`` order with the per-recipient
         # handler's rules, over state read once per call — and so is every
@@ -507,113 +512,123 @@ class ColumnarVoteDispatch:
         # queue's next entry).  The probe runs after every stop.  A bucket
         # that is not such a vote ends it: declined (-1) if an invalid or
         # flagged vote, else entered and left to the caller.  A first bucket
-        # with several recipients opens a group, which goes to the pass
-        # below if it holds ``_PASS_MIN_VOTES`` votes.
+        # with several recipients opens a group, which goes to the pass if
+        # it holds ``_PASS_MIN_VOTES`` votes.
         state, correct, replicas = self._state, self._correct, self._replicas
         equivocal = self._equivocal
-        config, crypto = self._config, self._crypto
         views, prepare_active, commit_active = map(
             memoryview, (state.views, state.prepare_active, state.commit_active)
         )
-        table = crypto.verdicts
-        if table is not None and table.config is config:
-            known, reused = table.of_kind("vote"), table.counts.reused
-        else:
-            known = reused = {}
-        took, k, tokens = [], pos, ()
+        # Buckets entered / lookups answered, added to ``self.walked`` before
+        # every stop (it may retire the slot and fold the counters) and on return.
+        took, k, walked, hits = [], pos, 0, 0
+        tokens, end = None, -1  # a walked group's tokens, and its end
         slot = at_prepare = at_view = at_value = None  # the slot last written
-        while True:
-            if tokens:  # a walked group: its tokens were looked up with it
-                token = tokens[k - pos]
-            elif took and len(dsts) != 1:
-                return took
-            else:
-                entry = known.get(id(message))  # (one lookup per bucket reached)
-                if entry is not None:
-                    reused["vote"] += 1
-                    token = entry[1]
+        try:
+            while True:
+                if tokens is not None:  # a walked group: looked up with it
+                    token = tokens[k - pos]
+                elif took and len(dsts) != 1:
+                    return took  # opens a group of its own
                 else:
-                    token = self._token(config, crypto, message)
-                if not token:  # no vote: None, or False from the table
-                    return took or self._wishes(run, pos, probe, advance)
-            is_prepare, view, value, signer, members = token[:5]
-            if not token.valid or view in equivocal:
-                self.declined += 1
-                took.append(-1)
-                return took
-            if len(dsts) != 1 and not tokens:
-                # The group: ``run[pos]`` and the buckets after it that vote
-                # for one (phase, view, value) from distinct signers, each to
-                # several recipients, ``_PASS_VOTES`` votes at most.
-                tokens, signers, votes = [token], {signer}, len(dsts)
-                while pos + len(tokens) < len(run):
-                    _, following, recipients = run[pos + len(tokens)]
-                    token = self._token(config, crypto, following)
-                    if (
-                        token is None
-                        or not token.valid
-                        or token.view != view
-                        or token.is_prepare is not is_prepare
-                        or token.value != value
-                        or token.signer in signers
-                        or len(recipients) == 1
-                        or votes + len(recipients) > _PASS_VOTES
-                    ):
-                        break
-                    tokens.append(token)
-                    signers.add(token.signer)
-                    votes += len(recipients)
-                if votes >= _PASS_MIN_VOTES:
-                    break
-            # Counted as entered: a stop may retire the slot, and with it
-            # fold these counters, from inside this call.
-            self.walked += 1
-            if not took:
-                self.vote_chains += 1
-            active = prepare_active if is_prepare else commit_active
-            # (A correct sender multicasts its vote to its own sample; no
-            # sample is everyone.)
-            own = members is None or (signer == src and src in correct)
-            delivered = 0
-            for d in dsts:
-                if d not in correct:
-                    self._handlers[d](src, message)  # arbitrary handler
-                    delivered += 1
-                elif active[d] != view or not (own or d in members):
-                    # Not countable: buffer if the recipient is still behind
-                    # (views stuck at 0 have not started), else the view
-                    # gate, progress pruning or the i ∈ S precondition drops it.
-                    if 0 != views[d] < view:
-                        replicas[d]._buffer_future(view, src, message)
-                        delivered += 1
-                    continue
-                else:
-                    delivered += 1
-                    # Looked up once per change of phase, view or value.
-                    if (
-                        view != at_view
-                        or value != at_value
-                        or is_prepare is not at_prepare
-                    ):
-                        at_prepare, at_view, at_value = is_prepare, view, value
-                        slot = state.slot(is_prepare, view, value)
-                    if not slot.add(d, signer, message):
-                        continue
-                    if is_prepare:
-                        replicas[d]._try_form_prepared()
+                    entry = known.get(id(message))  # (one lookup per bucket)
+                    if entry is not None:
+                        hits += 1
+                        token = entry[1]
                     else:
-                        replicas[d]._try_decide()
-                if probe is not None and probe():  # (a stop ran)
-                    took.append(delivered)
+                        token = self._token(config, crypto, message)
+                    if not token:  # None, or False from the table: no vote
+                        return took or [-1]  # (first: declined whole)
+                is_prepare, view, value, signer, members, valid, _ = token
+                if not valid or view in equivocal:
+                    self.declined += 1
+                    took.append(-1)
                     return took
-            took.append(delivered)
-            k += 1
-            # (A router hands over its own slice of the run: a bucket the
-            # simulator just appended is not in it.)
-            if k == pos + len(tokens) or not advance(k) or k >= len(run):
-                return took
-            src, message, dsts = run[k]
+                if not took:  # the first bucket: a group's, or a walk's
+                    if len(dsts) != 1:
+                        # The group: ``run[pos]`` and the buckets after it
+                        # that vote for one (phase, view, value) from distinct
+                        # signers, each to several recipients, ``_PASS_VOTES``
+                        # votes at most.
+                        tokens, signers, votes = [token], {signer}, len(dsts)
+                        while pos + len(tokens) < len(run):
+                            _, following, recipients = run[pos + len(tokens)]
+                            token = self._token(config, crypto, following)
+                            if (
+                                token is None
+                                or not token.valid
+                                or token.view != view
+                                or token.is_prepare is not is_prepare
+                                or token.value != value
+                                or token.signer in signers
+                                or len(recipients) == 1
+                                or votes + len(recipients) > _PASS_VOTES
+                            ):
+                                break
+                            tokens.append(token)
+                            signers.add(token.signer)
+                            votes += len(recipients)
+                        if votes >= _PASS_MIN_VOTES:
+                            return self._pass(run, pos, tokens, votes, probe, advance)
+                        end = pos + len(tokens)
+                    self.vote_chains += 1  # (counted as entered, as is ``walked``)
+                walked += 1
+                active = prepare_active if is_prepare else commit_active
+                # (A correct sender multicasts its vote to its own sample; no
+                # sample is everyone.)
+                own = members is None or (signer == src and src in correct)
+                delivered = 0
+                for d in dsts:
+                    if d not in correct:
+                        self.walked += walked
+                        walked = 0
+                        self._handlers[d](src, message)  # arbitrary handler
+                        delivered += 1
+                    elif active[d] != view or not (own or d in members):
+                        # Not countable: buffer if the recipient is still behind
+                        # (views at 0 have not started), else the view gate,
+                        # progress pruning or the i ∈ S precondition drops it.
+                        if 0 != views[d] < view:
+                            replicas[d]._buffer_future(view, src, message)
+                            delivered += 1
+                        continue
+                    else:
+                        delivered += 1
+                        # Looked up once per change of phase, view or value.
+                        if (
+                            view != at_view
+                            or value != at_value
+                            or is_prepare is not at_prepare
+                        ):
+                            at_prepare, at_view, at_value = is_prepare, view, value
+                            slot = state.slot(is_prepare, view, value)
+                        if not slot.add(d, signer, message):
+                            continue
+                        self.walked += walked
+                        walked = 0
+                        if is_prepare:
+                            replicas[d]._try_form_prepared()
+                        else:
+                            replicas[d]._try_decide()
+                    if probe is not None and probe():  # (a stop ran)
+                        took.append(delivered)
+                        return took
+                took.append(delivered)
+                k += 1
+                # (A router hands over its own slice of the run: a bucket the
+                # simulator just appended is not in it.)
+                if k == end or not advance(k) or k >= len(run):
+                    return took
+                src, message, dsts = run[k]
+        finally:
+            self.walked += walked
+            if hits:
+                reused["vote"] += hits
 
+    def _pass(self, run, pos, tokens, votes, probe, advance) -> list:
+        """The array pass over the group of ``tokens`` at ``run[pos]``."""
+        state, correct, replicas = self._state, self._correct, self._replicas
+        is_prepare, view, value = tokens[0][:3]
         # The pass, over the group.  Counted as it is entered: a stop may
         # retire the slot, and with it fold these counters, from inside
         # this call.

@@ -44,6 +44,8 @@ replicas, handlers or pending events keeps the deployment, not a part of it.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import not_
 from typing import Callable, Dict, FrozenSet, Optional, Set
 
 from ..config import ProtocolConfig
@@ -203,6 +205,7 @@ class Deployment:
         self._correct_ids: FrozenSet[ReplicaId] = (
             frozenset(range(config.n)) - self.byzantine_ids
         )
+        self._undecided: Set[ReplicaId] = set(self._correct_ids)
         self.stack = self._new_stack()
         build = self._replica_factory(values or {}, timeout_policy)
         for r in range(config.n):
@@ -237,11 +240,12 @@ class Deployment:
     def _replica_factory(self, values, timeout_policy) -> Callable:
         """``build(replica_id, transport)`` for the honest replicas."""
         # Nothing a replica holds may point back at the deployment (see
-        # ``close``), so decisions are recorded through the dict alone.
-        decisions = self.decisions
+        # ``close``), so decisions are recorded through the dict and set alone.
+        decisions, undecided = self.decisions, self._undecided
 
         def record_decision(decision: Decision) -> None:
             decisions[decision.replica] = decision
+            undecided.discard(decision.replica)
 
         replica_kwargs = self._replica_kwargs()
         return lambda r, transport: self.replica_class(
@@ -377,11 +381,11 @@ class Deployment:
             if r in self.correct_ids
         }
 
-    def all_correct_decided(self) -> bool:
-        # Decisions are recorded by correct replicas only, so a length check
-        # suffices — this runs between every pair of deliveries (stop_when /
-        # stop_probe) and must be O(1), not O(n).
-        return len(self.decisions) >= len(self._correct_ids)
+    @property
+    def all_correct_decided(self) -> Callable[[], bool]:
+        """``all_correct_decided()``: what :meth:`run` stops on, at every
+        delivery boundary; a call with no Python frame."""
+        return partial(not_, self._undecided)
 
     def decided_values(self) -> Set[Value]:
         """Distinct values decided by *correct* replicas."""

@@ -97,6 +97,11 @@ class SignatureScheme:
         # (a born-valid entry pins its envelope; that edge would be a cycle).
         self._tag_source = (registry, self._counts)
 
+    @property
+    def verdicts(self) -> Optional[VerdictTable]:
+        """The instance's verdict table (``None``: table-free, the oracle)."""
+        return self._verdicts
+
     def sign_with(self, private_key: bytes, signer: ReplicaId, payload: Any) -> Signed:
         """Sign ``payload`` with an explicitly supplied private key.
 

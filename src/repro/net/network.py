@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from ..crypto.hashing import stable_encode
 from ..errors import NotRegisteredError
@@ -91,8 +91,8 @@ class MessageStats:
         index: Dict[str, int] = {}
         self._sent = IndexedCounter(index)
         self._delivered = IndexedCounter(index)
-        # (message class, payload class) -> (slot, kind), once delivered.
-        self._delivered_kinds: Dict[tuple, tuple] = {}
+        # (message class, payload class) -> slot, once delivered.
+        self._delivered_kinds: Dict[tuple, int] = {}
         self._bytes = IndexedCounter(index)
         self.sent_by_replica: Counter = Counter()
         self.sent_total = 0
@@ -137,19 +137,23 @@ class MessageStats:
             self.bytes_total += count * size
 
     def record_delivery(self, message: object) -> None:
-        self.record_bulk_delivery(message, 1)
+        self.record_run(((None, message, None),), (1,))
 
-    def record_bulk_delivery(self, message: object, count: int) -> None:
-        """Record ``count`` deliveries of one message in bulk (fan-outs)."""
-        if count <= 0:
-            return
-        key = (message.__class__, getattr(message, "payload", None).__class__)
-        kind = self._delivered_kinds.get(key)
-        if kind is None:
-            name = message_type_name(message)
-            kind = self._delivered_kinds[key] = (self._delivered.slot(name), name)
-        self._delivered.add(kind[0], count)
-        self.delivered_total += count
+    def record_run(self, buckets: Sequence[tuple], counts: Sequence[int]) -> None:
+        """Record ``counts[i]`` deliveries of ``buckets[i]``'s message, for
+        every ``i`` of ``counts``: one counter update per kind and run (so
+        the delivery counters are exact between runs, not inside one)."""
+        known, tally = self._delivered_kinds, {}
+        for (_, message, _), count in zip(buckets, counts):
+            if count > 0:  # (a kind is touched by a delivery, never by a 0)
+                kind = (message.__class__, getattr(message, "payload", None).__class__)
+                slot = known.get(kind)
+                if slot is None:
+                    slot = known[kind] = self._delivered.slot(message_type_name(message))
+                tally[slot] = tally.get(slot, 0) + count
+        for slot, count in tally.items():
+            self._delivered.add(slot, count)
+            self.delivered_total += count
 
     def sent(self, type_name: str) -> int:
         return self._sent.get(type_name)
@@ -405,31 +409,26 @@ class Network:
         per-recipient loop, which delivers the bucket whole and probes
         ``stop_probe`` between deliveries (the kernel already checked before
         this bucket); ``advance`` (the loop's ``stop_when`` and the event
-        accounting) is asked at every boundary it leaves us."""
+        accounting) is asked at every boundary it leaves us.  What each
+        bucket delivered is recorded once, for the whole run, as it returns."""
         kernel = self._kernel
-        record = self.stats.record_bulk_delivery
         probe = self.stop_probe
-        pos = 0
-        while True:
-            for delivered in (
-                kernel(run, pos, probe, advance) if kernel is not None else (-1,)
-            ):
-                if delivered > 0:
-                    record(run[pos][1], delivered)
-                elif delivered < 0:
-                    src, message, dsts = run[pos]
-                    handlers = self._handlers
-                    delivered = 0
-                    try:
-                        for dst in dsts:
-                            if delivered and probe is not None and probe():
-                                break
-                            delivered += 1
-                            handlers[dst](src, message)
-                    finally:
-                        # One bulk update per bucket: identical totals to
-                        # dense's per-delivery increments.
-                        record(message, delivered)
-                pos += 1
-            if not advance(pos):
-                return
+        counts: list = []  # delivered, per bucket answered
+        try:
+            while True:
+                if kernel is None:
+                    counts.append(-1)
+                else:
+                    counts += kernel(run, len(counts), probe, advance)
+                if counts[-1] < 0:  # declined (only ever last)
+                    src, message, dsts = run[len(counts) - 1]
+                    counts[-1] = 0
+                    for dst in dsts:
+                        if counts[-1] and probe is not None and probe():
+                            break
+                        counts[-1] += 1  # (counted before the handler runs)
+                        self._handlers[dst](src, message)
+                if not advance(len(counts)):
+                    return
+        finally:
+            self.stats.record_run(run, counts)

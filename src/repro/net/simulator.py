@@ -76,6 +76,9 @@ def _end_of_run(k: int) -> bool:  # ``advance`` for a lone entry: no boundary
     return False
 
 
+_never: Callable[[], bool] = bool  # the stop predicate of a loop without one
+
+
 def _pop(heap: list, entry: list) -> None:
     """Take the posted entry ``entry``, the head, off ``heap``: the next
     record of its fan-out, if any, takes its place as an entry of its own,
@@ -146,19 +149,20 @@ class Simulator:
         self._heap: List[list] = []  # timers (EventHandle) and fan-outs
         self._ref = weakref.ref(self)  # what every entry knows of its queue
         self._seq = itertools.count()
-        self._events_processed = 0
-        self._running = False
+        self._events_processed = 0  # (and ``_live``: without the run's entered)
         self._live = 0
+        self._running = False
         self._cancelled = 0
-        # The run being delivered (see ``_advance``): its deliveries (each
-        # an entry of one), how many the receiver has entered, the loop's
-        # stop predicate and ``(items, receiver, budget, until, may it
-        # chain)``.  Dropped when the run returns: the simulator holds no
-        # receiver between two runs.
-        self._run: List[list] = []
+        # The run being delivered (``_advance``), ``None`` between runs: its
+        # items, the entries ``_take`` took (a cut-short run puts them back),
+        # items entered, receiver, stop predicate, limits (``_room``: 0 if
+        # it may not chain).
+        self._items: Optional[list] = None
+        self._taken: Optional[List[list]] = None
         self._entered = 0
+        self._receiver = None
         self._stop_when: Optional[Callable[[], bool]] = None
-        self._chain: Optional[tuple] = None
+        self._room = self._budget = self._until = None
 
     @property
     def now(self) -> float:
@@ -167,12 +171,12 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        return self._events_processed
+        return self._events_processed + self._entered
 
     @property
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-fired, not-cancelled events (O(1))."""
-        return self._live
+        return self._live - self._entered
 
     def _note_cancelled(self) -> None:
         """Bookkeeping hook called by :meth:`EventHandle.cancel`.
@@ -244,7 +248,9 @@ class Simulator:
         for entry in self._heap:
             entry[2] = None
         self._heap = []
-        self._run, self._entered = [], 0
+        if self._items is not None:  # inside a run: it ends at its next boundary
+            self._events_processed += self._entered
+            self._items, self._taken, self._entered = [], [], 0
         self._live = 0
         self._cancelled = 0
 
@@ -265,51 +271,56 @@ class Simulator:
         heap = self._heap
         while heap:
             entry = heap[0]
-            callback = entry[2]
-            if callback is None:
+            receiver = entry[2]
+            if receiver is None:
                 heapq.heappop(heap)
                 self._cancelled -= 1
                 continue  # cancelled
             if until is not None and entry[0] > until:
                 return 0
-            self._live -= 1
             self._now = time = entry[0]
-            self._events_processed += 1
             if len(entry) == 4:
                 heapq.heappop(heap)
                 entry[2] = _fired  # late cancel() must stay a no-op
-                callback()
+                self._live -= 1
+                self._events_processed += 1
+                receiver()
                 return 1
+            item = entry[4]
             _pop(heap, entry)
             # Nothing of this receiver's follows (a plain event, a tombstone,
             # another receiver, unchained another time): no boundary state.
             if (
                 budget == 1
                 or not heap
-                or heap[0][2] is not callback
+                or heap[0][2] is not receiver
                 or not (chain or heap[0][0] == time)
             ):
-                callback.deliver_run([entry[4]], _end_of_run)
+                self._live -= 1
+                self._events_processed += 1
+                receiver.deliver_run([item], _end_of_run)
                 return 1
-            items = [entry[4]]
-            self._run, self._entered, self._stop_when = [entry], 1, stop_when
-            self._chain = (
-                items,
-                callback,
-                math.inf if budget is None else budget,
-                math.inf if until is None else until,
-                chain,
-            )
+            items = [item]
+            self._items, self._taken, self._entered = items, [], 1
+            self._receiver, self._stop_when = receiver, stop_when or _never
+            self._budget = math.inf if budget is None else budget
+            self._room = min(_CHAIN_WINDOW, self._budget) if chain else 0
+            self._until = math.inf if until is None else until
             self._take(heap, time)
-            before = self._events_processed - 1
+            before = self._events_processed
             try:
-                callback.deliver_run(items, self._advance)
+                receiver.deliver_run(items, self._advance)
             finally:
                 # ``self._heap``, not ``heap``: a handler's cancel() or
                 # clear() may have rebound it (and clear() emptied the run).
-                for entry in self._run[self._entered:]:
-                    heapq.heappush(self._heap, entry)
-                self._run, self._stop_when, self._chain = [], None, None
+                entered, taken = self._entered, self._taken
+                for entry in taken[len(taken) - len(self._items) + entered :]:
+                    heapq.heappush(self._heap, entry)  # (``_take``'s, unentered)
+                self._live -= entered
+                self._events_processed += entered
+                self._entered = 0
+                self._items = self._taken = self._receiver = self._stop_when = None
+                self._room = self._budget = self._until = None
             return self._events_processed - before
         return 0
 
@@ -319,59 +330,56 @@ class Simulator:
         once the loop's ``stop_when`` holds (asked here, at the boundary, as
         the loop would between two events); at the end of the run, yes iff
         a fresh step would hand this receiver the queue's next delivery (the
-        chain).  Items are counted as processed as they are passed, so the
-        counters read inside a handler — and to ``stop_when`` — what they
-        would had each entry been its own step."""
-        run = self._run
-        size = len(run)
-        passed = (k if k < size else size) - self._entered
-        if passed < 0:
-            return True
-        if passed:  # the items before k
-            self._entered += passed
-            self._live -= passed
-            self._events_processed += passed
-        stop_when = self._stop_when
-        if stop_when is not None and stop_when():
-            return False
-        if k >= size:
-            items, receiver, budget, until, chained = self._chain
+        chain, whose entry is re-keyed in place: it is never put back).
+        Items count as processed once entered, so the counters read inside
+        a handler — and to ``stop_when`` — as if each entry were a step."""
+        items = self._items
+        size = len(items)
+        if k == size and size < self._room:  # the end of a run that may grow
+            self._entered = k
+            if self._stop_when():
+                return False
             heap = self._heap  # (cancel() / clear() may have rebound it)
-            if (
-                k > size
-                or not chained
-                or size >= _CHAIN_WINDOW
-                or size >= budget
-                or not heap
-            ):
+            if not heap:
                 return False
             entry = heap[0]
-            if entry[2] is not receiver or entry[0] > until:
+            if entry[2] is not self._receiver or entry[0] > self._until:
                 return False
-            _pop(heap, entry)
             self._now = time = entry[0]
-            run.append(entry)
             items.append(entry[4])
-            if heap and heap[0][2] is receiver and heap[0][0] == time:
+            rest = entry[5]
+            if rest:
+                entry[0], entry[1], entry[4] = rest.pop()
+                heapq.heapreplace(heap, entry)
+            else:
+                heapq.heappop(heap)
+            self._entered = k + 1
+            if heap and heap[0][0] == time and heap[0][2] is entry[2]:
                 self._take(heap, time)
-        self._entered = k + 1
-        self._live -= 1
-        self._events_processed += 1
-        return True
+            return True
+        if k < self._entered:
+            return True
+        self._entered = k if k < size else size  # the items before k
+        if self._stop_when():
+            return False
+        if k < size:
+            self._entered = k + 1
+            return True
+        return False  # past the end, or at the end of a run that may not grow
 
     def _take(self, heap, time: float) -> None:
         """The queue's head deliveries to the run's receiver at ``time`` join the run."""
-        run = self._run
-        items, receiver, budget = self._chain[:3]
+        items, taken = self._items, self._taken
+        receiver, budget = self._receiver, self._budget
         while (
             heap
             and heap[0][2] is receiver
             and heap[0][0] == time
-            and len(run) < budget
+            and len(items) < budget
         ):
             entry = heap[0]
             _pop(heap, entry)
-            run.append(entry)
+            taken.append(entry)
             items.append(entry[4])
 
     # ------------------------------------------------------------------
@@ -387,7 +395,7 @@ class Simulator:
 
         Args:
             until: stop once virtual time would exceed this (the clock is
-                advanced to ``until``).
+                advanced to ``until``, unless it is already past it).
             max_events: safety valve against runaway protocols.
             stop_when: predicate checked after every event (inside a run or
                 a chain: at the boundaries the receiver asks about).
@@ -410,13 +418,10 @@ class Simulator:
                     until,
                     True,
                 )
-                if not taken:
-                    if self._heap:  # the next event lies beyond ``until``
-                        self._now = until
-                        return
+                if not taken:  # none remain, or the next lies beyond ``until``
                     break
                 processed += taken
             if until is not None and self._now < until:
-                self._now = until
+                self._now = until  # (never back: ``until`` may lie behind now)
         finally:
             self._running = False

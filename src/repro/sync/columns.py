@@ -68,13 +68,16 @@ __all__ = ["WishColumns", "WishDispatch"]
 class _WishSlot:
     """Seen-bitmap and count vector of one live view."""
 
-    __slots__ = ("seen", "counts")
+    __slots__ = ("seen", "counts", "flat_seen", "flat_counts")
 
     def __init__(self, n: int, words: int) -> None:
         # Word-major, as in the vote slots: one fan-out has one sender, so
         # it only ever touches the contiguous n-vector of that sender's word.
         self.seen = np.zeros((words, n), dtype=np.uint64)
         self.counts = np.zeros(n, dtype=np.int32)
+        # The same memory as flat memoryviews: Python ints for scalar code.
+        self.flat_seen = memoryview(self.seen.reshape(-1))
+        self.flat_counts = memoryview(self.counts)
 
 
 class WishColumns:
@@ -221,20 +224,22 @@ class WishColumns:
         if view > self.horizon:
             wished = self._far.get(sender)
             return wished is None or int(wished[d]) < view
-        seen = self._slot(view).seen
-        return not (int(seen[sender >> 6, d]) >> (sender & 63)) & 1
+        seen = self._slot(view).flat_seen
+        return not (seen[(sender >> 6) * self.n + d] >> (sender & 63)) & 1
 
     def record(self, d: ReplicaId, sender: ReplicaId, view: View) -> None:
-        wi = sender >> 6
-        bit = np.uint64(1 << (sender & 63))
+        at = (sender >> 6) * self.n + d
+        bit = 1 << (sender & 63)
         slots = self._slots
         for v in self._views:
             if v > view:
                 break
             slot = slots[v]
-            if not slot.seen[wi, d] & bit:
-                slot.seen[wi, d] |= bit
-                slot.counts[d] += 1
+            seen = slot.flat_seen
+            word = seen[at]
+            if not word & bit:
+                seen[at] = word | bit
+                slot.flat_counts[d] += 1
         if view > self.horizon:
             self._far_of(sender)[d] = view
 
@@ -254,7 +259,7 @@ class WishColumns:
                 return beyond[k - 1]
         slots = self._slots
         for v in reversed(self._views):
-            if slots[v].counts[d] >= k:
+            if slots[v].flat_counts[d] >= k:
                 return v
         return 0
 
@@ -370,7 +375,7 @@ class WishDispatch:
             return (self._deliver_each(src, message, dsts, probe),)
         if (
             len(dsts) == 1
-            or not conforms(message, Signed)
+            or not conforms(message, Signed, self._signatures.verdicts)
             or message.signer != src
             or wish.domain != self._domain
         ):

@@ -177,7 +177,8 @@ class ViewSynchronizer:
         if self._stopped:
             return
         wish = getattr(signed, "payload", None)
-        if not isinstance(wish, Wish) or not conforms(signed, Signed):
+        table = self._signatures.verdicts  # (shape walked once per object)
+        if not isinstance(wish, Wish) or not conforms(signed, Signed, table):
             return
         view = wish.view
         if signed.signer != src or wish.domain != self._domain:

@@ -63,6 +63,25 @@ def deliver_bucket(handler, src, message, dsts, probe=None):
     return delivered
 
 
+#: What a simulator keeps from one run to the next: its clock, its queue and
+#: the queue's counters.  Everything else it holds is run-scoped.
+_QUEUE_STATE = frozenset(
+    {"_now", "_heap", "_ref", "_seq", "_events_processed", "_live", "_cancelled", "_running"}
+)
+
+
+def assert_holds_no_run(sim) -> None:
+    """Nothing of a run outlives its step: every run-scoped attribute of
+    ``sim`` (receiver, items, taken entries, stop predicate, limits, entered
+    count — and any added later) reads as a fresh simulator's.  A kept
+    receiver closes a simulator <-> network cycle in every deployment."""
+    from repro.net.simulator import Simulator
+
+    fresh = {k: v for k, v in vars(Simulator()).items() if k not in _QUEUE_STATE}
+    held = {k: v for k, v in vars(sim).items() if k not in _QUEUE_STATE}
+    assert fresh and held == fresh, held
+
+
 def saturated_config(**overrides) -> ProtocolConfig:
     """n=8, f=1: sample size caps at n, so everyone is in every sample."""
     params = dict(n=8, f=1, l=2.0, o=1.7)

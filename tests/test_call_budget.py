@@ -1,0 +1,58 @@
+"""A per-delivery cost that timing cannot see: Python calls per event.
+
+Under the paper's continuous latency every vote is a delivery of its own,
+and what one delivery costs in the queue, the network's accounting, the
+stop probe and the vote kernel's walk is interpreter work per event.  A
+regression there moves a trial's wall time by a few percent, inside the
+box's run-to-run spread; the number of Python-level calls per event moves
+exactly.  Counted with ``sys.setprofile`` (a ``call`` event per Python
+frame entered; C functions are not counted) inside ``TrialContext.execute``
+of an n=100 exponential-latency trial, after one untraced run of the same
+cell so that process-wide caches read the same whatever ran before.
+``tools/opcount.py`` prints the same census per function, with opcodes.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.harness.registry import MatrixCell, cell_deployment_spec
+from repro.harness.trial import TrialContext, run_trial
+
+
+def _calls_per_event(protocol: str, f: int, seed: int, max_time: float):
+    spec = cell_deployment_spec(MatrixCell(protocol, "none", "exponential", n=100, f=f), seed, max_time)
+    run_trial(spec)  # warm the process-wide caches the trial touches
+    context = TrialContext(spec)
+    context.build()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = context.execute()
+    finally:
+        sys.setprofile(previous)
+    return result, calls, context.deployment.sim.events_processed
+
+
+@pytest.mark.parametrize(
+    "protocol, max_time, events, budget",
+    [
+        # (8.52 and 6.33 calls per event before the per-delivery cuts.)
+        ("probft", 25.0, 6_383, 5.25),
+        ("pbft", 10_000.0, 18_352, 2.95),
+    ],
+)
+def test_calls_per_event_stay_within_budget(protocol, max_time, events, budget):
+    result, calls, processed = _calls_per_event(protocol, 33, 5, max_time)
+    assert result.all_decided
+    assert processed == events  # the same trial: only who calls may move
+    assert calls / processed <= budget, (calls, processed, calls / processed)

@@ -217,7 +217,7 @@ class TestMessageStatsSummaryAccounting:
         stats.record_send(1, msg, size=10)
         stats.record_multicast(2, msg, 5, size=7)
         stats.record_delivery(msg)
-        stats.record_bulk_delivery(msg, 4)
+        stats.record_run([(1, msg, (0, 2, 3, 4))], [4])
         assert stats.sent_by_type == Counter({"_Msg": 6})
         assert stats.delivered_by_type == Counter({"_Msg": 5})
         assert stats.bytes_by_type == Counter({"_Msg": 10 + 5 * 7})
@@ -229,6 +229,29 @@ class TestMessageStatsSummaryAccounting:
     def test_zero_count_records_ignored(self):
         stats = MessageStats()
         stats.record_multicast(1, self._Msg(), 0, size=5)
-        stats.record_bulk_delivery(self._Msg(), 0)
+        stats.record_run([(1, self._Msg(), (2,))], [0])
         assert stats.sent_total == 0 and stats.delivered_total == 0
         assert stats.sent_by_type == Counter() and stats.sent_by_replica == Counter()
+        assert stats.delivered_by_type == Counter()
+
+    def test_a_run_is_recorded_as_its_buckets_one_by_one(self):
+        """One ``record_run`` per run: every kind (signed envelopes by
+        their payload's type) gets the sum of its buckets' counts, and a
+        kind whose buckets all delivered nothing is not touched."""
+        from repro.crypto.signatures import Signed
+        from repro.messages.base import ProposalStatement
+        from repro.messages.probft import Commit, Prepare
+
+        statement = Signed(ProposalStatement(view=1, value=b"v"), 0, b"tag")
+        prepare = Signed(Prepare(statement=statement, sample=None), 1, b"tag")
+        commit = Signed(Commit(statement=statement, sample=None), 2, b"tag")
+        plain = self._Msg()
+        run = [(1, prepare, (3,)), (2, commit, (4, 5)), (1, plain, (6,)), (2, prepare, (7,))]
+        stats = MessageStats()
+        stats.record_run(run + [(0, commit, (8,))], [1, 2, 0, 1])  # (the last: not answered)
+        assert stats.delivered_by_type == Counter({"Prepare": 2, "Commit": 2})
+        assert stats.delivered_total == 4
+        one_by_one = MessageStats()
+        for bucket, count in zip(run, [1, 2, 0, 1]):
+            one_by_one.record_run([bucket], [count])
+        assert one_by_one.delivered_by_type == stats.delivered_by_type

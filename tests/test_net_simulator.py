@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.net.simulator import EventHandle, Simulator
 
+from .helpers import assert_holds_no_run
+
 
 class TestScheduling:
     def test_events_fire_in_time_order(self):
@@ -157,6 +159,31 @@ class TestRunControl:
         sim = Simulator()
         sim.run(until=7.0)
         assert sim.now == 7.0
+
+    @pytest.mark.parametrize("posted", [False, True])
+    def test_run_until_in_the_past_never_moves_the_clock_back(self, posted):
+        """``until`` behind ``now`` with an event pending beyond it: the run
+        fires nothing and the clock stays where it is, so nothing can be
+        scheduled into the simulated past afterwards."""
+        sim, fired = Simulator(), []
+        if posted:
+            receiver = _Receiver("a", lambda receiver, item: fired.append(sim.now))
+            sim.post_all(receiver, [(10.0, "loud-10"), (20.0, "loud-20")])
+        else:
+            for time in (10.0, 20.0):
+                sim.schedule_at(time, lambda: fired.append(sim.now))
+        sim.run(until=15.0)
+        assert fired == [10.0] and sim.now == 15.0
+        sim.run(until=5.0)
+        assert fired == [10.0] and sim.now == 15.0
+        with pytest.raises(SimulationError):
+            sim.schedule_at(7.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.post_at(7.0, _Receiver("b", lambda receiver, item: None), "loud")
+        sim.run()
+        assert fired == [10.0, 20.0] and sim.now == 20.0
+        sim.run(until=5.0)  # an empty queue keeps the clock too
+        assert sim.now == 20.0
 
     def test_stop_when_predicate(self):
         sim = Simulator()
@@ -604,6 +631,7 @@ class TestRuns:
             sim.run(max_events=3)
         assert receiver.runs == [["loud-0", "loud-1", "loud-2"]]
         assert sim.events_processed == 3 and sim.pending_events == 2
+        assert_holds_no_run(sim)
         assert sim.now == 1.0 + 2 * spacing
 
     def test_until_and_stop_when_cut_a_chain_where_they_cut_steps(self):
@@ -635,6 +663,8 @@ class TestRuns:
             sim.post_at(1.0 + spacing * k, receiver, f"loud-{k}")
         sim.run()
         assert order == ["loud-0", "loud-1"] and sim.pending_events == 0
+        assert sim.events_processed == 2  # what was entered before the clear
+        assert_holds_no_run(sim)
         # ... and what is posted after it is a fresh queue's.
         sim.post_at(sim.now + 1.0, receiver, "loud-again")
         sim.run()
@@ -656,8 +686,9 @@ class TestRuns:
             sim.post_at(9.0, receiver, "loud-lone")
             sim.run(until=7.0)
             assert len(receiver.runs[0]) == 5  # it was a chain
-            assert sim._run == [] and sim._chain is None and sim._stop_when is None
+            assert_holds_no_run(sim)
             sim.run()
+            assert_holds_no_run(sim)
             alive, runs = weakref.ref(receiver), receiver.runs
             del receiver
             assert alive() is None  # by reference counting alone

@@ -42,7 +42,7 @@ from repro.harness.registry import (
     run_matrix_cell,
 )
 
-from .helpers import seeded_specs
+from .helpers import assert_holds_no_run, seeded_specs
 
 
 def _fresh_result(protocol: str, domain: str, config: ProtocolConfig, seed: int):
@@ -165,7 +165,7 @@ class TestDeploymentTeardown:
             context = TrialContext(cell_deployment_spec(cell, seed=3, max_time=600.0))
             assert context.execute().all_decided
             sim = context.deployment.sim
-            assert sim._run == [] and sim._chain is None and sim._stop_when is None
+            assert_holds_no_run(sim)
             if protocol == "probft":
                 routes = context.deployment.vote_kernel_stats()
                 assert 0 < 4 * routes["vote_chains"] <= routes["walked"]
