@@ -99,11 +99,17 @@ def plain_ids(sample: object) -> bool:
     return type(sample) is tuple and set(map(type, sample)) <= _INT
 
 
-#: ``_IDS[i] == i``: the one ``int`` every sample holds for id ``i`` (CPython
-#: shares only the ints up to 256, and a vote keeps its sample for life).
-#: Grown to the largest ``n`` sampled from, by rebinding: a racing grower
-#: costs sharing, never values.
-_IDS: List[ReplicaId] = []
+#: ``_IDS[0][i] == i``: the one ``int`` every sample holds for id ``i`` (CPython
+#: shares only the ints up to 256, and a vote keeps its sample for life), and
+#: its object-array twin.  Grown to the largest ``n`` sampled from, by
+#: rebinding the pair: a racing grower costs sharing, never values.
+_IDS: Tuple[List[ReplicaId], Any] = ([], np.empty(0, dtype=object))
+
+#: From this many words on, one array pass deduplicates (DESIGN.md "Break-even").
+_ARRAY_MIN_WORDS = 64
+#: For n ≤ 2¹⁶ a rejected word is above 2⁶⁴ − 2¹⁶, so it starts with six
+#: ``0xff`` bytes: a stream without them has nothing to reject.
+_REJECTED_PREFIX = b"\xff" * 6
 
 
 def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
@@ -116,21 +122,24 @@ def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
     """
     words = np.frombuffer(stream, dtype=_WORD).astype(np.uint64)
     limit = _WORD_SPAN - _WORD_SPAN % n
-    if limit < _WORD_SPAN and int(words.max(initial=0)) >= limit:
+    rejects = limit < _WORD_SPAN and (n > 1 << 16 or _REJECTED_PREFIX in stream)
+    if rejects and int(words.max(initial=0)) >= limit:
         words = words[words < limit]
     global _IDS
-    if len(_IDS) < n:
-        _IDS = _IDS + list(range(len(_IDS), n))
-    chosen = islice(dict.fromkeys((words % n).tolist()), s)
-    return tuple(map(_IDS.__getitem__, chosen))
-
-
-def _first_word_count(n: int, s: int) -> int:
-    """How many words to ask the XOF for at first: 25% above the expected
-    number of uniform draws that show ``s`` distinct IDs out of ``n``,
-    ``n·(H_n − H_{n−s}) ≈ n·ln(n/(n−s))`` (``n·(ln n + 1)`` when ``s == n``)."""
-    expected = n * (math.log(n / (n - s)) if s < n else math.log(n) + 1.0)
-    return int(1.25 * expected) + 8
+    shared, twin = _IDS
+    if len(shared) < n:
+        shared = shared + list(range(len(shared), n))
+        _IDS = shared, twin = shared, np.array(shared, dtype=object)
+    ids = words % n
+    if len(stream) < 8 * _ARRAY_MIN_WORDS:
+        return tuple(map(shared.__getitem__, islice(dict.fromkeys(ids.tolist()), s)))
+    # Each id's first position: a minimum, whatever order repeats apply in.
+    ids = ids.view(np.intp)  # every id is below n: the same values
+    positions = np.arange(len(ids))
+    first = np.empty(n, np.intp)
+    first.fill(len(ids))
+    np.minimum.at(first, ids, positions)
+    return tuple(twin[ids[first[ids] == positions][:s]].tolist())
 
 
 def _sample_from_key(
@@ -143,8 +152,9 @@ def _sample_from_key(
     many.  The longer output extends the shorter one, so the result does not
     depend on ``word_count`` (tests pass a small one to force the extension).
     """
-    if word_count is None:
-        word_count = _first_word_count(n, s)
+    if word_count is None:  # 25% above n·(H_n − H_{n−s}), the draws s IDs take
+        expected = n * (math.log(n / (n - s)) if s < n else math.log(n) + 1.0)
+        word_count = int(1.25 * expected) + 8
     while True:
         stream = hashlib.shake_256(key).digest(8 * word_count)
         sample = _sample_from_stream(stream, n, s)
@@ -174,28 +184,20 @@ class VRF:
         self._registry = registry
         self._verdicts = verdicts
 
-    @property
-    def n(self) -> int:
-        return self._registry.n
-
-    def _sampler_key(self, private_key: bytes, seed: str, s: int) -> bytes:
-        return digest(_DOMAIN, private_key, seed, s)
-
-    def _sample(self, key: bytes, s: int) -> Tuple[ReplicaId, ...]:
-        """The sample one sampler key expands to (every call is counted)."""
-        if self._verdicts is not None:
-            self._verdicts.counts.samples_expanded += 1
-        return _sample_from_key(key, self.n, s)
-
     def prove_with(
         self, private_key: bytes, replica: ReplicaId, seed: str, s: int
     ) -> VRFOutput:
         """``VRF_prove`` with an explicit private key (honest or corrupted)."""
-        if not 1 <= s <= self.n:
-            raise VRFError(f"sample size must be in [1, n={self.n}], got {s}")
-        key = self._sampler_key(private_key, seed, s)
-        sample = self._sample(key, s)
-        return VRFOutput(sample=sample, proof=key)
+        n = self._registry._n
+        if not 1 <= s <= n:
+            raise VRFError(f"sample size must be in [1, n={n}], got {s}")
+        key = digest(_DOMAIN, private_key, seed, s)
+        if self._verdicts is not None:
+            self._verdicts.counts.samples_expanded += 1
+        output = object.__new__(VRFOutput)  # no dataclass __init__ frame
+        object.__setattr__(output, "sample", _sample_from_key(key, n, s))
+        object.__setattr__(output, "proof", key)
+        return output
 
     def prove(self, replica: ReplicaId, seed: str, s: int) -> VRFOutput:
         """``VRF_prove(K_p,i, z, s) → (S_i, P_i)`` using the registry's key."""
@@ -219,9 +221,8 @@ class VRF:
         context = (replica, seed, s)
         verdict = table.get("vrf", output, context)
         if verdict is None:
-            verdict = table.put(
-                "vrf", output, self._verify(replica, seed, s, output), context
-            )
+            valid = self._verify(replica, seed, s, output)
+            verdict = table.put("vrf", output, valid, context)
         return verdict
 
     def _verify(
@@ -234,27 +235,26 @@ class VRF:
             private_key = self._registry._private_key_of(replica)
         except Exception:
             return False
-        expected_key = self._sampler_key(private_key, seed, s)
-        if expected_key != output.proof:
+        key = digest(_DOMAIN, private_key, seed, s)
+        if key != output.proof:
             return False
-        return self._sample(expected_key, s) == sample
+        if self._verdicts is not None:
+            self._verdicts.counts.samples_expanded += 1
+        return _sample_from_key(key, self._registry._n, s) == sample
 
     def require_valid(
         self, replica: ReplicaId, seed: str, s: int, output: VRFOutput
     ) -> VRFOutput:
         """Like :meth:`verify` but raises :class:`VRFError` on failure."""
         if not self.verify(replica, seed, s, output):
-            raise VRFError(
-                f"invalid VRF output from replica {replica} for seed {seed!r}"
-            )
+            message = f"invalid VRF output from replica {replica} for seed {seed!r}"
+            raise VRFError(message)
         return output
 
     def cache_stats(self) -> Dict[str, int]:
-        """The table's VRF counters: ``misses`` samples expanded (the name
-        the benchmark reads them under), ``verify_hits`` verifications
-        answered from the table, ``verify_misses`` recomputed,
-        ``born_valid`` outputs registered by :meth:`prove` (all zero
-        without a table)."""
+        """The table's VRF counters (all zero without one): ``misses`` samples
+        expanded, ``verify_hits`` / ``verify_misses`` verifications answered
+        from the table / recomputed, ``born_valid`` outputs of :meth:`prove`."""
         table = self._verdicts
         counts = table.counts if table is not None else VerdictCounts()
         return {

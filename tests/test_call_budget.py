@@ -10,6 +10,10 @@ frame entered; C functions are not counted) inside ``TrialContext.execute``
 of an n=100 exponential-latency trial, after one untraced run of the same
 cell so that process-wide caches read the same whatever ran before.
 ``tools/opcount.py`` prints the same census per function, with opcodes.
+
+The same census pins the prover's path: every replica draws a VRF sample
+per phase, and ``VRF.prove`` was the largest single layer of a cold n=1000
+trial.
 """
 
 from __future__ import annotations
@@ -18,15 +22,16 @@ import sys
 
 import pytest
 
+from repro.config import ProtocolConfig
+from repro.crypto.keys import KeyRegistry
+from repro.crypto.verdicts import VerdictTable
+from repro.crypto.vrf import VRF, phase_seed
 from repro.harness.registry import MatrixCell, cell_deployment_spec
 from repro.harness.trial import TrialContext, run_trial
 
 
-def _calls_per_event(protocol: str, f: int, seed: int, max_time: float):
-    spec = cell_deployment_spec(MatrixCell(protocol, "none", "exponential", n=100, f=f), seed, max_time)
-    run_trial(spec)  # warm the process-wide caches the trial touches
-    context = TrialContext(spec)
-    context.build()
+def _counting_calls(run):
+    """``run()`` under a profile hook: its result and the Python frames entered."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -37,9 +42,18 @@ def _calls_per_event(protocol: str, f: int, seed: int, max_time: float):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        result = context.execute()
+        result = run()
     finally:
         sys.setprofile(previous)
+    return result, calls
+
+
+def _calls_per_event(protocol: str, f: int, seed: int, max_time: float):
+    spec = cell_deployment_spec(MatrixCell(protocol, "none", "exponential", n=100, f=f), seed, max_time)
+    run_trial(spec)  # warm the process-wide caches the trial touches
+    context = TrialContext(spec)
+    context.build()
+    result, calls = _counting_calls(context.execute)
     return result, calls, context.deployment.sim.events_processed
 
 
@@ -56,3 +70,27 @@ def test_calls_per_event_stay_within_budget(protocol, max_time, events, budget):
     assert result.all_decided
     assert processed == events  # the same trial: only who calls may move
     assert calls / processed <= budget, (calls, processed, calls / processed)
+
+
+@pytest.mark.parametrize("n", [9, 1000])
+def test_calls_per_vrf_prove_stay_within_budget(n):
+    """Python calls per ``VRF.prove`` with a verdict table, below (n=9, 43
+    words) and above (n=1000, 152 words) the sampler's array break-even:
+    12 — the prove, the key pair, ``prove_with``, ``digest`` (six frames),
+    the expansion (two) and the birth registration — plus one when a first
+    request falls short and is doubled (7 of these 100 at n=9).  21 at both
+    sizes before the prover's path was shortened."""
+    vrf = VRF(KeyRegistry(n), VerdictTable())
+    s = ProtocolConfig(n).sample_size
+    seeds = [phase_seed(view, "prepare") for view in range(1, 101)]
+    vrf.prove(0, "warm-up", s)  # grows the shared ids outside the count
+    outputs = []
+
+    def prove_all():
+        for i, seed in enumerate(seeds):
+            outputs.append(vrf.prove(i % n, seed, s))
+
+    _, calls = _counting_calls(prove_all)
+    assert len({output.proof for output in outputs}) == len(seeds)
+    assert vrf.cache_stats()["misses"] == len(seeds) + 1  # every one expanded
+    assert calls / len(seeds) <= 12.1, calls / len(seeds)

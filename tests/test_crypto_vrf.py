@@ -13,6 +13,7 @@ from repro.crypto.hashing import stable_encode
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.verdicts import VerdictTable
 from repro.crypto.vrf import (
+    _ARRAY_MIN_WORDS,
     VRF,
     VRFOutput,
     _sample_from_key,
@@ -215,12 +216,21 @@ class TestSampleFromWords:
         sample = _sample_from_words([2**63 + 5, 9], 1000, 2)
         assert [type(r) for r in sample] == [int, int]
 
-    @pytest.mark.parametrize("n", [3, 9, 10, 40, 300, 1000, 5000])
+    # Up to 2¹⁶ every rejected word starts with six 0xff bytes, and the
+    # sampler skips its rejection scan on streams without them; 2¹⁷ + 1 is a
+    # size whose limit word (2⁶⁴ − 122,881) starts with only five.
+    @pytest.mark.parametrize(
+        "n",
+        [3, 9, 10, 40, 300, 1000, 5000, 2**16 - 1, 2**16, 2**16 + 1, 100003, 2**17 + 1],
+    )
     def test_crafted_streams_with_words_at_and_above_the_limit(self, n):
-        """Random words salted with values on both sides of ⌊2⁶⁴/n⌋·n."""
+        """Random words salted with values on both sides of ⌊2⁶⁴/n⌋·n, in
+        streams of random length and of lengths just below, at and just
+        above the array pass's break-even."""
         rng = random.Random(n)
         limit = 2**64 - 2**64 % n
-        edge = [limit - 1, limit, min(limit + 1, 2**64 - 1), 2**64 - 1, 0, n - 1]
+        top = 2**64 - 1
+        edge = [limit - 1, min(limit, top), min(limit + 1, top), top, 0, n - 1]
         for _ in range(40):
             words = [rng.getrandbits(64) for _ in range(rng.randrange(1, 60))]
             for _ in range(rng.randrange(1, 6)):
@@ -230,6 +240,16 @@ class TestSampleFromWords:
             assert _sample_from_stream(stream, n, s) == _oracle_from_stream(
                 stream, n, s
             )
+        for length in [_ARRAY_MIN_WORDS + d for d in (-1, 0, 1) for _ in range(12)]:
+            # Words below 2n name ids again and again: the dedupe has work.
+            words = [rng.getrandbits(64) % (2 * n) for _ in range(length)]
+            for _ in range(rng.randrange(6)):  # some streams have no edge word
+                words[rng.randrange(length)] = rng.choice(edge)
+            stream = _stream(words)
+            for s in (1, rng.randrange(1, min(n, length) + 1), n):
+                assert _sample_from_stream(stream, n, s) == _oracle_from_stream(
+                    stream, n, s
+                ), (length, s)
 
 
 class TestExpansionAgainstPurePythonOracle:
@@ -383,7 +403,7 @@ class TestSharedIds:
         canonical = {r: r for r in _sample_from_key(_key("all"), n, n)}
         return all(r is canonical[r] for sample in samples for r in sample)
 
-    @pytest.mark.parametrize("n", [9, 1000])
+    @pytest.mark.parametrize("n", [9, 300, 1000])
     def test_prove_and_expansion_share_ids(self, n):
         vrf = VRF(KeyRegistry(n))
         s = min(n, 90)
