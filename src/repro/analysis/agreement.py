@@ -7,13 +7,15 @@ the other half plus the Byzantine replicas.
 
 * Lemma 5 / Theorem 7 — within-view disagreement bounds (Chernoff, valid for
   ``r ≤ n/o``);
+* Theorem 5 — fewer proposal groups are better for the leader;
 * Lemma 6 / Theorems 8, 19 — cross-view safety (the NewLeader/safeProposal
   mechanism);
 * Corollary 1 — overall safety ``1 − exp(−Θ(√n))``.
 
-Each bound is paired with an exact binomial chain mirroring
-:mod:`repro.analysis.termination`.  The chains deliberately count only
-quorum-formation events (like the paper's analysis); equivocation *detection*
+Each bound is paired with the exact binomial chain of
+:mod:`repro.analysis.termination` (``decide_chain``).  The chains
+deliberately count only quorum-formation events (like the paper's
+analysis); equivocation *detection*
 by correct replicas further reduces the true violation probability, which the
 ``probft/equivocation/constant`` matrix cell confirms (no violation at n=20
 in ``repro figures``' Figure 5 attack table).  Against the model's exact
@@ -25,17 +27,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy import stats
-
-from ..config import probabilistic_quorum_size, vrf_sample_size
 from ..errors import AnalysisDomainError
-
-
-def _sizes(n: int, o: float, l: float) -> tuple:
-    q = probabilistic_quorum_size(n, l)
-    s = vrf_sample_size(n, q, o)
-    return q, s
+from .quorum_probability import _sizes
+from .termination import decide_chain
 
 
 def optimal_side_senders(n: int, f: int) -> int:
@@ -51,23 +45,30 @@ def optimal_side_correct(n: int, f: int) -> int:
 # ----------------------------------------------------------------------
 # Paper bounds
 # ----------------------------------------------------------------------
-def lemma5_side_quorum_bound(
-    n: int, f: int, o: float, l: float, strict: bool = True
+def lemma6_decide_bound(
+    n: int, f: int, o: float, l: float, r: float, strict: bool = True
 ) -> float:
-    """Lemma 5 inner bound: ``Pr(one replica forms a quorum for one value)``.
-
-    ``exp(−δ²·o·q·r/(n(δ+2)))`` with ``δ = n/(o·r) − 1``; needs ``r ≤ n/o``.
+    """Lemma 6: a replica forms a quorum from only ``r`` senders with
+    probability ≤ ``exp(−δ²·o·q·r/(n(δ+2)))``, ``δ = n/(o·r) − 1``; needs
+    ``r ≤ n/o``.  Lemma 5 and Theorem 8 are this bound at their ``r``.
     """
-    q, s = _sizes(n, o, l)
-    r = optimal_side_senders(n, f)
+    q, _s = _sizes(n, o, l)
     if o * r > n:
         if strict:
             raise AnalysisDomainError(
-                f"Lemma 5 needs r <= n/o (r={r}, n/o={n / o:.1f})"
+                f"the bound needs r <= n/o (r={r}, n/o={n / o:.1f})"
             )
         return float("nan")
     delta = n / (o * r) - 1.0
     return math.exp(-(delta**2) * o * q * r / (n * (delta + 2.0)))
+
+
+def lemma5_side_quorum_bound(
+    n: int, f: int, o: float, l: float, strict: bool = True
+) -> float:
+    """Lemma 5 inner bound: ``Pr(one replica forms a quorum for one value)``,
+    Lemma 6's bound at the optimal split's ``r = (n−f)/2 + f``."""
+    return lemma6_decide_bound(n, f, o, l, optimal_side_senders(n, f), strict)
 
 
 def lemma5_disagreement_bound(
@@ -90,39 +91,17 @@ def theorem7_violation_bound(
     return inner**4
 
 
-def lemma6_decide_bound(
-    n: int, f: int, o: float, l: float, r: int, strict: bool = True
-) -> float:
-    """Lemma 6: deciding when only ``r`` replicas prepared; needs ``r ≤ n/o``."""
-    q, s = _sizes(n, o, l)
-    if o * r > n:
-        if strict:
-            raise AnalysisDomainError(
-                f"Lemma 6 needs r <= n/o (r={r}, n/o={n / o:.1f})"
-            )
-        return float("nan")
-    delta = n / (o * r) - 1.0
-    return math.exp(-(delta**2) * o * q * r / (n * (delta + 2.0)))
-
-
 def theorem8_viewchange_bound(
     n: int, f: int, o: float, l: float, strict: bool = True
 ) -> float:
     """Theorem 8/19: probability a conflicting value gets proposed after a
-    decision, ``3·exp(−q·δ²/((δ+1)(δ+2)))`` with ``δ = 2n/(o(n+f)) − 1``.
+    decision, ``3·exp(−q·δ²/((δ+1)(δ+2)))`` with ``δ = 2n/(o(n+f)) − 1``:
+    three times Lemma 6's bound at ``r = (n+f)/2``.
 
-    Needs ``δ > 0`` i.e. ``o < 2n/(n+f)``.
+    Needs ``δ ≥ 0`` i.e. ``o ≤ 2n/(n+f)``.
     """
-    q, _s = _sizes(n, o, l)
-    delta = 2.0 * n / (o * (n + f)) - 1.0
-    if delta <= 0:
-        if strict:
-            raise AnalysisDomainError(
-                f"Theorem 8 needs o < 2n/(n+f) = {2 * n / (n + f):.3f}, got o={o}"
-            )
-        return float("nan")
-    p = math.exp(-q * delta**2 / ((delta + 1.0) * (delta + 2.0)))
-    return min(1.0, 3.0 * p)
+    bound = 3.0 * lemma6_decide_bound(n, f, o, l, (n + f) / 2, strict)
+    return bound if math.isnan(bound) else min(1.0, bound)
 
 
 def corollary1_safety(
@@ -131,18 +110,14 @@ def corollary1_safety(
     """Corollary 1: overall safety probability ``1 − exp(−Θ(√n))``.
 
     Combines the within-view (Theorem 7) and cross-view (Theorem 19) failure
-    bounds; NaN components are skipped when ``strict=False``.
+    bounds.  With ``strict=False`` it is NaN where either component is
+    outside its domain: skipping a failure term would overstate safety.
     """
     within = theorem7_violation_bound(n, f, o, l, strict=strict)
     across = theorem8_viewchange_bound(n, f, o, l, strict=strict)
-    total = 0.0
-    for part in (within, across):
-        if math.isnan(part):
-            if strict:
-                raise AnalysisDomainError("component bound outside its domain")
-            continue
-        total += part
-    return max(0.0, 1.0 - total)
+    if math.isnan(within + across):
+        return float("nan")
+    return max(0.0, 1.0 - within - across)
 
 
 # ----------------------------------------------------------------------
@@ -150,26 +125,14 @@ def corollary1_safety(
 # ----------------------------------------------------------------------
 def side_decide_exact(n: int, f: int, o: float, l: float) -> float:
     """Exact-chain probability that a *fixed* correct replica on one side of
-    the optimal split decides its side's value.
+    the optimal split decides its side's value: :func:`decide_chain` with
+    the side's ``(n−f)/2`` correct replicas and all ``f`` Byzantine
+    double-voters.
 
-    Chain: the replica needs a prepare quorum from its side's senders
-    (``Bin(r, s/n) ≥ q`` with ``r = (n−f)/2 + f``), and a commit quorum from
-    the side's committers — the correct side members that prepared
-    (``Bin(r_C, p_prep)``) plus the ``f`` Byzantine double-voters.  Like
-    the termination chain it treats the stages as independent and
-    underestimates: 0.3177 against an exact 0.3816 at
-    ``(n, f, o, l) = (7, 2, 1.5, 1.0)``.
+    Like the termination chain it underestimates: 0.3177 against an exact
+    0.3816 at ``(n, f, o, l) = (7, 2, 1.5, 1.0)``.
     """
-    q, s = _sizes(n, o, l)
-    p = s / n
-    r = optimal_side_senders(n, f)
-    r_correct = optimal_side_correct(n, f)
-    p_prep = float(stats.binom.sf(q - 1, r, p))
-    m = np.arange(0, r_correct + 1)
-    weights = stats.binom.pmf(m, r_correct, p_prep)
-    commit_given_m = stats.binom.sf(q - 1, m + f, p)
-    p_commit = float(np.dot(weights, commit_given_m))
-    return p_prep * p_commit
+    return math.prod(decide_chain(n, o, l, optimal_side_correct(n, f), f))
 
 
 def violation_exact_pair(n: int, f: int, o: float, l: float) -> float:
@@ -192,7 +155,8 @@ def violation_exact_any(n: int, f: int, o: float, l: float) -> float:
     that some side replica decides, the per-side term is 0.5345 against
     0.5766 at ``(n, f, o, l) = (7, 2, 1.5, 1.0)`` but 0.9411 against 0.9230
     at ``(7, 2, 1.8, 0.8)`` (``tests/test_analysis_exact.py``).  The
-    Figure 5 panels of ``repro figures`` plot the ``pair`` variant.
+    Figure 5 panels of ``repro figures`` plot the ``pair`` variant
+    (:func:`violation_exact_pair`); the attack table prints this one.
     """
     side = side_decide_exact(n, f, o, l)
     r_correct = optimal_side_correct(n, f)
@@ -200,58 +164,48 @@ def violation_exact_any(n: int, f: int, o: float, l: float) -> float:
     return some_side**2
 
 
-def agreement_in_view_exact(
-    n: int, f: int, o: float, l: float, variant: str = "pair"
-) -> float:
+def agreement_in_view_exact(n: int, f: int, o: float, l: float) -> float:
     """Figure 5 left panels: ``1 − violation`` under the optimal attack."""
-    if variant == "any":
-        return 1.0 - violation_exact_any(n, f, o, l)
-    if variant == "pair":
-        return 1.0 - violation_exact_pair(n, f, o, l)
-    raise ValueError(f"unknown variant {variant!r}")
+    return 1.0 - violation_exact_pair(n, f, o, l)
 
 
-def agreement_curve_vs_n(
-    n_values, f_ratio: float, o: float, l: float = 2.0, variant: str = "pair"
-) -> list:
+def agreement_curve_vs_n(n_values, f_ratio: float, o: float, l: float = 2.0) -> list:
     """Figure 5 top-left series: agreement vs ``n`` at fixed ``f/n``."""
     rows = []
     for n in n_values:
         f = int(f_ratio * n)
         paper = 1.0 - theorem7_violation_bound(n, f, o, l, strict=False)
-        exact = agreement_in_view_exact(n, f, o, l, variant=variant)
+        exact = agreement_in_view_exact(n, f, o, l)
         rows.append((n, paper, exact))
     return rows
 
 
-def agreement_curve_vs_f(
-    n: int, f_ratios, o: float, l: float = 2.0, variant: str = "pair"
-) -> list:
+def agreement_curve_vs_f(n: int, f_ratios, o: float, l: float = 2.0) -> list:
     """Figure 5 bottom-left series: agreement vs ``f/n`` at fixed ``n``."""
     rows = []
     for ratio in f_ratios:
         f = int(ratio * n)
         paper = 1.0 - theorem7_violation_bound(n, f, o, l, strict=False)
-        exact = agreement_in_view_exact(n, f, o, l, variant=variant)
+        exact = agreement_in_view_exact(n, f, o, l)
         rows.append((ratio, paper, exact))
     return rows
 
 
 def theorem5_merging_increases_violation(
-    n: int, o: float, l: float, sizes: list
+    n: int, f: int, o: float, l: float, sizes: list
 ) -> list:
-    """Theorem 5/13 illustration: merging the two smallest proposal groups
-    increases each side's quorum probability.
+    """Theorem 5/13: merging the two smallest proposal groups raises a
+    member's chance to decide its group's value.
 
-    ``sizes`` are the group sizes ``|Π₁| ≤ … ≤ |Π_{m+1}|``; returns the exact
-    quorum probability for a member of the smallest group before and after
-    merging Π₁ and Π₂.
+    ``sizes`` count the **correct** replicas of the groups ``|Π₁| ≤ … ≤
+    |Π_{m+1}|``; all ``f`` Byzantine replicas vote for every group.  Returns
+    the exact-chain decide probability of a member of the smallest group
+    before and after merging Π₁ and Π₂.
     """
     if len(sizes) < 3:
         raise ValueError("Theorem 5 compares m+1 >= 3 groups")
-    ordered = sorted(sizes)
-    q, s = _sizes(n, o, l)
-    p = s / n
-    before = float(stats.binom.sf(q - 1, ordered[0], p))
-    after = float(stats.binom.sf(q - 1, ordered[0] + ordered[1], p))
-    return [before, after]
+    first, second = sorted(sizes)[:2]
+    return [
+        math.prod(decide_chain(n, o, l, correct, f))
+        for correct in (first, first + second)
+    ]

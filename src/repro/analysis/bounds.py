@@ -1,8 +1,10 @@
 """Probability tail bounds (paper Appendix A).
 
-Chernoff bounds for sums of independent (or negatively associated — Theorem 9)
-Bernoulli variables, the hypergeometric tail bound of [13, 52], and exact
-binomial tails via scipy as the ground truth the bounds approximate.
+The Chernoff lower tail for sums of independent (or negatively associated —
+Theorem 9) Bernoulli variables, and the exact binomial tail via scipy as the
+ground truth it approximates.  Lemmas 5 and 6 write their upper-tail bound
+in the paper's own variables
+(:func:`repro.analysis.agreement.lemma6_decide_bound`).
 """
 
 from __future__ import annotations
@@ -27,44 +29,6 @@ def chernoff_lower_tail(mean: float, delta: float, strict: bool = True) -> float
     return math.exp(-(delta**2) * mean / 2.0)
 
 
-def chernoff_upper_tail(mean: float, delta: float, strict: bool = True) -> float:
-    """Inequality (2): ``Pr(X ≥ (1+δ)·E[X]) ≤ exp(−δ²·E[X]/(2+δ))``, δ ≥ 0."""
-    if delta < 0:
-        if strict:
-            raise AnalysisDomainError(
-                f"Chernoff upper tail needs delta >= 0, got {delta}"
-            )
-        return float("nan")
-    if mean < 0:
-        raise AnalysisDomainError(f"mean must be >= 0, got {mean}")
-    return math.exp(-(delta**2) * mean / (2.0 + delta))
-
-
-def hypergeometric_tail(
-    population: int,
-    marked: int,
-    draws: int,
-    t: float,
-    strict: bool = True,
-) -> float:
-    """Inequality (3): ``Pr(X ≤ E[X] − r·t) ≤ exp(−2·r·t²)`` for X ~ HG(N, M, r).
-
-    Valid for ``t ∈ (0, M/N)`` [13, 52].
-    """
-    if population <= 0 or marked < 0 or draws < 0:
-        raise AnalysisDomainError(
-            f"invalid hypergeometric parameters N={population}, M={marked}, r={draws}"
-        )
-    ratio = marked / population
-    if not 0 < t < ratio:
-        if strict:
-            raise AnalysisDomainError(
-                f"hypergeometric tail needs t in (0, M/N)=(0, {ratio}), got {t}"
-            )
-        return float("nan")
-    return math.exp(-2.0 * draws * t * t)
-
-
 def binom_tail_ge(r: int, p: float, k: int) -> float:
     """Exact ``Pr(Bin(r, p) ≥ k)``."""
     if r < 0 or not 0 <= p <= 1:
@@ -74,28 +38,3 @@ def binom_tail_ge(r: int, p: float, k: int) -> float:
     if k > r:
         return 0.0
     return float(stats.binom.sf(k - 1, r, p))
-
-
-def binom_tail_le(r: int, p: float, k: int) -> float:
-    """Exact ``Pr(Bin(r, p) ≤ k)``."""
-    if r < 0 or not 0 <= p <= 1:
-        raise AnalysisDomainError(f"invalid binomial parameters r={r}, p={p}")
-    if k < 0:
-        return 0.0
-    if k >= r:
-        return 1.0
-    return float(stats.binom.cdf(k, r, p))
-
-
-def binom_pmf(r: int, p: float, k: int) -> float:
-    """Exact ``Pr(Bin(r, p) = k)``."""
-    if r < 0 or not 0 <= p <= 1:
-        raise AnalysisDomainError(f"invalid binomial parameters r={r}, p={p}")
-    return float(stats.binom.pmf(k, r, p))
-
-
-def geometric_success_within(p: float, k: int) -> float:
-    """``Pr(first success within k trials) = 1 − (1−p)^k`` (Theorem 17)."""
-    if not 0 <= p <= 1 or k < 0:
-        raise AnalysisDomainError(f"invalid geometric parameters p={p}, k={k}")
-    return 1.0 - (1.0 - p) ** k

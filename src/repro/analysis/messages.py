@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..config import probabilistic_quorum_size, vrf_sample_size
+from .quorum_probability import _sizes
 
 # Good-case communication steps (Figure 1a).
 PBFT_STEPS = 3
@@ -53,16 +53,14 @@ def probft_messages(
     """
     if continuous:
         return (n - 1) + 2.0 * n * o * l * math.sqrt(n)
-    q = probabilistic_quorum_size(n, l)
-    s = vrf_sample_size(n, q, o)
+    _q, s = _sizes(n, o, l)
     return (n - 1) + 2 * n * s
 
 
 def probft_expected_network_messages(n: int, o: float, l: float = 2.0) -> float:
     """Expected messages actually traversing the network (self-sends excluded):
     ``(n−1) + 2·n·s·(n−1)/n``."""
-    q = probabilistic_quorum_size(n, l)
-    s = vrf_sample_size(n, q, o)
+    _q, s = _sizes(n, o, l)
     return (n - 1) + 2.0 * n * s * (n - 1) / n
 
 

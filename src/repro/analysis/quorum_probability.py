@@ -18,6 +18,12 @@ from ..errors import AnalysisDomainError
 from .bounds import binom_tail_ge, chernoff_lower_tail
 
 
+def _sizes(n: int, o: float, l: float) -> tuple:
+    """The protocol's integer sizes ``q = ⌈l√n⌉`` and ``s = ⌈o·q⌉``."""
+    q = probabilistic_quorum_size(n, l)
+    return q, vrf_sample_size(n, q, o)
+
+
 def expected_senders_reaching(r: int, s: int, n: int) -> float:
     """Lemma 1: expected number of the ``r`` senders whose sample holds ``j``."""
     if n <= 0 or r < 0 or not 0 <= s <= n:
@@ -71,7 +77,8 @@ def prob_quorum_corollary2(
 
 
 def theorem2_o_interval(n: int, f: int) -> tuple:
-    """Theorem 14's admissible ``o`` interval ``[(2−√3), (2+√3)]·n/(n−f)``."""
+    """Theorem 2/14's admissible ``o`` interval ``[(2−√3), (2+√3)]·n/(n−f)``,
+    its lower end raised to 1 (the protocol needs ``o ≥ 1``)."""
     lo = (2.0 - math.sqrt(3.0)) * n / (n - f)
     hi = (2.0 + math.sqrt(3.0)) * n / (n - f)
     return (max(1.0, lo), hi)
@@ -83,9 +90,11 @@ def prob_quorum_theorem2(
     """Theorem 2: with ``q = l√n`` and admissible ``o``, the quorum forms
     with probability at least ``1 − exp(−√n)``.
 
-    Implemented by instantiating Corollary 2 at ``q = l·√n`` (continuous, as
-    in the paper's analysis) and floor-ing the result at ``1 − exp(−√n)``
-    when the theorem's premise ``l ≥ 2c/(c−1)²`` holds.
+    Returns Corollary 2's bound at the continuous ``q = l·√n`` (as in the
+    paper's analysis), NaN for ``o`` outside :func:`theorem2_o_interval`.
+    It reaches ``1 − exp(−√n)`` only where :func:`theorem2_premise_holds`;
+    at l = 2, f = n/5 and o ∈ {1.6, 1.7, 1.8} it does not (the
+    "Paper claims" table of ``repro figures``).
     """
     lo, hi = theorem2_o_interval(n, f)
     if not lo <= o <= hi:
@@ -122,8 +131,7 @@ def prob_quorum_exact_config(n: int, f: int, o: float, l: float) -> float:
     Uses the integer protocol sizes ``q = ⌈l√n⌉``, ``s = ⌈o·q⌉`` (what the
     implementation actually does).
     """
-    q = probabilistic_quorum_size(n, l)
-    s = vrf_sample_size(n, q, o)
+    q, s = _sizes(n, o, l)
     return prob_quorum_exact(n, n - f, s, q)
 
 

@@ -10,11 +10,11 @@ Quantities, for a view with a *correct leader* after GST:
 * Theorem 3/16 — the asymptotic form ``1 − 2(n−f)·exp(−Θ(√n))``;
 * Theorem 4/17 — decision within ``k`` correct-leader views (geometric).
 
-Each paper bound is paired with an exact binomial chain (``*_exact``):
-stage 1, the number of correct replicas reaching a fixed receiver's prepare
-collector is ``Bin(n−f, s/n)``; stage 2, the number of correct replicas that
-themselves prepared is concentrated around ``(n−f)·p_prep`` and the commit
-quorum probability is averaged over that distribution.
+Each paper bound is paired with an exact binomial chain (:func:`decide_chain`,
+which :mod:`repro.analysis.agreement` runs too): stage 1, the number of
+replicas reaching a fixed receiver's prepare collector is binomial; stage 2,
+the number of correct replicas that themselves prepared is ``Bin(·, p_prep)``
+and the commit quorum probability is averaged over that distribution.
 """
 
 from __future__ import annotations
@@ -24,14 +24,8 @@ import math
 import numpy as np
 from scipy import stats
 
-from ..config import probabilistic_quorum_size, vrf_sample_size
 from ..errors import AnalysisDomainError
-
-
-def _sizes(n: int, o: float, l: float) -> tuple:
-    q = probabilistic_quorum_size(n, l)
-    s = vrf_sample_size(n, q, o)
-    return q, s
+from .quorum_probability import _sizes
 
 
 def alpha(n: int, f: int, s: int) -> float:
@@ -84,65 +78,63 @@ def theorem15_all_terminate(
 
 
 def theorem3_asymptotic(n: int, f: int) -> float:
-    """Theorem 3/16's asymptotic form ``1 − 2(n−f)·exp(−√n)`` (clipped at 0)."""
+    """Theorem 3/16's asymptotic form ``1 − 2(n−f)·exp(−√n)`` (clipped at 0).
+
+    It follows from Theorem 15 where Lemma 3's exponent ``(α−q)²/(2α)``
+    reaches ``√n``, which with ``α ≈ c·q`` is Theorem 2's premise
+    ``l ≥ 2c/(c−1)²``.
+    """
     return max(0.0, 1.0 - 2.0 * (n - f) * math.exp(-math.sqrt(n)))
 
 
 # ----------------------------------------------------------------------
 # Exact binomial chains
 # ----------------------------------------------------------------------
-def prepare_quorum_exact(n: int, f: int, o: float, l: float) -> float:
-    """Exact per-replica prepare-quorum probability ``Pr(Bin(n−f, s/n) ≥ q)``."""
-    q, s = _sizes(n, o, l)
-    return float(stats.binom.sf(q - 1, n - f, s / n))
+def decide_chain(n: int, o: float, l: float, correct: int, byzantine: int) -> tuple:
+    """The exact chain ``(p_prep, p_commit)`` of a fixed correct replica
+    whose value ``correct`` correct and ``byzantine`` Byzantine replicas
+    vote for; it decides with their product.
 
-
-def replica_terminates_exact(n: int, f: int, o: float, l: float) -> float:
-    """Exact-chain per-replica termination probability.
-
-    ``p_prep`` = prepare-quorum probability; the number ``M`` of correct
-    replicas that prepared (and hence multicast Commit) is modelled as
-    ``Bin(n−f, p_prep)``; the commit-quorum probability is
-    ``E_M[Pr(Bin(M, s/n) ≥ q)]``, and the replica must also have prepared
-    itself.  Stages are treated as independent (they are positively
-    associated, so this slightly *underestimates*).
-    ``tests/test_analysis_exact.py`` computes the gap exactly at small n:
-    0.4346 against 0.4643 at ``(n, f, o, l) = (6, 1, 1.3, 1.2)``, 0.5998
-    against 0.6275 at ``(7, 2, 1.5, 1.0)``.
+    ``p_prep = Pr(Bin(correct + byzantine, s/n) ≥ q)``; the number ``M`` of
+    those correct replicas that prepared (and hence multicast Commit) is
+    modelled as ``Bin(correct, p_prep)``, and ``p_commit =
+    E_M[Pr(Bin(M + byzantine, s/n) ≥ q)]``.  Stages are treated as
+    independent (they are positively associated, so the product slightly
+    *underestimates*).  Called as ``(n−f, 0)`` by termination, ``((n−f)/2,
+    f)`` by a side of the optimal split and ``(c, f)`` by a proposal group
+    of ``c`` correct replicas (Theorem 5).
     """
     q, s = _sizes(n, o, l)
     p = s / n
-    n_correct = n - f
-    p_prep = float(stats.binom.sf(q - 1, n_correct, p))
-    m = np.arange(0, n_correct + 1)
-    weights = stats.binom.pmf(m, n_correct, p_prep)
-    commit_given_m = stats.binom.sf(q - 1, m, p)
-    p_commit = float(np.dot(weights, commit_given_m))
-    return p_prep * p_commit
+    p_prep = float(stats.binom.sf(q - 1, correct + byzantine, p))
+    m = np.arange(0, correct + 1)
+    weights = stats.binom.pmf(m, correct, p_prep)
+    commit_given_m = stats.binom.sf(q - 1, m + byzantine, p)
+    return p_prep, float(np.dot(weights, commit_given_m))
 
 
-def all_terminate_exact(
-    n: int, f: int, o: float, l: float, method: str = "product"
-) -> float:
-    """Exact-chain probability that *all* correct replicas terminate.
+def replica_terminates_exact(n: int, f: int, o: float, l: float) -> float:
+    """Exact-chain per-replica termination probability: :func:`decide_chain`
+    with all ``n−f`` correct replicas voting.
 
-    ``method='product'`` treats replicas as independent (``p^(n−f)``);
-    ``method='union'`` uses the union bound (``1 − (n−f)(1−p)``, clipped).
-    The two do not bracket the truth.  Every receiver's commit quorum is
-    drawn from the same prepared set, which correlates receivers
-    *positively*, so the exact probability lies above the product form at
-    every configuration ``tests/test_analysis_exact.py`` computes: 0.0387
-    against a product of 0.0155 (union 0) at ``(n, f, o, l) = (6, 1, 1.3,
-    1.2)``, 0.1486 against 0.0776 at ``(7, 2, 1.5, 1.0)``.  Both forms are
-    lower estimates there.
+    ``tests/test_analysis_exact.py`` computes the chain's gap exactly at
+    small n: 0.4346 against 0.4643 at ``(n, f, o, l) = (6, 1, 1.3, 1.2)``,
+    0.5998 against 0.6275 at ``(7, 2, 1.5, 1.0)``.
     """
-    p = replica_terminates_exact(n, f, o, l)
-    n_correct = n - f
-    if method == "product":
-        return p**n_correct
-    if method == "union":
-        return max(0.0, 1.0 - n_correct * (1.0 - p))
-    raise ValueError(f"unknown method {method!r}")
+    return math.prod(decide_chain(n, o, l, n - f, 0))
+
+
+def all_terminate_exact(n: int, f: int, o: float, l: float) -> float:
+    """Exact-chain probability that *all* correct replicas terminate, with
+    replicas treated as independent (``p^(n−f)``).
+
+    Every receiver's commit quorum is drawn from the same prepared set, which
+    correlates receivers *positively*, so the exact probability lies above
+    this product at every configuration ``tests/test_analysis_exact.py``
+    computes: 0.0387 against 0.0155 at ``(n, f, o, l) = (6, 1, 1.3, 1.2)``,
+    0.1486 against 0.0776 at ``(7, 2, 1.5, 1.0)``.
+    """
+    return replica_terminates_exact(n, f, o, l) ** (n - f)
 
 
 def decide_within_views(p_per_view: float, k: int) -> float:

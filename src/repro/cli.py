@@ -6,8 +6,9 @@ Commands:
   (probft/pbft/hotstuff/streamlined) and print the outcome (the one path
   to a trial at non-default ``--l`` / ``--o``);
 * ``figures``  — print every artifact of the paper (Figures 1a, 1b and 5,
-  the §3.3 complexity and communication claims, the §7 constructions):
-  analytic columns beside measured ones, as committed in ``docs/figures.md``;
+  the §3.3 complexity and communication claims, the §7 constructions, and
+  every lemma, theorem and corollary as one ledger): analytic columns beside
+  measured ones, as committed in ``docs/figures.md``;
 * ``serve``    — closed-loop SMR serving benchmark: simulated client
   populations (think times, in-flight windows, deterministic per-client
   RNGs) against a batching/pipelining deployment, with throughput and

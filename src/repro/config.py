@@ -50,16 +50,6 @@ def vrf_sample_size(n: int, q: int, o: float) -> int:
     return min(n, max(1, math.ceil(o * q)))
 
 
-def theorem2_o_upper_bound(n: int, f: int) -> float:
-    """Upper end of the admissible ``o`` range from Theorem 2/14.
-
-    Theorem 14 derives ``o ∈ [(2−√3)·n/(n−f), (2+√3)·n/(n−f)]``; since
-    ``(2−√3) < 1`` the practical range quoted in Theorem 2 is
-    ``[1, (2+√3)·n/(n−f)]``.
-    """
-    return (2.0 + math.sqrt(3.0)) * n / (n - f)
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Immutable configuration for one protocol deployment.
@@ -134,32 +124,6 @@ class ProtocolConfig:
     def det_quorum(self) -> int:
         """Deterministic quorum size ``⌈(n+f+1)/2⌉``."""
         return deterministic_quorum_size(self.n, self.f)
-
-    @property
-    def n_correct(self) -> int:
-        """Number of correct replicas ``n − f`` (assuming a full-strength adversary)."""
-        return self.n - self.f
-
-    @property
-    def liveness_fault_tolerance(self) -> int:
-        """How many replicas may be *silent* while quorums stay attainable.
-
-        A probabilistic quorum needs ``q`` distinct senders, so once more
-        than ``n − q`` replicas go silent no quorum can ever form.  For the
-        paper's asymptotic parameters ``q = 2√n ≪ n − f`` this is never
-        binding, but at small ``n`` it can dip below ``f`` (e.g. n=7, f=2:
-        q=6 > n−f=5) — such deployments are safe but not live under a
-        full-strength silent adversary.
-        """
-        return max(0, min(self.f, self.n - self.q))
-
-    def quorums_attainable_under_max_faults(self) -> bool:
-        """Whether ``q ≤ n − f`` (liveness possible with f silent replicas)."""
-        return self.q <= self.n - self.f
-
-    def o_in_theorem2_range(self) -> bool:
-        """Whether ``o`` lies in Theorem 2's admissible interval."""
-        return 1.0 <= self.o <= theorem2_o_upper_bound(self.n, self.f)
 
     def with_params(self, **kwargs) -> "ProtocolConfig":
         """Return a copy with some parameters replaced."""

@@ -16,6 +16,7 @@ import math
 from ..adversary.behaviors import silent_factory
 from ..analysis import agreement as A
 from ..analysis import messages as M
+from ..analysis import quorum_probability as Q
 from ..analysis import termination as T
 from ..config import ProtocolConfig, max_faults
 from ..core.protocol import ProBFTDeployment
@@ -291,6 +292,99 @@ def constructions():
     )
 
 
+#: The ledger's sizes, and Theorem 4's number of correct-leader views.
+LEDGER_N = (100, 300, 1000)
+VIEWS = 3
+
+
+def _domain(bound, exact):
+    """A claim's cells when its premise is its bound's domain."""
+    return bound, exact, not math.isnan(bound)
+
+
+def _claims_at(n, o):
+    """``(label, bound, exact, premise)`` per claim at one paper point.
+
+    ``exact`` is None where the claim has no chain.  A comparison (Theorems
+    5 and 6) states no bound; its exact cell is the smallest gain, so the
+    claim holds where it is > 0.  Lemma 4 and Theorem 7 read their Fig. 5
+    panel's function.
+    """
+    c = ProtocolConfig(n=n, f=n // 5, o=o)
+    f, l, q, s = c.f, c.l, c.q, c.sample_size
+    ((_, lemma4, replica_chain),) = T.termination_curve_vs_n([n], 0.2, o, l)
+    ((_, theorem7, agreement_chain),) = A.agreement_curve_vs_n([n], 0.2, o, l)
+    per_view = T.theorem15_all_terminate(n, f, o, l, strict=False)
+    all_chain = T.all_terminate_exact(n, f, o, l)
+    third = (n - f) // 3
+    before, after = A.theorem5_merging_increases_violation(
+        n, f, o, l, [third, third, n - f - 2 * third]
+    )
+    by_r = Q.theorem6_monotone_in_r(n, s, q, (n // 2, n - f, n))
+    side, late = A.optimal_side_senders(n, f), (n + f) // 2
+    premise2 = Q.theorem2_premise_holds(n, f, l, o)
+    return [
+        ("Lemma 1: E[senders reaching j], r = n-f",
+         Q.expected_senders_reaching(n - f, s, n), None, True),
+        ("Theorem 11: Pr(quorum), r = n-f", *_domain(
+            Q.prob_quorum_theorem11(n, n - f, s, q, strict=False),
+            Q.prob_quorum_exact(n, n - f, s, q))),
+        ("Corollary 2: Pr(quorum), q = ceil(l sqrt(n))", *_domain(
+            Q.prob_quorum_corollary2(n, f, o, q, strict=False),
+            Q.prob_quorum_exact_config(n, f, o, l))),
+        ("Theorem 2/14: Pr(quorum), q = l sqrt(n)",
+         Q.prob_quorum_theorem2(n, f, l, o, strict=False),
+         Q.prob_quorum_exact_config(n, f, o, l), premise2),
+        ("Lemma 3: Pr(commit quorum)", *_domain(
+            T.lemma3_commit_quorum_prob(n, f, o, l, strict=False),
+            T.decide_chain(n, o, l, n - f, 0)[1])),
+        ("Lemma 4: Pr(replica decides), Fig. 5 top-right",
+         *_domain(lemma4, replica_chain)),
+        ("Theorem 15: Pr(all correct decide)", *_domain(per_view, all_chain)),
+        ("Theorem 3/16: 1 - 2(n-f) exp(-sqrt(n))",
+         T.theorem3_asymptotic(n, f), all_chain, premise2),
+        (f"Theorem 4/17: Pr(all decide within k={VIEWS} views)", *_domain(
+            per_view if math.isnan(per_view)
+            else T.decide_within_views(per_view, VIEWS),
+            T.decide_within_views(all_chain, VIEWS))),
+        ("Lemma 5: Pr(both sides prepare), optimal split", *_domain(
+            A.lemma5_disagreement_bound(n, f, o, l, strict=False),
+            Q.prob_quorum_exact(n, side, s, q) ** 2)),
+        ("Theorem 5/13: gain of merging 2 of 3 even groups",
+         None, after - before, True),
+        ("Theorem 6/12: gain of r = n/2 -> n-f -> n",
+         None, min(b - a for a, b in zip(by_r, by_r[1:])), True),
+        ("Theorem 7/18: within-view agreement, Fig. 5 top-left",
+         *_domain(theorem7, agreement_chain)),
+        ("Lemma 6: Pr(quorum from r = (n+f)/2)", *_domain(
+            A.lemma6_decide_bound(n, f, o, l, late, strict=False),
+            Q.prob_quorum_exact(n, late, s, q))),
+        ("Theorem 8/19: Pr(conflicting proposal after a decision)",
+         *_domain(A.theorem8_viewchange_bound(n, f, o, l, strict=False), None)),
+        ("Corollary 1: safety", *_domain(A.corollary1_safety(n, f, o, l), None)),
+    ]
+
+
+def paper_claims():
+    points = {(n, o): _claims_at(n, o) for n in LEDGER_N for o in O_VALUES}
+    rows = [
+        [claim[0], o] + [v for n in LEDGER_N for v in points[n, o][i][1:]]
+        for i, claim in enumerate(points[LEDGER_N[0], O_VALUES[0]])
+        for o in O_VALUES
+    ]
+    return (
+        "Paper claims: each lemma, theorem and corollary at l=2, f=n/5 "
+        "(numbered as in arXiv 2405.04606)\nbound: the stated form (n/a "
+        "outside its domain); exact: the binomial chain of the same event (- "
+        "where none); premise: whether the claim's premise or domain holds",
+        ["claim", "o"] + [
+            f"{column} n={n}" for n in LEDGER_N
+            for column in ("bound", "exact", "premise")
+        ],
+        rows,
+    )
+
+
 #: Every artifact, in the order ``repro figures`` prints them.
 ARTIFACTS = (
     fig1a_steps,
@@ -305,4 +399,5 @@ ARTIFACTS = (
     phase_split,
     communication_bits,
     constructions,
+    paper_claims,
 )

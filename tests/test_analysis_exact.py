@@ -222,7 +222,6 @@ class TestQuorumProbabilities:
         n, f, o, l = CONFIGS[name]
         q, s = sizes(n, o, l)
         truth = exact(n, f, o, l, False)["prepare"]
-        assert T.prepare_quorum_exact(n, f, o, l) == pytest.approx(truth, abs=1e-12)
         assert Q.prob_quorum_exact_config(n, f, o, l) == pytest.approx(truth, abs=1e-12)
         assert Q.prob_quorum_exact(n, n - f, s, q) == pytest.approx(truth, abs=1e-12)
 
@@ -260,9 +259,11 @@ class TestTerminationChains:
         """Receivers share one prepared set, so they are positively
         correlated: the truth is above the product form, not between the
         union and product forms."""
-        truth = exact(*CONFIGS[name], False)["all_decide"]
-        union = T.all_terminate_exact(*CONFIGS[name], method="union")
-        product = T.all_terminate_exact(*CONFIGS[name], method="product")
+        n, f, o, l = CONFIGS[name]
+        truth = exact(n, f, o, l, False)["all_decide"]
+        per_replica = T.replica_terminates_exact(n, f, o, l)
+        union = max(0.0, 1.0 - (n - f) * (1.0 - per_replica))
+        product = T.all_terminate_exact(n, f, o, l)
         assert union <= product < truth
 
 

@@ -6,7 +6,10 @@ import pytest
 
 from repro.analysis import agreement as A
 from repro.analysis import termination as T
-from repro.analysis.quorum_probability import prob_quorum_exact
+from repro.analysis.quorum_probability import (
+    prob_quorum_exact,
+    prob_quorum_exact_config,
+)
 from repro.config import probabilistic_quorum_size, vrf_sample_size
 from repro.errors import AnalysisDomainError
 
@@ -49,11 +52,12 @@ class TestTerminationBounds:
 
 class TestTerminationExact:
     def test_prepare_quorum_probability(self):
-        p = T.prepare_quorum_exact(100, 20, 1.7, 2.0)
+        p = prob_quorum_exact_config(100, 20, 1.7, 2.0)
         assert 0.9 < p < 1.0
+        assert T.decide_chain(100, 1.7, 2.0, 80, 0)[0] == p
 
     def test_termination_below_prepare_quorum(self):
-        prep = T.prepare_quorum_exact(100, 20, 1.7, 2.0)
+        prep = prob_quorum_exact_config(100, 20, 1.7, 2.0)
         term = T.replica_terminates_exact(100, 20, 1.7, 2.0)
         assert term <= prep
 
@@ -74,14 +78,11 @@ class TestTerminationExact:
         t_high = T.replica_terminates_exact(100, 20, 1.8, 2.0)
         assert t_high > t_low
 
-    def test_all_terminate_methods(self):
-        prod = T.all_terminate_exact(100, 20, 1.7, 2.0, method="product")
-        union = T.all_terminate_exact(100, 20, 1.7, 2.0, method="union")
+    def test_all_terminate_is_the_product(self):
+        prod = T.all_terminate_exact(100, 20, 1.7, 2.0)
         per = T.replica_terminates_exact(100, 20, 1.7, 2.0)
+        assert prod == per**80
         assert prod <= per
-        assert union <= per
-        with pytest.raises(ValueError):
-            T.all_terminate_exact(100, 20, 1.7, 2.0, method="bogus")
 
     def test_decide_within_views(self):
         p = 0.9
@@ -138,9 +139,20 @@ class TestAgreementBounds:
             A.theorem8_viewchange_bound(100, 20, 1.7, 2.0)  # o too large
 
     def test_corollary1_in_unit_interval(self):
-        for o in (1.6, 1.7, 1.8):
-            p = A.corollary1_safety(300, 60, o, 2.0)
+        """Where both component bounds are defined (strict mode raises
+        otherwise)."""
+        for n, f, o in [(300, 60, 1.6), (100, 20, 1.6), (300, 30, 1.7)]:
+            p = A.corollary1_safety(n, f, o, 2.0, strict=True)
             assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("n", [100, 300, 1000])
+    @pytest.mark.parametrize("o", [1.7, 1.8])
+    def test_corollary1_is_nan_outside_a_component_domain(self, n, o):
+        """Theorems 7 and 8 are both outside their domains at f = n/5 and
+        o >= 1.7: a skipped failure term would report safety 1.0."""
+        assert math.isnan(A.corollary1_safety(n, n // 5, o, 2.0))
+        with pytest.raises(AnalysisDomainError):
+            A.corollary1_safety(n, n // 5, o, 2.0, strict=True)
 
 
 class TestAgreementExact:
@@ -181,21 +193,25 @@ class TestAgreementExact:
         sweep = (1.3, 1.5, 1.7, 1.9, 2.1, 2.4)
         term = [T.replica_terminates_exact(100, 20, o, 2.0) for o in sweep]
         msgs = [M.probft_messages(100, o) for o in sweep]
-        agree = [A.agreement_in_view_exact(100, 20, o, 2.0, variant="pair") for o in sweep]
+        agree = [A.agreement_in_view_exact(100, 20, o, 2.0) for o in sweep]
         assert term == sorted(term)
         assert msgs == sorted(msgs)
         assert agree[0] > agree[-1]
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            A.agreement_in_view_exact(100, 20, 1.7, 2.0, variant="bogus")
-
     def test_theorem5_merging_increases_probability(self):
         before, after = A.theorem5_merging_increases_violation(
-            100, 1.7, 2.0, [20, 25, 55]
+            100, 20, 1.7, 2.0, [20, 25, 35]
         )
         assert after > before
 
+    def test_theorem5_merged_halves_are_the_optimal_split(self):
+        """Merging two quarters of the n−f correct replicas gives a side of
+        the optimal split (Figure 4c), the same chain call."""
+        _before, after = A.theorem5_merging_increases_violation(
+            100, 20, 1.7, 2.0, [20, 20, 40]
+        )
+        assert after == A.side_decide_exact(100, 20, 1.7, 2.0)
+
     def test_theorem5_needs_three_groups(self):
         with pytest.raises(ValueError):
-            A.theorem5_merging_increases_violation(100, 1.7, 2.0, [50, 50])
+            A.theorem5_merging_increases_violation(100, 20, 1.7, 2.0, [40, 40])

@@ -9,7 +9,6 @@ from repro.config import (
     deterministic_quorum_size,
     max_faults,
     probabilistic_quorum_size,
-    theorem2_o_upper_bound,
     vrf_sample_size,
 )
 from repro.errors import ConfigError
@@ -62,7 +61,6 @@ class TestProtocolConfig:
         assert cfg.q == 20
         assert cfg.sample_size == 34
         assert cfg.det_quorum == 61
-        assert cfg.n_correct == 80
 
     def test_rejects_too_many_faults(self):
         with pytest.raises(ConfigError):
@@ -92,18 +90,6 @@ class TestProtocolConfig:
     def test_seed_domain_default_empty(self):
         assert ProtocolConfig(n=10).seed_domain == ""
 
-    def test_o_in_theorem2_range(self):
-        cfg = ProtocolConfig(n=100, f=20, o=1.7)
-        assert cfg.o_in_theorem2_range()
-        hi = theorem2_o_upper_bound(100, 20)
-        assert not cfg.with_params(o=hi + 0.1).o_in_theorem2_range()
-
-    def test_theorem2_upper_bound_value(self):
-        # (2 + sqrt(3)) * n / (n - f)
-        assert theorem2_o_upper_bound(100, 20) == pytest.approx(
-            (2 + math.sqrt(3)) * 100 / 80
-        )
-
     def test_describe_mentions_sizes(self):
         text = ProtocolConfig(n=100, f=20).describe()
         assert "q=20" in text and "n=100" in text
@@ -115,18 +101,21 @@ class TestProtocolConfig:
 
 
 class TestLivenessFaultTolerance:
+    """A quorum needs q senders, so at most ``min(f, n − q)`` replicas may
+    be silent while quorums stay attainable."""
+
     def test_small_n_liveness_gap(self):
         """At n=7, q=6 exceeds n-f=5: only one silent replica is tolerable
         without losing quorum attainability (found by property testing)."""
         cfg = ProtocolConfig(n=7, f=2)
         assert cfg.q == 6
-        assert not cfg.quorums_attainable_under_max_faults()
-        assert cfg.liveness_fault_tolerance == 1
+        assert cfg.q > cfg.n - cfg.f
+        assert min(cfg.f, cfg.n - cfg.q) == 1
 
     def test_paper_scale_has_no_gap(self):
         cfg = ProtocolConfig(n=100, f=33)
-        assert cfg.quorums_attainable_under_max_faults()
-        assert cfg.liveness_fault_tolerance == 33
+        assert cfg.q <= cfg.n - cfg.f
+        assert min(cfg.f, cfg.n - cfg.q) == 33
 
     def test_silent_adversary_at_the_gap_stalls_liveness_not_safety(self):
         """Demonstrate the gap: n=7 with two silent replicas never decides

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness import figures
+from repro.harness.tables import format_cell
 
 DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "figures.md"
 
@@ -167,3 +168,70 @@ def test_constructions(tables):
     assert decided["Streamlined"] >= 6 and decided["Streamlined, 3 silent"] >= 4
     # No view-change sub-protocol: not one Wish or NewLeader, faults or not.
     assert column(table, "Wish+NewLeader msgs")[2:] == [0, 0]
+
+
+#: The ledger's claims, numbered as in the extended paper, in print order.
+CLAIM_NUMBERS = [
+    "Lemma 1", "Theorem 11", "Corollary 2", "Theorem 2/14", "Lemma 3",
+    "Lemma 4", "Theorem 15", "Theorem 3/16", "Theorem 4/17", "Lemma 5",
+    "Theorem 5/13", "Theorem 6/12", "Theorem 7/18", "Lemma 6",
+    "Theorem 8/19", "Corollary 1",
+]
+
+
+def claim_rows(table, number):
+    """``{o: {header: cell}}`` of one claim's rows."""
+    _title, headers, rows = table
+    return {
+        row[1]: dict(zip(headers, row))
+        for row in rows
+        if row[0].split(":")[0] == number
+    }
+
+
+def test_paper_claims_one_row_per_claim_and_o(tables):
+    table = tables["paper_claims"]
+    numbers = [label.split(":")[0] for label in column(table, "claim")]
+    assert numbers == [n for n in CLAIM_NUMBERS for _o in figures.O_VALUES]
+    assert column(table, "o") == list(figures.O_VALUES) * len(CLAIM_NUMBERS)
+
+
+@pytest.mark.parametrize(
+    "number, panel",
+    [("Lemma 4", "fig5_termination_vs_n"), ("Theorem 7/18", "fig5_agreement_vs_n")],
+)
+def test_paper_claims_equal_the_fig5_panel(tables, number, panel):
+    """A claim a Figure 5 panel plots reads the panel's own cells (repr
+    compares NaN too)."""
+    rows = claim_rows(tables["paper_claims"], number)
+    _title, headers, points = tables[panel]
+    for point in points:
+        if point[0] not in (100, 300):
+            continue
+        for o in figures.O_VALUES:
+            for kind in ("bound", "exact"):
+                assert repr(rows[o][f"{kind} n={point[0]}"]) == repr(
+                    point[headers.index(f"{kind} o={o}")]
+                )
+
+
+def test_paper_claims_cells(tables):
+    table = tables["paper_claims"]
+    safety = claim_rows(table, "Corollary 1")
+    for n in figures.LEDGER_N:
+        # Corollary 1 knows nothing where Theorems 7 and 8 are undefined.
+        for o in (1.7, 1.8):
+            assert format_cell(safety[o][f"bound n={n}"]) == "n/a"
+            assert safety[o][f"premise n={n}"] is False
+        for o in figures.O_VALUES:
+            # Theorem 2's premise l >= 2c/(c-1)^2 fails at every paper point.
+            assert claim_rows(table, "Theorem 2/14")[o][f"premise n={n}"] is False
+            # No chain for the cross-view claims.
+            assert claim_rows(table, "Theorem 8/19")[o][f"exact n={n}"] is None
+            # The comparisons hold: every gain is positive.
+            for number in ("Theorem 5/13", "Theorem 6/12"):
+                assert claim_rows(table, number)[o][f"exact n={n}"] > 0
+            # A lower bound on a quorum stays below its exact probability.
+            for number in ("Theorem 11", "Corollary 2", "Lemma 3", "Lemma 4"):
+                cells = claim_rows(table, number)[o]
+                assert cells[f"bound n={n}"] <= cells[f"exact n={n}"]

@@ -56,13 +56,14 @@ class TestRandomizedFaultMixes:
     def test_random_fault_assignment_safe_and_live(self, config, seed, data):
         """Up to f replicas fail as a random mix of silent/crash.
 
-        The fault count is capped at the config's *liveness* fault tolerance:
+        The fault count is capped at ``min(f, n − q)``, the *liveness* fault
+        tolerance:
         at small n, ``q = ⌈2√n⌉`` can exceed ``n − f``, in which case f
         silent replicas make quorums unattainable — safety holds but
         liveness cannot (hypothesis originally found exactly this at n=7).
         """
         n_faulty = data.draw(
-            st.integers(0, config.liveness_fault_tolerance), label="n_faulty"
+            st.integers(0, min(config.f, config.n - config.q)), label="n_faulty"
         )
         # Keep the view-1 leader correct so liveness stays fast.
         faulty_ids = data.draw(
