@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import agreement as A
 from repro.analysis import termination as T
+from repro.analysis.bounds import binom_tail_ge
 from repro.analysis.quorum_probability import (
     prob_quorum_exact,
     prob_quorum_exact_config,
@@ -90,6 +91,34 @@ class TestTerminationExact:
         assert T.decide_within_views(p, 3) == pytest.approx(1 - 0.1**3)
         # Theorem 4: with infinite correct-leader views, decision is certain.
         assert T.decide_within_views(0.1, 500) == pytest.approx(1.0)
+
+
+class TestDecideChain:
+    """The one exact chain at the shape of a proposal group: ``c`` correct
+    replicas and all ``f`` Byzantine voters (Theorems 5/6)."""
+
+    def test_monotone_in_group_size(self):
+        """Theorem 6: more senders, higher decide probability."""
+        values = [
+            math.prod(T.decide_chain(100, 1.7, 2.0, c, 20)) for c in (10, 20, 30, 40)
+        ]
+        assert values == sorted(values)
+        assert values[0] < values[-1]
+
+    def test_byzantine_only_group(self):
+        """With no correct member, both stages are the ``f`` Byzantine
+        senders alone."""
+        q = probabilistic_quorum_size(100, 2.0)
+        p = vrf_sample_size(100, q, 1.7) / 100
+        alone = binom_tail_ge(20, p, q)
+        assert T.decide_chain(100, 1.7, 2.0, 0, 20) == pytest.approx((alone, alone))
+
+    def test_bounded(self):
+        """Commit senders are a subset of the prepare senders, so the commit
+        stage never exceeds the prepare stage."""
+        for c in (0, 10, 40, 80):
+            p_prep, p_commit = T.decide_chain(100, 1.7, 2.0, c, 20)
+            assert 0.0 <= p_commit <= p_prep <= 1.0
 
 
 class TestAgreementBounds:
@@ -203,6 +232,19 @@ class TestAgreementExact:
             100, 20, 1.7, 2.0, [20, 25, 35]
         )
         assert after > before
+
+    @pytest.mark.parametrize(
+        "n, f, sizes",
+        [
+            (100, 20, [10, 10, 60]),
+            (100, 20, [26, 27, 27]),
+            (300, 60, [40, 80, 120]),
+            (300, 60, [20, 30, 40, 150]),
+        ],
+    )
+    def test_theorem5_holds_across_group_splits(self, n, f, sizes):
+        before, after = A.theorem5_merging_increases_violation(n, f, 1.7, 2.0, sizes)
+        assert 0.0 <= before < after <= 1.0
 
     def test_theorem5_merged_halves_are_the_optimal_split(self):
         """Merging two quarters of the n−f correct replicas gives a side of

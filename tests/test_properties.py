@@ -4,7 +4,9 @@ import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from repro.analysis.bounds import binom_tail_ge
 from repro.analysis.quorum_probability import prob_quorum_exact
 from repro.config import (
     deterministic_quorum_size,
@@ -191,3 +193,9 @@ class TestAnalysisProperties:
         p1 = prob_quorum_exact(n, r, s, q)
         p2 = prob_quorum_exact(n, r + 10, s, q)
         assert p2 >= p1 - 1e-12
+
+    @given(st.integers(1, 300), st.floats(0.01, 0.99), st.integers(0, 300))
+    @settings(max_examples=60)
+    def test_binom_tails_complementary(self, r, p, k):
+        total = float(stats.binom.cdf(k - 1, r, p)) + binom_tail_ge(r, p, k)
+        assert math.isclose(total, 1.0, rel_tol=1e-9)
