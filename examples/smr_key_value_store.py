@@ -19,7 +19,7 @@ Run:  python examples/smr_key_value_store.py
 
 from repro.config import ProtocolConfig
 from repro.smr.app import KeyValueApp
-from repro.smr.client import SMRClient
+from repro.smr.client import SMRClient, latency_accumulator
 from repro.smr.service import SMRDeployment
 from repro.smr.workload import ServingSpec, run_serving_trial
 
@@ -63,9 +63,10 @@ def replicated_store() -> None:
             f"latency {record.latency:.1f}"
         )
     for client, name in ((alice, "alice"), (bob, "bob")):
+        acc = latency_accumulator(client.requests)
         print(
-            f"{name}: mean latency {client.mean_latency():.1f}, "
-            f"p99 {client.p99_latency():.1f}, timed out {client.timed_out}"
+            f"{name}: mean latency {acc.mean:.1f}, "
+            f"p99 {acc.p99:.1f}, timed out {acc.incomplete}"
         )
 
     reference = deployment.replicas[0]

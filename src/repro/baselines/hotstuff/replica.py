@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
-from ...core.leader import leader_of_view
+from ...core.leader import leader_of
 from ...messages.base import conforms
 from ...messages.hotstuff import (
     HsNewView,
@@ -343,7 +343,7 @@ class HotStuffReplica:
 
     # ------------------------------------------------------------------
     def _leader(self, view: View) -> ReplicaId:
-        return leader_of_view(view, self.config.n)
+        return leader_of(view, self.config)
 
     def _sign(self, payload: object) -> Signed:
         return self._crypto.signatures.sign(self.id, payload)

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from ...config import ProtocolConfig
 from ...crypto.context import CryptoContext
 from ...crypto.signatures import Signed
-from ...core.leader import leader_of_view
+from ...core.leader import leader_of
 from ...core.replica import _VoteToken
 from ...messages.base import conforms
 from ...messages.pbft import PbftCommit, PbftNewLeader, PbftPrepare, PbftPropose
@@ -36,7 +36,7 @@ def pbft_validate_prepared_certificate(
 ) -> bool:
     """A deterministic quorum of signed PbftPrepare messages for (view, value)
     (``cert`` conforms to a NewLeader's wire type)."""
-    expected_leader = leader_of_view(view, config.n)
+    expected_leader = leader_of(view, config)
     seen = set()
     expected_value = value
     for signed in cert:
@@ -83,7 +83,7 @@ def _vote_token(signed: Signed, config: ProtocolConfig, crypto: CryptoContext):
         return False
     inner = statement.payload
     view = inner.view
-    if view < 1 or statement.signer != leader_of_view(view, config.n):
+    if view < 1 or statement.signer != leader_of(view, config):
         return False
     return _VoteToken(
         is_prepare=type(signed.payload) is PbftPrepare,
@@ -169,7 +169,7 @@ def _safe_proposal(
     view = propose.view
     if view < 1:
         return False
-    expected_leader = leader_of_view(view, config.n)
+    expected_leader = leader_of(view, config)
     if signed.signer != expected_leader:
         return False
     statement = propose.statement

@@ -388,6 +388,7 @@ def _matrices_epilog() -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     from .harness.trial import list_protocols
+    from .smr.workload import LOAD_LEVELS, SERVING_ADVERSARIES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -421,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--adversary",
-        choices=["none", "equivocating-leader", "flooding"],
+        choices=list(SERVING_ADVERSARIES),
         default="none",
         help="Byzantine behaviour hosted in every slot",
     )
     p_serve.add_argument(
         "--load",
-        choices=["low", "high"],
+        choices=list(LOAD_LEVELS),
         default="high",
         help="load-level preset (client count, window, think time)",
     )

@@ -11,14 +11,13 @@
   ProBFT's vote kernel.
 """
 
-from .leader import leader_of, leader_of_view, compute_proposal, mode_values
+from .leader import leader_of, compute_proposal, mode_values
 from .predicates import safe_proposal, valid_new_leader
 from .replica import ProBFTReplica
 from .protocol import ProBFTDeployment
 
 __all__ = [
     "leader_of",
-    "leader_of_view",
     "compute_proposal",
     "mode_values",
     "safe_proposal",

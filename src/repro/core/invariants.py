@@ -100,7 +100,6 @@ class ExecutionAuditor:
                 config=config,
                 signatures=crypto.signatures,
                 vrf=crypto.vrf,
-                leader_of_view=None,
             )
             if not valid:
                 report.add(

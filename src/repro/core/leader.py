@@ -2,7 +2,7 @@
 
 The paper (1-based IDs) defines ``leader(v) = (v − 1 mod n) + 1``; with our
 0-based IDs this is ``(v − 1) mod n`` — round-robin starting at replica 0 in
-view 1.
+view 1 — shifted by the config's ``leader_offset`` (:func:`leader_of`).
 
 The proposal rule (Algorithm 1 lines 7–12): from a deterministic quorum ``M``
 of NewLeader messages, take ``v_max``, the newest view in which any sender
@@ -27,19 +27,13 @@ from ..messages.probft import NewLeader
 from ..types import ReplicaId, Value, View
 
 
-def leader_of_view(view: View, n: int) -> ReplicaId:
-    """Round-robin leader of ``view`` (0-based IDs)."""
-    if view < 1:
-        raise ValueError(f"views are numbered from 1, got {view}")
-    return (view - 1) % n
-
-
 def leader_of(view: View, config) -> ReplicaId:
-    """Config-aware leader schedule: ``(view − 1 + leader_offset) mod n``.
+    """The leader schedule: ``(view − 1 + leader_offset) mod n``.
 
-    With the default ``leader_offset = 0`` this is exactly the paper's
-    ``leader_of_view``; the SMR layer's rotating mode sets a per-slot offset
-    so every slot's view-1 leader is a different replica.
+    The one spelling of ``leader(v)`` every protocol, predicate and Byzantine
+    seat reads.  Single-shot configs keep the paper's offset 0; the SMR
+    layer's rotating mode gives each slot its own offset, so every slot's
+    view-1 leader is a different replica.
     """
     if view < 1:
         raise ValueError(f"views are numbered from 1, got {view}")

@@ -19,6 +19,7 @@ from ..analysis import messages as M
 from ..analysis import quorum_probability as Q
 from ..analysis import termination as T
 from ..config import ProtocolConfig, max_faults
+from ..core.leader import leader_of
 from ..core.protocol import ProBFTDeployment
 from ..net.latency import ConstantLatency
 from ..smr.app import CounterApp
@@ -274,7 +275,7 @@ def constructions():
     faulty.run_until(lambda: faulty.min_finalized_height() >= 4, max_time=10_000)
     last_epoch = max(r.current_epoch for r in faulty.correct_replicas().values())
     wasted = sum(
-        (e - 1) % n in faulty.byzantine_ids for e in range(1, last_epoch)
+        leader_of(e, config) in faulty.byzantine_ids for e in range(1, last_epoch)
     )
     rows.append(row(
         "Streamlined, 3 silent", faulty, faulty.min_finalized_height(),

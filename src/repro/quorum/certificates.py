@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..config import ProtocolConfig
+from ..core.leader import leader_of
 from ..crypto.signatures import SignatureScheme, Signed
 from ..crypto.vrf import VRF, phase_seed
 from ..types import ReplicaId, Value, View
@@ -30,7 +31,6 @@ def validate_prepared_certificate(
     config: ProtocolConfig,
     signatures: SignatureScheme,
     vrf: VRF,
-    leader_of_view=None,
 ) -> bool:
     """Implements ``prepared(C, v, x, j)`` over raw signed messages.
 
@@ -42,15 +42,10 @@ def validate_prepared_certificate(
         holder: the replica ``j`` that claims to hold the certificate.
         config: protocol parameters (supplies ``q`` and sample size).
         signatures / vrf: verification services.
-        leader_of_view: the ``leader(v)`` function; ``None`` uses the
-            config's offset-aware round-robin schedule.
     """
     if len(cert) < config.q:
         return False
-    if leader_of_view is not None:
-        expected_leader = leader_of_view(view, config.n)
-    else:
-        expected_leader = (view - 1 + config.leader_offset) % config.n
+    expected_leader = leader_of(view, config)
     seed = phase_seed(view, "prepare", config.seed_domain)
     seen_senders = set()
     statement_value: Optional[Value] = value

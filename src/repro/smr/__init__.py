@@ -2,19 +2,22 @@
 
 The paper closes by proposing "a scalable state machine replication protocol"
 built from ProBFT.  This package is that construction in its simplest sound
-form: an ordered log of *slots*, each decided by an independent ProBFT
+form: an ordered log of *slots*, each decided by an independent consensus
 instance whose messages and VRF seeds are domain-scoped to the slot
 (``seed_domain = "slot-k"``), so instances cannot replay one another's
-messages.
+messages.  The slot protocol is the deployment's stack's replica class —
+ProBFT by default, any protocol on the ProBFT skeleton (PBFT) by setting
+:attr:`SMRDeployment.stack_class <repro.smr.service.SMRDeployment.stack_class>`.
 
 * :mod:`repro.smr.app` — the application interface plus two reference state
   machines (counter, key-value store).
 * :mod:`repro.smr.encoding` — wire framing inside consensus values: request
   envelopes (``(client_id, seq)`` identities) and command batches.
 * :mod:`repro.smr.log` — the ordered decision log with in-order application.
-* :mod:`repro.smr.replica` — an SMR replica multiplexing per-slot ProBFT
-  replicas over one transport (batching, pipelining, backpressure), plus
-  the Byzantine slot multiplexer hosting adversaries in every slot.
+* :mod:`repro.smr.replica` — an SMR replica multiplexing per-slot instances
+  of the slot protocol over one transport (batching, pipelining,
+  backpressure), plus the Byzantine slot multiplexer hosting adversaries in
+  every slot.
 * :mod:`repro.smr.service` — deployment wiring and consistency checks.
 * :mod:`repro.smr.client` — the request-id client API.
 * :mod:`repro.smr.workload` — closed-loop load generation and the serving
@@ -42,9 +45,7 @@ from .workload import (
     WorkloadGenerator,
     WorkloadSpec,
     run_serving_trial,
-    run_serving_trial_spec,
     serving_cells,
-    serving_trials,
 )
 
 __all__ = [
@@ -70,9 +71,7 @@ __all__ = [
     "ServingSpec",
     "ServingResult",
     "run_serving_trial",
-    "run_serving_trial_spec",
     "serving_cells",
-    "serving_trials",
     "SERVING_ADVERSARIES",
     "LOAD_LEVELS",
 ]

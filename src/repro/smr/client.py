@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..harness.metrics import LatencyAccumulator, percentile
+from ..harness.metrics import LatencyAccumulator
 from ..types import ReplicaId, Value
 from .encoding import encode_request
 from .service import SMRDeployment
@@ -41,6 +41,20 @@ def majority_slot(history: Mapping[ReplicaId, int]) -> int:
     counts = Counter(history.values())
     top = max(counts.values())
     return min(slot for slot, count in counts.items() if count == top)
+
+
+def latency_accumulator(records: Iterable["RequestRecord"]) -> LatencyAccumulator:
+    """The latency distribution of ``records`` (a client's ``requests``, a
+    workload's records): completed latencies in order, unfinished requests
+    counted as incomplete, and recovered ones counted apart — their zero
+    "latency" measures nothing and would drag the percentiles down."""
+    acc = LatencyAccumulator()
+    for record in records:
+        if record.recovered:
+            acc.add_recovered()
+        else:
+            acc.add(record.latency)
+    return acc
 
 
 @dataclass
@@ -196,65 +210,5 @@ class SMRClient:
     def request(self, seq: int) -> Optional[RequestRecord]:
         return self._requests.get((self.client_id, seq))
 
-    def completed_requests(self) -> List[RequestRecord]:
-        return [r for r in self.requests if r.completed]
-
-    def incomplete_requests(self) -> List[RequestRecord]:
-        """Requests still unordered — after a run, these timed out."""
-        return [r for r in self.requests if not r.completed]
-
-    @property
-    def timed_out(self) -> int:
-        """Count of submitted requests that never completed."""
-        return len(self.incomplete_requests())
-
-    @property
-    def recovered(self) -> int:
-        """Count of requests completed from replayed pre-attach history."""
-        return sum(1 for r in self.requests if r.recovered)
-
     def all_completed(self) -> bool:
         return all(r.completed for r in self._requests.values())
-
-    # ------------------------------------------------------------------
-    def latencies(self) -> List[float]:
-        """Per-request latencies of completed requests, submission order.
-
-        Recovered requests (completed from replayed history with a
-        meaningless zero latency) are excluded — they would silently drag
-        p50 toward zero in any trial with late-attached clients.
-        """
-        return [
-            r.latency for r in self.requests if r.completed and not r.recovered
-        ]
-
-    def mean_latency(self) -> Optional[float]:
-        """Mean end-to-end latency, or ``None`` if nothing completed.
-
-        ``None`` — not NaN — so report columns show an explicit gap
-        alongside the ``timed_out`` count instead of silently propagating
-        NaN through downstream arithmetic.
-        """
-        done = self.latencies()
-        if not done:
-            return None
-        return sum(done) / len(done)
-
-    def latency_percentile(self, q: float) -> Optional[float]:
-        return percentile(self.latencies(), q)
-
-    def p50_latency(self) -> Optional[float]:
-        return self.latency_percentile(50)
-
-    def p99_latency(self) -> Optional[float]:
-        return self.latency_percentile(99)
-
-    def latency_summary(self) -> dict:
-        """JSON-ready latency/completion summary (explicit ``None`` gaps)."""
-        acc = LatencyAccumulator()
-        for record in self.requests:
-            if record.recovered:
-                acc.add_recovered()
-            else:
-                acc.add(record.latency)
-        return acc.summary()

@@ -1,7 +1,7 @@
 """Wire encodings for the SMR log: request envelopes and command batches.
 
 Two framing layers ride *inside* consensus values so they replicate for
-free — the per-slot ProBFT instances order opaque byte strings and never
+free — the per-slot consensus instances order opaque byte strings and never
 look inside:
 
 * a **request envelope** tags a client command with a ``(client_id, seq)``

@@ -1,6 +1,8 @@
-"""The SMR replica: per-slot ProBFT instances multiplexed over one transport.
+"""The SMR replica: per-slot consensus instances multiplexed over one transport.
 
-Every outbound message of slot ``k``'s ProBFT replica is wrapped in a
+Each slot runs the deployment's slot protocol — the honest replica class
+of its stack (:attr:`SlotStacks.protocol`: ProBFT, or PBFT on the same
+skeleton).  Every outbound message of slot ``k``'s instance is wrapped in a
 :class:`SlotEnvelope`; inbound envelopes are routed to the right slot
 instance (creating it on demand, within a bounded look-ahead window).  Each
 slot instance runs with ``seed_domain = "slot-k"`` so its signed statements,
@@ -51,7 +53,6 @@ from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Set
 
 from ..config import ProtocolConfig
 from ..core.deployment import KERNEL_STATS, InstanceStack
-from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
 from ..messages.base import CanonicalMessage, conforms
 from ..net.transport import Transport
@@ -104,26 +105,29 @@ class SlotStacks:
     """The slots of one SMR deployment, and the router in front of them.
 
     Shared by the deployment's replicas and Byzantine seats: it hands out
-    slot configs, holds one :class:`~repro.core.deployment.InstanceStack`
-    per open slot (built by ``make_stack(slot_config, handlers)``;
-    ``None`` — the oracle, stand-alone replicas — means per-message
-    instances and no stacks), and retires a slot when its last correct
-    replica has applied it.  As the network's kernel it unwraps a
-    :class:`SlotEnvelope` and hands the send or the bucket to the slot's
-    own kernel.
+    slot configs and the slot protocol, holds one ``stack_class`` instance
+    per open slot over a per-slot view of ``crypto`` (``None`` — the
+    oracle — means per-message instances and no stacks), and retires a
+    slot when its last correct replica has applied it.  As the network's
+    kernel it unwraps a :class:`SlotEnvelope` and hands the send or the
+    bucket to the slot's own kernel.
     """
 
     def __init__(
         self,
         config: ProtocolConfig,
         num_slots: int,
-        rotate_leaders: bool = False,
-        byzantine_ids=frozenset(),
-        make_stack: Optional[Callable[..., InstanceStack]] = None,
+        rotate_leaders: bool,
+        byzantine_ids,
+        stack_class: type,
+        crypto: Optional[CryptoContext],
     ) -> None:
         self.config = config
         self.num_slots = num_slots
         self.rotate_leaders = rotate_leaders
+        #: The honest replica class every slot instance is built from (its
+        #: Byzantine seats speak the same dialect).
+        self.protocol = stack_class.replica_class
         #: Every slot up to here has been applied by every correct replica.
         self.retired = 0
         self.stacks: Dict[int, InstanceStack] = {}
@@ -132,8 +136,10 @@ class SlotStacks:
         #: One decoded tuple per distinct slot value, for every replica.
         self.decode = SlotValueDecoder()
         self._byzantine = frozenset(byzantine_ids)
-        self._correct = config.n - len(self._byzantine)
-        self._make = make_stack
+        self._correct_ids = frozenset(range(config.n)) - self._byzantine
+        self._correct = len(self._correct_ids)
+        self._stack_class = stack_class
+        self._crypto = crypto
         self._applied: Dict[int, int] = {}  # slot -> correct replicas done
         self._stats = dict.fromkeys(KERNEL_STATS, 0)  # of stacks let go of
 
@@ -154,10 +160,15 @@ class SlotStacks:
     def open(self, slot: int) -> Optional[InstanceStack]:
         """The stack of a (live) slot, built by whoever asks first."""
         stack = self.stacks.get(slot)
-        if stack is None and self._make is not None:
+        if stack is None and self._crypto is not None:
             seats = self.seats
             handlers = {b: partial(seats.get(b, _drop), slot) for b in self._byzantine}
-            stack = self.stacks[slot] = self._make(self.slot_config(slot), handlers)
+            config = self.slot_config(slot)
+            # Each slot validates through its own table, which goes when the
+            # slot retires.
+            stack = self.stacks[slot] = self._stack_class(
+                config, self._crypto.instance(config), self._correct_ids, handlers
+            )
         return stack
 
     def seat(self, slot: int, crypto: CryptoContext):
@@ -266,7 +277,8 @@ class _SlotTransport(Transport):
 
 
 class SMRReplica:
-    """A replica of the replicated state machine."""
+    """A replica of the replicated state machine: one instance of
+    ``stacks.protocol`` per slot it opens."""
 
     def __init__(
         self,
@@ -276,14 +288,13 @@ class SMRReplica:
         transport: Transport,
         app: StateMachine,
         num_slots: int,
+        stacks: SlotStacks,
         timeout_policy: Optional[TimeoutPolicy] = None,
         on_apply: Optional[Callable[[ReplicaId, int, Value], None]] = None,
         pipeline: int = 1,
         batch_size: int = 1,
         max_pending: Optional[int] = None,
         eager_slots: bool = True,
-        rotate_leaders: bool = False,
-        stacks: Optional[SlotStacks] = None,
     ) -> None:
         if config.seed_domain:
             raise ValueError(
@@ -292,8 +303,8 @@ class SMRReplica:
             )
         if config.leader_offset:
             raise ValueError(
-                "SMR manages leader offsets itself (rotate_leaders=True); "
-                "pass a config with leader_offset=0"
+                "SMR manages leader offsets itself (the deployment's "
+                "rotate_leaders); pass a config with leader_offset=0"
             )
         self.id = replica_id
         self.config = config
@@ -318,10 +329,10 @@ class SMRReplica:
         #: setting) opens a slot only when there are pending commands (or
         #: inbound traffic for it): an idle deployment burns no slots.
         self.eager_slots = eager_slots
-        self._stacks = stacks or SlotStacks(config, num_slots, rotate_leaders)
-        self.log = DecisionLog(app, self._stacks.decode)
+        self._stacks = stacks
+        self.log = DecisionLog(app, stacks.decode)
         self._pending: Deque[Value] = deque()
-        self._slots: Dict[int, ProBFTReplica] = {}
+        self._slots: Dict[int, object] = {}
         self._records: Dict[int, SlotRecord] = {}
         self._slot_values: Dict[int, Value] = {}
         # Commands already ordered by some decided slot.
@@ -386,7 +397,7 @@ class SMRReplica:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _instance(self, message: object) -> Optional[ProBFTReplica]:
+    def _instance(self, message: object):
         """The slot instance an inbound envelope is for (opened on demand
         inside the look-ahead window); None for anything to be dropped."""
         slot = self._stacks.slot_of(message)
@@ -400,7 +411,7 @@ class SMRReplica:
             replica = self._ensure_slot(slot)
         return replica
 
-    def _ensure_slot(self, slot: int) -> ProBFTReplica:
+    def _ensure_slot(self, slot: int):
         """Slot ``slot``'s instance, opened (never past ``num_slots``: every
         caller checks) if this replica has not yet."""
         if slot in self._slots:
@@ -409,7 +420,7 @@ class SMRReplica:
         stacks.sweep(self._slots)
         my_value = self._next_proposal(slot)
         stack, config, crypto = stacks.seat(slot, self._crypto)
-        replica = ProBFTReplica(
+        replica = stacks.protocol(
             replica_id=self.id,
             config=config,
             crypto=crypto,
@@ -497,38 +508,34 @@ class ByzantineSlotMultiplexer:
 
     The faulty twin of :class:`SMRReplica`: inbound :class:`SlotEnvelope`\\ s
     route to per-slot endpoints built by ``slot_factory(slot, slot_config,
-    crypto, slot_transport)`` — any of the single-shot Byzantine replicas
-    from :mod:`repro.adversary` (equivocating leaders, flooders, ...) slots
-    in unchanged, attacking each consensus instance with slot-scoped keys
-    and transports.  Slots are instantiated on demand (plus the first
-    ``pipeline`` at start, mirroring honest replicas), bounded by
-    ``num_slots``, and let go of once retired.
+    crypto, slot_transport, protocol)`` — any of the single-shot Byzantine
+    seats from :mod:`repro.adversary` (equivocating leaders, flooders, ...)
+    slots in unchanged, speaking the slot protocol's dialect and attacking
+    each consensus instance with slot-scoped keys and transports.  Slots are
+    instantiated on demand (plus the first ``pipeline`` at start, mirroring
+    honest replicas), bounded by ``num_slots``, and let go of once retired.
     """
 
     def __init__(
         self,
         replica_id: ReplicaId,
-        config: ProtocolConfig,
         crypto: CryptoContext,
         transport: Transport,
-        num_slots: int,
-        slot_factory: Callable[[int, ProtocolConfig, CryptoContext, object], object],
-        pipeline: int = 1,
-        rotate_leaders: bool = False,
-        stacks: Optional[SlotStacks] = None,
+        slot_factory: Callable[..., object],
+        pipeline: int,
+        stacks: SlotStacks,
     ) -> None:
         self.id = replica_id
         self._crypto = crypto
         self._transport = transport
-        self.num_slots = num_slots
         self.pipeline = max(1, pipeline)
         self._slot_factory = slot_factory
-        self._stacks = stacks or SlotStacks(config, num_slots, rotate_leaders)
-        self._stacks.seats[replica_id] = self.deliver
+        self._stacks = stacks
+        stacks.seats[replica_id] = self.deliver
         self._slots: Dict[int, object] = {}
 
     def start(self) -> None:
-        for slot in range(1, min(self.pipeline, self.num_slots) + 1):
+        for slot in range(1, min(self.pipeline, self._stacks.num_slots) + 1):
             self._endpoint(slot)
 
     def on_message(self, src: ReplicaId, message: object) -> None:
@@ -552,7 +559,8 @@ class ByzantineSlotMultiplexer:
             stacks.sweep(self._slots)
             _stack, config, crypto = stacks.seat(slot, self._crypto)
             endpoint = self._slots[slot] = self._slot_factory(
-                slot, config, crypto, _SlotTransport(self._transport, slot)
+                slot, config, crypto, _SlotTransport(self._transport, slot),
+                stacks.protocol,
             )
             endpoint.start()
         return endpoint

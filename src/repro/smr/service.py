@@ -5,7 +5,9 @@ Deployment` — simulator, coalescing network, crypto, ``run`` / ``close``
 and the ``reference=True`` oracle switch — over replicas that host one
 consensus instance per slot.  Its stack is the slot router
 (:class:`~repro.smr.replica.SlotStacks`; :mod:`repro.smr.replica` has the
-slot lifecycle: open, kernel-served, decided, retired).
+slot lifecycle: open, kernel-served, decided, retired), and its
+:attr:`~SMRDeployment.stack_class` names the slot protocol: every slot
+instance is that stack's ``replica_class``, in the oracle too.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .replica import ByzantineSlotMultiplexer, SlotStacks, SMRReplica
 AppFactory = Callable[[], StateMachine]
 
 #: Builds one slot's Byzantine endpoint for a faulty SMR member:
-#: ``factory(slot, slot_config, crypto, slot_transport) -> endpoint`` with
-#: ``start()`` / ``on_message(src, msg)`` — the per-slot twin of the
-#: deployment-level factories in :class:`~repro.core.protocol.
-#: ProBFTDeployment`, reusing the same adversary classes.
-SlotByzantineFactory = Callable[[int, ProtocolConfig, CryptoContext, object], object]
+#: ``factory(slot, slot_config, crypto, slot_transport, protocol) ->
+#: endpoint`` with ``start()`` / ``on_message(src, msg)`` — the per-slot
+#: twin of a deployment's ``byzantine=`` factories, reusing the same
+#: adversary seats in the dialect of ``protocol`` (the slot replica class).
+SlotByzantineFactory = Callable[
+    [int, ProtocolConfig, CryptoContext, object, type], object
+]
 
 
 class SMRDeployment(Deployment):
@@ -57,7 +61,8 @@ class SMRDeployment(Deployment):
     """
 
     pool_label = "smr-deployment"
-    #: What every open slot gets one of.
+    #: What every open slot gets one of; its ``replica_class`` is the slot
+    #: protocol.
     stack_class = ProBFTStack
 
     def __init__(
@@ -106,8 +111,7 @@ class SMRDeployment(Deployment):
             if factory is None:
                 return SilentReplica
             return lambda r, config, crypto, transport: ByzantineSlotMultiplexer(
-                r, config, crypto, transport, num_slots, factory, pipeline,
-                stacks=self.stack,
+                r, crypto, transport, factory, pipeline, self.stack
             )
 
         super().__init__(
@@ -128,22 +132,10 @@ class SMRDeployment(Deployment):
     # Deployment hooks
     # ------------------------------------------------------------------
     def _new_stack(self) -> SlotStacks:
-        make_stack = None
-        if not self.reference:
-            # Nothing the router holds may point back at the deployment.
-            stack_class, crypto = self.stack_class, self.crypto
-            correct_ids = self._correct_ids
-
-            def make_stack(config, handlers):
-                # Each slot validates through its own table, which goes
-                # when the slot retires.
-                return stack_class(
-                    config, crypto.instance(config), correct_ids, handlers
-                )
-
+        # Nothing the router holds may point back at the deployment.
         return SlotStacks(
             self.config, self.num_slots, self.rotate_leaders, self.byzantine_ids,
-            make_stack,
+            self.stack_class, None if self.reference else self.crypto,
         )
 
     def _replica_factory(self, values, timeout_policy) -> Callable:
@@ -169,9 +161,9 @@ class SMRDeployment(Deployment):
             self.crypto,
             transport,
             self._app_factory(),
+            stacks=self.stack,
             timeout_policy=timeout_policy,
             on_apply=record_apply,
-            stacks=self.stack,
             **self._serving,
         )
 

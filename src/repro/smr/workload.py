@@ -18,8 +18,8 @@ simulates ``num_clients`` concurrent closed-loop clients:
   by the generator.
 
 Everything is driven by the deployment's simulator, so a (spec, seed) pair
-determines every per-request latency bit-for-bit, in any process, for any
-engine worker count — the property the serving determinism tests pin.
+determines every per-request latency bit-for-bit, in any process — the
+property the serving determinism tests pin.
 
 :func:`run_serving_trial` is the module-level, picklable trial function
 (:class:`ServingSpec` → :class:`ServingResult`) the CLI ``repro serve``
@@ -33,10 +33,14 @@ import dataclasses
 import random
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..adversary.behaviors import SilentReplica
+from ..adversary.equivocation import EquivocatingLeader, optimal_split
+from ..adversary.flooding import FloodingReplica
 from ..config import ProtocolConfig
+from ..core.leader import leader_of
 from ..crypto.hashing import digest
 from ..errors import ConfigError
 from ..harness.metrics import LatencyAccumulator
@@ -44,7 +48,7 @@ from ..net.latency import ConstantLatency
 from ..sync.timeouts import FixedTimeout
 from ..types import ReplicaId, Value
 from .app import CounterApp
-from .client import RequestRecord, SMRClient
+from .client import RequestRecord, SMRClient, latency_accumulator
 from .service import SMRDeployment
 
 __all__ = [
@@ -53,9 +57,7 @@ __all__ = [
     "ServingSpec",
     "ServingResult",
     "run_serving_trial",
-    "run_serving_trial_spec",
     "serving_cells",
-    "serving_trials",
     "SERVING_ADVERSARIES",
     "LOAD_LEVELS",
     "OPEN_LOOP_RATES",
@@ -267,32 +269,17 @@ class WorkloadGenerator:
         return self._completed
 
     @property
-    def recovered(self) -> int:
-        """Requests completed from replayed pre-attach history."""
-        return sum(1 for r in self._order if r.recovered)
-
-    @property
     def retries(self) -> int:
         """Submissions refused by backpressure and rescheduled."""
         return self._retries
 
     def latencies(self) -> List[float]:
-        """Completed per-request latencies, submission order.
-
-        Recovered requests are excluded: their zero "latency" measures
-        nothing and would drag the percentiles down.
-        """
-        return [
-            r.latency for r in self._order if r.completed and not r.recovered
-        ]
+        """Completed per-request latencies, submission order (recovered
+        requests excluded)."""
+        return self.latency_accumulator().latencies
 
     def latency_accumulator(self) -> LatencyAccumulator:
-        acc = LatencyAccumulator()
-        for record in self._order:
-            if record.recovered:
-                acc.add_recovered()
-            else:
-                acc.add(record.latency)
+        acc = latency_accumulator(self._order)
         # Requests the closed loop never got to issue (their predecessor
         # timed out) still count against completion accounting.
         acc.incomplete += self.spec.total_requests - self.issued
@@ -302,64 +289,47 @@ class WorkloadGenerator:
 # ----------------------------------------------------------------------
 # Serving trials: adversaries × load levels
 # ----------------------------------------------------------------------
-def _slot_view1_leader(config: ProtocolConfig) -> ReplicaId:
-    """The view-1 leader a slot config designates: ``leader_offset mod n``."""
-    return config.leader_offset % config.n
-
-
-def _equivocating_slot_factory(slot, config, crypto, transport):
-    from ..adversary.equivocation import EquivocatingLeader, optimal_split
-
-    # Install the equivocator only in slots this seat actually leads in
-    # view 1 (the slot config carries the rotated schedule).  The seat is
-    # physically fixed per deployment; with rotation off it is the view-1
-    # leader of every slot (the historical behaviour), with rotation on it
-    # leads — and can attack — only ~1/n of the slots.
-    seat = transport.replica
-    if seat != _slot_view1_leader(config):
-        return SilentReplica(seat, config, crypto, transport)
+def _equivocate(slot, seat, config, crypto, transport, protocol):
     return EquivocatingLeader(
-        replica_id=seat,
-        config=config,
-        crypto=crypto,
-        transport=transport,
+        seat, config, crypto, transport,
         strategy=optimal_split(
-            config.n,
-            (seat,),
-            f"evil-{slot}-a".encode(),
-            f"evil-{slot}-b".encode(),
+            config.n, (seat,), f"evil-{slot}-a".encode(), f"evil-{slot}-b".encode()
         ),
+        protocol=protocol,
     )
 
 
-def _flooding_slot_factory(slot, config, crypto, transport):
-    from ..adversary.flooding import FloodingReplica
-
-    # The flooding behaviour presumes a non-leader seat (it fires on seeing
-    # the leader's Propose); in slots this seat leads it degrades to a
-    # crash-faulty leader — silence — and the slot recovers by view change.
-    seat = transport.replica
-    if seat == _slot_view1_leader(config):
-        return SilentReplica(seat, config, crypto, transport)
+def _flood(slot, seat, config, crypto, transport, protocol):
     return FloodingReplica(
-        replica_id=seat,
-        config=config,
-        crypto=crypto,
-        transport=transport,
-        burst=2,
+        seat, config, crypto, transport, burst=2, protocol=protocol
     )
 
 
-#: Serving-cell adversaries: name → (replica_id, per-slot factory).  The
-#: factories are seat-aware: the equivocating leader attacks exactly the
-#: slots its seat leads in view 1 (all of them with rotation off, ~1/n with
-#: rotation on), and the flooder dodges the slots it would lead.  Seat 0 /
-#: seat 1 match the fixed-leader schedule, keeping rotate-off cells
-#: bit-identical to the historical pinned-seat behaviour.
+def _slot_seat(attack, when_leading, slot, config, crypto, transport, protocol):
+    """The one seat-aware slot rule: ``attack`` in the slots whose view-1
+    leadership is ``when_leading`` for this seat, silence in the rest.
+
+    The seat is fixed per deployment; the slot config carries the rotated
+    schedule, so with rotation off the seat leads view 1 of every slot or
+    of none, and with rotation on ~1/n of them.  The equivocator needs the
+    lead; the flooder fires on its leader's proposal, so it attacks the
+    slots it does not lead (in its own it would be a crash-faulty leader).
+    """
+    seat = transport.replica
+    if (leader_of(1, config) == seat) != when_leading:
+        return SilentReplica(seat, config, crypto, transport)
+    return attack(slot, seat, config, crypto, transport, protocol)
+
+
+#: Serving-cell adversaries: name → (replica_id, per-slot factory), every
+#: factory the seat-aware :func:`_slot_seat` rule over an existing seat in
+#: the slot protocol's dialect.  Seat 0 / seat 1 match the fixed-leader
+#: schedule: with rotation off the equivocator leads every slot and the
+#: flooder none.
 SERVING_ADVERSARIES: Dict[str, Optional[Tuple[ReplicaId, Callable]]] = {
     "none": None,
-    "equivocating-leader": (0, _equivocating_slot_factory),
-    "flooding": (1, _flooding_slot_factory),
+    "equivocating-leader": (0, partial(_slot_seat, _equivocate, True)),
+    "flooding": (1, partial(_slot_seat, _flood, False)),
 }
 
 #: Load-level presets for the serving matrix.
@@ -581,7 +551,6 @@ def serve(spec: ServingSpec, deployment: SMRDeployment) -> ServingResult:
     generator = WorkloadGenerator(deployment, spec.workload(), seed=spec.seed)
     generator.run(max_time=spec.max_time, max_events=spec.max_events)
     acc = generator.latency_accumulator()
-    latencies = generator.latencies()
     throughput = serving_throughput(generator.records)
     return ServingResult(
         adversary=spec.adversary,
@@ -609,10 +578,10 @@ def serve(spec: ServingSpec, deployment: SMRDeployment) -> ServingResult:
             default=0,
         ),
         logs_consistent=deployment.logs_consistent(),
-        recovered=generator.recovered,
+        recovered=acc.recovered,
         rotate_leaders=spec.rotate_leaders,
         arrival=spec.arrival,
-        latencies=tuple(latencies),
+        latencies=tuple(acc.latencies),
         kernel_stats=deployment.vote_kernel_stats(),
     )
 
@@ -649,19 +618,3 @@ def serving_cells(
         for rotate in rotations
         for arrival in arrivals
     ]
-
-
-def serving_trials(specs: List[ServingSpec]) -> List["TrialSpec"]:
-    """Wrap serving specs in the harness :class:`TrialSpec` protocol so
-    they can ride :meth:`ExperimentEngine.map` at any worker count."""
-    from ..harness.parallel import TrialSpec
-
-    return [
-        TrialSpec(index=i, seed=spec.seed, params=spec)
-        for i, spec in enumerate(specs)
-    ]
-
-
-def run_serving_trial_spec(trial) -> ServingResult:
-    """Picklable :class:`TrialSpec` entry point for the experiment engine."""
-    return run_serving_trial(trial.params)

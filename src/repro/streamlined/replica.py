@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import ProtocolConfig
+from ..core.leader import leader_of
 from ..core.replica import DecisionCallback
 from ..crypto.context import CryptoContext
 from ..crypto.signatures import Signed
@@ -93,7 +94,7 @@ class StreamReplica:
             self._enter_epoch(epoch + 1)
 
     def _leader(self, epoch: int) -> ReplicaId:
-        return (epoch - 1) % self.config.n
+        return leader_of(epoch, self.config)
 
     # ------------------------------------------------------------------
     # Proposing and voting

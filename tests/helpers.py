@@ -12,7 +12,7 @@ import dataclasses
 from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.config import ProtocolConfig
-from repro.core.leader import leader_of_view
+from repro.core.leader import leader_of
 from repro.crypto.context import CryptoContext
 from repro.crypto.signatures import Signed
 from repro.crypto.vrf import phase_seed
@@ -54,6 +54,21 @@ def seeded_specs(trials, master_seed=0, params=None):
     from repro.harness.parallel import TrialSpec, derive_seed
 
     return [TrialSpec(i, derive_seed(master_seed, i), params) for i in range(trials)]
+
+
+def run_serving_spec(trial):
+    """A ``ServingSpec`` carried as an engine trial's params, served (module
+    level, so a process pool can pickle it)."""
+    from repro.smr.workload import run_serving_trial
+
+    return run_serving_trial(trial.params)
+
+
+def serving_engine_trials(specs):
+    """Serving specs as :class:`TrialSpec`\\ s for ``ExperimentEngine.map``."""
+    from repro.harness.parallel import TrialSpec
+
+    return [TrialSpec(i, spec.seed, spec) for i, spec in enumerate(specs)]
 
 
 def deliver_bucket(handler, src, message, dsts, probe=None):
@@ -102,7 +117,7 @@ def make_statement(
 ) -> Signed:
     """A leader-signed ``⟨v, x⟩`` (signer defaults to the real leader)."""
     if signer is None:
-        signer = leader_of_view(view, config.n)
+        signer = leader_of(view, config)
     return crypto.signatures.sign(
         signer,
         ProposalStatement(view=view, value=value, domain=config.seed_domain),
@@ -185,7 +200,7 @@ def make_propose(
     signer: Optional[ReplicaId] = None,
 ) -> Signed:
     if signer is None:
-        signer = leader_of_view(view, config.n)
+        signer = leader_of(view, config)
     statement = make_statement(crypto, config, view, value, signer=signer)
     return crypto.signatures.sign(
         signer,

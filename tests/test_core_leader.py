@@ -2,32 +2,93 @@
 
 import pytest
 
+from repro.baselines.pbft.predicates import (
+    pbft_validate_prepared_certificate,
+    pbft_vote_token,
+)
 from repro.core.leader import (
     compute_proposal,
-    leader_of_view,
+    leader_of,
     max_prepared_view,
     mode_values,
 )
+from repro.messages.base import ProposalStatement
+from repro.messages.pbft import PbftPrepare
 from repro.messages.probft import NewLeader
+from repro.quorum.certificates import validate_prepared_certificate
 
-from .helpers import make_crypto, make_new_leader, saturated_config
+from .helpers import (
+    make_crypto,
+    make_new_leader,
+    make_prepare,
+    make_prepared_cert,
+    make_statement,
+    saturated_config,
+)
 
 
 class TestLeaderRotation:
     def test_round_robin(self):
-        assert leader_of_view(1, 4) == 0
-        assert leader_of_view(2, 4) == 1
-        assert leader_of_view(4, 4) == 3
-        assert leader_of_view(5, 4) == 0
+        config = saturated_config(n=4, f=1)
+        assert leader_of(1, config) == 0
+        assert leader_of(2, config) == 1
+        assert leader_of(4, config) == 3
+        assert leader_of(5, config) == 0
 
     def test_every_replica_leads_within_n_views(self):
-        n = 7
-        leaders = {leader_of_view(v, n) for v in range(1, n + 1)}
-        assert leaders == set(range(n))
+        config = saturated_config(n=7, f=2)
+        leaders = {leader_of(v, config) for v in range(1, 8)}
+        assert leaders == set(range(7))
 
     def test_rejects_view_zero(self):
         with pytest.raises(ValueError):
-            leader_of_view(0, 4)
+            leader_of(0, saturated_config(n=4, f=1))
+
+
+class TestOffsetLeader:
+    """At ``leader_offset=3`` view 1 is replica 3's: every check of the
+    schedule accepts it and rejects replica 0, the offset-0 leader."""
+
+    @pytest.fixture
+    def setup(self):
+        config = saturated_config(leader_offset=3)
+        return config, make_crypto(config)
+
+    def test_schedule(self, setup):
+        config, _crypto = setup
+        assert [leader_of(v, config) for v in (1, 2, 5, 6)] == [3, 4, 7, 0]
+
+    def test_probft_prepared_certificate(self, setup):
+        config, crypto = setup
+        cert = make_prepared_cert(crypto, config, view=1, value=b"v")
+        assert cert[0].payload.statement.signer == 3
+
+        def valid(cert):
+            return validate_prepared_certificate(
+                cert, 1, b"v", 5, config, crypto.signatures, crypto.vrf
+            )
+
+        assert valid(cert)
+        replica0 = make_statement(crypto, config, 1, b"v", signer=0)
+        assert not valid(
+            tuple(make_prepare(crypto, config, s, replica0) for s in range(config.q))
+        )
+
+    @pytest.mark.parametrize("leader, accepted", [(3, True), (0, False)])
+    def test_pbft_vote_token_and_certificate(self, setup, leader, accepted):
+        config, crypto = setup
+        statement = crypto.signatures.sign(
+            leader, ProposalStatement(view=1, value=b"v", domain="")
+        )
+        votes = tuple(
+            crypto.signatures.sign(s, PbftPrepare(statement=statement))
+            for s in range(config.det_quorum)
+        )
+        token = pbft_vote_token(config, crypto, votes[0])
+        assert (token is not None) is accepted
+        assert pbft_validate_prepared_certificate(
+            votes, 1, b"v", config, crypto
+        ) is accepted
 
 
 class TestModeValues:

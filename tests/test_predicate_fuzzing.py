@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.leader import leader_of_view
 from repro.core.predicates import safe_proposal, valid_new_leader
 from repro.messages.probft import Prepare, Propose
 from repro.quorum.certificates import validate_prepared_certificate
@@ -41,7 +40,6 @@ def _validate_cert(cert, view=1, value=b"v", holder=5):
         config=CFG,
         signatures=CRYPTO.signatures,
         vrf=CRYPTO.vrf,
-        leader_of_view=leader_of_view,
     )
 
 

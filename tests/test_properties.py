@@ -9,12 +9,13 @@ from scipy import stats
 from repro.analysis.bounds import binom_tail_ge
 from repro.analysis.quorum_probability import prob_quorum_exact
 from repro.config import (
+    ProtocolConfig,
     deterministic_quorum_size,
     max_faults,
     probabilistic_quorum_size,
     vrf_sample_size,
 )
-from repro.core.leader import leader_of_view, mode_values
+from repro.core.leader import leader_of, mode_values
 from repro.crypto.context import CryptoContext
 from repro.crypto.hashing import digest, stable_encode
 from repro.net.simulator import Simulator
@@ -129,11 +130,13 @@ class TestConfigProperties:
 class TestLeaderProperties:
     @given(st.integers(1, 10_000), st.integers(4, 100))
     def test_leader_in_range(self, view, n):
-        assert 0 <= leader_of_view(view, n) < n
+        config = ProtocolConfig(n=n)
+        assert 0 <= leader_of(view, config) < n
 
     @given(st.integers(1, 1000), st.integers(4, 100))
     def test_rotation_periodic(self, view, n):
-        assert leader_of_view(view, n) == leader_of_view(view + n, n)
+        config = ProtocolConfig(n=n)
+        assert leader_of(view, config) == leader_of(view + n, config)
 
     @given(st.lists(st.binary(min_size=1, max_size=4), min_size=1, max_size=30))
     def test_mode_values_are_actual_modes(self, values):

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.leader import leader_of_view
 from repro.core.predicates import valid_new_leader
 from repro.messages.probft import Prepare
 from repro.quorum.certificates import validate_prepared_certificate
@@ -38,7 +37,6 @@ def validate(cert, cfg, crypto, view=1, value=b"v", holder=5):
         config=cfg,
         signatures=crypto.signatures,
         vrf=crypto.vrf,
-        leader_of_view=leader_of_view,
     )
 
 

@@ -965,7 +965,7 @@ class TestValueDomain:
         view 1 decides."""
         import dataclasses
 
-        from repro.core.leader import leader_of_view
+        from repro.core.leader import leader_of
         from repro.harness.registry import MatrixCell, cell_deployment_spec
         from repro.harness.trial import run_trial
         from repro.messages.hotstuff import HsProposal, HsVote, HsVotePayload
@@ -988,7 +988,7 @@ class TestValueDomain:
                 hostile = type(value)(proposal.value)
                 vote = sign(HsVotePayload(proposal.view, hostile, proposal.phase))
                 self._transport.send(
-                    leader_of_view(proposal.view, self._config.n), sign(HsVote(vote))
+                    leader_of(proposal.view, self._config), sign(HsVote(vote))
                 )
 
         def spec():

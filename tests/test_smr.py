@@ -258,7 +258,7 @@ class TestSMRIntegration:
 
         cfg = ProtocolConfig(n=7, f=2, seed_domain="oops")
         with pytest.raises(ValueError):
-            SMRReplica(0, cfg, None, None, CounterApp(), num_slots=1)
+            SMRReplica(0, cfg, None, None, CounterApp(), 1, None)
 
     def test_linearized_order_identical_across_replicas(self):
         cfg = ProtocolConfig(n=7, f=2)
@@ -314,6 +314,7 @@ class TestPipelining:
                 None,
                 CounterApp(),
                 num_slots=1,
+                stacks=None,
                 pipeline=0,
             )
 
@@ -401,6 +402,7 @@ class TestBatching:
                 None,
                 CounterApp(),
                 num_slots=1,
+                stacks=None,
                 batch_size=0,
             )
 
@@ -442,5 +444,6 @@ class TestBackpressure:
                 None,
                 CounterApp(),
                 num_slots=1,
+                stacks=None,
                 max_pending=0,
             )

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.config import ProtocolConfig
 from repro.smr.app import CounterApp
-from repro.smr.client import SMRClient
+from repro.smr.client import SMRClient, latency_accumulator
 from repro.smr.service import SMRDeployment
 
 
@@ -33,8 +33,9 @@ class TestSMRClient:
         dep, client = self.make()
         client.submit(b"INC")
         dep.run(max_time=20_000)
-        assert not math.isnan(client.mean_latency())
-        assert client.mean_latency() >= 3.0  # at least one consensus round
+        mean = latency_accumulator(client.requests).mean
+        assert not math.isnan(mean)
+        assert mean >= 3.0  # at least one consensus round
 
     def test_duplicate_payloads_are_distinct_requests(self):
         """Regression: payload-keyed tracking made equal payloads collide
@@ -73,15 +74,16 @@ class TestSMRClient:
 
     def test_incomplete_without_run(self):
         """Regression: mean_latency returned NaN (silently poisoning report
-        columns); it is now an explicit None with a timed_out count."""
+        columns); it is now an explicit None with an incomplete count."""
         _dep, client = self.make()
         client.submit(b"INC")
         assert not client.all_completed()
-        assert client.mean_latency() is None
-        assert client.p50_latency() is None
-        assert client.p99_latency() is None
-        assert client.timed_out == 1
-        summary = client.latency_summary()
+        acc = latency_accumulator(client.requests)
+        assert acc.mean is None
+        assert acc.p50 is None
+        assert acc.p99 is None
+        assert acc.incomplete == 1
+        summary = acc.summary()
         assert summary["completed"] == 0
         assert summary["incomplete"] == 1
         assert summary["mean_latency"] is None
@@ -92,11 +94,12 @@ class TestSMRClient:
             client.submit(b"INC")
         dep.run(max_time=20_000)
         assert client.all_completed()
-        assert client.timed_out == 0
-        p50, p99 = client.p50_latency(), client.p99_latency()
+        acc = latency_accumulator(client.requests)
+        assert acc.incomplete == 0
+        p50, p99 = acc.p50, acc.p99
         assert p50 is not None and p99 is not None
         assert p50 <= p99
-        assert client.mean_latency() >= 3.0
+        assert acc.mean >= 3.0
 
     def test_late_client_recovers_prior_requests(self):
         """Regression: a client constructed after the deployment ran missed
@@ -142,6 +145,18 @@ class TestCLI:
         parser = build_parser()
         args = parser.parse_args(["run", "probft", "--n", "10"])
         assert args.protocol == "probft" and args.n == 10
+
+    @pytest.mark.parametrize("table", ["adversary", "load"])
+    def test_serve_choices_are_the_tables(self, table):
+        from repro.smr.workload import LOAD_LEVELS, SERVING_ADVERSARIES
+
+        keys = {"adversary": SERVING_ADVERSARIES, "load": LOAD_LEVELS}[table]
+        parser = build_parser()
+        for key in keys:
+            args = parser.parse_args(["serve", f"--{table}", key])
+            assert getattr(args, table) == key
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", f"--{table}", "no-such-key"])
 
     def test_run_command_probft(self, capsys):
         code = main(["run", "probft", "--n", "10", "--f", "2"])

@@ -17,7 +17,7 @@ import pytest
 
 from repro.config import ProtocolConfig
 from repro.core.deployment import KERNEL_STATS
-from repro.core.leader import leader_of, leader_of_view
+from repro.core.leader import leader_of
 from repro.errors import ConfigError
 from repro.harness.parallel import ExperimentEngine
 from repro.smr.app import CounterApp
@@ -30,13 +30,13 @@ from repro.smr.workload import (
     WorkloadGenerator,
     WorkloadSpec,
     build_serving_deployment,
+    SERVING_ADVERSARIES,
     run_serving_trial,
-    run_serving_trial_spec,
     serving_cells,
     serving_throughput,
-    serving_trials,
 )
-from repro.smr.workload import _equivocating_slot_factory
+
+from .helpers import run_serving_spec, serving_engine_trials
 
 #: sha256 of the canonical JSON (sorted keys) of the six fixed-leader
 #: closed-loop serving rows — adversary x load at seed 2024, every
@@ -56,7 +56,7 @@ class TestLeaderOffset:
     def test_offset_zero_matches_historical_schedule(self):
         config = ProtocolConfig(n=9, f=2)
         for view in range(1, 20):
-            assert leader_of(view, config) == leader_of_view(view, config.n)
+            assert leader_of(view, config) == (view - 1) % config.n
 
     def test_offset_shifts_schedule(self):
         config = ProtocolConfig(n=9, f=2, leader_offset=3)
@@ -97,6 +97,7 @@ class TestLeaderOffset:
                 transport=None,
                 app=CounterApp(),
                 num_slots=1,
+                stacks=None,
             )
 
 
@@ -153,7 +154,7 @@ class TestRotationDeterminism:
         assert base.row() == explicit.row()
 
     def test_rotation_on_serial_matches_pool(self):
-        trials = serving_trials(
+        trials = serving_engine_trials(
             [
                 ServingSpec(
                     adversary="equivocating-leader",
@@ -163,10 +164,10 @@ class TestRotationDeterminism:
                 ServingSpec(rotate_leaders=True, seed=1, **SMALL),
             ]
         )
-        serial = ExperimentEngine(workers=0).map(run_serving_trial_spec, trials)
+        serial = ExperimentEngine(workers=0).map(run_serving_spec, trials)
         pool = ExperimentEngine(workers=2)
         try:
-            pooled = pool.map(run_serving_trial_spec, trials)
+            pooled = pool.map(run_serving_spec, trials)
         finally:
             pool.close()
         for a, b in zip(serial, pooled):
@@ -217,7 +218,7 @@ class TestEquivocatorAtEveryRotatedSeat:
             CounterApp,
             num_slots=4,
             seed=13,
-            byzantine_factories={seat: _equivocating_slot_factory},
+            byzantine_factories={seat: SERVING_ADVERSARIES["equivocating-leader"][1]},
             batch_size=2,
             rotate_leaders=True,
         )
@@ -303,13 +304,12 @@ class TestRecoveredAccounting:
         replay = WorkloadGenerator(deployment, spec.workload(), seed=spec.seed)
         replay.run(max_time=spec.max_time)
         assert replay.completed == spec.workload().total_requests
-        assert replay.recovered == replay.completed
         assert replay.latencies() == []
         acc = replay.latency_accumulator()
-        assert acc.recovered == replay.recovered
+        assert acc.recovered == replay.completed
         assert acc.mean is None and acc.p99 is None
         summary = acc.summary()
-        assert summary["recovered"] == replay.recovered
+        assert summary["recovered"] == replay.completed
         assert summary["incomplete"] == 0
 
     def test_recovered_only_trial_reports_zero_throughput(self):

@@ -20,14 +20,10 @@ from repro.smr.workload import (
     WorkloadSpec,
     build_serving_deployment,
     run_serving_trial,
-    run_serving_trial_spec,
     serving_cells,
-    serving_trials,
 )
-from repro.smr.workload import (
-    _equivocating_slot_factory,
-    _flooding_slot_factory,
-)
+
+from .helpers import run_serving_spec, serving_engine_trials
 
 # A small spec that still exercises batching, pipelining, and the closed
 # loop, but completes in well under a second.
@@ -134,7 +130,8 @@ class TestWorkloadGenerator:
         states = [state.rng.getstate() for state in replay._clients]
         replay.run(max_time=spec.max_time)
         assert [state.rng.getstate() for state in replay._clients] == states
-        assert replay.completed == replay.recovered == spec.workload().total_requests
+        recovered = replay.latency_accumulator().recovered
+        assert replay.completed == recovered == spec.workload().total_requests
         assert all(r.recovered and r.latency == 0 for r in replay.records)
         assert replay.retries == 0
 
@@ -193,13 +190,13 @@ class TestGoldenSeedDeterminism:
 
     def test_backends_agree(self):
         """The golden witness is bit-identical across engine backends."""
-        trials = serving_trials(
+        trials = serving_engine_trials(
             [ServingSpec(**SMALL), ServingSpec(seed=1, **SMALL)]
         )
-        serial = ExperimentEngine(workers=0).map(run_serving_trial_spec, trials)
+        serial = ExperimentEngine(workers=0).map(run_serving_spec, trials)
         pool = ExperimentEngine(workers=2)
         try:
-            pooled = pool.map(run_serving_trial_spec, trials)
+            pooled = pool.map(run_serving_spec, trials)
         finally:
             pool.close()
         for a, b in zip(serial, pooled):
@@ -258,7 +255,8 @@ class TestByzantineConsistencyAtLoad:
     ``all_applied`` so every replica's state machine is drained before the
     snapshot comparison."""
 
-    def run_deployment(self, factory, replica_id):
+    def run_deployment(self, adversary):
+        replica_id, factory = SERVING_ADVERSARIES[adversary]
         cfg = ProtocolConfig(n=9, f=2)
         dep = SMRDeployment(
             cfg,
@@ -274,13 +272,13 @@ class TestByzantineConsistencyAtLoad:
         return dep
 
     def test_equivocating_leader_consistency(self):
-        dep = self.run_deployment(_equivocating_slot_factory, 0)
+        dep = self.run_deployment("equivocating-leader")
         assert dep.all_applied()
         assert dep.logs_consistent()
         assert dep.snapshots_consistent()
 
     def test_flooding_consistency(self):
-        dep = self.run_deployment(_flooding_slot_factory, 1)
+        dep = self.run_deployment("flooding")
         assert dep.all_applied()
         assert dep.logs_consistent()
         assert dep.snapshots_consistent()
