@@ -75,6 +75,8 @@ KERNEL_STATS = (
     "wish_vectorised",
     "wish_scalar",
     "wish_declined",
+    "wish_passes",
+    "wish_walks",
     "propose_validations",
     "validated",
     "validated_reused",

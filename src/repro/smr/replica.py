@@ -283,11 +283,9 @@ class SMRReplica:
     def __init__(
         self,
         replica_id: ReplicaId,
-        config: ProtocolConfig,
         crypto: CryptoContext,
         transport: Transport,
         app: StateMachine,
-        num_slots: int,
         stacks: SlotStacks,
         timeout_policy: Optional[TimeoutPolicy] = None,
         on_apply: Optional[Callable[[ReplicaId, int, Value], None]] = None,
@@ -296,18 +294,7 @@ class SMRReplica:
         max_pending: Optional[int] = None,
         eager_slots: bool = True,
     ) -> None:
-        if config.seed_domain:
-            raise ValueError(
-                "SMR manages seed domains itself; pass a config with "
-                "seed_domain=''"
-            )
-        if config.leader_offset:
-            raise ValueError(
-                "SMR manages leader offsets itself (the deployment's "
-                "rotate_leaders); pass a config with leader_offset=0"
-            )
         self.id = replica_id
-        self.config = config
         self._crypto = crypto
         self._transport = transport
         self._timeout_policy = timeout_policy
@@ -319,7 +306,9 @@ class SMRReplica:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.num_slots = num_slots
+        #: The deployment's slot budget (the slot configs come from
+        #: ``stacks`` too).
+        self.num_slots = stacks.num_slots
         self.pipeline = pipeline
         self.batch_size = batch_size
         self.max_pending = max_pending

@@ -94,7 +94,6 @@ class SMRDeployment(Deployment):
         self._apply_watchers: Dict[int, List[weakref.WeakMethod]] = {}
         self._app_factory = app_factory
         self._serving = dict(
-            num_slots=num_slots,
             pipeline=pipeline,
             batch_size=batch_size,
             max_pending=max_pending,
@@ -157,7 +156,6 @@ class SMRDeployment(Deployment):
         self._record_apply = record_apply
         return lambda r, transport: SMRReplica(
             r,
-            self.config,
             self.crypto,
             transport,
             self._app_factory(),

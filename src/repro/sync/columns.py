@@ -35,19 +35,31 @@ what a sender claims:
   consulted for the ``k``-th highest only once more than ``f`` senders are
   in it (unit tests with more wishers than ``f`` allows).
 
-:class:`WishDispatch` validates a fan-out once (wire type, ``signer == src``,
-domain, then staleness per recipient, then one signature verification if any
-recipient would record it), applies it to all running recipients as masked
-scatters, and drops to scalar code only where the per-recipient loop also
-serialises: Byzantine recipients (arbitrary handlers) and recipients whose
-count just reached ``f+1`` or ``2f+1`` for a view they have not yet wished
-or entered — those run the synchronizer's own relay/enter reaction, in
-bucket order, with the stop probe consulted after each.  Between two such
-stops a delivery only touches its own recipient's column, so applying the
-segment in one shot reorders nothing observable.  One-recipient buckets
-(continuous latency) and every bucket of a deployment with network
-duplication (a recipient may appear twice) take the per-recipient loop over
-the same arrays instead; the three routes are counted.
+:class:`WishDispatch` is the network's kernel for Wish buckets, with the
+vote kernel's units of work (DESIGN.md "Runs and groups", *The wish
+group*).  A **group** is consecutive buckets of one run that broadcast a
+valid signed wish for one view from distinct signers to everyone but the
+sender, ``_PASS_WISHES`` deliveries at most.  One at or above the
+break-even (``_PASS_MIN_WISHES``) is applied in one array pass over its
+``(bucket, recipient)`` grid: the seen-bit test, each recipient's arrival
+rank (a cumsum down the buckets), one scatter into ``seen`` / ``counts``.
+Only the *stops* run as scalar code, in (bucket, recipient) order with the
+stop probe after each: Byzantine recipients (arbitrary handlers) and the
+delivery at which a recipient's count first reaches ``f+1`` / ``2f+1`` for
+a view it has not wished / entered — the synchronizer's own reaction.  A
+group spans several buckets only while no running replica can still relay
+the view and no lower live view can still be entered; then a stop can only
+enter the group's view, which the over-applied counts of its own column
+answer exactly as per-bucket delivery would.  Otherwise the group is one
+bucket, where a recipient appears once and its stop reads its column as
+delivered.  Everything else — groups below the
+break-even, wishes beyond the horizon, multicasts of any other shape, and
+chains of one-recipient buckets under continuous latency — is walked:
+bucket by bucket, recipient by recipient, with the synchronizer's rules
+over the same columns, ``advance`` at every boundary, one kernel call per
+run.  A deployment with network duplication declines every Wish bucket to
+the per-recipient loop (a recipient may appear twice).  Routes, passes and
+walks are counted.
 """
 
 from __future__ import annotations
@@ -289,29 +301,40 @@ class _ColumnWishes:
         self._columns.note_stopped(self._d)
 
 
+#: Deliveries one array pass takes at most: its grid of (bucket, recipient)
+#: temporaries stays a few hundred KiB whatever n, while a whole n=1000
+#: view change (10^6 deliveries) in one pass would hold ~30 MB of them.
+_PASS_WISHES = 16384
+
+#: Deliveries a group needs to take the array pass; a smaller one is walked
+#: (DESIGN.md "Runs and groups", *The wish group*).
+_PASS_MIN_WISHES = 128
+
+
 class WishDispatch:
-    """One-call-per-bucket delivery kernel for Wish fan-outs.
+    """The delivery kernel for Wish fan-outs: one array pass per large
+    *group* of buckets, one scalar walk for everything else.
 
     Args:
         n, f: system size and fault threshold.
         signatures: the instance's signature scheme; behind it a Wish is
             verified once per object (honest ones are valid at birth), so
-            the check below costs a verdict-table lookup per bucket.
+            a bucket's check costs a verdict-table lookup.
         syncs: replica id -> synchronizer of every *correct* replica; each
             is switched to its column of the shared state here.  More may
             :meth:`attach` later (SMR replicas open a slot one by one).
         handlers: the network's plain handlers (Byzantine recipients).
         dup_possible: the network may duplicate messages, so a recipient may
-            appear twice in one bucket; every bucket then takes the
-            per-recipient loop.
+            appear twice in one bucket; every Wish bucket is then declined
+            to the per-recipient loop.
 
-    An instance kernel (:meth:`repro.net.network.Network.use_kernel`)
-    that takes one bucket per call: it answers ``(delivered,)`` for
-    ``run[pos]``, or ``(-1,)`` for anything that is not a signed Wish.
-    Nothing it does depends on what was sent before, so its
-    :meth:`inspect` ignores every send.
-    ``vectorised`` / ``scalar`` / ``declined`` count the Wish buckets that
-    took each route.
+    An instance kernel (:meth:`repro.net.network.Network.use_kernel`): it
+    answers one delivered count per bucket reached from ``run[pos]`` on,
+    entering each later bucket through ``advance``, and ``(-1,)`` when
+    ``run[pos]`` is not a Wish.  Nothing it does depends on what was sent
+    before, so its :meth:`inspect` ignores every send.  ``vectorised`` /
+    ``scalar`` / ``declined`` count the Wish buckets that took each route,
+    ``passes`` the array passes, ``walks`` the scalar walks.
     """
 
     def __init__(
@@ -329,11 +352,14 @@ class WishDispatch:
         self._syncs: Dict[ReplicaId, ViewSynchronizer] = {}
         self._handlers = handlers
         self._dup = dup_possible
+        self._everyone = list(range(n))
         self.columns = WishColumns(n, self._syncs)
         self._domain = ""
         self.vectorised = 0
         self.scalar = 0
         self.declined = 0
+        self.passes = 0
+        self.walks = 0
         for replica, sync in syncs.items():
             self.attach(replica, sync)
 
@@ -363,97 +389,198 @@ class WishDispatch:
             "wish_vectorised": self.vectorised,
             "wish_scalar": self.scalar,
             "wish_declined": self.declined,
+            "wish_passes": self.passes,
+            "wish_walks": self.walks,
         }
 
-    def __call__(self, run, pos, probe, advance) -> tuple:
-        src, message, dsts = run[pos]
-        wish = getattr(message, "payload", None)
-        if not isinstance(wish, Wish):
-            return (-1,)
-        if self._dup:
-            self.declined += 1
-            return (self._deliver_each(src, message, dsts, probe),)
-        if (
-            len(dsts) == 1
-            or not conforms(message, Signed, self._signatures.verdicts)
-            or message.signer != src
-            or wish.domain != self._domain
-        ):
-            # One recipient, or a wish every synchronizer drops on a lookup:
-            # nothing to batch.
-            self.scalar += 1
-            return (self._deliver_each(src, message, dsts, probe),)
-        self.vectorised += 1
-
+    def __call__(self, run, pos, probe, advance) -> list:
         columns = self.columns
-        if columns.cur is None:
-            columns._allocate()
-        view = wish.view
-        D = np.asarray(dsts, dtype=np.intp)
-        wi = src >> 6
-        bit = np.uint64(1 << (src & 63))
-        # Staleness per recipient (Byzantine and stopped recipients record
-        # nothing), then one verification for everyone who would record.
-        new = None
-        if view > columns.horizon:
-            wished = columns._far.get(src)
-            new = columns.live[D]
-            if wished is not None:
-                new &= wished[D] < view
-        elif view > columns.floor:
-            new = columns.live[D] & ((columns._slot(view).seen[wi, D] & bit) == 0)
-        stops = ~columns.attached[D]
-        if new is not None and new.any() and self._signatures.verify(message):
-            stops |= self._apply(D, np.nonzero(new)[0], wi, bit, src, view)
-
-        stop_idx = np.nonzero(stops)[0]
-        syncs = self._syncs
-        for si, d in zip(stop_idx.tolist(), D[stop_idx].tolist()):
-            sync = syncs.get(d)
-            if sync is None:
-                self._handlers[d](src, message)  # arbitrary handler
-            else:
-                sync._react_to_wishes()
-            # The per-recipient loop probes before the delivery after any
-            # stop; a trailing probe with nothing left returns the same count.
-            if probe is not None and probe():
-                return (si + 1,)
-        return (len(dsts),)
-
-    def _apply(self, D, idx, wi, bit, src, view) -> np.ndarray:
-        """Record the wish at recipients ``D[idx]``; returns the mask over
-        ``D`` of recipients whose relay or enter rule may now fire."""
-        columns = self.columns
-        relay_at = self._relay_at
-        enter_at = self._enter_at
-        hit = np.zeros(D.shape[0], dtype=bool)
-        for v in columns._views:
-            if v > view:
-                break
-            slot = columns._slots[v]
-            fresh = idx
-            if v != view:  # at ``view`` itself idx *is* the unseen set
-                fresh = idx[(slot.seen[wi, D[idx]] & bit) == 0]
-                if not fresh.size:
+        others = columns.n - 1  # a broadcast's recipients
+        took: list = []
+        k = end = pos  # the bucket at hand; the end of a group being walked
+        walking = False
+        while True:
+            src, message, dsts = run[k]
+            wish = getattr(message, "payload", None)
+            if not isinstance(wish, Wish):
+                return took or [-1]  # (entered, if not first: the caller's)
+            if self._dup:
+                self.declined += 1
+                took.append(-1)
+                return took
+            if k >= end and len(dsts) == others and self._broadcast(
+                src, message, dsts, wish
+            ):
+                if columns.cur is None:
+                    columns._allocate()
+                size = self._group(run, k, src, wish.view)
+                if size and size * others >= _PASS_MIN_WISHES:
+                    walking = False
+                    answered, whole = self._pass(run, k, size, wish.view, probe, advance)
+                    took += answered
+                    if not whole:
+                        return took
+                    k += size
+                    if not advance(k) or k >= len(run):
+                        return took
                     continue
-            dn = D[fresh]
-            slot.seen[wi, dn] |= bit
-            c = slot.counts[dn] + 1
-            slot.counts[dn] = c
-            hit[fresh] |= ((c >= relay_at) & (columns.sent[dn] < v)) | (
-                (c >= enter_at) & (columns.cur[dn] < v)
-            )
-        if view > columns.horizon:
-            columns._far_of(src)[D[idx]] = view
-            if len(columns._far) >= relay_at:
-                hit[idx] = True
-        return hit
+                end = k + max(size, 1)  # walked, bucket by bucket
+            if not walking:
+                walking = True
+                self.walks += 1
+            self.scalar += 1
+            delivered = self._walk(src, message, dsts, wish, probe)
+            took.append(delivered)
+            k += 1
+            # (A router hands over its own slice of the run: a bucket the
+            # simulator just appended is not in it.)
+            if delivered < len(dsts) or not advance(k) or k >= len(run):
+                return took
 
-    def _deliver_each(self, src, message, dsts, probe) -> int:
-        """The per-recipient loop: each correct recipient's synchronizer
-        (its scalar facade over the shared columns), each Byzantine
+    def _broadcast(self, src, message, dsts, wish) -> bool:
+        """Whether a bucket is a valid signed Wish to everyone but its
+        sender, in id order: the shape a pass takes (a correct
+        synchronizer's broadcast under constant latency)."""
+        everyone = self._everyone
+        return (
+            len(dsts) == len(everyone) - 1
+            and conforms(message, Signed, self._signatures.verdicts)
+            and message.signer == src
+            and wish.domain == self._domain
+            and dsts[src:] == everyone[src + 1 :]
+            and dsts[:src] == everyone[:src]
+        )
+
+    def _group(self, run, k, src, view) -> int:
+        """How many buckets from ``run[k]`` (a broadcast) one pass may take:
+        the broadcasts after it for the same view from distinct signers,
+        ``_PASS_WISHES`` deliveries at most — or just ``run[k]`` while some
+        running replica may still relay ``view`` or a lower live view may
+        still be entered, and none (walked) for a wish beyond the horizon."""
+        columns = self.columns
+        if view > columns.floor:
+            if view > columns.horizon:
+                return 0
+            views = columns._views
+            if (views and views[0] < view) or (
+                columns.live & (columns.sent < view)
+            ).any():
+                return 1
+        signers = {src}
+        end, stop = k + 1, min(len(run), k + max(1, _PASS_WISHES // (columns.n - 1)))
+        while end < stop:
+            sender, message, dsts = run[end]
+            wish = getattr(message, "payload", None)
+            if (
+                not isinstance(wish, Wish)
+                or wish.view != view
+                or sender in signers
+                or not self._broadcast(sender, message, dsts, wish)
+            ):
+                break
+            signers.add(sender)
+            end += 1
+        return end - k
+
+    def _pass(self, run, pos, size, view, probe, advance) -> tuple:
+        """The array pass over the ``size`` broadcasts at ``run[pos]``, as a
+        ``(bucket, recipient)`` grid: the seen-bit test, each recipient's
+        arrival rank (a cumsum down the buckets), one scatter per slot, then
+        the stops in (bucket, recipient) order with the probe after each.
+        Answers a count per bucket reached, and whether the group was
+        delivered whole (neither the probe nor a boundary ended it)."""
+        columns = self.columns
+        n = columns.n
+        self.passes += 1
+        group = run[pos : pos + size]
+        signers = np.fromiter([bucket[0] for bucket in group], np.intp, size)
+        rows = np.arange(size)
+        stops = None
+        if view > columns.floor:
+            words = signers >> 6
+            bits = (np.uint64(1) << (signers & 63).astype(np.uint64))[:, None]
+            # Who records: running correct recipients that have not seen it.
+            fresh = (columns._slot(view).seen[words] & bits) == 0
+            fresh &= columns.live
+            fresh[rows, signers] = False
+            verify = self._signatures.verify
+            for b in np.flatnonzero(fresh.any(axis=1)).tolist():
+                if not verify(group[b][1]):
+                    fresh[b] = False
+            for v in [v for v in columns._views if v <= view]:
+                slot = columns._slots[v]
+                new = fresh
+                if v != view:  # (a group of one bucket: see ``_group``)
+                    new = fresh & ((slot.seen[words] & bits) == 0)
+                after = np.cumsum(new, axis=0, dtype=np.int32)
+                after += slot.counts
+                hit = new & (
+                    ((after >= self._relay_at) & (columns.sent < v))
+                    | ((after >= self._enter_at) & (columns.cur < v))
+                )
+                stops = hit if stops is None else stops | hit
+                slot.counts[:] = after[-1]
+                seen = slot.seen
+                for w in set(words.tolist()):
+                    mine = words == w
+                    seen[w] |= np.bitwise_or.reduce(
+                        np.where(new[mine], bits[mine], np.uint64(0)), axis=0
+                    )
+            if size > 1:
+                # Its first: a recipient that entered ``view`` there reacts
+                # to nothing later in the group.
+                stops &= np.cumsum(stops, axis=0) == 1
+        byzantine = ~columns.attached
+        if byzantine.any():
+            handled = np.repeat(byzantine[None, :], size, axis=0)
+            handled[rows, signers] = False
+            stops = handled if stops is None else stops | handled
+
+        reached, last, whole = size, n - 1, True
+        flat = np.flatnonzero(stops) if stops is not None else ()
+        if len(flat):
+            syncs, handlers = self._syncs, self._handlers
+            cur = 0  # the bucket whose stops are running
+            for b, d in zip((flat // n).tolist(), (flat % n).tolist()):
+                # Per-bucket delivery asks ``stop_when`` between two
+                # buckets; so does every boundary crossed on the way.
+                while cur < b and advance(pos + cur + 1):
+                    cur += 1
+                if cur < b:
+                    reached, whole = cur + 1, False
+                    break
+                sync = syncs.get(d)
+                if sync is None:
+                    handlers[d](*group[b][:2])  # arbitrary handler
+                else:
+                    sync._react_to_wishes()
+                # The per-recipient loop probes before the delivery after
+                # any stop; a trailing probe with nothing left returns the
+                # same count.
+                if probe is not None and probe():
+                    reached, last, whole = b + 1, d + (d < group[b][0]), False
+                    break
+            else:
+                if cur + 1 < size and not advance(pos + cur + 1):
+                    reached, whole = cur + 1, False
+        self.vectorised += reached
+        took = [n - 1] * reached
+        took[-1] = last
+        return took, whole
+
+    def _walk(self, src, message, dsts, wish, probe) -> int:
+        """One bucket, recipient by recipient: the synchronizer's own
+        ``on_wish`` rules over each correct recipient's column (the
+        recipient-independent checks once per bucket), each Byzantine
         recipient's handler, the stop probe between deliveries."""
-        syncs = self._syncs
+        syncs, handlers, columns = self._syncs, self._handlers, self.columns
+        view = wish.view
+        valid = (
+            conforms(message, Signed, self._signatures.verdicts)
+            and message.signer == src
+            and wish.domain == self._domain
+        )
+        verified = None
         delivered = 0
         for d in dsts:
             if delivered and probe is not None and probe():
@@ -461,7 +588,11 @@ class WishDispatch:
             delivered += 1
             sync = syncs.get(d)
             if sync is None:
-                self._handlers[d](src, message)
-            else:
-                sync.on_wish(src, message)
+                handlers[d](src, message)
+            elif valid and not sync._stopped and columns.accepts(d, src, view):
+                if verified is None:
+                    verified = self._signatures.verify(message)
+                if verified:
+                    columns.record(d, src, view)
+                    sync._react_to_wishes()
         return delivered

@@ -94,3 +94,50 @@ def test_calls_per_vrf_prove_stay_within_budget(n):
     assert len({output.proof for output in outputs}) == len(seeds)
     assert vrf.cache_stats()["misses"] == len(seeds) + 1  # every one expanded
     assert calls / len(seeds) <= 12.1, calls / len(seeds)
+
+
+def _wish_kernel_calls(cell, seed, max_time):
+    """A trial's result, its deployment and how many times the wish
+    kernel (``WishDispatch.__call__``) was entered."""
+    from repro.sync.columns import WishDispatch
+
+    spec = cell_deployment_spec(cell, seed, max_time)
+    context = TrialContext(spec)
+    context.build()
+    kernel = WishDispatch.__call__.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is kernel:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = context.execute()
+    finally:
+        sys.setprofile(previous)
+    return result, context.deployment, calls
+
+
+def test_wish_kernel_calls_per_view_change():
+    """A constant-latency view change is one same-time run of n-1 Wish
+    broadcasts: one kernel call takes it, in array passes (99 calls, one
+    per bucket, before wish groups)."""
+    cell = MatrixCell("probft", "silent", "constant", n=100, f=33)
+    result, deployment, calls = _wish_kernel_calls(cell, 3, 600.0)
+    assert result.all_decided and result.max_view == 3  # (view 2 missed)
+    assert calls <= 4 * (result.max_view - 1), calls
+    assert deployment.vote_kernel_stats()["wish_passes"] >= 1
+
+
+def test_wish_kernel_calls_per_wish_delivery():
+    """Under exponential latency every Wish bucket has one recipient, and a
+    chain of them is one walk: a kernel call per ~10 deliveries (at least
+    one per delivery before wish chains)."""
+    cell = MatrixCell("probft", "silent", "exponential", n=40, f=13)
+    result, deployment, calls = _wish_kernel_calls(cell, 3, 600.0)
+    wishes = deployment.network.stats.delivered_by_type["Wish"]
+    assert result.all_decided and result.max_view == 2 and wishes == 39 * 39
+    assert calls <= 0.25 * wishes, (calls, wishes)

@@ -695,3 +695,35 @@ class TestEquivocalFlagFlipsInsideAGroup:
         assert flipped_in == [(0, 29, 29)]
         # ... and what arrived after it took the per-recipient loop.
         assert production.deployment.vote_kernel_stats()["declined"] > 0
+
+
+class TestWishKernelEqualsTheOracle:
+    """The wish kernel's groups and walks on every view-change cell: the
+    production result, and every Wish delivery, are the oracle's.  Under
+    constant latency a view change is a same-time run of broadcasts taken
+    by array passes; under exponential latency every Wish bucket has one
+    recipient and a chain of them is one walk.  (n=100 cells stop at
+    sim-time 35, after their first view change: the oracle's per-recipient
+    delivery takes ~5 s a view change there.)"""
+
+    @pytest.mark.parametrize("latency", ["constant", "exponential"])
+    @pytest.mark.parametrize("adversary", ["silent", "silent-f", "equivocation", "crash"])
+    @pytest.mark.parametrize("n", [16, 40, 100])
+    def test_cell(self, n, adversary, latency):
+        cell = MatrixCell("probft", adversary, latency, n=n, f=(n - 1) // 3)
+        spec = cell_deployment_spec(cell, seed=1, max_time=35.0 if n == 100 else 600.0)
+        context = TrialContext(spec)
+        oracle = TrialContext(reference_spec(spec))
+        # (As reprs: an undecided trial's last decision time is NaN.)
+        assert repr(context.execute()) == repr(oracle.execute())
+        wishes = context.deployment.network.stats.delivered_by_type["Wish"]
+        assert wishes == oracle.deployment.network.stats.delivered_by_type["Wish"]
+        routes = context.deployment.vote_kernel_stats()
+        assert routes["wish_declined"] == 0
+        if not wishes:
+            return  # (crash, exponential, n=40: decided in view 1)
+        if latency == "constant":
+            assert routes["wish_passes"] > 0 and routes["wish_scalar"] == 0, routes
+        else:
+            assert routes["wish_passes"] == routes["wish_vectorised"] == 0, routes
+            assert 4 * routes["wish_walks"] <= routes["wish_scalar"], routes

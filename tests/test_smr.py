@@ -253,13 +253,6 @@ class TestSMRIntegration:
         assert slot1.config.seed_domain == "slot-1"
         assert slot2.config.seed_domain == "slot-2"
 
-    def test_smr_replica_rejects_pre_domained_config(self):
-        from repro.smr.replica import SMRReplica
-
-        cfg = ProtocolConfig(n=7, f=2, seed_domain="oops")
-        with pytest.raises(ValueError):
-            SMRReplica(0, cfg, None, None, CounterApp(), 1, None)
-
     def test_linearized_order_identical_across_replicas(self):
         cfg = ProtocolConfig(n=7, f=2)
         dep = SMRDeployment(cfg, CounterApp, num_slots=5, seed=6)
@@ -309,11 +302,9 @@ class TestPipelining:
         with pytest.raises(ValueError):
             SMRReplica(
                 0,
-                ProtocolConfig(n=7, f=2),
                 None,
                 None,
                 CounterApp(),
-                num_slots=1,
                 stacks=None,
                 pipeline=0,
             )
@@ -397,11 +388,9 @@ class TestBatching:
         with pytest.raises(ValueError):
             SMRReplica(
                 0,
-                ProtocolConfig(n=7, f=2),
                 None,
                 None,
                 CounterApp(),
-                num_slots=1,
                 stacks=None,
                 batch_size=0,
             )
@@ -439,11 +428,9 @@ class TestBackpressure:
         with pytest.raises(ValueError):
             SMRReplica(
                 0,
-                ProtocolConfig(n=7, f=2),
                 None,
                 None,
                 CounterApp(),
-                num_slots=1,
                 stacks=None,
                 max_pending=0,
             )

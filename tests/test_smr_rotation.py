@@ -22,7 +22,7 @@ from repro.errors import ConfigError
 from repro.harness.parallel import ExperimentEngine
 from repro.smr.app import CounterApp
 from repro.smr.client import SMRClient, majority_slot
-from repro.smr.replica import SMRReplica, slot_leader_offset
+from repro.smr.replica import SlotStacks, slot_leader_offset
 from repro.smr.service import SMRDeployment
 from repro.smr.workload import (
     OPEN_LOOP_RATES,
@@ -85,20 +85,21 @@ class TestLeaderOffset:
         }
         assert leaders == set(range(n))
 
-    def test_smr_replica_rejects_preoffset_config(self):
-        """Slot configs carry the rotation; a caller-supplied offset would
-        silently compose with it."""
-        config = ProtocolConfig(n=9, f=2, leader_offset=1)
-        with pytest.raises(ValueError, match="leader_offset"):
-            SMRReplica(
-                replica_id=0,
-                config=config,
-                crypto=None,
-                transport=None,
-                app=CounterApp(),
-                num_slots=1,
-                stacks=None,
-            )
+
+    def test_slot_configs_replace_a_callers_domain_and_offset(self):
+        """Every slot instance runs on its own domain and rotation offset,
+        whatever the deployment config carried: they are replaced, never
+        composed."""
+        from repro.core.protocol import ProBFTStack
+
+        stacks = SlotStacks(
+            ProtocolConfig(n=9, f=2, seed_domain="oops", leader_offset=4),
+            3, True, (), ProBFTStack, None,
+        )
+        for slot in (1, 2, 3):
+            config = stacks.slot_config(slot)
+            assert config.seed_domain == f"slot-{slot}"
+            assert config.leader_offset == slot_leader_offset(slot, 9, True)
 
 
 class TestGoldenArtifactIdentity:

@@ -1,5 +1,7 @@
 """Tests for timeout policies and the view synchronizer."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,15 +54,23 @@ class SyncCluster:
     per-recipient delivery (what the oracle runs); ``"columns"`` installs
     what a production deployment does: coalesced fan-outs, the shared
     columns and the wish kernel.  ``sent[r]`` logs ``(time, view)`` of every
-    wish replica ``r``'s endpoint broadcast.
+    wish replica ``r``'s endpoint broadcast.  ``byzantine`` replicas run no
+    synchronizer: their handler logs ``(time, replica, src, view)`` of each
+    delivery to ``handled`` (an arbitrary handler, to the kernel).
     """
 
-    def __init__(self, n=4, f=1, timeout=FixedTimeout(10.0), backend="dict"):
+    def __init__(
+        self, n=4, f=1, timeout=FixedTimeout(10.0), backend="dict",
+        byzantine=(), duplicate_prob=0.0,
+    ):
         self.sim = Simulator()
-        self.network = Network(self.sim, n, latency=ConstantLatency(1.0))
+        self.network = Network(
+            self.sim, n, latency=ConstantLatency(1.0), duplicate_prob=duplicate_prob
+        )
         self.crypto = CryptoContext.create(n)
         self.views = {r: [] for r in range(n)}
         self.sent = {r: [] for r in range(n)}
+        self.handled = []
         self.syncs = {}
         broadcast = self.network.broadcast
 
@@ -70,6 +80,9 @@ class SyncCluster:
 
         self.network.broadcast = logged
         for r in range(n):
+            if r in byzantine:
+                self.network.register(r, partial(self._handle, r))
+                continue
             transport = Transport(self.network, r)
             sync = ViewSynchronizer(
                 transport=transport,
@@ -86,9 +99,13 @@ class SyncCluster:
         if backend == "columns":
             self.kernel = WishDispatch(
                 n, f, self.crypto.signatures, dict(self.syncs),
-                self.network._handlers,
+                self.network._handlers, dup_possible=duplicate_prob > 0,
             )
             self.network.use_kernel(self.kernel)
+
+    def _handle(self, replica, src, message):
+        view = getattr(getattr(message, "payload", None), "view", None)
+        self.handled.append((self.sim.now, replica, src, view))
 
     def start(self, replicas=None):
         for r, sync in self.syncs.items():
@@ -105,6 +122,9 @@ class SyncCluster:
             {r: s._max_wish_sent for r, s in self.syncs.items()},
             self.views,
             self.sent,
+            self.handled,
+            self.network.stats.delivered_total,
+            self.sim.now,
         )
 
 
@@ -301,7 +321,9 @@ class TestViewSynchronizer:
         (four wishers for 2, counting itself).  Replica 4's wish for 3 is
         then the third for view 3 — relay — and, with that relay recorded,
         the fifth for view 2 — enter.  Replica 6 is stopped: it only widens
-        the fan-outs to two recipients, so the kernel takes them."""
+        the fan-outs to two recipients, so they reach the kernel as buckets
+        (walked: none is a broadcast, and n=7 is below the pass's
+        break-even)."""
         cluster = SyncCluster(
             n=7, f=2, timeout=FixedTimeout(1000.0), backend=backend
         )
@@ -317,7 +339,7 @@ class TestViewSynchronizer:
         assert cluster.views[0] == [1, 2]
         if cluster.kernel is not None:
             # The four injected fan-outs and replica 0's first relay.
-            assert cluster.kernel.stats()["wish_vectorised"] == 5
+            assert cluster.kernel.stats()["wish_scalar"] == 5
 
     def test_delivery_after_stop_is_ignored(self, backend):
         cluster = SyncCluster(
@@ -446,3 +468,188 @@ def test_backends_agree_on_random_wish_schedules(injections, stop_at):
         columns.kernel.columns.floor < v <= columns.kernel.columns.horizon
         for v in live
     )
+
+
+# ----------------------------------------------------------------------
+# Wish groups: one array pass over a same-time run of broadcasts
+# ----------------------------------------------------------------------
+
+from repro.config import ProtocolConfig  # noqa: E402
+from repro.sync import columns as wish_kernel  # noqa: E402
+
+from .helpers import make_new_leader, make_propose  # noqa: E402
+
+_GN, _GF = 16, 5  # relay at 6 wishers, enter at 11; a broadcast is 15 deliveries
+
+
+def _moment(backend, inject=None, split=_GN, byzantine=(), late=(),
+            stop_when=None, duplicate_prob=0.0, until=25.0):
+    """Every correct replica's timer fires at t=10 and broadcasts Wish(2),
+    which land together at t=11 as one run; ``inject(cluster)`` sends
+    between the timers of the replicas below ``split`` and the rest, so
+    what it sends sits inside that run.  ``late`` replicas start at t=5:
+    at t=11 they have wished nothing (their relay rule is live).
+    ``stop_when(cluster)`` is the run's stop predicate and the network's
+    stop probe, as a deployment's "all decided" is.  Up to ``until`` the
+    cluster also takes the view-3 change at t=22."""
+    cluster = SyncCluster(
+        n=_GN, f=_GF, timeout=FixedTimeout(10.0), backend=backend,
+        byzantine=byzantine, duplicate_prob=duplicate_prob,
+    )
+    early = [r for r in cluster.syncs if r not in late]
+    cluster.start([r for r in early if r < split])
+    if inject is not None:
+        cluster.sim.schedule_at(10.0, lambda: inject(cluster))
+    cluster.start([r for r in early if r >= split])
+    for r in late:
+        cluster.sim.schedule_at(5.0, cluster.syncs[r].start)
+    predicate = None
+    if stop_when is not None:
+        predicate = cluster.network.stop_probe = partial(stop_when, cluster)
+    cluster.sim.run(until=until, stop_when=predicate)
+    return cluster
+
+
+def _against_oracle(**moment):
+    """The moment on the columns (kernel) and on per-recipient ledgers:
+    the same views, wishes sent, Byzantine deliveries, delivered count
+    and clock; returns the kernel's route counters."""
+    columns = _moment("columns", **moment)
+    assert columns.state() == _moment("dict", **moment).state()
+    return columns.kernel.stats()
+
+
+def _broadcast_wish(signer, view):
+    return lambda cluster: cluster.network.broadcast(signer, cluster.wish(signer, view))
+
+
+@pytest.fixture
+def every_group_passes(monkeypatch):
+    monkeypatch.setattr(wish_kernel, "_PASS_MIN_WISHES", 0)
+
+
+class TestWishGroups:
+    """Group boundaries, each against the per-recipient oracle."""
+
+    def test_one_pass_takes_a_whole_view_change(self, every_group_passes):
+        stats = _against_oracle()
+        # Two moments (views 2 and 3), each one group of 16 broadcasts.
+        assert stats["wish_passes"] == 2 and stats["wish_vectorised"] == 32
+        assert stats["wish_scalar"] == stats["wish_walks"] == 0
+
+    @pytest.mark.parametrize("view", [1, 3, 10**9])
+    def test_a_wish_for_another_view_ends_a_group(self, every_group_passes, view):
+        """A stale wish (at the floor: recorded nowhere) is a group of its
+        own; one beyond the horizon is walked: its far record is scalar."""
+        stats = _against_oracle(inject=_broadcast_wish(3, view), split=8)
+        # Replicas 0-7's broadcasts, the injected one, replicas 8-15's.
+        assert stats["wish_vectorised"] + stats["wish_scalar"] == 33
+        if view == 1:
+            assert stats["wish_passes"] == 4 and stats["wish_scalar"] == 0
+        else:
+            assert stats["wish_passes"] == 3 and stats["wish_scalar"] == 1
+
+    @pytest.mark.parametrize("kind", ["propose", "new-leader"])
+    def test_a_non_wish_entry_ends_a_group(self, every_group_passes, kind):
+        config = ProtocolConfig(n=_GN, f=_GF)
+
+        def inject(cluster):
+            if kind == "propose":
+                message = make_propose(cluster.crypto, config, 1, b"x")
+            else:
+                message = make_new_leader(cluster.crypto, config, 2, 2)
+            cluster.network.broadcast(2, message)
+
+        stats = _against_oracle(inject=inject, split=8)
+        assert stats["wish_passes"] == 3 and stats["wish_vectorised"] == 32
+
+    def test_a_byzantine_recipient_is_a_stop(self, every_group_passes):
+        """Its handler runs at its turn in every bucket, in (bucket,
+        recipient) order, between the correct recipients' reactions."""
+        stats = _against_oracle(byzantine=(0, 9))
+        assert stats["wish_passes"] == 2 and stats["wish_vectorised"] == 28
+
+    @pytest.mark.parametrize("replica", [0, 7, 15])
+    def test_the_probe_ends_a_group_mid_way(self, every_group_passes, replica):
+        """The run stops once ``replica`` entered view 2: inside one
+        bucket, at that recipient, the rest of the group undelivered."""
+        def entered(cluster):
+            return len(cluster.views[replica]) > 1
+
+        stats = _against_oracle(stop_when=entered)
+        assert stats["wish_passes"] == 1
+
+    def test_a_live_relay_rule_keeps_a_group_to_one_bucket(self, every_group_passes):
+        """Replicas 14 and 15 have wished nothing when the t=11 run of 14
+        broadcasts lands: each relays at its sixth wish.  Until then every
+        bucket is a group of its own; the other eight are one group, and
+        the two relays (landing at t=12) another."""
+        stats = _against_oracle(late=(14, 15), until=15.0)
+        assert stats["wish_passes"] == 6 + 1 + 1
+        assert stats["wish_vectorised"] == 14 + 2
+
+    def test_duplication_declines_every_wish_bucket(self, every_group_passes):
+        stats = _against_oracle(duplicate_prob=0.3)
+        assert stats["wish_declined"] > 0
+        assert stats["wish_passes"] == stats["wish_walks"] == 0
+
+    @pytest.mark.parametrize("margin, passed", [(-1, True), (0, True), (1, False)])
+    def test_groups_either_side_of_the_break_even(self, monkeypatch, margin, passed):
+        """Groups of four broadcasts (60 deliveries) with the break-even at
+        59, 60 and 61: passed, passed, walked — with one result."""
+        monkeypatch.setattr(wish_kernel, "_PASS_WISHES", 4 * (_GN - 1))
+        monkeypatch.setattr(wish_kernel, "_PASS_MIN_WISHES", 4 * (_GN - 1) + margin)
+        stats = _against_oracle()
+        assert stats["wish_passes"] == (8 if passed else 0)
+        assert stats["wish_walks"] == (0 if passed else 2)
+
+
+#: One moment's extra traffic: (broadcaster, view — stale, current, next,
+#: far — and whether it is a broadcast or a two-recipient multicast).
+_extra = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=_GN - 1),
+        st.sampled_from([1, 2, 3, 10**9]),
+        st.booleans(),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extra=_extra,
+    split=st.integers(min_value=0, max_value=_GN),
+    byzantine=st.sets(st.integers(min_value=0, max_value=_GN - 1), max_size=_GF),
+    late=st.sets(st.integers(min_value=0, max_value=_GN - 1), max_size=3),
+    stop_after=st.one_of(st.none(), st.integers(min_value=1, max_value=_GN)),
+    budget=st.integers(min_value=1, max_value=_GN + 2),
+)
+def test_passes_equal_the_oracle_on_random_moments(extra, split, byzantine, late,
+                                                   stop_after, budget):
+    """Random view-change moments — Byzantine recipients, replicas whose
+    relay rule is live, stale / next / far wishes and multicasts inside the
+    run, a probe that fires after the ``stop_after``-th entry into view 2,
+    groups cut to ``budget`` broadcasts — with every group passed: the
+    same state as per-recipient ledgers."""
+
+    def inject(cluster):
+        for signer, view, broadcast in extra:
+            wish = cluster.wish(signer, view)
+            if broadcast:
+                cluster.network.broadcast(signer, wish)
+            else:
+                cluster.network.multicast(signer, [(signer + 1) % _GN, (signer + 2) % _GN], wish)
+
+    def entered(cluster):
+        return sum(len(v) > 1 for v in cluster.views.values()) >= stop_after
+
+    saved = wish_kernel._PASS_MIN_WISHES, wish_kernel._PASS_WISHES
+    wish_kernel._PASS_MIN_WISHES, wish_kernel._PASS_WISHES = 0, budget * (_GN - 1)
+    try:
+        _against_oracle(
+            inject=inject, split=split, byzantine=tuple(byzantine),
+            late=tuple(late - byzantine), stop_when=None if stop_after is None else entered,
+        )
+    finally:
+        wish_kernel._PASS_MIN_WISHES, wish_kernel._PASS_WISHES = saved
