@@ -310,6 +310,8 @@ _PASS_WISHES = 16384
 #: (DESIGN.md "Runs and groups", *The wish group*).
 _PASS_MIN_WISHES = 128
 
+_NEVER = 1 << 30  # a count no recipient reaches
+
 
 class WishDispatch:
     """The delivery kernel for Wish fan-outs: one array pass per large
@@ -440,15 +442,20 @@ class WishDispatch:
     def _broadcast(self, src, message, dsts, wish) -> bool:
         """Whether a bucket is a valid signed Wish to everyone but its
         sender, in id order: the shape a pass takes (a correct
-        synchronizer's broadcast under constant latency)."""
+        synchronizer's broadcast under constant latency).  A correct
+        replica sends its wishes only by broadcasting them, and a bucket
+        keeps its fan-out's target order, so n-1 recipients of one are
+        that shape; anyone else's are compared."""
         everyone = self._everyone
         return (
             len(dsts) == len(everyone) - 1
             and conforms(message, Signed, self._signatures.verdicts)
             and message.signer == src
             and wish.domain == self._domain
-            and dsts[src:] == everyone[src + 1 :]
-            and dsts[:src] == everyone[:src]
+            and (
+                src in self._syncs
+                or (dsts[src:] == everyone[src + 1 :] and dsts[:src] == everyone[:src])
+            )
         )
 
     def _group(self, run, k, src, view) -> int:
@@ -498,38 +505,40 @@ class WishDispatch:
         stops = None
         if view > columns.floor:
             words = signers >> 6
-            bits = (np.uint64(1) << (signers & 63).astype(np.uint64))[:, None]
+            bits = np.uint64(1) << (signers & 63).astype(np.uint64)
             # Who records: running correct recipients that have not seen it.
-            fresh = (columns._slot(view).seen[words] & bits) == 0
+            fresh = (columns._slot(view).seen[words] & bits[:, None]) == 0
             fresh &= columns.live
             fresh[rows, signers] = False
             verify = self._signatures.verify
             for b in np.flatnonzero(fresh.any(axis=1)).tolist():
                 if not verify(group[b][1]):
                     fresh[b] = False
+            # (Ranks fit a byte: a group holds at most n buckets and at
+            # most ``_PASS_WISHES // (n - 1)``, never more than 129.)
+            ranks = np.uint8 if size < 256 else np.int32
             for v in [v for v in columns._views if v <= view]:
                 slot = columns._slots[v]
                 new = fresh
                 if v != view:  # (a group of one bucket: see ``_group``)
-                    new = fresh & ((slot.seen[words] & bits) == 0)
-                after = np.cumsum(new, axis=0, dtype=np.int32)
-                after += slot.counts
-                hit = new & (
-                    ((after >= self._relay_at) & (columns.sent < v))
-                    | ((after >= self._enter_at) & (columns.cur < v))
+                    new = fresh & ((slot.seen[words] & bits[:, None]) == 0)
+                # Each delivery's arrival rank at its recipient.  A
+                # recipient's stop is the delivery that first brings its
+                # count to f+1 while it has not wished ``v``, or to 2f+1
+                # while it has not entered ``v``; after it, it reacts to
+                # nothing more of the group.
+                rank = np.cumsum(new, axis=0, dtype=ranks)
+                need = np.minimum(
+                    np.where(columns.sent < v, self._relay_at - slot.counts, _NEVER),
+                    np.where(columns.cur < v, self._enter_at - slot.counts, _NEVER),
                 )
+                hit = new & (rank == np.maximum(need, 1))
                 stops = hit if stops is None else stops | hit
-                slot.counts[:] = after[-1]
-                seen = slot.seen
+                slot.counts += rank[-1]
+                # (Distinct signers' bits: their sum is their union.)
                 for w in set(words.tolist()):
                     mine = words == w
-                    seen[w] |= np.bitwise_or.reduce(
-                        np.where(new[mine], bits[mine], np.uint64(0)), axis=0
-                    )
-            if size > 1:
-                # Its first: a recipient that entered ``view`` there reacts
-                # to nothing later in the group.
-                stops &= np.cumsum(stops, axis=0) == 1
+                    slot.seen[w] |= np.dot(bits[mine], new[mine])
         byzantine = ~columns.attached
         if byzantine.any():
             handled = np.repeat(byzantine[None, :], size, axis=0)
