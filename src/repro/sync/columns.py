@@ -396,48 +396,54 @@ class WishDispatch:
         }
 
     def __call__(self, run, pos, probe, advance) -> list:
+        src, message, dsts = run[pos]
+        wish = getattr(message, "payload", None)
+        if not isinstance(wish, Wish):
+            return [-1]
         columns = self.columns
         others = columns.n - 1  # a broadcast's recipients
         took: list = []
         k = end = pos  # the bucket at hand; the end of a group being walked
         walking = False
         while True:
-            src, message, dsts = run[k]
-            wish = getattr(message, "payload", None)
-            if not isinstance(wish, Wish):
-                return took or [-1]  # (entered, if not first: the caller's)
             if self._dup:
                 self.declined += 1
                 took.append(-1)
                 return took
+            size = 0  # of the group passed from ``run[k]``
             if k >= end and len(dsts) == others and self._broadcast(
                 src, message, dsts, wish
             ):
                 if columns.cur is None:
                     columns._allocate()
                 size = self._group(run, k, src, wish.view)
-                if size and size * others >= _PASS_MIN_WISHES:
-                    walking = False
-                    answered, whole = self._pass(run, k, size, wish.view, probe, advance)
-                    took += answered
-                    if not whole:
-                        return took
-                    k += size
-                    if not advance(k) or k >= len(run):
-                        return took
-                    continue
-                end = k + max(size, 1)  # walked, bucket by bucket
-            if not walking:
-                walking = True
-                self.walks += 1
-            self.scalar += 1
-            delivered = self._walk(src, message, dsts, wish, probe)
-            took.append(delivered)
-            k += 1
+                if size * others < _PASS_MIN_WISHES:
+                    end, size = k + max(size, 1), 0  # walked, bucket by bucket
+            if size:
+                walking = False
+                answered, whole = self._pass(run, k, size, wish.view, probe, advance)
+                took += answered
+                k += size
+                if not whole:
+                    return took
+            else:
+                if not walking:
+                    walking = True
+                    self.walks += 1
+                self.scalar += 1
+                delivered = self._walk(src, message, dsts, wish, probe)
+                took.append(delivered)
+                k += 1
+                if delivered < len(dsts):  # the probe ended it
+                    return took
             # (A router hands over its own slice of the run: a bucket the
             # simulator just appended is not in it.)
-            if delivered < len(dsts) or not advance(k) or k >= len(run):
+            if not advance(k) or k >= len(run):
                 return took
+            src, message, dsts = run[k]
+            wish = getattr(message, "payload", None)
+            if not isinstance(wish, Wish):
+                return took  # (entered: the caller's)
 
     def _broadcast(self, src, message, dsts, wish) -> bool:
         """Whether a bucket is a valid signed Wish to everyone but its
@@ -449,13 +455,20 @@ class WishDispatch:
         everyone = self._everyone
         return (
             len(dsts) == len(everyone) - 1
-            and conforms(message, Signed, self._signatures.verdicts)
-            and message.signer == src
-            and wish.domain == self._domain
+            and self._valid(src, message, wish)
             and (
                 src in self._syncs
                 or (dsts[src:] == everyone[src + 1 :] and dsts[:src] == everyone[:src])
             )
+        )
+
+    def _valid(self, src, message, wish) -> bool:
+        """``on_wish``'s recipient-independent checks but the signature:
+        wire type, ``signer == src``, the instance's domain."""
+        return (
+            conforms(message, Signed, self._signatures.verdicts)
+            and message.signer == src
+            and wish.domain == self._domain
         )
 
     def _group(self, run, k, src, view) -> int:
@@ -584,11 +597,7 @@ class WishDispatch:
         recipient's handler, the stop probe between deliveries."""
         syncs, handlers, columns = self._syncs, self._handlers, self.columns
         view = wish.view
-        valid = (
-            conforms(message, Signed, self._signatures.verdicts)
-            and message.signer == src
-            and wish.domain == self._domain
-        )
+        valid = self._valid(src, message, wish)
         verified = None
         delivered = 0
         for d in dsts:
