@@ -352,9 +352,10 @@ class Deployment:
         passes that applied the ``vectorised`` ones, a group of same-time
         buckets each; ``vote_chains``: the scalar walks that applied the
         ``walked`` ones, whatever their recipient count.  ``wish_vectorised`` / ``wish_scalar`` / ``wish_declined``:
-        Wish buckets applied array-at-a-time, through the
-        per-recipient loop (one recipient, or a wish dropped on a lookup),
-        or through it because the network may duplicate.
+        Wish buckets applied by the wish kernel's array pass or its
+        scalar walk, or declined to the per-recipient loop because the
+        network may duplicate; ``wish_passes`` / ``wish_walks``: the
+        passes and walks that applied them.
         ``validated`` / ``validated_reused``: recipient-independent checks
         (signatures, VRF proofs, vote tokens, proposals, NewLeaders,
         certificates) that were computed / answered from the verdict table,

@@ -332,8 +332,8 @@ class WishDispatch:
 
     An instance kernel (:meth:`repro.net.network.Network.use_kernel`): it
     answers one delivered count per bucket reached from ``run[pos]`` on,
-    entering each later bucket through ``advance``, and ``(-1,)`` when
-    ``run[pos]`` is not a Wish.  Nothing it does depends on what was sent
+    entering each later bucket through ``advance``, and ``[-1]`` when
+    ``run[pos]`` is not a Wish or the network may duplicate it.  Nothing it does depends on what was sent
     before, so its :meth:`inspect` ignores every send.  ``vectorised`` /
     ``scalar`` / ``declined`` count the Wish buckets that took each route,
     ``passes`` the array passes, ``walks`` the scalar walks.
@@ -400,16 +400,15 @@ class WishDispatch:
         wish = getattr(message, "payload", None)
         if not isinstance(wish, Wish):
             return [-1]
+        if self._dup:  # (a recipient may appear twice: delivered whole)
+            self.declined += 1
+            return [-1]
         columns = self.columns
         others = columns.n - 1  # a broadcast's recipients
         took: list = []
         k = end = pos  # the bucket at hand; the end of a group being walked
         walking = False
         while True:
-            if self._dup:
-                self.declined += 1
-                took.append(-1)
-                return took
             size = 0  # of the group passed from ``run[k]``
             if k >= end and len(dsts) == others and self._broadcast(
                 src, message, dsts, wish

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ProtocolConfig
 from repro.crypto.context import CryptoContext
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.net.transport import Transport
+from repro.sync import columns as wish_kernel
 from repro.sync.columns import WishDispatch
 from repro.sync.synchronizer import ViewSynchronizer, Wish
 from repro.sync.timeouts import ExponentialTimeout, FixedTimeout, LinearTimeout
+
+from .helpers import make_new_leader, make_propose
 
 
 class TestTimeoutPolicies:
@@ -473,11 +477,6 @@ def test_backends_agree_on_random_wish_schedules(injections, stop_at):
 # ----------------------------------------------------------------------
 # Wish groups: one array pass over a same-time run of broadcasts
 # ----------------------------------------------------------------------
-
-from repro.config import ProtocolConfig  # noqa: E402
-from repro.sync import columns as wish_kernel  # noqa: E402
-
-from .helpers import make_new_leader, make_propose  # noqa: E402
 
 _GN, _GF = 16, 5  # relay at 6 wishers, enter at 11; a broadcast is 15 deliveries
 
