@@ -28,30 +28,27 @@ deployment, or one slot of the SMR service), with the protocol's quorum as
   updated by the replica state machine at its (few) mutation points, so the
   delivery kernel classifies a whole fan-out bucket with vectorized gathers
   instead of attribute chases.
-:class:`ColumnarVoteDispatch` is the kernel `Network` hands every run of
-coalesced buckets to.  The unit of array work is the *group*: the buckets
-of one delivery time that vote for one (phase, view, value) — under
-constant latency a whole protocol phase, n senders' buckets.  A group of
-``_PASS_MIN_VOTES`` (128) votes or more is applied in one array pass;
-anything smaller — a small deployment's phase, or under continuous latency
-one bucket per delivery, a *chain* of them per call (the simulator hands the
-kernel the queue's next entry as it asks) — takes a scalar walk with the
-same rules, so the work follows the votes, not a fixed toll per pass.  Any
-vote bucket the kernel cannot prove equivalent — equivocal views,
-deployments with network duplication — is declined (-1) and delivered whole
-by the network's per-recipient loop (:meth:`ProBFTReplica.on_message`)
-through the same arrays.  The kernel is the network's one seam to the
-instance: its :meth:`~ColumnarVoteDispatch.inspect` sees every send, which
-is how it knows a view is equivocal before any of its votes arrive.  Routes
-and passes are counted (:meth:`ColumnarVoteDispatch.stats`).  Whatever the
-route, a vote's recipient-independent validation is one lookup in the
+:class:`ColumnarVoteDispatch` is the kernel table's entry for each of the
+protocol's vote types (:meth:`Network.use_kernel
+<repro.net.network.Network.use_kernel>`), on the run driver every kernel
+shares, :class:`RunKernel`.  Its unit of array work is the
+*group*: the buckets of one delivery time that vote for one (phase, view,
+value) — under constant latency a whole protocol phase, n senders'
+buckets.  A group of ``_PASS_MIN_VOTES`` (128) votes or more is applied in
+one array pass; anything smaller — a small deployment's phase, or under
+continuous latency one bucket per delivery, a *chain* of them per walk —
+takes a scalar walk with the same rules, so the work follows the votes,
+not a fixed toll per pass.  A vote bucket the kernel cannot prove
+equivalent — an equivocal view — is declined to the network's
+per-recipient loop (:meth:`ProBFTReplica.on_message`), which delivers it
+through the same arrays.  Its ``inspect`` hook sees every send, which is
+how it knows a view is equivocal before any of its votes arrive.  Whatever
+the route, a vote's recipient-independent validation is one lookup in the
 instance's verdict table (the protocol's vote token,
 :func:`~repro.core.replica.prevalidate_vote` for ProBFT): under continuous
 latency a vote object arrives in ``s`` buckets and is validated in the
 first.  A token's ``members`` is the vote's VRF sample, or ``None`` for
-PBFT's broadcast votes: every recipient is a member.  Non-votes are passed
-on to the deployment's wish kernel (:class:`repro.sync.columns.WishDispatch`),
-which takes the Wish buckets and declines everything else.
+PBFT's broadcast votes: every recipient is a member.
 
 The reference semantics stay in :meth:`ProBFTReplica.on_message` over
 :class:`~repro.quorum.probabilistic.ProbabilisticQuorumCollector`
@@ -80,6 +77,7 @@ __all__ = [
     "ColumnarQuorumCollector",
     "ColumnarCollectorTable",
     "ColumnarVoteDispatch",
+    "RunKernel",
     "bitmap_ids",
     "bitmap_words",
 ]
@@ -340,6 +338,117 @@ class ColumnarCollectorTable(dict):
 
 
 # ----------------------------------------------------------------------
+# The run driver
+# ----------------------------------------------------------------------
+
+class RunKernel:
+    """The run driver every kernel of a :meth:`Network.use_kernel
+    <repro.net.network.Network.use_kernel>` table runs on — the vote kernel
+    below and the wish kernel (:class:`repro.sync.columns.WishDispatch`):
+    ``kernel(run, pos, probe, advance)`` delivers ``run[pos]`` and the
+    buckets of its :attr:`kinds` after it, unit by unit.
+
+    A kernel supplies three things, and nothing else touches a run:
+
+    * its **group rule**, ``_group(run, k)``: ``None`` declines ``run[k]``
+      to the per-recipient loop (the rule counts the decline where it is
+      the kernel's to count), else ``(passed, group)`` — the unit that
+      starts at ``run[k]``, and whether the array pass takes it;
+    * its **array pass**, ``_pass(run, k, group, probe, advance, took)``:
+      applies the group's deliveries at once and runs its *stops* (the
+      deliveries that run a handler) through :meth:`_stops`;
+    * its **chain walk**, ``_walk(run, k, group, probe, advance, took)``:
+      bucket by bucket, recipient by recipient, from ``run[k]`` for as far
+      as one walk of the kernel goes (entering each bucket after the first
+      through ``advance``, the probe after each stop), in one call however
+      many buckets that is.
+
+    Both append one delivered count per bucket reached to ``took`` (-1,
+    last, declines that bucket) and answer whether the call may go on after
+    the last bucket they answered.  The driver owns the rest: the network's
+    duplication decline (a recipient may appear twice in one bucket, which
+    neither pass nor walk allows: every bucket is delivered whole), the
+    ``took`` list, ``advance`` at every boundary between units, the kind of
+    the next bucket, and the counts: ``passes`` / ``walks`` per unit,
+    ``vectorised`` per bucket a pass reached (counted as it is entered: a
+    stop may fold the counters of a retired SMR slot), ``declined`` per
+    declined bucket; ``walked`` is the walk's to count.
+    """
+
+    #: The payload classes whose buckets the kernel delivers: its entries
+    #: in the network's table.
+    kinds: tuple = ()
+    #: Its names, in :meth:`stats`, for ``vectorised``, ``walked``,
+    #: ``declined``, ``passes`` and ``walks``.
+    stat_names: tuple = ()
+
+    def __init__(self, handlers, dup_possible: bool) -> None:
+        self._handlers = handlers  # the network's plain handlers (Byzantine dsts)
+        self._dup = dup_possible
+        self.vectorised = self.walked = self.declined = 0
+        self.passes = self.walks = 0
+
+    def stats(self) -> Dict[str, int]:
+        counts = (self.vectorised, self.walked, self.declined, self.passes, self.walks)
+        return dict(zip(self.stat_names, counts))
+
+    def __call__(self, run, pos, probe, advance) -> list:
+        if self._dup:
+            self.declined += 1
+            return [-1]
+        took: list = []
+        k, kinds = pos, self.kinds
+        while True:
+            unit = self._group(run, k)
+            if unit is None:
+                took.append(-1)
+                return took
+            passed, group = unit
+            if passed:
+                self.passes += 1
+                self.vectorised += 1
+                whole = self._pass(run, k, group, probe, advance, took)
+            else:
+                self.walks += 1
+                whole = self._walk(run, k, group, probe, advance, took)
+            k = pos + len(took)
+            # (A router hands over its own slice of the run: a bucket the
+            # simulator just appended is not in it.)
+            if not (
+                whole
+                and advance(k)
+                and k < len(run)
+                and getattr(run[k][1], "payload", None).__class__ in kinds
+            ):
+                return took
+
+    def _stops(self, pos, size, stops, probe, advance) -> tuple:
+        """Run the stops of a pass over the ``size`` buckets at ``run[pos]``:
+        ``stops`` holds ``(bucket, handler, args)`` in (bucket, recipient)
+        order, and the per-recipient loop would run each handler at its
+        delivery, ask ``stop_when`` at every bucket boundary on the way and
+        probe after it.  Answers ``(reached, i)``: the buckets reached, and
+        the stop the probe ended on (``None``: the end of the group, or a
+        boundary's refusal when ``reached < size``)."""
+        cur = 0  # the bucket whose stops are running
+        if stops:
+            for i, (b, handler, args) in enumerate(stops):
+                while cur < b and advance(pos + cur + 1):
+                    cur += 1
+                    self.vectorised += 1
+                if cur < b:
+                    return cur + 1, None
+                handler(*args)
+                # A trailing probe with nothing left answers the same count.
+                if probe is not None and probe():
+                    return b + 1, i
+            if cur + 1 < size and not advance(pos + cur + 1):
+                return cur + 1, None
+        self.vectorised += size - cur - 1
+        return size, None
+
+
+# ----------------------------------------------------------------------
 # The vectorized delivery kernel
 # ----------------------------------------------------------------------
 
@@ -356,56 +465,37 @@ _PASS_VOTES = 4096
 _PASS_MIN_VOTES = 128
 
 
-class ColumnarVoteDispatch:
-    """The delivery kernel for Prepare/Commit fan-outs: one array pass per
-    large *group* of buckets, one scalar walk for everything smaller.
-
-    :meth:`Network.deliver_run` hands over a run of *raw* coalesced buckets
-    and a position in it.  The kernel looks the bucket's token up
-    (validating the vote if this is the object's first delivery) and takes
-    with it the buckets that follow and belong to its group: valid votes
-    for one (phase, view, value) from distinct signers, each to more than
-    one recipient, :data:`_PASS_VOTES` votes at most.  One bucket is a
-    group of one.  A group of fewer than :data:`_PASS_MIN_VOTES` votes, and
-    any one-recipient bucket, is applied by the walk at the top of
-    :meth:`__call__`: bucket by bucket, recipient by recipient, with the
-    per-recipient handler's rules, the probe after every stop and
-    ``advance`` at every bucket boundary — no array temporaries, and a whole
-    chain of one-recipient buckets per call (DESIGN.md, "Chains").
+class ColumnarVoteDispatch(RunKernel):
+    """The kernel of Prepare/Commit fan-outs: one array pass per group of
+    :data:`_PASS_MIN_VOTES` votes or more, one scalar walk for everything
+    smaller.
 
     The pass fuses :meth:`ProBFTReplica._handle_vote`'s per-recipient
     rules (view gate, progress pruning, ``i ∈ S``) into array
     operations over the concatenated recipients: eligibility (one gather
     over the mirror columns) and the seen-bit test once, each countable
     vote's arrival rank at its recipient in bucket order, then one scatter
-    each into ``seen`` / ``counts`` / ``order`` / ``fired``.  It drops to
-    scalar code at the *stop points* the per-recipient loop also serializes
-    on — Byzantine recipients (arbitrary handlers) and quorum completions
-    (which can record a decision and flip the stop probe) — in (bucket,
-    recipient) order, the probe after each and ``advance`` at every bucket
-    boundary crossed once a stop has run.  Every (signer, recipient) pair
-    occurs once in a group (VRF samples are drawn without replacement, a
-    broadcast lists each recipient once), a delivery only mutates its own
-    recipient's columns, and no stop reads another recipient's, so applying
-    the group in one shot reorders nothing observable.  An early end (the probe, a refused boundary) leaves the
+    each into ``seen`` / ``counts`` / ``order`` / ``fired``.  Its stops are
+    Byzantine recipients (arbitrary handlers) and quorum completions (which
+    can record a decision and flip the stop probe).  Every (signer,
+    recipient) pair occurs once in a group (VRF samples are drawn without
+    replacement, a broadcast lists each recipient once), a delivery only
+    mutates its own recipient's columns, and no stop reads another
+    recipient's, so applying the group in one shot reorders nothing
+    observable.  An early end (the probe, a refused boundary) leaves the
     votes behind it over-applied, which is unobservable, and a view flagged
     equivocal from *inside* a group does not cut it: why both are safe, and
     the one statistic that can then differ from a per-bucket walk, is
     DESIGN.md ("Runs and groups"); a walked group needs neither argument.
 
-    Answers one delivered count per bucket reached, or ``(-1,)`` to decline
-    the bucket at ``pos`` to the caller's per-recipient loop over the same
-    arrays, which delivers it whole: equivocal-flagged views (any recipient
-    may need the evidence), ProBFT votes that fail prevalidation (they never
-    reach a collector, but a conflicting leader statement riding on one must
-    still be able to trigger lines 23-25; PBFT has no such rule, and its
-    token makes an invalid vote no vote at all), and any deployment with
-    network duplication (a recipient could appear twice in one bucket, which
-    the scatters rule out).  Anything that is not a vote is the wish kernel's
-    to take or decline.  ``vectorised``/``walked``/``declined`` count the
-    vote buckets that took each route (reached, for a group cut short),
-    ``vote_passes`` the array passes run, ``vote_chains`` the walks.
+    Declines equivocal-flagged views (any recipient may need the evidence)
+    and ProBFT votes that fail prevalidation (they never reach a collector,
+    but a conflicting leader statement riding on one must still be able to
+    trigger lines 23-25; PBFT has no such rule, and its token makes an
+    invalid vote no vote at all).  A walk is one walked group or one chain.
     """
+
+    stat_names = ("vectorised", "walked", "declined", "vote_passes", "vote_chains")
 
     def __init__(
         self,
@@ -415,39 +505,27 @@ class ColumnarVoteDispatch:
         correct_ids,
         handlers,
         state: ColumnarVoteState,
-        wishes,
         token,
         votes,
         dup_possible: bool = False,
     ) -> None:
+        super().__init__(handlers, dup_possible)
+        self.kinds = tuple(votes)  # the protocol's vote payload types
         self._config = config
         self._crypto = crypto
         self._token = token  # the protocol's vote token, once per object
-        self._votes = votes  # its vote payload types
         self._replicas = replicas
         self._correct = frozenset(correct_ids)
-        self._handlers = handlers  # Network's plain handlers (Byzantine dsts)
         self._value_seen: Dict[int, object] = {}  # view -> leader's value
         self._equivocal: Set[int] = set()
         self._last = None  # the statement inspected last
-        self._q = state.q
         self._state = state
-        self._wishes = wishes  # the deployment's wish kernel
-        self._dup = dup_possible
-        self.vectorised = 0
-        self.walked = 0
-        self.declined = 0
-        self.vote_passes = 0
-        self.vote_chains = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "vectorised": self.vectorised,
-            "walked": self.walked,
-            "declined": self.declined,
-            "vote_passes": self.vote_passes,
-            "vote_chains": self.vote_chains,
-        }
+        table = crypto.verdicts
+        if table is not None and table.config is config:
+            # The instance's live vote verdicts, looked up inline.
+            self._known, self._reused = table.of_kind("vote"), table.counts.reused
+        else:
+            self._known = self._reused = {}
 
     def inspect(self, src, message) -> None:
         """Flag a view *equivocal* once two values signed by its leader have
@@ -481,97 +559,76 @@ class ColumnarVoteDispatch:
         if self._value_seen.setdefault(view, inner.value) != inner.value:
             self._equivocal.add(view)
 
-    def note_declined(self, message) -> None:
-        """Count a bucket the caller had to route around the kernels (the
-        SMR router: some recipient has not opened the slot)."""
-        if isinstance(getattr(message, "payload", None), self._votes):
-            self.declined += 1
-        else:
-            self._wishes.note_declined(message)
-
-    def __call__(self, run, pos, probe, advance) -> tuple:
-        src, message, dsts = run[pos]
-        if not isinstance(getattr(message, "payload", None), self._votes):
-            return self._wishes(run, pos, probe, advance)  # before any setup
-        if self._dup:
-            # Declined unparsed (each recipient looks the token up anyway).
-            self.declined += 1
-            return (-1,)
+    def _group(self, run, k):
+        """The group rule: ``(True, (tokens, votes))`` for a group the pass
+        takes, ``(False, tokens)`` for one to walk (a one-recipient bucket's
+        is its own token), ``None`` for a bucket that is no vote, or an
+        invalid or flagged one (counted)."""
+        src, message, dsts = run[k]
         config, crypto = self._config, self._crypto
-        table = crypto.verdicts
-        if table is not None and table.config is config:
-            known, reused = table.of_kind("vote"), table.counts.reused
+        entry = self._known.get(id(message))  # (as the walk looks up)
+        if entry is not None:
+            self._reused["vote"] += 1
+            token = entry[1]
         else:
-            known = reused = {}
-        # The walk: a valid, unflagged vote bucket is delivered here, scalar,
-        # recipient by recipient in ``dsts`` order with the per-recipient
-        # handler's rules, over state read once per call — and so is every
-        # bucket after it that is entered through ``advance``: the rest of a
-        # group below the pass's break-even, or a chain of one-recipient
-        # buckets (at the end of the run, the simulator handing over the
-        # queue's next entry).  The probe runs after every stop.  A bucket
-        # that is not such a vote ends it: declined (-1) if an invalid or
-        # flagged vote, else entered and left to the caller.  A first bucket
-        # with several recipients opens a group, which goes to the pass if
-        # it holds ``_PASS_MIN_VOTES`` votes.
+            token = self._token(config, crypto, message)
+        if not token:  # None, or False from the table: no vote
+            return None
+        is_prepare, view, value, signer, _, valid, _ = token
+        if not valid or view in self._equivocal:
+            self.declined += 1
+            return None
+        tokens = [token]
+        if len(dsts) != 1:
+            signers, votes = {signer}, len(dsts)
+            while k + len(tokens) < len(run):
+                _, following, recipients = run[k + len(tokens)]
+                token = self._token(config, crypto, following)
+                if (
+                    token is None
+                    or not token.valid
+                    or token.view != view
+                    or token.is_prepare is not is_prepare
+                    or token.value != value
+                    or token.signer in signers
+                    or len(recipients) == 1
+                    or votes + len(recipients) > _PASS_VOTES
+                ):
+                    break
+                tokens.append(token)
+                signers.add(token.signer)
+                votes += len(recipients)
+            if votes >= _PASS_MIN_VOTES:
+                return True, (tokens, votes)
+        return False, tokens
+
+    def _walk(self, run, pos, tokens, probe, advance, took) -> bool:
+        """The walk: a valid, unflagged vote bucket is delivered here,
+        scalar, recipient by recipient in ``dsts`` order with the
+        per-recipient handler's rules, over state read once per walk — and
+        so is every bucket after it that is entered through ``advance``: the
+        rest of ``tokens``' group, or a chain of one-recipient buckets (at
+        the end of the run, the simulator handing over the queue's next
+        entry).  The probe runs after every stop.  A bucket that is not such
+        a vote ends it: declined (-1) if an invalid or flagged vote, else
+        entered and left to the caller (a bucket with several recipients
+        opens the next unit)."""
+        config, crypto, known = self._config, self._crypto, self._known
         state, correct, replicas = self._state, self._correct, self._replicas
         equivocal = self._equivocal
         views, prepare_active, commit_active = map(
             memoryview, (state.views, state.prepare_active, state.commit_active)
         )
+        src, message, dsts = run[pos]
+        end = pos + len(tokens) if len(dsts) != 1 else None  # a group's; a chain has none
+        token = tokens[0]
         # Buckets entered / lookups answered, added to ``self.walked`` before
         # every stop (it may retire the slot and fold the counters) and on return.
-        took, k, walked, hits = [], pos, 0, 0
-        tokens, end = None, -1  # a walked group's tokens, and its end
+        k, walked, hits = pos, 0, 0
         slot = at_prepare = at_view = at_value = None  # the slot last written
         try:
             while True:
-                if tokens is not None:  # a walked group: looked up with it
-                    token = tokens[k - pos]
-                elif took and len(dsts) != 1:
-                    return took  # opens a group of its own
-                else:
-                    entry = known.get(id(message))  # (one lookup per bucket)
-                    if entry is not None:
-                        hits += 1
-                        token = entry[1]
-                    else:
-                        token = self._token(config, crypto, message)
-                    if not token:  # None, or False from the table: no vote
-                        return took or [-1]  # (first: declined whole)
-                is_prepare, view, value, signer, members, valid, _ = token
-                if not valid or view in equivocal:
-                    self.declined += 1
-                    took.append(-1)
-                    return took
-                if not took:  # the first bucket: a group's, or a walk's
-                    if len(dsts) != 1:
-                        # The group: ``run[pos]`` and the buckets after it
-                        # that vote for one (phase, view, value) from distinct
-                        # signers, each to several recipients, ``_PASS_VOTES``
-                        # votes at most.
-                        tokens, signers, votes = [token], {signer}, len(dsts)
-                        while pos + len(tokens) < len(run):
-                            _, following, recipients = run[pos + len(tokens)]
-                            token = self._token(config, crypto, following)
-                            if (
-                                token is None
-                                or not token.valid
-                                or token.view != view
-                                or token.is_prepare is not is_prepare
-                                or token.value != value
-                                or token.signer in signers
-                                or len(recipients) == 1
-                                or votes + len(recipients) > _PASS_VOTES
-                            ):
-                                break
-                            tokens.append(token)
-                            signers.add(token.signer)
-                            votes += len(recipients)
-                        if votes >= _PASS_MIN_VOTES:
-                            return self._pass(run, pos, tokens, votes, probe, advance)
-                        end = pos + len(tokens)
-                    self.vote_chains += 1  # (counted as entered, as is ``walked``)
+                is_prepare, view, value, signer, members, _, _ = token
                 walked += 1
                 active = prepare_active if is_prepare else commit_active
                 # (A correct sender multicasts its vote to its own sample; no
@@ -612,34 +669,50 @@ class ColumnarVoteDispatch:
                             replicas[d]._try_decide()
                     if probe is not None and probe():  # (a stop ran)
                         took.append(delivered)
-                        return took
+                        return False
                 took.append(delivered)
                 k += 1
+                if k == end:
+                    return True
                 # (A router hands over its own slice of the run: a bucket the
                 # simulator just appended is not in it.)
-                if k == end or not advance(k) or k >= len(run):
-                    return took
+                if not advance(k) or k >= len(run):
+                    return False
                 src, message, dsts = run[k]
+                if end is not None:
+                    token = tokens[k - pos]
+                elif len(dsts) != 1:
+                    return True  # opens a group of its own
+                else:
+                    entry = known.get(id(message))  # (one lookup per bucket)
+                    if entry is not None:
+                        hits += 1
+                        token = entry[1]
+                    else:
+                        token = self._token(config, crypto, message)
+                    if not token:  # None, or False from the table: no vote
+                        return False
+                if not token.valid or token.view in equivocal:
+                    self.declined += 1
+                    took.append(-1)
+                    return False
         finally:
             self.walked += walked
             if hits:
-                reused["vote"] += hits
+                self._reused["vote"] += hits
 
-    def _pass(self, run, pos, tokens, votes, probe, advance) -> list:
-        """The array pass over the group of ``tokens`` at ``run[pos]``."""
+    def _pass(self, run, pos, group, probe, advance, took) -> bool:
+        """The array pass over the group of ``tokens`` (``votes`` votes) at
+        ``run[pos]``."""
+        tokens, votes = group
         state, correct, replicas = self._state, self._correct, self._replicas
         is_prepare, view, value = tokens[0][:3]
-        # The pass, over the group.  Counted as it is entered: a stop may
-        # retire the slot, and with it fold these counters, from inside
-        # this call.
-        self.vote_passes += 1
-        self.vectorised += 1
         B = len(tokens)
-        group = run[pos : pos + B]
-        q = self._q
+        buckets = run[pos : pos + B]
+        q = state.q
         slot = state.slot(is_prepare, view, value)
-        lens = [len(bucket[2]) for bucket in group]
-        recipients = chain.from_iterable([bucket[2] for bucket in group])
+        lens = [len(bucket[2]) for bucket in buckets]
+        recipients = chain.from_iterable([bucket[2] for bucket in buckets])
         D = np.fromiter(recipients, np.intp, votes)
         starts = np.cumsum([0] + lens[:-1])
         bucket_of = np.repeat(np.arange(B), lens)
@@ -647,7 +720,7 @@ class ColumnarVoteDispatch:
         # Buckets whose recipients are not the signer's own sample.
         foreign = [
             (b, token)
-            for b, (token, (src, _, _)) in enumerate(zip(tokens, group))
+            for b, (token, (src, _, _)) in enumerate(zip(tokens, buckets))
             if not (
                 token.members is None or (src in correct and token.signer == src)
             )
@@ -712,7 +785,7 @@ class ColumnarVoteDispatch:
                 by_signer = slot.msg_by_signer
                 for b in np.nonzero(np.bincount(from_bucket, minlength=B))[0].tolist():
                     if by_signer[signers[b]] is None:
-                        by_signer[signers[b]] = group[b][1]
+                        by_signer[signers[b]] = buckets[b][1]
             fires = place == q - 1
             fire_idx = idx[fires]
             slot.fired[r[fires]] = True
@@ -727,40 +800,28 @@ class ColumnarVoteDispatch:
             if byz is not None:
                 counted |= byz
             for t in np.nonzero(future)[0].tolist():
-                src, message, _ = group[bucket_of[t]]
+                src, message, _ = buckets[bucket_of[t]]
                 replicas[D[t]]._buffer_future(view, src, message)
         # The stops, in (bucket, recipient) order.
         stop_idx = fire_idx
         if byz is not None:
             stop_idx = np.sort(np.concatenate((fire_idx, np.nonzero(byz)[0])))
-        reached, cut = B, votes
-        cur = 0  # the bucket whose stops are running
-        if stop_idx.size:
-            for t, d, b in zip(
-                stop_idx.tolist(), D[stop_idx].tolist(), bucket_of[stop_idx].tolist()
-            ):
-                # Dense asks ``stop_when`` between two buckets; so does
-                # every boundary crossed on the way to the next stop.
-                while cur < b and advance(pos + cur + 1):
-                    cur += 1
-                    self.vectorised += 1
-                if cur < b:
-                    reached, cut = cur + 1, int(starts[cur + 1])
-                    break
-                if d not in correct:
-                    self._handlers[d](*group[b][:2])  # arbitrary handler
-                elif is_prepare:
-                    replicas[d]._try_form_prepared()
-                else:
-                    replicas[d]._try_decide()
-                # Dense probes before the delivery after any stop event; a
-                # trailing probe with nothing left returns the same count.
-                if probe is not None and probe():
-                    reached, cut = b + 1, t + 1
-                    break
-            else:
-                if cur + 1 < B and not advance(pos + cur + 1):
-                    reached, cut = cur + 1, int(starts[cur + 1])
+        handlers, sent = self._handlers, [bucket[:2] for bucket in buckets]
+        stops = [
+            (b, handlers[d], sent[b])  # arbitrary handler
+            if d not in correct
+            else (
+                b,
+                replicas[d]._try_form_prepared if is_prepare else replicas[d]._try_decide,
+                (),
+            )
+            for d, b in zip(D[stop_idx].tolist(), bucket_of[stop_idx].tolist())
+        ]
+        reached, stopped = self._stops(pos, B, stops, probe, advance)
+        if stopped is not None:  # the probe, after that stop's vote
+            cut = int(stop_idx[stopped]) + 1
+        else:  # the end of the group, or a refused boundary
+            cut = votes if reached == B else int(starts[reached])
         if B > 1 and fire_idx.size:
             # A recipient whose quorum handler moved it on (committed the
             # view, decided) stops counting from its next vote, as its next
@@ -772,9 +833,9 @@ class ColumnarVoteDispatch:
                 until[fired[moved]] = fire_idx[moved]
                 late = np.arange(votes) > until[D]
                 counted = ~late if counted is None else counted & ~late
-        self.vectorised += reached - cur - 1
         if counted is None:  # all of them, up to the cut
-            took = lens[:reached]
-            took[-1] = cut - int(starts[reached - 1])
-            return took
-        return np.add.reduceat(counted[:cut], starts[:reached], dtype=np.intp).tolist()
+            took += lens[: reached - 1]
+            took.append(cut - int(starts[reached - 1]))
+        else:
+            took += np.add.reduceat(counted[:cut], starts[:reached], dtype=np.intp).tolist()
+        return stopped is None and reached == B

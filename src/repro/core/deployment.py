@@ -10,16 +10,17 @@ host one consensus instance per slot and a router over one stack per slot.
 
 Every deployment with a :attr:`~Deployment.stack_class` (all but
 streamlined ProBFT, which has no synchronizer) gives the network its
-instance's kernel
+instance's kernel table
 (:meth:`Network.use_kernel <repro.net.network.Network.use_kernel>`), the one
-seam between the two: the kernel sees every send, fan-outs are delivered
-coalesced (one simulator event per distinct delivery time) and each bucket
-goes to the kernel.  Wish fan-outs go to the one wish kernel over
-synchronizer columns shared by the instance's correct replicas
-(:mod:`repro.sync.columns`), and ProBFT and PBFT put the vote kernel in
-front of it (:class:`repro.core.protocol.ProBFTStack`; HotStuff's votes are
-unicasts to the leader and stay with its handlers); a bucket a kernel
-declines is delivered whole, per recipient.  ``reference=True``
+seam between the two: fan-outs are delivered coalesced (one simulator
+event per distinct delivery time), each bucket goes to the kernel of its
+message kind, and a kind with no kernel — a proposal, a NewLeader — and a
+bucket a kernel declines are delivered whole, per recipient.  Every stack
+maps ``Wish`` to the one wish kernel over synchronizer columns shared by
+the instance's correct replicas (:mod:`repro.sync.columns`); ProBFT and
+PBFT map their votes to the vote kernel, whose ``inspect`` hook sees every
+send (:class:`repro.core.protocol.ProBFTStack`; HotStuff's votes are
+unicasts to the leader and stay with its handlers).  ``reference=True``
 builds the test oracle instead: per-recipient delivery, per-message
 handlers, per-replica wish ledgers, set-based quorum collectors — Algorithm
 1 with nothing batched, and a table-free crypto context, so every check is
@@ -57,29 +58,22 @@ from ..net.network import Network
 from ..net.simulator import Simulator
 from ..net.transport import Transport
 from ..sync.columns import WishDispatch
+from ..sync.synchronizer import Wish
 from ..sync.timeouts import TimeoutPolicy
 from ..types import Decision, ReplicaId, Value
+from .columnar import ColumnarVoteDispatch
 
 #: Factory building a Byzantine replica endpoint.  The returned object must
 #: expose ``start()`` and ``on_message(src, message)``.
 ByzantineFactory = Callable[[ReplicaId, ProtocolConfig, CryptoContext, Transport], object]
 
 
-#: The keys of :meth:`Deployment.vote_kernel_stats`.
+#: The keys of :meth:`Deployment.vote_kernel_stats`: each kernel's route
+#: counters, then the verdict table's.
 KERNEL_STATS = (
-    "vectorised",
-    "walked",
-    "declined",
-    "vote_passes",
-    "vote_chains",
-    "wish_vectorised",
-    "wish_scalar",
-    "wish_declined",
-    "wish_passes",
-    "wish_walks",
-    "propose_validations",
-    "validated",
-    "validated_reused",
+    ColumnarVoteDispatch.stat_names
+    + WishDispatch.stat_names
+    + ("propose_validations", "validated", "validated_reused")
 )
 
 
@@ -89,17 +83,17 @@ def default_value(replica: ReplicaId) -> Value:
 
 
 class InstanceStack:
-    """One consensus instance's share of a coalescing network.
+    """One consensus instance's share of a coalescing network: the correct
+    replicas that have joined it, its kernel table and its ``inspect`` hook
+    (the network's :meth:`~repro.net.network.Network.use_kernel`; here
+    ``Wish`` -> the wish kernel, and no hook).
 
-    The correct replicas that have joined the instance and the kernel the
-    network hands its sends and buckets to: the wish kernel here, with the
-    vote kernel in front of it in :class:`~repro.core.protocol.ProBFTStack`
-    (ProBFT and PBFT).  A single-shot deployment
-    holds one, joined by every correct replica at construction; the SMR
-    service holds one per open slot, joined by each replica as it opens the
-    slot.  ``handlers`` are the instance's plain handlers (what its
-    Byzantine seats are handed); ``crypto`` is the instance's view of the
-    deployment's keys, with the instance's verdict table.
+    A single-shot deployment holds one, joined by every correct replica at
+    construction; the SMR service holds one per open slot, joined by each
+    replica as it opens the slot.  ``handlers`` are the instance's plain
+    handlers (what its Byzantine seats are handed); ``crypto`` is the
+    instance's view of the deployment's keys, with the instance's verdict
+    table.
     """
 
     #: Extra constructor arguments of the instance's honest replicas.
@@ -114,7 +108,8 @@ class InstanceStack:
         self.wishes = WishDispatch(
             config.n, config.f, crypto.signatures, {}, handlers, dup_possible
         )
-        self.kernel: Callable = self.wishes
+        self.kernels: Dict[type, Callable] = {Wish: self.wishes}
+        self.inspect: Optional[Callable] = None
 
     def join(self, replica_id: ReplicaId, replica) -> None:
         """A correct replica (not yet started) joins: its synchronizer moves
@@ -123,7 +118,10 @@ class InstanceStack:
         self.wishes.attach(replica_id, replica.synchronizer)
 
     def stats(self) -> Dict[str, int]:
-        return self.wishes.stats()
+        stats: Dict[str, int] = {}
+        for kernel in self.kernels.values():
+            stats.update(kernel.stats())
+        return stats
 
     def retire(self) -> None:
         """The instance is over: stop pinning what it validated, and cut
@@ -134,7 +132,7 @@ class InstanceStack:
 
     def detach(self) -> None:
         """Forget the replicas (teardown): they point at the network, whose
-        kernel points here."""
+        kernel table points here."""
         self.replicas.clear()
         self.retire()
 
@@ -270,7 +268,7 @@ class Deployment:
         """Put the production stack on the network (skipped by the oracle)."""
         for r in self._correct_ids:
             self.stack.join(r, self.replicas[r])
-        self.network.use_kernel(self.stack.kernel)
+        self.network.use_kernel(self.stack.kernels, self.stack.inspect)
 
     # ------------------------------------------------------------------
     # Driving

@@ -2,21 +2,20 @@
 
 :class:`ProBFTStack` is what one instance of a protocol on the ProBFT
 skeleton (ProBFT, or PBFT through
-:class:`repro.baselines.pbft.protocol.PbftStack`) puts on the network: one
-kernel over array-backed quorum state (:mod:`repro.core.columnar`) that
-sees every send (to flag equivocal ProBFT views), applies whole vote
-buckets and passes Wish buckets on to the shared wish kernel; every message
-is validated once per object through the instance's verdict table.  The
-stack's :attr:`~ProBFTStack.replica_class` sizes the state (its quorum) and
-feeds the kernel (its vote token and vote types).
+:class:`repro.baselines.pbft.protocol.PbftStack`) puts on the network: its
+votes' entries in the kernel table, the vote kernel over array-backed
+quorum state (:mod:`repro.core.columnar`), whose ``inspect`` hook sees
+every send (to flag equivocal ProBFT views), beside the shared wish
+kernel's ``Wish`` entry; every message is validated once per object
+through the instance's verdict table.  The stack's
+:attr:`~ProBFTStack.replica_class` sizes the state (its quorum) and feeds
+the kernel (its vote token and vote types).
 :class:`ProBFTDeployment` is the shared
 :class:`~repro.core.deployment.Deployment` over one such stack (the SMR
 service holds one per open slot).
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from ..config import ProtocolConfig
 from .columnar import ColumnarVoteDispatch, ColumnarVoteState
@@ -27,9 +26,10 @@ from .replica import ProBFTReplica
 class ProBFTStack(InstanceStack):
     """One instance of a protocol on the ProBFT skeleton: shared columnar
     vote state (one set of arrays for every correct replica, whose collector
-    tables become facades over it) and the vote kernel in front of the wish
-    kernel, both sized and fed by :attr:`replica_class` (its quorum, its
-    vote token and vote types)."""
+    tables become facades over it) and the vote kernel, the table entry of
+    each of :attr:`replica_class`'s vote types beside the wish kernel's,
+    sized and fed by :attr:`replica_class` (its quorum, its vote token and
+    vote types)."""
 
     replica_class = ProBFTReplica
 
@@ -42,21 +42,19 @@ class ProBFTStack(InstanceStack):
             config.n, protocol.quorum(config), correct_ids
         )
         self.replica_kwargs = {"columnar_state": self.state}
-        self.kernel = ColumnarVoteDispatch(
+        self.votes = ColumnarVoteDispatch(
             config,
             crypto,
             self.replicas,
             correct_ids,
             handlers,
             self.state,
-            self.wishes,
             protocol.vote_token,
             protocol.VOTES,
             dup_possible=dup_possible,
         )
-
-    def stats(self) -> Dict[str, int]:
-        return {**self.wishes.stats(), **self.kernel.stats()}
+        self.kernels.update(dict.fromkeys(protocol.VOTES, self.votes))
+        self.inspect = self.votes.inspect
 
 
 class ProBFTDeployment(Deployment):

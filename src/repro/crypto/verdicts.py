@@ -91,8 +91,10 @@ class VerdictTable:
         return entry[1]
 
     def of_kind(self, kind: str) -> Dict[Hashable, Tuple[object, object]]:
-        """The live ``id(obj) -> (obj, verdict)`` map of one kind, for a loop
-        of lookups; its caller bumps ``counts.reused[kind]`` per hit."""
+        """The live ``id(obj) -> (obj, verdict)`` map of one kind (the same
+        dict for the table's lifetime: :meth:`clear` empties it in place),
+        for a loop of lookups; its caller bumps ``counts.reused[kind]`` per
+        hit."""
         return self._entries[kind]
 
     def put(self, kind: str, obj: object, verdict, context: Optional[tuple] = None):
@@ -113,4 +115,5 @@ class VerdictTable:
 
     def clear(self) -> None:
         """Let go of every object (the counts stay readable)."""
-        self._entries.clear()
+        for entries in self._entries.values():
+            entries.clear()

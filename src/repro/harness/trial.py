@@ -81,6 +81,14 @@ class RunResult:
     #: clock, so it is strictly opt-in telemetry).
     peak_mem_mb: Optional[float] = None
 
+    def __eq__(self, other: object) -> bool:
+        # Field by field, as the generated ``__eq__`` — but an undecided
+        # trial's ``last_decision_time`` is NaN, which equals nothing, not
+        # even itself: two undecided trials compare it as the absence it is.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _with_undecided_as_none(self) == _with_undecided_as_none(other)
+
     @property
     def protocol_messages(self) -> int:
         """Messages excluding synchronizer traffic (paper's comparison basis)."""
@@ -92,6 +100,13 @@ class RunResult:
     def steps(self) -> float:
         """Communication steps (== last decision time under unit latency)."""
         return self.last_decision_time
+
+
+def _with_undecided_as_none(result: RunResult) -> dict:
+    fields = dict(vars(result))
+    if fields["last_decision_time"] != fields["last_decision_time"]:  # NaN
+        fields["last_decision_time"] = None
+    return fields
 
 
 #: Deployment constructor signature shared by every registered protocol:

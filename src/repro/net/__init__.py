@@ -14,10 +14,10 @@ and of whether the sender is faulty*.
   partitions; correct-to-correct messages are never lost, only delayed.
 * :mod:`repro.net.network` — the network itself: routing, GST enforcement,
   per-type message accounting (read by `repro figures`' Figure-1b tables), and the
-  one seam to a consensus instance: given the instance's kernel
+  one seam to a consensus instance: given the instance's kernel table
   (``Network.use_kernel``), fan-outs are coalesced into one event per
-  distinct delivery time, queued as one entry, and the kernel sees every
-  send and every bucket.
+  distinct delivery time, queued as one entry, and each bucket goes to the
+  kernel of its message kind.
 * :mod:`repro.net.transport` — the per-replica send/broadcast/multicast API.
 """
 

@@ -8,13 +8,15 @@ latency model's bound.  Correct-to-correct messages are never lost.
 The network also keeps :class:`MessageStats` — per-type send counters used to
 reproduce Figure 1b (number of exchanged messages).
 
-A network given an instance kernel (:meth:`Network.use_kernel`; every
-production deployment gives its one) coalesces fan-outs: one event per
-distinct delivery time instead of one per recipient, which is what tames
-the per-event cost of O(n^2) broadcast storms, and the whole fan-out waits
-in the simulator's queue as one entry (:meth:`Simulator.post_all`).
-Without one it is the dense oracle the identity tests compare against.
-Coalesced and dense runs are bit-identical because
+A network given a kernel table (:meth:`Network.use_kernel`; every
+production deployment gives its instance's) coalesces fan-outs: one event
+per distinct delivery time instead of one per recipient, which is what
+tames the per-event cost of O(n^2) broadcast storms, and the whole fan-out
+waits in the simulator's queue as one entry (:meth:`Simulator.post_all`).
+The table maps a message kind (:func:`message_kind`) to the kernel that
+delivers its buckets; a kind with no entry is delivered per recipient.
+Without a table the network is the dense oracle the identity tests compare
+against.  Coalesced and dense runs are bit-identical because
 
 * **RNG order** — latency, chaos and duplication draws are made per target
   in exactly dense's target order;
@@ -42,6 +44,12 @@ from .simulator import Simulator
 
 #: Handler invoked on delivery: ``handler(src, message)``.
 DeliveryHandler = Callable[[ReplicaId, object], None]
+
+
+def message_kind(message: object) -> type:
+    """What a kernel table is keyed by: the payload class of a signed
+    envelope, else the message class."""
+    return getattr(message, "payload", message).__class__
 
 
 def message_type_name(message: object) -> str:
@@ -199,7 +207,9 @@ class Network:
         )
         self._track_bytes = track_bytes
         self._handlers: Dict[ReplicaId, DeliveryHandler] = {}
-        self._kernel = None
+        #: The kernel table (:meth:`use_kernel`; ``None``: dense mode).
+        self.kernels: Optional[Dict[type, Callable]] = None
+        self._inspect: Optional[Callable[[ReplicaId, object], None]] = None
         #: Optional predicate mirroring the deployment's ``stop_when``; the
         #: coalesced fan-out checks it between recipients to keep dense's
         #: per-delivery stop granularity.
@@ -228,48 +238,48 @@ class Network:
             raise NotRegisteredError(f"replica {replica} out of range [0, {self._n})")
         self._handlers[replica] = handler
 
-    def use_kernel(self, kernel) -> None:
-        """Coalesce fan-outs and hand every bucket to ``kernel``.
+    def use_kernel(self, kernels, inspect=None) -> None:
+        """Coalesce fan-outs and hand each bucket to its kind's kernel.
 
-        ``kernel.inspect(src, message)`` sees every message sent, unicast
-        included, before any of its deliveries.  ``multicast``/``broadcast``
-        then post one event per distinct delivery time, the bucket ``(src,
-        message, recipients)`` as data, and the fan-out as one queue entry
-        (:meth:`_sparse_dispatch`).
+        ``kernels`` maps a message kind (:func:`message_kind`) to a kernel;
+        ``inspect(src, message)``, if given, sees every message sent,
+        unicast included, before any of its deliveries.
+        ``multicast``/``broadcast`` then post one event per distinct
+        delivery time, the bucket ``(src, message, recipients)`` as data,
+        and the fan-out as one queue entry (:meth:`_sparse_dispatch`).
         ``kernel(run, pos, probe, advance)`` is given a run of such buckets
         and delivers ``run[pos]`` plus as many of the buckets after it as it
         can apply with it.  It returns one delivered count per bucket
         reached (at least one); -1, only ever last, declines that bucket to
-        the per-recipient loop, which delivers it whole.  The kernel owns
-        the probe-between-deliveries stop semantics inside the buckets it
-        accepts, and enters a later bucket whose handlers it runs through
-        ``advance(k)`` (:meth:`Simulator._advance`): true means bucket ``k``
-        is there and its to deliver — asked at the end of the run, the
-        simulator may have just appended it — a refusal ends its answer
-        before ``k``.  A bucket it entered and does not answer for is its
-        caller's, who asks ``advance(k)`` again and is told yes.
+        the per-recipient loop, which delivers it whole, as it delivers a
+        kind with no kernel.  The kernel owns the probe-between-deliveries
+        stop semantics inside the buckets it accepts, and enters a later
+        bucket whose handlers it runs through ``advance(k)``
+        (:meth:`Simulator._advance`): true means bucket ``k`` is there and
+        its to deliver — asked at the end of the run, the simulator may have
+        just appended it — a refusal ends its answer before ``k``.  A bucket
+        it entered and does not answer for is its caller's, who asks
+        ``advance(k)`` again and is told yes.  Every kernel of the repo runs
+        on one driver of that protocol, :class:`~repro.core.columnar.RunKernel`.
 
         ``None`` restores dense mode (one simulator event per recipient):
         what ``reference=True`` deployments, the test oracle, run.
         """
-        self._kernel = kernel
-
-    @property
-    def kernel(self):
-        return self._kernel
+        self.kernels = kernels
+        self._inspect = inspect
 
     def disconnect(self) -> None:
         """Forget every registered handler (deployment teardown)."""
         self._handlers.clear()
-        self._kernel = None
+        self.kernels = self._inspect = None
         self.stop_probe = None
 
     def send(self, src: ReplicaId, dst: ReplicaId, message: object) -> float:
         """Send one message; returns the scheduled delivery time."""
         if dst not in self._handlers:
             raise NotRegisteredError(f"no handler registered for replica {dst}")
-        if self._kernel is not None:
-            self._kernel.inspect(src, message)
+        if self._inspect is not None:
+            self._inspect(src, message)
         now = self._sim.now
         base = self._latency.delay(src, dst)
         extra = self._chaos.extra_delay(now, self._gst, src, dst)
@@ -316,7 +326,7 @@ class Network:
         self, src: ReplicaId, targets: Iterable[ReplicaId], message: object
     ) -> None:
         """Send ``message`` to every replica in ``targets`` (self included if listed)."""
-        if self._kernel is not None:
+        if self.kernels is not None:
             self._sparse_dispatch(src, targets, message)
             return
         for dst in targets:
@@ -342,7 +352,8 @@ class Network:
         together with the kernel's tie-break-by-scheduling-order this makes
         the delivery interleaving identical to dense mode.
         """
-        self._kernel.inspect(src, message)
+        if self._inspect is not None:
+            self._inspect(src, message)
         now = self._sim.now
         gst_floor = max(now, self._gst)
         deadline = gst_floor + self._latency.max_delay
@@ -404,18 +415,23 @@ class Network:
         """Deliver a run of coalesced buckets (the simulator's receiver
         protocol): the buckets of one delivery time and, chained on as
         ``advance`` grants them, the queue's next ones — ``run`` grows under
-        this loop and under the kernel's.  The kernel takes as many as it can
-        per call and declines what it does not fully understand to the
-        per-recipient loop, which delivers the bucket whole and probes
-        ``stop_probe`` between deliveries (the kernel already checked before
-        this bucket); ``advance`` (the loop's ``stop_when`` and the event
-        accounting) is asked at every boundary it leaves us.  What each
-        bucket delivered is recorded once, for the whole run, as it returns."""
-        kernel = self._kernel
+        this loop and under the kernels'.  Each bucket goes to its kind's
+        kernel, which takes as many as it can per call and declines what it
+        does not fully understand; a declined bucket, and one of a kind with
+        no kernel, goes to the per-recipient loop, which delivers it whole
+        and probes ``stop_probe`` between deliveries (the kernel already
+        checked before this bucket); ``advance`` (the loop's ``stop_when``
+        and the event accounting) is asked at every boundary it leaves us.
+        What each bucket delivered is recorded once, for the whole run, as
+        it returns."""
+        kernels = self.kernels or {}
         probe = self.stop_probe
         counts: list = []  # delivered, per bucket answered
         try:
             while True:
+                src, message, dsts = run[len(counts)]
+                # (``message_kind``, inline: asked once per call.)
+                kernel = kernels.get(getattr(message, "payload", message).__class__)
                 if kernel is None:
                     counts.append(-1)
                 else:
@@ -432,3 +448,4 @@ class Network:
                     return
         finally:
             self.stats.record_run(run, counts)
+

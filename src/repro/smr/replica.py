@@ -17,9 +17,10 @@ A slot is a consensus *instance* on the deployment's one stack
   every replica that opens the slot joins it (shared vote columns, shared
   synchronizer columns) with a fresh instance.
 * **kernel-served** — a coalesced fan-out for the slot is unwrapped once and
-  handed to the slot's kernels as a bucket.  A bucket with a recipient that
-  has not opened the slot is *declined and counted*: it takes the
-  per-recipient loop, where each replica applies its own look-ahead window.
+  handed to the kernel of its kind in the slot's table as a bucket.  A
+  bucket with a recipient that has not opened the slot is *declined and
+  counted*: it takes the per-recipient loop, where each replica applies its
+  own look-ahead window.
 * **decided** — a replica that decides the slot stops its instance (no more
   view timers) and applies the value in slot order.
 * **retired** — once every correct replica has applied the slot, its stack
@@ -109,8 +110,9 @@ class SlotStacks:
     per open slot over a per-slot view of ``crypto`` (``None`` — the
     oracle — means per-message instances and no stacks), and retires a
     slot when its last correct replica has applied it.  As the network's
-    kernel it unwraps a :class:`SlotEnvelope` and hands the send or the
-    bucket to the slot's own kernel.
+    kernel for :class:`SlotEnvelope` it unwraps the send or the bucket and
+    routes it through the slot stack's own table and hook, as the network
+    routes a single-shot instance's.
     """
 
     def __init__(
@@ -222,11 +224,13 @@ class SlotStacks:
         self.seats.clear()
         self.decode.clear()
 
-    # The router: the network's kernel.
+    # The router: the network's one kernel, for every SlotEnvelope.
     def inspect(self, src: ReplicaId, message: object) -> None:
         slot = self.slot_of(message)
         if slot is not None:
-            self.open(slot).kernel.inspect(src, message.inner)
+            inspect = self.open(slot).inspect
+            if inspect is not None:
+                inspect(src, message.inner)
 
     def __call__(self, run, pos, probe, advance) -> tuple:
         src, message, dsts = run[pos]
@@ -234,6 +238,11 @@ class SlotStacks:
         if slot is None:
             return (0,)  # retired or malformed: every recipient drops it
         stack = self.open(slot)
+        # (``message_kind`` of the unwrapped message, inline: asked per call.)
+        kind = getattr(message.inner, "payload", message.inner).__class__
+        kernel = stack.kernels.get(kind)
+        if kernel is None:
+            return (-1,)  # delivered whole, as the slot's own table says
         joined, byzantine = stack.replicas, self._byzantine
         everyone = len(joined) == self._correct
         # The slot's consecutive buckets, unwrapped, for its kernel to group:
@@ -249,11 +258,11 @@ class SlotStacks:
             if self.slot_of(message) != slot:
                 break
         if not inner:
-            stack.kernel.note_declined(message.inner)
+            kernel.declined += 1
             return (-1,)
         # A stop may retire the slot (its last replica applied it): the
         # buckets after that one are the retired-slot case above.
-        return stack.kernel(
+        return kernel(
             inner, 0, probe, lambda k: slot > self.retired and advance(pos + k)
         )
 

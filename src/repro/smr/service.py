@@ -26,7 +26,7 @@ from ..net.latency import LatencyModel
 from ..sync.timeouts import FixedTimeout, TimeoutPolicy
 from ..types import ReplicaId, Value
 from .app import StateMachine
-from .replica import ByzantineSlotMultiplexer, SlotStacks, SMRReplica
+from .replica import ByzantineSlotMultiplexer, SlotEnvelope, SlotStacks, SMRReplica
 
 AppFactory = Callable[[], StateMachine]
 
@@ -166,7 +166,7 @@ class SMRDeployment(Deployment):
         )
 
     def _install_stack(self) -> None:
-        self.network.use_kernel(self.stack)
+        self.network.use_kernel({SlotEnvelope: self.stack}, self.stack.inspect)
 
     def watch_applies(
         self,

@@ -35,31 +35,26 @@ what a sender claims:
   consulted for the ``k``-th highest only once more than ``f`` senders are
   in it (unit tests with more wishers than ``f`` allows).
 
-:class:`WishDispatch` is the network's kernel for Wish buckets, with the
-vote kernel's units of work (DESIGN.md "Runs and groups", *The wish
-group*).  A **group** is consecutive buckets of one run that broadcast a
-valid signed wish for one view from distinct signers to everyone but the
-sender, ``_PASS_WISHES`` deliveries at most.  One at or above the
-break-even (``_PASS_MIN_WISHES``) is applied in one array pass over its
-``(bucket, recipient)`` grid: the seen-bit test, each recipient's arrival
-rank (a cumsum down the buckets), one scatter into ``seen`` / ``counts``.
-Only the *stops* run as scalar code, in (bucket, recipient) order with the
-stop probe after each: Byzantine recipients (arbitrary handlers) and the
-delivery at which a recipient's count first reaches ``f+1`` / ``2f+1`` for
-a view it has not wished / entered — the synchronizer's own reaction.  A
-group spans several buckets only while no running replica can still relay
-the view and no lower live view can still be entered; then a stop can only
-enter the group's view, which the over-applied counts of its own column
-answer exactly as per-bucket delivery would.  Otherwise the group is one
-bucket, where a recipient appears once and its stop reads its column as
-delivered.  Everything else — groups below the
-break-even, wishes beyond the horizon, multicasts of any other shape, and
-chains of one-recipient buckets under continuous latency — is walked:
-bucket by bucket, recipient by recipient, with the synchronizer's rules
-over the same columns, ``advance`` at every boundary, one kernel call per
-run.  A deployment with network duplication declines every Wish bucket to
-the per-recipient loop (a recipient may appear twice).  Routes, passes and
-walks are counted.
+:class:`WishDispatch` is the kernel table's ``Wish`` entry, on the vote
+kernel's run driver (:class:`~repro.core.columnar.RunKernel`; DESIGN.md "Runs
+and groups", *The wish group*).  A **group** is consecutive buckets of one
+run that broadcast a valid signed wish for one view from distinct signers
+to everyone but the sender, ``_PASS_WISHES`` deliveries at most.  One at or
+above the break-even (``_PASS_MIN_WISHES``) is applied in one array pass
+over its ``(bucket, recipient)`` grid: the seen-bit test, each recipient's
+arrival rank (a cumsum down the buckets), one scatter into ``seen`` /
+``counts``.  Its stops are Byzantine recipients (arbitrary handlers) and
+the delivery at which a recipient's count first reaches ``f+1`` /
+``2f+1`` for a view it has not wished / entered — the synchronizer's own
+reaction.  A group spans several buckets only while no running replica can
+still relay the view and no lower live view can still be entered; then a
+stop can only enter the group's view, which the over-applied counts of its
+own column answer exactly as per-bucket delivery would.  Otherwise the
+group is one bucket, where a recipient appears once and its stop reads its
+column as delivered.  Everything else — groups below the break-even,
+wishes beyond the horizon, multicasts of any other shape, and chains of
+one-recipient buckets under continuous latency — is walked, with the
+synchronizer's rules over the same columns.
 """
 
 from __future__ import annotations
@@ -69,6 +64,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..core.columnar import RunKernel
 from ..crypto.signatures import SignatureScheme, Signed
 from ..messages.base import conforms
 from ..types import MAX_VIEW, ReplicaId, View
@@ -313,9 +309,9 @@ _PASS_MIN_WISHES = 128
 _NEVER = 1 << 30  # a count no recipient reaches
 
 
-class WishDispatch:
-    """The delivery kernel for Wish fan-outs: one array pass per large
-    *group* of buckets, one scalar walk for everything else.
+class WishDispatch(RunKernel):
+    """The kernel of Wish fan-outs: one array pass per large *group* of
+    buckets, one scalar walk for everything else.
 
     Args:
         n, f: system size and fault threshold.
@@ -330,14 +326,14 @@ class WishDispatch:
             appear twice in one bucket; every Wish bucket is then declined
             to the per-recipient loop.
 
-    An instance kernel (:meth:`repro.net.network.Network.use_kernel`): it
-    answers one delivered count per bucket reached from ``run[pos]`` on,
-    entering each later bucket through ``advance``, and ``[-1]`` when
-    ``run[pos]`` is not a Wish or the network may duplicate it.  Nothing it does depends on what was sent
-    before, so its :meth:`inspect` ignores every send.  ``vectorised`` /
-    ``scalar`` / ``declined`` count the Wish buckets that took each route,
-    ``passes`` the array passes, ``walks`` the scalar walks.
+    Nothing it does depends on what was sent before, so it inspects no
+    send.  A walk is one stretch of walked buckets between passes.
     """
+
+    kinds = (Wish,)
+    stat_names = (
+        "wish_vectorised", "wish_scalar", "wish_declined", "wish_passes", "wish_walks"
+    )
 
     def __init__(
         self,
@@ -348,20 +344,14 @@ class WishDispatch:
         handlers: Dict[ReplicaId, Callable],
         dup_possible: bool = False,
     ) -> None:
+        super().__init__(handlers, dup_possible)
         self._relay_at = f + 1
         self._enter_at = 2 * f + 1
         self._signatures = signatures
         self._syncs: Dict[ReplicaId, ViewSynchronizer] = {}
-        self._handlers = handlers
-        self._dup = dup_possible
         self._everyone = list(range(n))
         self.columns = WishColumns(n, self._syncs)
         self._domain = ""
-        self.vectorised = 0
-        self.scalar = 0
-        self.declined = 0
-        self.passes = 0
-        self.walks = 0
         for replica, sync in syncs.items():
             self.attach(replica, sync)
 
@@ -373,76 +363,99 @@ class WishDispatch:
         sync.use_wish_state(_ColumnWishes(self.columns, replica))
         self.columns.note_attached(replica)
 
-    def inspect(self, src: ReplicaId, message: object) -> None:
-        """A send: nothing to note (see the class docstring)."""
-
-    def note_declined(self, message) -> None:
-        """Count a Wish bucket the caller had to route around the kernel."""
-        if isinstance(getattr(message, "payload", None), Wish):
-            self.declined += 1
-
     def detach(self) -> None:
         """Forget the synchronizers (deployment teardown): they point at the
         columns, so the columns must stop pointing back."""
         self._syncs.clear()
 
-    def stats(self) -> Dict[str, int]:
-        return {
-            "wish_vectorised": self.vectorised,
-            "wish_scalar": self.scalar,
-            "wish_declined": self.declined,
-            "wish_passes": self.passes,
-            "wish_walks": self.walks,
-        }
-
-    def __call__(self, run, pos, probe, advance) -> list:
-        src, message, dsts = run[pos]
-        wish = getattr(message, "payload", None)
-        if not isinstance(wish, Wish):
-            return [-1]
-        if self._dup:  # (a recipient may appear twice: delivered whole)
-            self.declined += 1
-            return [-1]
+    def _group(self, run, k):
+        """The group rule.  A broadcast opens a group: the broadcasts after
+        it for the same view from distinct signers, ``_PASS_WISHES``
+        deliveries at most — or just ``run[k]`` while some running replica
+        may still relay the view or a lower live view may still be entered
+        (and for a wish beyond the horizon, which is walked).  ``(True,
+        size)`` at or above the break-even, else ``(False, size)``, walked
+        without asking the rule again inside it; any other bucket is
+        ``(False, 0)``."""
+        src, message, dsts = run[k]
+        view = message.payload.view
+        if not self._broadcast(src, message, dsts, message.payload):
+            return False, 0
         columns = self.columns
-        others = columns.n - 1  # a broadcast's recipients
-        took: list = []
-        k = end = pos  # the bucket at hand; the end of a group being walked
-        walking = False
+        if columns.cur is None:
+            columns._allocate()
+        if view > columns.horizon:
+            return False, 1
+        views, end = columns._views, k + 1
+        if view <= columns.floor or not (
+            (views and views[0] < view) or (columns.live & (columns.sent < view)).any()
+        ):
+            signers = {src}
+            stop = min(len(run), k + max(1, _PASS_WISHES // (columns.n - 1)))
+            while end < stop:
+                sender, message, dsts = run[end]
+                wish = getattr(message, "payload", None)
+                if (
+                    not isinstance(wish, Wish)
+                    or wish.view != view
+                    or sender in signers
+                    or not self._broadcast(sender, message, dsts, wish)
+                ):
+                    break
+                signers.add(sender)
+                end += 1
+        size = end - k
+        return size * (columns.n - 1) >= _PASS_MIN_WISHES, size
+
+    def _walk(self, run, k, extent, probe, advance, took) -> bool:
+        """The walk: bucket by bucket from ``run[k]``, recipient by
+        recipient, the synchronizer's own ``on_wish`` rules over each
+        correct recipient's column (the recipient-independent checks once
+        per bucket), each Byzantine recipient's handler, the stop probe
+        between deliveries — through walked groups (``extent`` buckets from
+        ``run[k]``, then each group the rule finds below the break-even) and
+        chains of one-recipient buckets alike, up to the next group the
+        pass takes (entered: the driver asks the rule for it again)."""
+        syncs, handlers, columns = self._syncs, self._handlers, self.columns
+        verify = self._signatures.verify
+        others = columns.n - 1
+        end = k + extent  # (the rule is not asked inside a walked group)
+        src, message, dsts = run[k]
         while True:
-            size = 0  # of the group passed from ``run[k]``
-            if k >= end and len(dsts) == others and self._broadcast(
-                src, message, dsts, wish
-            ):
-                if columns.cur is None:
-                    columns._allocate()
-                size = self._group(run, k, src, wish.view)
-                if size * others < _PASS_MIN_WISHES:
-                    end, size = k + max(size, 1), 0  # walked, bucket by bucket
-            if size:
-                walking = False
-                answered, whole = self._pass(run, k, size, wish.view, probe, advance)
-                took += answered
-                k += size
-                if not whole:
-                    return took
-            else:
-                if not walking:
-                    walking = True
-                    self.walks += 1
-                self.scalar += 1
-                delivered = self._walk(src, message, dsts, wish, probe)
-                took.append(delivered)
-                k += 1
-                if delivered < len(dsts):  # the probe ended it
-                    return took
+            wish = message.payload
+            view = wish.view
+            valid = self._valid(src, message, wish)
+            verified = None
+            delivered = 0
+            self.walked += 1
+            for d in dsts:
+                if delivered and probe is not None and probe():
+                    took.append(delivered)
+                    return False
+                delivered += 1
+                sync = syncs.get(d)
+                if sync is None:
+                    handlers[d](src, message)
+                elif valid and not sync._stopped and columns.accepts(d, src, view):
+                    if verified is None:
+                        verified = verify(message)
+                    if verified:
+                        columns.record(d, src, view)
+                        sync._react_to_wishes()
+            took.append(delivered)
+            k += 1
             # (A router hands over its own slice of the run: a bucket the
             # simulator just appended is not in it.)
             if not advance(k) or k >= len(run):
-                return took
+                return False
             src, message, dsts = run[k]
-            wish = getattr(message, "payload", None)
-            if not isinstance(wish, Wish):
-                return took  # (entered: the caller's)
+            if getattr(message, "payload", None).__class__ is not Wish:
+                return False  # (entered: the caller's)
+            if k >= end and len(dsts) == others:
+                passed, extent = self._group(run, k)
+                if passed:
+                    return True
+                end = k + extent
 
     def _broadcast(self, src, message, dsts, wish) -> bool:
         """Whether a bucket is a valid signed Wish to everyone but its
@@ -470,48 +483,15 @@ class WishDispatch:
             and wish.domain == self._domain
         )
 
-    def _group(self, run, k, src, view) -> int:
-        """How many buckets from ``run[k]`` (a broadcast) one pass may take:
-        the broadcasts after it for the same view from distinct signers,
-        ``_PASS_WISHES`` deliveries at most — or just ``run[k]`` while some
-        running replica may still relay ``view`` or a lower live view may
-        still be entered, and none (walked) for a wish beyond the horizon."""
-        columns = self.columns
-        if view > columns.floor:
-            if view > columns.horizon:
-                return 0
-            views = columns._views
-            if (views and views[0] < view) or (
-                columns.live & (columns.sent < view)
-            ).any():
-                return 1
-        signers = {src}
-        end, stop = k + 1, min(len(run), k + max(1, _PASS_WISHES // (columns.n - 1)))
-        while end < stop:
-            sender, message, dsts = run[end]
-            wish = getattr(message, "payload", None)
-            if (
-                not isinstance(wish, Wish)
-                or wish.view != view
-                or sender in signers
-                or not self._broadcast(sender, message, dsts, wish)
-            ):
-                break
-            signers.add(sender)
-            end += 1
-        return end - k
-
-    def _pass(self, run, pos, size, view, probe, advance) -> tuple:
+    def _pass(self, run, pos, size, probe, advance, took) -> bool:
         """The array pass over the ``size`` broadcasts at ``run[pos]``, as a
         ``(bucket, recipient)`` grid: the seen-bit test, each recipient's
         arrival rank (a cumsum down the buckets), one scatter per slot, then
-        the stops in (bucket, recipient) order with the probe after each.
-        Answers a count per bucket reached, and whether the group was
-        delivered whole (neither the probe nor a boundary ended it)."""
+        the stops in (bucket, recipient) order with the probe after each."""
         columns = self.columns
         n = columns.n
-        self.passes += 1
         group = run[pos : pos + size]
+        view = group[0][1].payload.view
         signers = np.fromiter([bucket[0] for bucket in group], np.intp, size)
         rows = np.arange(size)
         stops = None
@@ -557,59 +537,21 @@ class WishDispatch:
             handled[rows, signers] = False
             stops = handled if stops is None else stops | handled
 
-        reached, last, whole = size, n - 1, True
-        flat = np.flatnonzero(stops) if stops is not None else ()
-        if len(flat):
-            syncs, handlers = self._syncs, self._handlers
-            cur = 0  # the bucket whose stops are running
-            for b, d in zip((flat // n).tolist(), (flat % n).tolist()):
-                # Per-bucket delivery asks ``stop_when`` between two
-                # buckets; so does every boundary crossed on the way.
-                while cur < b and advance(pos + cur + 1):
-                    cur += 1
-                if cur < b:
-                    reached, whole = cur + 1, False
-                    break
-                sync = syncs.get(d)
-                if sync is None:
-                    handlers[d](*group[b][:2])  # arbitrary handler
-                else:
-                    sync._react_to_wishes()
-                # The per-recipient loop probes before the delivery after
-                # any stop; a trailing probe with nothing left returns the
-                # same count.
-                if probe is not None and probe():
-                    reached, last, whole = b + 1, d + (d < group[b][0]), False
-                    break
-            else:
-                if cur + 1 < size and not advance(pos + cur + 1):
-                    reached, whole = cur + 1, False
-        self.vectorised += reached
-        took = [n - 1] * reached
-        took[-1] = last
-        return took, whole
-
-    def _walk(self, src, message, dsts, wish, probe) -> int:
-        """One bucket, recipient by recipient: the synchronizer's own
-        ``on_wish`` rules over each correct recipient's column (the
-        recipient-independent checks once per bucket), each Byzantine
-        recipient's handler, the stop probe between deliveries."""
-        syncs, handlers, columns = self._syncs, self._handlers, self.columns
-        view = wish.view
-        valid = self._valid(src, message, wish)
-        verified = None
-        delivered = 0
-        for d in dsts:
-            if delivered and probe is not None and probe():
-                return delivered
-            delivered += 1
-            sync = syncs.get(d)
-            if sync is None:
-                handlers[d](src, message)
-            elif valid and not sync._stopped and columns.accepts(d, src, view):
-                if verified is None:
-                    verified = self._signatures.verify(message)
-                if verified:
-                    columns.record(d, src, view)
-                    sync._react_to_wishes()
-        return delivered
+        flat = np.flatnonzero(stops) if stops is not None else np.zeros(0, np.intp)
+        recipients = (flat % n).tolist()
+        syncs, handlers = self._syncs, self._handlers
+        sent = [bucket[:2] for bucket in group]
+        reactions = [
+            (b, handlers[d], sent[b])  # arbitrary handler
+            if (sync := syncs.get(d)) is None
+            else (b, sync._react_to_wishes, ())
+            for b, d in zip((flat // n).tolist(), recipients)
+        ]
+        reached, stopped = self._stops(pos, size, reactions, probe, advance)
+        took += [n - 1] * (reached - 1)
+        if stopped is None:
+            took.append(n - 1)
+            return reached == size
+        d = recipients[stopped]  # (a broadcast's recipients: everyone but its sender)
+        took.append(d + (d < group[reached - 1][0]))
+        return False

@@ -18,6 +18,7 @@ from repro.crypto.signatures import Signed
 from repro.crypto.vrf import phase_seed
 from repro.messages.base import ProposalStatement
 from repro.messages.probft import Commit, NewLeader, Prepare, Propose
+from repro.net.network import message_kind
 from repro.types import ReplicaId, Value, View
 
 
@@ -71,10 +72,14 @@ def serving_engine_trials(specs):
     return [TrialSpec(i, spec.seed, spec) for i, spec in enumerate(specs)]
 
 
-def deliver_bucket(handler, src, message, dsts, probe=None):
-    """One bucket through an instance kernel (a run of one): its delivered
-    count, or -1 if the kernel declined it."""
-    (delivered,) = handler([(src, message, dsts)], 0, probe, lambda k: False)
+def deliver_bucket(kernels, src, message, dsts, probe=None):
+    """One bucket through a network's kernel table (a run of one): its
+    delivered count, or -1 if its kind has no kernel or the kernel declined
+    it (the network then delivers it per recipient)."""
+    kernel = kernels.get(message_kind(message))
+    if kernel is None:
+        return -1
+    (delivered,) = kernel([(src, message, dsts)], 0, probe, lambda k: False)
     return delivered
 
 

@@ -104,7 +104,6 @@ class _Fixture:
         handlers = {b: byzantine_handler(b) for b in byzantine}
         self.kernel = ColumnarVoteDispatch(
             config, crypto, self.replicas, correct, handlers, state,
-            wishes=lambda run, pos, probe, advance: (-1,),
             token=ProBFTReplica.vote_token, votes=ProBFTReplica.VOTES,
         )
 
@@ -312,9 +311,9 @@ class TestGroupEqualsBuckets:
             reached = _route_counters(each)[0]
             stats = each.kernel.stats()
             assert stats["vote_passes"] + stats["vote_chains"] == reached
-            assert walked.kernel.vote_passes == walked.kernel.vectorised == 0
-            assert walked.kernel.vote_chains <= walked.kernel.walked == reached
-            passes = passed.kernel.vote_passes
+            assert walked.kernel.passes == walked.kernel.vectorised == 0
+            assert walked.kernel.walks <= walked.kernel.walked == reached
+            passes = passed.kernel.passes
             assert passes <= passed.kernel.vectorised <= reached
             grouped += passes < passed.kernel.vectorised
             quorums += any(kind != "byz" for kind, *_ in passed.log[past:])
@@ -348,7 +347,7 @@ class TestGroupEqualsBuckets:
             assert walked.log == each.log and walked.observable() == each.observable()
             assert walked.kernel._equivocal == each.kernel._equivocal
             assert _route_counters(walked) == _route_counters(each)
-            cut_by_flag += -1 in counts and walked.kernel.vote_chains < walked.kernel.walked
+            cut_by_flag += -1 in counts and walked.kernel.walks < walked.kernel.walked
         assert cut_by_flag >= 10, cut_by_flag
 
     def test_pass_size_is_bounded(self, monkeypatch):
@@ -367,12 +366,12 @@ class TestGroupEqualsBuckets:
         whole, pieces = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
         never = lambda: False
         counts = whole.deliver_run(warmup + run, None, never)
-        assert whole.kernel.vote_passes > 0
+        assert whole.kernel.passes > 0
         cap = columnar._PASS_MIN_VOTES + config.sample_size
         monkeypatch.setattr(columnar, "_PASS_VOTES", cap)
         assert pieces.deliver_run(warmup + run, None, never) == counts
         assert pieces.observable() == whole.observable() and pieces.log == whole.log
-        assert pieces.kernel.vote_passes > whole.kernel.vote_passes
+        assert pieces.kernel.passes > whole.kernel.passes
         assert _route_counters(pieces) == _route_counters(whole)
 
     def test_a_group_crosses_a_bitmap_word(self):
@@ -469,7 +468,7 @@ class TestChainEqualsBuckets:
             table = crypto.verdicts.counts
             results, lookups = [], []
             kernel = one.kernel
-            walked, chains = walked - kernel.walked, chains - kernel.vote_chains
+            walked, chains = walked - kernel.walked, chains - kernel.walks
             for fixture in (one, each):
                 fixture.flag_at = flag_at
                 stop = fixture.stop_after(stops) if mode == "stop" else never
@@ -486,9 +485,9 @@ class TestChainEqualsBuckets:
             assert kernel.walked == each.kernel.walked
             assert one.kernel._equivocal == each.kernel._equivocal
             assert lookups[0] == lookups[1] > 0
-            assert kernel.vote_chains <= kernel.walked == each.kernel.vote_chains
+            assert kernel.walks <= kernel.walked == each.kernel.walks
             walked += kernel.walked
-            chains += kernel.vote_chains
+            chains += kernel.walks
             crossings += any(kind != "byz" for kind, *_ in one.log[past:])
             flagged += bool(one.kernel._equivocal)
             refused += mode == "refuse" and len(results[0]) == refuse_at
@@ -689,7 +688,7 @@ class TestEquivocalFlagFlipsInsideAGroup:
         assert result == context(True, oracle_flips).execute()
         assert result.all_decided and result.agreement_ok
         assert flips == oracle_flips and len(flips) == 1
-        assert 1 in production.deployment.network.kernel._equivocal
+        assert 1 in production.deployment.stack.votes._equivocal
         # The flip came from inside the pass over the whole Prepare phase,
         # which went on to its end ...
         assert flipped_in == [(0, 29, 29)]
@@ -714,8 +713,7 @@ class TestWishKernelEqualsTheOracle:
         spec = cell_deployment_spec(cell, seed=1, max_time=35.0 if n == 100 else 600.0)
         context = TrialContext(spec)
         oracle = TrialContext(reference_spec(spec))
-        # (As reprs: an undecided trial's last decision time is NaN.)
-        assert repr(context.execute()) == repr(oracle.execute())
+        assert context.execute() == oracle.execute()
         wishes = context.deployment.network.stats.delivered_by_type["Wish"]
         assert wishes == oracle.deployment.network.stats.delivered_by_type["Wish"]
         routes = context.deployment.vote_kernel_stats()

@@ -157,3 +157,21 @@ class TestRunners:
     def test_unknown_protocol(self):
         with pytest.raises(KeyError):
             good_case("paxos", 10, 2)
+
+    def test_undecided_trials_compare_equal(self):
+        """A trial cut before any decision has no last decision time (NaN,
+        which equals nothing): two of the same seed are still equal, in
+        process and after a pickle round trip, and print as before."""
+        import pickle
+
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+        cell = MatrixCell("probft", "equivocation", "exponential", n=40, f=13)
+        first, second = (
+            run_trial(cell_deployment_spec(cell, 0, 35.0)) for _ in range(2)
+        )
+        assert first.decided == 0 and math.isnan(first.last_decision_time)
+        assert first == second and not first != second
+        assert pickle.loads(pickle.dumps(first)) == second
+        assert "last_decision_time=nan" in repr(first)
+        assert first != run_trial(cell_deployment_spec(cell, 1, 35.0))

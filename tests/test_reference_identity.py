@@ -169,27 +169,38 @@ class TestStackWiring:
         cell = MatrixCell(protocol, "none", "constant", n=14, f=2)
         return cell_deployment_spec(cell, seed=0, max_time=MAX_TIME)
 
-    def test_probft_installs_its_kernel(self):
+    def test_probft_installs_its_table(self):
         from repro.core.columnar import ColumnarVoteDispatch
+        from repro.messages.probft import Commit, Prepare
+        from repro.sync.synchronizer import Wish
 
         deployment = self._spec("probft").build()  # closes when let go of
-        assert deployment.network.kernel is deployment.stack.kernel
-        assert type(deployment.stack.kernel) is ColumnarVoteDispatch
+        stack, network = deployment.stack, deployment.network
+        assert type(stack.votes) is ColumnarVoteDispatch
+        assert network.kernels == {
+            Wish: stack.wishes, Prepare: stack.votes, Commit: stack.votes
+        }
+        assert network._inspect == stack.votes.inspect
 
     def test_baselines_coalesce_and_run_the_wish_kernel(self):
         # PBFT is ProBFT's skeleton: its broadcast votes ride the vote
-        # kernel.  HotStuff's votes are unicasts to the leader, so its stack
-        # is the wish kernel alone.
+        # kernel.  HotStuff's votes are unicasts to the leader, so its table
+        # holds the wish kernel alone, and nothing inspects its sends.
         from repro.core.columnar import ColumnarVoteDispatch
-        from repro.sync.columns import WishDispatch
+        from repro.messages.pbft import PbftCommit, PbftPrepare
+        from repro.sync.synchronizer import Wish
 
-        for protocol, kernel in (
-            ("pbft", ColumnarVoteDispatch),
-            ("hotstuff", WishDispatch),
-        ):
-            deployment = self._spec(protocol).build()
-            assert deployment.network.kernel is deployment.stack.kernel
-            assert type(deployment.stack.kernel) is kernel
+        deployment = self._spec("pbft").build()
+        stack, network = deployment.stack, deployment.network
+        assert type(stack.votes) is ColumnarVoteDispatch
+        assert network.kernels == {
+            Wish: stack.wishes, PbftPrepare: stack.votes, PbftCommit: stack.votes
+        }
+        assert network._inspect == stack.votes.inspect
+        deployment = self._spec("hotstuff").build()
+        stack, network = deployment.stack, deployment.network
+        assert network.kernels == {Wish: stack.wishes}
+        assert network._inspect is None
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_correct_synchronizers_share_one_set_of_columns(self, protocol):
@@ -214,7 +225,7 @@ class TestStackWiring:
         from repro.quorum.probabilistic import ProbabilisticQuorumCollector
 
         deployment = reference_spec(self._spec(protocol)).build()
-        assert deployment.network.kernel is None
+        assert deployment.network.kernels is None
         assert deployment.crypto.verdicts is None  # every check recomputed
         if protocol == "probft":
             deployment.run(max_time=MAX_TIME)
@@ -284,14 +295,14 @@ class TestSingletonBranch:
         vote = self._prepare(deployment, sender=2)
         # (The leader's Prepare, 7 votes at t=1, was walked before the pause.)
         walked = deployment.vote_kernel_stats()["walked"]
-        assert deliver_bucket(deployment.stack.kernel, 2, vote, [self.BYZ]) == 1
+        assert deliver_bucket(deployment.network.kernels, 2, vote, [self.BYZ]) == 1
         assert recorder.received[-1] == (2, vote)
         assert deployment.vote_kernel_stats()["walked"] == walked + 1
 
     def test_future_view_vote_is_buffered(self, paused):
         deployment, _ = paused
         vote = self._prepare(deployment, sender=2, view=2)
-        assert deliver_bucket(deployment.stack.kernel, 2, vote, [3]) == 1
+        assert deliver_bucket(deployment.network.kernels, 2, vote, [3]) == 1
         assert deployment.replicas[3]._future_buffer[2] == [(2, vote)]
         # ... exactly like the oracle's handler:
         oracle = ProBFTDeployment(
@@ -305,12 +316,12 @@ class TestSingletonBranch:
         deployment, _ = paused
         fresh = ProBFTDeployment(ProtocolConfig(n=8, f=1), seed=1)  # view 0
         vote = self._prepare(deployment, sender=2)
-        assert deliver_bucket(fresh.stack.kernel, 2, vote, [3]) == 0
+        assert deliver_bucket(fresh.network.kernels, 2, vote, [3]) == 0
         assert not fresh.replicas[3]._future_buffer
         slot = deployment.stack.state.peek(True, 1, vote.payload.value)
         before = int(slot.counts[3])
         deployment.replicas[3]._on_new_view(2)  # the synchronizer's upcall
-        assert deliver_bucket(deployment.stack.kernel, 2, vote, [3]) == 0
+        assert deliver_bucket(deployment.network.kernels, 2, vote, [3]) == 0
         assert int(slot.counts[3]) == before
 
     def test_replayed_envelope_counts_once(self, paused):
@@ -321,7 +332,7 @@ class TestSingletonBranch:
         before = collector.senders(value)
         assert 2 not in before
         for _ in range(3):
-            assert deliver_bucket(deployment.stack.kernel, 2, vote, [3]) == 1
+            assert deliver_bucket(deployment.network.kernels, 2, vote, [3]) == 1
         assert collector.senders(value) == before | {2}
         assert collector.count(value) == len(before) + 1
 
@@ -335,16 +346,16 @@ class TestSingletonBranch:
         votes = [self._prepare(deployment, sender=s) for s in (1, 2, 4, 5)]
         assert len(held) + len(votes) == q
         for vote in votes[:-1]:
-            deliver_bucket(deployment.stack.kernel, vote.signer, vote, [3])
+            deliver_bucket(deployment.network.kernels, vote.signer, vote, [3])
         assert replica.prepared_view == 0
-        deliver_bucket(deployment.stack.kernel, votes[-1].signer, votes[-1], [3])
+        deliver_bucket(deployment.network.kernels, votes[-1].signer, votes[-1], [3])
         assert replica.prepared_view == 1
         # The certificate is the first q envelopes in arrival order — what
         # the oracle's collector would hand NewLeader.
         assert replica._cert == held + tuple(votes)
         # A (q+1)-th vote is pruned (the view is committed): not delivered.
         extra = self._prepare(deployment, sender=6)
-        assert deliver_bucket(deployment.stack.kernel, 6, extra, [3]) == 0
+        assert deliver_bucket(deployment.network.kernels, 6, extra, [3]) == 0
         assert replica._cert == held + tuple(votes)
 
     def test_deciding_singleton_delivery_trips_the_stop_probe(self):
@@ -363,13 +374,13 @@ class TestSingletonBranch:
         q = deployment.config.q
         for s in (1, 2, 4, 5):
             vote = self._prepare(deployment, sender=s)
-            deliver_bucket(deployment.stack.kernel, s, vote, [3])
+            deliver_bucket(deployment.network.kernels, s, vote, [3])
         assert replica.prepared_view == 1
         statement = replica._proposal.payload.statement
         for s in range(q):
             assert replica.decision is None
             commit = make_commit(deployment.crypto, deployment.config, s, statement)
-            deliver_bucket(deployment.stack.kernel, s, commit, [3])
+            deliver_bucket(deployment.network.kernels, s, commit, [3])
         assert replica.decision is not None and replica.decision.view == 1
         assert deployment.decisions[3] is replica.decision
 
@@ -432,21 +443,24 @@ class TestVoteKernelStats:
             latencies=("constant",),
         )
         deployment = cell_deployment_spec(cell, 0, MAX_TIME).build()
-        kernel = deployment.stack.kernel
+        kernels = deployment.network.kernels
+        kernel = deployment.stack.votes
         declined_views, applied_views = set(), set()
 
         def watching(run, pos, probe, advance):
             before = kernel.declined
-            delivered = kernel(run, pos, probe, advance)
-            message = run[pos][1]
-            token = prevalidate_vote(deployment.config, deployment.crypto, message)
-            if token is not None:
-                took = declined_views if kernel.declined > before else applied_views
-                took.add(token.view)
-            return delivered
+            took = kernel(run, pos, probe, advance)
+            for count, (_, message, _) in zip(took, run[pos:]):
+                token = prevalidate_vote(deployment.config, deployment.crypto, message)
+                if token is not None:
+                    # (A declined bucket is the last one answered.)
+                    counted = count < 0 and kernel.declined > before
+                    (declined_views if counted else applied_views).add(token.view)
+            return took
 
-        watching.inspect = kernel.inspect
-        deployment.network.use_kernel(watching)
+        # The stack's table, with every vote kind going to the watched kernel.
+        watched = {k: watching if e is kernel else e for k, e in kernels.items()}
+        deployment.network.use_kernel(watched, deployment.stack.inspect)
         deployment.run(max_time=MAX_TIME)
         flagged = kernel._equivocal
         assert declined_views and declined_views <= flagged
@@ -902,7 +916,7 @@ class TestSlotRouter:
 
     def test_vote_bucket_for_a_slot_a_recipient_has_not_opened(self):
         deployment = self._deployment()
-        router = deployment.stack
+        router = deployment.network.kernels  # SlotEnvelope -> the router
         for r in (1, 2):  # only these two have opened slot 1
             deployment.replicas[r]._ensure_slot(1)
         envelope = self._prepare(deployment, 1)
@@ -933,7 +947,7 @@ class TestSlotRouter:
         foreign = self._prepare(deployment, 2).inner  # another slot's domain
         dsts = [1, 2, 4]
         envelope = SlotEnvelope(1, foreign)
-        assert deliver_bucket(deployment.stack, 3, envelope, dsts) == -1
+        assert deliver_bucket(deployment.network.kernels, 3, envelope, dsts) == -1
         assert deployment.vote_kernel_stats()["declined"] == 1
 
     def test_retired_slot_drops_late_envelopes(self):
@@ -944,7 +958,7 @@ class TestSlotRouter:
         assert record.decision.view == 1 and 1 not in deployment.stack.stacks
         late = self._prepare(deployment, 1)
         assert deployment.stack.slot_of(late) is None
-        assert deliver_bucket(deployment.stack, 3, late, [1, 2]) == 0
+        assert deliver_bucket(deployment.network.kernels, 3, late, [1, 2]) == 0
         deployment.replicas[1].on_message(3, late)
         assert deployment.replicas[1].slot_replica(1) is record
         # Retired slots keep counting in the route totals.

@@ -105,7 +105,7 @@ class SyncCluster:
                 n, f, self.crypto.signatures, dict(self.syncs),
                 self.network._handlers, dup_possible=duplicate_prob > 0,
             )
-            self.network.use_kernel(self.kernel)
+            self.network.use_kernel({Wish: self.kernel})
 
     def _handle(self, replica, src, message):
         view = getattr(getattr(message, "payload", None), "view", None)

@@ -267,7 +267,7 @@ class TestVerdictsAreAboutOneObject:
 
     def test_an_equal_copy_is_validated_from_scratch(self, paused):
         deployment, vote = paused
-        kernel = functools.partial(deliver_bucket, deployment.stack.kernel)
+        kernel = functools.partial(deliver_bucket, deployment.network.kernels)
         counts = deployment.crypto.verdicts.counts
         assert kernel(2, vote, [3], None) == 1
         before = dict(counts.computed)
@@ -288,7 +288,7 @@ class TestVerdictsAreAboutOneObject:
 
     def test_a_tampered_copy_stays_rejected_at_every_recipient(self, paused):
         deployment, vote = paused
-        kernel = functools.partial(deliver_bucket, deployment.stack.kernel)
+        kernel = functools.partial(deliver_bucket, deployment.network.kernels)
         counts = deployment.crypto.verdicts.counts
         assert kernel(2, vote, [3], None) == 1  # the honest original: valid
         forged = _rebuilt(vote, proof=b"\x00" * 32)

@@ -17,7 +17,7 @@ Prints the totals, the simulator's ``events_processed`` and the per-event
 ratios, then the ``--top`` functions by opcodes (self: instructions
 executed in that function's own frames).  ``--lines NAME`` adds a
 per-line census of the functions whose name or qualified name is ``NAME``
-(``_advance``, ``ColumnarVoteDispatch.__call__``).  The last line
+(``_advance``, ``ColumnarVoteDispatch._walk``).  The last line
 of standard output is the whole census as JSON.
 """
 
