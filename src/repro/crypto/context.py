@@ -14,32 +14,20 @@ VRF over it.  It comes in two forms:
   its whole life (the table is cleared in ``Deployment.close()``), an SMR
   slot from the moment it opens until it retires.
 
-The table is the one place that remembers "this was checked".  A replica
-multicasts *one* signed vote carrying *one* VRF proof to its whole sample,
-and everything a recipient checks about it except ``i ∈ S`` is the same for
-every recipient — so each check runs once per message object and is looked
-up per delivery.  Verdicts are keyed by the *identity* of the object they
-are about, and the entry holds that object: equality would let an
-adversary's equal-looking copy inherit an honest object's verdict (or cost
-an encode to compare), while a pinned identity can be neither forged nor
-recycled.  What honest code produces through the registry's own keys —
-``sign()``, ``prove()`` — is registered valid at birth; ``sign_with`` /
-``prove_with``, the adversary's path, never is.  A born-valid envelope's tag
-is computed only if someone reads it (``VerdictCounts.tags_computed``; a
-table-free scheme counts on a ``VerdictCounts`` of its own): never on a
-production trial without byte tracking.  There is no eviction and
-no budget: a table holds what its instance sent and dies with it, so a
-finished trial or a retired slot pins nothing.
+The table is the one place that remembers "this was checked"
+(:mod:`repro.crypto.verdicts`; DESIGN.md "Validated once, born valid,
+signed on first read"): each recipient-independent check runs once per
+message object, and what ``sign()`` / ``prove()`` make is valid at birth.
+Everything an instance keeps — its table, its VRF's blocks of outputs not
+yet proven — dies with it, so a finished trial or a retired slot pins
+nothing.
 
 The pool shares the one immutable thing, the :class:`KeyRegistry`, between
-the contexts alive at once: a deployment built while another of the same
-system size and seed is alive (production and its oracle twin) skips
-re-deriving ``n`` key pairs.  It holds registries weakly, so a finished
-trial leaves none behind.  It is deliberately per-process: worker
-processes of a :class:`~repro.harness.parallel.ExperimentEngine` each grow
-their own, so there is no cross-process state to keep identical.  All remembered verdicts
-are pure functions of their inputs, so tabled and table-free contexts are
-bit-identical by construction (and pinned by
+the contexts alive at once (production and its oracle twin), holds
+registries weakly, and is per-process: worker processes of an
+:class:`~repro.harness.parallel.ExperimentEngine` each grow their own.  All
+remembered verdicts are pure functions of their inputs, so tabled and
+table-free contexts are bit-identical by construction (and pinned by
 ``tests/test_reference_identity.py``).
 """
 

@@ -87,7 +87,7 @@ def digest(*parts: Any) -> bytes:
     """SHA-256 digest over the canonical encoding of ``parts``."""
     # One hash call over one buffer: every part is followed by a separator
     # (the trailing empty piece supplies the last one).
-    encoded = [stable_encode(part) for part in parts]
+    encoded = list(map(stable_encode, parts))
     encoded.append(b"")
     return hashlib.sha256(_SEPARATOR.join(encoded)).digest()
 

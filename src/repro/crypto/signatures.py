@@ -118,7 +118,7 @@ class SignatureScheme:
         The tag — ``sign_with(that key, signer, payload).signature`` to the
         byte — is computed by whoever first reads ``.signature``.
         """
-        self._registry.key_pair(signer)  # an unknown signer fails here and now
+        self._registry._private_key_of(signer)  # an unknown signer fails here and now
         signed = object.__new__(Signed)
         _set(signed, "payload", payload)
         _set(signed, "signer", signer)

@@ -39,13 +39,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import VRFError
+from ..errors import UnknownReplicaError, VRFError
 from ..types import ReplicaId
-from .hashing import digest
+from .hashing import _SEPARATOR, digest, stable_encode
 from .keys import KeyRegistry
 from .verdicts import VerdictCounts, VerdictTable
 
 _DOMAIN = "repro-vrf-v2"
+#: What ``digest(_DOMAIN, sk, seed, s)`` hashes before a 32-byte ``sk``'s bytes.
+_KEY_HEAD = _SEPARATOR.join([stable_encode(_DOMAIN), stable_encode(bytes(32))[:9]])
 
 #: Sampler words are 64-bit: one past the largest value a word can take.
 _WORD_SPAN = 1 << 64
@@ -105,8 +107,20 @@ def plain_ids(sample: object) -> bool:
 #: rebinding the pair: a racing grower costs sharing, never values.
 _IDS: Tuple[List[ReplicaId], Any] = ([], np.empty(0, dtype=object))
 
-#: From this many words on, one array pass deduplicates (DESIGN.md "Break-even").
+
+def _grow_ids(n: int) -> Tuple[List[ReplicaId], Any]:
+    """``_IDS`` grown to ``n`` ids."""
+    global _IDS
+    shared = _IDS[0] + list(range(len(_IDS[0]), n))
+    _IDS = shared, np.array(shared, dtype=object)
+    return _IDS
+
+
+#: From this many words on, one array pass deduplicates, and a prover's
+#: whole block is expanded at once (DESIGN.md "Break-even").
 _ARRAY_MIN_WORDS = 64
+#: A block's (key, id) cells at most: ``⌊_BLOCK_CELLS / n⌋`` provers a block.
+_BLOCK_CELLS = 16_384
 #: For n ≤ 2¹⁶ a rejected word is above 2⁶⁴ − 2¹⁶, so it starts with six
 #: ``0xff`` bytes: a stream without them has nothing to reject.
 _REJECTED_PREFIX = b"\xff" * 6
@@ -125,11 +139,7 @@ def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
     rejects = limit < _WORD_SPAN and (n > 1 << 16 or _REJECTED_PREFIX in stream)
     if rejects and int(words.max(initial=0)) >= limit:
         words = words[words < limit]
-    global _IDS
-    shared, twin = _IDS
-    if len(shared) < n:
-        shared = shared + list(range(len(shared), n))
-        _IDS = shared, twin = shared, np.array(shared, dtype=object)
+    shared, twin = _IDS if len(_IDS[0]) >= n else _grow_ids(n)
     ids = words % n
     if len(stream) < 8 * _ARRAY_MIN_WORDS:
         return tuple(map(shared.__getitem__, islice(dict.fromkeys(ids.tolist()), s)))
@@ -142,6 +152,40 @@ def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
     return tuple(twin[ids[first[ids] == positions][:s]].tolist())
 
 
+def _samples_from_grid(stream: bytes, rows: int, n: int, s: int) -> List[tuple]:
+    """:func:`_sample_from_stream` of each of ``rows`` equal slices of
+    ``stream``, in one array pass (a block of provers' first requests).
+
+    A rejected word is renamed ``n``, an id no row draws; each (row, id)
+    cell's first word position is a minimum (exact whatever order repeats
+    apply in) over one vector of ``rows · (n + 1)`` cells.
+    """
+    words = np.frombuffer(stream, dtype=_WORD).astype(np.uint64)
+    ids = (words % n).view(np.intp)  # every id is below n: the same values
+    limit = _WORD_SPAN - _WORD_SPAN % n
+    rejects = limit < _WORD_SPAN and (n > 1 << 16 or _REJECTED_PREFIX in stream)
+    if rejects:
+        ids[words >= limit] = n
+    grid = ids.reshape(rows, -1)
+    cells = (grid + np.arange(0, rows * (n + 1), n + 1)[:, None]).ravel()
+    positions = np.arange(len(ids))
+    first = np.empty(rows * (n + 1), np.intp)
+    first.fill(len(ids))
+    np.minimum.at(first, cells, positions)
+    drawn = (first[cells] == positions).reshape(rows, -1)
+    if rejects:
+        drawn &= grid < n
+    ranks = drawn.cumsum(axis=1)
+    drawn &= ranks <= s
+    twin = _IDS[1] if len(_IDS[1]) >= n else _grow_ids(n)[1]
+    chosen = twin[grid[drawn]]
+    if len(chosen) == rows * s:
+        return list(map(tuple, chosen.reshape(rows, s).tolist()))
+    ends = np.minimum(ranks[:, -1], s).cumsum().tolist()  # a row fell short
+    chosen = chosen.tolist()
+    return [tuple(chosen[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 def _sample_from_key(
     key: bytes, n: int, s: int, word_count: Optional[int] = None
 ) -> Tuple[ReplicaId, ...]:
@@ -152,15 +196,21 @@ def _sample_from_key(
     many.  The longer output extends the shorter one, so the result does not
     depend on ``word_count`` (tests pass a small one to force the extension).
     """
-    if word_count is None:  # 25% above n·(H_n − H_{n−s}), the draws s IDs take
-        expected = n * (math.log(n / (n - s)) if s < n else math.log(n) + 1.0)
-        word_count = int(1.25 * expected) + 8
+    if word_count is None:
+        word_count = _first_request(n, s)
     while True:
         stream = hashlib.shake_256(key).digest(8 * word_count)
         sample = _sample_from_stream(stream, n, s)
         if len(sample) == s:
             return sample
         word_count *= 2
+
+
+def _first_request(n: int, s: int) -> int:
+    """XOF words asked for first: 25% above n·(H_n − H_{n−s}), the draws
+    ``s`` distinct IDs take."""
+    expected = n * (math.log(n / (n - s)) if s < n else math.log(n) + 1.0)
+    return int(1.25 * expected) + 8
 
 
 class VRF:
@@ -174,8 +224,14 @@ class VRF:
     s)`` it was proven for.  :meth:`prove_with` (explicit keys: the
     adversary's corrupted-key and forgery path) registers nothing, and an
     output that is merely *equal* to an honest one is a different object
-    and takes the full key recompute and replay.  Nothing memoizes proving
-    or sample expansion: every expansion is counted.
+    and takes the full key recompute and replay.
+
+    From the sampler's break-even up, a :meth:`prove` expands its whole
+    *block* of provers (ids ``[b·B, (b+1)·B)``, ``B = ⌊_BLOCK_CELLS / n⌋``)
+    for ``(seed, s)`` in one pass, and keeps the other outputs, as private
+    as the registry's keys, for their own provers: each is handed to one
+    prove (a repeat prove expands its row again; nothing memoizes).  The
+    store dies with this object: an instance's, a trial's or a slot's.
     """
 
     def __init__(
@@ -183,28 +239,84 @@ class VRF:
     ) -> None:
         self._registry = registry
         self._verdicts = verdicts
+        #: ``s`` -> (provers a block, 0 for one at a time; first XOF request).
+        self._shapes: Dict[int, Tuple[int, int]] = {}
+        #: ``(block, seed, s)`` -> ``{replica: output}`` not proven yet, or ``()``.
+        self._pending: Dict[Tuple[int, str, int], Any] = {}
 
     def prove_with(
         self, private_key: bytes, replica: ReplicaId, seed: str, s: int
     ) -> VRFOutput:
         """``VRF_prove`` with an explicit private key (honest or corrupted)."""
-        n = self._registry._n
-        if not 1 <= s <= n:
-            raise VRFError(f"sample size must be in [1, n={n}], got {s}")
+        count = (self._shapes.get(s) or self._shape(s))[1]  # s is checked
         key = digest(_DOMAIN, private_key, seed, s)
         if self._verdicts is not None:
             self._verdicts.counts.samples_expanded += 1
         output = object.__new__(VRFOutput)  # no dataclass __init__ frame
-        object.__setattr__(output, "sample", _sample_from_key(key, n, s))
+        sample = _sample_from_key(key, self._registry._n, s, count)
+        object.__setattr__(output, "sample", sample)
         object.__setattr__(output, "proof", key)
         return output
 
     def prove(self, replica: ReplicaId, seed: str, s: int) -> VRFOutput:
         """``VRF_prove(K_p,i, z, s) → (S_i, P_i)`` using the registry's key."""
-        private_key = self._registry.key_pair(replica).private_key
-        output = self.prove_with(private_key, replica, seed, s)
+        keys = self._registry._keys
+        if replica not in keys:
+            raise UnknownReplicaError(replica)
+        shape = self._shapes.get(s) or self._shape(s)
+        block = shape[0]
+        if not block:
+            output = self.prove_with(keys[replica], replica, seed, s)
+        else:
+            slot = (replica // block, seed, s)
+            outputs = self._pending.get(slot)
+            output = outputs.pop(replica, None) if outputs else None
+            if output is None:
+                output = self._expand(replica, seed, s, slot, shape)
+            elif not outputs:
+                self._pending[slot] = ()
         if self._verdicts is not None:
             self._verdicts.born_valid("vrf", output, (replica, seed, s))
+        return output
+
+    def _shape(self, s: int) -> Tuple[int, int]:
+        """Provers a block for samples of ``s`` (0: one prove at a time, below
+        the break-even or past n = ``_BLOCK_CELLS / 2``) and words asked first."""
+        n = self._registry._n
+        if not 1 <= s <= n:
+            raise VRFError(f"sample size must be in [1, n={n}], got {s}")
+        count = _first_request(n, s)
+        block = _BLOCK_CELLS // n if count >= _ARRAY_MIN_WORDS else 0
+        self._shapes[s] = shape = (block if block > 1 else 0, count)
+        return shape
+
+    def _expand(
+        self, replica: ReplicaId, seed: str, s: int, slot: tuple, shape: tuple
+    ) -> VRFOutput:
+        """``replica``'s output, the rest of its block kept for their provers
+        — or its row alone, if its block was expanded before."""
+        (block, count), n, keys = shape, self._registry._n, self._registry._keys
+        first = replica - replica % block
+        ids = range(first, min(first + block, n))
+        if slot in self._pending:
+            ids = range(replica, replica + 1)
+        # digest(_DOMAIN, key, seed, s) to the byte, for each key of the block;
+        # one SHAKE-256 call per key, and one array pass over all the words.
+        tail = _SEPARATOR.join([b"", stable_encode(seed), stable_encode(s), b""])
+        proofs = [hashlib.sha256(_KEY_HEAD + keys[r] + tail).digest() for r in ids]
+        stream = b"".join([hashlib.shake_256(key).digest(8 * count) for key in proofs])
+        samples = _samples_from_grid(stream, len(ids), n, s)
+        outputs = {}
+        for r, proof, sample in zip(ids, proofs, samples):
+            if len(sample) < s:  # the first request fell short: double it
+                sample = _sample_from_key(proof, n, s, 2 * count)
+            output = outputs[r] = object.__new__(VRFOutput)
+            object.__setattr__(output, "sample", sample)
+            object.__setattr__(output, "proof", proof)
+        if self._verdicts is not None:
+            self._verdicts.counts.samples_expanded += len(ids)
+        output = outputs.pop(replica)
+        self._pending.setdefault(slot, outputs or ())
         return output
 
     def verify(

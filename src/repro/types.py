@@ -46,10 +46,6 @@ class Phase(enum.Enum):
     PREPARE = "prepare"
     COMMIT = "commit"
 
-    def seed_tag(self) -> str:
-        """The phase identifier concatenated into VRF seeds (paper §3.1)."""
-        return self.value
-
 
 @dataclass(frozen=True)
 class Decision:

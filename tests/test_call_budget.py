@@ -15,6 +15,7 @@ The same census pins the prover's path: every replica draws a VRF sample
 per phase, and ``VRF.prove`` was the largest single layer of a cold n=1000
 trial; and the kernels' entries, counted in one place (``_kernel_calls``):
 which kernel the run driver was entered for, and with which kind of bucket.
+The exact per-vote counts of an n=1000 happy-path trial sit beside them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.config import ProtocolConfig
 from repro.core.columnar import RunKernel
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.verdicts import VerdictTable
-from repro.crypto.vrf import VRF, phase_seed
+from repro.crypto.vrf import _BLOCK_CELLS, VRF, phase_seed
 from repro.harness.registry import MatrixCell, cell_deployment_spec
 from repro.harness.trial import TrialContext, run_trial
 from repro.messages.hotstuff import HsProposal
@@ -78,28 +79,109 @@ def test_calls_per_event_stay_within_budget(protocol, max_time, events, budget):
     assert calls / processed <= budget, (calls, processed, calls / processed)
 
 
-@pytest.mark.parametrize("n", [9, 1000])
-def test_calls_per_vrf_prove_stay_within_budget(n):
-    """Python calls per ``VRF.prove`` with a verdict table, below (n=9, 43
-    words) and above (n=1000, 152 words) the sampler's array break-even:
-    12 — the prove, the key pair, ``prove_with``, ``digest`` (six frames),
-    the expansion (two) and the birth registration — plus one when a first
-    request falls short and is doubled (7 of these 100 at n=9).  21 at both
-    sizes before the prover's path was shortened."""
-    vrf = VRF(KeyRegistry(n), VerdictTable())
-    s = ProtocolConfig(n).sample_size
-    seeds = [phase_seed(view, "prepare") for view in range(1, 101)]
-    vrf.prove(0, "warm-up", s)  # grows the shared ids outside the count
+def _prove_calls(vrf, proves):
+    """Python calls made by ``vrf.prove(*args)`` for each of ``proves``, and
+    the outputs, after a warm-up prove grew the shared ids."""
     outputs = []
 
     def prove_all():
-        for i, seed in enumerate(seeds):
-            outputs.append(vrf.prove(i % n, seed, s))
+        for args in proves:
+            outputs.append(vrf.prove(*args))
 
     _, calls = _counting_calls(prove_all)
+    return outputs, calls
+
+
+def test_calls_per_vrf_prove_stay_within_budget():
+    """Python calls per ``VRF.prove`` with a verdict table, below the
+    sampler's array break-even (n=9, 43 words): 10 — the prove, ``prove_with``,
+    ``digest`` (five frames), the expansion (two) and the birth registration
+    — plus one when a first request falls short and is doubled (7 of these
+    100).  12 while ``digest`` encoded in a comprehension and ``prove`` asked
+    for a key pair, 21 before the prover's path was shortened."""
+    n = 9
+    vrf = VRF(KeyRegistry(n), VerdictTable())
+    s = ProtocolConfig(n).sample_size
+    vrf.prove(0, "warm-up", s)
+    seeds = [phase_seed(view, "prepare") for view in range(1, 101)]
+    lone = [(i % n, seed, s) for i, seed in enumerate(seeds)]
+    outputs, calls = _prove_calls(vrf, lone)
     assert len({output.proof for output in outputs}) == len(seeds)
     assert vrf.cache_stats()["misses"] == len(seeds) + 1  # every one expanded
     assert calls / len(seeds) <= 12.1, calls / len(seeds)
+
+
+def test_calls_per_vrf_prove_of_a_phase():
+    """Above the break-even (n=1000, 152 words) the protocol's pattern —
+    every replica proves each phase's seed — expands each block of 16
+    provers once: 2.4 calls a prove (12 while every prove expanded alone),
+    and each sample is expanded exactly once."""
+    n = 1000
+    vrf = VRF(KeyRegistry(n), VerdictTable())
+    s = ProtocolConfig(n).sample_size
+    vrf.prove(0, "warm-up", s)
+    expanded = vrf.cache_stats()["misses"]
+    seeds = [phase_seed(1, "prepare"), phase_seed(1, "commit"), phase_seed(2, "prepare")]
+    proves = [(r, seed, s) for seed in seeds for r in range(n)]
+    outputs, calls = _prove_calls(vrf, proves)
+    assert vrf.cache_stats()["misses"] - expanded == 3 * n
+    assert len({output.proof for output in outputs}) == 3 * n
+    assert calls / len(proves) <= 5, calls / len(proves)
+
+
+def test_calls_per_lone_vrf_prove():
+    """A prove that is the only one of its seed (no workload makes one)
+    still expands its whole block: 100 seeds, one prove each, are 100
+    blocks of B samples, at 0.50 calls per sample expanded (12 per sample
+    when every prove expanded alone)."""
+    n = 1000
+    vrf = VRF(KeyRegistry(n), VerdictTable())
+    s = ProtocolConfig(n).sample_size
+    block = _BLOCK_CELLS // n
+    vrf.prove(0, "warm-up", s)
+    seeds = [phase_seed(view, "prepare") for view in range(1, 101)]
+    lone = [(i % n, seed, s) for i, seed in enumerate(seeds)]
+    outputs, calls = _prove_calls(vrf, lone)
+    assert len({output.proof for output in outputs}) == len(seeds)
+    expanded = vrf.cache_stats()["misses"]
+    assert expanded == 100 * block + block
+    assert calls / (expanded - block) <= 1.5, calls / (expanded - block)
+
+
+def test_a_vote_at_buffer_speed():
+    """On a fault-free constant-latency n=1000 trial that decides in view 1
+    the per-vote work is an exact count."""
+    n = 1000
+    cell = MatrixCell("probft", "none", "constant", n=n, f=333)
+    happy = TrialContext(cell_deployment_spec(cell, seed=3, max_time=600.0))
+    outcome = happy.execute()
+    assert outcome.all_decided and outcome.max_view == 1, outcome
+    counts = happy.deployment.crypto.verdicts.counts
+    # One Prepare and one Commit sample per replica, expanded once (a block
+    # of provers at a time) and never again: everything honest is born valid.
+    assert counts.samples_expanded == 2 * n, counts.samples_expanded
+    assert counts.born["vrf"] == 2 * n, dict(counts.born)
+    # A phase in one pass: ~1,800 vote buckets, all of one delivery time per
+    # phase, reach the kernel as runs and are applied a few thousand votes
+    # at a time; only the leader's own Prepare, which lands alone, is below
+    # the break-even and walked.
+    routes = happy.deployment.vote_kernel_stats()
+    assert 16 * routes["vote_passes"] <= routes["vectorised"], routes
+    assert routes["walked"] <= 0.01 * routes["vectorised"], routes
+    # Signed on first read, and an honest tag has no reader here.
+    tags = happy.deployment.crypto.signatures.cache_stats()["tags_computed"]
+    assert counts.tags_computed == tags == 0, counts.tags_computed
+    assert counts.computed.get("signature", 0) == 0, dict(counts.computed)
+    assert counts.computed.get("vrf", 0) == 0, dict(counts.computed)
+    # Membership on demand: neither the kernel's own-sample route nor a
+    # sender's delivery to itself asks "i in S", so no vote of a fault-free
+    # trial carries a built set.
+    born = happy.deployment.crypto.verdicts._entries["vrf"]
+    proven = [(key[1][0], entry[0]) for key, entry in born.items()]
+    assert len(proven) == 2 * n, len(proven)
+    self_sampled = sum(prover in out.sample for prover, out in proven)
+    built = sum("_members" in out.__dict__ for _, out in proven)
+    assert built == 0 < self_sampled < len(proven) // 4, (built, self_sampled)
 
 
 def _kernel_calls(cell, seed, max_time):

@@ -1,26 +1,34 @@
 """Tests for repro.crypto.vrf (paper §2.4)."""
 
+import gc
 import hashlib
 import math
 import random
 import struct
+import weakref
 from dataclasses import replace
 from itertools import islice
 
 import pytest
 
-from repro.crypto.hashing import stable_encode
+from repro.config import ProtocolConfig
+from repro.crypto import vrf as vrf_module
+from repro.crypto.hashing import digest, stable_encode
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.verdicts import VerdictTable
 from repro.crypto.vrf import (
     _ARRAY_MIN_WORDS,
+    _BLOCK_CELLS,
+    _DOMAIN,
     VRF,
     VRFOutput,
+    _first_request,
     _sample_from_key,
     _sample_from_stream,
+    _samples_from_grid,
     phase_seed,
 )
-from repro.errors import VRFError
+from repro.errors import UnknownReplicaError, VRFError
 
 
 @pytest.fixture
@@ -541,3 +549,207 @@ class TestTabledVRF:
         b = tvrf.prove_with(key, 3, "seed", 10)
         assert a == b and a is not b
         assert len(tvrf._verdicts) == 0 and not self._counts(tvrf).born
+
+
+def _sampler_key(registry, replica, seed, s):
+    return digest(_DOMAIN, registry._private_key_of(replica), seed, s)
+
+
+class TestBlocksAgainstPurePythonOracle:
+    """From the break-even up a prove expands its whole block of provers in
+    one pass; every output is still the word-by-word derivation of its own
+    sampler key, whoever asks first and in whatever order."""
+
+    @staticmethod
+    def _check(vrf, replica, seed, s):
+        registry = vrf._registry
+        output = vrf.prove(replica, seed, s)
+        key = _sampler_key(registry, replica, seed, s)
+        assert output.proof == key
+        assert output.sample == _oracle_from_key(key, registry.n, s), (replica, s)
+
+    @pytest.mark.parametrize("n", [110, 129, 300, 1000, 5000])
+    def test_first_and_last_block_equal_the_oracle(self, n):
+        rng = random.Random(n)
+        registry = KeyRegistry(n, master_seed=b"blocks-%d" % n)
+        block = max(1, _BLOCK_CELLS // n)
+        last = n - 1 - (n - 1) % block  # the last block's first id
+        for s in sorted({1, rng.randrange(2, n), n}):
+            vrf = VRF(registry, VerdictTable())
+            seed = phase_seed(s, "prepare")
+            provers = sorted({*range(min(block, n)), *range(last, n)})
+            for replica in provers:
+                self._check(vrf, replica, seed, s)
+            above = _first_request(n, s) >= _ARRAY_MIN_WORDS
+            assert vrf.cache_stats()["misses"] == len(provers)  # each once
+            assert bool(vrf._pending) == above
+
+    @pytest.mark.parametrize("n, size", [(300, 300 - 5 * 54), (1000, 8)])
+    def test_a_last_block_is_cut_at_n(self, n, size):
+        vrf = VRF(KeyRegistry(n), VerdictTable())
+        s = ProtocolConfig(n).sample_size
+        self._check(vrf, n - 1, "cut", s)
+        assert vrf.cache_stats()["misses"] == size
+        for replica in range(n - size, n - 1):
+            self._check(vrf, replica, "cut", s)
+        assert vrf.cache_stats()["misses"] == size
+
+    def test_a_block_of_one_is_a_prove_alone(self):
+        """Past ``_BLOCK_CELLS / 2`` provers a block would hold one: each
+        prove expands its own key, as below the break-even."""
+        n, s = _BLOCK_CELLS // 2 + 1, 100
+        assert _first_request(n, s) >= _ARRAY_MIN_WORDS
+        vrf = VRF(KeyRegistry(n), VerdictTable())
+        for replica in (0, n - 1):
+            self._check(vrf, replica, "alone", s)
+        assert vrf._shapes[s][0] == 0 and not vrf._pending
+        assert vrf.cache_stats()["misses"] == 2
+
+    def test_provers_in_any_order(self):
+        n = 300
+        vrf = VRF(KeyRegistry(n), VerdictTable())
+        s = ProtocolConfig(n).sample_size
+        order = list(range(n))
+        random.Random(7).shuffle(order)
+        for replica in [n - 1] + [r for r in order if r != n - 1]:
+            self._check(vrf, replica, "any-order", s)
+        assert vrf.cache_stats()["misses"] == vrf.cache_stats()["born_valid"] == n
+        assert not any(vrf._pending.values())  # every output handed out
+
+    def test_a_repeat_prove_expands_its_row_again(self):
+        n = 300
+        vrf = VRF(KeyRegistry(n), VerdictTable())
+        s = ProtocolConfig(n).sample_size
+        block = _BLOCK_CELLS // n
+        a = vrf.prove(3, "again", s)
+        b = vrf.prove(3, "again", s)  # the block's others still wait
+        assert a == b and a is not b
+        assert vrf.cache_stats()["misses"] == block + 1
+        for replica in range(block):
+            vrf.prove(replica, "again", s)  # 3 once more, the rest first
+        c = vrf.prove(3, "again", s)  # every output of the block handed out
+        assert c == a and vrf.cache_stats()["misses"] == block + 3
+
+    @pytest.mark.parametrize("replica", [-1, 300, 303, 10**6, "x", None])
+    def test_an_id_outside_the_registry_raises(self, replica):
+        vrf = VRF(KeyRegistry(300), VerdictTable())
+        s = ProtocolConfig(300).sample_size
+        vrf.prove(299, "outside", s)  # the last block waits in the store
+        with pytest.raises(UnknownReplicaError):
+            vrf.prove(replica, "outside", s)
+
+    def test_short_first_requests_take_the_doubling(self, monkeypatch):
+        """First requests so small that only some rows of a block draw ``s``
+        ids: those rows are the pass's, the others are doubled alone."""
+        n, s = 300, 60
+        registry = KeyRegistry(n)
+        keys = [_sampler_key(registry, r, "short", s) for r in range(54)]
+        expected = [_oracle_from_key(key, n, s) for key in keys]
+        monkeypatch.setattr(vrf_module, "_ARRAY_MIN_WORDS", 1)
+        mixed = 0
+        for count in [1, *range(s, 2 * s, 3)]:
+            monkeypatch.setattr(vrf_module, "_first_request", lambda n, s: count)
+            stream = b"".join(hashlib.shake_256(k).digest(8 * count) for k in keys)
+            short = sum(len(row) < s for row in _samples_from_grid(stream, 54, n, s))
+            mixed += 0 < short < len(keys)
+            vrf = VRF(registry, VerdictTable())
+            proven = [vrf.prove(r, "short", s).sample for r in range(54)]
+            assert proven == expected, count
+            assert vrf.cache_stats()["misses"] == 54
+        assert mixed  # some first request split the block
+
+    @pytest.mark.parametrize("n", [110, 300, 1000, 5000, 2**16 + 1])
+    def test_rejected_words_inside_one_row(self, n):
+        """Hand-built rows, one salted with words at and above ⌊2⁶⁴/n⌋·n and
+        one with fewer than ``s`` distinct ids (kept short), between random
+        rows."""
+        rng = random.Random(n)
+        limit = 2**64 - 2**64 % n
+        top = 2**64 - 1
+        count, rows, s = 80, 5, 20
+        words = [[rng.getrandbits(64) for _ in range(count)] for _ in range(rows)]
+        for column in rng.sample(range(count), 12):
+            words[1][column] = rng.choice([limit, min(limit + 1, top), top])
+        words[3] = [rng.randrange(s - 1) for _ in range(count)]  # short
+        streams = [_stream(row) for row in words]
+        grid = _samples_from_grid(b"".join(streams), rows, n, s)
+        assert grid == [_oracle_from_stream(stream, n, s) for stream in streams]
+        assert [len(sample) == s for sample in grid] == [True] * 3 + [False, True]
+
+    def test_prove_with_and_verify_are_unchanged(self):
+        n = 1000
+        vrf = VRF(KeyRegistry(n), VerdictTable())
+        s = ProtocolConfig(n).sample_size
+        proven = vrf.prove(5, "with", s)
+        key = vrf._registry.key_pair(5).private_key
+        explicit = vrf.prove_with(key, 5, "with", s)
+        assert explicit == proven and explicit is not proven
+        block = _BLOCK_CELLS // n
+        assert vrf.cache_stats()["misses"] == block + 1  # prove_with: alone
+        assert vrf.verify(5, "with", s, explicit)  # replayed alone
+        assert vrf.cache_stats()["misses"] == block + 2
+        assert not vrf.verify(6, "with", s, explicit)
+        assert vrf._verdicts.counts.born["vrf"] == 1  # prove's alone
+
+    def test_registry_keys_are_the_digest_of_each_id(self):
+        for master_seed in (b"repro-probft", b"", b"\x1f" * 3, digest("x", 1)):
+            registry = KeyRegistry(50, master_seed)
+            for r in range(50):
+                key = digest("private-key", master_seed, r)
+                assert registry._private_key_of(r) == key
+                assert registry.key_pair(r).private_key == key
+
+
+class TestBlocksDieWithTheirInstance:
+    """A block holds outputs that no prove asked for yet; its store lives on
+    the instance's VRF and goes with it."""
+
+    def test_a_finished_trial_drops_its_vrf(self):
+        from repro.harness.registry import MatrixCell, cell_deployment_spec
+        from repro.harness.trial import TrialContext
+
+        cell = MatrixCell("probft", "silent-f", "constant", n=129, f=42)
+        gc.collect()
+        gc.disable()
+        try:
+            context = TrialContext(cell_deployment_spec(cell, 1, 600.0))
+            assert context.execute().agreement_ok
+            vrf = context.deployment.crypto.vrf
+            assert any(vrf._pending.values())  # silent seats never proved
+            ref = weakref.ref(vrf)
+            del context, vrf
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_retired_slot_drops_its_vrf(self, monkeypatch):
+        from repro.smr.app import CounterApp
+        from repro.smr.service import SMRDeployment
+
+        def served():
+            deployment = SMRDeployment(
+                ProtocolConfig(n=9, f=2), CounterApp, num_slots=4, seed=2
+            )
+            deployment.start()
+            vrf = weakref.ref(deployment.stack.stacks[1].crypto.vrf)
+            deployment.sim.run(until=3.0)  # slot 1's votes are proven
+            blocks = dict(vrf()._pending)
+            deployment.run(max_time=5_000.0)
+            assert deployment.all_applied()
+            return deployment, vrf, blocks
+
+        below, _, blocks = served()
+        assert not blocks  # below the break-even: one prove at a time
+        # Every request above the break-even: n=9 proves in blocks too.
+        monkeypatch.setattr(vrf_module, "_ARRAY_MIN_WORDS", 0)
+        gc.collect()
+        gc.disable()
+        try:
+            deployment, vrf, blocks = served()
+            assert blocks and vrf() is None and not deployment.stack.stacks
+            assert deployment.applied == below.applied
+            assert deployment.sim.events_processed == below.sim.events_processed
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
