@@ -33,7 +33,7 @@ def replicated_store() -> None:
         KeyValueApp,
         num_slots=6,
         seed=3,
-        byzantine_ids=[8, 9],  # two silent Byzantine members
+        byzantine={8: None, 9: None},  # two silent Byzantine members
     )
     alice = SMRClient(deployment)
     bob = SMRClient(deployment)

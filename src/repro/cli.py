@@ -26,6 +26,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -103,25 +104,14 @@ def cmd_serve(args) -> int:
         serving_cells,
     )
 
-    overrides = {}
-    for name in (
-        "n",
-        "f",
-        "num_clients",
-        "requests_per_client",
-        "think_time",
-        "window",
-        "batch_size",
-        "pipeline",
-        "max_pending",
-        "seed",
-        "timeout",
-        "max_time",
-        "offered_rate",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    # Every spec field given as an option, but the matrix's axes.
+    fields = {f.name for f in dataclasses.fields(ServingSpec)}
+    fields -= {"adversary", "load", "rotate_leaders", "arrival"}
+    overrides = {
+        name: value
+        for name, value in vars(args).items()
+        if name in fields and value is not None
+    }
     if args.matrix:
         # --rotate-leaders / --arrival both add whole axes to the matrix.
         rotations = [False, True] if args.rotate_leaders else [False]
@@ -180,7 +170,7 @@ def cmd_serve(args) -> int:
                 headers,
                 rows,
                 title=(
-                    "SMR serving "
+                    f"SMR serving over {specs[0].protocol} slots "
                     f"(adversaries {', '.join(sorted(SERVING_ADVERSARIES))}; "
                     f"loads {', '.join(sorted(LOAD_LEVELS))})"
                 ),
@@ -419,6 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
             "SMR serving benchmark (adversaries x loads, closed- or "
             "open-loop arrivals, optional leader rotation)"
         ),
+    )
+    p_serve.add_argument(
+        "--protocol",
+        default=None,
+        help="slot protocol: a registered protocol on the ProBFT skeleton "
+        "(probft, the default, or pbft)",
     )
     p_serve.add_argument(
         "--adversary",

@@ -116,8 +116,8 @@ def _grow_ids(n: int) -> Tuple[List[ReplicaId], Any]:
     return _IDS
 
 
-#: From this many words on, one array pass deduplicates, and a prover's
-#: whole block is expanded at once (DESIGN.md "Break-even").
+#: From this many words on, one array pass deduplicates a single key's
+#: expansion (DESIGN.md "Break-even"); a prover's block is one pass always.
 _ARRAY_MIN_WORDS = 64
 #: A block's (key, id) cells at most: ``⌊_BLOCK_CELLS / n⌋`` provers a block.
 _BLOCK_CELLS = 16_384
@@ -226,12 +226,12 @@ class VRF:
     output that is merely *equal* to an honest one is a different object
     and takes the full key recompute and replay.
 
-    From the sampler's break-even up, a :meth:`prove` expands its whole
-    *block* of provers (ids ``[b·B, (b+1)·B)``, ``B = ⌊_BLOCK_CELLS / n⌋``)
-    for ``(seed, s)`` in one pass, and keeps the other outputs, as private
-    as the registry's keys, for their own provers: each is handed to one
-    prove (a repeat prove expands its row again; nothing memoizes).  The
-    store dies with this object: an instance's, a trial's or a slot's.
+    A :meth:`prove` expands its whole *block* of provers (ids ``[b·B,
+    (b+1)·B)``, ``B = ⌊_BLOCK_CELLS / n⌋``) for ``(seed, s)`` in one pass,
+    and keeps the other outputs, as private as the registry's keys, for
+    their own provers: each is handed to one prove (a repeat prove expands
+    its row again; nothing memoizes).  The store dies with this object: an
+    instance's, a trial's or a slot's.
     """
 
     def __init__(
@@ -280,14 +280,13 @@ class VRF:
         return output
 
     def _shape(self, s: int) -> Tuple[int, int]:
-        """Provers a block for samples of ``s`` (0: one prove at a time, below
-        the break-even or past n = ``_BLOCK_CELLS / 2``) and words asked first."""
+        """Provers a block for samples of ``s`` (0: one prove at a time, past
+        n = ``_BLOCK_CELLS / 2``) and words asked first."""
         n = self._registry._n
         if not 1 <= s <= n:
             raise VRFError(f"sample size must be in [1, n={n}], got {s}")
-        count = _first_request(n, s)
-        block = _BLOCK_CELLS // n if count >= _ARRAY_MIN_WORDS else 0
-        self._shapes[s] = shape = (block if block > 1 else 0, count)
+        block = _BLOCK_CELLS // n
+        self._shapes[s] = shape = (block if block > 1 else 0, _first_request(n, s))
         return shape
 
     def _expand(

@@ -5,9 +5,10 @@ built from ProBFT.  This package is that construction in its simplest sound
 form: an ordered log of *slots*, each decided by an independent consensus
 instance whose messages and VRF seeds are domain-scoped to the slot
 (``seed_domain = "slot-k"``), so instances cannot replay one another's
-messages.  The slot protocol is the deployment's stack's replica class —
-ProBFT by default, any protocol on the ProBFT skeleton (PBFT) by setting
-:attr:`SMRDeployment.stack_class <repro.smr.service.SMRDeployment.stack_class>`.
+messages.  The slot protocol is a registered protocol name —
+``"probft"`` by default, any protocol on the ProBFT skeleton (``"pbft"``)
+by passing ``protocol=`` to :class:`~repro.smr.service.SMRDeployment` or
+:class:`~repro.smr.workload.ServingSpec` (``repro serve --protocol``).
 
 * :mod:`repro.smr.app` — the application interface plus two reference state
   machines (counter, key-value store).
@@ -20,8 +21,9 @@ ProBFT by default, any protocol on the ProBFT skeleton (PBFT) by setting
   every slot.
 * :mod:`repro.smr.service` — deployment wiring and consistency checks.
 * :mod:`repro.smr.client` — the request-id client API.
-* :mod:`repro.smr.workload` — closed-loop load generation and the serving
-  trial entry point (adversaries × load levels).
+* :mod:`repro.smr.workload` — closed- and open-loop load generation, the one
+  serving spec and the serving trial entry point (adversaries × load
+  levels).
 """
 
 from .app import StateMachine, CounterApp, KeyValueApp, NOOP
@@ -43,7 +45,6 @@ from .workload import (
     ServingResult,
     ServingSpec,
     WorkloadGenerator,
-    WorkloadSpec,
     run_serving_trial,
     serving_cells,
 )
@@ -66,7 +67,6 @@ __all__ = [
     "encode_batch",
     "decode_batch",
     "commands_in",
-    "WorkloadSpec",
     "WorkloadGenerator",
     "ServingSpec",
     "ServingResult",

@@ -6,19 +6,19 @@ and the ``reference=True`` oracle switch — over replicas that host one
 consensus instance per slot.  Its stack is the slot router
 (:class:`~repro.smr.replica.SlotStacks`; :mod:`repro.smr.replica` has the
 slot lifecycle: open, kernel-served, decided, retired), and its
-:attr:`~SMRDeployment.stack_class` names the slot protocol: every slot
-instance is that stack's ``replica_class``, in the oracle too.
+``protocol`` is a registered protocol name: every slot instance is that
+deployment's stack's ``replica_class`` (:func:`slot_stack_class`), in the
+oracle too.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..adversary.behaviors import SilentReplica
 from ..config import ProtocolConfig
 from ..core.deployment import Deployment
-from ..core.protocol import ProBFTStack
 from ..crypto.context import CryptoContext
 from ..crypto.hashing import stable_encode
 from ..errors import ConfigError
@@ -40,6 +40,24 @@ SlotByzantineFactory = Callable[
 ]
 
 
+def slot_stack_class(protocol: str) -> type:
+    """The stack every slot of a ``protocol`` deployment runs: the registered
+    deployment's ``stack_class``, whose ``replica_class`` is the slot
+    protocol.  A protocol whose stack names no replica class cannot serve."""
+    from ..harness.trial import deployment_factory
+
+    try:
+        stack_class = getattr(deployment_factory(protocol), "stack_class", None)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
+    if getattr(stack_class, "replica_class", None) is None:
+        raise ConfigError(
+            f"protocol {protocol!r} cannot serve slots: its stack names no "
+            "replica class"
+        )
+    return stack_class
+
+
 class SMRDeployment(Deployment):
     """A replicated state machine over ``n`` SMR replicas.
 
@@ -48,12 +66,12 @@ class SMRDeployment(Deployment):
     behaviour); the deployment runs until every correct replica has applied
     ``num_slots`` slots (or a time/event bound is hit).
 
-    Faulty members come in two flavours: ids listed in ``byzantine_ids``
-    are silently absent (crash-faulty from the protocol's point of view),
-    while ``byzantine_factories`` maps ids to *active* per-slot behaviours
-    (equivocating leaders, flooders — see :data:`SlotByzantineFactory`)
-    hosted by a :class:`~repro.smr.replica.ByzantineSlotMultiplexer`.
-    Together they must not exceed ``f``.
+    ``byzantine`` maps each faulty member to its per-slot behaviour
+    (equivocating leaders, flooders — see :data:`SlotByzantineFactory`),
+    hosted by a :class:`~repro.smr.replica.ByzantineSlotMultiplexer`, or
+    to ``None`` for a silent seat (crash-faulty from the protocol's point
+    of view).  It must not exceed ``f`` members.  ``protocol`` names the
+    slot protocol (:func:`slot_stack_class`).
 
     ``batch_size`` / ``pipeline`` / ``max_pending`` are the serving hot-path
     knobs: commands per slot, concurrent slots in flight, and the pending
@@ -61,9 +79,6 @@ class SMRDeployment(Deployment):
     """
 
     pool_label = "smr-deployment"
-    #: What every open slot gets one of; its ``replica_class`` is the slot
-    #: protocol.
-    stack_class = ProBFTStack
 
     def __init__(
         self,
@@ -73,13 +88,15 @@ class SMRDeployment(Deployment):
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
         timeout_policy: Optional[TimeoutPolicy] = None,
-        byzantine_ids: Sequence[ReplicaId] = (),
-        byzantine_factories: Optional[Mapping[ReplicaId, SlotByzantineFactory]] = None,
+        byzantine: Optional[
+            Mapping[ReplicaId, Optional[SlotByzantineFactory]]
+        ] = None,
         pipeline: int = 1,
         batch_size: int = 1,
         max_pending: Optional[int] = None,
         eager_slots: bool = True,
         rotate_leaders: bool = False,
+        protocol: str = "probft",
         *,
         reference: bool = False,
     ) -> None:
@@ -87,6 +104,7 @@ class SMRDeployment(Deployment):
             raise ConfigError(f"num_slots must be >= 1, got {num_slots}")
         self.num_slots = num_slots
         self.rotate_leaders = rotate_leaders
+        self._slot_stack_class = slot_stack_class(protocol)
         self.applied: Dict[ReplicaId, List[Tuple[int, Value]]] = {}
         self._next_client_id = 0
         # Request-apply watchers by client id, held weakly (a client points
@@ -99,12 +117,6 @@ class SMRDeployment(Deployment):
             max_pending=max_pending,
             eager_slots=eager_slots,
         )
-        factories = dict(byzantine_factories or {})
-        overlap = set(byzantine_ids) & set(factories)
-        if overlap:
-            raise ValueError(
-                f"replicas {sorted(overlap)} listed both silent and active"
-            )
 
         def seat(factory):
             if factory is None:
@@ -118,9 +130,7 @@ class SMRDeployment(Deployment):
             seed,
             latency=latency,
             timeout_policy=timeout_policy or FixedTimeout(30.0),
-            byzantine={
-                r: seat(factories.get(r)) for r in {*byzantine_ids, *factories}
-            },
+            byzantine={r: seat(factory) for r, factory in (byzantine or {}).items()},
             reference=reference,
         )
         # Correct replicas start before the Byzantine seats: both may send
@@ -134,7 +144,7 @@ class SMRDeployment(Deployment):
         # Nothing the router holds may point back at the deployment.
         return SlotStacks(
             self.config, self.num_slots, self.rotate_leaders, self.byzantine_ids,
-            self.stack_class, None if self.reference else self.crypto,
+            self._slot_stack_class, None if self.reference else self.crypto,
         )
 
     def _replica_factory(self, values, timeout_policy) -> Callable:

@@ -30,6 +30,7 @@ command and the scenario cells (:data:`SERVING_ADVERSARIES` ×
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import weakref
 from dataclasses import dataclass, field
@@ -49,10 +50,9 @@ from ..sync.timeouts import FixedTimeout
 from ..types import ReplicaId, Value
 from .app import CounterApp
 from .client import RequestRecord, SMRClient, latency_accumulator
-from .service import SMRDeployment
+from .service import SMRDeployment, slot_stack_class
 
 __all__ = [
-    "WorkloadSpec",
     "WorkloadGenerator",
     "ServingSpec",
     "ServingResult",
@@ -60,69 +60,12 @@ __all__ = [
     "serving_cells",
     "SERVING_ADVERSARIES",
     "LOAD_LEVELS",
-    "OPEN_LOOP_RATES",
 ]
 
 
 # ----------------------------------------------------------------------
 # Workload generation
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Shape of a client population.
-
-    Two arrival disciplines:
-
-    * ``arrival="closed"`` (the default): each client keeps up to ``window``
-      requests outstanding and thinks for an exponential time (mean
-      ``think_time``; 0 disables thinking) between a completion and the next
-      submission — offered load adapts to service rate.
-    * ``arrival="open"``: each client pre-draws Poisson arrivals at rate
-      ``offered_rate / num_clients`` (aggregate ``offered_rate`` requests
-      per simulated second) and submits on schedule regardless of
-      completions — the discipline that exposes latency under saturation
-      instead of letting slow service throttle the load.
-
-    ``retry_backoff`` is the delay before retrying a submission the
-    deployment refused (backpressure); ``None`` means one think-time
-    sample.  Requests are never dropped in either mode.
-    """
-
-    num_clients: int = 16
-    requests_per_client: int = 4
-    think_time: float = 4.0
-    window: int = 1
-    retry_backoff: Optional[float] = None
-    arrival: str = "closed"
-    offered_rate: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
-        if self.requests_per_client < 1:
-            raise ConfigError(
-                f"requests_per_client must be >= 1, got {self.requests_per_client}"
-            )
-        if self.think_time < 0:
-            raise ConfigError(f"think_time must be >= 0, got {self.think_time}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.arrival not in ("closed", "open"):
-            raise ConfigError(
-                f"arrival must be 'closed' or 'open', got {self.arrival!r}"
-            )
-        if self.arrival == "open":
-            if self.offered_rate is None or self.offered_rate <= 0:
-                raise ConfigError(
-                    "open-loop arrivals need offered_rate > 0, got "
-                    f"{self.offered_rate!r}"
-                )
-
-    @property
-    def total_requests(self) -> int:
-        return self.num_clients * self.requests_per_client
-
-
 @dataclass
 class _ClientState:
     """One simulated client: its SMR client and its arrival RNG."""
@@ -148,11 +91,14 @@ class WorkloadGenerator:
     def __init__(
         self,
         deployment: SMRDeployment,
-        spec: WorkloadSpec,
+        spec: "ServingSpec",
         seed: int = 0,
     ) -> None:
         self._deployment = deployment
-        self.spec = spec
+        #: The client population: ``spec`` with its load level's preset
+        #: filled in (:meth:`ServingSpec.workload`).
+        self.spec = spec = spec.workload()
+        self._total = spec.total_requests
         self.seed = seed
         self._order: List[RequestRecord] = []
         self._completed = 0
@@ -242,7 +188,7 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     def done(self) -> bool:
         """All budgeted requests issued and completed."""
-        return self._completed >= self.spec.total_requests
+        return self._completed >= self._total
 
     def run(
         self,
@@ -282,7 +228,7 @@ class WorkloadGenerator:
         acc = latency_accumulator(self._order)
         # Requests the closed loop never got to issue (their predecessor
         # timed out) still count against completion accounting.
-        acc.incomplete += self.spec.total_requests - self.issued
+        acc.incomplete += self._total - self.issued
         return acc
 
 
@@ -332,29 +278,25 @@ SERVING_ADVERSARIES: Dict[str, Optional[Tuple[ReplicaId, Callable]]] = {
     "flooding": (1, partial(_slot_seat, _flood, False)),
 }
 
-#: Load-level presets for the serving matrix.
+#: Load-level presets for the serving matrix: the client population, and
+#: the aggregate open-loop rate (requests per simulated second; "low" sits
+#: well under the no-fault service rate, "high" pushes toward saturation so
+#: queueing shows up in the latency tail).
 LOAD_LEVELS: Dict[str, Dict[str, object]] = {
     "low": {
         "num_clients": 12,
         "requests_per_client": 4,
         "think_time": 8.0,
         "window": 1,
+        "offered_rate": 1.0,
     },
     "high": {
         "num_clients": 48,
         "requests_per_client": 5,
         "think_time": 1.0,
         "window": 2,
+        "offered_rate": 6.0,
     },
-}
-
-#: Default aggregate offered rates (requests per simulated second) for
-#: open-loop serving cells, keyed by load level.  "low" sits well under the
-#: no-fault service rate; "high" pushes toward saturation so queueing shows
-#: up in the latency tail.
-OPEN_LOOP_RATES: Dict[str, float] = {
-    "low": 1.0,
-    "high": 6.0,
 }
 
 
@@ -365,14 +307,35 @@ class ServingSpec:
     The serving twin of :class:`~repro.harness.trial.DeploymentSpec`:
     everything :func:`run_serving_trial` needs to rebuild the deployment,
     the adversary, and the client population from scratch in any process.
+    ``protocol`` is the slot protocol, a registered protocol name
+    (:func:`~repro.smr.service.slot_stack_class`).
 
     The default ``n = 9`` is the smallest deployment where probabilistic
     quorums stay attainable with a faulty member: ``q = ⌈2√n⌉ = 6 ≤ n − f =
     7``.  At ``n = 4`` the quorum needs all four replicas, so any Byzantine
     seat (equivocating, flooding — both are absent from honest vote counts)
     makes every slot unattainable and the serving cells starve.
+
+    The client population is the ``load`` level's preset, each field left
+    ``None`` taken from it (:meth:`workload`), under one of two arrival
+    disciplines:
+
+    * ``arrival="closed"`` (the default): each client keeps up to ``window``
+      requests outstanding and thinks for an exponential time (mean
+      ``think_time``; 0 disables thinking) between a completion and the next
+      submission — offered load adapts to service rate.
+    * ``arrival="open"``: each client pre-draws Poisson arrivals at rate
+      ``offered_rate / num_clients`` (aggregate ``offered_rate`` requests
+      per simulated second) and submits on schedule regardless of
+      completions — the discipline that exposes latency under saturation
+      instead of letting slow service throttle the load.
+
+    ``retry_backoff`` is the delay before retrying a submission the
+    deployment refused (backpressure); ``None`` means one think-time
+    sample.  Requests are never dropped in either mode.
     """
 
+    protocol: str = "probft"
     n: int = 9
     f: Optional[int] = None
     adversary: str = "none"
@@ -406,50 +369,53 @@ class ServingSpec:
                 f"unknown load level {self.load!r}; known: "
                 f"{', '.join(sorted(LOAD_LEVELS))}"
             )
-        for name in ("batch_size", "pipeline", "max_pending", "num_slots"):
+        if self.arrival not in ("closed", "open"):
+            raise ConfigError(
+                f"arrival must be 'closed' or 'open', got {self.arrival!r}"
+            )
+        slot_stack_class(self.protocol)
+        for name in (
+            "num_clients", "requests_per_client", "window",
+            "batch_size", "pipeline", "max_pending", "num_slots",
+        ):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        if not self.timeout > 0:
-            raise ConfigError(f"timeout must be > 0, got {self.timeout}")
-        # Validates the client population (and the arrival discipline) now,
-        # not inside the first trial that builds it.
-        self.workload()
-
-    def workload(self) -> WorkloadSpec:
-        """The workload, load-level presets overridden by explicit fields."""
-        preset = dict(LOAD_LEVELS[self.load])
-        for name in (
-            "num_clients",
-            "requests_per_client",
-            "think_time",
-            "window",
-            "retry_backoff",
+        for name, bound in (
+            ("think_time", ">="), ("retry_backoff", ">="), ("offered_rate", ">"),
         ):
             value = getattr(self, name)
-            if value is not None:
-                preset[name] = value
-        preset["arrival"] = self.arrival
-        if self.arrival == "open":
-            preset["offered_rate"] = (
-                self.offered_rate
-                if self.offered_rate is not None
-                else OPEN_LOOP_RATES[self.load]
-            )
-        return WorkloadSpec(**preset)  # type: ignore[arg-type]
+            if value is not None and not (
+                math.isfinite(value) and (value >= 0 if bound == ">=" else value > 0)
+            ):
+                raise ConfigError(f"need a finite {name} {bound} 0, got {value}")
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0, got {self.timeout}")
+
+    def workload(self) -> "ServingSpec":
+        """This spec with every client-population field it leaves ``None``
+        taken from its load level's preset."""
+        preset = LOAD_LEVELS[self.load]
+        unset = {k: v for k, v in preset.items() if getattr(self, k) is None}
+        return dataclasses.replace(self, **unset) if unset else self
+
+    @property
+    def total_requests(self) -> int:
+        workload = self.workload()
+        return workload.num_clients * workload.requests_per_client
 
     def slots(self) -> int:
         """Slot budget: headroom for requeues and adversary-burned slots."""
         if self.num_slots is not None:
             return self.num_slots
-        total = self.workload().total_requests
-        return total + 4 * self.pipeline + 16
+        return self.total_requests + 4 * self.pipeline + 16
 
 
 @dataclass(frozen=True)
 class ServingResult:
     """Summary of one serving trial (picklable, JSON-ready via ``row()``)."""
 
+    protocol: str
     adversary: str
     load: str
     n: int
@@ -501,10 +467,6 @@ def build_serving_deployment(
     (``reference=True``: the test oracle, see :class:`SMRDeployment`)."""
     config = ProtocolConfig(n=spec.n, f=spec.f)
     adversary = SERVING_ADVERSARIES[spec.adversary]
-    factories = {}
-    if adversary is not None:
-        replica_id, factory = adversary
-        factories[replica_id] = factory
     return SMRDeployment(
         config,
         CounterApp,
@@ -512,12 +474,13 @@ def build_serving_deployment(
         seed=spec.seed,
         latency=ConstantLatency(spec.latency),
         timeout_policy=FixedTimeout(spec.timeout),
-        byzantine_factories=factories,
+        byzantine=dict([adversary]) if adversary else None,
         pipeline=spec.pipeline,
         batch_size=spec.batch_size,
         max_pending=spec.max_pending,
         eager_slots=False,
         rotate_leaders=spec.rotate_leaders,
+        protocol=spec.protocol,
         reference=reference,
     )
 
@@ -548,11 +511,12 @@ def run_serving_trial(spec: ServingSpec) -> ServingResult:
 
 def serve(spec: ServingSpec, deployment: SMRDeployment) -> ServingResult:
     """Load a (fresh) deployment with the spec's workload and summarize."""
-    generator = WorkloadGenerator(deployment, spec.workload(), seed=spec.seed)
+    generator = WorkloadGenerator(deployment, spec, seed=spec.seed)
     generator.run(max_time=spec.max_time, max_events=spec.max_events)
     acc = generator.latency_accumulator()
     throughput = serving_throughput(generator.records)
     return ServingResult(
+        protocol=spec.protocol,
         adversary=spec.adversary,
         load=spec.load,
         n=deployment.config.n,

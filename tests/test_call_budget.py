@@ -93,12 +93,13 @@ def _prove_calls(vrf, proves):
 
 
 def test_calls_per_vrf_prove_stay_within_budget():
-    """Python calls per ``VRF.prove`` with a verdict table, below the
-    sampler's array break-even (n=9, 43 words): 10 — the prove, ``prove_with``,
-    ``digest`` (five frames), the expansion (two) and the birth registration
-    — plus one when a first request falls short and is doubled (7 of these
-    100).  12 while ``digest`` encoded in a comprehension and ``prove`` asked
-    for a key pair, 21 before the prover's path was shortened."""
+    """Python calls per ``VRF.prove`` with a verdict table when every prove
+    is the only one of its seed (n=9): each expands its whole block, all
+    nine provers, so the misses are per block.  9.6 calls a prove; 10 while
+    an n=9 prove expanded its own key alone (plus one when a first request
+    fell short), 12 while ``digest`` encoded in a comprehension and
+    ``prove`` asked for a key pair, 21 before the prover's path was
+    shortened."""
     n = 9
     vrf = VRF(KeyRegistry(n), VerdictTable())
     s = ProtocolConfig(n).sample_size
@@ -107,16 +108,17 @@ def test_calls_per_vrf_prove_stay_within_budget():
     lone = [(i % n, seed, s) for i, seed in enumerate(seeds)]
     outputs, calls = _prove_calls(vrf, lone)
     assert len({output.proof for output in outputs}) == len(seeds)
-    assert vrf.cache_stats()["misses"] == len(seeds) + 1  # every one expanded
+    assert vrf.cache_stats()["misses"] == (len(seeds) + 1) * n  # per block
     assert calls / len(seeds) <= 12.1, calls / len(seeds)
 
 
-def test_calls_per_vrf_prove_of_a_phase():
-    """Above the break-even (n=1000, 152 words) the protocol's pattern —
-    every replica proves each phase's seed — expands each block of 16
-    provers once: 2.4 calls a prove (12 while every prove expanded alone),
-    and each sample is expanded exactly once."""
-    n = 1000
+@pytest.mark.parametrize("n, budget", [(9, 3.5), (1000, 5)])
+def test_calls_per_vrf_prove_of_a_phase(n, budget):
+    """The protocol's pattern — every replica proves each phase's seed —
+    expands each block of provers once, at every n: 2.9 calls a prove at
+    n=9 (one block; 10 while n=9 proved one key at a time) and 2.4 at
+    n=1000 (blocks of 16; 12 while every prove expanded alone), and each
+    sample is expanded exactly once."""
     vrf = VRF(KeyRegistry(n), VerdictTable())
     s = ProtocolConfig(n).sample_size
     vrf.prove(0, "warm-up", s)
@@ -126,7 +128,7 @@ def test_calls_per_vrf_prove_of_a_phase():
     outputs, calls = _prove_calls(vrf, proves)
     assert vrf.cache_stats()["misses"] - expanded == 3 * n
     assert len({output.proof for output in outputs}) == 3 * n
-    assert calls / len(proves) <= 5, calls / len(proves)
+    assert calls / len(proves) <= budget, calls / len(proves)
 
 
 def test_calls_per_lone_vrf_prove():

@@ -613,7 +613,7 @@ class TestSlotRetiresInsideAGroup:
 
         monkeypatch.setattr(ColumnarVoteDispatch, "__call__", watching)
         result = serve(spec, deployment)
-        assert result.completed == spec.workload().total_requests
+        assert result.completed == spec.total_requests
         assert result.logs_consistent and result.timed_out == 0
         # Slots did retire with buckets of their Commit group still to come.
         assert cut_by_retirement

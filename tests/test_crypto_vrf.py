@@ -474,7 +474,9 @@ class TestTabledVRF:
         a = tvrf.prove(3, "seed", 10)
         b = tvrf.prove(3, "seed", 10)
         assert a == b and a is not b
-        assert tvrf.cache_stats()["misses"] == 2  # both expanded a sample
+        # The first expanded its block (all 30 provers), the repeat its row
+        # again.
+        assert tvrf.cache_stats()["misses"] == 30 + 1
 
     def test_verdict_is_pinned_to_the_object(self, tvrf):
         key = tvrf._registry.key_pair(3).private_key
@@ -556,9 +558,9 @@ def _sampler_key(registry, replica, seed, s):
 
 
 class TestBlocksAgainstPurePythonOracle:
-    """From the break-even up a prove expands its whole block of provers in
-    one pass; every output is still the word-by-word derivation of its own
-    sampler key, whoever asks first and in whatever order."""
+    """A prove expands its whole block of provers in one pass, at every n;
+    every output is still the word-by-word derivation of its own sampler
+    key, whoever asks first and in whatever order."""
 
     @staticmethod
     def _check(vrf, replica, seed, s):
@@ -568,7 +570,7 @@ class TestBlocksAgainstPurePythonOracle:
         assert output.proof == key
         assert output.sample == _oracle_from_key(key, registry.n, s), (replica, s)
 
-    @pytest.mark.parametrize("n", [110, 129, 300, 1000, 5000])
+    @pytest.mark.parametrize("n", [9, 40, 110, 129, 300, 1000, 5000])
     def test_first_and_last_block_equal_the_oracle(self, n):
         rng = random.Random(n)
         registry = KeyRegistry(n, master_seed=b"blocks-%d" % n)
@@ -580,9 +582,8 @@ class TestBlocksAgainstPurePythonOracle:
             provers = sorted({*range(min(block, n)), *range(last, n)})
             for replica in provers:
                 self._check(vrf, replica, seed, s)
-            above = _first_request(n, s) >= _ARRAY_MIN_WORDS
             assert vrf.cache_stats()["misses"] == len(provers)  # each once
-            assert bool(vrf._pending) == above
+            assert vrf._pending  # in blocks, below the array break-even too
 
     @pytest.mark.parametrize("n, size", [(300, 300 - 5 * 54), (1000, 8)])
     def test_a_last_block_is_cut_at_n(self, n, size):
@@ -724,6 +725,8 @@ class TestBlocksDieWithTheirInstance:
             gc.enable()
 
     def test_a_retired_slot_drops_its_vrf(self, monkeypatch):
+        """An n=9 slot proves in blocks; its store goes when the slot
+        retires, and the run is the one of a prove at a time."""
         from repro.smr.app import CounterApp
         from repro.smr.service import SMRDeployment
 
@@ -739,17 +742,18 @@ class TestBlocksDieWithTheirInstance:
             assert deployment.all_applied()
             return deployment, vrf, blocks
 
-        below, _, blocks = served()
-        assert not blocks  # below the break-even: one prove at a time
-        # Every request above the break-even: n=9 proves in blocks too.
-        monkeypatch.setattr(vrf_module, "_ARRAY_MIN_WORDS", 0)
+        # A block of one prover: every prove expands its own key alone.
+        with monkeypatch.context() as patch:
+            patch.setattr(vrf_module, "_BLOCK_CELLS", 9)
+            alone, _, blocks = served()
+        assert not blocks
         gc.collect()
         gc.disable()
         try:
             deployment, vrf, blocks = served()
             assert blocks and vrf() is None and not deployment.stack.stacks
-            assert deployment.applied == below.applied
-            assert deployment.sim.events_processed == below.sim.events_processed
+            assert deployment.applied == alone.applied
+            assert deployment.sim.events_processed == alone.sim.events_processed
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -263,7 +263,7 @@ class TestSweep:
 
         (sent, result), oracle = run(False), run(True)
         assert sent > 150 and oracle == (sent, result)
-        assert result.completed == spec.workload().total_requests
+        assert result.completed == spec.total_requests
         assert result.timed_out == 0 and result.logs_consistent
         assert oracle[1].latencies == result.latencies
 

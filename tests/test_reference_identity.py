@@ -854,32 +854,27 @@ class TestServingIdentity:
 
 
 class TestPbftSlots:
-    """The slot protocol is the stack's ``replica_class``: a deployment whose
-    ``stack_class`` is PBFT's serves PBFT slots, with every seat in PBFT's
-    dialect and every leader check on the slot's rotated schedule."""
+    """The slot protocol is a registered name whose stack's
+    ``replica_class`` every slot runs: ``protocol="pbft"`` serves PBFT
+    slots, with every seat in PBFT's dialect and every leader check on the
+    slot's rotated schedule."""
 
     LOAD = dict(seed=3, num_clients=8, requests_per_client=3, max_time=3_000.0)
 
     @pytest.mark.parametrize("rotate_leaders", [False, True])
     @pytest.mark.parametrize("n", [9, 16])
-    def test_every_cell_equals_the_oracle(self, monkeypatch, n, rotate_leaders):
-        from repro.baselines.pbft.protocol import PbftStack
+    def test_every_cell_equals_the_oracle(self, n, rotate_leaders):
         from repro.baselines.pbft.replica import PbftReplica
-        from repro.smr import workload
 
         probft_none = _serving_pair(n=n, **self.LOAD)[0].network.stats.sent_total
-
-        class PbftSMR(workload.SMRDeployment):
-            stack_class = PbftStack
-
-        monkeypatch.setattr(workload, "SMRDeployment", PbftSMR)
         sent = {}
         for adversary in ("none", "equivocating-leader", "flooding"):
             cell = dict(n=n, adversary=adversary, rotate_leaders=rotate_leaders)
             production, result, oracle, expected = _serving_pair(
-                **cell, **self.LOAD
+                protocol="pbft", **cell, **self.LOAD
             )
             assert production.stack.protocol is oracle.stack.protocol is PbftReplica
+            assert result.protocol == "pbft" and result.row()["protocol"] == "pbft"
             _assert_same_run(production, result, oracle, expected, cell)
             assert result.completed == result.issued == 24, cell
             assert result.logs_consistent, cell

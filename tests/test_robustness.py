@@ -1211,7 +1211,7 @@ class TestValueDomain:
             num_clients=12, requests_per_client=4, seed=5,
         )
         result = serve(spec, build_serving_deployment(spec))
-        assert result.completed == spec.workload().total_requests == 48
+        assert result.completed == spec.total_requests == 48
         assert result.timed_out == 0 and result.logs_consistent
         oracle = serve(spec, build_serving_deployment(spec, reference=True))
         assert oracle == result and oracle.latencies == result.latencies

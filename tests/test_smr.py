@@ -227,7 +227,7 @@ class TestSMRIntegration:
     def test_silent_byzantine_members_tolerated(self):
         cfg = ProtocolConfig(n=10, f=2)
         dep = SMRDeployment(
-            cfg, CounterApp, num_slots=3, seed=4, byzantine_ids=[8, 9]
+            cfg, CounterApp, num_slots=3, seed=4, byzantine=dict.fromkeys([8, 9])
         )
         dep.submit_to_all(b"INC")
         dep.run(max_time=40_000)
@@ -240,7 +240,7 @@ class TestSMRIntegration:
                 ProtocolConfig(n=7, f=2),
                 CounterApp,
                 num_slots=1,
-                byzantine_ids=[4, 5, 6],
+                byzantine=dict.fromkeys([4, 5, 6]),
             )
 
     def test_slots_use_distinct_domains(self):
@@ -315,7 +315,7 @@ class TestPipelining:
         cfg = ProtocolConfig(n=10, f=2)
         dep = Dep(
             cfg, CounterApp, num_slots=4, seed=3, pipeline=3,
-            byzantine_ids=[8, 9],
+            byzantine=dict.fromkeys([8, 9]),
         )
         dep.submit_to_all(b"INC")
         dep.run(max_time=50_000)

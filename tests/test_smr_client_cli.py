@@ -158,6 +158,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["serve", f"--{table}", "no-such-key"])
 
+    def test_serve_rows_name_their_protocol(self, capsys):
+        import json
+
+        argv = ["serve", "--num-clients", "2", "--requests-per-client", "1", "--json"]
+        assert main(argv + ["--protocol", "pbft", "--matrix"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 6 and {row["protocol"] for row in rows} == {"pbft"}
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)[0]["protocol"] == "probft"
+
     def test_run_command_probft(self, capsys):
         code = main(["run", "probft", "--n", "10", "--f", "2"])
         out = capsys.readouterr().out
@@ -224,6 +234,19 @@ class TestCLIArgumentErrors:
                 ["serve", "--arrival", "open", "--offered-rate", "-1"],
                 "offered_rate > 0",
             ),
+            (["serve", "--think-time", "nan"], "think_time >= 0"),
+            (["serve", "--think-time", "inf"], "think_time >= 0"),
+            (
+                ["serve", "--arrival", "open", "--offered-rate", "nan"],
+                "offered_rate > 0",
+            ),
+            (
+                ["serve", "--arrival", "open", "--offered-rate", "inf"],
+                "offered_rate > 0",
+            ),
+            (["serve", "--protocol", "hotstuff"], "cannot serve slots"),
+            (["serve", "--protocol", "streamlined"], "cannot serve slots"),
+            (["serve", "--protocol", "raft"], "unknown protocol 'raft'"),
         ],
         ids=[
             "sweep-f", "sweep-n", "run-n", "serve-n",
@@ -231,7 +254,10 @@ class TestCLIArgumentErrors:
             "serve-f",
             "serve-num-clients", "serve-window", "serve-batch-size",
             "serve-pipeline", "serve-max-pending", "serve-timeout",
-            "serve-offered-rate",
+            "serve-offered-rate", "serve-think-time-nan", "serve-think-time-inf",
+            "serve-offered-rate-nan", "serve-offered-rate-inf",
+            "serve-protocol-hotstuff", "serve-protocol-streamlined",
+            "serve-protocol-unknown",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, capsys, argv, message):
@@ -245,12 +271,10 @@ class TestCLIArgumentErrors:
     def test_serve_checks_every_cell_before_the_first_trial(
         self, capsys, monkeypatch
     ):
-        import repro.smr.workload as workload
+        def refuse(*args, **kwargs):
+            raise AssertionError("a serving deployment was built")
 
-        def refuse(spec):
-            raise AssertionError("a serving trial ran")
-
-        monkeypatch.setattr(workload, "run_serving_trial", refuse)
+        monkeypatch.setattr(SMRDeployment, "__init__", refuse)
         assert main(["serve", "--matrix", "--pipeline", "0"]) == 2
         assert "pipeline must be >= 1" in capsys.readouterr().err
 

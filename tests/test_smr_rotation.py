@@ -25,10 +25,9 @@ from repro.smr.client import SMRClient, majority_slot
 from repro.smr.replica import SlotStacks, slot_leader_offset
 from repro.smr.service import SMRDeployment
 from repro.smr.workload import (
-    OPEN_LOOP_RATES,
+    LOAD_LEVELS,
     ServingSpec,
     WorkloadGenerator,
-    WorkloadSpec,
     build_serving_deployment,
     SERVING_ADVERSARIES,
     run_serving_trial,
@@ -113,6 +112,7 @@ class TestGoldenArtifactIdentity:
                 row = run_serving_trial(
                     ServingSpec(adversary=adversary, load=load, seed=2024)
                 ).row()
+                assert row.pop("protocol") == "probft"  # newer than the pin
                 rows.append({k: v for k, v in row.items() if k not in KERNEL_STATS})
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
         assert digest.hexdigest() == FIXED_LEADER_ROWS_SHA256, rows
@@ -219,7 +219,7 @@ class TestEquivocatorAtEveryRotatedSeat:
             CounterApp,
             num_slots=4,
             seed=13,
-            byzantine_factories={seat: SERVING_ADVERSARIES["equivocating-leader"][1]},
+            byzantine={seat: SERVING_ADVERSARIES["equivocating-leader"][1]},
             batch_size=2,
             rotate_leaders=True,
         )
@@ -232,19 +232,20 @@ class TestEquivocatorAtEveryRotatedSeat:
 
 
 class TestOpenLoopArrivals:
-    def test_open_requires_offered_rate(self):
-        with pytest.raises(ValueError, match="offered_rate"):
-            WorkloadSpec(arrival="open")
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_open_needs_a_finite_positive_rate(self, rate):
+        with pytest.raises(ConfigError, match="offered_rate"):
+            ServingSpec(arrival="open", offered_rate=rate)
 
     def test_unknown_arrival_rejected(self):
         with pytest.raises(ValueError, match="arrival"):
-            WorkloadSpec(arrival="poisson", offered_rate=1.0)
+            ServingSpec(arrival="poisson", offered_rate=1.0)
         with pytest.raises(ValueError, match="arrival"):
             ServingSpec(arrival="poisson")
 
     def test_spec_defaults_rate_from_load(self):
         spec = ServingSpec(arrival="open", load="high")
-        assert spec.workload().offered_rate == OPEN_LOOP_RATES["high"]
+        assert spec.workload().offered_rate == LOAD_LEVELS["high"]["offered_rate"]
         pinned = ServingSpec(arrival="open", offered_rate=2.5)
         assert pinned.workload().offered_rate == 2.5
 
@@ -252,7 +253,7 @@ class TestOpenLoopArrivals:
         spec = ServingSpec(arrival="open", **SMALL)
         first = run_serving_trial(spec)
         second = run_serving_trial(spec)
-        assert first.completed == spec.workload().total_requests
+        assert first.completed == spec.total_requests
         assert first.timed_out == 0
         assert first.logs_consistent
         assert first.arrival == "open"
@@ -288,23 +289,21 @@ class TestRecoveredAccounting:
 
     def _run_once(self, spec):
         deployment = build_serving_deployment(spec)
-        generator = WorkloadGenerator(
-            deployment, spec.workload(), seed=spec.seed
-        )
+        generator = WorkloadGenerator(deployment, spec, seed=spec.seed)
         generator.run(max_time=spec.max_time)
         return deployment, generator
 
     def test_recovered_excluded_from_latencies(self):
         spec = ServingSpec(**SMALL)
         deployment, first = self._run_once(spec)
-        assert first.completed == spec.workload().total_requests
+        assert first.completed == spec.total_requests
         # A second generator over the same deployment re-issues the same
         # (client_id, seq) envelopes: every request completes from replayed
         # history with a meaningless zero latency.
         deployment._next_client_id = 0
-        replay = WorkloadGenerator(deployment, spec.workload(), seed=spec.seed)
+        replay = WorkloadGenerator(deployment, spec, seed=spec.seed)
         replay.run(max_time=spec.max_time)
-        assert replay.completed == spec.workload().total_requests
+        assert replay.completed == spec.total_requests
         assert replay.latencies() == []
         acc = replay.latency_accumulator()
         assert acc.recovered == replay.completed
@@ -319,7 +318,7 @@ class TestRecoveredAccounting:
         live_tput = serving_throughput(first.records)
         assert live_tput > 0
         deployment._next_client_id = 0
-        replay = WorkloadGenerator(deployment, spec.workload(), seed=spec.seed)
+        replay = WorkloadGenerator(deployment, spec, seed=spec.seed)
         replay.run(max_time=spec.max_time)
         # Every completion was recovered: no live serving happened, so the
         # throughput guard reports 0.0 and `recovered` explains the gap.

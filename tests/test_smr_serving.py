@@ -9,6 +9,7 @@ log/snapshot consistency under Byzantine leaders at load.
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.errors import ConfigError
 from repro.harness.parallel import ExperimentEngine
 from repro.smr.app import CounterApp
 from repro.smr.service import SMRDeployment
@@ -17,7 +18,6 @@ from repro.smr.workload import (
     SERVING_ADVERSARIES,
     ServingSpec,
     WorkloadGenerator,
-    WorkloadSpec,
     build_serving_deployment,
     run_serving_trial,
     serving_cells,
@@ -30,10 +30,11 @@ from .helpers import run_serving_spec, serving_engine_trials
 SMALL = dict(num_clients=6, requests_per_client=3, max_time=5_000.0)
 
 
-class TestWorkloadSpec:
+class TestServingSpec:
     def test_total_requests(self):
-        spec = WorkloadSpec(num_clients=5, requests_per_client=3)
+        spec = ServingSpec(num_clients=5, requests_per_client=3)
         assert spec.total_requests == 15
+        assert ServingSpec(load="low").total_requests == 12 * 4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -41,15 +42,21 @@ class TestWorkloadSpec:
             {"num_clients": 0},
             {"requests_per_client": 0},
             {"think_time": -1.0},
+            {"think_time": float("nan")},
+            {"think_time": float("inf")},
             {"window": 0},
+            {"retry_backoff": -1.0},
+            {"retry_backoff": float("nan")},
+            {"retry_backoff": float("inf")},
+            {"arrival": "open", "offered_rate": 0.0},
+            {"arrival": "open", "offered_rate": float("nan")},
+            {"arrival": "open", "offered_rate": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            WorkloadSpec(**kwargs)
+        with pytest.raises(ConfigError):
+            ServingSpec(**kwargs)
 
-
-class TestServingSpec:
     def test_unknown_adversary_rejected(self):
         with pytest.raises(ValueError):
             ServingSpec(adversary="gaslighting")
@@ -58,15 +65,26 @@ class TestServingSpec:
         with pytest.raises(ValueError):
             ServingSpec(load="ludicrous")
 
+    @pytest.mark.parametrize("protocol", ["hotstuff", "streamlined", "raft"])
+    def test_a_protocol_that_cannot_serve_is_rejected(self, protocol):
+        """HotStuff's stack names no replica class, streamlined has no
+        stack, and an unregistered name has neither."""
+        with pytest.raises(ConfigError, match=repr(protocol)):
+            ServingSpec(protocol=protocol)
+        with pytest.raises(ConfigError, match=repr(protocol)):
+            SMRDeployment(ProtocolConfig(9), CounterApp, 1, protocol=protocol)
+
     def test_load_preset_with_overrides(self):
         spec = ServingSpec(load="low", num_clients=3)
         workload = spec.workload()
         assert workload.num_clients == 3  # explicit override wins
         assert workload.think_time == LOAD_LEVELS["low"]["think_time"]
+        assert workload == spec.workload().workload()  # resolved once
+        assert spec.think_time is None  # the spec itself keeps the preset's
 
     def test_slot_budget_covers_workload(self):
         spec = ServingSpec(**SMALL)
-        assert spec.slots() > spec.workload().total_requests
+        assert spec.slots() > spec.total_requests
         assert ServingSpec(num_slots=7).slots() == 7
 
     def test_adversary_registry_shape(self):
@@ -79,10 +97,10 @@ class TestWorkloadGenerator:
     def test_closed_loop_completes_all_requests(self):
         spec = ServingSpec(**SMALL)
         deployment = build_serving_deployment(spec)
-        generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        generator = WorkloadGenerator(deployment, spec, seed=0)
         generator.run(max_time=spec.max_time)
         assert generator.done()
-        assert generator.completed == spec.workload().total_requests
+        assert generator.completed == spec.total_requests
         assert deployment.logs_consistent()
         for record in generator.records:
             assert record.completed
@@ -92,7 +110,7 @@ class TestWorkloadGenerator:
     def test_unique_request_identities(self):
         spec = ServingSpec(**SMALL)
         deployment = build_serving_deployment(spec)
-        generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        generator = WorkloadGenerator(deployment, spec, seed=0)
         generator.run(max_time=spec.max_time)
         ids = [(r.client_id, r.seq) for r in generator.records]
         assert len(ids) == len(set(ids))
@@ -112,7 +130,7 @@ class TestWorkloadGenerator:
             max_time=10_000.0,
         )
         deployment = build_serving_deployment(spec)
-        generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        generator = WorkloadGenerator(deployment, spec, seed=0)
         generator.run(max_time=spec.max_time)
         assert generator.done()
         assert generator.retries > 0
@@ -123,15 +141,15 @@ class TestWorkloadGenerator:
         at submission, and nothing but the pre-drawn arrivals reads an RNG."""
         spec = ServingSpec(arrival="open", **SMALL)
         deployment = build_serving_deployment(spec)
-        WorkloadGenerator(deployment, spec.workload(), seed=0).run(max_time=spec.max_time)
+        WorkloadGenerator(deployment, spec, seed=0).run(max_time=spec.max_time)
         deployment._next_client_id = 0
-        replay = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        replay = WorkloadGenerator(deployment, spec, seed=0)
         replay.start()
         states = [state.rng.getstate() for state in replay._clients]
         replay.run(max_time=spec.max_time)
         assert [state.rng.getstate() for state in replay._clients] == states
         recovered = replay.latency_accumulator().recovered
-        assert replay.completed == recovered == spec.workload().total_requests
+        assert replay.completed == recovered == spec.total_requests
         assert all(r.recovered and r.latency == 0 for r in replay.records)
         assert replay.retries == 0
 
@@ -142,7 +160,7 @@ class TestWorkloadGenerator:
             max_time=10_000.0,
         )
         deployment = build_serving_deployment(spec)
-        generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        generator = WorkloadGenerator(deployment, spec, seed=0)
         generator.run(max_time=spec.max_time)
         assert generator.done() and generator.retries > 0
         for state in generator._clients:
@@ -153,7 +171,7 @@ class TestWorkloadGenerator:
     def test_records_stay_in_global_submission_order(self):
         spec = ServingSpec(arrival="open", **SMALL)
         deployment = build_serving_deployment(spec)
-        generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        generator = WorkloadGenerator(deployment, spec, seed=0)
         generator.run(max_time=spec.max_time)
         records = generator.records
         times = [r.submitted_at for r in records]
@@ -167,11 +185,11 @@ class TestWorkloadGenerator:
     def test_accumulator_counts_unissued_as_incomplete(self):
         spec = ServingSpec(**SMALL)
         deployment = build_serving_deployment(spec)
-        generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+        generator = WorkloadGenerator(deployment, spec, seed=0)
         # Never run: nothing issued, everything incomplete.
         acc = generator.latency_accumulator()
         assert acc.completed == 0
-        assert acc.incomplete == spec.workload().total_requests
+        assert acc.incomplete == spec.total_requests
         assert acc.mean is None
 
 
@@ -256,14 +274,13 @@ class TestByzantineConsistencyAtLoad:
     snapshot comparison."""
 
     def run_deployment(self, adversary):
-        replica_id, factory = SERVING_ADVERSARIES[adversary]
         cfg = ProtocolConfig(n=9, f=2)
         dep = SMRDeployment(
             cfg,
             CounterApp,
             num_slots=3,
             seed=13,
-            byzantine_factories={replica_id: factory},
+            byzantine=dict([SERVING_ADVERSARIES[adversary]]),
             batch_size=2,
         )
         for i in range(4):
@@ -317,3 +334,52 @@ class TestServingBeyondSaturatedSamples:
             )
             assert result.logs_consistent and result.retries == 0, seed
             assert result.timed_out == 0, (seed, result.timed_out)
+
+
+#: Serving cells of ~100 requests: no fault and Byzantine (fixed and rotated
+#: leadership), one open-loop Poisson cell, one n=16 cell and one PBFT cell.
+ROUTE_CELLS = {
+    "n9-none": dict(adversary="none"),
+    "n9-equivocating": dict(adversary="equivocating-leader"),
+    "n9-equivocating-rotated": dict(
+        adversary="equivocating-leader", rotate_leaders=True
+    ),
+    "n9-open": dict(adversary="none", arrival="open"),
+    "n16-none": dict(adversary="none", n=16, num_clients=8),
+    "n9-pbft-equivocating-rotated": dict(
+        protocol="pbft", adversary="equivocating-leader", rotate_leaders=True
+    ),
+}
+
+
+class TestServingRoutes:
+    """The serving path makes progress with agreeing logs under every
+    arrival discipline, leadership policy and slot protocol, and runs on
+    the kernels: each slot is an instance on the one stack, its groups
+    walked or passed by their size."""
+
+    @pytest.mark.parametrize("cell", ROUTE_CELLS.values(), ids=ROUTE_CELLS)
+    def test_cell_completes_on_its_routes(self, cell):
+        spec = ServingSpec(
+            **{"load": "high", "num_clients": 20, "requests_per_client": 5, **cell}
+        )
+        result = run_serving_trial(spec)
+        assert result.completed == spec.total_requests, result.completed
+        assert result.throughput > 0 and result.logs_consistent
+        assert result.timed_out == 0
+        routes = result.kernel_stats
+        if spec.n == 9:
+            # An n=9 slot's groups (5-8 buckets of <= 8 recipients) are below
+            # the pass's break-even: each is one walk.
+            assert routes["vote_passes"] == 0 < routes["vote_chains"], routes
+            assert routes["walked"] > 0, routes
+            # So is a whole n=9 view change (<= 9 broadcasts of 8).
+            assert routes["wish_passes"] == 0, routes
+        else:
+            # n=16: a phase is 15 buckets of 13 votes, one pass; the leader's
+            # own Prepare lands alone and is walked.
+            assert 0 < routes["vote_passes"] < routes["vectorised"], routes
+            assert routes["walked"] <= routes["vote_chains"], routes
+        if spec.adversary == "none":
+            buckets = sum(routes[k] for k in ("vectorised", "walked", "declined"))
+            assert routes["declined"] <= 0.1 * buckets, routes

@@ -248,7 +248,7 @@ class TestDeploymentTeardown:
         gc.disable()
         try:
             deployment = build_serving_deployment(spec, reference=reference)
-            generator = WorkloadGenerator(deployment, spec.workload(), seed=0)
+            generator = WorkloadGenerator(deployment, spec, seed=0)
             generator.run(max_time=spec.max_time)
             assert generator.done() and deployment.logs_consistent()
             replica = deployment.replicas[min(deployment.correct_ids)]
