@@ -112,6 +112,9 @@ def cmd_serve(args) -> int:
         for name, value in vars(args).items()
         if name in fields and value is not None
     }
+    if args.offered_rate is not None and args.arrival == "closed":
+        print("--offered-rate needs --arrival open or both", file=sys.stderr)
+        return 2
     if args.matrix:
         # --rotate-leaders / --arrival both add whole axes to the matrix.
         rotations = [False, True] if args.rotate_leaders else [False]
@@ -466,7 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--offered-rate",
         type=float,
         default=None,
-        help="aggregate open-loop arrival rate, requests per simulated second",
+        help=(
+            "aggregate open-loop arrival rate, requests per simulated second "
+            "(--arrival open or both)"
+        ),
     )
     p_serve.add_argument(
         "--json", action="store_true", help="emit JSON rows instead of a table"

@@ -391,12 +391,21 @@ class ServingSpec:
                 raise ConfigError(f"need a finite {name} {bound} 0, got {value}")
         if not self.timeout > 0:
             raise ConfigError(f"timeout must be > 0, got {self.timeout}")
+        if self.offered_rate is not None and self.arrival != "open":
+            raise ConfigError(
+                f"offered_rate is an open-loop rate; arrival is {self.arrival!r}"
+            )
 
     def workload(self) -> "ServingSpec":
         """This spec with every client-population field it leaves ``None``
-        taken from its load level's preset."""
+        taken from its load level's preset (the preset's ``offered_rate``
+        only for open arrivals)."""
         preset = LOAD_LEVELS[self.load]
-        unset = {k: v for k, v in preset.items() if getattr(self, k) is None}
+        unset = {
+            k: v for k, v in preset.items()
+            if getattr(self, k) is None
+            and (k != "offered_rate" or self.arrival == "open")
+        }
         return dataclasses.replace(self, **unset) if unset else self
 
     @property
@@ -561,8 +570,9 @@ def serving_cells(
 
     The rotation and arrival axes default to the single historical cell
     (fixed leaders, closed loop), so existing callers get the same matrix
-    as before.
+    as before.  An ``offered_rate`` override applies to the open cells only.
     """
+    rate = overrides.pop("offered_rate", None)
     adversaries = (
         list(SERVING_ADVERSARIES) if adversaries is None else adversaries
     )
@@ -575,6 +585,7 @@ def serving_cells(
             load=load,
             rotate_leaders=rotate,
             arrival=arrival,
+            offered_rate=rate if arrival == "open" else None,
             **overrides,
         )
         for adversary in adversaries

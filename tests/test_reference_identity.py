@@ -11,19 +11,29 @@ validates each message object once through its instance's verdict table
 proof, ``safeProposal`` and certificate for every recipient.  The contract
 is that the two produce **equal** :class:`~repro.harness.trial.RunResult`\\ s
 for the same seed: same decisions, views, message and byte statistics, same
-simulated time — so every test here, the serving grid included, also proves
+simulated time — so every test here, the serving arm included, also proves
 *table ≡ recomputation*: a stale or mis-keyed verdict would show as a
-difference.  (The recomputing oracle costs this file ~25 s of tier-1 over a
-tabled one; all of it runs table-free, the n=60 and n=100 cells too.)
+difference.
 
-Each comparison builds a *fresh* spec per run via
-:func:`~repro.harness.registry.cell_deployment_spec`: a DeploymentSpec
-carries seeded latency/chaos objects whose RNG streams advance as the
-simulation runs, so replaying a used spec would compare against an
-advanced stream, not against the oracle.
+It is checked as one seeded property with two arms: single-shot cells over
+(protocol, adversary, latency, n, seed) and serving cells over (protocol,
+adversary, rotation, arrival, pipeline/batch, n, seed).  Each cell keeps the
+pins of the grid it came from — route counters, Wish deliveries,
+``walked > 0``, the flooder's extra sends.  Tier-1 runs the cells of
+n <= ``SAMPLE_MAX_N`` that a fixed :func:`~repro.harness.parallel.derive_seed`
+draw picks first, ``SINGLE_SHOT_SAMPLE`` and ``SERVING_SAMPLE`` of them (ids
+``sample-…``); ``-m slow`` runs every cell (``all-…``).  A test id names its
+cell and seed.
+
+A spec is data: :meth:`~repro.harness.trial.DeploymentSpec.build` hands each
+deployment copies of its seeded latency and chaos, so one spec per cell
+builds both the production run and its oracle.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import Callable, Optional
 
 import pytest
 
@@ -72,44 +82,150 @@ def _cells(
     ).cells()
 
 
-def _pair(cell: MatrixCell, seed: int):
+def _spec_pair(spec: DeploymentSpec):
     """(production deployment, production result, oracle result)."""
-
-    def spec():
-        return cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME)
-
-    context = TrialContext(spec())
+    context = TrialContext(spec)
     production = context.execute()
-    oracle = run_trial(reference_spec(spec()))
-    return context.deployment, production, oracle
+    return context.deployment, production, run_trial(reference_spec(spec))
+
+
+def _pair(cell: MatrixCell, seed: int):
+    return _spec_pair(cell_deployment_spec(cell, seed=seed, max_time=MAX_TIME))
 
 
 # ----------------------------------------------------------------------
-# RunResult identity over the whole scenario matrix
+# The property, single-shot arm: RunResult identity on seeded cells
 # ----------------------------------------------------------------------
+
+#: Cells a tier-1 run takes from each arm of the property.  Most come from
+#: the single-shot arm: one of its n <= 30 cells costs about half a serving
+#: cell (~0.2 s against ~0.4 s on one 2-vCPU core).
+SINGLE_SHOT_SAMPLE = 78
+SERVING_SAMPLE = 8
+#: Tier-1 draws only cells of at most this n; the n=40 and n=100 wish
+#: cells, a second or more each, are the slow tier's.
+SAMPLE_MAX_N = 30
+#: Master seed of the draw that picks them.
+DRAW = 1
+
+
+def _arm(cells, sample):
+    """One arm's parameters: ``sample-<cell>`` for the ``sample`` cells of
+    n <= ``SAMPLE_MAX_N`` that the fixed draw picks (tier-1), ``all-<cell>``
+    for every cell (``slow``)."""
+    small = [i for i in range(len(cells)) if cells[i].n <= SAMPLE_MAX_N]
+    drawn = sorted(small, key=lambda i: derive_seed(DRAW, i))
+    return [
+        pytest.param(cells[i], id=f"sample-{cells[i]}")
+        for i in sorted(drawn[:sample])
+    ] + [
+        pytest.param(cell, id=f"all-{cell}", marks=pytest.mark.slow)
+        for cell in cells
+    ]
+
+
+def _wish_routes(cell, result, deployment, oracle):
+    """Every Wish delivery is the oracle's, and the wish kernel takes the
+    route of the cell's latency: under constant latency a view change is a
+    same-time run of broadcasts taken by array passes; otherwise every Wish
+    bucket has one recipient and a chain of them is one walk."""
+    wishes = deployment.network.stats.delivered_by_type["Wish"]
+    assert wishes == oracle.network.stats.delivered_by_type["Wish"]
+    routes = deployment.vote_kernel_stats()
+    assert routes["wish_declined"] == 0, routes
+    if not wishes:
+        return  # (e.g. crash, exponential, n=40: decided in view 1)
+    if cell.latency == "constant":
+        assert routes["wish_passes"] > 0 and routes["wish_scalar"] == 0, routes
+        assert routes["wish_vectorised"] > 0, routes
+    else:
+        assert routes["wish_passes"] == routes["wish_vectorised"] == 0, routes
+        assert 0 < 4 * routes["wish_walks"] <= routes["wish_scalar"], routes
+
+
+def _crosses_a_view_change(cell, result, deployment, oracle):
+    """Silent leaders and crashed tails are the two cells whose trials
+    cross the shared wish kernel, for every protocol."""
+    assert result.all_decided
+    wishes = result.messages_by_type.get("Wish", 0)
+    assert (wishes > 0) == (result.max_view > 1)
+    if cell.adversary == "silent":
+        assert result.max_view == 2
+    _wish_routes(cell, result, deployment, oracle)
+
+
+@dataclasses.dataclass(frozen=True)
+class Cell:
+    """One seeded single-shot trial and the pins of the grid it came from."""
+
+    protocol: str
+    adversary: str
+    latency: str
+    n: int
+    seed: int
+    pins: Optional[Callable] = dataclasses.field(default=None, compare=False)
+
+    def __str__(self):
+        return (
+            f"{self.protocol}-{self.adversary}-{self.latency}-n{self.n}-seed{self.seed}"
+        )
+
+    def spec(self) -> DeploymentSpec:
+        cell = MatrixCell(
+            self.protocol, self.adversary, self.latency, self.n,
+            f=(self.n - 1) // 3, track_bytes=self.n <= 30,
+        )
+        # (n=100 cells stop at sim-time 35, after their first view change:
+        # the oracle's per-recipient delivery takes ~5 s a view change there.)
+        max_time = 35.0 if self.n == 100 else MAX_TIME
+        return cell_deployment_spec(cell, self.seed, max_time)
+
+
+SINGLE_SHOT = [
+    # The scenario matrix, 3 protocols x 7 adversaries x 4 latency models,
+    # pins identity alone.  The kernel-sensitive adversaries are all here:
+    # equivocation (view flagging, the kernel declines), flooding (forged
+    # statements must NOT flag views; invalid votes are never counted),
+    # duplication (per-target duplicate draws, the kernel declines every
+    # bucket), the targeted scheduler (per-recipient eligibility), and under
+    # the continuous latency models every vote bucket is a singleton.
+    Cell(protocol, adversary, latency, 30, seed)
+    for protocol in PROTOCOLS
+    for adversary in ADVERSARIES
+    for latency in LATENCIES
+    for seed in (0, 1)
+] + [
+    Cell(protocol, adversary, latency, 30, 2, _crosses_a_view_change)
+    for protocol in PROTOCOLS
+    for adversary in ("silent", "crash")
+    for latency in ("constant", "uniform", "exponential")
+] + [
+    # The wish kernel on every ProBFT view-change cell.
+    Cell("probft", adversary, latency, n, 1, _wish_routes)
+    for n in (16, 40, 100)
+    for adversary in ("silent", "silent-f", "equivocation", "crash")
+    for latency in ("constant", "exponential")
+]
+
+
+@pytest.mark.parametrize("cell", _arm(SINGLE_SHOT, SINGLE_SHOT_SAMPLE))
+def test_single_shot_cell_equals_the_oracle(cell):
+    spec = cell.spec()
+    context, oracle = TrialContext(spec), TrialContext(reference_spec(spec))
+    result = context.execute()
+    assert result == oracle.execute(), cell
+    if spec.track_bytes:
+        # Sizing a message encodes it: both stacks compute the tags they
+        # send (the only production reader) and report the same bytes.
+        assert result.total_bytes > 0, cell
+        for run in (context, oracle):
+            signatures = run.deployment.crypto.signatures
+            assert signatures.cache_stats()["tags_computed"] > 0, cell
+    if cell.pins is not None:
+        cell.pins(cell, result, context.deployment, oracle.deployment)
 
 
 class TestMatrixIdentity:
-    @pytest.mark.parametrize("latency", LATENCIES)
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_every_cell_equals_the_oracle(self, protocol, latency):
-        """3 protocols x 7 adversaries x 4 latency models at n=30, 2 seeds.
-
-        The kernel-sensitive adversaries are all here:
-        equivocation (view flagging, the kernel declines), flooding (forged
-        statements must NOT flag views; invalid votes are never
-        counted), duplication (per-target duplicate draws, the
-        kernel declines every bucket), the targeted scheduler
-        (per-recipient eligibility), and under the continuous latency
-        models every vote bucket is a singleton.
-        """
-        cells = _cells(30, protocols=(protocol,), latencies=(latency,))
-        assert len(cells) == len(ADVERSARIES)
-        for cell in cells:
-            for seed in (0, 1):
-                _, production, oracle = _pair(cell, seed)
-                assert production == oracle, (cell.label, seed)
-
     @pytest.mark.parametrize("latency", ["constant", "exponential"])
     def test_the_leader_broadcasts_one_propose(self, latency):
         """The proposal has one way out: the view-1 leader broadcasts one
@@ -481,8 +597,6 @@ class TestVoteKernelStats:
         )
 
     def test_stats_stay_off_run_result(self):
-        import dataclasses
-
         from repro.harness.trial import RunResult
 
         names = {f.name for f in dataclasses.fields(RunResult)}
@@ -495,82 +609,41 @@ class TestVoteKernelStats:
 # ----------------------------------------------------------------------
 
 
-def _spec_pair(make_spec):
-    """(production deployment, production result, oracle result) of a spec
-    factory (fresh spec per run: specs carry seeded RNG streams)."""
-    context = TrialContext(make_spec())
-    production = context.execute()
-    oracle = run_trial(reference_spec(make_spec()))
-    return context.deployment, production, oracle
-
-
 class TestViewChangeIdentity:
-    @pytest.mark.parametrize("latency", ["constant", "uniform", "exponential"])
-    @pytest.mark.parametrize("adversary", ["silent", "crash"])
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_forced_view_change_equals_the_oracle(self, protocol, adversary, latency):
-        """Every protocol runs the shared wish kernel; silent leaders and
-        crashed tails are the two cells whose trials cross it."""
-        (cell,) = _cells(
-            30, protocols=(protocol,), adversaries=(adversary,), latencies=(latency,)
-        )
-        deployment, production, oracle = _pair(cell, 2)
-        assert production == oracle
-        assert production.all_decided
-        stats = deployment.vote_kernel_stats()
-        wishes = production.messages_by_type.get("Wish", 0)
-        assert (wishes > 0) == (production.max_view > 1)
-        if adversary == "silent":
-            assert production.max_view == 2
-        if wishes:
-            assert stats["wish_declined"] == 0
-            # One bucket per fan-out under constant latency; one per
-            # recipient, or nearly, under the continuous models.
-            route = "wish_vectorised" if latency == "constant" else "wish_scalar"
-            assert stats[route] > 0
-            if latency == "constant":
-                assert stats["wish_scalar"] == 0
-
     @pytest.mark.parametrize("latency", ["constant", "exponential"])
     def test_silent_leader_under_a_leader_offset(self, latency):
         config = ProtocolConfig(n=30, f=9, leader_offset=11)
         leader = leader_of(1, config)
         assert leader == 11
 
-        def make_spec():
-            return DeploymentSpec(
-                protocol="probft",
-                config=config,
-                seed=4,
-                latency=ExponentialLatency(mean=1.0, cap=5.0, seed=4)
-                if latency == "exponential"
-                else None,
-                timeout_policy=FixedTimeout(30.0),
-                byzantine={leader: silent_factory()},
-                track_bytes=True,
-                max_time=MAX_TIME,
-            )
-
-        _, production, oracle = _spec_pair(make_spec)
+        spec = DeploymentSpec(
+            protocol="probft",
+            config=config,
+            seed=4,
+            latency=ExponentialLatency(mean=1.0, cap=5.0, seed=4)
+            if latency == "exponential"
+            else None,
+            timeout_policy=FixedTimeout(30.0),
+            byzantine={leader: silent_factory()},
+            track_bytes=True,
+            max_time=MAX_TIME,
+        )
+        _, production, oracle = _spec_pair(spec)
         assert production == oracle
         assert production.all_decided and production.max_view == 2
 
     def test_silent_leader_on_a_duplicating_network_declines(self):
         """A recipient may appear twice in a bucket: every Wish bucket takes
         the per-recipient loop over the same columns, and is counted."""
-        import dataclasses
-
         (cell,) = _cells(
             30, protocols=("probft",), adversaries=("silent",), latencies=("constant",)
         )
 
-        def make_spec():
-            return dataclasses.replace(
-                cell_deployment_spec(cell, seed=8, max_time=MAX_TIME),
-                duplicate_prob=0.3,
-            )
-
-        deployment, production, oracle = _spec_pair(make_spec)
+        spec = dataclasses.replace(
+            cell_deployment_spec(cell, seed=8, max_time=MAX_TIME),
+            duplicate_prob=0.3,
+        )
+        deployment, production, oracle = _spec_pair(spec)
         assert production == oracle
         assert production.all_decided and production.max_view == 2
         stats = deployment.vote_kernel_stats()
@@ -682,8 +755,6 @@ class TestSharedProposeVerdict:
 
     @pytest.fixture
     def view2(self):
-        import dataclasses
-
         deployment = ProBFTDeployment(
             ProtocolConfig(n=8, f=1),
             seed=1,
@@ -766,11 +837,10 @@ class TestSharedProposeVerdict:
 # ----------------------------------------------------------------------
 
 
-def _serving_pair(**spec_fields):
+def _serving_pair(spec):
     """(production deployment, its result, oracle deployment, its result)."""
-    from repro.smr.workload import ServingSpec, build_serving_deployment, serve
+    from repro.smr.workload import build_serving_deployment, serve
 
-    spec = ServingSpec(**spec_fields)
     production = build_serving_deployment(spec)
     oracle = build_serving_deployment(spec, reference=True)
     return production, serve(spec, production), oracle, serve(spec, oracle)
@@ -795,95 +865,134 @@ def _slot_views(deployment):
     ]
 
 
-class TestServingIdentity:
-    LOAD = dict(num_clients=8, requests_per_client=3, max_time=3_000.0)
+@dataclasses.dataclass(frozen=True)
+class ServingCell:
+    """One seeded serving trial of 8 closed- or open-loop clients x 3
+    requests."""
 
-    @pytest.mark.parametrize("pipeline,batch_size", [(1, 1), (4, 8), (4, 32)])
-    @pytest.mark.parametrize("arrival", ["closed", "open"])
-    @pytest.mark.parametrize("rotate_leaders", [False, True])
-    @pytest.mark.parametrize(
-        "adversary", ["none", "equivocating-leader", "flooding"]
-    )
-    def test_every_cell_equals_the_oracle(
-        self, adversary, rotate_leaders, arrival, pipeline, batch_size
-    ):
-        for n in (9, 16):
-            cell = dict(
-                n=n,
-                adversary=adversary,
-                rotate_leaders=rotate_leaders,
-                arrival=arrival,
-                pipeline=pipeline,
-                batch_size=batch_size,
-            )
-            production, result, oracle, expected = _serving_pair(
-                seed=n, **cell, **self.LOAD
-            )
-            _assert_same_run(production, result, oracle, expected, cell)
-            assert result.completed > 0 and result.logs_consistent, cell
-            assert result.kernel_stats["walked"] > 0, cell
+    protocol: str
+    adversary: str
+    rotate_leaders: bool
+    arrival: str
+    pipeline: int
+    batch_size: int
+    n: int
+    seed: int
 
-    @pytest.mark.parametrize("n", [9, 16])
-    def test_view_changes_inside_slots_recover_identically(self, n):
-        """ROADMAP item 1 rider: a seeded fuzz (75 seeds) with batching
-        and rotation on, a faulty seat that forces view changes (an equivocating or a
-        silent-when-leading leader) and every slot's decision view read
-        back: slots that needed a view change end in agreeing logs, the
-        same way on both stacks."""
-        recovered = 0
-        for seed in range(50 if n == 9 else 25):
-            cell = dict(
-                n=n,
-                seed=seed,
-                adversary=("equivocating-leader", "flooding")[seed % 2],
-                rotate_leaders=True,
-                arrival=("closed", "open")[seed // 2 % 2],
-                batch_size=2,
-                num_clients=4 + n // 2,  # enough slots to reach the faulty
-                requests_per_client=4,  # seat's turn (slot n - 1 or n)
-                timeout=6.0,
-                max_time=600.0,
-            )
-            production, result, oracle, expected = _serving_pair(**cell)
-            _assert_same_run(production, result, oracle, expected, cell)
-            assert production.logs_consistent(), cell
-            views = _slot_views(production)
-            assert views == _slot_views(oracle), cell
-            recovered += sum(1 for view in views if view > 1)
-        assert recovered >= 20  # the fuzz does cross the view-change path
+    def __str__(self):
+        rotation = "rotating" if self.rotate_leaders else "fixed"
+        return (
+            f"{self.protocol}-{self.adversary}-{rotation}-{self.arrival}-"
+            f"p{self.pipeline}b{self.batch_size}-n{self.n}-seed{self.seed}"
+        )
+
+    def spec(self):
+        from repro.smr.workload import ServingSpec
+
+        return ServingSpec(
+            **dataclasses.asdict(self),
+            num_clients=8, requests_per_client=3, max_time=3_000.0,
+        )
+
+    def sent(self) -> int:
+        """Messages the production run of this cell sends."""
+        from repro.smr.workload import build_serving_deployment, serve
+
+        spec = self.spec()
+        deployment = build_serving_deployment(spec)
+        serve(spec, deployment)
+        return deployment.network.stats.sent_total
 
 
-class TestPbftSlots:
-    """The slot protocol is a registered name whose stack's
-    ``replica_class`` every slot runs: ``protocol="pbft"`` serves PBFT
-    slots, with every seat in PBFT's dialect and every leader check on the
-    slot's rotated schedule."""
+SERVING = [
+    ServingCell("probft", adversary, rotate, arrival, pipeline, batch, n, n)
+    for adversary in ("none", "equivocating-leader", "flooding")
+    for rotate in (False, True)
+    for arrival in ("closed", "open")
+    for pipeline, batch in ((1, 1), (4, 8), (4, 32))
+    for n in (9, 16)
+] + [
+    # PBFT slots: every seat in PBFT's dialect, every leader check on the
+    # slot's rotated schedule.
+    ServingCell("pbft", adversary, rotate, "closed", 4, 8, n, 3)
+    for adversary in ("none", "equivocating-leader", "flooding")
+    for rotate in (False, True)
+    for n in (9, 16)
+]
 
-    LOAD = dict(seed=3, num_clients=8, requests_per_client=3, max_time=3_000.0)
 
-    @pytest.mark.parametrize("rotate_leaders", [False, True])
-    @pytest.mark.parametrize("n", [9, 16])
-    def test_every_cell_equals_the_oracle(self, n, rotate_leaders):
-        from repro.baselines.pbft.replica import PbftReplica
+@pytest.mark.parametrize("cell", _arm(SERVING, SERVING_SAMPLE))
+def test_serving_cell_equals_the_oracle(cell):
+    production, result, oracle, expected = _serving_pair(cell.spec())
+    _assert_same_run(production, result, oracle, expected, cell)
+    assert result.completed > 0 and result.logs_consistent, cell
+    assert result.kernel_stats["walked"] > 0, cell
+    if cell.protocol != "pbft":
+        return
+    from repro.baselines.pbft.replica import PbftReplica
 
-        probft_none = _serving_pair(n=n, **self.LOAD)[0].network.stats.sent_total
-        sent = {}
-        for adversary in ("none", "equivocating-leader", "flooding"):
-            cell = dict(n=n, adversary=adversary, rotate_leaders=rotate_leaders)
-            production, result, oracle, expected = _serving_pair(
-                protocol="pbft", **cell, **self.LOAD
-            )
-            assert production.stack.protocol is oracle.stack.protocol is PbftReplica
-            assert result.protocol == "pbft" and result.row()["protocol"] == "pbft"
-            _assert_same_run(production, result, oracle, expected, cell)
-            assert result.completed == result.issued == 24, cell
-            assert result.logs_consistent, cell
-            sent[adversary] = production.network.stats.sent_total
+    # The slot protocol is a registered name whose stack's ``replica_class``
+    # every slot runs.
+    assert production.stack.protocol is oracle.stack.protocol is PbftReplica
+    assert result.protocol == "pbft" and result.row()["protocol"] == "pbft"
+    assert result.completed == result.issued == 24, cell
+    sent = production.network.stats.sent_total
+    if cell.adversary == "flooding":
         # The flooder fires on PBFT's proposals: its sends are on top.
-        assert sent["flooding"] > sent["none"], sent
+        assert sent > dataclasses.replace(cell, adversary="none").sent(), cell
+    elif cell.adversary == "none":
         # Broadcast votes: PBFT's slots cost more than ProBFT's sampled ones
         # once samples no longer cover everyone (n=9 saturates them).
-        assert sent["none"] > probft_none if n == 16 else sent["none"] == probft_none
+        probft = dataclasses.replace(cell, protocol="probft").sent()
+        assert sent > probft if cell.n == 16 else sent == probft, cell
+
+
+#: Tier-1's fuzz seeds, cut at a sim-time soon after the faulty seat's slot
+#: (slot n - 1 or n decides in view 2 by 17.2 at n=9, by 20.8 at n=16).
+FUZZ_CUT = {9: 18.0, 16: 22.0}
+
+
+def _fuzz_params():
+    cut = [
+        pytest.param(n, seed, FUZZ_CUT[n], id=f"sample-n{n}-seed{seed}-cut")
+        for n, seeds in ((9, range(4)), (16, range(2)))
+        for seed in seeds
+    ]
+    return cut + [
+        pytest.param(
+            n, seed, 600.0, id=f"all-n{n}-seed{seed}", marks=pytest.mark.slow
+        )
+        for n, seeds in ((9, range(50)), (16, range(25)))
+        for seed in seeds
+    ]
+
+
+@pytest.mark.parametrize("n,seed,max_time", _fuzz_params())
+def test_view_changes_inside_slots_recover_identically(n, seed, max_time):
+    """A seeded fuzz with batching and rotation on and a faulty seat that
+    forces view changes (an equivocating or a silent-when-leading leader),
+    every slot's decision view read back: slots that needed a view change
+    end in agreeing logs, the same way on both stacks."""
+    from repro.smr.workload import ServingSpec
+
+    spec = ServingSpec(
+        n=n,
+        seed=seed,
+        adversary=("equivocating-leader", "flooding")[seed % 2],
+        rotate_leaders=True,
+        arrival=("closed", "open")[seed // 2 % 2],
+        batch_size=2,
+        num_clients=4 + n // 2,  # enough slots to reach the faulty
+        requests_per_client=4,  # seat's turn (slot n - 1 or n)
+        timeout=6.0,
+        max_time=max_time,
+    )
+    production, result, oracle, expected = _serving_pair(spec)
+    _assert_same_run(production, result, oracle, expected, spec)
+    assert production.logs_consistent(), spec
+    views = _slot_views(production)
+    assert views == _slot_views(oracle), spec
+    assert max(views) > 1, spec  # this seed does cross the view-change path
 
 
 class TestSlotRouter:

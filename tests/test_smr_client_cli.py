@@ -244,6 +244,11 @@ class TestCLIArgumentErrors:
                 ["serve", "--arrival", "open", "--offered-rate", "inf"],
                 "offered_rate > 0",
             ),
+            (["serve", "--offered-rate", "3"], "--offered-rate needs --arrival open"),
+            (
+                ["serve", "--matrix", "--offered-rate", "3"],
+                "--offered-rate needs --arrival open",
+            ),
             (["serve", "--protocol", "hotstuff"], "cannot serve slots"),
             (["serve", "--protocol", "streamlined"], "cannot serve slots"),
             (["serve", "--protocol", "raft"], "unknown protocol 'raft'"),
@@ -256,6 +261,7 @@ class TestCLIArgumentErrors:
             "serve-pipeline", "serve-max-pending", "serve-timeout",
             "serve-offered-rate", "serve-think-time-nan", "serve-think-time-inf",
             "serve-offered-rate-nan", "serve-offered-rate-inf",
+            "serve-offered-rate-closed", "serve-offered-rate-closed-matrix",
             "serve-protocol-hotstuff", "serve-protocol-streamlined",
             "serve-protocol-unknown",
         ],
@@ -277,6 +283,21 @@ class TestCLIArgumentErrors:
         monkeypatch.setattr(SMRDeployment, "__init__", refuse)
         assert main(["serve", "--matrix", "--pipeline", "0"]) == 2
         assert "pipeline must be >= 1" in capsys.readouterr().err
+
+    def test_a_matrix_rate_applies_to_its_open_cells(self, capsys, monkeypatch):
+        from repro.smr import workload
+
+        specs, cells = [], workload.serving_cells
+
+        def recording(**axes):
+            specs.extend(cells(**axes))
+            return []  # (no trial runs)
+
+        monkeypatch.setattr(workload, "serving_cells", recording)
+        argv = ["serve", "--matrix", "--arrival", "both", "--offered-rate", "3"]
+        assert main(argv + ["--json"]) == 0
+        rates = {(s.arrival, s.offered_rate) for s in specs}
+        assert rates == {("closed", None), ("open", 3.0)}
 
     @pytest.mark.parametrize(
         "argv",

@@ -51,11 +51,20 @@ class TestServingSpec:
             {"arrival": "open", "offered_rate": 0.0},
             {"arrival": "open", "offered_rate": float("nan")},
             {"arrival": "open", "offered_rate": float("inf")},
+            {"offered_rate": 3.0},  # a rate on a closed loop
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ServingSpec(**kwargs)
+
+    @pytest.mark.parametrize("load", sorted(LOAD_LEVELS))
+    def test_the_preset_rate_is_for_open_arrivals_only(self, load):
+        """``workload()`` re-runs the spec's checks: a closed spec must not
+        take its preset's rate, or every closed spec would be refused."""
+        assert ServingSpec(load=load).workload().offered_rate is None
+        open_loop = ServingSpec(load=load, arrival="open").workload()
+        assert open_loop.offered_rate == LOAD_LEVELS[load]["offered_rate"]
 
     def test_unknown_adversary_rejected(self):
         with pytest.raises(ValueError):
