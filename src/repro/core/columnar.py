@@ -365,14 +365,16 @@ class RunKernel:
 
     Both append one delivered count per bucket reached to ``took`` (-1,
     last, declines that bucket) and answer whether the call may go on after
-    the last bucket they answered.  The driver owns the rest: the network's
-    duplication decline (a recipient may appear twice in one bucket, which
-    neither pass nor walk allows: every bucket is delivered whole), the
+    the last bucket they answered.  The driver owns the rest: the
     ``took`` list, ``advance`` at every boundary between units, the kind of
     the next bucket, and the counts: ``passes`` / ``walks`` per unit,
     ``vectorised`` per bucket a pass reached (counted as it is entered: a
     stop may fold the counters of a retired SMR slot), ``declined`` per
     declined bucket; ``walked`` is the walk's to count.
+
+    A repeated delivery — a Byzantine seat's replay, or a network's copy,
+    which lands in a later bucket than its original (``Network.
+    _sparse_dispatch``) — fails the kernel's seen-bit test, the one rule.
     """
 
     #: The payload classes whose buckets the kernel delivers: its entries
@@ -382,9 +384,8 @@ class RunKernel:
     #: ``declined``, ``passes`` and ``walks``.
     stat_names: tuple = ()
 
-    def __init__(self, handlers, dup_possible: bool) -> None:
+    def __init__(self, handlers) -> None:
         self._handlers = handlers  # the network's plain handlers (Byzantine dsts)
-        self._dup = dup_possible
         self.vectorised = self.walked = self.declined = 0
         self.passes = self.walks = 0
 
@@ -393,9 +394,6 @@ class RunKernel:
         return dict(zip(self.stat_names, counts))
 
     def __call__(self, run, pos, probe, advance) -> list:
-        if self._dup:
-            self.declined += 1
-            return [-1]
         took: list = []
         k, kinds = pos, self.kinds
         while True:
@@ -478,8 +476,9 @@ class ColumnarVoteDispatch(RunKernel):
     each into ``seen`` / ``counts`` / ``order`` / ``fired``.  Its stops are
     Byzantine recipients (arbitrary handlers) and quorum completions (which
     can record a decision and flip the stop probe).  Every (signer,
-    recipient) pair occurs once in a group (VRF samples are drawn without
-    replacement, a broadcast lists each recipient once), a delivery only
+    recipient) pair occurs once in a group (its signers are distinct, and a
+    bucket lists each recipient once; a copy of a vote that an earlier
+    group counted fails the seen-bit test), a delivery only
     mutates its own recipient's columns, and no stop reads another
     recipient's, so applying the group in one shot reorders nothing
     observable.  An early end (the probe, a refused boundary) leaves the
@@ -507,9 +506,8 @@ class ColumnarVoteDispatch(RunKernel):
         state: ColumnarVoteState,
         token,
         votes,
-        dup_possible: bool = False,
     ) -> None:
-        super().__init__(handlers, dup_possible)
+        super().__init__(handlers)
         self.kinds = tuple(votes)  # the protocol's vote payload types
         self._config = config
         self._crypto = crypto
@@ -744,13 +742,10 @@ class ColumnarVoteDispatch(RunKernel):
         bits = np.array([1 << (s & 63) for s in signers], dtype=np.uint64)
         bit_of = np.repeat(bits, lens)
         seen = slot.seen.reshape(-1)
-        fresh, byz = elig, None
-        if state.has_byz:
-            # Replayed envelopes fail the seen-bit test.  (With no Byzantine
-            # replica a correct sender multicasts each vote exactly once,
-            # and nothing in a bucket is a handler stop.)
-            fresh = elig & ((seen[word_of] & bit_of) == 0)
-            byz = ~state.correct[D]
+        # A repeated vote — replayed by a Byzantine seat, or copied by the
+        # network — fails the seen-bit test.
+        fresh = elig & ((seen[word_of] & bit_of) == 0)
+        byz = ~state.correct[D] if state.has_byz else None
         # Arrival rank of every fresh vote at its recipient, in bucket
         # order: the k-th fresh vote for ``d`` lands at ``counts[d] + k``,
         # is new while that is below q (counts latch there) and fires at

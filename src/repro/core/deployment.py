@@ -99,15 +99,11 @@ class InstanceStack:
     #: Extra constructor arguments of the instance's honest replicas.
     replica_kwargs: dict = {}
 
-    def __init__(
-        self, config, crypto, correct_ids, handlers, dup_possible=False
-    ) -> None:
+    def __init__(self, config, crypto, correct_ids, handlers) -> None:
         self.config = config
         self.crypto = crypto
         self.replicas: Dict[ReplicaId, object] = {}
-        self.wishes = WishDispatch(
-            config.n, config.f, crypto.signatures, {}, handlers, dup_possible
-        )
+        self.wishes = WishDispatch(config.n, config.f, crypto.signatures, {}, handlers)
         self.kernels: Dict[type, Callable] = {Wish: self.wishes}
         self.inspect: Optional[Callable] = None
 
@@ -172,7 +168,6 @@ class Deployment:
         self.config = config
         self.seed = seed
         self.reference = reference
-        self.duplicate_prob = duplicate_prob
         self.sim = Simulator()
         self.network = Network(
             self.sim,
@@ -230,11 +225,7 @@ class Deployment:
         if self.reference or self.stack_class is None:
             return None
         return self.stack_class(
-            self.config,
-            self.crypto,
-            self._correct_ids,
-            self.network._handlers,
-            self.duplicate_prob > 0.0,
+            self.config, self.crypto, self._correct_ids, self.network._handlers
         )
 
     def _replica_factory(self, values, timeout_policy) -> Callable:
@@ -351,9 +342,11 @@ class Deployment:
         buckets each; ``vote_chains``: the scalar walks that applied the
         ``walked`` ones, whatever their recipient count.  ``wish_vectorised`` / ``wish_scalar`` / ``wish_declined``:
         Wish buckets applied by the wish kernel's array pass or its
-        scalar walk, or declined to the per-recipient loop because the
-        network may duplicate; ``wish_passes`` / ``wish_walks``: the
-        passes and walks that applied them.
+        scalar walk, or declined to the per-recipient loop (only by the
+        SMR router, for a recipient that has not opened the slot);
+        ``wish_passes`` / ``wish_walks``: the passes and walks that applied
+        them.  A network's copies ride the kernels like any vote or Wish: a
+        repeated one fails the recipient's seen-bit test.
         ``validated`` / ``validated_reused``: recipient-independent checks
         (signatures, VRF proofs, vote tokens, proposals, NewLeaders,
         certificates) that were computed / answered from the verdict table,

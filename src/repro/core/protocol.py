@@ -33,10 +33,8 @@ class ProBFTStack(InstanceStack):
 
     replica_class = ProBFTReplica
 
-    def __init__(
-        self, config, crypto, correct_ids, handlers, dup_possible=False
-    ) -> None:
-        super().__init__(config, crypto, correct_ids, handlers, dup_possible)
+    def __init__(self, config, crypto, correct_ids, handlers) -> None:
+        super().__init__(config, crypto, correct_ids, handlers)
         protocol = self.replica_class
         self.state = ColumnarVoteState(
             config.n, protocol.quorum(config), correct_ids
@@ -51,7 +49,6 @@ class ProBFTStack(InstanceStack):
             self.state,
             protocol.vote_token,
             protocol.VOTES,
-            dup_possible=dup_possible,
         )
         self.kernels.update(dict.fromkeys(protocol.VOTES, self.votes))
         self.inspect = self.votes.inspect

@@ -299,13 +299,14 @@ class Network:
         # Networks may duplicate messages (standard async-network behaviour);
         # receivers must be idempotent (sender dedup in quorum collectors).
         # The duplicate obeys the same partial-synchrony bound, stated from
-        # the original send time: no later than max(now, GST) + 2Δ.
+        # the original send time: no later than max(now, GST) + 2Δ — and
+        # strictly after the original, a positive delay before that bound.
         if self._dup_rng is not None and self._dup_rng.random() < self._duplicate_prob:
             dup_delivery = min(
                 delivery + self._latency.delay(src, dst),
                 max(now, self._gst) + 2 * self._latency.max_delay,
             )
-            self._sim.schedule_at(max(dup_delivery, delivery), deliver)
+            self._sim.schedule_at(dup_delivery, deliver)
         return delivery
 
     def _message_size(self, message: object) -> Optional[int]:
@@ -351,6 +352,11 @@ class Network:
         first-seen order, and recipients within a bucket keep target order —
         together with the kernel's tie-break-by-scheduling-order this makes
         the delivery interleaving identical to dense mode.
+
+        A bucket lists each recipient once, duplication or not: a target's
+        copy lands strictly after its original (every latency model's delay
+        is positive, and ``dup_deadline`` is later than ``deadline``), so in
+        another bucket.  A recipient drops the copy by its seen-bit test.
         """
         if self._inspect is not None:
             self._inspect(src, message)
@@ -395,9 +401,8 @@ class Network:
                 else:
                     bucket.append(dst)
                 if dup_rng is not None and dup_rng.random() < self._duplicate_prob:
-                    dup_delivery = max(
-                        min(delivery + self._latency.delay(src, dst), dup_deadline),
-                        delivery,
+                    dup_delivery = min(
+                        delivery + self._latency.delay(src, dst), dup_deadline
                     )
                     dup_bucket = buckets.get(dup_delivery)
                     if dup_bucket is None:

@@ -322,9 +322,6 @@ class WishDispatch(RunKernel):
             is switched to its column of the shared state here.  More may
             :meth:`attach` later (SMR replicas open a slot one by one).
         handlers: the network's plain handlers (Byzantine recipients).
-        dup_possible: the network may duplicate messages, so a recipient may
-            appear twice in one bucket; every Wish bucket is then declined
-            to the per-recipient loop.
 
     Nothing it does depends on what was sent before, so it inspects no
     send.  A walk is one stretch of walked buckets between passes.
@@ -342,9 +339,8 @@ class WishDispatch(RunKernel):
         signatures: SignatureScheme,
         syncs: Dict[ReplicaId, ViewSynchronizer],
         handlers: Dict[ReplicaId, Callable],
-        dup_possible: bool = False,
     ) -> None:
-        super().__init__(handlers, dup_possible)
+        super().__init__(handlers)
         self._relay_at = f + 1
         self._enter_at = 2 * f + 1
         self._signatures = signatures

@@ -1,10 +1,12 @@
 """Tests for the partially synchronous network."""
 
+from functools import partial
+
 import pytest
 
 from repro.errors import NotRegisteredError
 from repro.net.faults import Partition, PreGstChaos
-from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.latency import ConstantLatency, ExponentialLatency, UniformLatency
 from repro.net.network import Network, message_type_name
 from repro.net.simulator import Simulator
 from repro.net.transport import Transport
@@ -153,6 +155,96 @@ class TestTransport:
         t.schedule(5.0, lambda: fired.append(t.now))
         sim.run()
         assert fired == [5.0]
+
+
+class TestCopiesLandAfterTheirOriginals:
+    """What lets the kernels take a duplicating network's buckets: a copy
+    lands strictly after its original (every latency model's delay is
+    positive, and a copy's deadline is a Δ after its original's), so a
+    coalesced bucket lists each recipient once."""
+
+    N, GST, DELTA = 16, 5.0, 2.0
+    LATENCIES = {
+        "constant": lambda: ConstantLatency(2.0),
+        "uniform": lambda: UniformLatency(low=0.5, high=2.0, seed=3),
+        "exponential": lambda: ExponentialLatency(mean=0.5, cap=2.0, seed=3),
+    }
+
+    def _broadcasts(self, latency, coalesced):
+        """Every replica broadcasts at t = 0, 1, ..., 9 on a network that
+        copies 90% of deliveries, its pre-GST chaos pushing originals onto
+        their deadline.  Answers, per broadcast, the buckets posted
+        (coalesced) or each target's ``(send time, dst, original, copy)``
+        as the per-message path schedules them (``copy`` None: none)."""
+        sim = Simulator()
+        net = Network(
+            sim, self.N, latency=self.LATENCIES[latency](), gst=self.GST,
+            chaos=PreGstChaos(max_extra=50.0, seed=2),
+            duplicate_prob=0.9, duplicate_seed=4,
+        )
+        for r in range(self.N):
+            net.register(r, lambda src, msg: None)
+        fan_outs = []
+
+        def broadcast(r):
+            fan_outs.append([])
+            net.broadcast(r, ("m", r))
+
+        for t in range(10):
+            for r in range(self.N):
+                sim.schedule_at(float(t), partial(broadcast, r))
+        if coalesced:
+            net.use_kernel({})  # every bucket to the per-recipient loop
+            post_all = sim.post_all
+
+            def posted(receiver, items):
+                fan_outs[-1] += [(time, dsts) for time, (_, _, dsts) in items]
+                post_all(receiver, items)
+
+            sim.post_all = posted
+        else:
+            schedule_at, send, times = sim.schedule_at, net.send, []
+
+            def scheduled(time, callback):
+                times.append(time)
+                return schedule_at(time, callback)
+
+            def sent(src, dst, message):
+                times.clear()
+                original = send(src, dst, message)
+                copy = times[1] if len(times) > 1 else None
+                fan_outs[-1].append((sim.now, dst, original, copy))
+                return original
+
+            sim.schedule_at, net.send = scheduled, sent
+        sim.run()
+        return fan_outs
+
+    @pytest.mark.parametrize("latency", sorted(LATENCIES))
+    def test_a_bucket_lists_each_recipient_once(self, latency):
+        dense = self._broadcasts(latency, coalesced=False)
+        coalesced = self._broadcasts(latency, coalesced=True)
+        assert len(dense) == len(coalesced) == 10 * self.N
+        clamped = copied = 0
+        for deliveries, buckets in zip(dense, coalesced):
+            for now, dst, original, copy in deliveries:
+                deadline = max(now, self.GST) + self.DELTA
+                clamped += now < self.GST and original == deadline
+                if copy is not None:
+                    copied += 1
+                    assert original < copy <= deadline + self.DELTA
+            for _, dsts in buckets:
+                assert len(set(dsts)) == len(dsts)
+            # The same draws: the buckets hold the per-message path's deliveries.
+            assert sorted(
+                (time, dst) for time, dsts in buckets for dst in dsts
+            ) == sorted(
+                (time, dst)
+                for _, dst, original, copy in deliveries
+                for time in (original, copy)
+                if time is not None
+            )
+        assert clamped > 1000 and copied > 0.85 * len(dense) * (self.N - 1)
 
 
 class TestDuplication:

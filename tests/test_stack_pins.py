@@ -116,16 +116,21 @@ def test_pbft_rides_the_vote_kernel(latency, route):
     assert routes[route] > 0 and routes["declined"] == 0, routes
 
 
-def test_pbft_duplication_delivers_what_the_oracle_delivers():
-    """A kernel-applied vote its recipient no longer counts is not
-    delivered, so delivered counts equal the oracle's where every vote
-    bucket is declined and delivered whole: under duplication."""
+def test_pbft_duplication_rides_the_vote_kernel():
+    """A duplicating network's copies are walked like any vote, and the
+    seen-bit test drops them: the trial equals the oracle, nothing is
+    declined, and a vote its recipient no longer counts is not delivered,
+    as in every other cell (the oracle delivers 20,537: 11,092 Prepares,
+    9,324 Commits)."""
     spec = _spec(100, 33, "duplication", "exponential", seed=4, protocol="pbft")
-    tabled, table_free = TrialContext(spec), TrialContext(reference_spec(spec))
-    assert tabled.execute() == table_free.execute()
-    ours = tabled.deployment.network.stats
-    theirs = table_free.deployment.network.stats
-    assert ours.delivered_total == theirs.delivered_total > 0
-    assert ours.delivered_by_type == theirs.delivered_by_type
-    routes = tabled.deployment.vote_kernel_stats()
-    assert routes["declined"] > 0 and routes["walked"] == routes["vectorised"] == 0
+    context = TrialContext(spec)
+    assert context.execute() == run_trial(reference_spec(spec))
+    stats = context.deployment.network.stats
+    assert stats.delivered_total == 15157
+    assert dict(stats.delivered_by_type) == dict(
+        PbftPropose=121, PbftPrepare=7684, PbftCommit=7352
+    )
+    assert context.deployment.sim.events_processed == 20736
+    routes = context.deployment.vote_kernel_stats()
+    assert routes["declined"] == routes["wish_declined"] == 0
+    assert routes["walked"] > 0, routes
