@@ -194,7 +194,8 @@ class DeploymentSpec:
 
         The latency model and chaos policy draw from seeded streams as the
         trial runs, so the deployment gets copies: a spec is data, and
-        building it twice runs the same trial twice.
+        building it twice runs the same trial twice
+        (:class:`~repro.net.latency.Seeded`).
         """
         return deployment_factory(self.protocol)(
             self.config,

@@ -14,6 +14,7 @@ import random
 from typing import FrozenSet, Iterable, Optional
 
 from ..types import ReplicaId
+from .latency import Seeded
 
 
 class ChaosPolicy(abc.ABC):
@@ -40,7 +41,7 @@ class NoChaos(ChaosPolicy):
         return 0.0
 
 
-class PreGstChaos(ChaosPolicy):
+class PreGstChaos(Seeded, ChaosPolicy):
     """Random large delays for messages sent before GST.
 
     Each pre-GST message independently receives an extra delay drawn

@@ -5,17 +5,23 @@ Post-GST, every model guarantees delays in ``(0, max_delay]`` — the paper's
 protocol* (the synchronizer's timeouts adapt); the simulation of course knows
 it so it can enforce partial synchrony.
 
-A model is asked once per *fan-out* (:meth:`LatencyModel.delays`); the draws
-behind its answer are still one per target in target order, so the seeded
-stream is the same whoever asks, a fan-out or ``n`` unicasts.
+A model is asked once per *fan-out* (:meth:`LatencyModel.delays`): a list of
+one float per target, drawn in target order (the stream ``n`` unicasts draw),
+or the one float all share; the network gives distinct times a bucket each and
+merges a tie.  Clamps are comparisons, not ``min``/``max`` calls (a fifth of a
+delivery's send cost), picking the builtins' float: ``max(x, lo)`` keeps ``x``
+unless ``lo > x``, ``min(x, cap)`` unless ``cap < x``, a NaN too (DESIGN.md,
+*The send side*).  A :class:`Seeded` model deep-copies via its generator's
+``getstate`` (~10x cheaper than walking its 625 words).
 """
 
 from __future__ import annotations
 
 import abc
+import copy
 import random
 from math import log
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from ..types import ReplicaId
 
@@ -32,15 +38,26 @@ class LatencyModel(abc.ABC):
     def delay(self, src: ReplicaId, dst: ReplicaId) -> float:
         """Delay for one message from ``src`` to ``dst``; must be > 0."""
 
-    def delays(self, src: ReplicaId, dsts: Sequence[ReplicaId]) -> list:
-        """One fan-out's delays: ``(delay, targets)`` groups covering
-        ``dsts`` in order — by default one :meth:`delay` per target."""
-        return [(self.delay(src, dst), (dst,)) for dst in dsts]
+    def delays(self, src: ReplicaId, dsts: Sequence[ReplicaId]) -> Union[float, list]:
+        """One fan-out's delays: a list of one delay per target of ``dsts``,
+        in order — by default one :meth:`delay` each — or the one delay
+        (not a list) that every target shares."""
+        return [self.delay(src, dst) for dst in dsts]
 
     @property
     @abc.abstractmethod
     def max_delay(self) -> float:
         """The (simulation-known) upper bound Δ on post-GST delays."""
+
+
+class Seeded:
+    """Draws from its own ``random.Random``, ``_rng``, all else immutable (module doc)."""
+
+    def __deepcopy__(self, memo):
+        clone = copy.copy(self)
+        clone._rng = random.Random.__new__(random.Random)
+        clone._rng.setstate(self._rng.getstate())
+        return clone
 
 
 class ConstantLatency(LatencyModel):
@@ -55,15 +72,15 @@ class ConstantLatency(LatencyModel):
         return self._value
 
     def delays(self, src, dsts):
-        # No draw to make: the whole fan-out is one group, ``dsts`` uncopied.
-        return [(self._value, dsts)] if dsts else []
+        # No draw to make: one delay for the whole fan-out.
+        return self._value
 
     @property
     def max_delay(self) -> float:
         return self._value
 
 
-class UniformLatency(LatencyModel):
+class UniformLatency(Seeded, LatencyModel):
     """Delays drawn uniformly from ``[low, high]``."""
 
     def __init__(self, low: float = 0.5, high: float = 1.5, seed: int = 0) -> None:
@@ -81,7 +98,7 @@ class UniformLatency(LatencyModel):
         return self._high
 
 
-class ExponentialLatency(LatencyModel):
+class ExponentialLatency(Seeded, LatencyModel):
     """Exponential delays with the given mean, truncated at ``cap``.
 
     Truncation keeps the model inside partial synchrony: post-GST delays must
@@ -98,16 +115,18 @@ class ExponentialLatency(LatencyModel):
         if self._cap < mean:
             raise ValueError(f"cap {self._cap} must be >= mean {mean}")
         self._rng = random.Random(f"exponential-latency:{seed}")
+        self._rate = 1.0 / mean
+        # (``cap if x > cap else lo if x < lo else x`` is min(max(x, 1e-9), cap) for every x.)
+        self._lo = min(1e-9, self._cap)
 
     def delay(self, src: ReplicaId, dst: ReplicaId) -> float:
-        return self.delays(src, (dst,))[0][0]
+        x = -log(1.0 - self._rng.random()) / self._rate  # ``expovariate``, bit for bit
+        return self._cap if x > self._cap else self._lo if x < self._lo else x
 
     def delays(self, src, dsts):
-        # ``expovariate(rate)`` inlined: the same draw, bit for bit.
-        draw, rate, cap = self._rng.random, 1.0 / self._mean, self._cap
-        return [
-            (min(max(-log(1.0 - draw()) / rate, 1e-9), cap), (dst,)) for dst in dsts
-        ]
+        draw, rate, cap, lo = self._rng.random, self._rate, self._cap, self._lo
+        return [cap if (x := -log(1.0 - draw()) / rate) > cap else lo if x < lo else x
+                for _ in dsts]
 
     @property
     def max_delay(self) -> float:

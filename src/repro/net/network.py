@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from ..crypto.hashing import stable_encode
 from ..errors import NotRegisteredError
@@ -83,6 +83,7 @@ class MessageStats:
     __slots__ = (
         "_sent",
         "_delivered",
+        "_sent_kinds",
         "_delivered_kinds",
         "_bytes",
         "sent_by_replica",
@@ -99,7 +100,8 @@ class MessageStats:
         index: Dict[str, int] = {}
         self._sent = IndexedCounter(index)
         self._delivered = IndexedCounter(index)
-        # (message class, payload class) -> slot, once delivered.
+        # (message class, payload class) -> slot, once sent / delivered.
+        self._sent_kinds: Dict[tuple, int] = {}
         self._delivered_kinds: Dict[tuple, int] = {}
         self._bytes = IndexedCounter(index)
         self.sent_by_replica: Counter = Counter()
@@ -120,11 +122,6 @@ class MessageStats:
     def bytes_by_type(self) -> Counter:
         return self._bytes.as_counter()
 
-    def record_send(
-        self, src: ReplicaId, message: object, size: Optional[int] = None
-    ) -> None:
-        self.record_multicast(src, message, 1, size)
-
     def record_multicast(
         self,
         src: ReplicaId,
@@ -136,12 +133,15 @@ class MessageStats:
         Figure-1b accounting is unchanged by coalescing)."""
         if count <= 0:
             return
-        name = message_type_name(message)
-        self._sent.bump(name, count)
+        kind = (message.__class__, getattr(message, "payload", None).__class__)
+        slot = self._sent_kinds.get(kind)
+        if slot is None:  # (as ``record_run`` resolves a delivered kind)
+            slot = self._sent_kinds[kind] = self._sent.slot(message_type_name(message))
+        self._sent.add(slot, count)
         self.sent_by_replica[src] += count
         self.sent_total += count
         if size is not None:
-            self._bytes.bump(name, count * size)
+            self._bytes.bump(message_type_name(message), count * size)
             self.bytes_total += count * size
 
     def record_delivery(self, message: object) -> None:
@@ -207,6 +207,9 @@ class Network:
         )
         self._track_bytes = track_bytes
         self._handlers: Dict[ReplicaId, DeliveryHandler] = {}
+        #: Registered ids (a fan-out's check) and a one-target bucket's recipients.
+        self._ids: set = set()
+        self._singles: Dict[ReplicaId, tuple] = {}
         #: The kernel table (:meth:`use_kernel`; ``None``: dense mode).
         self.kernels: Optional[Dict[type, Callable]] = None
         self._inspect: Optional[Callable[[ReplicaId, object], None]] = None
@@ -237,6 +240,8 @@ class Network:
         if not 0 <= replica < self._n:
             raise NotRegisteredError(f"replica {replica} out of range [0, {self._n})")
         self._handlers[replica] = handler
+        self._ids.add(replica)
+        self._singles[replica] = (replica,)
 
     def use_kernel(self, kernels, inspect=None) -> None:
         """Coalesce fan-outs and hand each bucket to its kind's kernel.
@@ -271,6 +276,8 @@ class Network:
     def disconnect(self) -> None:
         """Forget every registered handler (deployment teardown)."""
         self._handlers.clear()
+        self._ids.clear()
+        self._singles.clear()
         self.kernels = self._inspect = None
         self.stop_probe = None
 
@@ -280,15 +287,8 @@ class Network:
             raise NotRegisteredError(f"no handler registered for replica {dst}")
         if self._inspect is not None:
             self._inspect(src, message)
-        now = self._sim.now
-        base = self._latency.delay(src, dst)
-        extra = self._chaos.extra_delay(now, self._gst, src, dst)
-        delivery = now + base + extra
-        # Partial synchrony: delivery no later than max(now, GST) + Δ.
-        deadline = max(now, self._gst) + self._latency.max_delay
-        delivery = min(delivery, deadline)
-        delivery = max(delivery, now + 1e-12)  # strictly in the future
-        self.stats.record_send(src, message, size=self._message_size(message))
+        (delivery, _), *copies = self._draws(src, (dst,))
+        self.stats.record_multicast(src, message, 1, size=self._message_size(message))
         handler = self._handlers[dst]
 
         def deliver() -> None:
@@ -296,18 +296,29 @@ class Network:
             handler(src, message)
 
         self._sim.schedule_at(delivery, deliver)
-        # Networks may duplicate messages (standard async-network behaviour);
-        # receivers must be idempotent (sender dedup in quorum collectors).
-        # The duplicate obeys the same partial-synchrony bound, stated from
-        # the original send time: no later than max(now, GST) + 2Δ — and
-        # strictly after the original, a positive delay before that bound.
-        if self._dup_rng is not None and self._dup_rng.random() < self._duplicate_prob:
-            dup_delivery = min(
-                delivery + self._latency.delay(src, dst),
-                max(now, self._gst) + 2 * self._latency.max_delay,
-            )
-            self._sim.schedule_at(dup_delivery, deliver)
+        for copy, _ in copies:
+            self._sim.schedule_at(copy, deliver)
         return delivery
+
+    def _draws(self, src: ReplicaId, dsts: Sequence[ReplicaId]) -> Iterator[tuple]:
+        """``(time, target)`` per delivery, drawn per target in dense's order
+        (latency, chaos, the duplication coin, a copy's latency): by max(now,
+        GST) + Δ, strictly in the future (clamps as comparisons: latency.py);
+        a copy (receivers are idempotent) by max(now, GST) + 2Δ, after it."""
+        now, gst, latency, chaos = self._sim.now, self._gst, self._latency, self._chaos
+        dup_rng, duplicate_prob = self._dup_rng, self._duplicate_prob
+        deadline = (gst if gst > now else now) + latency.max_delay
+        dup_deadline = (gst if gst > now else now) + 2 * latency.max_delay
+        for dst in dsts:
+            delivery = now + latency.delay(src, dst) + chaos.extra_delay(now, gst, src, dst)
+            if delivery > deadline:
+                delivery = deadline
+            if delivery < now + 1e-12:
+                delivery = now + 1e-12
+            yield delivery, dst
+            if dup_rng is not None and dup_rng.random() < duplicate_prob:
+                copy = delivery + latency.delay(src, dst)
+                yield (dup_deadline if copy > dup_deadline else copy), dst
 
     def _message_size(self, message: object) -> Optional[int]:
         """Canonical-encoding size in bytes (None when tracking is off).
@@ -340,81 +351,76 @@ class Network:
         targets = list(range(self._n))
         if not include_self and 0 <= src < self._n:
             del targets[src]
+        if self.kernels is not None and len(self._ids) == self._n:
+            # (Ids of ``range(n)``, every one registered: nothing to check.)
+            self._sparse_dispatch(src, targets, message, checked=True)
+            return
         self.multicast(src, targets, message)
 
     def _sparse_dispatch(
-        self, src: ReplicaId, targets: Iterable[ReplicaId], message: object
+        self, src: ReplicaId, targets: Iterable[ReplicaId], message: object,
+        checked: bool = False,
     ) -> None:
         """Coalesced fan-out: one simulator event per distinct delivery time.
 
         Latency/chaos/duplication draws happen per target in dense's target
-        order, buckets are created in
-        first-seen order, and recipients within a bucket keep target order —
-        together with the kernel's tie-break-by-scheduling-order this makes
-        the delivery interleaving identical to dense mode.
+        order, buckets are created in first-seen order, and recipients within
+        a bucket keep target order — together with the kernel's
+        tie-break-by-scheduling-order this makes the delivery interleaving
+        identical to dense mode.  Without chaos or duplication the model's one
+        answer is the fan-out: a shared delay is one bucket, distinct times
+        one bucket each (its replica's ``(dst,)``), a tie merges (DESIGN.md,
+        *The send side*).  Targets are checked before anything is queued
+        (``checked``: a broadcast's, all registered, are known to pass).
 
         A bucket lists each recipient once, duplication or not: a target's
         copy lands strictly after its original (every latency model's delay
         is positive, and ``dup_deadline`` is later than ``deadline``), so in
         another bucket.  A recipient drops the copy by its seen-bit test.
         """
-        if self._inspect is not None:
-            self._inspect(src, message)
-        now = self._sim.now
-        gst_floor = max(now, self._gst)
-        deadline = gst_floor + self._latency.max_delay
-        dup_deadline = gst_floor + 2 * self._latency.max_delay
-        floor = now + 1e-12  # strictly in the future
-        dup_rng = self._dup_rng
-        buckets: Dict[float, list] = {}  # in first-seen order
         # Callers never mutate the target sequence after dispatch, so lists
         # and tuples (VRF sample slices) pass through uncopied.
         dsts = targets if type(targets) in (list, tuple) else list(targets)
-        pure = dup_rng is None and type(self._chaos) is NoChaos
-        if not pure or len(self._handlers) != self._n:
-            # (Pure model, fully-wired network — every deployment: cannot fail.)
-            for dst in dsts:
-                if dst not in self._handlers:
-                    raise NotRegisteredError(
-                        f"no handler registered for replica {dst}"
-                    )
-        if pure:
-            # No chaos, no duplication: nothing is asked per target but its
-            # delay, and that of the latency model in one call (same draws).
-            for base, group in self._latency.delays(src, dsts):
-                delivery = now + base
-                if delivery > deadline:
-                    delivery = deadline
-                if delivery < floor:
-                    delivery = floor
-                if delivery in buckets:  # clamped onto another group's time
-                    group = [*buckets[delivery], *group]
-                buckets[delivery] = group
+        now, latency, singles = self._sim.now, self._latency, self._singles
+        floor = now + 1e-12  # strictly in the future (see :meth:`_draws`)
+        deadline = max(max(now, self._gst) + latency.max_delay, floor)  # (so the clamp is exact)
+        pairs = None  # (time, target) per delivery, when a merge is due
+        pure = self._dup_rng is None and type(self._chaos) is NoChaos
+        delays = latency.delays(src, dsts) if pure else None
+        if delays.__class__ is list:
+            try:
+                items = [(src, message, singles[dst]) for dst in dsts]
+            except KeyError:
+                raise self._unregistered(dsts) from None
+            times = [floor if (at := now + d) < floor else deadline if at > deadline else at
+                     for d in delays]
+            if len(set(times)) != len(times):  # a tie
+                pairs = zip(times, dsts)
+        elif not (checked or self._ids.issuperset(dsts)):
+            raise self._unregistered(dsts)
+        elif pure:  # one delay for every target (a clamp a fan-out)
+            times = [max(min(now + delays, deadline), floor)] if dsts else []
+            items = [(src, message, dsts)] if dsts else []
         else:
-            for dst in dsts:
-                base = self._latency.delay(src, dst)
-                extra = self._chaos.extra_delay(now, self._gst, src, dst)
-                delivery = max(min(now + base + extra, deadline), floor)
-                bucket = buckets.get(delivery)
-                if bucket is None:
-                    buckets[delivery] = bucket = [dst]
-                else:
-                    bucket.append(dst)
-                if dup_rng is not None and dup_rng.random() < self._duplicate_prob:
-                    dup_delivery = min(
-                        delivery + self._latency.delay(src, dst), dup_deadline
-                    )
-                    dup_bucket = buckets.get(dup_delivery)
-                    if dup_bucket is None:
-                        buckets[dup_delivery] = [dst]
-                    else:
-                        dup_bucket.append(dst)
+            pairs = self._draws(src, dsts)
+        if pairs is not None:
+            buckets: Dict[float, list] = {}  # in first-seen order
+            for time_, dst in pairs:
+                buckets.setdefault(time_, []).append(dst)
+            times = list(buckets)
+            items = [(src, message, group) for group in buckets.values()]
+        # All or nothing (a NaN is refused here); then the hook, which still
+        # sees the message before any delivery: none runs before we return.
+        self._sim.post_all(self, times, items)
+        if self._inspect is not None:
+            self._inspect(src, message)
         self.stats.record_multicast(
             src, message, len(dsts), size=self._message_size(message)
         )
-        self._sim.post_all(
-            self, [(time_, (src, message, group)) for time_, group in buckets.items()]
-        )
+
+    def _unregistered(self, dsts: Sequence[ReplicaId]) -> NotRegisteredError:
+        dst = next(dst for dst in dsts if dst not in self._handlers)
+        return NotRegisteredError(f"no handler registered for replica {dst}")
 
     def deliver_run(self, run: list, advance: Callable[[int], bool]) -> None:
         """Deliver a run of coalesced buckets (the simulator's receiver

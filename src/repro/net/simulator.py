@@ -17,8 +17,8 @@ otherwise grow the backlog without bound.
 
 Fan-outs reach the kernel coalesced (one delivery per distinct delivery
 time, see :mod:`repro.net.network`) and as *data*: :meth:`Simulator.post_all`
-numbers a fan-out's ``(time, item)`` deliveries in the order given, sorts
-them by ``(time, seq)`` once and queues **one** entry, a plain list
+numbers a fan-out's deliveries (its times and items) in the order given,
+sorts them by ``(time, seq)`` once and queues **one** entry, a plain list
 ``[time, seq, receiver, sim, item, rest]`` that is never handed out: the
 earliest delivery, and the later ones as ``(time, seq, item)`` records in
 ``rest``, reverse-sorted.  When the entry leaves the head of the heap, the
@@ -59,7 +59,7 @@ import itertools
 import math
 import weakref
 from operator import itemgetter
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..errors import SimulationError
 
@@ -220,28 +220,27 @@ class Simulator:
         it leaves the queue inside a run, a ``receiver.deliver_run(items,
         advance)`` call.  An event like any other to the counters and
         budgets, but without a handle (only :meth:`clear` cancels it)."""
-        self.post_all(receiver, ((time, item),))
+        self.post_all(receiver, (time,), (item,))
 
-    def post_all(self, receiver, timed_items) -> None:
-        """:meth:`post_at` for every ``(time, item)`` pair — a fan-out, queued
-        as one entry.  Each pair is still a delivery of its own, numbered in
-        the order given; all are queued, or (a time in the past) none."""
-        now, seq, records = self._now, self._seq, []
-        for time, item in timed_items:
-            if not time >= now:  # (NaN included)
-                raise SimulationError(f"cannot schedule at {time} < now ({now})")
-            records.append((time, next(seq), item))
-        if records:
-            self._live += len(records)
-            if len(records) > 1:
-                # The cursor: reverse (time, seq) order, next record last.
-                # Numbered in order, so a stable sort on times is that order.
-                records.sort(key=_time)
-                records.reverse()
-            time, first, item = records.pop()
-            # (A one-delivery fan-out keeps no empty list alive while queued.)
-            rest = records or None
-            heapq.heappush(self._heap, [time, first, receiver, self._ref, item, rest])
+    def post_all(self, receiver, times: Sequence[float], items: Sequence) -> None:
+        """:meth:`post_at` for ``items[i]`` at ``times[i]``, every ``i``: a
+        fan-out queued as one entry, each record a delivery of its own,
+        numbered in the order given; all queued, or (a past time, NaN) none."""
+        if not times:
+            return
+        now = self._now
+        total = sum(times)  # (a NaN, which ``min`` may skip, makes it NaN)
+        if not (min(times) >= now and total == total):
+            time = next(time for time in times if not time >= now)
+            raise SimulationError(f"cannot schedule at {time} < now ({now})")
+        # The cursor, next record last (numbered in order: a stable sort on times).
+        records = list(zip(times, self._seq, items))
+        records.sort(key=_time)
+        records.reverse()
+        time, first, item = records.pop()
+        self._live += len(times)
+        # (A one-delivery fan-out keeps no empty list alive while queued.)
+        heapq.heappush(self._heap, [time, first, receiver, self._ref, item, records or None])
 
     def clear(self) -> None:
         """Cancel every pending event (deployment teardown)."""

@@ -34,7 +34,9 @@ from repro.harness.trial import TrialContext, run_trial
 from repro.messages.hotstuff import HsProposal
 from repro.messages.pbft import PbftPropose
 from repro.messages.probft import Propose
-from repro.net.network import message_kind
+from repro.net.latency import ConstantLatency, ExponentialLatency
+from repro.net.network import Network, message_kind
+from repro.net.simulator import Simulator
 
 
 def _counting_calls(run):
@@ -77,6 +79,32 @@ def test_calls_per_event_stay_within_budget(protocol, max_time, events, budget):
     assert result.all_decided
     assert processed == events  # the same trial: only who calls may move
     assert calls / processed <= budget, (calls, processed, calls / processed)
+
+
+@pytest.mark.parametrize(
+    "latency, bound",
+    [(ConstantLatency(1.0), 10), (ExponentialLatency(mean=1.0, cap=50.0, seed=1), 13)],
+    ids=["constant", "exponential"],
+)
+def test_send_side_calls_do_not_grow_with_fan_out(latency, bound):
+    """A coalesced fan-out, draw to queued records, is a fixed few Python
+    frames whatever its size: nothing on the send side is called per
+    target.  13 with the exponential model (its draws, the times and the
+    buckets are a comprehension each), 10 with a constant one."""
+    sim = Simulator()
+    network = Network(sim, 300, latency=latency)
+    for r in range(300):
+        network.register(r, lambda src, message: None)
+    network.use_kernel({})
+    network.multicast(0, [1], "m")  # (the first send of a kind names its counter)
+    sim.clear()
+    counts = []
+    for size in (1, 2, 30, 299):
+        targets = list(range(1, size + 1))
+        _, calls = _counting_calls(lambda: network.multicast(0, targets, "m"))
+        counts.append(calls)
+        sim.clear()
+    assert len(set(counts)) == 1 and counts[0] <= bound, counts
 
 
 def _prove_calls(vrf, proves):

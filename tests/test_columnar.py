@@ -216,7 +216,7 @@ class TestMessageStatsSummaryAccounting:
     def test_counters_rebuild_identically(self):
         stats = MessageStats()
         msg = self._Msg()
-        stats.record_send(1, msg, size=10)
+        stats.record_multicast(1, msg, 1, size=10)
         stats.record_multicast(2, msg, 5, size=7)
         stats.record_delivery(msg)
         stats.record_run([(1, msg, (0, 2, 3, 4))], [4])

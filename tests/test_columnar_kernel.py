@@ -456,30 +456,40 @@ def _random_chain(rng, config, crypto, shape):
 
 
 class TestChainEqualsBuckets:
+    #: How a chain ends, by case in turn: a third refused, a sixth stopped.
+    MODES = ("complete", "refuse", "complete", "stop", "complete", "refuse")
+
     @pytest.mark.parametrize("block", range(6))
     def test_random_chains(self, block):
-        """≥ 300 random chains: one chained delivery and one call per bucket
+        """900 random chains: one chained delivery and one call per bucket
         leave every array, retained message, buffer, the handler-call order,
         the per-bucket delivered counts, the route counters and the number
         of token lookups equal — across quorum crossings, a view flagged
         equivocal by a stop, a refused boundary and a router's sliced view
-        of the run."""
+        of the run.  The mode and the flag go by the case's turn, not by a
+        draw, so every block reaches each guard at the end twice over
+        whatever the generator draws (a flagged view declines its votes and
+        cuts its chains short: a flag on every fifth case keeps chaining).
+        The two periods, 6 and 5, are coprime, so the flag meets every mode
+        (every 30 cases each once), and each block checks that a flag took
+        hold under each of them."""
         rng = random.Random(12_000 + block)
         crossings = flagged = refused = walked = chains = 0
-        for _ in range(60):
+        flagged_modes = set()
+        for case in range(150):
             config, crypto, shape, warmup, run = _random_case(rng)
             one, each = _Fixture(config, crypto, shape), _Fixture(config, crypto, shape)
             never = lambda: False
             for fixture in (one, each):  # identical pasts: a phase under way
                 fixture.deliver_each(warmup + run, None, never)
             pending = _random_chain(rng, config, crypto, shape)
-            mode = rng.choice(["complete", "complete", "stop", "refuse"])
+            mode = self.MODES[case % len(self.MODES)]
             past = len(one.log)
             stops = past + rng.randint(1, 6)
             refuse_at = rng.randint(1, len(pending) - 1) if mode == "refuse" else None
             routed = rng.random() < 0.3
             sliced = (lambda pos: rng.random() < 0.5) if routed else (lambda pos: False)
-            flag_at = past + rng.randint(1, 4) if rng.random() < 0.3 else None
+            flag_at = past + rng.randint(1, 4) if case % 5 == 4 else None
             table = crypto.verdicts.counts
             results, lookups = [], []
             kernel = one.kernel
@@ -505,10 +515,13 @@ class TestChainEqualsBuckets:
             chains += kernel.walks
             crossings += any(kind != "byz" for kind, *_ in one.log[past:])
             flagged += bool(one.kernel._equivocal)
+            if flag_at is not None and one.kernel._equivocal:
+                flagged_modes.add(mode)
             refused += mode == "refuse" and len(results[0]) == refuse_at
         # The generator reaches what it is meant to reach, and chains chain
         # (walks and buckets of the chained deliveries, not of their pasts).
         assert crossings >= 12 and flagged >= 5 and refused >= 5, (crossings, flagged, refused)
+        assert flagged_modes == set(self.MODES), flagged_modes
         assert walked >= 8 * chains
 
     @pytest.mark.parametrize("block", range(2))

@@ -1,8 +1,10 @@
 """Tests for latency models and chaos policies."""
 
+import copy
+
 import pytest
 
-from repro.net.faults import ComposedChaos, NoChaos, Partition, PreGstChaos
+from repro.net.faults import ChaosPolicy, ComposedChaos, NoChaos, Partition, PreGstChaos
 from repro.net.latency import ConstantLatency, ExponentialLatency, UniformLatency
 
 
@@ -58,9 +60,9 @@ class TestExponentialLatency:
         rng = random.Random("exponential-latency:9")
         targets = list(range(2000))
         expected = [min(max(rng.expovariate(1 / 1.5), 1e-9), 4.0) for _ in targets]
-        groups = model.delays(0, targets)
-        assert [delay for delay, _ in groups] == expected
-        assert [group for _, group in groups] == [(t,) for t in targets]
+        delays = model.delays(0, targets)
+        assert type(delays) is list and delays == expected
+        assert 4.0 in delays  # (the cap's comparison is reached)
         assert model.delay(0, 1) == min(max(rng.expovariate(1 / 1.5), 1e-9), 4.0)
 
     def test_invalid_params(self):
@@ -97,3 +99,50 @@ class TestChaosPolicies:
         part = Partition(group_a=[0], heal_time=20.0)
         combo = ComposedChaos([part, NoChaos()])
         assert combo.extra_delay(5.0, 0.0, 0, 1) == 15.0
+
+
+class TestSeededCopies:
+    """A deep copy of a seeded model (what ``DeploymentSpec.build`` hands a
+    deployment) is restored from its generator's state: it draws the
+    original's stream from where the original stands, on its own."""
+
+    MODELS = {
+        "uniform": lambda: UniformLatency(0.5, 1.5, seed=4),
+        "exponential": lambda: ExponentialLatency(mean=1.0, cap=5.0, seed=4),
+        "pre-gst-chaos": lambda: PreGstChaos(max_extra=20.0, seed=4),
+        "composed": lambda: ComposedChaos(
+            [PreGstChaos(max_extra=20.0, seed=4), Partition([0], heal_time=5.0)]
+        ),
+    }
+
+    @staticmethod
+    def _draws(model, k):
+        if isinstance(model, ChaosPolicy):
+            return [model.extra_delay(1.0, 10.0, 0, 1) for _ in range(k)]
+        return [model.delay(0, 1) for _ in range(k)] + model.delays(0, range(k))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_a_copy_draws_the_original_stream(self, name):
+        original = self.MODELS[name]()
+        self._draws(original, 7)  # mid-stream
+        clone = copy.deepcopy(original)
+        assert type(clone) is type(original) and clone is not original
+        assert self._draws(clone, 50) == self._draws(original, 50)
+        # Independent streams: drawing from one leaves the other where it was.
+        ahead = self._draws(clone, 5)
+        assert self._draws(original, 5) == ahead
+
+    def test_a_model_met_twice_is_copied_once(self):
+        """One seeded model reached twice in what is copied (a policy listed
+        twice, a model two owners share) becomes one clone: ``copy.deepcopy``
+        files what ``__deepcopy__`` returns in its memo.  Both places draw
+        from one stream, and the copy draws what the original draws."""
+        chaos = PreGstChaos(max_extra=20.0, seed=4)
+        latency = ExponentialLatency(mean=1.0, cap=5.0, seed=4)
+        original = {"chaos": ComposedChaos([chaos, chaos]), "latency": latency, "again": latency}
+        clone = copy.deepcopy(original)
+        twice = clone["chaos"]._policies
+        assert twice[0] is twice[1] is not chaos
+        assert clone["latency"] is clone["again"] is not latency
+        assert self._draws(clone["chaos"], 50) == self._draws(original["chaos"], 50)
+        assert self._draws(clone["latency"], 20) == self._draws(original["latency"], 20)

@@ -1,12 +1,18 @@
 """Tests for the partially synchronous network."""
 
+import random
 from functools import partial
 
 import pytest
 
-from repro.errors import NotRegisteredError
+from repro.errors import NotRegisteredError, SimulationError
 from repro.net.faults import Partition, PreGstChaos
-from repro.net.latency import ConstantLatency, ExponentialLatency, UniformLatency
+from repro.net.latency import (
+    ConstantLatency,
+    ExponentialLatency,
+    LatencyModel,
+    UniformLatency,
+)
 from repro.net.network import Network, message_type_name
 from repro.net.simulator import Simulator
 from repro.net.transport import Transport
@@ -61,6 +67,194 @@ class TestDelivery:
         net = Network(sim, 4)
         with pytest.raises(NotRegisteredError):
             net.register(7, lambda s, m: None)
+
+
+class TestTargetsAreChecked:
+    """A target that is no registered replica — ``-1``, ``n``, an id that
+    is not an int — is refused at send on every path, before anything is
+    queued or counted (dense delivery refuses it at send too)."""
+
+    PATHS = {
+        "dense": {},
+        "constant": {"coalesced": True},
+        "exponential": {"coalesced": True, "latency": ExponentialLatency(seed=1)},
+        "uniform": {"coalesced": True, "latency": UniformLatency(seed=1)},
+        "chaos": {"coalesced": True, "chaos": PreGstChaos(seed=1), "gst": 50.0},
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("bad", [-1, 4, 99, "2", 1.5, None])
+    def test_a_bad_target_queues_nothing(self, path, bad):
+        options = dict(self.PATHS[path])
+        coalesced = options.pop("coalesced", False)
+        sim, net, inboxes = make_net(**options)
+        if coalesced:
+            net.use_kernel({})
+        targets = [bad, 3] if path == "dense" else [1, bad, 3]
+        with pytest.raises(NotRegisteredError):
+            net.multicast(0, targets, "m")
+        assert sim.pending_events == 0 and sim._heap == []
+        assert net.stats.sent_total == 0
+        net.multicast(0, [1, 3], "m")  # the network still works
+        sim.run()
+        assert inboxes[1] == inboxes[3] == [(0, "m")] and inboxes[2] == []
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_an_empty_fan_out_queues_nothing(self, path):
+        options = dict(self.PATHS[path])
+        coalesced = options.pop("coalesced", False)
+        sim, net, _ = make_net(**options)
+        if coalesced:
+            net.use_kernel({})
+        net.multicast(0, [], "m")
+        assert sim.pending_events == 0 and sim._heap == [] and net.stats.sent_total == 0
+
+    @pytest.mark.parametrize("path", ["constant", "exponential", "chaos"])
+    def test_a_broadcast_checks_what_is_not_registered(self, path):
+        """A broadcast's targets are ``range(n)``: checked like any fan-out's
+        (a replica not registered yet is no target)."""
+        options = dict(self.PATHS[path])
+        options.pop("coalesced")
+        sim = Simulator()
+        net = Network(sim, 4, **options)
+        for r in range(3):
+            net.register(r, lambda src, msg: None)
+        net.use_kernel({})
+        with pytest.raises(NotRegisteredError, match="replica 3"):
+            net.broadcast(0, "m")
+        assert sim.pending_events == 0 and net.stats.sent_total == 0
+        net.register(3, lambda src, msg: None)
+        net.broadcast(0, "m")
+        assert net.stats.sent_total == 3
+
+    def test_a_duplicating_network_checks_too(self):
+        sim = Simulator()
+        net = Network(sim, 4, duplicate_prob=0.5)
+        for r in range(4):
+            net.register(r, lambda src, msg: None)
+        net.use_kernel({})
+        with pytest.raises(NotRegisteredError):
+            net.multicast(0, [1, -1], "m")
+        assert sim.pending_events == 0 and net.stats.sent_total == 0
+
+
+class _Quantized(LatencyModel):
+    """Delays of three values: the default per-target ``delays``, and ties
+    in every fan-out."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def delay(self, src, dst):
+        return self._rng.choice([0.5, 1.0, 1.5])
+
+    @property
+    def max_delay(self):
+        return 1.5
+
+
+def _reference_draws(name):
+    """``(model, draw)``: a model and, independently of its code, the delay
+    each of its draws must give, by the library calls and the builtins."""
+    if name == "constant":
+        return ConstantLatency(2.0), lambda: 2.0
+    if name == "quantized":
+        rng = random.Random(5)
+        return _Quantized(5), lambda: rng.choice([0.5, 1.0, 1.5])
+    if name.startswith("uniform"):
+        low, high = {"uniform": (0.5, 1.5), "uniform-floor": (1e-15, 1e-13)}[name]
+        rng = random.Random("uniform-latency:3")
+        return UniformLatency(low, high, seed=3), lambda: rng.uniform(low, high)
+    mean, cap = {
+        "exponential": (1.0, 5.0),
+        "exponential-capped": (1.0, 1.0),  # a third of the draws tie on the cap
+        "exponential-floor": (1e-9, 1e-8),  # most draws clamped up to 1e-9
+        "exponential-cap-below-floor": (1e-10, 5e-10),
+    }[name]
+    rng = random.Random("exponential-latency:3")
+    return (
+        ExponentialLatency(mean=mean, cap=cap, seed=3),
+        lambda: min(max(rng.expovariate(1 / mean), 1e-9), cap),
+    )
+
+
+class TestFanOutRecords:
+    """What a coalesced fan-out queues — its ``(time, seq, recipients)``
+    records — is what the per-target rule gives: one draw per target in
+    target order, the delivery ``max(min(now + delay, max(now, GST) + Δ),
+    now + 1e-12)``, targets of one time in one bucket (first-seen order,
+    numbered in that order), whatever the model answers a fan-out with."""
+
+    N = 40
+
+    @staticmethod
+    def _queued(sim):
+        (entry,) = sim._heap
+        records = [(entry[0], entry[1], entry[4])] + list(reversed(entry[5] or []))
+        first = min(seq for _, seq, _ in records)
+        return sorted(
+            (time, seq - first, list(item[2])) for time, seq, item in records
+        )
+
+    @staticmethod
+    def _expected(draw, now, gst, delta, dsts):
+        deadline, buckets = max(now, gst) + delta, {}
+        for dst in dsts:
+            time = max(min(now + draw(), deadline), now + 1e-12)
+            buckets.setdefault(time, []).append(dst)
+        return sorted(
+            (time, seq, group) for seq, (time, group) in enumerate(buckets.items())
+        )
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "constant", "quantized", "uniform", "uniform-floor", "exponential",
+            "exponential-capped", "exponential-floor", "exponential-cap-below-floor",
+        ],
+    )
+    @pytest.mark.parametrize("epoch", [0.0, 1e15])  # (1e15 + x rounds to 1/8ths: ties)
+    def test_records_equal_the_per_target_rule(self, name, epoch):
+        model, draw = _reference_draws(name)
+        rng = random.Random(f"{name}:{epoch}")
+        sim, net, _ = make_net(self.N, latency=model, gst=epoch + 30.0)
+        net.use_kernel({})
+        sim.schedule_at(epoch, lambda: None)
+        sim.run()
+        ties = 0
+        for _ in range(150):
+            sim.schedule_at(sim.now + rng.choice([0.0, 0.5, rng.random() * 10]), lambda: None)
+            sim.run()
+            dsts = rng.sample(range(self.N), rng.randint(1, self.N))
+            if rng.random() < 0.3:
+                dsts = tuple(dsts)
+            expected = self._expected(draw, sim.now, net.gst, net.max_delay, dsts)
+            net.multicast(rng.randrange(self.N), dsts, "m")
+            assert self._queued(sim) == expected
+            ties += sum(len(group) > 1 for _, _, group in expected)
+            sim.clear()
+        if epoch == 0.0 and name in ("uniform", "exponential"):
+            return  # (continuous draws: no tie to reach)
+        assert ties > 0  # (the case reaches its ties)
+
+    def test_a_nan_delay_is_refused_with_nothing_queued(self):
+        class Broken(LatencyModel):
+            def delay(self, src, dst):
+                return float("nan") if dst == 2 else 1.0
+
+            @property
+            def max_delay(self):
+                return 5.0
+
+        sim, net, inboxes = make_net(latency=Broken())
+        net.use_kernel({})
+        with pytest.raises(SimulationError):
+            net.multicast(0, [1, 2, 3], "m")
+        assert sim.pending_events == 0 and sim._heap == []
+        assert net.stats.sent_total == 0
+        net.multicast(0, [1, 3], "m")
+        sim.run()
+        assert inboxes[1] == inboxes[3] == [(0, "m")]
 
 
 class TestPartialSynchrony:
@@ -197,9 +391,9 @@ class TestCopiesLandAfterTheirOriginals:
             net.use_kernel({})  # every bucket to the per-recipient loop
             post_all = sim.post_all
 
-            def posted(receiver, items):
-                fan_outs[-1] += [(time, dsts) for time, (_, _, dsts) in items]
-                post_all(receiver, items)
+            def posted(receiver, times, items):
+                fan_outs[-1] += [(time, dsts) for time, (_, _, dsts) in zip(times, items)]
+                post_all(receiver, times, items)
 
             sim.post_all = posted
         else:

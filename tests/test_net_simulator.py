@@ -85,7 +85,9 @@ class TestScheduling:
         for enqueue in (
             lambda: sim.schedule_at(nan, lambda: None),
             lambda: sim.schedule(nan, lambda: None),
-            lambda: sim.post_all(receiver, [(nan, "loud-0")]),
+            lambda: sim.post_all(receiver, [nan], ["loud-0"]),
+            # (Not first: ``min`` steps over a NaN that is not.)
+            lambda: sim.post_all(receiver, [4.0, nan, 5.0], ["loud-0", "loud-1", "loud-2"]),
             lambda: sim.post_at(nan, receiver, "loud-0"),
         ):
             with pytest.raises(SimulationError):
@@ -105,7 +107,7 @@ class TestScheduling:
         sim.post_at(5.0, receiver, "loud-queued")
         heap = [list(entry) for entry in sim._heap]
         with pytest.raises(SimulationError):
-            sim.post_all(receiver, [(3.0, "loud-a"), (1.0, "loud-b"), (4.0, "loud-c")])
+            sim.post_all(receiver, [3.0, 1.0, 4.0], ["loud-a", "loud-b", "loud-c"])
         assert sim.pending_events == 1 and sim._heap == heap
         sim.run()
         assert seen == ["loud-queued"] and sim.events_processed == 2
@@ -168,7 +170,7 @@ class TestRunControl:
         sim, fired = Simulator(), []
         if posted:
             receiver = _Receiver("a", lambda receiver, item: fired.append(sim.now))
-            sim.post_all(receiver, [(10.0, "loud-10"), (20.0, "loud-20")])
+            sim.post_all(receiver, [10.0, 20.0], ["loud-10", "loud-20"])
         else:
             for time in (10.0, 20.0):
                 sim.schedule_at(time, lambda: fired.append(sim.now))
@@ -704,8 +706,8 @@ class TestRuns:
         sim, log = Simulator(), []
         a = _Receiver("a", self._logging(sim, log))
         b = _Receiver("b", self._logging(sim, log))
-        sim.post_all(a, [(3.0, "loud-a0"), (1.0, "loud-a1"), (2.0, "loud-a2"), (2.0, "loud-a3")])
-        sim.post_all(b, [(2.0, "loud-b0"), (1.0, "loud-b1"), (3.0, "loud-b2")])
+        sim.post_all(a, [3.0, 1.0, 2.0, 2.0], ["loud-a0", "loud-a1", "loud-a2", "loud-a3"])
+        sim.post_all(b, [2.0, 1.0, 3.0], ["loud-b0", "loud-b1", "loud-b2"])
         sim.schedule_at(2.0, lambda: log.append("plain"))
         assert len(sim._heap) == 3 and sim.pending_events == 8
         assert [type(entry) for entry in sim._heap].count(list) == 2
@@ -721,8 +723,7 @@ class TestRuns:
     def test_a_run_cut_inside_a_fan_out_resumes_with_the_rest_of_it(self):
         sim, seen = Simulator(), []
         receiver = _Receiver("a", lambda receiver, item: seen.append(item))
-        fan_out = [(1.0, f"loud-{k}") for k in range(3)] + [(2.0, "loud-3"), (3.0, "loud-4")]
-        sim.post_all(receiver, fan_out)
+        sim.post_all(receiver, [1.0, 1.0, 1.0, 2.0, 3.0], [f"loud-{k}" for k in range(5)])
         sim.schedule_at(2.5, lambda: seen.append("plain"))
         sim.run(stop_when=lambda: len(seen) >= 1)
         # The run took the three records of t=1 and entered one: the other
@@ -783,7 +784,9 @@ class TestRuns:
                         else (lambda item=item: receiver.handle(receiver, item)),
                     )
             if posts:
-                sim.post_all(receiver, fan_out)
+                sim.post_all(
+                    receiver, [time for time, _ in fan_out], [item for _, item in fan_out]
+                )
 
         def handle(receiver, item):
             log.append((receiver.name, item, sim.now, sim.events_processed, sim.pending_events))

@@ -56,7 +56,7 @@ def _run(protocol, adversary, latency, n, seed=0):
     deployment = context.build()
     network = deployment.network
     sent = {}
-    send, multicast = network.send, network.multicast
+    send, multicast, broadcast = network.send, network.multicast, network.broadcast
 
     def spy_send(src, dst, message):
         sent[id(message)] = (src, message)  # pinned: ids stay distinct
@@ -66,7 +66,13 @@ def _run(protocol, adversary, latency, n, seed=0):
         sent[id(message)] = (src, message)
         return multicast(src, targets, message)
 
+    def spy_broadcast(src, message, include_self=False):
+        # (A fully wired network's broadcast skips ``multicast``.)
+        sent[id(message)] = (src, message)
+        return broadcast(src, message, include_self)
+
     network.send, network.multicast = spy_send, spy_multicast
+    network.broadcast = spy_broadcast
     return deployment, context.execute(), sent
 
 
