@@ -165,11 +165,11 @@ class SeatVotes:
         self._crypto = crypto
         self.signer = signer
         self._view = view
-        self._first: Dict[bool, Tuple[Signed, Optional[Tuple[ReplicaId, ...]]]] = {}
+        self._first: Dict[bool, Tuple[Signed, Optional[Sequence[ReplicaId]]]] = {}
 
     def __call__(
         self, is_prepare: bool, statement: Signed
-    ) -> Tuple[Signed, Optional[Tuple[ReplicaId, ...]]]:
+    ) -> Tuple[Signed, Optional[Sequence[ReplicaId]]]:
         """The seat's Prepare or Commit for ``statement`` and its recipients
         (``None``: every replica)."""
         first = self._first.get(is_prepare)

@@ -14,8 +14,7 @@ deployment, or one slot of the SMR service), with the protocol's quorum as
   whole fan-out's dedup test inside one contiguous n-vector (the signer is
   fixed per coalesced bucket, so only word ``signer >> 6`` is touched).
 * **per-slot counters** — ``counts[dst]`` (distinct accepted senders) and
-  ``fired[dst]`` (quorum reported), replacing ``len(bucket.senders)`` and
-  ``bucket.fired``.
+  ``fired[dst]`` (quorum reported).
 * **arrival order** — prepare slots additionally keep ``order[dst, :q]``
   (the first ``q`` signers in arrival order) plus one shared
   ``signer -> Signed`` map, from which a dst's prepared certificate is
@@ -25,9 +24,8 @@ deployment, or one slot of the SMR service), with the protocol's quorum as
   are never extracted, commit collectors only ever answer ``has_quorum``.
 * **mirror columns** — ``views``/``decided`` and the fused
   ``prepare_active``/``commit_active`` eligibility columns per replica,
-  updated by the replica state machine at its (few) mutation points, so the
-  delivery kernel classifies a whole fan-out bucket with vectorized gathers
-  instead of attribute chases.
+  updated by the replica at its (few) mutation points, so the kernel
+  classifies a whole bucket with vectorized gathers.
 :class:`ColumnarVoteDispatch` is the kernel table's entry for each of the
 protocol's vote types (:meth:`Network.use_kernel
 <repro.net.network.Network.use_kernel>`), on the run driver every kernel
@@ -61,7 +59,6 @@ kernel — is **bit-identical** to the reference run for the same seed
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -70,6 +67,7 @@ from ..crypto.signatures import Signed
 from ..errors import QuorumError
 from ..messages.base import ProposalStatement, conforms
 from ..messages.probft import Commit, Prepare, Propose
+from ..types import id_typecode
 from .leader import leader_of
 
 __all__ = [
@@ -469,23 +467,19 @@ class ColumnarVoteDispatch(RunKernel):
     smaller.
 
     The pass fuses :meth:`ProBFTReplica._handle_vote`'s per-recipient
-    rules (view gate, progress pruning, ``i ∈ S``) into array
-    operations over the concatenated recipients: eligibility (one gather
-    over the mirror columns) and the seen-bit test once, each countable
-    vote's arrival rank at its recipient in bucket order, then one scatter
-    each into ``seen`` / ``counts`` / ``order`` / ``fired``.  Its stops are
-    Byzantine recipients (arbitrary handlers) and quorum completions (which
-    can record a decision and flip the stop probe).  Every (signer,
-    recipient) pair occurs once in a group (its signers are distinct, and a
-    bucket lists each recipient once; a copy of a vote that an earlier
-    group counted fails the seen-bit test), a delivery only
-    mutates its own recipient's columns, and no stop reads another
-    recipient's, so applying the group in one shot reorders nothing
-    observable.  An early end (the probe, a refused boundary) leaves the
-    votes behind it over-applied, which is unobservable, and a view flagged
-    equivocal from *inside* a group does not cut it: why both are safe, and
-    the one statistic that can then differ from a per-bucket walk, is
-    DESIGN.md ("Runs and groups"); a walked group needs neither argument.
+    rules (view gate, progress pruning, ``i ∈ S``) into array operations
+    over the concatenated recipients: eligibility (one gather over the
+    mirror columns) and the seen-bit test once, each countable vote's
+    arrival rank at its recipient in bucket order, then one scatter each
+    into ``seen`` / ``counts`` / ``order`` / ``fired``.  Its stops are
+    Byzantine recipients (arbitrary handlers) and quorum completions.  A
+    (signer, recipient) pair occurs once in a group (distinct signers, a
+    recipient once a bucket; an earlier group's copy fails the seen-bit
+    test), a delivery mutates only its recipient's columns and no stop
+    reads another's, so one shot reorders nothing observable.  Why an early
+    end (over-applied votes) and a view flagged equivocal inside a group are
+    safe, and the one statistic that can differ from a walk: DESIGN.md
+    ("Runs and groups").
 
     Declines equivocal-flagged views (any recipient may need the evidence)
     and ProBFT votes that fail prevalidation (they never reach a collector,
@@ -518,6 +512,7 @@ class ColumnarVoteDispatch(RunKernel):
         self._equivocal: Set[int] = set()
         self._last = None  # the statement inspected last
         self._state = state
+        self._ids = np.dtype(id_typecode(state.n))  # a bucket's recipients
         table = crypto.verdicts
         if table is not None and table.config is config:
             # The instance's live vote verdicts, looked up inline.
@@ -710,8 +705,9 @@ class ColumnarVoteDispatch(RunKernel):
         q = state.q
         slot = state.slot(is_prepare, view, value)
         lens = [len(bucket[2]) for bucket in buckets]
-        recipients = chain.from_iterable([bucket[2] for bucket in buckets])
-        D = np.fromiter(recipients, np.intp, votes)
+        # (A bucket of several recipients holds them as the network's id array.)
+        recipients = b"".join([bucket[2] for bucket in buckets])
+        D = np.frombuffer(recipients, self._ids).astype(np.intp)
         starts = np.cumsum([0] + lens[:-1])
         bucket_of = np.repeat(np.arange(B), lens)
         signers = [token.signer for token in tokens]

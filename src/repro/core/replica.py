@@ -54,7 +54,7 @@ the wish kernel (:mod:`repro.sync.columns`), and only unicast wishes reach
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..config import ProtocolConfig
 from ..crypto.context import CryptoContext
@@ -63,6 +63,7 @@ from ..crypto.vrf import VRFOutput, phase_seed
 from ..messages.base import ProposalStatement, conforms
 from ..messages.probft import Commit, NewLeader, Prepare, Propose
 from ..net.transport import Transport
+from .columnar import ColumnarCollectorTable
 from .leader import compute_proposal, leader_of
 from .predicates import safe_proposal, valid_new_leader
 from ..quorum.deterministic import DeterministicQuorumCollector
@@ -78,17 +79,12 @@ DecisionCallback = Callable[[Decision], None]
 
 
 class _VoteToken(NamedTuple):
-    """Recipient-independent validation of one Prepare/Commit vote.
-
-    Computed once per message object (:func:`prevalidate_vote`) and shared
-    by every delivery of it.  Everything here is a pure function of the
-    message and the instance's shared crypto/config, never of the receiving
-    replica.  ``members`` is the vote's :class:`VRFOutput` itself: ``i in
-    token.members`` builds its membership set on the first question, so a
-    vote nobody asks about builds none — the kernel's own-sample route and
-    a sender's delivery to itself (``_send_vote`` makes one only when the
-    sender is in its sample) never ask.  ``None`` means every replica
-    (PBFT's broadcast votes).
+    """Recipient-independent validation of one Prepare/Commit vote: a pure
+    function of the message and the instance's crypto/config, computed once
+    per message object (:func:`prevalidate_vote`).  ``members`` is the
+    vote's :class:`VRFOutput` (``i in token.members`` builds its mask on the
+    first question: the kernel's own-sample route and a sender's delivery
+    to itself never ask), or ``None``: every replica (PBFT's broadcasts).
     """
 
     is_prepare: bool
@@ -103,15 +99,11 @@ class _VoteToken(NamedTuple):
 def prevalidate_vote(
     config: ProtocolConfig, crypto: CryptoContext, message: object
 ) -> Optional[_VoteToken]:
-    """Recipient-independent validation of a Signed Prepare/Commit.
-
-    Pure function of the message and the instance's shared crypto/config:
-    with a verdict table it is computed once per message object and looked
-    up on every later delivery.  ``None`` means the message is no vote at
-    all, not even evidence: no Prepare or Commit, or one that does not
-    conform (:func:`~repro.messages.base.conforms`).  The sample is verified,
-    never unpacked: the token carries the :class:`VRFOutput`, and no
-    membership set is built.
+    """Recipient-independent validation of a Signed Prepare/Commit, with a
+    verdict table computed once per message object and looked up on every
+    later delivery.  ``None``: no vote at all, not even evidence (no Prepare
+    or Commit, or one that does not :func:`~repro.messages.base.conforms`).
+    The sample is verified, never unpacked.
     """
     table = crypto.verdicts
     if table is not None and table.config is config:
@@ -248,8 +240,6 @@ class ProBFTReplica:
             self._prepare_collectors: Dict[View, ProbabilisticQuorumCollector] = {}
             self._commit_collectors: Dict[View, ProbabilisticQuorumCollector] = {}
         else:
-            from .columnar import ColumnarCollectorTable
-
             self._prepare_collectors = ColumnarCollectorTable(
                 columnar_state, True, replica_id
             )
@@ -465,11 +455,11 @@ class ProBFTReplica:
         view: View,
         is_prepare: bool,
         statement: Signed,
-    ) -> Tuple[Signed, Optional[Tuple[ReplicaId, ...]]]:
+    ) -> Tuple[Signed, Optional[Sequence[ReplicaId]]]:
         """Lines 16 and 20: ``signer``'s Prepare or Commit for ``statement``
-        and its recipients, a fresh VRF sample (``None`` would mean every
-        replica).  Honest seats and Byzantine ones (:mod:`repro.adversary`)
-        vote through this one definition."""
+        and its recipients, a fresh VRF sample's id array (``None`` would
+        mean every replica).  Honest seats and Byzantine ones
+        (:mod:`repro.adversary`) vote through this one definition."""
         phase, kind = ("prepare", Prepare) if is_prepare else ("commit", Commit)
         sample = crypto.vrf.prove(
             signer, phase_seed(view, phase, config.seed_domain), config.sample_size
@@ -488,8 +478,8 @@ class ProBFTReplica:
             self._transport.broadcast(message)
             self._deliver_local(message)
             return
-        # Samples are drawn without replacement, so self appears at most
-        # once; C-level index + slice beats filtering ~s elements per vote.
+        # Self is in a sample at most once: the id array's C-level index and
+        # slices beat filtering ~s ids, and stay an id array (the bucket).
         # Each sample is multicast once, by its prover, so nothing is kept.
         try:
             i = targets.index(self.id)

@@ -10,15 +10,15 @@ The sample contains ``s`` *distinct* replica IDs drawn uniformly at random
 
 Simulation construction (see DESIGN.md, Substitutions): the prover derives a
 sampler key ``k = SHA256(sk_i ‖ seed ‖ s)`` and expands it with the
-SHAKE-256 XOF; the output is read as one array of big-endian ``uint64``
-words, never word by word in Python integers.  Words at or above
-``⌊2⁶⁴/n⌋·n`` are dropped (so the rest reduce mod ``n`` exactly uniformly),
-each surviving word names the replica ``word mod n``, repeated IDs are
-skipped, and the first ``s`` distinct IDs — in order of first occurrence —
-are the sample, each element the one shared ``int`` of its id (``_IDS``).
-Drawing uniformly and skipping what was already drawn is an exactly uniform
-draw without replacement.  XOF output is prefix-stable, so the sample is a
-function of ``(k, n, s)`` alone, however many words were requested at once.  The proof is ``k`` itself; verification recomputes ``k``
+SHAKE-256 XOF, read as one array of big-endian ``uint64`` words.  Words at or
+above ``⌊2⁶⁴/n⌋·n`` are dropped (the rest reduce mod ``n`` exactly
+uniformly), each other word names the replica ``word mod n``, repeated IDs
+are skipped, and the first ``s`` distinct IDs in order of first occurrence —
+an exactly uniform draw without replacement — are the sample: an unsigned id
+array (``array('H')`` up to 2¹⁶ replicas, ``'I'`` above; no ``int`` object
+per id), filled straight from the expansion's integer arrays.  XOF output is
+prefix-stable, so the sample is a function of ``(k, n, s)`` alone, however
+many words were requested.  The proof is ``k``; verification recomputes it
 through the trusted registry and replays the expansion.  The paper's three
 guarantees hold against in-simulation adversaries:
 
@@ -33,14 +33,15 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import UnknownReplicaError, VRFError
-from ..types import ReplicaId
+from ..types import ReplicaId, id_typecode
 from .hashing import _SEPARATOR, digest, stable_encode
 from .keys import KeyRegistry
 from .verdicts import VerdictCounts, VerdictTable
@@ -54,66 +55,58 @@ _WORD_SPAN = 1 << 64
 _WORD = np.dtype(">u8")  # ... and big-endian in the XOF output
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VRFOutput:
-    """The result of ``VRF_prove``: a sample and its proof."""
+    """The result of ``VRF_prove``: a sample (an id array, module docstring)
+    and its proof.  Equal when the proofs and id values are, whatever holds
+    the ids (a decoded tuple equals its array, and verifies); hashed by proof."""
 
-    sample: Tuple[ReplicaId, ...]
+    sample: Sequence[ReplicaId]
     proof: bytes
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VRFOutput:
+            return NotImplemented
+        a, b = self.sample, other.sample
+        if (a.__class__ is array) is not (b.__class__ is array):  # by value
+            a, b = (tuple(a), b) if a.__class__ is array else (a, tuple(b))
+        return self.proof == other.proof and a == b
+
+    def __hash__(self) -> int:
+        return hash(self.proof)
+
     def canonical(self) -> Any:
-        # The sample is packed into one bytes value (4 bytes per id, length
-        # carried by the bytes encoding) instead of encoded id by id.  A
-        # forged sample of anything else is encoded element by element (no
-        # packed sample collides with that), so an envelope around it fails
-        # on its tag instead of raising in here.
+        # The ids are packed into one bytes value (4 bytes an id, whatever
+        # holds them).  A forged sample of anything else is encoded element by
+        # element (no packed sample collides with that), so an envelope
+        # around it fails on its tag instead of raising in here.
         try:
             packed = struct.pack(">%dI" % len(self.sample), *self.sample)
         except struct.error:
             return ("vrf-output", tuple(self.sample), self.proof)
         return ("vrf-output", packed, self.proof)
 
-    def members(self) -> frozenset:
-        """The sample as a frozenset, built by the first ``i ∈ S`` question
-        asked of this output object and kept for the rest (each then costs
-        O(1), not an O(s) tuple scan); never built if nobody asks.  Honest
-        routes never ask of a sender's delivery of its own vote to itself."""
-        members = self.__dict__.get("_members")
-        if members is None:
-            members = frozenset(self.sample)
-            object.__setattr__(self, "_members", members)
-        return members
+    def members(self) -> bytearray:
+        """``mask[i] == 1`` iff ``i ∈ S`` (no ``int`` kept), built by the
+        first ``i ∈ S`` asked of this verified output (honest routes never
+        ask of a sender's delivery to itself) and kept."""
+        mask = self.__dict__.get("_members")
+        if mask is None:
+            mask = bytearray(max(self.sample, default=-1) + 1)
+            for i in self.sample:
+                mask[i] = 1
+            object.__setattr__(self, "_members", mask)
+        return mask
 
     def __contains__(self, replica: ReplicaId) -> bool:
-        return replica in self.members()
+        mask = self.members()
+        return 0 <= replica < len(mask) and mask[replica] == 1
 
     def __len__(self) -> int:
         return len(self.sample)
 
 
 _INT = {int}
-
-
-def plain_ids(sample: object) -> bool:
-    """Whether a sample is a tuple of exact ``int`` ids, the one form a
-    forged sample may be hashed or compared in (an ``int`` subclass may
-    override ``__hash__`` / ``__eq__``); honest and verified ones always are."""
-    return type(sample) is tuple and set(map(type, sample)) <= _INT
-
-
-#: ``_IDS[0][i] == i``: the one ``int`` every sample holds for id ``i`` (CPython
-#: shares only the ints up to 256, and a vote keeps its sample for life), and
-#: its object-array twin.  Grown to the largest ``n`` sampled from, by
-#: rebinding the pair: a racing grower costs sharing, never values.
-_IDS: Tuple[List[ReplicaId], Any] = ([], np.empty(0, dtype=object))
-
-
-def _grow_ids(n: int) -> Tuple[List[ReplicaId], Any]:
-    """``_IDS`` grown to ``n`` ids."""
-    global _IDS
-    shared = _IDS[0] + list(range(len(_IDS[0]), n))
-    _IDS = shared, np.array(shared, dtype=object)
-    return _IDS
 
 
 #: From this many words on, one array pass deduplicates a single key's
@@ -126,7 +119,7 @@ _BLOCK_CELLS = 16_384
 _REJECTED_PREFIX = b"\xff" * 6
 
 
-def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
+def _sample_from_stream(stream: bytes, n: int, s: int) -> array:
     """The first ``s`` distinct IDs named by XOF output (one ``uint64`` array).
 
     A word at or above the largest multiple of ``n`` below 2⁶⁴ is skipped
@@ -139,20 +132,20 @@ def _sample_from_stream(stream: bytes, n: int, s: int) -> Tuple[ReplicaId, ...]:
     rejects = limit < _WORD_SPAN and (n > 1 << 16 or _REJECTED_PREFIX in stream)
     if rejects and int(words.max(initial=0)) >= limit:
         words = words[words < limit]
-    shared, twin = _IDS if len(_IDS[0]) >= n else _grow_ids(n)
+    code = id_typecode(n)
     ids = words % n
     if len(stream) < 8 * _ARRAY_MIN_WORDS:
-        return tuple(map(shared.__getitem__, islice(dict.fromkeys(ids.tolist()), s)))
+        return array(code, islice(dict.fromkeys(ids.tolist()), s))
     # Each id's first position: a minimum, whatever order repeats apply in.
     ids = ids.view(np.intp)  # every id is below n: the same values
     positions = np.arange(len(ids))
     first = np.empty(n, np.intp)
     first.fill(len(ids))
     np.minimum.at(first, ids, positions)
-    return tuple(twin[ids[first[ids] == positions][:s]].tolist())
+    return array(code, ids[first[ids] == positions][:s].astype(code).tobytes())
 
 
-def _samples_from_grid(stream: bytes, rows: int, n: int, s: int) -> List[tuple]:
+def _samples_from_grid(stream: bytes, rows: int, n: int, s: int) -> list:
     """:func:`_sample_from_stream` of each of ``rows`` equal slices of
     ``stream``, in one array pass (a block of provers' first requests).
 
@@ -177,18 +170,19 @@ def _samples_from_grid(stream: bytes, rows: int, n: int, s: int) -> List[tuple]:
         drawn &= grid < n
     ranks = drawn.cumsum(axis=1)
     drawn &= ranks <= s
-    twin = _IDS[1] if len(_IDS[1]) >= n else _grow_ids(n)[1]
-    chosen = twin[grid[drawn]]
-    if len(chosen) == rows * s:
-        return list(map(tuple, chosen.reshape(rows, s).tolist()))
-    ends = np.minimum(ranks[:, -1], s).cumsum().tolist()  # a row fell short
-    chosen = chosen.tolist()
-    return [tuple(chosen[a:b]) for a, b in zip([0] + ends, ends)]
+    code = id_typecode(n)
+    chosen = grid[drawn].astype(code).tobytes()
+    size = np.dtype(code).itemsize
+    if len(chosen) == rows * s * size:
+        ends = range(s * size, len(chosen) + 1, s * size)
+    else:  # a row fell short
+        ends = (np.minimum(ranks[:, -1], s).cumsum() * size).tolist()
+    return [array(code, chosen[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _sample_from_key(
     key: bytes, n: int, s: int, word_count: Optional[int] = None
-) -> Tuple[ReplicaId, ...]:
+) -> array:
     """``s`` distinct IDs from ``range(n)``, a function of ``(key, n, s)``.
 
     One SHAKE-256 call yields ``word_count`` 64-bit words; if they hold
@@ -217,21 +211,19 @@ class VRF:
     """Globally known VRF bound to a :class:`KeyRegistry` (paper §2.4).
 
     With a :class:`~repro.crypto.verdicts.VerdictTable` an output is
-    verified once per *object* and ``(replica, seed, s)``: a vote's
-    :class:`VRFOutput` reaches up to ``s`` recipients as the same object.
-    An output :meth:`prove` made through the registry's own key verifies by
-    construction and is registered as such — for the very ``(replica, seed,
-    s)`` it was proven for.  :meth:`prove_with` (explicit keys: the
-    adversary's corrupted-key and forgery path) registers nothing, and an
-    output that is merely *equal* to an honest one is a different object
-    and takes the full key recompute and replay.
+    verified once per *object* and ``(replica, seed, s)`` (a vote's output
+    reaches up to ``s`` recipients as one object).  What :meth:`prove`
+    makes with the registry's key is registered valid, for the very
+    ``(replica, seed, s)`` proven; :meth:`prove_with` (explicit keys: the
+    adversary's path) registers nothing, and a merely *equal* output is
+    another object: full key recompute and replay.
 
     A :meth:`prove` expands its whole *block* of provers (ids ``[b·B,
-    (b+1)·B)``, ``B = ⌊_BLOCK_CELLS / n⌋``) for ``(seed, s)`` in one pass,
-    and keeps the other outputs, as private as the registry's keys, for
-    their own provers: each is handed to one prove (a repeat prove expands
-    its row again; nothing memoizes).  The store dies with this object: an
-    instance's, a trial's or a slot's.
+    (b+1)·B)``, ``B = ⌊_BLOCK_CELLS / n⌋``) for ``(seed, s)`` in one pass and
+    keeps the other outputs, as private as the registry's keys, each for
+    one prove of its prover (a repeat prove expands its row again; nothing
+    memoizes).  The store dies with this object (an instance's, a trial's,
+    a slot's).
     """
 
     def __init__(
@@ -339,8 +331,12 @@ class VRF:
     def _verify(
         self, replica: ReplicaId, seed: str, s: int, output: VRFOutput
     ) -> bool:
-        sample = output.sample
-        if not plain_ids(sample) or len(sample) != s:
+        # An integer array or a tuple of exact ints (no subclass's __eq__ runs).
+        sample, kind = output.sample, output.sample.__class__
+        if not (
+            kind is array and sample.typecode in "bBhHiIlLqQ"
+            or kind is tuple and set(map(type, sample)) <= _INT
+        ) or len(sample) != s:
             return False
         try:
             private_key = self._registry._private_key_of(replica)
@@ -351,7 +347,8 @@ class VRF:
             return False
         if self._verdicts is not None:
             self._verdicts.counts.samples_expanded += 1
-        return _sample_from_key(key, self._registry._n, s) == sample
+        expected = _sample_from_key(key, self._registry._n, s)
+        return (expected if kind is array else tuple(expected)) == sample
 
     def require_valid(
         self, replica: ReplicaId, seed: str, s: int, output: VRFOutput

@@ -93,6 +93,11 @@ class UniformLatency(Seeded, LatencyModel):
     def delay(self, src: ReplicaId, dst: ReplicaId) -> float:
         return self._rng.uniform(self._low, self._high)
 
+    def delays(self, src, dsts):
+        # ``Random.uniform``, bit for bit: low + (high - low) * random().
+        draw, low, span = self._rng.random, self._low, self._high - self._low
+        return [low + span * draw() for _ in dsts]
+
     @property
     def max_delay(self) -> float:
         return self._high

@@ -59,6 +59,7 @@ synchronizer's rules over the same columns.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right, insort
 from typing import Callable, Dict, List, Optional
 
@@ -67,7 +68,7 @@ import numpy as np
 from ..core.columnar import RunKernel
 from ..crypto.signatures import SignatureScheme, Signed
 from ..messages.base import conforms
-from ..types import MAX_VIEW, ReplicaId, View
+from ..types import MAX_VIEW, ReplicaId, View, id_typecode
 from .synchronizer import ViewSynchronizer, Wish
 
 __all__ = ["WishColumns", "WishDispatch"]
@@ -345,7 +346,7 @@ class WishDispatch(RunKernel):
         self._enter_at = 2 * f + 1
         self._signatures = signatures
         self._syncs: Dict[ReplicaId, ViewSynchronizer] = {}
-        self._everyone = list(range(n))
+        self._everyone = array(id_typecode(n), range(n))  # (as a broadcast's ids)
         self.columns = WishColumns(n, self._syncs)
         self._domain = ""
         for replica, sync in syncs.items():

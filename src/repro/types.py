@@ -17,6 +17,13 @@ from typing import Annotated, Callable
 #: A replica identifier, ``0 <= id < n``.
 ReplicaId = int
 
+
+def id_typecode(n: int) -> str:
+    """The ``array`` (and numpy) typecode of a VRF sample or a fan-out's ids
+    among ``n`` replicas: 2 bytes an id up to 2¹⁶ replicas, 4 above."""
+    return "H" if n <= 1 << 16 else "I"
+
+
 #: The largest view a message may name: the synchronizer's shared columns
 #: store views as ``int64`` and compute ``view + 1``.
 MAX_VIEW = 2**62

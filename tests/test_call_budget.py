@@ -21,6 +21,7 @@ The exact per-vote counts of an n=1000 happy-path trial sit beside them.
 from __future__ import annotations
 
 import sys
+from array import array
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.harness.trial import TrialContext, run_trial
 from repro.messages.hotstuff import HsProposal
 from repro.messages.pbft import PbftPropose
 from repro.messages.probft import Propose
-from repro.net.latency import ConstantLatency, ExponentialLatency
+from repro.net.latency import ConstantLatency, ExponentialLatency, UniformLatency
 from repro.net.network import Network, message_kind
 from repro.net.simulator import Simulator
 
@@ -83,14 +84,19 @@ def test_calls_per_event_stay_within_budget(protocol, max_time, events, budget):
 
 @pytest.mark.parametrize(
     "latency, bound",
-    [(ConstantLatency(1.0), 10), (ExponentialLatency(mean=1.0, cap=50.0, seed=1), 13)],
-    ids=["constant", "exponential"],
+    [
+        (ConstantLatency(1.0), 10),
+        (ExponentialLatency(mean=1.0, cap=50.0, seed=1), 13),
+        (UniformLatency(0.5, 1.5, seed=1), 13),
+    ],
+    ids=["constant", "exponential", "uniform"],
 )
 def test_send_side_calls_do_not_grow_with_fan_out(latency, bound):
     """A coalesced fan-out, draw to queued records, is a fixed few Python
-    frames whatever its size: nothing on the send side is called per
-    target.  13 with the exponential model (its draws, the times and the
-    buckets are a comprehension each), 10 with a constant one."""
+    frames whatever its size and whether its targets come as an id array
+    or a list: nothing on the send side is called per target.  13 with a
+    drawing model (its draws, the times and the buckets are a comprehension
+    each), 10 with a constant one."""
     sim = Simulator()
     network = Network(sim, 300, latency=latency)
     for r in range(300):
@@ -99,17 +105,17 @@ def test_send_side_calls_do_not_grow_with_fan_out(latency, bound):
     network.multicast(0, [1], "m")  # (the first send of a kind names its counter)
     sim.clear()
     counts = []
-    for size in (1, 2, 30, 299):
-        targets = list(range(1, size + 1))
-        _, calls = _counting_calls(lambda: network.multicast(0, targets, "m"))
-        counts.append(calls)
-        sim.clear()
+    for size in (1, 2, 30, 63, 64, 299):
+        for targets in (array("H", range(1, size + 1)), list(range(1, size + 1))):
+            _, calls = _counting_calls(lambda: network.multicast(0, targets, "m"))
+            counts.append(calls)
+            sim.clear()
     assert len(set(counts)) == 1 and counts[0] <= bound, counts
 
 
 def _prove_calls(vrf, proves):
     """Python calls made by ``vrf.prove(*args)`` for each of ``proves``, and
-    the outputs, after a warm-up prove grew the shared ids."""
+    the outputs (after a warm-up prove)."""
     outputs = []
 
     def prove_all():

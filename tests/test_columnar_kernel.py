@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.crypto.signatures import Signed
 from repro.harness.registry import ADVERSARIES, MatrixCell, cell_deployment_spec
 from repro.harness.trial import TrialContext
 from repro.sync.synchronizer import Wish
+from repro.types import id_typecode
 
 from .helpers import (
     make_commit,
@@ -264,6 +266,8 @@ def _random_case(rng, copies=False):
         if rng.random() < 0.03:
             wish = crypto.signatures.sign(signer, Wish(view=VIEW + 1))
             buckets.append((signer, wish, [d for d in range(n) if d != signer]))
+    # (The network queues a bucket's recipients as its id array.)
+    buckets = [(src, m, array(id_typecode(n), dsts)) for src, m, dsts in buckets]
     cut = rng.randint(0, len(buckets) - 1)
     return config, crypto, shape, buckets[:cut], buckets[cut:]
 
@@ -402,7 +406,8 @@ class TestGroupEqualsBuckets:
         run = []
         for signer in range(60, 70):
             vote = make_prepare(crypto, config, signer, statement)
-            run.append((signer, vote, [d for d in vote.payload.sample.sample if d != signer]))
+            sample = vote.payload.sample.sample
+            run.append((signer, vote, array("H", [d for d in sample if d != signer])))
         counts = fixture.deliver_run(run, None, lambda: False)
         assert counts == [len(dsts) for _, _, dsts in run]
         assert fixture.kernel.stats()["vote_passes"] == 1
@@ -443,7 +448,8 @@ def _random_chain(rng, config, crypto, shape):
                     vote = Signed(vote.payload, signer, b"\x01" * 32)
             deliveries += [(src, vote, [d]) for d in dsts]
             if rng.random() < 0.15:  # several recipients: a group's
-                others.append((src, vote, dsts[: rng.randint(2, len(dsts))]))
+                group = dsts[: rng.randint(2, len(dsts))]
+                others.append((src, vote, array(id_typecode(n), group)))
     rng.shuffle(deliveries)
     del deliveries[rng.randint(150, 400):]
     for _ in range(rng.randint(0, 3)):  # replayed to the same recipient

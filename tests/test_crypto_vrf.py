@@ -6,6 +6,7 @@ import math
 import random
 import struct
 import weakref
+from array import array
 from dataclasses import replace
 from itertools import islice
 
@@ -29,6 +30,7 @@ from repro.crypto.vrf import (
     phase_seed,
 )
 from repro.errors import UnknownReplicaError, VRFError
+from repro.types import id_typecode
 
 
 @pytest.fixture
@@ -164,17 +166,18 @@ def _stream(words) -> bytes:
 
 
 def _sample_from_words(words, n, s):
-    """The stream → sample step on hand-built words."""
-    return _sample_from_stream(_stream(words), n, s)
+    """The stream → sample step on hand-built words, as a tuple."""
+    return tuple(_sample_from_stream(_stream(words), n, s))
 
 
 def _oracle_from_stream(stream: bytes, n: int, s: int):
     """The derivation as it was before the numpy expansion, word by word in
-    Python integers: the oracle the array path must equal."""
+    Python integers: the oracle the array path must equal (as the id array
+    of its values)."""
     words = struct.unpack(">%dQ" % (len(stream) // 8), stream)
     limit = 2**64 - 2**64 % n
     distinct = dict.fromkeys([w % n for w in words if w < limit])
-    return tuple(islice(distinct, s))
+    return array(id_typecode(n), islice(distinct, s))
 
 
 def _oracle_from_key(key: bytes, n: int, s: int, word_count=None):
@@ -220,9 +223,13 @@ class TestSampleFromWords:
     def test_power_of_two_n_rejects_nothing(self):
         assert _sample_from_words([2**64 - 1, 2**64 - 2, 7], 8, 3) == (7, 6)
 
-    def test_sample_is_python_ints(self):
-        sample = _sample_from_words([2**63 + 5, 9], 1000, 2)
-        assert [type(r) for r in sample] == [int, int]
+    @pytest.mark.parametrize("n, code", [(1000, "H"), (2**16, "H"), (2**16 + 1, "I")])
+    def test_sample_is_an_unsigned_id_array(self, n, code):
+        for count in (3, _ARRAY_MIN_WORDS):  # the dict route and the array pass
+            words = [2**63 + 5, 9, n - 1] + [7] * (count - 3)
+            sample = _sample_from_stream(_stream(words), n, 3)
+            assert type(sample) is array and sample.typecode == code
+            assert sample.tolist() == [(2**63 + 5) % n, 9, n - 1]
 
     # Up to 2¹⁶ every rejected word starts with six 0xff bytes, and the
     # sampler skips its rejection scan on streams without them; 2¹⁷ + 1 is a
@@ -303,7 +310,7 @@ class TestSampleFromKey:
             if word < limit and word % n not in out:
                 out.append(word % n)
                 if len(out) == s:
-                    return tuple(out)
+                    return array(id_typecode(n), out)
         raise AssertionError("reference stream too short")
 
     def test_matches_reference_across_shapes(self):
@@ -327,7 +334,7 @@ class TestSampleFromKey:
             ),
         }
         for (tag, n, s), expected in golden.items():
-            assert _sample_from_key(_key(tag), n, s) == expected
+            assert tuple(_sample_from_key(_key(tag), n, s)) == expected
 
     @pytest.mark.parametrize("n", [7, 500])
     def test_full_sample_is_a_permutation_whatever_the_first_request(self, n):
@@ -345,7 +352,7 @@ class TestSampleFromKey:
             )
 
     def test_single_replica(self):
-        assert _sample_from_key(_key("one"), 1, 1) == (0,)
+        assert _sample_from_key(_key("one"), 1, 1).tolist() == [0]
 
     def test_distinct_ids_at_scale(self):
         sample = _sample_from_key(_key("distinct"), 2000, 90)
@@ -388,7 +395,7 @@ class TestVRFOutputMembers:
     def test_members_cached_per_object(self, vrf):
         out = vrf.prove(3, "seed", 10)
         members = out.members()
-        assert members == frozenset(out.sample)
+        assert {i for i, bit in enumerate(members) if bit} == set(out.sample)
         assert out.members() is members  # built once, reused
 
     def test_contains_and_len(self, vrf):
@@ -399,38 +406,78 @@ class TestVRFOutputMembers:
         assert len(out) == 10
 
 
-class TestSharedIds:
-    """Every sample element is the one shared object of its id value, so a
-    vote's sample holds no ``int`` of its own (CPython shares only the ints
-    up to 256); values and order are the expansion's."""
+class TestIdArrays:
+    """A sample is an unsigned id array: 2 bytes an id up to 2¹⁶ replicas,
+    4 above, no ``int`` object per id; equality is by values and proof, so a
+    decoded sample of plain ints still equals and verifies."""
 
-    @staticmethod
-    def _shared(samples, n):
-        # The full permutation holds every id once: each element of every
-        # other sample must be that very object.
-        canonical = {r: r for r in _sample_from_key(_key("all"), n, n)}
-        return all(r is canonical[r] for sample in samples for r in sample)
-
-    @pytest.mark.parametrize("n", [9, 300, 1000])
-    def test_prove_and_expansion_share_ids(self, n):
-        vrf = VRF(KeyRegistry(n))
+    @pytest.mark.parametrize("n", [9, 300, 1000, 2**16])
+    def test_an_honest_sample_stores_2_bytes_an_id(self, n):
+        vrf = VRF(KeyRegistry(n), VerdictTable())
         s = min(n, 90)
-        proven = [vrf.prove(r, phase_seed(1, "prepare"), s).sample for r in range(8)]
-        expanded = [_sample_from_key(_key(tag), n, s) for tag in range(8)]
-        assert self._shared(proven + expanded, n)
+        key = vrf._registry.key_pair(n - 1).private_key
+        outputs = [vrf.prove(r, phase_seed(1, "prepare"), s) for r in (0, 1, n - 1)]
+        outputs.append(vrf.prove_with(key, n - 1, "with", s))
+        outputs.append(VRFOutput(_sample_from_key(_key("k"), n, s), _key("k")))
+        for output in outputs:
+            sample = output.sample
+            assert type(sample) is array and sample.typecode == "H"
+            assert memoryview(sample).nbytes == 2 * s
 
-    def test_verify_accepts_an_equal_sample_of_fresh_ints(self):
+    def test_a_prove_past_2_16_replicas_is_a_4_byte_array_equal_to_the_oracle(self):
+        n = 70_000
+        registry = KeyRegistry(n)
+        vrf = VRF(registry, VerdictTable())
+        s = ProtocolConfig(n).sample_size
+        for replica in (0, 66_000, n - 1):
+            output = vrf.prove(replica, "wide", s)
+            key = _sampler_key(registry, replica, "wide", s)
+            assert type(output.sample) is array and output.sample.typecode == "I"
+            assert output.sample.tolist() == list(_oracle_from_key(key, n, s))
+            assert max(output.sample) >= 2**16
+            assert vrf.verify(replica, "wide", s, output)
+
+    def test_verify_accepts_an_equal_sample_of_plain_ints(self):
         vrf = VRF(KeyRegistry(1000))
         tvrf = VRF(KeyRegistry(1000), VerdictTable())
         out = vrf.prove(7, "seed", 90)
-        # Equality is the wire contract: a decoded sample has ints of its own.
+        # Equality is the wire contract: a decoded sample is a tuple of ints.
         rebuilt = VRFOutput(
             sample=tuple(int(str(r)) for r in out.sample), proof=out.proof
         )
-        assert rebuilt == out
-        assert any(a is not b for a, b in zip(rebuilt.sample, out.sample))
+        assert rebuilt == out and out == rebuilt and hash(rebuilt) == hash(out)
         assert vrf.verify(7, "seed", 90, rebuilt)
         assert tvrf.verify(7, "seed", 90, rebuilt)
+        wide = VRFOutput(sample=array("I", out.sample), proof=out.proof)
+        assert wide == out and vrf.verify(7, "seed", 90, wide)
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda ids: array("d", ids),  # equal values, but no ids
+            lambda ids: array("h", [-1] + ids[1:]),
+            lambda ids: array("H", ids[:-1]),
+            lambda ids: tuple(ids[:-1]) + (1000,),
+            lambda ids: tuple(ids[:-1]) + (-1,),
+            lambda ids: tuple(ids[:-1]) + (float(ids[-1]),),
+            lambda ids: list(ids),
+        ],
+        ids=["floats", "signed-negative", "short", "n", "negative", "a-float", "list"],
+    )
+    def test_verify_refuses_what_is_no_id_array(self, forge):
+        vrf = VRF(KeyRegistry(1000))
+        out = vrf.prove(7, "seed", 90)
+        forged = VRFOutput(sample=forge(out.sample.tolist()), proof=out.proof)
+        assert not vrf.verify(7, "seed", 90, forged)
+
+    def test_outputs_differ_by_proof_or_values(self):
+        out = VRFOutput(array("H", [1, 2, 3]), b"p")
+        assert out != VRFOutput(array("H", [1, 2, 4]), b"p")
+        assert out != VRFOutput((1, 2), b"p")
+        assert out != VRFOutput(array("H", [1, 2, 3]), b"q")
+        assert out != VRFOutput(None, b"p") and out != (array("H", [1, 2, 3]), b"p")
+        equal = {out, VRFOutput((1, 2, 3), b"p"), VRFOutput(array("I", [1, 2, 3]), b"p")}
+        assert len(equal) == 1
 
 
 class TestVRFOutputEncoding:
@@ -443,7 +490,8 @@ class TestVRFOutputEncoding:
         out = vrf.prove(3, "seed", 10)
         tag, packed, proof = out.canonical()
         assert (tag, proof) == ("vrf-output", out.proof)
-        assert struct.unpack(">10I", packed) == out.sample
+        assert struct.unpack(">10I", packed) == tuple(out.sample)
+        assert packed == struct.pack(">10I", *out.sample)
 
     def test_members_order_and_length_change_the_encoding(self):
         proof = b"\x01" * 32
@@ -540,7 +588,9 @@ class TestTabledVRF:
     def test_tampered_member_rejected_after_replay(self, tvrf):
         out = tvrf.prove(3, "seed", 10)
         absent = next(r for r in range(30) if r not in out.sample)
-        tampered = replace(out, sample=out.sample[:4] + (absent,) + out.sample[5:])
+        tampered = replace(
+            out, sample=tuple(out.sample[:4]) + (absent,) + tuple(out.sample[5:])
+        )
         expanded = tvrf.cache_stats()["misses"]
         assert not tvrf.verify(3, "seed", 10, tampered)
         assert tvrf.cache_stats()["misses"] == expanded + 1

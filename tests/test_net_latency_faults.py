@@ -34,6 +34,22 @@ class TestUniformLatency:
             b.delay(0, 1) for _ in range(10)
         ]
 
+    def test_delays_are_the_seeded_uniform_stream(self):
+        """The fan-out draw is ``Random.uniform`` written out: the same
+        floats, bit for bit, in target order, as the library call on the
+        same seeded stream (an array of ids or a list alike)."""
+        import random
+        from array import array
+
+        model = UniformLatency(0.3, 1.7, seed=9)
+        rng = random.Random("uniform-latency:9")
+        for targets in (list(range(2000)), array("H", range(700))):
+            expected = [rng.uniform(0.3, 1.7) for _ in targets]
+            delays = model.delays(0, targets)
+            assert type(delays) is list and delays == expected
+        assert model.delay(0, 1) == rng.uniform(0.3, 1.7)
+        assert model.delays(0, []) == []
+
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             UniformLatency(2.0, 1.0)

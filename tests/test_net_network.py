@@ -1,6 +1,7 @@
 """Tests for the partially synchronous network."""
 
 import random
+from array import array
 from functools import partial
 
 import pytest
@@ -108,6 +109,75 @@ class TestTargetsAreChecked:
             net.use_kernel({})
         net.multicast(0, [], "m")
         assert sim.pending_events == 0 and sim._heap == [] and net.stats.sent_total == 0
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize(
+        "code, bad, size",
+        [("H", 4, 3), ("H", 4, 80), ("h", -1, 3), ("i", -1, 3), ("i", -1, 80), ("I", 2**16, 3)],
+        ids=["n", "n-long", "h-minus-1", "i-minus-1", "i-minus-1-long", "I-2**16"],
+    )
+    def test_a_bad_id_array_queues_nothing(self, path, code, bad, size):
+        """An id array is checked like any target sequence: by its type and
+        one upper bound (a long one by numpy) on a fully wired network,
+        converted first if it is not the network's (a signed one's -1)."""
+        options = dict(self.PATHS[path])
+        coalesced = options.pop("coalesced", False)
+        sim, net, inboxes = make_net(**options)
+        if coalesced:
+            net.use_kernel({})
+        ids = [bad] + [1, 3] * (size // 2) if path == "dense" else [1, 3] * (size // 2) + [bad]
+        with pytest.raises(NotRegisteredError, match=f"replica {bad}"):
+            net.multicast(0, array(code, ids), "m")
+        assert sim.pending_events == 0 and sim._heap == []
+        assert net.stats.sent_total == 0
+        net.multicast(0, array("H", [1, 3]), "m")  # the network still works
+        sim.run()
+        assert inboxes[1] == inboxes[3] == [(0, "m")] and inboxes[2] == []
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_an_empty_id_array_queues_nothing(self, path):
+        options = dict(self.PATHS[path])
+        coalesced = options.pop("coalesced", False)
+        sim, net, _ = make_net(**options)
+        if coalesced:
+            net.use_kernel({})
+        net.multicast(0, array("H"), "m")
+        assert sim.pending_events == 0 and sim._heap == [] and net.stats.sent_total == 0
+
+    @pytest.mark.parametrize("path", ["constant", "exponential", "chaos"])
+    def test_an_id_array_on_a_partly_wired_network(self, path):
+        """Until every replica is registered, an array's ids are looked up."""
+        options = dict(self.PATHS[path])
+        options.pop("coalesced")
+        sim = Simulator()
+        net = Network(sim, 4, **options)
+        for r in range(3):
+            net.register(r, lambda src, msg: None)
+        net.use_kernel({})
+        with pytest.raises(NotRegisteredError, match="replica 3"):
+            net.multicast(0, array("H", [1, 3, 2]), "m")
+        assert sim.pending_events == 0 and net.stats.sent_total == 0
+        net.multicast(0, array("H", [1, 2]), "m")
+        assert net.stats.sent_total == 2
+
+    def test_a_constant_fan_out_queues_its_id_array_itself(self):
+        """A shared delay is one bucket, and its recipients are the very
+        array sent (a VRF sample is never copied); any other sequence is
+        converted once into the network's id array."""
+        sim, net, _ = make_net(n=300)
+        net.use_kernel({})
+        sample = array("H", [5, 299, 7])
+        net.multicast(0, sample, "m")
+        (entry,) = sim._heap
+        assert entry[4][2] is sample
+        sim.clear()
+        for targets in ([5, 299, 7], (5, 299, 7), iter([5, 299, 7]), array("I", [5, 299, 7])):
+            net.multicast(0, targets, "m")
+            (entry,) = sim._heap
+            recipients = entry[4][2]
+            assert type(recipients) is array and recipients.typecode == "H"
+            assert recipients.tolist() == [5, 299, 7]
+            sim.clear()
 
     @pytest.mark.parametrize("path", ["constant", "exponential", "chaos"])
     def test_a_broadcast_checks_what_is_not_registered(self, path):

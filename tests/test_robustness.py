@@ -1175,7 +1175,7 @@ class TestValueDomain:
                     key, self.id, phase_seed(1, "prepare", config.seed_domain),
                     config.sample_size,
                 )
-                sample = (HostileInt(honest.sample[0]),) + honest.sample[1:]
+                sample = (HostileInt(honest.sample[0]),) + tuple(honest.sample[1:])
                 prepare = Prepare(
                     statement=message.payload.statement,
                     sample=VRFOutput(sample=sample, proof=honest.proof),

@@ -567,10 +567,10 @@ class TestVerdictTableLifecycle:
 
 
 class TestWhatAVoteLeavesBehind:
-    """A vote allocates what some reader later consumes: its membership set
+    """A vote allocates what some reader later consumes: its membership mask
     is built by the first ``i ∈ S`` question, and neither the route from a
     correct sender to its own sample nor a sender's delivery to itself
-    asks one."""
+    asks one.  Its sample is an id array: no ``int`` object per id."""
 
     @staticmethod
     def _context(adversary: str, latency: str, n: int, f: int, seed: int):
@@ -606,12 +606,43 @@ class TestWhatAVoteLeavesBehind:
     def test_n1000_trial_peak_memory(self):
         """What a cold n=1000 trial holds at its peak (tracemalloc): 14.27 MB
         while every sample element was an ``int`` of its own and a sender's
-        own vote built a membership set, 8.09 MB with shared ids and no set."""
+        own vote built a membership set, 8.26 MB with shared ids in tuples,
+        6.99 MB with samples as id arrays."""
         context = self._context("none", "constant", 1000, 333, seed=4)
         context.spec = dataclasses.replace(context.spec, track_memory=True)
         result = context.execute()
         assert result.all_decided and result.max_view == 1
-        assert result.peak_mem_mb <= 11
+        assert result.peak_mem_mb <= 8
+
+    def test_n300_vrf_outputs_keep_no_int_objects(self):
+        """What the VRF's allocations still hold once an n=300 trial is over
+        (tracemalloc, the lines of ``vrf.py``): no block of an ``int``'s size,
+        and at most 600 B a proven output — its object, its 32-byte proof
+        and its id array come to ~490 B (~800 B while a sample was a tuple of
+        60 shared ints)."""
+        import sys
+        import tracemalloc
+
+        from repro.crypto import vrf as vrf_module
+
+        self._context("none", "constant", 300, 99, seed=4).execute()  # (warm)
+        context = self._context("none", "constant", 300, 99, seed=4)
+        gc.collect()
+        tracemalloc.start(1)
+        try:
+            result = context.execute()
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert result.all_decided and result.max_view == 1
+        traces = snapshot.filter_traces(
+            [tracemalloc.Filter(True, vrf_module.__file__)]
+        ).traces
+        proven = self._proven(context.deployment)
+        assert len(proven) == 2 * 300
+        assert sys.getsizeof(299) not in {trace.size for trace in traces}
+        assert sum(trace.size for trace in traces) <= 600 * len(proven)
 
     @pytest.mark.parametrize(
         "adversary,latency,route",
@@ -631,5 +662,6 @@ class TestWhatAVoteLeavesBehind:
         assert (self._built(proven) > 0) == (route == "declined")
         for _, output in proven:
             if "_members" in output.__dict__:
-                assert output.members() == frozenset(output.sample)
-                assert output.members() is output.members()
+                members = output.members()
+                assert {i for i, bit in enumerate(members) if bit} == set(output.sample)
+                assert output.members() is members
