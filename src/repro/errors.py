@@ -39,14 +39,6 @@ class SimulationError(ReproError):
     """The discrete-event simulator was driven incorrectly."""
 
 
-class ProtocolError(ReproError):
-    """A replica received an ill-formed message it cannot even reject cleanly.
-
-    Correct replicas normally *ignore* invalid messages; this error is raised
-    only for programming errors (e.g. wiring a replica into two networks).
-    """
-
-
 class QuorumError(ReproError):
     """Invalid use of a quorum collector or certificate."""
 

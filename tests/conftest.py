@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.config import ProtocolConfig
 from repro.crypto.context import CryptoContext
 
 from .helpers import make_crypto, saturated_config
+
+
+def pytest_collection_finish(session):
+    """What collection made (modules, items, fixtures, parameter ids) lives
+    until the run ends: move it out of the cycle collector's generations,
+    so each collection walks only what the tests themselves make."""
+    gc.collect()
+    gc.freeze()
 
 
 @pytest.fixture

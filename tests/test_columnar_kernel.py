@@ -465,7 +465,9 @@ class TestChainEqualsBuckets:
     #: How a chain ends, by case in turn: a third refused, a sixth stopped.
     MODES = ("complete", "refuse", "complete", "stop", "complete", "refuse")
 
-    @pytest.mark.parametrize("block", range(6))
+    @pytest.mark.parametrize(
+        "block", [0, 1] + [pytest.param(b, marks=pytest.mark.slow) for b in range(2, 6)]
+    )
     def test_random_chains(self, block):
         """900 random chains: one chained delivery and one call per bucket
         leave every array, retained message, buffer, the handler-call order,

@@ -4,20 +4,33 @@ Each protocol's messages are first built as an honest run would build them
 (the *seeds*).  Then every field of every object inside a seed — found from
 the dataclasses' own fields, with range mutations read off their
 annotations, so a new field is fuzzed without editing this file — is
-replaced, one at a time, by each junk value, and every envelope on the way
-up is signed again with its signer's own key (a zero tag where the junk
-cannot even be encoded).  Seeds and mutants go through ``on_message`` to a
-bystander and to view 2's leader, and through the network to everyone, on
-the production stack and on the oracle: nothing may raise, the run decides,
-and both stacks decide alike.  A Byzantine seat that sends its own mutants
-into an n=30 trial must leave it deciding and equal to its oracle.
+replaced, one at a time, by each junk value; so is a VRF sample's first id
+(by int-like junk) and its array (by one of another typecode), an
+envelope's tag (by a forged one of the right type), its signer (by another
+seat carrying the same tag), and every object (by an equal instance of a
+subclass).  Every envelope on the way up is signed again with its signer's
+own key (a zero tag where the junk cannot even be encoded).
+
+Unit by unit, a mutant vote or proposal that breaks the contract or carries
+a forged tag is judged invalid, a second pass computes no new verdict, and a
+replica fed only mutants it cannot accept sends nothing.  Seeds and mutants
+go through ``on_message`` to a bystander and to view 2's leader, and through
+the network to everyone, on the production stack and on the oracle: nothing
+may raise, the run decides in its pinned views, and both stacks decide
+alike.  A Byzantine seat that sends its own seeds and mutants into an n=30
+trial must leave it deciding in its pinned views and equal to its oracle;
+one in the view-1 leader's seat that sends only its mutants that break the
+contract is a silent leader: the trial decides in the views a silent
+leader's trial does, and every decided value is exactly ``bytes``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 import pkgutil
+from array import array
 from itertools import chain
 from typing import Annotated, Any, List, get_args, get_origin, get_type_hints
 
@@ -88,19 +101,30 @@ def _out_of_range(hint) -> tuple:
     return ()
 
 
-def _mutants(obj, resign):
-    """Every copy of ``obj`` with one field (of a dataclass) or the first
-    item (of a tuple) somewhere inside replaced by junk."""
+def _mutants(obj, resign, n):
+    """Every copy of ``obj`` with one field (of a dataclass), the first item
+    (of a tuple) or the first id (of an ``n``-replica sample) somewhere
+    inside replaced by junk, or one object inside replaced by an equal
+    instance of a subclass of its class."""
     if type(obj) is tuple and obj:
-        for item in chain(JUNK, _mutants(obj[0], resign)):
+        for item in chain(JUNK, _mutants(obj[0], resign, n)):
             yield (item,) + obj[1:]
+    elif type(obj) is array:
+        first, rest = obj[0], tuple(obj[1:])
+        for bad in (-1, n, 2**16, 2**64, True, _IntHashRaises(first), _IntEqRaises(first)):
+            yield (bad,) + rest
+        yield from (array("h", (-1,) + rest), array("I", (2**16,) + rest), array("d", obj))
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         hints = get_type_hints(type(obj), include_extras=True)
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
-            junk = chain(JUNK, _out_of_range(hints.get(f.name)), _mutants(value, resign))
+            junk = chain(JUNK, _out_of_range(hints.get(f.name)), _mutants(value, resign, n))
             for replacement in junk:
-                yield _with(obj, f.name, replacement, resign)
+                if replacement is not value:
+                    yield _with(obj, f.name, replacement, resign)
+        if type(obj) is Signed:
+            yield from _forged(obj)
+        yield _subclassed(obj)
 
 
 def _with(obj, name, value, resign):
@@ -112,6 +136,29 @@ def _with(obj, name, value, resign):
         return Signed(obj.payload, obj.signer, value)
     fields = {"payload": obj.payload, "signer": obj.signer, name: value}
     return resign(obj.signer, fields["signer"], fields["payload"])
+
+
+def _forged(envelope):
+    """Tags of the right type that nobody made for ``envelope``: all zeros,
+    its own with one bit flipped, and its own under another valid seat."""
+    tag = envelope.signature
+    return (
+        Signed(envelope.payload, envelope.signer, bytes(32)),
+        Signed(envelope.payload, envelope.signer, bytes([tag[0] ^ 1]) + tag[1:]),
+        Signed(envelope.payload, envelope.signer ^ 1, tag),
+    )
+
+
+@functools.cache
+def _subclass(cls):
+    return type(f"Sub{cls.__name__}", (cls,), {})
+
+
+def _subclassed(obj):
+    """``obj``'s fields in an instance of a subclass of its class (one that
+    could override ``__hash__`` / ``__eq__``)."""
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return _subclass(type(obj))(**fields)
 
 
 def _signing(crypto, config, only=None):
@@ -193,32 +240,82 @@ def _seeds(protocol, config, sign, prove, quorum):
 
 
 def _traffic(protocol, crypto, config, only=None):
-    """Seeds, then all their mutants, as ``(sender, message)``: valid
-    certificates and quorums, or with ``only``, one signer's copies of
-    each — well-typed, but no quorum."""
+    """Seeds, and all their mutants, as two lists of ``(sender, message)``:
+    valid certificates and quorums, or with ``only``, one signer's copies
+    of each — well-typed, but no quorum."""
     sign, prove, resign = _signing(crypto, config, only)
     quorum = range if only is None else lambda size: range(1)
     seeds = _seeds(protocol, config, sign, prove, quorum)
-    mutants = [(src, m) for src, seed in seeds for m in _mutants(seed, resign)]
-    return seeds + mutants
+    return seeds, [(src, m) for src, seed in seeds for m in _mutants(seed, resign, config.n)]
+
+
+def _judge(protocol, config, crypto, message):
+    """The protocol's own verdict on a vote, a proposal or a NewLeader for
+    view 2, alone (``None``: nothing it judges outside a replica)."""
+    from repro.baselines.pbft.predicates import (
+        pbft_safe_proposal, pbft_valid_new_leader, pbft_vote_token,
+    )
+    from repro.core.predicates import safe_proposal, valid_new_leader
+    from repro.core.replica import prevalidate_vote
+
+    payload = getattr(message, "payload", None)
+    if protocol == "probft":
+        vote, proposal, new_leader = (Prepare, Commit), Propose, NewLeader
+        token, safe, valid = prevalidate_vote, safe_proposal, valid_new_leader
+    elif protocol == "pbft":
+        vote, proposal, new_leader = (PbftPrepare, PbftCommit), PbftPropose, PbftNewLeader
+        token, safe, valid = pbft_vote_token, pbft_safe_proposal, pbft_valid_new_leader
+    else:
+        return None
+    if isinstance(payload, vote):
+        verdict = token(config, crypto, message)
+        return verdict is not None and verdict.valid
+    if isinstance(payload, proposal):
+        return safe(message, config, crypto)
+    if isinstance(payload, new_leader):
+        return valid(message, 2, config, crypto)
+    return None
+
+
+def _envelopes(obj):
+    """Every envelope inside a well-typed message, its own included."""
+    if type(obj) is Signed:
+        yield obj
+        obj = obj.payload
+    if type(obj) is tuple:
+        for item in obj:
+            yield from _envelopes(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _envelopes(getattr(obj, f.name))
 
 
 PROTOCOLS = ["probft", "pbft", "hotstuff"]
+
+#: The views the n=8 sweep decides in: the seeds hold leader 0's one valid
+#: view-1 proposal, HotStuff's none (its view 2 decides).
+SWEEP_DECISION_VIEWS = {"probft": (1,), "pbft": (1,), "hotstuff": (2,)}
+
+
+def _silent_leader_cell(protocol, reference=False):
+    """n=8 with a silent view-1 leader, started: the seeds of view 1 reach
+    replicas that voted nobody yet, view 2's are buffered at its leader
+    (replica 1) and replayed when the view change lands there."""
+    from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+    cell = MatrixCell(protocol, "silent", "constant", n=8, f=2)
+    spec = cell_deployment_spec(cell, seed=11, max_time=600.0)
+    dep = (reference_spec(spec) if reference else spec).build()
+    dep.start()
+    return dep
 
 
 class TestSweep:
     @staticmethod
     def _run(protocol, reference):
-        """n=8 with a silent view-1 leader: the seeds of view 1 reach
-        replicas that voted nobody yet, view 2's are buffered at its leader
-        (replica 1) and replayed when the view change lands there."""
-        from repro.harness.registry import MatrixCell, cell_deployment_spec
-
-        cell = MatrixCell(protocol, "silent", "constant", n=8, f=2)
-        spec = cell_deployment_spec(cell, seed=11, max_time=600.0)
-        dep = (reference_spec(spec) if reference else spec).build()
-        dep.start()
-        traffic = _traffic(protocol, dep.crypto, dep.config)
+        dep = _silent_leader_cell(protocol, reference)
+        seeds, mutants = _traffic(protocol, dep.crypto, dep.config)
+        traffic = seeds + mutants
         for src, message in traffic:
             for dst in (3, 1):  # a bystander, and view 2's leader
                 dep.replicas[dst].on_message(src, message)
@@ -226,6 +323,8 @@ class TestSweep:
             dep.network.multicast(src, [d for d in range(8) if d != src], message)
         dep.run(max_time=600.0)
         assert dep.all_correct_decided() and dep.agreement_ok
+        views = tuple(sorted({d.view for d in dep.decisions.values()}))
+        assert views == SWEEP_DECISION_VIEWS[protocol]
         return len(traffic), {r: (d.value, d.view) for r, d in dep.decisions.items()}
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -234,23 +333,75 @@ class TestSweep:
         assert sent > 700
         assert self._run(protocol, True) == (sent, production)
 
-    def test_slot_envelopes(self):
-        """SMR's envelope, around a slot-1 Prepare and Wish, mutated the same
-        way (its ``inner`` included), sent at t=0.5 of a serving trial."""
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_every_mutant_is_refused_once(self, protocol):
+        """Judged alone, no ProBFT mutant vote, proposal or NewLeader is
+        valid, and a PBFT one only if it is still well-typed and carries
+        only its signers' own tags (PBFT reads no statement domain: its
+        domain mutants are valid).  Fed to a bystander and to view 2's
+        leader, the others get no answer, no view change, no block and no
+        decision; and a second pass over them computes no new verdict."""
+        dep = _silent_leader_cell(protocol)
+        _seeds, mutants = _traffic(protocol, dep.crypto, dep.config)
+        sent = dep.network.stats.sent_total
+
+        def judged():
+            return [_judge(protocol, dep.config, dep.crypto, m) for _src, m in mutants]
+
+        verdicts = judged()
+        assert protocol == "hotstuff" or verdicts.count(False) > 500
+        assert protocol != "probft" or not any(verdicts)
+        for (_src, message), valid in zip(mutants, verdicts):
+            if valid:  # no junk, no forgery
+                assert conforms(message, Signed), message
+                assert all(map(dep.crypto.signatures.verify, _envelopes(message))), message
+        refused = [m for m, valid in zip(mutants, verdicts) if not valid]
+
+        def feed():
+            for src, message in refused:
+                for dst in (3, 1):
+                    dep.replicas[dst].on_message(src, message)
+
+        feed()
+        computed = dict(dep.crypto.verdicts.counts.computed)
+        assert judged() == verdicts
+        feed()
+        assert dict(dep.crypto.verdicts.counts.computed) == computed
+        assert dep.network.stats.sent_total == sent
+        for replica in (dep.replicas[3], dep.replicas[1]):
+            assert replica.current_view == 1 and replica.decision is None
+            assert not getattr(replica, "view_blocked", False)
+
+    @pytest.mark.parametrize("protocol", ["probft", "pbft"])
+    def test_slot_envelopes(self, protocol):
+        """SMR's envelope, around a slot-1 vote, Wish and the slot leader's
+        Propose, mutated the same way (its ``inner`` included, and the
+        leader's value by junk that is no ``bytes``), sent at t=0.5 of a
+        serving trial."""
+        from repro.core.leader import leader_of
         from repro.smr.workload import ServingSpec, build_serving_deployment, serve
 
-        spec = ServingSpec(num_clients=4, requests_per_client=2, seed=2)
+        spec = ServingSpec(protocol=protocol, num_clients=4, requests_per_client=2, seed=2)
 
         def run(reference):
             dep = build_serving_deployment(spec, reference=reference)
             config = dep.stack.slot_config(1)
             sign, prove, resign = _signing(dep.crypto, config)
-            statement = sign(0, ProposalStatement(1, b"v", config.seed_domain))
+            leader = leader_of(1, config)
+            statement = sign(leader, ProposalStatement(1, b"v", config.seed_domain))
+            if protocol == "probft":
+                vote = Prepare(statement, prove(5, 1, "prepare"))
+                propose = Propose(1, statement, None)
+            else:
+                vote, propose = PbftPrepare(statement), PbftPropose(1, statement, None)
             seeds = [
-                (5, SlotEnvelope(1, sign(5, Prepare(statement, prove(5, 1, "prepare"))))),
+                (5, SlotEnvelope(1, sign(5, vote))),
                 (5, SlotEnvelope(1, sign(5, Wish(2, config.seed_domain)))),
+                (leader, SlotEnvelope(1, sign(leader, propose))),
             ]
-            traffic = seeds + [(s, m) for s, seed in seeds for m in _mutants(seed, resign)]
+            traffic = seeds + [
+                (s, m) for s, seed in seeds for m in _mutants(seed, resign, config.n)
+            ]
 
             def inject():
                 for src, message in traffic:
@@ -262,16 +413,17 @@ class TestSweep:
             return len(traffic), serve(spec, dep)
 
         (sent, result), oracle = run(False), run(True)
-        assert sent > 150 and oracle == (sent, result)
+        assert sent > 250 and oracle == (sent, result)
         assert result.completed == spec.total_requests
         assert result.timed_out == 0 and result.logs_consistent
         assert oracle[1].latencies == result.latencies
 
 
-def _mutating_seat(protocol):
+def _mutating_seat(protocol, seeds=True):
     class Seat:
-        """Byzantine seat: at the start, every seed and mutant of its own
-        (everything signed with its key alone) to everyone."""
+        """Byzantine seat: at the start, its own seeds and mutants (everything
+        signed with its key alone) to everyone — without ``seeds``, only the
+        mutants that break the wire contract."""
 
         def __init__(self, replica_id, config, crypto, transport):
             self.id, self._config = replica_id, config
@@ -280,7 +432,10 @@ def _mutating_seat(protocol):
 
         def start(self):
             everyone = [d for d in range(self._config.n) if d != self.id]
-            for _src, message in _traffic(protocol, self._crypto, self._config, self.id):
+            own, mutants = _traffic(protocol, self._crypto, self._config, self.id)
+            if not seeds:
+                own, mutants = [], [(s, m) for s, m in mutants if not conforms(m, Signed)]
+            for _src, message in own + mutants:
                 self._transport.multicast(everyone, message)
                 self.sent += 1
 
@@ -290,26 +445,55 @@ def _mutating_seat(protocol):
     return Seat
 
 
+def _seat_spec(protocol, seat, adversary="none", latency="constant"):
+    """n=30, f=5, seed 6, the ``adversary`` cell, with ``seat`` at seat 0."""
+    from repro.harness.registry import MatrixCell, cell_deployment_spec
+
+    cell = MatrixCell(protocol, adversary, latency, n=30, f=5, track_bytes=True)
+    spec = cell_deployment_spec(cell, seed=6, max_time=600.0)
+    return spec if seat is None else dataclasses.replace(spec, byzantine={0: seat})
+
+
 class TestMutatingSeat:
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_n30_trial_decides_and_equals_its_oracle(self, protocol):
-        """Seat 0 leads view 1: its seeds hold its one valid proposal."""
-        from repro.harness.registry import MatrixCell, cell_deployment_spec
+    @staticmethod
+    def _execute(spec):
+        """``spec``'s trial, production and oracle: the production context
+        and its result, which must equal the oracle's and keep agreement."""
         from repro.harness.trial import TrialContext
 
-        def context(reference):
-            cell = MatrixCell(protocol, "none", "constant", n=30, f=5)
-            spec = dataclasses.replace(
-                cell_deployment_spec(cell, seed=6, max_time=600.0),
-                byzantine={0: _mutating_seat(protocol)},
-            )
-            return TrialContext(reference_spec(spec) if reference else spec)
-
-        production = context(False)
+        production = TrialContext(spec)
         result = production.execute()
-        assert result == context(True).execute()
+        assert result == TrialContext(reference_spec(spec)).execute()
         assert result.all_decided and result.agreement_ok
+        assert result.total_bytes > 0
+        return production, result
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_n30_trial_decides_and_equals_its_oracle(self, protocol):
+        """Seat 0 leads view 1: its seeds hold its one valid proposal (none
+        for HotStuff)."""
+        production, result = self._execute(_seat_spec(protocol, _mutating_seat(protocol)))
+        assert result.decision_views == SWEEP_DECISION_VIEWS[protocol]
         assert production.deployment.replicas[0].sent > 700
+        if protocol == "probft":  # (its vote kernel declines a group it cannot pass)
+            assert production.deployment.vote_kernel_stats()["declined"] > 0
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_leader_of_mutants_only_is_a_silent_one(self, protocol):
+        """Seat 0 leads view 1 with nothing but mutants that break the wire
+        contract, a message dropped whole: the trial decides in the views a
+        silent leader's trial does, and only ``bytes``: no junk value is
+        ever decided."""
+        from repro.harness.trial import run_trial
+
+        seat = _mutating_seat(protocol, seeds=False)
+        production, result = self._execute(_seat_spec(protocol, seat, latency="exponential"))
+        assert production.deployment.replicas[0].sent > 500
+        silent = _seat_spec(protocol, None, "silent", latency="exponential")
+        assert result.decision_views == run_trial(silent).decision_views
+        assert min(result.decision_views) >= 2
+        decided = [d.value for d in production.deployment.decisions.values()]
+        assert decided and all(type(value) is bytes for value in decided)
 
 
 def _message_classes():
@@ -323,7 +507,8 @@ def _message_classes():
         if cls not in seen:
             seen.add(cls)
             todo += cls.__subclasses__()
-    return sorted(seen, key=lambda c: (c.__module__, c.__qualname__))
+    under_repro = (c for c in seen if c.__module__.startswith("repro."))  # (not _subclassed's)
+    return sorted(under_repro, key=lambda c: (c.__module__, c.__qualname__))
 
 
 class TestContract:
