@@ -105,7 +105,8 @@ def _mutants(obj, resign, n):
     """Every copy of ``obj`` with one field (of a dataclass), the first item
     (of a tuple) or the first id (of an ``n``-replica sample) somewhere
     inside replaced by junk, or one object inside replaced by an equal
-    instance of a subclass of its class."""
+    instance of a subclass of its class; an envelope's, by its
+    :func:`_parts`, forged tags included."""
     if type(obj) is tuple and obj:
         for item in chain(JUNK, _mutants(obj[0], resign, n)):
             yield (item,) + obj[1:]
@@ -114,17 +115,55 @@ def _mutants(obj, resign, n):
         for bad in (-1, n, 2**16, 2**64, True, _IntHashRaises(first), _IntEqRaises(first)):
             yield (bad,) + rest
         yield from (array("h", (-1,) + rest), array("I", (2**16,) + rest), array("d", obj))
+    elif type(obj) is Signed:
+        for part in _parts(type(obj.payload)):
+            yield from _part(obj, part, resign, n)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        hints = get_type_hints(type(obj), include_extras=True)
         for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            junk = chain(JUNK, _out_of_range(hints.get(f.name)), _mutants(value, resign, n))
-            for replacement in junk:
-                if replacement is not value:
-                    yield _with(obj, f.name, replacement, resign)
-        if type(obj) is Signed:
-            yield from _forged(obj)
+            yield from _field_mutants(obj, f.name, resign, n)
         yield _subclassed(obj)
+
+
+@functools.cache
+def _hints(cls):
+    return get_type_hints(cls, include_extras=True)
+
+
+def _field_mutants(obj, name, resign, n):
+    """Copies of the dataclass ``obj`` with its field ``name`` replaced by
+    junk, by a value just outside its annotated range, or by one of the
+    field's own mutants."""
+    value = getattr(obj, name)
+    junk = chain(JUNK, _out_of_range(_hints(type(obj)).get(name)), _mutants(value, resign, n))
+    for replacement in junk:
+        if replacement is not value:
+            yield _with(obj, name, replacement, resign)
+
+
+def _parts(kind):
+    """Where an envelope around a ``kind`` payload is mutated: the whole
+    payload, each of its fields, its class, the envelope's signer and tag,
+    forged tags and the envelope's class."""
+    fields = (f"payload.{f.name}" for f in dataclasses.fields(kind))
+    return ("payload", *fields, "payload-subclass", "signer", "signature", "forged", "subclass")
+
+
+def _part(envelope, part, resign, n):
+    """The mutants of ``envelope`` at one of its :func:`_parts`."""
+    payload = envelope.payload
+    if part == "forged":
+        return list(_forged(envelope))
+    if part == "subclass":
+        return [_subclassed(envelope)]
+    if part in ("signer", "signature"):
+        return list(_field_mutants(envelope, part, resign, n))
+    if part == "payload":
+        inner = JUNK
+    elif part == "payload-subclass":
+        inner = (_subclassed(payload),)
+    else:
+        inner = _field_mutants(payload, part.removeprefix("payload."), resign, n)
+    return [_with(envelope, "payload", m, resign) for m in inner]
 
 
 def _with(obj, name, value, resign):
@@ -292,6 +331,21 @@ def _envelopes(obj):
 
 PROTOCOLS = ["probft", "pbft", "hotstuff"]
 
+#: The payload class of each of a protocol's seeds, in :func:`_seeds`' order.
+SEED_KINDS = {
+    "probft": (Propose, Prepare, Commit, NewLeader, Propose, Wish),
+    "pbft": (PbftPropose, PbftPrepare, PbftCommit, PbftNewLeader, PbftPropose, Wish),
+    "hotstuff": (HsNewView, HsProposal, HsProposal, HsVote, Wish),
+}
+
+#: One refusal case per protocol, seed and :func:`_parts` of it.
+REFUSAL_CASES = [
+    pytest.param(protocol, i, part, id=f"{protocol}-{i}{kind.__name__}-{part}")
+    for protocol, kinds in SEED_KINDS.items()
+    for i, kind in enumerate(kinds)
+    for part in _parts(kind)
+]
+
 #: The views the n=8 sweep decides in: the seeds hold leader 0's one valid
 #: view-1 proposal, HotStuff's none (its view 2 decides).
 SWEEP_DECISION_VIEWS = {"probft": (1,), "pbft": (1,), "hotstuff": (2,)}
@@ -333,23 +387,31 @@ class TestSweep:
         assert sent > 700
         assert self._run(protocol, True) == (sent, production)
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_every_mutant_is_refused_once(self, protocol):
+    @pytest.mark.parametrize("protocol, seed, part", REFUSAL_CASES)
+    def test_every_mutant_is_refused_once(self, protocol, seed, part):
         """Judged alone, no ProBFT mutant vote, proposal or NewLeader is
         valid, and a PBFT one only if it is still well-typed and carries
         only its signers' own tags (PBFT reads no statement domain: its
         domain mutants are valid).  Fed to a bystander and to view 2's
         leader, the others get no answer, no view change, no block and no
-        decision; and a second pass over them computes no new verdict."""
+        decision; and a second pass over them computes no new verdict.  One
+        case per part of one seed: together, the sweep's every mutant."""
         dep = _silent_leader_cell(protocol)
-        _seeds, mutants = _traffic(protocol, dep.crypto, dep.config)
+        sign, prove, resign = _signing(dep.crypto, dep.config)
+        seeds = _seeds(protocol, dep.config, sign, prove, range)
+        assert tuple(type(m.payload) for _src, m in seeds) == SEED_KINDS[protocol]
+        src, envelope = seeds[seed]
+        mutants = [(src, m) for m in _part(envelope, part, resign, dep.config.n)]
         sent = dep.network.stats.sent_total
 
         def judged():
             return [_judge(protocol, dep.config, dep.crypto, m) for _src, m in mutants]
 
         verdicts = judged()
-        assert protocol == "hotstuff" or verdicts.count(False) > 500
+        assert mutants
+        # (A payload that is no message at all is nothing the protocol judges.)
+        judged_kind = protocol != "hotstuff" and type(envelope.payload) is not Wish
+        assert not judged_kind or part == "payload" or False in verdicts
         assert protocol != "probft" or not any(verdicts)
         for (_src, message), valid in zip(mutants, verdicts):
             if valid:  # no junk, no forgery
