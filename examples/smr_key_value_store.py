@@ -17,6 +17,7 @@ requests.
 Run:  python examples/smr_key_value_store.py
 """
 
+from repro.adversary.behaviors import silent_factory
 from repro.config import ProtocolConfig
 from repro.smr.app import KeyValueApp
 from repro.smr.client import SMRClient, latency_accumulator
@@ -33,7 +34,7 @@ def replicated_store() -> None:
         KeyValueApp,
         num_slots=6,
         seed=3,
-        byzantine={8: None, 9: None},  # two silent Byzantine members
+        byzantine=dict.fromkeys([8, 9], silent_factory()),  # two silent members
     )
     alice = SMRClient(deployment)
     bob = SMRClient(deployment)

@@ -9,6 +9,8 @@ Byzantine replicas remain silent").
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..config import ProtocolConfig
 from ..core.deployment import default_value
 from ..core.replica import ProBFTReplica
@@ -88,19 +90,9 @@ class CrashReplica:
 
 def silent_factory():
     """Factory for :class:`SilentReplica` (deployment ``byzantine=`` entry)."""
-
-    def build(replica_id, config, crypto, transport):
-        return SilentReplica(replica_id, config, crypto, transport)
-
-    return build
+    return SilentReplica
 
 
 def crash_factory(crash_time: float, protocol: type = ProBFTReplica):
     """Factory for :class:`CrashReplica` crashing at ``crash_time``."""
-
-    def build(replica_id, config, crypto, transport):
-        return CrashReplica(
-            replica_id, config, crypto, transport, crash_time, protocol
-        )
-
-    return build
+    return partial(CrashReplica, crash_time=crash_time, protocol=protocol)

@@ -35,6 +35,7 @@ from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..config import ProtocolConfig
+from ..core.leader import leader_of
 from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
 from ..crypto.signatures import Signed
@@ -222,7 +223,9 @@ class EquivocatingLeader:
     signatures verify, so the *only* defences are the quorums (probabilistic
     for ProBFT, deterministic for PBFT) and, for ProBFT, the equivocation
     detector — and backs each with its own votes inside that group.  In
-    later views it stays silent (forcing a view change if it leads again).
+    later views it stays silent (forcing a view change if it leads again),
+    and so does a seat that does not lead :data:`ATTACK_VIEW` of its
+    instance (a rotated SMR slot's; single-shot, seat 0 always leads it).
     """
 
     def __init__(
@@ -244,6 +247,8 @@ class EquivocatingLeader:
         self._protocol = protocol
 
     def start(self) -> None:
+        if leader_of(ATTACK_VIEW, self.config) != self.id:
+            return
         sign = self._crypto.signatures.sign
         votes = SeatVotes(
             self._protocol, self.config, self._crypto, self.id, ATTACK_VIEW

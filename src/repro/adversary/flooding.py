@@ -12,6 +12,8 @@ reject all of it; the tests assert the flood changes nothing.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..config import ProtocolConfig
 from ..core.replica import ProBFTReplica
 from ..crypto.context import CryptoContext
@@ -110,10 +112,4 @@ class FloodingReplica:
 
 def flooding_factory(burst: int = 3, protocol: type = ProBFTReplica):
     """Deployment factory for :class:`FloodingReplica`."""
-
-    def build(replica_id, config, crypto, transport):
-        return FloodingReplica(
-            replica_id, config, crypto, transport, burst=burst, protocol=protocol
-        )
-
-    return build
+    return partial(FloodingReplica, burst=burst, protocol=protocol)

@@ -34,13 +34,20 @@ unsupported cells (pinned by ``tests/test_matrix_coverage.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..config import ProtocolConfig
 from ..core.replica import ProBFTReplica
 from ..types import ReplicaId
 from .behaviors import crash_factory, silent_factory
-from .equivocation import equivocation_byzantine_map
+from .equivocation import (
+    ATTACK_VALUES,
+    EquivocatingLeader,
+    attack_seats,
+    equivocation_byzantine_map,
+    optimal_split,
+)
 from .flooding import flooding_factory
 
 __all__ = [
@@ -249,6 +256,19 @@ def _equivocation(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]
     return byzantine
 
 
+def _lone_leader(config: ProtocolConfig):
+    """The Figure-4c leader seat and its split when it acts alone: no
+    colluders, so the split's Byzantine side is the leader's seat only."""
+    leader, _colluders = attack_seats(config)
+    return leader, optimal_split(config.n, (leader,), *ATTACK_VALUES)
+
+
+def _equivocating_leader(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
+    leader, plan = _lone_leader(config)
+    replica = _skeleton_replica(protocol)
+    return {leader: partial(EquivocatingLeader, strategy=plan, protocol=replica)}
+
+
 def _flooding(protocol: str, config: ProtocolConfig) -> Dict[ReplicaId, Any]:
     return {config.n - 1: flooding_factory(protocol=_skeleton_replica(protocol))}
 
@@ -260,6 +280,13 @@ def _hotstuff_equivocation(
 
     byzantine, _plan = hotstuff_equivocation_map(config)
     return byzantine
+
+
+def _hotstuff_equivocating_leader(protocol: str, config: ProtocolConfig):
+    from ..baselines.hotstuff.adversary import EquivocatingHsLeader
+
+    leader, plan = _lone_leader(config)
+    return {leader: partial(EquivocatingHsLeader, strategy=plan)}
 
 
 def _hotstuff_flooding(
@@ -279,6 +306,11 @@ register_behavior(
     ),
 )
 register_behavior(
+    "equivocating-leader",
+    _equivocating_leader,
+    description="Figure-4c split by the view-1 leader alone, no colluders.",
+)
+register_behavior(
     "flooding",
     _flooding,
     description=(
@@ -291,6 +323,12 @@ register_behavior(
     _hotstuff_equivocation,
     protocol="hotstuff",
     description="Conflicting view-leader proposals + forged-QC DECIDE.",
+)
+register_behavior(
+    "equivocating-leader",
+    _hotstuff_equivocating_leader,
+    protocol="hotstuff",
+    description="Conflicting view-1 proposals by the leader alone.",
 )
 register_behavior(
     "flooding",

@@ -338,8 +338,4 @@ def hotstuff_equivocation_map(
 
 def hotstuff_flooding_factory(burst: int = 3):
     """Deployment factory for :class:`HsFloodingReplica`."""
-
-    def build(replica_id, config, crypto, transport):
-        return HsFloodingReplica(replica_id, config, crypto, transport, burst=burst)
-
-    return build
+    return partial(HsFloodingReplica, burst=burst)

@@ -96,13 +96,7 @@ def _fmt_latency(value) -> object:
 
 
 def cmd_serve(args) -> int:
-    from .smr.workload import (
-        LOAD_LEVELS,
-        SERVING_ADVERSARIES,
-        ServingSpec,
-        run_serving_trial,
-        serving_cells,
-    )
+    from .smr.workload import ServingSpec, run_serving_trial, serving_cells
 
     # Every spec field given as an option, but the matrix's axes.
     fields = {f.name for f in dataclasses.fields(ServingSpec)}
@@ -168,14 +162,15 @@ def cmd_serve(args) -> int:
             ]
             for r in results
         ]
+        adversaries = ", ".join(sorted({spec.adversary for spec in specs}))
+        loads = ", ".join(sorted({spec.load for spec in specs}))
         print(
             render_table(
                 headers,
                 rows,
                 title=(
                     f"SMR serving over {specs[0].protocol} slots "
-                    f"(adversaries {', '.join(sorted(SERVING_ADVERSARIES))}; "
-                    f"loads {', '.join(sorted(LOAD_LEVELS))})"
+                    f"(adversaries {adversaries}; loads {loads})"
                 ),
             )
         )
@@ -380,8 +375,9 @@ def _matrices_epilog() -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .harness.registry import registered_adversaries
     from .harness.trial import list_protocols
-    from .smr.workload import LOAD_LEVELS, SERVING_ADVERSARIES
+    from .smr.workload import LOAD_LEVELS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -421,9 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--adversary",
-        choices=list(SERVING_ADVERSARIES),
+        choices=registered_adversaries(),
         default="none",
-        help="Byzantine behaviour hosted in every slot",
+        help="registered Byzantine behaviour whose seats every slot hosts "
+        "(one that acts outside its seats exits 2)",
     )
     p_serve.add_argument(
         "--load",

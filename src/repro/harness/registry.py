@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..adversary.registry import behavior_for, behavior_supported, list_behaviors
@@ -360,21 +360,7 @@ class ScenarioMatrix:
         """
         if f is None and n == self.n:
             f = self.f
-        return ScenarioMatrix(
-            name=self.name,
-            protocols=self.protocols,
-            adversaries=self.adversaries,
-            latencies=self.latencies,
-            n=n,
-            f=f,
-            description=self.description,
-            budget=self.budget,
-            budgets=self.budgets,
-            target_width=self.target_width,
-            target_widths=self.target_widths,
-            track_bytes=self.track_bytes,
-            track_memory=self.track_memory,
-        )
+        return replace(self, n=n, f=f)
 
 
 class CellAccumulator:

@@ -345,12 +345,10 @@ class Network:
         for dst in targets:
             self.send(src, dst, message)
 
-    def broadcast(
-        self, src: ReplicaId, message: object, include_self: bool = False
-    ) -> None:
-        """Send ``message`` to all replicas (excluding ``src`` unless asked)."""
+    def broadcast(self, src: ReplicaId, message: object) -> None:
+        """Send ``message`` to every replica but ``src``."""
         targets = everyone = self._everyone  # (never mutated: a bucket may hold it)
-        if not include_self and 0 <= src < self._n:
+        if 0 <= src < self._n:
             targets = everyone[:src] + everyone[src + 1 :]
         if self.kernels is not None and len(self._ids) == self._n:
             # (Ids of ``range(n)``, every one registered: nothing to check.)

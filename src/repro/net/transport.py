@@ -38,8 +38,8 @@ class Transport:
     def multicast(self, targets: Iterable[ReplicaId], message: object) -> None:
         self._network.multicast(self._replica, targets, message)
 
-    def broadcast(self, message: object, include_self: bool = False) -> None:
-        self._network.broadcast(self._replica, message, include_self=include_self)
+    def broadcast(self, message: object) -> None:
+        self._network.broadcast(self._replica, message)
 
     def schedule(self, delay: float, callback) -> object:
         """Schedule a local timer (used by the synchronizer)."""

@@ -17,13 +17,14 @@ by passing ``protocol=`` to :class:`~repro.smr.service.SMRDeployment` or
 * :mod:`repro.smr.log` — the ordered decision log with in-order application.
 * :mod:`repro.smr.replica` — an SMR replica multiplexing per-slot instances
   of the slot protocol over one transport (batching, pipelining,
-  backpressure), plus the Byzantine slot multiplexer hosting adversaries in
+  backpressure), plus the Byzantine slot multiplexer hosting one seat in
   every slot.
-* :mod:`repro.smr.service` — deployment wiring and consistency checks.
+* :mod:`repro.smr.service` — deployment wiring (every deployment's
+  ``byzantine=`` seat map) and consistency checks.
 * :mod:`repro.smr.client` — the request-id client API.
 * :mod:`repro.smr.workload` — closed- and open-loop load generation, the one
-  serving spec and the serving trial entry point (adversaries × load
-  levels).
+  serving spec and the serving trial entry point (registered seat
+  behaviours × load levels).
 """
 
 from .app import StateMachine, CounterApp, KeyValueApp, NOOP
@@ -47,6 +48,7 @@ from .workload import (
     WorkloadGenerator,
     run_serving_trial,
     serving_cells,
+    serving_seats,
 )
 
 __all__ = [
@@ -72,6 +74,7 @@ __all__ = [
     "ServingResult",
     "run_serving_trial",
     "serving_cells",
+    "serving_seats",
     "SERVING_ADVERSARIES",
     "LOAD_LEVELS",
 ]

@@ -98,10 +98,6 @@ class SlotRecord(NamedTuple):
     decision: Decision
 
 
-def _drop(slot: int, src: ReplicaId, message: object) -> None:
-    """A silent Byzantine seat's share of a slot's traffic."""
-
-
 class SlotStacks:
     """The slots of one SMR deployment, and the router in front of them.
 
@@ -133,7 +129,7 @@ class SlotStacks:
         #: Every slot up to here has been applied by every correct replica.
         self.retired = 0
         self.stacks: Dict[int, InstanceStack] = {}
-        #: Byzantine seat -> ``deliver(slot, src, inner)`` (absent: silent).
+        #: Byzantine seat -> its host's ``deliver(slot, src, inner)``.
         self.seats: Dict[ReplicaId, Callable] = {}
         #: One decoded tuple per distinct slot value, for every replica.
         self.decode = SlotValueDecoder()
@@ -164,7 +160,7 @@ class SlotStacks:
         stack = self.stacks.get(slot)
         if stack is None and self._crypto is not None:
             seats = self.seats
-            handlers = {b: partial(seats.get(b, _drop), slot) for b in self._byzantine}
+            handlers = {b: partial(seats[b], slot) for b in self._byzantine}
             config = self.slot_config(slot)
             # Each slot validates through its own table, which goes when the
             # slot retires.
@@ -281,8 +277,8 @@ class _SlotTransport(Transport):
     def multicast(self, targets, message: object) -> None:
         super().multicast(targets, SlotEnvelope(self._slot, message))
 
-    def broadcast(self, message: object, include_self: bool = False) -> None:
-        super().broadcast(SlotEnvelope(self._slot, message), include_self)
+    def broadcast(self, message: object) -> None:
+        super().broadcast(SlotEnvelope(self._slot, message))
 
 
 class SMRReplica:
@@ -502,16 +498,16 @@ class SMRReplica:
 
 
 class ByzantineSlotMultiplexer:
-    """Hosts a Byzantine behaviour in every slot of an SMR deployment.
+    """Hosts one Byzantine seat in every slot of an SMR deployment.
 
     The faulty twin of :class:`SMRReplica`: inbound :class:`SlotEnvelope`\\ s
-    route to per-slot endpoints built by ``slot_factory(slot, slot_config,
-    crypto, slot_transport, protocol)`` — any of the single-shot Byzantine
-    seats from :mod:`repro.adversary` (equivocating leaders, flooders, ...)
-    slots in unchanged, speaking the slot protocol's dialect and attacking
-    each consensus instance with slot-scoped keys and transports.  Slots are
-    instantiated on demand (plus the first ``pipeline`` at start, mirroring
-    honest replicas), bounded by ``num_slots``, and let go of once retired.
+    route to per-slot endpoints built by the seat's deployment factory,
+    ``seat(replica_id, slot_config, crypto, slot_transport)``: a registered
+    behaviour's seat runs unchanged in each consensus instance, with
+    slot-scoped keys and transport, and reads where to attack from the slot
+    config.  Slots are instantiated on demand (plus the first ``pipeline``
+    at start, mirroring honest replicas), bounded by ``num_slots``, and let
+    go of once retired.
     """
 
     def __init__(
@@ -519,7 +515,7 @@ class ByzantineSlotMultiplexer:
         replica_id: ReplicaId,
         crypto: CryptoContext,
         transport: Transport,
-        slot_factory: Callable[..., object],
+        seat: Callable[..., object],
         pipeline: int,
         stacks: SlotStacks,
     ) -> None:
@@ -527,7 +523,7 @@ class ByzantineSlotMultiplexer:
         self._crypto = crypto
         self._transport = transport
         self.pipeline = max(1, pipeline)
-        self._slot_factory = slot_factory
+        self._seat = seat
         self._stacks = stacks
         stacks.seats[replica_id] = self.deliver
         self._slots: Dict[int, object] = {}
@@ -556,9 +552,8 @@ class ByzantineSlotMultiplexer:
         if endpoint is None and slot > stacks.retired:
             stacks.sweep(self._slots)
             _stack, config, crypto = stacks.seat(slot, self._crypto)
-            endpoint = self._slots[slot] = self._slot_factory(
-                slot, config, crypto, _SlotTransport(self._transport, slot),
-                stacks.protocol,
+            endpoint = self._slots[slot] = self._seat(
+                self.id, config, crypto, _SlotTransport(self._transport, slot)
             )
             endpoint.start()
         return endpoint

@@ -16,10 +16,8 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..adversary.behaviors import SilentReplica
 from ..config import ProtocolConfig
-from ..core.deployment import Deployment
-from ..crypto.context import CryptoContext
+from ..core.deployment import ByzantineFactory, Deployment
 from ..crypto.hashing import stable_encode
 from ..errors import ConfigError
 from ..net.latency import LatencyModel
@@ -29,15 +27,6 @@ from .app import StateMachine
 from .replica import ByzantineSlotMultiplexer, SlotEnvelope, SlotStacks, SMRReplica
 
 AppFactory = Callable[[], StateMachine]
-
-#: Builds one slot's Byzantine endpoint for a faulty SMR member:
-#: ``factory(slot, slot_config, crypto, slot_transport, protocol) ->
-#: endpoint`` with ``start()`` / ``on_message(src, msg)`` — the per-slot
-#: twin of a deployment's ``byzantine=`` factories, reusing the same
-#: adversary seats in the dialect of ``protocol`` (the slot replica class).
-SlotByzantineFactory = Callable[
-    [int, ProtocolConfig, CryptoContext, object, type], object
-]
 
 
 def slot_stack_class(protocol: str) -> type:
@@ -66,12 +55,12 @@ class SMRDeployment(Deployment):
     behaviour); the deployment runs until every correct replica has applied
     ``num_slots`` slots (or a time/event bound is hit).
 
-    ``byzantine`` maps each faulty member to its per-slot behaviour
-    (equivocating leaders, flooders — see :data:`SlotByzantineFactory`),
-    hosted by a :class:`~repro.smr.replica.ByzantineSlotMultiplexer`, or
-    to ``None`` for a silent seat (crash-faulty from the protocol's point
-    of view).  It must not exceed ``f`` members.  ``protocol`` names the
-    slot protocol (:func:`slot_stack_class`).
+    ``byzantine`` is every deployment's seat map, ``{seat:
+    factory(r, config, crypto, transport)}`` (the registered behaviours'
+    :meth:`~repro.adversary.registry.ByzantineBehavior.byzantine_map`),
+    each seat hosted by a :class:`~repro.smr.replica.ByzantineSlotMultiplexer`
+    that calls its factory once per slot.  It must not exceed ``f`` members.
+    ``protocol`` names the slot protocol (:func:`slot_stack_class`).
 
     ``batch_size`` / ``pipeline`` / ``max_pending`` are the serving hot-path
     knobs: commands per slot, concurrent slots in flight, and the pending
@@ -88,9 +77,7 @@ class SMRDeployment(Deployment):
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
         timeout_policy: Optional[TimeoutPolicy] = None,
-        byzantine: Optional[
-            Mapping[ReplicaId, Optional[SlotByzantineFactory]]
-        ] = None,
+        byzantine: Optional[Mapping[ReplicaId, ByzantineFactory]] = None,
         pipeline: int = 1,
         batch_size: int = 1,
         max_pending: Optional[int] = None,
@@ -118,11 +105,9 @@ class SMRDeployment(Deployment):
             eager_slots=eager_slots,
         )
 
-        def seat(factory):
-            if factory is None:
-                return SilentReplica
+        def host(seat):
             return lambda r, config, crypto, transport: ByzantineSlotMultiplexer(
-                r, crypto, transport, factory, pipeline, self.stack
+                r, crypto, transport, seat, pipeline, self.stack
             )
 
         super().__init__(
@@ -130,7 +115,7 @@ class SMRDeployment(Deployment):
             seed,
             latency=latency,
             timeout_policy=timeout_policy or FixedTimeout(30.0),
-            byzantine={r: seat(factory) for r, factory in (byzantine or {}).items()},
+            byzantine={r: host(seat) for r, seat in (byzantine or {}).items()},
             reference=reference,
         )
         # Correct replicas start before the Byzantine seats: both may send

@@ -34,14 +34,10 @@ import math
 import random
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..adversary.behaviors import SilentReplica
-from ..adversary.equivocation import EquivocatingLeader, optimal_split
-from ..adversary.flooding import FloodingReplica
+from ..adversary.registry import behavior_for
 from ..config import ProtocolConfig
-from ..core.leader import leader_of
 from ..crypto.hashing import digest
 from ..errors import ConfigError
 from ..harness.metrics import LatencyAccumulator
@@ -58,6 +54,7 @@ __all__ = [
     "ServingResult",
     "run_serving_trial",
     "serving_cells",
+    "serving_seats",
     "SERVING_ADVERSARIES",
     "LOAD_LEVELS",
 ]
@@ -235,48 +232,34 @@ class WorkloadGenerator:
 # ----------------------------------------------------------------------
 # Serving trials: adversaries × load levels
 # ----------------------------------------------------------------------
-def _equivocate(slot, seat, config, crypto, transport, protocol):
-    return EquivocatingLeader(
-        seat, config, crypto, transport,
-        strategy=optimal_split(
-            config.n, (seat,), f"evil-{slot}-a".encode(), f"evil-{slot}-b".encode()
-        ),
-        protocol=protocol,
-    )
+def serving_seats(
+    adversary: str, protocol: str, config: ProtocolConfig
+) -> Dict[ReplicaId, Any]:
+    """The registered behaviour ``adversary``'s ``byzantine=`` map on
+    ``protocol``: the seats a serving deployment hosts in every slot.
 
-
-def _flood(slot, seat, config, crypto, transport, protocol):
-    return FloodingReplica(
-        seat, config, crypto, transport, burst=2, protocol=protocol
-    )
-
-
-def _slot_seat(attack, when_leading, slot, config, crypto, transport, protocol):
-    """The one seat-aware slot rule: ``attack`` in the slots whose view-1
-    leadership is ``when_leading`` for this seat, silence in the rest.
-
-    The seat is fixed per deployment; the slot config carries the rotated
-    schedule, so with rotation off the seat leads view 1 of every slot or
-    of none, and with rotation on ~1/n of them.  The equivocator needs the
-    lead; the flooder fires on its leader's proposal, so it attacks the
-    slots it does not lead (in its own it would be a crash-faulty leader).
+    The one place that decides which behaviours serve: those that act
+    through their seats alone.  One that also acts on the deployment
+    (``spec_kwargs``: ``duplication``), or through no seat but is not
+    ``none`` (``targeted-scheduler``, the matrix's network chaos), is a
+    :class:`~repro.errors.ConfigError`.
     """
-    seat = transport.replica
-    if (leader_of(1, config) == seat) != when_leading:
-        return SilentReplica(seat, config, crypto, transport)
-    return attack(slot, seat, config, crypto, transport, protocol)
+    try:
+        behavior = behavior_for(adversary, protocol)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
+    seats = behavior.byzantine_map(protocol, config)
+    if behavior.spec_kwargs or not (seats or adversary == "none"):
+        raise ConfigError(
+            f"adversary {adversary!r} acts outside its seats; serving hosts "
+            "only behaviours that act through seats"
+        )
+    return seats
 
 
-#: Serving-cell adversaries: name → (replica_id, per-slot factory), every
-#: factory the seat-aware :func:`_slot_seat` rule over an existing seat in
-#: the slot protocol's dialect.  Seat 0 / seat 1 match the fixed-leader
-#: schedule: with rotation off the equivocator leads every slot and the
-#: flooder none.
-SERVING_ADVERSARIES: Dict[str, Optional[Tuple[ReplicaId, Callable]]] = {
-    "none": None,
-    "equivocating-leader": (0, partial(_slot_seat, _equivocate, True)),
-    "flooding": (1, partial(_slot_seat, _flood, False)),
-}
+#: The serve matrix's default adversary axis (:func:`serving_cells`): no
+#: fault, the view-1 leader's equivocation alone, and the flooder.
+SERVING_ADVERSARIES: Tuple[str, ...] = ("none", "equivocating-leader", "flooding")
 
 #: Load-level presets for the serving matrix: the client population, and
 #: the aggregate open-loop rate (requests per simulated second; "low" sits
@@ -308,7 +291,8 @@ class ServingSpec:
     everything :func:`run_serving_trial` needs to rebuild the deployment,
     the adversary, and the client population from scratch in any process.
     ``protocol`` is the slot protocol, a registered protocol name
-    (:func:`~repro.smr.service.slot_stack_class`).
+    (:func:`~repro.smr.service.slot_stack_class`), and ``adversary`` a
+    registered behaviour that acts through its seats (:func:`serving_seats`).
 
     The default ``n = 9`` is the smallest deployment where probabilistic
     quorums stay attainable with a faulty member: ``q = ⌈2√n⌉ = 6 ≤ n − f =
@@ -359,11 +343,6 @@ class ServingSpec:
     offered_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.adversary not in SERVING_ADVERSARIES:
-            raise ConfigError(
-                f"unknown adversary {self.adversary!r}; known: "
-                f"{', '.join(sorted(SERVING_ADVERSARIES))}"
-            )
         if self.load not in LOAD_LEVELS:
             raise ConfigError(
                 f"unknown load level {self.load!r}; known: "
@@ -374,6 +353,7 @@ class ServingSpec:
                 f"arrival must be 'closed' or 'open', got {self.arrival!r}"
             )
         slot_stack_class(self.protocol)
+        serving_seats(self.adversary, self.protocol, ProtocolConfig(self.n, self.f))
         for name in (
             "num_clients", "requests_per_client", "window",
             "batch_size", "pipeline", "max_pending", "num_slots",
@@ -475,7 +455,6 @@ def build_serving_deployment(
     """Construct (without running) the deployment a spec describes
     (``reference=True``: the test oracle, see :class:`SMRDeployment`)."""
     config = ProtocolConfig(n=spec.n, f=spec.f)
-    adversary = SERVING_ADVERSARIES[spec.adversary]
     return SMRDeployment(
         config,
         CounterApp,
@@ -483,7 +462,7 @@ def build_serving_deployment(
         seed=spec.seed,
         latency=ConstantLatency(spec.latency),
         timeout_policy=FixedTimeout(spec.timeout),
-        byzantine=dict([adversary]) if adversary else None,
+        byzantine=serving_seats(spec.adversary, spec.protocol, config),
         pipeline=spec.pipeline,
         batch_size=spec.batch_size,
         max_pending=spec.max_pending,
@@ -573,9 +552,7 @@ def serving_cells(
     as before.  An ``offered_rate`` override applies to the open cells only.
     """
     rate = overrides.pop("offered_rate", None)
-    adversaries = (
-        list(SERVING_ADVERSARIES) if adversaries is None else adversaries
-    )
+    adversaries = list(SERVING_ADVERSARIES) if adversaries is None else adversaries
     loads = list(LOAD_LEVELS) if loads is None else loads
     rotations = [False] if rotations is None else rotations
     arrivals = ["closed"] if arrivals is None else arrivals

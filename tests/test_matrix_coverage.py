@@ -80,10 +80,11 @@ class TestBehaviorRegistryCompleteness:
             assert all(0 <= r < config.n for r in byzantine)
 
     def test_forgery_behaviors_speak_each_dialect(self):
-        """Equivocation/flooding are one entry for the protocols on the
-        ProBFT skeleton — the seats read the dialect from the protocol's
-        replica class — and HotStuff's own entry for HotStuff."""
-        for adversary in ("equivocation", "flooding"):
+        """Equivocation, the lone equivocating leader and flooding are one
+        entry for the protocols on the ProBFT skeleton — the seats read the
+        dialect from the protocol's replica class — and HotStuff's own entry
+        for HotStuff."""
+        for adversary in ("equivocation", "equivocating-leader", "flooding"):
             shared = behavior_for(adversary, "probft")
             assert shared.protocol is None
             assert behavior_for(adversary, "pbft") is shared

@@ -43,12 +43,6 @@ class TestDelivery:
         assert inboxes[0] == []
         assert all(inboxes[r] == [(0, "m")] for r in range(1, 4))
 
-    def test_broadcast_include_self(self):
-        sim, net, inboxes = make_net()
-        net.broadcast(0, "m", include_self=True)
-        sim.run()
-        assert inboxes[0] == [(0, "m")]
-
     def test_multicast(self):
         sim, net, inboxes = make_net()
         net.multicast(0, [1, 3], "m")

@@ -17,13 +17,15 @@ difference.
 
 It is checked as one seeded property with two arms: single-shot cells over
 (protocol, adversary, latency, n, seed) and serving cells over (protocol,
-adversary, rotation, arrival, pipeline/batch, n, seed).  Each cell keeps the
+adversary, rotation, arrival, pipeline/batch, n, seed), plus the seat cells:
+every registered behaviour that acts through its seats, served by ProBFT
+and PBFT with rotation off and on.  Each cell keeps the
 pins of the grid it came from — route counters, Wish deliveries,
 ``walked > 0``, the flooder's extra sends.  Tier-1 runs the cells of
 n <= ``SAMPLE_MAX_N`` that a fixed :func:`~repro.harness.parallel.derive_seed`
-draw picks first, ``SINGLE_SHOT_SAMPLE`` and ``SERVING_SAMPLE`` of them (ids
-``sample-…``); ``-m slow`` runs every cell (``all-…``).  A test id names its
-cell and seed.
+draw picks first, ``SINGLE_SHOT_SAMPLE``, ``SERVING_SAMPLE`` and
+``SEATS_SAMPLE`` of them (ids ``sample-…``); ``-m slow`` runs every cell
+(``all-…``).  A test id names its cell and seed.
 
 A spec is data: :meth:`~repro.harness.trial.DeploymentSpec.build` hands each
 deployment copies of its seeded latency and chaos, so one spec per cell
@@ -103,6 +105,7 @@ def _pair(cell: MatrixCell, seed: int):
 #: draw hold every protocol, adversary and latency of the n <= 30 cells.
 SINGLE_SHOT_SAMPLE = 48
 SERVING_SAMPLE = 8
+SEATS_SAMPLE = 12
 #: Tier-1 draws only cells of at most this n; the n=40 and n=100 wish
 #: cells, a second or more each, are the slow tier's.
 SAMPLE_MAX_N = 30
@@ -981,8 +984,53 @@ def test_serving_cell_equals_the_oracle(cell):
         assert sent > probft if cell.n == 16 else sent == probft, cell
 
 
+#: Every registered behaviour that acts through its seats, served by both
+#: slot protocols under either leadership policy.
+SEATS = [
+    ServingCell(protocol, adversary, rotate, "closed", 4, 8, 9, 1)
+    for protocol in ("probft", "pbft")
+    for adversary in (
+        "none", "silent", "silent-f", "crash", "equivocation",
+        "equivocating-leader", "flooding",
+    )
+    for rotate in (False, True)
+]
+#: PBFT under the Fig. 4c split with colluders, fixed leaders: group B (four
+#: correct replicas and seats 0 and 8) reaches PBFT's ⌈(n+f+1)/2⌉ = 6 and
+#: decides ``attack-B`` slot after slot, while group A's three correct
+#: replicas are the only ones wishing — a view change needs 2f+1 = 5.
+STALLED_SEAT = ServingCell("pbft", "equivocation", False, "closed", 4, 8, 9, 1)
+
+
+@pytest.mark.parametrize("cell", _arm(SEATS, SEATS_SAMPLE))
+def test_every_seat_serves_like_its_oracle(cell):
+    """Serving hosts the registry's seats: in every slot the run equals its
+    oracle and the logs agree; every cell but :data:`STALLED_SEAT`
+    completes its 24 requests."""
+    production, result, oracle, expected = _serving_pair(cell.spec())
+    _assert_same_run(production, result, oracle, expected, cell)
+    assert result.logs_consistent, cell
+    if cell != STALLED_SEAT:
+        assert result.completed == result.issued == 24, cell
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="PBFT under the colluding Fig. 4c split with fixed leaders: group "
+    "B decides attack-B in every slot and group A can never gather the "
+    "2f+1 Wishes of a view change (ROADMAP items 14 and 26)",
+)
+def test_pbft_fixed_leader_equivocation_completes():
+    from repro.smr.workload import run_serving_trial
+
+    result = run_serving_trial(STALLED_SEAT.spec())
+    assert result.logs_consistent
+    assert result.completed == result.issued == 24, result.completed
+
+
 #: Tier-1's fuzz seeds, cut at a sim-time soon after the faulty seat's slot
-#: (slot n - 1 or n decides in view 2 by 17.2 at n=9, by 20.8 at n=16).
+#: (the flooder's slot n - 2 or the equivocator's n - 1 decides in view 2 by
+#: 17.2 at n=9, by 20.8 at n=16).
 FUZZ_CUT = {9: 18.0, 16: 22.0}
 
 
@@ -1004,7 +1052,8 @@ def _fuzz_params():
 @pytest.mark.parametrize("n,seed,max_time", _fuzz_params())
 def test_view_changes_inside_slots_recover_identically(n, seed, max_time):
     """A seeded fuzz with batching and rotation on and a faulty seat that
-    forces view changes (an equivocating or a silent-when-leading leader),
+    forces view changes (an equivocating leader, or a flooder that never
+    proposes when it leads),
     every slot's decision view read back: slots that needed a view change
     end in agreeing logs, the same way on both stacks."""
     from repro.smr.workload import ServingSpec
@@ -1017,7 +1066,7 @@ def test_view_changes_inside_slots_recover_identically(n, seed, max_time):
         arrival=("closed", "open")[seed // 2 % 2],
         batch_size=2,
         num_clients=4 + n // 2,  # enough slots to reach the faulty
-        requests_per_client=4,  # seat's turn (slot n - 1 or n)
+        requests_per_client=4,  # seat's turn (slot n - 2 or n - 1)
         timeout=6.0,
         max_time=max_time,
     )

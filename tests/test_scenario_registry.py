@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -72,10 +73,17 @@ class TestMatrixExpansion:
             ScenarioMatrix(name="bad", protocols=("paxos",))
 
     def test_with_size_changes_only_size(self):
-        small = get_matrix("full").with_size(8)
+        full = get_matrix("full")
+        small = full.with_size(8)
         assert small.n == 8
         assert small.protocols == PROTOCOLS
         assert small.resolved_f() == 2  # (8-1)//3
+        # Every other field is carried; a pinned f only while n stays.
+        assert small == dataclasses.replace(full, n=8, f=None)
+        pinned = ScenarioMatrix(name="pinned", n=10, f=1, track_bytes=True)
+        assert pinned.with_size(10) == pinned
+        assert pinned.with_size(13) == dataclasses.replace(pinned, n=13, f=None)
+        assert pinned.with_size(13, f=2).f == 2
 
     def test_named_matrices_lookup(self):
         assert set(list_matrices()) == set(MATRICES)

@@ -158,6 +158,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["serve", f"--{table}", "no-such-key"])
 
+    def test_serve_hosts_every_seat_behaviour(self, capsys):
+        """``--adversary`` takes any registered behaviour that acts through
+        its seats; one that acts outside them exits 2 with a message."""
+        argv = ["serve", "--num-clients", "2", "--requests-per-client", "1"]
+        assert main(argv + ["--adversary", "silent-f", "--json"]) == 0
+        assert capsys.readouterr().out
+        for adversary in ("duplication", "targeted-scheduler"):
+            assert main(argv + ["--adversary", adversary]) == 2
+            assert "outside its seats" in capsys.readouterr().err
+
     def test_serve_rows_name_their_protocol(self, capsys):
         import json
 

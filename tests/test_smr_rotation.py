@@ -12,9 +12,15 @@ report, and the zero-throughput guard for recovered-only trials.
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
+from repro.adversary.equivocation import (
+    ATTACK_VALUES,
+    EquivocatingLeader,
+    optimal_split,
+)
 from repro.config import ProtocolConfig
 from repro.core.deployment import KERNEL_STATS
 from repro.core.leader import leader_of
@@ -29,7 +35,6 @@ from repro.smr.workload import (
     ServingSpec,
     WorkloadGenerator,
     build_serving_deployment,
-    SERVING_ADVERSARIES,
     run_serving_trial,
     serving_cells,
     serving_throughput,
@@ -209,17 +214,19 @@ class TestRotationDeterminism:
 
 class TestEquivocatorAtEveryRotatedSeat:
     """With rotation on, the Byzantine seat leads ~1/n of slots — wherever
-    it sits.  Logs and snapshots must stay consistent for every seat."""
+    it sits — and equivocates in those alone.  Logs and snapshots must stay
+    consistent for every seat."""
 
     @pytest.mark.parametrize("seat", range(9))
     def test_log_consistency(self, seat):
         cfg = ProtocolConfig(n=9, f=2)
+        split = optimal_split(cfg.n, (seat,), *ATTACK_VALUES)
         dep = SMRDeployment(
             cfg,
             CounterApp,
             num_slots=4,
             seed=13,
-            byzantine={seat: SERVING_ADVERSARIES["equivocating-leader"][1]},
+            byzantine={seat: partial(EquivocatingLeader, strategy=split)},
             batch_size=2,
             rotate_leaders=True,
         )

@@ -21,6 +21,7 @@ from repro.smr.workload import (
     build_serving_deployment,
     run_serving_trial,
     serving_cells,
+    serving_seats,
 )
 
 from .helpers import run_serving_spec, serving_engine_trials
@@ -97,9 +98,18 @@ class TestServingSpec:
         assert ServingSpec(num_slots=7).slots() == 7
 
     def test_adversary_registry_shape(self):
-        assert SERVING_ADVERSARIES["none"] is None
-        assert SERVING_ADVERSARIES["equivocating-leader"][0] == 0
-        assert SERVING_ADVERSARIES["flooding"][0] == 1
+        """Serving hosts the registry's seats: the view-1 leader alone
+        equivocates, the last replica floods, and a behaviour that acts
+        outside its seats cannot serve."""
+        config = ProtocolConfig(n=9, f=2)
+        seats = {
+            adversary: sorted(serving_seats(adversary, "probft", config))
+            for adversary in SERVING_ADVERSARIES
+        }
+        assert seats == {"none": [], "equivocating-leader": [0], "flooding": [8]}
+        for adversary in ("duplication", "targeted-scheduler"):
+            with pytest.raises(ConfigError, match="outside its seats"):
+                ServingSpec(adversary=adversary)
 
 
 class TestWorkloadGenerator:
@@ -289,7 +299,7 @@ class TestByzantineConsistencyAtLoad:
             CounterApp,
             num_slots=3,
             seed=13,
-            byzantine=dict([SERVING_ADVERSARIES[adversary]]),
+            byzantine=serving_seats(adversary, "probft", cfg),
             batch_size=2,
         )
         for i in range(4):
@@ -309,8 +319,7 @@ class TestByzantineConsistencyAtLoad:
         assert dep.logs_consistent()
         assert dep.snapshots_consistent()
         # The flooder contributed nothing: honest state is the sum applied.
-        honest = [s for r, s in dep.snapshots().items() if r != 1]
-        assert all(s == sum(range(1, 5)) for s in honest)
+        assert all(s == sum(range(1, 5)) for s in dep.snapshots().values())
 
 
 class TestServingBeyondSaturatedSamples:

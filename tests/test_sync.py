@@ -78,9 +78,9 @@ class SyncCluster:
         self.syncs = {}
         broadcast = self.network.broadcast
 
-        def logged(src, message, include_self=False):
+        def logged(src, message):
             self.sent[src].append((self.sim.now, message.payload.view))
-            broadcast(src, message, include_self=include_self)
+            broadcast(src, message)
 
         self.network.broadcast = logged
         for r in range(n):

@@ -66,10 +66,10 @@ def _run(protocol, adversary, latency, n, seed=0):
         sent[id(message)] = (src, message)
         return multicast(src, targets, message)
 
-    def spy_broadcast(src, message, include_self=False):
+    def spy_broadcast(src, message):
         # (A fully wired network's broadcast skips ``multicast``.)
         sent[id(message)] = (src, message)
-        return broadcast(src, message, include_self)
+        return broadcast(src, message)
 
     network.send, network.multicast = spy_send, spy_multicast
     network.broadcast = spy_broadcast

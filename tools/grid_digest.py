@@ -5,8 +5,11 @@
 The grid is every protocol × n ∈ {16, 40} × every adversary × every latency
 model × seeds 1-2 × ``track_bytes`` off/on (672 runs, f =
 ``ProtocolConfig(n).f``, ``max_time`` 5000), each one scenario-matrix cell
-run through ``run_trial``.  A row is ``<sha256 of repr(RunResult)>  <cell>``;
-the last line is the sha256 of all rows.  Save one checkout's rows with
+run through ``run_trial``.  A row is ``<sha256 of repr(RunResult)>  <cell>``.
+Then come the serving rows: every cell of the default ``serving_cells()``
+at seed 3 for ``probft`` and ``pbft``, each the sha256 of
+``json.dumps(result.row())`` (one row of ``repro serve --matrix --json
+--seed 3 [--protocol pbft]``).  The last line is the sha256 of all rows.  Save one checkout's rows with
 ``--out`` and run the other ``--against`` that file: every row whose hash
 differs (or that only one side has) is printed with both hashes, and the
 exit status is 1 if there is any.  A refactor that claims to change no
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -29,10 +33,13 @@ from repro.harness.registry import (
     cell_deployment_spec,
 )
 from repro.harness.trial import run_trial
+from repro.smr.workload import run_serving_trial, serving_cells
 
 SIZES = (16, 40)
 SEEDS = (1, 2)
 MAX_TIME = 5000.0
+SERVING_PROTOCOLS = ("probft", "pbft")
+SERVING_SEED = 3
 
 
 def grid() -> Iterator[Tuple[MatrixCell, int]]:
@@ -59,6 +66,14 @@ def rows() -> Iterator[str]:
             f"{digest}  {cell.label} n={cell.n} seed={seed} "
             f"bytes={int(cell.track_bytes)}"
         )
+    for protocol in SERVING_PROTOCOLS:
+        for spec in serving_cells(protocol=protocol, seed=SERVING_SEED):
+            row = json.dumps(run_serving_trial(spec).row())
+            yield (
+                f"{hashlib.sha256(row.encode()).hexdigest()}  serve "
+                f"{protocol}/{spec.adversary}/{spec.load} "
+                f"rotate={int(spec.rotate_leaders)} {spec.arrival} seed={spec.seed}"
+            )
 
 
 def as_rows(lines: Iterable[str]) -> Dict[str, str]:
